@@ -29,7 +29,11 @@ sampling work.
 ``--check`` runs the CI smoke contract instead: ground the paper's
 spouse program, apply three incremental updates through a bound compiled
 view (``IncrementalGrounder.bind_compiled``), and assert the patched
-compilation's marginals agree with a from-scratch compile.
+compilation's marginals agree with a from-scratch compile; then drive a
+variational-only ``IncrementalEngine`` through three appends and a
+retraction and assert its approximate substrate was constructed once,
+no oracle view was materialized, and the warm chain's marginals agree
+with a freshly compiled sampler over the spliced graph.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_update_latency.py
 [--scale tiny|small|medium] [--check]``
@@ -268,17 +272,85 @@ def check() -> None:
     print(f"incremental smoke ok: ground → update ×3, max marginal err {err:.3f}")
 
 
+def check_variational() -> None:
+    """CI smoke: the variational strategy patches one approximate
+    substrate — 3 appends + 1 retraction, one construction, zero oracle
+    views, warm-chain marginals ≡ a fresh compile of the spliced graph."""
+    from collections import Counter
+
+    from repro.core import IncrementalEngine
+    from repro.graph.compiled import CompiledFactorGraph
+    from repro.graph.factor_graph import BiasFactor
+    from repro.inference.gibbs import GibbsSampler
+    from repro.util.stats import max_marginal_error
+
+    builds = Counter()
+    original_init = CompiledFactorGraph.__init__
+
+    def counting_init(self, graph):
+        builds[id(self)] += 1
+        original_init(self, graph)
+
+    CompiledFactorGraph.__init__ = counting_init
+    try:
+        engine = IncrementalEngine(
+            build_graph(60),
+            EngineConfig(
+                materialization_samples=400,
+                variational_inference_samples=3000,
+                burn_in=50,
+                strategies=("variational",),
+                seed=0,
+            ),
+        )
+        engine.materialize()
+        num_weights = len(engine.current_graph.weights)
+        deltas = [
+            FactorGraphDelta(
+                new_weight_entries=[(("upd", step), 0.6, False)],
+                new_factors=[BiasFactor(weight_id=num_weights + step, var=step)],
+            )
+            for step in range(3)
+        ]
+        deltas.append(FactorGraphDelta(removed_factor_ids={0, 7}))
+        for delta in deltas:
+            outcome = engine.apply_update(delta)
+            assert outcome.strategy == "variational", outcome.strategy
+    finally:
+        CompiledFactorGraph.__init__ = original_init
+    substrate = engine.variational.current.compiled
+    assert builds[id(substrate)] == 1, (
+        f"approximate substrate constructed {builds[id(substrate)]} times"
+    )
+    for name, compiled in (
+        ("approximate", substrate),
+        ("engine", engine.current_graph.compiled),
+    ):
+        assert compiled.views_materialized == 0, (
+            f"{name} substrate materialized {compiled.views_materialized} oracle views"
+        )
+    spliced = FactorGraph.from_compiled(substrate)
+    fresh = GibbsSampler(spliced, seed=1).estimate_marginals(3000, burn_in=50)
+    err = max_marginal_error(outcome.marginals, fresh)
+    assert err < 0.06, f"warm chain vs fresh compile marginal disagreement: {err:.3f}"
+    print(
+        "variational smoke ok: append ×3 + retract on one substrate, "
+        f"max marginal err {err:.3f}"
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     parser.add_argument(
         "--check",
         action="store_true",
-        help="run the incremental grounding→inference smoke assertion only",
+        help="run the incremental-compilation and variational smoke assertions only",
     )
     args = parser.parse_args()
     if args.check:
         check()
+        check_variational()
         return
     record = run(args.scale)
     emit_json("BENCH_update", record)

@@ -204,7 +204,10 @@ class IncrementalEngine:
             self.base_graph, seed=self.rng, n_workers=self.config.n_workers
         )
         self.variational = VariationalMaterialization(
-            self.base_graph, lam=self.config.variational_lam, seed=self.rng
+            self.base_graph,
+            lam=self.config.variational_lam,
+            seed=self.rng,
+            compact_threshold=self.config.compact_threshold,
         )
         self.materialized = False
         self._last_marginals = None
@@ -316,8 +319,8 @@ class IncrementalEngine:
 
         if delta.is_empty:
             # No-op update: the distribution is unchanged, so skip the
-            # O(graph) bookkeeping (variational splice, delta composition,
-            # graph rebuild) and go straight to the strategy — which still
+            # bookkeeping (variational splice, delta composition, substrate
+            # patch) and go straight to the strategy — which still
             # consumes the bundle, exactly as a non-short-circuited empty
             # update would.
             if self.cumulative_delta is None:
@@ -329,8 +332,9 @@ class IncrementalEngine:
             self._last_marginals = outcome.marginals
             return outcome
 
-        # Keep the variational graph in sync (cheap splice) regardless of
-        # the strategy chosen for this update, so a later fallback works.
+        # Keep the variational substrate in sync (an O(|Δ|) patch)
+        # regardless of the strategy chosen for this update, so a later
+        # fallback works.
         if VARIATIONAL in cfg.strategies:
             self.variational.apply_update(self.current_graph, delta)
 

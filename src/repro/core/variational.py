@@ -19,7 +19,11 @@ treatment unspecified — see DESIGN.md).
 The inference phase splices updates into the approximated graph in
 *energy space*: new factors are added as-is, removed factors are added
 back with negated weights, reweighted factors as shifted copies — so the
-spliced graph's energy tracks ``W_approx + δW`` exactly.
+spliced graph's energy tracks ``W_approx + δW`` exactly.  Every splice is
+an append, so the approximated graph lives in one
+:class:`~repro.graph.compiled.CompiledFactorGraph` that is patched in
+place, and one persistent Gibbs chain warm-starts across the patches
+(``Pr^Δ ≈ Pr⁰``): per-update work scales with ``|Δ|``, not the graph.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.sampling import make_sampler
+from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.delta import FactorGraphDelta
-from repro.graph.delta_energy import DeltaEvaluator
 from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
 
@@ -97,7 +102,10 @@ def solve_logdet(
 
 @dataclass
 class VariationalApproximation:
-    """Output of Algorithm 1 plus bookkeeping."""
+    """Output of Algorithm 1 plus bookkeeping.
+
+    Under a :class:`VariationalMaterialization`, ``graph`` follows the
+    spliced approximation (the compiled substrate's lazy view)."""
 
     graph: FactorGraph
     means: np.ndarray
@@ -124,8 +132,6 @@ def learn_approximation(
     weight_threshold: float = 1e-8,
 ) -> VariationalApproximation:
     """Algorithm 1: original graph → sparse pairwise approximation."""
-    from repro.core.sampling import make_sampler
-
     rng = as_generator(seed)
     if samples is None:
         sampler = make_sampler(graph, seed=rng)
@@ -182,15 +188,33 @@ def learn_approximation(
 
 
 class VariationalMaterialization:
-    """Owns an evolving approximated graph and answers updated queries."""
+    """Owns an evolving approximated graph and answers updated queries.
 
-    def __init__(self, graph: FactorGraph, lam: float = 0.05, seed=None) -> None:
+    The approximated graph is held compiled: :meth:`materialize` compiles
+    it once, :meth:`apply_update` patches that substrate in place with
+    the (append-only) splice, and :meth:`infer` samples one persistent
+    chain over it that keeps its assignment across patches.
+    ``compact_threshold`` is the patched density above which the
+    substrate recompiles itself (see ``CompiledFactorGraph.apply_delta``).
+    """
+
+    def __init__(
+        self,
+        graph: FactorGraph,
+        lam: float = 0.05,
+        seed=None,
+        compact_threshold: float = 0.25,
+    ) -> None:
         self.base_graph = graph
         self.lam = lam
         self.rng = as_generator(seed)
+        self.compact_threshold = compact_threshold
         self.approximation: VariationalApproximation | None = None
-        self.current: FactorGraph | None = None
         self.materialization_seconds = 0.0
+        self._compiled: CompiledFactorGraph | None = None
+        #: Started by the first :meth:`infer`; updates before it have no
+        #: chain to carry over.
+        self._sampler = None
         self._splice_counter = 0
 
     # ------------------------------------------------------------------ #
@@ -206,70 +230,107 @@ class VariationalMaterialization:
             samples=samples,
             seed=self.rng,
         )
-        self.current = self.approximation.graph
+        self._compiled = CompiledFactorGraph(self.approximation.graph)
+        self._sampler = None
         self.materialization_seconds = time.perf_counter() - start
         return self.approximation
 
     @property
+    def current(self) -> FactorGraph | None:
+        """The spliced approximated graph (the substrate's lazy view)."""
+        return self._compiled.graph if self._compiled is not None else None
+
+    @property
     def num_factors(self) -> int:
-        return self.current.num_factors if self.current is not None else 0
+        return self._compiled.num_factors if self._compiled is not None else 0
 
     # ------------------------------------------------------------------ #
 
     def apply_update(self, base_for_delta: FactorGraph, delta: FactorGraphDelta) -> None:
         """Splice ``delta`` (relative to ``base_for_delta``) into the
         approximated graph, preserving the update's energy difference."""
-        if self.current is None:
+        if self._compiled is None:
             raise RuntimeError("materialize() before apply_update()")
-        evaluator = DeltaEvaluator(base_for_delta, delta)
-        updated = self.current.copy()
+        # Compaction buys back the fast CSR kernels for sweeps: while no
+        # chain is running it waits for the first ``infer``.
+        chain = self._sampler
+        patch = self._compiled.apply_delta(
+            self._lower(base_for_delta, delta),
+            compact_threshold=self.compact_threshold if chain is not None else None,
+        )
+        self.approximation.graph = self._compiled.graph
+        if chain is not None:
+            chain.apply_patch(patch)
 
-        for offset in range(delta.num_new_vars):
-            names = delta.new_var_names
-            name = names[offset] if offset < len(names) else None
-            vid = updated.add_variable(name=name)
-            if offset in delta.new_var_evidence:
-                updated.set_evidence(vid, delta.new_var_evidence[offset])
-        for var, value in delta.evidence_updates.items():
-            if value is None:
-                updated.clear_evidence(var)
-            else:
-                updated.set_evidence(var, value)
+    def _lower(self, base: FactorGraph, delta: FactorGraphDelta) -> FactorGraphDelta:
+        """``delta`` as an append-only delta over the approximated graph.
 
+        Variables and evidence carry over unchanged.  Factors are
+        re-pointed at the approximation's own weight store, which tracks
+        the engine's weights by *key*: a new factor interns its key with
+        the post-update value, a removed factor comes back under a fresh
+        fixed weight of the negated pre-update value, and a surviving
+        factor whose weight changed gains a copy weighted by the shift.
+        """
+        weights = self._compiled.weights
+        old_weights = base.weights
+        num_old = len(old_weights)
+        changed = delta.changed_weight_values
+
+        def spliced(factor, kind, value):
+            self._splice_counter += 1
+            wid = weights.intern(
+                (kind, self._splice_counter), initial=value, fixed=True
+            )
+            return dataclasses.replace(factor, weight_id=wid)
+
+        factors = []
         for factor in delta.new_factors:
-            key = evaluator.new_weights.key_for(factor.weight_id)
-            value = evaluator.new_weights.value(factor.weight_id)
-            fixed = evaluator.new_weights.is_fixed(factor.weight_id)
-            wid = updated.weights.intern(key, initial=value, fixed=fixed)
-            updated.factors.append(dataclasses.replace(factor, weight_id=wid))
-        for factor in evaluator.removed_factors:
-            self._splice_counter += 1
-            wid = updated.weights.intern(
-                ("spliced-removal", self._splice_counter),
-                initial=-evaluator.old_weights.value(factor.weight_id),
-                fixed=True,
+            wid = factor.weight_id
+            if wid < num_old:
+                key = old_weights.key_for(wid)
+                value = old_weights.value(wid)
+                fixed = old_weights.is_fixed(wid)
+            else:
+                key, value, fixed = delta.new_weight_entries[wid - num_old]
+            wid = weights.intern(key, initial=changed.get(wid, value), fixed=fixed)
+            factors.append(dataclasses.replace(factor, weight_id=wid))
+        removed = delta.removed_factor_ids
+        for fi in sorted(removed):
+            factor = base.factor_at(fi)
+            factors.append(
+                spliced(factor, "spliced-removal", -old_weights.value(factor.weight_id))
             )
-            updated.factors.append(dataclasses.replace(factor, weight_id=wid))
-        for factor, shift in evaluator.reweighted:
-            self._splice_counter += 1
-            wid = updated.weights.intern(
-                ("spliced-reweight", self._splice_counter),
-                initial=shift,
-                fixed=True,
-            )
-            updated.factors.append(dataclasses.replace(factor, weight_id=wid))
-
-        updated.validate()
-        self.current = updated
+        if changed:
+            for fi in range(base.num_factors):
+                if fi in removed:
+                    continue
+                factor = base.factor_at(fi)
+                change = changed.get(factor.weight_id)
+                if change is not None:
+                    shift = change - old_weights.value(factor.weight_id)
+                    if shift != 0.0:
+                        factors.append(spliced(factor, "spliced-reweight", shift))
+        return FactorGraphDelta(
+            num_new_vars=delta.num_new_vars,
+            new_var_names=delta.new_var_names,
+            new_var_evidence=delta.new_var_evidence,
+            new_factors=factors,
+            evidence_updates=delta.evidence_updates,
+        )
 
     def infer(self, num_samples: int = 200, burn_in: int = 20) -> np.ndarray:
-        """Marginals of the (updated) approximated graph."""
-        from repro.core.sampling import make_sampler
-
-        if self.current is None:
+        """Marginals of the (updated) approximated graph, from the warm
+        chain (evidence stays clamped in its state)."""
+        if self._compiled is None:
             raise RuntimeError("materialize() before infer()")
-        sampler = make_sampler(self.current, seed=self.rng)
-        marginals = sampler.estimate_marginals(num_samples, burn_in=burn_in)
-        for var, value in self.current.evidence.items():
-            marginals[var] = 1.0 if value else 0.0
-        return marginals
+        if self._sampler is None:
+            if self._compiled.patch_fraction() > self.compact_threshold:
+                self._compiled.compact()
+            self._sampler = make_sampler(
+                self._compiled.graph,
+                seed=self.rng,
+                compiled=self._compiled,
+                incremental=True,
+            )
+        return self._sampler.estimate_marginals(num_samples, burn_in=burn_in)

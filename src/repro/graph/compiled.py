@@ -139,6 +139,10 @@ class _Growable:
     def view(self) -> np.ndarray:
         return self.buf[: self.size]
 
+    def __reduce__(self):
+        # Pickle the rows in use, not the spare capacity.
+        return (_Growable, (self.view,))
+
     def append(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=self.buf.dtype)
         need = self.size + values.shape[0]
@@ -151,6 +155,9 @@ class _Growable:
         self.size = need
         return self.view
 
+
+#: Per-variable Python mirrors of the incidence lists (scalar kernel).
+_MIRROR_NAMES = ("py_bias", "py_ising", "py_head", "py_body", "py_slow")
 
 #: Global flat arrays maintained under :meth:`CompiledFactorGraph.apply_delta`
 #: (appends via amortized doubling; per-variable CSR snapshots are *not* in
@@ -252,10 +259,16 @@ class CompiledFactorGraph:
     recompiling.
     """
 
+    #: Armed by :meth:`snapshot_state`: ``{var: pre-patch mirror rows}``,
+    #: filled on first touch by :meth:`apply_patch_ops`.  ``None`` on
+    #: instances that never snapshot (workers, non-transactional use).
+    _mirror_journal = None
+
     def __init__(self, graph: FactorGraph) -> None:
         graph.validate()
         self.graph = graph
         n = self.num_vars = graph.num_vars
+        self._mirror_journal = None
 
         bias_lists = [[] for _ in range(n)]   # [wid]
         ising_lists = [[] for _ in range(n)]  # [(other, wid)]
@@ -506,6 +519,26 @@ class CompiledFactorGraph:
         self._view_factors = None
         self._view_factors_version = -1
 
+    def __getstate__(self):
+        # A transaction snapshot never outlives its process: checkpoints
+        # pickle the substrate without the journal armed for it.  The
+        # growable arrays travel once, inside ``_grow``.
+        state = self.__dict__.copy()
+        state["_mirror_journal"] = None
+        if self._cap_views is None:
+            for name in _GROWABLE_NAMES:
+                del state[name]
+        return state
+
+    def __setstate__(self, state):
+        # numpy pickles a view as a detached copy, and in-place writes to
+        # a detached mask (tombstones, ``var_patched``) would be lost at
+        # the next append: re-derive the views from their buffers.
+        self.__dict__.update(state)
+        if self._cap_views is None:
+            for name, ga in self._grow.items():
+                setattr(self, name, ga.view)
+
     # ------------------------------------------------------------------ #
 
     @property
@@ -545,6 +578,28 @@ class CompiledFactorGraph:
         """The shared mutable evidence dict (owned by the substrate)."""
         return self.graph._evidence
 
+    def factor_at(self, fi: int):
+        """The factor at index ``fi`` of the current factor list, rebuilt
+        O(1) from the handle table — no factor list is materialized."""
+        if self._fkind is None:
+            raise RuntimeError(
+                "attached (worker-side) compiled views carry no factor "
+                "handle table; materialize on the controller"
+            )
+        kind = self._fkind[fi]
+        h1 = self._fh1[fi]
+        if kind == 2:
+            return self._ri_factor[h1]
+        if kind == 1:
+            return IsingFactor(
+                int(self.ising_wid[h1]),
+                int(self.ising_row[h1]),
+                int(self.ising_other[h1]),
+            )
+        if kind == 0:
+            return BiasFactor(int(self.bias_wid[h1]), int(self.bias_var[h1]))
+        return self.slow_list[h1]
+
     def materialized_factors(self) -> list:
         """The current factor list, lazily rebuilt from the handle table.
 
@@ -553,8 +608,8 @@ class CompiledFactorGraph:
         :class:`~repro.graph.factor_graph.CompiledGraphView.factors`:
         O(#factors) when (re)built, then cached until the next structural
         patch bumps ``structure_version``.  Slow paths (legacy evaluator,
-        strawman, exact inference, variational splice) pay for it; the
-        default update path must not.
+        strawman, exact inference) pay for it; the default update path
+        must not — single factors come from :meth:`factor_at`.
         """
         if self._fkind is None:
             raise RuntimeError(
@@ -565,6 +620,8 @@ class CompiledFactorGraph:
             self._view_factors is None
             or self._view_factors_version != self.structure_version
         ):
+            # :meth:`factor_at` for every index, inlined: this loop is
+            # the whole cost of an engine's Pr⁰ copy and of a compaction.
             fkind = self._fkind
             fh1 = self._fh1
             bias_var, bias_wid = self.bias_var, self.bias_wid
@@ -1010,21 +1067,34 @@ class CompiledFactorGraph:
                 self.py_body.append([])
                 self.py_slow.append([])
 
+        journal = self._mirror_journal
+        if journal is not None:
+            mirrors = [getattr(self, name) for name in _MIRROR_NAMES]
+
         def touch(var):
-            dirty.add(int(var))
+            """Mark ``var`` patched.  Called *before* its mirror rows
+            mutate, so an armed snapshot journals their pre-patch
+            content on first touch (appended variables roll back by
+            truncation instead)."""
+            var = int(var)
+            if journal is not None and var < n0 and var not in journal:
+                journal[var] = [list(m[var]) for m in mirrors]
+            dirty.add(var)
             self.var_patched[var] = True
 
         # ---- removals (tombstones + mirror scrub) ------------------------
         for kb in ops["bias_del"]:
             var, wid = int(self.bias_var[kb]), int(self.bias_wid[kb])
+            touch(var)
             self.bias_alive[kb] = False
             self.py_bias[var].remove(wid)
             self._count_adjust(wid, -1)
             patch.bias_del.append(int(kb))
-            touch(var)
         for k1, k2 in ops["ising_del"]:
             i, j = int(self.ising_row[k1]), int(self.ising_other[k1])
             wid = int(self.ising_wid[k1])
+            touch(i)
+            touch(j)
             self.ising_alive[k1] = False
             self.ising_alive[k2] = False
             self.py_ising[i].remove((j, wid))
@@ -1033,14 +1103,14 @@ class CompiledFactorGraph:
             self._nbr_adjust(i, j, -1)
             self._nbr_adjust(j, i, -1)
             patch.ising_del.append((int(k1), int(k2)))
-            touch(i)
-            touch(j)
         for ri, head, body_vars in ops["rule_del"]:
+            members = set(body_vars) | {head}
+            for var in members:
+                touch(var)
             self.rule_alive[ri] = False
             self.num_live_rules -= 1
             self._count_adjust(int(self.rule_wid[ri]), -1)
             self.py_head[head].remove(ri)
-            members = set(body_vars) | {head}
             for var in body_vars:
                 segs = self.py_body[var]
                 for s, (seg_ri, _lits) in enumerate(segs):
@@ -1057,21 +1127,20 @@ class CompiledFactorGraph:
                     for b in members:
                         if a != b:
                             self._nbr_adjust(a, b, -1)
-            for var in members:
-                touch(var)
         for si in ops["slow_del"]:
             factor = self.slow_list[si]
             self.slow_alive[si] = False
             self.num_live_slow -= 1
             self._count_adjust(factor.weight_id, -1)
             for var in factor.variables():
+                touch(var)
                 self.py_slow[var].remove(si)
                 self._needs_scalar[var] = bool(self.py_slow[var])
-                touch(var)
 
         # ---- additions ---------------------------------------------------
         for var, wid in ops["bias_add"]:
             kb = self.bias_wid.shape[0]
+            touch(var)
             self._append("bias_var", [var])
             self._append("bias_wid", [wid])
             self._append("bias_alive", [True])
@@ -1080,9 +1149,10 @@ class CompiledFactorGraph:
             patch.bias_add.append((int(var), int(wid)))
             if track_handles:
                 handles_by_kind[0].append((0, kb, -1))
-            touch(var)
         for i, j, wid in ops["ising_add"]:
             k1 = self.ising_wid.shape[0]
+            touch(i)
+            touch(j)
             self._append("ising_row", [i, j])
             self._append("ising_other", [j, i])
             self._append("ising_wid", [wid, wid])
@@ -1095,8 +1165,6 @@ class CompiledFactorGraph:
             patch.ising_add.append((int(i), int(j), int(wid)))
             if track_handles:
                 handles_by_kind[1].append((1, k1, k1 + 1))
-            touch(i)
-            touch(j)
         for head, wid, code, groundings in ops["rule_add"]:
             semantics = sem_from_code(code)
             self._count_adjust(wid, 1)
@@ -1116,12 +1184,15 @@ class CompiledFactorGraph:
                 self.slow_alive.append(True)
                 self.num_live_slow += 1
                 for var in factor.variables():
+                    touch(var)
                     self.py_slow[var].append(si)
                     self._needs_scalar[var] = True
-                    touch(var)
                 if track_handles:
                     handles_by_kind[2].append((3, si, -1))
                 continue
+            members = body_vars | {head}
+            for var in members:
+                touch(var)
             ri = self.num_rules
             self.num_rules += 1
             self.num_live_rules += 1
@@ -1157,7 +1228,6 @@ class CompiledFactorGraph:
                 self._append("lit_pos", lit_pos_new)
             for v, lits in per_var.items():
                 self.py_body[v].append((ri, lits))
-            members = body_vars | {head}
             if len(members) > _BIG_FACTOR:
                 for var in members:
                     self._big_count[var] += 1
@@ -1169,8 +1239,6 @@ class CompiledFactorGraph:
                             self._nbr_adjust(a, b, 1)
             if track_handles:
                 handles_by_kind[2].append((2, ri, -1))
-            for var in members:
-                touch(var)
 
         if track_handles and ops["add_order"]:
             # Interleave the per-kind handle rows back into the factor
@@ -1363,7 +1431,13 @@ class CompiledFactorGraph:
         Captures exactly the state :meth:`apply_delta` (and a threshold
         :meth:`compact` it may trigger) can change: the growable buffers
         by (object, size) plus content copies of the in-place-mutated
-        masks, the Python mirrors, the handle table and plan cache.
+        masks, the handle table and plan cache.  The Python mirrors are
+        captured by reference and *journaled*: while this capture is the
+        latest one, :meth:`apply_patch_ops` saves a variable's mirror
+        rows the first time a patch touches it (a compaction swaps the
+        lists wholesale and leaves the captured ones intact), so the
+        mirrors cost O(touched), not O(num_vars).  Only the most recent
+        capture can be restored.
         Must be taken *before* ``apply_delta`` runs (``_ops_from_delta``
         rewrites the handle table first).  Restoring recovers the exact
         pre-patch layout — same tombstones, same block ``seq`` stamps,
@@ -1374,6 +1448,8 @@ class CompiledFactorGraph:
             raise RuntimeError(
                 "shared-memory attached views snapshot on the controller"
             )
+        # Arming a new journal supersedes the previous capture's.
+        self._mirror_journal = journal = {}
         snap = {
             "grow": self._grow,
             "sizes": {n: self._grow[n].size for n in _GROWABLE_NAMES},
@@ -1385,10 +1461,11 @@ class CompiledFactorGraph:
                 n: (getattr(self, n), len(getattr(self, n)))
                 for n in self._SNAP_APPEND_LISTS
             },
-            "mirrors": {
-                n: [list(sub) for sub in getattr(self, n)]
-                for n in ("py_bias", "py_ising", "py_head", "py_body", "py_slow")
-            },
+            "mirrors": (
+                [getattr(self, n) for n in _MIRROR_NAMES],
+                self.num_vars,
+                journal,
+            ),
             "slow_alive": list(self.slow_alive),
             "weight_factor_counts": (
                 None
@@ -1423,6 +1500,13 @@ class CompiledFactorGraph:
         compaction abandons rather than mutates)."""
         if snap["used"]:
             raise RuntimeError("compiled snapshot already consumed")
+        mirrors, num_vars, journal = snap["mirrors"]
+        if self._mirror_journal is not journal and self.py_bias is mirrors[0]:
+            # Still on the captured lists (no compaction since), yet their
+            # first-touch journal went to a newer capture.
+            raise RuntimeError(
+                "compiled snapshot superseded by a later snapshot_state()"
+            )
         snap["used"] = True
         self._grow = snap["grow"]
         for name in _GROWABLE_NAMES:
@@ -1440,8 +1524,14 @@ class CompiledFactorGraph:
         for name, (lst, length) in snap["append_lists"].items():
             del lst[length:]
             setattr(self, name, lst)
-        for name, saved in snap["mirrors"].items():
-            setattr(self, name, saved)
+        self._mirror_journal = None
+        for name, mirror in zip(_MIRROR_NAMES, mirrors):
+            del mirror[num_vars:]
+            setattr(self, name, mirror)
+        for var, rows in journal.items():
+            if var < num_vars:
+                for mirror, row in zip(mirrors, rows):
+                    mirror[var] = row
         self.slow_alive = snap["slow_alive"]
         self.weight_factor_counts = snap["weight_factor_counts"]
         self._nbr_patch = snap["nbr_patch"]

@@ -434,6 +434,11 @@ class FactorGraph:
         self.factors.append(BiasFactor(int(weight_id), int(var)))
         return len(self.factors) - 1
 
+    def factor_at(self, index: int):
+        """The factor at ``index`` of the factor list.  O(1) on compiled
+        views too, where ``factors[index]`` would materialize the list."""
+        return self.factors[index]
+
     # ------------------------------------------------------------------ #
     # Energy / probability
     # ------------------------------------------------------------------ #
@@ -494,8 +499,8 @@ class FactorGraph:
 
         The compiled substrate is the source of truth for graph state;
         this is the oracle-view escape hatch for slow paths (legacy
-        evaluator, strawman, exact inference, variational splice) that
-        need a real factor list.  O(#factors) — never call it on the
+        evaluator, strawman, exact inference) that need a real factor
+        list.  O(#factors) — never call it on the
         default update path.
         """
         graph = cls(compiled.weights if share_weights else compiled.weights.copy())
@@ -580,6 +585,9 @@ class CompiledGraphView(FactorGraph):
     @property
     def factors(self) -> list:
         return self._compiled.materialized_factors()
+
+    def factor_at(self, index: int):
+        return self._compiled.factor_at(index)
 
     # --- Structural mutation goes through the substrate, not the view.
 

@@ -139,21 +139,35 @@ class MaterializationSnapshot:
 
 
 class VariationalSnapshot:
-    """:class:`VariationalMaterialization` — ``apply_update`` replaces
-    ``current`` with a spliced copy, so references suffice."""
+    """:class:`VariationalMaterialization` — ``apply_update`` patches the
+    approximate substrate in place and warm-starts the persistent chain
+    across the patch, so both roll back exactly (the chain is serial)."""
 
     def __init__(self, variational) -> None:
         self.variational = variational
-        self.current = variational.current
-        self.approximation = variational.approximation
         self.splice_counter = variational._splice_counter
+        self.compiled = variational._compiled
+        self.compiled_state = (
+            self.compiled.snapshot_state() if self.compiled is not None else None
+        )
+        self.sampler_state = (
+            SerialSamplerSnapshot(variational._sampler)
+            if variational._sampler is not None
+            else None
+        )
 
-    def restore(self) -> None:
+    def restore(self, verify: bool = False) -> None:
         _consume(self)
         v = self.variational
-        v.current = self.current
-        v.approximation = self.approximation
         v._splice_counter = self.splice_counter
+        if self.compiled_state is not None:
+            self.compiled.restore_state(self.compiled_state)
+            v.approximation.graph = self.compiled.graph
+        v._sampler = (
+            self.sampler_state.restore(verify=verify)
+            if self.sampler_state is not None
+            else None
+        )
 
 
 class LearnerSnapshot:
@@ -226,7 +240,7 @@ class IncrementalUpdateSnapshot:
         e.cumulative_delta = self.cumulative_delta
         e._last_marginals = self.last_marginals
         self.sampling.restore()
-        self.variational.restore()
+        self.variational.restore(verify=verify)
         if self.compiled_state is not None:
             self.learn_compiled.restore_state(self.compiled_state)
         e._learn_compiled = self.learn_compiled

@@ -607,13 +607,17 @@ class TestIncrementalEngineRollback:
     def test_rollback_restores_variational_state(self):
         fg1, faulted = self.make()
         fg2, twin = self.make()
-        graph_before = faulted.variational.current
         with inject_faults(FaultPlan([Fault(site="engine.update.inferred")])):
             with pytest.raises(FaultInjected):
                 faulted.apply_update(FactorGraphDelta(evidence_updates={1: True}))
-        # The spliced variational graph built by the failed attempt is
-        # discarded; the pre-update reference is back in place.
-        assert faulted.variational.current is graph_before
+        # The failed attempt patched the variational substrate in place;
+        # the rollback leaves it equal to the never-updated twin's.
+        rolled_back, untouched = faulted.variational.current, twin.variational.current
+        assert dict(rolled_back.evidence) == dict(untouched.evidence)
+        assert rolled_back.factors == untouched.factors
+        np.testing.assert_array_equal(
+            rolled_back.weights.values_array(), untouched.weights.values_array()
+        )
         out_retry = faulted.apply_update(FactorGraphDelta(evidence_updates={1: True}))
         out_fresh = twin.apply_update(FactorGraphDelta(evidence_updates={1: True}))
         assert np.array_equal(out_retry.marginals, out_fresh.marginals)
