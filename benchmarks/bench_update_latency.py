@@ -8,9 +8,9 @@ grounding down into the CSR substrate (``CompiledFactorGraph.apply_delta``
 what that buys on the Rerun engine's ``apply_update`` wall-clock:
 
 * ``delta_axis`` — fixed graph size, growing delta size: the *patched*
-  path (``reuse_compilation=True, warm_start=True``) should grow with
-  |Δ|, the *recompile* baseline (``reuse_compilation=False``) should be
-  flat-and-high (it pays O(graph) regardless of |Δ|).
+  path (one long-lived engine) should grow with |Δ|, the *recompile*
+  baseline (a fresh engine on ``delta.apply(graph)`` per update) should
+  be flat-and-high (it pays O(graph) regardless of |Δ|).
 * ``graph_axis`` — fixed delta size, growing graph size: the patched
   path should stay near-flat (sublinear in graph size) while the
   recompile baseline grows with the graph.
@@ -106,30 +106,40 @@ def make_delta(graph: FactorGraph, size: int, rng, step: int) -> FactorGraphDelt
     return delta
 
 
-def engine_config(path: str) -> EngineConfig:
-    incremental = path == "patched"
+def engine_config() -> EngineConfig:
     return EngineConfig(
         inference_samples=INFERENCE_SAMPLES,
         burn_in=BURN_IN,
         incremental_burn_in=BURN_IN,
         seed=0,
-        reuse_compilation=incremental,
-        warm_start=incremental,
     )
 
 
 def measure_updates(num_vars: int, delta_size: int, path: str, updates: int = 4) -> dict:
-    """Median per-update apply_update seconds for one configuration."""
+    """Median per-update seconds for one configuration.
+
+    ``patched`` updates one long-lived engine.  ``recompile`` is what a
+    system without incremental compilation pays per update: materialize
+    the updated graph (``delta.apply``), then a fresh engine compiles it
+    and starts a fresh chain."""
     graph = build_graph(num_vars)
-    engine = RerunEngine(graph, engine_config(path))
+    engine = RerunEngine(graph, engine_config())
     # Prime: the first update pays the one-time compile on both paths.
     engine.apply_update(FactorGraphDelta())
     rng = np.random.default_rng(7)
     seconds = []
     for step in range(updates):
-        delta = make_delta(engine.current_graph, delta_size, rng, step)
-        start = time.perf_counter()
-        engine.apply_update(delta)
+        if path == "patched":
+            delta = make_delta(engine.current_graph, delta_size, rng, step)
+            start = time.perf_counter()
+            engine.apply_update(delta)
+        else:
+            delta = make_delta(graph, delta_size, rng, step)
+            engine.close()
+            start = time.perf_counter()
+            graph = delta.apply(graph)
+            engine = RerunEngine(graph, engine_config())
+            engine.apply_update(FactorGraphDelta())
         seconds.append(time.perf_counter() - start)
     engine.close()
     return {

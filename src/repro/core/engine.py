@@ -12,7 +12,14 @@
   fall back from sampling to variational when the bundle runs dry.
 
 :class:`RerunEngine` is the baseline: apply the delta and run Gibbs on
-the whole updated graph from scratch.
+the whole updated graph.
+
+Both hold their current graph as one
+:class:`~repro.core.resident.ResidentGraph` — compiled once, patched in
+place by every delta, with the chains that ride the patches — and run
+every ``apply_update`` / ``relearn`` through one transaction shell
+(:meth:`_Engine._transaction`): snapshot → WAL begin → fault points →
+commit, or restore + WAL rollback.
 """
 
 from __future__ import annotations
@@ -28,18 +35,26 @@ from repro.core.optimizer import (
     OptimizerDecision,
     choose_strategy,
 )
-from repro.core.sampling import SampleMaterialization, make_sampler
+from repro.core.resident import ResidentGraph
+from repro.core.sampling import SampleMaterialization
 from repro.core.variational import VariationalMaterialization
 from repro.graph.delta import FactorGraphDelta, compose_deltas
 from repro.graph.factor_graph import FactorGraph
 from repro.reliability.faults import maybe_fire
-from repro.reliability.snapshots import (
-    IncrementalUpdateSnapshot,
-    RelearnSnapshot,
-    RerunUpdateSnapshot,
-)
+from repro.reliability.snapshots import IncrementalUpdateSnapshot, RelearnSnapshot
 from repro.reliability.wal import DeltaLog
 from repro.util.rng import as_generator
+
+#: Patch (rather than extend-per-proposal) the materialized tuple bundle
+#: when an update appends at most this fraction of the graph's variables
+#: (§3.2.2's sampling approach, applied to the bundle itself).
+BUNDLE_PATCH_FRACTION = 0.25
+
+#: Closed transactions an in-memory engine WAL retains.  Nothing replays
+#: that log (a file-backed one survives the process and is never
+#: trimmed), and an engine is pickled into every service checkpoint with
+#: it, so it keeps a short tail for inspection instead of its history.
+WAL_WINDOW = 8
 
 
 @dataclass
@@ -47,42 +62,34 @@ class EngineConfig:
     """Tuning knobs; the defaults are scaled-down but proportionate to the
     paper's settings (1000 inference / 2000 materialization samples)."""
 
-    materialization_samples: int | None = 500
-    materialization_time_budget: float | None = None
+    # -- sampling ------------------------------------------------------- #
+    materialization_samples: int = 500
     inference_steps: int = 300
     inference_samples: int = 200
     variational_lam: float = 0.1
     variational_inference_samples: int = 150
     burn_in: int = 20
+    #: Burn-in for updates that patch an already compiled graph; ``None``
+    #: falls back to ``burn_in``.  Warm chains start near the updated
+    #: distribution's typical set (Pr^Δ ≈ Pr⁰), so a shorter burn-in
+    #: usually suffices.
+    incremental_burn_in: int | None = None
     seed: int | None = None
     #: Sampling parallelism: >1 fills the materialization bundle with
     #: parallel chains and runs Rerun inference on a sharded sampler
-    #: (see ``repro.inference.parallel``); 1 is the serial fallback.
+    #: whose worker pool and shared-memory export survive updates (see
+    #: ``repro.inference.parallel``); 1 is the serial fallback.
     n_workers: int = 1
-    #: Incremental compilation (Rerun): keep one CompiledFactorGraph and
-    #: patch it with each delta (``apply_delta``) instead of recompiling —
-    #: with ``n_workers > 1`` the worker pool and its shared-memory export
-    #: survive updates instead of respawning.  False restores the
-    #: recompile-per-update baseline (the O(graph) setup cost the paper's
-    #: Rerun system pays; kept for the update-latency benchmark).
-    reuse_compilation: bool = True
-    #: Warm-start (Rerun): persistent chains keep their assignments
-    #: across updates; new variables initialize from their bias and
-    #: evidence is re-clamped through the caches.  False draws a fresh
-    #: chain per update.
-    warm_start: bool = True
-    #: Burn-in for warm-started updates; ``None`` falls back to
-    #: ``burn_in``.  Warm chains start near the updated distribution's
-    #: typical set (Pr^Δ ≈ Pr⁰), so a shorter burn-in usually suffices.
-    incremental_burn_in: int | None = None
-    #: Patch (rather than extend-per-proposal) the materialized tuple
-    #: bundle when an update appends at most this fraction of the
-    #: graph's variables (§3.2.2's sampling approach, applied to the
-    #: bundle itself).
-    bundle_patch_fraction: float = 0.25
-    #: Tombstone/patched density above which the compiled factor graph
+    #: Tombstone/patched density above which a compiled factor graph
     #: recompacts (full recompile, amortized across updates).
     compact_threshold: float = 0.25
+    #: Lesion knobs — remove a strategy to reproduce Fig. 11.
+    strategies: tuple = (SAMPLING, VARIATIONAL)
+    #: False reproduces the NoWorkloadInfo baseline: sampling until the
+    #: bundle is exhausted, then variational, ignoring the delta's type.
+    workload_aware: bool = True
+
+    # -- learning ------------------------------------------------------- #
     #: Persistent incremental learning: keep one :class:`SGDLearner`
     #: whose chains, compiled gradient substrate and weight store are
     #: patched across ``apply_update`` calls, so ``relearn()`` warm-starts
@@ -91,6 +98,8 @@ class EngineConfig:
     #: fresh learner with zeroed weights and fresh chains (still over the
     #: engine's patched compilation).
     warm_learning: bool = True
+
+    # -- durability ----------------------------------------------------- #
     #: Transactional updates: every ``apply_update``/``relearn`` runs
     #: under a bounded snapshot of the touched state plus a delta WAL —
     #: a failure anywhere in the patch → infer → relearn pipeline rolls
@@ -102,12 +111,6 @@ class EngineConfig:
     #: file-backed WAL survives the process, so committed updates can be
     #: replayed onto a rebuilt engine after a crash.
     wal_path: str | None = None
-    #: Lesion knobs — remove a strategy to reproduce Fig. 11.
-    strategies: tuple = (SAMPLING, VARIATIONAL)
-    #: False reproduces the NoWorkloadInfo baseline: sampling until the
-    #: bundle is exhausted, then variational, ignoring the delta's type.
-    workload_aware: bool = True
-
 
 @dataclass
 class InferenceOutcome:
@@ -153,53 +156,156 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _relearn(engine, compiled, num_epochs: int, record_loss: bool, learner_kwargs):
-    """Shared persistent-relearn step of both engines.
+class _Engine:
+    """What the two engines share: the resident current graph with its
+    persistent learner, the transaction shell, and the read path."""
 
-    Reuses the engine's patched learner when it is warm and current
-    (``learns_warm``); otherwise constructs a fresh one over ``compiled``
-    (``learns_cold``) — with zeroed weights under the
-    ``warm_learning=False`` lesion.  ``learner_kwargs`` only apply at
-    construction time."""
-    from repro.learning.sgd import SGDLearner
-
-    cfg = engine.config
-    if cfg.warm_learning and engine._learner is not None and not engine._learner_stale:
-        engine.learns_warm += 1
-    else:
-        if engine._learner is not None:
-            engine._learner.close()
-        was_patched = compiled is not None and compiled.has_patches
-        engine._learner = SGDLearner(
-            engine.current_graph,
-            warmstart=cfg.warm_learning,
-            seed=engine.rng,
-            compiled=compiled,
-            **learner_kwargs,
+    def __init__(self, graph: FactorGraph, config: EngineConfig | None) -> None:
+        self.config = config or EngineConfig()
+        self.rng = as_generator(self.config.seed)
+        self.resident = ResidentGraph(
+            graph,
+            self.rng,
+            n_workers=self.config.n_workers,
+            compact_threshold=self.config.compact_threshold,
         )
-        if was_patched and not compiled.has_patches:
-            # A pool-backed learner's shared export compacted the
-            # compilation: any other holder (RerunEngine's persistent
-            # sampler) must re-derive its plan/cache.
-            resync = getattr(engine, "_resync_sampler", None)
-            if resync is not None:
-                resync()
-        engine._learner_stale = False
-        engine.learns_cold += 1
-    return engine._learner.fit(num_epochs, record_loss=record_loss)
+        self._last_marginals = None
+        self.learns_warm = 0
+        self.learns_cold = 0
+        self.wal = DeltaLog(self.config.wal_path) if self.config.transactional else None
+        self.rollbacks = 0
+        self.committed_updates = 0
+
+    @property
+    def current_graph(self) -> FactorGraph:
+        """The graph all updates so far produced: the substrate's lazy
+        view once anything compiled it, the constructor's graph before."""
+        return self.resident.graph
+
+    def read_snapshot(self) -> ReadSnapshot | None:
+        """Zero-copy snapshot of the last committed marginals (or None
+        before the first inference).
+
+        When a sharded chain is running, ``chain_state`` reuses the
+        shared-memory export's published state buffer directly
+        (:meth:`ShardedGibbsSampler.state_view`) — no pool round-trip, no
+        copy; see :class:`ReadSnapshot` for its consistency caveat."""
+        if self._last_marginals is None:
+            return None
+        marginals = _read_only(self._last_marginals)
+        chain = self.resident.chain
+        chain_state = None
+        view = getattr(chain, "state_view", None)
+        if view is not None:
+            chain_state = view()
+        elif chain is not None:
+            chain_state = _read_only(chain.state)
+        return ReadSnapshot(
+            marginals=marginals,
+            txn=self.committed_updates,
+            num_vars=int(marginals.shape[0]),
+            chain_state=chain_state,
+        )
+
+    def _transaction(self, snapshot, site: str, body, delta=None):
+        """Run ``body()`` as one transaction (``EngineConfig.transactional``).
+
+        A bounded snapshot is taken and, for an update, ``delta`` is
+        WAL-logged before anything mutates.  A failure anywhere in
+        ``body`` restores the engine — substrate, chains, learner,
+        materializations, rng — to its pre-transaction state, so the
+        retried call matches a never-failed one exactly (serial
+        components; pool-backed ones restart cold), and the WAL records
+        the rollback.  ``relearn`` passes no delta: the weights it moves
+        are not replayable from one, so it is rolled back but not
+        logged."""
+        if not self.config.transactional:
+            return body()
+        snap = snapshot(self)
+        txn = None
+        if delta is not None:
+            txn = self.wal.begin(delta)
+            if self.wal.path is None:
+                self.wal.truncate(txn - WAL_WINDOW)
+        try:
+            maybe_fire(site)
+            result = body()
+        except Exception as exc:
+            snap.restore()
+            self.rollbacks += 1
+            if txn is not None:
+                self.wal.rollback(txn, reason=repr(exc))
+            raise
+        if txn is not None:
+            self.wal.commit(txn)
+        return result
+
+    def _apply_update(self, snapshot, delta: FactorGraphDelta) -> InferenceOutcome:
+        outcome = self._transaction(
+            snapshot,
+            "engine.update.start",
+            lambda: self._apply_update_inner(delta),
+            delta,
+        )
+        self.committed_updates += 1
+        return outcome
+
+    def _relearn(self, num_epochs: int, record_loss: bool, learner_kwargs: dict):
+        """Shared body of both engines' ``relearn``.
+
+        The first call compiles the current graph once; every later
+        ``apply_update`` patches that compilation in place and, with
+        ``EngineConfig.warm_learning`` (default), the learner's
+        persistent chains and weight store ride along — so each relearn
+        is the paper's SGD+Warmstart step (App. B.3) with O(|Δ|) setup
+        (``learns_warm``).  Under the lesion every call pays the cold
+        restart the Fig. 16 baselines measure (``learns_cold``) and no
+        learner is kept between calls.  Weights are updated in place on
+        ``current_graph.weights``; a persistent chain picks them up
+        through its version-gated weight refresh."""
+
+        def body():
+            warm = self.config.warm_learning
+            if self.resident.warm_learner(warm, **learner_kwargs):
+                self.learns_warm += 1
+            else:
+                self.learns_cold += 1
+            history = self.resident.learner.fit(num_epochs, record_loss=record_loss)
+            if not warm:
+                self.resident.drop_learner()
+            return history
+
+        return self._transaction(RelearnSnapshot, "engine.relearn.start", body)
+
+    def _clamp(self, marginals: np.ndarray) -> np.ndarray:
+        marginals = np.asarray(marginals, dtype=float).copy()
+        ev_vars, ev_vals = self.current_graph.evidence_arrays()
+        marginals[ev_vars] = np.where(ev_vals, 1.0, 0.0)
+        return marginals
+
+    def close(self) -> None:
+        """Release the persistent chain and learner (worker pools and
+        shared memory, if any) and the WAL's file handle."""
+        self.resident.close()
+        if self.wal is not None:
+            self.wal.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
-class IncrementalEngine:
+class IncrementalEngine(_Engine):
     """Materialize once, evaluate many updates incrementally."""
 
     def __init__(self, graph: FactorGraph, config: EngineConfig | None = None):
-        self.config = config or EngineConfig()
         # Snapshot: the materialized distribution must not drift if the
         # caller keeps mutating weights.
         self.base_graph = graph.copy()
-        self.current_graph = self.base_graph
+        super().__init__(self.base_graph, config)
         self.cumulative_delta: FactorGraphDelta | None = None
-        self.rng = as_generator(self.config.seed)
         self.sampling = SampleMaterialization(
             self.base_graph, seed=self.rng, n_workers=self.config.n_workers
         )
@@ -210,32 +316,6 @@ class IncrementalEngine:
             compact_threshold=self.config.compact_threshold,
         )
         self.materialized = False
-        self._last_marginals = None
-        # Persistent-learning state: a compiled view of the *current*
-        # graph, patched with every delta once learning starts, plus the
-        # learner whose chains warm-start across those patches.
-        self._learn_compiled = None
-        self._learner = None
-        self._learner_stale = False
-        self.learns_warm = 0
-        self.learns_cold = 0
-        self.wal = DeltaLog(self.config.wal_path) if self.config.transactional else None
-        self.rollbacks = 0
-        self.committed_updates = 0
-
-    # ------------------------------------------------------------------ #
-
-    def read_snapshot(self) -> ReadSnapshot | None:
-        """Zero-copy snapshot of the last committed marginals (or None
-        before the first inference).  See :class:`ReadSnapshot`."""
-        if self._last_marginals is None:
-            return None
-        marginals = _read_only(self._last_marginals)
-        return ReadSnapshot(
-            marginals=marginals,
-            txn=self.committed_updates,
-            num_vars=int(marginals.shape[0]),
-        )
 
     # ------------------------------------------------------------------ #
 
@@ -244,9 +324,7 @@ class IncrementalEngine:
         cfg = self.config
         start = time.perf_counter()
         collected = self.sampling.materialize(
-            num_samples=cfg.materialization_samples,
-            time_budget=cfg.materialization_time_budget,
-            burn_in=cfg.burn_in,
+            num_samples=cfg.materialization_samples, burn_in=cfg.burn_in
         )
         sampling_seconds = time.perf_counter() - start
         start = time.perf_counter()
@@ -285,31 +363,9 @@ class IncrementalEngine:
         )
 
     def apply_update(self, delta: FactorGraphDelta) -> InferenceOutcome:
-        """Evaluate one update (delta relative to the *current* graph).
-
-        Transactional by default (``EngineConfig.transactional``): the
-        delta is WAL-logged before anything mutates, and a failure
-        anywhere in splice → patch → infer restores the engine —
-        materializations, compiled substrate, learner chains, rng — to
-        its pre-update state, so the retried apply matches a never-failed
-        one exactly (serial components; pool-backed ones rebuild cold)."""
-        if not self.config.transactional:
-            outcome = self._apply_update_inner(delta)
-            self.committed_updates += 1
-            return outcome
-        snap = IncrementalUpdateSnapshot(self)
-        txn = self.wal.begin(delta)
-        try:
-            maybe_fire("engine.update.start")
-            outcome = self._apply_update_inner(delta)
-        except Exception as exc:
-            self.rollbacks += 1
-            snap.restore()
-            self.wal.rollback(txn, reason=repr(exc))
-            raise
-        self.wal.commit(txn)
-        self.committed_updates += 1
-        return outcome
+        """Evaluate one update (delta relative to the *current* graph),
+        as one transaction (see :meth:`_Engine._transaction`)."""
+        return self._apply_update(IncrementalUpdateSnapshot, delta)
 
     def _apply_update_inner(self, delta: FactorGraphDelta) -> InferenceOutcome:
         if not self.materialized:
@@ -345,31 +401,11 @@ class IncrementalEngine:
                 self.base_graph, self.cumulative_delta, delta
             )
 
-        # The compiled substrate is the source of truth for the current
-        # graph: the first structural update compiles once (detaching
-        # from the frozen Pr⁰ snapshot), every later update is an O(|Δ|)
-        # patch, and ``current_graph`` is the substrate's lazy view — no
-        # ``delta.apply`` materialization on this path.  When a
-        # persistent learner exists its chains warm-start across the
-        # same patch.
-        if self._learn_compiled is None:
-            from repro.graph.compiled import CompiledFactorGraph
-
-            if self.current_graph is self.base_graph:
-                # The substrate owns graph state (weights, evidence,
-                # names) from compile time on; detach so Pr⁰ stays
-                # frozen.
-                self.current_graph = self.base_graph.copy()
-            self._learn_compiled = CompiledFactorGraph(self.current_graph)
-        learn_patch = self._learn_compiled.apply_delta(
-            delta, compact_threshold=cfg.compact_threshold
-        )
-        self.current_graph = self._learn_compiled.graph
-        if self._learner is not None:
-            if cfg.warm_learning:
-                self._learner.apply_patch(learn_patch)
-            else:
-                self._learner_stale = True
+        # The first structural update compiles the current graph once
+        # (detached from the frozen Pr⁰ snapshot), every later one is an
+        # O(|Δ|) patch the persistent learner rides — no ``delta.apply``
+        # materialization on this path.
+        self.resident.apply_delta(delta)
 
         # Patch the tuple bundle in place for small variable appends so
         # the sampling strategy proposes full-width worlds without
@@ -383,7 +419,7 @@ class IncrementalEngine:
             and self.sampling.width
             == self.current_graph.num_vars - delta.num_new_vars
             and delta.num_new_vars
-            <= cfg.bundle_patch_fraction * max(self.current_graph.num_vars, 1)
+            <= BUNDLE_PATCH_FRACTION * max(self.current_graph.num_vars, 1)
         ):
             self.sampling.extend_bundle(delta.num_new_vars)
         maybe_fire("engine.update.patched")
@@ -398,56 +434,12 @@ class IncrementalEngine:
     # ------------------------------------------------------------------ #
 
     def relearn(self, num_epochs: int, record_loss: bool = True, **learner_kwargs):
-        """Re-learn the weights of the *current* graph, persistently.
-
-        The first call compiles the current graph once; every subsequent
-        ``apply_update`` patches that compilation in place, and with
-        ``EngineConfig.warm_learning`` (default) the learner's persistent
-        chains and weight store ride along — so each relearn is the
-        paper's SGD+Warmstart step (App. B.3) with O(|Δ|) setup.  Weights
-        are updated in place on ``current_graph.weights``.  Returns the
-        :class:`~repro.learning.sgd.LearningHistory` of this run.
-
-        Transactional (``EngineConfig.transactional``): a failure mid-fit
+        """Re-learn the weights of the *current* graph, persistently and
+        transactionally (see :meth:`_Engine._relearn`): a failure mid-fit
         restores the weight store, the learner's chains and the rng.
-        """
-        if self.config.transactional:
-            snap = RelearnSnapshot(self)
-            try:
-                maybe_fire("engine.relearn.start")
-                return self._relearn_inner(num_epochs, record_loss, learner_kwargs)
-            except Exception:
-                self.rollbacks += 1
-                snap.restore()
-                raise
-        return self._relearn_inner(num_epochs, record_loss, learner_kwargs)
-
-    def _relearn_inner(self, num_epochs, record_loss, learner_kwargs):
-        if self._learn_compiled is None:
-            from repro.graph.compiled import CompiledFactorGraph
-
-            if self.current_graph is self.base_graph:
-                # Learning mutates weights in place; detach from the
-                # materialized snapshot so Pr⁰ stays frozen.
-                self.current_graph = self.base_graph.copy()
-            self._learn_compiled = CompiledFactorGraph(self.current_graph)
-        return _relearn(
-            self, self._learn_compiled, num_epochs, record_loss, learner_kwargs
-        )
-
-    def close(self) -> None:
-        """Release the persistent learner (worker pools, if any)."""
-        if self._learner is not None:
-            self._learner.close()
-            self._learner = None
-        if self.wal is not None:
-            self.wal.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        Returns the :class:`~repro.learning.sgd.LearningHistory` of this
+        run."""
+        return self._relearn(num_epochs, record_loss, learner_kwargs)
 
     def _exhausted_marginals(self, fallback: np.ndarray) -> np.ndarray:
         """Best available marginals when no inference step can run.
@@ -520,214 +512,57 @@ class IncrementalEngine:
             decision=decision,
         )
 
-    def _clamp(self, marginals: np.ndarray) -> np.ndarray:
-        marginals = np.asarray(marginals, dtype=float).copy()
-        ev_vars, ev_vals = self.current_graph.evidence_arrays()
-        marginals[ev_vars] = np.where(ev_vals, 1.0, 0.0)
-        return marginals
 
-
-class RerunEngine:
+class RerunEngine(_Engine):
     """The Rerun baseline: full Gibbs on the updated graph, every time.
 
     The *inference* cost stays O(graph) per update — that is the paper's
-    baseline semantics.  The *setup* cost no longer is: by default the
-    engine keeps one :class:`CompiledFactorGraph` and patches it with
-    each delta (``apply_delta``), warm-starts its persistent sampler
-    (chains keep their assignments; with ``n_workers > 1`` the worker
-    pool and shared-memory export survive the update instead of
-    respawning).  ``EngineConfig.reuse_compilation=False`` restores the
-    recompile-per-update behaviour for baseline measurements.
+    baseline semantics.  The *setup* cost does not: the resident graph is
+    compiled by the first update and patched by every later one, and its
+    chain keeps its assignment across the patches (with ``n_workers > 1``
+    the worker pool and shared-memory export survive the update instead
+    of respawning).  The recompile-per-update baseline is a fresh engine
+    on ``delta.apply(graph)``.
     """
 
     def __init__(self, graph: FactorGraph, config: EngineConfig | None = None):
-        self.config = config or EngineConfig()
-        self.current_graph = graph.copy()
-        self.rng = as_generator(self.config.seed)
-        self._compiled = None
-        self._sampler = None
-        self._last_marginals = None
+        super().__init__(graph.copy(), config)
         self.updates_patched = 0
         self.updates_recompiled = 0
-        self._learner = None
-        self._learner_stale = False
-        self.learns_warm = 0
-        self.learns_cold = 0
-        self.wal = DeltaLog(self.config.wal_path) if self.config.transactional else None
-        self.rollbacks = 0
-        self.committed_updates = 0
-
-    def read_snapshot(self) -> ReadSnapshot | None:
-        """Zero-copy snapshot of the last committed marginals (or None
-        before the first inference).
-
-        When the persistent sampler is sharded, ``chain_state`` reuses
-        the shared-memory export's published state buffer directly
-        (:meth:`ShardedGibbsSampler.state_view`) — no pool round-trip, no
-        copy; see :class:`ReadSnapshot` for its consistency caveat."""
-        if self._last_marginals is None:
-            return None
-        marginals = _read_only(self._last_marginals)
-        chain_state = None
-        view = getattr(self._sampler, "state_view", None)
-        if view is not None:
-            chain_state = view()
-        elif self._sampler is not None:
-            chain_state = _read_only(self._sampler.state)
-        return ReadSnapshot(
-            marginals=marginals,
-            txn=self.committed_updates,
-            num_vars=int(marginals.shape[0]),
-            chain_state=chain_state,
-        )
-
-    def _fresh_sampler(self):
-        from repro.graph.compiled import CompiledFactorGraph
-
-        if self._sampler is not None and hasattr(self._sampler, "close"):
-            self._sampler.close()
-        self._compiled = CompiledFactorGraph(self.current_graph)
-        self._sampler = make_sampler(
-            self.current_graph,
-            seed=self.rng,
-            compiled=self._compiled,
-            n_workers=self.config.n_workers,
-            incremental=self.config.reuse_compilation,
-        )
-        self.updates_recompiled += 1
 
     def apply_update(self, delta: FactorGraphDelta) -> InferenceOutcome:
-        """Apply one delta and re-run inference (transactional: a failure
-        in patch → sample rolls the compiled substrate, the persistent
-        sampler and the rng back to the pre-update state)."""
-        if not self.config.transactional:
-            outcome = self._apply_update_inner(delta)
-            self.committed_updates += 1
-            return outcome
-        snap = RerunUpdateSnapshot(self)
-        txn = self.wal.begin(delta)
-        try:
-            maybe_fire("engine.update.start")
-            outcome = self._apply_update_inner(delta)
-        except Exception as exc:
-            self.rollbacks += 1
-            snap.restore()
-            self.wal.rollback(txn, reason=repr(exc))
-            raise
-        self.wal.commit(txn)
-        self.committed_updates += 1
-        return outcome
+        """Apply one delta and re-run inference, as one transaction (see
+        :meth:`_Engine._transaction`)."""
+        return self._apply_update(RelearnSnapshot, delta)
 
     def _apply_update_inner(self, delta: FactorGraphDelta) -> InferenceOutcome:
         started = time.perf_counter()
         cfg = self.config
         if delta.is_empty and self._last_marginals is not None:
             # No-op update: the distribution is unchanged — reuse the
-            # previous marginals instead of recompiling, respawning and
-            # re-running inference.
+            # previous marginals instead of re-running inference.
             return InferenceOutcome(
                 marginals=self._last_marginals.copy(),
                 strategy="rerun",
                 seconds=time.perf_counter() - started,
                 details={"short_circuit": "empty delta"},
             )
-        if not cfg.reuse_compilation:
-            # Recompile lesion / rerun baseline: materialize the updated
-            # graph and rebuild everything from scratch.  This is the
-            # only engine path that still pays the O(#factors)
-            # ``delta.apply`` copy.
-            self.current_graph = delta.apply(self.current_graph)
-            self._fresh_sampler()
+        if self.resident.compiled is None:
+            # The update that pays the one-time O(graph) compile is
+            # counted as recompiled and burns in from scratch.
             burn = cfg.burn_in
-            if self._learner is not None:
-                # The compilation was thrown away: the learner cannot be
-                # patched onto it and is rebuilt at the next relearn.
-                self._learner_stale = True
+            self.updates_recompiled += 1
         else:
-            incremental = self._compiled is not None
-            if not incremental:
-                from repro.graph.compiled import CompiledFactorGraph
-
-                # First update: compile the pre-delta graph once.  The
-                # substrate owns graph state from here on; this update
-                # and every later one apply as O(|Δ|) patches and
-                # ``current_graph`` is the substrate's lazy view.
-                self._compiled = CompiledFactorGraph(self.current_graph)
-            patch = self._compiled.apply_delta(
-                delta, compact_threshold=cfg.compact_threshold
+            burn = (
+                cfg.incremental_burn_in
+                if cfg.incremental_burn_in is not None
+                else cfg.burn_in
             )
-            self.current_graph = self._compiled.graph
-            if self._sampler is None or not incremental:
-                # First update, or compilation primed by an early
-                # relearn(): start the persistent sampler on the patched
-                # substrate.
-                if self._sampler is not None and hasattr(self._sampler, "close"):
-                    self._sampler.close()
-                self._sampler = make_sampler(
-                    self.current_graph,
-                    seed=self.rng,
-                    compiled=self._compiled,
-                    n_workers=cfg.n_workers,
-                    incremental=True,
-                )
-            elif cfg.warm_start:
-                self._sampler.apply_patch(patch)
-            else:
-                # Fresh chains over the *patched* compilation (no
-                # recompile; the warm-start lesion only resets state).
-                if hasattr(self._sampler, "close"):
-                    self._sampler.close()
-                self._sampler = make_sampler(
-                    self.current_graph,
-                    seed=self.rng,
-                    compiled=self._compiled,
-                    n_workers=cfg.n_workers,
-                    incremental=True,
-                )
-            if incremental:
-                burn = (
-                    cfg.incremental_burn_in
-                    if cfg.incremental_burn_in is not None
-                    else cfg.burn_in
-                )
-                self.updates_patched += 1
-            else:
-                # Counter/burn-in parity with the historical first-update
-                # recompile: the one-time substrate compile is accounted
-                # as a recompiled update and burns in from scratch.
-                burn = cfg.burn_in
-                self.updates_recompiled += 1
-            # Sampler setup may have compacted the substrate underneath
-            # the patch (sharded samplers need a clean CSR snapshot);
-            # later patch consumers must then rebuild, not splice.
-            if patch.structural and not self._compiled.has_patches:
-                patch.compacted = True
-            # The persistent learner rides the same patch (warm), or is
-            # marked for a cold rebuild under the warm_learning lesion.
-            if self._learner is not None:
-                if cfg.warm_learning:
-                    was_compacted = patch.compacted
-                    self._learner.apply_patch(patch)
-                    if patch.compacted and not was_compacted:
-                        # The learner's pool escalated to a compaction
-                        # after the sampler had already spliced the
-                        # patch: re-derive the sampler's state too.
-                        self._resync_sampler()
-                else:
-                    self._learner_stale = True
+            self.updates_patched += 1
+        self.resident.apply_delta(delta)
         maybe_fire("engine.update.patched")
-        marginals = self._sampler.estimate_marginals(
-            cfg.inference_samples, burn_in=burn
-        )
+        marginals = self._clamp(self.resident.marginals(cfg.inference_samples, burn))
         maybe_fire("engine.update.inferred")
-        if not cfg.reuse_compilation:
-            # Baseline mode keeps the original throwaway lifecycle.
-            if hasattr(self._sampler, "close"):
-                self._sampler.close()
-            self._sampler = None
-            self._compiled = None
-        ev_vars, ev_vals = self.current_graph.evidence_arrays()
-        marginals[ev_vars] = np.where(ev_vals, 1.0, 0.0)
         self._last_marginals = marginals
         return InferenceOutcome(
             marginals=marginals,
@@ -735,86 +570,8 @@ class RerunEngine:
             seconds=time.perf_counter() - started,
         )
 
-    def _resync_sampler(self) -> None:
-        """Re-derive the persistent sampler after an external compaction.
-
-        A pool-backed learner compacts the shared compilation when it
-        exports it (or when a patch outgrows its segment); the sampler's
-        cache/plan then index a layout that no longer exists.  The warm
-        chain assignment is preserved — only derived state is rebuilt."""
-        sampler = self._sampler
-        if sampler is None:
-            return
-        from repro.graph.compiled import GibbsCache
-        from repro.inference.gibbs import GibbsSampler
-
-        if isinstance(sampler, GibbsSampler):
-            sampler.plan = self._compiled.plan(sampler.graph)
-            sampler.cache = GibbsCache(self._compiled, sampler.state)
-            return
-        # Sharded sampler: its worker pool is attached to a stale export;
-        # rebuild it on the compacted compilation from the warm state.
-        from repro.inference.parallel import ShardedGibbsSampler
-
-        state = np.array(sampler.state, copy=True)
-        if hasattr(sampler, "close"):
-            sampler.close()
-        self._sampler = ShardedGibbsSampler(
-            self.current_graph,
-            n_workers=self.config.n_workers,
-            seed=self.rng,
-            initial=state,
-            compiled=self._compiled,
-        )
-
     def relearn(self, num_epochs: int, record_loss: bool = True, **learner_kwargs):
-        """Re-learn the weights of the current graph, persistently.
-
-        Shares the engine's (patched) compilation with the learner when
-        ``reuse_compilation`` is on, so after each ``apply_update`` the
-        warm learner resumes with O(|Δ|) setup; under
-        ``warm_learning=False`` (or ``reuse_compilation=False``) each
-        call pays the cold restart the Fig. 16 baselines measure.
-        Weight updates land in place and are picked up by the persistent
-        sampler's version-gated weight refresh.
-
-        Transactional (``EngineConfig.transactional``): a failure mid-fit
-        restores the weight store, the learner's chains and the rng."""
-        if self.config.transactional:
-            snap = RelearnSnapshot(self)
-            try:
-                maybe_fire("engine.relearn.start")
-                return self._relearn_inner(num_epochs, record_loss, learner_kwargs)
-            except Exception:
-                self.rollbacks += 1
-                snap.restore()
-                raise
-        return self._relearn_inner(num_epochs, record_loss, learner_kwargs)
-
-    def _relearn_inner(self, num_epochs, record_loss, learner_kwargs):
-        cfg = self.config
-        compiled = None
-        if cfg.reuse_compilation:
-            if self._compiled is None:
-                from repro.graph.compiled import CompiledFactorGraph
-
-                self._compiled = CompiledFactorGraph(self.current_graph)
-            compiled = self._compiled
-        return _relearn(self, compiled, num_epochs, record_loss, learner_kwargs)
-
-    def close(self) -> None:
-        """Release the persistent sampler (worker pool, shared memory)."""
-        if self._sampler is not None and hasattr(self._sampler, "close"):
-            self._sampler.close()
-        self._sampler = None
-        if self._learner is not None:
-            self._learner.close()
-            self._learner = None
-        if self.wal is not None:
-            self.wal.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        """Re-learn the weights of the current graph, persistently and
+        transactionally (see :meth:`_Engine._relearn`); the learner shares
+        the substrate the chain samples."""
+        return self._relearn(num_epochs, record_loss, learner_kwargs)

@@ -21,9 +21,10 @@ The inference phase splices updates into the approximated graph in
 back with negated weights, reweighted factors as shifted copies — so the
 spliced graph's energy tracks ``W_approx + δW`` exactly.  Every splice is
 an append, so the approximated graph lives in one
-:class:`~repro.graph.compiled.CompiledFactorGraph` that is patched in
-place, and one persistent Gibbs chain warm-starts across the patches
-(``Pr^Δ ≈ Pr⁰``): per-update work scales with ``|Δ|``, not the graph.
+:class:`~repro.core.resident.ResidentGraph`: a compiled substrate patched
+in place and one persistent Gibbs chain that warm-starts across the
+patches (``Pr^Δ ≈ Pr⁰``) — per-update work scales with ``|Δ|``, not the
+graph.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.resident import ResidentGraph
 from repro.core.sampling import make_sampler
-from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.delta import FactorGraphDelta
 from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
@@ -190,10 +191,10 @@ def learn_approximation(
 class VariationalMaterialization:
     """Owns an evolving approximated graph and answers updated queries.
 
-    The approximated graph is held compiled: :meth:`materialize` compiles
-    it once, :meth:`apply_update` patches that substrate in place with
-    the (append-only) splice, and :meth:`infer` samples one persistent
-    chain over it that keeps its assignment across patches.
+    The approximated graph is a :class:`ResidentGraph`:
+    :meth:`materialize` compiles it once, :meth:`apply_update` patches it
+    in place with the (append-only) splice, and :meth:`infer` samples its
+    persistent chain, which keeps its assignment across patches.
     ``compact_threshold`` is the patched density above which the
     substrate recompiles itself (see ``CompiledFactorGraph.apply_delta``).
     """
@@ -211,10 +212,7 @@ class VariationalMaterialization:
         self.compact_threshold = compact_threshold
         self.approximation: VariationalApproximation | None = None
         self.materialization_seconds = 0.0
-        self._compiled: CompiledFactorGraph | None = None
-        #: Started by the first :meth:`infer`; updates before it have no
-        #: chain to carry over.
-        self._sampler = None
+        self.resident: ResidentGraph | None = None
         self._splice_counter = 0
 
     # ------------------------------------------------------------------ #
@@ -230,37 +228,39 @@ class VariationalMaterialization:
             samples=samples,
             seed=self.rng,
         )
-        self._compiled = CompiledFactorGraph(self.approximation.graph)
-        self._sampler = None
+        self.resident = ResidentGraph(
+            self.approximation.graph,
+            self.rng,
+            compact_threshold=self.compact_threshold,
+        )
+        self.resident.compile()
+        self.approximation.graph = self.resident.graph
         self.materialization_seconds = time.perf_counter() - start
         return self.approximation
 
     @property
     def current(self) -> FactorGraph | None:
         """The spliced approximated graph (the substrate's lazy view)."""
-        return self._compiled.graph if self._compiled is not None else None
+        return self.resident.graph if self.resident is not None else None
 
     @property
     def num_factors(self) -> int:
-        return self._compiled.num_factors if self._compiled is not None else 0
+        return self.resident.compiled.num_factors if self.resident is not None else 0
 
     # ------------------------------------------------------------------ #
 
     def apply_update(self, base_for_delta: FactorGraph, delta: FactorGraphDelta) -> None:
         """Splice ``delta`` (relative to ``base_for_delta``) into the
         approximated graph, preserving the update's energy difference."""
-        if self._compiled is None:
+        if self.resident is None:
             raise RuntimeError("materialize() before apply_update()")
         # Compaction buys back the fast CSR kernels for sweeps: while no
         # chain is running it waits for the first ``infer``.
-        chain = self._sampler
-        patch = self._compiled.apply_delta(
+        self.resident.apply_delta(
             self._lower(base_for_delta, delta),
-            compact_threshold=self.compact_threshold if chain is not None else None,
+            compact=self.resident.chain is not None,
         )
-        self.approximation.graph = self._compiled.graph
-        if chain is not None:
-            chain.apply_patch(patch)
+        self.approximation.graph = self.resident.graph
 
     def _lower(self, base: FactorGraph, delta: FactorGraphDelta) -> FactorGraphDelta:
         """``delta`` as an append-only delta over the approximated graph.
@@ -272,7 +272,7 @@ class VariationalMaterialization:
         fixed weight of the negated pre-update value, and a surviving
         factor whose weight changed gains a copy weighted by the shift.
         """
-        weights = self._compiled.weights
+        weights = self.resident.compiled.weights
         old_weights = base.weights
         num_old = len(old_weights)
         changed = delta.changed_weight_values
@@ -322,15 +322,21 @@ class VariationalMaterialization:
     def infer(self, num_samples: int = 200, burn_in: int = 20) -> np.ndarray:
         """Marginals of the (updated) approximated graph, from the warm
         chain (evidence stays clamped in its state)."""
-        if self._compiled is None:
+        if self.resident is None:
             raise RuntimeError("materialize() before infer()")
-        if self._sampler is None:
-            if self._compiled.patch_fraction() > self.compact_threshold:
-                self._compiled.compact()
-            self._sampler = make_sampler(
-                self._compiled.graph,
-                seed=self.rng,
-                compiled=self._compiled,
-                incremental=True,
-            )
-        return self._sampler.estimate_marginals(num_samples, burn_in=burn_in)
+        return self.resident.marginals(num_samples, burn_in)
+
+    # ------------------------------------------------------------------ #
+
+    def snapshot(self) -> tuple:
+        """Pre-update capture for :meth:`restore`: ``apply_update`` patches
+        the substrate in place and warm-starts the chain across the patch,
+        so both roll back exactly (the chain is serial)."""
+        resident = self.resident.snapshot() if self.resident is not None else None
+        return self._splice_counter, resident
+
+    def restore(self, snap: tuple, verify: bool = False) -> None:
+        self._splice_counter, resident = snap
+        if resident is not None:
+            self.resident.restore(resident, verify=verify)
+            self.approximation.graph = self.resident.graph

@@ -231,6 +231,10 @@ class GibbsSampler:
         worlds = self.sample_worlds(num_samples, thin=thin, burn_in=burn_in)
         return worlds.mean(axis=0)
 
+    def close(self) -> None:
+        """Nothing to release: the chain lives in this process.  Present
+        so an owner closes serial and pool-backed chains the same way."""
+
     def conditional_probability(self, var: int) -> float:
         """P(X_var = 1 | rest of current state) — exposed for tests."""
         return _sigmoid(self.cache.delta_energy(var, self.state))

@@ -11,15 +11,17 @@ themselves (:meth:`CompiledFactorGraph.snapshot_state`,
 :meth:`SweepPlan.snapshot_state`, :meth:`WeightStore.snapshot_state` —
 designed around the mutation inventory of ``apply_patch_ops``: alive
 masks and mirrors are copied, append-only arrays are truncated by size,
-replaced-not-mutated arrays are captured by reference).  This module
-composes them with chain/cache/materialization state into one
-engine-level transaction snapshot.
+replaced-not-mutated arrays are captured by reference).  Pairing a
+substrate capture with the captures of the chains that follow it is the
+owner's job (:meth:`repro.core.resident.ResidentGraph.snapshot`); this
+module supplies the per-component pieces it composes and the two
+engine-level transaction snapshots built on top.
 
 **Pool-backed components are restored cold.**  A worker pool that
 half-applied a patch cannot be rolled back message-by-message; the
-snapshot instead closes it and leaves the engine to rebuild lazily (the
+restore instead closes it and leaves the owner to restart it lazily (the
 controller-side compiled substrate *is* rolled back exactly, so the
-rebuilt pool starts from the correct pre-update structure).  Serial
+restarted pool begins from the correct pre-update structure).  Serial
 samplers and learners are restored bit-exactly, including the shared rng
 stream.  Exception: ``spawn()`` advances a SeedSequence child counter
 that is not part of the generator state, so exact rng replay holds for
@@ -31,8 +33,6 @@ All snapshots are single-use: ``restore`` consumes them.
 from __future__ import annotations
 
 import copy
-
-import numpy as np
 
 from repro.reliability.errors import RollbackError
 
@@ -116,58 +116,15 @@ class SerialSamplerSnapshot:
 class MaterializationSnapshot:
     """:class:`SampleMaterialization` — the bundle matrix is replaced
     (never mutated in place) by ``materialize``/``extend_bundle``, so
-    reference capture plus the cursor/width scalars is exact."""
+    capturing every attribute by reference is exact."""
 
     def __init__(self, sampling) -> None:
         self.sampling = sampling
-        self.packed = sampling._packed
-        self.base_marginals = sampling.base_marginals
-        self.cursor = sampling._cursor
-        self.width = sampling.width
-        self.compiled = sampling._compiled
-        self.graph = sampling.graph
+        self.attrs = dict(vars(sampling))
 
     def restore(self) -> None:
         _consume(self)
-        m = self.sampling
-        m._packed = self.packed
-        m.base_marginals = self.base_marginals
-        m._cursor = self.cursor
-        m.width = self.width
-        m._compiled = self.compiled
-        m.graph = self.graph
-
-
-class VariationalSnapshot:
-    """:class:`VariationalMaterialization` — ``apply_update`` patches the
-    approximate substrate in place and warm-starts the persistent chain
-    across the patch, so both roll back exactly (the chain is serial)."""
-
-    def __init__(self, variational) -> None:
-        self.variational = variational
-        self.splice_counter = variational._splice_counter
-        self.compiled = variational._compiled
-        self.compiled_state = (
-            self.compiled.snapshot_state() if self.compiled is not None else None
-        )
-        self.sampler_state = (
-            SerialSamplerSnapshot(variational._sampler)
-            if variational._sampler is not None
-            else None
-        )
-
-    def restore(self, verify: bool = False) -> None:
-        _consume(self)
-        v = self.variational
-        v._splice_counter = self.splice_counter
-        if self.compiled_state is not None:
-            self.compiled.restore_state(self.compiled_state)
-            v.approximation.graph = self.compiled.graph
-        v._sampler = (
-            self.sampler_state.restore(verify=verify)
-            if self.sampler_state is not None
-            else None
-        )
+        vars(self.sampling).update(self.attrs)
 
 
 class LearnerSnapshot:
@@ -202,182 +159,44 @@ class LearnerSnapshot:
         return learner
 
 
-def _close_quietly(obj) -> None:
-    if obj is not None and hasattr(obj, "close"):
-        try:
-            obj.close()
-        except OSError:
-            pass
-
-
 # --------------------------------------------------------------------- #
 # Engine-level transaction snapshots (duck-typed; no engine imports).
 
 
-class IncrementalUpdateSnapshot:
-    """Everything ``IncrementalEngine.apply_update`` can touch."""
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-        self.rng = RngSnapshot(engine.rng)
-        self.cumulative_delta = engine.cumulative_delta
-        self.current_graph = engine.current_graph
-        self.last_marginals = engine._last_marginals
-        self.sampling = MaterializationSnapshot(engine.sampling)
-        self.variational = VariationalSnapshot(engine.variational)
-        self.learn_compiled = engine._learn_compiled
-        self.compiled_state = (
-            engine._learn_compiled.snapshot_state()
-            if engine._learn_compiled is not None
-            else None
-        )
-        self.learner = LearnerSnapshot(engine._learner)
-        self.learner_stale = engine._learner_stale
-
-    def restore(self, verify: bool = True) -> None:
-        _consume(self)
-        e = self.engine
-        e.cumulative_delta = self.cumulative_delta
-        e._last_marginals = self.last_marginals
-        self.sampling.restore()
-        self.variational.restore(verify=verify)
-        if self.compiled_state is not None:
-            self.learn_compiled.restore_state(self.compiled_state)
-        e._learn_compiled = self.learn_compiled
-        if self.learn_compiled is not None:
-            # Re-derive the lazy view from the rolled-back substrate; the
-            # captured reference may be a graph materialized (or a facade
-            # swapped in) during the failed update.
-            e.current_graph = self.learn_compiled.graph
-        else:
-            e.current_graph = self.current_graph
-        restored = self.learner.restore(verify=verify)
-        if self.learner.pool_backed and restored is None:
-            e._learner = None
-            e._learner_stale = False
-        else:
-            e._learner = restored
-            e._learner_stale = self.learner_stale
-        self.rng.restore()
-
-
-class RerunUpdateSnapshot:
-    """Everything ``RerunEngine.apply_update`` can touch.
-
-    The persistent serial sampler restores exactly; a sharded sampler is
-    closed and rebuilt lazily from the rolled-back compiled substrate."""
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-        self.rng = RngSnapshot(engine.rng)
-        self.current_graph = engine.current_graph
-        self.last_marginals = engine._last_marginals
-        self.updates_patched = engine.updates_patched
-        self.updates_recompiled = engine.updates_recompiled
-        self.compiled = engine._compiled
-        self.compiled_state = (
-            engine._compiled.snapshot_state()
-            if engine._compiled is not None
-            else None
-        )
-        self.sampler = engine._sampler
-        self.sampler_serial = (
-            engine._sampler is not None
-            and type(engine._sampler).__name__ == "GibbsSampler"
-        )
-        self.sampler_state = (
-            SerialSamplerSnapshot(engine._sampler)
-            if self.sampler_serial
-            else None
-        )
-        self.learner = LearnerSnapshot(engine._learner)
-        self.learner_stale = engine._learner_stale
-
-    def restore(self, verify: bool = True) -> None:
-        _consume(self)
-        e = self.engine
-        e._last_marginals = self.last_marginals
-        e.updates_patched = self.updates_patched
-        e.updates_recompiled = self.updates_recompiled
-        if self.compiled_state is not None:
-            self.compiled.restore_state(self.compiled_state)
-        e._compiled = self.compiled
-        if self.compiled is not None:
-            # Re-derive the lazy view from the rolled-back substrate rather
-            # than resurrecting a stale materialized graph reference.
-            e.current_graph = self.compiled.graph
-        else:
-            e.current_graph = self.current_graph
-        if e._sampler is not self.sampler:
-            # A replacement sampler built during the failed update owns
-            # pool/shm resources the original does not.
-            _close_quietly(e._sampler)
-        if self.sampler_serial:
-            e._sampler = self.sampler_state.restore(verify=verify)
-        elif self.sampler is not None:
-            # Pool-backed (sharded) sampler: cold restore — close it and
-            # let apply_update rebuild from the rolled-back compilation.
-            _close_quietly(self.sampler)
-            e._sampler = None
-        else:
-            e._sampler = None
-        restored = self.learner.restore(verify=verify)
-        if self.learner.pool_backed and restored is None:
-            e._learner = None
-            e._learner_stale = False
-        else:
-            e._learner = restored
-            e._learner_stale = self.learner_stale
-        self.rng.restore()
-
-
 class RelearnSnapshot:
-    """Everything ``relearn`` on either engine can touch: the weight
-    store (mutated in place by SGD), the learner's chains, and the
-    lazily-created compiled substrate / graph-copy references."""
+    """A transaction on an engine's current graph: ``relearn`` on either
+    engine, and ``RerunEngine.apply_update``, whose whole state is that
+    graph.
 
-    _COMPILED_ATTRS = ("_learn_compiled", "_compiled")
+    The resident graph (substrate, chain, learner) and the shared rng
+    are mutated in place and capture themselves; everything else a
+    transaction changes on the engine — last marginals, counters, the
+    cumulative delta — it *rebinds*, so a shallow copy of the engine's
+    attribute dict restores it by reference."""
 
     def __init__(self, engine) -> None:
         self.engine = engine
+        self.attrs = dict(vars(engine))
         self.rng = RngSnapshot(engine.rng)
-        self.current_graph = engine.current_graph
-        self.weights = engine.current_graph.weights
-        self.weights_state = self.weights.snapshot_state()
-        self.compiled_refs = {
-            name: getattr(engine, name)
-            for name in self._COMPILED_ATTRS
-            if hasattr(engine, name)
-        }
-        self.learner = engine._learner
-        self.learner_state = LearnerSnapshot(engine._learner)
-        self.learner_stale = engine._learner_stale
-        self.learns_warm = engine.learns_warm
-        self.learns_cold = engine.learns_cold
+        self.resident = engine.resident.snapshot()
 
     def restore(self, verify: bool = True) -> None:
         _consume(self)
-        e = self.engine
-        self.weights.restore_state(self.weights_state)
-        for name, ref in self.compiled_refs.items():
-            setattr(e, name, ref)
-        substrate = next(
-            (ref for ref in self.compiled_refs.values() if ref is not None),
-            None,
-        )
-        e.current_graph = (
-            substrate.graph if substrate is not None else self.current_graph
-        )
-        if e._learner is not self.learner:
-            # Cold learner constructed during the failed relearn.
-            _close_quietly(e._learner)
-        restored = self.learner_state.restore(verify=verify)
-        if self.learner_state.pool_backed and restored is None:
-            e._learner = None
-            e._learner_stale = False
-        else:
-            e._learner = restored
-            e._learner_stale = self.learner_stale
-        e.learns_warm = self.learns_warm
-        e.learns_cold = self.learns_cold
+        vars(self.engine).update(self.attrs)
+        self.engine.resident.restore(self.resident, verify=verify)
         self.rng.restore()
+
+
+class IncrementalUpdateSnapshot(RelearnSnapshot):
+    """Everything ``IncrementalEngine.apply_update`` can touch: the
+    current graph plus both materializations."""
+
+    def __init__(self, engine) -> None:
+        super().__init__(engine)
+        self.sampling = MaterializationSnapshot(engine.sampling)
+        self.variational = engine.variational.snapshot()
+
+    def restore(self, verify: bool = True) -> None:
+        self.sampling.restore()
+        self.engine.variational.restore(self.variational, verify=verify)
+        super().restore(verify=verify)

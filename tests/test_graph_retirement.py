@@ -132,7 +132,7 @@ class TestCompiledDirectEquivalence:
             )
             out = engine.apply_update(delta)
             exact = ExactInference(
-                FactorGraph.from_compiled(engine._compiled)
+                FactorGraph.from_compiled(engine.resident.compiled)
             ).marginals()
             assert max_marginal_error(out.marginals, exact) < 0.12
         assert engine.updates_recompiled == 1  # the one-time substrate compile
@@ -155,9 +155,9 @@ class TestNoMaterializationOnDefaultPath:
             )
             engine.apply_update(delta)
         assert isinstance(engine.current_graph, CompiledGraphView)
-        assert engine.current_graph is engine._compiled.graph
-        assert engine._compiled.views_materialized == 0
-        assert engine._compiled.structure_version >= 4
+        assert engine.current_graph is engine.resident.compiled.graph
+        assert engine.resident.compiled.views_materialized == 0
+        assert engine.resident.compiled.structure_version >= 4
 
     def test_incremental_sampling_path_materializes_no_views(self):
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
@@ -173,22 +173,8 @@ class TestNoMaterializationOnDefaultPath:
             )
             outcome = engine.apply_update(delta)
             assert outcome.strategy == "sampling"
-        assert engine.current_graph is engine._learn_compiled.graph
-        assert engine._learn_compiled.views_materialized == 0
-
-    def test_lesion_path_still_materializes(self):
-        """The recompile lesion is the documented slow path — it keeps
-        the O(#factors) ``delta.apply`` copy and a plain FactorGraph."""
-        fg = chain_ising_graph(6, coupling=0.3, bias=0.1)
-        engine = RerunEngine(fg, config(reuse_compilation=False))
-        delta = FactorGraphDelta()
-        delta.new_weight_entries.append((("f",), 0.4, False))
-        delta.new_factors.append(
-            BiasFactor(weight_id=len(fg.weights), var=0)
-        )
-        engine.apply_update(delta)
-        assert not isinstance(engine.current_graph, CompiledGraphView)
-        assert engine._compiled is None
+        assert engine.current_graph is engine.resident.compiled.graph
+        assert engine.resident.compiled.views_materialized == 0
 
 
 class TestComposeDeltasFastPath:
@@ -271,18 +257,18 @@ class TestSnapshotRollbackRederivesView:
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
         engine = RerunEngine(fg, config(inference_samples=40))
         engine.apply_update(self._grow_delta(engine, 0))
-        committed = FactorGraph.from_compiled(engine._compiled)
-        version = engine._compiled.structure_version
+        committed = FactorGraph.from_compiled(engine.resident.compiled)
+        version = engine.resident.compiled.structure_version
         with inject_faults(FaultPlan([Fault(site="engine.update.inferred")])):
             with pytest.raises(FaultInjected):
                 engine.apply_update(self._grow_delta(engine, 1))
         # The restored graph is the substrate's view, not a stale ref …
         assert isinstance(engine.current_graph, CompiledGraphView)
-        assert engine.current_graph is engine._compiled.graph
-        assert engine._compiled.structure_version == version
+        assert engine.current_graph is engine.resident.compiled.graph
+        assert engine.resident.compiled.structure_version == version
         # … and the failed update's vars/factors/evidence/names are gone.
         assert_graphs_equal(
-            FactorGraph.from_compiled(engine._compiled), committed
+            FactorGraph.from_compiled(engine.resident.compiled), committed
         )
         assert engine.current_graph.num_vars == committed.num_vars
         assert engine.current_graph.name_of(committed.num_vars - 1) == "added-0"
@@ -293,7 +279,7 @@ class TestSnapshotRollbackRederivesView:
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
         engine = RerunEngine(fg, config(inference_samples=40))
         engine.apply_update(self._grow_delta(engine, 0))
-        before = engine._compiled.num_factors
+        before = engine.resident.compiled.num_factors
 
         class Boom(Exception):
             pass
@@ -302,31 +288,31 @@ class TestSnapshotRollbackRederivesView:
             snap_delta = self._grow_delta(engine, 1)
             # Simulate a consumer materializing mid-transaction, then a
             # failure: patch, materialize, raise inside the txn body.
-            from repro.reliability.snapshots import RerunUpdateSnapshot
+            from repro.reliability.snapshots import RelearnSnapshot
 
-            snap = RerunUpdateSnapshot(engine)
-            engine._compiled.apply_delta(snap_delta, compact_threshold=1.0)
-            engine._compiled.materialized_factors()  # stale after rollback
+            snap = RelearnSnapshot(engine)
+            engine.resident.compiled.apply_delta(snap_delta, compact_threshold=1.0)
+            engine.resident.compiled.materialized_factors()  # stale after rollback
             raise Boom()
         except Boom:
             snap.restore()
-        assert engine._compiled.num_factors == before
+        assert engine.resident.compiled.num_factors == before
         # The stale cache is version-stamped: the next oracle read
         # rebuilds against the rolled-back substrate.
-        assert len(engine._compiled.materialized_factors()) == before
+        assert len(engine.resident.compiled.materialized_factors()) == before
 
     def test_incremental_rollback_rederives_view(self):
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
         engine = IncrementalEngine(fg, config(strategies=("sampling",)))
         engine.materialize()
         engine.apply_update(self._grow_delta(engine, 0))
-        committed = FactorGraph.from_compiled(engine._learn_compiled)
+        committed = FactorGraph.from_compiled(engine.resident.compiled)
         with inject_faults(FaultPlan([Fault(site="engine.update.inferred")])):
             with pytest.raises(FaultInjected):
                 engine.apply_update(self._grow_delta(engine, 1))
-        assert engine.current_graph is engine._learn_compiled.graph
+        assert engine.current_graph is engine.resident.compiled.graph
         assert_graphs_equal(
-            FactorGraph.from_compiled(engine._learn_compiled), committed
+            FactorGraph.from_compiled(engine.resident.compiled), committed
         )
 
     def test_rollback_twin_parity(self):
@@ -348,8 +334,8 @@ class TestSnapshotRollbackRederivesView:
         out_fresh = twin.apply_update(self._grow_delta(twin, 1))
         assert np.array_equal(out_retry.marginals, out_fresh.marginals)
         assert_graphs_equal(
-            FactorGraph.from_compiled(faulted._compiled),
-            FactorGraph.from_compiled(twin._compiled),
+            FactorGraph.from_compiled(faulted.resident.compiled),
+            FactorGraph.from_compiled(twin.resident.compiled),
         )
 
 

@@ -301,15 +301,12 @@ class TestRerunEngineIncremental:
         inc.apply_update(FactorGraphDelta())
         out_inc = inc.apply_update(delta)
         inc.close()
+        # Baseline: a fresh engine (fresh compile, fresh chain) on the
+        # materialized updated graph.
         base = RerunEngine(
-            graph,
-            EngineConfig(
-                inference_samples=2000, seed=1,
-                reuse_compilation=False, warm_start=False,
-            ),
+            delta.apply(graph), EngineConfig(inference_samples=2000, seed=1)
         )
-        base.apply_update(FactorGraphDelta())
-        out_base = base.apply_update(delta)
+        out_base = base.apply_update(FactorGraphDelta())
         assert max_marginal_error(out_inc.marginals, out_base.marginals) < 0.08
 
 
@@ -357,9 +354,7 @@ class TestIncrementalEngineSatellites:
 
     def test_bundle_not_patched_for_large_appends(self):
         fg = chain_ising_graph(8, 0.4, 0.1)
-        engine = IncrementalEngine(
-            fg, self._config(bundle_patch_fraction=0.05)
-        )
+        engine = IncrementalEngine(fg, self._config())
         engine.materialize()
         nw = len(fg.weights)
         delta = FactorGraphDelta(

@@ -336,7 +336,7 @@ class TestEngineRelearn:
                 engine.apply_update(self._delta(engine.current_graph, step))
                 engine.relearn(8, record_loss=False)
             assert (engine.learns_warm, engine.learns_cold) == (3, 1)
-            assert engine._learn_compiled.num_vars == engine.current_graph.num_vars
+            assert engine.resident.compiled.num_vars == engine.current_graph.num_vars
             # Every interned feature weight moved towards its MLE sign.
             for step in range(3):
                 wid_step = engine.current_graph.weights.id_for(("feat", step))
@@ -369,14 +369,14 @@ class TestEngineRelearn:
             # Structural delta leaving tombstones behind.
             delta = FactorGraphDelta(removed_factor_ids={rule_fi})
             engine.apply_update(delta)
-            assert engine._compiled.has_patches
+            assert engine.resident.compiled.has_patches
             engine.relearn(3, record_loss=False, n_workers=2)
-            assert not engine._compiled.has_patches  # export compacted
+            assert not engine.resident.compiled.has_patches  # export compacted
             # Pre-fix this splice landed on the compacted arrays with a
             # cache still sized/ordered for the tombstoned layout.
             out = engine.apply_update(self._delta(engine.current_graph, 0))
             assert out.marginals.shape[0] == engine.current_graph.num_vars
-            engine._sampler.cache.check_consistency(engine._sampler.state)
+            engine.resident.chain.cache.check_consistency(engine.resident.chain.state)
             engine.relearn(3, record_loss=False)
 
     def test_incremental_engine_relearn_does_not_touch_base_graph(self):

@@ -565,11 +565,11 @@ ENGINE_UPDATE_SITES = [
 def check_engine_caches(engine):
     """check_consistency on every live cache the engine holds (caches are
     brought current first — they may legitimately lag the weight store)."""
-    sampler = getattr(engine, "_sampler", None)
+    sampler = engine.resident.chain
     if sampler is not None and hasattr(sampler, "cache"):
         sampler.cache.refresh_weights(sampler.state)
         sampler.cache.check_consistency(sampler.state)
-    learner = getattr(engine, "_learner", None)
+    learner = engine.resident.learner
     if learner is not None and learner._pool is None and learner._conditioned:
         for chain in (learner._conditioned, learner._free):
             chain.cache.refresh_weights(chain.state)

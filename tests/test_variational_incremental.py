@@ -173,7 +173,7 @@ class TestSubstrateEqualsCopySplice:
         assert engine_side.views_materialized == 0
         assert canonical(mat.current) == canonical(reference)
         assert mat.approximation.graph is mat.current
-        sampler = mat._sampler
+        sampler = mat.resident.chain
         assert sampler.state.shape == (reference.num_vars,)
         sampler.cache.refresh_weights(sampler.state)
         sampler.cache.check_consistency(sampler.state)
@@ -196,7 +196,7 @@ class TestSubstrateEqualsCopySplice:
                 new_factors=[BiasFactor(weight_id=len(legacy.weights), var=step)],
             )
             mat.apply_update(legacy, delta)
-            compacted |= not mat._compiled.has_patches
+            compacted |= not mat.resident.compiled.has_patches
             reference, counter = reference_splice(reference, legacy, delta, counter)
             legacy = delta.apply(legacy)
         assert compacted
@@ -277,7 +277,7 @@ class TestOneConstructionPerEngine:
             graph, variational_config(variational_inference_samples=5, burn_in=2)
         )
         engine.materialize()
-        substrate = engine.variational._compiled
+        substrate = engine.variational.resident.compiled
         rng = np.random.default_rng(0)
         updates = 12
         for step in range(updates):
@@ -294,7 +294,7 @@ class TestOneConstructionPerEngine:
             if step % 3 == 2:
                 delta.removed_factor_ids.add(int(rng.integers(current.num_factors)))
             engine.apply_update(delta)
-        assert engine.variational._compiled is substrate
+        assert engine.variational.resident.compiled is substrate
         # ``compact()`` re-runs ``__init__`` in place.
         compactions = sum(1 for c in compacted if c is substrate)
         assert 0 < compactions < updates
@@ -328,8 +328,8 @@ class TestOneConstructionPerEngine:
             )
             engine.apply_update(delta)
         engine.apply_update(FactorGraphDelta(removed_factor_ids={0, 5}))
-        assert builds[id(engine.variational._compiled)] == 1
-        assert engine.variational._compiled.views_materialized == 0
+        assert builds[id(engine.variational.resident.compiled)] == 1
+        assert engine.variational.resident.compiled.views_materialized == 0
         assert engine.current_graph.compiled.views_materialized == 0
 
 
@@ -350,14 +350,14 @@ class TestRollbackAndCheckpointParity:
             faulted.apply_update(delta)
             twin.apply_update(delta)
         variational = faulted.variational
-        state_before = variational._sampler.state.copy()
+        state_before = variational.resident.chain.state.copy()
         factors_before = variational.num_factors
         with inject_faults(FaultPlan([Fault(site="engine.update.patched")])):
             with pytest.raises(FaultInjected):
                 faulted.apply_update(deltas[2])
         assert faulted.rollbacks == 1
         assert variational.num_factors == factors_before
-        assert np.array_equal(variational._sampler.state, state_before)
+        assert np.array_equal(variational.resident.chain.state, state_before)
         for delta in deltas[2:]:
             retried = faulted.apply_update(delta)
             fresh = twin.apply_update(delta)
@@ -369,7 +369,7 @@ class TestRollbackAndCheckpointParity:
         for delta in deltas[:3]:
             engine.apply_update(delta)
         restored = pickle.loads(pickle.dumps(engine))
-        assert restored.variational._sampler.compiled is restored.variational._compiled
+        assert restored.variational.resident.chain.compiled is restored.variational.resident.compiled
         live = engine.apply_update(deltas[3])
         replayed = restored.apply_update(deltas[3])
         assert np.array_equal(live.marginals, replayed.marginals)
