@@ -267,6 +267,7 @@ def measure(
         "num_vars": graph.num_vars,
         "num_factors": graph.num_factors,
         "num_blocks": fast.plan.num_blocks,
+        **plan_shape(fast.plan),
         "sweeps_per_sec": round(fast_rate, 2),
         "var_updates_per_sec": round(fast_rate * num_free, 1),
         "vars_factors_per_sec": round(
@@ -295,6 +296,45 @@ def measure(
     if workers_axis:
         record["sharded_sweeps_per_sec"] = workers_axis
     return record
+
+
+def plan_shape(plan) -> dict:
+    """Which kernel a plan's sweep runs on."""
+    return {
+        "batched_fraction": round(plan.batched_fraction, 4),
+        "scalar_only_vars": int(
+            sum(b.vars.size for b in plan.blocks if b.scalar_only)
+        ),
+    }
+
+
+def check_shape(rows) -> dict:
+    """The batched kernel must be the one that runs.
+
+    On every measured workload and on the five KBC systems (full six-rule
+    program): at least 90 % of the free variables sit in batched blocks
+    and none is routed to the brute-force slow path — the check that
+    would have caught a planner whose blocks never reach the batched
+    kernel."""
+    from repro.graph.compiled import CompiledFactorGraph
+    from repro.workloads import ALL_SYSTEMS, build_pipeline
+
+    shapes = {f"{row['workload']}/{row['scale']}": row for row in rows}
+    for spec in ALL_SYSTEMS:
+        pipeline = build_pipeline(spec, scale=1.0, seed=0)
+        grounder = pipeline.build_base()
+        for _label, update in pipeline.snapshot_updates():
+            if update:
+                grounder.apply_update(**update)
+        shapes[spec.name] = plan_shape(CompiledFactorGraph(grounder.graph).plan())
+    for name, shape in shapes.items():
+        if shape["batched_fraction"] < 0.9 or shape["scalar_only_vars"]:
+            raise AssertionError(
+                f"{name}: sweep is not on the batched kernel "
+                f"(batched_fraction={shape['batched_fraction']}, "
+                f"scalar_only_vars={shape['scalar_only_vars']})"
+            )
+    return {name: shape["batched_fraction"] for name, shape in shapes.items()}
 
 
 def check_agreement(tolerance: float = 0.05) -> dict:
@@ -336,7 +376,8 @@ def main(argv=None) -> dict:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="also assert marginal agreement between the two kernels",
+        help="also assert marginal agreement between the two kernels and "
+        "that sweeps run on the batched kernel",
     )
     parser.add_argument(
         "--workers",
@@ -373,6 +414,8 @@ def main(argv=None) -> dict:
     if args.check:
         record["agreement"] = check_agreement()
         print(f"agreement: {record['agreement']}")
+        record["batched_fraction"] = check_shape(rows)
+        print(f"batched fraction: {record['batched_fraction']}")
     emit_json("BENCH_inference", record)
     return record
 

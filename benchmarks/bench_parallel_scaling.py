@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from repro.graph.compiled import CompiledFactorGraph, partition_plan
+from repro.graph.compiled import CompiledFactorGraph, partition_plan, shard_window
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.parallel import (
     ParallelChainEnsemble,
@@ -114,8 +114,6 @@ def measure_ensemble(graph, compiled, workers: int) -> dict:
 def measure(workload: str, scale: str, worker_counts, modes) -> list:
     graph = _build(workload, scale)
     compiled = CompiledFactorGraph(graph)
-    plan = compiled.plan()
-    block_costs = measure_block_costs(compiled, plan)
     rows = []
     for mode in modes:
         axis = {}
@@ -126,8 +124,15 @@ def measure(workload: str, scale: str, worker_counts, modes) -> list:
                 axis[str(workers)] = result["chain_sweeps_per_sec"]
             else:
                 sync = mode.split("_", 1)[1]
+                # Costs are per block of the plan the sampler cuts, whose
+                # window narrows with the worker count on small graphs.
+                plan = compiled.plan(window=shard_window(compiled, workers))
                 result = measure_sharded(
-                    graph, compiled, workers, sync, block_costs
+                    graph,
+                    compiled,
+                    workers,
+                    sync,
+                    measure_block_costs(compiled, plan),
                 )
                 axis[str(workers)] = result["sweeps_per_sec"]
                 if workers > 1:
@@ -155,8 +160,17 @@ def measure(workload: str, scale: str, worker_counts, modes) -> list:
     return rows
 
 
-def check_agreement(n_workers: int = 2, tolerance: float = 0.06) -> dict:
+def check_agreement(
+    n_workers: int = 2, tolerance: float = 0.06, num_samples: int = 12000
+) -> dict:
     """Serial kernel vs. parallel modes: marginals must agree.
+
+    A sharded chain scans the narrower-window plan of ``shard_window``,
+    so it no longer shares a trajectory with the serial reference and the
+    two estimates differ by independent sampling noise: over eight seeds
+    the *exact* ``sync="serial"`` arm alone measured 0.036–0.069 at 3 000
+    samples and 0.016–0.030 at 12 000 (stale arm ≤ 0.045), hence the
+    sample count under the unchanged tolerance.
 
     Uses the same tiny graphs as ``bench_inference_throughput``'s kernel
     check; also validates the shard partition invariant (no factor spans
@@ -168,17 +182,17 @@ def check_agreement(n_workers: int = 2, tolerance: float = 0.06) -> dict:
         ("rules", rule_workload(30, seed=3)),
     ):
         compiled = CompiledFactorGraph(graph)
-        plan = compiled.plan()
+        plan = compiled.plan(window=shard_window(compiled, n_workers))
         partition_plan(compiled, plan, n_workers).validate(compiled)
         serial = GibbsSampler(graph, seed=7, compiled=compiled).estimate_marginals(
-            3000, burn_in=100
+            num_samples, burn_in=100
         )
         for sync in ("serial", "stale"):
             sampler = ShardedGibbsSampler(
                 graph, n_workers=n_workers, seed=7, compiled=compiled, sync=sync
             )
             try:
-                parallel = sampler.estimate_marginals(3000, burn_in=100)
+                parallel = sampler.estimate_marginals(num_samples, burn_in=100)
             finally:
                 sampler.close()
             diff = float(np.abs(parallel - serial).max())

@@ -22,7 +22,8 @@ Compiled layout (all arrays contiguous, ``n`` = number of variables):
 ``grounding_ri``          grounding id ``gg`` → owning rule ``ri``
 ``lit_gg/lit_var/``       one row per body literal (used to (re)initialise
 ``lit_pos``               the satisfied-count state)
-``head_indptr/head_ri``   per-variable CSR of rules the variable heads
+``head_indptr/head_ri``   per-variable CSR of rules the variable heads and
+                          does not also appear under
 ``body_indptr/body_ri/``  per-variable CSR of body incidences, sorted by
 ``body_gg/body_pos``      rule id within each variable's slice
 ``bseg_indptr/…``         per-variable segments of the body slice: one
@@ -37,18 +38,29 @@ State kept by :class:`GibbsCache` (one instance per sampler chain):
 * ``unsat``  — int64[G], unsatisfied-literal count per grounding.
 * ``nsat``   — int64[R], fully-satisfied grounding count per rule factor.
 
-Rule factors where a variable appears both as head and in the body, or
-twice within one grounding, are handled on a brute-force "slow path"
-(they are rare — none of the paper's rule templates produce them).
+A variable that heads a rule it also appears under (an agreement rule
+with no ``m ≠ m′`` guard grounds nothing else) stays on the fast path: it
+carries only the body incidence, and the kernels use the closed form
+``E(v=1) − E(v=0) = w·(g(n₁) + g(n₀))`` in place of
+``w·sign(head)·(g(n₁) − g(n₀))``.  Only rule factors that mention one
+variable twice within one grounding are handled on a brute-force "slow
+path" (none of the paper's rule templates produce them).
 
-Scan-order blocking: :class:`SweepPlan` partitions the id-order scan of
-the free variables into maximal runs of consecutive variables that share
-no factor.  Variables within such a block are conditionally independent
-given the rest, so the whole block is resampled in one vectorised step —
-this is *exactly* equivalent to the sequential scan (same uniforms, same
-trajectory up to float summation order) but approaches chromatic-sampler
-throughput on pairwise graphs without needing a colouring.  Variables in
-very large rule factors or slow-path factors become singleton blocks.
+Scan-order blocking: the substrate keeps a proper greedy colouring of
+the variables over the shared-factor neighbour index (``_color``, one
+growable array beside ``var_patched``; evidence is coloured too, so
+clamping never recolours).  :class:`SweepPlan` scans colour class by
+colour class inside windows of consecutive ids: the free variables of one
+colour in one window form a block, no two of them share a factor, so the
+block is resampled — conditionals *and* cache commit — in a handful of
+array operations, and a sweep is a few dozen numpy calls per few hundred
+variables however the ids interleave.  That is a different, equally
+valid, systematic-scan Gibbs chain from the id-order scan; the order is a
+pure function of the substrate state (colours, solo flags), the evidence
+mask and the window width, so it survives snapshots, pickling and
+checkpoint restores and is the same whether a plan was built from scratch
+or repaired.  Members of very large rule factors or slow-path factors
+scan alone.
 
 Incremental compilation: :meth:`CompiledFactorGraph.apply_delta` patches
 the compiled view in place from a
@@ -64,16 +76,22 @@ The patch protocol:
   (a full recompile of the current graph, in place) runs when the
   tombstone/patch density crosses a threshold;
 * per-variable CSR slices are *not* rewritten: a variable whose
-  incidence set changed is flagged in ``var_patched`` and its kernels
-  route through the always-current Python mirrors (``py_*`` lists) until
-  the next compaction.  Blocks containing patched variables are rebuilt
-  from the mirrors, so the batched kernel keeps working.
+  incidence set changed is flagged in ``var_patched`` and its scalar
+  kernels route through the always-current Python mirrors (``py_*``
+  lists) until the next compaction.  Blocks gather from the mirrors, so
+  the batched kernel never reads a stale slice;
+* touched variables that now share a colour with a neighbour — and
+  appended variables — take the smallest colour their neighbours leave
+  free; nothing else is recoloured.
 
 Derived state is repaired, not rebuilt: :meth:`GibbsCache.apply_patch`
 splices the ``field``/``unsat``/``nsat`` caches, :meth:`SweepPlan.apply_patch`
-re-plans only the blocks whose variables gained or lost factor
-incidence, and :func:`repair_shard_plan` re-assigns only dirty blocks
-with the same LDG greedy used by :func:`partition_plan`.
+moves only the touched variables between blocks — in *every* cached
+plan, whatever evidence it was derived for (one for other evidence that
+nobody asked for since the previous patch is dropped instead) — and
+:func:`repair_shard_plan` keeps every surviving block's shard, leaves a
+rebuilt block with its id window, and sends only windows with no
+survivor through the LDG greedy used by :func:`partition_plan`.
 """
 
 from __future__ import annotations
@@ -91,8 +109,6 @@ from repro.graph.factor_graph import (
     RuleFactor,
 )
 from repro.graph.semantics import (
-    SEM_LOGICAL,
-    SEM_RATIO,
     g_code_array,
     g_coded,
     g_value,
@@ -112,6 +128,39 @@ _BATCH_MIN = 8
 #: Per-variable incidence count above which the scalar kernel switches
 #: from Python loops to numpy slice arithmetic.
 _SCALAR_NUMPY_MIN = 48
+
+#: Target variables per scan block.  The scan window of a compilation is
+#: ``_CHUNK_CAP × #colours`` consecutive ids, so one colour class inside
+#: one window holds about this many variables.  Measured on blocks cut
+#: from the KBC systems' plans, evaluate + commit costs ≈ 32 µs + 0.07 µs
+#: per variable: 3.9 / 2.0 / 1.0 / 0.55 / 0.32 / 0.20 / 0.13 µs per
+#: variable at 8 / 16 / 32 / 64 / 128 / 256 / 488 — past 256 the fixed
+#: cost is no longer the larger half, while the price of rebuilding a
+#: block a patch touched keeps growing with its size.
+_CHUNK_CAP = 256
+
+#: A scan block's key packs (id window, colour); a variable that scans
+#: alone (member of an oversized or slow-path factor) gets
+#: (``_SOLO_WINDOW``, id), which sorts after every real window.
+_SOLO_WINDOW = 1 << 20
+_KEY_SHIFT = 40
+
+
+def _has_duplicated_literal(groundings) -> bool:
+    """True when some grounding mentions one variable twice — the only
+    rule factors left on the brute-force slow path."""
+    for grounding in groundings:
+        per_grounding = [var for var, _ in grounding]
+        if len(per_grounding) != len(set(per_grounding)):
+            return True
+    return False
+
+
+def _smallest_free_color(used) -> int:
+    color = 0
+    while color in used:
+        color += 1
+    return color
 
 
 def _csr(lists, dtype=np.int64):
@@ -183,6 +232,7 @@ _GROWABLE_NAMES = (
     "_force_singleton",
     "_needs_scalar",
     "_big_count",
+    "_color",
 )
 
 
@@ -306,14 +356,7 @@ class CompiledFactorGraph:
                 ising_lists[factor.i].append((factor.j, factor.weight_id))
                 ising_lists[factor.j].append((factor.i, factor.weight_id))
             elif isinstance(factor, RuleFactor):
-                body_vars = set()
-                duplicated = False
-                for grounding in factor.groundings:
-                    per_grounding = [var for var, _ in grounding]
-                    if len(per_grounding) != len(set(per_grounding)):
-                        duplicated = True
-                    body_vars.update(per_grounding)
-                if duplicated or factor.head in body_vars:
+                if _has_duplicated_literal(factor.groundings):
                     self.slow_factors[fi] = factor
                     si = len(self.slow_list)
                     fkind_l.append(3)
@@ -330,7 +373,6 @@ class CompiledFactorGraph:
                 rule_wid_l.append(factor.weight_id)
                 rule_sem_l.append(factor.semantics)
                 rule_code_l.append(sem_code(factor.semantics))
-                head_lists[factor.head].append(ri)
                 for grounding in factor.groundings:
                     gg = len(grounding_ri_l)
                     grounding_ri_l.append(ri)
@@ -339,6 +381,11 @@ class CompiledFactorGraph:
                         lit_var_l.append(var)
                         lit_pos_l.append(bool(pos))
                         body_lists[var].append((ri, gg, bool(pos)))
+                # A head that sits in its own body carries only the body
+                # incidence (closed form, see module docstring).
+                segs = body_lists[factor.head]
+                if not (segs and segs[-1][0] == ri):
+                    head_lists[factor.head].append(ri)
             else:
                 raise TypeError(f"unknown factor type {type(factor)!r}")
 
@@ -459,6 +506,16 @@ class CompiledFactorGraph:
             if slow_lists[var]:
                 self._needs_scalar[var] = True
         self._nbr_indptr, self._nbr_idx = _csr(nbr)
+        # Greedy colouring in id order (evidence included, so clamping a
+        # variable never recolours anything).  The window width is fixed
+        # here and only changes at compaction.
+        color_l = []
+        for var in range(n):
+            color_l.append(
+                _smallest_free_color({color_l[o] for o in nbr[var] if o < var})
+            )
+        self._color = np.asarray(color_l, dtype=np.int32)
+        self._scan_window = _CHUNK_CAP * (max(color_l, default=0) + 1)
 
         self._plan_cache = {}
 
@@ -814,13 +871,7 @@ class CompiledFactorGraph:
             if self.rule_sem_uniform is not None:
                 g = g_code_array(self.rule_sem_uniform, nsat)
             else:
-                g = nsat.astype(np.float64).copy()
-                ratio = self.rule_sem == SEM_RATIO
-                if ratio.any():
-                    g[:, ratio] = np.log1p(nsat[:, ratio])
-                logical = self.rule_sem == SEM_LOGICAL
-                if logical.any():
-                    g[:, logical] = (nsat[:, logical] > 0).astype(np.float64)
+                g = g_coded(self.rule_sem, nsat)
             unit = (spins[:, self.rule_head] * g * self.rule_alive).sum(axis=0)
             totals += np.bincount(self.rule_wid, weights=unit, minlength=W)[:W]
         if self.num_live_slow:
@@ -832,13 +883,15 @@ class CompiledFactorGraph:
                 )
         return totals / S
 
-    def plan(self, graph: FactorGraph | None = None) -> "SweepPlan":
+    def plan(self, graph: FactorGraph | None = None, window=None) -> "SweepPlan":
         """The (cached) block-structured scan plan for ``graph``'s evidence.
 
         ``graph`` defaults to the compiled graph; passing another graph
         with identical factor structure but different evidence (e.g. the
         free chain of SGD learning) reuses this compilation with its own
-        free-variable partition.
+        free-variable partition.  ``window`` narrows the id window of a
+        scan block below the compilation's own (the sharded sampler asks
+        for blocks small enough to balance); it is part of the cache key.
         """
         target = graph if graph is not None else self.graph
         if target.num_vars != self.num_vars:
@@ -846,14 +899,23 @@ class CompiledFactorGraph:
                 f"graph has {target.num_vars} variables, "
                 f"compiled for {self.num_vars}"
             )
-        key = tuple(sorted(target.evidence.items()))
+        window = self._scan_window if window is None else int(window)
+        key = (tuple(sorted(target.evidence.items())), window)
         plan = self._plan_cache.get(key)
         if plan is None:
             # Always read the *current* evidence (never the compile-time
             # snapshot): evidence may have been set after compilation.
-            plan = SweepPlan(self, target.evidence_mask())
+            plan = SweepPlan(self, target.evidence_mask(), window)
             self._plan_cache[key] = plan
+        plan.requested = True
         return plan
+
+    def gather_block(self, vars_) -> "_Block":
+        """Batched-kernel gather arrays over ``vars_`` (any variables, in
+        the given order): what :meth:`GibbsCache.delta_energy_block`
+        evaluates in one step.  Only a block whose members share no
+        factor may also be committed as one."""
+        return _Block(self, np.asarray(vars_, dtype=np.int64))
 
     # ------------------------------------------------------------------ #
     # Incremental compilation
@@ -897,39 +959,20 @@ class CompiledFactorGraph:
     def _nbr_adjust(self, a: int, b: int, delta: int) -> None:
         self._nbr_patch.setdefault(a, Counter())[b] += delta
 
-    def _reblock(self, vars_sorted) -> list:
-        """Greedy block partition of ``vars_sorted`` from the mirrors.
+    def _recolor(self, vars_sorted) -> None:
+        """Restore a proper colouring after a patch touched ``vars_sorted``.
 
-        Same invariant as :meth:`SweepPlan._build_blocks` — no two block
-        members share a factor — but driven by :meth:`_var_neighbors`, so
-        it stays correct for patched and brand-new variables."""
-        blocks = []
-        cur, cur_nbrs = [], set()
-
-        def flush():
-            nonlocal cur, cur_nbrs
-            if cur:
-                blocks.append(_Block(self, np.asarray(cur, dtype=np.int64)))
-            cur, cur_nbrs = [], set()
-
+        A touched variable keeps its colour unless a (patch-aware)
+        neighbour now holds the same one; otherwise it takes the smallest
+        colour its neighbours leave free.  Both endpoints of every added
+        factor are touched, so visiting them in id order repairs every
+        new conflict."""
+        color = self._color
         for v in vars_sorted:
-            v = int(v)
-            if self._needs_scalar[v] or self._force_singleton[v]:
-                flush()
-                blocks.append(
-                    _Block(
-                        self,
-                        np.asarray([v], dtype=np.int64),
-                        scalar_only=bool(self._needs_scalar[v]),
-                    )
-                )
-                continue
-            if v in cur_nbrs:
-                flush()
-            cur.append(v)
-            cur_nbrs |= self._var_neighbors(v)
-        flush()
-        return blocks
+            used = {int(color[o]) for o in self._var_neighbors(v)}
+            if color[v] < 0 or int(color[v]) in used:
+                used.discard(-1)
+                color[v] = _smallest_free_color(used)
 
     def _ops_from_delta(self, delta) -> dict:
         """Lower a :class:`FactorGraphDelta` to a picklable patch-op dict.
@@ -963,7 +1006,7 @@ class CompiledFactorGraph:
             elif kind == 2:
                 ri = int(self._fh1[fi])
                 factor = self._ri_factor[ri]
-                body_vars = sorted(factor.variables() - {factor.head})
+                body_vars = sorted({v for g in factor.groundings for v, _ in g})
                 ops["rule_del"].append((ri, int(factor.head), body_vars))
             else:
                 ops["slow_del"].append(int(self._fh1[fi]))
@@ -1045,7 +1088,7 @@ class CompiledFactorGraph:
             old_num_ising=self.ising_wid.shape[0],
             old_num_bias=self.bias_wid.shape[0],
         )
-        old_evidence_key = tuple(sorted(self.graph.evidence.items()))
+        old_evidence = tuple(sorted(self.graph.evidence.items()))
         dirty = set()
         track_handles = self._fkind is not None
         handles_by_kind = {0: [], 1: [], 2: []}
@@ -1060,6 +1103,8 @@ class CompiledFactorGraph:
             self._append("_force_singleton", np.zeros(k, dtype=bool))
             self._append("_needs_scalar", np.zeros(k, dtype=bool))
             self._append("_big_count", np.zeros(k, dtype=np.int32))
+            if self._cap_views is None:
+                self._append("_color", np.full(k, -1, dtype=np.int32))
             for _ in range(k):
                 self.py_bias.append([])
                 self.py_ising.append([])
@@ -1110,7 +1155,8 @@ class CompiledFactorGraph:
             self.rule_alive[ri] = False
             self.num_live_rules -= 1
             self._count_adjust(int(self.rule_wid[ri]), -1)
-            self.py_head[head].remove(ri)
+            if head not in body_vars:
+                self.py_head[head].remove(ri)
             for var in body_vars:
                 segs = self.py_body[var]
                 for s, (seg_ri, _lits) in enumerate(segs):
@@ -1171,14 +1217,7 @@ class CompiledFactorGraph:
             factor = RuleFactor(
                 weight_id=wid, head=head, groundings=groundings, semantics=semantics
             )
-            body_vars = set()
-            duplicated = False
-            for grounding in groundings:
-                per = [v for v, _ in grounding]
-                if len(per) != len(set(per)):
-                    duplicated = True
-                body_vars.update(per)
-            if duplicated or head in body_vars:
+            if _has_duplicated_literal(groundings):
                 si = len(self.slow_list)
                 self.slow_list.append(factor)
                 self.slow_alive.append(True)
@@ -1190,6 +1229,7 @@ class CompiledFactorGraph:
                 if track_handles:
                     handles_by_kind[2].append((3, si, -1))
                 continue
+            body_vars = {v for grounding in groundings for v, _ in grounding}
             members = body_vars | {head}
             for var in members:
                 touch(var)
@@ -1209,7 +1249,8 @@ class CompiledFactorGraph:
                 self.rule_sem_uniform = None
             elif self.rule_sem_uniform is None and self.num_rules == 1:
                 self.rule_sem_uniform = code
-            self.py_head[head].append(ri)
+            if head not in body_vars:
+                self.py_head[head].append(ri)
             per_var = {}
             gg0 = self.num_groundings
             lit_gg_new, lit_var_new, lit_pos_new = [], [], []
@@ -1303,16 +1344,32 @@ class CompiledFactorGraph:
             self.structure_version += 1
         patch.dirty_vars = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
 
-        # ---- repair the cached scan plan ---------------------------------
-        # Only the plan keyed to the graph's own evidence is patched (and
-        # re-keyed); plans derived for other evidence configurations (e.g.
-        # a free learning chain) are dropped and lazily rebuilt.
-        plan = self._plan_cache.pop(old_evidence_key, None)
-        self._plan_cache = {}
-        if plan is not None:
-            plan.apply_patch(self, patch)
-            new_key = tuple(sorted(self.graph.evidence.items()))
-            self._plan_cache[new_key] = plan
+        # ---- recolour, then repair every cached scan plan ----------------
+        if self._cap_views is not None:
+            # Colours are the controller's to assign: it wrote them into
+            # the shared region before shipping these ops.
+            self._color = self._cap_views["_color"][: self.num_vars]
+        else:
+            self._recolor(sorted(dirty.union(range(n0, n0 + k))))
+        # Plans keyed to the graph's own evidence follow its evidence ops
+        # (and are re-keyed); plans for other evidence configurations
+        # (e.g. a free learning chain) keep theirs, and are dropped —
+        # rebuilt on demand — once a whole patch interval passes without
+        # anybody asking for them, so a caller whose evidence keeps
+        # changing cannot grow the cache.  Own plans go last so they win
+        # a key collision.
+        new_evidence = tuple(sorted(self.graph.evidence.items()))
+        cache = {}
+        for (evidence, window), plan in sorted(
+            self._plan_cache.items(), key=lambda item: item[0][0] == old_evidence
+        ):
+            own = evidence == old_evidence
+            if not (own or plan.requested):
+                continue
+            plan.requested = False
+            plan.apply_patch(patch, follow_evidence=own)
+            cache[(new_evidence if own else evidence, window)] = plan
+        self._plan_cache = cache
         return patch
 
     def patch_fraction(self) -> float:
@@ -1373,6 +1430,7 @@ class CompiledFactorGraph:
         "_force_singleton",
         "_needs_scalar",
         "_big_count",
+        "_color",
     )
 
     #: Arrays a patch never mutates in place (``compact`` replaces them
@@ -1409,6 +1467,7 @@ class CompiledFactorGraph:
         "rule_sem_uniform",
         "_patched",
         "_csr_num_vars",
+        "_scan_window",
         "structure_version",
         "views_materialized",
         "_view_factors",
@@ -1553,89 +1612,159 @@ class CompiledFactorGraph:
             del self.graph._names[snap["names_len"] :]
 
 
-class _Block:
-    """One run of mutually factor-independent variables in scan order.
+def _ids(rows) -> np.ndarray:
+    return np.asarray(rows, dtype=np.int64)
 
-    Blocks of at least ``_BATCH_MIN`` variables precompute concatenated
-    gather arrays so a whole block's conditionals evaluate in a handful
-    of numpy calls; smaller blocks iterate the scalar kernel.
+
+class _Block:
+    """Gather arrays of the batched kernel over one set of variables.
+
+    In a scan plan the members are one colour class inside one id window
+    (or a single variable that scans alone) and therefore share no
+    factor: their conditionals evaluate — and their flips commit — in a
+    handful of numpy calls.  Blocks with too little work to amortise
+    those calls, and blocks holding a slow-path variable, iterate the
+    scalar kernel and gather nothing.
+
+    One row per Ising incidence (``ising_*``), per rule headed and not
+    also appeared under (``head_*``), per body literal (``body_*``) and
+    per distinct (member, rule) body pair (``fseg_*``); ``*_seg`` /
+    ``fseg_pos`` are member positions, ``*_var`` variable ids.
+    ``fseg_self`` marks pairs whose rule the member itself heads
+    (``None`` when there is none).
     """
 
     __slots__ = (
         "vars",
+        "key",
+        "seq",
         "scalar_only",
         "use_batch",
-        "head_ri",
+        "ising_seg",
+        "ising_other",
+        "ising_wid",
         "head_seg",
+        "head_ri",
+        "head_wid",
+        "head_sem",
+        "body_seg",
+        "body_var",
         "body_gg",
         "body_pos",
-        "body_seg",
         "body_fsid",
-        "fseg_ri",
+        "body_ri",
+        "fseg_pos",
         "fseg_var",
-        "num_fseg",
-        "pure_pairwise",
-        "has_patched",
-        "seq",
+        "fseg_ri",
+        "fseg_wid",
+        "fseg_sem",
+        "fseg_head",
+        "fseg_self",
     )
 
-    def __init__(self, compiled, vars_, scalar_only=False):
+    def __init__(self, compiled, vars_, key=None):
         self.vars = vars_
-        self.scalar_only = scalar_only
-        self.use_batch = (not scalar_only) and vars_.size >= _BATCH_MIN
-        self.pure_pairwise = False
-        # Blocks holding patched variables must not take the batched
-        # pairwise-commit shortcut (it walks stale per-variable CSR
-        # slices); the per-variable commit path uses the mirrors.
-        self.has_patched = bool(compiled.var_patched[vars_].any())
+        self.key = key
         self.seq = -1
-        if not self.use_batch:
+        self.scalar_only = bool(compiled._needs_scalar[vars_].any())
+        self.use_batch = False
+        if self.scalar_only:
             return
-        head_ri, head_seg = [], []
-        body_gg, body_pos, body_seg, body_fsid = [], [], [], []
-        fseg_ri, fseg_var = [], []
-        for p, v in enumerate(vars_):
-            v = int(v)
+        ising_seg, ising_other, ising_wid = [], [], []
+        head_seg, head_ri = [], []
+        body_seg, body_gg, body_pos, body_fsid = [], [], [], []
+        fseg_pos, fseg_ri = [], []
+        for p, v in enumerate(vars_.tolist()):
+            for other, wid in compiled.py_ising[v]:
+                ising_seg.append(p)
+                ising_other.append(other)
+                ising_wid.append(wid)
             for ri in compiled.py_head[v]:
-                head_ri.append(ri)
                 head_seg.append(p)
+                head_ri.append(ri)
             for ri, lits in compiled.py_body[v]:
                 s = len(fseg_ri)
+                fseg_pos.append(p)
                 fseg_ri.append(ri)
-                fseg_var.append(p)
                 for gg, pos in lits:
+                    body_seg.append(p)
                     body_gg.append(gg)
                     body_pos.append(pos)
-                    body_seg.append(p)
                     body_fsid.append(s)
-        self.head_ri = np.asarray(head_ri, dtype=np.int64)
-        self.head_seg = np.asarray(head_seg, dtype=np.int64)
-        self.body_gg = np.asarray(body_gg, dtype=np.int64)
+        # Same crossover as the scalar kernel's own switch to numpy.
+        self.use_batch = (
+            vars_.size >= _BATCH_MIN
+            or len(ising_seg) + len(head_seg) + len(body_seg) > _SCALAR_NUMPY_MIN
+        )
+        if not self.use_batch:
+            return
+        self.ising_seg = _ids(ising_seg)
+        self.ising_other = _ids(ising_other)
+        self.ising_wid = _ids(ising_wid)
+        self.head_seg = _ids(head_seg)
+        self.head_ri = _ids(head_ri)
+        self.head_wid = compiled.rule_wid[self.head_ri]
+        self.head_sem = compiled.rule_sem[self.head_ri]
+        self.body_seg = _ids(body_seg)
+        self.body_var = vars_[self.body_seg]
+        self.body_gg = _ids(body_gg)
         self.body_pos = np.asarray(body_pos, dtype=bool)
-        self.body_seg = np.asarray(body_seg, dtype=np.int64)
-        self.body_fsid = np.asarray(body_fsid, dtype=np.int64)
-        self.fseg_ri = np.asarray(fseg_ri, dtype=np.int64)
-        self.fseg_var = np.asarray(fseg_var, dtype=np.int64)
-        self.num_fseg = len(fseg_ri)
-        self.pure_pairwise = not body_gg
+        self.body_fsid = _ids(body_fsid)
+        self.fseg_pos = _ids(fseg_pos)
+        self.fseg_var = vars_[self.fseg_pos]
+        self.fseg_ri = _ids(fseg_ri)
+        self.body_ri = self.fseg_ri[self.body_fsid]
+        self.fseg_wid = compiled.rule_wid[self.fseg_ri]
+        self.fseg_sem = compiled.rule_sem[self.fseg_ri]
+        self.fseg_head = compiled.rule_head[self.fseg_ri]
+        fseg_self = self.fseg_head == self.fseg_var
+        self.fseg_self = fseg_self if fseg_self.any() else None
 
 
 class SweepPlan:
-    """Block partition of the id-order scan over one evidence configuration.
+    """Colour-class scan over the free variables of one evidence mask.
 
-    Greedy and order-preserving: walk the free variables in id order,
-    extending the current block while the next variable shares no factor
-    with any block member.  Simultaneously resampling a block is then
-    exactly equivalent to resampling its members sequentially.
+    A pure function of the substrate's colouring and solo flags, the
+    evidence mask and the window width: the free variables of one colour
+    inside one window of ``window`` consecutive ids form a block (no two
+    share a factor, so resampling them at once is one valid systematic
+    scan step), and a variable of an oversized or slow-path factor scans
+    alone.  Blocks run window by window, colour by colour inside each,
+    solo blocks last — id-local, which is what the shard partitioner
+    streams over; a patch moves only the variables it touched, so every
+    other block object, and the scan order, survives.
     """
 
-    def __init__(self, compiled: CompiledFactorGraph, evidence_mask) -> None:
+    def __init__(self, compiled: CompiledFactorGraph, evidence_mask, window: int) -> None:
         self.compiled = compiled
+        self.window = window
         self.evidence_mask = np.asarray(evidence_mask, dtype=bool).copy()
         self.free_vars = np.flatnonzero(~self.evidence_mask)
+        #: Asked for (``CompiledFactorGraph.plan``) since the last patch.
+        self.requested = True
         self._next_seq = 0
-        self.blocks = self._build_blocks()
+        keys = self._keys(self.free_vars)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        cuts = np.flatnonzero(np.diff(keys)) + 1
+        self.blocks = [
+            _Block(compiled, vars_, int(keys[start]))
+            for start, vars_ in zip(
+                np.concatenate(([0], cuts)), np.split(self.free_vars[order], cuts)
+            )
+            if vars_.size
+        ]
         self._index_blocks()
+
+    def _keys(self, vars_) -> np.ndarray:
+        """Block key of each variable: (id window, colour), or (solo, id)."""
+        c = self.compiled
+        solo = c._needs_scalar[vars_] | c._force_singleton[vars_]
+        return np.where(
+            solo,
+            (_SOLO_WINDOW << _KEY_SHIFT) | vars_,
+            ((vars_ // self.window) << _KEY_SHIFT) | c._color[vars_],
+        )
 
     def _take_seq(self) -> int:
         seq = self._next_seq
@@ -1650,97 +1779,51 @@ class SweepPlan:
             if block.seq < 0:
                 block.seq = self._take_seq()
 
-    def _build_blocks(self):
-        c = self.compiled
-        if c.has_patches:
-            # Patched compilation: the CSR neighbour index is stale for
-            # patched variables, so drive the same greedy from the
-            # mirror-backed neighbour sets.
-            return c._reblock(self.free_vars.tolist())
-        stamp = np.full(c.num_vars, -1, dtype=np.int64)
-        indptr, idx = c._nbr_indptr, c._nbr_idx
-        blocks = []
-        cur = []
-        bid = 0
+    def apply_patch(self, patch: CompiledPatch, follow_evidence: bool = True) -> None:
+        """Re-plan only the blocks a compiled patch touched, in place.
 
-        def flush():
-            nonlocal cur, bid
-            if cur:
-                blocks.append(_Block(c, np.asarray(cur, dtype=np.int64)))
-                bid += 1
-                cur = []
-
-        for v in self.free_vars:
-            v = int(v)
-            if c._needs_scalar[v] or c._force_singleton[v]:
-                flush()
-                blocks.append(
-                    _Block(
-                        c,
-                        np.asarray([v], dtype=np.int64),
-                        scalar_only=bool(c._needs_scalar[v]),
-                    )
-                )
-                bid += 1
-                continue
-            lo, hi = indptr[v], indptr[v + 1]
-            if hi > lo and bool((stamp[idx[lo:hi]] == bid).any()):
-                flush()
-                cur = [v]
-            else:
-                cur.append(v)
-            stamp[v] = bid
-        flush()
-        return blocks
-
-    def apply_patch(self, compiled: CompiledFactorGraph, patch: CompiledPatch) -> None:
-        """Re-plan only the blocks touched by a compiled patch, in place.
-
-        Blocks whose variables gained or lost factor incidence — plus
-        blocks losing members to new evidence — are rebuilt from the
-        mirrors; every other block object survives untouched (shard
-        repair keys off the surviving block ``seq`` stamps).  Variables
-        freed from evidence and appended free variables are blocked by
-        the same greedy and merged into scan order."""
+        Every variable whose incidence, colour, solo flag or clamping
+        changed leaves its block and joins the one its key now names;
+        blocks that lost, gained or kept such a variable are rebuilt
+        (fresh gather arrays, fresh ``seq``), every other block object
+        survives — shard repair keys off the surviving stamps.  With
+        ``follow_evidence=False`` the patch's evidence ops are ignored
+        (a plan pinned to its own evidence) and appended variables are
+        free."""
         old_n = patch.old_num_vars
         k = patch.num_new_vars
         mask = self.evidence_mask
         if k:
             mask = np.concatenate([mask, np.zeros(k, dtype=bool)])
-        freed, clamped = [], []
-        for var, val in patch.ops["evidence"].items():
-            var = int(var)
-            was = bool(mask[var])
-            now = val is not None
-            if now != was:
-                (clamped if now else freed).append(var)
-                mask[var] = now
+        touched = set(patch.dirty_vars.tolist())
+        touched.update(range(old_n, old_n + k))
+        if follow_evidence:
+            for var, val in patch.ops["evidence"].items():
+                mask[int(var)] = val is not None
+                touched.add(int(var))
         self.evidence_mask = mask
-        if k:
-            self._block_of = np.concatenate(
-                [self._block_of, np.full(k, -1, dtype=np.int64)]
-            )
+        if not touched:
+            return
 
-        affected = set()
-        dirty = patch.dirty_vars if patch.dirty_vars is not None else ()
-        for v in list(dirty) + clamped:
-            v = int(v)
-            if v < old_n:
-                b = int(self._block_of[v])
-                if b >= 0:
-                    affected.add(b)
-        rebuild = set()
-        for b in affected:
-            rebuild.update(int(x) for x in self.blocks[b].vars)
-        rebuild.update(freed)
-        rebuild.update(range(old_n, old_n + k))
-        rebuild_vars = sorted(v for v in rebuild if not mask[v])
-
-        new_blocks = compiled._reblock(rebuild_vars)
-        survivors = [b for i, b in enumerate(self.blocks) if i not in affected]
-        merged = survivors + new_blocks
-        merged.sort(key=lambda b: int(b.vars[0]))
-        self.blocks = merged
+        by_key = {block.key: block for block in self.blocks}
+        members = {}
+        touched = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
+        for v, key in zip(touched.tolist(), self._keys(touched).tolist()):
+            if v < old_n and self._block_of[v] >= 0:
+                old = self.blocks[self._block_of[v]]
+                members.setdefault(old.key, set(old.vars.tolist())).discard(v)
+            if not mask[v]:
+                if key not in members:
+                    block = by_key.get(key)
+                    members[key] = set(block.vars.tolist()) if block else set()
+                members[key].add(v)
+        for key, vars_ in members.items():
+            if vars_:
+                vars_ = np.fromiter(sorted(vars_), dtype=np.int64, count=len(vars_))
+                by_key[key] = _Block(self.compiled, vars_, key)
+            else:
+                del by_key[key]
+        self.blocks = [by_key[key] for key in sorted(by_key)]
         self.free_vars = np.flatnonzero(~mask)
         self._index_blocks()
 
@@ -1765,21 +1848,28 @@ class SweepPlan:
         self.blocks = snap["blocks"]
         self._block_of = snap["block_of"]
         self._next_seq = snap["next_seq"]
+        self.requested = True
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_costs(self) -> np.ndarray:
-        """Analytic per-block sweep-cost estimates (arbitrary units).
+    @property
+    def batched_fraction(self) -> float:
+        """Share of the free variables resampled by the batched kernel."""
+        batched = sum(b.vars.size for b in self.blocks if b.use_batch)
+        return batched / max(self.free_vars.size, 1)
 
-        The model charges each block the fixed overhead of its kernel plus
-        a per-variable and per-incidence term, with the scalar kernel's
-        per-variable Python overhead weighted far above the batched
-        kernel's amortised numpy calls.  Only *relative* costs matter —
-        they drive the balance objective of :func:`partition_plan`.  Pass
-        measured timings (``repro.inference.parallel.measure_block_costs``)
-        for a calibrated partition instead.
+    def block_costs(self) -> np.ndarray:
+        """Analytic per-block sweep-cost estimates (≈ µs per sweep).
+
+        A batched block pays the fixed price of its ~40 numpy calls
+        (evaluate + commit) and almost nothing per variable or incidence;
+        a scalar block pays interpreter time for every variable and every
+        incidence it walks.  Only *relative* costs matter — they drive
+        the balance objective of :func:`partition_plan`.  Pass measured
+        timings (``repro.inference.parallel.measure_block_costs``) for a
+        calibrated partition instead.
         """
         degree = self.compiled.degree_array()
         costs = np.empty(len(self.blocks), dtype=np.float64)
@@ -1799,15 +1889,16 @@ class SweepPlan:
         return costs
 
 
-# Cost-model constants for :meth:`SweepPlan.block_costs` — rough relative
-# weights of the batched vs. scalar kernels (one numpy-call overhead is
-# worth tens of per-incidence array operations; a scalar-kernel variable
-# costs a few incidences' worth of interpreter time).
-_COST_BATCH_BLOCK = 12.0
-_COST_BATCH_VAR = 1.0
-_COST_BATCH_INC = 0.25
-_COST_SCALAR_VAR = 3.0
-_COST_SCALAR_INC = 1.0
+# Cost-model constants for :meth:`SweepPlan.block_costs`, least-squares
+# fits of evaluate + commit timings over blocks of 8–488 variables cut
+# from the five KBC systems' plans (µs; residual ≈ 5 %).  They put the
+# batched/scalar crossover where ``_BATCH_MIN`` and ``_SCALAR_NUMPY_MIN``
+# do: ≈ 7 variables of 5 incidences, or one variable of ≈ 40.
+_COST_BATCH_BLOCK = 30.0
+_COST_BATCH_VAR = 0.05
+_COST_BATCH_INC = 0.02
+_COST_SCALAR_VAR = 1.5
+_COST_SCALAR_INC = 0.7
 
 
 class ShardPlan:
@@ -1932,6 +2023,33 @@ class ShardPlan:
             _check(factor.variables(), f"slow factor {si}")
 
 
+#: Id windows per shard that :func:`shard_window` aims for.  A cut
+#: demotes about one window of variables, so the boundary halves with
+#: each doubling — measured on band graphs (|i − j| ≤ 3) cut in two,
+#: boundary fraction 0.33 / 0.33 / 0.16 / 0.08 / 0.04 at 2 / 4 / 8 / 16 /
+#: 32 — while blocks shrink with it: at 16 a 600-variable graph's blocks
+#: fall under ``_BATCH_MIN`` (batched fraction 0.99 → 0.00) and at 4 000
+#: variables serial-sync sweeps/s peak at 8 (472 / 447 / 586 / 569 / 479).
+_SHARD_WINDOWS = 8
+
+
+def shard_window(compiled: CompiledFactorGraph, n_shards: int) -> int:
+    """Scan-window width for a plan that is to be cut into ``n_shards``.
+
+    Blocks are the partitioner's atoms, and one block demoted to the
+    boundary takes its whole window of a colour class with it: on a graph
+    smaller than a few default windows per shard the window narrows so
+    every shard still has ``_SHARD_WINDOWS`` of them to balance with.
+    Never wider than the compilation's own window."""
+    return max(
+        1,
+        min(
+            compiled._scan_window,
+            compiled.num_vars // (max(n_shards, 1) * _SHARD_WINDOWS),
+        ),
+    )
+
+
 def partition_plan(
     compiled: CompiledFactorGraph,
     plan: SweepPlan,
@@ -1942,57 +2060,19 @@ def partition_plan(
     """Partition ``plan``'s blocks into balanced, factor-disjoint shards.
 
     Greedy min-cut assignment in the LDG (linear deterministic greedy)
-    style: blocks are streamed in descending cost order and each goes to
+    style over the plan's *id windows* — the colour classes of one window
+    interleave on the same ids, so they travel together and each shard
+    colours its own interior; a variable that scans alone is its own
+    atom.  Atoms are streamed in descending cost order and each goes to
     the shard maximising ``affinity · (1 − load/capacity)`` where
-    *affinity* counts factor links (from the CSR edge arrays) to blocks
+    *affinity* counts factor links (from the CSR edge arrays) to atoms
     already on that shard and *capacity* is the balanced share plus
     ``capacity_slack``.  Any block left touching a cross-shard factor is
     then demoted to the serial ``boundary`` set, which restores the
     invariant checked by :meth:`ShardPlan.validate`: no factor spans two
     shards' interiors.
     """
-    blocks = plan.blocks
-    B = len(blocks)
-    costs = (
-        plan.block_costs()
-        if block_costs is None
-        else np.asarray(block_costs, dtype=np.float64)
-    )
-    if B == 0:
-        return ShardPlan(
-            plan,
-            [np.zeros(0, np.int64) for _ in range(max(n_shards, 1))],
-            np.zeros(0, np.int64),
-            np.zeros(0, np.int64),
-            costs,
-        )
-    if n_shards <= 1:
-        return ShardPlan(
-            plan,
-            [np.arange(B, dtype=np.int64)],
-            np.zeros(0, np.int64),
-            np.zeros(0, np.int64),
-            costs,
-        )
-
-    c = compiled
-    var_block = np.full(c.num_vars, -1, dtype=np.int64)
-    for bi, block in enumerate(blocks):
-        var_block[block.vars] = bi
-
-    adj_indptr, adj_dst, adj_w = _block_affinity(c, var_block, B)
-    shard_of = _ldg_assign(
-        costs, adj_indptr, adj_dst, adj_w, n_shards, capacity_slack,
-        np.full(B, -1, dtype=np.int64),
-    )
-    is_boundary_block = _demote_boundary(c, var_block, shard_of, n_shards)
-
-    boundary = np.flatnonzero(is_boundary_block)
-    shards = [
-        np.flatnonzero((shard_of == s) & ~is_boundary_block)
-        for s in range(n_shards)
-    ]
-    return ShardPlan(plan, shards, boundary, shard_of[boundary], costs)
+    return _partition(compiled, plan, n_shards, block_costs, capacity_slack, {})
 
 
 def repair_shard_plan(
@@ -2006,10 +2086,17 @@ def repair_shard_plan(
     """Incrementally re-partition a patched plan into shards.
 
     Blocks that survived the plan patch keep their previous shard (looked
-    up by block ``seq`` stamp — indices shift, stamps do not); only new /
-    rebuilt blocks stream through the same LDG greedy that
+    up by block ``seq`` stamp — indices shift, stamps do not) and a
+    rebuilt block stays with the rest of its window; only windows with no
+    surviving block stream through the same LDG greedy that
     :func:`partition_plan` uses.  The cross-factor demotion pass then
     re-establishes the :meth:`ShardPlan.validate` invariant globally."""
+    return _partition(
+        compiled, plan, n_shards, block_costs, capacity_slack, prev._seq_assign
+    )
+
+
+def _partition(compiled, plan, n_shards, block_costs, capacity_slack, prev_assign):
     blocks = plan.blocks
     B = len(blocks)
     costs = (
@@ -2017,25 +2104,40 @@ def repair_shard_plan(
         if block_costs is None
         else np.asarray(block_costs, dtype=np.float64)
     )
-    if B == 0 or n_shards <= 1:
-        return partition_plan(
-            compiled, plan, n_shards, block_costs=costs, capacity_slack=capacity_slack
+    if costs.shape != (B,):
+        raise ValueError(
+            f"block_costs has shape {costs.shape}, plan has {B} blocks"
         )
-
-    prev_assign = prev._seq_assign
-    shard_of = np.full(B, -1, dtype=np.int64)
-    for bi, block in enumerate(blocks):
-        shard_of[bi] = prev_assign.get(int(block.seq), -1)
+    none = np.zeros(0, np.int64)
+    if B == 0:
+        return ShardPlan(plan, [none] * max(n_shards, 1), none, none, costs)
+    if n_shards <= 1:
+        return ShardPlan(plan, [np.arange(B, dtype=np.int64)], none, none, costs)
 
     c = compiled
     var_block = np.full(c.num_vars, -1, dtype=np.int64)
     for bi, block in enumerate(blocks):
         var_block[block.vars] = bi
-
-    adj_indptr, adj_dst, adj_w = _block_affinity(c, var_block, B)
-    shard_of = _ldg_assign(
-        costs, adj_indptr, adj_dst, adj_w, n_shards, capacity_slack, shard_of
+    # Atom of each block: its id window, or itself when it scans alone.
+    keys = np.fromiter((block.key for block in blocks), dtype=np.int64, count=B)
+    window = keys >> _KEY_SHIFT
+    _, atom_of = np.unique(
+        np.where(window == _SOLO_WINDOW, keys, window), return_inverse=True
     )
+    A = int(atom_of.max()) + 1
+    atom_shard = np.full(A, -1, dtype=np.int64)
+    for bi, block in enumerate(blocks):
+        atom_shard[atom_of[bi]] = max(
+            atom_shard[atom_of[bi]], prev_assign.get(int(block.seq), -1)
+        )
+
+    var_atom = np.where(var_block >= 0, atom_of[var_block], -1)
+    adj_indptr, adj_dst, adj_w = _block_affinity(c, var_atom, A)
+    atom_shard = _ldg_assign(
+        np.bincount(atom_of, weights=costs, minlength=A),
+        adj_indptr, adj_dst, adj_w, n_shards, capacity_slack, atom_shard,
+    )
+    shard_of = atom_shard[atom_of]
     is_boundary_block = _demote_boundary(c, var_block, shard_of, n_shards)
 
     boundary = np.flatnonzero(is_boundary_block)
@@ -2105,7 +2207,6 @@ def _ldg_assign(
 
     Preassigned blocks (incremental repair) contribute to shard loads and
     affinities but are not moved."""
-    B = costs.shape[0]
     total = float(costs.sum())
     capacity = (total / n_shards) * (1.0 + capacity_slack) or 1.0
     load = np.zeros(n_shards, dtype=np.float64)
@@ -2297,9 +2398,18 @@ class GibbsCache:
                                 up += 1
                             else:
                                 down += 1
-                    if up != down:
+                    head = c._rule_head_l[ri]
+                    if head == var:
+                        # The variable heads a rule it appears under:
+                        # E(1) − E(0) = w·g(n₁) − (−w·g(n₀)).
                         base = int(nsat[ri]) - now
-                        sign = 1.0 if assignment[c._rule_head_l[ri]] else -1.0
+                        sem = c._rule_sem_l[ri]
+                        delta += w[c._rule_wid_l[ri]] * (
+                            g_value(sem, base + up) + g_value(sem, base + down)
+                        )
+                    elif up != down:
+                        base = int(nsat[ri]) - now
+                        sign = 1.0 if assignment[head] else -1.0
                         sem = c._rule_sem_l[ri]
                         delta += w[c._rule_wid_l[ri]] * sign * (
                             g_value(sem, base + up) - g_value(sem, base + down)
@@ -2328,12 +2438,12 @@ class GibbsCache:
         nowc = np.add.reduceat(now, starts)
         ris = c.bseg_ri[s0:s1]
         base = self.nsat[ris] - nowc
-        sign = np.where(assignment[c.rule_head[ris]], 1.0, -1.0)
+        heads = c.rule_head[ris]
+        sign = np.where(assignment[heads], 1.0, -1.0)
         g1 = self._g(c.rule_sem[ris], base + upc)
         g0 = self._g(c.rule_sem[ris], base + downc)
-        return float(
-            (self.weights_vec[c.rule_wid[ris]] * sign * (g1 - g0)).sum()
-        )
+        unit = np.where(heads == var, g1 + g0, sign * (g1 - g0))
+        return float((self.weights_vec[c.rule_wid[ris]] * unit).sum())
 
     def _slow_delta(self, var: int, assignment) -> float:
         c = self.compiled
@@ -2358,50 +2468,83 @@ class GibbsCache:
     # ------------------------------------------------------------------ #
 
     def delta_energy_block(self, block: _Block, assignment: np.ndarray) -> np.ndarray:
-        """``delta_energy`` for every variable of a fast block at once."""
-        c = self.compiled
+        """``delta_energy`` for every variable of a fast block at once.
+
+        Per body pair, setting the member to its current value leaves the
+        rule's satisfied count at ``nsat``; flipping it moves the count by
+        +1 for each grounding whose only unsatisfied literal is the
+        member's and by −1 for each satisfied grounding it sits in."""
         V = block.vars
         delta = 2.0 * self.field[V]
         w = self.weights_vec
         if block.head_ri.size:
-            ris = block.head_ri
-            g = self._g(c.rule_sem[ris], self.nsat[ris])
+            g = self._g(block.head_sem, self.nsat[block.head_ri])
             delta += np.bincount(
                 block.head_seg,
-                weights=2.0 * w[c.rule_wid[ris]] * g,
+                weights=2.0 * w[block.head_wid] * g,
                 minlength=V.size,
             )
         if block.body_gg.size:
-            u = self.unsat[block.body_gg]
-            pos = block.body_pos
-            current = assignment[V][block.body_seg]
-            zero_others = (u - (pos != current)) == 0
-            upc = np.bincount(
+            mismatch = block.body_pos != assignment[block.body_var]
+            only_mine = self.unsat[block.body_gg] == mismatch
+            now = self.nsat[block.fseg_ri]
+            flipped = now + np.bincount(
                 block.body_fsid,
-                weights=(pos & zero_others).astype(np.float64),
-                minlength=block.num_fseg,
+                weights=np.where(mismatch, 1.0, -1.0) * only_mine,
+                minlength=now.size,
             )
-            downc = np.bincount(
-                block.body_fsid,
-                weights=((~pos) & zero_others).astype(np.float64),
-                minlength=block.num_fseg,
-            )
-            nowc = np.bincount(
-                block.body_fsid,
-                weights=(u == 0).astype(np.float64),
-                minlength=block.num_fseg,
-            )
-            ris = block.fseg_ri
-            base = self.nsat[ris] - nowc
-            sign = np.where(assignment[c.rule_head[ris]], 1.0, -1.0)
-            g1 = self._g(c.rule_sem[ris], base + upc)
-            g0 = self._g(c.rule_sem[ris], base + downc)
+            g_now = self._g(block.fseg_sem, now)
+            g_flipped = self._g(block.fseg_sem, flipped)
+            current = assignment[block.fseg_var]
+            # E(1) − E(0) = ±sign(head)·(g(flipped) − g(now)), + when the
+            # member is currently 0; a member that heads the rule itself
+            # contributes w·(g(n₁) + g(n₀)) whichever value it holds.
+            toward_one = assignment[block.fseg_head] != current
+            unit = np.where(toward_one, g_flipped - g_now, g_now - g_flipped)
+            if block.fseg_self is not None:
+                unit = np.where(block.fseg_self, g_now + g_flipped, unit)
             delta += np.bincount(
-                block.fseg_var,
-                weights=w[c.rule_wid[ris]] * sign * (g1 - g0),
-                minlength=V.size,
+                block.fseg_pos, weights=w[block.fseg_wid] * unit, minlength=V.size
             )
         return delta
+
+    def commit_block(self, block: _Block, new_values, assignment: np.ndarray) -> None:
+        """Set a batched block's variables to ``new_values``, caches too.
+
+        One vectorised commit from the block's own gather arrays: block
+        members share no factor, so the groundings they touch are
+        disjoint and the ``unsat`` scatter is collision-free; several
+        members may neighbour one variable or flip several groundings of
+        one rule, so ``field``/``nsat`` accumulate through ``np.add.at``."""
+        V = block.vars
+        changed = new_values != assignment[V]
+        if not changed.any():
+            return
+        assignment[V] = new_values
+        if block.ising_seg.size:
+            rows = changed[block.ising_seg]
+            np.add.at(
+                self.field,
+                block.ising_other[rows],
+                self.weights_vec[block.ising_wid[rows]]
+                * np.where(new_values[block.ising_seg[rows]], 2.0, -2.0),
+            )
+        if block.body_gg.size:
+            rows = changed[block.body_seg]
+            gg = block.body_gg[rows]
+            before = self.unsat[gg]
+            # A literal whose polarity is the member's new value just
+            # became satisfied; every other literal of a flipped member
+            # just stopped being.
+            after = before + np.where(
+                block.body_pos[rows] == assignment[block.body_var[rows]], -1, 1
+            )
+            self.unsat[gg] = after
+            np.add.at(
+                self.nsat,
+                block.body_ri[rows],
+                (after == 0).astype(np.int64) - (before == 0),
+            )
 
     # ------------------------------------------------------------------ #
     # Flips
@@ -2474,26 +2617,6 @@ class GibbsCache:
             np.subtract.at(self.nsat, ris[newly_unsat], 1)
         if newly_sat.any():
             np.add.at(self.nsat, ris[newly_sat], 1)
-
-    def commit_flips_pairwise(self, vars_, new_values, assignment) -> None:
-        """Batched flip for changed vars with no body incidences.
-
-        Valid for whole-block application: flipping such variables only
-        touches ``assignment`` and the Ising field of their neighbours.
-        """
-        c = self.compiled
-        assignment[vars_] = new_values
-        counts = c.ising_indptr[vars_ + 1] - c.ising_indptr[vars_]
-        total = int(counts.sum())
-        if not total:
-            return
-        starts = c.ising_indptr[vars_]
-        offsets = np.repeat(
-            starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        idx = offsets + np.arange(total)
-        ds = np.repeat(np.where(new_values, 2.0, -2.0), counts)
-        np.add.at(self.field, c.ising_other[idx], self._edge_w[idx] * ds)
 
     # ------------------------------------------------------------------ #
     # Incremental repair

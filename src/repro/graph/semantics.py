@@ -113,11 +113,6 @@ def g_code_array(code: int, n: np.ndarray) -> np.ndarray:
 def g_coded(codes: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Vectorised ``g`` over parallel arrays of semantics codes and counts."""
     n = np.asarray(n, dtype=float)
-    out = n.copy()
-    ratio = codes == SEM_RATIO
-    if ratio.any():
-        out[ratio] = np.log1p(n[ratio])
-    logical = codes == SEM_LOGICAL
-    if logical.any():
-        out[logical] = (n[logical] > 0).astype(float)
-    return out
+    return np.where(
+        codes == SEM_RATIO, np.log1p(n), np.where(codes == SEM_LOGICAL, n > 0, n)
+    )

@@ -1,13 +1,14 @@
-"""Sequential-scan Gibbs sampling (the paper's inference workhorse, §2.5).
+"""Systematic-scan Gibbs sampling (the paper's inference workhorse, §2.5).
 
 Each sweep visits every free variable once and resamples it from its
 conditional.  The hot path runs over the flat-array compilation of
-:mod:`repro.graph.compiled`: the scan order is pre-partitioned into
-blocks of consecutive, mutually factor-independent variables, and each
-block's conditionals are evaluated in one vectorised step — exactly
-equivalent to the sequential scan, but at array speed.  Evidence
-variables stay clamped, which is exactly how the E-step ("conditioned
-chain") of weight learning is run as well.
+:mod:`repro.graph.compiled`: the scan goes colour class by colour class
+(within windows of consecutive ids) of a colouring the substrate
+maintains, so every block holds mutually factor-independent variables
+and is resampled — conditionals and cache commit — in a handful of array
+operations.  The order is fixed by the substrate, not by variable ids.
+Evidence variables stay clamped, which is exactly how the E-step
+("conditioned chain") of weight learning is run as well.
 """
 
 from __future__ import annotations
@@ -28,49 +29,31 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    """Numerically stable element-wise sigmoid."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sweep_blocks(cache, state, blocks, uniforms) -> None:
     """Resample every variable of ``blocks`` in scan order, in place.
 
     ``uniforms`` must hold one uniform draw per variable, concatenated in
-    block order.  This is the id-order sweep kernel shared by
-    :class:`GibbsSampler` and the shard workers of
-    :mod:`repro.inference.parallel`; both must consume randomness
-    identically for the serial/parallel equivalence guarantees to hold.
+    block order.  This is the sweep kernel shared by :class:`GibbsSampler`
+    and the shard workers of :mod:`repro.inference.parallel`; both must
+    consume randomness identically for the serial/parallel equivalence
+    guarantees to hold.  A draw ``u`` sets its variable to 1 iff
+    ``u < σ(Δ)``, evaluated as ``logit(u) < Δ`` so the whole sweep takes
+    its logarithms at once and no kernel exponentiates.
     """
+    with np.errstate(divide="ignore"):  # u == 0 ⇒ −inf: always 1
+        logits = np.log(uniforms) - np.log1p(-uniforms)
     offset = 0
     for block in blocks:
         size = block.vars.size
-        u_block = uniforms[offset : offset + size]
+        logit_u = logits[offset : offset + size]
         offset += size
         if block.use_batch:
-            deltas = cache.delta_energy_block(block, state)
-            new_values = u_block < _sigmoid_vec(deltas)
-            changed = new_values != state[block.vars]
-            if changed.any():
-                if block.pure_pairwise and not block.has_patched:
-                    cache.commit_flips_pairwise(
-                        block.vars[changed], new_values[changed], state
-                    )
-                else:
-                    for v, nv in zip(
-                        block.vars[changed], new_values[changed]
-                    ):
-                        cache.commit_flip(int(v), bool(nv), state)
+            cache.commit_block(
+                block, logit_u < cache.delta_energy_block(block, state), state
+            )
         else:
-            for k in range(size):
-                var = int(block.vars[k])
-                delta = cache.delta_energy(var, state)
-                new_value = bool(u_block[k] < _sigmoid(delta))
+            for k, var in enumerate(block.vars.tolist()):
+                new_value = bool(logit_u[k] < cache.delta_energy(var, state))
                 if new_value != bool(state[var]):
                     cache.commit_flip(var, new_value, state)
 
@@ -89,9 +72,10 @@ class GibbsSampler:
         evidence.
     randomize_scan:
         When True, each sweep visits free variables in a fresh random
-        order; when False (default) in id order.  Random scan mixes
-        slightly better on adversarial structures; id order is faster
-        (it uses the precompiled block plan).
+        order, one scalar update at a time; when False (default) in the
+        compiled plan's colour-class order, which is much faster (whole
+        blocks per numpy call).  Random scan mixes slightly better on
+        adversarial structures.
     compiled:
         Optional shared :class:`CompiledFactorGraph`.  It may have been
         compiled from a *different* graph object as long as the factor

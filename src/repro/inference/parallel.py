@@ -58,10 +58,10 @@ from repro.graph.compiled import (
     GibbsCache,
     ShardPlan,
     SweepPlan,
-    _Block,
     bias_init_values,
     partition_plan,
     repair_shard_plan,
+    shard_window,
 )
 from repro.graph.semantics import sem_from_code
 from repro.inference.gibbs import GibbsSampler, sweep_blocks
@@ -119,6 +119,7 @@ _EXPORT_ARRAYS = (
     "_force_singleton",
     "_needs_scalar",
     "_big_count",
+    "_color",
     "_nbr_indptr",
     "_nbr_idx",
 )
@@ -358,6 +359,7 @@ class SharedGraphExport:
             "num_rules": self.compiled.num_rules,
             "num_groundings": self.compiled.num_groundings,
             "rule_sem_uniform": self.compiled.rule_sem_uniform,
+            "scan_window": self.compiled._scan_window,
             "slow_list": pickle.dumps(self.compiled.slow_list),
             "slow_alive": list(self.compiled.slow_alive),
             "num_live_rules": self.compiled.num_live_rules,
@@ -538,6 +540,7 @@ def attach_compiled(spec: dict):
     c.num_rules = spec["num_rules"]
     c.num_groundings = spec["num_groundings"]
     c.rule_sem_uniform = spec["rule_sem_uniform"]
+    c._scan_window = spec["scan_window"]
     c.slow_list = pickle.loads(spec["slow_list"])
     c.slow_alive = list(spec["slow_alive"])
     c.num_live_rules = spec["num_live_rules"]
@@ -727,7 +730,7 @@ class _Worker:
     def shard_init(self, blocks, watch_vars, own_vars, rng, initial, fast_forward=0):
         """Set up this worker's shard of one sharded chain.
 
-        ``blocks`` is a list of ``(vars, scalar_only)`` pairs in scan
+        ``blocks`` is a list of per-block variable arrays in scan
         order; ``watch_vars`` are the foreign boundary variables whose
         flips must be reconciled into the local caches between sweeps.
         ``fast_forward`` discards the uniforms of that many already-
@@ -737,14 +740,11 @@ class _Worker:
         """
         state = np.array(initial, dtype=bool)
         shard_rng = as_generator(rng)
-        num_own = int(sum(len(v) for v, _ in blocks))
+        num_own = int(sum(len(v) for v in blocks))
         for _ in range(int(fast_forward)):
             shard_rng.random(num_own)
         self.shard = {
-            "blocks": [
-                _Block(self.compiled, np.asarray(v, dtype=np.int64), scalar_only=s)
-                for v, s in blocks
-            ],
+            "blocks": [self.compiled.gather_block(v) for v in blocks],
             "watch": np.asarray(watch_vars, dtype=np.int64),
             "own": np.asarray(own_vars, dtype=np.int64),
             "state": state,
@@ -1225,7 +1225,9 @@ class ShardedGibbsSampler:
         on graphs with large cuts).
     block_costs:
         Optional per-block cost vector for the shard partitioner (e.g.
-        from :func:`measure_block_costs`); defaults to the analytic model.
+        from :func:`measure_block_costs`), over the blocks of
+        ``compiled.plan(graph, window=shard_window(compiled, n_workers))``
+        — the plan this sampler cuts; defaults to the analytic model.
     command_timeout:
         Per-command reply deadline (seconds) for pool supervision; a
         worker that neither replies nor dies within it counts as hung.
@@ -1282,7 +1284,8 @@ class ShardedGibbsSampler:
             # CSR snapshot); compacting *before* deriving the plan and
             # shard partition keeps them aligned with what workers see.
             self.compiled.compact()
-        self.plan = self.compiled.plan(graph)
+        self._window = shard_window(self.compiled, n_workers)
+        self.plan = self.compiled.plan(graph, window=self._window)
         self.shard_plan = partition_plan(
             self.compiled, self.plan, n_workers, block_costs=block_costs
         )
@@ -1349,10 +1352,7 @@ class ShardedGibbsSampler:
                 else np.zeros(0, dtype=np.int64)
             )
             kwargs = dict(
-                blocks=[
-                    (blocks[bi].vars, bool(blocks[bi].scalar_only))
-                    for bi in own_ids
-                ],
+                blocks=[blocks[bi].vars for bi in own_ids],
                 watch_vars=watch,
                 own_vars=own_vars,
             )
@@ -1520,9 +1520,9 @@ class ShardedGibbsSampler:
         export grows in place behind the structure-version cell (or, when
         a patch outgrew the capacity slack / triggered a compaction, the
         pool re-attaches to a fresh segment — still without respawning a
-        single process).  The shard plan is repaired incrementally: only
-        new/rebuilt blocks go through the LDG greedy; surviving blocks
-        keep their shard."""
+        single process).  The shard plan is repaired incrementally:
+        surviving blocks keep their shard, rebuilt ones stay with their id
+        window, and only new windows go through the LDG greedy."""
         if self._serial is not None:
             self._serial.apply_patch(patch)
             self.compiled = self._serial.compiled
@@ -1562,7 +1562,10 @@ class ShardedGibbsSampler:
         self._pushed_version = compiled.graph.weights.version
 
         # ---- repair plan + shards ---------------------------------------
-        self.plan = compiled.plan(self.graph)
+        if patch.compacted:
+            # Compaction re-coloured the substrate and dropped its plans.
+            self._window = shard_window(compiled, self.n_workers)
+        self.plan = compiled.plan(self.graph, window=self._window)
         if patch.compacted or self.shard_plan is None:
             self.shard_plan = partition_plan(compiled, self.plan, self.n_workers)
         else:

@@ -112,28 +112,21 @@ class EvidenceScorer:
     hands in a maintained cache (typically the conditioned persistent
     chain's), and the scorer only evaluates the per-variable conditionals.
     Variables free of slow-path factors batch through
-    ``delta_energy_block`` when numerous; the rest go through the scalar
+    ``delta_energy_block`` when that pays; the rest go through the scalar
     kernel.  Rebuild the scorer when the evidence set or the compiled
     structure changes (it precomputes gather arrays over both).
     """
 
     def __init__(self, compiled, evidence) -> None:
-        from repro.graph.compiled import _BATCH_MIN, _Block
-
         items = sorted((int(v), bool(val)) for v, val in evidence.items())
         self.vars = np.array([v for v, _ in items], dtype=np.int64)
         self.vals = np.array([val for _, val in items], dtype=bool)
         has_slow = np.array(
             [bool(compiled.py_slow[v]) for v in self.vars], dtype=bool
         )
-        self.block = None
-        self.fast_idx = None
-        fast = self.vars[~has_slow]
-        if fast.size >= _BATCH_MIN:
-            block = _Block(compiled, fast)
-            if block.use_batch:
-                self.block = block
-                self.fast_idx = np.flatnonzero(~has_slow)
+        block = compiled.gather_block(self.vars[~has_slow])
+        self.block = block if block.use_batch else None
+        self.fast_idx = np.flatnonzero(~has_slow)
         self.scalar_idx = (
             np.flatnonzero(has_slow)
             if self.block is not None

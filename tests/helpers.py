@@ -105,3 +105,10 @@ def implication_graph(semantics=Semantics.LOGICAL) -> FactorGraph:
         wid, q, [[(a, True), (b, True)], [(c, True), (b, True)]], semantics
     )
     return fg
+
+
+def brute_force_delta(graph: FactorGraph, x, var: int) -> float:
+    """``E(x | x_var=1) − E(x | x_var=0)`` by evaluating both worlds."""
+    x1, x0 = x.copy(), x.copy()
+    x1[var], x0[var] = True, False
+    return graph.energy(x1) - graph.energy(x0)

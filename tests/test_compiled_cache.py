@@ -14,19 +14,12 @@ from repro.graph import CompiledFactorGraph, FactorGraph, Semantics
 from repro.graph.compiled import GibbsCache
 
 from tests.helpers import (
+    brute_force_delta,
     chain_ising_graph,
     implication_graph,
     random_pairwise_graph,
     voting_graph,
 )
-
-
-def brute_force_delta(graph, x, var):
-    x1 = x.copy()
-    x1[var] = True
-    x0 = x.copy()
-    x0[var] = False
-    return graph.energy(x1) - graph.energy(x0)
 
 
 def random_rule_graph(
@@ -120,23 +113,52 @@ class TestCompiledStructure:
         assert CompiledFactorGraph(chain_ising_graph(4)).is_pairwise
         assert not CompiledFactorGraph(voting_graph(2, 2)).is_pairwise
 
-    def test_self_loop_rule_goes_to_slow_path(self):
-        fg = FactorGraph()
-        q = fg.add_variable()
-        wid = fg.weights.intern("w", initial=1.0)
-        fg.add_rule_factor(wid, q, [[(q, True)]], Semantics.LOGICAL)
-        compiled = CompiledFactorGraph(fg)
-        assert 0 in compiled.slow_factors
-        assert not compiled.rule_factors
-
-    def test_duplicate_var_in_grounding_goes_to_slow_path(self):
+    def test_self_loop_rule_stays_on_fast_path(self):
+        """A rule whose head sits in its own body compiles to the fast
+        path (closed form ``w·(g(n₁) + g(n₀))``): only a body segment,
+        no head incidence, conditional ≡ brute force."""
         fg = FactorGraph()
         q = fg.add_variable()
         a = fg.add_variable()
         wid = fg.weights.intern("w", initial=1.0)
-        fg.add_rule_factor(wid, q, [[(a, True), (a, False)]], Semantics.LOGICAL)
+        fg.add_rule_factor(
+            wid, q, [[(q, True)], [(q, False), (a, True)]], Semantics.RATIO
+        )
+        compiled = CompiledFactorGraph(fg)
+        assert compiled.num_live_slow == 0 and not compiled.slow_factors
+        assert 0 in compiled.rule_factors
+        assert compiled.py_head[q] == []
+        assert [ri for ri, _ in compiled.py_body[q]] == [0]
+        for bits in range(4):
+            x = np.array([bits & 1, bits >> 1], dtype=bool)
+            cache = GibbsCache(compiled, x)
+            for var in (q, a):
+                assert cache.delta_energy(var, x) == pytest.approx(
+                    brute_force_delta(fg, x, var), abs=1e-12
+                )
+
+    def test_duplicate_var_in_grounding_goes_to_slow_path(self):
+        """The one routing left to the brute-force path: a grounding that
+        mentions a variable twice (here under a head that is also in the
+        body, which alone would stay fast)."""
+        fg = FactorGraph()
+        q = fg.add_variable()
+        a = fg.add_variable()
+        wid = fg.weights.intern("w", initial=1.0)
+        fg.add_rule_factor(
+            wid, q, [[(a, True), (a, False)], [(q, True)]], Semantics.LOGICAL
+        )
         compiled = CompiledFactorGraph(fg)
         assert 0 in compiled.slow_factors
+        assert not compiled.rule_factors
+        assert compiled.num_live_slow == 1
+        assert all(b.scalar_only for b in compiled.plan().blocks)
+        x = np.array([True, False])
+        cache = GibbsCache(compiled, x)
+        for var in (q, a):
+            assert cache.delta_energy(var, x) == pytest.approx(
+                brute_force_delta(fg, x, var), abs=1e-12
+            )
 
     def test_degree(self):
         fg = chain_ising_graph(4)

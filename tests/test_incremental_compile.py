@@ -19,12 +19,18 @@ from repro.graph.compiled import (
     GibbsCache,
     partition_plan,
     repair_shard_plan,
+    shard_window,
 )
 from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
 from repro.inference.gibbs import GibbsSampler
 from repro.util.stats import max_marginal_error
 
-from tests.helpers import chain_ising_graph, random_pairwise_graph, voting_graph
+from tests.helpers import (
+    brute_force_delta,
+    chain_ising_graph,
+    random_pairwise_graph,
+    voting_graph,
+)
 
 
 def seed_graph(seed: int = 0, n: int = 24) -> FactorGraph:
@@ -92,6 +98,16 @@ def assert_patched_equals_fresh(compiled, graph, seed=1):
         assert da == pytest.approx(db, abs=1e-8), f"var {var}: {da} != {db}"
 
 
+def assert_brute_force(compiled, graph, seed=2):
+    """Patched conditionals ≡ the brute-force energy difference."""
+    state = graph.initial_assignment(np.random.default_rng(seed))
+    cache = GibbsCache(compiled, state)
+    for var in range(graph.num_vars):
+        assert cache.delta_energy(var, state) == pytest.approx(
+            brute_force_delta(graph, state, var), abs=1e-9
+        )
+
+
 def assert_plan_valid(compiled, graph):
     """The (patched) plan partitions the free vars into independent blocks."""
     plan = compiled.plan(graph)
@@ -142,34 +158,55 @@ class TestPatchVsFresh:
         assert_patched_equals_fresh(compiled, updated)
 
     def test_slow_path_rule_add_and_remove(self):
-        """Head-in-body rules route to the slow path through apply_delta."""
+        """Through apply_delta a head-in-body rule lands on the fast path
+        and only a duplicated-literal rule on the slow path; both retract
+        cleanly."""
         graph = chain_ising_graph(8, 0.3, 0.1)
         compiled = CompiledFactorGraph(graph)
         compiled.plan(graph)
         nw = len(graph.weights)
-        slow = RuleFactor(
+        self_headed = RuleFactor(
             weight_id=nw,
             head=2,
-            groundings=(((2, True), (3, True)),),  # head in its own body
+            groundings=(((2, True), (3, True)), ((2, False),)),
             semantics=Semantics.RATIO,
         )
+        duplicated = RuleFactor(
+            weight_id=nw,
+            head=5,
+            groundings=(((6, True), (6, False)), ((5, True),)),
+            semantics=Semantics.LOGICAL,
+        )
         delta = FactorGraphDelta(
-            new_weight_entries=[(("s",), 0.5, False)], new_factors=[slow]
+            new_weight_entries=[(("s",), 0.5, False)],
+            new_factors=[self_headed, duplicated],
         )
         updated = delta.apply(graph)
         compiled.apply_delta(delta, compact_threshold=1.0)
         assert compiled.num_live_slow == 1
+        assert compiled.slow_list[-1] == duplicated
+        assert compiled._ri_factor[-1] == self_headed
+        assert compiled.py_head[2] == []
         assert_patched_equals_fresh(compiled, updated)
+        assert_brute_force(compiled, updated)
         assert_plan_valid(compiled, updated)
-        # And retract it again.
+        solo = {
+            int(b.vars[0]) for b in compiled.plan(updated).blocks if b.scalar_only
+        }
+        assert solo == {5, 6}
+        # And retract both again.
         removal = FactorGraphDelta(
-            removed_factor_ids={updated.num_factors - 1}
+            removed_factor_ids={updated.num_factors - 2, updated.num_factors - 1}
         )
         final = removal.apply(updated)
         compiled.apply_delta(removal, compact_threshold=1.0)
         assert compiled.num_live_slow == 0
+        assert compiled.num_live_rules == 0
+        assert compiled.py_body[2] == []
         assert_patched_equals_fresh(compiled, final)
+        assert_brute_force(compiled, final)
         assert_plan_valid(compiled, final)
+        assert not any(b.scalar_only for b in compiled.plan(final).blocks)
 
     def test_compaction_threshold_recompiles(self):
         graph = chain_ising_graph(10, 0.3, 0.1)
@@ -243,6 +280,36 @@ class TestShardPlanRepair:
                 covered.update(int(b) for b in shard)
             covered.update(int(b) for b in sp.boundary)
             assert covered == set(range(len(plan.blocks)))
+
+    def test_windows_stay_whole_and_survivors_keep_their_shard(self):
+        # On the narrow-window plan a sharded chain cuts, the greedy
+        # assigns whole id windows: every colour class of a window shares
+        # its owner, a block that survived the patch keeps it, and a
+        # rebuilt block stays with its window.
+        rng = np.random.default_rng(12)
+        graph = seed_graph(2, n=40)
+        compiled = CompiledFactorGraph(graph)
+        window = shard_window(compiled, 2)
+        plan = compiled.plan(graph, window=window)
+        sp = partition_plan(compiled, plan, 2)
+        assert len(set(sp._seq_assign.values())) == 2
+        for step in range(8):
+            before = dict(sp._seq_assign)
+            delta = random_delta(graph, rng, step)
+            updated = delta.apply(graph)
+            compiled.apply_delta(delta, compact_threshold=1.0)
+            graph = updated
+            assert compiled.plan(graph, window=window) is plan
+            sp = repair_shard_plan(compiled, plan, sp, 2)
+            sp.validate(compiled)
+            window_owner = {}
+            for block in plan.blocks:
+                owner = sp._seq_assign[block.seq]
+                assert before.get(block.seq, owner) == owner
+                first = int(block.vars[0])
+                if not (compiled._needs_scalar[first] or compiled._force_singleton[first]):
+                    assert window_owner.setdefault(first // window, owner) == owner
+            assert any(block.seq not in before for block in plan.blocks)
 
 
 class TestRerunEngineIncremental:
@@ -459,3 +526,29 @@ class TestPoolSurvivesUpdates:
                 for var, val in graph.evidence.items():
                     assert bool(sampler.state[var]) == val
             assert sampler.pool.pids() == pids
+
+    def test_shard_window_follows_compaction(self):
+        # The window a sharded chain cuts its plan with is derived from the
+        # substrate (size, colour count); a compaction rebuilds both, so the
+        # sampler must re-derive it rather than keep the constructor's.
+        from repro.graph.compiled import shard_window
+        from repro.inference.parallel import ShardedGibbsSampler
+
+        graph = random_pairwise_graph(40, density=0.1, seed=2)
+        compiled = CompiledFactorGraph(graph)
+        with ShardedGibbsSampler(
+            graph, n_workers=2, seed=0, compiled=compiled
+        ) as sampler:
+            before = sampler.plan.window
+            assert before == shard_window(compiled, 2)
+            delta = FactorGraphDelta()
+            delta.num_new_vars = 24
+            updated = delta.apply(graph)
+            patch = compiled.apply_delta(delta, compact_threshold=0.0)
+            assert patch.compacted
+            sampler.apply_patch(patch)
+            assert shard_window(compiled, 2) > before
+            assert sampler.plan.window == shard_window(compiled, 2)
+            assert sampler.plan is compiled.plan(updated, window=sampler.plan.window)
+            sampler.run(2)
+            sampler.shard_plan.validate(compiled)

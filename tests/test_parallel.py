@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 
 from helpers import chain_ising_graph, random_pairwise_graph, voting_graph
-from repro.graph.compiled import CompiledFactorGraph, GibbsCache, partition_plan
+from repro.graph.compiled import (
+    CompiledFactorGraph,
+    GibbsCache,
+    partition_plan,
+    shard_window,
+)
 from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import Semantics
 from repro.inference.exact import ExactInference
@@ -100,11 +105,16 @@ class TestPartitioner:
         sp.validate(compiled)
 
     def test_balance_on_chain(self):
-        # A long weakly-blocked chain should split into two comparable
-        # shards rather than one shard plus everything-boundary.
+        # A long chain should split into two comparable shards rather
+        # than one shard plus everything-boundary.  Its default plan is
+        # two colour classes — nothing to split — so the sharded sampler
+        # cuts the narrower-window plan that ``shard_window`` names.
         graph = chain_ising_graph(60, coupling=0.3)
         compiled = CompiledFactorGraph(graph)
-        sp = partition_plan(compiled, compiled.plan(), 2)
+        assert compiled.plan().num_blocks == 2
+        plan = compiled.plan(window=shard_window(compiled, 2))
+        sp = partition_plan(compiled, plan, 2)
+        sp.validate(compiled)
         sizes = [v.size for v in sp.shard_vars]
         assert min(sizes) > 0
         assert sp.boundary_fraction < 0.5
