@@ -5,11 +5,17 @@ a living KB) is only usable if reads stay fast and bounded-stale while
 updates stream in, and if a crash costs bounded recovery time.  This
 benchmark measures all three on a scaled spouse-extraction workload:
 
-* ``sustained`` — evidence updates pumped through the admission queue
-  and batcher end to end (ground → patch → infer per WAL transaction):
-  committed updates/sec, with backpressure retries counted.
-* ``reads`` — read p50/p99 latency under the mixed load above, served
-  from zero-copy snapshots while the batcher commits underneath.
+* ``mixed_load`` — a burst of updates pumped through the admission queue
+  and batcher end to end (ground → patch → infer per WAL transaction)
+  while a reader spins: committed updates/sec with backpressure retries
+  counted, and read p50/p99 latency served from zero-copy snapshots
+  while the batcher commits underneath.
+* ``sustained`` — the closed loop a development session runs (submit one
+  update, ``drain()``, repeat) through a file WAL, with a one-second
+  ``poll_interval``: updates/sec, ``fsyncs_per_txn`` (two — ``begin``
+  and ``commit``) and how long after the WAL commit the blocked
+  ``drain()`` returns (``drain_wake_p50_ms`` / ``_p99_ms``; a timed poll
+  anywhere on that path would read as hundreds of milliseconds).
 * ``recovery`` — after a simulated kill mid-batch, wall-clock to
   :meth:`KBService.restore` from newest-checkpoint + WAL tail, vs the
   cold restart it replaces (rebuild stack + full-history replay).
@@ -19,20 +25,24 @@ a seeded :class:`FaultPlan` — (A) kill mid-batch + process restart with
 a concurrent bounded-staleness reader, (B) queue-full overflow, (C) a
 corrupted newest checkpoint — each must recover to marginals
 **bit-identical** to an unfaulted twin, with zero reads served beyond
-their staleness bound.  (Pool worker-kill recovery is
-``bench_recovery.py --check``'s job; service engines are serial so
-their state is checkpointable.)
+their staleness bound — and (D) the ``sustained`` loop must cost exactly
+two fsyncs per transaction and wake ``drain()`` within 5 ms of the
+commit.  (Pool worker-kill recovery is ``bench_recovery.py --check``'s
+job; service engines are serial so their state is checkpointable.)
 
 Run: ``PYTHONPATH=src python benchmarks/bench_service.py
-[--scale tiny|small|medium] [--check]``
+[--scale tiny|small|medium] [--check] [--baseline RECORD.json]``
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import tempfile
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -178,7 +188,7 @@ def measure_mixed_load(base_sentences: int, count: int, read_seconds: float) -> 
     svc = KBService(
         grounder,
         engine,
-        config=ServiceConfig(queue_depth=8, poll_interval=0.002),
+        config=ServiceConfig(queue_depth=8),
         retry=FAST_RETRY,
     ).start()
     svc.prime()
@@ -226,6 +236,54 @@ def measure_mixed_load(base_sentences: int, count: int, read_seconds: float) -> 
     }
 
 
+def measure_commit_path(base_sentences: int, count: int) -> dict:
+    """The closed submit → ``drain()`` loop through a file WAL: syncs per
+    committed transaction, and WAL commit → ``drain()``-return latency."""
+    # Far above a transaction's duration on purpose: it only paces an
+    # idle batcher's stop-flag check, so nothing measured here may
+    # depend on it.
+    poll_interval = 1.0
+    with tempfile.TemporaryDirectory() as tmp:
+        grounder, engine = make_stack(base_sentences)
+        svc = KBService(
+            grounder,
+            engine,
+            config=ServiceConfig(queue_depth=8, poll_interval=poll_interval),
+            wal_path=f"{tmp}/service.wal",
+            retry=FAST_RETRY,
+        ).start()
+        svc.prime()
+        wal = svc.pipeline.wal
+        committed_at: list[float] = []
+        wal_commit = wal.commit
+
+        def stamped_commit(txn: int) -> None:
+            wal_commit(txn)
+            committed_at.append(time.perf_counter())
+
+        wal.commit = stamped_commit
+        wake_ms = []
+        with mock.patch("os.fsync", wraps=os.fsync) as fsync:
+            start = time.perf_counter()
+            for update in updates_for(base_sentences, count):
+                svc.submit(**update)
+                assert svc.drain(timeout=600), "batcher never drained"
+                wake_ms.append((time.perf_counter() - committed_at[-1]) * 1e3)
+            elapsed = time.perf_counter() - start
+            fsyncs = fsync.call_count
+        svc.stop()
+    assert len(committed_at) == count
+    return {
+        "base_sentences": base_sentences,
+        "updates": count,
+        "poll_interval": poll_interval,
+        "updates_per_second": count / elapsed,
+        "fsyncs_per_txn": fsyncs / count,
+        "drain_wake_p50_ms": float(np.percentile(wake_ms, 50)),
+        "drain_wake_p99_ms": float(np.percentile(wake_ms, 99)),
+    }
+
+
 def _crashed_service(
     base_sentences: int, count: int, wal_path: str, ckpt_dir, cfg
 ):
@@ -248,12 +306,7 @@ def _crashed_service(
     plan = FaultPlan([Fault(site="engine.update.inferred", action="crash")])
     with inject_faults(plan):
         svc.submit(**updates_for(base_sentences + count, 1)[0])
-        deadline = time.monotonic() + 60
-        while (
-            svc.status()["health"]["state"] != CRASHED
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.005)
+        assert not svc.drain(timeout=60)  # woken by the crash
     assert svc.status()["health"]["state"] == CRASHED
     return svc
 
@@ -271,9 +324,7 @@ def measure_recovery(base_sentences: int, count: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         factory = lambda: make_stack(base_sentences)  # noqa: E731
 
-        warm_cfg = ServiceConfig(
-            queue_depth=8, poll_interval=0.002, checkpoint_every=5
-        )
+        warm_cfg = ServiceConfig(queue_depth=8, checkpoint_every=5)
         warm_wal = f"{tmp}/warm.wal"
         ckpt_dir = f"{tmp}/ckpt"
         _crashed_service(base_sentences, count, warm_wal, ckpt_dir, warm_cfg)
@@ -287,7 +338,7 @@ def measure_recovery(base_sentences: int, count: int) -> dict:
         warm_marginals = warm.read().marginals.copy()
         warm.stop()
 
-        cold_cfg = ServiceConfig(queue_depth=8, poll_interval=0.002)
+        cold_cfg = ServiceConfig(queue_depth=8)
         cold_wal = f"{tmp}/cold.wal"
         _crashed_service(base_sentences, count, cold_wal, None, cold_cfg)
         start = time.perf_counter()
@@ -328,6 +379,15 @@ def run(scale: str) -> dict:
         f"{mixed['read_p50_ms']:.2f} ms / p99 {mixed['read_p99_ms']:.2f} ms "
         f"({mixed['reads_served']} reads, max lag {mixed['max_observed_lag']})"
     )
+    sustained = measure_commit_path(cfg["base_sentences"], cfg["updates"])
+    record["sustained"] = sustained
+    print(
+        f"sustained (poll_interval {sustained['poll_interval']} s): "
+        f"{sustained['updates_per_second']:.1f} updates/s, "
+        f"{sustained['fsyncs_per_txn']:g} fsyncs/txn, drain wakes "
+        f"{sustained['drain_wake_p50_ms']:.3f} ms (p50) / "
+        f"{sustained['drain_wake_p99_ms']:.3f} ms (p99) after the commit"
+    )
     rec = measure_recovery(cfg["base_sentences"], cfg["updates"])
     record["recovery"] = rec
     print(
@@ -353,7 +413,7 @@ def check() -> None:
     # --- A: kill mid-batch + process restart, concurrent bounded reads.
     with tempfile.TemporaryDirectory() as tmp:
         wal_path = f"{tmp}/service.wal"
-        cfg = ServiceConfig(queue_depth=8, poll_interval=0.002)
+        cfg = ServiceConfig(queue_depth=8)
         grounder, engine = make_stack(base)
         svc = KBService(
             grounder, engine, config=cfg, wal_path=wal_path, retry=FAST_RETRY
@@ -385,12 +445,7 @@ def check() -> None:
         plan = FaultPlan([Fault(site="engine.update.inferred", action="crash")])
         with inject_faults(plan):
             svc.submit(**updates[2])
-            deadline = time.monotonic() + 60
-            while (
-                svc.status()["health"]["state"] != CRASHED
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
+            assert not svc.drain(timeout=60)  # woken by the crash
         stop.set()
         thread.join(5)
         assert svc.status()["health"]["state"] == CRASHED, "crash never landed"
@@ -411,7 +466,7 @@ def check() -> None:
     svc = KBService(
         grounder,
         engine,
-        config=ServiceConfig(queue_depth=2, poll_interval=0.002),
+        config=ServiceConfig(queue_depth=2),
         retry=FAST_RETRY,
     )
     svc.prime()
@@ -437,9 +492,7 @@ def check() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         wal_path = f"{tmp}/service.wal"
         ckpt_dir = f"{tmp}/ckpt"
-        cfg = ServiceConfig(
-            queue_depth=8, poll_interval=0.002, checkpoint_every=1
-        )
+        cfg = ServiceConfig(queue_depth=8, checkpoint_every=1)
         grounder, engine = make_stack(base)
         svc = KBService(
             grounder,
@@ -478,10 +531,24 @@ def check() -> None:
         )
         restored.stop()
 
+    # --- D: the commit path waits on nothing but its two syncs.
+    sustained = measure_commit_path(base, 6)
+    assert sustained["fsyncs_per_txn"] == 2, (
+        f"a committed transaction cost {sustained['fsyncs_per_txn']} "
+        f"fsyncs, expected begin + commit"
+    )
+    assert sustained["drain_wake_p50_ms"] < 5.0, (
+        f"drain() woke {sustained['drain_wake_p50_ms']:.1f} ms after the "
+        f"commit with poll_interval={sustained['poll_interval']} — "
+        f"something on the path polls"
+    )
+
     print(
         "service smoke ok: kill-mid-batch restored twin-exact, "
         "queue-full matched accepted-only twin, corrupt checkpoint "
-        "fell back and matched; zero reads beyond the staleness bound"
+        "fell back and matched; zero reads beyond the staleness bound; "
+        f"{sustained['fsyncs_per_txn']:g} fsyncs/txn, drain() "
+        f"{sustained['drain_wake_p50_ms']:.3f} ms behind the commit"
     )
 
 
@@ -493,11 +560,20 @@ def main() -> None:
         action="store_true",
         help="run the service chaos smoke assertions only",
     )
+    parser.add_argument(
+        "--baseline",
+        metavar="RECORD.json",
+        help="a record this script wrote on another tree (e.g. the parent "
+        "commit); embedded under 'parent' for side-by-side reading",
+    )
     args = parser.parse_args()
     if args.check:
         check()
         return
     record = run(args.scale)
+    if args.baseline:
+        with open(args.baseline) as fh:
+            record["parent"] = json.load(fh)
     emit_json("BENCH_service", record)
 
 

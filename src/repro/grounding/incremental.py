@@ -603,9 +603,11 @@ class IncrementalGrounder:
             name = getattr(rule_or_name, "name", rule_or_name)
             self.program.remove_inference_rule(name)
             removed_rule_names.add(name)
-        for key, record in self.records.items():
-            if record.rule_name in removed_rule_names:
-                removed_record_keys.add(key)
+        if removed_rule_names:
+            # The one pass over every record: only a rule removal pays it.
+            for key, record in self.records.items():
+                if record.rule_name in removed_rule_names:
+                    removed_record_keys.add(key)
         # 6b. New rules ground fully; existing rules ground their delta.
         # Groundings that referenced a removed variable are retracted here
         # naturally: the variable's tuple disappeared from its relation, so

@@ -20,7 +20,15 @@ injection points.)
 
 After a crash, :meth:`DeltaLog.pending` names the updates that began but
 never committed, and :meth:`replay` re-applies the committed history
-onto a fresh grounder/engine pair.
+onto a fresh grounder/engine pair.  What survives is the log's contract
+(D1–D3 in :mod:`repro.reliability.wal`): a transaction whose
+``apply_update`` returned is committed (D1); one whose ``begin`` was
+logged is committed, rolled back or pending, never silently gone (D2);
+and the surviving frames are a prefix (D3).  A committed transaction
+costs two synced frames — ``begin`` and ``commit``; the stage marks in
+between (``grounded``, ``inferred``, ``relearned``) are progress notes
+for a post-mortem, ride the commit's sync, and are never read back by
+recovery.
 """
 
 from __future__ import annotations

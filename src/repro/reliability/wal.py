@@ -9,13 +9,45 @@ After a crash, :meth:`pending` returns the payloads of transactions that
 began but never committed — exactly the updates that must be retried —
 and :meth:`committed` replays the applied history onto a fresh engine.
 
+Durability contract
+-------------------
+Stated for a log reopened from **only the bytes that had been
+fsync'd** (power loss; a process kill keeps the OS cache and therefore
+every flushed frame), under the default ``fsync="always"``:
+
+* **D1** — every transaction whose :meth:`commit` returned is in
+  :meth:`committed` (and one whose :meth:`rollback` returned stays
+  rolled back: recovery does not re-apply an update that failed).
+* **D2** — every transaction whose :meth:`begin` returned is in
+  :meth:`committed`, rolled back, or in :meth:`pending` (recovery
+  re-applies the pending ones, so an update that started is never
+  silently dropped).
+* **D3** — the surviving frames are a *prefix* of the frames written: a
+  visible frame implies every earlier one (one append-only file, torn
+  tail discarded), hence a visible ``commit`` implies its ``begin``.
+
+D1 and D2 need exactly the frames a recovery decision reads to be
+synced before the call returns: ``begin`` (the pending set),
+``commit``/``rollback`` (the committed set) and the ``truncated`` floor
+(:meth:`truncate` rewrites and syncs the whole file).  ``mark`` frames
+decide nothing at recovery — they are written and flushed like every
+frame, and become durable with the next synced frame of the file,
+normally their own transaction's closing frame.  Beyond D3 a mark
+carries no guarantee.  ``fsync="commit"`` drops the ``begin`` sync and
+with it D2 (a begun, uncommitted transaction may vanish); ``"never"``
+keeps only D3.
+
+An update that was handed to a caller *above* the log (e.g. sitting in
+the service's in-memory admission queue) but whose ``begin`` has not
+returned is outside this contract: it is lost on any crash.
+
 On-disk format: an 8-byte magic header, then length-prefixed frames —
 ``u32 payload length | u32 CRC-32 | pickled record``.  The framing
 distinguishes the two ways a log can be damaged:
 
-* a **torn final frame** (crash mid-append) is discarded on read — safe,
-  because a payload whose ``begin`` frame is incomplete was by
-  construction never applied;
+* a **torn final frame** (crash mid-append) is discarded on read and cut
+  off the file before the next append — safe, because a payload whose
+  ``begin`` frame is incomplete was by construction never applied;
 * a **bad non-final frame** (a frame that fails its CRC or is truncated
   while complete frames follow it) means the log was corrupted in place,
   and reading raises :class:`WALCorruptionError` instead of silently
@@ -37,11 +69,18 @@ from repro.reliability.errors import WALCorruptionError
 _MAGIC = b"DLOG0002"
 _HEADER = struct.Struct("<II")  # payload length, CRC-32 of the payload
 
-#: ``fsync`` policies: "always" syncs after every appended record (each
-#: begin/mark is individually durable), "commit" syncs only when a
-#: transaction closes (commit/rollback — batches the per-stage writes
-#: into one sync per transaction), "never" leaves durability to the OS.
-FSYNC_POLICIES = ("always", "commit", "never")
+#: The frames each ``fsync`` policy syncs before the appending call
+#: returns.  "always" syncs the frames recovery decides on — two per
+#: committed transaction — and gives D1–D3 of the module docstring;
+#: "commit" syncs only the closing frame (D1 and D3); "never" leaves
+#: durability to the OS (D3).  No policy syncs a ``mark`` on its own: it
+#: rides the next synced frame.
+_SYNCED_EVENTS = {
+    "always": frozenset({"begin", "commit", "rollback"}),
+    "commit": frozenset({"commit", "rollback"}),
+    "never": frozenset(),
+}
+FSYNC_POLICIES = tuple(_SYNCED_EVENTS)
 
 
 class DeltaLog:
@@ -64,7 +103,12 @@ class DeltaLog:
         self._fh = None
         if self.path is not None:
             if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-                self._records = self._read_frames(self.path)
+                self._records, valid_end = self._read_frames(self.path)
+                if valid_end < os.path.getsize(self.path):
+                    # Cut the torn tail off before appending: a frame
+                    # written after it would turn it into a bad
+                    # *non-final* frame and make the log unreadable.
+                    os.truncate(self.path, valid_end)
             else:
                 with open(self.path, "wb") as fh:
                     fh.write(_MAGIC)
@@ -75,11 +119,13 @@ class DeltaLog:
         self._next_txn = max(existing, default=0) + 1
 
     @classmethod
-    def _read_frames(cls, path: str) -> list[dict]:
+    def _read_frames(cls, path: str) -> tuple[list[dict], int]:
+        """The log's records and the byte offset its valid prefix ends
+        at (anything past it is a torn tail)."""
         with open(path, "rb") as fh:
             data = fh.read()
         if not data.startswith(_MAGIC):
-            return cls._read_legacy_frames(data, path)
+            return cls._read_legacy_frames(data, path), len(data)
         records = []
         pos = len(_MAGIC)
         end = len(data)
@@ -104,7 +150,7 @@ class DeltaLog:
                         f"place, not torn by a crash)"
                     )
                 break
-        return records
+        return records, pos
 
     @staticmethod
     def _valid_frame_after(data: bytes, pos: int, end: int) -> bool:
@@ -153,10 +199,7 @@ class DeltaLog:
             self._fh.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
             self._fh.write(payload)
             self._fh.flush()
-            if self.fsync == "always" or (
-                self.fsync == "commit"
-                and record["event"] in ("commit", "rollback")
-            ):
+            if record["event"] in _SYNCED_EVENTS[self.fsync]:
                 os.fsync(self._fh.fileno())
 
     # ------------------------------------------------------------------ #

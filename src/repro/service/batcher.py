@@ -12,6 +12,15 @@ Ordering matters for the staleness bound: the new snapshot is installed
 reader that observes a low lag is guaranteed the matching snapshot is
 already visible — lag can transiently over-count, never under-count.
 
+Nobody polls for that outcome.  After every processed payload — the
+counters moved first — the batcher notifies the ``progress`` condition,
+as do a crash and ``stop()``; ``join_idle`` (``KBService.drain``) and a
+``KBService.read`` waiting out its ``deadline=`` test their predicate
+*while holding* the condition and sleep on it, so a commit landing
+between the test and the wait cannot be missed.  The only timed wake-up
+left is ``LIVENESS_RECHECK_S``: a waiter's guard against a batcher
+thread that died without saying so.
+
 Failure handling mirrors the health state machine:
 
 * an ``Exception`` escaping ``pipeline.apply_update`` means the
@@ -33,6 +42,11 @@ import time
 from repro.reliability.errors import ProcessCrash
 from repro.reliability.faults import maybe_fire
 
+#: Longest a ``join_idle`` waiter sleeps before re-checking that the
+#: batcher thread is still alive.  Progress is signalled, never polled
+#: for; this only bounds the wait on a thread that can no longer signal.
+LIVENESS_RECHECK_S = 0.1
+
 
 class UpdateBatcher:
     """Daemon thread pumping queue → pipeline → snapshot → checkpoint."""
@@ -45,6 +59,8 @@ class UpdateBatcher:
         self.failures = 0
         self.failed: list[tuple[int, str]] = []
         self.commits_since_checkpoint = 0
+        #: Notified after every processed payload, on crash and on stop.
+        self.progress = threading.Condition()
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="kb-batcher", daemon=True
@@ -64,17 +80,28 @@ class UpdateBatcher:
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join(timeout)
+        self.notify_progress()
+
+    def notify_progress(self) -> None:
+        """Wake every ``progress`` waiter to re-test its predicate.
+        Callers change the state the predicates read *before* this."""
+        with self.progress:
+            self.progress.notify_all()
 
     def join_idle(self, timeout: float = 10.0) -> bool:
-        """Block until every admitted payload has been processed."""
+        """Block until every admitted payload has been processed (or the
+        batcher thread is gone, or ``timeout`` seconds passed)."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.processed >= self.service.queue.accepted:
-                return True
-            if not self._thread.is_alive():
-                return self.processed >= self.service.queue.accepted
-            time.sleep(self.poll_interval)
-        return False
+        with self.progress:
+            while True:
+                if self.processed >= self.service.queue.accepted:
+                    return True
+                if not self._thread.is_alive():
+                    return self.processed >= self.service.queue.accepted
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self.progress.wait(min(remaining, LIVENESS_RECHECK_S))
 
     # ------------------------------------------------------------------ #
 
@@ -91,6 +118,7 @@ class UpdateBatcher:
                         self._apply_one(seq, payload)
                     finally:
                         self.in_flight -= 1
+                    self.notify_progress()
         except ProcessCrash as crash:
             # Simulated SIGKILL: no cleanup, no rollback — only durable
             # state survives.  Mark the service crashed so reads fail
@@ -134,5 +162,6 @@ class UpdateBatcher:
             self.commits_since_checkpoint = 0
         # Incremented last: when join_idle() observes this payload as
         # processed, its snapshot AND its periodic checkpoint are done —
-        # "drained" means fully applied and durable.
+        # "drained" means fully applied and durable.  (_run notifies
+        # ``progress`` right after.)
         self.commits += 1

@@ -3,11 +3,12 @@
 The write path is intentionally lossy at the edge, not in the middle:
 a full queue rejects the *submitting* client with
 :class:`~repro.service.server.BackpressureError` instead of buffering
-without bound.  Everything that was admitted is eventually applied (or
-explicitly failed by the batcher), so the queue depth — together with
-the batcher's in-flight count — is an exact upper bound on how stale a
-read snapshot can be, which is what lets the service offer bounded
-staleness instead of "eventual".
+without bound.  Short of a crash (the queue is in memory; durability
+starts at the WAL's ``begin``) everything that was admitted is
+eventually applied or explicitly failed by the batcher, so the queue
+depth — together with the batcher's in-flight count — is an exact upper
+bound on how stale a read snapshot can be, which is what lets the
+service offer bounded staleness instead of "eventual".
 """
 
 from __future__ import annotations

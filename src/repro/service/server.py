@@ -21,8 +21,9 @@ describes):
 * **durability**: periodic checkpoints
   (:class:`~repro.service.checkpoint.CheckpointStore` — atomic write,
   sha256) truncate the WAL; :meth:`KBService.restore` rebuilds the
-  exact pre-crash state from newest-valid-checkpoint + WAL-tail replay,
-  and re-applies transactions that were admitted but never committed.
+  committed state from newest-valid-checkpoint + WAL-tail replay and
+  re-applies transactions that had begun but never committed (the
+  WAL's D1–D3; an update still in the in-memory queue is not covered).
 
 :class:`ServiceServer` is a thin asyncio JSON-lines front end over a
 ``KBService`` for network clients; the service itself is synchronous
@@ -97,7 +98,9 @@ class ServiceConfig:
     checkpoint_every: int = 0
     #: Checkpoints retained on disk.
     checkpoint_keep: int = 3
-    #: Batcher poll interval / read-wait step, seconds.
+    #: How often an *idle* batcher re-checks its stop flag, seconds (a
+    #: submission wakes it at once).  Delays no commit, no ``drain()``
+    #: and no read: those wake on the batcher's progress signal.
     poll_interval: float = 0.01
     #: Staleness bound applied when a read does not pass its own
     #: (``None`` = unbounded: serve whatever snapshot is committed).
@@ -190,7 +193,8 @@ class KBService:
         return self._committed[0]
 
     def drain(self, timeout: float = 10.0) -> bool:
-        """Block until every admitted update is applied (or timeout)."""
+        """Block until every admitted update is applied (or timeout).
+        Woken by the commit itself, not by a poll."""
         return self.batcher.join_idle(timeout)
 
     # ------------------------------------------------------------------ #
@@ -232,6 +236,7 @@ class KBService:
     def _on_crash(self, reason: str) -> None:
         self._crashed_reason = reason
         self.health.record_crash(reason)
+        self.batcher.notify_progress()
 
     # ------------------------------------------------------------------ #
     # Read path
@@ -264,37 +269,54 @@ class KBService:
         maybe_fire("service.read.start")
         if max_staleness is None:
             max_staleness = self.config.default_max_staleness
-        while True:
-            if self._crashed_reason is not None:
-                raise ServiceUnavailable(
-                    f"service crashed: {self._crashed_reason}"
-                )
-            snap, txn = self._committed
-            if snap is None:
-                raise ServiceUnavailable("no committed snapshot (prime first)")
-            lag = self.lag()
-            elapsed = time.perf_counter() - start
-            if deadline is not None and elapsed > deadline:
-                self.reads_shed += 1
-                raise DeadlineExceeded(
-                    f"read not served within {deadline}s (lag={lag})"
-                )
-            if max_staleness is None or lag <= max_staleness:
-                self.reads += 1
-                return StampedRead(
-                    marginals=snap.marginals,
-                    txn=txn,
-                    lag=lag,
-                    num_vars=snap.num_vars,
-                )
-            if deadline is None:
-                self.reads_stale_rejected += 1
-                raise StalenessExceeded(
-                    f"lag {lag} exceeds max_staleness {max_staleness}"
-                )
-            time.sleep(
-                min(self.config.poll_interval, max(deadline - elapsed, 0.0))
+        stamped = self._serve(max_staleness, deadline, start)
+        if stamped is None:
+            # Over-stale with a deadline: sleep on the batcher's progress
+            # signal.  The predicate is re-tested holding the condition,
+            # so a commit between the test and the wait is not missed;
+            # the fast path above never touches the lock.
+            progress = self.batcher.progress
+            with progress:
+                while (
+                    stamped := self._serve(max_staleness, deadline, start)
+                ) is None:
+                    elapsed = time.perf_counter() - start
+                    progress.wait(max(deadline - elapsed, 0.0))
+        return stamped
+
+    def _serve(
+        self, max_staleness: int | None, deadline: float | None, start: float
+    ) -> StampedRead | None:
+        """One attempt at :meth:`read`: the stamped snapshot, a typed
+        refusal, or ``None`` when the caller should wait for progress
+        (over-stale, deadline not yet reached)."""
+        if self._crashed_reason is not None:
+            raise ServiceUnavailable(
+                f"service crashed: {self._crashed_reason}"
             )
+        snap, txn = self._committed
+        if snap is None:
+            raise ServiceUnavailable("no committed snapshot (prime first)")
+        lag = self.lag()
+        if deadline is not None and time.perf_counter() - start > deadline:
+            self.reads_shed += 1
+            raise DeadlineExceeded(
+                f"read not served within {deadline}s (lag={lag})"
+            )
+        if max_staleness is None or lag <= max_staleness:
+            self.reads += 1
+            return StampedRead(
+                marginals=snap.marginals,
+                txn=txn,
+                lag=lag,
+                num_vars=snap.num_vars,
+            )
+        if deadline is None:
+            self.reads_stale_rejected += 1
+            raise StalenessExceeded(
+                f"lag {lag} exceeds max_staleness {max_staleness}"
+            )
+        return None
 
     def read_fact(self, var: int, **read_kwargs) -> tuple[float, StampedRead]:
         """Marginal probability of one variable, plus its read stamp."""
@@ -385,10 +407,20 @@ class KBService:
         *valid* checkpoint (corrupt ones are detected by checksum and
         skipped) and replays only the WAL tail past it; with no usable
         checkpoint (or ``force_cold=True``) it replays the full
-        committed history onto the factory pair.  Transactions that were
-        admitted but never committed (``pending`` in the WAL) are rolled
-        back in the log and re-applied through the fresh pipeline, so
-        nothing that was acknowledged as admitted is lost.
+        committed history onto the factory pair.  Transactions that
+        began but never committed (``pending`` in the WAL) are rolled
+        back in the log and re-applied through the fresh pipeline.
+
+        What that recovers is the WAL's contract (D1–D3 in
+        :mod:`repro.reliability.wal`), from only the bytes that were
+        fsync'd: every update whose commit was observed (``drain()``
+        returned, a read carried its ``txn``) is restored (D1); every
+        update the batcher had *begun* is restored, re-applied, or was
+        rolled back as terminally failed (D2); and the log is a prefix
+        of what was written (D3).  An update that ``submit()`` admitted
+        but the batcher had not begun lives only in the in-memory
+        queue and is **lost** by any crash — admission is not a
+        durability acknowledgement; a committed read stamp is.
 
         Deterministic serial stacks make the result bit-exact: the
         restored marginals equal a never-crashed twin's."""

@@ -251,6 +251,79 @@ class TestIncrementalMatchesScratch:
         assert result.delta.is_empty
 
 
+class _ScanCountingDict(dict):
+    """A dict that counts whole-dict passes (not keyed lookups)."""
+
+    scans = 0
+
+    def _scanned(self, view):
+        self.scans += 1
+        return view
+
+    def __iter__(self):
+        return self._scanned(super().__iter__())
+
+    def items(self):
+        return self._scanned(super().items())
+
+    def values(self):
+        return self._scanned(super().values())
+
+    def keys(self):
+        return self._scanned(super().keys())
+
+
+class TestUpdateCostIsNotLinearInRecords:
+    """The grounder's insert path is keyed: only a rule removal may walk
+    the whole record registry."""
+
+    def make(self):
+        program = spouse_program()
+        grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
+        grounder.records = _ScanCountingDict(grounder.records)
+        assert len(grounder.records) > 0
+        return grounder
+
+    def test_insert_only_update_never_scans_records(self):
+        grounder = self.make()
+        before = len(grounder.records)
+        result = grounder.apply_update(
+            inserts={
+                "PersonCandidate": [("s3", "m5"), ("s3", "m6")],
+                "PhraseFeature": [("m5", "m6", "and his wife")],
+            }
+        )
+        assert result.delta.new_factors  # the update did ground something
+        assert len(grounder.records) > before
+        assert grounder.records.scans == 0
+
+    def test_rule_removal_still_retracts_exactly_its_factors(self):
+        grounder = self.make()
+        symmetry = InferenceRule(
+            name="i1",
+            head=Atom("MarriedMentions", (Var("m2"), Var("m1"))),
+            body=(Atom("MarriedMentions", (Var("m1"), Var("m2"))),),
+            weight=WeightSpec(value=1.5, fixed=True),
+            semantics="logical",
+        )
+        grounder.apply_update(add_inference_rules=[symmetry])
+
+        def factor_ids(rule_name):
+            return {
+                record.factor_index
+                for record in dict.values(grounder.records)
+                if record.rule_name == rule_name
+            }
+
+        theirs, others = factor_ids("fe1"), len(factor_ids("i1"))
+        assert theirs and others
+        result = grounder.apply_update(remove_inference_rules=["fe1"])
+        assert set(result.delta.removed_factor_ids) == theirs
+        assert not result.delta.new_factors
+        assert not factor_ids("fe1")
+        assert len(factor_ids("i1")) == others == grounder.graph.num_factors
+
+
 @st.composite
 def update_sequences(draw):
     """Random update sequences over a small universe."""

@@ -18,6 +18,7 @@ Layered like the service itself:
 
 import asyncio
 import json
+import sys
 import threading
 import time
 
@@ -368,6 +369,167 @@ class TestHealthDegradation:
         svc.submit(**UPDATE_A)
         assert svc.drain(timeout=60)
         assert svc.status()["health"]["state"] == HEALTHY
+        svc.stop()
+
+
+class TestWakeOnCommit:
+    """``drain()`` and deadline reads sleep on the batcher's progress
+    signal.  A two-second ``poll_interval`` makes any leftover timed poll
+    on those paths show up as a two-second wait."""
+
+    SLOW_POLL = 2.0
+
+    def make(self):
+        svc = make_service(
+            config=ServiceConfig(poll_interval=self.SLOW_POLL)
+        ).start()
+        svc.prime()
+        return svc
+
+    @staticmethod
+    def stamp_calls(obj, name):
+        """Wrap ``obj.name`` to record ``time.monotonic()`` after each call."""
+        stamps = []
+        inner = getattr(obj, name)
+
+        def stamped(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            stamps.append(time.monotonic())
+            return out
+
+        setattr(obj, name, stamped)
+        return stamps
+
+    def test_drain_returns_with_the_commit(self):
+        svc = self.make()
+        start = time.monotonic()
+        svc.submit(**UPDATE_A)
+        assert svc.drain(timeout=30)
+        assert time.monotonic() - start < 1.0
+        assert svc.read(max_staleness=0).txn == 2
+        svc.stop()
+
+    def test_deadline_read_returns_with_the_commit(self):
+        svc = self.make()
+        committed_at = self.stamp_calls(svc, "_on_commit")
+        # Hold the update in flight so the read is issued against lag 1
+        # and has to wait for the commit.
+        plan = FaultPlan(
+            [Fault(site="service.batch.start", action="delay", delay=0.3)]
+        )
+        with inject_faults(plan):
+            svc.submit(**UPDATE_A)
+            stamped = svc.read(max_staleness=0, deadline=30)
+            served_at = time.monotonic()
+        assert plan.fired_sites() == ["service.batch.start"]
+        assert (stamped.txn, stamped.lag) == (2, 0)
+        assert len(committed_at) == 1
+        assert served_at - committed_at[0] < 0.5
+        svc.stop()
+
+    def test_crash_wakes_blocked_drain_and_read(self):
+        svc = self.make()
+        crashed_at = self.stamp_calls(svc, "_on_crash")
+        outcomes = {}
+
+        def blocked(name, call):
+            try:
+                outcomes[name] = call()
+            except Exception as exc:  # noqa: BLE001 — the outcome under test
+                outcomes[name] = exc
+            outcomes[name + "_at"] = time.monotonic()
+
+        plan = FaultPlan(
+            [
+                # Held long enough for both waiters to block first.
+                Fault(site="service.batch.start", action="delay", delay=0.3),
+                Fault(site="engine.update.inferred", action="crash"),
+            ]
+        )
+        with inject_faults(plan):
+            svc.submit(**UPDATE_A)
+            threads = [
+                threading.Thread(
+                    target=blocked,
+                    args=("drain", lambda: svc.drain(timeout=30)),
+                ),
+                threading.Thread(
+                    target=blocked,
+                    args=(
+                        "read",
+                        lambda: svc.read(max_staleness=0, deadline=30),
+                    ),
+                ),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(crashed_at) == 1
+        assert outcomes["drain"] is False
+        assert isinstance(outcomes["read"], ServiceUnavailable)
+        assert outcomes["drain_at"] - crashed_at[0] < 1.0
+        assert outcomes["read_at"] - crashed_at[0] < 1.0
+
+    def test_terminal_failure_wakes_drain(self):
+        svc = self.make()
+        plan = FaultPlan(
+            [Fault(site="ground.update.start", at=1, repeat=True)]
+        )
+        with inject_faults(plan):
+            start = time.monotonic()
+            svc.submit(**UPDATE_A)
+            assert svc.drain(timeout=30)
+            assert time.monotonic() - start < 1.0
+        assert svc.status()["batcher"]["failures"] == 1
+        assert svc.lag() == 0
+        svc.stop()
+
+    def test_no_lost_wakeup_under_thread_contention(self):
+        # More waiters than cores, a 10 µs switch interval: a wake-up lost
+        # between a waiter's predicate test and its wait would leave a
+        # read asleep until its deadline, where it is shed.
+        svc = self.make()
+        done = threading.Event()
+        served = [0] * 4
+        errors = []
+
+        def reader(slot):
+            while not done.is_set():
+                try:
+                    stamped = svc.read(max_staleness=0, deadline=5.0)
+                except Exception as exc:  # noqa: BLE001 — reported below
+                    errors.append(exc)
+                    return
+                assert stamped.lag == 0
+                served[slot] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(slot,))
+                for slot in range(len(served))
+            ]
+            for t in threads:
+                t.start()
+            start = time.monotonic()
+            for _ in range(40):
+                svc.submit()  # an empty update: the cheapest transaction
+                assert svc.drain(timeout=30)
+            elapsed = time.monotonic() - start
+            done.set()
+            for t in threads:
+                t.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert svc.reads_shed == 0
+        assert all(served)
+        assert svc.status()["batcher"]["commits"] == 40
+        assert elapsed < 20.0
         svc.stop()
 
 
