@@ -1,10 +1,11 @@
-"""Grounding throughput: columnar plans vs the legacy evaluator (§2.5, §3.1).
+"""Grounding throughput: columnar plans, from scratch and incremental (§2.5, §3.1).
 
 Grounding dominates end-to-end latency in the paper's development loop
-(§1, Fig. 9: incremental grounding buys up to 360×).  PR 5 rebuilt the
-join engine on columnar relation mirrors + compiled vectorized plans;
-this benchmark tracks what that buys on a grounding-bound workload
-shaped like the paper's spouse system:
+(§1, Fig. 9: incremental grounding buys up to 360×).  The package grounds
+through compiled vectorized plans over columnar relation mirrors and
+maintains the result with fused k-term delta plans; this benchmark
+tracks what that buys on a grounding-bound workload shaped like the
+paper's spouse system:
 
 * mention pairs recur across many sentences (candidate bindings ≫
   distinct tuples — derivation *counts* do real work),
@@ -13,41 +14,48 @@ shaped like the paper's spouse system:
 * a frequency-style inference rule grounds many bindings per factor
   (the ``g(n)`` semantics of Eq. 1).
 
+The baseline is ``tests/reference``'s ``reference_ground`` — from-scratch
+tuple-at-a-time grounding, the one oracle the package is held to.
+
 Axes recorded in ``benchmark_results/BENCH_grounding.json``:
 
-* ``full_axis`` — from-scratch grounding, columnar vs legacy, growing
-  corpus (the headline speedup is the largest scale).
+* ``full_axis`` — from-scratch grounding, columnar vs the tuple-at-a-time
+  reference, growing corpus (the headline speedup is the largest scale).
 * ``delta_axis`` — one development-loop update at the largest scale,
-  growing |Δ| (new documents): columnar-incremental vs
-  legacy-incremental vs full reground.
+  growing |Δ| (new documents): incremental update vs full reground (the
+  paper's comparison).
 * ``incremental_axis`` — fixed |Δ|, growing corpus: the incremental
   path's advantage over regrounding should be monotone in graph size.
 * ``arity_axis`` — fixed |Δ|, growing rule body arity (k-way chain
   joins over one edge relation, so every body position changes on every
-  update): fused k-term delta plans vs the 2^k−1-term subset expansion.
-  Fused cost should track the k terms it drives (~linear) while subset
-  tracks its exponential term count — fused must win at every k ≥ 3.
+  update).  The delta of a k-atom body is k fused terms, not the 2^k−1
+  of an inclusion/exclusion expansion; that is a *count*, so the axis
+  records the counters that show it (``fused_terms_per_rule == k``, one
+  plan compilation per rule, two view captures per update) beside the
+  per-update seconds, and ``--check`` asserts them.
 * ``shard_axis`` — full ground + fixed-|Δ| updates with ``n_workers``
   grounding shards (PR 10), workers × corpus scale.  Numbers are only
   meaningful relative to the stamped ``machine.cpu_count``: on a
   1-core container the parallel rows measure pure sharding overhead
   (expect a slowdown, as in ``BENCH_parallel.json``).
 
-``--check`` runs the CI smoke contract instead: columnar and legacy
-grounding must agree canonically on the spouse program, before and
-after incremental updates; the benchmark workload must ground to
-identical graphs under both engines; the fused delta strategy must
-match the subset oracle on the spouse and arity workloads; and
-2-worker sharded grounding must be bit-identical to the serial path
-(full + incremental).
+``--check`` runs the CI smoke contract instead: after the full ground and
+after *every* incremental update, the maintained graph must agree
+canonically with ``reference_ground`` of a twin database the same
+updates were replayed on — on the spouse program, on the benchmark
+workload and on the arity workload (incremental ≡ from-scratch and
+columnar ≡ tuple-at-a-time in one comparison); the arity counters must
+have the linear shape; and 2-worker sharded grounding must be
+bit-identical to the serial path (full + incremental).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grounding_incremental.py
-[--scale tiny|small|medium] [--check]``
+[--scale tiny|small|medium] [--check]`` from the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -56,6 +64,9 @@ from repro.datalog import Atom, Program, Var, WeightSpec
 from repro.grounding import Grounder, IncrementalGrounder
 
 from _helpers import emit_json
+
+sys.path.insert(0, ".")  # tests/ (fixtures and the reference) is at the root
+from tests.reference import reference_ground  # noqa: E402
 
 SCALES = {
     "tiny": {"sentences": [60, 120], "deltas": [1, 4], "arity_edges": 200},
@@ -203,42 +214,54 @@ def update_rows(rng, pool_size, num_docs, start):
     }
 
 
-def time_full_ground(rows: dict, engine: str, repeats: int = 2) -> tuple:
+def time_full_ground(rows: dict, ground, repeats: int = 2) -> tuple:
     """Best-of-``repeats`` from-scratch grounding (fresh db each time —
-    derivation rules mutate it)."""
-    best, result = None, None
+    derivation rules mutate it); ``ground(program, db)`` returns the
+    factor graph."""
+    best, graph = None, None
     for _ in range(repeats):
         program = build_program()
         db = make_db(program, rows)
         start = time.perf_counter()
-        result = Grounder(program, db, engine=engine).ground()
+        graph = ground(program, db)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
-    return best, result
+    return best, graph
 
 
-def time_incremental(rows, pool_size, num_sentences, delta_docs, engine):
+def columnar_ground(program, db):
+    return Grounder(program, db).ground().graph
+
+
+def document_updates(pool_size, num_sentences, delta_docs, count) -> list:
+    """``count`` updates of ``delta_docs`` new documents each."""
+    rng = np.random.default_rng(99)
+    return [
+        {
+            "inserts": update_rows(
+                rng, pool_size, delta_docs, num_sentences + i * delta_docs
+            )
+        }
+        for i in range(count)
+    ]
+
+
+def time_incremental(rows, pool_size, num_sentences, delta_docs):
     """Best per-update seconds for ``delta_docs``-document updates (min
     over a short run: one-sided scheduler noise on small machines)."""
     program = build_program()
     db = make_db(program, rows)
-    grounder = IncrementalGrounder.from_scratch(program, db, engine=engine)
-    rng = np.random.default_rng(99)
-    next_sid = num_sentences
-    # Prime: the first update pays one-time setup on either engine
-    # (delta-position index builds, resolver code maps).
-    grounder.apply_update(
-        inserts=update_rows(rng, pool_size, delta_docs, next_sid)
-    )
-    next_sid += delta_docs
+    grounder = IncrementalGrounder.from_scratch(program, db)
     seconds = []
-    for _ in range(UPDATES_PER_POINT):
-        inserts = update_rows(rng, pool_size, delta_docs, next_sid)
-        next_sid += delta_docs
+    for update in document_updates(
+        pool_size, num_sentences, delta_docs, 1 + UPDATES_PER_POINT
+    ):
         start = time.perf_counter()
-        grounder.apply_update(inserts=inserts)
+        grounder.apply_update(**update)
         seconds.append(time.perf_counter() - start)
-    return float(np.min(seconds)), grounder
+    # The first update primes: it pays one-time setup (delta-plan
+    # compilation, delta-position index builds, resolver code maps).
+    return float(np.min(seconds[1:])), grounder
 
 
 #: shard_axis worker counts; 1 is the serial baseline (the exact serial
@@ -286,9 +309,8 @@ def time_sharded(rows, pool_size, num_sentences, delta_docs, n_workers):
 
 # --------------------------------------------------------------------- #
 # Arity workload: k-way chain joins over a single edge relation — every
-# body position changes on every update, the subset expansion's worst
-# case (2^k−1 terms per rule) and the fused factorization's best
-# showcase (k terms per rule).
+# body position changes on every update, so a rule's delta is all k of
+# its fused terms (an inclusion/exclusion expansion would need 2^k−1).
 # --------------------------------------------------------------------- #
 
 ARITY_KS = (2, 3, 4, 5)
@@ -339,25 +361,16 @@ def arity_edges(rng, num_edges) -> tuple:
     return sorted(edges), num_nodes
 
 
-def time_arity_updates(k, edges, num_nodes, delta_strategy, updates=None):
-    """Best per-update seconds for the k-ary chain workload under one
-    delta strategy.  Every update inserts a *connected chain* of fresh
-    edges and retracts an older chain — correlated deltas, the shape
-    document updates produce.  That keeps the subset oracle honest: its
-    Δᵢ ⋈ Δⱼ cross terms actually join (scattered single-edge deltas
-    would leave all 2^k−1−k multi-delta terms empty, an early-exit)."""
-    program = build_arity_program(k)
-    db = program.create_database()
-    db.insert_all("Node", [(f"v{i}",) for i in range(num_nodes)])
-    db.insert_all("Edge", list(edges))
-    grounder = IncrementalGrounder.from_scratch(
-        program, db, delta_strategy=delta_strategy
-    )
+def arity_updates(edges, num_nodes, count) -> list:
+    """``count`` updates, each inserting a *connected chain* of fresh
+    edges and (from the third on) retracting an older chain —
+    correlated deltas, the shape document updates produce, so a term's
+    Δᵢ really joins the changed neighbours beside it."""
     rng = np.random.default_rng(5)
     present = set(edges)
     chains: list = []
-
-    def next_update() -> dict:
+    updates = []
+    for _ in range(count):
         while True:
             nodes = rng.choice(num_nodes, size=ARITY_DELTA_EDGES + 1, replace=False)
             fresh = [
@@ -369,22 +382,42 @@ def time_arity_updates(k, edges, num_nodes, delta_strategy, updates=None):
         present.update(fresh)
         chains.append(fresh)
         retract = chains.pop(0) if len(chains) > 2 else []
-        for edge in retract:
-            present.discard(edge)
+        present.difference_update(retract)
         update = {"inserts": {"Edge": fresh}}
         if retract:
             update["deletes"] = {"Edge": retract}
-        return update
+        updates.append(update)
+    return updates
 
-    # Prime: the first update pays plan compilation + index builds.
-    grounder.apply_update(**next_update())
+
+def arity_db(program, edges, num_nodes):
+    db = program.create_database()
+    db.insert_all("Node", [(f"v{i}",) for i in range(num_nodes)])
+    db.insert_all("Edge", list(edges))
+    return db
+
+
+def time_arity_updates(k, edges, num_nodes, updates=UPDATES_PER_POINT):
+    """Best per-update seconds for the k-ary chain workload, and the
+    counters that give the cost its shape."""
+    program = build_arity_program(k)
+    db = arity_db(program, edges, num_nodes)
+    grounder = IncrementalGrounder.from_scratch(program, db)
     seconds = []
-    for _ in range(updates if updates is not None else UPDATES_PER_POINT):
-        update = next_update()
+    for update in arity_updates(edges, num_nodes, 1 + updates):
         start = time.perf_counter()
         grounder.apply_update(**update)
         seconds.append(time.perf_counter() - start)
-    return float(np.min(seconds)), grounder
+    stats = db.index_stats()["columnar"]
+    (walk,) = program.inference_rules
+    shape = {
+        "updates": 1 + updates,
+        "fused_terms_per_rule": len(db.columnar.delta_plans(walk.body)),
+        "delta_plan_misses": stats["delta_plan_misses"],
+        "view_captures": stats["view_captures"],
+    }
+    # The first update primes: plan compilation + index builds.
+    return float(np.min(seconds[1:])), shape
 
 
 def run(scale: str) -> dict:
@@ -402,23 +435,23 @@ def run(scale: str) -> dict:
         rng = np.random.default_rng(7)
         corpora[num_sentences] = base_rows(rng, num_sentences)
 
-    # ---- full_axis: from-scratch grounding, columnar vs legacy.
+    # ---- full_axis: from-scratch grounding, columnar vs the reference.
     for num_sentences in cfg["sentences"]:
         rows, _pool = corpora[num_sentences]
-        columnar_s, result = time_full_ground(rows, "columnar")
-        legacy_s, _ = time_full_ground(rows, "legacy")
+        columnar_s, graph = time_full_ground(rows, columnar_ground)
+        reference_s, _ = time_full_ground(rows, reference_ground)
         entry = {
             "sentences": num_sentences,
-            "num_vars": result.graph.num_vars,
-            "num_factors": result.graph.num_factors,
-            "legacy_seconds": legacy_s,
+            "num_vars": graph.num_vars,
+            "num_factors": graph.num_factors,
+            "reference_seconds": reference_s,
             "columnar_seconds": columnar_s,
-            "speedup": legacy_s / max(columnar_s, 1e-9),
+            "speedup": reference_s / max(columnar_s, 1e-9),
         }
         record["full_axis"].append(entry)
         print(
             f"full_axis S={num_sentences:>5} vars={entry['num_vars']:>6} "
-            f"legacy={legacy_s:7.3f}s columnar={columnar_s:7.3f}s "
+            f"reference={reference_s:7.3f}s columnar={columnar_s:7.3f}s "
             f"-> {entry['speedup']:.1f}x"
         )
 
@@ -427,23 +460,19 @@ def run(scale: str) -> dict:
     rows, pool = corpora[largest]
     full_s = record["full_axis"][-1]["columnar_seconds"]
     for delta_docs in cfg["deltas"]:
-        col_s, _ = time_incremental(rows, pool, largest, delta_docs, "columnar")
-        leg_s, _ = time_incremental(rows, pool, largest, delta_docs, "legacy")
+        col_s, _ = time_incremental(rows, pool, largest, delta_docs)
         entry = {
             "sentences": largest,
             "delta_docs": delta_docs,
-            "legacy_incremental_seconds": leg_s,
             "columnar_incremental_seconds": col_s,
             "full_reground_seconds": full_s,
-            "speedup_vs_legacy": leg_s / max(col_s, 1e-9),
             "speedup_vs_reground": full_s / max(col_s, 1e-9),
         }
         record["delta_axis"].append(entry)
         print(
             f"delta_axis |Δ|={delta_docs:>3} docs  "
-            f"legacy={leg_s * 1e3:8.2f}ms columnar={col_s * 1e3:8.2f}ms "
-            f"reground={full_s * 1e3:8.1f}ms -> {entry['speedup_vs_legacy']:.1f}x "
-            f"vs legacy, {entry['speedup_vs_reground']:.0f}x vs reground"
+            f"update={col_s * 1e3:8.2f}ms reground={full_s * 1e3:8.1f}ms "
+            f"-> {entry['speedup_vs_reground']:.0f}x vs reground"
         )
 
     # ---- incremental_axis: fixed |Δ|, growing corpus.  A few documents
@@ -452,7 +481,7 @@ def run(scale: str) -> dict:
     for num_sentences in cfg["sentences"]:
         rows, pool = corpora[num_sentences]
         col_s, grounder = time_incremental(
-            rows, pool, num_sentences, fixed_delta, "columnar"
+            rows, pool, num_sentences, fixed_delta
         )
         reground_s = None
         for entry in record["full_axis"]:
@@ -473,32 +502,26 @@ def run(scale: str) -> dict:
             f"-> {entry['advantage']:.0f}x"
         )
 
-    # ---- arity_axis: fixed |Δ|, growing rule body arity.  Fused drives
-    # k plans per k-ary rule; the subset oracle expands 2^k−1 terms
-    # (every body position references Edge, so all of them change).
+    # ---- arity_axis: fixed |Δ|, growing rule body arity.  Every body
+    # position references Edge, so all k of them change: k fused terms.
     rng = np.random.default_rng(11)
     edges, num_nodes = arity_edges(rng, cfg["arity_edges"])
     for k in ARITY_KS:
-        fused_s, grounder = time_arity_updates(k, edges, num_nodes, "fused")
-        subset_s, _ = time_arity_updates(k, edges, num_nodes, "subset")
-        stats = grounder.db.index_stats()["columnar"]
+        fused_s, shape = time_arity_updates(k, edges, num_nodes)
         entry = {
             "arity": k,
             "edges": cfg["arity_edges"],
             "delta_edges": ARITY_DELTA_EDGES,
             "fused_seconds": fused_s,
-            "subset_seconds": subset_s,
-            "speedup": subset_s / max(fused_s, 1e-9),
-            "fused_terms_per_rule": k,
-            "subset_terms_per_rule": 2**k - 1,
-            "view_captures": stats["view_captures"],
-            "delta_plan_misses": stats["delta_plan_misses"],
+            **shape,
         }
         record["arity_axis"].append(entry)
         print(
             f"arity_axis k={k} |Δ|={ARITY_DELTA_EDGES} edges  "
-            f"subset={subset_s * 1e3:8.2f}ms fused={fused_s * 1e3:8.2f}ms "
-            f"({2**k - 1:>2} vs {k} terms/rule) -> {entry['speedup']:.1f}x"
+            f"fused={fused_s * 1e3:8.2f}ms "
+            f"({shape['fused_terms_per_rule']} terms/rule, "
+            f"{shape['delta_plan_misses']} plan compilation, "
+            f"{shape['view_captures']} captures / {shape['updates']} updates)"
         )
 
     # ---- shard_axis: workers × corpus scale, full ground + fixed-|Δ|
@@ -541,78 +564,53 @@ def run(scale: str) -> dict:
 
 
 def check() -> None:
-    """CI smoke: columnar ≡ legacy grounding, full and incremental."""
-    import sys
-
-    sys.path.insert(0, ".")
+    """CI smoke: incremental ≡ from-scratch reference after every update;
+    arity counters linear; 2-worker sharded ≡ serial."""
     from tests.test_grounding import spouse_db, spouse_program
-    from tests.test_incremental_grounding import assert_equivalent
+    from tests.test_incremental_grounding import assert_equivalent, reground
+    from tests.test_sharded_grounding import assert_bit_identical
 
-    # 1. The paper's spouse program, full + three updates.
+    # 1. The paper's spouse program: full ground + three updates, each
+    # step held to reference_ground of the replayed state.
     updates = [
         dict(inserts={"PhraseFeature": [("m1", "m2", "his spouse")]}),
         dict(inserts={"PersonCandidate": [("s3", "m5"), ("s3", "m6")]}),
         dict(deletes={"PhraseFeature": [("m3", "m4", "friend of")]}),
     ]
-    grounders = {}
-    for engine in ("columnar", "legacy"):
-        program = spouse_program()
-        db = spouse_db(program)
-        grounders[engine] = IncrementalGrounder.from_scratch(
-            program, db, engine=engine
-        )
-    assert_equivalent(grounders["columnar"].graph, grounders["legacy"].graph)
-    for update in updates:
-        for engine in ("columnar", "legacy"):
-            grounders[engine].apply_update(**update)
-        assert_equivalent(
-            grounders["columnar"].graph, grounders["legacy"].graph
-        )
-    # Columnar indexes must survive the deltas without rebuilds beyond
-    # the initial mirror loads.
-    stats = grounders["columnar"].db.index_stats()["columnar"]
-    assert stats["probes"] > 0
+    reground(spouse_program, spouse_db, updates)
 
-    # 2. The benchmark workload grounds identically under both engines.
+    # 2. The benchmark workload: columnar full ground ≡ reference…
     rng = np.random.default_rng(7)
     rows, pool = base_rows(rng, 40)
-    _, col = time_full_ground(rows, "columnar")
-    _, leg = time_full_ground(rows, "legacy")
-    assert_equivalent(col.graph, leg.graph)
-    # 3. And stays identical across an incremental update on each side.
-    _, col_grounder = time_incremental(rows, pool, 40, 2, "columnar")
-    _, leg_grounder = time_incremental(rows, pool, 40, 2, "legacy")
-    assert_equivalent(col_grounder.graph, leg_grounder.graph)
+    _, col = time_full_ground(rows, columnar_ground, repeats=1)
+    _, ref = time_full_ground(rows, reference_ground, repeats=1)
+    assert_equivalent(col, ref)
+    # …and across two-document updates, after every one of them.
+    reground(
+        build_program,
+        lambda program: make_db(program, rows),
+        document_updates(pool, 40, 2, 3),
+    )
 
-    # 4. Fused delta plans ≡ the subset oracle — on spouse updates…
-    strategies = {}
-    for strategy in ("fused", "subset"):
-        program = spouse_program()
-        db = spouse_db(program)
-        strategies[strategy] = IncrementalGrounder.from_scratch(
-            program, db, delta_strategy=strategy
-        )
-    for update in updates:
-        for grounder in strategies.values():
-            grounder.apply_update(**update)
-        assert_equivalent(
-            strategies["fused"].graph, strategies["subset"].graph
-        )
-    # …and on the arity workload, where every body position changes and
-    # the two algebras share no terms at all.
+    # 3. The arity workload, where every body position changes: same
+    # contract, and the cost has the linear shape — k plans per rule,
+    # compiled once (the two 4-ary bodies are structurally one), one
+    # old-state capture (Edge) per update.
     rng = np.random.default_rng(11)
     edges, num_nodes = arity_edges(rng, 60)
-    _, fused_g = time_arity_updates(4, edges, num_nodes, "fused", updates=3)
-    _, subset_g = time_arity_updates(4, edges, num_nodes, "subset", updates=3)
-    assert_equivalent(fused_g.graph, subset_g.graph)
-    stats = fused_g.db.index_stats()["columnar"]
-    assert stats["view_captures"] > 0, "fused path captured no old views"
-    assert stats["delta_plan_hits"] > 0, "fused plans were not cache-hit"
+    k = 4
+    reground(
+        lambda: build_arity_program(k),
+        lambda program: arity_db(program, edges, num_nodes),
+        arity_updates(edges, num_nodes, 4),
+    )
+    _, shape = time_arity_updates(k, edges, num_nodes, updates=3)
+    assert shape["fused_terms_per_rule"] == k, shape
+    assert shape["delta_plan_misses"] == 1, shape
+    assert shape["view_captures"] == shape["updates"], shape
 
-    # 5. Sharded grounding (2 workers) is bit-identical to the serial
+    # 4. Sharded grounding (2 workers) is bit-identical to the serial
     # path on the spouse program — full ground and every update.
-    from tests.test_sharded_grounding import assert_bit_identical
-
     serial_program = spouse_program()
     serial = IncrementalGrounder.from_scratch(
         serial_program, spouse_db(serial_program)
@@ -633,10 +631,11 @@ def check() -> None:
     finally:
         sharded.close()
     print(
-        "grounding smoke ok: columnar ≡ legacy on spouse (full + 3 updates) "
-        "and on the benchmark workload (full + incremental); fused ≡ subset "
-        "on spouse + arity workloads; 2-worker sharded bit-identical to "
-        f"serial; {col.graph.num_vars} vars, {col.graph.num_factors} factors"
+        "grounding smoke ok: columnar-incremental ≡ tuple-at-a-time "
+        "from-scratch reference after every update (spouse, benchmark and "
+        f"arity workloads); arity k={k}: {shape}; 2-worker sharded "
+        f"bit-identical to serial; {col.num_vars} vars, "
+        f"{col.num_factors} factors"
     )
 
 
@@ -646,7 +645,7 @@ def main() -> None:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="run the columnar ≡ legacy grounding smoke assertions only",
+        help="run the incremental ≡ reference grounding smoke assertions only",
     )
     args = parser.parse_args()
     if args.check:

@@ -60,7 +60,13 @@ WAL_WINDOW = 8
 @dataclass
 class EngineConfig:
     """Tuning knobs; the defaults are scaled-down but proportionate to the
-    paper's settings (1000 inference / 2000 materialization samples)."""
+    paper's settings (1000 inference / 2000 materialization samples).
+
+    Fourteen fields in three groups.  The lesions that reproduce a paper
+    figure are fields (``strategies`` / ``workload_aware`` for Fig. 11,
+    ``warm_learning`` for Fig. 16); whether updates are transactional is
+    not — they always are, and ``wal_path`` only says where the log
+    lives."""
 
     # -- sampling ------------------------------------------------------- #
     materialization_samples: int = 500
@@ -100,13 +106,6 @@ class EngineConfig:
     warm_learning: bool = True
 
     # -- durability ----------------------------------------------------- #
-    #: Transactional updates: every ``apply_update``/``relearn`` runs
-    #: under a bounded snapshot of the touched state plus a delta WAL —
-    #: a failure anywhere in the patch → infer → relearn pipeline rolls
-    #: the engine back to its pre-update state (caches verified
-    #: consistent) and the WAL records the rolled-back transaction.
-    #: False removes the snapshot/WAL overhead (trusted callers).
-    transactional: bool = True
     #: File path for the delta WAL; ``None`` keeps it in memory.  A
     #: file-backed WAL survives the process, so committed updates can be
     #: replayed onto a rebuilt engine after a crash.
@@ -172,7 +171,7 @@ class _Engine:
         self._last_marginals = None
         self.learns_warm = 0
         self.learns_cold = 0
-        self.wal = DeltaLog(self.config.wal_path) if self.config.transactional else None
+        self.wal = DeltaLog(self.config.wal_path)
         self.rollbacks = 0
         self.committed_updates = 0
 
@@ -208,7 +207,7 @@ class _Engine:
         )
 
     def _transaction(self, snapshot, site: str, body, delta=None):
-        """Run ``body()`` as one transaction (``EngineConfig.transactional``).
+        """Run ``body()`` as one transaction.
 
         A bounded snapshot is taken and, for an update, ``delta`` is
         WAL-logged before anything mutates.  A failure anywhere in
@@ -219,8 +218,6 @@ class _Engine:
         the rollback.  ``relearn`` passes no delta: the weights it moves
         are not replayable from one, so it is rolled back but not
         logged."""
-        if not self.config.transactional:
-            return body()
         snap = snapshot(self)
         txn = None
         if delta is not None:
@@ -287,8 +284,7 @@ class _Engine:
         """Release the persistent chain and learner (worker pools and
         shared memory, if any) and the WAL's file handle."""
         self.resident.close()
-        if self.wal is not None:
-            self.wal.close()
+        self.wal.close()
 
     def __enter__(self):
         return self

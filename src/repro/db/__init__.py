@@ -7,19 +7,17 @@ sequence of SQL joins over it.  This package provides:
   (the ``count`` column of DRed delta relations, §3.1) and lazily built
   hash indexes.
 * :class:`~repro.db.database.Database` — a named catalog of relations.
-* :mod:`~repro.db.query` — conjunctive-query evaluation (hash-indexed
-  backtracking joins) over atoms with variables and constants: the
-  tuple-at-a-time reference evaluator.
+* :mod:`~repro.db.query` — conjunctive-query syntax: atoms over
+  variables and constants, and the static join order.
 * :mod:`~repro.db.columnar` — numpy-backed columnar relation mirrors
   (interned int32 columns, bucketed hash indexes maintained in O(|Δ|)).
 * :mod:`~repro.db.plan` — compiled vectorized join plans over the
-  columnar mirrors; the grounding engine's fast path.
+  columnar mirrors: how every query is evaluated.
 """
 
 from repro.db.columnar import ColumnarBatch, ColumnarStore
 from repro.db.database import Database
-from repro.db.plan import JoinPlan, columnar_binding_counts
-from repro.db.query import evaluate_query
+from repro.db.plan import JoinPlan
 from repro.db.relation import Relation
 
 __all__ = [
@@ -28,6 +26,4 @@ __all__ = [
     "Database",
     "JoinPlan",
     "Relation",
-    "columnar_binding_counts",
-    "evaluate_query",
 ]

@@ -1,9 +1,9 @@
 """Columnar relation mirrors: interned int32 columns + bucketed hash indexes.
 
-The legacy join engine (:mod:`repro.db.query`) is tuple-at-a-time Python;
-grounding pays its per-tuple overhead on every full ground and every
-delta.  This module provides the columnar substrate the vectorized join
-plans (:mod:`repro.db.plan`) run on:
+Grounding is joins, and joins over Python tuples pay per-tuple
+interpreter overhead on every full ground and every delta.  This module
+provides the columnar substrate the vectorized join plans
+(:mod:`repro.db.plan`) — the package's only join engine — run on:
 
 * :class:`Interner` — a database-wide dictionary mapping arbitrary
   hashable constants to dense ``int32`` codes, so joins compare machine
@@ -52,8 +52,9 @@ class Interner:
 
     Code equality must coincide with Python equality, which the backing
     dict guarantees (note this conflates ``True``/``1`` exactly like the
-    tuple-keyed legacy relations do).  :meth:`decode` returns the first
-    representative interned for each code.
+    tuple-keyed :class:`~repro.db.relation.Relation` does).
+    :meth:`decode` returns the first representative interned for each
+    code.
     """
 
     def __init__(self) -> None:
@@ -746,36 +747,38 @@ class ColumnarStore:
     #: sequences from one-shot callers must not pin memory forever).
     _PLAN_ID_CACHE_LIMIT = 4096
 
+    #: every counter in :attr:`stats` (``Database.index_stats`` reports
+    #: the same keys, zeroed, for a database that never built a store).
+    STAT_KEYS = (
+        "index_builds",
+        "index_merges",
+        "probes",
+        "rebuilds",
+        "view_captures",
+        "delta_plan_hits",
+        "delta_plan_misses",
+        "delta_batch_builds",
+        # Sharded grounding (repro.grounding.sharded): controller-side
+        # partition builds plus worker-reported shard activity.
+        "partition_builds",
+        "shard_probes",
+        "shard_batches_merged",
+        "degradations",
+    )
+
     def __init__(self) -> None:
         self.interner = Interner()
         self._tables: dict = {}
-        self._plans: dict = {}         # (id(atoms), sources) -> JoinPlan
-        self._struct_plans: dict = {}  # (atoms tuple, sources) -> JoinPlan
+        # One two-level cache for both plan kinds (see _cached_plans).
+        self._plans: dict = {}         # (kind, id(atoms)) -> compiled
+        self._struct_plans: dict = {}  # (kind, atoms tuple) -> compiled
         self._plan_pins: dict = {}     # id(atoms) -> atoms (keeps ids stable)
-        self._delta_plans: dict = {}         # id(atoms) -> tuple[JoinPlan]
-        self._struct_delta_plans: dict = {}  # atoms tuple -> tuple[JoinPlan]
-        self._delta_plan_pins: dict = {}     # id(atoms) -> atoms
         self._old_views: dict = {}  # relation name -> TableView (per update)
         #: overflow-bucket merge tuning applied to newly created mirrors
         #: (None = the _TableIndex class defaults).
         self.merge_fraction: int | None = None
         self.probe_merge_threshold: int | None = None
-        self.stats = {
-            "index_builds": 0,
-            "index_merges": 0,
-            "probes": 0,
-            "rebuilds": 0,
-            "view_captures": 0,
-            "delta_plan_hits": 0,
-            "delta_plan_misses": 0,
-            "delta_batch_builds": 0,
-            # Sharded grounding (repro.grounding.sharded): controller-side
-            # partition builds plus worker-reported shard activity.
-            "partition_builds": 0,
-            "shard_probes": 0,
-            "shard_batches_merged": 0,
-            "degradations": 0,
-        }
+        self.stats = dict.fromkeys(self.STAT_KEYS, 0)
 
     def table(self, relation) -> ColumnarTable:
         mirror = self._tables.get(relation.name)
@@ -835,8 +838,8 @@ class ColumnarStore:
             view.release()
         self._old_views = {}
 
-    def plan(self, atoms, source_positions=frozenset()):
-        """Cached compiled join plan for (atoms, delta positions).
+    def _cached_plans(self, kind: str, atoms, compile_atoms) -> tuple:
+        """``(compiled, compiled_now)`` from the two-level plan cache.
 
         The hot path keys on the *identity* of the atoms sequence (rule
         bodies are stable tuples), skipping re-hashing of nested atom
@@ -844,56 +847,46 @@ class ColumnarStore:
         one-shot callers that build fresh atom lists, and the id level
         (plus its pin map, which keeps ids from being recycled) is
         cleared past a size limit so such callers cannot pin memory
-        without bound.
+        without bound.  An id entry counts only while its pin *is* the
+        sequence asked about: a store unpickled from a checkpoint carries
+        ids of objects that no longer exist.
         """
+        ident = id(atoms)
+        found = self._plans.get((kind, ident))
+        if found is not None and self._plan_pins.get(ident) is atoms:
+            return found, False
+        struct_key = (kind, tuple(atoms))
+        found = self._struct_plans.get(struct_key)
+        compiled_now = found is None
+        if compiled_now:
+            found = compile_atoms(atoms)
+            if len(self._struct_plans) >= self._PLAN_ID_CACHE_LIMIT:
+                self._struct_plans.clear()
+            self._struct_plans[struct_key] = found
+        if len(self._plans) >= self._PLAN_ID_CACHE_LIMIT:
+            self._plans.clear()
+            self._plan_pins.clear()
+        self._plans[kind, ident] = found
+        self._plan_pins[ident] = atoms
+        return found, compiled_now
+
+    def plan(self, atoms):
+        """Cached compiled :class:`~repro.db.plan.JoinPlan` of a full
+        body join (every atom probes its live relation)."""
         from repro.db.plan import JoinPlan
 
-        source_positions = frozenset(source_positions)
-        key = (id(atoms), source_positions)
-        plan = self._plans.get(key)
-        if plan is None:
-            struct_key = (tuple(atoms), source_positions)
-            plan = self._struct_plans.get(struct_key)
-            if plan is None:
-                plan = JoinPlan.compile(atoms, source_positions)
-                if len(self._struct_plans) >= self._PLAN_ID_CACHE_LIMIT:
-                    self._struct_plans.clear()
-                self._struct_plans[struct_key] = plan
-            if len(self._plans) >= self._PLAN_ID_CACHE_LIMIT:
-                self._plans.clear()
-                self._plan_pins.clear()
-            self._plans[key] = plan
-            self._plan_pins[id(atoms)] = atoms
-        return plan
+        return self._cached_plans("full", atoms, JoinPlan.compile)[0]
 
     def delta_plans(self, atoms) -> tuple:
         """Cached fused k-term delta plans for a rule body (one plan per
         body position — see :func:`repro.db.plan.compile_delta_plans`).
-
-        Same two-level (identity, structural) caching as :meth:`plan`;
-        the ``delta_plan_hits`` / ``delta_plan_misses`` counters make
+        The ``delta_plan_hits`` / ``delta_plan_misses`` counters make
         compile-per-update regressions visible in tests.
         """
-        key = id(atoms)
-        plans = self._delta_plans.get(key)
-        if plans is not None:
-            self.stats["delta_plan_hits"] += 1
-            return plans
-        struct_key = tuple(atoms)
-        plans = self._struct_delta_plans.get(struct_key)
-        if plans is None:
-            from repro.db.plan import compile_delta_plans
+        from repro.db.plan import compile_delta_plans
 
-            self.stats["delta_plan_misses"] += 1
-            plans = compile_delta_plans(atoms)
-            if len(self._struct_delta_plans) >= self._PLAN_ID_CACHE_LIMIT:
-                self._struct_delta_plans.clear()
-            self._struct_delta_plans[struct_key] = plans
-        else:
-            self.stats["delta_plan_hits"] += 1
-        if len(self._delta_plans) >= self._PLAN_ID_CACHE_LIMIT:
-            self._delta_plans.clear()
-            self._delta_plan_pins.clear()
-        self._delta_plans[key] = plans
-        self._delta_plan_pins[id(atoms)] = atoms
+        plans, compiled_now = self._cached_plans(
+            "delta", atoms, compile_delta_plans
+        )
+        self.stats["delta_plan_misses" if compiled_now else "delta_plan_hits"] += 1
         return plans

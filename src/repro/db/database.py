@@ -10,8 +10,8 @@ class Database:
 
     The database also owns the columnar substrate: a lazily created
     :class:`~repro.db.columnar.ColumnarStore` (shared constant interner,
-    per-relation numpy mirrors, join-plan cache) that the vectorized
-    grounding engine runs on.  Relations never touched columnarly pay
+    per-relation numpy mirrors, join-plan cache) that grounding's
+    vectorized join plans run on.  Relations never touched columnarly pay
     nothing.
     """
 
@@ -52,34 +52,25 @@ class Database:
     def index_stats(self) -> dict:
         """Aggregate index counters for benchmarks and regression tests.
 
-        ``legacy`` sums the per-relation lazy hash-index counters
-        (:meth:`Relation.index_stats`); ``columnar`` reports the columnar
-        store's bucket-index builds, batch probes, and full mirror
-        (re)builds.  Both *build* counters must stay flat across
-        ``apply_delta`` — indexes are maintained, never rebuilt, under
-        deltas.
+        ``legacy`` sums the relations' own lazy hash-index counters
+        (:meth:`Relation.index_stats` — point lookups outside the join
+        plans); ``columnar`` is the columnar store's counters
+        (:attr:`ColumnarStore.stats`: bucket-index builds, batch probes,
+        mirror (re)builds, delta-plan and shard activity), all zero for a
+        database that never built a store.  Both *build* counters must
+        stay flat across ``apply_delta`` — indexes are maintained, never
+        rebuilt, under deltas.
         """
         legacy = {"indexes": 0, "builds": 0, "probes": 0}
         for relation in self._relations.values():
             for key, value in relation.index_stats().items():
                 legacy[key] += value
-        columnar = (
-            dict(self._columnar.stats) if self._columnar is not None
-            else {
-                "index_builds": 0,
-                "index_merges": 0,
-                "probes": 0,
-                "rebuilds": 0,
-                "view_captures": 0,
-                "delta_plan_hits": 0,
-                "delta_plan_misses": 0,
-                "delta_batch_builds": 0,
-                "partition_builds": 0,
-                "shard_probes": 0,
-                "shard_batches_merged": 0,
-                "degradations": 0,
-            }
-        )
+        if self._columnar is not None:
+            columnar = dict(self._columnar.stats)
+        else:
+            from repro.db.columnar import ColumnarStore
+
+            columnar = dict.fromkeys(ColumnarStore.STAT_KEYS, 0)
         return {"legacy": legacy, "columnar": columnar}
 
     def relation_names(self) -> list:

@@ -1,9 +1,8 @@
 """Compiled vectorized join plans over columnar relation mirrors.
 
 A conjunctive query compiles once into a :class:`JoinPlan`: a static atom
-order (the same ``bound_score`` heuristic the legacy evaluator hoists,
-see :func:`repro.db.query.static_join_order`) plus one :class:`_Step` per
-atom describing which positions are constants, which join against
+order (:func:`repro.db.query.static_join_order`) plus one :class:`_Step`
+per atom describing which positions are constants, which join against
 already-bound variables, which introduce new variables, and which must
 satisfy within-atom equality.  Execution advances a whole *binding
 batch* — one int32 code column per bound variable plus a signed count
@@ -12,21 +11,22 @@ probe produces ``(binding row, table slot)`` match pairs, existing
 columns gather through the binding side, new columns gather through the
 table side, and signs multiply (the delta-join algebra's signed counts).
 
-Semantics are identical to :func:`repro.db.query.evaluate_query` up to
-binding order; the randomized suite in ``tests/test_columnar.py`` checks
-the signed binding multisets agree on random programs and deltas.
+This is the only way the package evaluates a query.  The tuple-at-a-time
+evaluator in ``tests/reference/query.py`` defines the semantics the plans
+are held to: ``tests/test_columnar.py`` checks the signed binding
+multisets agree on random programs and deltas.
 
-For incremental grounding, :func:`compile_delta_plans` emits the *fused*
-k-term old/new factorization of a body's delta (the DBSP/DRed form)::
+For incremental grounding, :func:`compile_delta_plans` emits the k-term
+old/new factorization of a body's delta (the DBSP/DRed form)::
 
     Δ(A₁ ⋈ … ⋈ A_k) = Σ_i  A₁ⁿᵉʷ ⋈ … ⋈ A_{i−1}ⁿᵉʷ ⋈ Δ_i ⋈ A_{i+1}ᵒˡᵈ ⋈ … ⋈ A_kᵒˡᵈ
 
 one plan per body position ``i``: step ``i`` consumes the signed per-
 predicate delta batch, steps ``j<i`` probe new state (the live mirrors),
 and steps ``j>i`` probe *old-state* views (:class:`repro.db.columnar.
-TableView`) captured at the update's ``apply_delta`` boundaries.  That
-is **linear** in body arity where the subset expansion ``Σ_S ±(⋈Δ/⋈new)``
-is exponential (2^k−1 terms when every position changed).
+TableView`) captured at the update's ``apply_delta`` boundaries — k terms
+for a k-atom body, where the inclusion/exclusion expansion over the new
+state alone (``Σ_S ±(⋈Δ/⋈new)``) needs 2^k−1.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.columnar import ColumnarBatch, ColumnarStore, shard_assignments
+from repro.db.columnar import ColumnarStore, shard_assignments
 from repro.db.query import Var, static_join_order
 
 __all__ = [
     "BindingBatch",
     "JoinPlan",
     "canonicalize_batch",
-    "columnar_binding_counts",
     "compile_delta_plans",
     "head_partition_positions",
 ]
@@ -303,53 +302,3 @@ def compile_delta_plans(atoms) -> tuple:
         )
         for i in range(k)
     )
-
-
-def grouped_counts(batch: BindingBatch, names) -> tuple:
-    """Group a batch by the named columns, summing signed counts.
-
-    Returns ``(rows, counts)`` — the distinct code rows (``(g, k)``
-    int32) with non-zero summed counts.  This is the batched group-by
-    that replaces per-binding dict accumulation in ``binding_counts`` and
-    the derivation rules.
-    """
-    from repro.db.columnar import pack_rows
-
-    matrix = batch.column_matrix(names)
-    if batch.num_rows == 0:
-        return matrix, np.empty(0, dtype=np.int64)
-    keys = pack_rows(matrix)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    sums = np.bincount(inverse, weights=batch.signs.astype(np.float64))
-    sums = np.rint(sums).astype(np.int64)
-    keep = sums != 0
-    return matrix[first[keep]], sums[keep]
-
-
-def columnar_binding_counts(db, atoms, head_vars, sources=None) -> dict:
-    """Drop-in columnar equivalent of :func:`repro.db.query.binding_counts`.
-
-    ``sources`` maps atom index → list of ``(row, sign)`` pairs (the
-    legacy calling convention) or a pre-built :class:`ColumnarBatch`.
-    """
-    store = db.columnar
-    prepared = None
-    if sources:
-        prepared = {
-            i: (
-                src
-                if isinstance(src, ColumnarBatch)
-                else ColumnarBatch.from_signed_rows(store.interner, src)
-            )
-            for i, src in sources.items()
-        }
-    plan = store.plan(atoms, frozenset(prepared or ()))
-    batch = plan.execute(store, db, sources=prepared)
-    head_vars = tuple(head_vars)
-    rows, counts = grouped_counts(batch, head_vars)
-    if not head_vars:
-        return {(): int(counts[0])} if len(counts) else {}
-    decoded_cols = [
-        store.interner.decode(rows[:, i]) for i in range(len(head_vars))
-    ]
-    return dict(zip(zip(*decoded_cols), (int(c) for c in counts)))

@@ -1,22 +1,21 @@
-"""Conjunctive-query evaluation: the grounding phase's join engine.
+"""Conjunctive-query syntax: atoms, variables, and the static join order.
 
 Grounding in DeepDive is a set of SQL queries (§2.5); here those queries
-are conjunctions of atoms over relations.  Evaluation is a backtracking
-join: atoms are processed left to right, each one either probing a lazily
-built hash index (when bound by the current partial binding) or scanning.
-
-For incremental maintenance the evaluator accepts per-atom *source
-overrides*: an atom can draw its rows from an explicit signed list (a
-delta relation) instead of the stored relation, and the signs multiply
-through the join — exactly what the counting algorithm's
-"Δ(A₁ ⋈ … ⋈ A_k) = Σ_S ⋈Δ/⋈old" expansion needs.
+are conjunctions of :class:`Atom` s over relations, compiled into
+vectorized plans by :mod:`repro.db.plan`.  This module holds only what
+every layer shares — the rule AST (:mod:`repro.datalog`), the KBC rule
+builders and the plan compiler all import :class:`Var`, :class:`Atom`
+and :func:`static_join_order` from here.  The package evaluates a query
+one way, through a compiled plan; the tuple-at-a-time evaluator the
+plans are checked against is a test oracle
+(``tests/reference/query.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.db.database import Database
+__all__ = ["Atom", "Var", "static_join_order"]
 
 
 @dataclass(frozen=True)
@@ -47,55 +46,17 @@ class Atom:
         return f"{self.pred}({inner})"
 
 
-def _match_row(atom: Atom, row, binding: dict):
-    """Extend ``binding`` with ``row`` if consistent, else ``None``."""
-    merged = binding
-    copied = False
-    for arg, value in zip(atom.args, row):
-        if isinstance(arg, Var):
-            if arg.name in merged:
-                if merged[arg.name] != value:
-                    return None
-            else:
-                if not copied:
-                    merged = dict(merged)
-                    copied = True
-                merged[arg.name] = value
-        elif arg != value:
-            return None
-    return merged
-
-
-def _candidate_rows(db: Database, atom: Atom, binding: dict, source):
-    """Rows that could match ``atom`` under ``binding``."""
-    if source is not None:
-        return source  # explicit (row, sign) list — filtered by _match_row
-    bound_positions = []
-    bound_values = []
-    for pos, arg in enumerate(atom.args):
-        if isinstance(arg, Var):
-            if arg.name in binding:
-                bound_positions.append(pos)
-                bound_values.append(binding[arg.name])
-        else:
-            bound_positions.append(pos)
-            bound_values.append(arg)
-    rows = db.relation(atom.pred).lookup(bound_positions, bound_values)
-    return [(row, 1) for row in rows]
-
-
 def static_join_order(atoms, source_positions=frozenset(), prebound=frozenset()):
     """The query's static atom order under the ``bound_score`` heuristic.
 
     Greedy: delta sources first, then the atom with the most bound
     argument positions (constants count as bound; a processed atom binds
-    all its variables).  Which variables are bound at any point of the
-    backtracking join depends only on *which atoms* were already
-    processed — never on their values — so the per-binding order the
-    evaluator used to recompute is in fact one static order per query;
-    computing it once here removes the O(k²) rescoring from every
-    recursion level of the slow path and gives the columnar plan compiler
-    (:mod:`repro.db.plan`) the identical order.
+    all its variables; ``prebound`` names variables bound from outside).
+    Which variables are bound at any point of a join depends only on
+    *which atoms* were already processed — never on their values — so
+    there is one static order per query: the plan compiler
+    (:mod:`repro.db.plan`) computes it once per plan, and the test
+    oracle's backtracking join walks the identical order.
     """
     atoms = tuple(atoms)
     bound = set(prebound)
@@ -119,69 +80,3 @@ def static_join_order(atoms, source_positions=frozenset(), prebound=frozenset())
             if isinstance(arg, Var):
                 bound.add(arg.name)
     return tuple(order)
-
-
-def evaluate_query(
-    db: Database,
-    atoms,
-    initial_binding: dict | None = None,
-    sources: dict | None = None,
-):
-    """Yield ``(binding, sign)`` for every derivation of the conjunction.
-
-    This is the tuple-at-a-time reference evaluator — the slow-path
-    oracle the columnar plans (:mod:`repro.db.plan`) are equivalence
-    -tested against.
-
-    Parameters
-    ----------
-    atoms:
-        Sequence of :class:`Atom`.
-    initial_binding:
-        Pre-bound variables (e.g. from an outer context).
-    sources:
-        Optional ``{atom index: [(row, sign), ...]}`` overrides.  Atoms
-        with an override are evaluated *first* (they are typically small
-        delta relations), and their signs multiply into the result.
-    """
-    atoms = list(atoms)
-    initial_binding = dict(initial_binding or {})
-    order = static_join_order(
-        atoms,
-        frozenset(sources or ()),
-        frozenset(initial_binding),
-    )
-
-    def recurse(level: int, binding: dict, sign: int):
-        if level == len(order):
-            yield binding, sign
-            return
-        idx = order[level]
-        atom = atoms[idx]
-        source = sources.get(idx) if sources else None
-        for row, row_sign in _candidate_rows(db, atom, binding, source):
-            extended = _match_row(atom, row, binding)
-            if extended is not None:
-                yield from recurse(level + 1, extended, sign * row_sign)
-
-    yield from recurse(0, initial_binding, 1)
-
-
-def evaluate_bindings(db: Database, atoms, initial_binding=None):
-    """Convenience: yield unsigned bindings of a plain (non-delta) query."""
-    for binding, _sign in evaluate_query(db, atoms, initial_binding):
-        yield binding
-
-
-def binding_counts(db: Database, atoms, head_vars, sources=None) -> dict:
-    """Aggregate signed derivation counts of the projection onto
-    ``head_vars``.
-
-    Returns ``{projected tuple: signed count}`` — the delta (or full
-    content) of a derived relation defined by ``head :- atoms``.
-    """
-    counts: dict = {}
-    for binding, sign in evaluate_query(db, atoms, sources=sources):
-        key = tuple(binding[v] for v in head_vars)
-        counts[key] = counts.get(key, 0) + sign
-    return {k: c for k, c in counts.items() if c != 0}

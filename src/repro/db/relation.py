@@ -5,8 +5,10 @@ relations, §3.1) need, for each tuple ``t``, the number of derivations
 ``t.count``; base relations simply have count 1 per inserted tuple.  A
 tuple is *visible* while its count is positive.
 
-Point lookups during join evaluation use hash indexes built lazily per
-bound-column combination and maintained on every insert/delete.
+Point lookups (:meth:`Relation.lookup` — evidence resolution in the
+incremental grounder, the tuple-at-a-time test oracle) use hash indexes
+built lazily per bound-column combination and maintained on every
+insert/delete; the join plans run on the columnar mirrors instead.
 """
 
 from __future__ import annotations

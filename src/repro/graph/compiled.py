@@ -664,8 +664,8 @@ class CompiledFactorGraph:
         :meth:`FactorGraph.from_compiled` and
         :class:`~repro.graph.factor_graph.CompiledGraphView.factors`:
         O(#factors) when (re)built, then cached until the next structural
-        patch bumps ``structure_version``.  Slow paths (legacy evaluator,
-        strawman, exact inference) pay for it; the default update path
+        patch bumps ``structure_version``.  Slow paths (strawman, exact
+        inference, test references) pay for it; the default update path
         must not — single factors come from :meth:`factor_at`.
         """
         if self._fkind is None:

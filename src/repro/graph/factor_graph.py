@@ -498,9 +498,8 @@ class FactorGraph:
         """Materialize a plain mutable graph from a compiled substrate.
 
         The compiled substrate is the source of truth for graph state;
-        this is the oracle-view escape hatch for slow paths (legacy
-        evaluator, strawman, exact inference) that need a real factor
-        list.  O(#factors) — never call it on the
+        this is the oracle-view escape hatch for slow paths (strawman, exact
+        inference, test references) that need a real factor list.  O(#factors) — never call it on the
         default update path.
         """
         graph = cls(compiled.weights if share_weights else compiled.weights.copy())

@@ -12,12 +12,12 @@ Phases, mirroring the paper's execution model:
    are grouped by ``(head variable, weight key)`` and each group becomes
    one rule factor whose groundings are the bodies' variable literals.
 
-Two join engines drive phases 1 and 4.  The default ``columnar`` engine
-compiles each rule body into a vectorized plan over the database's
-columnar mirrors (:mod:`repro.db.plan`) and folds whole binding batches
-into relations and factor records; the ``legacy`` engine is the original
-tuple-at-a-time evaluator (:func:`repro.db.query.evaluate_query`), kept
-as the randomized-equivalence slow path.
+Phases 1 and 4 are joins, and every join is a compiled vectorized plan
+over the database's columnar mirrors (:mod:`repro.db.plan`): a rule body
+executes into one binding batch, and whole batches fold into relations
+and factor records.  What the result must equal is defined outside the
+package, by the tuple-at-a-time ``reference_ground`` under
+``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ import numpy as np
 from repro.datalog.ast import EVIDENCE_SUFFIX, InferenceRule
 from repro.datalog.program import Program
 from repro.db.database import Database
-from repro.db.query import Var, evaluate_query
+from repro.db.query import Var
 from repro.graph.factor_graph import FactorGraph, RuleFactor
-
-_ENGINES = ("columnar", "legacy")
 
 
 class GroundingMultiset:
@@ -122,10 +120,10 @@ class GroundingResult:
     variable_of: dict          # (relation, tuple) -> variable id
     tuple_of: dict             # variable id -> (relation, tuple)
     factor_records: dict       # (rule, head var, weight id) -> FactorRecord
-    #: grounding execution counters: ``n_workers`` plus, on the columnar
-    #: engine, the shard-level counters (``partition_builds``,
-    #: ``shard_probes``, ``shard_batches_merged``, ``degradations``)
-    #: snapshotted from the columnar store after the ground.
+    #: grounding execution counters: ``n_workers`` plus the shard-level
+    #: counters (``partition_builds``, ``shard_probes``,
+    #: ``shard_batches_merged``, ``degradations``) snapshotted from the
+    #: columnar store after the ground.
     stats: dict = field(default_factory=dict)
 
     def variable(self, relation: str, row) -> int:
@@ -147,26 +145,9 @@ class GroundingResult:
         return float(marginals[self.variable(relation, row)])
 
 
-def _instantiate(atom, binding) -> tuple:
-    return tuple(
-        binding[a.name] if isinstance(a, Var) else a for a in atom.args
-    )
-
-
 # ---------------------------------------------------------------------- #
-# Columnar helpers (shared by full and incremental grounding)
+# Batch helpers (shared by full and incremental grounding)
 # ---------------------------------------------------------------------- #
-
-
-def execute_body_columnar(db: Database, body, sources=None):
-    """Evaluate a rule body into a :class:`BindingBatch` via a cached plan.
-
-    ``sources`` maps atom index → :class:`ColumnarBatch` (delta
-    relations); their signs multiply through the join.
-    """
-    store = db.columnar
-    plan = store.plan(body, frozenset(sources or ()))
-    return plan.execute(store, db, sources=sources)
 
 
 def head_var_names(rule) -> tuple:
@@ -190,7 +171,8 @@ def full_body_batch(db: Database, rule, executor=None):
     if executor is not None and executor.active:
         batch = executor.execute_full(db, rule.body, head_var_names(rule))
     else:
-        batch = execute_body_columnar(db, rule.body)
+        store = db.columnar
+        batch = store.plan(rule.body).execute(store, db)
     return canonicalize_batch(batch)
 
 
@@ -257,60 +239,6 @@ def signed_head_counts(db: Database, rule, batch) -> dict:
             row = rule.head_tuple(expanded)
             counts[row] = counts.get(row, 0) + signs[i]
     return {row: c for row, c in counts.items() if c != 0}
-
-
-def apply_rule_bindings(
-    rule: InferenceRule,
-    semantics,
-    signed_bindings,
-    variable_relations,
-    variable_of: dict,
-    weights,
-    records: dict,
-    touched_keys: set | None = None,
-    accumulator: "RuleDeltaAccumulator | None" = None,
-) -> None:
-    """Fold signed rule bindings into the factor records.
-
-    Each binding contributes one grounding (the body's variable literals)
-    to the record keyed by ``(rule, head var, weight id)``; negative signs
-    retract a previously added grounding.  ``touched_keys``, when given,
-    collects the record keys that changed (incremental bookkeeping).
-    With an ``accumulator``, signed groundings are netted there instead
-    of mutating records (the delta-subset summation path).
-    """
-    variable_atoms = [
-        (pos, atom)
-        for pos, atom in enumerate(rule.body)
-        if atom.pred in variable_relations
-    ]
-    for binding, sign in signed_bindings:
-        head_key = (rule.head.pred, rule.head_tuple(binding))
-        weight_key = rule.weight.key_for(rule.name, binding)
-        literals = tuple(
-            (
-                variable_of[(atom.pred, _instantiate(atom, binding))],
-                pos not in rule.negated_positions,
-            )
-            for pos, atom in variable_atoms
-        )
-        if accumulator is not None:
-            head_var = variable_of.get(head_key)
-            if head_var is None:
-                raise KeyError(
-                    f"inference rule {rule.name!r} derives head tuple "
-                    f"{head_key} that is not a grounded variable; add a "
-                    "candidate (derivation) rule that creates it"
-                )
-            weight_id = weights.intern(
-                weight_key, initial=rule.weight.value, fixed=rule.weight.fixed
-            )
-            accumulator.add(head_var, weight_id, literals, sign)
-            continue
-        _fold_grounding(
-            rule, semantics, head_key, weight_key, literals, sign,
-            variable_of, weights, records, touched_keys,
-        )
 
 
 class VariableCodeResolver:
@@ -422,8 +350,12 @@ def apply_rule_binding_batch(
     resolver: VariableCodeResolver | None = None,
     accumulator: "RuleDeltaAccumulator | None" = None,
 ) -> None:
-    """Batched :func:`apply_rule_bindings` over a columnar binding batch.
+    """Fold a rule's signed binding batch into the factor records.
 
+    Each binding contributes one grounding (the body's variable literals)
+    to the record keyed by ``(rule, head var, weight id)``; negative signs
+    retract a previously added grounding.  ``touched_keys``, when given,
+    collects the record keys that changed (incremental bookkeeping).
     Large batches ground without per-binding Python: head and literal
     variable ids resolve through packed-code maps, weight keys intern
     once per *distinct* tied-value row, and groundings fold into records
@@ -765,15 +697,15 @@ def _fold_into_record(
 
 
 class RuleDeltaAccumulator:
-    """Nets one rule's signed groundings across all delta subset terms.
+    """Nets one rule's signed groundings across all its delta terms.
 
-    The counting identity ``Δ(A₁⋈…⋈A_k) = Σ_S ±(⋈Δ/⋈new)`` only
-    guarantees non-negative grounding counts for the *sum*; an
-    individual subset term may retract a grounding that a later term
+    The delta identity ``Δ(A₁⋈…⋈A_k) = Σ_i new_{<i} ⋈ Δ_i ⋈ old_{>i}``
+    only guarantees non-negative grounding counts for the *sum*; an
+    individual term may retract a grounding that a later term
     re-inserts.  Folding term-by-term can therefore transiently
-    under-run a record (a latent crash in the pre-columnar engine);
-    accumulating the net per ``(head, weight, literals)`` and flushing
-    once — insertions before retractions — is always safe.
+    under-run a record; accumulating the net per
+    ``(head, weight, literals)`` and flushing once — insertions before
+    retractions — is always safe.
     """
 
     def __init__(self) -> None:
@@ -800,8 +732,6 @@ class RuleDeltaAccumulator:
 class Grounder:
     """Grounds ``program`` over ``db`` from scratch.
 
-    ``engine`` selects the join engine: ``"columnar"`` (vectorized plans,
-    the default) or ``"legacy"`` (tuple-at-a-time slow path / oracle).
     ``n_workers > 1`` executes every body join as hash-partitioned shard
     executions on a worker pool (:class:`~repro.grounding.sharded.
     ShardedGroundingExecutor`) — bit-identical output by construction;
@@ -814,28 +744,19 @@ class Grounder:
         self,
         program: Program,
         db: Database,
-        engine: str = "columnar",
         n_workers: int = 1,
         executor=None,
         ctx=None,
         command_timeout: float | None = None,
         retry=None,
     ) -> None:
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown grounding engine {engine!r}")
         self.program = program
         self.db = db
-        self.engine = engine
         self.n_workers = int(n_workers)
         self._resolver: VariableCodeResolver | None = None
         self._executor = executor
         self._owns_executor = False
         if self._executor is None and self.n_workers > 1:
-            if engine != "columnar":
-                raise ValueError(
-                    "sharded grounding (n_workers > 1) requires the "
-                    "columnar engine"
-                )
             from repro.grounding.sharded import ShardedGroundingExecutor
 
             self._executor = ShardedGroundingExecutor(
@@ -864,16 +785,10 @@ class Grounder:
     def run_derivation_rules(self) -> None:
         """Evaluate all derivation rules, accumulating derivation counts."""
         for rule in self.program.stratified_derivation_rules():
-            relation = self.db.relation(rule.head.pred)
-            if self.engine == "columnar":
-                batch = full_body_batch(self.db, rule, self._executor)
-                relation.bulk_insert_counts(
-                    signed_head_counts(self.db, rule, batch)
-                )
-            else:
-                for binding, sign in evaluate_query(self.db, rule.body):
-                    for expanded in rule.expanded_bindings(binding):
-                        relation.insert(rule.head_tuple(expanded), count=sign)
+            batch = full_body_batch(self.db, rule, self._executor)
+            self.db.relation(rule.head.pred).bulk_insert_counts(
+                signed_head_counts(self.db, rule, batch)
+            )
 
     def create_variables(self, graph: FactorGraph) -> tuple:
         variable_of: dict = {}
@@ -905,32 +820,18 @@ class Grounder:
         graph: FactorGraph,
         variable_of: dict,
         records: dict,
-        sources=None,
     ) -> None:
-        """Ground one inference rule; ``sources`` supports delta joins."""
-        semantics = self.program.semantics_of(rule)
-        if self.engine == "columnar" and sources is None:
-            batch = full_body_batch(self.db, rule, self._executor)
-            apply_rule_binding_batch(
-                rule,
-                semantics,
-                batch,
-                self.db.columnar.interner,
-                self.program.variable_relations,
-                variable_of,
-                graph.weights,
-                records,
-                resolver=self._resolver,
-            )
-            return
-        apply_rule_bindings(
+        """Ground one inference rule's full body into ``records``."""
+        apply_rule_binding_batch(
             rule,
-            semantics,
-            evaluate_query(self.db, rule.body, sources=sources),
+            self.program.semantics_of(rule),
+            full_body_batch(self.db, rule, self._executor),
+            self.db.columnar.interner,
             self.program.variable_relations,
             variable_of,
             graph.weights,
             records,
+            resolver=self._resolver,
         )
 
     # ------------------------------------------------------------------ #
@@ -942,12 +843,11 @@ class Grounder:
         variable_of, tuple_of = self.create_variables(graph)
         self.apply_evidence(graph, variable_of)
         records: dict = {}
-        if self.engine == "columnar":
-            # One resolver for the whole ground: its per-relation packed
-            # code maps are shared across every inference rule.
-            self._resolver = VariableCodeResolver(
-                self.db.columnar.interner, variable_of
-            )
+        # One resolver for the whole ground: its per-relation packed
+        # code maps are shared across every inference rule.
+        self._resolver = VariableCodeResolver(
+            self.db.columnar.interner, variable_of
+        )
         for rule in self.program.inference_rules:
             self.ground_inference_rule(rule, graph, variable_of, records)
         self._resolver = None
@@ -966,15 +866,14 @@ class Grounder:
             )
         graph.validate()
         stats: dict = {"n_workers": self.n_workers}
-        if self.engine == "columnar":
-            store_stats = self.db.columnar.stats
-            for key in (
-                "partition_builds",
-                "shard_probes",
-                "shard_batches_merged",
-                "degradations",
-            ):
-                stats[key] = store_stats.get(key, 0)
+        store_stats = self.db.columnar.stats
+        for key in (
+            "partition_builds",
+            "shard_probes",
+            "shard_batches_merged",
+            "degradations",
+        ):
+            stats[key] = store_stats[key]
         return GroundingResult(
             graph=graph,
             variable_of=variable_of,

@@ -6,30 +6,24 @@ appearing/disappearing) through the stratified derivation rules and then
 re-joins only the changed part of each inference rule's body to produce
 the modified variables ∆V and factors ∆F.
 
-Two join algebras compute a rule's binding delta:
+A rule's binding delta is the DBSP/DRed-style k-term old/new
+factorization::
 
-* ``delta_strategy="fused"`` (default, columnar engine) — the
-  DBSP/DRed-style k-term old/new factorization::
+    Δ(A₁ ⋈ … ⋈ A_k) = Σ_i A^new_{<i} ⋈ Δ_i ⋈ A^old_{>i}
 
-      Δ(A₁ ⋈ … ⋈ A_k) = Σ_i A^new_{<i} ⋈ Δ_i ⋈ A^old_{>i}
+driven by k compiled plans per rule (cached like the full-ground
+``JoinPlan``s) whose ``>i`` steps probe *old-state table views* captured
+at the update's ``apply_delta`` boundaries — **linear** in body arity,
+where expanding the same delta over the new state alone
+(``Σ_{∅≠S} (−1)^{|S|+1} ⋈_{i∈S} Δ_i ⋈_{i∉S} A_i^new``) takes 2^c−1 terms
+for c changed positions.  Tuple signs multiply through the join and the
+terms telescope to the exact net signed multiset.  Because the paper's
+programs are non-recursive, this specialisation of DRed is exact — no
+over-deletion/rederivation pass is needed.
 
-  driven by k compiled plans per rule (cached like the full-ground
-  ``JoinPlan``s) whose ``>i`` steps probe *old-state table views*
-  captured at the update's ``apply_delta`` boundaries — **linear** in
-  body arity.
-* ``delta_strategy="subset"`` — the counting algorithm's inclusion/
-  exclusion expansion over the new state (``old = new − Δ``)::
-
-      Δ(A₁ ⋈ … ⋈ A_k) = Σ_{∅≠S⊆{1..k}} (−1)^{|S|+1} ⋈_{i∈S} Δ_i ⋈_{i∉S} A_i^new
-
-  — 2^c−1 terms for c changed positions; kept as the randomized-
-  equivalence slow oracle (and the only strategy of the ``legacy``
-  tuple-at-a-time engine).
-
-Tuple signs multiply through the join either way, and the two
-summations telescope/expand to the same net signed multiset.  Because
-the paper's programs are non-recursive, this specialisation of DRed is
-exact — no over-deletion/rederivation pass is needed.
+There is one such path.  What it must equal — after every update —
+is the from-scratch, tuple-at-a-time ``reference_ground`` of the same
+state (``tests/reference/``).
 
 Program changes are handled in the same framework: an added rule's delta
 is its full evaluation over the new state; a removed inference rule's
@@ -38,14 +32,12 @@ delta is the retraction of all its factors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.datalog.ast import EVIDENCE_SUFFIX
 from repro.datalog.program import Program
 from repro.db.database import Database
 from repro.db.plan import canonicalize_batch
-from repro.db.query import evaluate_query
 from repro.graph.delta import FactorGraphDelta
 from repro.graph.factor_graph import FactorGraph, RuleFactor
 from repro.reliability.faults import maybe_fire
@@ -57,8 +49,6 @@ from repro.grounding.grounder import (
     RuleDeltaAccumulator,
     VariableCodeResolver,
     apply_rule_binding_batch,
-    apply_rule_bindings,
-    execute_body_columnar,
     full_body_batch,
     head_var_names,
     signed_head_counts,
@@ -89,58 +79,6 @@ class UpdateResult:
         return self.delta.summary()
 
 
-def _signed_delta_bindings(db: Database, body, transitions: dict):
-    """Yield ``(binding, sign)`` for the delta of a body join.
-
-    ``transitions`` maps relation name → {row: ±1}.  Relations must
-    already be in their NEW state (see module docstring identity).
-    """
-    changed_positions = [
-        i
-        for i, atom in enumerate(body)
-        if transitions.get(atom.pred)
-    ]
-    for size in range(1, len(changed_positions) + 1):
-        parity = 1 if size % 2 == 1 else -1
-        for subset in itertools.combinations(changed_positions, size):
-            sources = {
-                i: list(transitions[body[i].pred].items()) for i in subset
-            }
-            for binding, sign in evaluate_query(db, body, sources=sources):
-                yield binding, sign * parity
-
-
-def _signed_delta_batches(db: Database, body, transitions: dict, batches: dict):
-    """Columnar counterpart of :func:`_signed_delta_bindings`.
-
-    Yields ``(BindingBatch, parity)`` per non-empty subset S of changed
-    body positions, driving the cached join plan for (body, S) with the
-    per-relation delta batches (``batches`` memoizes them across rules
-    within one update, so their ephemeral sort indexes are reused).
-    """
-    changed_positions = [
-        i
-        for i, atom in enumerate(body)
-        if transitions.get(atom.pred)
-    ]
-    store = db.columnar
-    for size in range(1, len(changed_positions) + 1):
-        parity = 1 if size % 2 == 1 else -1
-        for subset in itertools.combinations(changed_positions, size):
-            sources = {}
-            for i in subset:
-                pred = body[i].pred
-                batch = batches.get(pred)
-                if batch is None:
-                    batch = batches[pred] = store.delta_batch(
-                        transitions[pred]
-                    )
-                sources[i] = batch
-            yield canonicalize_batch(
-                execute_body_columnar(db, body, sources=sources)
-            ), parity
-
-
 def _fused_delta_batches(
     db: Database,
     body,
@@ -149,16 +87,16 @@ def _fused_delta_batches(
     executor=None,
     head_vars=(),
 ):
-    """Fused k-term counterpart of :func:`_signed_delta_batches`.
+    """Yield the fused delta terms of a body join, one binding batch per
+    *changed* body position ``i``.
 
-    Yields one ``(BindingBatch, +1)`` per *changed* body position ``i``,
-    driving the cached fused plan whose step ``i`` consumes that
-    position's signed delta batch (``new_{<i} ⋈ Δ_i ⋈ old_{>i}``) —
-    linear in body arity where the subset expansion is exponential.
-    Positions whose predicate did not change contribute no term (their
-    Δ is empty and old = new), so the surviving terms telescope to the
-    exact net delta.  ``batches`` memoizes one signed batch per
-    predicate across all k plans of *all* rules in the update.
+    ``transitions`` maps relation name → ``{row: ±1}``.  Each term drives
+    the cached fused plan whose step ``i`` consumes that position's
+    signed delta batch (``new_{<i} ⋈ Δ_i ⋈ old_{>i}``).  Positions whose
+    predicate did not change contribute no term (their Δ is empty and
+    old = new), so the surviving terms telescope to the exact net delta.
+    ``batches`` memoizes one signed batch per predicate across all k
+    plans of *all* rules in the update.
 
     With an active ``executor`` each term is executed as ``n_workers``
     hash-partitioned shard runs on the worker pool (partitioned on
@@ -184,7 +122,7 @@ def _fused_delta_batches(
             term = executor.execute_delta_term(db, plans[i], i, batch, head_vars)
         else:
             term = plans[i].execute(store, db, sources={i: batch})
-        yield canonicalize_batch(term), 1
+        yield canonicalize_batch(term)
 
 
 class IncrementalGrounder:
@@ -201,28 +139,15 @@ class IncrementalGrounder:
         program: Program,
         db: Database,
         grounding: GroundingResult,
-        engine: str = "columnar",
-        delta_strategy: str = "fused",
         n_workers: int = 1,
         executor=None,
         ctx=None,
         command_timeout: float | None = None,
         retry=None,
     ):
-        if engine not in ("columnar", "legacy"):
-            raise ValueError(f"unknown grounding engine {engine!r}")
-        if delta_strategy not in ("fused", "subset"):
-            raise ValueError(f"unknown delta strategy {delta_strategy!r}")
-        self.engine = engine
         self.n_workers = int(n_workers)
         self._executor = executor
         self._owns_executor = False
-        if self.n_workers > 1 or self._executor is not None:
-            if engine != "columnar" or delta_strategy != "fused":
-                raise ValueError(
-                    "sharded incremental grounding (n_workers > 1) requires "
-                    "the columnar engine with the fused delta strategy"
-                )
         if self._executor is None and self.n_workers > 1:
             from repro.grounding.sharded import ShardedGroundingExecutor
 
@@ -234,11 +159,6 @@ class IncrementalGrounder:
                 retry=retry,
             )
             self._owns_executor = True
-        #: ``"fused"`` drives the k-term old/new plans (columnar engine
-        #: only); ``"subset"`` forces the 2^k−1 inclusion/exclusion
-        #: oracle.  The legacy engine is tuple-at-a-time subset
-        #: expansion regardless of this setting.
-        self.delta_strategy = delta_strategy
         self.program = program
         self.db = db
         self.graph = grounding.graph
@@ -265,10 +185,8 @@ class IncrementalGrounder:
         self._compact_threshold = 0.25
         #: persistent vectorized (relation, row) → vid maps; kept in sync
         #: as variables appear/disappear so updates never rebuild them.
-        self._code_resolver = (
-            VariableCodeResolver(db.columnar.interner, self.variable_of)
-            if engine == "columnar"
-            else None
+        self._code_resolver = VariableCodeResolver(
+            db.columnar.interner, self.variable_of
         )
         #: the most recent :class:`UpdateResult` — stashed *before* the
         #: ``ground.update.finish`` injection point so a failure between
@@ -281,24 +199,14 @@ class IncrementalGrounder:
         cls,
         program: Program,
         db: Database,
-        engine: str = "columnar",
-        delta_strategy: str = "fused",
         n_workers: int = 1,
         ctx=None,
         command_timeout: float | None = None,
         retry=None,
     ) -> "IncrementalGrounder":
-        if n_workers > 1 and (engine != "columnar" or delta_strategy != "fused"):
-            # Validate before the Grounder spawns a worker pool that the
-            # constructor below would then refuse (and leak).
-            raise ValueError(
-                "sharded incremental grounding (n_workers > 1) requires "
-                "the columnar engine with the fused delta strategy"
-            )
         grounder = Grounder(
             program,
             db,
-            engine=engine,
             n_workers=n_workers,
             ctx=ctx,
             command_timeout=command_timeout,
@@ -311,8 +219,6 @@ class IncrementalGrounder:
             program,
             db,
             grounding,
-            engine=engine,
-            delta_strategy=delta_strategy,
             n_workers=n_workers,
             executor=grounder.executor,
         )
@@ -392,13 +298,10 @@ class IncrementalGrounder:
         # Fires before any relation is mutated: a failure here leaves the
         # grounder (db, records, graph) exactly as it was.
         maybe_fire("ground.update.start")
-        fused = self.engine == "columnar" and self.delta_strategy == "fused"
-        old_store = self.db.columnar if fused else None
         executor = self._executor
-        if executor is not None and (old_store is None or not executor.active):
+        if executor is not None and not executor.active:
             executor = None
-        if old_store is not None:
-            old_store.begin_update()
+        self.db.columnar.begin_update()
         if executor is not None:
             executor.begin_update()
         try:
@@ -408,7 +311,6 @@ class IncrementalGrounder:
                 add_derivation_rules,
                 add_inference_rules,
                 remove_inference_rules,
-                old_store,
                 executor,
             )
         finally:
@@ -417,8 +319,28 @@ class IncrementalGrounder:
             # service checkpoints between updates).
             if executor is not None:
                 executor.end_update()
-            if old_store is not None:
-                old_store.release_views()
+            self.db.columnar.release_views()
+
+    def _rule_delta_batches(
+        self, rule, new_rule_names, transitions, delta_batches, executor
+    ):
+        """The binding batches whose signed sum is ``rule``'s delta.
+
+        A rule registered by this update evaluates its full body over the
+        new state; a rule that was already registered drives one fused
+        term per changed body position (none when nothing it reads
+        changed).  Derivation and inference rules make the same choice.
+        """
+        if rule.name in new_rule_names:
+            return (full_body_batch(self.db, rule, executor),)
+        return _fused_delta_batches(
+            self.db,
+            rule.body,
+            transitions,
+            delta_batches,
+            executor=executor,
+            head_vars=head_var_names(rule),
+        )
 
     def _apply_update(
         self,
@@ -427,34 +349,35 @@ class IncrementalGrounder:
         add_derivation_rules,
         add_inference_rules,
         remove_inference_rules,
-        old_store,
         executor=None,
     ) -> UpdateResult:
         # Predicates some fused plan may probe in their old state; views
         # are captured lazily right before each such relation's
         # apply_delta below.  Computed from the rules registered *before*
         # this update: added rules evaluate fully over new state.
-        body_preds = (
-            self._body_predicates() if old_store is not None else frozenset()
-        )
+        body_preds = self._body_predicates()
+        old_store = self.db.columnar
 
-        # ---- 1. Base-relation visibility transitions (computed, then applied).
+        # ---- 1. Base-relation visibility transitions.  Every relation's
+        # counts are validated before any relation is touched, so a
+        # rejected update leaves the database exactly as it was.
         transitions: dict = {}
-        for name, rows in inserts.items():
-            counts = transitions.setdefault(name, {})
-            for row in rows:
-                row = tuple(row)
-                counts[row] = counts.get(row, 0) + 1
-        for name, rows in deletes.items():
-            counts = transitions.setdefault(name, {})
-            for row in rows:
-                row = tuple(row)
-                counts[row] = counts.get(row, 0) - 1
+        for sign, updates in ((1, inserts), (-1, deletes)):
+            for name, rows in updates.items():
+                counts = transitions.setdefault(name, {})
+                for row in rows:
+                    row = tuple(row)
+                    counts[row] = counts.get(row, 0) + sign
         base_transitions: dict = {}
         for name, counts in transitions.items():
             relation = self.db.relation(name)
             visible: dict = {}
             for row, change in counts.items():
+                if len(row) != relation.arity:
+                    raise ValueError(
+                        f"{name}: expected arity {relation.arity}, got "
+                        f"{len(row)}: {row!r}"
+                    )
                 old = relation.count(row)
                 new = old + change
                 if new < 0:
@@ -466,13 +389,15 @@ class IncrementalGrounder:
                     visible[row] = 1
                 elif old > 0 and new == 0:
                     visible[row] = -1
-            if old_store is not None and visible and name in body_preds:
+            if visible:
+                base_transitions[name] = visible
+        for name, counts in transitions.items():
+            relation = self.db.relation(name)
+            if name in base_transitions and name in body_preds:
                 old_store.capture_old(relation)
                 if executor is not None:
                     executor.capture_old(relation)
             relation.apply_delta(counts)
-            if visible:
-                base_transitions[name] = visible
 
         # ---- 2. Register new derivation rules.
         new_derivation_names = set()
@@ -482,7 +407,6 @@ class IncrementalGrounder:
 
         # ---- 3. Propagate through derivation rules in stratified order.
         all_transitions = dict(base_transitions)
-        columnar = self.engine == "columnar"
         #: per-relation delta batches, memoized across rules in this
         #: update; invalidated whenever a relation's transitions change.
         delta_batches: dict = {}
@@ -492,56 +416,22 @@ class IncrementalGrounder:
         for head_name in self._derived_relation_order():
             head_delta: dict = {}
             for rule in rules_by_head.get(head_name, ()):
-                is_new = rule.name in new_derivation_names
-                changed = any(
-                    all_transitions.get(atom.pred) for atom in rule.body
-                )
-                if not is_new and not changed:
-                    continue
-                if columnar:
-                    if is_new:
-                        contributions = [
-                            (full_body_batch(self.db, rule, executor), 1)
-                        ]
-                    elif old_store is not None:
-                        contributions = _fused_delta_batches(
-                            self.db,
-                            rule.body,
-                            all_transitions,
-                            delta_batches,
-                            executor=executor,
-                            head_vars=head_var_names(rule),
-                        )
-                    else:
-                        contributions = _signed_delta_batches(
-                            self.db, rule.body, all_transitions, delta_batches
-                        )
-                    for batch, parity in contributions:
-                        for row, count in signed_head_counts(
-                            self.db, rule, batch
-                        ).items():
-                            head_delta[row] = (
-                                head_delta.get(row, 0) + parity * count
-                            )
-                    continue
-                if is_new:
-                    signed = (
-                        (b, s)
-                        for b, s in evaluate_query(self.db, rule.body)
-                    )
-                else:
-                    signed = _signed_delta_bindings(
-                        self.db, rule.body, all_transitions
-                    )
-                for binding, sign in signed:
-                    for expanded in rule.expanded_bindings(binding):
-                        head_row = rule.head_tuple(expanded)
-                        head_delta[head_row] = head_delta.get(head_row, 0) + sign
+                for batch in self._rule_delta_batches(
+                    rule,
+                    new_derivation_names,
+                    all_transitions,
+                    delta_batches,
+                    executor,
+                ):
+                    for row, count in signed_head_counts(
+                        self.db, rule, batch
+                    ).items():
+                        head_delta[row] = head_delta.get(row, 0) + count
             head_delta = {r: c for r, c in head_delta.items() if c != 0}
             if not head_delta:
                 continue
             relation = self.db.relation(head_name)
-            if old_store is not None and head_name in body_preds:
+            if head_name in body_preds:
                 # Capture only when some tuple actually transitions
                 # visibility — pure count changes leave the visible old
                 # state identical to the live table.
@@ -580,8 +470,7 @@ class IncrementalGrounder:
                     vid = self.graph.num_vars + offset
                     self.variable_of[(name, row)] = vid
                     self.tuple_of[vid] = (name, row)
-                    if self._code_resolver is not None:
-                        self._code_resolver.add(name, row, vid)
+                    self._code_resolver.add(name, row, vid)
                     new_var_offset[vid] = offset
                     # A candidate appearing after its labels: pick up
                     # pre-existing evidence rows.
@@ -624,67 +513,25 @@ class IncrementalGrounder:
         for rule in self.program.inference_rules:
             if rule.name in removed_rule_names:
                 continue
-            is_new = rule.name in new_rule_names
-            changed = any(
-                all_transitions.get(atom.pred) for atom in rule.body
-            )
-            if not is_new and not changed:
-                continue
             semantics = self.program.semantics_of(rule)
-            # Net the rule's delta across all subset terms before folding:
-            # an individual ±(⋈Δ/⋈new) term may retract a grounding that a
-            # later term re-inserts (see RuleDeltaAccumulator).
+            # Net the rule's delta across all its terms before folding:
+            # an individual term may retract a grounding that a later
+            # term re-inserts (see RuleDeltaAccumulator).
             accumulator = RuleDeltaAccumulator()
-            if columnar:
-                if is_new:
-                    contributions = [
-                        (full_body_batch(self.db, rule, executor), 1)
-                    ]
-                elif old_store is not None:
-                    contributions = _fused_delta_batches(
-                        self.db,
-                        rule.body,
-                        all_transitions,
-                        delta_batches,
-                        executor=executor,
-                        head_vars=head_var_names(rule),
-                    )
-                else:
-                    contributions = _signed_delta_batches(
-                        self.db, rule.body, all_transitions, delta_batches
-                    )
-                for batch, parity in contributions:
-                    if parity != 1:
-                        batch.signs = batch.signs * parity
-                    apply_rule_binding_batch(
-                        rule,
-                        semantics,
-                        batch,
-                        self.db.columnar.interner,
-                        self.program.variable_relations,
-                        self.variable_of,
-                        weights,
-                        self.records,
-                        touched_keys=touched_keys,
-                        resolver=resolver,
-                        accumulator=accumulator,
-                    )
-            else:
-                if is_new:
-                    signed = evaluate_query(self.db, rule.body)
-                else:
-                    signed = _signed_delta_bindings(
-                        self.db, rule.body, all_transitions
-                    )
-                apply_rule_bindings(
+            for batch in self._rule_delta_batches(
+                rule, new_rule_names, all_transitions, delta_batches, executor
+            ):
+                apply_rule_binding_batch(
                     rule,
                     semantics,
-                    signed,
+                    batch,
+                    self.db.columnar.interner,
                     self.program.variable_relations,
                     self.variable_of,
                     weights,
                     self.records,
                     touched_keys=touched_keys,
+                    resolver=resolver,
                     accumulator=accumulator,
                 )
             accumulator.flush(
@@ -699,8 +546,7 @@ class IncrementalGrounder:
                     removed_record_keys.add(key)
             name_row = self.tuple_of.pop(var)
             del self.variable_of[name_row]
-            if self._code_resolver is not None:
-                self._code_resolver.discard(*name_row)
+            self._code_resolver.discard(*name_row)
 
         # ---- 7. Convert record changes into (∆F): every touched surviving
         # record is rebuilt (old factor removed, new factor appended).

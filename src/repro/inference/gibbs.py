@@ -70,12 +70,6 @@ class GibbsSampler:
     initial:
         Optional starting world; defaults to random consistent with
         evidence.
-    randomize_scan:
-        When True, each sweep visits free variables in a fresh random
-        order, one scalar update at a time; when False (default) in the
-        compiled plan's colour-class order, which is much faster (whole
-        blocks per numpy call).  Random scan mixes slightly better on
-        adversarial structures.
     compiled:
         Optional shared :class:`CompiledFactorGraph`.  It may have been
         compiled from a *different* graph object as long as the factor
@@ -89,14 +83,12 @@ class GibbsSampler:
         graph: FactorGraph,
         seed=None,
         initial=None,
-        randomize_scan: bool = False,
         compiled: CompiledFactorGraph | None = None,
     ) -> None:
         self.graph = graph
         self.compiled = compiled if compiled is not None else CompiledFactorGraph(graph)
         self.plan = self.compiled.plan(graph)
         self.rng = as_generator(seed)
-        self.randomize_scan = randomize_scan
         if initial is None:
             self.state = graph.initial_assignment(self.rng)
         else:
@@ -169,19 +161,6 @@ class GibbsSampler:
         cache = self.cache
         state = self.state
         cache.refresh_weights(state)
-
-        if self.randomize_scan:
-            order = self.rng.permutation(self.plan.free_vars)
-            uniforms = self.rng.random(len(order))
-            for u, var in zip(uniforms, order):
-                var = int(var)
-                delta = cache.delta_energy(var, state)
-                new_value = bool(u < _sigmoid(delta))
-                if new_value != bool(state[var]):
-                    cache.commit_flip(var, new_value, state)
-            self.sweeps_done += 1
-            return
-
         uniforms = self.rng.random(len(self.plan.free_vars))
         sweep_blocks(cache, state, self.plan.blocks, uniforms)
         self.sweeps_done += 1

@@ -57,20 +57,12 @@ class KBCPipeline:
         supervision_fraction: float = 0.5,
         i1_style: str = "symmetry",
         seed: int = 0,
-        engine: str = "columnar",
-        delta_strategy: str = "fused",
     ) -> None:
         self.corpus = corpus
         self.semantics = semantics
         self.supervision_fraction = supervision_fraction
         self.i1_style = i1_style
         self.seed = seed
-        #: grounding join engine: "columnar" (vectorized plans) or
-        #: "legacy" (tuple-at-a-time slow path).
-        self.engine = engine
-        #: incremental delta algebra: "fused" k-term plans or the
-        #: "subset" inclusion/exclusion oracle (see IncrementalGrounder).
-        self.delta_strategy = delta_strategy
         self.rng = as_generator(seed)
         known = sup.sample_known_pairs(
             corpus.gold_pairs, supervision_fraction, seed=seed
@@ -137,9 +129,7 @@ class KBCPipeline:
         db = program.create_database()
         for name, rows in self.corpus_rows().items():
             db.insert_all(name, rows)
-        self.grounder = IncrementalGrounder.from_scratch(
-            program, db, engine=self.engine, delta_strategy=self.delta_strategy
-        )
+        self.grounder = IncrementalGrounder.from_scratch(program, db)
         return self.grounder
 
     # ------------------------------------------------------------------ #

@@ -10,87 +10,61 @@ where ``U_k(I) = Σ_{f : weight(f)=k} u_f(I)`` sums the *unit energies*
 Both expectations are estimated with Gibbs samples: a chain with evidence
 clamped and a free chain.
 
-Two implementations of the statistics accumulation coexist:
-
-* the **compiled** path (pass ``compiled=``) batches the whole ``(S, n)``
-  world matrix against the flat CSR arrays of
-  :class:`~repro.graph.compiled.CompiledFactorGraph` — the learning hot
-  path, and the one that stays O(live factors) across ``apply_delta``
-  patches;
-* the **Python slow path** below walks ``graph.factors`` per world; it is
-  the randomized-equivalence reference for the compiled kernel.
+The statistics are accumulated on the compiled substrate only:
+:class:`~repro.graph.compiled.CompiledFactorGraph` batches the whole
+``(S, n)`` world matrix against its flat CSR arrays and stays O(live
+factors) across ``apply_delta`` patches.  The per-factor Python loop it
+must agree with is a test reference (``tests/reference/learning.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.factor_graph import FactorGraph
 
-
-def weight_statistics(
-    graph: FactorGraph, worlds: np.ndarray, compiled=None
-) -> np.ndarray:
+def weight_statistics(compiled, worlds: np.ndarray) -> np.ndarray:
     """Mean unit-energy vector ``E[U_k]`` over ``worlds``.
 
-    Returns an array of length ``len(graph.weights)``; entry ``k`` is the
+    Returns an array of length ``len(weights)``; entry ``k`` is the
     average over worlds of the summed unit energies of factors tied to
-    weight ``k``.  With ``compiled`` (a
-    :class:`~repro.graph.compiled.CompiledFactorGraph` over the same
-    structure) the accumulation is vectorised over the flat arrays.
+    weight ``k``.
     """
-    if compiled is not None:
-        return compiled.weight_statistics(worlds)
-    worlds = np.asarray(worlds, dtype=bool)
-    if worlds.ndim == 1:
-        worlds = worlds[None, :]
-    totals = np.zeros(len(graph.weights))
-    for world in worlds:
-        for factor in graph.factors:
-            totals[factor.weight_id] += factor.unit_energy(world)
-    return totals / worlds.shape[0]
+    return compiled.weight_statistics(worlds)
 
 
-def factor_counts_per_weight(graph: FactorGraph, compiled=None) -> np.ndarray:
-    """Number of factors tied to each weight id."""
-    if compiled is not None:
-        return compiled.factor_counts_per_weight()
-    counts = np.zeros(len(graph.weights))
-    for factor in graph.factors:
-        counts[factor.weight_id] += 1
-    return counts
+def factor_counts_per_weight(compiled) -> np.ndarray:
+    """Number of live factors tied to each weight id."""
+    return compiled.factor_counts_per_weight()
 
 
 def weight_gradient(
-    graph: FactorGraph,
+    compiled,
     conditioned_worlds: np.ndarray,
     free_worlds: np.ndarray,
     l2: float = 0.0,
     normalize: bool = True,
-    compiled=None,
 ) -> np.ndarray:
     """Estimated ∇ log Pr[E] (zero for ``fixed`` weights).
 
     ``conditioned_worlds`` are samples with evidence clamped;
-    ``free_worlds`` samples from the unconstrained model.
+    ``free_worlds`` samples from the unconstrained model; ``compiled`` is
+    the :class:`~repro.graph.compiled.CompiledFactorGraph` both were
+    drawn over.
 
     With ``normalize=True`` (default) each component is divided by the
     number of factors tied to that weight, so heavily-tied weights (which
     otherwise receive O(#groundings)-scale gradients) take comparably
     sized steps to rare features — the usual per-feature scaling.
-
-    ``compiled`` routes both statistics passes and the normalizer through
-    the compiled aggregation arrays (see module docstring).
     """
-    grad = weight_statistics(
-        graph, conditioned_worlds, compiled=compiled
-    ) - weight_statistics(graph, free_worlds, compiled=compiled)
+    weights = compiled.graph.weights
+    grad = compiled.weight_statistics(
+        conditioned_worlds
+    ) - compiled.weight_statistics(free_worlds)
     if normalize:
-        counts = factor_counts_per_weight(graph, compiled=compiled)
-        grad = grad / np.maximum(counts, 1.0)
+        grad = grad / np.maximum(compiled.factor_counts_per_weight(), 1.0)
     if l2:
-        grad -= l2 * graph.weights.values_array()
-    grad[graph.weights.fixed_mask()] = 0.0
+        grad -= l2 * weights.values_array()
+    grad[weights.fixed_mask()] = 0.0
     return grad
 
 

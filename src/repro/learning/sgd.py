@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.compiled import CompiledFactorGraph, GibbsCache
+from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.factor_graph import FactorGraph
-from repro.inference.gibbs import GibbsSampler, _sigmoid
+from repro.inference.gibbs import GibbsSampler
 from repro.learning.gradient import EvidenceScorer, weight_gradient
 from repro.reliability.errors import WorkerCrashError
 from repro.reliability.faults import maybe_fire
@@ -205,11 +205,7 @@ class SGDLearner:
                 self.samples_per_epoch, thin=self.sweeps_per_epoch
             )
         grad = weight_gradient(
-            self.graph,
-            cond_worlds,
-            free_worlds,
-            l2=self.l2,
-            compiled=self._compiled,
+            self._compiled, cond_worlds, free_worlds, l2=self.l2
         )
         values = self.graph.weights.values_array() + self.step_size * grad
         self.graph.weights.set_values_array(values)
@@ -281,7 +277,7 @@ class SGDLearner:
 
     # ------------------------------------------------------------------ #
 
-    def evidence_pseudo_nll(self, fresh_cache: bool = False) -> float:
+    def evidence_pseudo_nll(self) -> float:
         """Negative pseudo-log-likelihood of the evidence variables.
 
         For each evidence variable v we score
@@ -289,29 +285,13 @@ class SGDLearner:
         rest of the world taken from the conditioned chain's state.  This
         is the standard tractable loss proxy for MRF learning.
 
-        The default path scores against the conditioned chain's *live*
-        cache (in-process, or inside worker 0 for the pool learner), so
-        per-epoch loss recording never rebuilds O(graph) cache state.
-        ``fresh_cache=True`` forces the old build-a-cache-per-call path —
-        kept as the equivalence reference.
+        Scored against the conditioned chain's *live* cache (in-process,
+        or inside worker 0 for the pool learner), so per-epoch loss
+        recording never rebuilds O(graph) cache state.
         """
         evidence = self.graph.evidence
         if not evidence:
             return 0.0
-        if fresh_cache:
-            if self._pool is not None:
-                state = self._pool.call(0, "chain_states", chain_ids=[0])[0]
-            else:
-                state = self._conditioned.state.copy()
-            ev_vars, ev_vals = self.graph.evidence_arrays()
-            state[ev_vars] = ev_vals
-            cache = GibbsCache(self._compiled, state)
-            total = 0.0
-            for var, value in evidence.items():
-                p_true = _sigmoid(cache.delta_energy(var, state))
-                p = p_true if value else 1.0 - p_true
-                total -= np.log(max(p, 1e-12))
-            return total / len(evidence)
         if self._pool is not None:
             # Workers read weights from the shared region: publish any
             # between-epoch update before scoring there.

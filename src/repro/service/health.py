@@ -10,9 +10,12 @@ States::
 ``healthy``
     Normal operation; batches commit on the configured stack.
 ``degraded``
-    A batch failed (after the pipeline's own retries) — the service
-    keeps running but advertises reduced guarantees; the batcher
-    switches the engine's pool-backed components to serial where it can.
+    A batch failed (after the pipeline's own retries) and was rolled
+    back — the service keeps running on the last committed state and
+    advertises the failure.  Nothing is reconfigured here: a pool-backed
+    component that loses its workers degrades to serial on its own
+    (``degradations`` counters in the sampler, learner and grounding
+    executor).
 ``recovering``
     Enough consecutive clean commits have passed; one more confirms
     ``healthy``.

@@ -46,7 +46,9 @@ class BoundedUpdateQueue:
         self.accepted = 0
         self.rejected = 0
         self.high_water = 0
-        self._closed = False
+        #: set by :meth:`close`; a closed queue rejects every submission
+        #: (the service answers those as unavailable, not as backpressure).
+        self.closed = False
 
     def submit(self, payload: dict) -> int:
         """Admit one update payload; returns its sequence number.
@@ -56,7 +58,7 @@ class BoundedUpdateQueue:
         caller learns immediately rather than after a buffered payload
         is eventually dropped."""
         with self._not_empty:
-            if self._closed:
+            if self.closed:
                 raise QueueFull("queue closed")
             maybe_fire("service.queue.put", depth=len(self._items))
             if len(self._items) >= self.maxsize:
@@ -91,7 +93,7 @@ class BoundedUpdateQueue:
     def close(self) -> None:
         """Stop admitting; wake any drain() waiter."""
         with self._not_empty:
-            self._closed = True
+            self.closed = True
             self._not_empty.notify_all()
 
     def stats(self) -> dict:

@@ -223,6 +223,9 @@ class KBService:
         try:
             return self.queue.submit(payload)
         except QueueFull as exc:
+            if self.queue.closed:
+                # Not backpressure: no backlog will ever drain again.
+                raise ServiceUnavailable("service stopped") from exc
             raise BackpressureError(str(exc)) from exc
 
     # Batcher callbacks (single writer thread) ------------------------- #

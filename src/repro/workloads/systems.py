@@ -149,16 +149,9 @@ def build_pipeline(
     scale: float = 1.0,
     semantics="ratio",
     seed: int = 0,
-    engine: str = "columnar",
-    delta_strategy: str = "fused",
 ) -> KBCPipeline:
     """Generate the corpus and wire up the pipeline for ``spec``."""
     corpus = generate_corpus(spec.corpus_config(scale=scale, seed=seed))
     return KBCPipeline(
-        corpus,
-        semantics=semantics,
-        i1_style=spec.i1_style,
-        seed=seed,
-        engine=engine,
-        delta_strategy=delta_strategy,
+        corpus, semantics=semantics, i1_style=spec.i1_style, seed=seed
     )

@@ -1,0 +1,20 @@
+"""Reference implementations: slow, obviously right, and outside ``src``.
+
+Nothing under ``src/`` imports this package; tests and the non-e2e
+``benchmarks/bench_*.py`` baselines do.  One oracle per contract:
+
+* :mod:`~tests.reference.grounding` — ``reference_ground(program, db)``,
+  from-scratch tuple-at-a-time grounding, and ``replay`` to bring a fresh
+  ``(program, db)`` to the state a sequence of updates leads to;
+* :mod:`~tests.reference.query` — the backtracking join it runs on
+  (``evaluate_query`` / ``binding_counts``);
+* :mod:`~tests.reference.columnar` — ``columnar_binding_counts``, the
+  same counts through a compiled plan;
+* :mod:`~tests.reference.learning` — the per-factor gradient loop and the
+  cache-per-call pseudo-NLL.
+"""
+
+from tests.reference.grounding import reference_ground, replay
+from tests.reference.query import binding_counts, evaluate_query
+
+__all__ = ["binding_counts", "evaluate_query", "reference_ground", "replay"]

@@ -1,26 +1,29 @@
-"""Randomized equivalence: columnar plans vs the legacy evaluator.
+"""Randomized equivalence: columnar plans vs the reference evaluator.
 
-The columnar grounding engine must be *semantically invisible*: on any
-program, database, and update sequence it produces the same signed
-binding multisets, the same grounded graph (canonically), and the same
-posterior marginals as the tuple-at-a-time legacy evaluator, which is
-retained as the slow-path oracle.  Satellite regressions (counted
-grounding multisets, static join order, index survival) live here too.
+The compiled columnar plans are the only join engine in the package;
+what they must compute is defined by the tuple-at-a-time evaluator under
+``tests/reference``: on any program, database, and update sequence the
+same signed binding multisets, the same grounded graph (canonically,
+after every update), and the same posterior marginals.  Satellite
+regressions (counted grounding multisets, static join order, index
+survival) live here too.
 """
 
 import numpy as np
 import pytest
 
 from repro.datalog import Atom, DerivationRule, InferenceRule, Program, Var, WeightSpec
-from repro.db import Database, columnar_binding_counts
+from repro.db import Database
 from repro.db.columnar import ColumnarBatch
-from repro.db.query import binding_counts, evaluate_query, static_join_order
+from repro.db.query import static_join_order
 from repro.graph.factor_graph import FactorGraph
 from repro.grounding import Grounder, IncrementalGrounder
 from repro.grounding.grounder import GroundingMultiset
 from repro.inference.exact import ExactInference
 
-from tests.test_incremental_grounding import assert_equivalent, canonical_form
+from tests.reference import binding_counts, evaluate_query, reference_ground, replay
+from tests.reference.columnar import columnar_binding_counts
+from tests.test_incremental_grounding import assert_equivalent
 
 
 # ---------------------------------------------------------------------- #
@@ -67,7 +70,7 @@ def signed_multiset(pairs):
     return {k: c for k, c in counts.items() if c != 0}
 
 
-class TestPlanVsLegacyBindings:
+class TestPlanVsReferenceBindings:
     def test_random_queries_match(self):
         rng = np.random.default_rng(0)
         for trial in range(60):
@@ -76,9 +79,9 @@ class TestPlanVsLegacyBindings:
             head_vars = sorted(
                 {v for atom in atoms for v in atom.variables()}
             )
-            legacy = binding_counts(db, atoms, head_vars)
+            expected = binding_counts(db, atoms, head_vars)
             col = columnar_binding_counts(db, atoms, head_vars)
-            assert legacy == col, f"trial {trial}: {legacy} != {col}"
+            assert expected == col, f"trial {trial}: {expected} != {col}"
 
     def test_random_delta_sources_match(self):
         rng = np.random.default_rng(1)
@@ -105,11 +108,11 @@ class TestPlanVsLegacyBindings:
                     ]
             if not sources:
                 continue
-            legacy = binding_counts(db, atoms, head_vars, sources=sources)
+            expected = binding_counts(db, atoms, head_vars, sources=sources)
             col = columnar_binding_counts(
                 db, atoms, head_vars, sources=sources
             )
-            assert legacy == col, f"trial {trial}: {legacy} != {col}"
+            assert expected == col, f"trial {trial}: {expected} != {col}"
 
     def test_prebuilt_columnar_batch_source(self):
         db = Database()
@@ -117,14 +120,14 @@ class TestPlanVsLegacyBindings:
         db.insert_all("R", [(1, 2), (2, 3)])
         atoms = [Atom("R", (Var("x"), Var("y"))), Atom("R", (Var("y"), Var("z")))]
         source_rows = [((2, 9), 1), ((2, 3), -1)]
-        legacy = binding_counts(db, atoms, ("x", "y", "z"), sources={1: source_rows})
+        expected = binding_counts(db, atoms, ("x", "y", "z"), sources={1: source_rows})
         batch = ColumnarBatch.from_signed_rows(db.columnar.interner, source_rows)
         col = columnar_binding_counts(db, atoms, ("x", "y", "z"), sources={1: batch})
-        assert legacy == col
+        assert expected == col
 
 
 # ---------------------------------------------------------------------- #
-# Random programs: full ground + update sequences, columnar ≡ legacy
+# Random programs: full ground + update sequences, columnar ≡ reference
 # ---------------------------------------------------------------------- #
 
 
@@ -202,87 +205,72 @@ def random_program_and_db(rng):
 
 
 class TestGroundingEquivalence:
-    def test_full_ground_matches_legacy(self):
+    def test_full_ground_matches_reference(self):
         rng = np.random.default_rng(2)
         for _ in range(15):
             program, build_db, _updates = random_program_and_db(rng)
             db = build_db(program)
-            g_col = Grounder(program, db.copy(), engine="columnar").ground()
-            g_leg = Grounder(program, db.copy(), engine="legacy").ground()
-            assert_equivalent(g_col.graph, g_leg.graph)
+            columnar = Grounder(program, db.copy()).ground()
+            assert_equivalent(columnar.graph, reference_ground(program, db))
 
-    def test_update_sequences_match_legacy(self):
+    def test_update_sequences_match_reference(self):
+        """After every update: the incrementally maintained graph ≡ the
+        reference ground of a twin database the updates were replayed on
+        (row changes only, so the twin can share the program)."""
         rng = np.random.default_rng(3)
         for _ in range(12):
-            program_c, build_db, random_update = random_program_and_db(rng)
-            db_c = build_db(program_c)
-            db_l = db_c.copy()
-            # Independent Program objects sharing rule instances is fine:
-            # rules are frozen dataclasses.
-            grounder_c = IncrementalGrounder.from_scratch(
-                program_c, db_c, engine="columnar"
-            )
-            program_l = Program(default_semantics="ratio")
-            program_l.schema = dict(program_c.schema)
-            program_l.variable_relations = set(program_c.variable_relations)
-            program_l.derivation_rules = list(program_c.derivation_rules)
-            program_l.inference_rules = list(program_c.inference_rules)
-            grounder_l = IncrementalGrounder.from_scratch(
-                program_l, db_l, engine="legacy"
-            )
+            program, build_db, random_update = random_program_and_db(rng)
+            db = build_db(program)
+            twin_db = db.copy()
+            grounder = IncrementalGrounder.from_scratch(program, db)
             for _ in range(3):
-                update = random_update(db_c)
-                # Guard: only delete rows still present in both.
-                grounder_c.apply_update(**update)
-                grounder_l.apply_update(**update)
-                assert_equivalent(grounder_c.graph, grounder_l.graph)
-                assert db_c.stats() == db_l.stats()
+                update = random_update(db)
+                grounder.apply_update(**update)
+                replay(program, twin_db, update)
+                scratch_db = twin_db.copy()
+                assert_equivalent(
+                    grounder.graph, reference_ground(program, scratch_db)
+                )
+                assert db.stats() == scratch_db.stats()
 
-    def test_marginals_after_engine_update_match(self):
-        """Columnar and legacy graphs agree on exact posteriors after an
-        incremental update (weights keyed, so id order may differ)."""
+    def test_marginals_after_update_match_reference(self):
+        """The maintained graph and the reference ground agree on exact
+        posteriors after an incremental update (weights keyed, so id
+        order may differ)."""
         rng = np.random.default_rng(4)
         compared = 0
         for _ in range(20):
-            program_c, build_db, random_update = random_program_and_db(rng)
-            db_c = build_db(program_c)
-            db_l = db_c.copy()
-            grounder_c = IncrementalGrounder.from_scratch(
-                program_c, db_c, engine="columnar"
-            )
-            grounder_l = IncrementalGrounder.from_scratch(
-                program_c, db_l, engine="legacy"
-            )
-            update = random_update(db_c)
-            grounder_c.apply_update(**update)
-            grounder_l.apply_update(**update)
-            if len(grounder_c.graph.free_variables()) > 12:
+            program, build_db, random_update = random_program_and_db(rng)
+            db = build_db(program)
+            twin_db = db.copy()
+            grounder = IncrementalGrounder.from_scratch(program, db)
+            update = random_update(db)
+            grounder.apply_update(**update)
+            if len(grounder.graph.free_variables()) > 12:
                 continue
+            replay(program, twin_db, update)
+            graphs = (grounder.graph, reference_ground(program, twin_db))
             # Seed learnable weights deterministically BY KEY on both.
-            for graph in (grounder_c.graph, grounder_l.graph):
+            for graph in graphs:
                 for wid in range(len(graph.weights)):
                     if not graph.weights.is_fixed(wid):
                         key = graph.weights.key_for(wid)
                         graph.weights.set_value(
                             wid, (hash(str(key)) % 7 - 3) * 0.3
                         )
-            mc = ExactInference(grounder_c.graph).marginals()
-            ml = ExactInference(grounder_l.graph).marginals()
-            by_name_c = {
-                grounder_c.graph.name_of(v): mc[v]
-                for v in range(grounder_c.graph.num_vars)
-                if grounder_c.graph.name_of(v) is not None
-            }
-            by_name_l = {
-                grounder_l.graph.name_of(v): ml[v]
-                for v in range(grounder_l.graph.num_vars)
-                if grounder_l.graph.name_of(v) is not None
-            }
-            shared = set(by_name_c) & set(by_name_l)
+            by_name = [
+                {
+                    graph.name_of(v): p
+                    for v, p in enumerate(ExactInference(graph).marginals())
+                    if graph.name_of(v) is not None
+                }
+                for graph in graphs
+            ]
+            shared = set(by_name[0]) & set(by_name[1])
             assert shared
             for name in shared:
-                assert by_name_c[name] == pytest.approx(
-                    by_name_l[name], abs=1e-9
+                assert by_name[0][name] == pytest.approx(
+                    by_name[1][name], abs=1e-9
                 )
             compared += 1
             if compared >= 5:
@@ -334,9 +322,7 @@ class TestGroundingMultiset:
     def test_incremental_promotes_records_to_multisets(self):
         rng = np.random.default_rng(5)
         program, build_db, _updates = random_program_and_db(rng)
-        grounder = IncrementalGrounder.from_scratch(
-            program, build_db(program), engine="columnar"
-        )
+        grounder = IncrementalGrounder.from_scratch(program, build_db(program))
         assert all(
             isinstance(r.groundings, GroundingMultiset)
             for r in grounder.records.values()
@@ -362,7 +348,7 @@ class TestGroundingMultiset:
         db = program.create_database()
         rows = [("a", f"s{i}") for i in range(400)]
         db.insert_all("Occ", rows)
-        grounder = IncrementalGrounder.from_scratch(program, db, engine="columnar")
+        grounder = IncrementalGrounder.from_scratch(program, db)
         (record,) = grounder.records.values()
         assert len(record.groundings) == 400
         grounder.apply_update(deletes={"Occ": rows[1:]})
@@ -371,8 +357,7 @@ class TestGroundingMultiset:
         # Rebuild from the surviving database state and compare.
         fresh_db = program.create_database()
         fresh_db.insert_all("Occ", rows[:1])
-        fresh = Grounder(program, fresh_db, engine="legacy").ground()
-        assert_equivalent(grounder.graph, fresh.graph)
+        assert_equivalent(grounder.graph, reference_ground(program, fresh_db))
 
 
 # ---------------------------------------------------------------------- #
@@ -473,13 +458,42 @@ class TestIndexStats:
         assert after["probes"] > before["probes"]
 
     def test_interner_conflates_like_python_equality(self):
-        """True/1 collide under dict equality in both engines alike."""
+        """True/1 collide under dict equality in plan and reference alike."""
         db = Database()
         db.create_relation("R", ("a",))
         db.insert_all("R", [(1,)])
         atoms = [Atom("R", (True,))]
         assert binding_counts(db, atoms, ()) == \
             columnar_binding_counts(db, atoms, ())
+
+
+class TestPlanCache:
+    """``ColumnarStore.plan`` and ``.delta_plans`` share one two-level
+    (identity, structural) cache."""
+
+    BODY = (Atom("R", (Var("x"), Var("y"))), Atom("R", (Var("y"), Var("z"))))
+
+    def test_identity_then_structure_then_compile(self):
+        store = Database().columnar
+        plan = store.plan(self.BODY)
+        assert store.plan(self.BODY) is plan
+        assert store.plan(list(self.BODY)) is plan  # fresh, equal sequence
+        deltas = store.delta_plans(self.BODY)
+        assert len(deltas) == 2 and deltas[0] is not plan
+        assert store.delta_plans(self.BODY) is deltas
+        assert store.delta_plans(tuple(list(self.BODY))) is deltas
+        assert store.stats["delta_plan_misses"] == 1
+        assert store.stats["delta_plan_hits"] == 2
+
+    def test_recycled_id_never_returns_another_bodys_plan(self):
+        """A store unpickled from a checkpoint carries id keys of objects
+        that no longer exist; a new body allocated at such an address
+        must compile (or hit structurally), not inherit the stale plan."""
+        store = Database().columnar
+        stale = store.plan(self.BODY)
+        other = (Atom("S", (Var("x"),)),)
+        store._plans[("full", id(other))] = stale  # id reused, pin is not
+        assert store.plan(other).atoms == other
 
 
 class TestColumnarMirrorMaintenance:

@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, Relation, evaluate_query
-from repro.db.query import Atom, Var, binding_counts, evaluate_bindings
+from repro.db import Database, Relation
+from repro.db.query import Atom, Var
+
+from tests.reference import binding_counts, evaluate_query
+
+
+def evaluate_bindings(db, atoms, initial_binding=None):
+    """Unsigned bindings of a plain (non-delta) query."""
+    return [b for b, _sign in evaluate_query(db, atoms, initial_binding)]
 
 
 class TestRelation:
@@ -161,6 +168,10 @@ def spouse_db():
 
 
 class TestQueryEvaluation:
+    """The tuple-at-a-time reference evaluator (``tests/reference``) —
+    the oracle every compiled plan is compared against is itself held to
+    hand-checked answers here."""
+
     def test_single_atom_scan(self):
         db = spouse_db()
         atoms = [Atom("PersonCandidate", (Var("s"), Var("m")))]

@@ -2,11 +2,11 @@
 
 Three layers under test:
 
-* equivalence — the fused factorization ``Σ_i new_{<i} ⋈ Δ_i ⋈ old_{>i}``
-  must produce canonically identical factor graphs to the subset
-  inclusion/exclusion oracle AND the legacy tuple-at-a-time engine,
-  across long randomized update sequences (retractions, re-insertions,
-  body arities k=1..5);
+* equivalence — after *every* update of long randomized sequences
+  (retractions, re-insertions, body arities k=1..5) the fused
+  factorization ``Σ_i new_{<i} ⋈ Δ_i ⋈ old_{>i}`` must have maintained a
+  factor graph canonically identical to ``reference_ground`` of the same
+  state: from scratch, tuple at a time, no delta algebra at all;
 * old-state views — ``TableView`` snapshots must be immune to concurrent
   ``apply_delta``, overflow-bucket merges, and compaction;
 * counters — one shared signed delta batch per predicate per update,
@@ -23,13 +23,14 @@ from repro.db.columnar import ColumnarTable, Interner
 from repro.db.database import Database
 from repro.grounding import Grounder, IncrementalGrounder
 
-from tests.test_incremental_grounding import assert_equivalent
+from tests.reference import reference_ground
+from tests.test_incremental_grounding import assert_equivalent, reground
 
 
 # --------------------------------------------------------------------- #
 # Chain workload: every body position references Edge, so one Edge
-# update makes ALL k positions "changed" — the subset oracle expands
-# 2^k−1 terms where the fused path drives exactly k plans.
+# update makes ALL k positions "changed" — k fused terms per rule, every
+# one of them probing old-state views.
 # --------------------------------------------------------------------- #
 
 
@@ -39,8 +40,8 @@ NODES = tuple(f"n{i}" for i in range(5))
 def chain_program(k: int) -> Program:
     """Candidates come from the static Node × Node cross product, so
     every head tuple an update's delta terms can transiently produce is
-    always a grounded variable (individual fused/subset terms emit
-    net-zero transients; only the netted delta must be meaningful)."""
+    always a grounded variable (individual fused terms emit net-zero
+    transients; only the netted delta must be meaningful)."""
     program = Program(default_semantics="ratio")
     program.add_relation("Node", ("n",))
     program.add_relation("Edge", ("a", "b"))
@@ -89,17 +90,12 @@ def chain_db(program: Program, edges) -> Database:
     return db
 
 
-def ground_sequence(
-    k, edges, updates, engine="columnar", delta_strategy="fused"
-) -> IncrementalGrounder:
-    program = chain_program(k)
-    db = chain_db(program, edges)
-    grounder = IncrementalGrounder.from_scratch(
-        program, db, engine=engine, delta_strategy=delta_strategy
+def ground_sequence(k, edges, updates) -> tuple:
+    """Run ``updates`` through the incremental grounder, held to the
+    reference after every step; ``(final graph, reference graph)``."""
+    return reground(
+        lambda: chain_program(k), lambda p: chain_db(p, edges), updates
     )
-    for update in updates:
-        grounder.apply_update(**update)
-    return grounder
 
 
 @st.composite
@@ -140,13 +136,9 @@ class TestFusedEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @given(data=edge_update_sequences())
     @settings(max_examples=10, deadline=None)
-    def test_fused_matches_subset_and_legacy(self, k, data):
+    def test_fused_matches_reference_after_every_update(self, k, data):
         base, updates = data
-        fused = ground_sequence(k, base, updates)
-        subset = ground_sequence(k, base, updates, delta_strategy="subset")
-        legacy = ground_sequence(k, base, updates, engine="legacy")
-        assert_equivalent(fused.graph, subset.graph)
-        assert_equivalent(fused.graph, legacy.graph)
+        ground_sequence(k, base, updates)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_retraction_reinsertion_roundtrip(self, k):
@@ -159,16 +151,19 @@ class TestFusedEquivalence:
             {"deletes": {"Edge": [("n0", "n1"), ("n2", "n3")]}},
             {"inserts": {"Edge": [("n0", "n1")]}},  # re-insertion
         ]
-        fused = ground_sequence(k, base, updates)
-        subset = ground_sequence(k, base, updates, delta_strategy="subset")
-        assert_equivalent(fused.graph, subset.graph)
-        # Final state from scratch: n2→n3 gone, n4→n0 added.
-        program = chain_program(k)
+        fused, _ = ground_sequence(k, base, updates)
+        # Final state from scratch: n2→n3 gone, n4→n0 added — by the
+        # reference and by the columnar full ground.
         final = [e for e in base if e != ("n2", "n3")] + [("n4", "n0")]
+        program = chain_program(k)
+        assert_equivalent(
+            fused, reference_ground(program, chain_db(program, final))
+        )
+        program = chain_program(k)
         scratch = Grounder(program, chain_db(program, final)).ground()
-        assert_equivalent(fused.graph, scratch.graph)
+        assert_equivalent(fused, scratch.graph)
 
-    def test_spouse_workload_fused_matches_subset(self):
+    def test_spouse_workload_fused_matches_reference(self):
         from tests.test_grounding import spouse_db, spouse_program
 
         update = dict(
@@ -182,23 +177,7 @@ class TestFusedEquivalence:
                 "Married": [("barack", "michelle")],
             },
         )
-        graphs = []
-        for strategy in ("fused", "subset"):
-            program = spouse_program()
-            grounder = IncrementalGrounder.from_scratch(
-                program, spouse_db(program), delta_strategy=strategy
-            )
-            grounder.apply_update(**update)
-            graphs.append(grounder.graph)
-        assert_equivalent(*graphs)
-
-    def test_unknown_strategy_rejected(self):
-        program = chain_program(2)
-        db = chain_db(program, [("n0", "n1")])
-        with pytest.raises(ValueError, match="delta strategy"):
-            IncrementalGrounder.from_scratch(
-                program, db, delta_strategy="telescoping"
-            )
+        reground(spouse_program, spouse_db, [update])
 
 
 # --------------------------------------------------------------------- #
@@ -252,21 +231,6 @@ class TestCounters:
         second = _columnar_stats(db)
         assert second["delta_plan_misses"] == first["delta_plan_misses"]
         assert second["delta_plan_hits"] > first["delta_plan_hits"]
-
-    def test_subset_strategy_uses_no_fused_machinery(self):
-        program = chain_program(3)
-        db = chain_db(program, [("n0", "n1"), ("n1", "n2"), ("n2", "n3")])
-        grounder = IncrementalGrounder.from_scratch(
-            program, db, delta_strategy="subset"
-        )
-        grounder.apply_update(
-            inserts={"Edge": [("n3", "n4")]},
-            deletes={"Edge": [("n0", "n1")]},
-        )
-        stats = _columnar_stats(db)
-        assert stats["view_captures"] == 0
-        assert stats["delta_plan_misses"] == 0
-        assert stats["delta_plan_hits"] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -404,17 +368,18 @@ class TestTableViews:
     def test_grounder_releases_views_on_failure(self):
         """A mid-update crash must not leak capture epochs (the store is
         pickled by service checkpoints between updates)."""
+        from repro.reliability.errors import FaultInjected
+        from repro.reliability.faults import Fault, FaultPlan, inject_faults
+
         program = chain_program(2)
         db = chain_db(program, [("n0", "n1"), ("n1", "n2")])
         grounder = IncrementalGrounder.from_scratch(program, db)
         before = _columnar_stats(db)
-        with pytest.raises(KeyError):
-            # Edge (first in transition order) captures its view and
-            # applies; the bogus PathCandidate delete then raises.
-            grounder.apply_update(
-                inserts={"Edge": [("n2", "n3")]},
-                deletes={"PathCandidate": [("zz", "zz")]},
-            )
+        # Edge and Reach both captured and applied by the time the
+        # update's last injection point fires.
+        plan = FaultPlan([Fault("ground.update.finish")])
+        with inject_faults(plan), pytest.raises(FaultInjected):
+            grounder.apply_update(inserts={"Edge": [("n2", "n3")]})
         after = _columnar_stats(db)
-        assert after["view_captures"] - before["view_captures"] == 1
+        assert after["view_captures"] - before["view_captures"] == 2
         assert db.columnar._old_views == {}

@@ -41,7 +41,7 @@ class TestGibbsSampler:
     def test_marginals_match_exact_on_voting(self):
         fg = voting_graph(3, 2, semantics=Semantics.RATIO, voter_bias=0.4)
         exact = ExactInference(fg).marginals()
-        sampler = GibbsSampler(fg, seed=3, randomize_scan=True)
+        sampler = GibbsSampler(fg, seed=3)
         est = sampler.estimate_marginals(6000, burn_in=200)
         assert max_marginal_error(est, exact) < 0.04
 

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from repro.datalog import Atom, DerivationRule, InferenceRule, Program, Var, WeightSpec
 from repro.graph import FactorGraph, RuleFactor
-from repro.grounding import Grounder, IncrementalGrounder
+from repro.grounding import IncrementalGrounder
 
+from tests.reference import reference_ground, replay
 from tests.test_grounding import spouse_db, spouse_program
 
 
@@ -69,35 +70,22 @@ def assert_equivalent(incremental: FactorGraph, scratch: FactorGraph):
 
 
 def reground(program_factory, db_builder, updates):
-    """Apply ``updates`` incrementally AND from scratch; return both graphs."""
-    # Incremental path.
-    program_inc = program_factory()
-    db_inc = db_builder(program_inc)
-    grounder = IncrementalGrounder.from_scratch(program_inc, db_inc)
+    """Apply ``updates`` incrementally and check every step against the
+    reference: the same updates replayed on a fresh, never-grounded
+    ``(program, db)`` twin, grounded from scratch tuple-at-a-time.
+    Returns the final ``(incremental graph, reference graph)``."""
+    program = program_factory()
+    grounder = IncrementalGrounder.from_scratch(program, db_builder(program))
+    twin_program = program_factory()
+    twin_db = db_builder(twin_program)
+    scratch = reference_ground(twin_program, twin_db.copy())
+    assert_equivalent(grounder.graph, scratch)
     for update in updates:
         grounder.apply_update(**update)
-
-    # From-scratch path: replay the data updates on a fresh db.
-    program_fresh = program_factory()
-    db_fresh = db_builder(program_fresh)
-    for update in updates:
-        for rule in update.get("add_derivation_rules", ()):
-            program_fresh.register_derivation_rule(rule)
-        for rule in update.get("add_inference_rules", ()):
-            program_fresh.register_inference_rule(rule)
-        for name in update.get("remove_inference_rules", ()):
-            program_fresh.remove_inference_rule(
-                getattr(name, "name", name)
-            )
-    for update in updates:
-        for rel, rows in (update.get("inserts") or {}).items():
-            for row in rows:
-                db_fresh.relation(rel).insert(row)
-        for rel, rows in (update.get("deletes") or {}).items():
-            for row in rows:
-                db_fresh.relation(rel).delete(row)
-    scratch = Grounder(program_fresh, db_fresh).ground()
-    return grounder.graph, scratch.graph
+        replay(twin_program, twin_db, update)
+        scratch = reference_ground(twin_program, twin_db.copy())
+        assert_equivalent(grounder.graph, scratch)
+    return grounder.graph, scratch
 
 
 class TestIncrementalMatchesScratch:
@@ -249,6 +237,47 @@ class TestIncrementalMatchesScratch:
         grounder = IncrementalGrounder.from_scratch(program, db)
         result = grounder.apply_update()
         assert result.delta.is_empty
+
+
+class TestRejectedUpdateAppliesNothing:
+    """An update is validated whole — unknown relation, arity, deleting
+    more derivations than exist — before any relation is touched."""
+
+    NEW_SENTENCE = [("s3", "m5"), ("s3", "m6")]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"deletes": {"PhraseFeature": [("nope", "nope", "nope")]}}, KeyError),
+            ({"inserts": {"NoSuchRelation": [("x",)]}}, KeyError),
+            ({"inserts": {"EL": [("m5", "barack", "extra")]}}, ValueError),
+        ],
+    )
+    def test_database_untouched_and_next_update_grounds(self, bad, error):
+        program = spouse_program()
+        db = spouse_db(program)
+        grounder = IncrementalGrounder.from_scratch(program, db)
+        before = {name: db.relation(name).counts() for name in db.relation_names()}
+        rejected = {"inserts": {"PersonCandidate": self.NEW_SENTENCE}}
+        for key, relations in bad.items():
+            rejected[key] = {**rejected.get(key, {}), **relations}
+        # PersonCandidate comes first in the payload and is valid.
+        assert next(iter(rejected["inserts"])) == "PersonCandidate"
+        with pytest.raises(error):
+            grounder.apply_update(**rejected)
+        after = {name: db.relation(name).counts() for name in db.relation_names()}
+        assert after == before
+        assert grounder.last_result is None
+
+        # The client retries without the bad part: same state as if the
+        # rejected update had never been sent.
+        update = {"inserts": {"PersonCandidate": self.NEW_SENTENCE}}
+        result = grounder.apply_update(**update)
+        assert result.delta.num_new_vars == 4  # m5, m6 pair up four ways
+        twin_program = spouse_program()
+        twin_db = spouse_db(twin_program)
+        replay(twin_program, twin_db, update)
+        assert_equivalent(grounder.graph, reference_ground(twin_program, twin_db))
 
 
 class _ScanCountingDict(dict):

@@ -4,16 +4,17 @@ The tentpole invariants of the patchable learner:
 
 * the compiled, vectorised gradient aggregation
   (``CompiledFactorGraph.weight_statistics`` + live per-weight factor
-  counts) must equal the Python per-factor slow path on random graphs and
-  worlds — including after arbitrary ``apply_delta`` sequences and
-  compactions;
+  counts) must equal the per-factor Python loop of
+  ``tests/reference/learning.py`` on random graphs and worlds — including
+  after arbitrary ``apply_delta`` sequences and compactions;
 * a learner carried across a patch with ``SGDLearner.apply_patch`` must
   behave like a freshly constructed learner on the patched graph
   (identical gradients for identical worlds; loss trajectories within
   tolerance);
 * the pool-backed chain pair must survive a patch in place (same worker
   PIDs) and keep learning;
-* the live-cache pseudo-NLL must match the old fresh-cache path.
+* the live-cache pseudo-NLL must match the reference that builds a
+  fresh cache per call.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.learning.gradient import (
     weight_statistics,
 )
 
+from tests.reference import learning as reference
 from tests.test_incremental_compile import random_delta, seed_graph
 
 
@@ -71,12 +73,12 @@ class TestCompiledWeightStatistics:
         compiled = CompiledFactorGraph(graph)
         rng = np.random.default_rng(seed)
         worlds = rng.random((6, graph.num_vars)) < 0.5
-        fast = weight_statistics(graph, worlds, compiled=compiled)
-        slow = weight_statistics(graph, worlds)
+        fast = weight_statistics(compiled, worlds)
+        slow = reference.weight_statistics(graph, worlds)
         assert np.allclose(fast, slow, rtol=1e-9, atol=1e-9)
         assert np.array_equal(
-            factor_counts_per_weight(graph, compiled=compiled),
-            factor_counts_per_weight(graph),
+            factor_counts_per_weight(compiled),
+            reference.factor_counts_per_weight(graph),
         )
 
     def test_single_world_vector_accepted(self):
@@ -84,8 +86,8 @@ class TestCompiledWeightStatistics:
         compiled = CompiledFactorGraph(graph)
         world = np.zeros(graph.num_vars, dtype=bool)
         assert np.allclose(
-            weight_statistics(graph, world, compiled=compiled),
-            weight_statistics(graph, world),
+            weight_statistics(compiled, world),
+            reference.weight_statistics(graph, world),
         )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -105,14 +107,14 @@ class TestCompiledWeightStatistics:
             graph = updated
             worlds = rng.random((4, graph.num_vars)) < 0.5
             assert np.allclose(
-                weight_statistics(graph, worlds, compiled=compiled),
-                weight_statistics(graph, worlds),
+                weight_statistics(compiled, worlds),
+                reference.weight_statistics(graph, worlds),
                 rtol=1e-9,
                 atol=1e-9,
             )
             assert np.array_equal(
-                factor_counts_per_weight(graph, compiled=compiled),
-                factor_counts_per_weight(graph),
+                factor_counts_per_weight(compiled),
+                reference.factor_counts_per_weight(graph),
             )
 
     def test_gradient_parity_with_l2_and_fixed_weights(self):
@@ -123,8 +125,8 @@ class TestCompiledWeightStatistics:
         rng = np.random.default_rng(2)
         cond = rng.random((5, graph.num_vars)) < 0.5
         free = rng.random((5, graph.num_vars)) < 0.5
-        fast = weight_gradient(graph, cond, free, l2=0.01, compiled=compiled)
-        slow = weight_gradient(graph, cond, free, l2=0.01)
+        fast = weight_gradient(compiled, cond, free, l2=0.01)
+        slow = reference.weight_gradient(graph, cond, free, l2=0.01)
         assert np.allclose(fast, slow, rtol=1e-9, atol=1e-9)
         assert fast[hard] == 0.0
 
@@ -153,8 +155,8 @@ class TestPatchedLearnerEquivalence:
         cond = rng.random((6, graph.num_vars)) < 0.5
         free = rng.random((6, graph.num_vars)) < 0.5
         assert np.allclose(
-            weight_gradient(graph, cond, free, compiled=compiled),
-            weight_gradient(graph, cond, free, compiled=fresh),
+            weight_gradient(compiled, cond, free),
+            weight_gradient(fresh, cond, free),
             rtol=1e-9,
             atol=1e-9,
         )
@@ -221,18 +223,18 @@ class TestPatchedLearnerEquivalence:
 
 class TestEvidencePseudoNLL:
     def test_live_cache_matches_fresh_path(self):
-        """Satellite (perf): the O(|evidence|) live-cache scorer returns
-        the same value as the old build-a-cache-per-call path."""
+        """The O(|evidence|) live-cache scorer returns the same value as
+        the reference that builds a cache per call."""
         fg, _ = labeled_bias_graph()
         learner = SGDLearner(fg, step_size=0.3, seed=0, l2=0.0)
         learner.fit(5, record_loss=False)
         live = learner.evidence_pseudo_nll()
-        fresh = learner.evidence_pseudo_nll(fresh_cache=True)
+        fresh = reference.evidence_pseudo_nll(learner)
         assert live == pytest.approx(fresh, abs=1e-9)
         # After a weight mutation between epochs the scorer must refresh.
         fg.weights.set_value(0, fg.weights.value(0) + 0.3)
         assert learner.evidence_pseudo_nll() == pytest.approx(
-            learner.evidence_pseudo_nll(fresh_cache=True), abs=1e-9
+            reference.evidence_pseudo_nll(learner), abs=1e-9
         )
 
     def test_live_cache_matches_on_structured_graph(self):
@@ -243,7 +245,7 @@ class TestEvidencePseudoNLL:
         learner = SGDLearner(graph, seed=0)
         learner.fit(3, record_loss=False)
         assert learner.evidence_pseudo_nll() == pytest.approx(
-            learner.evidence_pseudo_nll(fresh_cache=True), abs=1e-8
+            reference.evidence_pseudo_nll(learner), abs=1e-8
         )
 
     def test_live_cache_matches_after_patch(self):
@@ -255,7 +257,7 @@ class TestEvidencePseudoNLL:
         patch = learner._compiled.apply_delta(delta)
         learner.apply_patch(patch)
         assert learner.evidence_pseudo_nll() == pytest.approx(
-            learner.evidence_pseudo_nll(fresh_cache=True), abs=1e-9
+            reference.evidence_pseudo_nll(learner), abs=1e-9
         )
 
     def test_loss_recording_builds_no_fresh_cache(self, monkeypatch):
@@ -284,7 +286,7 @@ class TestEvidencePseudoNLL:
         with SGDLearner(fg, step_size=0.3, seed=0, l2=0.0, n_workers=2) as learner:
             learner.fit(4, record_loss=False)
             assert learner.evidence_pseudo_nll() == pytest.approx(
-                learner.evidence_pseudo_nll(fresh_cache=True), abs=1e-9
+                reference.evidence_pseudo_nll(learner), abs=1e-9
             )
 
 

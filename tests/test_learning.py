@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import FactorGraph, Semantics
+from repro.graph.compiled import CompiledFactorGraph
 from repro.inference import ExactInference
 from repro.learning import (
     LogisticRegression,
@@ -12,6 +13,8 @@ from repro.learning import (
     weight_gradient,
     weight_statistics,
 )
+
+from tests.reference import learning as reference
 
 
 def labeled_bias_graph(p_true=0.8, n=40):
@@ -32,22 +35,26 @@ class TestWeightStatistics:
     def test_statistics_of_bias_graph(self):
         fg, wid = labeled_bias_graph(p_true=0.75, n=4)
         world = np.array([True, True, True, False])
-        stats = weight_statistics(fg, world)
+        stats = weight_statistics(CompiledFactorGraph(fg), world)
         # Three +1 and one −1 unit energies on the tied weight.
         assert stats[wid] == pytest.approx(2.0)
+        assert np.allclose(stats, reference.weight_statistics(fg, world))
 
     def test_statistics_average_over_worlds(self):
         fg, wid = labeled_bias_graph(p_true=0.5, n=2)
         worlds = np.array([[True, True], [False, False]])
-        stats = weight_statistics(fg, worlds)
+        stats = weight_statistics(CompiledFactorGraph(fg), worlds)
         assert stats[wid] == pytest.approx(0.0)
+        assert np.allclose(stats, reference.weight_statistics(fg, worlds))
 
     def test_gradient_zero_for_fixed_weights(self):
         fg = FactorGraph()
         wid = fg.weights.intern("hard", initial=3.0, fixed=True)
         v = fg.add_variable(evidence=True)
         fg.add_bias_factor(wid, v)
-        grad = weight_gradient(fg, np.array([[True]]), np.array([[False]]))
+        grad = weight_gradient(
+            CompiledFactorGraph(fg), np.array([[True]]), np.array([[False]])
+        )
         assert grad[wid] == 0.0
 
     def test_gradient_direction(self):
@@ -55,8 +62,9 @@ class TestWeightStatistics:
         fg, wid = labeled_bias_graph(p_true=0.9, n=10)
         cond = np.tile(fg.initial_assignment(), (3, 1))
         free = np.zeros((3, 10), dtype=bool)  # model predicts all-false
-        grad = weight_gradient(fg, cond, free)
+        grad = weight_gradient(CompiledFactorGraph(fg), cond, free)
         assert grad[wid] > 0
+        assert np.allclose(grad, reference.weight_gradient(fg, cond, free))
 
 
 class TestSGDLearner:

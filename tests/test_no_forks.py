@@ -1,0 +1,159 @@
+"""The package has one way to ground, one gradient, one scan.
+
+Every option whose non-default side only tests ever selected is gone, and
+the implementations those options selected live under ``tests/reference``
+— which nothing under ``src/`` may import.  These tests keep it that way:
+each removed keyword is a ``TypeError`` on every callable that took it,
+and an AST walk over the package finds no import of ``tests`` and no
+second query evaluator.
+"""
+
+import ast
+import pathlib
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+import repro
+import repro.db.query
+from repro.core import EngineConfig
+from repro.graph.compiled import CompiledFactorGraph
+from repro.grounding import Grounder, IncrementalGrounder
+from repro.inference import GibbsSampler
+from repro.kbc.corpus import generate_corpus
+from repro.kbc.pipeline import KBCPipeline
+from repro.learning import SGDLearner
+from repro.learning.gradient import (
+    factor_counts_per_weight,
+    weight_gradient,
+    weight_statistics,
+)
+from repro.workloads.systems import ALL_SYSTEMS, build_pipeline
+
+from tests.helpers import chain_ising_graph
+from tests.test_grounding import spouse_db, spouse_program
+
+SRC = pathlib.Path(repro.__file__).resolve().parent
+
+
+def grounding_inputs():
+    program = spouse_program()
+    db = spouse_db(program)
+    return program, db
+
+
+def grounding_entry_points() -> dict:
+    """Every callable that took ``engine=`` / ``delta_strategy=``."""
+    program, db = grounding_inputs()
+    grounding = Grounder(program, db).ground()
+    spec = ALL_SYSTEMS[0]
+    corpus = generate_corpus(spec.corpus_config(scale=0.1, seed=0))
+    return {
+        "Grounder": lambda **kw: Grounder(program, db, **kw),
+        "IncrementalGrounder": lambda **kw: IncrementalGrounder(
+            program, db, grounding, **kw
+        ),
+        "from_scratch": lambda **kw: IncrementalGrounder.from_scratch(
+            program, db, **kw
+        ),
+        "KBCPipeline": lambda **kw: KBCPipeline(corpus, **kw),
+        "build_pipeline": lambda **kw: build_pipeline(spec, scale=0.1, **kw),
+    }
+
+
+class TestRemovedKeywordsAreTypeErrors:
+    @pytest.mark.parametrize(
+        "keyword, value, not_on",
+        [
+            ("engine", "legacy", ()),
+            ("engine", "columnar", ()),
+            ("delta_strategy", "subset", ("Grounder",)),  # never took it
+            ("delta_strategy", "fused", ("Grounder",)),
+        ],
+    )
+    def test_engine_and_delta_strategy(self, keyword, value, not_on):
+        for name, call in grounding_entry_points().items():
+            if name in not_on:
+                continue
+            with pytest.raises(TypeError, match=keyword):
+                call(**{keyword: value})
+
+    def test_delta_sources_on_the_full_ground_entry_points(self):
+        program, db = grounding_inputs()
+        grounder = Grounder(program, db)
+        with pytest.raises(TypeError, match="sources"):
+            grounder.ground_inference_rule(
+                program.inference_rules[0], None, {}, {}, sources={}
+            )
+        body = program.inference_rules[0].body
+        with pytest.raises(TypeError):
+            db.columnar.plan(body, frozenset({0}))
+
+    def test_gradient_takes_the_compiled_substrate_only(self):
+        graph = chain_ising_graph(4)
+        compiled = CompiledFactorGraph(graph)
+        worlds = np.zeros((2, graph.num_vars), dtype=bool)
+        for call in (
+            lambda: weight_statistics(graph, worlds, compiled=compiled),
+            lambda: factor_counts_per_weight(graph, compiled=compiled),
+            lambda: weight_gradient(graph, worlds, worlds, compiled=compiled),
+        ):
+            with pytest.raises(TypeError, match="compiled"):
+                call()
+
+    def test_fresh_cache(self):
+        graph = chain_ising_graph(4)
+        graph.set_evidence(0, True)
+        learner = SGDLearner(graph, seed=0)
+        with pytest.raises(TypeError, match="fresh_cache"):
+            learner.evidence_pseudo_nll(fresh_cache=True)
+
+    def test_randomize_scan(self):
+        with pytest.raises(TypeError, match="randomize_scan"):
+            GibbsSampler(chain_ising_graph(3), seed=0, randomize_scan=True)
+
+    def test_transactional(self):
+        with pytest.raises(TypeError, match="transactional"):
+            EngineConfig(transactional=False)
+        assert len(fields(EngineConfig)) == 14
+
+
+class TestPackageReachesNoOracle:
+    def modules(self):
+        files = sorted(SRC.rglob("*.py"))
+        assert len(files) > 50
+        for path in files:
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+    def test_no_import_of_tests_and_no_second_evaluator(self):
+        oracle_names = {"evaluate_query", "binding_counts"}
+        offenders = []
+        for path, tree in self.modules():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                    names = []
+                elif isinstance(node, ast.ImportFrom):
+                    imported = [node.module or ""]
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    imported, names = [], [node.name]
+                else:
+                    continue
+                if any(m == "tests" or m.startswith("tests.") for m in imported):
+                    offenders.append((path.name, node.lineno, "imports tests"))
+                for name in oracle_names.intersection(names):
+                    offenders.append((path.name, node.lineno, name))
+        assert not offenders
+
+    def test_query_module_is_syntax_only(self):
+        public = {
+            name for name in vars(repro.db.query) if not name.startswith("_")
+        }
+        assert public - {"annotations", "dataclass"} == {
+            "Atom",
+            "Var",
+            "static_join_order",
+        }
+        assert not hasattr(repro.db.query, "evaluate_query")

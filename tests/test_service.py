@@ -287,6 +287,17 @@ class TestAdmissionAndStaleness:
             svc.submit(**UPDATE_A)
         assert svc.status()["queue"]["rejected"] == 1
 
+    def test_submit_after_stop_is_unavailable_not_backpressure(self):
+        """A stopped service never drains again: "retry after the backlog
+        drains" (BackpressureError) would be the wrong answer."""
+        svc = make_service()
+        svc.prime()
+        svc.start()
+        svc.stop()
+        with pytest.raises(ServiceUnavailable, match="stopped"):
+            svc.submit(**UPDATE_A)
+        assert svc.status()["queue"]["rejected"] == 0  # not a full queue
+
     def test_stale_read_rejected_or_served_by_bound(self):
         svc = make_service()
         svc.prime()
@@ -794,6 +805,28 @@ class TestServiceServer:
 
         asyncio.run(scenario())
         svc.stop()
+
+    def test_update_to_a_stopped_service_answers_unavailable(self):
+        svc = make_service()
+        svc.prime()
+
+        async def scenario():
+            server = ServiceServer(svc)
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            svc.stop()  # the front end outlives the service behind it
+            writer.write(
+                json.dumps({"op": "update", "inserts": UPDATE_A["inserts"]}).encode()
+                + b"\n"
+            )
+            await writer.drain()
+            answer = json.loads(await reader.readline())
+            assert answer["ok"] is False
+            assert answer["error"] == "ServiceUnavailable"
+            writer.close()
+            await server.stop()
+
+        asyncio.run(scenario())
 
     def test_staleness_rejection_is_a_protocol_answer(self):
         svc = make_service()  # batcher never started: backlog persists

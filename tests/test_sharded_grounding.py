@@ -9,7 +9,8 @@ Four contracts under test:
   graphs identical *to the bit* (names, evidence, factor tuples, weight
   interning order, fixedness) to the serial path for every tested
   ``n_workers``, regardless of shard completion order (shuffled-merge
-  monkeypatch), with ``n_workers=1`` taking the exact serial code path;
+  monkeypatch), with ``n_workers=1`` taking the exact serial code path —
+  and canonically identical to ``reference_ground`` after every update;
 * counters — ``partition_builds`` / ``shard_probes`` /
   ``shard_batches_merged`` / ``degradations`` surface through
   ``Database.index_stats`` and ``GroundingResult.stats``;
@@ -36,8 +37,10 @@ from repro.grounding import (
 from repro.reliability import ReliableUpdatePipeline, RetryPolicy
 from repro.reliability.faults import Fault, FaultPlan, inject_faults
 
+from tests.reference import reference_ground, replay
 from tests.test_fused_delta import chain_db, chain_program
 from tests.test_grounding import spouse_db, spouse_program
+from tests.test_incremental_grounding import assert_equivalent
 from tests.test_reliability import small_config
 
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
@@ -238,34 +241,32 @@ class TestFullGroundBitIdentity:
         assert result.stats["n_workers"] == 1
         assert all(result.stats[c] == 0 for c in SHARD_COUNTERS)
 
-    def test_sharding_requires_columnar_engine(self):
+    def test_executor_needs_two_workers(self):
         program = chain_program(2)
-        db = chain_db(program, EDGES)
-        with pytest.raises(ValueError, match="columnar"):
-            Grounder(program, db, engine="legacy", n_workers=2)
-        with pytest.raises(ValueError, match="fused"):
-            IncrementalGrounder.from_scratch(
-                program, db, delta_strategy="subset", n_workers=2
-            )
         with pytest.raises(ValueError, match="n_workers"):
-            ShardedGroundingExecutor(db, 1)
+            ShardedGroundingExecutor(chain_db(program, EDGES), 1)
 
 
 class TestIncrementalBitIdentity:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_fused_sharded_matches_serial_and_subset_oracle(self, k):
-        serial = serial_chain(k, UPDATES)
-        sharded = sharded_chain(k, 2, UPDATES)
-        assert not sharded.executor.degraded
-        sharded.close()
-        assert_bit_identical(serial.graph, sharded.graph)
-        program = chain_program(k)
-        subset = IncrementalGrounder.from_scratch(
-            program, chain_db(program, EDGES), delta_strategy="subset"
-        )
-        for update in UPDATES:
-            subset.apply_update(**update)
-        assert_bit_identical(serial.graph, subset.graph)
+    def test_sharded_matches_serial_and_reference_after_every_update(self, k):
+        serial = serial_chain(k)
+        sharded = sharded_chain(k, 2)
+        twin_program = chain_program(k)
+        twin_db = chain_db(twin_program, EDGES)
+        try:
+            for update in UPDATES:
+                serial.apply_update(**update)
+                sharded.apply_update(**update)
+                assert_bit_identical(serial.graph, sharded.graph)
+                replay(twin_program, twin_db, update)
+                assert_equivalent(
+                    sharded.graph,
+                    reference_ground(twin_program, twin_db.copy()),
+                )
+            assert not sharded.executor.degraded
+        finally:
+            sharded.close()
 
     def test_three_workers_match_serial(self):
         serial = serial_chain(3, UPDATES)
