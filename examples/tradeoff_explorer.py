@@ -51,7 +51,7 @@ def main() -> None:
             [
                 f"{target:.2f}",
                 f"{result.acceptance_rate:.3f}",
-                f"{1000 * per_effective:.2f}",
+                f"{1e6 * per_effective:.1f}",
                 f"{variational_time:.3f}",
             ]
         )
@@ -63,7 +63,7 @@ def main() -> None:
             [
                 "target acceptance",
                 "measured",
-                "sampling ms/effective-sample",
+                "sampling µs/effective-sample",
                 "variational s/inference",
             ],
             rows,

@@ -6,10 +6,11 @@ with Gibbs sampling and stores them as a bit-matrix (the MCDB-style
 the factor graph, per the paper).  The bundle really is bit-packed
 (``np.packbits``: 8 variables per byte), so :meth:`storage_bits` reports
 true storage.  The inference phase replays the worlds as independent
-Metropolis–Hastings proposals against the updated distribution — rows
-are unpacked on demand for :class:`IndependentMH`; samples are
-*consumed* across successive updates, and exhaustion triggers the
-optimizer's fallback rule.
+Metropolis–Hastings proposals against the updated distribution — each
+:meth:`SampleMaterialization.infer` unpacks the rows its run may consume
+as one matrix and :class:`IndependentMH` extends and scores them as one
+batch; samples are *consumed* across successive updates, and exhaustion
+triggers the optimizer's fallback rule.
 
 With ``n_workers > 1`` the bundle is filled by parallel independent
 chains (one per worker, same shared compilation) within the sample quota

@@ -255,6 +255,53 @@ def bias_init_values(num_new_vars, old_num_vars, bias_add, weights, rng):
     return rng.random(k) < p
 
 
+def rule_unit_energies(
+    worlds, rule_head, rule_sem, grounding_ri, lit_gg, lit_var, lit_pos,
+    sem_uniform=None,
+) -> np.ndarray:
+    """``(S, R)`` unit energies ``sign(head) · g(#satisfied groundings)``
+    of rule factors in the flat layout, one row per world of the
+    ``(S, n)`` boolean matrix ``worlds``.
+
+    The whole-world rule kernel shared by
+    :meth:`CompiledFactorGraph.weight_statistics` and
+    :meth:`~repro.graph.delta_energy.DeltaEvaluator.delta_energies`:
+    literal mismatches are summed per grounding and satisfied groundings
+    per rule with ``bincount``, so an empty grounding counts as satisfied
+    and a rule without groundings has ``n = 0`` (``np.add.reduceat``
+    gets both wrong).  A grounding with contradictory literals is never
+    satisfied and one with a repeated literal is satisfied when the
+    literal is — whole-world energies need no slow path.
+    ``sem_uniform`` is the one semantics code of ``rule_sem`` when it
+    has only one."""
+    S = worlds.shape[0]
+    R, G = rule_head.shape[0], grounding_ri.shape[0]
+    if G:
+        if lit_gg.size:
+            mismatch = worlds[:, lit_var] != lit_pos
+            flat_g = (lit_gg[None, :] + G * np.arange(S)[:, None]).ravel()
+            unsat = np.bincount(
+                flat_g,
+                weights=mismatch.astype(np.float64).ravel(),
+                minlength=S * G,
+            ).reshape(S, G)
+        else:
+            unsat = np.zeros((S, G), dtype=np.float64)
+        flat_r = (grounding_ri[None, :] + R * np.arange(S)[:, None]).ravel()
+        nsat = np.bincount(
+            flat_r,
+            weights=(unsat == 0).astype(np.float64).ravel(),
+            minlength=S * R,
+        ).reshape(S, R)
+    else:
+        nsat = np.zeros((S, R), dtype=np.float64)
+    if sem_uniform is not None:
+        g = g_code_array(sem_uniform, nsat)
+    else:
+        g = g_coded(rule_sem, nsat)
+    return np.where(worlds[:, rule_head], 1.0, -1.0) * g
+
+
 @dataclass
 class CompiledPatch:
     """What one :meth:`CompiledFactorGraph.apply_delta` call changed.
@@ -844,35 +891,17 @@ class CompiledFactorGraph:
                 self.ising_wid, weights=contrib, minlength=W
             )[:W]
         if self.num_rules:
-            R, G = self.num_rules, self.num_groundings
-            if G:
-                if self.lit_gg.size:
-                    mismatch = worlds[:, self.lit_var] != self.lit_pos
-                    flat_g = (
-                        self.lit_gg[None, :] + G * np.arange(S)[:, None]
-                    ).ravel()
-                    unsat = np.bincount(
-                        flat_g,
-                        weights=mismatch.astype(np.float64).ravel(),
-                        minlength=S * G,
-                    ).reshape(S, G)
-                else:
-                    unsat = np.zeros((S, G), dtype=np.float64)
-                flat_r = (
-                    self.grounding_ri[None, :] + R * np.arange(S)[:, None]
-                ).ravel()
-                nsat = np.bincount(
-                    flat_r,
-                    weights=(unsat == 0).astype(np.float64).ravel(),
-                    minlength=S * R,
-                ).reshape(S, R)
-            else:
-                nsat = np.zeros((S, R), dtype=np.float64)
-            if self.rule_sem_uniform is not None:
-                g = g_code_array(self.rule_sem_uniform, nsat)
-            else:
-                g = g_coded(self.rule_sem, nsat)
-            unit = (spins[:, self.rule_head] * g * self.rule_alive).sum(axis=0)
+            unit = rule_unit_energies(
+                worlds,
+                self.rule_head,
+                self.rule_sem,
+                self.grounding_ri,
+                self.lit_gg,
+                self.lit_var,
+                self.lit_pos,
+                self.rule_sem_uniform,
+            )
+            unit = (unit * self.rule_alive).sum(axis=0)
             totals += np.bincount(self.rule_wid, weights=unit, minlength=W)[:W]
         if self.num_live_slow:
             for si, factor in enumerate(self.slow_list):

@@ -9,21 +9,67 @@ touches only the changed factors ∆F — never the full original graph.
 :class:`DeltaEvaluator` computes ``δW`` plus the hard evidence constraints
 the delta introduces (new or flipped labels make worlds that contradict
 them have zero updated probability).
+
+``δW(x) = Σ_t c_t · U_t(x)`` over three kinds of term: a new factor
+(``c = w_new``), a removed base factor (``c = −w_old``) and a surviving
+factor whose weight moved (``c = w_new − w_old``); ``U`` is the factor's
+unit energy.  The constructor lowers the terms **once** into flat arrays
+in the layout of :class:`~repro.graph.compiled.CompiledFactorGraph` —
+``bias_var``; ``ising_i/ising_j``; ``rule_head``, ``rule_sem`` (int8
+codes), ``grounding_ri``, ``lit_gg/lit_var/lit_pos``; one float64
+coefficient per term; the evidence constraints as ``ev_vars/ev_vals`` —
+and range-checks every variable and weight id while doing so.  Two ways
+to score follow from that:
+
+* whole batches — :meth:`DeltaEvaluator.delta_energies`,
+  :meth:`~DeltaEvaluator.violations`,
+  :meth:`~DeltaEvaluator.extend_worlds` over an ``(S, n)`` world matrix,
+  a few array operations per term kind (the rule block is
+  :func:`~repro.graph.compiled.rule_unit_energies`, shared with the
+  learning gradient).  :class:`~repro.inference.metropolis.IndependentMH`
+  scores all its proposals this way;
+* one world — :meth:`~DeltaEvaluator.delta_energy`,
+  :meth:`~DeltaEvaluator.violates_evidence`,
+  :meth:`~DeltaEvaluator.extend_world`, a walk over the factor objects.
+  The strawman's lookup-Gibbs scores one small world between dependent
+  flips with it, and it is the oracle the batch kernel is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.compiled import rule_unit_energies
 from repro.graph.delta import FactorGraphDelta
-from repro.graph.factor_graph import FactorGraph
+from repro.graph.factor_graph import BiasFactor, FactorGraph, IsingFactor, RuleFactor
+from repro.graph.semantics import sem_code
+
+#: Cells (rows × widest per-world temporary) one scoring chunk may span.
+#: The rule block holds ``(rows, literals)`` gather, mismatch, int64
+#: index and float64 weight temporaries at once — 18 bytes a cell, so
+#: 2¹⁸ cells keep a chunk near 5 MB however many proposals a run scores
+#: (a Fig. 9-scale Δ × 300 steps in one piece would take hundreds of MB).
+_SCORE_CELLS = 1 << 18
+
+
+def _describe(factor) -> str:
+    """A factor's name for an error message (a rule's groundings can run
+    to thousands of literals — count them instead)."""
+    if isinstance(factor, RuleFactor):
+        return (
+            f"RuleFactor(weight_id={factor.weight_id}, head={factor.head}, "
+            f"{len(factor.groundings)} groundings)"
+        )
+    return repr(factor)
 
 
 class DeltaEvaluator:
     """Pre-indexed evaluator of ``δW(x)`` for worlds over the updated graph.
 
     Worlds are boolean vectors of length ``base.num_vars + num_new_vars``
-    (old variables first, new variables appended).
+    (old variables first, new variables appended).  A delta that names a
+    variable, weight or base factor outside the updated graph raises
+    ``ValueError`` here, not on the first world that reaches the term.
     """
 
     def __init__(self, base: FactorGraph, delta: FactorGraphDelta) -> None:
@@ -43,8 +89,22 @@ class DeltaEvaluator:
             self.new_weights.set_value(wid, value)
 
         self.new_factors = list(delta.new_factors)
+        num_weights = len(self.new_weights)
+        for factor in self.new_factors:
+            if not 0 <= factor.weight_id < num_weights:
+                raise ValueError(
+                    f"{_describe(factor)} references weight id "
+                    f"{factor.weight_id}, outside [0, {num_weights})"
+                )
         removed_ids = set(delta.removed_factor_ids)
-        self.removed_factors = [base.factors[i] for i in sorted(removed_ids)]
+        num_base_factors = base.num_factors
+        for fi in removed_ids:
+            if not 0 <= fi < num_base_factors:
+                raise ValueError(
+                    f"removed factor id {fi}, outside [0, {num_base_factors})"
+                )
+        # ``factor_at``: a compiled view rebuilds one factor, not its list.
+        self.removed_factors = [base.factor_at(i) for i in sorted(removed_ids)]
 
         # Factors that survive but whose weight value changed: their energy
         # shifts by (w_new − w_old) · unit_energy.
@@ -68,9 +128,183 @@ class DeltaEvaluator:
             if val is not None
         }
         for offset, val in delta.new_var_evidence.items():
+            if not 0 <= offset < delta.num_new_vars:
+                raise ValueError(
+                    f"new-variable evidence at offset {offset}, outside "
+                    f"[0, {delta.num_new_vars})"
+                )
             self.evidence_constraints[base.num_vars + offset] = bool(val)
+        for var in self.evidence_constraints:
+            if not 0 <= var < self.total_vars:
+                raise ValueError(
+                    f"evidence on variable id {var}, outside "
+                    f"[0, {self.total_vars})"
+                )
+
+        self._lower()
 
     # ------------------------------------------------------------------ #
+    # Lowering
+
+    def _terms(self):
+        """Every ``(factor, coefficient)`` term of ``δW``."""
+        new_weights, old_weights = self.new_weights, self.old_weights
+        for factor in self.new_factors:
+            yield factor, new_weights.value(factor.weight_id)
+        for factor in self.removed_factors:
+            yield factor, -old_weights.value(factor.weight_id)
+        yield from self.reweighted
+
+    def _lower(self) -> None:
+        """Flatten :meth:`_terms` and the evidence constraints to arrays."""
+        bias_var, bias_coef = [], []
+        ising_i, ising_j, ising_coef = [], [], []
+        rule_head, rule_sem, rule_coef = [], [], []
+        grounding_ri, lit_gg, lit_var, lit_pos = [], [], [], []
+        for factor, coef in self._terms():
+            if isinstance(factor, BiasFactor):
+                bias_var.append(factor.var)
+                bias_coef.append(coef)
+            elif isinstance(factor, IsingFactor):
+                ising_i.append(factor.i)
+                ising_j.append(factor.j)
+                ising_coef.append(coef)
+            elif isinstance(factor, RuleFactor):
+                ri = len(rule_head)
+                rule_head.append(factor.head)
+                rule_sem.append(sem_code(factor.semantics))
+                rule_coef.append(coef)
+                for grounding in factor.groundings:
+                    gg = len(grounding_ri)
+                    grounding_ri.append(ri)
+                    for var, pos in grounding:
+                        lit_gg.append(gg)
+                        lit_var.append(var)
+                        lit_pos.append(pos)
+            else:
+                raise TypeError(f"unknown factor type {type(factor)!r}")
+
+        def ids(values):
+            return np.asarray(values, dtype=np.int64)
+
+        self.bias_var = ids(bias_var)
+        self.bias_coef = np.asarray(bias_coef, dtype=np.float64)
+        self.ising_i, self.ising_j = ids(ising_i), ids(ising_j)
+        self.ising_coef = np.asarray(ising_coef, dtype=np.float64)
+        self.rule_head = ids(rule_head)
+        self.rule_sem = np.asarray(rule_sem, dtype=np.int8)
+        self.rule_coef = np.asarray(rule_coef, dtype=np.float64)
+        self.grounding_ri = ids(grounding_ri)
+        self.lit_gg, self.lit_var = ids(lit_gg), ids(lit_var)
+        self.lit_pos = np.asarray(lit_pos, dtype=bool)
+        self._rule_sem_uniform = (
+            rule_sem[0] if rule_sem and min(rule_sem) == max(rule_sem) else None
+        )
+
+        touched = np.concatenate(
+            [self.bias_var, self.ising_i, self.ising_j, self.rule_head, self.lit_var]
+        )
+        if touched.size and not 0 <= touched.min() <= touched.max() < self.total_vars:
+            self._raise_unknown_variable()
+
+        self.ev_vars = ids(list(self.evidence_constraints))
+        self.ev_vals = np.asarray(
+            list(self.evidence_constraints.values()), dtype=bool
+        )
+        self._clamp_vars = self.num_base_vars + ids(list(self.delta.new_var_evidence))
+        self._clamp_vals = np.asarray(
+            list(self.delta.new_var_evidence.values()), dtype=bool
+        )
+        # Widest per-world temporary of :meth:`_score`.
+        self._cells_per_world = max(
+            1,
+            self.lit_var.size,
+            self.grounding_ri.size,
+            self.bias_var.size,
+            self.ising_i.size,
+        )
+
+    def _raise_unknown_variable(self) -> None:
+        total = self.total_vars
+        for factor, _ in self._terms():
+            for var in sorted(factor.variables()):
+                if not 0 <= var < total:
+                    raise ValueError(
+                        f"{_describe(factor)} references variable id {var}, "
+                        f"outside [0, {total})"
+                    )
+        raise AssertionError("lowered arrays disagree with their factors")
+
+    # ------------------------------------------------------------------ #
+    # Whole batches
+
+    def _as_worlds(self, worlds) -> np.ndarray:
+        worlds = np.asarray(worlds, dtype=bool)
+        if worlds.ndim != 2 or worlds.shape[1] != self.total_vars:
+            raise ValueError(
+                f"worlds must be (S, {self.total_vars}); got {worlds.shape}"
+            )
+        return worlds
+
+    def delta_energies(self, worlds) -> np.ndarray:
+        """:meth:`delta_energy` of every row of the ``(S, total_vars)``
+        matrix ``worlds``, as an ``(S,)`` float64 vector."""
+        worlds = self._as_worlds(worlds)
+        energies = np.zeros(worlds.shape[0], dtype=np.float64)
+        rows = max(1, _SCORE_CELLS // self._cells_per_world)
+        for lo in range(0, worlds.shape[0], rows):
+            energies[lo : lo + rows] = self._score(worlds[lo : lo + rows])
+        return energies
+
+    def _score(self, worlds: np.ndarray) -> np.ndarray:
+        energy = np.zeros(worlds.shape[0], dtype=np.float64)
+        if self.bias_var.size:
+            energy += np.where(worlds[:, self.bias_var], 1.0, -1.0) @ self.bias_coef
+        if self.ising_i.size:
+            agree = worlds[:, self.ising_i] == worlds[:, self.ising_j]
+            energy += np.where(agree, 1.0, -1.0) @ self.ising_coef
+        if self.rule_head.size:
+            energy += (
+                rule_unit_energies(
+                    worlds,
+                    self.rule_head,
+                    self.rule_sem,
+                    self.grounding_ri,
+                    self.lit_gg,
+                    self.lit_var,
+                    self.lit_pos,
+                    self._rule_sem_uniform,
+                )
+                @ self.rule_coef
+            )
+        return energy
+
+    def violations(self, worlds) -> np.ndarray:
+        """:meth:`violates_evidence` of every row of ``worlds``, ``(S,)``
+        bool."""
+        worlds = self._as_worlds(worlds)
+        return (worlds[:, self.ev_vars] != self.ev_vals).any(axis=1)
+
+    def extend_worlds(self, base_worlds, rng) -> np.ndarray:
+        """:meth:`extend_world` of every row of ``base_worlds`` in one
+        draw: ``rng.random((S, k))`` for the ``k`` missing columns, which
+        consumes the generator exactly as ``S`` successive
+        ``rng.random(k)`` calls would (none when ``k = 0``)."""
+        base_worlds = np.asarray(base_worlds, dtype=bool)
+        count, have = base_worlds.shape
+        if have > self.total_vars:
+            raise ValueError(
+                f"stored worlds have {have} vars, updated graph {self.total_vars}"
+            )
+        worlds = np.empty((count, self.total_vars), dtype=bool)
+        worlds[:, :have] = base_worlds
+        if self.total_vars > have:
+            worlds[:, have:] = rng.random((count, self.total_vars - have)) < 0.5
+        worlds[:, self._clamp_vars] = self._clamp_vals
+        return worlds
+
+    # ------------------------------------------------------------------ #
+    # One world
 
     def violates_evidence(self, world: np.ndarray) -> bool:
         """True if ``world`` contradicts any evidence the delta introduced."""

@@ -8,11 +8,21 @@ each stored world is proposed in turn; because the proposal density *is*
 ``(∆V, ∆F)`` alone.  Worlds that contradict evidence introduced by the
 delta have zero target density and are always rejected — this is why
 supervision updates crater the acceptance rate (§4.3).
+
+A proposal does not depend on the chain's state, so :meth:`IndependentMH.run`
+extends and scores every proposal of a run up front, as one batch through
+the evaluator's lowered Δ; what is left of the chain is a recurrence over
+precomputed floats.  The generator is consumed in the order a
+step-by-step chain would consume it — the initial state's extension, the
+acceptance uniforms, then the proposals' extensions row by row — so a
+seeded run gives the result of the per-proposal loop kept in
+``tests/reference/metropolis.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,15 +86,6 @@ class IndependentMH:
 
     # ------------------------------------------------------------------ #
 
-    def _initial_state(self) -> tuple:
-        """A support-positive starting world: first stored sample with the
-        delta's evidence forced (only the *initial* state may be forced —
-        proposals are never modified, they are rejected instead)."""
-        world = self.evaluator.extend_world(self.stored[0], self.rng)
-        for var, val in self.evaluator.evidence_constraints.items():
-            world[var] = val
-        return world, self.evaluator.delta_energy(world)
-
     def run(self, num_steps: int, keep_chain: bool = False) -> MHResult:
         """Run up to ``num_steps`` MH steps (one stored proposal each).
 
@@ -93,61 +94,60 @@ class IndependentMH:
         (optimizer rule 4, §3.3).
         """
         evaluator = self.evaluator
-        total_vars = evaluator.total_vars
-
         steps = min(num_steps, len(self.stored))
         exhausted = steps < num_steps
+        if len(self.stored) == 0:
+            # Never fabricate an all-zero marginal vector: callers are
+            # expected to fall back *before* running MH on an empty
+            # bundle.
+            raise ValueError(
+                "no stored proposals available (bundle exhausted); "
+                "fall back to another strategy instead of running MH"
+            )
+        # A support-positive starting world: the first stored sample with
+        # the delta's evidence forced (only the *initial* state may be
+        # forced — proposals are never modified, they are rejected
+        # instead).  Row 0 of ``worlds``; proposal ``s`` is row ``s + 1``.
+        initial = evaluator.extend_worlds(self.stored[:1], self.rng)
+        initial[:, evaluator.ev_vars] = evaluator.ev_vals
         if steps == 0:
-            # Nothing to propose.  Never fabricate an all-zero marginal
-            # vector (``counts / 1`` would confidently report every
-            # variable false): report the initial-state counts when a
-            # stored world exists, and fail loudly when none does —
-            # callers are expected to fall back *before* running MH on an
-            # empty bundle.
-            if len(self.stored) == 0:
-                raise ValueError(
-                    "no stored proposals available (bundle exhausted); "
-                    "fall back to another strategy instead of running MH"
-                )
-            current, _ = self._initial_state()
+            # Nothing to propose: report the initial-state counts.
             return MHResult(
-                marginals=current.astype(float),
+                marginals=initial[0].astype(float),
                 acceptance_rate=0.0,
                 proposals_used=0,
                 accepted=0,
                 exhausted=exhausted,
-                chain=np.zeros((0, total_vars), dtype=bool) if keep_chain else None,
+                chain=initial[:0] if keep_chain else None,
             )
-        current, current_delta = self._initial_state()
+        uniforms = self.rng.random(steps).tolist()
+        worlds = np.concatenate(
+            [initial, evaluator.extend_worlds(self.stored[:steps], self.rng)]
+        )
+        energies = evaluator.delta_energies(worlds)
+        energies[1:][evaluator.violations(worlds[1:])] = -np.inf
+        energies = energies.tolist()
 
-        counts = np.zeros(total_vars, dtype=np.int64)
-        chain = np.empty((steps, total_vars), dtype=bool) if keep_chain else None
-        accepted = 0
-        uniforms = self.rng.random(steps)
+        # The accept/reject recurrence is sequential but only touches the
+        # precomputed floats; ``state[t]`` is the row of ``worlds`` the
+        # chain sits on after step ``t``.
+        state = np.empty(steps, dtype=np.int64)
+        current, current_delta, accepted = 0, energies[0], 0
         for step in range(steps):
-            proposal = evaluator.extend_world(self.stored[step], self.rng)
-            if evaluator.violates_evidence(proposal):
-                log_alpha = float("-inf")
-                proposal_delta = float("-inf")
-            else:
-                proposal_delta = evaluator.delta_energy(proposal)
-                log_alpha = proposal_delta - current_delta
-            if log_alpha >= 0 or uniforms[step] < np.exp(log_alpha):
-                current = proposal
-                current_delta = proposal_delta
+            log_alpha = energies[step + 1] - current_delta
+            if log_alpha >= 0 or uniforms[step] < math.exp(log_alpha):
+                current, current_delta = step + 1, energies[step + 1]
                 accepted += 1
-            counts += current
-            if keep_chain:
-                chain[step] = current
+            state[step] = current
 
-        marginals = counts / max(steps, 1)
+        chain = worlds[state]
         return MHResult(
-            marginals=marginals,
-            acceptance_rate=accepted / max(steps, 1),
+            marginals=chain.sum(axis=0) / steps,
+            acceptance_rate=accepted / steps,
             proposals_used=steps,
             accepted=accepted,
             exhausted=exhausted,
-            chain=chain,
+            chain=chain if keep_chain else None,
         )
 
     def estimate_acceptance_rate(self, probe: int = 50) -> float:
@@ -159,7 +159,4 @@ class IndependentMH:
         probe = min(probe, len(self.stored))
         if probe == 0:
             return 0.0
-        result = IndependentMH(
-            self.base, self.delta, self.stored[:probe], seed=self.rng
-        ).run(probe)
-        return result.acceptance_rate
+        return self.run(probe).acceptance_rate

@@ -74,6 +74,10 @@ class ReliableUpdatePipeline:
         #: Transaction id of the most recently committed update — the
         #: staleness stamp the service attaches to read snapshots.
         self.last_txn = 0
+        #: The engine's :class:`InferenceOutcome` for that update (which
+        #: strategy the optimizer picked, the MH acceptance rate) — what
+        #: ``KBService.status()`` reports; ``None`` until one commits.
+        self.last_outcome = None
 
     def apply_update(
         self,
@@ -136,6 +140,7 @@ class ReliableUpdatePipeline:
         self.wal.commit(txn)
         self.updates += 1
         self.last_txn = txn
+        self.last_outcome = outcome
         return outcome
 
     # ------------------------------------------------------------------ #

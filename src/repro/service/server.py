@@ -376,6 +376,7 @@ class KBService:
                 "rollbacks": self.pipeline.rollbacks,
                 "last_txn": self.pipeline.last_txn,
             },
+            "inference": self._inference_status(),
             "reads": {
                 "served": self.reads,
                 "shed": self.reads_shed,
@@ -388,6 +389,28 @@ class KBService:
                 ),
             },
             "recovery": self.recovery,
+        }
+
+    def _inference_status(self) -> dict | None:
+        """What the optimizer did with the last committed update (``None``
+        before the first commit and after a restore that replayed
+        nothing).  ``samples_remaining`` is the engine's bundle now; a
+        Rerun engine has no bundle and no decision."""
+        outcome = self.pipeline.last_outcome
+        if outcome is None:
+            return None
+        decision = outcome.decision
+        sampling = getattr(self.pipeline.engine, "sampling", None)
+        return {
+            "strategy": outcome.strategy,
+            "rule": decision.rule if decision is not None else None,
+            "reason": decision.reason if decision is not None else None,
+            "acceptance_rate": outcome.acceptance_rate,
+            "samples_used": outcome.samples_used,
+            "fell_back": outcome.fell_back,
+            "samples_remaining": (
+                sampling.samples_remaining if sampling is not None else None
+            ),
         }
 
     # ------------------------------------------------------------------ #
@@ -461,10 +484,11 @@ class KBService:
             )
         replayed = 0
         last_txn = ckpt_txn
+        last_outcome = None
         for txn, payload in wal.committed():
             if txn <= ckpt_txn:
                 continue
-            replay_payload(grounder, engine, payload)
+            last_outcome = replay_payload(grounder, engine, payload)
             replayed += 1
             last_txn = max(last_txn, txn)
         # Admitted-but-uncommitted transactions: close them in the log
@@ -486,6 +510,7 @@ class KBService:
             # ``corrupt_skipped`` accounting survives into status().
             service.checkpoints = store
         service.pipeline.last_txn = last_txn
+        service.pipeline.last_outcome = last_outcome
         reapplied = 0
         for _txn, payload in pending:
             service.pipeline.apply_update(

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph import FactorGraph, Semantics
+from repro.graph import (
+    BiasFactor,
+    FactorGraph,
+    FactorGraphDelta,
+    IsingFactor,
+    RuleFactor,
+    Semantics,
+)
 
 
 def single_bias_graph(weight: float = 0.7) -> FactorGraph:
@@ -112,3 +119,85 @@ def brute_force_delta(graph: FactorGraph, x, var: int) -> float:
     x1, x0 = x.copy(), x.copy()
     x1[var], x0[var] = True, False
     return graph.energy(x1) - graph.energy(x0)
+
+
+SEMANTICS = (Semantics.LINEAR, Semantics.RATIO, Semantics.LOGICAL)
+
+
+def random_rule(rng, num_vars, weight_id) -> RuleFactor:
+    """A rule factor from the whole grid: any semantics, zero groundings,
+    empty groundings, duplicated and contradictory literals, the head
+    inside its own body."""
+    head = int(rng.integers(num_vars))
+    groundings = []
+    for _ in range(int(rng.integers(0, 4))):
+        lits = [
+            (int(rng.integers(num_vars)), bool(rng.integers(2)))
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        shape = int(rng.integers(5))
+        if lits and shape == 0:
+            lits.append(lits[0])
+        elif lits and shape == 1:
+            lits.append((lits[0][0], not lits[0][1]))
+        elif shape == 2:
+            lits.append((head, bool(rng.integers(2))))
+        groundings.append(tuple(lits))
+    return RuleFactor(
+        weight_id, head, tuple(groundings), SEMANTICS[int(rng.integers(3))]
+    )
+
+
+def random_factor(rng, num_vars, weight_id):
+    kind = int(rng.integers(3))
+    if kind == 0 or num_vars < 2:
+        return BiasFactor(weight_id, int(rng.integers(num_vars)))
+    if kind == 1:
+        i, j = (int(v) for v in rng.choice(num_vars, size=2, replace=False))
+        return IsingFactor(weight_id, i, j)
+    return random_rule(rng, num_vars, weight_id)
+
+
+def mixed_case(seed, new_vars=None):
+    """A random base graph and a delta against it that mixes every kind of
+    term: bias / Ising / rule factors of all three semantics added and
+    removed, reweighted survivors, new weights, appended variables with
+    and without evidence, evidence set, flipped and cleared."""
+    rng = np.random.default_rng(seed)
+    base = FactorGraph()
+    n = int(rng.integers(2, 7))
+    for _ in range(n):
+        clamp = rng.random() < 0.3
+        base.add_variable(evidence=bool(rng.integers(2)) if clamp else None)
+    for k in range(int(rng.integers(1, 5))):
+        base.weights.intern(("w", k), initial=float(rng.normal()))
+    for _ in range(int(rng.integers(0, 9))):
+        base.factors.append(
+            random_factor(rng, n, int(rng.integers(len(base.weights))))
+        )
+
+    delta = FactorGraphDelta()
+    delta.num_new_vars = (
+        int(rng.integers(0, 4)) if new_vars is None else int(new_vars)
+    )
+    total = n + delta.num_new_vars
+    for offset in range(delta.num_new_vars):
+        if rng.random() < 0.3:
+            delta.new_var_evidence[offset] = bool(rng.integers(2))
+    for k in range(int(rng.integers(0, 3))):
+        delta.new_weight_entries.append((("new", k), float(rng.normal()), False))
+    num_weights = len(base.weights) + len(delta.new_weight_entries)
+    for _ in range(int(rng.integers(0, 7))):
+        delta.new_factors.append(
+            random_factor(rng, total, int(rng.integers(num_weights)))
+        )
+    for fi in range(base.num_factors):
+        if rng.random() < 0.3:
+            delta.removed_factor_ids.add(fi)
+    for wid in range(len(base.weights)):
+        if rng.random() < 0.4:
+            delta.changed_weight_values[wid] = float(rng.normal())
+    for var in range(n):
+        if rng.random() < 0.25:
+            delta.evidence_updates[var] = (None, True, False)[int(rng.integers(3))]
+    return base, delta

@@ -11,7 +11,9 @@ Nothing under ``src/`` imports this package; tests and the non-e2e
 * :mod:`~tests.reference.columnar` — ``columnar_binding_counts``, the
   same counts through a compiled plan;
 * :mod:`~tests.reference.learning` — the per-factor gradient loop and the
-  cache-per-call pseudo-NLL.
+  cache-per-call pseudo-NLL;
+* :mod:`~tests.reference.metropolis` — ``reference_mh_run``, independent
+  MH one proposal at a time.
 """
 
 from tests.reference.grounding import reference_ground, replay

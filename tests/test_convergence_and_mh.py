@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core import EngineConfig, IncrementalEngine
 from repro.graph import FactorGraphDelta, Semantics
 from repro.inference import IndependentMH
 from repro.inference.convergence import sweeps_to_marginal
 from repro.inference.exact import ExactInference
 from repro.workloads import voting_program
+from repro.workloads.systems import build_pipeline, workload_by_name
 
-from tests.helpers import chain_ising_graph
+from tests.helpers import chain_ising_graph, mixed_case
+from tests.reference.metropolis import reference_mh_run
 
 
 class TestConvergenceMeasurement:
@@ -120,3 +123,131 @@ class TestIndependentMHEdgeCases:
         result = mh.run(3000)
         exact = ExactInference(delta.apply(fg)).marginals()
         assert np.abs(result.marginals - exact).max() < 0.08
+
+
+def assert_same_run(base, delta, stored, seed, num_steps, keep_chain=True):
+    """``IndependentMH.run`` ≡ the per-proposal loop: same result, same
+    generator state afterwards."""
+    mh = IndependentMH(base, delta, stored, seed=np.random.default_rng(seed))
+    got = mh.run(num_steps, keep_chain=keep_chain)
+    ref_rng = np.random.default_rng(seed)
+    want = reference_mh_run(base, delta, stored, ref_rng, num_steps, keep_chain)
+    assert (got.accepted, got.proposals_used, got.exhausted) == (
+        want.accepted,
+        want.proposals_used,
+        want.exhausted,
+    )
+    assert got.acceptance_rate == want.acceptance_rate
+    assert got.marginals.dtype == want.marginals.dtype
+    assert np.array_equal(got.marginals, want.marginals)  # bit for bit
+    if keep_chain:
+        assert got.chain.dtype == want.chain.dtype == bool
+        assert got.chain.shape == want.chain.shape
+        assert np.array_equal(got.chain, want.chain)
+    else:
+        assert got.chain is None and want.chain is None
+    assert mh.rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
+
+
+class TestBatchedRunMatchesStepLoop:
+    """The batched ``run`` against ``tests/reference/metropolis.py``, the
+    loop it replaced."""
+
+    @pytest.mark.parametrize("new_vars", [0, 2])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_mixed_deltas(self, seed, new_vars):
+        base, delta = mixed_case(seed, new_vars=new_vars)
+        stored = np.random.default_rng(seed + 7).random((40, base.num_vars)) < 0.5
+        assert_same_run(base, delta, stored, seed, num_steps=40)
+        assert_same_run(base, delta, stored, seed, num_steps=25, keep_chain=False)
+
+    def test_some_proposals_are_accepted_and_some_rejected(self):
+        """The seeds above exercise both branches of the recurrence."""
+        results = []
+        for seed in range(12):
+            base, delta = mixed_case(seed, new_vars=0)
+            stored = (
+                np.random.default_rng(seed + 7).random((40, base.num_vars)) < 0.5
+            )
+            results.append(IndependentMH(base, delta, stored, seed=seed).run(40))
+        assert any(0 < r.accepted < r.proposals_used for r in results)
+
+    def test_evidence_that_rejects_every_proposal(self):
+        fg = chain_ising_graph(3, coupling=0.3, bias=0.1)
+        stored = np.zeros((30, 3), dtype=bool)
+        delta = FactorGraphDelta(evidence_updates={0: True})
+        result = assert_same_run(fg, delta, stored, seed=3, num_steps=30)
+        assert result.accepted == 0 and result.chain[:, 0].all()
+
+    def test_exhaustion(self):
+        base, delta = mixed_case(5, new_vars=1)
+        stored = np.random.default_rng(0).random((9, base.num_vars)) < 0.5
+        result = assert_same_run(base, delta, stored, seed=1, num_steps=20)
+        assert result.exhausted and result.proposals_used == 9
+
+    def test_zero_steps(self):
+        base, delta = mixed_case(5, new_vars=2)
+        stored = np.random.default_rng(0).random((4, base.num_vars)) < 0.5
+        result = assert_same_run(base, delta, stored, seed=1, num_steps=0)
+        assert result.chain.shape == (0, base.num_vars + 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bundle_already_widened(self, seed):
+        """Rows that ``extend_bundle`` already gave some of the appended
+        columns: only the missing tail is drawn."""
+        base, delta = mixed_case(seed, new_vars=3)
+        stored = (
+            np.random.default_rng(seed).random((30, base.num_vars + 2)) < 0.5
+        )
+        assert_same_run(base, delta, stored, seed, num_steps=30)
+        full = np.random.default_rng(seed).random((30, base.num_vars + 3)) < 0.5
+        assert_same_run(base, delta, full, seed, num_steps=30)
+
+    def test_engine_updates_match_the_reference_loop(self, monkeypatch):
+        """A1 → FE1 → FE2 → I1 on a KBC spouse system: every update's
+        outcome equals the one recorded with the reference loop in
+        ``IndependentMH.run``'s place (shared engine generator included:
+        a drift in rng consumption would show in the next update)."""
+
+        def devloop():
+            pipeline = build_pipeline(workload_by_name("news"), scale=0.3, seed=0)
+            grounder = pipeline.build_base()
+            config = EngineConfig(
+                materialization_samples=300,
+                inference_steps=60,
+                variational_inference_samples=40,
+                burn_in=5,
+                seed=0,
+            )
+            engine = IncrementalEngine(grounder.graph, config)
+            engine.materialize()
+            records = []
+            for label, update in pipeline.snapshot_updates()[:4]:
+                outcome = engine.apply_update(grounder.apply_update(**update).delta)
+                assert outcome.strategy == "sampling", label
+                records.append(
+                    (
+                        outcome.marginals,
+                        outcome.acceptance_rate,
+                        engine.sampling.samples_remaining,
+                    )
+                )
+            return records
+
+        batched = devloop()
+        monkeypatch.setattr(
+            IndependentMH,
+            "run",
+            lambda self, num_steps, keep_chain=False: reference_mh_run(
+                self.base, self.delta, self.stored, self.rng, num_steps, keep_chain
+            ),
+        )
+        recorded = devloop()
+        assert [r[2] for r in batched] == [240, 180, 120, 60]
+        for (marginals, rate, remaining), (ref_marginals, ref_rate, ref_remaining) in zip(
+            batched, recorded
+        ):
+            assert np.array_equal(marginals, ref_marginals)
+            assert rate == ref_rate and 0 < rate <= 1
+            assert remaining == ref_remaining

@@ -17,6 +17,7 @@ Layered like the service itself:
 """
 
 import asyncio
+import dataclasses
 import json
 import sys
 import threading
@@ -27,6 +28,7 @@ import pytest
 
 from repro.core import IncrementalEngine
 from repro.grounding import IncrementalGrounder
+from repro.kbc.pipeline import KBCPipeline
 from repro.reliability import DeltaLog, Fault, FaultPlan, inject_faults
 from repro.service import (
     CRASHED,
@@ -45,6 +47,8 @@ from repro.service import (
     ServiceUnavailable,
     StalenessExceeded,
 )
+
+from repro.workloads.systems import build_pipeline, workload_by_name
 
 from tests.test_grounding import spouse_db, spouse_program
 from tests.test_reliability import FAST_RETRY, small_config
@@ -656,6 +660,7 @@ class TestCrashRecovery:
         assert restored.recovery["mode"] == "checkpoint"
         assert restored.recovery["checkpoint_txn"] == 3
         assert restored.recovery["replayed"] == 0
+        assert restored.status()["inference"] is None  # nothing ran here
         expected = twin_marginals([UPDATE_A, UPDATE_B])
         np.testing.assert_array_equal(
             restored.read(max_staleness=0).marginals, expected
@@ -697,6 +702,8 @@ class TestCrashRecovery:
         assert restored.recovery["mode"] == "checkpoint"
         assert restored.recovery["checkpoint_txn"] == 2
         assert restored.recovery["replayed"] == 1
+        # The replayed txn 3 found the 120-sample bundle used up.
+        assert restored.status()["inference"]["rule"] == 4
         assert restored.checkpoints.corrupt_skipped == 1
         expected = twin_marginals([UPDATE_A, UPDATE_B])
         np.testing.assert_array_equal(
@@ -762,6 +769,60 @@ class TestCrashRecovery:
             KBService(grounder, engine, checkpoint_dir=tmp_path / "ckpt")
 
 
+class TestInferenceStatus:
+    def test_status_names_the_strategy_and_the_acceptance_rate(self):
+        """``status()["inference"]``: which optimizer rule routed the last
+        committed update, and how the bundle took it."""
+        spec = workload_by_name("news")
+        corpus = build_pipeline(spec, scale=0.3, seed=0).corpus
+        base = dataclasses.replace(corpus, documents=corpus.documents[:-1])
+        kbc = KBCPipeline(base, i1_style=spec.i1_style, seed=0)
+        grounder = kbc.build_base()
+        engine = IncrementalEngine(
+            grounder.graph, small_config(materialization_samples=400)
+        )
+        engine.materialize()
+        svc = KBService(
+            grounder,
+            engine,
+            config=ServiceConfig(poll_interval=0.005),
+            retry=FAST_RETRY,
+        )
+        assert svc.status()["inference"] is None
+        svc.prime()
+        svc.start()
+        try:
+            # A structural insert: the one held-back document.
+            rows = KBCPipeline(
+                dataclasses.replace(corpus, documents=corpus.documents[-1:]),
+                i1_style=spec.i1_style,
+            ).corpus_rows()
+            rows.pop("KnownRel")
+            svc.submit(inserts=rows)
+            assert svc.drain()
+            inference = svc.status()["inference"]
+            assert (inference["strategy"], inference["rule"]) == ("sampling", 3)
+            assert "structural" in inference["reason"]
+            assert 0 < inference["acceptance_rate"] <= 1
+            assert inference["samples_used"] == 80
+            assert not inference["fell_back"]
+            assert inference["samples_remaining"] == 400 - 2 * 80
+
+            # An evidence flip: a gold pair the KB did not know labels its
+            # candidates.
+            known = {tuple(sorted(pair)) for pair in kbc._known_initial}
+            e1, e2 = sorted(corpus.gold_pairs - known)[0]
+            svc.submit(inserts={"KnownRel": [(e1, e2), (e2, e1)]})
+            assert svc.drain()
+            assert grounder.last_result.delta.changes_evidence
+            inference = svc.status()["inference"]
+            assert (inference["strategy"], inference["rule"]) == ("variational", 2)
+            assert inference["acceptance_rate"] is None
+            assert inference["samples_remaining"] == 400 - 2 * 80
+        finally:
+            svc.stop()
+
+
 # --------------------------------------------------------------------- #
 # Front end
 
@@ -783,6 +844,7 @@ class TestServiceServer:
 
             status = await rpc({"op": "status"})
             assert status["ok"] and status["status"]["primed"]
+            assert status["status"]["inference"]["strategy"] == "sampling"
 
             up = await rpc({"op": "update", "inserts": UPDATE_A["inserts"]})
             assert up["ok"] and up["seq"] == 1

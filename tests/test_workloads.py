@@ -116,6 +116,22 @@ class TestSynthetic:
         _, low = delta_with_acceptance(fg, mat, target_acceptance=0.1, seed=1)
         assert high > low
 
+    @pytest.mark.parametrize(
+        "target, num_factors", [(0.5, 5), (0.1, 5), (0.02, 40)]
+    )
+    def test_acceptance_calibration_is_relative(self, target, num_factors):
+        """Within 1.5× of the target — an absolute ±0.08 let "ρ = 0.1" be
+        0.02 and "ρ = 0.02" anything up to 0.1."""
+        fg = synthetic_pairwise_graph(150, sparsity=0.5, seed=0)
+        mat = SampleMaterialization(fg, seed=0)
+        mat.materialize(num_samples=600, burn_in=30)
+        delta, measured = delta_with_acceptance(
+            fg, mat, target_acceptance=target, num_factors=num_factors, seed=2
+        )
+        assert target / 1.5 <= measured <= target * 1.5
+        assert len(delta.new_factors) == num_factors
+        assert mat.samples_remaining == 600  # probing consumes nothing
+
     def test_full_acceptance_is_empty_delta(self):
         fg = synthetic_pairwise_graph(20, seed=4)
         mat = SampleMaterialization(fg, seed=0)
