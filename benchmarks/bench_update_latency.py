@@ -33,7 +33,10 @@ compilation's marginals agree with a from-scratch compile; then drive a
 variational-only ``IncrementalEngine`` through three appends and a
 retraction and assert its approximate substrate was constructed once,
 no oracle view was materialized, and the warm chain's marginals agree
-with a freshly compiled sampler over the spliced graph.
+with a freshly compiled sampler over the spliced graph; then count the
+substrate's work per delta (array appends independent of |Δ|, no factor
+list materialized by patch, build or compaction, a threshold delta = one
+build and no splice).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_update_latency.py
 [--scale tiny|small|medium] [--check]``
@@ -349,18 +352,93 @@ def check_variational() -> None:
     )
 
 
+def check_work_counts() -> None:
+    """CI smoke, deterministic: what a delta costs the substrate is a
+    count of calls, not a time.  Array appends per ``apply_delta`` stay
+    within one per growable array whether the delta has 8 factors or 200;
+    patch, pre-decided build and ``compact()`` never materialize a factor
+    list; a delta over the threshold runs the array build once and the
+    splice never."""
+    from collections import Counter
+
+    from repro.graph.compiled import _GROWABLE_NAMES, CompiledFactorGraph, _Growable
+    from repro.graph.factor_graph import BiasFactor
+
+    counts = Counter()
+    originals = {}
+
+    def counting(cls, name):
+        originals[cls, name] = original = getattr(cls, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return original(self, *args, **kwargs)
+
+        setattr(cls, name, wrapper)
+
+    def bulk(compiled, num_factors):
+        delta = FactorGraphDelta(num_new_vars=2)
+        delta.new_weight_entries.append((("bulk", compiled.num_factors), 0.3, False))
+        wid, total = len(compiled.weights), compiled.num_vars + 2
+        for k in range(num_factors):
+            i, j = k % total, (7 * k + 3) % total
+            delta.new_factors.append(
+                BiasFactor(wid, i) if k % 2 or i == j else IsingFactor(wid, i, j)
+            )
+        delta.removed_factor_ids.update({0, 5})
+        return delta
+
+    counting(_Growable, "append")
+    for name in ("materialized_factors", "_build", "_splice"):
+        counting(CompiledFactorGraph, name)
+    try:
+        appends = {}
+        for num_factors in (8, 200):
+            compiled = CompiledFactorGraph(build_graph(400))
+            compiled.plan()
+            counts.clear()
+            patch = compiled.apply_delta(bulk(compiled, num_factors), compact_threshold=1.0)
+            assert not patch.compacted and counts["_splice"] == 1 and not counts["_build"]
+            appends[num_factors] = counts["append"]
+            assert 0 < counts["append"] <= len(_GROWABLE_NAMES), (
+                f"{counts['append']} array appends for a {num_factors}-factor delta"
+            )
+        compiled = CompiledFactorGraph(build_graph(60))
+        compiled.plan()
+        counts.clear()
+        patch = compiled.apply_delta(bulk(compiled, 200), compact_threshold=0.25)
+        assert patch.compacted and not compiled.has_patches
+        assert counts["_build"] == 1 and not counts["_splice"], (
+            f"threshold delta: {counts['_build']} builds, {counts['_splice']} splices"
+        )
+        compiled.apply_delta(bulk(compiled, 40), compact_threshold=None)
+        compiled.compact()
+        assert not counts["materialized_factors"] and compiled.views_materialized == 0, (
+            "patch / build / compact materialized a factor list"
+        )
+    finally:
+        for (cls, name), original in originals.items():
+            setattr(cls, name, original)
+    print(
+        f"work-count smoke ok: {appends[8]} / {appends[200]} array appends for an "
+        "8- / 200-factor delta, threshold delta = 1 build + 0 splices, "
+        "0 factor lists materialized"
+    )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     parser.add_argument(
         "--check",
         action="store_true",
-        help="run the incremental-compilation and variational smoke assertions only",
+        help="run the incremental-compilation, variational and work-count smoke assertions only",
     )
     args = parser.parse_args()
     if args.check:
         check()
         check_variational()
+        check_work_counts()
         return
     record = run(args.scale)
     emit_json("BENCH_update", record)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.graph.factor_graph import FactorGraph
 
@@ -36,34 +38,43 @@ class VariableGroup:
         return len(self.inactive) + len(self.active)
 
 
-def variable_adjacency(graph: FactorGraph) -> nx.Graph:
-    """Variables adjacent iff they co-occur in some factor."""
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.num_vars))
-    for i, j in graph.neighbor_pairs():
-        g.add_edge(i, j)
-    return g
-
-
 def decompose(graph: FactorGraph, active_vars) -> list:
     """Algorithm 2 lines 1–3: split inactive variables into conditionally
-    independent groups with their minimal active boundaries."""
-    active = frozenset(int(v) for v in active_vars)
-    adjacency = variable_adjacency(graph)
-    inactive_subgraph = adjacency.subgraph(
-        [v for v in adjacency.nodes if v not in active]
+    independent groups with their minimal active boundaries.
+
+    Variables are adjacent iff they co-occur in some factor: the groups
+    are the connected components of the adjacency restricted to inactive
+    variables, each with the active variables adjacent to it, in order of
+    their smallest variable."""
+    n = graph.num_vars
+    is_active = np.zeros(n, dtype=bool)
+    is_active[[v for v in map(int, active_vars) if 0 <= v < n]] = True
+    pairs = np.array(list(graph.neighbor_pairs()), dtype=np.int64).reshape(-1, 2)
+    a, b = pairs[:, 0], pairs[:, 1]
+    inner = ~is_active[a] & ~is_active[b]
+    _, label = connected_components(
+        coo_matrix((np.ones(inner.sum()), (a[inner], b[inner])), shape=(n, n)),
+        directed=False,
     )
-    groups = []
-    for component in nx.connected_components(inactive_subgraph):
-        boundary = set()
-        for v in component:
-            boundary.update(
-                u for u in adjacency.neighbors(v) if u in active
-            )
-        groups.append(
-            VariableGroup(inactive=frozenset(component), active=frozenset(boundary))
+    # Boundary edges, inactive endpoint first.
+    cross = is_active[a] != is_active[b]
+    inside = np.where(is_active[a[cross]], b[cross], a[cross])
+    outside = np.where(is_active[a[cross]], a[cross], b[cross])
+    boundary: dict = {}
+    for group, var in zip(label[inside].tolist(), outside.tolist()):
+        boundary.setdefault(group, set()).add(var)
+    inactive = np.flatnonzero(~is_active)
+    inactive = inactive[np.argsort(label[inactive], kind="stable")]
+    cuts = np.flatnonzero(np.diff(label[inactive])) + 1
+    groups = [
+        VariableGroup(
+            inactive=frozenset(members.tolist()),
+            active=frozenset(boundary.get(int(label[members[0]]), ())),
         )
-    return groups
+        for members in np.split(inactive, cuts)
+        if members.size
+    ]
+    return sorted(groups, key=lambda group: min(group.inactive))
 
 
 def merge_groups(groups) -> list:

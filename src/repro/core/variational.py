@@ -29,7 +29,6 @@ graph.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from repro.core.resident import ResidentGraph
 from repro.core.sampling import make_sampler
-from repro.graph.delta import FactorGraphDelta
+from repro.graph.delta import FactorGraphDelta, FactorList, FactorTable
 from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
 
@@ -271,51 +270,56 @@ class VariationalMaterialization:
         the post-update value, a removed factor comes back under a fresh
         fixed weight of the negated pre-update value, and a surviving
         factor whose weight changed gains a copy weighted by the shift.
+        All three are remaps of a factor table's weight columns.
         """
         weights = self.resident.compiled.weights
         old_weights = base.weights
         num_old = len(old_weights)
         changed = delta.changed_weight_values
 
-        def spliced(factor, kind, value):
-            self._splice_counter += 1
-            wid = weights.intern(
-                (kind, self._splice_counter), initial=value, fixed=True
-            )
-            return dataclasses.replace(factor, weight_id=wid)
-
-        factors = []
-        for factor in delta.new_factors:
-            wid = factor.weight_id
+        # New factors: one intern per distinct weight id, in the order
+        # the factors first mention them.
+        new = delta.new_factors.table
+        wids = new.weight_ids().tolist()
+        interned = {}
+        for wid in dict.fromkeys(wids):
             if wid < num_old:
                 key = old_weights.key_for(wid)
                 value = old_weights.value(wid)
                 fixed = old_weights.is_fixed(wid)
             else:
                 key, value, fixed = delta.new_weight_entries[wid - num_old]
-            wid = weights.intern(key, initial=changed.get(wid, value), fixed=fixed)
-            factors.append(dataclasses.replace(factor, weight_id=wid))
-        removed = delta.removed_factor_ids
-        for fi in sorted(removed):
-            factor = base.factor_at(fi)
-            factors.append(
-                spliced(factor, "spliced-removal", -old_weights.value(factor.weight_id))
+            interned[wid] = weights.intern(
+                key, initial=changed.get(wid, value), fixed=fixed
             )
-        if changed:
-            for fi in range(base.num_factors):
-                if fi in removed:
-                    continue
-                factor = base.factor_at(fi)
-                change = changed.get(factor.weight_id)
-                if change is not None:
-                    shift = change - old_weights.value(factor.weight_id)
-                    if shift != 0.0:
-                        factors.append(spliced(factor, "spliced-reweight", shift))
+        tables = [
+            new.with_weights(
+                np.fromiter(map(interned.__getitem__, wids), np.int64, len(wids))
+            )
+        ]
+
+        def spliced(table, kind, values):
+            """``table``, each factor under a fresh fixed weight."""
+            fresh = np.empty(len(table), dtype=np.int64)
+            for row, value in enumerate(values.tolist()):
+                self._splice_counter += 1
+                fresh[row] = weights.intern(
+                    (kind, self._splice_counter), initial=value, fixed=True
+                )
+            return table.with_weights(fresh)
+
+        removed, reweighted, shift = delta.base_terms(base)
+        if len(removed):
+            gone = -old_weights.values_array()[removed.weight_ids()]
+            tables.append(spliced(removed, "spliced-removal", gone))
+        if len(reweighted):
+            moved = shift[reweighted.weight_ids()]
+            tables.append(spliced(reweighted, "spliced-reweight", moved))
         return FactorGraphDelta(
             num_new_vars=delta.num_new_vars,
             new_var_names=delta.new_var_names,
             new_var_evidence=delta.new_var_evidence,
-            new_factors=factors,
+            new_factors=FactorList.from_table(FactorTable.concat(tables)),
             evidence_updates=delta.evidence_updates,
         )
 

@@ -62,23 +62,43 @@ checkpoint restores and is the same whether a plan was built from scratch
 or repaired.  Members of very large rule factors or slow-path factors
 scan alone.
 
-Incremental compilation: :meth:`CompiledFactorGraph.apply_delta` patches
-the compiled view in place from a
+Incremental compilation: :meth:`CompiledFactorGraph.apply_delta` brings
+the compiled view to ``graph ⊕ delta`` in place from a
 :class:`~repro.graph.delta.FactorGraphDelta` instead of recompiling —
 the paper's O(|Δ|) update promise carried down into the CSR substrate.
-The patch protocol:
+Arrays in, arrays out: the delta's new factors arrive as a
+:class:`~repro.graph.delta.FactorTable`, which has this module's own
+column layout (``bias_var/bias_wid``, ``ising_i/ising_j/ising_wid``,
+``rule_head/rule_wid/rule_sem``, ``grounding_ri``,
+``lit_gg/lit_var/lit_pos``, ids local to the table), so landing a delta
+is offsetting its ids and appending its columns.  The patch protocol:
 
+* **ops** — the delta becomes a picklable op dict: the table as it is
+  (``add``) and, for the removed factor ids, the slots they resolve to
+  through the factor-handle table (``bias_del``, ``ising_del``,
+  ``rule_del``, ``slow_del``).  Worker processes replay the same dict on
+  their shared-memory attached views;
+* **decide, then land** — what the ops will touch (every variable that
+  gains or loses an incidence; a removed rule finds its body in its
+  literal range) is read off the arrays before anything mutates, and
+  with it the patched density the delta will leave.  At or under the
+  caller's ``compact_threshold`` the ops are *spliced*; over it a splice
+  would be thrown away by the compaction behind it, so the live rows and
+  the table's rows go through the array build (``_build``, which is also
+  all ``__init__`` does after lowering the source graph, and all
+  ``compact`` does) once instead, and the patch is marked ``compacted``;
 * **appends** (new variables, factors, groundings, literals) land at the
   end of the global incidence arrays, which are backed by
-  amortized-doubling :class:`_Growable` buffers;
+  amortized-doubling :class:`_Growable` buffers — each array is appended
+  at most once per patch, whatever |Δ|;
 * **retractions** tombstone their entries via ``*_alive`` masks (the
-  entries stay in the arrays, masked out of every reader) — compaction
-  (a full recompile of the current graph, in place) runs when the
-  tombstone/patch density crosses a threshold;
+  entries stay in the arrays, masked out of every reader) until the next
+  build;
 * per-variable CSR slices are *not* rewritten: a variable whose
   incidence set changed is flagged in ``var_patched`` and its scalar
   kernels route through the always-current Python mirrors (``py_*``
-  lists) until the next compaction.  Blocks gather from the mirrors, so
+  lists, extended per touched variable from the table's rows grouped by
+  variable) until the next build.  Blocks gather from the mirrors, so
   the batched kernel never reads a stale slice;
 * touched variables that now share a colour with a neighbour — and
   appended variables — take the smallest colour their neighbours leave
@@ -98,23 +118,31 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as _dc_field
+from types import SimpleNamespace
 
 import numpy as np
 
-from repro.graph.factor_graph import (
-    BiasFactor,
-    CompiledGraphView,
-    FactorGraph,
-    IsingFactor,
-    RuleFactor,
+from repro.graph.delta import (
+    KIND_BIAS,
+    KIND_ISING,
+    KIND_RULE,
+    FactorTable,
+    expand_ranges,
+    gather_rules,
+    lower_factors,
+    rule_literals,
 )
+from repro.graph.factor_graph import CompiledGraphView, FactorGraph
 from repro.graph.semantics import (
     g_code_array,
     g_coded,
     g_value,
-    sem_code,
-    sem_from_code,
+    sems_from_codes,
 )
+
+#: Handle-table kind of a rule factor kept on the brute-force slow path
+#: (the other kinds are the :class:`FactorTable` codes).
+_KIND_SLOW = 3
 
 #: Rule factors touching more variables than this force their members into
 #: singleton blocks (avoids quadratic co-membership edges; such factors
@@ -146,16 +174,6 @@ _SOLO_WINDOW = 1 << 20
 _KEY_SHIFT = 40
 
 
-def _has_duplicated_literal(groundings) -> bool:
-    """True when some grounding mentions one variable twice — the only
-    rule factors left on the brute-force slow path."""
-    for grounding in groundings:
-        per_grounding = [var for var, _ in grounding]
-        if len(per_grounding) != len(set(per_grounding)):
-            return True
-    return False
-
-
 def _smallest_free_color(used) -> int:
     color = 0
     while color in used:
@@ -163,15 +181,93 @@ def _smallest_free_color(used) -> int:
     return color
 
 
-def _csr(lists, dtype=np.int64):
-    """Flatten a list of per-variable lists into (indptr, flat array)."""
-    counts = np.fromiter((len(l) for l in lists), dtype=np.int64, count=len(lists))
-    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    flat = np.fromiter(
-        (x for l in lists for x in l), dtype=dtype, count=int(indptr[-1])
+def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of ``n`` variables over incidence rows grouped by
+    owning variable."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[0], b[0], a[1], b[1], …`` — the two incidence rows an Ising
+    factor owns, in the order they are laid down."""
+    out = np.empty(2 * a.shape[0], dtype=a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _groups(keys: np.ndarray) -> tuple:
+    """Stable grouping of rows by key: the sorting order and, per
+    distinct key in ascending order, ``(key, lo, hi)`` — its slice of the
+    sorted rows."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    lo = [0] + cuts if keys.size else cuts
+    return order, zip(keys[lo].tolist(), lo, cuts + [keys.size])
+
+
+def _rows(*columns) -> np.ndarray:
+    """Parallel id columns as the rows of one ``(m, len(columns))``
+    array."""
+    rows = np.empty((columns[0].shape[0], len(columns)), dtype=np.int64)
+    for k, column in enumerate(columns):
+        rows[:, k] = column
+    return rows
+
+
+def _by_owner(rows: np.ndarray) -> tuple:
+    """Stable order grouping incidence ``rows`` by owning variable, and
+    the slot each row lands in."""
+    order = np.argsort(rows, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.shape[0])
+    return order, slot
+
+
+def _heads_outside_body(rules: FactorTable) -> np.ndarray:
+    """The rule rows that carry a head incidence: a head that sits in its
+    own body carries only the body one (closed form, see module
+    docstring)."""
+    lit_ri = rules.lit_ri
+    outside = np.ones(rules.num_rules, dtype=bool)
+    outside[lit_ri[rules.lit_var == rules.rule_head[lit_ri]]] = False
+    return np.flatnonzero(outside)
+
+
+def _segment_starts(var: np.ndarray, ri: np.ndarray) -> np.ndarray:
+    """Where the body segments — runs of one ``(variable, rule)`` pair —
+    start in literals sorted by variable (stably, so by rule within)."""
+    starts = np.ones(var.shape[0], dtype=bool)
+    starts[1:] = (var[1:] != var[:-1]) | (ri[1:] != ri[:-1])
+    return np.flatnonzero(starts)
+
+
+def _rule_members(num_rules: int, head, lit_ri, lit_var, span: int) -> tuple:
+    """Who a batch of fast-path rules couples.
+
+    Returns ``(big_members, a, b)``: the members (head and body, once
+    each) of rules over more than ``_BIG_FACTOR`` variables, and every
+    ordered pair ``(a, b)`` of distinct members of each smaller rule —
+    one neighbour-multiset entry per rule per pair.  ``span`` exceeds
+    every variable id."""
+    member = np.unique(
+        np.concatenate([np.arange(num_rules) * span + head, lit_ri * span + lit_var])
     )
-    return indptr, flat
+    ri, var = np.divmod(member, span)
+    size = np.bincount(ri, minlength=num_rules)[ri]
+    big_members = var[size > _BIG_FACTOR]
+    # A rule of one variable couples nothing; an oversized one is not
+    # tracked pair by pair.
+    paired = (size > 1) & (size <= _BIG_FACTOR)
+    ri, var, size = ri[paired], var[paired], size[paired]
+    # Members of one rule are consecutive: pair each with its rule's run.
+    first = np.searchsorted(ri, ri, "left")
+    b, a = expand_ranges(first, first + size)
+    distinct = a != b
+    return big_members, var[a[distinct]], var[b[distinct]]
 
 
 class _Growable:
@@ -202,7 +298,7 @@ class _Growable:
             self.buf = grown
         self.buf[self.size : need] = values
         self.size = need
-        return self.view
+        return self.buf[:need]
 
 
 #: Per-variable Python mirrors of the incidence lists (scalar kernel).
@@ -236,21 +332,26 @@ _GROWABLE_NAMES = (
 )
 
 
+#: Per-variable growable arrays that only the controller writes: a
+#: shared-memory attached view replaying a patch re-slices them.
+_CONTROLLER_OWNED = ("_color", "_big_count", "_force_singleton")
+
+
 def bias_init_values(num_new_vars, old_num_vars, bias_add, weights, rng):
     """Initial values for a patch's appended variables.
 
     Draws each new variable from its bias-only conditional
     ``P(x=1) = σ(2·Σ w_bias)`` — the warm-start initialization shared by
     every patchable sampler (serial chain, worker chains, sharded
-    controller).  Evidence clamps are the caller's job (they differ per
-    consumer)."""
+    controller).  ``bias_add`` holds the patch's ``(var, weight id)``
+    rows (:attr:`CompiledPatch.bias_add`).  Evidence clamps are the
+    caller's job (they differ per consumer)."""
     k = int(num_new_vars)
     if not k:
         return np.zeros(0, dtype=bool)
     bias = np.zeros(k, dtype=np.float64)
-    for var, wid in bias_add:
-        if var >= old_num_vars:
-            bias[var - old_num_vars] += weights.value(wid)
+    new = bias_add[bias_add[:, 0] >= old_num_vars]
+    np.add.at(bias, new[:, 0] - old_num_vars, weights.values_array()[new[:, 1]])
     p = 1.0 / (1.0 + np.exp(-2.0 * np.clip(bias, -40.0, 40.0)))
     return rng.random(k) < p
 
@@ -302,18 +403,32 @@ def rule_unit_energies(
     return np.where(worlds[:, rule_head], 1.0, -1.0) * g
 
 
+def _no_rows(*shape) -> np.ndarray:
+    rows = np.zeros(shape, dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
+
+
+_NO_IDS, _NO_PAIRS, _NO_TRIPLES = _no_rows(0), _no_rows(0, 2), _no_rows(0, 3)
+
+
 @dataclass
 class CompiledPatch:
     """What one :meth:`CompiledFactorGraph.apply_delta` call changed.
 
     Consumed by :meth:`GibbsCache.apply_patch` (cache splice), warm-started
     samplers (state growth + evidence re-clamp) and the shared-memory
-    export (which slices it syncs).  ``ops`` is the picklable op list a
+    export (which slices it syncs).  ``ops`` is the picklable op dict a
     worker process replays on its attached compiled view so controller
     and workers stay structurally identical without re-shipping the
-    graph.  When ``compacted`` is set the compiled object was fully
-    rebuilt (tombstone density crossed the threshold) and holders must
-    re-derive plans/caches instead of splicing.
+    graph.  Row arrays: ``bias_del`` the tombstoned bias positions,
+    ``ising_del`` the ``(k1, k2)`` incidence pairs of tombstoned edges,
+    ``bias_add`` the appended ``(var, weight id)`` rows, ``ising_add``
+    the appended ``(i, j, weight id)`` rows.  When ``compacted`` is set
+    the compiled object was rebuilt instead of spliced (the delta took
+    the patched density over the threshold) and holders must re-derive
+    plans/caches; the header fields and ``bias_add`` still describe the
+    delta.
     """
 
     ops: dict
@@ -327,23 +442,22 @@ class CompiledPatch:
     dirty_vars: np.ndarray = None
     evidence_sets: list = _dc_field(default_factory=list)
     evidence_clears: list = _dc_field(default_factory=list)
-    bias_del: list = _dc_field(default_factory=list)
-    ising_del: list = _dc_field(default_factory=list)
-    bias_add: list = _dc_field(default_factory=list)
-    ising_add: list = _dc_field(default_factory=list)
+    bias_del: np.ndarray = _dc_field(default_factory=lambda: _NO_IDS)
+    ising_del: np.ndarray = _dc_field(default_factory=lambda: _NO_PAIRS)
+    bias_add: np.ndarray = _dc_field(default_factory=lambda: _NO_PAIRS)
+    ising_add: np.ndarray = _dc_field(default_factory=lambda: _NO_TRIPLES)
     compacted: bool = False
 
     @property
     def structural(self) -> bool:
+        ops = self.ops
         return bool(
             self.num_new_vars
-            or self.bias_del
-            or self.ising_del
-            or self.bias_add
-            or self.ising_add
-            or self.ops.get("rule_del")
-            or self.ops.get("slow_del")
-            or self.ops.get("rule_add")
+            or len(ops["add"])
+            or len(ops["bias_del"])
+            or len(ops["ising_del"])
+            or len(ops["rule_del"])
+            or len(ops["slow_del"])
         )
 
 
@@ -362,171 +476,133 @@ class CompiledFactorGraph:
     _mirror_journal = None
 
     def __init__(self, graph: FactorGraph) -> None:
-        graph.validate()
+        table = lower_factors(graph.factors)
+        self._check_ids(table, graph.num_vars, len(graph.weights))
+        for var in graph.evidence:
+            if not 0 <= var < graph.num_vars:
+                raise ValueError(f"evidence on unknown variable {var}")
         self.graph = graph
-        n = self.num_vars = graph.num_vars
+        # ---- substrate-as-truth state ------------------------------------
+        # Once deltas are applied directly (``apply_delta`` with no
+        # materialized graph) this object is the single source of graph
+        # truth: ``structure_version`` stamps structural patches,
+        # ``materialized_factors()`` lazily rebuilds the oracle factor
+        # list against that stamp, and ``views_materialized`` counts
+        # rebuilds — the default update path must never trigger one.
+        self.structure_version = 0
+        self.views_materialized = 0
+        self._view_factors = None
+        self._view_factors_version = -1
+        self._cap_views = None  # set on shared-memory attached instances
+        self._build(table, graph.num_vars)
+
+    @staticmethod
+    def _check_ids(table: FactorTable, num_vars: int, num_weights: int) -> None:
+        """Every variable and weight id of ``table`` exists."""
+        for ids, count, what in (
+            (table.variables(), num_vars, "variable"),
+            (table.weight_ids(), num_weights, "weight"),
+        ):
+            if ids.size and not 0 <= ids.min() <= ids.max() < count:
+                bad = ids[(ids < 0) | (ids >= count)][0]
+                raise ValueError(f"factor references unknown {what} {int(bad)}")
+
+    def _build(self, table: FactorTable, num_vars: int) -> None:
+        """Derive the whole compiled state from ``table``, the graph's
+        factor list in list order, over ``num_vars`` variables.
+
+        The one array build: :meth:`__init__` runs it on the lowered
+        source graph, :meth:`compact` on the live rows, and a delta that
+        takes the patched density over the threshold on the live rows
+        with the delta's rows behind them.  Everything a patch maintains
+        incrementally is reset (tombstones, ``var_patched``, the
+        neighbour patch, colours, cached plans); graph state — names,
+        evidence, weights, the ``graph`` facade — is the caller's."""
+        n = self.num_vars = num_vars
         self._mirror_journal = None
+        F = len(table)
 
-        bias_lists = [[] for _ in range(n)]   # [wid]
-        ising_lists = [[] for _ in range(n)]  # [(other, wid)]
-        head_lists = [[] for _ in range(n)]   # [ri]
-        body_lists = [[] for _ in range(n)]   # [(ri, gg, pos)]
-        slow_lists = [[] for _ in range(n)]   # [slow idx]
-
-        self.rule_factors = {}   # original factor idx -> RuleFactor (fast path)
-        self.slow_factors = {}   # original factor idx -> RuleFactor (slow path)
-        self.slow_list = []      # dense list of slow-path factors
-
-        rule_head_l, rule_wid_l, rule_sem_l, rule_code_l = [], [], [], []
-        grounding_ri_l = []
-        lit_gg_l, lit_var_l, lit_pos_l = [], [], []
-
-        # Per-factor handle table: original factor index → compiled handle
-        # (bias/ising incidence positions, rule ri, slow si).  Kept aligned
-        # with the graph's factor list across apply_delta calls so removed
+        # ---- route the rules ---------------------------------------------
+        # Per-factor handle table: factor index → compiled handle (bias /
+        # Ising incidence positions, rule ri, slow si).  Kept aligned
+        # with the factor list across apply_delta calls so removed
         # factor ids resolve to tombstones in O(1).
-        fkind_l, fprov_l = [], []
+        fkind = table.kind.copy()
+        fh1 = np.empty(F, dtype=np.int64)
+        fh2 = np.full(F, -1, dtype=np.int64)
+        rule_rows = np.flatnonzero(fkind == KIND_RULE)
+        slow = table.repeats_a_variable()
+        rules = table
+        self.slow_list = []      # dense list of slow-path factors
+        if slow.any():
+            rules = table.take(rule_rows[~slow])
+            self.slow_list = table.take(rule_rows[slow]).factors()
+            fkind[rule_rows[slow]] = _KIND_SLOW
+            fh1[rule_rows[slow]] = np.arange(len(self.slow_list))
+        R = self.num_rules = rules.num_rules
+        fh1[rule_rows[~slow]] = np.arange(R)
 
-        for fi, factor in enumerate(graph.factors):
-            if isinstance(factor, BiasFactor):
-                fkind_l.append(0)
-                fprov_l.append((factor.var, len(bias_lists[factor.var])))
-                bias_lists[factor.var].append(factor.weight_id)
-            elif isinstance(factor, IsingFactor):
-                fkind_l.append(1)
-                fprov_l.append(
-                    (
-                        (factor.i, len(ising_lists[factor.i])),
-                        (factor.j, len(ising_lists[factor.j])),
-                    )
-                )
-                ising_lists[factor.i].append((factor.j, factor.weight_id))
-                ising_lists[factor.j].append((factor.i, factor.weight_id))
-            elif isinstance(factor, RuleFactor):
-                if _has_duplicated_literal(factor.groundings):
-                    self.slow_factors[fi] = factor
-                    si = len(self.slow_list)
-                    fkind_l.append(3)
-                    fprov_l.append(si)
-                    self.slow_list.append(factor)
-                    for var in factor.variables():
-                        slow_lists[var].append(si)
-                    continue
-                ri = len(rule_head_l)
-                fkind_l.append(2)
-                fprov_l.append(ri)
-                self.rule_factors[fi] = factor
-                rule_head_l.append(factor.head)
-                rule_wid_l.append(factor.weight_id)
-                rule_sem_l.append(factor.semantics)
-                rule_code_l.append(sem_code(factor.semantics))
-                for grounding in factor.groundings:
-                    gg = len(grounding_ri_l)
-                    grounding_ri_l.append(ri)
-                    for var, pos in grounding:
-                        lit_gg_l.append(gg)
-                        lit_var_l.append(var)
-                        lit_pos_l.append(bool(pos))
-                        body_lists[var].append((ri, gg, bool(pos)))
-                # A head that sits in its own body carries only the body
-                # incidence (closed form, see module docstring).
-                segs = body_lists[factor.head]
-                if not (segs and segs[-1][0] == ri):
-                    head_lists[factor.head].append(ri)
-            else:
-                raise TypeError(f"unknown factor type {type(factor)!r}")
+        # ---- bias / Ising incidences, grouped by owning variable ---------
+        order, slot = _by_owner(table.bias_var)
+        self.bias_var = table.bias_var[order]
+        self.bias_wid = table.bias_wid[order]
+        self.bias_indptr = _indptr(self.bias_var, n)
+        fh1[fkind == KIND_BIAS] = slot
 
-        # ---- flat arrays -------------------------------------------------
-        self.bias_indptr, self.bias_wid = _csr(bias_lists)
-        self.bias_var = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self.bias_indptr)
-        )
+        rows = _interleave(table.ising_i, table.ising_j)
+        order, slot = _by_owner(rows)
+        self.ising_row = rows[order]
+        self.ising_other = _interleave(table.ising_j, table.ising_i)[order]
+        self.ising_wid = np.repeat(table.ising_wid, 2)[order]
+        self.ising_indptr = _indptr(self.ising_row, n)
+        fh1[fkind == KIND_ISING] = slot[0::2]
+        fh2[fkind == KIND_ISING] = slot[1::2]
+        self._fkind, self._fh1, self._fh2 = fkind, fh1, fh2
 
-        self.ising_indptr, _ = _csr([[0] * len(l) for l in ising_lists])
-        self.ising_other = np.fromiter(
-            (o for l in ising_lists for o, _ in l),
-            dtype=np.int64,
-            count=int(self.ising_indptr[-1]),
-        )
-        self.ising_wid = np.fromiter(
-            (w for l in ising_lists for _, w in l),
-            dtype=np.int64,
-            count=int(self.ising_indptr[-1]),
-        )
-        self.ising_row = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self.ising_indptr)
-        )
-
-        self.rule_head = np.asarray(rule_head_l, dtype=np.int64)
-        self.rule_wid = np.asarray(rule_wid_l, dtype=np.int64)
-        self.rule_sem = np.asarray(rule_code_l, dtype=np.int8)
-        self.num_rules = len(rule_head_l)
+        # ---- fast-path rules ---------------------------------------------
+        self.rule_head = rules.rule_head
+        self.rule_wid = rules.rule_wid
+        self.rule_sem = rules.rule_sem
         self.rule_sem_uniform = (
-            rule_code_l[0]
-            if rule_code_l and all(c == rule_code_l[0] for c in rule_code_l)
+            int(self.rule_sem[0])
+            if R and (self.rule_sem == self.rule_sem[0]).all()
             else None
         )
-
-        self.grounding_ri = np.asarray(grounding_ri_l, dtype=np.int64)
-        self.num_groundings = len(grounding_ri_l)
-        self.lit_gg = np.asarray(lit_gg_l, dtype=np.int64)
-        self.lit_var = np.asarray(lit_var_l, dtype=np.int64)
-        self.lit_pos = np.asarray(lit_pos_l, dtype=bool)
-
-        self.head_indptr, self.head_ri = _csr(head_lists)
-
-        self.body_indptr, self.body_ri = _csr(
-            [[ri for ri, _, _ in l] for l in body_lists]
+        self.grounding_ri = rules.grounding_ri
+        self.num_groundings = self.grounding_ri.shape[0]
+        self.lit_gg, self.lit_var, self.lit_pos = (
+            rules.lit_gg, rules.lit_var, rules.lit_pos
         )
-        _, self.body_gg = _csr([[gg for _, gg, _ in l] for l in body_lists])
-        _, self.body_pos = _csr(
-            [[pos for _, _, pos in l] for l in body_lists], dtype=bool
-        )
+        lit_ri = rules.lit_ri
+        heads = _heads_outside_body(rules)
+        self.head_ri = heads[np.argsort(self.rule_head[heads], kind="stable")]
+        self.head_indptr = _indptr(self.rule_head[self.head_ri], n)
 
-        # Body segments: one per distinct (var, ri) pair.  Within a
-        # variable's body slice incidences are sorted by ri (factors are
-        # compiled in order), so segments are consecutive runs.
-        bseg_counts, bseg_start_l, bseg_ri_l = [], [], []
-        base = 0
-        for var in range(n):
-            runs = 0
-            prev_ri = -1
-            for k, (ri, _, _) in enumerate(body_lists[var]):
-                if ri != prev_ri:
-                    bseg_start_l.append(base + k)
-                    bseg_ri_l.append(ri)
-                    runs += 1
-                    prev_ri = ri
-            bseg_counts.append(runs)
-            base += len(body_lists[var])
-        self.bseg_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.asarray(bseg_counts, dtype=np.int64), out=self.bseg_indptr[1:])
-        self.bseg_start = np.asarray(bseg_start_l, dtype=np.int64)
-        self.bseg_ri = np.asarray(bseg_ri_l, dtype=np.int64)
+        order = np.argsort(self.lit_var, kind="stable")
+        body_var = self.lit_var[order]
+        self.body_ri = lit_ri[order]
+        self.body_gg = self.lit_gg[order]
+        self.body_pos = self.lit_pos[order]
+        self.body_indptr = _indptr(body_var, n)
+        self.bseg_start = _segment_starts(body_var, self.body_ri)
+        self.bseg_ri = self.body_ri[self.bseg_start]
+        self.bseg_indptr = _indptr(body_var[self.bseg_start], n)
 
-        self.slow_indptr, self.slow_idx = _csr(slow_lists)
+        # ---- slow-path rules ---------------------------------------------
+        slow_var, slow_si = [], []
+        for si, factor in enumerate(self.slow_list):
+            members = factor.variables()
+            slow_var.extend(members)
+            slow_si.extend([si] * len(members))
+        slow_var = np.asarray(slow_var, dtype=np.int64)
+        order = np.argsort(slow_var, kind="stable")
+        self.slow_idx = np.asarray(slow_si, dtype=np.int64)[order]
+        self.slow_indptr = _indptr(slow_var[order], n)
 
-        # ---- Python mirrors for the scalar (low-degree) kernel -----------
-        self.py_ising = ising_lists
-        self.py_head = head_lists
-        self.py_slow = slow_lists
-        self.py_body = []
-        for var in range(n):
-            segs = []
-            prev_ri = -1
-            for ri, gg, pos in body_lists[var]:
-                if ri != prev_ri:
-                    segs.append((ri, []))
-                    prev_ri = ri
-                segs[-1][1].append((gg, pos))
-            self.py_body.append(segs)
-        self.py_bias = bias_lists
-        self._rule_head_l = rule_head_l
-        self._rule_wid_l = rule_wid_l
-        self._rule_sem_l = rule_sem_l
+        self._mirrors_from_csr()
 
         # ---- evidence ----------------------------------------------------
-        self.evidence_mask = graph.evidence_mask()
+        self.evidence_mask = self.graph.evidence_mask()
         self.free_vars = np.flatnonzero(~self.evidence_mask)
 
         # ---- block-planning adjacency ------------------------------------
@@ -536,67 +612,48 @@ class CompiledFactorGraph:
         # One entry per *incidence* (parallel edges are not deduplicated):
         # apply_delta decrements the neighbour multiset per removed factor,
         # which is only sound if compile time counted per factor too.
-        nbr = [[o for o, _ in l] for l in ising_lists]
-        self._force_singleton = np.zeros(n, dtype=bool)
-        self._needs_scalar = np.zeros(n, dtype=bool)
-        self._big_count = np.zeros(n, dtype=np.int32)
-        for factor in self.rule_factors.values():
-            members = set(factor.variables())
-            if len(members) > _BIG_FACTOR:
-                mlist = list(members)
-                self._force_singleton[mlist] = True
-                self._big_count[mlist] += 1
-                continue
-            for a in members:
-                nbr[a].extend(members - {a})
-        for var in range(n):
-            if slow_lists[var]:
-                self._needs_scalar[var] = True
-        self._nbr_indptr, self._nbr_idx = _csr(nbr)
+        big_members, a, b = _rule_members(
+            R, self.rule_head, lit_ri, self.lit_var, max(n, 1)
+        )
+        self._big_count = np.bincount(big_members, minlength=n).astype(np.int32)
+        self._force_singleton = self._big_count > 0
+        self._needs_scalar = np.diff(self.slow_indptr) > 0
+        rows = np.concatenate([self.ising_row, a])
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        self._nbr_idx = np.concatenate([self.ising_other, b])[order]
+        self._nbr_indptr = _indptr(rows, n)
         # Greedy colouring in id order (evidence included, so clamping a
-        # variable never recolours anything).  The window width is fixed
-        # here and only changes at compaction.
-        color_l = []
-        for var in range(n):
-            color_l.append(
-                _smallest_free_color({color_l[o] for o in nbr[var] if o < var})
+        # variable never recolours anything): only neighbours with a
+        # smaller id are coloured when a variable's turn comes.  The
+        # window width is fixed here and only changes at compaction.
+        earlier = self._nbr_idx < rows
+        ptr = _indptr(rows[earlier], n)
+        nbr = self._nbr_idx[earlier].tolist()
+        color = [0] * n
+        ptr_l = ptr.tolist()
+        for var in np.flatnonzero(np.diff(ptr)).tolist():
+            color[var] = _smallest_free_color(
+                {color[o] for o in nbr[ptr_l[var] : ptr_l[var + 1]]}
             )
-        self._color = np.asarray(color_l, dtype=np.int32)
-        self._scan_window = _CHUNK_CAP * (max(color_l, default=0) + 1)
+        self._color = np.asarray(color, dtype=np.int32)
+        self._scan_window = _CHUNK_CAP * (max(color, default=0) + 1)
 
         self._plan_cache = {}
 
         # ---- incremental-compilation state -------------------------------
-        # Tombstone masks, the factor-handle table, and amortized-doubling
-        # buffers behind the global arrays (see module docstring).
+        # Tombstone masks and amortized-doubling buffers behind the
+        # global arrays (see module docstring).
         self.bias_alive = np.ones(self.bias_wid.shape[0], dtype=bool)
         self.ising_alive = np.ones(self.ising_wid.shape[0], dtype=bool)
-        self.rule_alive = np.ones(self.num_rules, dtype=bool)
+        self.rule_alive = np.ones(R, dtype=bool)
         self.var_patched = np.zeros(n, dtype=bool)
         self.slow_alive = [True] * len(self.slow_list)
-        self.num_live_rules = self.num_rules
+        self.num_live_rules = R
         self.num_live_slow = len(self.slow_list)
-        self._ri_factor = list(self.rule_factors.values())
         self._patched = False
         self._nbr_patch = {}
         self._csr_num_vars = n
-        self._cap_views = None  # set on shared-memory attached instances
-
-        F = len(fkind_l)
-        self._fkind = np.asarray(fkind_l, dtype=np.int8)
-        self._fh1 = np.empty(F, dtype=np.int64)
-        self._fh2 = np.full(F, -1, dtype=np.int64)
-        for fi in range(F):
-            kind, prov = fkind_l[fi], fprov_l[fi]
-            if kind == 0:
-                var, occ = prov
-                self._fh1[fi] = self.bias_indptr[var] + occ
-            elif kind == 1:
-                (i, occ_i), (j, occ_j) = prov
-                self._fh1[fi] = self.ising_indptr[i] + occ_i
-                self._fh2[fi] = self.ising_indptr[j] + occ_j
-            else:
-                self._fh1[fi] = prov
 
         self._grow = {}
         for name in _GROWABLE_NAMES:
@@ -605,23 +662,39 @@ class CompiledFactorGraph:
             setattr(self, name, ga.view)
 
         # Per-weight live-factor counts (the gradient normalizer): built
-        # once here, then adjusted in O(1) per factor add/remove by
-        # apply_patch_ops.  Worker-attached instances leave this None
-        # (they never estimate gradients).
+        # once here, then adjusted per patch by apply_patch_ops.
+        # Worker-attached instances leave this None (they never estimate
+        # gradients).
         self.weight_factor_counts = self._compute_weight_counts()
 
-        # ---- substrate-as-truth state ------------------------------------
-        # Once deltas are applied directly (``apply_delta`` with no
-        # materialized graph) this object is the single source of graph
-        # truth: ``structure_version`` stamps structural patches,
-        # ``materialized_factors()`` lazily rebuilds the oracle factor
-        # list against that stamp, and ``views_materialized`` counts
-        # rebuilds — the default update path must never trigger one.
-        # ``compact()`` preserves the version/counter across its re-init.
-        self.structure_version = 0
-        self.views_materialized = 0
-        self._view_factors = None
-        self._view_factors_version = -1
+    def _mirrors_from_csr(self) -> None:
+        """Derive the scalar-kernel Python mirrors from the per-variable
+        CSR arrays (which must be current: a fresh build, or a worker's
+        attachment to a compacted export)."""
+
+        def rows_of(indptr, flat):
+            ptr = indptr.tolist()
+            return [flat[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+        self.py_bias = rows_of(self.bias_indptr, self.bias_wid.tolist())
+        self.py_ising = rows_of(
+            self.ising_indptr,
+            list(zip(self.ising_other.tolist(), self.ising_wid.tolist())),
+        )
+        self.py_head = rows_of(self.head_indptr, self.head_ri.tolist())
+        lits = list(zip(self.body_gg.tolist(), self.body_pos.tolist()))
+        starts = self.bseg_start.tolist()
+        segments = list(
+            zip(
+                self.bseg_ri.tolist(),
+                [lits[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(lits)])],
+            )
+        )
+        self.py_body = rows_of(self.bseg_indptr, segments)
+        self.py_slow = rows_of(self.slow_indptr, self.slow_idx.tolist())
+        self._rule_head_l = self.rule_head.tolist()
+        self._rule_wid_l = self.rule_wid.tolist()
+        self._rule_sem_l = sems_from_codes(self.rule_sem)
 
     def __getstate__(self):
         # A transaction snapshot never outlives its process: checkpoints
@@ -682,27 +755,46 @@ class CompiledFactorGraph:
         """The shared mutable evidence dict (owned by the substrate)."""
         return self.graph._evidence
 
-    def factor_at(self, fi: int):
-        """The factor at index ``fi`` of the current factor list, rebuilt
-        O(1) from the handle table — no factor list is materialized."""
+    def factor_table(self, indices) -> FactorTable:
+        """The factors at ``indices`` of the current factor list, in that
+        order, gathered from the arrays — no factor object is built
+        (bar the slow-path ones, which are kept as objects)."""
         if self._fkind is None:
             raise RuntimeError(
                 "attached (worker-side) compiled views carry no factor "
                 "handle table; materialize on the controller"
             )
-        kind = self._fkind[fi]
-        h1 = self._fh1[fi]
-        if kind == 2:
-            return self._ri_factor[h1]
-        if kind == 1:
-            return IsingFactor(
-                int(self.ising_wid[h1]),
-                int(self.ising_row[h1]),
-                int(self.ising_other[h1]),
+        indices = np.asarray(indices, dtype=np.int64)
+        kind, h1 = self._fkind[indices], self._fh1[indices]
+        bias, ising = h1[kind == KIND_BIAS], h1[kind == KIND_ISING]
+        columns = gather_rules(self, h1[kind == KIND_RULE])
+        if (kind == _KIND_SLOW).any():
+            # Interleave the slow-path rules back into list order.
+            is_slow = kind[kind >= KIND_RULE] == _KIND_SLOW
+            slow = lower_factors(
+                [self.slow_list[si] for si in h1[kind == _KIND_SLOW].tolist()]
             )
-        if kind == 0:
-            return BiasFactor(int(self.bias_wid[h1]), int(self.bias_var[h1]))
-        return self.slow_list[h1]
+            fast = FactorTable(
+                kind=np.full(columns["rule_head"].shape[0], KIND_RULE), **columns
+            )
+            order = np.empty(is_slow.shape[0], dtype=np.int64)
+            order[~is_slow] = np.arange(len(fast))
+            order[is_slow] = len(fast) + np.arange(len(slow))
+            columns = FactorTable.concat([fast, slow]).take(order).columns()
+            kind = np.where(kind == _KIND_SLOW, KIND_RULE, kind)
+        columns.update(
+            kind=kind,
+            bias_var=self.bias_var[bias],
+            bias_wid=self.bias_wid[bias],
+            ising_i=self.ising_row[ising],
+            ising_j=self.ising_other[ising],
+            ising_wid=self.ising_wid[ising],
+        )
+        return FactorTable(**columns)
+
+    def _live_table(self) -> FactorTable:
+        """The whole current factor list."""
+        return self.factor_table(np.arange(self.num_factors))
 
     def materialized_factors(self) -> list:
         """The current factor list, lazily rebuilt from the handle table.
@@ -712,47 +804,14 @@ class CompiledFactorGraph:
         :class:`~repro.graph.factor_graph.CompiledGraphView.factors`:
         O(#factors) when (re)built, then cached until the next structural
         patch bumps ``structure_version``.  Slow paths (strawman, exact
-        inference, test references) pay for it; the default update path
-        must not — single factors come from :meth:`factor_at`.
+        inference, test references) pay for it; the update path never
+        does — it gathers arrays with :meth:`factor_table`.
         """
-        if self._fkind is None:
-            raise RuntimeError(
-                "attached (worker-side) compiled views carry no factor "
-                "handle table; materialize on the controller"
-            )
         if (
             self._view_factors is None
             or self._view_factors_version != self.structure_version
         ):
-            # :meth:`factor_at` for every index, inlined: this loop is
-            # the whole cost of an engine's Pr⁰ copy and of a compaction.
-            fkind = self._fkind
-            fh1 = self._fh1
-            bias_var, bias_wid = self.bias_var, self.bias_wid
-            ising_row = self.ising_row
-            ising_other = self.ising_other
-            ising_wid = self.ising_wid
-            ri_factor, slow_list = self._ri_factor, self.slow_list
-            factors = []
-            append = factors.append
-            for fi in range(fkind.shape[0]):
-                kind = fkind[fi]
-                h1 = fh1[fi]
-                if kind == 2:
-                    append(ri_factor[h1])
-                elif kind == 1:
-                    append(
-                        IsingFactor(
-                            int(ising_wid[h1]),
-                            int(ising_row[h1]),
-                            int(ising_other[h1]),
-                        )
-                    )
-                elif kind == 0:
-                    append(BiasFactor(int(bias_wid[h1]), int(bias_var[h1])))
-                else:
-                    append(slow_list[h1])
-            self._view_factors = factors
+            self._view_factors = self._live_table().factors()
             self._view_factors_version = self.structure_version
             self.views_materialized += 1
         return self._view_factors
@@ -820,17 +879,19 @@ class CompiledFactorGraph:
                 counts[factor.weight_id] += 1
         return counts
 
-    def _count_adjust(self, wid: int, delta: int) -> None:
+    def _count_adjust(self, wids: np.ndarray, delta: int) -> None:
+        """Add ``delta`` to the live-factor count of each of ``wids``."""
         counts = self.weight_factor_counts
-        if counts is None:
+        if counts is None or not wids.size:
             return
-        if wid >= counts.shape[0]:
+        top = int(wids.max())
+        if top >= counts.shape[0]:
             grown = np.zeros(
-                max(wid + 1, len(self.graph.weights)), dtype=np.int64
+                max(top + 1, len(self.graph.weights)), dtype=np.int64
             )
             grown[: counts.shape[0]] = counts
             self.weight_factor_counts = counts = grown
-        counts[wid] += delta
+        np.add.at(counts, wids, delta)
 
     def factor_counts_per_weight(self) -> np.ndarray:
         """Live factors tied to each weight (length ``len(graph.weights)``).
@@ -957,22 +1018,20 @@ class CompiledFactorGraph:
         buffers; shared-memory attached instances re-slice their fixed
         capacity views (the controller has already reserved the room and
         is about to — or did — write identical content)."""
-        if self._cap_views is not None:
-            cap = self._cap_views[name]
-            cur = getattr(self, name).shape[0]
-            values = np.asarray(values, dtype=cap.dtype)
-            new = cur + values.shape[0]
-            if new > cap.shape[0]:
-                raise RuntimeError(
-                    f"shared-memory capacity of {name!r} exceeded; the "
-                    "controller must re-export before shipping this patch"
-                )
-            cap[cur:new] = values
-            setattr(self, name, cap[:new])
-        else:
-            ga = self._grow[name]
-            ga.append(values)
-            setattr(self, name, ga.view)
+        if self._cap_views is None:
+            setattr(self, name, self._grow[name].append(values))
+            return
+        cap = self._cap_views[name]
+        cur = getattr(self, name).shape[0]
+        values = np.asarray(values, dtype=cap.dtype)
+        new = cur + values.shape[0]
+        if new > cap.shape[0]:
+            raise RuntimeError(
+                f"shared-memory capacity of {name!r} exceeded; the "
+                "controller must re-export before shipping this patch"
+            )
+        cap[cur:new] = values
+        setattr(self, name, cap[:new])
 
     def _var_neighbors(self, var: int) -> set:
         """Variables sharing a live fast factor with ``var`` (patch-aware)."""
@@ -985,8 +1044,31 @@ class CompiledFactorGraph:
             counts.update(patch)
         return {o for o, c in counts.items() if c > 0}
 
-    def _nbr_adjust(self, a: int, b: int, delta: int) -> None:
-        self._nbr_patch.setdefault(a, Counter())[b] += delta
+    def _nbr_adjust(self, a: np.ndarray, b: np.ndarray, delta: int) -> None:
+        """Move the neighbour multiset by ``delta`` (±1) for every pair
+        ``(a[k], b[k])``, one counter update per distinct ``a``."""
+        order, groups = _groups(a)
+        others = b[order].tolist()
+        for var, lo, hi in groups:
+            counter = self._nbr_patch.get(var)
+            if counter is None:
+                counter = self._nbr_patch[var] = Counter()
+            if delta > 0:
+                counter.update(others[lo:hi])
+            else:
+                counter.subtract(others[lo:hi])
+
+    def _count_big(self, members: np.ndarray, delta: int) -> None:
+        """``members`` joined (+1) or left (−1) one oversized rule each.
+
+        Like the colours, the counts are the controller's
+        (``_CONTROLLER_OWNED``): an attached view shares the region the
+        controller already brought up to date, and a second decrement
+        there would free a variable that a second oversized rule still
+        holds."""
+        if self._cap_views is None and members.size:
+            np.add.at(self._big_count, members, delta)
+            self._force_singleton[members] = self._big_count[members] > 0
 
     def _recolor(self, vars_sorted) -> None:
         """Restore a proper colouring after a patch touched ``vars_sorted``.
@@ -1004,71 +1086,38 @@ class CompiledFactorGraph:
                 color[v] = _smallest_free_color(used)
 
     def _ops_from_delta(self, delta) -> dict:
-        """Lower a :class:`FactorGraphDelta` to a picklable patch-op dict.
+        """A :class:`FactorGraphDelta` as a picklable patch-op dict.
 
-        Resolves removed factor ids through the handle table (and compacts
-        the table to match the post-delta factor numbering).  The op dict
-        is what worker processes replay on their attached views."""
+        The delta's factor table goes in as it is (``add``); removed
+        factor ids resolve through the handle table — which is compacted
+        to the post-delta factor numbering here — to the positions to
+        tombstone.  The op dict is what worker processes replay on their
+        attached views."""
         ops = {
             "num_new_vars": int(delta.num_new_vars),
             "var_names": list(delta.new_var_names),
             "evidence": {},
-            "bias_del": [],
-            "ising_del": [],
-            "rule_del": [],
-            "slow_del": [],
-            "bias_add": [],
-            "ising_add": [],
-            "rule_add": [],
-            # Kind of each new factor in delta order (0 bias / 1 ising /
-            # 2 rule): the handle table must follow the *factor list*
-            # order, which interleaves kinds.
-            "add_order": [],
+            "bias_del": _NO_IDS,
+            "ising_del": _NO_PAIRS,
+            "rule_del": _NO_IDS,
+            "slow_del": _NO_IDS,
+            "add": delta.new_factors.table,
         }
-        removed = sorted(delta.removed_factor_ids)
-        for fi in removed:
-            kind = int(self._fkind[fi])
-            if kind == 0:
-                ops["bias_del"].append(int(self._fh1[fi]))
-            elif kind == 1:
-                ops["ising_del"].append((int(self._fh1[fi]), int(self._fh2[fi])))
-            elif kind == 2:
-                ri = int(self._fh1[fi])
-                factor = self._ri_factor[ri]
-                body_vars = sorted({v for g in factor.groundings for v, _ in g})
-                ops["rule_del"].append((ri, int(factor.head), body_vars))
-            else:
-                ops["slow_del"].append(int(self._fh1[fi]))
-        if removed:
+        if delta.removed_factor_ids:
+            removed = np.array(sorted(delta.removed_factor_ids), dtype=np.int64)
+            kind, h1 = self._fkind[removed], self._fh1[removed]
+            ising = kind == KIND_ISING
+            ops.update(
+                bias_del=h1[kind == KIND_BIAS],
+                ising_del=_rows(h1[ising], self._fh2[removed][ising]),
+                rule_del=h1[kind == KIND_RULE],
+                slow_del=h1[kind == _KIND_SLOW],
+            )
             keep = np.ones(self._fkind.shape[0], dtype=bool)
             keep[removed] = False
             self._fkind = self._fkind[keep]
             self._fh1 = self._fh1[keep]
             self._fh2 = self._fh2[keep]
-        for factor in delta.new_factors:
-            if isinstance(factor, BiasFactor):
-                ops["add_order"].append(0)
-                ops["bias_add"].append((int(factor.var), int(factor.weight_id)))
-            elif isinstance(factor, IsingFactor):
-                ops["add_order"].append(1)
-                ops["ising_add"].append(
-                    (int(factor.i), int(factor.j), int(factor.weight_id))
-                )
-            elif isinstance(factor, RuleFactor):
-                ops["add_order"].append(2)
-                ops["rule_add"].append(
-                    (
-                        int(factor.head),
-                        int(factor.weight_id),
-                        sem_code(factor.semantics),
-                        tuple(
-                            tuple((int(v), bool(p)) for v, p in g)
-                            for g in factor.groundings
-                        ),
-                    )
-                )
-            else:
-                raise TypeError(f"unknown factor type {type(factor)!r}")
         for offset, val in delta.new_var_evidence.items():
             ops["evidence"][self.num_vars + int(offset)] = bool(val)
         for var, val in delta.evidence_updates.items():
@@ -1076,27 +1125,34 @@ class CompiledFactorGraph:
         return ops
 
     def apply_delta(self, delta, compact_threshold: float = 0.25) -> CompiledPatch:
-        """Patch the compiled substrate in place from a factor-graph delta.
+        """Bring the compiled substrate to ``graph ⊕ delta``, in place.
 
         The substrate is the source of truth: new weights are interned
-        into the shared store, patch ops derive from the handle table,
-        and ``self.graph`` becomes (or stays) a lazy
-        :class:`~repro.graph.factor_graph.CompiledGraphView` — no
+        into the shared store, the delta's factor table and the handle
+        table give the patch ops, and ``self.graph`` becomes (or stays) a
+        lazy :class:`~repro.graph.factor_graph.CompiledGraphView` — no
         materialized ``delta.apply`` graph is ever built.  Returns the
-        :class:`CompiledPatch` that cache/plan/export holders splice
-        from.  When the tombstone/patched density crosses
-        ``compact_threshold`` the instance is recompiled in place
-        (amortized O(|graph|)) and the patch is marked ``compacted``."""
+        :class:`CompiledPatch` that cache/plan/export holders follow.
+
+        The patched density the delta will leave (:meth:`patch_fraction`)
+        is read off the ops before anything mutates.  At or under
+        ``compact_threshold`` the ops are spliced into the arrays
+        (O(|Δ|)); over it the splice would be thrown away by a
+        compaction, so the live rows and the delta's rows go through the
+        array build once instead and the patch is marked ``compacted``
+        (amortized O(|graph|))."""
         for key, initial, fixed in delta.new_weight_entries:
             self.weights.intern(key, initial=initial, fixed=fixed)
         for wid, value in delta.changed_weight_values.items():
             self.weights.set_value(wid, value)
         ops = self._ops_from_delta(delta)
-        patch = self.apply_patch_ops(ops)
-        if compact_threshold is not None and self.patch_fraction() > compact_threshold:
-            self.compact()
-            patch.compacted = True
-        return patch
+        patch, survey = self._survey(ops)
+        if (
+            compact_threshold is not None
+            and self._fraction_after(patch, survey) > compact_threshold
+        ):
+            return self._rebuild(patch)
+        return self._splice(patch, survey)
 
     def apply_patch_ops(self, ops: dict) -> CompiledPatch:
         """Replay a patch-op dict against this compiled view.
@@ -1107,279 +1163,344 @@ class CompiledFactorGraph:
         ids.  The controller maintains its own graph facade (names +
         shared evidence dict behind a lazy view); workers patch their
         stub graph instead."""
+        return self._splice(*self._survey(ops))
+
+    def _survey(self, ops: dict) -> tuple:
+        """What ``ops`` will change, read off the arrays — nothing
+        mutates.  Returns the patch header (``dirty_vars``: every variable
+        that gains or loses an incidence) and what the splice and the
+        density forecast both need: the literals of the rules to remove
+        and the routing of the rules to add."""
+        add = ops["add"]
+        n = self.num_vars + ops["num_new_vars"]
         patch = CompiledPatch(
             ops=ops,
             old_num_vars=self.num_vars,
-            num_new_vars=int(ops["num_new_vars"]),
+            num_new_vars=ops["num_new_vars"],
             old_num_rules=self.num_rules,
             old_num_groundings=self.num_groundings,
             old_num_lits=self.lit_gg.shape[0],
             old_num_ising=self.ising_wid.shape[0],
             old_num_bias=self.bias_wid.shape[0],
+            bias_del=ops["bias_del"],
+            ising_del=ops["ising_del"],
+            bias_add=_rows(add.bias_var, add.bias_wid),
+            ising_add=_rows(add.ising_i, add.ising_j, add.ising_wid),
         )
-        old_evidence = tuple(sorted(self.graph.evidence.items()))
-        dirty = set()
-        track_handles = self._fkind is not None
-        handles_by_kind = {0: [], 1: [], 2: []}
+        touched = [add.variables()]
+        if patch.bias_del.size:
+            touched.append(self.bias_var[patch.bias_del])
+        if patch.ising_del.size:
+            k1 = patch.ising_del[:, 0]
+            touched += [self.ising_row[k1], self.ising_other[k1]]
+        doomed = None
+        if ops["rule_del"].size:
+            # A removed rule finds its body in its literal range.
+            grounding_ri, lits, lit_gg = rule_literals(self, ops["rule_del"])
+            doomed = grounding_ri[lit_gg], self.lit_var[lits]
+            touched += [self.rule_head[ops["rule_del"]], doomed[1]]
+        for si in ops["slow_del"].tolist():
+            touched.append(
+                np.fromiter(self.slow_list[si].variables(), dtype=np.int64)
+            )
+        patch.dirty_vars = dirty = np.unique(np.concatenate(touched))
+        if dirty.size and not 0 <= dirty[0] <= dirty[-1] < n:
+            self._check_ids(add, n, len(self.weights))
+        return patch, SimpleNamespace(doomed=doomed, slow_add=add.repeats_a_variable())
+
+    def _slot_counts(self) -> list:
+        """``(live, slots)`` per kind of slot a retraction tombstones:
+        bias incidences, Ising incidences, rules, slow-path rules."""
+        return [
+            (np.count_nonzero(self.bias_alive), self.bias_alive.shape[0]),
+            (np.count_nonzero(self.ising_alive), self.ising_alive.shape[0]),
+            (self.num_live_rules, self.num_rules),
+            (self.num_live_slow, len(self.slow_list)),
+        ]
+
+    @staticmethod
+    def _density(patched_vars: int, num_vars: int, slot_counts) -> float:
+        """Max over the patched share of the variables and the dead share
+        of each kind of slot."""
+        ratios = [float(patched_vars) / max(num_vars, 1)]
+        ratios += [1.0 - live / slots for live, slots in slot_counts if slots]
+        return max(ratios)
+
+    def patch_fraction(self) -> float:
+        """Max tombstone/patched density across the compiled state."""
+        if not self._patched:
+            return 0.0
+        return self._density(
+            np.count_nonzero(self.var_patched), self.num_vars, self._slot_counts()
+        )
+
+    def _fraction_after(self, patch: CompiledPatch, survey) -> float:
+        """:meth:`patch_fraction` as it will read once ``patch`` is in."""
+        if not (self._patched or patch.structural):
+            return 0.0
+        ops = patch.ops
+        slow_add = np.count_nonzero(survey.slow_add)
+        added = (
+            len(patch.bias_add),
+            2 * len(patch.ising_add),
+            ops["add"].num_rules - slow_add,
+            slow_add,
+        )
+        removed = (
+            len(patch.bias_del),
+            2 * len(patch.ising_del),
+            len(ops["rule_del"]),
+            len(ops["slow_del"]),
+        )
+        dirty = patch.dirty_vars
+        old = dirty[: np.searchsorted(dirty, patch.old_num_vars)]
+        return self._density(
+            np.count_nonzero(self.var_patched)
+            + np.count_nonzero(~self.var_patched[old])
+            + patch.num_new_vars,
+            patch.old_num_vars + patch.num_new_vars,
+            [
+                (live - gone + new, slots + new)
+                for (live, slots), gone, new in zip(self._slot_counts(), removed, added)
+            ],
+        )
+
+    def _graph_follows(self, patch: CompiledPatch) -> None:
+        """Bring the graph facade — variable count and names, evidence —
+        in line with ``patch``, and list its evidence ops on it."""
+        ops, k = patch.ops, patch.num_new_vars
+        evidence = sorted(ops["evidence"].items())
+        for var, val in evidence:
+            if val is None:
+                patch.evidence_clears.append(var)
+            else:
+                patch.evidence_sets.append((var, val))
+        if self._cap_views is not None:
+            # Worker-side stub graph: patch evidence + size in place.
+            self.graph.apply_patch(k, ops["evidence"])
+            return
+        # Substrate-as-truth: extend the shared name list, write
+        # evidence through the shared dict, and keep ``self.graph``
+        # a lazy view over this substrate.  The source graph handed
+        # to ``__init__`` shares names/evidence/weights with the
+        # substrate from compile time on — compiling transfers
+        # ownership of that state.
+        graph = self.graph
+        if not (isinstance(graph, CompiledGraphView) and graph.compiled is self):
+            graph = CompiledGraphView(self)
+        if k:
+            new_names = list(ops.get("var_names") or [])
+            new_names += [None] * (k - len(new_names))
+            graph._names.extend(new_names[:k])
+        for var, val in evidence:
+            if val is None:
+                graph.clear_evidence(var)
+            else:
+                graph.set_evidence(var, val)
+        if graph is not self.graph:
+            old = self.graph
+            self.graph = graph
+            # The old facade shares the evidence dict; drop its
+            # (now stale) cached evidence arrays.
+            if hasattr(old, "_evidence_arrays"):
+                old._evidence_arrays = None
+
+    def _rebuild(self, patch: CompiledPatch) -> CompiledPatch:
+        """Land ``patch`` by building: the live rows (its removals are
+        already out of the handle table) with the delta's rows behind
+        them, through :meth:`_build`."""
+        table = FactorTable.concat([self._live_table(), patch.ops["add"]])
+        self.num_vars = patch.old_num_vars + patch.num_new_vars
+        self._graph_follows(patch)
+        self._build(table, self.num_vars)
+        self.structure_version += 1
+        patch.compacted = True
+        return patch
+
+    def compact(self) -> None:
+        """Rebuild the compiled state from its live rows, in place
+        (clears all tombstones).
+
+        Object identity is preserved so long-lived holders keep working,
+        but plans/blocks/caches derived before the compaction are invalid
+        — holders must re-derive them (apply_delta signals this with
+        ``CompiledPatch.compacted``)."""
+        if self._cap_views is not None:
+            raise RuntimeError(
+                "shared-memory attached views cannot compact; the "
+                "controller re-exports instead"
+            )
+        self._build(self._live_table(), self.num_vars)
+        self.structure_version += 1
+
+    def _splice(self, patch: CompiledPatch, survey) -> CompiledPatch:
+        """Land ``patch`` in the arrays: every growable array is appended
+        at most once, the handle table is extended with one concatenate,
+        and mirrors, neighbour multiset, solo flags and the snapshot
+        journal are updated per touched variable from grouped rows."""
+        ops, add = patch.ops, patch.ops["add"]
+        old_evidence = (
+            tuple(sorted(self.graph.evidence.items())) if self._plan_cache else ()
+        )
+        n0, k = patch.old_num_vars, patch.num_new_vars
+        dirty = patch.dirty_vars
 
         # ---- new variables ----------------------------------------------
-        k = patch.num_new_vars
-        n0 = self.num_vars
         if k:
             self.num_vars = n0 + k
             self._append("evidence_mask", np.zeros(k, dtype=bool))
             self._append("var_patched", np.ones(k, dtype=bool))
-            self._append("_force_singleton", np.zeros(k, dtype=bool))
             self._append("_needs_scalar", np.zeros(k, dtype=bool))
-            self._append("_big_count", np.zeros(k, dtype=np.int32))
             if self._cap_views is None:
+                self._append("_force_singleton", np.zeros(k, dtype=bool))
+                self._append("_big_count", np.zeros(k, dtype=np.int32))
                 self._append("_color", np.full(k, -1, dtype=np.int32))
-            for _ in range(k):
-                self.py_bias.append([])
-                self.py_ising.append([])
-                self.py_head.append([])
-                self.py_body.append([])
-                self.py_slow.append([])
+            for name in _MIRROR_NAMES:
+                getattr(self, name).extend([] for _ in range(k))
 
+        # Before any mirror row mutates, an armed snapshot journals the
+        # pre-patch rows of every variable the patch touches for the
+        # first time (appended variables roll back by truncation).
         journal = self._mirror_journal
         if journal is not None:
             mirrors = [getattr(self, name) for name in _MIRROR_NAMES]
-
-        def touch(var):
-            """Mark ``var`` patched.  Called *before* its mirror rows
-            mutate, so an armed snapshot journals their pre-patch
-            content on first touch (appended variables roll back by
-            truncation instead)."""
-            var = int(var)
-            if journal is not None and var < n0 and var not in journal:
-                journal[var] = [list(m[var]) for m in mirrors]
-            dirty.add(var)
-            self.var_patched[var] = True
+            for var in dirty[: np.searchsorted(dirty, n0)].tolist():
+                if var not in journal:
+                    journal[var] = [list(m[var]) for m in mirrors]
+        self.var_patched[dirty] = True
 
         # ---- removals (tombstones + mirror scrub) ------------------------
-        for kb in ops["bias_del"]:
-            var, wid = int(self.bias_var[kb]), int(self.bias_wid[kb])
-            touch(var)
+        if patch.bias_del.size:
+            kb = patch.bias_del
             self.bias_alive[kb] = False
-            self.py_bias[var].remove(wid)
-            self._count_adjust(wid, -1)
-            patch.bias_del.append(int(kb))
-        for k1, k2 in ops["ising_del"]:
-            i, j = int(self.ising_row[k1]), int(self.ising_other[k1])
-            wid = int(self.ising_wid[k1])
-            touch(i)
-            touch(j)
-            self.ising_alive[k1] = False
-            self.ising_alive[k2] = False
-            self.py_ising[i].remove((j, wid))
-            self.py_ising[j].remove((i, wid))
-            self._count_adjust(wid, -1)
-            self._nbr_adjust(i, j, -1)
-            self._nbr_adjust(j, i, -1)
-            patch.ising_del.append((int(k1), int(k2)))
-        for ri, head, body_vars in ops["rule_del"]:
-            members = set(body_vars) | {head}
-            for var in members:
-                touch(var)
-            self.rule_alive[ri] = False
-            self.num_live_rules -= 1
-            self._count_adjust(int(self.rule_wid[ri]), -1)
-            if head not in body_vars:
+            wids = self.bias_wid[kb]
+            for var, wid in zip(self.bias_var[kb].tolist(), wids.tolist()):
+                self.py_bias[var].remove(wid)
+            self._count_adjust(wids, -1)
+        if patch.ising_del.size:
+            k1 = patch.ising_del[:, 0]
+            self.ising_alive[patch.ising_del.ravel()] = False
+            i, j, wids = self.ising_row[k1], self.ising_other[k1], self.ising_wid[k1]
+            for a, b, wid in zip(i.tolist(), j.tolist(), wids.tolist()):
+                self.py_ising[a].remove((b, wid))
+                self.py_ising[b].remove((a, wid))
+            self._count_adjust(wids, -1)
+            self._nbr_adjust(_interleave(i, j), _interleave(j, i), -1)
+        if ops["rule_del"].size:
+            ris = ops["rule_del"]
+            heads = self.rule_head[ris]
+            self.rule_alive[ris] = False
+            self.num_live_rules -= ris.shape[0]
+            self._count_adjust(self.rule_wid[ris], -1)
+            doomed_ri, doomed_var = survey.doomed
+            head_in_body = np.zeros(ris.shape[0], dtype=bool)
+            head_in_body[doomed_ri[doomed_var == heads[doomed_ri]]] = True
+            for ri, head in zip(ris[~head_in_body].tolist(), heads[~head_in_body].tolist()):
                 self.py_head[head].remove(ri)
-            for var in body_vars:
+            body = np.unique(doomed_ri * self.num_vars + doomed_var)
+            for ri, var in zip(
+                ris[body // self.num_vars].tolist(), (body % self.num_vars).tolist()
+            ):
                 segs = self.py_body[var]
                 for s, (seg_ri, _lits) in enumerate(segs):
                     if seg_ri == ri:
                         del segs[s]
                         break
-            if len(members) > _BIG_FACTOR:
-                for var in members:
-                    self._big_count[var] -= 1
-                    if self._big_count[var] <= 0:
-                        self._force_singleton[var] = False
-            else:
-                for a in members:
-                    for b in members:
-                        if a != b:
-                            self._nbr_adjust(a, b, -1)
-        for si in ops["slow_del"]:
+            big_members, a, b = _rule_members(
+                ris.shape[0], heads, doomed_ri, doomed_var, self.num_vars
+            )
+            self._count_big(big_members, -1)
+            self._nbr_adjust(a, b, -1)
+        for si in ops["slow_del"].tolist():
             factor = self.slow_list[si]
             self.slow_alive[si] = False
             self.num_live_slow -= 1
-            self._count_adjust(factor.weight_id, -1)
+            self._count_adjust(np.array([factor.weight_id]), -1)
             for var in factor.variables():
-                touch(var)
                 self.py_slow[var].remove(si)
                 self._needs_scalar[var] = bool(self.py_slow[var])
 
         # ---- additions ---------------------------------------------------
-        for var, wid in ops["bias_add"]:
-            kb = self.bias_wid.shape[0]
-            touch(var)
-            self._append("bias_var", [var])
-            self._append("bias_wid", [wid])
-            self._append("bias_alive", [True])
-            self.py_bias[var].append(wid)
-            self._count_adjust(wid, 1)
-            patch.bias_add.append((int(var), int(wid)))
-            if track_handles:
-                handles_by_kind[0].append((0, kb, -1))
-        for i, j, wid in ops["ising_add"]:
-            k1 = self.ising_wid.shape[0]
-            touch(i)
-            touch(j)
-            self._append("ising_row", [i, j])
-            self._append("ising_other", [j, i])
-            self._append("ising_wid", [wid, wid])
-            self._append("ising_alive", [True, True])
-            self.py_ising[i].append((j, wid))
-            self.py_ising[j].append((i, wid))
-            self._count_adjust(wid, 1)
-            self._nbr_adjust(i, j, 1)
-            self._nbr_adjust(j, i, 1)
-            patch.ising_add.append((int(i), int(j), int(wid)))
-            if track_handles:
-                handles_by_kind[1].append((1, k1, k1 + 1))
-        for head, wid, code, groundings in ops["rule_add"]:
-            semantics = sem_from_code(code)
-            self._count_adjust(wid, 1)
-            factor = RuleFactor(
-                weight_id=wid, head=head, groundings=groundings, semantics=semantics
+        handle = np.empty(len(add), dtype=np.int64)
+        handle2 = np.full(len(add), -1, dtype=np.int64)
+        kind = add.kind
+        if add.bias_var.size:
+            handle[kind == KIND_BIAS] = patch.old_num_bias + np.arange(
+                add.bias_var.shape[0]
             )
-            if _has_duplicated_literal(groundings):
-                si = len(self.slow_list)
-                self.slow_list.append(factor)
-                self.slow_alive.append(True)
-                self.num_live_slow += 1
-                for var in factor.variables():
-                    touch(var)
-                    self.py_slow[var].append(si)
-                    self._needs_scalar[var] = True
-                if track_handles:
-                    handles_by_kind[2].append((3, si, -1))
-                continue
-            body_vars = {v for grounding in groundings for v, _ in grounding}
-            members = body_vars | {head}
-            for var in members:
-                touch(var)
-            ri = self.num_rules
-            self.num_rules += 1
-            self.num_live_rules += 1
-            self._append("rule_head", [head])
-            self._append("rule_wid", [wid])
-            self._append("rule_sem", [code])
-            self._append("rule_alive", [True])
-            self._rule_head_l.append(head)
-            self._rule_wid_l.append(wid)
-            self._rule_sem_l.append(semantics)
-            if self._ri_factor is not None:
-                self._ri_factor.append(factor)
-            if self.rule_sem_uniform is not None and code != self.rule_sem_uniform:
-                self.rule_sem_uniform = None
-            elif self.rule_sem_uniform is None and self.num_rules == 1:
-                self.rule_sem_uniform = code
-            if head not in body_vars:
-                self.py_head[head].append(ri)
-            per_var = {}
-            gg0 = self.num_groundings
-            lit_gg_new, lit_var_new, lit_pos_new = [], [], []
-            for g_off, grounding in enumerate(groundings):
-                gg = gg0 + g_off
-                for v, p in grounding:
-                    lit_gg_new.append(gg)
-                    lit_var_new.append(v)
-                    lit_pos_new.append(bool(p))
-                    per_var.setdefault(v, []).append((gg, bool(p)))
-            self.num_groundings = gg0 + len(groundings)
-            self._append("grounding_ri", [ri] * len(groundings))
-            if lit_gg_new:
-                self._append("lit_gg", lit_gg_new)
-                self._append("lit_var", lit_var_new)
-                self._append("lit_pos", lit_pos_new)
-            for v, lits in per_var.items():
-                self.py_body[v].append((ri, lits))
-            if len(members) > _BIG_FACTOR:
-                for var in members:
-                    self._big_count[var] += 1
-                    self._force_singleton[var] = True
-            else:
-                for a in members:
-                    for b in members:
-                        if a != b:
-                            self._nbr_adjust(a, b, 1)
-            if track_handles:
-                handles_by_kind[2].append((2, ri, -1))
+            self._append("bias_var", add.bias_var)
+            self._append("bias_wid", add.bias_wid)
+            self._append("bias_alive", np.ones(add.bias_var.shape[0], dtype=bool))
+            order, groups = _groups(add.bias_var)
+            wids = add.bias_wid[order].tolist()
+            for var, lo, hi in groups:
+                self.py_bias[var].extend(wids[lo:hi])
+            self._count_adjust(add.bias_wid, 1)
+        if add.ising_i.size:
+            k1 = patch.old_num_ising + 2 * np.arange(add.ising_i.shape[0])
+            handle[kind == KIND_ISING] = k1
+            handle2[kind == KIND_ISING] = k1 + 1
+            rows = _interleave(add.ising_i, add.ising_j)
+            others = _interleave(add.ising_j, add.ising_i)
+            wids = np.repeat(add.ising_wid, 2)
+            self._append("ising_row", rows)
+            self._append("ising_other", others)
+            self._append("ising_wid", wids)
+            self._append("ising_alive", np.ones(rows.shape[0], dtype=bool))
+            order, groups = _groups(rows)
+            incidences = list(zip(others[order].tolist(), wids[order].tolist()))
+            for var, lo, hi in groups:
+                self.py_ising[var].extend(incidences[lo:hi])
+            self._count_adjust(add.ising_wid, 1)
+            self._nbr_adjust(rows, others, 1)
+        if add.num_rules:
+            self._count_adjust(add.rule_wid, 1)
+            rule_rows = np.flatnonzero(kind == KIND_RULE)
+            slow = survey.slow_add
+            rules = add
+            if slow.any():
+                rules = add.take(rule_rows[~slow])
+                kind = kind.copy()
+                kind[rule_rows[slow]] = _KIND_SLOW
+                handle[rule_rows[slow]] = len(self.slow_list) + np.arange(
+                    np.count_nonzero(slow)
+                )
+                for factor in add.take(rule_rows[slow]).factors():
+                    si = len(self.slow_list)
+                    self.slow_list.append(factor)
+                    self.slow_alive.append(True)
+                    self.num_live_slow += 1
+                    for var in factor.variables():
+                        self.py_slow[var].append(si)
+                        self._needs_scalar[var] = True
+            handle[rule_rows[~slow]] = patch.old_num_rules + np.arange(rules.num_rules)
+            if rules.num_rules:
+                self._splice_rules(rules, patch)
 
-        if track_handles and ops["add_order"]:
-            # Interleave the per-kind handle rows back into the factor
-            # list's append order.
-            iters = {kind: iter(rows) for kind, rows in handles_by_kind.items()}
-            new_handles = [next(iters[kind]) for kind in ops["add_order"]]
-            self._fkind = np.concatenate(
-                [self._fkind, np.asarray([h[0] for h in new_handles], dtype=np.int8)]
-            )
-            self._fh1 = np.concatenate(
-                [self._fh1, np.asarray([h[1] for h in new_handles], dtype=np.int64)]
-            )
-            self._fh2 = np.concatenate(
-                [self._fh2, np.asarray([h[2] for h in new_handles], dtype=np.int64)]
-            )
+        if self._fkind is not None and len(add):
+            self._fkind = np.concatenate([self._fkind, kind])
+            self._fh1 = np.concatenate([self._fh1, handle])
+            self._fh2 = np.concatenate([self._fh2, handle2])
 
         # ---- evidence ----------------------------------------------------
-        for var, val in sorted(ops["evidence"].items()):
-            var = int(var)
-            if val is None:
-                self.evidence_mask[var] = False
-                patch.evidence_clears.append(var)
-            else:
-                self.evidence_mask[var] = True
-                patch.evidence_sets.append((var, bool(val)))
+        self._graph_follows(patch)
+        self.evidence_mask[patch.evidence_clears] = False
+        self.evidence_mask[[var for var, _ in patch.evidence_sets]] = True
         self.free_vars = np.flatnonzero(~self.evidence_mask)
-
-        if self._cap_views is not None:
-            # Worker-side stub graph: patch evidence + size in place.
-            self.graph.apply_patch(k, ops["evidence"])
-        else:
-            # Substrate-as-truth: extend the shared name list, write
-            # evidence through the shared dict, and keep ``self.graph``
-            # a lazy view over this substrate.  The source graph handed
-            # to ``__init__`` shares names/evidence/weights with the
-            # substrate from compile time on — compiling transfers
-            # ownership of that state.
-            graph = self.graph
-            if not (
-                isinstance(graph, CompiledGraphView) and graph.compiled is self
-            ):
-                graph = CompiledGraphView(self)
-            if k:
-                new_names = list(ops.get("var_names") or [])
-                new_names += [None] * (k - len(new_names))
-                graph._names.extend(new_names[:k])
-            for var, val in sorted(ops["evidence"].items()):
-                if val is None:
-                    graph.clear_evidence(int(var))
-                else:
-                    graph.set_evidence(int(var), bool(val))
-            if graph is not self.graph:
-                old = self.graph
-                self.graph = graph
-                # The old facade shares the evidence dict; drop its
-                # (now stale) cached evidence arrays.
-                if hasattr(old, "_evidence_arrays"):
-                    old._evidence_arrays = None
 
         if patch.structural:
             self._patched = True
             self.structure_version += 1
-        patch.dirty_vars = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
 
         # ---- recolour, then repair every cached scan plan ----------------
         if self._cap_views is not None:
-            # Colours are the controller's to assign: it wrote them into
-            # the shared region before shipping these ops.
-            self._color = self._cap_views["_color"][: self.num_vars]
+            # Colours and oversized-rule counts are the controller's to
+            # assign: it wrote them into the shared region before
+            # shipping these ops.
+            for name in _CONTROLLER_OWNED:
+                setattr(self, name, self._cap_views[name][: self.num_vars])
         else:
-            self._recolor(sorted(dirty.union(range(n0, n0 + k))))
+            self._recolor(np.union1d(dirty, np.arange(n0, n0 + k)).tolist())
         # Plans keyed to the graph's own evidence follow its evidence ops
         # (and are re-keyed); plans for other evidence configurations
         # (e.g. a free learning chain) keep theirs, and are dropped —
@@ -1387,7 +1508,11 @@ class CompiledFactorGraph:
         # anybody asking for them, so a caller whose evidence keeps
         # changing cannot grow the cache.  Own plans go last so they win
         # a key collision.
-        new_evidence = tuple(sorted(self.graph.evidence.items()))
+        new_evidence = (
+            tuple(sorted(self.graph.evidence.items()))
+            if self._plan_cache and ops["evidence"]
+            else old_evidence
+        )
         cache = {}
         for (evidence, window), plan in sorted(
             self._plan_cache.items(), key=lambda item: item[0][0] == old_evidence
@@ -1401,46 +1526,61 @@ class CompiledFactorGraph:
         self._plan_cache = cache
         return patch
 
-    def patch_fraction(self) -> float:
-        """Max tombstone/patched density across the compiled state."""
-        if not self._patched:
-            return 0.0
-        ratios = [float(np.count_nonzero(self.var_patched)) / max(self.num_vars, 1)]
-        if self.bias_alive.shape[0]:
-            ratios.append(1.0 - np.count_nonzero(self.bias_alive) / self.bias_alive.shape[0])
-        if self.ising_alive.shape[0]:
-            ratios.append(1.0 - np.count_nonzero(self.ising_alive) / self.ising_alive.shape[0])
-        if self.num_rules:
-            ratios.append(1.0 - self.num_live_rules / self.num_rules)
-        if self.slow_list:
-            ratios.append(1.0 - self.num_live_slow / len(self.slow_list))
-        return max(ratios)
-
-    def compact(self) -> None:
-        """Recompile the current graph in place (clears all tombstones).
-
-        Object identity is preserved so long-lived holders keep working,
-        but plans/blocks/caches derived before the compaction are invalid
-        — holders must re-derive them (apply_delta signals this with
-        ``CompiledPatch.compacted``)."""
-        if self._cap_views is not None:
-            raise RuntimeError(
-                "shared-memory attached views cannot compact; the "
-                "controller re-exports instead"
+    def _splice_rules(self, rules: FactorTable, patch: CompiledPatch) -> None:
+        """Append the fast-path rule rows ``rules`` (ids local to the
+        table) behind the existing ones."""
+        R0, R = patch.old_num_rules, rules.num_rules
+        G0 = patch.old_num_groundings
+        self.num_rules = R0 + R
+        self.num_live_rules += R
+        self.num_groundings = G0 + rules.grounding_ri.shape[0]
+        self._append("rule_head", rules.rule_head)
+        self._append("rule_wid", rules.rule_wid)
+        self._append("rule_sem", rules.rule_sem)
+        self._append("rule_alive", np.ones(R, dtype=bool))
+        self._append("grounding_ri", rules.grounding_ri + R0)
+        self._append("lit_gg", rules.lit_gg + G0)
+        self._append("lit_var", rules.lit_var)
+        self._append("lit_pos", rules.lit_pos)
+        self._rule_head_l.extend(rules.rule_head.tolist())
+        self._rule_wid_l.extend(rules.rule_wid.tolist())
+        self._rule_sem_l.extend(sems_from_codes(rules.rule_sem))
+        if R0 == 0 or self.rule_sem_uniform is not None:
+            # Still uniform only if every row, old and new, has one code.
+            code = int(self.rule_sem[0])
+            self.rule_sem_uniform = (
+                code if (rules.rule_sem == code).all() else None
             )
-        graph = self.graph
-        version = self.structure_version
-        materialized = self.views_materialized
-        if isinstance(graph, CompiledGraphView) and graph.compiled is self:
-            # Re-init compiles from ``graph.factors``, and a view's
-            # factor list derives from this instance's arrays — build it
-            # while they are intact.  (Captured counters are restored
-            # below: a compaction-internal rebuild is amortized O(|graph|)
-            # by design and does not count as an oracle materialization.)
-            self.materialized_factors()
-        self.__init__(graph)
-        self.structure_version = version + 1
-        self.views_materialized = materialized
+
+        lit_ri = rules.lit_ri
+        heads = _heads_outside_body(rules)
+        order, groups = _groups(rules.rule_head[heads])
+        ris = (R0 + heads[order]).tolist()
+        for var, lo, hi in groups:
+            self.py_head[var].extend(ris[lo:hi])
+
+        order, groups = _groups(rules.lit_var)
+        seg_ri = lit_ri[order]
+        starts = _segment_starts(rules.lit_var[order], seg_ri)
+        lits = list(
+            zip((G0 + rules.lit_gg[order]).tolist(), rules.lit_pos[order].tolist())
+        )
+        bounds = starts.tolist() + [len(lits)]
+        segments = list(
+            zip(
+                (R0 + seg_ri[starts]).tolist(),
+                [lits[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+            )
+        )
+        seg_of = np.searchsorted(starts, np.arange(order.shape[0] + 1)).tolist()
+        for var, lo, hi in groups:
+            self.py_body[var].extend(segments[seg_of[lo] : seg_of[hi]])
+
+        big_members, a, b = _rule_members(
+            R, rules.rule_head, lit_ri, rules.lit_var, self.num_vars
+        )
+        self._count_big(big_members, 1)
+        self._nbr_adjust(a, b, 1)
 
     # ------------------------------------------------------------------ #
     # Transactional snapshot/rollback (repro.reliability)
@@ -1484,8 +1624,7 @@ class CompiledFactorGraph:
 
     #: Attributes a patch only ever *replaces* (never mutates in place) —
     #: captured and restored by reference.
-    _SNAP_REFS = ("graph", "free_vars", "_fkind", "_fh1", "_fh2",
-                  "rule_factors", "slow_factors")
+    _SNAP_REFS = ("graph", "free_vars", "_fkind", "_fh1", "_fh2")
 
     _SNAP_SCALARS = (
         "num_vars",
@@ -1507,7 +1646,6 @@ class CompiledFactorGraph:
     #: truncating the same object.
     _SNAP_APPEND_LISTS = (
         "slow_list",
-        "_ri_factor",
         "_rule_head_l",
         "_rule_wid_l",
         "_rule_sem_l",
@@ -2706,27 +2844,31 @@ class GibbsCache:
             self.field = np.concatenate([self.field, np.zeros(k)])
         field = self.field
 
-        def spin(v):
-            return 1.0 if assignment[v] else -1.0
+        def spin(vars_):
+            return np.where(assignment[vars_], 1.0, -1.0)
 
-        for k1, k2 in patch.ising_del:
-            i, j = int(c.ising_row[k1]), int(c.ising_other[k1])
-            field[i] -= self._edge_w[k1] * spin(j)
-            field[j] -= self._edge_w[k2] * spin(i)
-            self._edge_w[k1] = 0.0
-            self._edge_w[k2] = 0.0
-        for kb in patch.bias_del:
-            field[int(c.bias_var[kb])] -= w[int(c.bias_wid[kb])]
-        for var, wid in patch.bias_add:
-            field[var] += w[wid]
+        # Row by row in patch order (``ufunc.at`` is unbuffered), an
+        # edge's two endpoints one after the other: the float sums come
+        # out as a loop over the factors would leave them.
+        if patch.ising_del.size:
+            pairs = patch.ising_del.ravel()
+            np.subtract.at(
+                field,
+                c.ising_row[pairs],
+                self._edge_w[pairs] * spin(c.ising_other[pairs]),
+            )
+            self._edge_w[pairs] = 0.0
+        np.subtract.at(field, c.bias_var[patch.bias_del], w[c.bias_wid[patch.bias_del]])
+        np.add.at(field, patch.bias_add[:, 0], w[patch.bias_add[:, 1]])
         old_i = patch.old_num_ising
         if c.ising_wid.shape[0] > old_i:
             self._edge_w = np.concatenate(
                 [self._edge_w, w[c.ising_wid[old_i:]]]
             )
-        for i, j, wid in patch.ising_add:
-            field[i] += w[wid] * spin(j)
-            field[j] += w[wid] * spin(i)
+        i, j, wid = patch.ising_add.T
+        np.add.at(
+            field, _interleave(i, j), np.repeat(w[wid], 2) * spin(_interleave(j, i))
+        )
 
     # ------------------------------------------------------------------ #
 

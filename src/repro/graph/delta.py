@@ -6,13 +6,387 @@ changes.  Incremental inference (§3.2) consumes this object: the sampling
 approach evaluates its Metropolis–Hastings acceptance test using **only**
 the delta, and the variational approach splices the delta into the
 approximated graph.
+
+∆F travels as arrays.  :class:`FactorTable` is the flat layout
+:class:`~repro.graph.compiled.CompiledFactorGraph` stores — ``bias_var /
+bias_wid``, ``ising_i / ising_j / ising_wid``, ``rule_head / rule_wid /
+rule_sem``, ``grounding_ri``, ``lit_gg / lit_var / lit_pos``, rule and
+grounding ids local to the table, plus ``kind``, the factor kinds in
+list order — and it is the payload of ``FactorGraphDelta.new_factors``:
+the grounder flattens its touched records straight into one
+(:func:`rule_table`), :func:`compose_deltas` concatenates two, the
+variational splice remaps the weight columns, the MH target scores the
+columns as they are and ``apply_delta`` appends them to the substrate.
+:func:`lower_factors` is the one place factor *objects* become a table;
+:class:`FactorList` keeps ``delta.new_factors`` readable as a list of
+objects for the oracle paths (``delta.apply``, the strawman, tests) and
+lowers a list that was built from objects on first use.
 """
 
 from __future__ import annotations
 
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
+from itertools import chain
 
-from repro.graph.factor_graph import FactorGraph
+import numpy as np
+
+from repro.graph.factor_graph import BiasFactor, FactorGraph, IsingFactor, RuleFactor
+from repro.graph.semantics import sem_code, sems_from_codes
+
+#: ``FactorTable.kind`` codes — the substrate's handle table uses the
+#: same ones (and a fourth, for the rules it routes to its slow path).
+KIND_BIAS, KIND_ISING, KIND_RULE = 0, 1, 2
+
+_COLUMN_DTYPES = {
+    "kind": np.int8,
+    "bias_var": np.int64,
+    "bias_wid": np.int64,
+    "ising_i": np.int64,
+    "ising_j": np.int64,
+    "ising_wid": np.int64,
+    "rule_head": np.int64,
+    "rule_wid": np.int64,
+    "rule_sem": np.int8,
+    "grounding_ri": np.int64,
+    "lit_gg": np.int64,
+    "lit_var": np.int64,
+    "lit_pos": np.bool_,
+}
+
+
+_NO_ROWS = {name: np.zeros(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
+for _column in _NO_ROWS.values():
+    _column.flags.writeable = False
+
+
+def _bounds(owner: np.ndarray, count: int) -> np.ndarray:
+    """``owner`` never decreases: the ``count + 1`` offsets of its runs."""
+    return np.searchsorted(owner, np.arange(count + 1))
+
+
+def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The concatenation of ``arange(lo[k], hi[k])`` over ``k``, and the
+    ``k`` each element came from."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(lo.shape[0]), counts)
+    first = np.cumsum(counts) - counts
+    return np.arange(owner.shape[0]) + (lo - first)[owner], owner
+
+
+def rule_literals(store, rows) -> tuple:
+    """Where the rule rows ``rows`` keep their groundings and literals in
+    ``store`` — a :class:`FactorTable`, or the compiled substrate, whose
+    rule columns have the same names and the same order.
+
+    Returns ``(grounding_ri, lits, lit_gg)``: per grounding of the rows,
+    the position in ``rows`` of its rule; per literal, its position in
+    ``store`` and the (renumbered) grounding it belongs to."""
+    lo = np.searchsorted(store.grounding_ri, rows, "left")
+    hi = np.searchsorted(store.grounding_ri, rows, "right")
+    groundings, grounding_ri = expand_ranges(lo, hi)
+    lo = np.searchsorted(store.lit_gg, groundings, "left")
+    hi = np.searchsorted(store.lit_gg, groundings, "right")
+    lits, lit_gg = expand_ranges(lo, hi)
+    return grounding_ri, lits, lit_gg
+
+
+def gather_rules(store, rows) -> dict:
+    """The rule columns of rows ``rows`` of ``store`` (see
+    :func:`rule_literals`), ids renumbered in the order given."""
+    grounding_ri, lits, lit_gg = rule_literals(store, rows)
+    return {
+        "rule_head": store.rule_head[rows],
+        "rule_wid": store.rule_wid[rows],
+        "rule_sem": store.rule_sem[rows],
+        "grounding_ri": grounding_ri,
+        "lit_gg": lit_gg,
+        "lit_var": store.lit_var[lits],
+        "lit_pos": store.lit_pos[lits],
+    }
+
+
+class FactorTable:
+    """Factors lowered to flat arrays (see the module docstring).
+
+    ``kind[f]`` is the kind of the ``f``-th factor of the list the table
+    stands for; the ``k``-th factor of a kind owns row ``k`` of that
+    kind's columns.  A rule's groundings are the run of ``grounding_ri``
+    equal to its row and a grounding's literals the run of ``lit_gg``
+    equal to its id, both in list order, so neither column ever
+    decreases.  Tables are immutable: every operation returns a new one
+    (sharing the columns it did not touch).
+    """
+
+    __slots__ = tuple(_COLUMN_DTYPES)
+
+    def __init__(self, **columns) -> None:
+        for name, dtype in _COLUMN_DTYPES.items():
+            column = columns.pop(name, None)
+            setattr(
+                self,
+                name,
+                _NO_ROWS[name] if column is None else np.asarray(column, dtype=dtype),
+            )
+        if columns:
+            raise TypeError(f"unknown columns {sorted(columns)}")
+
+    def __len__(self) -> int:
+        return self.kind.shape[0]
+
+    @property
+    def num_rules(self) -> int:
+        return self.rule_head.shape[0]
+
+    @property
+    def lit_ri(self) -> np.ndarray:
+        """The rule row each literal belongs to."""
+        return self.grounding_ri[self.lit_gg]
+
+    def columns(self) -> dict:
+        return {name: getattr(self, name) for name in _COLUMN_DTYPES}
+
+    def variables(self) -> np.ndarray:
+        """Every variable id the factors mention (with repeats)."""
+        return np.concatenate(
+            [self.bias_var, self.ising_i, self.ising_j, self.rule_head, self.lit_var]
+        )
+
+    def weight_ids(self) -> np.ndarray:
+        """The weight id of each factor, in list order."""
+        wids = np.empty(len(self), dtype=np.int64)
+        wids[self.kind == KIND_BIAS] = self.bias_wid
+        wids[self.kind == KIND_ISING] = self.ising_wid
+        wids[self.kind == KIND_RULE] = self.rule_wid
+        return wids
+
+    def with_weights(self, wids: np.ndarray) -> "FactorTable":
+        """The same factors, factor ``f`` tied to weight ``wids[f]`` —
+        ``wids = lookup[table.weight_ids()]`` re-points a table at
+        another weight store."""
+        columns = self.columns()
+        for code, name in enumerate(("bias_wid", "ising_wid", "rule_wid")):
+            columns[name] = wids[self.kind == code]
+        return FactorTable(**columns)
+
+    def repeats_a_variable(self) -> np.ndarray:
+        """Per rule row: does one of its groundings mention a variable
+        twice?  (The only rules the substrate keeps off its fast path.)"""
+        repeats = np.zeros(self.num_rules, dtype=bool)
+        if self.lit_gg.size > 1:
+            # Sorting by variable inside each grounding (``lit_gg`` is
+            # already sorted) puts a repeated variable next to itself.
+            order = np.lexsort((self.lit_var, self.lit_gg))
+            gg, var = self.lit_gg[order], self.lit_var[order]
+            same = (gg[1:] == gg[:-1]) & (var[1:] == var[:-1])
+            repeats[self.grounding_ri[gg[1:][same]]] = True
+        return repeats
+
+    def take(self, which) -> "FactorTable":
+        """The factors at ``which`` — a boolean mask over the list, or
+        indexes in the order wanted — with rule and grounding ids
+        renumbered."""
+        which = np.asarray(which)
+        index = np.flatnonzero(which) if which.dtype == bool else which
+        kind = self.kind[index]
+        local = np.empty(len(self), dtype=np.int64)
+        for code in (KIND_BIAS, KIND_ISING, KIND_RULE):
+            of_kind = self.kind == code
+            local[of_kind] = np.arange(np.count_nonzero(of_kind))
+        local = local[index]
+        bias, ising = local[kind == KIND_BIAS], local[kind == KIND_ISING]
+        return FactorTable(
+            kind=kind,
+            bias_var=self.bias_var[bias],
+            bias_wid=self.bias_wid[bias],
+            ising_i=self.ising_i[ising],
+            ising_j=self.ising_j[ising],
+            ising_wid=self.ising_wid[ising],
+            **gather_rules(self, local[kind == KIND_RULE]),
+        )
+
+    @staticmethod
+    def concat(tables) -> "FactorTable":
+        """One table for the tables' lists laid end to end."""
+        tables = [table for table in tables if len(table)]
+        if not tables:
+            return FactorTable()
+        if len(tables) == 1:
+            return tables[0]
+        columns = {
+            name: [getattr(table, name) for table in tables]
+            for name in _COLUMN_DTYPES
+        }
+        rules = groundings = 0
+        for k, table in enumerate(tables):
+            if k:
+                columns["grounding_ri"][k] = table.grounding_ri + rules
+                columns["lit_gg"][k] = table.lit_gg + groundings
+            rules += table.num_rules
+            groundings += table.grounding_ri.shape[0]
+        return FactorTable(
+            **{name: np.concatenate(parts) for name, parts in columns.items()}
+        )
+
+    def factors(self) -> list:
+        """The factor objects the table stands for (oracle view)."""
+        bias = map(BiasFactor, self.bias_wid.tolist(), self.bias_var.tolist())
+        ising = map(
+            IsingFactor,
+            self.ising_wid.tolist(),
+            self.ising_i.tolist(),
+            self.ising_j.tolist(),
+        )
+        lits = list(zip(self.lit_var.tolist(), self.lit_pos.tolist()))
+        l_ptr = _bounds(self.lit_gg, self.grounding_ri.shape[0]).tolist()
+        groundings = [tuple(lits[a:b]) for a, b in zip(l_ptr, l_ptr[1:])]
+        g_ptr = _bounds(self.grounding_ri, self.num_rules).tolist()
+        rules = map(
+            RuleFactor,
+            self.rule_wid.tolist(),
+            self.rule_head.tolist(),
+            (tuple(groundings[a:b]) for a, b in zip(g_ptr, g_ptr[1:])),
+            sems_from_codes(self.rule_sem),
+        )
+        by_kind = (bias, ising, rules)
+        return [next(by_kind[code]) for code in self.kind.tolist()]
+
+
+def rule_table(heads, wids, sems, groundings) -> FactorTable:
+    """A table of rule factors from parallel per-rule sequences: head
+    variable, weight id, semantics code, and the rule's groundings (each
+    a sequence of ``(var, positive)`` literals)."""
+    per_rule = np.fromiter(map(len, groundings), dtype=np.int64, count=len(heads))
+    flat = list(chain.from_iterable(groundings))
+    per_grounding = np.fromiter(map(len, flat), dtype=np.int64, count=len(flat))
+    num_lits = int(per_grounding.sum())
+    lits = np.fromiter(
+        chain.from_iterable(chain.from_iterable(flat)),
+        dtype=np.int64,
+        count=2 * num_lits,
+    ).reshape(num_lits, 2)
+    return FactorTable(
+        kind=np.full(len(heads), KIND_RULE, dtype=np.int8),
+        rule_head=heads,
+        rule_wid=wids,
+        rule_sem=sems,
+        grounding_ri=np.repeat(np.arange(len(heads)), per_rule),
+        lit_gg=np.repeat(np.arange(len(flat)), per_grounding),
+        lit_var=lits[:, 0],
+        lit_pos=lits[:, 1],
+    )
+
+
+def lower_factors(factors) -> FactorTable:
+    """Factor objects → :class:`FactorTable` (the package's one walk over
+    factor kinds)."""
+    kind = []
+    bias_var, bias_wid = [], []
+    ising_i, ising_j, ising_wid = [], [], []
+    heads, wids, sems, groundings = [], [], [], []
+    for factor in factors:
+        if isinstance(factor, RuleFactor):
+            kind.append(KIND_RULE)
+            heads.append(factor.head)
+            wids.append(factor.weight_id)
+            sems.append(sem_code(factor.semantics))
+            groundings.append(factor.groundings)
+        elif isinstance(factor, IsingFactor):
+            kind.append(KIND_ISING)
+            ising_i.append(factor.i)
+            ising_j.append(factor.j)
+            ising_wid.append(factor.weight_id)
+        elif isinstance(factor, BiasFactor):
+            kind.append(KIND_BIAS)
+            bias_var.append(factor.var)
+            bias_wid.append(factor.weight_id)
+        else:
+            raise TypeError(f"unknown factor type {type(factor)!r}")
+    columns = rule_table(heads, wids, sems, groundings).columns()
+    columns.update(
+        kind=kind,
+        bias_var=bias_var,
+        bias_wid=bias_wid,
+        ising_i=ising_i,
+        ising_j=ising_j,
+        ising_wid=ising_wid,
+    )
+    return FactorTable(**columns)
+
+
+class FactorList(MutableSequence):
+    """``FactorGraphDelta.new_factors``: a list of factor objects backed
+    by a :class:`FactorTable`.
+
+    Built from objects, it lowers them on the first ``table`` read; born
+    lowered (:meth:`from_table`), it builds the objects on the first read
+    that needs them — iteration, indexing, comparison — and ``len`` never
+    does.  Either form is cached; a mutation goes through the objects and
+    drops the table.
+    """
+
+    __slots__ = ("_objects", "_table")
+
+    def __init__(self, factors=()) -> None:
+        self._objects = list(factors)
+        self._table = None
+
+    @classmethod
+    def from_table(cls, table: FactorTable) -> "FactorList":
+        self = cls.__new__(cls)
+        self._objects = None
+        self._table = table
+        return self
+
+    @property
+    def table(self) -> FactorTable:
+        if self._table is None:
+            self._table = lower_factors(self._objects)
+        return self._table
+
+    @property
+    def materialized(self) -> bool:
+        """Whether the factor objects exist (the update path never asks)."""
+        return self._objects is not None
+
+    def _factors(self) -> list:
+        if self._objects is None:
+            self._objects = self._table.factors()
+        return self._objects
+
+    def __reduce__(self):
+        if self._table is not None:
+            return FactorList.from_table, (self._table,)
+        return FactorList, (self._objects,)
+
+    def __len__(self) -> int:
+        return len(self._table if self._objects is None else self._objects)
+
+    def __iter__(self):
+        return iter(self._factors())
+
+    def __getitem__(self, index):
+        return self._factors()[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (FactorList, list)):
+            return self._factors() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FactorList({len(self)} factors)"
+
+    def __setitem__(self, index, factor) -> None:
+        self._factors()[index] = factor
+        self._table = None
+
+    def __delitem__(self, index) -> None:
+        del self._factors()[index]
+        self._table = None
+
+    def insert(self, index, factor) -> None:
+        self._factors().insert(index, factor)
+        self._table = None
 
 
 @dataclass
@@ -29,9 +403,12 @@ class FactorGraphDelta:
     new_var_evidence:
         Evidence clamps for *new* variables, ``{new var id: value}``.
     new_factors:
-        Factor objects (Rule/Ising/Bias) that may reference both old and
-        new variable ids.  Weight ids must be valid after
-        ``new_weight_entries`` are appended.
+        The added factors (Rule/Ising/Bias), which may reference both old
+        and new variable ids; weight ids must be valid after
+        ``new_weight_entries`` are appended.  Always a :class:`FactorList`
+        — assign a :class:`FactorTable`-backed one or any iterable of
+        factor objects; consumers on the update path read
+        ``new_factors.table``.
     removed_factor_ids:
         Indexes into the base graph's factor list to drop.
     evidence_updates:
@@ -48,11 +425,16 @@ class FactorGraphDelta:
     num_new_vars: int = 0
     new_var_names: list = field(default_factory=list)
     new_var_evidence: dict = field(default_factory=dict)
-    new_factors: list = field(default_factory=list)
+    new_factors: FactorList = field(default_factory=FactorList)
     removed_factor_ids: set = field(default_factory=set)
     evidence_updates: dict = field(default_factory=dict)
     new_weight_entries: list = field(default_factory=list)
     changed_weight_values: dict = field(default_factory=dict)
+
+    def __setattr__(self, name, value) -> None:
+        if name == "new_factors" and not isinstance(value, FactorList):
+            value = FactorList(value)
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------ #
     # Classification used by the rule-based optimizer (§3.3)
@@ -136,8 +518,7 @@ class FactorGraphDelta:
             ]
             del factors[lo:]
             factors.extend(tail)
-        for factor in self.new_factors:
-            base.factors.append(factor)
+        base.factors.extend(self.new_factors)
 
         for var, value in self.evidence_updates.items():
             if value is None:
@@ -145,6 +526,28 @@ class FactorGraphDelta:
             else:
                 base.set_evidence(var, value)
         return base
+
+    def base_terms(self, base: FactorGraph) -> tuple:
+        """What this delta does to factors ``base`` already has, as
+        ``(removed, reweighted, shift)``: the factors it removes and the
+        surviving ones whose weight value it moves, both as tables (in
+        list order), and ``w_new − w_old`` per weight of ``base``."""
+        if not (self.removed_factor_ids or self.changed_weight_values):
+            return FactorTable(), FactorTable(), np.zeros(0)
+        removed_ids = sorted(self.removed_factor_ids)
+        removed = base.factor_table(removed_ids)
+        old = base.weights.values_array()
+        shift = np.zeros(old.shape[0])
+        for wid, value in self.changed_weight_values.items():
+            if wid < shift.shape[0]:
+                shift[wid] = value - old[wid]
+        reweighted = FactorTable()
+        if shift.any():
+            survivors = base.factor_table(
+                np.setdiff1d(np.arange(base.num_factors), removed_ids)
+            )
+            reweighted = survivors.take(shift[survivors.weight_ids()] != 0.0)
+        return removed, reweighted, shift
 
     def index_mapping(self, num_base_factors: int) -> dict:
         """Old factor index → new index after applying this delta."""
@@ -225,11 +628,14 @@ def compose_deltas(
     # indexes translate back to base indexes in O(|first.removed|) per
     # lookup; the grow-only common case (``first`` removes nothing) is an
     # identity map, so neither path builds the O(#factors)
-    # ``index_mapping``/``inverse`` dicts.
+    # ``index_mapping``/``inverse`` dicts.  The factors themselves are
+    # two tables laid end to end, ``first``'s masked by what ``second``
+    # removed of it.
     removed_first = sorted(first.removed_factor_ids)
     survivors = base.num_factors - len(removed_first)
     composed.removed_factor_ids = set(first.removed_factor_ids)
-    dropped_first_new: set = set()
+    kept = first.new_factors.table
+    keep = None
     for removed in second.removed_factor_ids:
         if removed < survivors:
             composed.removed_factor_ids.add(
@@ -238,12 +644,14 @@ def compose_deltas(
                 else _survivor_to_base(removed, removed_first)
             )
         else:
-            dropped_first_new.add(removed - survivors)
-    composed.new_factors = [
-        f
-        for i, f in enumerate(first.new_factors)
-        if i not in dropped_first_new
-    ] + list(second.new_factors)
+            if keep is None:
+                keep = np.ones(len(kept), dtype=bool)
+            keep[removed - survivors] = False
+    if keep is not None:
+        kept = kept.take(keep)
+    composed.new_factors = FactorList.from_table(
+        FactorTable.concat([kept, second.new_factors.table])
+    )
     return composed
 
 

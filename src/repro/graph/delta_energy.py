@@ -13,13 +13,14 @@ them have zero updated probability).
 ``δW(x) = Σ_t c_t · U_t(x)`` over three kinds of term: a new factor
 (``c = w_new``), a removed base factor (``c = −w_old``) and a surviving
 factor whose weight moved (``c = w_new − w_old``); ``U`` is the factor's
-unit energy.  The constructor lowers the terms **once** into flat arrays
-in the layout of :class:`~repro.graph.compiled.CompiledFactorGraph` —
-``bias_var``; ``ising_i/ising_j``; ``rule_head``, ``rule_sem`` (int8
-codes), ``grounding_ri``, ``lit_gg/lit_var/lit_pos``; one float64
-coefficient per term; the evidence constraints as ``ev_vars/ev_vals`` —
-and range-checks every variable and weight id while doing so.  Two ways
-to score follow from that:
+unit energy.  The terms are one :class:`~repro.graph.delta.FactorTable`
+— the delta's own table as it is, with the removed and reweighted base
+factors (``base.factor_table``: gathered from the arrays when the base
+is a compiled view, lowered once when it is a plain graph) laid behind
+it — plus one float64 coefficient per term, looked up by weight id, and
+the evidence constraints as ``ev_vars/ev_vals``; every variable and
+weight id is range-checked on the way.  Two ways to score follow from
+that:
 
 * whole batches — :meth:`DeltaEvaluator.delta_energies`,
   :meth:`~DeltaEvaluator.violations`,
@@ -37,12 +38,13 @@ to score follow from that:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.graph.compiled import rule_unit_energies
-from repro.graph.delta import FactorGraphDelta
-from repro.graph.factor_graph import BiasFactor, FactorGraph, IsingFactor, RuleFactor
-from repro.graph.semantics import sem_code
+from repro.graph.delta import FactorGraphDelta, FactorTable
+from repro.graph.factor_graph import FactorGraph, RuleFactor
 
 #: Cells (rows × widest per-world temporary) one scoring chunk may span.
 #: The rule block holds ``(rows, literals)`` gather, mismatch, int64
@@ -88,36 +90,27 @@ class DeltaEvaluator:
         for wid, value in delta.changed_weight_values.items():
             self.new_weights.set_value(wid, value)
 
-        self.new_factors = list(delta.new_factors)
+        #: Lazy object view; only the one-world oracle path reads it.
+        self.new_factors = delta.new_factors
+        new = delta.new_factors.table
         num_weights = len(self.new_weights)
-        for factor in self.new_factors:
-            if not 0 <= factor.weight_id < num_weights:
-                raise ValueError(
-                    f"{_describe(factor)} references weight id "
-                    f"{factor.weight_id}, outside [0, {num_weights})"
-                )
-        removed_ids = set(delta.removed_factor_ids)
+        wids = new.weight_ids()
+        if wids.size and not 0 <= wids.min() <= wids.max() < num_weights:
+            fi = int(np.flatnonzero((wids < 0) | (wids >= num_weights))[0])
+            raise ValueError(
+                f"{_describe(self.new_factors[fi])} references weight id "
+                f"{wids[fi]}, outside [0, {num_weights})"
+            )
         num_base_factors = base.num_factors
-        for fi in removed_ids:
+        for fi in delta.removed_factor_ids:
             if not 0 <= fi < num_base_factors:
                 raise ValueError(
                     f"removed factor id {fi}, outside [0, {num_base_factors})"
                 )
-        # ``factor_at``: a compiled view rebuilds one factor, not its list.
-        self.removed_factors = [base.factor_at(i) for i in sorted(removed_ids)]
-
-        # Factors that survive but whose weight value changed: their energy
-        # shifts by (w_new − w_old) · unit_energy.
-        self.reweighted = []
-        if delta.changed_weight_values:
-            for fi, factor in enumerate(base.factors):
-                if fi in removed_ids:
-                    continue
-                change = delta.changed_weight_values.get(factor.weight_id)
-                if change is not None:
-                    shift = change - self.old_weights.value(factor.weight_id)
-                    if shift != 0.0:
-                        self.reweighted.append((factor, shift))
+        # Removed factors leave with the weights in force at
+        # materialization time; factors that survive but whose weight
+        # value changed shift by (w_new − w_old) · unit_energy.
+        self._removed, self._reweighted, self._shift = delta.base_terms(base)
 
         # Hard constraints: evidence set/flipped on old variables plus
         # clamped new variables.  (Cleared evidence relaxes a constraint;
@@ -141,10 +134,68 @@ class DeltaEvaluator:
                     f"[0, {self.total_vars})"
                 )
 
-        self._lower()
+        # ---- the terms, as arrays ----------------------------------------
+        removed, reweighted, shift = self._removed, self._reweighted, self._shift
+        old_w = self.old_weights.values_array()
+        new_w = self.new_weights.values_array()
+        terms = FactorTable.concat([new, removed, reweighted])
+
+        def coefficients(column: str) -> np.ndarray:
+            return np.concatenate(
+                [
+                    new_w[getattr(new, column)],
+                    -old_w[getattr(removed, column)],
+                    shift[getattr(reweighted, column)],
+                ]
+            )
+
+        self.bias_coef = coefficients("bias_wid")
+        self.ising_coef = coefficients("ising_wid")
+        self.rule_coef = coefficients("rule_wid")
+        self.bias_var = terms.bias_var
+        self.ising_i, self.ising_j = terms.ising_i, terms.ising_j
+        self.rule_head, self.rule_sem = terms.rule_head, terms.rule_sem
+        self.grounding_ri = terms.grounding_ri
+        self.lit_gg, self.lit_var, self.lit_pos = (
+            terms.lit_gg, terms.lit_var, terms.lit_pos
+        )
+        self._rule_sem_uniform = (
+            int(self.rule_sem[0])
+            if self.rule_sem.size and (self.rule_sem == self.rule_sem[0]).all()
+            else None
+        )
+        touched = terms.variables()
+        if touched.size and not 0 <= touched.min() <= touched.max() < self.total_vars:
+            self._raise_unknown_variable()
+
+        self.ev_vars = np.fromiter(self.evidence_constraints, dtype=np.int64)
+        self.ev_vals = np.fromiter(self.evidence_constraints.values(), dtype=bool)
+        self._clamp_vars = self.num_base_vars + np.fromiter(
+            delta.new_var_evidence, dtype=np.int64
+        )
+        self._clamp_vals = np.fromiter(delta.new_var_evidence.values(), dtype=bool)
+        # Widest per-world temporary of :meth:`_score`.
+        self._cells_per_world = max(
+            1,
+            self.lit_var.size,
+            self.grounding_ri.size,
+            self.bias_var.size,
+            self.ising_i.size,
+        )
 
     # ------------------------------------------------------------------ #
-    # Lowering
+    # The terms as objects (one-world path, error messages)
+
+    @cached_property
+    def removed_factors(self) -> list:
+        return self._removed.factors()
+
+    @cached_property
+    def reweighted(self) -> list:
+        """``(factor, w_new − w_old)`` per surviving factor whose weight
+        moved."""
+        table = self._reweighted
+        return list(zip(table.factors(), self._shift[table.weight_ids()].tolist()))
 
     def _terms(self):
         """Every ``(factor, coefficient)`` term of ``δW``."""
@@ -154,75 +205,6 @@ class DeltaEvaluator:
         for factor in self.removed_factors:
             yield factor, -old_weights.value(factor.weight_id)
         yield from self.reweighted
-
-    def _lower(self) -> None:
-        """Flatten :meth:`_terms` and the evidence constraints to arrays."""
-        bias_var, bias_coef = [], []
-        ising_i, ising_j, ising_coef = [], [], []
-        rule_head, rule_sem, rule_coef = [], [], []
-        grounding_ri, lit_gg, lit_var, lit_pos = [], [], [], []
-        for factor, coef in self._terms():
-            if isinstance(factor, BiasFactor):
-                bias_var.append(factor.var)
-                bias_coef.append(coef)
-            elif isinstance(factor, IsingFactor):
-                ising_i.append(factor.i)
-                ising_j.append(factor.j)
-                ising_coef.append(coef)
-            elif isinstance(factor, RuleFactor):
-                ri = len(rule_head)
-                rule_head.append(factor.head)
-                rule_sem.append(sem_code(factor.semantics))
-                rule_coef.append(coef)
-                for grounding in factor.groundings:
-                    gg = len(grounding_ri)
-                    grounding_ri.append(ri)
-                    for var, pos in grounding:
-                        lit_gg.append(gg)
-                        lit_var.append(var)
-                        lit_pos.append(pos)
-            else:
-                raise TypeError(f"unknown factor type {type(factor)!r}")
-
-        def ids(values):
-            return np.asarray(values, dtype=np.int64)
-
-        self.bias_var = ids(bias_var)
-        self.bias_coef = np.asarray(bias_coef, dtype=np.float64)
-        self.ising_i, self.ising_j = ids(ising_i), ids(ising_j)
-        self.ising_coef = np.asarray(ising_coef, dtype=np.float64)
-        self.rule_head = ids(rule_head)
-        self.rule_sem = np.asarray(rule_sem, dtype=np.int8)
-        self.rule_coef = np.asarray(rule_coef, dtype=np.float64)
-        self.grounding_ri = ids(grounding_ri)
-        self.lit_gg, self.lit_var = ids(lit_gg), ids(lit_var)
-        self.lit_pos = np.asarray(lit_pos, dtype=bool)
-        self._rule_sem_uniform = (
-            rule_sem[0] if rule_sem and min(rule_sem) == max(rule_sem) else None
-        )
-
-        touched = np.concatenate(
-            [self.bias_var, self.ising_i, self.ising_j, self.rule_head, self.lit_var]
-        )
-        if touched.size and not 0 <= touched.min() <= touched.max() < self.total_vars:
-            self._raise_unknown_variable()
-
-        self.ev_vars = ids(list(self.evidence_constraints))
-        self.ev_vals = np.asarray(
-            list(self.evidence_constraints.values()), dtype=bool
-        )
-        self._clamp_vars = self.num_base_vars + ids(list(self.delta.new_var_evidence))
-        self._clamp_vals = np.asarray(
-            list(self.delta.new_var_evidence.values()), dtype=bool
-        )
-        # Widest per-world temporary of :meth:`_score`.
-        self._cells_per_world = max(
-            1,
-            self.lit_var.size,
-            self.grounding_ri.size,
-            self.bias_var.size,
-            self.ising_i.size,
-        )
 
     def _raise_unknown_variable(self) -> None:
         total = self.total_vars

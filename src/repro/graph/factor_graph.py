@@ -434,10 +434,14 @@ class FactorGraph:
         self.factors.append(BiasFactor(int(weight_id), int(var)))
         return len(self.factors) - 1
 
-    def factor_at(self, index: int):
-        """The factor at ``index`` of the factor list.  O(1) on compiled
-        views too, where ``factors[index]`` would materialize the list."""
-        return self.factors[index]
+    def factor_table(self, indices):
+        """The factors at ``indices`` of the factor list, in that order,
+        as a :class:`~repro.graph.delta.FactorTable` (a compiled view
+        gathers it from its arrays without building a factor object)."""
+        from repro.graph.delta import lower_factors
+
+        factors = self.factors
+        return lower_factors([factors[index] for index in indices])
 
     # ------------------------------------------------------------------ #
     # Energy / probability
@@ -585,8 +589,8 @@ class CompiledGraphView(FactorGraph):
     def factors(self) -> list:
         return self._compiled.materialized_factors()
 
-    def factor_at(self, index: int):
-        return self._compiled.factor_at(index)
+    def factor_table(self, indices):
+        return self._compiled.factor_table(indices)
 
     # --- Structural mutation goes through the substrate, not the view.
 

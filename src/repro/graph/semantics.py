@@ -98,6 +98,11 @@ def sem_from_code(code: int) -> Semantics:
         raise ValueError(f"unknown semantics code {code!r}") from None
 
 
+def sems_from_codes(codes) -> list:
+    """:func:`sem_from_code` over an array of codes, as a list."""
+    return list(map(_SEM_FROM_CODE.__getitem__, np.asarray(codes).tolist()))
+
+
 def g_code_array(code: int, n: np.ndarray) -> np.ndarray:
     """Vectorised ``g`` for a single semantics *code* (uniform batch)."""
     n = np.asarray(n, dtype=float)

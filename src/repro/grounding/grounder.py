@@ -346,22 +346,22 @@ def apply_rule_binding_batch(
     variable_of: dict,
     weights,
     records: dict,
-    touched_keys: set | None = None,
     resolver: VariableCodeResolver | None = None,
     accumulator: "RuleDeltaAccumulator | None" = None,
 ) -> None:
-    """Fold a rule's signed binding batch into the factor records.
+    """Fold a rule's binding batch into the factor records.
 
     Each binding contributes one grounding (the body's variable literals)
-    to the record keyed by ``(rule, head var, weight id)``; negative signs
-    retract a previously added grounding.  ``touched_keys``, when given,
-    collects the record keys that changed (incremental bookkeeping).
+    to the record keyed by ``(rule, head var, weight id)``.  A full
+    ground folds its (all-positive) batch straight into ``records``; an
+    incremental update passes an ``accumulator``, where signed groundings
+    net across the rule's delta terms and reach the records — insertions
+    before retractions — at :meth:`RuleDeltaAccumulator.flush`.
     Large batches ground without per-binding Python: head and literal
     variable ids resolve through packed-code maps, weight keys intern
     once per *distinct* tied-value row, and groundings fold into records
     one ``(head, weight)`` group at a time.  Small batches decode the
-    code columns once and fold row-at-a-time.  With an ``accumulator``,
-    signed groundings net there instead of mutating records.
+    code columns once and fold row-at-a-time.
     """
     m = batch.num_rows
     if m == 0:
@@ -371,7 +371,7 @@ def apply_rule_binding_batch(
             resolver = VariableCodeResolver(interner, variable_of)
         _apply_batch_vectorized(
             rule, semantics, batch, interner, variable_relations,
-            weights, records, touched_keys, resolver, accumulator,
+            weights, records, resolver, accumulator,
         )
         return
     decoded: dict = {}
@@ -445,34 +445,31 @@ def apply_rule_binding_batch(
             continue
         _fold_grounding(
             rule, semantics, head_key, weight_key, literals, signs[i],
-            variable_of, weights, records, touched_keys,
+            variable_of, weights, records,
         )
 
 
 def _apply_batch_vectorized(
     rule, semantics, batch, interner, variable_relations,
-    weights, records, touched_keys, resolver: VariableCodeResolver,
+    weights, records, resolver: VariableCodeResolver,
     accumulator: "RuleDeltaAccumulator | None" = None,
 ) -> None:
     """Group a whole binding batch into factor records with numpy.
 
     Per-row Python is reduced to zipping pre-resolved literal id lists;
     head resolution, weight interning, and record grouping all run over
-    arrays.  Signed batches fold insertions before retractions within
-    each record group (same invariant as the row-at-a-time path).
+    arrays.  Signed batches go to the ``accumulator``; without one the
+    batch is a full ground's and every sign is positive.
     """
     import itertools
 
     m = batch.num_rows
+    if accumulator is None and not bool(np.all(batch.signs > 0)):
+        raise ValueError("a signed batch folds through a RuleDeltaAccumulator")
     has_literals = any(
         atom.pred in variable_relations for atom in rule.body
     )
-    if (
-        not has_literals
-        and accumulator is None
-        and touched_keys is None
-        and bool(np.all(batch.signs > 0))
-    ):
+    if not has_literals and accumulator is None:
         # Frequency-rule fast path (no body literals — every grounding
         # is the empty conjunction): group on the raw (head, tied) code
         # rows first, then resolve heads and intern weights once per
@@ -586,15 +583,13 @@ def _apply_batch_vectorized(
     group_codes = (head_vids << 31) | wids
     head_list = head_vids.tolist()
     wid_list = wids.tolist()
-    all_positive = bool(np.all(batch.signs > 0))
     rule_name = rule.name
     order = np.argsort(group_codes, kind="stable")
     ordered = group_codes[order]
     boundaries = np.flatnonzero(ordered[1:] != ordered[:-1])
-    if all_positive and touched_keys is None and len(boundaries) + 1 == m:
-        # Full-ground fast path: every binding is its own record (no
-        # grouping, no multiset) — the dominant shape for per-binding
-        # weight tying.
+    if len(boundaries) + 1 == m:
+        # Every binding is its own record (no grouping) — the dominant
+        # shape for per-binding weight tying.
         for i in range(m):
             record_key = (rule_name, head_list[i], wid_list[i])
             record = records.get(record_key)
@@ -612,48 +607,27 @@ def _apply_batch_vectorized(
     starts = np.concatenate(([0], boundaries + 1, [m])).tolist()
     order = order.tolist()
     literals_ordered = [literals[i] for i in order]
-    signs = batch.signs.tolist()
     for gi in range(len(starts) - 1):
         lo, hi = starts[gi], starts[gi + 1]
         row0 = order[lo]
         record_key = (rule_name, head_list[row0], wid_list[row0])
         record = records.get(record_key)
         if record is None:
-            record = FactorRecord(
+            record = records[record_key] = FactorRecord(
                 rule_name=rule_name,
                 head_var=record_key[1],
                 weight_id=record_key[2],
                 semantics=semantics,
             )
-            if touched_keys is not None:  # incremental: counted multiset
-                record.groundings = GroundingMultiset()
-            records[record_key] = record
-        if touched_keys is not None:
-            touched_keys.add(record_key)
-        groundings = record.groundings
-        if all_positive:
-            groundings.extend(literals_ordered[lo:hi])
-            continue
-        removals = []
-        for oi in range(lo, hi):
-            i = order[oi]
-            sign = signs[i]
-            if sign > 0:
-                for _ in range(sign):
-                    groundings.append(literals_ordered[oi])
-            else:
-                removals.append(oi)
-        for oi in removals:
-            i = order[oi]
-            for _ in range(-signs[i]):
-                groundings.remove(literals_ordered[oi])
+        record.groundings.extend(literals_ordered[lo:hi])
 
 
 def _fold_grounding(
     rule, semantics, head_key, weight_key, literals, sign,
-    variable_of, weights, records, touched_keys,
+    variable_of, weights, records,
 ) -> None:
-    """Fold one signed grounding into its ``(rule, head, weight)`` record."""
+    """Fold one grounding of a full ground into its ``(rule, head,
+    weight)`` record."""
     head_var = variable_of.get(head_key)
     if head_var is None:
         raise KeyError(
@@ -666,7 +640,7 @@ def _fold_grounding(
     )
     _fold_into_record(
         rule.name, semantics, head_var, weight_id, literals, sign,
-        records, touched_keys,
+        records, None,
     )
 
 

@@ -38,8 +38,9 @@ from repro.datalog.ast import EVIDENCE_SUFFIX
 from repro.datalog.program import Program
 from repro.db.database import Database
 from repro.db.plan import canonicalize_batch
-from repro.graph.delta import FactorGraphDelta
+from repro.graph.delta import FactorGraphDelta, FactorList, rule_table
 from repro.graph.factor_graph import FactorGraph, RuleFactor
+from repro.graph.semantics import sem_code
 from repro.reliability.faults import maybe_fire
 from repro.grounding.grounder import (
     FactorRecord,
@@ -530,7 +531,6 @@ class IncrementalGrounder:
                     self.variable_of,
                     weights,
                     self.records,
-                    touched_keys=touched_keys,
                     resolver=resolver,
                     accumulator=accumulator,
                 )
@@ -559,7 +559,10 @@ class IncrementalGrounder:
                 bucket = self._records_by_var.get(var)
                 if bucket:
                     bucket.discard(key)
+        # Each rebuilt record's groundings are flattened straight into the
+        # delta's factor table: no factor object is made on the way.
         appended: list = []
+        rebuilt: list = []
         for key in sorted(touched_keys, key=str):
             record = self.records[key]
             if record.factor_index >= 0:
@@ -571,17 +574,18 @@ class IncrementalGrounder:
                     if bucket:
                         bucket.discard(key)
                 continue
-            delta.new_factors.append(
-                RuleFactor(
-                    weight_id=record.weight_id,
-                    head=record.head_var,
-                    groundings=record.groundings.as_tuple(),
-                    semantics=record.semantics,
-                )
-            )
+            rebuilt.append(record)
             appended.append(key)
             for var in self._record_vars(record):
                 self._records_by_var.setdefault(var, set()).add(key)
+        delta.new_factors = FactorList.from_table(
+            rule_table(
+                [record.head_var for record in rebuilt],
+                [record.weight_id for record in rebuilt],
+                [sem_code(record.semantics) for record in rebuilt],
+                [record.groundings.as_tuple() for record in rebuilt],
+            )
+        )
 
         # Tombstone removed variables: clamp them false so any residual
         # reference contributes nothing.

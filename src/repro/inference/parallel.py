@@ -63,7 +63,6 @@ from repro.graph.compiled import (
     repair_shard_plan,
     shard_window,
 )
-from repro.graph.semantics import sem_from_code
 from repro.inference.gibbs import GibbsSampler, sweep_blocks
 from repro.reliability.errors import WorkerCrashError
 from repro.reliability.faults import maybe_fire
@@ -482,43 +481,6 @@ class _StubGraph:
         self._ev_vals = np.fromiter(self.evidence.values(), dtype=bool, count=count)
 
 
-def _rebuild_python_mirrors(c: CompiledFactorGraph) -> None:
-    """Derive the scalar-kernel Python mirrors from the flat arrays.
-
-    Requires a clean (compacted) CSR snapshot — exports enforce this."""
-    n = c.num_vars
-    bi, bw = c.bias_indptr, c.bias_wid
-    c.py_bias = [bw[bi[v] : bi[v + 1]].tolist() for v in range(n)]
-    ii, io, iw = c.ising_indptr, c.ising_other, c.ising_wid
-    c.py_ising = [
-        list(zip(io[ii[v] : ii[v + 1]].tolist(), iw[ii[v] : ii[v + 1]].tolist()))
-        for v in range(n)
-    ]
-    hi, hr = c.head_indptr, c.head_ri
-    c.py_head = [hr[hi[v] : hi[v + 1]].tolist() for v in range(n)]
-    py_body = []
-    for v in range(n):
-        s0, s1 = int(c.bseg_indptr[v]), int(c.bseg_indptr[v + 1])
-        end = int(c.body_indptr[v + 1])
-        starts = c.bseg_start[s0:s1].tolist() + [end]
-        segs = []
-        for k in range(s1 - s0):
-            a, b = starts[k], starts[k + 1]
-            segs.append(
-                (
-                    int(c.bseg_ri[s0 + k]),
-                    list(zip(c.body_gg[a:b].tolist(), c.body_pos[a:b].tolist())),
-                )
-            )
-        py_body.append(segs)
-    c.py_body = py_body
-    si, sx = c.slow_indptr, c.slow_idx
-    c.py_slow = [sx[si[v] : si[v + 1]].tolist() for v in range(n)]
-    c._rule_head_l = c.rule_head.tolist()
-    c._rule_wid_l = c.rule_wid.tolist()
-    c._rule_sem_l = [sem_from_code(code) for code in c.rule_sem.tolist()]
-
-
 def attach_compiled(spec: dict):
     """Rebuild a functional :class:`CompiledFactorGraph` from a spec.
 
@@ -545,19 +507,16 @@ def attach_compiled(spec: dict):
     c.slow_alive = list(spec["slow_alive"])
     c.num_live_rules = spec["num_live_rules"]
     c.num_live_slow = spec["num_live_slow"]
-    c.slow_factors = {}
-    c.rule_factors = {}
     c._plan_cache = {}
     c.free_vars = np.flatnonzero(~c.evidence_mask)
     # Incremental state: attached views resize against the capacity
-    # regions; the handle table and per-rule factor list live only on the
-    # controller (ops arrive pre-resolved).
+    # regions; the handle table lives only on the controller (ops arrive
+    # pre-resolved).
     c._cap_views = views
     c._grow = None
     c._fkind = None
     c._fh1 = None
     c._fh2 = None
-    c._ri_factor = None
     c.weight_factor_counts = None  # gradient aggregation is controller-only
     c._patched = bool(c.var_patched.any())
     c._nbr_patch = {}
@@ -566,7 +525,8 @@ def attach_compiled(spec: dict):
     c.views_materialized = 0
     c._view_factors = None
     c._view_factors_version = -1
-    _rebuild_python_mirrors(c)
+    # Exports are of compacted substrates, so the CSR snapshot is current.
+    c._mirrors_from_csr()
     weights = _StubWeights(
         views["__weights__"], views["__weights_version__"], views["__weights_size__"]
     )
@@ -832,10 +792,11 @@ class _Worker:
         for cid, chain in old_chains.items():
             state = np.asarray(chain["state"], dtype=bool)
             if ops is not None and ops["num_new_vars"]:
+                add = ops["add"]
                 new_vals = bias_init_values(
                     ops["num_new_vars"],
                     state.shape[0],
-                    ops["bias_add"],
+                    np.column_stack([add.bias_var, add.bias_wid]),
                     self.compiled.graph.weights,
                     chain["rng"],
                 )

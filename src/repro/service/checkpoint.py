@@ -10,7 +10,15 @@ WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0001 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0002 | u64 payload length | 32-byte sha256(payload) | payload
+
+The magic is the format version of the *pickled state*, not only of the
+header: it moves whenever a pickled class changes shape (``CKPT0002``:
+the compiled substrate stopped carrying a factor object per rule), so a
+file written by an older tree fails verification here — skipped and
+counted like a corrupt one, recovery falling back to an older checkpoint
+or the WAL — instead of unpickling into an object that breaks at its
+first update.
 
 The store keeps the ``keep`` most recent checkpoints; after a checkpoint
 at transaction ``txn`` the service truncates its WAL to ``txn``, so the
@@ -20,6 +28,7 @@ rebuilding the live state.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -28,7 +37,7 @@ import struct
 
 from repro.reliability.faults import maybe_fire
 
-_MAGIC = b"CKPT0001"
+_MAGIC = b"CKPT0002"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 
@@ -111,7 +120,18 @@ class CheckpointStore:
             raise CheckpointError(f"{path}: truncated payload")
         if hashlib.sha256(payload).digest() != digest:
             raise CheckpointError(f"{path}: checksum mismatch")
-        return pickle.loads(payload)
+        # Unpickling allocates the whole state and frees nothing: a
+        # generational collection in the middle of it walks the service's
+        # heap to find no garbage (a load is 30 ms without one and 50–60
+        # with, and which of the two a given load gets depends on how
+        # many objects the process happened to allocate before it).
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return pickle.loads(payload)
+        finally:
+            if collecting:
+                gc.enable()
 
     def load(self):
         """Load the newest checkpoint that verifies.

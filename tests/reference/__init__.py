@@ -13,7 +13,10 @@ Nothing under ``src/`` imports this package; tests and the non-e2e
 * :mod:`~tests.reference.learning` — the per-factor gradient loop and the
   cache-per-call pseudo-NLL;
 * :mod:`~tests.reference.metropolis` — ``reference_mh_run``, independent
-  MH one proposal at a time.
+  MH one proposal at a time;
+* :mod:`~tests.reference.compiled` — ``ReferenceCompiledFactorGraph``,
+  the substrate with the object-walking compile, the per-factor patch
+  and patch-then-compact.
 """
 
 from tests.reference.grounding import reference_ground, replay

@@ -125,8 +125,8 @@ class TestCompiledStructure:
             wid, q, [[(q, True)], [(q, False), (a, True)]], Semantics.RATIO
         )
         compiled = CompiledFactorGraph(fg)
-        assert compiled.num_live_slow == 0 and not compiled.slow_factors
-        assert 0 in compiled.rule_factors
+        assert compiled.num_live_slow == 0 and not compiled.slow_list
+        assert compiled._fkind.tolist() == [2]  # a fast-path rule
         assert compiled.py_head[q] == []
         assert [ri for ri, _ in compiled.py_body[q]] == [0]
         for bits in range(4):
@@ -149,8 +149,8 @@ class TestCompiledStructure:
             wid, q, [[(a, True), (a, False)], [(q, True)]], Semantics.LOGICAL
         )
         compiled = CompiledFactorGraph(fg)
-        assert 0 in compiled.slow_factors
-        assert not compiled.rule_factors
+        assert compiled._fkind.tolist() == [3]  # routed to the slow path
+        assert compiled.num_rules == 0
         assert compiled.num_live_slow == 1
         assert all(b.scalar_only for b in compiled.plan().blocks)
         x = np.array([True, False])

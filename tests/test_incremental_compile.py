@@ -185,7 +185,9 @@ class TestPatchVsFresh:
         compiled.apply_delta(delta, compact_threshold=1.0)
         assert compiled.num_live_slow == 1
         assert compiled.slow_list[-1] == duplicated
-        assert compiled._ri_factor[-1] == self_headed
+        assert compiled.factor_table([compiled.num_factors - 2]).factors() == [
+            self_headed
+        ]
         assert compiled.py_head[2] == []
         assert_patched_equals_fresh(compiled, updated)
         assert_brute_force(compiled, updated)

@@ -157,3 +157,30 @@ class TestPackageReachesNoOracle:
             "static_join_order",
         }
         assert not hasattr(repro.db.query, "evaluate_query")
+
+    def test_one_function_lowers_factor_objects(self):
+        """The walk over factor kinds that turns objects into arrays
+        exists once (``graph.delta.lower_factors``): the compile, the
+        patch and the MH target read tables.  The per-factor patch and
+        the object-walking compile live in ``tests/reference/compiled``."""
+        kinds = {"BiasFactor", "IsingFactor", "RuleFactor"}
+        dispatchers = []
+        for path, tree in self.modules():
+            if path.parent.name != "graph":
+                continue
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                tested = {
+                    call.args[1].id
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "isinstance"
+                    and len(call.args) == 2
+                    and isinstance(call.args[1], ast.Name)
+                }
+                if kinds <= tested:
+                    dispatchers.append((path.relative_to(SRC).as_posix(), node.name))
+        assert dispatchers == [("graph/delta.py", "lower_factors")]
+        for name in ("_ri_factor", "rule_factors", "_has_duplicated_literal"):
+            assert not any(name in path.read_text() for path, _ in self.modules())

@@ -1,5 +1,10 @@
 """Tests for the rule-based optimizer (§3.3) and Algorithm 2."""
 
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.core import (
@@ -13,7 +18,8 @@ from repro.core.decomposition import group_subgraph, plan_groups
 from repro.graph import FactorGraph, FactorGraphDelta
 from repro.inference import ExactInference
 
-from tests.helpers import chain_ising_graph
+from tests.helpers import chain_ising_graph, voting_graph
+from tests.test_incremental_compile import seed_graph
 
 
 class TestOptimizerRules:
@@ -143,3 +149,104 @@ class TestDecomposition:
         groups = decompose(fg, active_vars=[])
         assert len(groups) == 1
         assert groups[0].active == frozenset()
+
+
+def decomposition_cases() -> dict:
+    """This file's graphs (and two with rule factors) under the interest
+    areas the tests above use."""
+    return {
+        "star5": (star_graph(5), [0]),
+        "star4": (star_graph(4), [0]),
+        "chain7": (chain_ising_graph(7), [3]),
+        "chain10": (chain_ising_graph(10), [2, 7]),
+        "chain5": (chain_ising_graph(5), [2]),
+        "chain4": (chain_ising_graph(4), []),
+        "voting": (voting_graph(3, 3), [0]),
+        "mixed24": (seed_graph(0), [0, 5, 9, 13]),
+    }
+
+
+def shown(groups) -> list:
+    return [(sorted(g.inactive), sorted(g.active)) for g in groups]
+
+
+#: ``(decompose, merge_groups ∘ decompose)`` per case, as the
+#: ``networkx`` implementation this one replaced returned them.
+PINNED = {
+    "star5": (
+        [([1], [0]), ([2], [0]), ([3], [0]), ([4], [0]), ([5], [0])],
+        [([1, 2, 3, 4, 5], [0])],
+    ),
+    "star4": (
+        [([1], [0]), ([2], [0]), ([3], [0]), ([4], [0])],
+        [([1, 2, 3, 4], [0])],
+    ),
+    "chain7": (
+        [([0, 1, 2], [3]), ([4, 5, 6], [3])],
+        [([0, 1, 2, 4, 5, 6], [3])],
+    ),
+    "chain10": (
+        [([0, 1], [2]), ([3, 4, 5, 6], [2, 7]), ([8, 9], [7])],
+        [([0, 1, 3, 4, 5, 6, 8, 9], [2, 7])],
+    ),
+    "chain5": ([([0, 1], [2]), ([3, 4], [2])], [([0, 1, 3, 4], [2])]),
+    "chain4": ([([0, 1, 2, 3], [])], [([0, 1, 2, 3], [])]),
+    "voting": (
+        [([1, 2, 3], [0]), ([4, 5, 6], [0])],
+        [([1, 2, 3, 4, 5, 6], [0])],
+    ),
+    "mixed24": (
+        [
+            (
+                [1, 2, 3, 4, 6, 7, 8, 10, 11, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23],
+                [0, 5, 9, 13],
+            ),
+            ([12], [0, 9]),
+        ],
+        [
+            (
+                [1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23],
+                [0, 5, 9, 13],
+            )
+        ],
+    ),
+}
+
+
+def check_pinned_decompositions() -> None:
+    for name, (graph, active) in decomposition_cases().items():
+        groups = decompose(graph, active)
+        assert (shown(groups), shown(merge_groups(groups))) == PINNED[name], name
+
+
+class TestCleanInstall:
+    def test_pinned_outputs(self):
+        check_pinned_decompositions()
+
+    def test_package_imports_and_decomposes_without_networkx(self):
+        """``pyproject.toml`` declares numpy and scipy: on a runner with
+        nothing else, ``repro.core`` must import and Algorithm 2 must
+        return what it returned through ``networkx``."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.modules["networkx"] = None  # any import of it now raises
+            import repro.core
+            from repro.core import IncrementalEngine  # the packaging smoke
+            from tests.test_optimizer_decomposition import check_pinned_decompositions
+            check_pinned_decompositions()
+            assert "networkx" not in {name.split(".")[0] for name, m in sys.modules.items() if m}
+            print("clean")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env={"PYTHONPATH": f"{root / 'src'}:{root}", "PATH": ""},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "clean"

@@ -37,6 +37,7 @@ from repro.service import (
     RECOVERING,
     BackpressureError,
     BoundedUpdateQueue,
+    CheckpointError,
     CheckpointStore,
     DeadlineExceeded,
     HealthMonitor,
@@ -194,6 +195,30 @@ class TestCheckpointStore:
         assert store.corrupt_skipped == 1
         # The damaged file moved out of the checkpoint namespace.
         assert store.list_txns() == [1]
+
+    def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
+        """A checkpoint written before the pickled substrate changed
+        shape (magic ``CKPT0001``) is valid by its own checksum and must
+        still not be unpickled: it fails typed at load, not with an
+        ``AttributeError`` at the first ``apply_delta`` after recovery."""
+        store = CheckpointStore(tmp_path, keep=3)
+        store.save({"txn": 1}, 1)
+        path2 = store.save({"txn": 2}, 2)
+        with open(path2, "r+b") as fh:
+            assert fh.read(8) == b"CKPT0002"
+            fh.seek(0)
+            fh.write(b"CKPT0001")
+        with pytest.raises(CheckpointError, match="bad magic"):
+            store._read(path2)
+        assert store.load() == ({"txn": 1}, 1)
+        assert store.corrupt_skipped == 1
+        assert store.list_txns() == [1]
+        # With nothing older to fall back to, recovery is the WAL's.
+        only = CheckpointStore(tmp_path / "only")
+        path = only.save({"txn": 7}, 7)
+        with open(path, "r+b") as fh:
+            fh.write(b"CKPT0001")
+        assert only.load() == (None, 0) and only.corrupt_skipped == 1
 
     def test_empty_store(self, tmp_path):
         assert CheckpointStore(tmp_path).load() == (None, 0)

@@ -258,20 +258,20 @@ class TestMarginalsTrackExact:
 
 class TestOneConstructionPerEngine:
     def test_updates_patch_one_substrate(self, monkeypatch):
-        constructed, compacted = [], []
+        constructed, built = [], []
         original_init = CompiledFactorGraph.__init__
-        original_compact = CompiledFactorGraph.compact
+        original_build = CompiledFactorGraph._build
 
         def counting_init(self, graph):
             constructed.append(self)
             original_init(self, graph)
 
-        def counting_compact(self):
-            compacted.append(self)
-            original_compact(self)
+        def counting_build(self, table, num_vars):
+            built.append(self)
+            original_build(self, table, num_vars)
 
         monkeypatch.setattr(CompiledFactorGraph, "__init__", counting_init)
-        monkeypatch.setattr(CompiledFactorGraph, "compact", counting_compact)
+        monkeypatch.setattr(CompiledFactorGraph, "_build", counting_build)
         graph = random_pairwise_graph(30, density=0.1, seed=1)
         engine = IncrementalEngine(
             graph, variational_config(variational_inference_samples=5, burn_in=2)
@@ -295,13 +295,14 @@ class TestOneConstructionPerEngine:
                 delta.removed_factor_ids.add(int(rng.integers(current.num_factors)))
             engine.apply_update(delta)
         assert engine.variational.resident.compiled is substrate
-        # ``compact()`` re-runs ``__init__`` in place.
-        compactions = sum(1 for c in compacted if c is substrate)
+        # A compaction re-runs the array build in place: the substrate
+        # is constructed once, however often it is rebuilt.
+        compactions = sum(1 for c in built if c is substrate) - 1
         assert 0 < compactions < updates
-        assert sum(1 for c in constructed if c is substrate) == 1 + compactions
+        assert sum(1 for c in constructed if c is substrate) == 1
         # Everything else the engine compiled: the sampling bundle's
-        # substrate and the engine's own (each 1 + its compactions).
-        assert len(constructed) == 3 + len(compacted)
+        # substrate and the engine's own.
+        assert len(constructed) == 3
         assert substrate.views_materialized == 0
         assert engine.current_graph.compiled.views_materialized == 0
 
