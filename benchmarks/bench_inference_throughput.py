@@ -308,6 +308,18 @@ def plan_shape(plan) -> dict:
     }
 
 
+def full_program_graph(spec):
+    """``spec``'s factor graph with all six rules installed."""
+    from repro.workloads import build_pipeline
+
+    pipeline = build_pipeline(spec, scale=1.0, seed=0)
+    grounder = pipeline.build_base()
+    for _label, update in pipeline.snapshot_updates():
+        if update:
+            grounder.apply_update(**update)
+    return grounder.graph
+
+
 def check_shape(rows) -> dict:
     """The batched kernel must be the one that runs.
 
@@ -317,16 +329,13 @@ def check_shape(rows) -> dict:
     would have caught a planner whose blocks never reach the batched
     kernel."""
     from repro.graph.compiled import CompiledFactorGraph
-    from repro.workloads import ALL_SYSTEMS, build_pipeline
+    from repro.workloads import ALL_SYSTEMS
 
     shapes = {f"{row['workload']}/{row['scale']}": row for row in rows}
     for spec in ALL_SYSTEMS:
-        pipeline = build_pipeline(spec, scale=1.0, seed=0)
-        grounder = pipeline.build_base()
-        for _label, update in pipeline.snapshot_updates():
-            if update:
-                grounder.apply_update(**update)
-        shapes[spec.name] = plan_shape(CompiledFactorGraph(grounder.graph).plan())
+        shapes[spec.name] = plan_shape(
+            CompiledFactorGraph(full_program_graph(spec)).plan()
+        )
     for name, shape in shapes.items():
         if shape["batched_fraction"] < 0.9 or shape["scalar_only_vars"]:
             raise AssertionError(
@@ -335,6 +344,89 @@ def check_shape(rows) -> dict:
                 f"scalar_only_vars={shape['scalar_only_vars']})"
             )
     return {name: shape["batched_fraction"] for name, shape in shapes.items()}
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its ``random`` calls."""
+
+    calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return super().random(*args, **kwargs)
+
+
+def check_work_counts() -> dict:
+    """The sweep layer's interpreter steps, counted rather than timed.
+
+    On Pharma's full-program graph (the one system whose plan has small
+    blocks): every free variable sweeps on the batched kernel; one
+    ``sample_worlds`` / ``materialize`` call draws its uniforms once per
+    chunk of ``_DRAW_CHUNK`` doubles, not once per sweep; and a batched
+    block evaluation takes no logarithm (``g`` is a table lookup)."""
+    import repro.inference.gibbs as gibbs_module
+    from repro.core.sampling import SampleMaterialization
+    from repro.graph.compiled import CompiledFactorGraph
+    from repro.workloads import workload_by_name
+
+    graph = full_program_graph(workload_by_name("pharma"))
+    compiled = CompiledFactorGraph(graph)
+    plan = compiled.plan()
+    if plan.batched_fraction != 1.0:
+        raise AssertionError(
+            f"Pharma: batched_fraction={plan.batched_fraction}, expected 1.0"
+        )
+    width = plan.free_vars.size
+
+    def chunks(sweeps: int) -> int:
+        # A chunk holds whole sweeps.
+        return math.ceil(sweeps / max(1, gibbs_module._DRAW_CHUNK // width))
+
+    rng = _CountingGenerator(np.random.PCG64(0))
+    sampler = GibbsSampler(graph, seed=rng, compiled=compiled)
+    rng.calls = 0
+    sampler.sample_worlds(20, thin=2, burn_in=5)
+    sample_draws = rng.calls
+    if sample_draws > chunks(45):
+        raise AssertionError(
+            f"sample_worlds(20, thin=2, burn_in=5) drew {sample_draws} times, "
+            f"expected ≤ {chunks(45)}"
+        )
+
+    calls = []
+    real_log1p = np.log1p
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_log1p(*args, **kwargs)
+
+    np.log1p = counted
+    try:
+        for block in plan.blocks:
+            sampler.cache.delta_energy_block(block, sampler.state)
+    finally:
+        np.log1p = real_log1p
+    if calls:
+        raise AssertionError(
+            f"{len(calls)} np.log1p calls inside batched block evaluations"
+        )
+
+    rng = _CountingGenerator(np.random.PCG64(1))
+    bundle = SampleMaterialization(graph, seed=rng)
+    bundle.materialize(num_samples=400, burn_in=20)
+    # One draw is the chain's initial assignment.
+    materialize_draws = rng.calls - 1
+    if materialize_draws > chunks(420):
+        raise AssertionError(
+            f"materialize(400) drew {materialize_draws} times, "
+            f"expected ≤ {chunks(420)}"
+        )
+    return {
+        "pharma_batched_fraction": plan.batched_fraction,
+        "sample_worlds_draws": sample_draws,
+        "materialize_400_draws": materialize_draws,
+        "log1p_calls_in_block_evaluation": 0,
+    }
 
 
 def check_agreement(tolerance: float = 0.05) -> dict:
@@ -376,8 +468,9 @@ def main(argv=None) -> dict:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="also assert marginal agreement between the two kernels and "
-        "that sweeps run on the batched kernel",
+        help="also assert marginal agreement between the two kernels, that "
+        "sweeps run on the batched kernel, and the sweep layer's work counts "
+        "(draws per run, no logarithm per block evaluation)",
     )
     parser.add_argument(
         "--workers",
@@ -416,6 +509,8 @@ def main(argv=None) -> dict:
         print(f"agreement: {record['agreement']}")
         record["batched_fraction"] = check_shape(rows)
         print(f"batched fraction: {record['batched_fraction']}")
+        record["work_counts"] = check_work_counts()
+        print(f"work counts: {record['work_counts']}")
     emit_json("BENCH_inference", record)
     return record
 

@@ -148,14 +148,14 @@ class SampleMaterialization:
 
     def _materialize_serial(self, num_samples, time_budget, thin, burn_in, start):
         sampler = make_sampler(self.graph, seed=self.rng, compiled=self._compiled)
-        sampler.run(burn_in)
         if num_samples is not None and time_budget is None:
-            # Known quota: preallocate the packed matrix, no list growth.
+            # Known quota: preallocate the packed matrix, no list growth,
+            # and the whole call's sweeps ride one draw stream.
             packed = np.empty((num_samples, self._row_bytes), dtype=np.uint8)
-            for s in range(num_samples):
-                sampler.run(thin)
-                packed[s] = np.packbits(sampler.state)
+            for s, world in enumerate(sampler.iter_worlds(num_samples, thin, burn_in)):
+                packed[s] = np.packbits(world)
             return packed, num_samples
+        sampler.run(burn_in)
         rows = []
         while True:
             if num_samples is not None and len(rows) >= num_samples:

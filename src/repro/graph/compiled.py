@@ -133,12 +133,7 @@ from repro.graph.delta import (
     rule_literals,
 )
 from repro.graph.factor_graph import CompiledGraphView, FactorGraph
-from repro.graph.semantics import (
-    g_code_array,
-    g_coded,
-    g_value,
-    sems_from_codes,
-)
+from repro.graph.semantics import g_table, g_value, sems_from_codes
 
 #: Handle-table kind of a rule factor kept on the brute-force slow path
 #: (the other kinds are the :class:`FactorTable` codes).
@@ -149,22 +144,39 @@ _KIND_SLOW = 3
 #: couple everything anyway, so no block could contain two members).
 _BIG_FACTOR = 32
 
-#: Blocks at least this large use the batched numpy kernel; smaller blocks
-#: go through the scalar kernel, which has lower fixed overhead.
-_BATCH_MIN = 8
+#: Blocks of at least this many variables, or whose members own more than
+#: ``_BATCH_MIN_ROWS`` incidence rows (Ising + head + body literals)
+#: between them, use the batched numpy kernel; smaller blocks go through
+#: the scalar kernel, which has lower fixed overhead.  Measured in PR 22
+#: on blocks of 1–16 variables cut from the five KBC systems' full-program
+#: plans at scale 1.0 (evaluate + commit under ``sweep_blocks``, fresh
+#: draws per repeat, best of three rounds): the scalar kernel costs
+#: ≈ 1.0 µs per incidence row on the four pairwise-heavy systems (4.9 µs
+#: for a 5-row variable) and ≈ 1.4 on Pharma's rule bodies (17.8 µs for a
+#: 12-row variable), the batched one 20.4 / 23.3 / 25.0 / 27.3 µs at
+#: 1 / 5 / 8 / 16 variables (25.4 / 28.1 for Pharma's 2 / 5).  They cross
+#: at 20–25 rows: five 5-row variables (24.5 vs 23.3 µs; four: 19.6 vs
+#: 22.5) or two of Pharma's (35.0 vs 25.4 µs).
+_BATCH_MIN = 5
+_BATCH_MIN_ROWS = 20
 
 #: Per-variable incidence count above which the scalar kernel switches
-#: from Python loops to numpy slice arithmetic.
+#: from Python loops to numpy slice arithmetic (only slow-path members
+#: ever scan alone with this many: any other block over
+#: ``_BATCH_MIN_ROWS`` is batched).  Re-measured in PR 22 on one variable
+#: of 8–64 body rows (evaluate + flip): the loop costs 1.4–2.0 µs per row,
+#: the numpy form ≈ 60 µs flat — they cross at 30–45 rows, so it stays.
 _SCALAR_NUMPY_MIN = 48
 
 #: Target variables per scan block.  The scan window of a compilation is
 #: ``_CHUNK_CAP × #colours`` consecutive ids, so one colour class inside
 #: one window holds about this many variables.  Measured on blocks cut
-#: from the KBC systems' plans, evaluate + commit costs ≈ 32 µs + 0.07 µs
-#: per variable: 3.9 / 2.0 / 1.0 / 0.55 / 0.32 / 0.20 / 0.13 µs per
-#: variable at 8 / 16 / 32 / 64 / 128 / 256 / 488 — past 256 the fixed
-#: cost is no longer the larger half, while the price of rebuilding a
-#: block a patch touched keeps growing with its size.
+#: from the KBC systems' plans (PR 22, same method as ``_BATCH_MIN``),
+#: evaluate + commit costs ≈ 25 µs + 0.1 µs per variable: 3.2 / 1.7 /
+#: 0.89 / 0.50 / 0.30 / 0.18 / 0.15 µs per variable at 8 / 16 / 32 / 64 /
+#: 128 / 256 / 488 (the last two from scale-4.0 plans) — past 256 the
+#: fixed cost is no longer the larger half, while the price of rebuilding
+#: a block a patch touched keeps growing with its size.
 _CHUNK_CAP = 256
 
 #: A scan block's key packs (id window, colour); a variable that scans
@@ -243,6 +255,12 @@ def _segment_starts(var: np.ndarray, ri: np.ndarray) -> np.ndarray:
     starts = np.ones(var.shape[0], dtype=bool)
     starts[1:] = (var[1:] != var[:-1]) | (ri[1:] != ri[:-1])
     return np.flatnonzero(starts)
+
+
+def _max_groundings(grounding_ri: np.ndarray) -> int:
+    """The largest number of groundings one rule owns: the count
+    :func:`~repro.graph.semantics.g_table` must reach."""
+    return int(np.bincount(grounding_ri).max()) if grounding_ri.size else 0
 
 
 def _rule_members(num_rules: int, head, lit_ri, lit_var, span: int) -> tuple:
@@ -357,8 +375,7 @@ def bias_init_values(num_new_vars, old_num_vars, bias_add, weights, rng):
 
 
 def rule_unit_energies(
-    worlds, rule_head, rule_sem, grounding_ri, lit_gg, lit_var, lit_pos,
-    sem_uniform=None,
+    worlds, rule_head, rule_sem, grounding_ri, lit_gg, lit_var, lit_pos
 ) -> np.ndarray:
     """``(S, R)`` unit energies ``sign(head) · g(#satisfied groundings)``
     of rule factors in the flat layout, one row per world of the
@@ -372,9 +389,7 @@ def rule_unit_energies(
     and a rule without groundings has ``n = 0`` (``np.add.reduceat``
     gets both wrong).  A grounding with contradictory literals is never
     satisfied and one with a repeated literal is satisfied when the
-    literal is — whole-world energies need no slow path.
-    ``sem_uniform`` is the one semantics code of ``rule_sem`` when it
-    has only one."""
+    literal is — whole-world energies need no slow path."""
     S = worlds.shape[0]
     R, G = rule_head.shape[0], grounding_ri.shape[0]
     if G:
@@ -389,17 +404,10 @@ def rule_unit_energies(
         else:
             unsat = np.zeros((S, G), dtype=np.float64)
         flat_r = (grounding_ri[None, :] + R * np.arange(S)[:, None]).ravel()
-        nsat = np.bincount(
-            flat_r,
-            weights=(unsat == 0).astype(np.float64).ravel(),
-            minlength=S * R,
-        ).reshape(S, R)
+        nsat = np.bincount(flat_r[(unsat == 0).ravel()], minlength=S * R).reshape(S, R)
     else:
-        nsat = np.zeros((S, R), dtype=np.float64)
-    if sem_uniform is not None:
-        g = g_code_array(sem_uniform, nsat)
-    else:
-        g = g_coded(rule_sem, nsat)
+        nsat = np.zeros((S, R), dtype=np.int64)
+    g = g_table(int(nsat.max()) if nsat.size else 0)[rule_sem, nsat]
     return np.where(worlds[:, rule_head], 1.0, -1.0) * g
 
 
@@ -563,13 +571,9 @@ class CompiledFactorGraph:
         self.rule_head = rules.rule_head
         self.rule_wid = rules.rule_wid
         self.rule_sem = rules.rule_sem
-        self.rule_sem_uniform = (
-            int(self.rule_sem[0])
-            if R and (self.rule_sem == self.rule_sem[0]).all()
-            else None
-        )
         self.grounding_ri = rules.grounding_ri
         self.num_groundings = self.grounding_ri.shape[0]
+        self.rule_nmax = _max_groundings(self.grounding_ri)
         self.lit_gg, self.lit_var, self.lit_pos = (
             rules.lit_gg, rules.lit_var, rules.lit_pos
         )
@@ -960,7 +964,6 @@ class CompiledFactorGraph:
                 self.lit_gg,
                 self.lit_var,
                 self.lit_pos,
-                self.rule_sem_uniform,
             )
             unit = (unit * self.rule_alive).sum(axis=0)
             totals += np.bincount(self.rule_wid, weights=unit, minlength=W)[:W]
@@ -1545,12 +1548,7 @@ class CompiledFactorGraph:
         self._rule_head_l.extend(rules.rule_head.tolist())
         self._rule_wid_l.extend(rules.rule_wid.tolist())
         self._rule_sem_l.extend(sems_from_codes(rules.rule_sem))
-        if R0 == 0 or self.rule_sem_uniform is not None:
-            # Still uniform only if every row, old and new, has one code.
-            code = int(self.rule_sem[0])
-            self.rule_sem_uniform = (
-                code if (rules.rule_sem == code).all() else None
-            )
+        self.rule_nmax = max(self.rule_nmax, _max_groundings(rules.grounding_ri))
 
         lit_ri = rules.lit_ri
         heads = _heads_outside_body(rules)
@@ -1632,7 +1630,7 @@ class CompiledFactorGraph:
         "num_groundings",
         "num_live_rules",
         "num_live_slow",
-        "rule_sem_uniform",
+        "rule_nmax",
         "_patched",
         "_csr_num_vars",
         "_scan_window",
@@ -1796,7 +1794,8 @@ class _Block:
     One row per Ising incidence (``ising_*``), per rule headed and not
     also appeared under (``head_*``), per body literal (``body_*``) and
     per distinct (member, rule) body pair (``fseg_*``); ``*_seg`` /
-    ``fseg_pos`` are member positions, ``*_var`` variable ids.
+    ``fseg_pos`` are member positions, ``*_var`` variable ids.  A pair's
+    body rows are consecutive and start at ``fseg_start``.
     ``fseg_self`` marks pairs whose rule the member itself heads
     (``None`` when there is none).
     """
@@ -1818,8 +1817,8 @@ class _Block:
         "body_var",
         "body_gg",
         "body_pos",
-        "body_fsid",
         "body_ri",
+        "fseg_start",
         "fseg_pos",
         "fseg_var",
         "fseg_ri",
@@ -1839,8 +1838,8 @@ class _Block:
             return
         ising_seg, ising_other, ising_wid = [], [], []
         head_seg, head_ri = [], []
-        body_seg, body_gg, body_pos, body_fsid = [], [], [], []
-        fseg_pos, fseg_ri = [], []
+        body_seg, body_gg, body_pos, body_ri = [], [], [], []
+        fseg_start, fseg_pos, fseg_ri = [], [], []
         for p, v in enumerate(vars_.tolist()):
             for other, wid in compiled.py_ising[v]:
                 ising_seg.append(p)
@@ -1850,18 +1849,17 @@ class _Block:
                 head_seg.append(p)
                 head_ri.append(ri)
             for ri, lits in compiled.py_body[v]:
-                s = len(fseg_ri)
+                fseg_start.append(len(body_gg))
                 fseg_pos.append(p)
                 fseg_ri.append(ri)
                 for gg, pos in lits:
                     body_seg.append(p)
                     body_gg.append(gg)
                     body_pos.append(pos)
-                    body_fsid.append(s)
-        # Same crossover as the scalar kernel's own switch to numpy.
+                    body_ri.append(ri)
         self.use_batch = (
             vars_.size >= _BATCH_MIN
-            or len(ising_seg) + len(head_seg) + len(body_seg) > _SCALAR_NUMPY_MIN
+            or len(ising_seg) + len(head_seg) + len(body_seg) > _BATCH_MIN_ROWS
         )
         if not self.use_batch:
             return
@@ -1871,18 +1869,18 @@ class _Block:
         self.head_seg = _ids(head_seg)
         self.head_ri = _ids(head_ri)
         self.head_wid = compiled.rule_wid[self.head_ri]
-        self.head_sem = compiled.rule_sem[self.head_ri]
+        self.head_sem = compiled.rule_sem[self.head_ri].astype(np.intp)
         self.body_seg = _ids(body_seg)
         self.body_var = vars_[self.body_seg]
         self.body_gg = _ids(body_gg)
         self.body_pos = np.asarray(body_pos, dtype=bool)
-        self.body_fsid = _ids(body_fsid)
+        self.fseg_start = _ids(fseg_start)
         self.fseg_pos = _ids(fseg_pos)
         self.fseg_var = vars_[self.fseg_pos]
         self.fseg_ri = _ids(fseg_ri)
-        self.body_ri = self.fseg_ri[self.body_fsid]
+        self.body_ri = _ids(body_ri)
         self.fseg_wid = compiled.rule_wid[self.fseg_ri]
-        self.fseg_sem = compiled.rule_sem[self.fseg_ri]
+        self.fseg_sem = compiled.rule_sem[self.fseg_ri].astype(np.intp)
         self.fseg_head = compiled.rule_head[self.fseg_ri]
         fseg_self = self.fseg_head == self.fseg_var
         self.fseg_self = fseg_self if fseg_self.any() else None
@@ -2030,10 +2028,10 @@ class SweepPlan:
     def block_costs(self) -> np.ndarray:
         """Analytic per-block sweep-cost estimates (≈ µs per sweep).
 
-        A batched block pays the fixed price of its ~40 numpy calls
-        (evaluate + commit) and almost nothing per variable or incidence;
-        a scalar block pays interpreter time for every variable and every
-        incidence it walks.  Only *relative* costs matter — they drive
+        A batched block pays the fixed price of ≈ 30 numpy calls to
+        evaluate and up to as many to commit, and almost nothing per
+        variable or incidence; a scalar block pays interpreter time for
+        every incidence it walks.  Only *relative* costs matter — they drive
         the balance objective of :func:`partition_plan`.  Pass measured
         timings (``repro.inference.parallel.measure_block_costs``) for a
         calibrated partition instead.
@@ -2056,16 +2054,20 @@ class SweepPlan:
         return costs
 
 
-# Cost-model constants for :meth:`SweepPlan.block_costs`, least-squares
-# fits of evaluate + commit timings over blocks of 8–488 variables cut
-# from the five KBC systems' plans (µs; residual ≈ 5 %).  They put the
-# batched/scalar crossover where ``_BATCH_MIN`` and ``_SCALAR_NUMPY_MIN``
-# do: ≈ 7 variables of 5 incidences, or one variable of ≈ 40.
-_COST_BATCH_BLOCK = 30.0
+# Cost-model constants for :meth:`SweepPlan.block_costs` (µs), refit in
+# PR 22 on the measurements behind ``_BATCH_MIN``: evaluate + commit under
+# ``sweep_blocks`` over blocks of 1–128 variables cut from the five KBC
+# systems' scale-1.0 plans.  Batched side: residual ≈ 4 % (25.4 / 27.3 /
+# 28.5 / 32.3 / 38.4 µs measured at 8 / 16 / 32 / 64 / 128 variables of 5
+# incidences).  Scalar side: one rate for every kind of incidence leaves
+# ≈ 20 % — Ising and head rows cost 0.95 µs, Pharma's rule-body rows 1.4.
+# They put the batched/scalar crossover where ``_BATCH_MIN`` and
+# ``_BATCH_MIN_ROWS`` do: ≈ 4 variables of 5 incidences, ≈ 21 incidences.
+_COST_BATCH_BLOCK = 25.0
 _COST_BATCH_VAR = 0.05
-_COST_BATCH_INC = 0.02
-_COST_SCALAR_VAR = 1.5
-_COST_SCALAR_INC = 0.7
+_COST_BATCH_INC = 0.014
+_COST_SCALAR_VAR = 0.2
+_COST_SCALAR_INC = 1.2
 
 
 class ShardPlan:
@@ -2607,8 +2609,9 @@ class GibbsCache:
         base = self.nsat[ris] - nowc
         heads = c.rule_head[ris]
         sign = np.where(assignment[heads], 1.0, -1.0)
-        g1 = self._g(c.rule_sem[ris], base + upc)
-        g0 = self._g(c.rule_sem[ris], base + downc)
+        G, sem = g_table(c.rule_nmax), c.rule_sem[ris]
+        g1 = G[sem, base + upc]
+        g0 = G[sem, base + downc]
         unit = np.where(heads == var, g1 + g0, sign * (g1 - g0))
         return float((self.weights_vec[c.rule_wid[ris]] * unit).sum())
 
@@ -2624,12 +2627,6 @@ class GibbsCache:
         assignment[var] = saved
         return e1 - e0
 
-    def _g(self, codes, n):
-        uniform = self.compiled.rule_sem_uniform
-        if uniform is not None:
-            return g_code_array(uniform, n)
-        return g_coded(codes, n)
-
     # ------------------------------------------------------------------ #
     # Batched kernel
     # ------------------------------------------------------------------ #
@@ -2640,12 +2637,15 @@ class GibbsCache:
         Per body pair, setting the member to its current value leaves the
         rule's satisfied count at ``nsat``; flipping it moves the count by
         +1 for each grounding whose only unsatisfied literal is the
-        member's and by −1 for each satisfied grounding it sits in."""
+        member's and by −1 for each satisfied grounding it sits in.  The
+        counts stay integers (a pair's steps are summed by ``reduceat``
+        over its run of body rows) and index the ``g`` table."""
         V = block.vars
         delta = 2.0 * self.field[V]
         w = self.weights_vec
+        G = g_table(self.compiled.rule_nmax)
         if block.head_ri.size:
-            g = self._g(block.head_sem, self.nsat[block.head_ri])
+            g = G[block.head_sem, self.nsat[block.head_ri]]
             delta += np.bincount(
                 block.head_seg,
                 weights=2.0 * w[block.head_wid] * g,
@@ -2655,13 +2655,11 @@ class GibbsCache:
             mismatch = block.body_pos != assignment[block.body_var]
             only_mine = self.unsat[block.body_gg] == mismatch
             now = self.nsat[block.fseg_ri]
-            flipped = now + np.bincount(
-                block.body_fsid,
-                weights=np.where(mismatch, 1.0, -1.0) * only_mine,
-                minlength=now.size,
+            flipped = now + np.add.reduceat(
+                np.where(mismatch, 1, -1) * only_mine, block.fseg_start
             )
-            g_now = self._g(block.fseg_sem, now)
-            g_flipped = self._g(block.fseg_sem, flipped)
+            g_now = G[block.fseg_sem, now]
+            g_flipped = G[block.fseg_sem, flipped]
             current = assignment[block.fseg_var]
             # E(1) − E(0) = ±sign(head)·(g(flipped) − g(now)), + when the
             # member is currently 0; a member that heads the rule itself

@@ -159,11 +159,6 @@ class DeltaEvaluator:
         self.lit_gg, self.lit_var, self.lit_pos = (
             terms.lit_gg, terms.lit_var, terms.lit_pos
         )
-        self._rule_sem_uniform = (
-            int(self.rule_sem[0])
-            if self.rule_sem.size and (self.rule_sem == self.rule_sem[0]).all()
-            else None
-        )
         touched = terms.variables()
         if touched.size and not 0 <= touched.min() <= touched.max() < self.total_vars:
             self._raise_unknown_variable()
@@ -255,7 +250,6 @@ class DeltaEvaluator:
                     self.lit_gg,
                     self.lit_var,
                     self.lit_pos,
-                    self._rule_sem_uniform,
                 )
                 @ self.rule_coef
             )

@@ -11,6 +11,16 @@ number of satisfied body groundings (paper Eq. 1).  ``g`` is a
 The paper shows (§2.3, Fig. 10b, App. A) that the choice affects both KBC
 quality (up to 10% F1) and Gibbs mixing time (linear mixes exponentially
 slowly on voting programs; logical/ratio mix in O(n log n)).
+
+Over arrays, ``g`` is a table: counts are integers bounded by the largest
+number of groundings any rule owns, so :func:`g_table` tabulates the three
+functions once per process and a batch of mixed-semantics rules evaluates
+as the single gather ``G[codes, counts]``.  The table's columns come from
+the elementwise float64 expressions ``n``, ``np.log1p(n)`` and ``n > 0``
+— the ones ``np.where``-selecting ``g`` per element would evaluate on the
+counts themselves — so a looked-up value is bit-equal to a computed one
+(``tests/reference/gibbs.py`` keeps the computed form and
+``tests/test_sweep_kernel.py`` compares every column with it).
 """
 
 from __future__ import annotations
@@ -103,21 +113,40 @@ def sems_from_codes(codes) -> list:
     return list(map(_SEM_FROM_CODE.__getitem__, np.asarray(codes).tolist()))
 
 
-def g_code_array(code: int, n: np.ndarray) -> np.ndarray:
-    """Vectorised ``g`` for a single semantics *code* (uniform batch)."""
-    n = np.asarray(n, dtype=float)
-    if code == SEM_LINEAR:
-        return n
-    if code == SEM_RATIO:
-        return np.log1p(n)
-    if code == SEM_LOGICAL:
-        return (n > 0).astype(float)
-    raise ValueError(f"unknown semantics code {code!r}")
+#: The three ``g`` functions tabulated over counts ``0 … cols − 1``, one
+#: row per semantics code.  Process-local and grown by doubling: it is a
+#: pure function of its width, so it is never pickled or exported.
+_G_TABLE = None
 
 
-def g_coded(codes: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Vectorised ``g`` over parallel arrays of semantics codes and counts."""
-    n = np.asarray(n, dtype=float)
-    return np.where(
-        codes == SEM_RATIO, np.log1p(n), np.where(codes == SEM_LOGICAL, n > 0, n)
-    )
+def _g_rows(lo: int, hi: int) -> np.ndarray:
+    n = np.arange(lo, hi, dtype=np.float64)
+    rows = np.empty((3, hi - lo), dtype=np.float64)
+    rows[SEM_LINEAR] = n
+    rows[SEM_RATIO] = np.log1p(n)
+    rows[SEM_LOGICAL] = n > 0
+    return rows
+
+
+def g_table(n_max: int) -> np.ndarray:
+    """``G`` with ``G[code, n] == g(n)`` for every ``0 ≤ n ≤ n_max``.
+
+    A read-only ``(3, ≥ n_max + 1)`` float64 table: mixed-semantics
+    batches evaluate ``g`` as the one gather ``G[codes, counts]`` (integer
+    counts).  The columns are filled by the array expressions ``n``,
+    ``np.log1p(n)`` and ``n > 0`` over float64 ``n`` — what evaluating
+    ``g`` on the counts directly computes — so a lookup is bit-equal to
+    it."""
+    global _G_TABLE
+    table = _G_TABLE
+    if table is None or n_max >= table.shape[1]:
+        have = 0 if table is None else table.shape[1]
+        cols = max(64, 2 * have)
+        while cols <= n_max:
+            cols *= 2
+        grown = _g_rows(have, cols)
+        if have:
+            grown = np.concatenate([table, grown], axis=1)
+        grown.flags.writeable = False
+        _G_TABLE = table = grown
+    return table

@@ -154,14 +154,17 @@ class ChromaticGibbsSampler:
             self.sweep()
         return self.state
 
+    def iter_worlds(self, num_samples: int, thin: int = 1, burn_in: int = 0):
+        """``burn_in`` sweeps, then yield the state after every ``thin``
+        more, ``num_samples`` times."""
+        self.run(burn_in)
+        for _ in range(num_samples):
+            yield self.run(thin)
+
     def sample_worlds(self, num_samples: int, thin: int = 1, burn_in: int = 0) -> np.ndarray:
-        for _ in range(burn_in):
-            self.sweep()
         out = np.empty((num_samples, self.graph.num_vars), dtype=bool)
-        for s in range(num_samples):
-            for _ in range(thin):
-                self.sweep()
-            out[s] = self.state
+        for s, world in enumerate(self.iter_worlds(num_samples, thin, burn_in)):
+            out[s] = world
         return out
 
     def estimate_marginals(

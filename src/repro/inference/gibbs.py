@@ -9,6 +9,25 @@ and is resampled — conditionals and cache commit — in a handful of array
 operations.  The order is fixed by the substrate, not by variable ids.
 Evidence variables stay clamped, which is exactly how the E-step
 ("conditioned chain") of weight learning is run as well.
+
+The draw contract.  A chain owns its generator: between construction and
+``close()`` only the chain draws from it, and only in two places — one
+uniform per free variable per sweep, in scan order (:func:`logit_rows`),
+and one per appended variable when a patch grows the state
+(``bias_init_values``, inside ``apply_patch``).  Because
+``Generator.random(k·n)`` is the concatenation of ``k`` calls of
+``random(n)`` and nothing else touches the generator between the sweeps
+of one ``run`` / ``sample_worlds`` / ``estimate_marginals`` /
+``iter_worlds`` call, such a call draws all its sweeps' uniforms — and
+takes their logits — up front, in chunks of :data:`_DRAW_CHUNK` doubles,
+and hands each :meth:`GibbsSampler.sweep` its row.  The chain state after
+``run(k)`` is bit for bit the state after ``k`` calls of ``sweep()``, and
+so is the generator's; a caller that shares one generator between a chain
+and something else (``SampleMaterialization`` seeds its sampler and its
+MH proposals from one stream) sees the same stream either way, as long as
+it does not draw *during* one of those calls.  ``tests/reference/gibbs.py``
+keeps the draw-per-sweep kernel; ``tests/test_sweep_kernel.py`` holds this
+module to it.
 """
 
 from __future__ import annotations
@@ -29,19 +48,61 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def sweep_blocks(cache, state, blocks, uniforms) -> None:
+#: Doubles drawn at once by :func:`logit_rows` (≈ 1.5 MB of temporaries
+#: per chunk, whatever samples × variables a call asks for).  Not a knob:
+#: the rows are the same under any value.
+_DRAW_CHUNK = 1 << 16
+
+
+def logit_rows(rng, width: int, count: int):
+    """Yield ``count`` rows of ``logit(u)``, ``u`` uniform, ``width`` wide.
+
+    The randomness of ``count`` sweeps over ``width`` free variables,
+    drawn in as few ``rng.random`` calls as :data:`_DRAW_CHUNK` allows:
+    ``random(k·n)`` is the concatenation of ``k`` calls of ``random(n)``,
+    and the logarithms are elementwise, so row ``i`` is bit for bit what
+    sweep ``i`` would have drawn by itself and ``rng`` ends where
+    ``count`` separate draws would leave it.  A chunk is drawn when its
+    first row is asked for.
+    """
+    per_chunk = max(1, _DRAW_CHUNK // max(width, 1))
+    while count > 0:
+        k = min(per_chunk, count)
+        count -= k
+        u = rng.random(k * width)
+        with np.errstate(divide="ignore"):  # u == 0 ⇒ −inf: always 1
+            logits = np.log(u) - np.log1p(-u)
+        yield from logits.reshape(k, width)
+
+
+def iter_worlds(sweep, rng, width: int, num_samples: int, thin: int = 1, burn_in: int = 0):
+    """Drive ``sweep(logits)`` through ``burn_in`` sweeps, then yield after
+    every ``thin`` more, ``num_samples`` times.
+
+    The world iterator serial chains and the pool's worker chains share:
+    all of the call's randomness comes from one :func:`logit_rows` stream
+    over ``rng``.  Run it to its end — an abandoned iterator leaves
+    ``rng`` past the sweeps that ran (by at most one chunk)."""
+    rows = logit_rows(rng, width, burn_in + num_samples * thin)
+    for _ in range(burn_in):
+        sweep(next(rows))
+    for _ in range(num_samples):
+        for _ in range(thin):
+            sweep(next(rows))
+        yield
+
+
+def sweep_blocks(cache, state, blocks, logits) -> None:
     """Resample every variable of ``blocks`` in scan order, in place.
 
-    ``uniforms`` must hold one uniform draw per variable, concatenated in
-    block order.  This is the sweep kernel shared by :class:`GibbsSampler`
-    and the shard workers of :mod:`repro.inference.parallel`; both must
-    consume randomness identically for the serial/parallel equivalence
-    guarantees to hold.  A draw ``u`` sets its variable to 1 iff
-    ``u < σ(Δ)``, evaluated as ``logit(u) < Δ`` so the whole sweep takes
-    its logarithms at once and no kernel exponentiates.
+    ``logits`` must hold ``logit(u)`` of one uniform draw ``u`` per
+    variable (a row of :func:`logit_rows`), concatenated in block order.
+    This is the sweep kernel shared by :class:`GibbsSampler` and the
+    workers of :mod:`repro.inference.parallel`; both must consume
+    randomness identically for the serial/parallel equivalence guarantees
+    to hold.  A draw ``u`` sets its variable to 1 iff ``u < σ(Δ)``,
+    evaluated as ``logit(u) < Δ`` so no kernel exponentiates.
     """
-    with np.errstate(divide="ignore"):  # u == 0 ⇒ −inf: always 1
-        logits = np.log(uniforms) - np.log1p(-uniforms)
     offset = 0
     for block in blocks:
         size = block.vars.size
@@ -156,20 +217,35 @@ class GibbsSampler:
 
     # ------------------------------------------------------------------ #
 
-    def sweep(self) -> None:
-        """One full pass over the free variables."""
+    def sweep(self, logits=None) -> None:
+        """One full pass over the free variables.
+
+        ``logits`` is this sweep's row of :func:`logit_rows` when the
+        caller drew several sweeps' randomness at once; by default the
+        sweep draws its own."""
         cache = self.cache
         state = self.state
         cache.refresh_weights(state)
-        uniforms = self.rng.random(len(self.plan.free_vars))
-        sweep_blocks(cache, state, self.plan.blocks, uniforms)
+        if logits is None:
+            (logits,) = logit_rows(self.rng, len(self.plan.free_vars), 1)
+        sweep_blocks(cache, state, self.plan.blocks, logits)
         self.sweeps_done += 1
 
     def run(self, num_sweeps: int) -> np.ndarray:
         """Run ``num_sweeps`` sweeps; returns the final state (a view)."""
-        for _ in range(num_sweeps):
-            self.sweep()
+        for logits in logit_rows(self.rng, len(self.plan.free_vars), num_sweeps):
+            self.sweep(logits)
         return self.state
+
+    def iter_worlds(self, num_samples: int, thin: int = 1, burn_in: int = 0):
+        """``burn_in`` sweeps, then yield the state after every ``thin``
+        more, ``num_samples`` times (see :func:`iter_worlds`).
+
+        The yielded array is the live chain state: copy (or pack) it
+        before advancing."""
+        width = len(self.plan.free_vars)
+        for _ in iter_worlds(self.sweep, self.rng, width, num_samples, thin, burn_in):
+            yield self.state
 
     def sample_worlds(self, num_samples: int, thin: int = 1, burn_in: int = 0) -> np.ndarray:
         """Collect ``num_samples`` worlds, one per ``thin`` sweeps.
@@ -178,13 +254,9 @@ class GibbsSampler:
         bundle" stored by the sampling materialization approach (one bit
         per variable per sample, as in MCDB).
         """
-        for _ in range(burn_in):
-            self.sweep()
         out = np.empty((num_samples, self.graph.num_vars), dtype=bool)
-        for s in range(num_samples):
-            for _ in range(thin):
-                self.sweep()
-            out[s] = self.state
+        for s, world in enumerate(self.iter_worlds(num_samples, thin, burn_in)):
+            out[s] = world
         return out
 
     def estimate_marginals(

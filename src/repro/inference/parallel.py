@@ -63,7 +63,7 @@ from repro.graph.compiled import (
     repair_shard_plan,
     shard_window,
 )
-from repro.inference.gibbs import GibbsSampler, sweep_blocks
+from repro.inference.gibbs import GibbsSampler, iter_worlds, logit_rows, sweep_blocks
 from repro.reliability.errors import WorkerCrashError
 from repro.reliability.faults import maybe_fire
 from repro.reliability.retry import RetryPolicy
@@ -357,7 +357,7 @@ class SharedGraphExport:
             "num_vars": self.compiled.num_vars,
             "num_rules": self.compiled.num_rules,
             "num_groundings": self.compiled.num_groundings,
-            "rule_sem_uniform": self.compiled.rule_sem_uniform,
+            "rule_nmax": self.compiled.rule_nmax,
             "scan_window": self.compiled._scan_window,
             "slow_list": pickle.dumps(self.compiled.slow_list),
             "slow_alive": list(self.compiled.slow_alive),
@@ -501,7 +501,7 @@ def attach_compiled(spec: dict):
     c.num_vars = spec["num_vars"]
     c.num_rules = spec["num_rules"]
     c.num_groundings = spec["num_groundings"]
-    c.rule_sem_uniform = spec["rule_sem_uniform"]
+    c.rule_nmax = spec["rule_nmax"]
     c._scan_window = spec["scan_window"]
     c.slow_list = pickle.loads(spec["slow_list"])
     c.slow_alive = list(spec["slow_alive"])
@@ -621,16 +621,30 @@ class _Worker:
             "custom_evidence": evidence is not None,
         }
 
-    def _sweep_chain(self, chain) -> None:
+    @staticmethod
+    def _chain_sweep(chain) -> tuple:
+        """``(sweep, rng, width)`` of one worker chain, as
+        :func:`~repro.inference.gibbs.iter_worlds` takes them: the same
+        sweeps, from the same draws, as a serial :class:`GibbsSampler`
+        makes."""
         cache, state, plan = chain["cache"], chain["state"], chain["plan"]
-        cache.refresh_weights(state)
-        uniforms = chain["rng"].random(len(plan.free_vars))
-        sweep_blocks(cache, state, plan.blocks, uniforms)
+
+        def sweep(logits):
+            cache.refresh_weights(state)
+            sweep_blocks(cache, state, plan.blocks, logits)
+
+        return sweep, chain["rng"], len(plan.free_vars)
+
+    def _sweep_chain(self, chain, num=1) -> None:
+        sweep, rng, width = self._chain_sweep(chain)
+        for logits in logit_rows(rng, width, num):
+            sweep(logits)
 
     def chain_sweeps(self, chain_ids, num=1):
-        for _ in range(num):
-            for cid in chain_ids:
-                self._sweep_chain(self.chains[cid])
+        # Chains are independent (own generator, own state), so each runs
+        # its ``num`` sweeps from one draw.
+        for cid in chain_ids:
+            self._sweep_chain(self.chains[cid], num)
 
     def chain_sweep_report(self, chain_ids, var):
         """Advance each chain one sweep; report its value of ``var``."""
@@ -646,13 +660,10 @@ class _Worker:
 
     def chain_sample_worlds(self, chain_id, num_samples, thin=1, burn_in=0):
         chain = self.chains[chain_id]
-        for _ in range(burn_in):
-            self._sweep_chain(chain)
-        worlds = []
-        for _ in range(num_samples):
-            for _ in range(thin):
-                self._sweep_chain(chain)
-            worlds.append(chain["state"].copy())
+        worlds = [
+            chain["state"].copy()
+            for _ in iter_worlds(*self._chain_sweep(chain), num_samples, thin, burn_in)
+        ]
         return _pack_worlds(worlds)
 
     def chain_pseudo_nll(self, chain_id):
@@ -676,12 +687,10 @@ class _Worker:
         """Best-effort collection within a local time budget (§3.3)."""
         chain = self.chains[chain_id]
         start = time.perf_counter()
-        for _ in range(burn_in):
-            self._sweep_chain(chain)
+        self._sweep_chain(chain, burn_in)
         worlds = []
         while time.perf_counter() - start < seconds:
-            for _ in range(thin):
-                self._sweep_chain(chain)
+            self._sweep_chain(chain, thin)
             worlds.append(chain["state"].copy())
         return _pack_worlds(worlds)
 
@@ -725,8 +734,8 @@ class _Worker:
             for var in changed:
                 cache.commit_flip(int(var), bool(prev[var]), state)
         cache.refresh_weights(state)
-        uniforms = shard["rng"].random(shard["num_own"])
-        sweep_blocks(cache, state, shard["blocks"], uniforms)
+        (logits,) = logit_rows(shard["rng"], shard["num_own"], 1)
+        sweep_blocks(cache, state, shard["blocks"], logits)
         own = shard["own"]
         cur[own] = state[own]
         return None
@@ -1574,8 +1583,8 @@ class ShardedGibbsSampler:
                     state[moved] = cur[moved]
             if self._boundary_blocks:
                 cache.refresh_weights(state)
-                uniforms = self.rng.random(self._boundary_size)
-                sweep_blocks(cache, state, self._boundary_blocks, uniforms)
+                (logits,) = logit_rows(self.rng, self._boundary_size, 1)
+                sweep_blocks(cache, state, self._boundary_blocks, logits)
                 bv = self.shard_plan.boundary_vars
                 cur[bv] = state[bv]
         else:
@@ -1778,24 +1787,24 @@ def measure_block_costs(
     repeats: int = 3,
     seed: int = 0,
 ) -> np.ndarray:
-    """Measured per-block conditional-evaluation cost (seconds/sweep).
+    """Measured per-block sweep cost (seconds/sweep).
 
-    Times each block's kernel (batched or scalar) against a scratch cache
-    and random state.  Feeding the result to ``partition_plan`` replaces
-    the analytic cost model with calibrated timings — useful when kernel
-    constants differ across machines or numpy builds.
+    Times what a sweep runs for each block — :func:`sweep_blocks` over
+    it alone, evaluation and commit, batched or scalar as the plan says —
+    on a scratch cache and chain, with fresh randomness per repeat (a
+    repeated draw would commit nothing after the first).  Feeding the
+    result to ``partition_plan`` replaces the analytic cost model with
+    calibrated timings — useful when kernel constants differ across
+    machines or numpy builds.
     """
     rng = np.random.default_rng(seed)
     state = compiled.graph.initial_assignment(rng)
     cache = GibbsCache(compiled, state)
     costs = np.empty(plan.num_blocks, dtype=np.float64)
     for bi, block in enumerate(plan.blocks):
+        rows = list(logit_rows(rng, block.vars.size, repeats))
         start = time.perf_counter()
-        for _ in range(repeats):
-            if block.use_batch:
-                cache.delta_energy_block(block, state)
-            else:
-                for v in block.vars:
-                    cache.delta_energy(int(v), state)
+        for logits in rows:
+            sweep_blocks(cache, state, [block], logits)
         costs[bi] = (time.perf_counter() - start) / repeats
     return costs

@@ -26,7 +26,11 @@ Failure handling mirrors the health state machine:
 * an ``Exception`` escaping ``pipeline.apply_update`` means the
   pipeline's own retries were exhausted and the engine rolled back —
   the payload is recorded as failed, the service degrades, and the
-  batcher moves on (one poisoned update must not wedge the queue);
+  batcher moves on (one poisoned update must not wedge the queue) —
+  unless the grounder had already committed its relation delta: then
+  grounder and engine are diverged, the service crashes itself and the
+  batcher stops *there*: what is left of the drained batch is recorded
+  as failed and touches neither the stack nor the WAL;
 * a :class:`~repro.reliability.errors.ProcessCrash` is the simulated
   SIGKILL: it is caught only here, at the outermost boundary, the
   service transitions to ``crashed`` and the thread exits with
@@ -112,13 +116,23 @@ class UpdateBatcher:
                 batch = svc.queue.drain(
                     max_batch=svc.config.batch_max, timeout=self.poll_interval
                 )
-                for seq, payload in batch:
+                for done, (seq, payload) in enumerate(batch, 1):
                     self.in_flight += 1
                     try:
-                        self._apply_one(seq, payload)
+                        diverged = self._apply_one(seq, payload)
                     finally:
                         self.in_flight -= 1
+                    if diverged:
+                        # Fail-stop means now: the rest of the drained
+                        # batch is never grounded, logged or applied on
+                        # the diverged stack.  It has left the queue, so
+                        # it is accounted failed and the lag stays exact.
+                        for later, _ in batch[done:]:
+                            self.failed.append((later, f"not applied: {diverged}"))
+                            self.failures += 1
                     self.notify_progress()
+                    if diverged:
+                        break
         except ProcessCrash as crash:
             # Simulated SIGKILL: no cleanup, no rollback — only durable
             # state survives.  Mark the service crashed so reads fail
@@ -126,7 +140,9 @@ class UpdateBatcher:
             self.in_flight = 0
             svc._on_crash(str(crash))
 
-    def _apply_one(self, seq: int, payload: dict) -> None:
+    def _apply_one(self, seq: int, payload: dict) -> str | None:
+        """Apply one payload.  Returns the reason when the failure left
+        the write stack diverged (the batcher must stop), else ``None``."""
         svc = self.service
         maybe_fire("service.batch.start", seq=seq)
         marker = svc.pipeline.grounder.last_result
@@ -134,6 +150,7 @@ class UpdateBatcher:
             svc.pipeline.apply_update(**payload)
         except Exception as exc:  # noqa: BLE001 — pipeline retries exhausted
             self.failed.append((seq, repr(exc)))
+            diverged = None
             if svc.pipeline.grounder.last_result is not marker:
                 # The grounder committed its (non-idempotent) relation
                 # delta but the engine never applied the result: the
@@ -141,16 +158,15 @@ class UpdateBatcher:
                 # build on the inconsistency.  Fail-stop — restore()
                 # rebuilds a consistent pair from the WAL, in which this
                 # transaction was rolled back.
-                svc._on_crash(
-                    f"grounder/engine diverged on seq={seq}: {exc!r}"
-                )
+                diverged = f"grounder/engine diverged on seq={seq}: {exc!r}"
+                svc._on_crash(diverged)
                 self._stop.set()
             else:
                 svc.health.record_failure(f"update seq={seq} failed: {exc!r}")
             # A terminally failed payload will never reach the snapshot;
             # counting it processed removes it from the lag bound.
             self.failures += 1
-            return
+            return diverged
         svc.health.record_commit()
         # Snapshot first, then account: see module docstring.
         svc._on_commit(svc.pipeline.last_txn)
@@ -165,3 +181,4 @@ class UpdateBatcher:
         # "drained" means fully applied and durable.  (_run notifies
         # ``progress`` right after.)
         self.commits += 1
+        return None

@@ -16,7 +16,10 @@ Nothing under ``src/`` imports this package; tests and the non-e2e
   MH one proposal at a time;
 * :mod:`~tests.reference.compiled` — ``ReferenceCompiledFactorGraph``,
   the substrate with the object-walking compile, the per-factor patch
-  and patch-then-compact.
+  and patch-then-compact;
+* :mod:`~tests.reference.gibbs` — the sweep kernel that computes ``g``
+  (``g_coded`` / ``g_code_array``) in every block evaluation and draws
+  its uniforms sweep by sweep.
 """
 
 from tests.reference.grounding import reference_ground, replay

@@ -173,10 +173,8 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         self.rule_wid = np.asarray(rule_wid_l, dtype=np.int64)
         self.rule_sem = np.asarray(rule_code_l, dtype=np.int8)
         self.num_rules = len(rule_head_l)
-        self.rule_sem_uniform = (
-            rule_code_l[0]
-            if rule_code_l and all(c == rule_code_l[0] for c in rule_code_l)
-            else None
+        self.rule_nmax = max(
+            (len(factor.groundings) for factor in self.rule_factors.values()), default=0
         )
 
         self.grounding_ri = np.asarray(grounding_ri_l, dtype=np.int64)
@@ -699,10 +697,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             self._rule_sem_l.append(semantics)
             if self._ri_factor is not None:
                 self._ri_factor.append(factor)
-            if self.rule_sem_uniform is not None and code != self.rule_sem_uniform:
-                self.rule_sem_uniform = None
-            elif self.rule_sem_uniform is None and self.num_rules == 1:
-                self.rule_sem_uniform = code
+            self.rule_nmax = max(self.rule_nmax, len(groundings))
             if head not in body_vars:
                 self.py_head[head].append(ri)
             per_var = {}

@@ -70,7 +70,7 @@ _SCALARS = (
     "num_groundings",
     "num_live_rules",
     "num_live_slow",
-    "rule_sem_uniform",
+    "rule_nmax",
     "_patched",
     "_csr_num_vars",
     "_scan_window",

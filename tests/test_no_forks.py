@@ -184,3 +184,10 @@ class TestPackageReachesNoOracle:
         assert dispatchers == [("graph/delta.py", "lower_factors")]
         for name in ("_ri_factor", "rule_factors", "_has_duplicated_literal"):
             assert not any(name in path.read_text() for path, _ in self.modules())
+
+    def test_vectorised_g_is_the_table(self):
+        """``g`` over arrays is ``semantics.g_table`` and nothing else:
+        the ``where``/``log1p`` forms and the uniform-semantics special
+        case that chose between them live in ``tests/reference/gibbs``."""
+        for name in ("g_coded", "g_code_array", "rule_sem_uniform"):
+            assert not any(name in path.read_text() for path, _ in self.modules())

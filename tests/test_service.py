@@ -198,16 +198,16 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled substrate changed
-        shape (magic ``CKPT0001``) is valid by its own checksum and must
+        shape (magic ``CKPT0002``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0002"
+            assert fh.read(8) == b"CKPT0003"
             fh.seek(0)
-            fh.write(b"CKPT0001")
+            fh.write(b"CKPT0002")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -217,7 +217,7 @@ class TestCheckpointStore:
         only = CheckpointStore(tmp_path / "only")
         path = only.save({"txn": 7}, 7)
         with open(path, "r+b") as fh:
-            fh.write(b"CKPT0001")
+            fh.write(b"CKPT0002")
         assert only.load() == (None, 0) and only.corrupt_skipped == 1
 
     def test_empty_store(self, tmp_path):
@@ -658,6 +658,59 @@ class TestCrashRecovery:
         expected = twin_marginals([])
         np.testing.assert_array_equal(
             restored.read(max_staleness=0).marginals, expected
+        )
+        restored.stop()
+
+    def test_divergence_stops_the_batch_it_happens_in(self, tmp_path):
+        # Three payloads drained as one batch, the first diverges the
+        # stack: the other two must never reach the pipeline (they would
+        # be grounded, WAL-logged and applied on a stack just declared
+        # diverged), yet count as processed so drain() returns.
+        wal_path = tmp_path / "service.wal"
+        svc = make_service(wal_path=wal_path).start()
+        svc.prime()
+        parked, gate = threading.Event(), threading.Event()
+        real_drain = svc.queue.drain
+
+        def gated_drain(**kwargs):
+            parked.set()
+            assert gate.wait(30)
+            return real_drain(**kwargs)
+
+        svc.queue.drain = gated_drain
+        assert parked.wait(30)  # the batcher holds no payload and waits
+        applied = []
+        real_apply = svc.pipeline.apply_update
+
+        def spied_apply(**payload):
+            applied.append(payload)
+            return real_apply(**payload)
+
+        svc.pipeline.apply_update = spied_apply
+        seqs = [svc.submit(**update) for update in (UPDATE_A, UPDATE_B, UPDATE_A)]
+        plan = FaultPlan([Fault(site="engine.update.start", at=1, repeat=True)])
+        with inject_faults(plan):
+            gate.set()
+            assert svc.drain(timeout=60)
+        assert len(applied) == 1 and applied[0]["inserts"] == UPDATE_A["inserts"]
+        assert svc.status()["health"]["state"] == CRASHED
+        assert [seq for seq, _ in svc.batcher.failed] == seqs
+        assert all("not applied" in why for _, why in svc.batcher.failed[1:])
+        assert svc.batcher.failures == 3 and svc.lag() == 0
+        # Only the diverged transaction ever reached the log.
+        with DeltaLog(wal_path) as audit:
+            assert len(audit.committed()) == 1  # prime
+            assert audit.pending() == []
+
+        restored = KBService.restore(
+            wal_path,
+            make_stack,
+            config=ServiceConfig(poll_interval=0.005),
+            retry=FAST_RETRY,
+        )
+        assert restored.recovery["pending_reapplied"] == 0
+        np.testing.assert_array_equal(
+            restored.read(max_staleness=0).marginals, twin_marginals([])
         )
         restored.stop()
 
