@@ -35,7 +35,9 @@ Run: ``PYTHONPATH=src python benchmarks/bench_fig16_incremental_learning.py
 
 ``--check`` is the CI smoke contract: ground → learn → patch → relearn
 and assert the warm patched learner stays at or below the cold restart's
-loss band.
+loss band; then the serial epoch's work counts on the News learner
+around a patch (run it from the repo root: the counters are
+``tests/test_chain_stack.py``'s).
 """
 
 import argparse
@@ -354,6 +356,28 @@ def run(scale: str) -> dict:
     return record
 
 
+def check_epoch_work_counts() -> None:
+    """The learner's two chains advance as one: per epoch, sweeps ×
+    stacked blocks block evaluations (fewer than the members' own), one
+    ``Generator.random`` call per chain, one ``GibbsSampler.sweep`` per
+    stacked sweep, and a stacked plan built only after a patch."""
+    import sys
+
+    sys.path.insert(0, ".")
+    from tests.test_chain_stack import assert_epoch_work_counts, news_learner
+    from tests.test_sweep_kernel import counting_rng
+
+    learner, grounder, updates = news_learner(counting_rng(0))
+    for update in updates[:2]:
+        counted = assert_epoch_work_counts(learner, grounder, update)
+    print(
+        f"epoch work counts ok: {counted['sweeps_per_epoch']} sweeps × "
+        f"{counted['stacked_blocks']} stacked blocks (members alone: "
+        f"{counted['member_blocks']}), {counted['draws_per_epoch']} draws, "
+        f"1 stacked plan per patch"
+    )
+
+
 def check() -> None:
     """CI smoke: ground → learn → patch → relearn; the warm patched
     learner must stay at or below the cold restart's loss band."""
@@ -385,11 +409,12 @@ def main() -> None:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="run the warm-vs-cold relearning smoke assertion only",
+        help="run the warm-vs-cold relearning and epoch work-count assertions only",
     )
     args = parser.parse_args()
     if args.check:
         check()
+        check_epoch_work_counts()
         return
     record = run(args.scale)
     emit_json("BENCH_learning", record)

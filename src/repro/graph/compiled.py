@@ -917,7 +917,7 @@ class CompiledFactorGraph:
             self.weight_factor_counts = counts = grown
         return counts[:W].astype(np.float64)
 
-    def weight_statistics(self, worlds) -> np.ndarray:
+    def weight_statistics(self, worlds, counts=None) -> np.ndarray:
         """Mean unit-energy vector ``E[U_k]`` over ``worlds``, vectorised.
 
         The compiled equivalent of
@@ -929,6 +929,12 @@ class CompiledFactorGraph:
         (rare) slow path.  Stays correct across :meth:`apply_delta`
         patches: appends land in the global arrays and retractions are
         masked by the ``*_alive`` tombstones.
+
+        With ``counts`` the rows of ``worlds`` are consecutive sets of
+        that many worlds (the conditioned and the free chain's, for the
+        gradient) and the result has one row of statistics per set: the
+        unit energies are evaluated once over all of them and each set's
+        rows reduced by themselves, which is what a call per set returns.
         """
         worlds = np.asarray(worlds, dtype=bool)
         if worlds.ndim == 1:
@@ -938,23 +944,30 @@ class CompiledFactorGraph:
             raise ValueError(
                 f"worlds have {n} variables, compiled for {self.num_vars}"
             )
+        sizes = np.array([S] if counts is None else counts, dtype=np.int64)
+        if sizes.sum() != S:
+            raise ValueError(f"counts {sizes.tolist()} do not add up to {S} worlds")
+        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        sets = list(zip(bounds[:-1], bounds[1:]))
         W = len(self.graph.weights)
-        totals = np.zeros(W, dtype=np.float64)
+        totals = np.zeros((len(sets), W), dtype=np.float64)
         spins = np.where(worlds, 1.0, -1.0)
 
+        def add(wids, rows, scale=1.0) -> None:
+            """Per set: ``rows`` summed over its worlds, then per weight."""
+            for k, (lo, hi) in enumerate(sets):
+                contrib = rows[lo:hi].sum(axis=0)
+                totals[k] += scale * np.bincount(wids, weights=contrib, minlength=W)[:W]
+
         if self.bias_wid.size:
-            contrib = (spins[:, self.bias_var] * self.bias_alive).sum(axis=0)
-            totals += np.bincount(self.bias_wid, weights=contrib, minlength=W)[:W]
+            add(self.bias_wid, spins[:, self.bias_var] * self.bias_alive)
         if self.ising_wid.size:
             # Each edge appears twice (once per endpoint): halve the sum.
-            contrib = (
-                spins[:, self.ising_row]
-                * spins[:, self.ising_other]
-                * self.ising_alive
-            ).sum(axis=0)
-            totals += 0.5 * np.bincount(
-                self.ising_wid, weights=contrib, minlength=W
-            )[:W]
+            add(
+                self.ising_wid,
+                spins[:, self.ising_row] * spins[:, self.ising_other] * self.ising_alive,
+                scale=0.5,
+            )
         if self.num_rules:
             unit = rule_unit_energies(
                 worlds,
@@ -965,16 +978,17 @@ class CompiledFactorGraph:
                 self.lit_var,
                 self.lit_pos,
             )
-            unit = (unit * self.rule_alive).sum(axis=0)
-            totals += np.bincount(self.rule_wid, weights=unit, minlength=W)[:W]
+            add(self.rule_wid, unit * self.rule_alive)
         if self.num_live_slow:
             for si, factor in enumerate(self.slow_list):
                 if not self.slow_alive[si]:
                     continue
-                totals[factor.weight_id] += sum(
-                    factor.unit_energy(worlds[s]) for s in range(S)
-                )
-        return totals / S
+                for k, (lo, hi) in enumerate(sets):
+                    totals[k, factor.weight_id] += sum(
+                        factor.unit_energy(worlds[s]) for s in range(lo, hi)
+                    )
+        stats = totals / sizes[:, None]
+        return stats[0] if counts is None else stats
 
     def plan(self, graph: FactorGraph | None = None, window=None) -> "SweepPlan":
         """The (cached) block-structured scan plan for ``graph``'s evidence.
@@ -1781,6 +1795,12 @@ def _ids(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
+def _pays_to_batch(num_vars: int, num_rows: int) -> bool:
+    """Whether a block of ``num_vars`` variables owning ``num_rows``
+    incidence rows is past the batched kernel's crossover."""
+    return num_vars >= _BATCH_MIN or num_rows > _BATCH_MIN_ROWS
+
+
 class _Block:
     """Gather arrays of the batched kernel over one set of variables.
 
@@ -1836,11 +1856,23 @@ class _Block:
         self.use_batch = False
         if self.scalar_only:
             return
+        rows = self._incidence_rows(compiled)
+        self.use_batch = _pays_to_batch(
+            vars_.size,
+            len(rows["ising_seg"]) + len(rows["head_seg"]) + len(rows["body_seg"]),
+        )
+        if self.use_batch:
+            self._gather(compiled, rows)
+
+    def _incidence_rows(self, compiled) -> dict:
+        """The members' incidence rows as parallel lists per column,
+        member by member: what the batch/scalar decision counts and
+        :meth:`_gather` turns into arrays."""
         ising_seg, ising_other, ising_wid = [], [], []
         head_seg, head_ri = [], []
         body_seg, body_gg, body_pos, body_ri = [], [], [], []
         fseg_start, fseg_pos, fseg_ri = [], [], []
-        for p, v in enumerate(vars_.tolist()):
+        for p, v in enumerate(self.vars.tolist()):
             for other, wid in compiled.py_ising[v]:
                 ising_seg.append(p)
                 ising_other.append(other)
@@ -1857,33 +1889,130 @@ class _Block:
                     body_gg.append(gg)
                     body_pos.append(pos)
                     body_ri.append(ri)
-        self.use_batch = (
-            vars_.size >= _BATCH_MIN
-            or len(ising_seg) + len(head_seg) + len(body_seg) > _BATCH_MIN_ROWS
-        )
-        if not self.use_batch:
-            return
-        self.ising_seg = _ids(ising_seg)
-        self.ising_other = _ids(ising_other)
-        self.ising_wid = _ids(ising_wid)
-        self.head_seg = _ids(head_seg)
-        self.head_ri = _ids(head_ri)
+        return {
+            "ising_seg": ising_seg,
+            "ising_other": ising_other,
+            "ising_wid": ising_wid,
+            "head_seg": head_seg,
+            "head_ri": head_ri,
+            "body_seg": body_seg,
+            "body_gg": body_gg,
+            "body_pos": body_pos,
+            "body_ri": body_ri,
+            "fseg_start": fseg_start,
+            "fseg_pos": fseg_pos,
+            "fseg_ri": fseg_ri,
+        }
+
+    def _gather(self, compiled, rows: dict) -> None:
+        """Set the gather arrays from :meth:`_incidence_rows`' columns."""
+        for name, column in rows.items():
+            dtype = bool if name == "body_pos" else np.int64
+            setattr(self, name, np.asarray(column, dtype=dtype))
+        vars_ = self.vars
         self.head_wid = compiled.rule_wid[self.head_ri]
         self.head_sem = compiled.rule_sem[self.head_ri].astype(np.intp)
-        self.body_seg = _ids(body_seg)
         self.body_var = vars_[self.body_seg]
-        self.body_gg = _ids(body_gg)
-        self.body_pos = np.asarray(body_pos, dtype=bool)
-        self.fseg_start = _ids(fseg_start)
-        self.fseg_pos = _ids(fseg_pos)
         self.fseg_var = vars_[self.fseg_pos]
-        self.fseg_ri = _ids(fseg_ri)
-        self.body_ri = _ids(body_ri)
         self.fseg_wid = compiled.rule_wid[self.fseg_ri]
         self.fseg_sem = compiled.rule_sem[self.fseg_ri].astype(np.intp)
         self.fseg_head = compiled.rule_head[self.fseg_ri]
         fseg_self = self.fseg_head == self.fseg_var
         self.fseg_self = fseg_self if fseg_self.any() else None
+
+    def gathered(self, compiled) -> "_Block":
+        """This block with its gather arrays, whatever it decided for
+        itself: a twin when it gathered nothing.  Not for blocks that
+        hold a slow-path variable."""
+        if self.use_batch:
+            return self
+        twin = _Block.__new__(_Block)
+        twin.vars = self.vars
+        twin._gather(compiled, twin._incidence_rows(compiled))
+        return twin
+
+
+#: What each gather column of a member's block is shifted by when the
+#: block joins a stacked one: the member's offset into the flat per-chain
+#: state (``n`` variables, ``G`` groundings, ``R`` rules), its position in
+#: the stacked block (``pos``), the body rows stacked before its own
+#: (``row``) — or nothing: weights and the ``g`` table are shared.
+_STACK_SHIFT = {
+    "ising_seg": "pos",
+    "ising_other": "n",
+    "ising_wid": None,
+    "head_seg": "pos",
+    "head_ri": "R",
+    "head_wid": None,
+    "head_sem": None,
+    "body_seg": "pos",
+    "body_var": "n",
+    "body_gg": "G",
+    "body_pos": None,
+    "body_ri": "R",
+    "fseg_start": "row",
+    "fseg_pos": "pos",
+    "fseg_var": "n",
+    "fseg_ri": "R",
+    "fseg_wid": None,
+    "fseg_sem": None,
+    "fseg_head": "n",
+}
+
+
+class _StackedBlock(_Block):
+    """The blocks of one plan key in K chains over one substrate, as one
+    block of the chain over K block-diagonal replicas of it.
+
+    ``members`` is ``[(k, block), …]`` in member order: the columns are
+    the members' concatenated, each index that addresses per-chain state
+    moved to member ``k``'s stretch of the flat arrays
+    (:data:`_STACK_SHIFT`).  Replicas share no factor, so the members'
+    variables are as independent of each other as of their own block
+    mates, and every per-variable sum keeps its rows in the member's
+    order: the batched kernel computes for each member the floats it
+    computes for that member alone.  The batch/scalar rule is applied to
+    the stacked totals, whatever each member decided for itself;
+    ``parts`` (``[(k, member's own variable ids), …]``) is what the
+    scalar kernel iterates when the stack is still under the crossover or
+    holds a slow-path variable.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, compiled, members):
+        n, G, R = compiled.num_vars, compiled.num_groundings, compiled.num_rules
+        self.key = members[0][1].key
+        self.seq = -1
+        self.parts = [(k, block.vars.tolist()) for k, block in members]
+        self.vars = np.concatenate([block.vars + k * n for k, block in members])
+        self.scalar_only = any(block.scalar_only for _, block in members)
+        self.use_batch = False
+        if self.scalar_only:
+            return
+        columns = {name: [] for name in _STACK_SHIFT}
+        fseg_self = []
+        pos = row = 0
+        for k, block in members:
+            block = block.gathered(compiled)
+            shift = {None: 0, "n": k * n, "G": k * G, "R": k * R, "pos": pos, "row": row}
+            for name, by in _STACK_SHIFT.items():
+                column = getattr(block, name)
+                columns[name].append(column + shift[by] if shift[by] else column)
+            if block.fseg_self is None:
+                fseg_self.append(np.zeros(block.fseg_ri.size, dtype=bool))
+            else:
+                fseg_self.append(block.fseg_self)
+            pos += block.vars.size
+            row += block.body_gg.size
+        for name, parts in columns.items():
+            setattr(self, name, np.concatenate(parts))
+        fseg_self = np.concatenate(fseg_self)
+        self.fseg_self = fseg_self if fseg_self.any() else None
+        self.use_batch = _pays_to_batch(
+            self.vars.size,
+            self.ising_seg.size + self.head_seg.size + self.body_seg.size,
+        )
 
 
 class SweepPlan:
@@ -2052,6 +2181,72 @@ class SweepPlan:
                     _COST_SCALAR_VAR * vars_.size + _COST_SCALAR_INC * incidences
                 )
         return costs
+
+
+class StackedPlan:
+    """K scan plans over one substrate as the scan plan of one chain over
+    K block-diagonal replicas of it.
+
+    A plan's block keys — (id window, substrate colour) or (solo, id) —
+    do not depend on its evidence, and its blocks are sorted by key: the
+    union of the members' keys, in sorted order, visits every member's
+    variables in that member's own scan order.  Stacked block ``i`` holds
+    the members' blocks of key ``i`` (:class:`_StackedBlock`), so K
+    chains advance in one block evaluation per key instead of one per
+    key per chain.
+
+    Derived data only: ``blocks``; ``free_vars`` (the members', each
+    moved to its stretch of the flat state); ``widths`` (free variables
+    per member — what each draws per sweep) and ``logit_order``, the
+    permutation that takes the members' logit rows, laid end to end in
+    member order, to stacked-block order.  :meth:`covers` says whether
+    it still describes its members; rebuild it when it does not.
+    """
+
+    def __init__(self, compiled: CompiledFactorGraph, plans) -> None:
+        self.compiled = compiled
+        self.shape = (compiled.num_vars, compiled.num_groundings, compiled.num_rules)
+        # References, not copies: valid while every member still scans
+        # these very block objects (a patch rebuilds the blocks it touches).
+        self.member_blocks = [list(plan.blocks) for plan in plans]
+        self.widths = [plan.free_vars.size for plan in plans]
+        n = compiled.num_vars
+        self.free_vars = np.concatenate(
+            [plan.free_vars + k * n for k, plan in enumerate(plans)]
+        )
+        by_key: dict = {}
+        at = 0  # where the block's logits start in the members' rows, end to end
+        for k, blocks in enumerate(self.member_blocks):
+            for block in blocks:
+                by_key.setdefault(block.key, []).append((k, block, at))
+                at += block.vars.size
+        self.blocks = []
+        order = [np.zeros(0, dtype=np.int64)]
+        for key in sorted(by_key):
+            members = by_key[key]
+            self.blocks.append(
+                _StackedBlock(compiled, [(k, block) for k, block, _ in members])
+            )
+            order.extend(
+                np.arange(at, at + block.vars.size) for _, block, at in members
+            )
+        self.logit_order = np.concatenate(order)
+
+    def covers(self, compiled: CompiledFactorGraph, plans) -> bool:
+        """Whether this is still the stack of ``plans`` over ``compiled``:
+        same substrate, same (n, G, R) — the member offsets — and every
+        member's block list holding the same block objects."""
+        return (
+            compiled is self.compiled
+            and self.shape
+            == (compiled.num_vars, compiled.num_groundings, compiled.num_rules)
+            and len(plans) == len(self.member_blocks)
+            and all(
+                len(plan.blocks) == len(blocks)
+                and all(a is b for a, b in zip(plan.blocks, blocks))
+                for plan, blocks in zip(plans, self.member_blocks)
+            )
+        )
 
 
 # Cost-model constants for :meth:`SweepPlan.block_costs` (µs), refit in
@@ -2627,6 +2822,11 @@ class GibbsCache:
         assignment[var] = saved
         return e1 - e0
 
+    def scalar_parts(self, block: _Block, assignment: np.ndarray) -> tuple:
+        """``(cache, assignment, variables)`` for each chain a scalar
+        block spans — here the one chain this cache follows."""
+        return ((self, assignment, block.vars.tolist()),)
+
     # ------------------------------------------------------------------ #
     # Batched kernel
     # ------------------------------------------------------------------ #
@@ -2891,3 +3091,59 @@ class GibbsCache:
             raise AssertionError("GibbsCache.nsat diverged from assignment")
         if not np.allclose(fresh.field, self.field, rtol=1e-9, atol=1e-9):
             raise AssertionError("GibbsCache.field diverged from assignment")
+
+
+class StackedCache(GibbsCache):
+    """The caches and assignments of K chains over one substrate, laid
+    end to end: what the kernels read and write while the chains advance
+    as one over a :class:`StackedPlan`.
+
+    ``field`` / ``unsat`` / ``nsat`` and ``state`` are the members'
+    concatenated (member ``k`` at ``k·n`` / ``k·G`` / ``k·R`` / ``k·n``),
+    which is where a :class:`_StackedBlock`'s shifted indices point, so
+    ``delta_energy_block`` and ``commit_block`` run unchanged.  The
+    scalar kernel reads the substrate's per-variable mirrors by
+    unshifted id: it runs member by member on *views* of the flat arrays
+    (:meth:`scalar_parts`).  A per-call object: the members' caches must
+    be current with the weight store before they are gathered, and
+    nothing is theirs again until :meth:`scatter`.
+    """
+
+    def __init__(self, caches, states) -> None:
+        first = caches[0]
+        c = self.compiled = first.compiled
+        self.weights_vec = first.weights_vec
+        self.field = np.concatenate([cache.field for cache in caches])
+        self.unsat = np.concatenate([cache.unsat for cache in caches])
+        self.nsat = np.concatenate([cache.nsat for cache in caches])
+        self.state = np.concatenate(states)
+        K, n, G, R = len(caches), c.num_vars, c.num_groundings, c.num_rules
+        sizes = (self.state.size, self.field.size, self.unsat.size, self.nsat.size)
+        if sizes != (K * n, K * n, K * G, K * R):
+            raise ValueError("stacked chains do not all follow the substrate")
+        self._members = list(zip(caches, states))
+        #: Per member: its cache and assignment as views of the flat arrays.
+        self.views = []
+        for k, cache in enumerate(caches):
+            part = GibbsCache.__new__(GibbsCache)
+            vars(part).update(vars(cache))
+            part.field = self.field[k * n : (k + 1) * n]
+            part.unsat = self.unsat[k * G : (k + 1) * G]
+            part.nsat = self.nsat[k * R : (k + 1) * R]
+            self.views.append((part, self.state[k * n : (k + 1) * n]))
+
+    def refresh_weights(self, assignment) -> None:
+        """Nothing to do: the members refreshed before they were gathered
+        and the weight store does not move during a call."""
+
+    def scalar_parts(self, block: _StackedBlock, assignment: np.ndarray) -> list:
+        return [(*self.views[k], vars_) for k, vars_ in block.parts]
+
+    def scatter(self) -> None:
+        """Write every member's stretch back into its own arrays, in
+        place."""
+        for (cache, state), (part, state_view) in zip(self._members, self.views):
+            state[:] = state_view
+            cache.field[:] = part.field
+            cache.unsat[:] = part.unsat
+            cache.nsat[:] = part.nsat

@@ -497,6 +497,13 @@ class FactorGraph:
         clone._evidence.update(self._evidence)
         return clone
 
+    def free_twin(self) -> "FactorGraph":
+        """This structure over the *same* :class:`WeightStore` with
+        nothing clamped: the graph of SGD learning's free chain."""
+        twin = self.copy(share_weights=True)
+        twin._evidence.clear()
+        return twin
+
     @classmethod
     def from_compiled(cls, compiled, share_weights: bool = False) -> "FactorGraph":
         """Materialize a plain mutable graph from a compiled substrate.
@@ -635,6 +642,9 @@ class CompiledGraphView(FactorGraph):
         graph._evidence.update(self._evidence)
         graph._evidence_arrays = None
         return graph
+
+    def free_twin(self) -> "FactorGraph":
+        return CompiledGraphView(self._compiled, evidence={})
 
     def __repr__(self) -> str:
         return (

@@ -10,9 +10,11 @@ and averaging the query variable across chains at each sweep.
 The ensemble is embarrassingly parallel: with ``n_workers > 1`` whole
 chains are farmed to worker processes through
 :class:`~repro.inference.parallel.ParallelChainEnsemble` (one shared
-flat-array compilation, attached zero-copy).  Serially, all chain states
-live in one stacked ``(num_chains, num_vars)`` matrix so the per-sweep
-ensemble marginal is a single column reduction.
+flat-array compilation, attached zero-copy).  Serially the ensemble is
+one :class:`~repro.inference.gibbs.ChainStack`: its chains share the
+compilation and the scan plan, so a sweep of all of them is one block
+evaluation per plan block instead of one per block per chain — the
+states, and the result, of sweeping them one after the other.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.factor_graph import FactorGraph
-from repro.inference.gibbs import GibbsSampler
+from repro.inference.gibbs import ChainStack, GibbsSampler
 from repro.util.rng import as_generator
 
 
@@ -89,24 +91,19 @@ def sweeps_to_marginal(
 
     rng = as_generator(seed)
     # One flat-array compilation (and one cached scan plan) shared by the
-    # whole ensemble; each chain keeps only its own sampler state.  All
-    # states live in one stacked matrix so the per-sweep ensemble
-    # marginal is a column reduction instead of a per-chain Python loop.
+    # whole ensemble; each chain keeps only its own sampler state, and
+    # all of them draw from ``rng``, in chain order, sweep by sweep.
     if compiled is None:
         compiled = CompiledFactorGraph(graph)
     chains = [
         GibbsSampler(graph, seed=rng, initial=initial, compiled=compiled)
         for _ in range(num_chains)
     ]
-    states = np.empty((num_chains, graph.num_vars), dtype=bool)
-    for k, chain in enumerate(chains):
-        states[k] = chain.state
-        chain.state = states[k]  # rebind: the chain now sweeps the row
+    ensemble = ChainStack(chains)
     hits = 0
     for sweep in range(1, max_sweeps + 1):
-        for chain in chains:
-            chain.sweep()
-        estimate = float(states[:, var].mean())
+        ensemble.sweep()
+        estimate = float(np.mean([chain.state[var] for chain in chains]))
         if abs(estimate - target) <= tol:
             hits += 1
             if hits >= patience:

@@ -28,6 +28,21 @@ MH proposals from one stream) sees the same stream either way, as long as
 it does not draw *during* one of those calls.  ``tests/reference/gibbs.py``
 keeps the draw-per-sweep kernel; ``tests/test_sweep_kernel.py`` holds this
 module to it.
+
+Stacked chains.  A :class:`ChainStack` advances K chains over one
+substrate in one kernel pass per plan key, and draws for them exactly as
+they would for themselves: nobody but a member's own generator supplies
+that member's uniforms.  ``ChainStack.sample_worlds`` draws each member's
+rows for the *whole call*, member by member in member order — what K
+``sample_worlds`` calls made one after the other draw, also when the
+members share a generator (``SGDLearner`` seeds both its chains from one);
+``ChainStack.sweep()`` draws one row per member in member order — what
+``for chain in chains: chain.sweep()`` draws.  Every member's state,
+caches and generator end where its own calls would leave them
+(``tests/test_chain_stack.py``).  The price is the row buffer: a stacked
+call holds all its members' rows until their sweep, O(K · sweeps · width)
+doubles (one epoch — 10 sweeps — for the learner, one sweep for
+``sweep()``), where a single chain holds a :data:`_DRAW_CHUNK` at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +51,13 @@ import math
 
 import numpy as np
 
-from repro.graph.compiled import CompiledFactorGraph, GibbsCache, bias_init_values
+from repro.graph.compiled import (
+    CompiledFactorGraph,
+    GibbsCache,
+    StackedCache,
+    StackedPlan,
+    bias_init_values,
+)
 from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
 
@@ -54,6 +75,21 @@ def _sigmoid(x: float) -> float:
 _DRAW_CHUNK = 1 << 16
 
 
+def _uniform_chunks(rng, width: int, count: int):
+    """``count`` rows of ``width`` uniforms as ``(k, width)`` matrices,
+    one ``rng.random`` call each, drawn when asked for."""
+    per_chunk = max(1, _DRAW_CHUNK // max(width, 1))
+    while count > 0:
+        k = min(per_chunk, count)
+        count -= k
+        yield rng.random(k * width).reshape(k, width)
+
+
+def _logit(u: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):  # u == 0 ⇒ −inf: always 1
+        return np.log(u) - np.log1p(-u)
+
+
 def logit_rows(rng, width: int, count: int):
     """Yield ``count`` rows of ``logit(u)``, ``u`` uniform, ``width`` wide.
 
@@ -65,14 +101,8 @@ def logit_rows(rng, width: int, count: int):
     ``count`` separate draws would leave it.  A chunk is drawn when its
     first row is asked for.
     """
-    per_chunk = max(1, _DRAW_CHUNK // max(width, 1))
-    while count > 0:
-        k = min(per_chunk, count)
-        count -= k
-        u = rng.random(k * width)
-        with np.errstate(divide="ignore"):  # u == 0 ⇒ −inf: always 1
-            logits = np.log(u) - np.log1p(-u)
-        yield from logits.reshape(k, width)
+    for u in _uniform_chunks(rng, width, count):
+        yield from _logit(u)
 
 
 def iter_worlds(sweep, rng, width: int, num_samples: int, thin: int = 1, burn_in: int = 0):
@@ -113,10 +143,15 @@ def sweep_blocks(cache, state, blocks, logits) -> None:
                 block, logit_u < cache.delta_energy_block(block, state), state
             )
         else:
-            for k, var in enumerate(block.vars.tolist()):
-                new_value = bool(logit_u[k] < cache.delta_energy(var, state))
-                if new_value != bool(state[var]):
-                    cache.commit_flip(var, new_value, state)
+            # One chain's cache yields itself; stacked chains take their
+            # turns, each on its own view of the flat arrays.
+            k = 0
+            for part, part_state, vars_ in cache.scalar_parts(block, state):
+                for var in vars_:
+                    new_value = bool(logit_u[k] < part.delta_energy(var, part_state))
+                    if new_value != bool(part_state[var]):
+                        part.commit_flip(var, new_value, part_state)
+                    k += 1
 
 
 class GibbsSampler:
@@ -273,3 +308,108 @@ class GibbsSampler:
     def conditional_probability(self, var: int) -> float:
         """P(X_var = 1 | rest of current state) — exposed for tests."""
         return _sigmoid(self.cache.delta_energy(var, self.state))
+
+
+class ChainStack(GibbsSampler):
+    """K chains over one compiled substrate, advanced together: one block
+    evaluation per plan key instead of one per key per chain.
+
+    K chains over one substrate are one chain over K block-diagonal
+    replicas of it (:class:`~repro.graph.compiled.StackedPlan`), so a
+    stacked sweep is :meth:`GibbsSampler.sweep` — the same kernel, the
+    same span — over the members' arrays laid end to end
+    (:class:`~repro.graph.compiled.StackedCache`), and leaves every
+    member where its own sweeps, from its own draws, would have.
+
+    The members stay the only truth.  A call refreshes each member's
+    weights, draws each member's rows from that member's generator (see
+    the module's draw contract), gathers the members' ``state`` /
+    ``field`` / ``unsat`` / ``nsat``, sweeps, writes them back in place
+    and bumps each member's ``sweeps_done``; between calls nothing
+    stacked is resident, so patching, snapshotting, scoring or pickling a
+    member needs to know nothing of the stack.  Only ``plan`` is kept —
+    derived, checked against the members' block lists at every call,
+    rebuilt when a patch moved them, dropped by pickling.  ``sweep`` and
+    ``sample_worlds`` are the whole surface: the rest of a chain's
+    belongs to the members.
+    """
+
+    def __init__(self, members) -> None:
+        self.members = tuple(members)
+        if len({id(member.compiled) for member in self.members}) != 1:
+            raise ValueError("a ChainStack's members share one compiled substrate")
+        self.plan = None
+        self.cache = self.state = None
+        self.sweeps_done = 0
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["plan"] = None
+        return state
+
+    def _draw(self, count: int) -> np.ndarray:
+        """``count`` sweeps' logits in stacked-block order, ``(count, Σ
+        widths)``: each member's uniforms from its own generator, one
+        member after the other for the whole call; the logarithms —
+        elementwise — are taken once over all of them."""
+        plan = self.plan
+        u = np.empty((count, plan.free_vars.size))
+        at = 0
+        for member, width in zip(self.members, plan.widths):
+            row = 0
+            for chunk in _uniform_chunks(member.rng, width, count):
+                u[row : row + len(chunk), at : at + width] = chunk
+                row += len(chunk)
+            at += width
+        return _logit(u[:, plan.logit_order])
+
+    def _begin(self, count: int):
+        """Open a call of ``count`` sweeps: bring the plan and the
+        members' weights up to date, draw, gather.  Returns the rows."""
+        members = self.members
+        compiled = members[0].compiled
+        plans = [member.plan for member in members]
+        if self.plan is None or not self.plan.covers(compiled, plans):
+            self.plan = StackedPlan(compiled, plans)
+        for member in members:
+            member.cache.refresh_weights(member.state)
+        rows = self._draw(count)
+        self.cache = StackedCache(
+            [member.cache for member in members], [member.state for member in members]
+        )
+        self.state = self.cache.state
+        self.sweeps_done = 0  # of this call
+        return rows
+
+    def _end(self) -> None:
+        """Close the call: scatter, credit the members their sweeps."""
+        self.cache.scatter()
+        for member in self.members:
+            member.sweeps_done += self.sweeps_done
+        self.cache = self.state = None
+
+    def sweep(self) -> None:
+        """One sweep of every member (≡ ``for m in members: m.sweep()``)."""
+        (row,) = self._begin(1)
+        try:
+            super().sweep(row)
+        finally:
+            self._end()
+
+    def sample_worlds(self, num_samples: int, thin: int = 1, burn_in: int = 0) -> np.ndarray:
+        """``members[k].sample_worlds(...)`` for every ``k``, as one
+        ``(K, num_samples, num_vars)`` boolean array (≡ the K calls made
+        one after the other)."""
+        rows = iter(self._begin(burn_in + num_samples * thin))
+        K, n = len(self.members), self.plan.shape[0]
+        worlds = np.empty((K, num_samples, n), dtype=bool)
+        try:
+            for _ in range(burn_in):
+                super().sweep(next(rows))
+            for s in range(num_samples):
+                for _ in range(thin):
+                    super().sweep(next(rows))
+                worlds[:, s] = self.state.reshape(K, n)
+        finally:
+            self._end()
+        return worlds

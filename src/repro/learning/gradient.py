@@ -57,9 +57,12 @@ def weight_gradient(
     sized steps to rare features — the usual per-feature scaling.
     """
     weights = compiled.graph.weights
-    grad = compiled.weight_statistics(
-        conditioned_worlds
-    ) - compiled.weight_statistics(free_worlds)
+    # One pass over both chains' worlds, each half reduced by itself.
+    conditioned, free = compiled.weight_statistics(
+        np.concatenate([conditioned_worlds, free_worlds]),
+        counts=(len(conditioned_worlds), len(free_worlds)),
+    )
+    grad = conditioned - free
     if normalize:
         grad = grad / np.maximum(compiled.factor_counts_per_weight(), 1.0)
     if l2:

@@ -12,8 +12,18 @@ scorer across a :meth:`CompiledFactorGraph.apply_delta` patch, so
 re-learning after a development-loop update (the F2+S2 iterations of
 Fig. 16) pays O(|Δ|) setup instead of recompiling the graph and
 restarting the chains.  Gradient statistics run on the compiled flat
-arrays (:meth:`CompiledFactorGraph.weight_statistics`), batched over the
-whole ``(S, n)`` world matrix.
+arrays (:meth:`CompiledFactorGraph.weight_statistics`), batched over both
+chains' ``(S, n)`` world matrices in one pass.
+
+The serial learner's two chains share one substrate and one colouring, so
+an epoch advances them as one :class:`~repro.inference.gibbs.ChainStack`:
+one block evaluation per plan block per sweep instead of one per chain —
+the worlds, chain states and generator of the conditioned chain's
+``sample_worlds`` call followed by the free chain's
+(``tests/reference/learning.py`` keeps that two-call epoch as the
+oracle).  The chains stay plain :class:`GibbsSampler` objects between
+epochs: patches, snapshots and the evidence scorer address them
+directly.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import numpy as np
 
 from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.factor_graph import FactorGraph
-from repro.inference.gibbs import GibbsSampler
+from repro.inference.gibbs import ChainStack, GibbsSampler
 from repro.learning.gradient import EvidenceScorer, weight_gradient
 from repro.reliability.errors import WorkerCrashError
 from repro.reliability.faults import maybe_fire
@@ -97,10 +107,7 @@ class SGDLearner:
             for wid in self.graph.weights.learnable_ids():
                 self.graph.weights.set_value(wid, 0.0)
 
-        # Free graph: same structure and *shared* weights, no clamping.
-        self.free_graph = graph.copy(share_weights=True)
-        for var in list(self.free_graph.evidence):
-            self.free_graph.clear_evidence(var)
+        self.free_graph = graph.free_twin()
 
         # Both chains share one flat-array compilation (identical factor
         # structure; each sampler derives its own scan plan from its
@@ -112,6 +119,7 @@ class SGDLearner:
         self._compiled = compiled if compiled is not None else CompiledFactorGraph(graph)
         self._scorer = None
         self._pool = None
+        self._conditioned = self._free = self._chains = None
         self.degradations = 0
         if n_workers >= 2:
             from repro.inference.parallel import GibbsWorkerPool
@@ -125,15 +133,19 @@ class SGDLearner:
             self._pool.call(
                 1, "chain_init", chain_id=0, rng=free_rng, evidence={}
             )
-            self._conditioned = None
-            self._free = None
         else:
-            self._conditioned = GibbsSampler(
-                graph, seed=self.rng, compiled=self._compiled
-            )
-            self._free = GibbsSampler(
-                self.free_graph, seed=self.rng, compiled=self._compiled
-            )
+            self._start_serial_chains()
+
+    def _start_serial_chains(self) -> None:
+        """The in-process chain pair, both seeded from the learner's one
+        generator, and the stack that advances them together."""
+        self._conditioned = GibbsSampler(
+            self.graph, seed=self.rng, compiled=self._compiled
+        )
+        self._free = GibbsSampler(
+            self.free_graph, seed=self.rng, compiled=self._compiled
+        )
+        self._chains = ChainStack((self._conditioned, self._free))
 
     # ------------------------------------------------------------------ #
 
@@ -154,9 +166,7 @@ class SGDLearner:
         """
         compiled = self._compiled
         self.graph = compiled.graph
-        self.free_graph = self.graph.copy(share_weights=True)
-        for var in list(self.free_graph.evidence):
-            self.free_graph.clear_evidence(var)
+        self.free_graph = self.graph.free_twin()
         self._scorer = None
         if self._pool is not None:
             in_place = (
@@ -191,17 +201,11 @@ class SGDLearner:
                 cond_worlds, free_worlds = self._epoch_worlds_parallel()
             except WorkerCrashError:
                 self._degrade_to_serial()
-                cond_worlds = self._conditioned.sample_worlds(
-                    self.samples_per_epoch, thin=self.sweeps_per_epoch
-                )
-                free_worlds = self._free.sample_worlds(
-                    self.samples_per_epoch, thin=self.sweeps_per_epoch
-                )
-        else:
-            cond_worlds = self._conditioned.sample_worlds(
-                self.samples_per_epoch, thin=self.sweeps_per_epoch
-            )
-            free_worlds = self._free.sample_worlds(
+        if self._pool is None:
+            # Both chains in one stacked call: the worlds, states and
+            # generator of the conditioned chain's call followed by the
+            # free chain's, in half the block evaluations.
+            cond_worlds, free_worlds = self._chains.sample_worlds(
                 self.samples_per_epoch, thin=self.sweeps_per_epoch
             )
         grad = weight_gradient(
@@ -222,12 +226,7 @@ class SGDLearner:
             pool.close()
         except OSError:
             pass
-        self._conditioned = GibbsSampler(
-            self.graph, seed=self.rng, compiled=self._compiled
-        )
-        self._free = GibbsSampler(
-            self.free_graph, seed=self.rng, compiled=self._compiled
-        )
+        self._start_serial_chains()
 
     def _epoch_worlds_parallel(self):
         """Advance both persistent chains concurrently; gather worlds."""

@@ -30,7 +30,9 @@ Failure handling mirrors the health state machine:
   unless the grounder had already committed its relation delta: then
   grounder and engine are diverged, the service crashes itself and the
   batcher stops *there*: what is left of the drained batch is recorded
-  as failed and touches neither the stack nor the WAL;
+  as failed and touches neither the stack nor the WAL (``stop()`` after
+  its drain timed out ends a batch the same way, and fails whatever is
+  still queued);
 * a :class:`~repro.reliability.errors.ProcessCrash` is the simulated
   SIGKILL: it is caught only here, at the outermost boundary, the
   service transitions to ``crashed`` and the thread exits with
@@ -81,10 +83,25 @@ class UpdateBatcher:
         self._thread.start()
 
     def stop(self, timeout: float = 5.0) -> None:
+        """Stop the thread after the payload in hand.  What it leaves
+        behind — the rest of its batch, whatever is still queued — is
+        recorded as failed: every admitted payload ends with an outcome
+        and the lag stays exact.  (``KBService.stop`` drains first, so on
+        a healthy service nothing is left.)"""
         self._stop.set()
         if self._thread.is_alive():
             self._thread.join(timeout)
+        if not self._thread.is_alive():
+            queue = self.service.queue
+            self._abandon(queue.drain(max_batch=queue.maxsize, timeout=0), "service stopped")
         self.notify_progress()
+
+    def _abandon(self, items, reason: str) -> None:
+        """Account admitted payloads that will never be grounded, logged
+        or applied."""
+        for seq, _payload in items:
+            self.failed.append((seq, f"not applied: {reason}"))
+            self.failures += 1
 
     def notify_progress(self) -> None:
         """Wake every ``progress`` waiter to re-test its predicate.
@@ -122,16 +139,16 @@ class UpdateBatcher:
                         diverged = self._apply_one(seq, payload)
                     finally:
                         self.in_flight -= 1
-                    if diverged:
+                    halted = diverged or (self._stop.is_set() and "service stopped")
+                    if halted:
                         # Fail-stop means now: the rest of the drained
                         # batch is never grounded, logged or applied on
-                        # the diverged stack.  It has left the queue, so
-                        # it is accounted failed and the lag stays exact.
-                        for later, _ in batch[done:]:
-                            self.failed.append((later, f"not applied: {diverged}"))
-                            self.failures += 1
+                        # the diverged stack (nor after ``stop()`` gave
+                        # up waiting).  It has left the queue, so it is
+                        # accounted failed and the lag stays exact.
+                        self._abandon(batch[done:], halted)
                     self.notify_progress()
-                    if diverged:
+                    if halted:
                         break
         except ProcessCrash as crash:
             # Simulated SIGKILL: no cleanup, no rollback — only durable

@@ -10,13 +10,14 @@ WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0003 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0004 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
 the compiled substrate stopped carrying a factor object per rule;
 ``CKPT0003``: it carries ``rule_nmax``, which the sweep kernel reads,
-and scan blocks carry ``fseg_start``), so a
+and scan blocks carry ``fseg_start``; ``CKPT0004``: a serial learner
+carries the ``ChainStack`` of its chain pair), so a
 file written by an older tree fails verification here — skipped and
 counted like a corrupt one, recovery falling back to an older checkpoint
 or the WAL — instead of unpickling into an object that breaks at its
@@ -39,7 +40,7 @@ import struct
 
 from repro.reliability.faults import maybe_fire
 
-_MAGIC = b"CKPT0003"
+_MAGIC = b"CKPT0004"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

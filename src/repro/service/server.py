@@ -175,10 +175,17 @@ class KBService:
             self._started = True
         return self
 
-    def stop(self) -> None:
-        """Graceful shutdown: stop admitting, drain, stop the batcher."""
+    def stop(self, timeout: float = 5.0) -> None:
+        """Graceful shutdown: stop admitting, drain, stop the batcher.
+
+        Every update admitted before the call is applied, logged and
+        readable when it returns — unless draining takes longer than
+        ``timeout`` seconds: then the batcher finishes the payload in
+        hand and the rest is recorded in ``batcher.failed`` (counted in
+        ``status()``), never silently dropped."""
         self.queue.close()
         if self._started:
+            self.batcher.join_idle(timeout)
             self.batcher.stop()
             self._started = False
         self.pipeline.wal.close()

@@ -58,3 +58,42 @@ def evidence_pseudo_nll(learner) -> float:
         p_true = 0.5 * (1.0 + math.tanh(0.5 * cache.delta_energy(var, state)))
         total -= math.log(max(p_true if value else 1.0 - p_true, 1e-12))
     return total / len(graph.evidence)
+
+
+def reference_epoch_worlds(learner) -> tuple:
+    """The serial epoch's worlds as two calls, the conditioned chain's and
+    then the free chain's: what ``SGDLearner.epoch`` gets from its
+    ``ChainStack`` in one."""
+    return (
+        learner._conditioned.sample_worlds(
+            learner.samples_per_epoch, thin=learner.sweeps_per_epoch
+        ),
+        learner._free.sample_worlds(
+            learner.samples_per_epoch, thin=learner.sweeps_per_epoch
+        ),
+    )
+
+
+def two_pass_gradient(compiled, conditioned_worlds, free_worlds, l2=0.0) -> np.ndarray:
+    """``repro.learning.gradient.weight_gradient`` (normalized) with one
+    ``weight_statistics`` call per chain."""
+    weights = compiled.graph.weights
+    grad = compiled.weight_statistics(conditioned_worlds) - compiled.weight_statistics(
+        free_worlds
+    )
+    grad = grad / np.maximum(compiled.factor_counts_per_weight(), 1.0)
+    if l2:
+        grad -= l2 * weights.values_array()
+    grad[weights.fixed_mask()] = 0.0
+    return grad
+
+
+def reference_epoch(learner) -> float:
+    """One epoch of a serial ``SGDLearner`` on the two-call worlds and the
+    two-pass gradient; returns the gradient norm."""
+    grad = two_pass_gradient(
+        learner._compiled, *reference_epoch_worlds(learner), l2=learner.l2
+    )
+    weights = learner.graph.weights
+    weights.set_values_array(weights.values_array() + learner.step_size * grad)
+    return float(np.linalg.norm(grad))

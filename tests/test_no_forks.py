@@ -191,3 +191,19 @@ class TestPackageReachesNoOracle:
         case that chose between them live in ``tests/reference/gibbs``."""
         for name in ("g_coded", "g_code_array", "rule_sem_uniform"):
             assert not any(name in path.read_text() for path, _ in self.modules())
+
+    def test_the_serial_epoch_is_one_stacked_call(self):
+        """``SGDLearner`` advances its chain pair through its
+        ``ChainStack`` and nowhere else: the two-call epoch is the oracle
+        ``tests/reference/learning.reference_epoch_worlds``."""
+        (tree,) = [t for path, t in self.modules() if path.name == "sgd.py"]
+        calls = [
+            node.func.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sample_worlds"
+        ]
+        assert [ast.unparse(owner) for owner in calls] == ["self._chains"]
+        for path, _ in self.modules():
+            assert "reference_epoch" not in path.read_text()

@@ -213,10 +213,7 @@ def history_delta(rng, compiled, op: str, step: int) -> FactorGraphDelta:
 
 def free_twin(compiled):
     """The evidence-free twin an SGD learner's free chain plans with."""
-    twin = compiled.graph.copy(share_weights=True)
-    for var in list(twin.evidence):
-        twin.clear_evidence(var)
-    return twin
+    return compiled.graph.free_twin()
 
 
 #: ``CompiledFactorGraph.plan`` arguments that fetch each cached plan.

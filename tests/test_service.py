@@ -197,17 +197,17 @@ class TestCheckpointStore:
         assert store.list_txns() == [1]
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
-        """A checkpoint written before the pickled substrate changed
-        shape (magic ``CKPT0002``) is valid by its own checksum and must
+        """A checkpoint written before the pickled state changed
+        shape (magic ``CKPT0003``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0003"
+            assert fh.read(8) == b"CKPT0004"
             fh.seek(0)
-            fh.write(b"CKPT0002")
+            fh.write(b"CKPT0003")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -217,7 +217,7 @@ class TestCheckpointStore:
         only = CheckpointStore(tmp_path / "only")
         path = only.save({"txn": 7}, 7)
         with open(path, "r+b") as fh:
-            fh.write(b"CKPT0002")
+            fh.write(b"CKPT0003")
         assert only.load() == (None, 0) and only.corrupt_skipped == 1
 
     def test_empty_store(self, tmp_path):
@@ -575,6 +575,77 @@ class TestWakeOnCommit:
 
 # --------------------------------------------------------------------- #
 # Crash recovery
+
+
+class TestStopDrains:
+    """``stop()`` promises "stop admitting, drain, stop the batcher":
+    every admitted update has an outcome when it returns."""
+
+    UPDATES = (UPDATE_A, UPDATE_B, UPDATE_A)
+
+    def test_admitted_updates_are_committed_logged_and_restorable(self, tmp_path):
+        # ``batch_max=1`` and no wait between the submits and ``stop()``:
+        # two payloads are still queued when the batcher is told to stop.
+        wal_path = tmp_path / "service.wal"
+        cfg = ServiceConfig(poll_interval=0.005, batch_max=1)
+        svc = make_service(config=cfg, wal_path=wal_path).start()
+        svc.prime()
+        for update in self.UPDATES:
+            svc.submit(**update)
+        svc.stop()
+        assert svc.batcher.commits == 3 and svc.batcher.failed == []
+        assert svc.batcher.processed == svc.queue.accepted and svc.queue.depth() == 0
+        expected = twin_marginals(self.UPDATES)
+        np.testing.assert_array_equal(svc._committed[0].marginals, expected)
+        with DeltaLog(wal_path) as audit:
+            assert len(audit.committed()) == 4  # prime + the three
+            assert audit.pending() == []
+        restored = KBService.restore(
+            wal_path, make_stack, config=cfg, retry=FAST_RETRY
+        )
+        np.testing.assert_array_equal(
+            restored.read(max_staleness=0).marginals, expected
+        )
+        restored.stop()
+
+    @pytest.mark.parametrize("batch_max", [1, 8])
+    def test_what_outlasts_the_timeout_is_failed_not_lost(self, batch_max):
+        """A slow apply and a short ``timeout``: the payload in hand
+        finishes, the rest — still queued, or already drained into the
+        batcher's batch — is recorded as failed."""
+        cfg = ServiceConfig(poll_interval=0.005, batch_max=batch_max)
+        svc = make_service(config=cfg).start()
+        svc.prime()
+        plan = FaultPlan(
+            [Fault(site="service.batch.start", action="delay", delay=0.4, repeat=True)]
+        )
+        with inject_faults(plan):
+            seqs = [svc.submit(**update) for update in self.UPDATES]
+            svc.stop(timeout=0.05)
+        assert not svc.batcher._thread.is_alive()
+        assert svc.batcher.commits == 1
+        assert [seq for seq, _ in svc.batcher.failed] == seqs[1:]
+        assert all("not applied: service stopped" in why for _, why in svc.batcher.failed)
+        assert svc.batcher.processed == svc.queue.accepted and svc.lag() == 0
+        assert svc.status()["batcher"]["failures"] == 2
+        np.testing.assert_array_equal(
+            svc._committed[0].marginals, twin_marginals(self.UPDATES[:1])
+        )
+
+    def test_stop_after_a_crash_returns_at_once(self):
+        cfg = ServiceConfig(poll_interval=0.005, batch_max=1)
+        svc = make_service(config=cfg).start()
+        svc.prime()
+        plan = FaultPlan([Fault(site="service.batch.start", action="crash")])
+        with inject_faults(plan):
+            svc.submit(**UPDATE_A)
+            svc.submit(**UPDATE_B)
+            assert not svc.drain(timeout=5)
+        start = time.monotonic()
+        svc.stop(timeout=30)
+        assert time.monotonic() - start < 1.0
+        # The killed payload has no outcome; the one still queued does.
+        assert [why for _, why in svc.batcher.failed] == ["not applied: service stopped"]
 
 
 class TestCrashRecovery:
