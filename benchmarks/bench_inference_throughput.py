@@ -13,15 +13,13 @@ on two workload families at three scales each:
 For each (workload, scale) it reports sweeps/sec, variable-updates/sec
 and a vars·factors/sec rate, plus the speedup over ``NaiveGibbsSampler``
 — a faithful copy of the seed's dict/list kernel kept here as the
-reference point — and a **worker-scaling axis**: sweeps/sec of the
-sharded multi-process sampler (stale sync) at each ``--workers`` count.
-Results are written to ``benchmark_results/BENCH_inference.json`` via
-``_helpers.emit_json`` so the performance trajectory is tracked from
-this PR on.  Deeper parallel analysis (both sync modes, chain
-ensembles, shard balance) lives in ``bench_parallel_scaling.py``.
+reference point.  Results are written to
+``benchmark_results/BENCH_inference.json`` via ``_helpers.emit_json`` so
+the performance trajectory is tracked.  Multi-process chain ensembles
+are measured by ``bench_parallel_scaling.py``.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_inference_throughput.py
-[--scale tiny|small|medium|large] [--workers 1,2,4] [--check]``
+[--scale tiny|small|medium|large] [--check]``
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import Semantics, g_value
 from repro.inference.gibbs import GibbsSampler
-from repro.inference.parallel import ShardedGibbsSampler
 from repro.util.rng import as_generator
 
 from _helpers import emit_json
@@ -247,12 +244,7 @@ def _time_sweeps(sampler, min_seconds: float = 0.5, max_sweeps: int = 400) -> fl
             return done / elapsed
 
 
-def measure(
-    workload: str,
-    scale: str,
-    compare_naive: bool = True,
-    worker_counts: tuple = (),
-) -> dict:
+def measure(workload: str, scale: str, compare_naive: bool = True) -> dict:
     if workload == "pairwise":
         num_vars, degree = SCALES[scale]["pairwise"]
         graph = pairwise_workload(num_vars, degree)
@@ -279,22 +271,6 @@ def measure(
         naive_rate = _time_sweeps(naive, min_seconds=0.5, max_sweeps=60)
         record["naive_sweeps_per_sec"] = round(naive_rate, 2)
         record["speedup_vs_naive"] = round(fast_rate / naive_rate, 2)
-    workers_axis = {}
-    for workers in worker_counts:
-        if workers <= 1:
-            workers_axis["1"] = record["sweeps_per_sec"]
-            continue
-        sharded = ShardedGibbsSampler(
-            graph, n_workers=workers, seed=1, compiled=fast.compiled, sync="stale"
-        )
-        try:
-            workers_axis[str(workers)] = round(
-                _time_sweeps(sharded, min_seconds=0.4), 2
-            )
-        finally:
-            sharded.close()
-    if workers_axis:
-        record["sharded_sweeps_per_sec"] = workers_axis
     return record
 
 
@@ -472,27 +448,13 @@ def main(argv=None) -> dict:
         "sweeps run on the batched kernel, and the sweep layer's work counts "
         "(draws per run, no logarithm per block evaluation)",
     )
-    parser.add_argument(
-        "--workers",
-        default="1,2,4",
-        help="comma-separated sharded-sampler worker counts for the "
-        "worker-scaling axis ('' disables it)",
-    )
     args = parser.parse_args(argv)
-    worker_counts = tuple(
-        int(w) for w in args.workers.split(",") if w.strip()
-    )
 
     scales = SCALE_ORDER[: SCALE_ORDER.index(args.scale) + 1]
     rows = []
     for workload in ("pairwise", "rules"):
         for scale in scales:
-            row = measure(
-                workload,
-                scale,
-                compare_naive=not args.no_naive,
-                worker_counts=worker_counts,
-            )
+            row = measure(workload, scale, compare_naive=not args.no_naive)
             print(
                 f"{workload:9s} {scale:7s} vars={row['num_vars']:6d} "
                 f"{row['sweeps_per_sec']:8.1f} sweeps/s"

@@ -1,23 +1,17 @@
-"""Parallel-sampling scaling: sharded sweeps and chain ensembles.
+"""Parallel-sampling scaling: chain ensembles.
 
 DeepDive's scalability story (§1, §3.3) rests on sampling throughput —
 inference is the inner subroutine of both learning and incremental
-materialization.  This benchmark tracks the multi-process subsystem of
-:mod:`repro.inference.parallel` on the same two workload families as
-``bench_inference_throughput``:
+materialization.  This benchmark tracks the multi-process axis of
+:mod:`repro.inference.parallel` that ships — ``ParallelChainEnsemble``,
+independent whole chains farmed to workers over one shared-memory
+export (the convergence-harness / SGD / materialization pattern) — on
+the same two workload families as ``bench_inference_throughput``.
+Throughput is aggregate chain-sweeps/sec at each ``--workers`` count
+(one worker is the in-process ``GibbsSampler``).
 
-* ``sharded_stale`` / ``sharded_serial`` — one chain, sweeps split
-  across shard workers (stale: boundary reads lag one sweep; serial:
-  boundary blocks resampled by the controller — exact Gibbs);
-* ``ensemble`` — independent whole chains farmed to workers (the
-  convergence-harness / SGD / materialization pattern); throughput is
-  aggregate chain-sweeps/sec.
-
-For each (workload, scale, mode) it records sweeps/sec at each
-``--workers`` count plus shard diagnostics (boundary fraction, load
-balance from the *measured* per-block cost model).  ``--check`` asserts
-marginal agreement between the serial kernel and the 2-worker parallel
-modes — the CI smoke gate.  Results go to
+``--check`` asserts that a 2-worker ensemble's pooled marginals agree
+with the serial kernel's — the CI smoke gate.  Results go to
 ``benchmark_results/BENCH_parallel.json`` via ``_helpers.emit_json``
 (stamped with the machine's core count: scaling numbers from a 1-core
 container legitimately show slowdown, and the record must say so).
@@ -33,13 +27,9 @@ import time
 
 import numpy as np
 
-from repro.graph.compiled import CompiledFactorGraph, partition_plan, shard_window
+from repro.graph.compiled import CompiledFactorGraph
 from repro.inference.gibbs import GibbsSampler
-from repro.inference.parallel import (
-    ParallelChainEnsemble,
-    ShardedGibbsSampler,
-    measure_block_costs,
-)
+from repro.inference.parallel import ParallelChainEnsemble
 
 from _helpers import emit_json
 from bench_inference_throughput import (
@@ -70,111 +60,54 @@ def _time_sweeps(step, warmup=2, min_seconds: float = 0.4, max_rounds: int = 80)
             return done / elapsed
 
 
-def measure_sharded(graph, compiled, workers: int, sync: str, block_costs) -> dict:
-    """Sweeps/sec + shard diagnostics for one sharded configuration."""
-    sampler = ShardedGibbsSampler(
-        graph,
-        n_workers=workers,
-        seed=1,
-        compiled=compiled,
-        sync=sync,
-        block_costs=block_costs,
-    )
-    try:
-        rate = _time_sweeps(lambda: (sampler.run(5), 5)[1])
-        out = {"sweeps_per_sec": round(rate, 2)}
-        if sampler.shard_plan is not None:
-            sp = sampler.shard_plan
-            total = max(float(sp.block_costs.sum()), 1e-12)
-            out["boundary_fraction"] = round(sp.boundary_fraction, 4)
-            out["shard_cost_shares"] = [
-                round(float(c) / total, 4) for c in sp.shard_costs
-            ]
-        return out
-    finally:
-        sampler.close()
-
-
-def measure_ensemble(graph, compiled, workers: int) -> dict:
+def measure_ensemble(graph, compiled, workers: int) -> float:
     """Aggregate chain-sweeps/sec of a ``workers``-chain ensemble."""
     if workers <= 1:
         sampler = GibbsSampler(graph, seed=1, compiled=compiled)
-        rate = _time_sweeps(lambda: (sampler.run(5), 5)[1])
-        return {"chain_sweeps_per_sec": round(rate, 2)}
+        return _time_sweeps(lambda: (sampler.run(5), 5)[1])
     ensemble = ParallelChainEnsemble(
         graph, num_chains=workers, n_workers=workers, seed=1, compiled=compiled
     )
     try:
-        rate = _time_sweeps(lambda: (ensemble.sweeps(5), 5 * workers)[1])
-        return {"chain_sweeps_per_sec": round(rate, 2)}
+        return _time_sweeps(lambda: (ensemble.sweeps(5), 5 * workers)[1])
     finally:
         ensemble.close()
 
 
-def measure(workload: str, scale: str, worker_counts, modes) -> list:
+def measure(workload: str, scale: str, worker_counts) -> dict:
     graph = _build(workload, scale)
     compiled = CompiledFactorGraph(graph)
-    rows = []
-    for mode in modes:
-        axis = {}
-        diag = {}
-        for workers in worker_counts:
-            if mode == "ensemble":
-                result = measure_ensemble(graph, compiled, workers)
-                axis[str(workers)] = result["chain_sweeps_per_sec"]
-            else:
-                sync = mode.split("_", 1)[1]
-                # Costs are per block of the plan the sampler cuts, whose
-                # window narrows with the worker count on small graphs.
-                plan = compiled.plan(window=shard_window(compiled, workers))
-                result = measure_sharded(
-                    graph,
-                    compiled,
-                    workers,
-                    sync,
-                    measure_block_costs(compiled, plan),
-                )
-                axis[str(workers)] = result["sweeps_per_sec"]
-                if workers > 1:
-                    diag = {
-                        k: v for k, v in result.items() if k != "sweeps_per_sec"
-                    }
-        base = axis[str(min(worker_counts))]
-        top = str(max(worker_counts))
-        row = {
-            "workload": workload,
-            "scale": scale,
-            "num_vars": graph.num_vars,
-            "num_factors": graph.num_factors,
-            "mode": mode,
-            "sweeps_per_sec": axis,
-            "speedup_at_max_workers": round(axis[top] / base, 3) if base else None,
-            **diag,
-        }
-        rows.append(row)
-        print(
-            f"{workload:9s} {scale:7s} {mode:14s} "
-            + "  ".join(f"{w}w={r:9.1f}/s" for w, r in axis.items())
-            + f"  (x{row['speedup_at_max_workers']})"
-        )
-    return rows
+    axis = {
+        str(workers): round(measure_ensemble(graph, compiled, workers), 2)
+        for workers in worker_counts
+    }
+    base = axis[str(min(worker_counts))]
+    top = str(max(worker_counts))
+    row = {
+        "workload": workload,
+        "scale": scale,
+        "num_vars": graph.num_vars,
+        "num_factors": graph.num_factors,
+        "mode": "ensemble",
+        "sweeps_per_sec": axis,
+        "speedup_at_max_workers": round(axis[top] / base, 3) if base else None,
+    }
+    print(
+        f"{workload:9s} {scale:7s} ensemble "
+        + "  ".join(f"{w}w={r:9.1f}/s" for w, r in axis.items())
+        + f"  (x{row['speedup_at_max_workers']})"
+    )
+    return row
 
 
 def check_agreement(
     n_workers: int = 2, tolerance: float = 0.06, num_samples: int = 12000
 ) -> dict:
-    """Serial kernel vs. parallel modes: marginals must agree.
+    """Serial kernel vs. a chain ensemble: marginals must agree.
 
-    A sharded chain scans the narrower-window plan of ``shard_window``,
-    so it no longer shares a trajectory with the serial reference and the
-    two estimates differ by independent sampling noise: over eight seeds
-    the *exact* ``sync="serial"`` arm alone measured 0.036–0.069 at 3 000
-    samples and 0.016–0.030 at 12 000 (stale arm ≤ 0.045), hence the
-    sample count under the unchanged tolerance.
-
-    Uses the same tiny graphs as ``bench_inference_throughput``'s kernel
-    check; also validates the shard partition invariant (no factor spans
-    two shards' interiors).
+    The ensemble pools ``num_samples`` worlds from ``n_workers``
+    independent chains; the serial reference draws as many from one.
+    Same tiny graphs as ``bench_inference_throughput``'s kernel check.
     """
     out = {}
     for name, graph in (
@@ -182,26 +115,24 @@ def check_agreement(
         ("rules", rule_workload(30, seed=3)),
     ):
         compiled = CompiledFactorGraph(graph)
-        plan = compiled.plan(window=shard_window(compiled, n_workers))
-        partition_plan(compiled, plan, n_workers).validate(compiled)
         serial = GibbsSampler(graph, seed=7, compiled=compiled).estimate_marginals(
             num_samples, burn_in=100
         )
-        for sync in ("serial", "stale"):
-            sampler = ShardedGibbsSampler(
-                graph, n_workers=n_workers, seed=7, compiled=compiled, sync=sync
+        with ParallelChainEnsemble(
+            graph, num_chains=n_workers, n_workers=n_workers, seed=7, compiled=compiled
+        ) as ensemble:
+            packed, count = ensemble.sample_worlds_packed(
+                num_samples=num_samples, burn_in=100
             )
-            try:
-                parallel = sampler.estimate_marginals(num_samples, burn_in=100)
-            finally:
-                sampler.close()
-            diff = float(np.abs(parallel - serial).max())
-            if diff >= tolerance:
-                raise AssertionError(
-                    f"{sync}-sync sharded marginals diverge from the serial "
-                    f"kernel on {name}: {diff:.4f} >= {tolerance}"
-                )
-            out[f"{name}_{sync}_max_marginal_diff"] = round(diff, 4)
+        worlds = np.unpackbits(packed, axis=1, count=graph.num_vars).astype(bool)
+        assert count == num_samples
+        diff = float(np.abs(worlds.mean(axis=0) - serial).max())
+        if diff >= tolerance:
+            raise AssertionError(
+                f"{n_workers}-chain ensemble marginals diverge from the serial "
+                f"kernel on {name}: {diff:.4f} >= {tolerance}"
+            )
+        out[f"{name}_ensemble_max_marginal_diff"] = round(diff, 4)
     return out
 
 
@@ -212,24 +143,19 @@ def main(argv=None) -> dict:
         "--workers", default="1,2,4", help="comma-separated worker counts"
     )
     parser.add_argument(
-        "--modes",
-        default="sharded_stale,sharded_serial,ensemble",
-        help="comma-separated modes to measure",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
-        help="assert serial/parallel marginal agreement (2 workers)",
+        help="assert ensemble/serial marginal agreement (2 workers)",
     )
     args = parser.parse_args(argv)
     worker_counts = sorted(int(w) for w in args.workers.split(",") if w.strip())
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
 
     scales = SCALE_ORDER[: SCALE_ORDER.index(args.scale) + 1]
-    rows = []
-    for workload in ("pairwise", "rules"):
-        for scale in scales:
-            rows.extend(measure(workload, scale, worker_counts, modes))
+    rows = [
+        measure(workload, scale, worker_counts)
+        for workload in ("pairwise", "rules")
+        for scale in scales
+    ]
     record = {"experiment": "parallel_scaling", "results": rows}
     if args.check:
         record["agreement"] = check_agreement(n_workers=2)

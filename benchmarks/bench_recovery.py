@@ -1,36 +1,39 @@
 """Fault-recovery latency: supervised respawn, rollback+retry, degradation.
 
 A deployed KBC system's update loop (§1) is only as good as its worst
-failure: a hung sampler worker or a crash mid-update used to mean a lost
-run.  The reliability layer bounds those costs; this benchmark measures
-what they are:
+failure: a hung worker or a crash mid-update used to mean a lost run.
+The reliability layer bounds those costs; this benchmark measures what
+they are, on the worker pool that runs the grounding shards:
 
-* ``recovery`` — a shard worker is SIGKILLed mid-sweep; the sampler
-  detects the death, respawns the worker from the shared export + patch
-  log, replays its shard session, and resends the lost sweep.  Reported
-  against the cost of a *cold restart* (rebuilding the whole sharded
-  sampler from the graph), which is what recovery replaces.
+* ``recovery`` — a grounding worker is SIGKILLed mid-update (the News
+  system's FE1 rule addition, at 2 workers); the executor detects the
+  death, respawns the worker, re-ships its session (relation mirrors,
+  pinned plans and batches) and resends the lost command.  Reported
+  against the same update on a healthy pool and against a *cold
+  restart* (rebuilding the sharded grounder from the database), which
+  is what recovery replaces.
 * ``rollback`` — a fault injected inside ``RerunEngine.apply_update``
   triggers the transactional rollback; reported per delta size as the
   rollback (failed-call) cost and the retry cost vs a clean update.
   Rollback work is O(touched state), so it should track the clean
   update, not the graph.
-* ``degradation`` — per-sweep cost of the serial kernel a persistently
-  failing pool degrades to, vs the healthy sharded per-sweep cost: the
-  price of continuing at all.
+* ``degradation`` — the development loop's updates on the serial path a
+  persistently failing pool degrades to, vs the same updates on the
+  healthy sharded pool: the price of continuing at all.
 
-``--check`` runs the CI chaos smoke instead: a seeded kill-mid-sweep
-must recover to **bit-identical** chain state within the command
-timeout, and a seeded engine fault must roll back and retry to the
-never-faulted twin's marginals.
+``--check`` runs the CI chaos smoke instead: a seeded kill mid-update
+must recover to a graph **bit-identical** to the serial grounder's
+within the command timeout, and a seeded engine fault must roll back
+and retry to the never-faulted twin's marginals.
 
-Run: ``PYTHONPATH=src python benchmarks/bench_recovery.py
-[--scale tiny|small|medium] [--check]``
+Run from the repo root: ``PYTHONPATH=src python
+benchmarks/bench_recovery.py [--scale tiny|small|medium] [--check]``
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -38,28 +41,25 @@ import numpy as np
 from repro.core import EngineConfig, RerunEngine
 from repro.graph import FactorGraph, FactorGraphDelta
 from repro.graph.factor_graph import IsingFactor
-from repro.inference.parallel import ShardedGibbsSampler
+from repro.grounding import IncrementalGrounder
 from repro.reliability import Fault, FaultInjected, FaultPlan, RetryPolicy, inject_faults
+from repro.workloads import build_pipeline, workload_by_name
 
 from _helpers import emit_json
 
+sys.path.insert(0, ".")  # tests/ (the graph fingerprint) is at the root
+from tests.test_sharded_grounding import graph_fingerprint  # noqa: E402
+
 SCALES = {
-    "tiny": {"num_vars": 300, "n_workers": 2, "sweeps": 6, "delta_sizes": [1, 8]},
-    "small": {
-        "num_vars": 1500,
-        "n_workers": 2,
-        "sweeps": 10,
-        "delta_sizes": [1, 16, 64],
-    },
-    "medium": {
-        "num_vars": 6000,
-        "n_workers": 4,
-        "sweeps": 10,
-        "delta_sizes": [1, 32, 256],
-    },
+    "tiny": {"num_vars": 300, "corpus": 0.5, "delta_sizes": [1, 8]},
+    "small": {"num_vars": 1500, "corpus": 2.0, "delta_sizes": [1, 16, 64]},
+    "medium": {"num_vars": 6000, "corpus": 6.0, "delta_sizes": [1, 32, 256]},
 }
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
+
+#: The development-loop update the recovery axis kills a worker in.
+KILLED_UPDATE = "FE1"
 
 
 def build_graph(num_vars: int, seed: int = 0) -> FactorGraph:
@@ -92,43 +92,75 @@ def make_delta(graph: FactorGraph, size: int, rng, step: int) -> FactorGraphDelt
     return delta
 
 
+def news(corpus_scale: float):
+    """The News system's base grounding inputs and its development-loop
+    updates: ``(program, rows, [(label, update kwargs), ...])``."""
+    pipeline = build_pipeline(workload_by_name("news"), scale=corpus_scale, seed=0)
+    return pipeline.build_program(), pipeline.corpus_rows(), pipeline.snapshot_updates()
+
+
+def ground(corpus_scale: float, n_workers: int, **kwargs) -> IncrementalGrounder:
+    """The News base grounding, on ``n_workers`` shards (1 = serial)."""
+    program, rows, _ = news(corpus_scale)
+    db = program.create_database()
+    for name, relation_rows in rows.items():
+        db.insert_all(name, relation_rows)
+    return IncrementalGrounder.from_scratch(program, db, n_workers=n_workers, **kwargs)
+
+
+def kill_plan(repeat: bool = False, at: int = 1) -> FaultPlan:
+    return FaultPlan(
+        [
+            Fault(
+                site="pool.send",
+                action="kill",
+                method="ground",
+                worker=0,
+                at=at,
+                repeat=repeat,
+            )
+        ]
+    )
+
+
 # --------------------------------------------------------------------- #
 
 
-def measure_recovery(num_vars: int, n_workers: int, sweeps: int) -> dict:
-    """Kill-mid-sweep recovery latency vs cold sampler restart."""
-    graph = build_graph(num_vars)
-    sampler = ShardedGibbsSampler(
-        graph, n_workers=n_workers, seed=0, command_timeout=60.0, retry=FAST_RETRY
-    )
-    # Warm sweeps establish the healthy per-sweep baseline.
-    normals = []
-    for _ in range(sweeps):
-        start = time.perf_counter()
-        sampler.sweep()
-        normals.append(time.perf_counter() - start)
-    plan = FaultPlan(
-        [Fault(site="pool.send", action="kill", method="shard_sweep", worker=0, at=1)]
-    )
-    with inject_faults(plan):
-        start = time.perf_counter()
-        sampler.sweep()  # detection + respawn + session replay + resend
-        recovery_sweep = time.perf_counter() - start
-    respawns = sampler.total_respawns
-    sampler.close()
-    # The alternative recovery strategy: throw the sampler away and
-    # rebuild it from the graph (what a crash used to force).
+def measure_recovery(corpus_scale: float) -> dict:
+    """Kill-mid-update recovery latency vs the healthy update and a cold
+    restart of the sharded grounder."""
+    _, _, updates = news(corpus_scale)
+    seconds = {}
+    for faulted in (False, True):
+        grounder = ground(corpus_scale, 2, command_timeout=60.0, retry=FAST_RETRY)
+        try:
+            for label, update in updates:
+                if label != KILLED_UPDATE:
+                    grounder.apply_update(**update)
+                    continue
+                plan = kill_plan() if faulted else FaultPlan([])
+                with inject_faults(plan):
+                    start = time.perf_counter()
+                    # detection + respawn + session re-ship + resend
+                    grounder.apply_update(**update)
+                    seconds[faulted] = time.perf_counter() - start
+                if faulted:
+                    respawns = grounder.executor.pool.respawns
+                    assert not grounder.executor.degraded
+        finally:
+            grounder.close()
+    # The alternative recovery strategy: throw the sharded grounder away
+    # and rebuild it from the database (what a crash used to force).
     start = time.perf_counter()
-    cold = ShardedGibbsSampler(graph, n_workers=n_workers, seed=0)
-    cold.sweep()
+    ground(corpus_scale, 2).close()
     cold_restart = time.perf_counter() - start
-    cold.close()
     return {
-        "num_vars": num_vars,
-        "n_workers": n_workers,
-        "normal_sweep_seconds": float(np.median(normals)),
-        "recovery_sweep_seconds": recovery_sweep,
-        "recovery_overhead_seconds": recovery_sweep - float(np.median(normals)),
+        "corpus_scale": corpus_scale,
+        "n_workers": 2,
+        "killed_update": KILLED_UPDATE,
+        "normal_update_seconds": seconds[False],
+        "recovery_update_seconds": seconds[True],
+        "recovery_overhead_seconds": seconds[True] - seconds[False],
         "cold_restart_seconds": cold_restart,
         "respawns": respawns,
     }
@@ -173,57 +205,54 @@ def measure_rollback(num_vars: int, delta_sizes: list) -> list:
     return rows
 
 
-def measure_degradation(num_vars: int, n_workers: int, sweeps: int) -> dict:
-    """Serial-kernel per-sweep cost after degradation vs healthy sharded."""
-    graph = build_graph(num_vars)
-    sampler = ShardedGibbsSampler(
-        graph, n_workers=n_workers, seed=0, command_timeout=60.0,
-        retry=RetryPolicy(max_attempts=2, base_delay=0.001),
-    )
-    parallel = []
-    for _ in range(sweeps):
+def measure_degradation(corpus_scale: float) -> dict:
+    """The development loop's updates after the pool degraded to serial
+    (a persistent kill during the base grounding) vs on a healthy pool."""
+    _, _, updates = news(corpus_scale)
+
+    def loop_seconds(grounder) -> float:
         start = time.perf_counter()
-        sampler.sweep()
-        parallel.append(time.perf_counter() - start)
-    plan = FaultPlan(
-        [
-            Fault(
-                site="pool.send",
-                action="kill",
-                method="shard_sweep",
-                worker=0,
-                at=1,
-                repeat=True,
-            )
-        ]
-    )
-    with inject_faults(plan):
-        sampler.sweep()  # exhausts the retry policy, degrades to serial
-    assert sampler.degradations == 1
-    serial = []
-    for _ in range(sweeps):
-        start = time.perf_counter()
-        sampler.sweep()
-        serial.append(time.perf_counter() - start)
-    sampler.close()
+        for _label, update in updates:
+            grounder.apply_update(**update)
+        return time.perf_counter() - start
+
+    healthy = ground(corpus_scale, 2, command_timeout=60.0)
+    try:
+        parallel = loop_seconds(healthy)
+    finally:
+        healthy.close()
+    with inject_faults(kill_plan(repeat=True)):
+        degraded = ground(
+            corpus_scale,
+            2,
+            command_timeout=60.0,
+            retry=RetryPolicy(max_attempts=2, base_delay=0.001),
+        )
+    try:
+        assert degraded.executor.degraded
+        serial = loop_seconds(degraded)
+    finally:
+        degraded.close()
     return {
-        "num_vars": num_vars,
-        "n_workers": n_workers,
-        "parallel_sweep_seconds": float(np.median(parallel)),
-        "degraded_serial_sweep_seconds": float(np.median(serial)),
-        "slowdown": float(np.median(serial) / max(np.median(parallel), 1e-9)),
+        "corpus_scale": corpus_scale,
+        "n_workers": 2,
+        "updates": len(updates),
+        "parallel_loop_seconds": parallel,
+        "degraded_serial_loop_seconds": serial,
+        "slowdown": serial / max(parallel, 1e-9),
     }
 
 
 def run(scale: str) -> dict:
     cfg = SCALES[scale]
     record = {"scale": scale}
-    rec = measure_recovery(cfg["num_vars"], cfg["n_workers"], cfg["sweeps"])
+    rec = measure_recovery(cfg["corpus"])
     record["recovery"] = rec
     print(
-        f"recovery n={rec['num_vars']}: sweep {rec['normal_sweep_seconds'] * 1e3:.1f} ms, "
-        f"with kill+respawn {rec['recovery_sweep_seconds'] * 1e3:.1f} ms, "
-        f"cold restart {rec['cold_restart_seconds'] * 1e3:.1f} ms"
+        f"recovery News@{rec['corpus_scale']}: {KILLED_UPDATE} "
+        f"{rec['normal_update_seconds'] * 1e3:.1f} ms, with kill+respawn "
+        f"{rec['recovery_update_seconds'] * 1e3:.1f} ms, cold restart "
+        f"{rec['cold_restart_seconds'] * 1e3:.1f} ms"
     )
     record["rollback"] = measure_rollback(cfg["num_vars"], cfg["delta_sizes"])
     for row in record["rollback"]:
@@ -232,38 +261,43 @@ def run(scale: str) -> dict:
             f"rollback {row['rollback_seconds'] * 1e3:.1f} ms, "
             f"retry {row['retry_seconds'] * 1e3:.1f} ms"
         )
-    deg = measure_degradation(cfg["num_vars"], cfg["n_workers"], cfg["sweeps"])
+    deg = measure_degradation(cfg["corpus"])
     record["degradation"] = deg
     print(
-        f"degradation n={deg['num_vars']}: parallel sweep "
-        f"{deg['parallel_sweep_seconds'] * 1e3:.1f} ms → serial "
-        f"{deg['degraded_serial_sweep_seconds'] * 1e3:.1f} ms "
+        f"degradation News@{deg['corpus_scale']}: {deg['updates']} updates "
+        f"{deg['parallel_loop_seconds'] * 1e3:.1f} ms on the pool → "
+        f"{deg['degraded_serial_loop_seconds'] * 1e3:.1f} ms serial "
         f"({deg['slowdown']:.2f}x)"
     )
     return record
 
 
 def check() -> None:
-    """CI chaos smoke: seeded kill recovers bit-exactly; engine fault
-    rolls back and retries to the never-faulted twin's marginals."""
-    graph = build_graph(120, seed=3)
-    baseline = ShardedGibbsSampler(graph, n_workers=2, seed=5)
-    base_state = baseline.run(4).copy()
-    baseline.close()
-    plan = FaultPlan(
-        [Fault(site="pool.send", action="kill", method="shard_sweep", worker=0, at=2)]
-    )
-    sampler = ShardedGibbsSampler(
-        graph, n_workers=2, seed=5, command_timeout=60.0, retry=FAST_RETRY
-    )
+    """CI chaos smoke: a seeded kill mid-update recovers to the serial
+    grounder's graph bit for bit; an engine fault rolls back and retries
+    to the never-faulted twin's marginals."""
+    _, _, updates = news(0.5)
+    serial = ground(0.5, 1)
+    for _label, update in updates:
+        serial.apply_update(**update)
+    plan = kill_plan(at=2)
     start = time.perf_counter()
     with inject_faults(plan):
-        state = sampler.run(4).copy()
+        sharded = ground(0.5, 2, command_timeout=60.0, retry=FAST_RETRY)
+        try:
+            for _label, update in updates:
+                sharded.apply_update(**update)
+            respawns = sharded.executor.pool.respawns
+            degraded = sharded.executor.degraded
+        finally:
+            sharded.close()
     elapsed = time.perf_counter() - start
-    assert sampler.total_respawns == 1, "kill did not trigger a respawn"
-    assert np.array_equal(state, base_state), "recovered chain diverged"
+    assert len(plan.fired) == 1, "the kill never fired"
+    assert respawns == 1 and not degraded, "kill did not trigger one respawn"
+    assert graph_fingerprint(sharded.graph) == graph_fingerprint(serial.graph), (
+        "recovered grounding diverged from the serial grounder"
+    )
     assert elapsed < 60.0, f"recovery exceeded the command timeout ({elapsed:.1f}s)"
-    sampler.close()
 
     cfg = EngineConfig(inference_samples=20, burn_in=5, incremental_burn_in=5, seed=0)
     faulted = RerunEngine(build_graph(60, seed=1), cfg)
@@ -286,7 +320,10 @@ def check() -> None:
     )
     faulted.close()
     twin.close()
-    print("recovery smoke ok: kill→respawn bit-exact, rollback→retry twin-exact")
+    print(
+        "recovery smoke ok: grounding kill→respawn bit-exact, "
+        "rollback→retry twin-exact"
+    )
 
 
 def main() -> None:

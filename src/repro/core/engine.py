@@ -81,10 +81,10 @@ class EngineConfig:
     #: usually suffices.
     incremental_burn_in: int | None = None
     seed: int | None = None
-    #: Sampling parallelism: >1 fills the materialization bundle with
-    #: parallel chains and runs Rerun inference on a sharded sampler
-    #: whose worker pool and shared-memory export survive updates (see
-    #: ``repro.inference.parallel``); 1 is the serial fallback.
+    #: Sampling parallelism: >1 fills the materialization bundle with that
+    #: many independent chains on a worker pool (see
+    #: ``repro.inference.parallel``); 1 draws it from one in-process
+    #: chain.  Every other chain an engine runs is serial.
     n_workers: int = 1
     #: Tombstone/patched density above which a compiled factor graph
     #: recompacts (full recompile, amortized across updates).
@@ -137,10 +137,10 @@ class ReadSnapshot:
     committed updates at capture time; the service re-stamps snapshots
     with its WAL transaction id.
 
-    ``chain_state`` (optional) reuses the live chain assignment —
-    zero-copy out of the sharded sampler's shared-memory export when one
-    is running.  Unlike ``marginals`` it views live (mutated-in-place)
-    buffers: it is consistent at update boundaries, not across them.
+    ``chain_state`` (optional) is a read-only view of the persistent
+    chain's live assignment.  Unlike ``marginals`` it views a
+    mutated-in-place buffer: it is consistent at update boundaries, not
+    across them.
     """
 
     marginals: np.ndarray
@@ -163,10 +163,7 @@ class _Engine:
         self.config = config or EngineConfig()
         self.rng = as_generator(self.config.seed)
         self.resident = ResidentGraph(
-            graph,
-            self.rng,
-            n_workers=self.config.n_workers,
-            compact_threshold=self.config.compact_threshold,
+            graph, self.rng, compact_threshold=self.config.compact_threshold
         )
         self._last_marginals = None
         self.learns_warm = 0
@@ -183,27 +180,17 @@ class _Engine:
 
     def read_snapshot(self) -> ReadSnapshot | None:
         """Zero-copy snapshot of the last committed marginals (or None
-        before the first inference).
-
-        When a sharded chain is running, ``chain_state`` reuses the
-        shared-memory export's published state buffer directly
-        (:meth:`ShardedGibbsSampler.state_view`) — no pool round-trip, no
-        copy; see :class:`ReadSnapshot` for its consistency caveat."""
+        before the first inference); see :class:`ReadSnapshot` for the
+        consistency caveat of its ``chain_state``."""
         if self._last_marginals is None:
             return None
         marginals = _read_only(self._last_marginals)
         chain = self.resident.chain
-        chain_state = None
-        view = getattr(chain, "state_view", None)
-        if view is not None:
-            chain_state = view()
-        elif chain is not None:
-            chain_state = _read_only(chain.state)
         return ReadSnapshot(
             marginals=marginals,
             txn=self.committed_updates,
             num_vars=int(marginals.shape[0]),
-            chain_state=chain_state,
+            chain_state=None if chain is None else _read_only(chain.state),
         )
 
     def _transaction(self, snapshot, site: str, body, delta=None):
@@ -213,8 +200,8 @@ class _Engine:
         WAL-logged before anything mutates.  A failure anywhere in
         ``body`` restores the engine — substrate, chains, learner,
         materializations, rng — to its pre-transaction state, so the
-        retried call matches a never-failed one exactly (serial
-        components; pool-backed ones restart cold), and the WAL records
+        retried call matches a never-failed one exactly (a pool-backed
+        learner restarts cold instead), and the WAL records
         the rollback.  ``relearn`` passes no delta: the weights it moves
         are not replayable from one, so it is rolled back but not
         logged."""
@@ -281,8 +268,8 @@ class _Engine:
         return marginals
 
     def close(self) -> None:
-        """Release the persistent chain and learner (worker pools and
-        shared memory, if any) and the WAL's file handle."""
+        """Release the persistent chain and learner (a learner's worker
+        pool and shared memory, if any) and the WAL's file handle."""
         self.resident.close()
         self.wal.close()
 
@@ -515,10 +502,9 @@ class RerunEngine(_Engine):
     The *inference* cost stays O(graph) per update — that is the paper's
     baseline semantics.  The *setup* cost does not: the resident graph is
     compiled by the first update and patched by every later one, and its
-    chain keeps its assignment across the patches (with ``n_workers > 1``
-    the worker pool and shared-memory export survive the update instead
-    of respawning).  The recompile-per-update baseline is a fresh engine
-    on ``delta.apply(graph)``.
+    serial chain keeps its assignment across the patches.  The
+    recompile-per-update baseline is a fresh engine on
+    ``delta.apply(graph)``.
     """
 
     def __init__(self, graph: FactorGraph, config: EngineConfig | None = None):

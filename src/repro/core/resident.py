@@ -23,7 +23,6 @@ from repro.core.sampling import make_sampler
 from repro.graph.compiled import CompiledFactorGraph, CompiledPatch
 from repro.graph.delta import FactorGraphDelta
 from repro.graph.factor_graph import FactorGraph
-from repro.inference.gibbs import GibbsSampler
 from repro.learning.sgd import SGDLearner
 from repro.reliability.snapshots import LearnerSnapshot, SerialSamplerSnapshot
 
@@ -42,25 +41,23 @@ class ResidentGraph:
     """A factor graph compiled once and patched in place from then on.
 
     ``graph`` is the frozen source until the first :meth:`compile` and the
-    substrate's lazy view afterwards.  ``chain`` (started by the first
-    :meth:`marginals`) and ``learner`` (started by :meth:`warm_learner`)
-    keep their assignments across every :meth:`apply_delta`; with
-    ``n_workers > 1`` the chain is sharded over a worker pool that
-    survives updates.  ``compact_threshold`` is the tombstone/patched
-    density above which the substrate recompiles itself
-    (``CompiledFactorGraph.apply_delta``).
+    substrate's lazy view afterwards.  ``chain`` (a serial
+    :class:`~repro.inference.gibbs.GibbsSampler`, started by the first
+    :meth:`marginals`) and
+    ``learner`` (started by :meth:`warm_learner`) keep their assignments
+    across every :meth:`apply_delta`.  ``compact_threshold`` is the
+    tombstone/patched density above which the substrate recompiles
+    itself (``CompiledFactorGraph.apply_delta``).
     """
 
     def __init__(
         self,
         graph: FactorGraph,
         rng: np.random.Generator,
-        n_workers: int = 1,
         compact_threshold: float = 0.25,
     ) -> None:
         self.graph = graph
         self.rng = rng
-        self.n_workers = n_workers
         self.compact_threshold = compact_threshold
         self.compiled: CompiledFactorGraph | None = None
         self.chain = None
@@ -104,10 +101,11 @@ class ResidentGraph:
         return patch
 
     def _compacted_by(self, culprit) -> None:
-        """A pool-backed follower compacted the substrate (its
-        shared-memory export needs a clean CSR snapshot) where no patch
-        told the others: they re-derive plans and caches around their
-        warm state, through an empty compacted patch."""
+        """The substrate compacted outside a patch — at the chain's start,
+        or under a pool-backed learner whose shared-memory export needs a
+        clean CSR snapshot — so no patch told the other followers: they
+        re-derive plans and caches around their warm state, through an
+        empty compacted patch."""
         notice = CompiledPatch(
             ops=None, old_num_vars=self.compiled.num_vars, compacted=True
         )
@@ -124,11 +122,7 @@ class ResidentGraph:
             if compiled.patch_fraction() > self.compact_threshold:
                 compiled.compact()
             self.chain = make_sampler(
-                self.graph,
-                seed=self.rng,
-                compiled=compiled,
-                n_workers=self.n_workers,
-                incremental=True,
+                self.graph, seed=self.rng, compiled=compiled, incremental=True
             )
             if patched and not compiled.has_patches:
                 self._compacted_by(self.chain)
@@ -170,13 +164,12 @@ class ResidentGraph:
         """Bounded pre-transaction capture — O(touched), see
         ``CompiledFactorGraph.snapshot_state``, of which only the most
         recent capture can be restored."""
-        serial = isinstance(self.chain, GibbsSampler)
         return SimpleNamespace(
             graph=self.graph,
             compiled=self.compiled,
             substrate=None if self.compiled is None else self.compiled.snapshot_state(),
             chain=self.chain,
-            chain_state=SerialSamplerSnapshot(self.chain) if serial else None,
+            chain_state=None if self.chain is None else SerialSamplerSnapshot(self.chain),
             learner=self.learner,
             learner_state=LearnerSnapshot(self.learner),
         )
@@ -184,13 +177,12 @@ class ResidentGraph:
     def restore(self, snap: SimpleNamespace, verify: bool = True) -> None:
         """Roll back to ``snap`` (single use).
 
-        The substrate and serial followers restore bit-exactly, so a
-        retried transaction matches a never-failed one (``verify``
-        re-checks the followers' caches from scratch).  Pool-backed
-        followers restore cold: a pool that half-applied a patch cannot
-        be rolled back message by message, so it is closed and the next
-        :meth:`marginals` / :meth:`warm_learner` restarts it from the
-        rolled-back substrate."""
+        The substrate, the chain and a serial learner restore bit-exactly,
+        so a retried transaction matches a never-failed one (``verify``
+        re-checks their caches from scratch).  A pool-backed learner
+        restores cold: a pool that half-applied a patch cannot be rolled
+        back message by message, so it is closed and the next
+        :meth:`warm_learner` restarts it from the rolled-back substrate."""
         if snap.substrate is not None:
             snap.compiled.restore_state(snap.substrate)
         self.compiled = snap.compiled
@@ -202,11 +194,9 @@ class ResidentGraph:
             _close_quietly(self.chain)
         if self.learner is not snap.learner:
             _close_quietly(self.learner)
-        if snap.chain_state is not None:
-            self.chain = snap.chain_state.restore(verify=verify)
-        else:
-            _close_quietly(snap.chain)
-            self.chain = None
+        self.chain = (
+            None if snap.chain_state is None else snap.chain_state.restore(verify=verify)
+        )
         self.learner = snap.learner_state.restore(verify=verify)
 
     def close(self) -> None:

@@ -38,17 +38,12 @@ def make_sampler(
     graph: FactorGraph,
     seed=None,
     compiled=None,
-    n_workers: int = 1,
     incremental: bool = False,
 ):
-    """The fastest applicable sampler for ``graph``.
-
-    Serial (``n_workers=1``): chromatic for pairwise graphs, block-planned
-    Gibbs otherwise.  With ``n_workers > 1`` a
-    :class:`~repro.inference.parallel.ShardedGibbsSampler` spreads each
-    sweep across worker processes (callers own its ``close()``).  Passing
-    an existing :class:`CompiledFactorGraph` skips recompilation (callers
-    that sample the same graph repeatedly should reuse one).
+    """The fastest applicable sampler for ``graph``: chromatic for
+    pairwise graphs, block-planned Gibbs otherwise.  Passing an existing
+    :class:`CompiledFactorGraph` skips recompilation (callers that sample
+    the same graph repeatedly should reuse one).
 
     ``incremental=True`` restricts the choice to samplers supporting
     ``apply_patch`` (warm-starting across ``CompiledFactorGraph.apply_delta``)
@@ -61,12 +56,6 @@ def make_sampler(
     """
     if compiled is None:
         compiled = CompiledFactorGraph(graph)
-    if n_workers > 1:
-        from repro.inference.parallel import ShardedGibbsSampler
-
-        return ShardedGibbsSampler(
-            graph, n_workers=n_workers, seed=seed, compiled=compiled
-        )
     if not incremental and graph.num_vars and compiled.is_pairwise:
         return ChromaticGibbsSampler(graph, seed=seed, compiled=compiled)
     return GibbsSampler(graph, seed=seed, compiled=compiled)

@@ -52,7 +52,7 @@ class Database:
     def index_stats(self) -> dict:
         """Aggregate index counters for benchmarks and regression tests.
 
-        ``legacy`` sums the relations' own lazy hash-index counters
+        ``relation`` sums the relations' own lazy hash-index counters
         (:meth:`Relation.index_stats` — point lookups outside the join
         plans); ``columnar`` is the columnar store's counters
         (:attr:`ColumnarStore.stats`: bucket-index builds, batch probes,
@@ -61,17 +61,17 @@ class Database:
         stay flat across ``apply_delta`` — indexes are maintained, never
         rebuilt, under deltas.
         """
-        legacy = {"indexes": 0, "builds": 0, "probes": 0}
+        point = {"indexes": 0, "builds": 0, "probes": 0}
         for relation in self._relations.values():
             for key, value in relation.index_stats().items():
-                legacy[key] += value
+                point[key] += value
         if self._columnar is not None:
             columnar = dict(self._columnar.stats)
         else:
             from repro.db.columnar import ColumnarStore
 
             columnar = dict.fromkeys(ColumnarStore.STAT_KEYS, 0)
-        return {"legacy": legacy, "columnar": columnar}
+        return {"relation": point, "columnar": columnar}
 
     def relation_names(self) -> list:
         return list(self._relations)

@@ -108,10 +108,7 @@ Derived state is repaired, not rebuilt: :meth:`GibbsCache.apply_patch`
 splices the ``field``/``unsat``/``nsat`` caches, :meth:`SweepPlan.apply_patch`
 moves only the touched variables between blocks — in *every* cached
 plan, whatever evidence it was derived for (one for other evidence that
-nobody asked for since the previous patch is dropped instead) — and
-:func:`repair_shard_plan` keeps every surviving block's shard, leaves a
-rebuilt block with its id window, and sends only windows with no
-survivor through the LDG greedy used by :func:`partition_plan`.
+nobody asked for since the previous patch is dropped instead).
 """
 
 from __future__ import annotations
@@ -360,10 +357,10 @@ def bias_init_values(num_new_vars, old_num_vars, bias_add, weights, rng):
 
     Draws each new variable from its bias-only conditional
     ``P(x=1) = σ(2·Σ w_bias)`` — the warm-start initialization shared by
-    every patchable sampler (serial chain, worker chains, sharded
-    controller).  ``bias_add`` holds the patch's ``(var, weight id)``
-    rows (:attr:`CompiledPatch.bias_add`).  Evidence clamps are the
-    caller's job (they differ per consumer)."""
+    every patchable sampler (serial chain, worker chains).  ``bias_add``
+    holds the patch's ``(var, weight id)`` rows
+    (:attr:`CompiledPatch.bias_add`).  Evidence clamps are the caller's
+    job (they differ per consumer)."""
     k = int(num_new_vars)
     if not k:
         return np.zeros(0, dtype=bool)
@@ -838,24 +835,6 @@ class CompiledFactorGraph:
             + (self.slow_indptr[var + 1] - self.slow_indptr[var])
         )
 
-    def degree_array(self) -> np.ndarray:
-        """Per-variable incidence counts, correct under patches."""
-        n0 = self._csr_num_vars
-        base = (
-            np.diff(self.bias_indptr)
-            + np.diff(self.ising_indptr)
-            + np.diff(self.head_indptr)
-            + np.diff(self.body_indptr)
-            + np.diff(self.slow_indptr)
-        )
-        if not self._patched:
-            return base
-        out = np.zeros(self.num_vars, dtype=np.int64)
-        out[:n0] = base
-        for var in np.flatnonzero(self.var_patched).tolist():
-            out[var] = self.degree(var)
-        return out
-
     # ------------------------------------------------------------------ #
     # Compiled gradient aggregation (learning hot path)
     # ------------------------------------------------------------------ #
@@ -990,15 +969,14 @@ class CompiledFactorGraph:
         stats = totals / sizes[:, None]
         return stats[0] if counts is None else stats
 
-    def plan(self, graph: FactorGraph | None = None, window=None) -> "SweepPlan":
+    def plan(self, graph: FactorGraph | None = None) -> "SweepPlan":
         """The (cached) block-structured scan plan for ``graph``'s evidence.
 
         ``graph`` defaults to the compiled graph; passing another graph
         with identical factor structure but different evidence (e.g. the
         free chain of SGD learning) reuses this compilation with its own
-        free-variable partition.  ``window`` narrows the id window of a
-        scan block below the compilation's own (the sharded sampler asks
-        for blocks small enough to balance); it is part of the cache key.
+        free-variable partition.  Plans scan at the compilation's own
+        window and are cached by evidence.
         """
         target = graph if graph is not None else self.graph
         if target.num_vars != self.num_vars:
@@ -1006,13 +984,12 @@ class CompiledFactorGraph:
                 f"graph has {target.num_vars} variables, "
                 f"compiled for {self.num_vars}"
             )
-        window = self._scan_window if window is None else int(window)
-        key = (tuple(sorted(target.evidence.items())), window)
+        key = tuple(sorted(target.evidence.items()))
         plan = self._plan_cache.get(key)
         if plan is None:
             # Always read the *current* evidence (never the compile-time
             # snapshot): evidence may have been set after compilation.
-            plan = SweepPlan(self, target.evidence_mask(), window)
+            plan = SweepPlan(self, target.evidence_mask(), self._scan_window)
             self._plan_cache[key] = plan
         plan.requested = True
         return plan
@@ -1531,15 +1508,15 @@ class CompiledFactorGraph:
             else old_evidence
         )
         cache = {}
-        for (evidence, window), plan in sorted(
-            self._plan_cache.items(), key=lambda item: item[0][0] == old_evidence
+        for evidence, plan in sorted(
+            self._plan_cache.items(), key=lambda item: item[0] == old_evidence
         ):
             own = evidence == old_evidence
             if not (own or plan.requested):
                 continue
             plan.requested = False
             plan.apply_patch(patch, follow_evidence=own)
-            cache[(new_evidence if own else evidence, window)] = plan
+            cache[new_evidence if own else evidence] = plan
         self._plan_cache = cache
         return patch
 
@@ -1678,7 +1655,7 @@ class CompiledFactorGraph:
         capture can be restored.
         Must be taken *before* ``apply_delta`` runs (``_ops_from_delta``
         rewrites the handle table first).  Restoring recovers the exact
-        pre-patch layout — same tombstones, same block ``seq`` stamps,
+        pre-patch layout — same tombstones, same block objects,
         same float summation order — so a retried update is bit-identical
         to one applied to a never-failed engine.
         """
@@ -1823,7 +1800,6 @@ class _Block:
     __slots__ = (
         "vars",
         "key",
-        "seq",
         "scalar_only",
         "use_batch",
         "ising_seg",
@@ -1851,7 +1827,6 @@ class _Block:
     def __init__(self, compiled, vars_, key=None):
         self.vars = vars_
         self.key = key
-        self.seq = -1
         self.scalar_only = bool(compiled._needs_scalar[vars_].any())
         self.use_batch = False
         if self.scalar_only:
@@ -1983,7 +1958,6 @@ class _StackedBlock(_Block):
     def __init__(self, compiled, members):
         n, G, R = compiled.num_vars, compiled.num_groundings, compiled.num_rules
         self.key = members[0][1].key
-        self.seq = -1
         self.parts = [(k, block.vars.tolist()) for k, block in members]
         self.vars = np.concatenate([block.vars + k * n for k, block in members])
         self.scalar_only = any(block.scalar_only for _, block in members)
@@ -2024,9 +1998,8 @@ class SweepPlan:
     share a factor, so resampling them at once is one valid systematic
     scan step), and a variable of an oversized or slow-path factor scans
     alone.  Blocks run window by window, colour by colour inside each,
-    solo blocks last — id-local, which is what the shard partitioner
-    streams over; a patch moves only the variables it touched, so every
-    other block object, and the scan order, survives.
+    solo blocks last; a patch moves only the variables it touched, so
+    every other block object, and the scan order, survives.
     """
 
     def __init__(self, compiled: CompiledFactorGraph, evidence_mask, window: int) -> None:
@@ -2036,7 +2009,6 @@ class SweepPlan:
         self.free_vars = np.flatnonzero(~self.evidence_mask)
         #: Asked for (``CompiledFactorGraph.plan``) since the last patch.
         self.requested = True
-        self._next_seq = 0
         keys = self._keys(self.free_vars)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -2060,18 +2032,11 @@ class SweepPlan:
             ((vars_ // self.window) << _KEY_SHIFT) | c._color[vars_],
         )
 
-    def _take_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
     def _index_blocks(self) -> None:
-        """(Re)build the var → block-position map and stamp block seqs."""
+        """(Re)build the var → block-position map."""
         self._block_of = np.full(self.compiled.num_vars, -1, dtype=np.int64)
         for bi, block in enumerate(self.blocks):
             self._block_of[block.vars] = bi
-            if block.seq < 0:
-                block.seq = self._take_seq()
 
     def apply_patch(self, patch: CompiledPatch, follow_evidence: bool = True) -> None:
         """Re-plan only the blocks a compiled patch touched, in place.
@@ -2079,8 +2044,7 @@ class SweepPlan:
         Every variable whose incidence, colour, solo flag or clamping
         changed leaves its block and joins the one its key now names;
         blocks that lost, gained or kept such a variable are rebuilt
-        (fresh gather arrays, fresh ``seq``), every other block object
-        survives — shard repair keys off the surviving stamps.  With
+        (fresh gather arrays), every other block object survives.  With
         ``follow_evidence=False`` the patch's evidence ops are ignored
         (a plan pinned to its own evidence) and appended variables are
         free."""
@@ -2125,15 +2089,14 @@ class SweepPlan:
         """Capture the mutable plan state for transactional rollback.
 
         Surviving :class:`_Block` objects are never mutated by
-        :meth:`apply_patch` (their ``seq`` stamps are final), so the block
-        list is captured shallowly; ``evidence_mask`` is copied because a
-        var-count-preserving patch writes it in place."""
+        :meth:`apply_patch`, so the block list is captured shallowly;
+        ``evidence_mask`` is copied because a var-count-preserving patch
+        writes it in place."""
         return {
             "evidence_mask": self.evidence_mask.copy(),
             "free_vars": self.free_vars,
             "blocks": list(self.blocks),
             "block_of": self._block_of,
-            "next_seq": self._next_seq,
         }
 
     def restore_state(self, snap: dict) -> None:
@@ -2141,7 +2104,6 @@ class SweepPlan:
         self.free_vars = snap["free_vars"]
         self.blocks = snap["blocks"]
         self._block_of = snap["block_of"]
-        self._next_seq = snap["next_seq"]
         self.requested = True
 
     @property
@@ -2153,34 +2115,6 @@ class SweepPlan:
         """Share of the free variables resampled by the batched kernel."""
         batched = sum(b.vars.size for b in self.blocks if b.use_batch)
         return batched / max(self.free_vars.size, 1)
-
-    def block_costs(self) -> np.ndarray:
-        """Analytic per-block sweep-cost estimates (≈ µs per sweep).
-
-        A batched block pays the fixed price of ≈ 30 numpy calls to
-        evaluate and up to as many to commit, and almost nothing per
-        variable or incidence; a scalar block pays interpreter time for
-        every incidence it walks.  Only *relative* costs matter — they drive
-        the balance objective of :func:`partition_plan`.  Pass measured
-        timings (``repro.inference.parallel.measure_block_costs``) for a
-        calibrated partition instead.
-        """
-        degree = self.compiled.degree_array()
-        costs = np.empty(len(self.blocks), dtype=np.float64)
-        for bi, block in enumerate(self.blocks):
-            vars_ = block.vars
-            incidences = int(degree[vars_].sum())
-            if block.use_batch:
-                costs[bi] = (
-                    _COST_BATCH_BLOCK
-                    + _COST_BATCH_VAR * vars_.size
-                    + _COST_BATCH_INC * incidences
-                )
-            else:
-                costs[bi] = (
-                    _COST_SCALAR_VAR * vars_.size + _COST_SCALAR_INC * incidences
-                )
-        return costs
 
 
 class StackedPlan:
@@ -2247,405 +2181,6 @@ class StackedPlan:
                 for plan, blocks in zip(plans, self.member_blocks)
             )
         )
-
-
-# Cost-model constants for :meth:`SweepPlan.block_costs` (µs), refit in
-# PR 22 on the measurements behind ``_BATCH_MIN``: evaluate + commit under
-# ``sweep_blocks`` over blocks of 1–128 variables cut from the five KBC
-# systems' scale-1.0 plans.  Batched side: residual ≈ 4 % (25.4 / 27.3 /
-# 28.5 / 32.3 / 38.4 µs measured at 8 / 16 / 32 / 64 / 128 variables of 5
-# incidences).  Scalar side: one rate for every kind of incidence leaves
-# ≈ 20 % — Ising and head rows cost 0.95 µs, Pharma's rule-body rows 1.4.
-# They put the batched/scalar crossover where ``_BATCH_MIN`` and
-# ``_BATCH_MIN_ROWS`` do: ≈ 4 variables of 5 incidences, ≈ 21 incidences.
-_COST_BATCH_BLOCK = 25.0
-_COST_BATCH_VAR = 0.05
-_COST_BATCH_INC = 0.014
-_COST_SCALAR_VAR = 0.2
-_COST_SCALAR_INC = 1.2
-
-
-class ShardPlan:
-    """A partition of a :class:`SweepPlan` into worker shards + boundary.
-
-    ``shards[s]`` holds the indices (into ``plan.blocks``) of the blocks
-    whose variables form worker ``s``'s *interior*.  The partition
-    guarantees that **no factor spans two different shards' interior
-    blocks**, so all interiors can be swept concurrently and the result
-    is equivalent to some sequential scan order.  Blocks touching
-    cross-shard factors are collected into ``boundary`` (original scan
-    order) together with ``boundary_owner`` (the shard each was assigned
-    to before demotion).  The two synchronization modes of
-    :class:`~repro.inference.parallel.ShardedGibbsSampler` treat the
-    boundary differently: *serial* resamples boundary blocks in the
-    controller after the parallel phase (an exact Gibbs scan order);
-    *stale* leaves them with their owning shard and lets cross-shard
-    reads lag by one sweep.
-    """
-
-    def __init__(self, plan: SweepPlan, shards, boundary, boundary_owner, costs) -> None:
-        self.plan = plan
-        self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
-        self.boundary = np.asarray(boundary, dtype=np.int64)
-        self.boundary_owner = np.asarray(boundary_owner, dtype=np.int64)
-        self.block_costs = np.asarray(costs, dtype=np.float64)
-        blocks = plan.blocks
-
-        def _vars_of(block_ids):
-            if len(block_ids) == 0:
-                return np.zeros(0, dtype=np.int64)
-            return np.concatenate([blocks[bi].vars for bi in block_ids])
-
-        self.shard_vars = [_vars_of(shard) for shard in self.shards]
-        self.boundary_vars = _vars_of(self.boundary)
-        self.shard_costs = np.array(
-            [float(self.block_costs[s].sum()) for s in self.shards]
-        )
-        self.boundary_cost = float(self.block_costs[self.boundary].sum())
-        # Snapshot block-seq → shard for incremental repair: block indices
-        # shift when the plan is patched, seq stamps do not.
-        self._seq_assign = {}
-        for s, shard in enumerate(self.shards):
-            for bi in shard:
-                self._seq_assign[int(blocks[bi].seq)] = s
-        for bi, owner in zip(self.boundary, self.boundary_owner):
-            self._seq_assign[int(blocks[bi].seq)] = int(owner)
-
-    def owned_blocks(self, shard: int) -> np.ndarray:
-        """Interior + owned-boundary block ids of ``shard`` in scan order
-        (the sweep unit of the *stale* synchronization mode)."""
-        owned = np.concatenate(
-            [self.shards[shard], self.boundary[self.boundary_owner == shard]]
-        )
-        owned.sort()
-        return owned
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def boundary_fraction(self) -> float:
-        """Fraction of total sweep cost paid in the serial boundary phase."""
-        total = float(self.block_costs.sum())
-        return self.boundary_cost / total if total else 0.0
-
-    def _var_shard(self, num_vars: int) -> np.ndarray:
-        """-1 for evidence/unassigned, -2 for boundary, else shard id."""
-        var_shard = np.full(num_vars, -1, dtype=np.int64)
-        blocks = self.plan.blocks
-        for s, shard in enumerate(self.shards):
-            for bi in shard:
-                var_shard[blocks[bi].vars] = s
-        for bi in self.boundary:
-            var_shard[blocks[bi].vars] = -2
-        return var_shard
-
-    def validate(self, compiled: "CompiledFactorGraph") -> None:
-        """Assert no factor couples two different shards' interiors.
-
-        Walks every factor incidence in the compiled arrays (Ising edges,
-        rule head/body memberships, slow-path factors) and checks that the
-        interior variables it touches all live in one shard.  Raises
-        ``AssertionError`` on violation.
-        """
-        var_shard = self._var_shard(compiled.num_vars)
-
-        def _check(members, what):
-            shards = {int(var_shard[v]) for v in members if var_shard[v] >= 0}
-            if len(shards) > 1:
-                raise AssertionError(
-                    f"{what} spans interior blocks of shards {sorted(shards)}"
-                )
-
-        c = compiled
-        a = var_shard[c.ising_row]
-        b = var_shard[c.ising_other]
-        bad = (a >= 0) & (b >= 0) & (a != b) & c.ising_alive
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise AssertionError(
-                f"Ising edge ({int(c.ising_row[k])}, {int(c.ising_other[k])}) "
-                f"spans shards {int(a[k])} and {int(b[k])}"
-            )
-        if c.num_rules:
-            # Group literals by rule once (linear), not one full literal
-            # scan per rule.
-            ri_of_lit = c.grounding_ri[c.lit_gg]
-            order = np.argsort(ri_of_lit, kind="stable")
-            sorted_vars = c.lit_var[order]
-            bounds = np.searchsorted(ri_of_lit[order], np.arange(c.num_rules + 1))
-            for ri in range(c.num_rules):
-                if not c.rule_alive[ri]:
-                    continue
-                members = [int(c.rule_head[ri])]
-                members.extend(sorted_vars[bounds[ri] : bounds[ri + 1]].tolist())
-                _check(members, f"rule factor {ri}")
-        for si, factor in enumerate(c.slow_list):
-            if not c.slow_alive[si]:
-                continue
-            _check(factor.variables(), f"slow factor {si}")
-
-
-#: Id windows per shard that :func:`shard_window` aims for.  A cut
-#: demotes about one window of variables, so the boundary halves with
-#: each doubling — measured on band graphs (|i − j| ≤ 3) cut in two,
-#: boundary fraction 0.33 / 0.33 / 0.16 / 0.08 / 0.04 at 2 / 4 / 8 / 16 /
-#: 32 — while blocks shrink with it: at 16 a 600-variable graph's blocks
-#: fall under ``_BATCH_MIN`` (batched fraction 0.99 → 0.00) and at 4 000
-#: variables serial-sync sweeps/s peak at 8 (472 / 447 / 586 / 569 / 479).
-_SHARD_WINDOWS = 8
-
-
-def shard_window(compiled: CompiledFactorGraph, n_shards: int) -> int:
-    """Scan-window width for a plan that is to be cut into ``n_shards``.
-
-    Blocks are the partitioner's atoms, and one block demoted to the
-    boundary takes its whole window of a colour class with it: on a graph
-    smaller than a few default windows per shard the window narrows so
-    every shard still has ``_SHARD_WINDOWS`` of them to balance with.
-    Never wider than the compilation's own window."""
-    return max(
-        1,
-        min(
-            compiled._scan_window,
-            compiled.num_vars // (max(n_shards, 1) * _SHARD_WINDOWS),
-        ),
-    )
-
-
-def partition_plan(
-    compiled: CompiledFactorGraph,
-    plan: SweepPlan,
-    n_shards: int,
-    block_costs=None,
-    capacity_slack: float = 0.15,
-) -> ShardPlan:
-    """Partition ``plan``'s blocks into balanced, factor-disjoint shards.
-
-    Greedy min-cut assignment in the LDG (linear deterministic greedy)
-    style over the plan's *id windows* — the colour classes of one window
-    interleave on the same ids, so they travel together and each shard
-    colours its own interior; a variable that scans alone is its own
-    atom.  Atoms are streamed in descending cost order and each goes to
-    the shard maximising ``affinity · (1 − load/capacity)`` where
-    *affinity* counts factor links (from the CSR edge arrays) to atoms
-    already on that shard and *capacity* is the balanced share plus
-    ``capacity_slack``.  Any block left touching a cross-shard factor is
-    then demoted to the serial ``boundary`` set, which restores the
-    invariant checked by :meth:`ShardPlan.validate`: no factor spans two
-    shards' interiors.
-    """
-    return _partition(compiled, plan, n_shards, block_costs, capacity_slack, {})
-
-
-def repair_shard_plan(
-    compiled: CompiledFactorGraph,
-    plan: SweepPlan,
-    prev: ShardPlan,
-    n_shards: int,
-    block_costs=None,
-    capacity_slack: float = 0.15,
-) -> ShardPlan:
-    """Incrementally re-partition a patched plan into shards.
-
-    Blocks that survived the plan patch keep their previous shard (looked
-    up by block ``seq`` stamp — indices shift, stamps do not) and a
-    rebuilt block stays with the rest of its window; only windows with no
-    surviving block stream through the same LDG greedy that
-    :func:`partition_plan` uses.  The cross-factor demotion pass then
-    re-establishes the :meth:`ShardPlan.validate` invariant globally."""
-    return _partition(
-        compiled, plan, n_shards, block_costs, capacity_slack, prev._seq_assign
-    )
-
-
-def _partition(compiled, plan, n_shards, block_costs, capacity_slack, prev_assign):
-    blocks = plan.blocks
-    B = len(blocks)
-    costs = (
-        plan.block_costs()
-        if block_costs is None
-        else np.asarray(block_costs, dtype=np.float64)
-    )
-    if costs.shape != (B,):
-        raise ValueError(
-            f"block_costs has shape {costs.shape}, plan has {B} blocks"
-        )
-    none = np.zeros(0, np.int64)
-    if B == 0:
-        return ShardPlan(plan, [none] * max(n_shards, 1), none, none, costs)
-    if n_shards <= 1:
-        return ShardPlan(plan, [np.arange(B, dtype=np.int64)], none, none, costs)
-
-    c = compiled
-    var_block = np.full(c.num_vars, -1, dtype=np.int64)
-    for bi, block in enumerate(blocks):
-        var_block[block.vars] = bi
-    # Atom of each block: its id window, or itself when it scans alone.
-    keys = np.fromiter((block.key for block in blocks), dtype=np.int64, count=B)
-    window = keys >> _KEY_SHIFT
-    _, atom_of = np.unique(
-        np.where(window == _SOLO_WINDOW, keys, window), return_inverse=True
-    )
-    A = int(atom_of.max()) + 1
-    atom_shard = np.full(A, -1, dtype=np.int64)
-    for bi, block in enumerate(blocks):
-        atom_shard[atom_of[bi]] = max(
-            atom_shard[atom_of[bi]], prev_assign.get(int(block.seq), -1)
-        )
-
-    var_atom = np.where(var_block >= 0, atom_of[var_block], -1)
-    adj_indptr, adj_dst, adj_w = _block_affinity(c, var_atom, A)
-    atom_shard = _ldg_assign(
-        np.bincount(atom_of, weights=costs, minlength=A),
-        adj_indptr, adj_dst, adj_w, n_shards, capacity_slack, atom_shard,
-    )
-    shard_of = atom_shard[atom_of]
-    is_boundary_block = _demote_boundary(c, var_block, shard_of, n_shards)
-
-    boundary = np.flatnonzero(is_boundary_block)
-    shards = [
-        np.flatnonzero((shard_of == s) & ~is_boundary_block)
-        for s in range(n_shards)
-    ]
-    return ShardPlan(plan, shards, boundary, shard_of[boundary], costs)
-
-
-def _block_affinity(c: CompiledFactorGraph, var_block, B: int):
-    """Block-level affinity CSR from the (alive-masked) incidence arrays."""
-    pair_a, pair_b = [], []
-
-    def _add_pairs(a, b, valid=None):
-        mask = (a >= 0) & (b >= 0) & (a != b)
-        if valid is not None:
-            mask &= valid
-        if mask.any():
-            pair_a.append(a[mask])
-            pair_b.append(b[mask])
-
-    if c.ising_row.size:
-        # Each undirected edge appears twice, once per direction.
-        _add_pairs(
-            var_block[c.ising_row], var_block[c.ising_other], c.ising_alive
-        )
-    if c.lit_var.size:
-        # Star approximation: link every body-literal block to the rule's
-        # head block (and back) — cheap, and enough signal for the greedy
-        # assignment; exact cross detection happens in the demotion pass.
-        ri_of_lit = c.grounding_ri[c.lit_gg]
-        lit_alive = c.rule_alive[ri_of_lit]
-        lit_blocks = var_block[c.lit_var]
-        head_blocks = var_block[c.rule_head][ri_of_lit]
-        _add_pairs(lit_blocks, head_blocks, lit_alive)
-        _add_pairs(head_blocks, lit_blocks, lit_alive)
-    for si, factor in enumerate(c.slow_list):
-        if not c.slow_alive[si]:
-            continue
-        members = sorted(
-            {int(var_block[v]) for v in factor.variables() if var_block[v] >= 0}
-        )
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                pair_a.append(np.array([a, b]))
-                pair_b.append(np.array([b, a]))
-
-    if pair_a:
-        edge_a = np.concatenate(pair_a)
-        edge_b = np.concatenate(pair_b)
-        keys, weights = np.unique(edge_a.astype(np.int64) * B + edge_b, return_counts=True)
-        adj_src = keys // B
-        adj_dst = keys % B
-        adj_indptr = np.searchsorted(adj_src, np.arange(B + 1))
-    else:
-        adj_dst = np.zeros(0, dtype=np.int64)
-        weights = np.zeros(0, dtype=np.int64)
-        adj_indptr = np.zeros(B + 1, dtype=np.int64)
-    return adj_indptr, adj_dst, weights
-
-
-def _ldg_assign(
-    costs, adj_indptr, adj_dst, adj_w, n_shards: int, capacity_slack: float, shard_of
-):
-    """Greedy balanced assignment of the ``shard_of < 0`` blocks.
-
-    Preassigned blocks (incremental repair) contribute to shard loads and
-    affinities but are not moved."""
-    total = float(costs.sum())
-    capacity = (total / n_shards) * (1.0 + capacity_slack) or 1.0
-    load = np.zeros(n_shards, dtype=np.float64)
-    for s in range(n_shards):
-        pre = shard_of == s
-        if pre.any():
-            load[s] = float(costs[pre].sum())
-    unassigned = np.flatnonzero(shard_of < 0)
-    order = unassigned[np.argsort(-costs[unassigned], kind="stable")]
-    aff = np.zeros(n_shards, dtype=np.float64)
-    for bi in order:
-        bi = int(bi)
-        aff[:] = 0.0
-        lo, hi = adj_indptr[bi], adj_indptr[bi + 1]
-        for nb, w in zip(adj_dst[lo:hi], adj_w[lo:hi]):
-            s = shard_of[nb]
-            if s >= 0:
-                aff[s] += float(w)
-        score = aff * np.maximum(1.0 - load / capacity, 0.0)
-        best = int(score.argmax())
-        if score[best] <= 0.0:
-            best = int(load.argmin())
-        shard_of[bi] = best
-        load[best] += costs[bi]
-    return shard_of
-
-
-def _demote_boundary(c: CompiledFactorGraph, var_block, shard_of, n_shards: int):
-    """Mark blocks on cross-shard (live) factors for the serial boundary."""
-    B = shard_of.shape[0]
-    var_shard = np.where(var_block >= 0, shard_of[var_block], -1)
-    is_boundary_block = np.zeros(B, dtype=bool)
-
-    def _mark_vars(vars_):
-        bs = var_block[vars_]
-        is_boundary_block[bs[bs >= 0]] = True
-
-    if c.ising_row.size:
-        a = var_shard[c.ising_row]
-        b = var_shard[c.ising_other]
-        cross = (a >= 0) & (b >= 0) & (a != b) & c.ising_alive
-        if cross.any():
-            _mark_vars(c.ising_row[cross])
-            _mark_vars(c.ising_other[cross])
-    if c.num_rules:
-        BIG = n_shards + 1
-        rule_min = np.full(c.num_rules, BIG, dtype=np.int64)
-        rule_max = np.full(c.num_rules, -1, dtype=np.int64)
-        head_shard = var_shard[c.rule_head]
-        np.minimum.at(
-            rule_min, np.arange(c.num_rules), np.where(head_shard >= 0, head_shard, BIG)
-        )
-        np.maximum.at(
-            rule_max, np.arange(c.num_rules), head_shard
-        )
-        if c.lit_var.size:
-            ri_of_lit = c.grounding_ri[c.lit_gg]
-            lit_shard = var_shard[c.lit_var]
-            np.minimum.at(
-                rule_min, ri_of_lit, np.where(lit_shard >= 0, lit_shard, BIG)
-            )
-            np.maximum.at(rule_max, ri_of_lit, lit_shard)
-        cross_rule = (rule_min < rule_max) & (rule_min < BIG) & c.rule_alive
-        if cross_rule.any():
-            _mark_vars(c.rule_head[cross_rule])
-            if c.lit_var.size:
-                _mark_vars(c.lit_var[cross_rule[c.grounding_ri[c.lit_gg]]])
-    for si, factor in enumerate(c.slow_list):
-        if not c.slow_alive[si]:
-            continue
-        members = np.fromiter(factor.variables(), dtype=np.int64)
-        shards = {int(s) for s in var_shard[members] if s >= 0}
-        if len(shards) > 1:
-            _mark_vars(members)
-    return is_boundary_block
 
 
 class GibbsCache:

@@ -8,16 +8,15 @@
   Gibbs for pairwise (Ising/bias) graphs via graph colouring.
 * :class:`~repro.inference.metropolis.IndependentMH` — the sampling
   approach's inference phase (§3.2.2): materialized samples as proposals.
-* :mod:`~repro.inference.parallel` — sharded multi-process sweeps and
-  parallel chain ensembles over shared-memory compiled arrays
-  (:class:`ShardedGibbsSampler`, :class:`ParallelChainEnsemble`).
+* :mod:`~repro.inference.parallel` — parallel chain ensembles over
+  shared-memory compiled arrays (:class:`ParallelChainEnsemble`).
 """
 
 from repro.inference.chromatic import ChromaticGibbsSampler
 from repro.inference.exact import ExactInference
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.metropolis import IndependentMH, MHResult
-from repro.inference.parallel import ParallelChainEnsemble, ShardedGibbsSampler
+from repro.inference.parallel import ParallelChainEnsemble
 
 __all__ = [
     "ChromaticGibbsSampler",
@@ -26,5 +25,4 @@ __all__ = [
     "IndependentMH",
     "MHResult",
     "ParallelChainEnsemble",
-    "ShardedGibbsSampler",
 ]

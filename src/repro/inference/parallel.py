@@ -1,43 +1,26 @@
-"""Sharded multi-process Gibbs sampling and parallel chain ensembles.
+"""Parallel chain ensembles over a shared-memory compiled graph.
 
 Inference is the inner subroutine of both learning and incremental
 materialization (paper §1, §3.3), so sampling throughput bounds the whole
-pipeline.  This module parallelises the flat-array kernel of
+pipeline.  This module runs the flat-array kernel of
 :mod:`repro.graph.compiled` across OS processes in the spirit of
-DimmWitted-style NUMA-aware sampling (Ré et al. 2014), in two modes:
+DimmWitted-style sampling (Ré et al. 2014): the compiled CSR arrays are
+exported once into :mod:`multiprocessing.shared_memory`
+(:class:`SharedGraphExport`), and a :class:`GibbsWorkerPool` of
+persistent, supervised worker processes attaches zero-copy.
 
-**Sharded sweeps** (:class:`ShardedGibbsSampler`) — one Markov chain whose
-per-sweep work is split across workers.  The compiled CSR arrays are
-exported once into :mod:`multiprocessing.shared_memory` (workers attach
-zero-copy), the scan-order block plan is partitioned by
-:func:`~repro.graph.compiled.partition_plan` into balanced shards whose
-*interior* blocks share no factor, and every sweep runs one worker per
-shard.  Cross-shard state travels through a double-buffered shared
-assignment; two synchronization policies are offered:
-
-* ``sync="serial"`` — boundary blocks (those touching cross-shard
-  factors) are resampled serially by the controller after the parallel
-  phase.  Every variable is drawn from its exact full conditional, so
-  the chain is an ordinary Gibbs sampler with a fixed (parallel-friendly)
-  scan order.
-* ``sync="stale"`` — boundary blocks stay with their owning shard and
-  cross-shard reads lag by exactly one sweep (workers reconcile foreign
-  boundary flips from the previous sweep before sweeping).  This is the
-  classic synchronous/Hogwild-style approximation: higher parallel
-  fraction on low-locality graphs, at the price of a small, bounded
-  staleness bias.
-
-**Chain ensembles** (:class:`ParallelChainEnsemble`) — embarrassingly
-parallel: whole independent chains are farmed to workers, one
+Whole independent chains are farmed to the workers — one
 :class:`~repro.graph.compiled.GibbsCache` per chain, all attached to the
-same shared compilation.  Used by ``inference.convergence`` (ensemble
-marginals per sweep), ``learning.sgd`` (conditioned + free persistent
-chains advance concurrently) and ``core.sampling`` (parallel chains fill
-the tuple bundle within the materialization budget).
+same shared compilation, no per-sweep synchronization.  Used by
+:class:`ParallelChainEnsemble` (``inference.convergence``'s ensemble
+marginals per sweep, ``core.sampling``'s parallel chains filling the
+tuple bundle within the materialization budget) and by ``learning.sgd``
+(conditioned + free persistent chains advance concurrently).  The same
+pool, without a graph export, runs the grounding shards of
+:mod:`repro.grounding.sharded`.
 
-``n_workers=1`` always short-circuits to the in-process serial kernel —
-bit-identical to :class:`~repro.inference.gibbs.GibbsSampler` for the
-same seed — so every consumer keeps a zero-dependency fallback.
+Every consumer takes ``n_workers=1`` as the in-process serial path, so
+none depends on this module to run.
 """
 
 from __future__ import annotations
@@ -56,14 +39,9 @@ from repro.graph.compiled import (
     _GROWABLE_NAMES as _COMPILED_GROWABLE,
     CompiledFactorGraph,
     GibbsCache,
-    ShardPlan,
-    SweepPlan,
     bias_init_values,
-    partition_plan,
-    repair_shard_plan,
-    shard_window,
 )
-from repro.inference.gibbs import GibbsSampler, iter_worlds, logit_rows, sweep_blocks
+from repro.inference.gibbs import iter_worlds, logit_rows, sweep_blocks
 from repro.reliability.errors import WorkerCrashError
 from repro.reliability.faults import maybe_fire
 from repro.reliability.retry import RetryPolicy
@@ -75,9 +53,7 @@ _UNSET = object()
 __all__ = [
     "SharedGraphExport",
     "GibbsWorkerPool",
-    "ShardedGibbsSampler",
     "ParallelChainEnsemble",
-    "measure_block_costs",
     "default_context",
 ]
 
@@ -155,9 +131,7 @@ class SharedGraphExport:
     All flat CSR arrays (plus the weight vector and a version cell) are
     copied once into a single :class:`multiprocessing.shared_memory`
     segment; worker processes attach by name and rebuild numpy views over
-    the same pages — no per-worker copy of the graph structure.  Extra
-    named regions (e.g. the double-buffered assignment of the sharded
-    sampler, or an ensemble state matrix) can be requested at creation.
+    the same pages — no per-worker copy of the graph structure.
 
     Weight updates flow through :meth:`push_weights`: the controller
     writes the new values and version between sweeps (workers are blocked
@@ -166,7 +140,7 @@ class SharedGraphExport:
     sweep, exactly like the serial kernel.
     """
 
-    def __init__(self, compiled: CompiledFactorGraph, extra=None) -> None:
+    def __init__(self, compiled: CompiledFactorGraph) -> None:
         if compiled.has_patches:
             # Worker attachment rebuilds the Python mirrors from the
             # per-variable CSR snapshot, which is stale on a patched
@@ -209,12 +183,6 @@ class SharedGraphExport:
         )
         offset += 8 * len(_GROWABLE_EXPORT)
 
-        for name, (shape, dtype) in (extra or {}).items():
-            dtype = np.dtype(dtype)
-            offset = _align(offset)
-            manifest.append((name, offset, tuple(shape), dtype.str))
-            offset += int(np.prod(shape)) * dtype.itemsize
-
         self.manifest = manifest
         self.shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
         self._finalizer = weakref.finalize(
@@ -233,19 +201,9 @@ class SharedGraphExport:
         self._views["__structure_version__"][0] = 0
 
     def array(self, name: str) -> np.ndarray:
-        """Controller-side view of an exported or extra region (full
-        capacity for growable regions — slice by the logical size)."""
+        """Controller-side view of an exported region (full capacity for
+        growable regions — slice by the logical size)."""
         return self._views[name]
-
-    def readonly_view(self, name: str, size: int | None = None) -> np.ndarray:
-        """Read-only, zero-copy view of a region (optionally its logical
-        prefix) — the service read path's handle on live shared state:
-        no pool round-trip, no copy, and accidental mutation raises."""
-        view = (
-            self._views[name] if size is None else self._views[name][:size]
-        ).view()
-        view.flags.writeable = False
-        return view
 
     def push_weights(self, store) -> None:
         """Publish the store's current values + version to the workers.
@@ -302,8 +260,7 @@ class SharedGraphExport:
         :meth:`apply_patch`), so any byte difference within the logical
         sizes means the segment was scribbled on.  The weight region is
         only compared when its version cell matches the store (a pending
-        unpushed weight update is not corruption).  Extra regions (state
-        buffers) have no controller ground truth and are not checked."""
+        unpushed weight update is not corruption)."""
         bad = []
         c = self.compiled
         for name in _EXPORT_ARRAYS:
@@ -552,7 +509,8 @@ def _noop() -> None:
 
 
 class _Worker:
-    """Dispatch table of one worker process (chains and/or one shard)."""
+    """Dispatch table of one worker process (chains, or a grounding
+    session)."""
 
     def __init__(self, spec: dict) -> None:
         if spec is None:
@@ -574,7 +532,6 @@ class _Worker:
             )
             self.default_evidence = spec["evidence"]
         self.chains = {}
-        self.shard = None
         self.grounding = None
 
     # ---- sharded-grounding mode -------------------------------------- #
@@ -582,7 +539,7 @@ class _Worker:
     def ground(self, op, **kwargs):
         """Dispatch one sharded-grounding session command.
 
-        Lazily imported so chain/shard inference workers never pay for
+        Lazily imported so chain workers never pay for
         the grounding module; the session holds this worker's columnar
         mirrors, pinned plans, and pinned delta batches."""
         if self.grounding is None:
@@ -694,52 +651,6 @@ class _Worker:
             worlds.append(chain["state"].copy())
         return _pack_worlds(worlds)
 
-    # ---- sharded-sweep mode ------------------------------------------ #
-
-    def shard_init(self, blocks, watch_vars, own_vars, rng, initial, fast_forward=0):
-        """Set up this worker's shard of one sharded chain.
-
-        ``blocks`` is a list of per-block variable arrays in scan
-        order; ``watch_vars`` are the foreign boundary variables whose
-        flips must be reconciled into the local caches between sweeps.
-        ``fast_forward`` discards the uniforms of that many already-
-        completed sweeps (one ``random(num_own)`` draw each), so a worker
-        respawned mid-chain rejoins the exact rng stream a never-crashed
-        worker would be on.
-        """
-        state = np.array(initial, dtype=bool)
-        shard_rng = as_generator(rng)
-        num_own = int(sum(len(v) for v in blocks))
-        for _ in range(int(fast_forward)):
-            shard_rng.random(num_own)
-        self.shard = {
-            "blocks": [self.compiled.gather_block(v) for v in blocks],
-            "watch": np.asarray(watch_vars, dtype=np.int64),
-            "own": np.asarray(own_vars, dtype=np.int64),
-            "state": state,
-            "cache": GibbsCache(self.compiled, state),
-            "rng": shard_rng,
-            "num_own": num_own,
-        }
-
-    def shard_sweep(self, k):
-        """One parallel phase: reconcile foreign flips, sweep, publish."""
-        shard = self.shard
-        state, cache = shard["state"], shard["cache"]
-        prev = self.views["state0" if k % 2 == 0 else "state1"]
-        cur = self.views["state1" if k % 2 == 0 else "state0"]
-        watch = shard["watch"]
-        if watch.size:
-            changed = watch[state[watch] != prev[watch]]
-            for var in changed:
-                cache.commit_flip(int(var), bool(prev[var]), state)
-        cache.refresh_weights(state)
-        (logits,) = logit_rows(shard["rng"], shard["num_own"], 1)
-        sweep_blocks(cache, state, shard["blocks"], logits)
-        own = shard["own"]
-        cur[own] = state[own]
-        return None
-
     # ---- incremental graph updates ----------------------------------- #
 
     def _patch_chain_state(self, chain, patch) -> None:
@@ -760,12 +671,9 @@ class _Worker:
 
         The controller has already grown the shared regions in place (the
         segment survives, no respawn); this worker re-slices its views,
-        replays the mirror ops, and warm-patches its persistent chains.
-        A sharded worker drops its shard state — the controller re-sends
-        ``shard_init`` with the repaired shard plan right after."""
+        replays the mirror ops, and warm-patches its persistent chains."""
         patch = self.compiled.apply_patch_ops(ops)
         self.default_evidence = dict(self.compiled.graph.evidence)
-        self.shard = None
         for chain in self.chains.values():
             custom = chain["custom_evidence"]
             chain.pop("nll_scorer", None)
@@ -796,7 +704,6 @@ class _Worker:
             self, _cleanup_shm, self.shm, unlink=False
         )
         self.default_evidence = spec["evidence"]
-        self.shard = None
         self.chains = {}
         for cid, chain in old_chains.items():
             state = np.asarray(chain["state"], dtype=bool)
@@ -832,8 +739,8 @@ class _Worker:
         """Die abruptly (``os._exit``: no reply, no cleanup handlers).
 
         With ``after`` set, the named command runs to completion first —
-        the deterministic "worker finished its sweep, published, then
-        crashed before replying" scenario of the fault harness."""
+        the deterministic "worker finished its command, then crashed
+        before replying" scenario of the fault harness."""
         if after is not None:
             getattr(self, after)(**(kwargs or {}))
         self._finalizer()
@@ -884,9 +791,9 @@ class GibbsWorkerPool:
     from the export's creation-time spec plus the recorded patch-op log —
     the same deterministic replay machinery used by the incremental
     update path — then replays recorded ``chain_init`` commands, or
-    defers to ``session_restorer`` when a consumer (the sharded sampler)
-    owns richer per-worker state.  :meth:`supervised_call` wraps
-    send/recv/respawn under a :class:`RetryPolicy`.
+    defers to ``session_restorer`` when a consumer (the grounding
+    executor) owns richer per-worker state.  :meth:`supervised_call`
+    wraps send/recv/respawn under a :class:`RetryPolicy`.
     """
 
     _POLL_STEP = 0.05
@@ -895,7 +802,6 @@ class GibbsWorkerPool:
         self,
         compiled: CompiledFactorGraph,
         n_workers: int,
-        extra=None,
         ctx=None,
         command_timeout: float | None = None,
     ) -> None:
@@ -911,7 +817,7 @@ class GibbsWorkerPool:
             self.export = None
             self._spec = None
         else:
-            self.export = SharedGraphExport(compiled, extra=extra)
+            self.export = SharedGraphExport(compiled)
             # Respawn baseline: the clean (compacted) spec of the current
             # segment plus every patch-op dict shipped since.  A fresh
             # worker attaches the baseline and replays the log — patch
@@ -1048,7 +954,7 @@ class GibbsWorkerPool:
         The replacement attaches the current segment via the baseline
         spec, replays the patch-op log to rebuild the crashed worker's
         structural state, then restores session state: the consumer's
-        ``session_restorer`` callback if registered (sharded sampler),
+        ``session_restorer`` callback if registered (grounding executor),
         else the recorded ``chain_init`` history (chain consumers —
         chains restart from their initial state)."""
         proc = self._procs[worker]
@@ -1105,13 +1011,13 @@ class GibbsWorkerPool:
         point of the incremental path is that these never respawn)."""
         return [proc.pid for proc in self._procs]
 
-    def reexport(self, compiled: CompiledFactorGraph, extra=None, ops=None) -> None:
+    def reexport(self, compiled: CompiledFactorGraph, ops=None) -> None:
         """Move the pool onto a fresh export segment without respawning.
 
         Used when a patch outgrew the old segment's capacity slack (or a
         compaction invalidated the CSR snapshot): workers detach, attach
         the new segment, and keep their persistent chain states."""
-        new_export = SharedGraphExport(compiled, extra=extra)
+        new_export = SharedGraphExport(compiled)
         spec = new_export.spec()
         self.broadcast(
             "graph_reattach",
@@ -1169,462 +1075,6 @@ def _shutdown_pool(conns, procs) -> None:
             conn.close()
         except OSError:
             pass
-
-
-# --------------------------------------------------------------------- #
-# Sharded single-chain sampler
-# --------------------------------------------------------------------- #
-
-
-class ShardedGibbsSampler:
-    """One Gibbs chain whose sweeps run sharded across worker processes.
-
-    Parameters
-    ----------
-    graph, seed, initial, compiled:
-        As for :class:`~repro.inference.gibbs.GibbsSampler`.
-    n_workers:
-        Number of shard workers.  ``1`` runs the in-process serial kernel
-        — bit-identical to ``GibbsSampler`` for the same seed.
-    sync:
-        ``"serial"`` (default): boundary blocks are resampled serially by
-        the controller after the parallel phase; the chain is an exact
-        Gibbs sampler under a fixed scan order.  ``"stale"``: boundary
-        blocks stay with their owning shard and cross-shard reads lag one
-        sweep (synchronous-Gibbs approximation; higher parallel fraction
-        on graphs with large cuts).
-    block_costs:
-        Optional per-block cost vector for the shard partitioner (e.g.
-        from :func:`measure_block_costs`), over the blocks of
-        ``compiled.plan(graph, window=shard_window(compiled, n_workers))``
-        — the plan this sampler cuts; defaults to the analytic model.
-    command_timeout:
-        Per-command reply deadline (seconds) for pool supervision; a
-        worker that neither replies nor dies within it counts as hung.
-        ``None`` (default) waits indefinitely on live workers but still
-        detects death promptly.
-    retry:
-        :class:`RetryPolicy` for respawn-and-retry of crashed shard
-        workers; after it is exhausted the sampler degrades permanently
-        to the in-process serial kernel (``degradations`` counter)
-        instead of raising.
-    audit_every:
-        If > 0, run a detect-and-repair pass over the shared export every
-        that many sweeps (``repairs`` counts regions repaired).
-    """
-
-    def __init__(
-        self,
-        graph,
-        n_workers: int = 1,
-        seed=None,
-        initial=None,
-        compiled: CompiledFactorGraph | None = None,
-        sync: str = "serial",
-        block_costs=None,
-        ctx=None,
-        command_timeout: float | None = None,
-        retry: RetryPolicy | None = None,
-        audit_every: int = 0,
-    ) -> None:
-        if sync not in ("serial", "stale"):
-            raise ValueError(f"sync must be 'serial' or 'stale', got {sync!r}")
-        self.graph = graph
-        self.n_workers = n_workers
-        self.sync = sync
-        self.sweeps_done = 0
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.audit_every = audit_every
-        self.total_respawns = 0
-        self.degradations = 0
-        self.repairs = 0
-        if n_workers <= 1:
-            self._serial = GibbsSampler(
-                graph, seed=seed, initial=initial, compiled=compiled
-            )
-            self.compiled = self._serial.compiled
-            self.plan = self._serial.plan
-            self.shard_plan = None
-            self.pool = None
-            return
-        self._serial = None
-        self.compiled = compiled if compiled is not None else CompiledFactorGraph(graph)
-        if self.compiled.has_patches:
-            # The export would compact anyway (worker attach needs a clean
-            # CSR snapshot); compacting *before* deriving the plan and
-            # shard partition keeps them aligned with what workers see.
-            self.compiled.compact()
-        self._window = shard_window(self.compiled, n_workers)
-        self.plan = self.compiled.plan(graph, window=self._window)
-        self.shard_plan = partition_plan(
-            self.compiled, self.plan, n_workers, block_costs=block_costs
-        )
-
-        rng = as_generator(seed)
-        self.rng = rng
-        if initial is None:
-            self._state = graph.initial_assignment(rng)
-        else:
-            self._state = np.array(initial, dtype=bool)
-            ev_vars, ev_vals = graph.evidence_arrays()
-            self._state[ev_vars] = ev_vals
-
-        n = graph.num_vars
-        cap_n = _capacity(n)
-        self.pool = GibbsWorkerPool(
-            self.compiled,
-            n_workers,
-            extra={"state0": ((cap_n,), bool), "state1": ((cap_n,), bool)},
-            ctx=ctx,
-            command_timeout=command_timeout,
-        )
-        self._pushed_version = graph.weights.version
-        self.pool.export.array("state0")[:n] = self._state
-        self.pool.export.array("state1")[:n] = self._state
-
-        self._init_shards()
-
-    def _init_shards(self) -> None:
-        """(Re)send every worker its shard of the current shard plan."""
-        n_workers = self.n_workers
-        worker_rngs = spawn(self.rng, n_workers)
-        # Retained for crash recovery: the controller-side Generator
-        # objects are never advanced (pickling them for the initial send
-        # does not mutate state), so re-sending one with ``fast_forward``
-        # reproduces a respawned worker's stream position exactly.
-        self._shard_rngs = worker_rngs
-        self._sweeps_at_init = self.sweeps_done
-        self._shard_init_args = []
-        sp = self.shard_plan
-        blocks = self.plan.blocks
-        boundary_set = set(sp.boundary.tolist())
-        for s in range(n_workers):
-            if self.sync == "serial":
-                own_ids = sp.shards[s]
-                watch = sp.boundary_vars
-            else:
-                own_ids = sp.owned_blocks(s)
-                own_boundary = {
-                    int(bi)
-                    for bi in sp.boundary[sp.boundary_owner == s]
-                }
-                foreign_boundary = [
-                    blocks[bi].vars for bi in boundary_set - own_boundary
-                ]
-                watch = (
-                    np.sort(np.concatenate(foreign_boundary))
-                    if foreign_boundary
-                    else np.zeros(0, dtype=np.int64)
-                )
-            own_vars = (
-                np.concatenate([blocks[bi].vars for bi in own_ids])
-                if len(own_ids)
-                else np.zeros(0, dtype=np.int64)
-            )
-            kwargs = dict(
-                blocks=[blocks[bi].vars for bi in own_ids],
-                watch_vars=watch,
-                own_vars=own_vars,
-            )
-            self._shard_init_args.append(kwargs)
-            self.pool.call(
-                s, "shard_init", rng=worker_rngs[s], initial=self._state, **kwargs
-            )
-        self.pool.session_restorer = self._restore_worker_session
-
-        if self.sync == "serial":
-            self._cache = GibbsCache(self.compiled, self._state)
-            self._boundary_blocks = [blocks[bi] for bi in sp.boundary]
-            self._boundary_size = int(sp.boundary_vars.size)
-            self._interior_vars = (
-                np.sort(np.concatenate([v for v in sp.shard_vars if v.size]))
-                if any(v.size for v in sp.shard_vars)
-                else np.zeros(0, dtype=np.int64)
-            )
-            self._boundary_adjacent = self._compute_boundary_adjacent()
-        else:
-            self._cache = None
-            self._free = self.plan.free_vars
-
-    # ------------------------------------------------------------------ #
-
-    def _compute_boundary_adjacent(self) -> np.ndarray:
-        """Mask of variables sharing a factor with any boundary variable.
-
-        The controller only resamples boundary blocks, whose conditionals
-        read caches of boundary-adjacent factors; interior flips outside
-        this mask are mirrored into the assignment without cache work.
-        """
-        c = self.compiled
-        n = c.num_vars
-        on_boundary = np.zeros(n, dtype=bool)
-        on_boundary[self.shard_plan.boundary_vars] = True
-        adjacent = np.zeros(n, dtype=bool)
-        if c.ising_row.size:
-            hit = on_boundary[c.ising_row] & c.ising_alive
-            adjacent[c.ising_other[hit]] = True
-        if c.num_rules:
-            rule_hit = on_boundary[c.rule_head] & c.rule_alive
-            if c.lit_var.size:
-                ri_of_lit = c.grounding_ri[c.lit_gg]
-                lit_alive = c.rule_alive[ri_of_lit]
-                rule_hit[ri_of_lit[on_boundary[c.lit_var] & lit_alive]] = True
-                adjacent[c.lit_var[rule_hit[ri_of_lit] & lit_alive]] = True
-            adjacent[c.rule_head[rule_hit]] = True
-        for si, factor in enumerate(c.slow_list):
-            if not c.slow_alive[si]:
-                continue
-            members = list(factor.variables())
-            if on_boundary[members].any():
-                adjacent[members] = True
-        return adjacent
-
-    @property
-    def state(self) -> np.ndarray:
-        if self._serial is not None:
-            return self._serial.state
-        return self._state
-
-    def state_view(self) -> np.ndarray:
-        """Zero-copy, read-only view of the current chain assignment.
-
-        With a live pool under ``sync='serial'`` this reuses the shared
-        export's published state buffer (the boundary phase writes the
-        merged state back into the buffer of the completed sweep), so a
-        reader sees the chains without a pool round-trip or a copy.
-        Consistent at sweep boundaries; the buffers mutate during sweeps.
-        """
-        if self._serial is not None:
-            view = self._serial.state.view()
-        elif self.pool is not None and self.sync == "serial":
-            k = self.sweeps_done - 1
-            # Before the first sweep both buffers hold the initial state.
-            name = "state0" if k < 0 or k % 2 == 1 else "state1"
-            return self.pool.export.readonly_view(name, self.graph.num_vars)
-        else:
-            view = self._state.view()
-        view.flags.writeable = False
-        return view
-
-    # ------------------------------------------------------------------ #
-    # Supervision / crash recovery
-
-    def _restore_worker_session(self, worker: int) -> None:
-        """Rebuild a respawned worker's shard session (pool callback).
-
-        Invoked by :meth:`GibbsWorkerPool.respawn_worker` after the fresh
-        process has attached the export and replayed the patch-op log.
-        The controller state is the end of the last completed sweep and
-        the retained rng was never advanced controller-side, so replaying
-        ``shard_init`` with ``fast_forward`` (one uniform block per sweep
-        completed since the last init) lands the worker's stream exactly
-        where the crashed one stood — the retried ``shard_sweep`` is
-        bit-identical to the one that was lost."""
-        self.pool.call(
-            worker,
-            "shard_init",
-            rng=self._shard_rngs[worker],
-            initial=self._state,
-            fast_forward=self.sweeps_done - self._sweeps_at_init,
-            **self._shard_init_args[worker],
-        )
-
-    def _recover_worker(self, worker: int) -> None:
-        self.pool.respawn_worker(worker)
-        self.total_respawns += 1
-
-    def _parallel_phase(self, k: int) -> bool:
-        """Fan sweep ``k`` out to every shard and collect the replies,
-        respawning crashed/hung workers under the retry policy.
-
-        Returns False when a worker could not be recovered within the
-        policy, in which case the sampler has already degraded to the
-        serial kernel and the caller must run sweep ``k`` there."""
-        pool = self.pool
-        for s in range(self.n_workers):
-            try:
-                pool.send(s, "shard_sweep", k=k)
-            except WorkerCrashError:
-                pass  # the recv loop below detects, respawns, and resends
-        for s in range(self.n_workers):
-
-            def attempt(n, s=s):
-                if n > 1:
-                    pool.send(s, "shard_sweep", k=k)
-                return pool.recv(s)
-
-            def on_retry(n, exc, s=s):
-                self._recover_worker(s)
-
-            try:
-                self.retry.call(
-                    attempt, retryable=(WorkerCrashError,), on_retry=on_retry
-                )
-            except WorkerCrashError:
-                self._degrade_to_serial()
-                return False
-        return True
-
-    def _degrade_to_serial(self) -> None:
-        """Permanent graceful fallback after unrecoverable worker failure.
-
-        Abandons the pool and continues the *same* chain on the
-        in-process serial kernel from the current (end of last completed
-        sweep) state — results stay valid, only the scan order changes
-        from the sharded one."""
-        self.degradations += 1
-        pool, self.pool = self.pool, None
-        try:
-            pool.close()
-        except OSError:
-            pass
-        self._serial = GibbsSampler(
-            self.graph, seed=self.rng, initial=self._state, compiled=self.compiled
-        )
-        self._serial.sweeps_done = self.sweeps_done
-
-    def apply_patch(self, patch) -> None:
-        """Warm-start the sharded chain across a compiled-graph patch.
-
-        The worker pool and its shared segment survive the update: the
-        export grows in place behind the structure-version cell (or, when
-        a patch outgrew the capacity slack / triggered a compaction, the
-        pool re-attaches to a fresh segment — still without respawning a
-        single process).  The shard plan is repaired incrementally:
-        surviving blocks keep their shard, rebuilt ones stay with their id
-        window, and only new windows go through the LDG greedy."""
-        if self._serial is not None:
-            self._serial.apply_patch(patch)
-            self.compiled = self._serial.compiled
-            self.plan = self._serial.plan
-            self.sweeps_done = self._serial.sweeps_done
-            return
-        compiled = self.compiled
-        self.graph = compiled.graph
-
-        # ---- grow + re-clamp the controller state ------------------------
-        k = patch.num_new_vars
-        if k:
-            new_vals = bias_init_values(
-                k, patch.old_num_vars, patch.bias_add,
-                compiled.graph.weights, self.rng,
-            )
-            self._state = np.concatenate([self._state, new_vals])
-        for var, val in patch.evidence_sets:
-            self._state[var] = val
-
-        # ---- move the pool to the patched structure ----------------------
-        n = compiled.num_vars
-        cap_n = _capacity(n)
-        extra = {"state0": ((cap_n,), bool), "state1": ((cap_n,), bool)}
-        in_place = (
-            not patch.compacted
-            and n <= self.pool.export.array("state0").shape[0]
-            and self.pool.export.apply_patch(compiled)
-        )
-        if in_place:
-            self.pool.graph_patch(compiled, patch)
-        else:
-            if compiled.has_patches:
-                compiled.compact()
-                patch.compacted = True
-            self.pool.reexport(compiled, extra=extra, ops=patch.ops)
-        self._pushed_version = compiled.graph.weights.version
-
-        # ---- repair plan + shards ---------------------------------------
-        if patch.compacted:
-            # Compaction re-coloured the substrate and dropped its plans.
-            self._window = shard_window(compiled, self.n_workers)
-        self.plan = compiled.plan(self.graph, window=self._window)
-        if patch.compacted or self.shard_plan is None:
-            self.shard_plan = partition_plan(compiled, self.plan, self.n_workers)
-        else:
-            self.shard_plan = repair_shard_plan(
-                compiled, self.plan, self.shard_plan, self.n_workers
-            )
-        self.pool.export.array("state0")[:n] = self._state
-        self.pool.export.array("state1")[:n] = self._state
-        self._init_shards()
-
-    def sweep(self) -> None:
-        """One full sweep (parallel interior phase + boundary sync)."""
-        if self._serial is not None:
-            self._serial.sweep()
-            self.sweeps_done = self._serial.sweeps_done
-            return
-        pool = self.pool
-        k = self.sweeps_done
-        # Mirror the serial kernel's version-gated refresh: publish weight
-        # mutations to the workers before the sweep that should see them.
-        version = self.graph.weights.version
-        if version != self._pushed_version:
-            pool.push_weights(self.graph.weights)
-            self._pushed_version = version
-        maybe_fire("sharded.sweep.start", export=pool.export, sweep=k)
-        if self.audit_every and k % self.audit_every == 0:
-            self.repairs += len(pool.audit_export())
-        if not self._parallel_phase(k):
-            # Degraded mid-sweep: no shard published for sweep k, so run
-            # the whole sweep on the serial kernel we just switched to.
-            self._serial.sweep()
-            self.sweeps_done = self._serial.sweeps_done
-            return
-        cur = pool.export.array("state1" if k % 2 == 0 else "state0")
-        state = self._state
-        if self.sync == "serial":
-            cache = self._cache
-            iv = self._interior_vars
-            if iv.size:
-                moved = iv[state[iv] != cur[iv]]
-                if moved.size:
-                    adjacent = moved[self._boundary_adjacent[moved]]
-                    for var in adjacent:
-                        cache.commit_flip(int(var), bool(cur[var]), state)
-                    state[moved] = cur[moved]
-            if self._boundary_blocks:
-                cache.refresh_weights(state)
-                (logits,) = logit_rows(self.rng, self._boundary_size, 1)
-                sweep_blocks(cache, state, self._boundary_blocks, logits)
-                bv = self.shard_plan.boundary_vars
-                cur[bv] = state[bv]
-        else:
-            free = self._free
-            state[free] = cur[free]
-        self.sweeps_done += 1
-
-    def run(self, num_sweeps: int) -> np.ndarray:
-        for _ in range(num_sweeps):
-            self.sweep()
-        return self.state
-
-    def sample_worlds(self, num_samples: int, thin: int = 1, burn_in: int = 0) -> np.ndarray:
-        if self._serial is not None:
-            return self._serial.sample_worlds(num_samples, thin=thin, burn_in=burn_in)
-        for _ in range(burn_in):
-            self.sweep()
-        out = np.empty((num_samples, self.graph.num_vars), dtype=bool)
-        for s in range(num_samples):
-            for _ in range(thin):
-                self.sweep()
-            out[s] = self.state
-        return out
-
-    def estimate_marginals(
-        self, num_samples: int, thin: int = 1, burn_in: int = 0
-    ) -> np.ndarray:
-        worlds = self.sample_worlds(num_samples, thin=thin, burn_in=burn_in)
-        return worlds.mean(axis=0)
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 # --------------------------------------------------------------------- #
@@ -1775,36 +1225,3 @@ class ParallelChainEnsemble:
     def __exit__(self, *exc):
         self.close()
 
-
-# --------------------------------------------------------------------- #
-# Measured cost model
-# --------------------------------------------------------------------- #
-
-
-def measure_block_costs(
-    compiled: CompiledFactorGraph,
-    plan: SweepPlan,
-    repeats: int = 3,
-    seed: int = 0,
-) -> np.ndarray:
-    """Measured per-block sweep cost (seconds/sweep).
-
-    Times what a sweep runs for each block — :func:`sweep_blocks` over
-    it alone, evaluation and commit, batched or scalar as the plan says —
-    on a scratch cache and chain, with fresh randomness per repeat (a
-    repeated draw would commit nothing after the first).  Feeding the
-    result to ``partition_plan`` replaces the analytic cost model with
-    calibrated timings — useful when kernel constants differ across
-    machines or numpy builds.
-    """
-    rng = np.random.default_rng(seed)
-    state = compiled.graph.initial_assignment(rng)
-    cache = GibbsCache(compiled, state)
-    costs = np.empty(plan.num_blocks, dtype=np.float64)
-    for bi, block in enumerate(plan.blocks):
-        rows = list(logit_rows(rng, block.vars.size, repeats))
-        start = time.perf_counter()
-        for logits in rows:
-            sweep_blocks(cache, state, [block], logits)
-        costs[bi] = (time.perf_counter() - start) / repeats
-    return costs

@@ -16,7 +16,7 @@ Actions:
 ``kill_after``
     Replace the command with a worker-side ``fault_exit`` that runs the
     original method and then ``os._exit``\\ s without replying — the
-    deterministic "killed mid-sweep after publishing" scenario.
+    deterministic "killed after the work, before the reply" scenario.
 ``drop``
     Swallow the outgoing message (``pool.send`` only); the command times
     out and recovery resends it.
@@ -57,7 +57,6 @@ from repro.reliability.errors import FaultInjected, ProcessCrash
 INJECTION_POINTS = (
     "pool.send",
     "pool.recv",
-    "sharded.sweep.start",
     "engine.update.start",
     "engine.update.patched",
     "engine.update.inferred",

@@ -29,7 +29,8 @@ every flushed frame), under the default ``fsync="always"``:
 D1 and D2 need exactly the frames a recovery decision reads to be
 synced before the call returns: ``begin`` (the pending set),
 ``commit``/``rollback`` (the committed set) and the ``truncated`` floor
-(:meth:`truncate` rewrites and syncs the whole file).  ``mark`` frames
+(:meth:`truncate` rewrites and syncs the whole file, then the directory
+entry its rename changed).  ``mark`` frames
 decide nothing at recovery — they are written and flushed like every
 frame, and become durable with the next synced frame of the file,
 normally their own transaction's closing frame.  Beyond D3 a mark
@@ -81,6 +82,20 @@ _SYNCED_EVENTS = {
     "never": frozenset(),
 }
 FSYNC_POLICIES = tuple(_SYNCED_EVENTS)
+
+
+def replace_durably(src: str, dst: str) -> None:
+    """``os.replace(src, dst)`` that survives a power loss once it
+    returns.  A rename is an update of the containing directory, which
+    syncing ``src`` does not cover: without a directory sync the new name
+    may be lost while a later unlink or rewrite that relied on it
+    persists."""
+    os.replace(src, dst)
+    fd = os.open(os.path.dirname(os.path.abspath(dst)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class DeltaLog:
@@ -287,7 +302,7 @@ class DeltaLog:
         a later *cold* replay (no checkpoint) can refuse instead of
         silently rebuilding from a partial history
         (:meth:`truncated_below`).  File-backed logs are rewritten
-        atomically (tmp + fsync + rename)."""
+        atomically (tmp + fsync + rename + directory fsync)."""
         status = self._status()
         keep = [
             rec
@@ -312,7 +327,7 @@ class DeltaLog:
                     fh.write(payload)
                 fh.flush()
                 os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            replace_durably(tmp, self.path)
             self._fh = open(self.path, "ab")
         return dropped
 

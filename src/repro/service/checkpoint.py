@@ -2,22 +2,23 @@
 
 A checkpoint is the pickled (grounder, engine, bookkeeping) state of the
 service at a committed transaction boundary, written atomically
-(tmp file + fsync + ``os.replace``) with a sha256 checksum so a torn or
-corrupted file is *detected* rather than loaded.  :meth:`CheckpointStore.load`
-walks checkpoints newest-first and falls back past any that fail
-verification — a corrupt latest checkpoint costs recovery time (a longer
-WAL tail to replay), never correctness.
+(tmp file + fsync + ``os.replace`` + directory fsync) with a sha256
+checksum so a torn or corrupted file is *detected* rather than loaded.
+:meth:`CheckpointStore.load` walks checkpoints newest-first and falls
+back past any that fail verification — a corrupt latest checkpoint
+costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0004 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0005 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
 the compiled substrate stopped carrying a factor object per rule;
 ``CKPT0003``: it carries ``rule_nmax``, which the sweep kernel reads,
 and scan blocks carry ``fseg_start``; ``CKPT0004``: a serial learner
-carries the ``ChainStack`` of its chain pair), so a
+carries the ``ChainStack`` of its chain pair; ``CKPT0005``: scan blocks
+lost their ``seq`` stamp and the plan cache its window key), so a
 file written by an older tree fails verification here — skipped and
 counted like a corrupt one, recovery falling back to an older checkpoint
 or the WAL — instead of unpickling into an object that breaks at its
@@ -39,8 +40,9 @@ import re
 import struct
 
 from repro.reliability.faults import maybe_fire
+from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0004"
+_MAGIC = b"CKPT0005"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 
@@ -69,10 +71,13 @@ class CheckpointStore:
 
         The write is atomic: a crash before ``os.replace`` leaves the
         previous checkpoint untouched, a crash after leaves a fully
-        verified new one.  The ``service.checkpoint.write`` injection
-        point fires *after* the replace with the durable path in
-        context, so a ``corrupt`` fault scribbles over exactly the file
-        a later :meth:`load` must detect and skip."""
+        verified new one.  The directory is synced before the retention
+        pass unlinks anything, so a power loss cannot keep the unlink of
+        an older checkpoint and lose the new name.  The
+        ``service.checkpoint.write`` injection point fires *after* the
+        replace with the durable path in context, so a ``corrupt`` fault
+        scribbles over exactly the file a later :meth:`load` must detect
+        and skip."""
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).digest()
         path = self._path(txn)
@@ -84,7 +89,7 @@ class CheckpointStore:
             fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        replace_durably(tmp, path)
         self.saved += 1
         maybe_fire("service.checkpoint.write", path=path, txn=txn)
         self._retain()

@@ -14,7 +14,7 @@ States::
     back — the service keeps running on the last committed state and
     advertises the failure.  Nothing is reconfigured here: a pool-backed
     component that loses its workers degrades to serial on its own
-    (``degradations`` counters in the sampler, learner and grounding
+    (``degradations`` counters in the learner and the grounding
     executor).
 ``recovering``
     Enough consecutive clean commits have passed; one more confirms

@@ -142,19 +142,16 @@ class KBService:
         )
         if self.checkpoints is not None:
             # Checkpoints pickle the live (grounder, engine) pair; a
-            # file-backed engine WAL holds an open file handle and a
-            # pool-backed sampler holds processes — neither survives
-            # pickling.  Fail at construction, not mid-checkpoint.
+            # file-backed engine WAL holds an open file handle, which does
+            # not survive pickling.  Fail at construction, not
+            # mid-checkpoint.  (An engine holds no worker pool between
+            # calls: ``EngineConfig.n_workers`` pools only the bundle
+            # draw, and the service's relearns are serial.)
             if getattr(engine.config, "wal_path", None) is not None:
                 raise ValueError(
                     "checkpointing requires an in-memory engine WAL "
                     "(EngineConfig.wal_path=None); the service WAL is the "
                     "durable log"
-                )
-            if getattr(engine.config, "n_workers", 1) > 1:
-                raise ValueError(
-                    "checkpointing requires a serial engine "
-                    "(EngineConfig.n_workers=1); pools are not picklable"
                 )
         self.reads = 0
         self.reads_shed = 0

@@ -809,15 +809,15 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         # a key collision.
         new_evidence = tuple(sorted(self.graph.evidence.items()))
         cache = {}
-        for (evidence, window), plan in sorted(
-            self._plan_cache.items(), key=lambda item: item[0][0] == old_evidence
+        for evidence, plan in sorted(
+            self._plan_cache.items(), key=lambda item: item[0] == old_evidence
         ):
             own = evidence == old_evidence
             if not (own or plan.requested):
                 continue
             plan.requested = False
             plan.apply_patch(patch, follow_evidence=own)
-            cache[(new_evidence if own else evidence, window)] = plan
+            cache[new_evidence if own else evidence] = plan
         self._plan_cache = cache
         # The package's patch shape: row arrays.
         patch.bias_del = np.asarray(patch.bias_del, dtype=np.int64)

@@ -427,18 +427,18 @@ class TestStaticJoinOrder:
 
 
 class TestIndexStats:
-    def test_legacy_index_survives_apply_delta(self):
+    def test_relation_index_survives_apply_delta(self):
         db = Database()
         db.create_relation("R", ("a", "b"))
         db.insert_all("R", [(1, 2), (3, 4)])
         relation = db.relation("R")
         relation.lookup((0,), (1,))
-        builds_before = db.index_stats()["legacy"]["builds"]
+        builds_before = db.index_stats()["relation"]["builds"]
         assert builds_before == 1
         relation.apply_delta({(5, 6): 1, (1, 2): -1})
         assert relation.lookup((0,), (5,)) == ((5, 6),)
         assert relation.lookup((0,), (1,)) == ()
-        stats = db.index_stats()["legacy"]
+        stats = db.index_stats()["relation"]
         assert stats["builds"] == builds_before  # maintained, not rebuilt
         assert stats["probes"] >= 3
 

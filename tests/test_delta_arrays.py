@@ -85,13 +85,12 @@ _STATIC = tuple(
 def plan_state(plan) -> dict:
     return {
         "blocks": [
-            (b.vars.tolist(), b.key, b.seq, b.use_batch, b.scalar_only)
+            (b.vars.tolist(), b.key, b.use_batch, b.scalar_only)
             for b in plan.blocks
         ],
         "evidence_mask": plan.evidence_mask.tolist(),
         "free_vars": plan.free_vars.tolist(),
         "block_of": plan._block_of.tolist(),
-        "next_seq": plan._next_seq,
     }
 
 
@@ -126,8 +125,8 @@ def substrate_state(c, handles: bool = True) -> dict:
     state["evidence"] = dict(c.graph.evidence)
     state["free_vars"] = c.free_vars.tolist()
     state["plans"] = {
-        (tuple(sorted(dict(evidence).items())), window): plan_state(plan)
-        for (evidence, window), plan in c._plan_cache.items()
+        tuple(sorted(dict(evidence).items())): plan_state(plan)
+        for evidence, plan in c._plan_cache.items()
     }
     return state
 
@@ -341,7 +340,7 @@ class TestRollbackAndReplay:
                     )
                     assert_same(
                         plan_state(attached.plan()), plan_state(new.plan()),
-                        skip=("blocks", "block_of", "next_seq"),
+                        skip=("blocks", "block_of"),
                     )
                     assert [b.vars.tolist() for b in attached.plan().blocks] == [
                         b.vars.tolist() for b in new.plan().blocks

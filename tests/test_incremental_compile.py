@@ -4,8 +4,8 @@ The tentpole invariant of end-to-end incremental inference: after any
 sequence of ``CompiledFactorGraph.apply_delta`` calls (variable appends,
 factor inserts and retractions, rule add/remove, evidence flips), the
 patched compiled view — and every piece of derived state repaired from
-it (``GibbsCache``, ``SweepPlan``, ``ShardPlan``, warm samplers, the
-worker pool's shared export) — must behave identically to compiling the
+it (``GibbsCache``, ``SweepPlan``, warm samplers, the worker pool's
+shared export) — must behave identically to compiling the
 updated graph from scratch.
 """
 
@@ -14,15 +14,10 @@ import pytest
 
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.graph import FactorGraph, FactorGraphDelta, Semantics
-from repro.graph.compiled import (
-    CompiledFactorGraph,
-    GibbsCache,
-    partition_plan,
-    repair_shard_plan,
-    shard_window,
-)
+from repro.graph.compiled import CompiledFactorGraph, GibbsCache
 from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
 from repro.inference.gibbs import GibbsSampler
+from repro.learning.sgd import SGDLearner
 from repro.util.stats import max_marginal_error
 
 from tests.helpers import (
@@ -261,59 +256,6 @@ class TestPatchVsFresh:
         assert max_marginal_error(patched, fresh) < 0.05
 
 
-class TestShardPlanRepair:
-    def test_repair_validates_and_covers(self):
-        rng = np.random.default_rng(11)
-        graph = seed_graph(2, n=40)
-        compiled = CompiledFactorGraph(graph)
-        plan = compiled.plan(graph)
-        sp = partition_plan(compiled, plan, 3)
-        sp.validate(compiled)
-        for step in range(5):
-            delta = random_delta(graph, rng, step)
-            updated = delta.apply(graph)
-            compiled.apply_delta(delta, compact_threshold=1.0)
-            graph = updated
-            plan = compiled.plan(graph)
-            sp = repair_shard_plan(compiled, plan, sp, 3)
-            sp.validate(compiled)
-            covered = set()
-            for shard in sp.shards:
-                covered.update(int(b) for b in shard)
-            covered.update(int(b) for b in sp.boundary)
-            assert covered == set(range(len(plan.blocks)))
-
-    def test_windows_stay_whole_and_survivors_keep_their_shard(self):
-        # On the narrow-window plan a sharded chain cuts, the greedy
-        # assigns whole id windows: every colour class of a window shares
-        # its owner, a block that survived the patch keeps it, and a
-        # rebuilt block stays with its window.
-        rng = np.random.default_rng(12)
-        graph = seed_graph(2, n=40)
-        compiled = CompiledFactorGraph(graph)
-        window = shard_window(compiled, 2)
-        plan = compiled.plan(graph, window=window)
-        sp = partition_plan(compiled, plan, 2)
-        assert len(set(sp._seq_assign.values())) == 2
-        for step in range(8):
-            before = dict(sp._seq_assign)
-            delta = random_delta(graph, rng, step)
-            updated = delta.apply(graph)
-            compiled.apply_delta(delta, compact_threshold=1.0)
-            graph = updated
-            assert compiled.plan(graph, window=window) is plan
-            sp = repair_shard_plan(compiled, plan, sp, 2)
-            sp.validate(compiled)
-            window_owner = {}
-            for block in plan.blocks:
-                owner = sp._seq_assign[block.seq]
-                assert before.get(block.seq, owner) == owner
-                first = int(block.vars[0])
-                if not (compiled._needs_scalar[first] or compiled._force_singleton[first]):
-                    assert window_owner.setdefault(first // window, owner) == owner
-            assert any(block.seq not in before for block in plan.blocks)
-
-
 class TestRerunEngineIncremental:
     def test_no_recompile_for_nonstructural_deltas(self):
         graph = chain_ising_graph(10, 0.4, 0.1)
@@ -495,62 +437,32 @@ class TestGrounderBoundCompiled:
 
 
 class TestPoolSurvivesUpdates:
-    def test_sharded_pool_not_respawned(self):
+    def test_learner_pool_not_respawned(self):
         graph = random_pairwise_graph(40, density=0.1, seed=2)
         compiled = CompiledFactorGraph(graph)
-        from repro.inference.parallel import ShardedGibbsSampler
-
-        with ShardedGibbsSampler(
-            graph, n_workers=2, seed=0, compiled=compiled
-        ) as sampler:
-            pids = sampler.pool.pids()
-            sampler.run(3)
+        with SGDLearner(graph, seed=0, n_workers=2, compiled=compiled) as learner:
+            pids = learner._pool.pids()
+            learner.fit(2, record_loss=False)
             for step in range(3):
+                current = learner.graph
                 delta = FactorGraphDelta()
-                nw = len(graph.weights)
+                nw = len(current.weights)
                 delta.num_new_vars = 1
                 delta.new_weight_entries.append(((f"w{step}",), 0.4, False))
                 delta.new_factors.append(
-                    IsingFactor(weight_id=nw, i=graph.num_vars, j=step)
+                    IsingFactor(weight_id=nw, i=current.num_vars, j=step)
                 )
                 delta.evidence_updates[step] = True
                 # Exercise in-place growth, then the compaction/re-export
                 # escalation — the processes must survive both.
                 threshold = 0.0 if step == 2 else 1.0
-                updated = delta.apply(graph)
-                patch = compiled.apply_delta(
-                    delta, compact_threshold=threshold
-                )
-                graph = updated
-                sampler.apply_patch(patch)
-                sampler.run(2)
-                sampler.shard_plan.validate(compiled)
-                for var, val in graph.evidence.items():
-                    assert bool(sampler.state[var]) == val
-            assert sampler.pool.pids() == pids
-
-    def test_shard_window_follows_compaction(self):
-        # The window a sharded chain cuts its plan with is derived from the
-        # substrate (size, colour count); a compaction rebuilds both, so the
-        # sampler must re-derive it rather than keep the constructor's.
-        from repro.graph.compiled import shard_window
-        from repro.inference.parallel import ShardedGibbsSampler
-
-        graph = random_pairwise_graph(40, density=0.1, seed=2)
-        compiled = CompiledFactorGraph(graph)
-        with ShardedGibbsSampler(
-            graph, n_workers=2, seed=0, compiled=compiled
-        ) as sampler:
-            before = sampler.plan.window
-            assert before == shard_window(compiled, 2)
-            delta = FactorGraphDelta()
-            delta.num_new_vars = 24
-            updated = delta.apply(graph)
-            patch = compiled.apply_delta(delta, compact_threshold=0.0)
-            assert patch.compacted
-            sampler.apply_patch(patch)
-            assert shard_window(compiled, 2) > before
-            assert sampler.plan.window == shard_window(compiled, 2)
-            assert sampler.plan is compiled.plan(updated, window=sampler.plan.window)
-            sampler.run(2)
-            sampler.shard_plan.validate(compiled)
+                patch = compiled.apply_delta(delta, compact_threshold=threshold)
+                assert patch.compacted == (step == 2)
+                learner.apply_patch(patch)
+                learner.fit(1, record_loss=False)
+                # The conditioned chain follows the evidence.
+                state = learner._pool.call(0, "chain_states", chain_ids=[0])[0]
+                assert state.shape == (compiled.num_vars,)
+                for var, val in learner.graph.evidence.items():
+                    assert bool(state[var]) == val
+            assert learner._pool.pids() == pids

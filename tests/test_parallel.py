@@ -1,16 +1,15 @@
-"""Parallel sampling: determinism, equivalence, and shard invariants.
+"""Parallel sampling: the shared export and chain ensembles.
 
 The correctness contract of :mod:`repro.inference.parallel`:
 
-* ``n_workers=1`` is *bit-identical* to the sequential kernel for the
-  same seed (serial fallback short-circuits to ``GibbsSampler``);
-* the shard partitioner never lets a factor span two different shards'
-  interior blocks (the property that makes concurrent interior sweeps
-  equivalent to a sequential scan order);
-* both sharded sync modes and the chain ensemble reproduce
-  exact-inference marginals on small graphs within sampling tolerance;
 * the shared-memory export reconstructs a compiled graph whose kernels
-  agree with the original.
+  agree with the original, weight pushes reach the attachment, patches
+  grow it in place until the capacity slack runs out, and ``verify``
+  names exactly the scribbled regions;
+* each ensemble chain is *bit-identical* to a serial ``GibbsSampler``
+  seeded with its spawned generator, whatever the worker count;
+* the chain ensemble reproduces exact-inference marginals on small
+  graphs within sampling tolerance, with evidence clamped.
 """
 
 from __future__ import annotations
@@ -19,23 +18,19 @@ import numpy as np
 import pytest
 
 from helpers import chain_ising_graph, random_pairwise_graph, voting_graph
-from repro.graph.compiled import (
-    CompiledFactorGraph,
-    GibbsCache,
-    partition_plan,
-    shard_window,
-)
+from repro.graph.compiled import CompiledFactorGraph, GibbsCache
+from repro.graph.delta import FactorGraphDelta
 from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import Semantics
 from repro.inference.exact import ExactInference
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.parallel import (
+    _GROWABLE_EXPORT,
     ParallelChainEnsemble,
-    ShardedGibbsSampler,
     SharedGraphExport,
     attach_compiled,
-    measure_block_costs,
 )
+from repro.util.rng import spawn
 
 
 def mixed_graph() -> FactorGraph:
@@ -46,78 +41,6 @@ def mixed_graph() -> FactorGraph:
     wid2 = fg.weights.intern("rule2", initial=-0.4)
     fg.add_rule_factor(wid2, 7, [[(8, True), (9, True)]], Semantics.LOGICAL)
     return fg
-
-
-# --------------------------------------------------------------------- #
-# Shard partitioner
-# --------------------------------------------------------------------- #
-
-
-class TestPartitioner:
-    @pytest.mark.parametrize("n_shards", [2, 3, 4])
-    def test_no_factor_spans_two_interiors(self, n_shards):
-        for graph in (
-            chain_ising_graph(24, coupling=0.4),
-            random_pairwise_graph(30, density=0.15, seed=1),
-            voting_graph(5, 5, voter_bias=0.2),
-            mixed_graph(),
-        ):
-            compiled = CompiledFactorGraph(graph)
-            plan = compiled.plan()
-            shard_plan = partition_plan(compiled, plan, n_shards)
-            shard_plan.validate(compiled)
-
-    def test_validate_rejects_bad_partition(self):
-        graph = chain_ising_graph(8, coupling=0.4)
-        compiled = CompiledFactorGraph(graph)
-        plan = compiled.plan()
-        shard_plan = partition_plan(compiled, plan, 2)
-        # Adjacent chain variables share an Ising factor: forcing them
-        # into different interiors must fail validation.
-        bad = partition_plan(compiled, plan, 2)
-        bad.shards = [np.array([0]), np.array([1])]
-        bad.boundary = np.arange(2, plan.num_blocks)
-        if plan.blocks[0].vars.size == 1 and plan.blocks[1].vars.size == 1:
-            with pytest.raises(AssertionError):
-                bad.validate(compiled)
-        # and the partitioner's own output always passes
-        shard_plan.validate(compiled)
-
-    def test_partition_covers_all_blocks_once(self):
-        graph = mixed_graph()
-        compiled = CompiledFactorGraph(graph)
-        plan = compiled.plan()
-        sp = partition_plan(compiled, plan, 3)
-        seen = np.concatenate([*sp.shards, sp.boundary])
-        assert sorted(seen.tolist()) == list(range(plan.num_blocks))
-        # owned_blocks covers boundary blocks exactly once across shards
-        owned = np.concatenate([sp.owned_blocks(s) for s in range(3)])
-        assert sorted(owned.tolist()) == list(range(plan.num_blocks))
-
-    def test_measured_cost_model_accepted(self):
-        graph = chain_ising_graph(20, coupling=0.3)
-        compiled = CompiledFactorGraph(graph)
-        plan = compiled.plan()
-        costs = measure_block_costs(compiled, plan, repeats=1)
-        assert costs.shape == (plan.num_blocks,)
-        assert (costs >= 0).all()
-        sp = partition_plan(compiled, plan, 2, block_costs=costs)
-        sp.validate(compiled)
-
-    def test_balance_on_chain(self):
-        # A long chain should split into two comparable shards rather
-        # than one shard plus everything-boundary.  Its default plan is
-        # two colour classes — nothing to split — so the sharded sampler
-        # cuts the narrower-window plan that ``shard_window`` names.
-        graph = chain_ising_graph(60, coupling=0.3)
-        compiled = CompiledFactorGraph(graph)
-        assert compiled.plan().num_blocks == 2
-        plan = compiled.plan(window=shard_window(compiled, 2))
-        sp = partition_plan(compiled, plan, 2)
-        sp.validate(compiled)
-        sizes = [v.size for v in sp.shard_vars]
-        assert min(sizes) > 0
-        assert sp.boundary_fraction < 0.5
 
 
 # --------------------------------------------------------------------- #
@@ -157,65 +80,66 @@ class TestSharedExport:
             finally:
                 shm.close()
 
+    def test_push_weights_past_capacity_raises(self):
+        graph = chain_ising_graph(6)
+        with SharedGraphExport(CompiledFactorGraph(graph)) as export:
+            capacity = export.array("__weights__").shape[0]
+            for k in range(capacity - len(graph.weights) + 1):
+                graph.weights.intern(f"grown{k}", initial=0.1)
+            with pytest.raises(ValueError, match="re-export"):
+                export.push_weights(graph.weights)
 
-# --------------------------------------------------------------------- #
-# Sharded sampler
-# --------------------------------------------------------------------- #
+    def test_verify_names_scribbled_regions_and_repair_restores_them(self):
+        graph = mixed_graph()
+        compiled = CompiledFactorGraph(graph)
+        with SharedGraphExport(compiled) as export:
+            assert export.verify() == []
+            export.array("ising_row")[0] += 1
+            export.array("__sizes__")[0] += 1
+            assert sorted(export.verify()) == ["__sizes__", "ising_row"]
+            assert sorted(export.verify_and_repair()) == ["__sizes__", "ising_row"]
+            assert export.verify() == []
+            assert np.array_equal(
+                export.array("ising_row")[: compiled.ising_row.shape[0]],
+                compiled.ising_row,
+            )
 
+    def test_unpushed_weight_update_is_not_corruption(self):
+        graph = chain_ising_graph(6)
+        with SharedGraphExport(CompiledFactorGraph(graph)) as export:
+            graph.weights.set_value(0, 4.0)
+            # The store moved past the published version: pending, not bad.
+            assert export.verify() == []
+            export.push_weights(graph.weights)
+            export.array("__weights__")[0] = -4.0
+            assert export.verify() == ["__weights__"]
+            export.repair(["__weights__"])
+            assert export.verify() == []
+            assert export.array("__weights__")[0] == 4.0
 
-class TestShardedSampler:
-    def test_single_worker_bit_identical_to_serial(self):
-        for graph in (random_pairwise_graph(20, density=0.2, seed=4), mixed_graph()):
-            serial = GibbsSampler(graph, seed=42)
-            sharded = ShardedGibbsSampler(graph, n_workers=1, seed=42)
-            a = serial.sample_worlds(40)
-            b = sharded.sample_worlds(40)
-            assert np.array_equal(a, b)
-            assert np.array_equal(serial.state, sharded.state)
-
-    @pytest.mark.parametrize("sync", ["serial", "stale"])
-    def test_matches_exact_marginals(self, sync):
-        graph = random_pairwise_graph(12, density=0.25, seed=2)
-        exact = ExactInference(graph).marginals()
-        with ShardedGibbsSampler(graph, n_workers=2, seed=3, sync=sync) as sampler:
-            sampler.shard_plan.validate(sampler.compiled)
-            estimate = sampler.estimate_marginals(4000, burn_in=200)
-        assert float(np.abs(estimate - exact).max()) < 0.05
-
-    @pytest.mark.parametrize("sync", ["serial", "stale"])
-    def test_rule_graph_with_evidence(self, sync):
-        graph = voting_graph(4, 4, voter_bias=0.3)
-        graph.set_evidence(1, True)
-        exact = ExactInference(graph).marginals()
-        with ShardedGibbsSampler(graph, n_workers=2, seed=9, sync=sync) as sampler:
-            estimate = sampler.estimate_marginals(4000, burn_in=200)
-        assert float(np.abs(estimate - exact).max()) < 0.05
-        # evidence stays clamped
-        assert bool(sampler.state[1]) is True
-
-    def test_deterministic_given_seed(self):
-        graph = chain_ising_graph(16, coupling=0.4)
-        runs = []
-        for _ in range(2):
-            with ShardedGibbsSampler(graph, n_workers=2, seed=5) as sampler:
-                runs.append(sampler.run(30).copy())
-        assert np.array_equal(runs[0], runs[1])
-
-    def test_more_workers_than_blocks(self):
-        graph = chain_ising_graph(4, coupling=0.2)
-        with ShardedGibbsSampler(graph, n_workers=4, seed=0) as sampler:
-            sampler.run(10)
-            assert sampler.sweeps_done == 10
-
-    def test_all_evidence_graph(self):
-        # Zero free variables: the partition must still produce one
-        # (empty) shard per worker and sweeps must be no-ops.
-        graph = chain_ising_graph(4, coupling=0.2)
-        for v in range(4):
-            graph.set_evidence(v, v % 2 == 0)
-        with ShardedGibbsSampler(graph, n_workers=2, seed=0) as sampler:
-            sampler.run(3)
-            assert np.array_equal(sampler.state, [True, False, True, False])
+    def test_apply_patch_grows_in_place_until_capacity(self):
+        graph = chain_ising_graph(6)
+        compiled = CompiledFactorGraph(graph)
+        with SharedGraphExport(compiled) as export:
+            sizes = dict(zip(_GROWABLE_EXPORT, export.array("__sizes__")))
+            assert sizes["evidence_mask"] == 6
+            patch = compiled.apply_delta(
+                FactorGraphDelta(num_new_vars=2), compact_threshold=1.0
+            )
+            assert not patch.compacted
+            assert export.apply_patch(compiled)
+            assert export.array("__structure_version__")[0] == 1
+            assert export.verify() == []
+            sizes = dict(zip(_GROWABLE_EXPORT, export.array("__sizes__")))
+            assert sizes["evidence_mask"] == 8
+            # A delta past the slack leaves the segment alone: re-export.
+            capacity = export.array("evidence_mask").shape[0]
+            compiled.apply_delta(
+                FactorGraphDelta(num_new_vars=capacity), compact_threshold=1.0
+            )
+            assert not export.fits(compiled)
+            assert not export.apply_patch(compiled)
+            assert export.array("__structure_version__")[0] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -249,3 +173,115 @@ class TestChainEnsemble:
             packed, count = ens.sample_worlds_packed(time_budget=0.2)
         assert count > 0
         assert packed.shape == (count, (graph.num_vars + 7) // 8)
+
+    def test_single_worker_bit_identical_to_serial(self):
+        # A worker chain makes the serial sampler's sweeps from the serial
+        # sampler's draws: chain k equals GibbsSampler seeded with the k-th
+        # spawned child of the ensemble's seed.
+        for graph in (random_pairwise_graph(20, density=0.2, seed=4), mixed_graph()):
+            serial = [
+                GibbsSampler(graph, seed=rng)
+                for rng in spawn(np.random.default_rng(42), 2)
+            ]
+            with ParallelChainEnsemble(graph, num_chains=2, n_workers=1, seed=42) as ens:
+                ens.sweeps(7)
+                for sampler in serial:
+                    sampler.run(7)
+                assert np.array_equal(
+                    ens.states(), np.stack([s.state for s in serial])
+                )
+                packed, count = ens.sample_worlds_packed(num_samples=40, thin=2)
+            worlds = np.unpackbits(packed, axis=1, count=graph.num_vars).astype(bool)
+            expected = np.concatenate([s.sample_worlds(20, thin=2) for s in serial])
+            assert count == 40
+            assert np.array_equal(worlds, expected)
+
+    def test_worker_count_does_not_change_the_chains(self):
+        graph = random_pairwise_graph(16, density=0.2, seed=3)
+        states = []
+        for n_workers in (1, 2, 3):
+            with ParallelChainEnsemble(
+                graph, num_chains=3, n_workers=n_workers, seed=5
+            ) as ens:
+                ens.sweeps(10)
+                states.append(ens.states())
+        assert np.array_equal(states[0], states[1])
+        assert np.array_equal(states[0], states[2])
+
+    def test_deterministic_given_seed(self):
+        graph = chain_ising_graph(16, coupling=0.4)
+        runs = []
+        for _ in range(2):
+            with ParallelChainEnsemble(graph, num_chains=4, n_workers=2, seed=5) as ens:
+                values = [ens.sweep_values(3) for _ in range(5)]
+                packed, _ = ens.sample_worlds_packed(num_samples=30)
+                runs.append((np.stack(values), packed))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_rule_graph_with_evidence(self):
+        graph = voting_graph(4, 4, voter_bias=0.3)
+        graph.set_evidence(1, True)
+        exact = ExactInference(graph).marginals()
+        with ParallelChainEnsemble(graph, num_chains=4, n_workers=2, seed=9) as ens:
+            packed, count = ens.sample_worlds_packed(num_samples=4000, burn_in=50)
+            # evidence stays clamped in every chain
+            assert ens.states()[:, 1].all()
+        worlds = np.unpackbits(packed, axis=1, count=graph.num_vars).astype(bool)
+        assert worlds[:, 1].all()
+        assert float(np.abs(worlds.mean(axis=0) - exact).max()) < 0.05
+
+    def test_initial_state_is_clamped_to_evidence(self):
+        graph = chain_ising_graph(6, coupling=0.2)
+        graph.set_evidence(2, True)
+        initial = np.zeros(graph.num_vars, dtype=bool)
+        with ParallelChainEnsemble(
+            graph, num_chains=2, n_workers=2, seed=0, initial=initial
+        ) as ens:
+            expected = initial.copy()
+            expected[2] = True
+            assert np.array_equal(ens.states(), np.stack([expected, expected]))
+
+    def test_pushed_weights_reach_every_chain(self):
+        graph = chain_ising_graph(6, coupling=0.0, bias=0.0)
+        bias = graph.weights.intern("strong_bias", initial=0.0)
+        for var in range(graph.num_vars):
+            graph.add_bias_factor(bias, var)
+        with ParallelChainEnsemble(graph, num_chains=4, n_workers=2, seed=1) as ens:
+            graph.weights.set_value(bias, 40.0)
+            ens.push_weights(graph.weights)
+            ens.sweeps(1)
+            assert ens.states().all()
+
+    def test_more_workers_than_chains(self):
+        graph = chain_ising_graph(4, coupling=0.2)
+        with ParallelChainEnsemble(graph, num_chains=2, n_workers=4, seed=0) as ens:
+            assert ens.n_workers == 2
+            assert len(ens.pool.pids()) == 2
+            assert ens.sweep_values(0).shape == (2,)
+
+    def test_all_evidence_graph(self):
+        # Zero free variables: every sweep is a no-op and every sample is
+        # the evidence.
+        graph = chain_ising_graph(4, coupling=0.2)
+        for v in range(4):
+            graph.set_evidence(v, v % 2 == 0)
+        with ParallelChainEnsemble(graph, num_chains=2, n_workers=2, seed=0) as ens:
+            ens.sweeps(3)
+            assert np.array_equal(ens.states(), [[True, False, True, False]] * 2)
+            packed, count = ens.sample_worlds_packed(num_samples=5)
+        worlds = np.unpackbits(packed, axis=1, count=4).astype(bool)
+        assert count == 5
+        assert np.array_equal(worlds, [[True, False, True, False]] * 5)
+
+    def test_quota_splits_unevenly_across_chains(self):
+        graph = chain_ising_graph(5)
+        with ParallelChainEnsemble(graph, num_chains=3, n_workers=2, seed=0) as ens:
+            packed, count = ens.sample_worlds_packed(num_samples=7)
+            assert count == 7 and packed.shape == (7, 1)
+            with pytest.raises(ValueError, match="num_samples or time_budget"):
+                ens.sample_worlds_packed()
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="n_workers must be >= 1"):
+            ParallelChainEnsemble(chain_ising_graph(4), num_chains=2, n_workers=0)

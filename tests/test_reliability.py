@@ -4,13 +4,14 @@ Three layers, matching the reliability stack:
 
 * Unit: :class:`RetryPolicy` backoff, :class:`DeltaLog` WAL framing
   (including torn final frames), :class:`FaultPlan` visit semantics.
-* Pool/sharded: typed :class:`WorkerCrashError` on dead and hung
-  workers; a worker killed mid-``shard_sweep`` (before or after
-  publishing) is respawned from the export + patch-op log + rng
-  fast-forward and the chain's final state is **bit-identical** to a
-  never-faulted run; persistent faults degrade gracefully to the serial
-  kernel; shared-memory corruption is detected and repaired; no
-  ``/dev/shm`` segment leaks, even across a kill + respawn.
+* Pool: typed :class:`WorkerCrashError` on dead and hung workers; a
+  chain worker respawned through ``supervised_call`` replays the
+  patch-op log and its ``chain_init``, and leaks no ``/dev/shm``
+  segment; shared-memory corruption is detected and repaired on an
+  ensemble's pool; a grounding worker killed, dropped or delayed
+  mid-command (before or after doing the work) is respawned with its
+  session re-shipped and the grounded graph is **bit-identical** to the
+  serial one; persistent faults degrade the learner to serial chains.
 * Engine: for every engine-level injection point, a seeded raise rolls
   ``apply_update``/``relearn`` back to the pre-update state (caches
   verified consistent) and the retried call matches a never-faulted twin
@@ -20,14 +21,16 @@ Three layers, matching the reliability stack:
 
 import os
 import pickle
+import stat
 
 import numpy as np
 import pytest
 
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta
+from repro.graph.compiled import CompiledFactorGraph
 from repro.grounding import IncrementalGrounder
-from repro.inference.parallel import GibbsWorkerPool, ShardedGibbsSampler
+from repro.inference.parallel import GibbsWorkerPool, ParallelChainEnsemble
 from repro.learning.sgd import SGDLearner
 from repro.reliability import (
     DeltaLog,
@@ -226,10 +229,78 @@ class TestDeltaLog:
             assert [t for t, _ in wal2.committed()] == [3]
 
 
+class RenameRecorder:
+    """``os.fsync`` / ``os.replace`` / ``os.unlink`` wrapped to log, in
+    order, what each did: a rename is durable only once the directory it
+    changed was synced (a synced *file* does not carry its new name)."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.events: list[tuple[str, bool | str]] = []
+        real = {name: getattr(os, name) for name in ("fsync", "replace", "unlink")}
+
+        def fsync(fd):
+            self.events.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            real["fsync"](fd)
+
+        def replace(src, dst):
+            real["replace"](src, dst)
+            self.events.append(("replace", os.path.basename(dst)))
+
+        def unlink(path):
+            real["unlink"](path)
+            self.events.append(("unlink", os.path.basename(path)))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+
+    def assert_every_replace_synced(self) -> None:
+        renames = [i for i, (kind, _) in enumerate(self.events) if kind == "replace"]
+        assert renames
+        for i in renames:
+            assert self.events[i + 1 : i + 2] == [("fsync", True)], self.events
+
+
+class TestDurableRename:
+    def test_wal_truncation_syncs_the_directory(self, tmp_path, monkeypatch):
+        with DeltaLog(tmp_path / "trunc.wal") as wal:
+            for u in range(3):
+                wal.commit(wal.begin({"u": u}))
+            recorder = RenameRecorder(monkeypatch)
+            assert wal.truncate(upto_txn=2) == 4
+        assert recorder.events[0] == ("fsync", False)  # the rewritten file
+        recorder.assert_every_replace_synced()
+
+    def test_checkpoint_name_is_durable_before_retention_unlinks(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import CheckpointStore
+
+        store = CheckpointStore(tmp_path, keep=1)
+        store.save({"txn": 1}, 1)
+        recorder = RenameRecorder(monkeypatch)
+        store.save({"txn": 2}, 2)
+        recorder.assert_every_replace_synced()
+        # A power loss cannot keep the old checkpoint's unlink and lose
+        # the new one's name: the directory sync comes first.
+        assert recorder.events[-3:] == [
+            ("replace", "ckpt-0000000002.bin"),
+            ("fsync", True),
+            ("unlink", "ckpt-0000000001.bin"),
+        ]
+
+
 class TestFaultPlan:
-    def test_unknown_site_rejected_at_construction(self):
+    @pytest.mark.parametrize(
+        "site",
+        [
+            "service.batch.strat",  # typo'd site
+            "sharded.sweep.start",  # the sharded sampler's, which is gone
+        ],
+    )
+    def test_unknown_site_rejected_at_construction(self, site):
         with pytest.raises(ValueError, match="unknown injection site"):
-            FaultPlan([Fault(site="service.batch.strat")])  # typo'd site
+            FaultPlan([Fault(site=site)])
 
     def test_crash_action_skips_exception_handlers(self):
         plan = FaultPlan([Fault(site="service.batch.start", action="crash")])
@@ -271,34 +342,12 @@ class TestFaultPlan:
 
 
 # --------------------------------------------------------------------- #
-# Pool / sharded layer
-
-
-def sharded(graph, seed=3, **kw):
-    kw.setdefault("command_timeout", 15.0)
-    kw.setdefault("retry", FAST_RETRY)
-    return ShardedGibbsSampler(graph, n_workers=2, seed=seed, **kw)
-
-
-def run_sharded(seed, sweeps, plan=None, graph_seed=0, **kw):
-    graph = random_pairwise_graph(18, density=0.2, seed=graph_seed)
-    sampler = sharded(graph, seed=seed, **kw)
-    try:
-        if plan is not None:
-            with inject_faults(plan):
-                sampler.run(sweeps)
-        else:
-            sampler.run(sweeps)
-        return sampler.state.copy(), sampler.pool.respawns if sampler.pool else None
-    finally:
-        sampler.close()
+# Pool layer
 
 
 class TestWorkerCrashError:
     def test_dead_worker_typed_error(self):
         graph = chain_ising_graph(8)
-        from repro.graph.compiled import CompiledFactorGraph
-
         pool = GibbsWorkerPool(CompiledFactorGraph(graph), 1, command_timeout=5.0)
         try:
             pool._procs[0].kill()
@@ -313,7 +362,6 @@ class TestWorkerCrashError:
 
     def test_hung_command_typed_error_within_timeout(self):
         graph = chain_ising_graph(8)
-        from repro.graph.compiled import CompiledFactorGraph
         import time
 
         pool = GibbsWorkerPool(CompiledFactorGraph(graph), 1)
@@ -329,8 +377,6 @@ class TestWorkerCrashError:
 
     def test_respawn_after_worker_error_keeps_traceback(self):
         graph = chain_ising_graph(8)
-        from repro.graph.compiled import CompiledFactorGraph
-
         pool = GibbsWorkerPool(CompiledFactorGraph(graph), 1, command_timeout=5.0)
         try:
             with pytest.raises(RuntimeError, match="worker 0 failed"):
@@ -349,7 +395,122 @@ class TestWorkerCrashError:
             pool.close()
 
 
+class TestChainPoolRespawn:
+    def test_supervised_call_replays_patch_and_chain_logs(self):
+        """A chain worker killed after a patch comes back through
+        ``supervised_call`` on the patched structure (patch-op log) with
+        its chain restarted from the logged ``chain_init`` — and the
+        segment is unlinked at close."""
+        before = shm_segments()
+        compiled = CompiledFactorGraph(chain_ising_graph(8))
+        pool = GibbsWorkerPool(compiled, 1, command_timeout=15.0)
+        try:
+            pool.call(0, "chain_init", chain_id=0, rng=np.random.default_rng(0))
+            patch = compiled.apply_delta(
+                FactorGraphDelta(num_new_vars=2), compact_threshold=1.0
+            )
+            assert pool.export.apply_patch(compiled)
+            pool.graph_patch(compiled, patch)
+            pool._procs[0].kill()
+            pool._procs[0].join(5)
+            states = pool.supervised_call(
+                0, "chain_states", retry=FAST_RETRY, chain_ids=[0]
+            )
+            assert pool.respawns == 1
+            # The logged generator was never advanced on this side: the
+            # replayed chain_init draws the initial state again, over the
+            # replayed patch's ten variables.
+            expected = np.random.default_rng(0).random(compiled.num_vars) < 0.5
+            assert np.array_equal(states, expected[None, :])
+        finally:
+            pool.close()
+        assert shm_segments() - before == set()
+
+    def test_corruption_detected_and_repaired(self):
+        """``audit_export`` on an ensemble's pool finds exactly the
+        scribbled regions — a flat array, the weight region and the
+        logical sizes — and re-copies them from the controller."""
+        graph = random_pairwise_graph(18, density=0.2, seed=0)
+        regions = ("ising_row", "__weights__", "__sizes__")
+
+        def run(plan):
+            with ParallelChainEnsemble(
+                graph, num_chains=2, n_workers=2, seed=7
+            ) as ensemble:
+                export = ensemble.pool.export
+                with inject_faults(plan):
+                    # chain_states reads no shared region.
+                    ensemble.states()
+                    ensemble.states()
+                repaired = ensemble.pool.audit_export()
+                assert export.verify() == []
+                ensemble.sweeps(4)
+                return ensemble.states(), repaired
+
+        baseline, clean = run(FaultPlan([]))
+        plan = FaultPlan(
+            [
+                Fault(
+                    site="pool.send",
+                    action="corrupt",
+                    region=region,
+                    method="chain_states",
+                )
+                for region in regions
+            ]
+        )
+        states, repaired = run(plan)
+        assert plan.fired_sites() == ["pool.send"] * 3
+        assert clean == []
+        assert sorted(repaired) == sorted(regions)
+        assert np.array_equal(states, baseline)
+
+
+def ground_sharded(plan=None, **kwargs):
+    """Fingerprint of a two-worker sharded chain-join grounder driven
+    through every update under ``plan``, and its pool's respawn count."""
+    from tests.test_sharded_grounding import (
+        UPDATES,
+        graph_fingerprint,
+        sharded_chain,
+    )
+
+    kwargs.setdefault("command_timeout", 15.0)
+    with inject_faults(plan or FaultPlan([])):
+        grounder = sharded_chain(3, 2, UPDATES, retry=FAST_RETRY, **kwargs)
+    try:
+        assert not grounder.executor.degraded
+        return graph_fingerprint(grounder.graph), grounder.executor.pool.respawns
+    finally:
+        grounder.close()
+
+
+def serial_fingerprint() -> dict:
+    from tests.test_sharded_grounding import UPDATES, graph_fingerprint, serial_chain
+
+    return graph_fingerprint(serial_chain(3, UPDATES).graph)
+
+
+def ground_fault(action, worker, at, **kwargs) -> FaultPlan:
+    return FaultPlan(
+        [
+            Fault(
+                site="pool.send",
+                action=action,
+                method="ground",
+                worker=worker,
+                at=at,
+                **kwargs,
+            )
+        ]
+    )
+
+
 class TestKillRecoveryParity:
+    """A grounding worker lost mid-command is respawned, its session is
+    re-shipped from the controller's shadow, the command is resent, and
+    the grounded graph is the serial one to the bit."""
+
     @pytest.mark.parametrize(
         "action,worker,at",
         [
@@ -359,149 +520,42 @@ class TestKillRecoveryParity:
             ("kill_after", 1, 2),
         ],
     )
-    def test_killed_mid_sweep_matches_fault_free(self, action, worker, at):
-        seed, sweeps = 11 + at, 5
-        baseline, _ = run_sharded(seed, sweeps)
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="pool.send",
-                    action=action,
-                    method="shard_sweep",
-                    worker=worker,
-                    at=at,
-                )
-            ]
-        )
-        state, respawns = run_sharded(seed, sweeps, plan=plan)
+    def test_killed_mid_command_matches_serial(self, action, worker, at):
+        plan = ground_fault(action, worker, at)
+        fingerprint, respawns = ground_sharded(plan)
         assert len(plan.fired) == 1
         assert respawns == 1
-        assert np.array_equal(state, baseline)
+        assert fingerprint == serial_fingerprint()
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_randomized_kill_schedule(self, seed):
         rng = np.random.default_rng(seed)
         worker = int(rng.integers(0, 2))
-        at = int(rng.integers(1, 4))
+        at = int(rng.integers(1, 6))
         action = ["kill", "kill_after"][int(rng.integers(0, 2))]
-        baseline, _ = run_sharded(seed, 4, graph_seed=seed)
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="pool.send",
-                    action=action,
-                    method="shard_sweep",
-                    worker=worker,
-                    at=at,
-                )
-            ]
-        )
-        state, respawns = run_sharded(seed, 4, plan=plan, graph_seed=seed)
+        plan = ground_fault(action, worker, at)
+        fingerprint, respawns = ground_sharded(plan)
         assert respawns == 1
-        assert np.array_equal(state, baseline)
+        assert fingerprint == serial_fingerprint()
 
     def test_drop_recovered_via_timeout_resend(self):
-        seed, sweeps = 5, 4
-        baseline, _ = run_sharded(seed, sweeps)
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="pool.send",
-                    action="drop",
-                    method="shard_sweep",
-                    worker=1,
-                    at=2,
-                )
-            ]
-        )
-        state, respawns = run_sharded(
-            seed, sweeps, plan=plan, command_timeout=0.5
-        )
+        plan = ground_fault("drop", 1, 2)
+        fingerprint, respawns = ground_sharded(plan, command_timeout=0.5)
+        assert len(plan.fired) == 1
         assert respawns == 1
-        assert np.array_equal(state, baseline)
+        assert fingerprint == serial_fingerprint()
 
     def test_delay_is_harmless(self):
-        seed, sweeps = 6, 3
-        baseline, _ = run_sharded(seed, sweeps)
         plan = FaultPlan(
             [
                 Fault(site="pool.send", action="delay", delay=0.05, at=2),
                 Fault(site="pool.recv", action="delay", delay=0.05, at=2),
             ]
         )
-        state, respawns = run_sharded(seed, sweeps, plan=plan)
+        fingerprint, respawns = ground_sharded(plan)
         assert sorted(plan.fired_sites()) == ["pool.recv", "pool.send"]
         assert respawns == 0
-        assert np.array_equal(state, baseline)
-
-    def test_persistent_fault_degrades_to_serial(self):
-        graph = random_pairwise_graph(18, density=0.2, seed=0)
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="pool.send",
-                    action="kill",
-                    method="shard_sweep",
-                    worker=0,
-                    at=1,
-                    repeat=True,
-                )
-            ]
-        )
-        sampler = sharded(graph, seed=4, retry=RetryPolicy(max_attempts=2, base_delay=0.001))
-        try:
-            with inject_faults(plan):
-                sampler.run(3)
-            assert sampler.degradations == 1
-            assert sampler.pool is None
-            assert sampler.total_respawns >= 1
-            assert sampler.sweeps_done == 3
-            marg = sampler.estimate_marginals(10)
-            assert marg.shape == (graph.num_vars,)
-            assert np.all((marg >= 0) & (marg <= 1))
-        finally:
-            sampler.close()
-
-    def test_corruption_detected_and_repaired(self):
-        seed, sweeps = 7, 4
-        baseline, _ = run_sharded(seed, sweeps)
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="sharded.sweep.start",
-                    action="corrupt",
-                    region="ising_row",
-                    at=2,
-                )
-            ]
-        )
-        graph = random_pairwise_graph(18, density=0.2, seed=0)
-        sampler = sharded(graph, seed=seed, audit_every=1)
-        try:
-            with inject_faults(plan):
-                sampler.run(sweeps)
-            assert plan.fired_sites() == ["sharded.sweep.start"]
-            assert sampler.repairs >= 1
-            assert np.array_equal(sampler.state, baseline)
-        finally:
-            sampler.close()
-
-    def test_no_shm_leak_across_kill_respawn_close(self):
-        before = shm_segments()
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="pool.send",
-                    action="kill",
-                    method="shard_sweep",
-                    worker=0,
-                    at=2,
-                )
-            ]
-        )
-        state, respawns = run_sharded(8, 4, plan=plan)
-        assert respawns == 1
-        assert shm_segments() - before == set()
+        assert fingerprint == serial_fingerprint()
 
 
 class TestLearnerDegradation:
@@ -529,6 +583,60 @@ class TestLearnerDegradation:
             assert np.isfinite(history.losses).all()
         finally:
             learner.close()
+
+    def test_persistent_fault_degrades_once_and_keeps_learning(self):
+        graph = random_pairwise_graph(18, density=0.2, seed=0)
+        graph.set_evidence(0, True)
+        plan = FaultPlan(
+            [
+                Fault(
+                    site="pool.send",
+                    action="kill",
+                    method="chain_sample_worlds",
+                    worker=0,
+                    at=1,
+                    repeat=True,
+                )
+            ]
+        )
+        learner = SGDLearner(graph, seed=4, n_workers=2)
+        try:
+            with inject_faults(plan):
+                history = learner.fit(3, record_loss=False)
+            assert len(plan.fired) == 1  # no pool left to kill
+            assert learner.degradations == 1
+            assert learner._pool is None
+            assert len(history.grad_norms) == 3
+            assert np.isfinite(history.grad_norms).all()
+        finally:
+            learner.close()
+
+    def test_no_shm_leak_across_kill_degrade_close(self):
+        """The abandoned pool's export is unlinked when the learner
+        degrades, not left for interpreter exit."""
+        before = shm_segments()
+        graph = chain_ising_graph(10, coupling=0.4, bias=0.2)
+        plan = FaultPlan(
+            [
+                Fault(
+                    site="pool.send",
+                    action="kill",
+                    method="chain_sample_worlds",
+                    worker=1,
+                    at=2,
+                )
+            ]
+        )
+        learner = SGDLearner(graph, seed=1, n_workers=2)
+        try:
+            assert shm_segments() - before
+            with inject_faults(plan):
+                learner.fit(3, record_loss=False)
+            assert learner.degradations == 1
+            assert shm_segments() - before == set()
+        finally:
+            learner.close()
+        assert shm_segments() - before == set()
 
 
 # --------------------------------------------------------------------- #
@@ -692,6 +800,53 @@ class TestRerunEngineRollback:
             faulted.current_graph.weights.values_array(),
             twin.current_graph.weights.values_array(),
         )
+
+
+class TestParallelConfigRunsOneSerialChain:
+    """``EngineConfig.n_workers`` pools only the materialization bundle:
+    a Rerun engine's chain is the serial one whatever it says, so it
+    answers the same and rolls back bit-exactly."""
+
+    def make(self, n_workers):
+        fg = chain_ising_graph(6, coupling=0.5, bias=0.2)
+        return RerunEngine(
+            fg, small_config(inference_samples=40, n_workers=n_workers)
+        )
+
+    @staticmethod
+    def delta(engine, var):
+        return feature_delta(
+            len(engine.current_graph.weights), var, 0.3 - 0.2 * var, f"f{var}"
+        )
+
+    def test_marginals_do_not_depend_on_n_workers(self):
+        histories = []
+        for n_workers in (1, 2):
+            with self.make(n_workers) as engine:
+                histories.append(
+                    [
+                        engine.apply_update(self.delta(engine, var)).marginals
+                        for var in (1, 3, 4)
+                    ]
+                )
+        serial, parallel = histories
+        for a, b in zip(serial, parallel):
+            assert np.array_equal(a, b)
+
+    def test_retry_after_patched_fault_matches_twin(self):
+        with self.make(2) as faulted, self.make(2) as twin:
+            out_a = faulted.apply_update(self.delta(faulted, 1))
+            out_b = twin.apply_update(self.delta(twin, 1))
+            assert np.array_equal(out_a.marginals, out_b.marginals)
+            plan = FaultPlan([Fault(site="engine.update.patched")])
+            with inject_faults(plan):
+                with pytest.raises(FaultInjected):
+                    faulted.apply_update(self.delta(faulted, 3))
+            assert faulted.rollbacks == 1
+            check_engine_caches(faulted)
+            out_retry = faulted.apply_update(self.delta(faulted, 3))
+            out_fresh = twin.apply_update(self.delta(twin, 3))
+            assert np.array_equal(out_retry.marginals, out_fresh.marginals)
 
 
 # --------------------------------------------------------------------- #

@@ -3,8 +3,8 @@
 * **Planner property test** — over random histories of factor adds and
   removals, evidence flips, appended variables, forced compactions,
   ``snapshot_state`` → ``restore_state`` and pickle round-trips, every
-  cached plan (the graph's own evidence, an evidence-free learner twin, a
-  narrow-window sharding plan) stays *valid* — its blocks partition the
+  cached plan (the graph's own evidence and an evidence-free learner
+  twin) stays *valid* — its blocks partition the
   free variables exactly and no two members of a block share a live
   factor, judged against ``materialized_factors()`` and never against the
   planner's own neighbour index — and *pure*: equal, block for block, to
@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 from statistics import NormalDist
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +39,6 @@ from repro.graph.compiled import (
     CompiledFactorGraph,
     GibbsCache,
     SweepPlan,
-    shard_window,
 )
 from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
 from repro.inference.exact import ExactInference
@@ -220,7 +219,6 @@ def free_twin(compiled):
 PLAN_ARGS = {
     "own": lambda compiled: (None,),
     "free": lambda compiled: (free_twin(compiled),),
-    "narrow": lambda compiled: (None, 3),
 }
 
 
@@ -245,9 +243,19 @@ class TestPlannerProperties:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         ops=st.lists(st.sampled_from(OPS), min_size=1, max_size=10),
+        narrow=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_histories_keep_every_cached_plan_valid_and_pure(self, seed, ops):
+    def test_random_histories_keep_every_cached_plan_valid_and_pure(
+        self, seed, ops, narrow
+    ):
+        # A 40-variable graph fits one default window; ``narrow`` windows
+        # hold one id per colour, so the plans span many of them.
+        cap = 1 if narrow else compiled_module._CHUNK_CAP
+        with mock.patch.object(compiled_module, "_CHUNK_CAP", cap):
+            self.check_history(seed, ops)
+
+    def check_history(self, seed, ops):
         rng = np.random.default_rng(seed)
         compiled = CompiledFactorGraph(random_graph(rng, 40, 30))
         plans = cached_plans(compiled)
@@ -295,7 +303,7 @@ class TestPlannerProperties:
         fg.add_rule_factor(w, 10, [[(11, True), (11, False)]], Semantics.LINEAR)
         compiled = CompiledFactorGraph(fg)
         assert compiled._color.tolist()[:10] == [0, 1] * 5
-        plan = compiled.plan(window=4)
+        plan = SweepPlan(compiled, fg.evidence_mask(), 4)
         assert plan_blocks(plan) == [
             [0, 2], [1, 3], [4, 6], [5, 7], [8], [9], [10], [11],
         ]
@@ -332,14 +340,6 @@ class TestPlannerProperties:
             assert compiled.plan() is own
             assert len(compiled._plan_cache) <= 3
             assert_plan_valid_and_pure(compiled, held)
-
-    def test_shard_window_narrows_only_small_graphs(self):
-        small = CompiledFactorGraph(random_graph(np.random.default_rng(0), 40, 30))
-        assert shard_window(small, 1) == 5
-        assert shard_window(small, 2) == 2
-        assert shard_window(small, 64) == 1
-        large = SimpleNamespace(num_vars=10**6, _scan_window=512)
-        assert shard_window(large, 4) == 512
 
 
 # --------------------------------------------------------------------- #

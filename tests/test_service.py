@@ -198,16 +198,16 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled state changed
-        shape (magic ``CKPT0003``) is valid by its own checksum and must
+        shape (magic ``CKPT0004``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0004"
+            assert fh.read(8) == b"CKPT0005"
             fh.seek(0)
-            fh.write(b"CKPT0003")
+            fh.write(b"CKPT0004")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -217,7 +217,7 @@ class TestCheckpointStore:
         only = CheckpointStore(tmp_path / "only")
         path = only.save({"txn": 7}, 7)
         with open(path, "r+b") as fh:
-            fh.write(b"CKPT0003")
+            fh.write(b"CKPT0004")
         assert only.load() == (None, 0) and only.corrupt_skipped == 1
 
     def test_empty_store(self, tmp_path):
@@ -906,7 +906,7 @@ class TestCrashRecovery:
         )
         restored.stop()
 
-    def test_checkpoint_requires_serial_in_memory_engine(self, tmp_path):
+    def test_checkpoint_requires_in_memory_engine_wal(self, tmp_path):
         program = spouse_program()
         db = spouse_db(program)
         grounder = IncrementalGrounder.from_scratch(program, db)
@@ -916,6 +916,49 @@ class TestCrashRecovery:
         )
         with pytest.raises(ValueError, match="in-memory engine WAL"):
             KBService(grounder, engine, checkpoint_dir=tmp_path / "ckpt")
+
+    def test_parallel_materialization_engine_checkpoints(self, tmp_path):
+        """``n_workers=2`` pools only the bundle draw: the engine holds
+        no worker between calls, so it checkpoints and restores like a
+        serial one."""
+
+        def parallel_stack():
+            program = spouse_program()
+            grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
+            engine = IncrementalEngine(grounder.graph, small_config(n_workers=2))
+            engine.materialize()
+            return grounder, engine
+
+        wal_path = tmp_path / "service.wal"
+        ckpt_dir = tmp_path / "ckpt"
+        cfg = ServiceConfig(poll_interval=0.005, checkpoint_every=1)
+        grounder, engine = parallel_stack()
+        svc = KBService(
+            grounder,
+            engine,
+            config=cfg,
+            retry=FAST_RETRY,
+            wal_path=wal_path,
+            checkpoint_dir=ckpt_dir,
+        ).start()
+        svc.prime()
+        svc.submit(**UPDATE_A)
+        assert svc.drain(timeout=60)
+        expected = svc.read(max_staleness=0).marginals.copy()
+        svc.stop()
+        restored = KBService.restore(
+            wal_path,
+            parallel_stack,
+            checkpoint_dir=ckpt_dir,
+            config=cfg,
+            retry=FAST_RETRY,
+        )
+        assert restored.recovery["mode"] == "checkpoint"
+        assert restored.recovery["replayed"] == 0
+        np.testing.assert_array_equal(
+            restored.read(max_staleness=0).marginals, expected
+        )
+        restored.stop()
 
 
 class TestInferenceStatus:
