@@ -33,20 +33,14 @@ Axes recorded in ``benchmark_results/BENCH_grounding.json``:
   records the counters that show it (``fused_terms_per_rule == k``, one
   plan compilation per rule, two view captures per update) beside the
   per-update seconds, and ``--check`` asserts them.
-* ``shard_axis`` — full ground + fixed-|Δ| updates with ``n_workers``
-  grounding shards (PR 10), workers × corpus scale.  Numbers are only
-  meaningful relative to the stamped ``machine.cpu_count``: on a
-  1-core container the parallel rows measure pure sharding overhead
-  (expect a slowdown, as in ``BENCH_parallel.json``).
 
 ``--check`` runs the CI smoke contract instead: after the full ground and
 after *every* incremental update, the maintained graph must agree
 canonically with ``reference_ground`` of a twin database the same
 updates were replayed on — on the spouse program, on the benchmark
 workload and on the arity workload (incremental ≡ from-scratch and
-columnar ≡ tuple-at-a-time in one comparison); the arity counters must
-have the linear shape; and 2-worker sharded grounding must be
-bit-identical to the serial path (full + incremental).
+columnar ≡ tuple-at-a-time in one comparison); and the arity counters
+must have the linear shape.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grounding_incremental.py
 [--scale tiny|small|medium] [--check]`` from the repository root.
@@ -264,49 +258,6 @@ def time_incremental(rows, pool_size, num_sentences, delta_docs):
     return float(np.min(seconds[1:])), grounder
 
 
-#: shard_axis worker counts; 1 is the serial baseline (the exact serial
-#: code path, not a 1-shard pool).
-SHARD_WORKERS = (1, 2)
-
-
-def time_sharded(rows, pool_size, num_sentences, delta_docs, n_workers):
-    """(full-ground seconds, best per-update seconds, columnar stats)
-    with ``n_workers`` grounding shards.  Pool spawn happens before the
-    clock starts — the axis tracks steady-state grounding throughput,
-    not process startup."""
-    program = build_program()
-    db = make_db(program, rows)
-    grounder = Grounder(program, db, n_workers=n_workers)
-    try:
-        start = time.perf_counter()
-        grounding = grounder.ground()
-        full_s = time.perf_counter() - start
-        inc = IncrementalGrounder(
-            program,
-            db,
-            grounding,
-            n_workers=n_workers,
-            executor=grounder.executor,
-        )
-        rng = np.random.default_rng(99)
-        next_sid = num_sentences
-        # Prime: first update pays delta-plan compilation on either path.
-        inc.apply_update(
-            inserts=update_rows(rng, pool_size, delta_docs, next_sid)
-        )
-        next_sid += delta_docs
-        seconds = []
-        for _ in range(UPDATES_PER_POINT):
-            inserts = update_rows(rng, pool_size, delta_docs, next_sid)
-            next_sid += delta_docs
-            start = time.perf_counter()
-            inc.apply_update(inserts=inserts)
-            seconds.append(time.perf_counter() - start)
-        return full_s, float(np.min(seconds)), dict(db.index_stats()["columnar"])
-    finally:
-        grounder.close()
-
-
 # --------------------------------------------------------------------- #
 # Arity workload: k-way chain joins over a single edge relation — every
 # body position changes on every update, so a rule's delta is all k of
@@ -428,7 +379,6 @@ def run(scale: str) -> dict:
         "delta_axis": [],
         "incremental_axis": [],
         "arity_axis": [],
-        "shard_axis": [],
     }
     corpora = {}
     for num_sentences in cfg["sentences"]:
@@ -524,51 +474,15 @@ def run(scale: str) -> dict:
             f"{shape['view_captures']} captures / {shape['updates']} updates)"
         )
 
-    # ---- shard_axis: workers × corpus scale, full ground + fixed-|Δ|
-    # updates.  Interpret against machine.cpu_count — on a 1-core box
-    # the n_workers=2 rows are pure sharding overhead.
-    for num_sentences in cfg["sentences"]:
-        rows, pool = corpora[num_sentences]
-        baselines = {}
-        for n_workers in SHARD_WORKERS:
-            full_s, update_s, stats = time_sharded(
-                rows, pool, num_sentences, fixed_delta, n_workers
-            )
-            entry = {
-                "sentences": num_sentences,
-                "n_workers": n_workers,
-                "delta_docs": fixed_delta,
-                "full_seconds": full_s,
-                "update_seconds": update_s,
-                "degradations": stats["degradations"],
-                "shard_batches_merged": stats["shard_batches_merged"],
-            }
-            if n_workers == 1:
-                baselines = {"full": full_s, "update": update_s}
-            entry["full_scaling_vs_serial"] = baselines["full"] / max(
-                full_s, 1e-9
-            )
-            entry["update_scaling_vs_serial"] = baselines["update"] / max(
-                update_s, 1e-9
-            )
-            record["shard_axis"].append(entry)
-            print(
-                f"shard_axis S={num_sentences:>5} workers={n_workers} "
-                f"full={full_s:7.3f}s update={update_s * 1e3:8.2f}ms "
-                f"-> {entry['full_scaling_vs_serial']:.2f}x full, "
-                f"{entry['update_scaling_vs_serial']:.2f}x update vs serial"
-            )
-
     record["headline_speedup_full_ground"] = record["full_axis"][-1]["speedup"]
     return record
 
 
 def check() -> None:
     """CI smoke: incremental ≡ from-scratch reference after every update;
-    arity counters linear; 2-worker sharded ≡ serial."""
+    arity counters linear."""
     from tests.test_grounding import spouse_db, spouse_program
     from tests.test_incremental_grounding import assert_equivalent, reground
-    from tests.test_sharded_grounding import assert_bit_identical
 
     # 1. The paper's spouse program: full ground + three updates, each
     # step held to reference_ground of the replayed state.
@@ -609,32 +523,10 @@ def check() -> None:
     assert shape["delta_plan_misses"] == 1, shape
     assert shape["view_captures"] == shape["updates"], shape
 
-    # 4. Sharded grounding (2 workers) is bit-identical to the serial
-    # path on the spouse program — full ground and every update.
-    serial_program = spouse_program()
-    serial = IncrementalGrounder.from_scratch(
-        serial_program, spouse_db(serial_program)
-    )
-    sharded_program = spouse_program()
-    sharded = IncrementalGrounder.from_scratch(
-        sharded_program, spouse_db(sharded_program), n_workers=2
-    )
-    try:
-        assert_bit_identical(serial.graph, sharded.graph)
-        for update in updates:
-            serial.apply_update(**update)
-            sharded.apply_update(**update)
-            assert_bit_identical(serial.graph, sharded.graph)
-        sharded_stats = sharded.db.index_stats()["columnar"]
-        assert sharded_stats["shard_batches_merged"] > 0
-        assert sharded_stats["degradations"] == 0, "sharded path degraded"
-    finally:
-        sharded.close()
     print(
         "grounding smoke ok: columnar-incremental ≡ tuple-at-a-time "
         "from-scratch reference after every update (spouse, benchmark and "
-        f"arity workloads); arity k={k}: {shape}; 2-worker sharded "
-        f"bit-identical to serial; {col.num_vars} vars, "
+        f"arity workloads); arity k={k}: {shape}; {col.num_vars} vars, "
         f"{col.num_factors} factors"
     )
 

@@ -15,8 +15,7 @@ and a vars·factors/sec rate, plus the speedup over ``NaiveGibbsSampler``
 — a faithful copy of the seed's dict/list kernel kept here as the
 reference point.  Results are written to
 ``benchmark_results/BENCH_inference.json`` via ``_helpers.emit_json`` so
-the performance trajectory is tracked.  Multi-process chain ensembles
-are measured by ``bench_parallel_scaling.py``.
+the performance trajectory is tracked.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_inference_throughput.py
 [--scale tiny|small|medium|large] [--check]``

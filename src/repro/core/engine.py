@@ -62,7 +62,7 @@ class EngineConfig:
     """Tuning knobs; the defaults are scaled-down but proportionate to the
     paper's settings (1000 inference / 2000 materialization samples).
 
-    Fourteen fields in three groups.  The lesions that reproduce a paper
+    Thirteen fields in three groups.  The lesions that reproduce a paper
     figure are fields (``strategies`` / ``workload_aware`` for Fig. 11,
     ``warm_learning`` for Fig. 16); whether updates are transactional is
     not — they always are, and ``wal_path`` only says where the log
@@ -81,11 +81,6 @@ class EngineConfig:
     #: usually suffices.
     incremental_burn_in: int | None = None
     seed: int | None = None
-    #: Sampling parallelism: >1 fills the materialization bundle with that
-    #: many independent chains on a worker pool (see
-    #: ``repro.inference.parallel``); 1 draws it from one in-process
-    #: chain.  Every other chain an engine runs is serial.
-    n_workers: int = 1
     #: Tombstone/patched density above which a compiled factor graph
     #: recompacts (full recompile, amortized across updates).
     compact_threshold: float = 0.25
@@ -200,10 +195,9 @@ class _Engine:
         WAL-logged before anything mutates.  A failure anywhere in
         ``body`` restores the engine — substrate, chains, learner,
         materializations, rng — to its pre-transaction state, so the
-        retried call matches a never-failed one exactly (a pool-backed
-        learner restarts cold instead), and the WAL records
-        the rollback.  ``relearn`` passes no delta: the weights it moves
-        are not replayable from one, so it is rolled back but not
+        retried call matches a never-failed one exactly, and the WAL
+        records the rollback.  ``relearn`` passes no delta: the weights it
+        moves are not replayable from one, so it is rolled back but not
         logged."""
         snap = snapshot(self)
         txn = None
@@ -234,7 +228,7 @@ class _Engine:
         self.committed_updates += 1
         return outcome
 
-    def _relearn(self, num_epochs: int, record_loss: bool, learner_kwargs: dict):
+    def _relearn(self, num_epochs: int, record_loss: bool):
         """Shared body of both engines' ``relearn``.
 
         The first call compiles the current graph once; every later
@@ -250,13 +244,13 @@ class _Engine:
 
         def body():
             warm = self.config.warm_learning
-            if self.resident.warm_learner(warm, **learner_kwargs):
+            if self.resident.warm_learner(warm):
                 self.learns_warm += 1
             else:
                 self.learns_cold += 1
             history = self.resident.learner.fit(num_epochs, record_loss=record_loss)
             if not warm:
-                self.resident.drop_learner()
+                self.resident.learner = None
             return history
 
         return self._transaction(RelearnSnapshot, "engine.relearn.start", body)
@@ -268,8 +262,8 @@ class _Engine:
         return marginals
 
     def close(self) -> None:
-        """Release the persistent chain and learner (a learner's worker
-        pool and shared memory, if any) and the WAL's file handle."""
+        """Release the persistent chain and learner and the WAL's file
+        handle."""
         self.resident.close()
         self.wal.close()
 
@@ -289,9 +283,7 @@ class IncrementalEngine(_Engine):
         self.base_graph = graph.copy()
         super().__init__(self.base_graph, config)
         self.cumulative_delta: FactorGraphDelta | None = None
-        self.sampling = SampleMaterialization(
-            self.base_graph, seed=self.rng, n_workers=self.config.n_workers
-        )
+        self.sampling = SampleMaterialization(self.base_graph, seed=self.rng)
         self.variational = VariationalMaterialization(
             self.base_graph,
             lam=self.config.variational_lam,
@@ -416,13 +408,13 @@ class IncrementalEngine(_Engine):
 
     # ------------------------------------------------------------------ #
 
-    def relearn(self, num_epochs: int, record_loss: bool = True, **learner_kwargs):
+    def relearn(self, num_epochs: int, record_loss: bool = True):
         """Re-learn the weights of the *current* graph, persistently and
         transactionally (see :meth:`_Engine._relearn`): a failure mid-fit
         restores the weight store, the learner's chains and the rng.
         Returns the :class:`~repro.learning.sgd.LearningHistory` of this
         run."""
-        return self._relearn(num_epochs, record_loss, learner_kwargs)
+        return self._relearn(num_epochs, record_loss)
 
     def _exhausted_marginals(self, fallback: np.ndarray) -> np.ndarray:
         """Best available marginals when no inference step can run.
@@ -552,8 +544,8 @@ class RerunEngine(_Engine):
             seconds=time.perf_counter() - started,
         )
 
-    def relearn(self, num_epochs: int, record_loss: bool = True, **learner_kwargs):
+    def relearn(self, num_epochs: int, record_loss: bool = True):
         """Re-learn the weights of the current graph, persistently and
         transactionally (see :meth:`_Engine._relearn`); the learner shares
         the substrate the chain samples."""
-        return self._relearn(num_epochs, record_loss, learner_kwargs)
+        return self._relearn(num_epochs, record_loss)

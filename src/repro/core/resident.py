@@ -27,16 +27,6 @@ from repro.learning.sgd import SGDLearner
 from repro.reliability.snapshots import LearnerSnapshot, SerialSamplerSnapshot
 
 
-def _close_quietly(follower) -> None:
-    """Close during a rollback: a pool that already died must not mask
-    the failure being rolled back."""
-    if follower is not None:
-        try:
-            follower.close()
-        except OSError:
-            pass
-
-
 class ResidentGraph:
     """A factor graph compiled once and patched in place from then on.
 
@@ -92,26 +82,8 @@ class ResidentGraph:
         if self.chain is not None:
             self.chain.apply_patch(patch)
         if self.learner is not None:
-            spliced = self.chain is not None and not patch.compacted
             self.learner.apply_patch(patch)
-            if spliced and patch.compacted:
-                # The learner's pool outgrew its segment and compacted
-                # after the chain had spliced the patch.
-                self._compacted_by(self.learner)
         return patch
-
-    def _compacted_by(self, culprit) -> None:
-        """The substrate compacted outside a patch — at the chain's start,
-        or under a pool-backed learner whose shared-memory export needs a
-        clean CSR snapshot — so no patch told the other followers: they
-        re-derive plans and caches around their warm state, through an
-        empty compacted patch."""
-        notice = CompiledPatch(
-            ops=None, old_num_vars=self.compiled.num_vars, compacted=True
-        )
-        for follower in (self.chain, self.learner):
-            if follower is not None and follower is not culprit:
-                follower.apply_patch(notice)
 
     def marginals(self, num_samples: int, burn_in: int) -> np.ndarray:
         """Monte-Carlo marginals from the persistent chain, started here
@@ -124,38 +96,30 @@ class ResidentGraph:
             self.chain = make_sampler(
                 self.graph, seed=self.rng, compiled=compiled, incremental=True
             )
-            if patched and not compiled.has_patches:
-                self._compacted_by(self.chain)
+            if patched and not compiled.has_patches and self.learner is not None:
+                # The substrate compacted outside a patch, so no patch
+                # told the learner: it re-derives plans and caches around
+                # its warm state, through an empty compacted patch.
+                self.learner.apply_patch(
+                    CompiledPatch(ops=None, old_num_vars=compiled.num_vars, compacted=True)
+                )
         return self.chain.estimate_marginals(num_samples, burn_in=burn_in)
 
-    def warm_learner(self, warm: bool, **learner_kwargs) -> bool:
+    def warm_learner(self, warm: bool) -> bool:
         """Make ``learner`` ready to fit the current graph.
 
         True when the existing learner is reused — its chains and weight
         store rode every patch (App. B.3's SGD+Warmstart).  False when
         one was built: the first call, after a cold restore, and always
         under ``warm=False`` (Fig. 16's SGD-cold lesion, which also
-        zeroes the weights).  ``learner_kwargs`` only apply then."""
+        zeroes the weights)."""
         if warm and self.learner is not None:
             return True
-        self.drop_learner()
-        compiled = self.compile()
-        patched = compiled.has_patches
+        compiled = self.compile()  # the substrate's view becomes self.graph
         self.learner = SGDLearner(
-            self.graph,
-            warmstart=warm,
-            seed=self.rng,
-            compiled=compiled,
-            **learner_kwargs,
+            self.graph, warmstart=warm, seed=self.rng, compiled=compiled
         )
-        if patched and not compiled.has_patches:
-            self._compacted_by(self.learner)
         return False
-
-    def drop_learner(self) -> None:
-        if self.learner is not None:
-            self.learner.close()
-            self.learner = None
 
     # ------------------------------------------------------------------ #
     # Transactions
@@ -177,12 +141,9 @@ class ResidentGraph:
     def restore(self, snap: SimpleNamespace, verify: bool = True) -> None:
         """Roll back to ``snap`` (single use).
 
-        The substrate, the chain and a serial learner restore bit-exactly,
-        so a retried transaction matches a never-failed one (``verify``
-        re-checks their caches from scratch).  A pool-backed learner
-        restores cold: a pool that half-applied a patch cannot be rolled
-        back message by message, so it is closed and the next
-        :meth:`warm_learner` restarts it from the rolled-back substrate."""
+        The substrate, the chain and the learner restore bit-exactly, so a
+        retried transaction matches a never-failed one (``verify``
+        re-checks their caches from scratch)."""
         if snap.substrate is not None:
             snap.compiled.restore_state(snap.substrate)
         self.compiled = snap.compiled
@@ -190,18 +151,12 @@ class ResidentGraph:
         # captured reference may be a facade swapped in, or a graph
         # materialized, during the failed transaction.
         self.graph = snap.graph if snap.compiled is None else snap.compiled.graph
-        if self.chain is not snap.chain:
-            _close_quietly(self.chain)
-        if self.learner is not snap.learner:
-            _close_quietly(self.learner)
         self.chain = (
             None if snap.chain_state is None else snap.chain_state.restore(verify=verify)
         )
         self.learner = snap.learner_state.restore(verify=verify)
 
     def close(self) -> None:
-        """Release the followers (worker pools, shared memory)."""
-        if self.chain is not None:
-            self.chain.close()
-            self.chain = None
-        self.drop_learner()
+        """Drop the followers."""
+        self.chain = None
+        self.learner = None

@@ -12,11 +12,9 @@ as one matrix and :class:`IndependentMH` extends and scores them as one
 batch; samples are *consumed* across successive updates, and exhaustion
 triggers the optimizer's fallback rule.
 
-With ``n_workers > 1`` the bundle is filled by parallel independent
-chains (one per worker, same shared compilation) within the sample quota
-or time budget — the paper's best-effort materialization policy (§3.3)
-parallelises trivially because samples from any mix of chains are still
-draws from ``Pr⁰``.
+The bundle is drawn by one in-process chain: filling it from chains in
+worker processes never reached the 1.3× over this chain that a pool has
+to show (README, *Why every chain is in-process*).
 """
 
 from __future__ import annotations
@@ -62,16 +60,11 @@ def make_sampler(
 
 
 class SampleMaterialization:
-    """Materialized worlds of ``Pr⁰`` plus a consumption cursor.
+    """Materialized worlds of ``Pr⁰`` plus a consumption cursor."""
 
-    ``n_workers`` controls how many parallel chains fill the bundle
-    during :meth:`materialize`; 1 (default) keeps the serial sampler.
-    """
-
-    def __init__(self, graph: FactorGraph, seed=None, n_workers: int = 1) -> None:
+    def __init__(self, graph: FactorGraph, seed=None) -> None:
         self.graph = graph
         self.rng = as_generator(seed)
-        self.n_workers = n_workers
         #: Stored width of the bundle rows.  Starts at the materialized
         #: graph's width and grows via :meth:`extend_bundle` when updates
         #: append variables (the patched-bundle path of incremental
@@ -116,14 +109,7 @@ class SampleMaterialization:
         if self._compiled is None:
             self._compiled = CompiledFactorGraph(self.graph)
         start = time.perf_counter()
-        if self.n_workers > 1:
-            packed, collected = self._materialize_parallel(
-                num_samples, time_budget, thin, burn_in, start
-            )
-        else:
-            packed, collected = self._materialize_serial(
-                num_samples, time_budget, thin, burn_in, start
-            )
+        packed, collected = self._draw(num_samples, time_budget, thin, burn_in, start)
         self.materialization_seconds = time.perf_counter() - start
         if collected:
             # The cursor is only reset together with a *replaced* bundle:
@@ -135,7 +121,7 @@ class SampleMaterialization:
             self._cursor = 0
         return self.samples_total
 
-    def _materialize_serial(self, num_samples, time_budget, thin, burn_in, start):
+    def _draw(self, num_samples, time_budget, thin, burn_in, start):
         sampler = make_sampler(self.graph, seed=self.rng, compiled=self._compiled)
         if num_samples is not None and time_budget is None:
             # Known quota: preallocate the packed matrix, no list growth,
@@ -156,33 +142,6 @@ class SampleMaterialization:
         if not rows:
             return np.zeros((0, self._row_bytes), dtype=np.uint8), 0
         return np.stack(rows), len(rows)
-
-    def _materialize_parallel(self, num_samples, time_budget, thin, burn_in, start):
-        from repro.inference.parallel import ParallelChainEnsemble
-
-        with ParallelChainEnsemble(
-            self.graph,
-            num_chains=self.n_workers,
-            n_workers=self.n_workers,
-            seed=self.rng,
-            compiled=self._compiled,
-        ) as ensemble:
-            if time_budget is not None:
-                # Honor the caller's budget like the serial path does:
-                # workers clock locally from request receipt, so charge
-                # pool startup against the budget rather than on top.
-                time_budget = max(
-                    time_budget - (time.perf_counter() - start), 0.0
-                )
-            packed, collected = ensemble.sample_worlds_packed(
-                num_samples=num_samples,
-                time_budget=time_budget,
-                thin=thin,
-                burn_in=burn_in,
-            )
-        if not collected:
-            return np.zeros((0, self._row_bytes), dtype=np.uint8), 0
-        return packed, collected
 
     # ------------------------------------------------------------------ #
 

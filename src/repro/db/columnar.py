@@ -43,7 +43,6 @@ __all__ = [
     "TableView",
     "expand_ranges",
     "pack_rows",
-    "shard_assignments",
 ]
 
 
@@ -124,26 +123,6 @@ def pack_row(row_codes) -> "int | bytes":
     if k == 2:
         return (int(row_codes[0]) << 32) | int(row_codes[1])
     return np.ascontiguousarray(row_codes, dtype=np.int32).tobytes()
-
-
-def shard_assignments(columns, n_shards: int, length: int | None = None) -> np.ndarray:
-    """Shard id in ``[0, n_shards)`` per row of the given code columns.
-
-    A fixed multiplicative hash over the int32 codes, so the assignment
-    is a pure function of the row's *codes* — identical in every process
-    and for any table layout (slot order never enters).  With no columns
-    every row hashes to the same shard: still a correct partition, just
-    a degenerate one.
-    """
-    if length is None:
-        length = len(columns[0]) if len(columns) else 0
-    h = np.full(length, 0x9E3779B97F4A7C15, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for col in columns:
-            h = h ^ np.asarray(col).astype(np.uint64)
-            h = h * np.uint64(0xC2B2AE3D27D4EB4F)
-            h = h ^ (h >> np.uint64(29))
-    return (h % np.uint64(n_shards)).astype(np.int64)
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -321,7 +300,6 @@ class ColumnarTable:
         self._n_alive = 0
         self._slot_of: dict = {}
         self._indexes: dict = {}  # positions tuple -> {key bytes: _Bucket}
-        self._partitions: dict = {}  # (positions, n_shards) -> shard per slot
         self._alive_slots_cache: np.ndarray | None = None
         self._views: list = []  # live TableView snapshots (copy-on-write)
         self._load(relation.rows())
@@ -349,7 +327,6 @@ class ColumnarTable:
         self._alive = np.ones(self._n_slots, dtype=bool)
         self._slot_of = {row: i for i, row in enumerate(rows)}
         self._indexes.clear()
-        self._partitions.clear()
         self._alive_slots_cache = None
 
     def _append_slot(self, row: tuple) -> int:
@@ -434,36 +411,6 @@ class ColumnarTable:
     def signs_of(self, slots: np.ndarray) -> np.ndarray:
         """Relations contribute each visible tuple once, positively."""
         return np.ones(len(slots), dtype=np.int64)
-
-    def partition_of(self, positions: tuple, n_shards: int) -> np.ndarray:
-        """Per-slot shard assignments hashed over the ``positions`` codes.
-
-        Built once per (positions, n_shards) and extended in O(|Δ slots|)
-        as appends land; slots keep their assignment until a compaction
-        reassigns slots (``_load`` drops the cache).  Dead slots keep an
-        assignment too — probes alive-filter before partition-filtering.
-        """
-        key = (tuple(positions), int(n_shards))
-        part = self._partitions.get(key)
-        n = self._n_slots
-        if part is None:
-            self._stats["partition_builds"] += 1
-            cols = [self._codes[:n, p] for p in key[0]]
-            part = shard_assignments(cols, n_shards, length=n)
-            self._partitions[key] = part
-        elif len(part) < n:
-            lo = len(part)
-            cols = [self._codes[lo:n, p] for p in key[0]]
-            part = np.concatenate(
-                [part, shard_assignments(cols, n_shards, length=n - lo)]
-            )
-            self._partitions[key] = part
-        return part
-
-    def visible_codes(self) -> np.ndarray:
-        """The code matrix of the currently visible rows (synced)."""
-        self.sync()
-        return self._codes[self.alive_slots()]
 
     def _index_keys(self, positions: tuple) -> np.ndarray:
         return pack_rows(self._codes[: self._n_slots][:, positions])
@@ -649,18 +596,6 @@ class TableView:
             self._table.sync()
         return self._materialized
 
-    def visible_codes(self) -> np.ndarray:
-        """The code matrix of the view's visible rows (O(view) copy —
-        recovery/restore path, never the probe hot path)."""
-        materialized = self._resolve()
-        if materialized is not None:
-            return materialized.codes
-        table = self._table
-        alive = table._alive[: self._fence].copy()
-        for slot, value in self._overrides.items():
-            alive[slot] = value
-        return table._codes[: self._fence][np.flatnonzero(alive)]
-
     def probe(self, positions: tuple, key_rows: np.ndarray):
         materialized = self._resolve()
         if materialized is not None:
@@ -685,7 +620,6 @@ class ColumnarBatch:
         self.signs = np.asarray(signs, dtype=np.int64)
         self.arity = self.codes.shape[1] if self.codes.ndim == 2 else 0
         self._sorted: dict = {}
-        self._partitions: dict = {}  # (positions, n_shards) -> shard per row
 
     @classmethod
     def from_signed_rows(cls, interner: Interner, signed_rows) -> "ColumnarBatch":
@@ -706,16 +640,6 @@ class ColumnarBatch:
 
     def signs_of(self, slots: np.ndarray) -> np.ndarray:
         return self.signs[slots]
-
-    def partition_of(self, positions: tuple, n_shards: int) -> np.ndarray:
-        """Per-row shard assignments (batches are immutable: cached)."""
-        key = (tuple(positions), int(n_shards))
-        part = self._partitions.get(key)
-        if part is None:
-            cols = [self.codes[:, p] for p in key[0]]
-            part = shard_assignments(cols, n_shards, length=self.num_rows)
-            self._partitions[key] = part
-        return part
 
     def probe(self, positions: tuple, key_rows: np.ndarray):
         """Sort-based ephemeral index probe (same contract as tables)."""
@@ -758,12 +682,6 @@ class ColumnarStore:
         "delta_plan_hits",
         "delta_plan_misses",
         "delta_batch_builds",
-        # Sharded grounding (repro.grounding.sharded): controller-side
-        # partition builds plus worker-reported shard activity.
-        "partition_builds",
-        "shard_probes",
-        "shard_batches_merged",
-        "degradations",
     )
 
     def __init__(self) -> None:

@@ -56,7 +56,7 @@ class Database:
         (:meth:`Relation.index_stats` — point lookups outside the join
         plans); ``columnar`` is the columnar store's counters
         (:attr:`ColumnarStore.stats`: bucket-index builds, batch probes,
-        mirror (re)builds, delta-plan and shard activity), all zero for a
+        mirror (re)builds, delta-plan activity), all zero for a
         database that never built a store.  Both *build* counters must
         stay flat across ``apply_delta`` — indexes are maintained, never
         rebuilt, under deltas.

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.columnar import ColumnarStore, shard_assignments
+from repro.db.columnar import ColumnarStore
 from repro.db.query import Var, static_join_order
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "JoinPlan",
     "canonicalize_batch",
     "compile_delta_plans",
-    "head_partition_positions",
 ]
 
 
@@ -72,10 +71,10 @@ def canonicalize_batch(batch: BindingBatch) -> BindingBatch:
 
     Rows sort lexicographically by the code columns in sorted-name order,
     insertions before retractions among otherwise-equal rows.  The result
-    depends only on the batch's *contents*, not on how it was produced —
-    so a shard-merged execution folds into factor records (and interns
-    weights, head constants, new variable ids) in exactly the order the
-    serial execution does, for any shard count or completion order.
+    depends only on the batch's *contents*, not on the join order that
+    produced it — so a batch folds into factor records (and interns
+    weights, head constants, new variable ids) in an order that survives
+    a change of plan.
     """
     if batch.num_rows <= 1:
         return batch
@@ -180,9 +179,8 @@ class JoinPlan:
         pending copy-on-write overrides into captured views and interning
         newly appended rows).  Doing this for *all* steps up front — even
         ones a later early exit would skip — makes the interner's state
-        after an execution a pure function of the plan and the data, so
-        the sharded executor can replay the same syncs controller-side
-        and stay bit-identical to serial execution.
+        after an execution a pure function of the plan and the data, not
+        of where the join happened to come up empty.
         """
         tables = []
         for step in self.steps:
@@ -198,18 +196,11 @@ class JoinPlan:
             tables.append(table)
         return tables
 
-    def execute(
-        self, store: ColumnarStore, db, sources=None, partition=None
-    ) -> BindingBatch:
+    def execute(self, store: ColumnarStore, db, sources=None) -> BindingBatch:
         """Run the plan; ``sources`` maps atom index → :class:`ColumnarBatch`.
 
         ``db`` supplies the relations for non-source atoms (mirrored and
-        synced through ``store``).  ``partition`` is an optional
-        ``(positions, n_shards, shard)`` triple restricting the first
-        step to the rows whose :func:`~repro.db.columnar.shard_assignments`
-        hash over ``positions`` equals ``shard`` — the sharded grounding
-        executor runs one such restricted execution per worker and the
-        shard outputs form an exact disjoint partition of the full batch.
+        synced through ``store``).
         """
         interner = store.interner
         tables = self.resolve_tables(store, db, sources=sources)
@@ -232,10 +223,6 @@ class JoinPlan:
             for bi, name in enumerate(step.bound_names):
                 key_rows[:, step.const_count + bi] = cols[name]
             probe_idx, slots = table.probe(step.key_positions, key_rows)
-            if partition is not None and si == 0:
-                positions, n_shards, shard = partition
-                keep = _shard_of_slots(table, positions, n_shards, slots) == shard
-                probe_idx, slots = probe_idx[keep], slots[keep]
             for pos_a, pos_b in step.eq_filters:
                 keep = table.codes_at(slots, pos_a) == table.codes_at(
                     slots, pos_b
@@ -248,39 +235,6 @@ class JoinPlan:
             if not len(signs):
                 return self._empty()
         return BindingBatch(cols=cols, signs=signs)
-
-
-def _shard_of_slots(table, positions, n_shards, slots) -> np.ndarray:
-    """Shard assignment of each matched slot (cached per-slot table on
-    tables/batches that keep one, hashed on the fly otherwise)."""
-    part_of = getattr(table, "partition_of", None)
-    if part_of is not None:
-        return part_of(positions, n_shards)[slots]
-    cols = [table.codes_at(slots, p) for p in positions]
-    return shard_assignments(cols, n_shards, length=len(slots))
-
-
-def head_partition_positions(plan: JoinPlan, head_vars) -> tuple:
-    """Argument positions of a plan's first-step atom to partition on.
-
-    Positions binding the rule's *head variables* when the atom carries
-    any (factor-record folding then stays shard-local: every binding of
-    one head tuple lands on one shard), else every variable position of
-    the atom.  May be empty (an all-constant atom) — still a correct,
-    if degenerate, single-shard partition.
-    """
-    head_vars = frozenset(head_vars)
-    atom = plan.atoms[plan.steps[0].atom_index]
-    positions = tuple(
-        pos
-        for pos, arg in enumerate(atom.args)
-        if isinstance(arg, Var) and arg.name in head_vars
-    )
-    if positions:
-        return positions
-    return tuple(
-        pos for pos, arg in enumerate(atom.args) if isinstance(arg, Var)
-    )
 
 
 def compile_delta_plans(atoms) -> tuple:

@@ -76,8 +76,8 @@ is offsetting its ids and appending its columns.  The patch protocol:
 * **ops** — the delta becomes a picklable op dict: the table as it is
   (``add``) and, for the removed factor ids, the slots they resolve to
   through the factor-handle table (``bias_del``, ``ising_del``,
-  ``rule_del``, ``slow_del``).  Worker processes replay the same dict on
-  their shared-memory attached views;
+  ``rule_del``, ``slow_del``).  Cached scan plans read its evidence ops
+  when they follow the patch;
 * **decide, then land** — what the ops will touch (every variable that
   gains or loses an incidence; a removed rule finds its body in its
   literal range) is read off the arrays before anything mutates, and
@@ -347,17 +347,12 @@ _GROWABLE_NAMES = (
 )
 
 
-#: Per-variable growable arrays that only the controller writes: a
-#: shared-memory attached view replaying a patch re-slices them.
-_CONTROLLER_OWNED = ("_color", "_big_count", "_force_singleton")
-
-
 def bias_init_values(num_new_vars, old_num_vars, bias_add, weights, rng):
     """Initial values for a patch's appended variables.
 
     Draws each new variable from its bias-only conditional
-    ``P(x=1) = σ(2·Σ w_bias)`` — the warm-start initialization shared by
-    every patchable sampler (serial chain, worker chains).  ``bias_add``
+    ``P(x=1) = σ(2·Σ w_bias)`` — the warm-start initialization of a
+    patched chain.  ``bias_add``
     holds the patch's ``(var, weight id)`` rows
     (:attr:`CompiledPatch.bias_add`).  Evidence clamps are the caller's
     job (they differ per consumer)."""
@@ -422,11 +417,9 @@ class CompiledPatch:
     """What one :meth:`CompiledFactorGraph.apply_delta` call changed.
 
     Consumed by :meth:`GibbsCache.apply_patch` (cache splice), warm-started
-    samplers (state growth + evidence re-clamp) and the shared-memory
-    export (which slices it syncs).  ``ops`` is the picklable op dict a
-    worker process replays on its attached compiled view so controller
-    and workers stay structurally identical without re-shipping the
-    graph.  Row arrays: ``bias_del`` the tombstoned bias positions,
+    samplers (state growth + evidence re-clamp) and scan plans.  ``ops``
+    is the op dict the patch was landed from.  Row arrays: ``bias_del``
+    the tombstoned bias positions,
     ``ising_del`` the ``(k1, k2)`` incidence pairs of tombstoned edges,
     ``bias_add`` the appended ``(var, weight id)`` rows, ``ising_add``
     the appended ``(i, j, weight id)`` rows.  When ``compacted`` is set
@@ -476,8 +469,8 @@ class CompiledFactorGraph:
     """
 
     #: Armed by :meth:`snapshot_state`: ``{var: pre-patch mirror rows}``,
-    #: filled on first touch by :meth:`apply_patch_ops`.  ``None`` on
-    #: instances that never snapshot (workers, non-transactional use).
+    #: filled on first touch by a splice.  ``None`` on instances that
+    #: never snapshot (non-transactional use).
     _mirror_journal = None
 
     def __init__(self, graph: FactorGraph) -> None:
@@ -498,7 +491,6 @@ class CompiledFactorGraph:
         self.views_materialized = 0
         self._view_factors = None
         self._view_factors_version = -1
-        self._cap_views = None  # set on shared-memory attached instances
         self._build(table, graph.num_vars)
 
     @staticmethod
@@ -663,15 +655,12 @@ class CompiledFactorGraph:
             setattr(self, name, ga.view)
 
         # Per-weight live-factor counts (the gradient normalizer): built
-        # once here, then adjusted per patch by apply_patch_ops.
-        # Worker-attached instances leave this None (they never estimate
-        # gradients).
+        # once here, then adjusted per patch by the splice.
         self.weight_factor_counts = self._compute_weight_counts()
 
     def _mirrors_from_csr(self) -> None:
         """Derive the scalar-kernel Python mirrors from the per-variable
-        CSR arrays (which must be current: a fresh build, or a worker's
-        attachment to a compacted export)."""
+        CSR arrays (which must be current: a fresh build)."""
 
         def rows_of(indptr, flat):
             ptr = indptr.tolist()
@@ -703,9 +692,8 @@ class CompiledFactorGraph:
         # growable arrays travel once, inside ``_grow``.
         state = self.__dict__.copy()
         state["_mirror_journal"] = None
-        if self._cap_views is None:
-            for name in _GROWABLE_NAMES:
-                del state[name]
+        for name in _GROWABLE_NAMES:
+            del state[name]
         return state
 
     def __setstate__(self, state):
@@ -713,9 +701,8 @@ class CompiledFactorGraph:
         # a detached mask (tombstones, ``var_patched``) would be lost at
         # the next append: re-derive the views from their buffers.
         self.__dict__.update(state)
-        if self._cap_views is None:
-            for name, ga in self._grow.items():
-                setattr(self, name, ga.view)
+        for name, ga in self._grow.items():
+            setattr(self, name, ga.view)
 
     # ------------------------------------------------------------------ #
 
@@ -731,15 +718,8 @@ class CompiledFactorGraph:
 
     @property
     def num_factors(self) -> int:
-        """Live factor count — O(1) via the handle table on controllers."""
-        if self._fkind is not None:
-            return int(self._fkind.shape[0])
-        return int(
-            np.count_nonzero(self.bias_alive)
-            + np.count_nonzero(self.ising_alive) // 2
-            + self.num_live_rules
-            + self.num_live_slow
-        )
+        """Live factor count — O(1) via the handle table."""
+        return int(self._fkind.shape[0])
 
     @property
     def weights(self):
@@ -760,11 +740,6 @@ class CompiledFactorGraph:
         """The factors at ``indices`` of the current factor list, in that
         order, gathered from the arrays — no factor object is built
         (bar the slow-path ones, which are kept as objects)."""
-        if self._fkind is None:
-            raise RuntimeError(
-                "attached (worker-side) compiled views carry no factor "
-                "handle table; materialize on the controller"
-            )
         indices = np.asarray(indices, dtype=np.int64)
         kind, h1 = self._fkind[indices], self._fh1[indices]
         bias, ising = h1[kind == KIND_BIAS], h1[kind == KIND_ISING]
@@ -865,7 +840,7 @@ class CompiledFactorGraph:
     def _count_adjust(self, wids: np.ndarray, delta: int) -> None:
         """Add ``delta`` to the live-factor count of each of ``wids``."""
         counts = self.weight_factor_counts
-        if counts is None or not wids.size:
+        if not wids.size:
             return
         top = int(wids.max())
         if top >= counts.shape[0]:
@@ -880,16 +855,10 @@ class CompiledFactorGraph:
         """Live factors tied to each weight (length ``len(graph.weights)``).
 
         The per-weight gradient normalizer; maintained incrementally by
-        :meth:`apply_patch_ops` so re-learning after a delta never walks
-        the factor list."""
+        every patch so re-learning after a delta never walks the factor
+        list."""
         W = len(self.graph.weights)
         counts = self.weight_factor_counts
-        if counts is None:
-            # Attached (worker-side) views never maintain the counts
-            # incrementally, so don't cache a snapshot that would go stale.
-            counts = self._compute_weight_counts()
-            if self._cap_views is None:
-                self.weight_factor_counts = counts
         if counts.shape[0] < W:
             grown = np.zeros(W, dtype=np.int64)
             grown[: counts.shape[0]] = counts
@@ -1006,26 +975,8 @@ class CompiledFactorGraph:
     # ------------------------------------------------------------------ #
 
     def _append(self, name: str, values) -> None:
-        """Append rows to one growable global array (both backends).
-
-        Controller instances append into private amortized-doubling
-        buffers; shared-memory attached instances re-slice their fixed
-        capacity views (the controller has already reserved the room and
-        is about to — or did — write identical content)."""
-        if self._cap_views is None:
-            setattr(self, name, self._grow[name].append(values))
-            return
-        cap = self._cap_views[name]
-        cur = getattr(self, name).shape[0]
-        values = np.asarray(values, dtype=cap.dtype)
-        new = cur + values.shape[0]
-        if new > cap.shape[0]:
-            raise RuntimeError(
-                f"shared-memory capacity of {name!r} exceeded; the "
-                "controller must re-export before shipping this patch"
-            )
-        cap[cur:new] = values
-        setattr(self, name, cap[:new])
+        """Append rows to one growable global array (amortized doubling)."""
+        setattr(self, name, self._grow[name].append(values))
 
     def _var_neighbors(self, var: int) -> set:
         """Variables sharing a live fast factor with ``var`` (patch-aware)."""
@@ -1053,14 +1004,8 @@ class CompiledFactorGraph:
                 counter.subtract(others[lo:hi])
 
     def _count_big(self, members: np.ndarray, delta: int) -> None:
-        """``members`` joined (+1) or left (−1) one oversized rule each.
-
-        Like the colours, the counts are the controller's
-        (``_CONTROLLER_OWNED``): an attached view shares the region the
-        controller already brought up to date, and a second decrement
-        there would free a variable that a second oversized rule still
-        holds."""
-        if self._cap_views is None and members.size:
+        """``members`` joined (+1) or left (−1) one oversized rule each."""
+        if members.size:
             np.add.at(self._big_count, members, delta)
             self._force_singleton[members] = self._big_count[members] > 0
 
@@ -1085,8 +1030,7 @@ class CompiledFactorGraph:
         The delta's factor table goes in as it is (``add``); removed
         factor ids resolve through the handle table — which is compacted
         to the post-delta factor numbering here — to the positions to
-        tombstone.  The op dict is what worker processes replay on their
-        attached views."""
+        tombstone."""
         ops = {
             "num_new_vars": int(delta.num_new_vars),
             "var_names": list(delta.new_var_names),
@@ -1126,7 +1070,7 @@ class CompiledFactorGraph:
         table give the patch ops, and ``self.graph`` becomes (or stays) a
         lazy :class:`~repro.graph.factor_graph.CompiledGraphView` — no
         materialized ``delta.apply`` graph is ever built.  Returns the
-        :class:`CompiledPatch` that cache/plan/export holders follow.
+        :class:`CompiledPatch` that cache/plan/chain holders follow.
 
         The patched density the delta will leave (:meth:`patch_fraction`)
         is read off the ops before anything mutates.  At or under
@@ -1147,17 +1091,6 @@ class CompiledFactorGraph:
         ):
             return self._rebuild(patch)
         return self._splice(patch, survey)
-
-    def apply_patch_ops(self, ops: dict) -> CompiledPatch:
-        """Replay a patch-op dict against this compiled view.
-
-        The op application is deterministic, so a controller (building
-        the ops from a delta) and its shared-memory workers (receiving
-        them over a pipe) assign identical new rule/grounding/incidence
-        ids.  The controller maintains its own graph facade (names +
-        shared evidence dict behind a lazy view); workers patch their
-        stub graph instead."""
-        return self._splice(*self._survey(ops))
 
     def _survey(self, ops: dict) -> tuple:
         """What ``ops`` will change, read off the arrays — nothing
@@ -1269,10 +1202,6 @@ class CompiledFactorGraph:
                 patch.evidence_clears.append(var)
             else:
                 patch.evidence_sets.append((var, val))
-        if self._cap_views is not None:
-            # Worker-side stub graph: patch evidence + size in place.
-            self.graph.apply_patch(k, ops["evidence"])
-            return
         # Substrate-as-truth: extend the shared name list, write
         # evidence through the shared dict, and keep ``self.graph``
         # a lazy view over this substrate.  The source graph handed
@@ -1319,11 +1248,6 @@ class CompiledFactorGraph:
         but plans/blocks/caches derived before the compaction are invalid
         — holders must re-derive them (apply_delta signals this with
         ``CompiledPatch.compacted``)."""
-        if self._cap_views is not None:
-            raise RuntimeError(
-                "shared-memory attached views cannot compact; the "
-                "controller re-exports instead"
-            )
         self._build(self._live_table(), self.num_vars)
         self.structure_version += 1
 
@@ -1345,10 +1269,9 @@ class CompiledFactorGraph:
             self._append("evidence_mask", np.zeros(k, dtype=bool))
             self._append("var_patched", np.ones(k, dtype=bool))
             self._append("_needs_scalar", np.zeros(k, dtype=bool))
-            if self._cap_views is None:
-                self._append("_force_singleton", np.zeros(k, dtype=bool))
-                self._append("_big_count", np.zeros(k, dtype=np.int32))
-                self._append("_color", np.full(k, -1, dtype=np.int32))
+            self._append("_force_singleton", np.zeros(k, dtype=bool))
+            self._append("_big_count", np.zeros(k, dtype=np.int32))
+            self._append("_color", np.full(k, -1, dtype=np.int32))
             for name in _MIRROR_NAMES:
                 getattr(self, name).extend([] for _ in range(k))
 
@@ -1471,7 +1394,7 @@ class CompiledFactorGraph:
             if rules.num_rules:
                 self._splice_rules(rules, patch)
 
-        if self._fkind is not None and len(add):
+        if len(add):
             self._fkind = np.concatenate([self._fkind, kind])
             self._fh1 = np.concatenate([self._fh1, handle])
             self._fh2 = np.concatenate([self._fh2, handle2])
@@ -1487,14 +1410,7 @@ class CompiledFactorGraph:
             self.structure_version += 1
 
         # ---- recolour, then repair every cached scan plan ----------------
-        if self._cap_views is not None:
-            # Colours and oversized-rule counts are the controller's to
-            # assign: it wrote them into the shared region before
-            # shipping these ops.
-            for name in _CONTROLLER_OWNED:
-                setattr(self, name, self._cap_views[name][: self.num_vars])
-        else:
-            self._recolor(np.union1d(dirty, np.arange(n0, n0 + k)).tolist())
+        self._recolor(np.union1d(dirty, np.arange(n0, n0 + k)).tolist())
         # Plans keyed to the graph's own evidence follow its evidence ops
         # (and are re-keyed); plans for other evidence configurations
         # (e.g. a free learning chain) keep theirs, and are dropped —
@@ -1648,7 +1564,7 @@ class CompiledFactorGraph:
         by (object, size) plus content copies of the in-place-mutated
         masks, the handle table and plan cache.  The Python mirrors are
         captured by reference and *journaled*: while this capture is the
-        latest one, :meth:`apply_patch_ops` saves a variable's mirror
+        latest one, a splice saves a variable's mirror
         rows the first time a patch touches it (a compaction swaps the
         lists wholesale and leaves the captured ones intact), so the
         mirrors cost O(touched), not O(num_vars).  Only the most recent
@@ -1659,10 +1575,6 @@ class CompiledFactorGraph:
         same float summation order — so a retried update is bit-identical
         to one applied to a never-failed engine.
         """
-        if self._cap_views is not None:
-            raise RuntimeError(
-                "shared-memory attached views snapshot on the controller"
-            )
         # Arming a new journal supersedes the previous capture's.
         self._mirror_journal = journal = {}
         snap = {
@@ -1682,11 +1594,7 @@ class CompiledFactorGraph:
                 journal,
             ),
             "slow_alive": list(self.slow_alive),
-            "weight_factor_counts": (
-                None
-                if self.weight_factor_counts is None
-                else self.weight_factor_counts.copy()
-            ),
+            "weight_factor_counts": self.weight_factor_counts.copy(),
             "nbr_patch": {v: c.copy() for v, c in self._nbr_patch.items()},
             "plan_cache": {
                 key: (plan, plan.snapshot_state())

@@ -100,8 +100,8 @@ _SEM_FROM_CODE = {code: sem for sem, code in _SEM_CODES.items()}
 
 
 def sem_from_code(code: int) -> Semantics:
-    """Inverse of :func:`sem_code` (used when reconstructing a compiled
-    graph from its flat arrays, e.g. in sampler worker processes)."""
+    """Inverse of :func:`sem_code` (used when reconstructing factors
+    from a compiled graph's flat arrays)."""
     try:
         return _SEM_FROM_CODE[int(code)]
     except KeyError:

@@ -10,23 +10,14 @@ and maintaining the result incrementally under data/program changes (§3.1).
   the counting (DRed-style) algorithm, emitting
   :class:`~repro.graph.delta.FactorGraphDelta` objects for incremental
   inference.
-* :class:`~repro.grounding.sharded.ShardedGroundingExecutor` — executes
-  both grounders' join plans as hash-partitioned shards on the worker
-  pool (``n_workers > 1``), bit-identical to the serial path.
 """
 
 from repro.grounding.grounder import Grounder, GroundingResult
 from repro.grounding.incremental import IncrementalGrounder, UpdateResult
-from repro.grounding.sharded import (
-    GroundingWorkerSession,
-    ShardedGroundingExecutor,
-)
 
 __all__ = [
     "Grounder",
     "GroundingResult",
-    "GroundingWorkerSession",
     "IncrementalGrounder",
-    "ShardedGroundingExecutor",
     "UpdateResult",
 ]

@@ -120,11 +120,6 @@ class GroundingResult:
     variable_of: dict          # (relation, tuple) -> variable id
     tuple_of: dict             # variable id -> (relation, tuple)
     factor_records: dict       # (rule, head var, weight id) -> FactorRecord
-    #: grounding execution counters: ``n_workers`` plus the shard-level
-    #: counters (``partition_builds``, ``shard_probes``,
-    #: ``shard_batches_merged``, ``degradations``) snapshotted from the
-    #: columnar store after the ground.
-    stats: dict = field(default_factory=dict)
 
     def variable(self, relation: str, row) -> int:
         return self.variable_of[(relation, tuple(row))]
@@ -150,30 +145,15 @@ class GroundingResult:
 # ---------------------------------------------------------------------- #
 
 
-def head_var_names(rule) -> tuple:
-    """The names of the variables appearing in a rule's head atom."""
-    return tuple(
-        arg.name for arg in rule.head.args if isinstance(arg, Var)
-    )
-
-
-def full_body_batch(db: Database, rule, executor=None):
-    """Canonical binding batch of a rule's full body join.
-
-    Routes through the sharded executor when one is active (hash-
-    partitioned parallel execution, shard-order merge), else the serial
-    cached plan; either way the result is canonicalized
-    (:func:`repro.db.plan.canonicalize_batch`), so downstream folding is
-    bit-identical between the two paths.
+def full_body_batch(db: Database, rule):
+    """Canonical binding batch of a rule's full body join: the cached
+    plan's batch, canonicalized (:func:`repro.db.plan.canonicalize_batch`)
+    so downstream folding does not depend on the join's row order.
     """
     from repro.db.plan import canonicalize_batch
 
-    if executor is not None and executor.active:
-        batch = executor.execute_full(db, rule.body, head_var_names(rule))
-    else:
-        store = db.columnar
-        batch = store.plan(rule.body).execute(store, db)
-    return canonicalize_batch(batch)
+    store = db.columnar
+    return canonicalize_batch(store.plan(rule.body).execute(store, db))
 
 
 def signed_head_counts(db: Database, rule, batch) -> dict:
@@ -704,62 +684,19 @@ class RuleDeltaAccumulator:
 
 
 class Grounder:
-    """Grounds ``program`` over ``db`` from scratch.
+    """Grounds ``program`` over ``db`` from scratch."""
 
-    ``n_workers > 1`` executes every body join as hash-partitioned shard
-    executions on a worker pool (:class:`~repro.grounding.sharded.
-    ShardedGroundingExecutor`) — bit-identical output by construction;
-    ``n_workers=1`` is exactly the serial code path (no executor, no
-    pool).  Callers owning a multi-worker grounder should :meth:`close`
-    it (or hand the executor off) to reap the pool processes.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        db: Database,
-        n_workers: int = 1,
-        executor=None,
-        ctx=None,
-        command_timeout: float | None = None,
-        retry=None,
-    ) -> None:
+    def __init__(self, program: Program, db: Database) -> None:
         self.program = program
         self.db = db
-        self.n_workers = int(n_workers)
         self._resolver: VariableCodeResolver | None = None
-        self._executor = executor
-        self._owns_executor = False
-        if self._executor is None and self.n_workers > 1:
-            from repro.grounding.sharded import ShardedGroundingExecutor
-
-            self._executor = ShardedGroundingExecutor(
-                db,
-                self.n_workers,
-                ctx=ctx,
-                command_timeout=command_timeout,
-                retry=retry,
-            )
-            self._owns_executor = True
-
-    @property
-    def executor(self):
-        """The sharded executor (``None`` on the serial path)."""
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down an owned sharded executor's worker pool."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-            self._executor = None
-            self._owns_executor = False
 
     # ------------------------------------------------------------------ #
 
     def run_derivation_rules(self) -> None:
         """Evaluate all derivation rules, accumulating derivation counts."""
         for rule in self.program.stratified_derivation_rules():
-            batch = full_body_batch(self.db, rule, self._executor)
+            batch = full_body_batch(self.db, rule)
             self.db.relation(rule.head.pred).bulk_insert_counts(
                 signed_head_counts(self.db, rule, batch)
             )
@@ -799,7 +736,7 @@ class Grounder:
         apply_rule_binding_batch(
             rule,
             self.program.semantics_of(rule),
-            full_body_batch(self.db, rule, self._executor),
+            full_body_batch(self.db, rule),
             self.db.columnar.interner,
             self.program.variable_relations,
             variable_of,
@@ -839,19 +776,9 @@ class Grounder:
                 )
             )
         graph.validate()
-        stats: dict = {"n_workers": self.n_workers}
-        store_stats = self.db.columnar.stats
-        for key in (
-            "partition_builds",
-            "shard_probes",
-            "shard_batches_merged",
-            "degradations",
-        ):
-            stats[key] = store_stats[key]
         return GroundingResult(
             graph=graph,
             variable_of=variable_of,
             tuple_of=tuple_of,
             factor_records=records,
-            stats=stats,
         )

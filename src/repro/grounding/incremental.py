@@ -51,7 +51,6 @@ from repro.grounding.grounder import (
     VariableCodeResolver,
     apply_rule_binding_batch,
     full_body_batch,
-    head_var_names,
     signed_head_counts,
 )
 
@@ -80,14 +79,7 @@ class UpdateResult:
         return self.delta.summary()
 
 
-def _fused_delta_batches(
-    db: Database,
-    body,
-    transitions: dict,
-    batches: dict,
-    executor=None,
-    head_vars=(),
-):
+def _fused_delta_batches(db: Database, body, transitions: dict, batches: dict):
     """Yield the fused delta terms of a body join, one binding batch per
     *changed* body position ``i``.
 
@@ -98,11 +90,6 @@ def _fused_delta_batches(
     old = new), so the surviving terms telescope to the exact net delta.
     ``batches`` memoizes one signed batch per predicate across all k
     plans of *all* rules in the update.
-
-    With an active ``executor`` each term is executed as ``n_workers``
-    hash-partitioned shard runs on the worker pool (partitioned on
-    ``head_vars``); batches are canonicalized either way, so the sharded
-    and serial paths yield bit-identical terms.
     """
     changed_positions = [
         i
@@ -113,17 +100,12 @@ def _fused_delta_batches(
         return
     store = db.columnar
     plans = store.delta_plans(tuple(body))
-    sharded = executor is not None and executor.active
     for i in changed_positions:
         pred = body[i].pred
         batch = batches.get(pred)
         if batch is None:
             batch = batches[pred] = store.delta_batch(transitions[pred])
-        if sharded:
-            term = executor.execute_delta_term(db, plans[i], i, batch, head_vars)
-        else:
-            term = plans[i].execute(store, db, sources={i: batch})
-        yield canonicalize_batch(term)
+        yield canonicalize_batch(plans[i].execute(store, db, sources={i: batch}))
 
 
 class IncrementalGrounder:
@@ -140,26 +122,7 @@ class IncrementalGrounder:
         program: Program,
         db: Database,
         grounding: GroundingResult,
-        n_workers: int = 1,
-        executor=None,
-        ctx=None,
-        command_timeout: float | None = None,
-        retry=None,
     ):
-        self.n_workers = int(n_workers)
-        self._executor = executor
-        self._owns_executor = False
-        if self._executor is None and self.n_workers > 1:
-            from repro.grounding.sharded import ShardedGroundingExecutor
-
-            self._executor = ShardedGroundingExecutor(
-                db,
-                self.n_workers,
-                ctx=ctx,
-                command_timeout=command_timeout,
-                retry=retry,
-            )
-            self._owns_executor = True
         self.program = program
         self.db = db
         self.graph = grounding.graph
@@ -196,48 +159,8 @@ class IncrementalGrounder:
         self.last_result: UpdateResult | None = None
 
     @classmethod
-    def from_scratch(
-        cls,
-        program: Program,
-        db: Database,
-        n_workers: int = 1,
-        ctx=None,
-        command_timeout: float | None = None,
-        retry=None,
-    ) -> "IncrementalGrounder":
-        grounder = Grounder(
-            program,
-            db,
-            n_workers=n_workers,
-            ctx=ctx,
-            command_timeout=command_timeout,
-            retry=retry,
-        )
-        grounding = grounder.ground()
-        # Hand the grounder's worker pool off to the incremental grounder
-        # so full ground and every update share one executor session.
-        inc = cls(
-            program,
-            db,
-            grounding,
-            n_workers=n_workers,
-            executor=grounder.executor,
-        )
-        inc._owns_executor = grounder._owns_executor
-        grounder._owns_executor = False
-        return inc
-
-    @property
-    def executor(self):
-        """The sharded executor (``None`` on the serial path)."""
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down an owned sharded executor's worker pool."""
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-            self._executor = None
-            self._owns_executor = False
+    def from_scratch(cls, program: Program, db: Database) -> "IncrementalGrounder":
+        return cls(program, db, Grounder(program, db).ground())
 
     def bind_compiled(self, compiled, compact_threshold: float = 0.25) -> None:
         """Keep a :class:`CompiledFactorGraph` in sync with this grounder.
@@ -299,12 +222,7 @@ class IncrementalGrounder:
         # Fires before any relation is mutated: a failure here leaves the
         # grounder (db, records, graph) exactly as it was.
         maybe_fire("ground.update.start")
-        executor = self._executor
-        if executor is not None and not executor.active:
-            executor = None
         self.db.columnar.begin_update()
-        if executor is not None:
-            executor.begin_update()
         try:
             return self._apply_update(
                 inserts,
@@ -312,19 +230,14 @@ class IncrementalGrounder:
                 add_derivation_rules,
                 add_inference_rules,
                 remove_inference_rules,
-                executor,
             )
         finally:
             # Old-state views live exactly one update; releasing them
             # unpins their fences (and keeps the store picklable for
             # service checkpoints between updates).
-            if executor is not None:
-                executor.end_update()
             self.db.columnar.release_views()
 
-    def _rule_delta_batches(
-        self, rule, new_rule_names, transitions, delta_batches, executor
-    ):
+    def _rule_delta_batches(self, rule, new_rule_names, transitions, delta_batches):
         """The binding batches whose signed sum is ``rule``'s delta.
 
         A rule registered by this update evaluates its full body over the
@@ -333,15 +246,8 @@ class IncrementalGrounder:
         changed).  Derivation and inference rules make the same choice.
         """
         if rule.name in new_rule_names:
-            return (full_body_batch(self.db, rule, executor),)
-        return _fused_delta_batches(
-            self.db,
-            rule.body,
-            transitions,
-            delta_batches,
-            executor=executor,
-            head_vars=head_var_names(rule),
-        )
+            return (full_body_batch(self.db, rule),)
+        return _fused_delta_batches(self.db, rule.body, transitions, delta_batches)
 
     def _apply_update(
         self,
@@ -350,7 +256,6 @@ class IncrementalGrounder:
         add_derivation_rules,
         add_inference_rules,
         remove_inference_rules,
-        executor=None,
     ) -> UpdateResult:
         # Predicates some fused plan may probe in their old state; views
         # are captured lazily right before each such relation's
@@ -396,8 +301,6 @@ class IncrementalGrounder:
             relation = self.db.relation(name)
             if name in base_transitions and name in body_preds:
                 old_store.capture_old(relation)
-                if executor is not None:
-                    executor.capture_old(relation)
             relation.apply_delta(counts)
 
         # ---- 2. Register new derivation rules.
@@ -418,11 +321,7 @@ class IncrementalGrounder:
             head_delta: dict = {}
             for rule in rules_by_head.get(head_name, ()):
                 for batch in self._rule_delta_batches(
-                    rule,
-                    new_derivation_names,
-                    all_transitions,
-                    delta_batches,
-                    executor,
+                    rule, new_derivation_names, all_transitions, delta_batches
                 ):
                     for row, count in signed_head_counts(
                         self.db, rule, batch
@@ -444,8 +343,6 @@ class IncrementalGrounder:
                     for row, change in head_delta.items()
                 ):
                     old_store.capture_old(relation)
-                    if executor is not None:
-                        executor.capture_old(relation)
             appeared, disappeared = relation.apply_delta(head_delta)
             visible = {row: 1 for row in appeared}
             visible.update({row: -1 for row in disappeared})
@@ -520,7 +417,7 @@ class IncrementalGrounder:
             # term re-inserts (see RuleDeltaAccumulator).
             accumulator = RuleDeltaAccumulator()
             for batch in self._rule_delta_batches(
-                rule, new_rule_names, all_transitions, delta_batches, executor
+                rule, new_rule_names, all_transitions, delta_batches
             ):
                 apply_rule_binding_batch(
                     rule,

@@ -7,14 +7,11 @@ variable is within 1% of the correct value.  We estimate ``P_k[Q = 1]``
 running an ensemble of independent chains from worst-case initial states
 and averaging the query variable across chains at each sweep.
 
-The ensemble is embarrassingly parallel: with ``n_workers > 1`` whole
-chains are farmed to worker processes through
-:class:`~repro.inference.parallel.ParallelChainEnsemble` (one shared
-flat-array compilation, attached zero-copy).  Serially the ensemble is
-one :class:`~repro.inference.gibbs.ChainStack`: its chains share the
-compilation and the scan plan, so a sweep of all of them is one block
-evaluation per plan block instead of one per block per chain — the
-states, and the result, of sweeping them one after the other.
+The ensemble is one :class:`~repro.inference.gibbs.ChainStack`: its
+chains share the compilation and the scan plan, so a sweep of all of
+them is one block evaluation per plan block instead of one per block per
+chain — the states, and the result, of sweeping them one after the
+other.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ def sweeps_to_marginal(
     patience: int = 3,
     seed=None,
     initial=None,
-    n_workers: int = 1,
     compiled: CompiledFactorGraph | None = None,
 ) -> dict:
     """Sweeps until the ensemble marginal of ``var`` stays within ``tol``.
@@ -57,9 +53,6 @@ def sweeps_to_marginal(
         "all Up voters and Q true", the slow-mixing corner of the linear
         semantics lower-bound proof).  Defaults to independent random
         initial states.
-    n_workers:
-        When > 1, chains advance concurrently in worker processes; 1
-        keeps the serial in-process ensemble.
     compiled:
         Optional shared (possibly incrementally patched)
         :class:`CompiledFactorGraph` to reuse instead of compiling
@@ -71,24 +64,6 @@ def sweeps_to_marginal(
     unit of the paper's Figure 13 y-axis).
     """
     num_free = len(graph.free_variables())
-    if n_workers > 1:
-        from repro.inference.parallel import ParallelChainEnsemble
-
-        with ParallelChainEnsemble(
-            graph, num_chains, n_workers, seed=seed, initial=initial,
-            compiled=compiled,
-        ) as ensemble:
-            hits = 0
-            for sweep in range(1, max_sweeps + 1):
-                estimate = float(ensemble.sweep_values(var).mean())
-                if abs(estimate - target) <= tol:
-                    hits += 1
-                    if hits >= patience:
-                        return _result(sweep, True, num_free)
-                else:
-                    hits = 0
-            return _result(max_sweeps, False, num_free)
-
     rng = as_generator(seed)
     # One flat-array compilation (and one cached scan plan) shared by the
     # whole ensemble; each chain keeps only its own sampler state, and

@@ -109,8 +109,7 @@ def iter_worlds(sweep, rng, width: int, num_samples: int, thin: int = 1, burn_in
     """Drive ``sweep(logits)`` through ``burn_in`` sweeps, then yield after
     every ``thin`` more, ``num_samples`` times.
 
-    The world iterator serial chains and the pool's worker chains share:
-    all of the call's randomness comes from one :func:`logit_rows` stream
+    All of the call's randomness comes from one :func:`logit_rows` stream
     over ``rng``.  Run it to its end — an abandoned iterator leaves
     ``rng`` past the sweeps that ran (by at most one chunk)."""
     rows = logit_rows(rng, width, burn_in + num_samples * thin)
@@ -127,10 +126,8 @@ def sweep_blocks(cache, state, blocks, logits) -> None:
 
     ``logits`` must hold ``logit(u)`` of one uniform draw ``u`` per
     variable (a row of :func:`logit_rows`), concatenated in block order.
-    This is the sweep kernel shared by :class:`GibbsSampler` and the
-    workers of :mod:`repro.inference.parallel`; both must consume
-    randomness identically for the serial/parallel equivalence guarantees
-    to hold.  A draw ``u`` sets its variable to 1 iff ``u < σ(Δ)``,
+    This is the sweep kernel of :class:`GibbsSampler` and of the
+    :class:`ChainStack` built on it.  A draw ``u`` sets its variable to 1 iff ``u < σ(Δ)``,
     evaluated as ``logit(u) < Δ`` so no kernel exponentiates.
     """
     offset = 0
@@ -300,10 +297,6 @@ class GibbsSampler:
         """Monte-Carlo marginal estimates P(X_v = 1)."""
         worlds = self.sample_worlds(num_samples, thin=thin, burn_in=burn_in)
         return worlds.mean(axis=0)
-
-    def close(self) -> None:
-        """Nothing to release: the chain lives in this process.  Present
-        so an owner closes serial and pool-backed chains the same way."""
 
     def conditional_probability(self, var: int) -> float:
         """P(X_var = 1 | rest of current state) — exposed for tests."""

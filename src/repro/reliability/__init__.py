@@ -1,9 +1,9 @@
 """Fault tolerance for the incremental update pipeline.
 
 The online-service regime the ROADMAP targets (ground -> patch -> relearn
-batches behind live reads) assumes a process that survives: a worker
-crash must not deadlock the pool, and an exception mid-update must not
-leave the compiled CSR substrate half-patched.  This package supplies
+batches behind live reads) assumes a process that survives: an exception
+mid-update must not leave the compiled CSR substrate half-patched, and a
+crash must leave a log the next process can replay.  This package supplies
 
 - typed failure signals (:mod:`repro.reliability.errors`),
 - a seeded retry/backoff policy (:mod:`repro.reliability.retry`),
@@ -21,7 +21,6 @@ from repro.reliability.errors import (
     ReliabilityError,
     RollbackError,
     WALCorruptionError,
-    WorkerCrashError,
 )
 from repro.reliability.faults import (
     INJECTION_POINTS,
@@ -46,7 +45,6 @@ __all__ = [
     "RetryPolicy",
     "RollbackError",
     "WALCorruptionError",
-    "WorkerCrashError",
     "inject_faults",
     "maybe_fire",
     "replay_payload",

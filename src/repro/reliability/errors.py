@@ -1,9 +1,7 @@
 """Typed failure signals for the reliability layer.
 
-Anything the supervision/transaction machinery needs to distinguish gets
-its own exception class; everything else stays a plain ``RuntimeError``
-(worker-side application errors keep the historic ``worker N failed``
-message so existing callers' handling is unchanged).
+Anything the transaction machinery needs to distinguish gets its own
+exception class; everything else stays a plain ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -11,34 +9,6 @@ from __future__ import annotations
 
 class ReliabilityError(RuntimeError):
     """Base class for failures raised by the reliability layer."""
-
-
-class WorkerCrashError(ReliabilityError):
-    """A pool worker died or stopped responding mid-command.
-
-    Raised by :meth:`GibbsWorkerPool.send` / :meth:`~GibbsWorkerPool.recv`
-    instead of a bare ``EOFError``/``BrokenPipeError`` (dead worker) or an
-    indefinite hang (unresponsive worker).  Carries enough context for a
-    supervisor to decide between respawn and degradation.
-    """
-
-    def __init__(
-        self,
-        worker: int,
-        message: str,
-        *,
-        hung: bool = False,
-        exitcode: int | None = None,
-        last_traceback: str | None = None,
-    ) -> None:
-        detail = f"worker {worker}: {message}"
-        if last_traceback:
-            detail += f"\nlast worker traceback:\n{last_traceback}"
-        super().__init__(detail)
-        self.worker = worker
-        self.hung = hung
-        self.exitcode = exitcode
-        self.last_traceback = last_traceback
 
 
 class FaultInjected(ReliabilityError):

@@ -9,24 +9,13 @@ active, so production paths pay nothing.
 Actions:
 
 ``raise``
-    Raise :class:`FaultInjected` at the site (controller-side).
-``kill``
-    SIGKILL the target worker *before* the command is delivered
-    (``pool.send`` only) — the worker never processes it.
-``kill_after``
-    Replace the command with a worker-side ``fault_exit`` that runs the
-    original method and then ``os._exit``\\ s without replying — the
-    deterministic "killed after the work, before the reply" scenario.
-``drop``
-    Swallow the outgoing message (``pool.send`` only); the command times
-    out and recovery resends it.
+    Raise :class:`FaultInjected` at the site.
 ``delay``
     Sleep ``fault.delay`` seconds at the site.
 ``corrupt``
-    Scribble seeded random bytes over a shared-memory region named by
-    ``fault.region`` (sites that pass an ``export`` in context), or over
-    the middle of a file (sites that pass a ``path`` — e.g. the service's
-    ``service.checkpoint.write``, simulating on-disk corruption).
+    Scribble seeded random bytes over the middle of a file (sites that
+    pass a ``path`` — e.g. the service's ``service.checkpoint.write``,
+    simulating on-disk corruption).
 ``crash``
     Raise :class:`ProcessCrash` — a ``BaseException`` that no
     transactional ``except Exception`` handler can intercept, simulating
@@ -55,8 +44,6 @@ from repro.reliability.errors import FaultInjected, ProcessCrash
 #: letting the fault silently never fire (a chaos test that injects at a
 #: nonexistent site passes vacuously).
 INJECTION_POINTS = (
-    "pool.send",
-    "pool.recv",
     "engine.update.start",
     "engine.update.patched",
     "engine.update.inferred",
@@ -72,28 +59,21 @@ INJECTION_POINTS = (
     "service.recover.start",
 )
 
-_ACTIONS = frozenset(
-    {"raise", "kill", "kill_after", "drop", "delay", "corrupt", "crash"}
-)
+_ACTIONS = frozenset({"raise", "delay", "corrupt", "crash"})
 
 
 @dataclass
 class Fault:
     """One planned failure.
 
-    Fires on the ``at``-th matching visit (1-based) to ``site``; with
-    ``repeat=True`` it keeps firing on every later visit too (used to
-    model a persistently failing worker that forces degradation).
-    ``worker`` / ``method`` narrow pool sites to one worker or command.
+    Fires on the ``at``-th visit (1-based) to ``site``; with
+    ``repeat=True`` it keeps firing on every later visit too.
     """
 
     site: str
     action: str = "raise"
     at: int = 1
     repeat: bool = False
-    worker: int | None = None
-    method: str | None = None
-    region: str | None = None
     delay: float = 0.02
     note: str = ""
     # Internal visit counter (matching visits seen so far).
@@ -102,15 +82,6 @@ class Fault:
     def __post_init__(self) -> None:
         if self.action not in _ACTIONS:
             raise ValueError(f"unknown fault action {self.action!r}")
-
-    def matches(self, site: str, ctx: dict) -> bool:
-        if site != self.site:
-            return False
-        if self.worker is not None and ctx.get("worker") != self.worker:
-            return False
-        if self.method is not None and ctx.get("method") != self.method:
-            return False
-        return True
 
 
 class FaultPlan:
@@ -137,12 +108,10 @@ class FaultPlan:
     def fire(self, site: str, **ctx):
         """Visit ``site``; return the triggered :class:`Fault` or None.
 
-        ``raise``/``delay``/``corrupt`` actions are executed here (the
-        caller needs no logic); ``kill``/``kill_after``/``drop`` are
-        returned for the caller to enact, since they need pool internals.
+        Every action is executed here: the caller needs no logic.
         """
         for fault in self.faults:
-            if not fault.matches(site, ctx):
+            if fault.site != site:
                 continue
             fault._visits += 1
             due = (
@@ -160,23 +129,12 @@ class FaultPlan:
                 time.sleep(fault.delay)
                 return fault
             if fault.action == "corrupt":
-                export = ctx.get("export")
                 path = ctx.get("path")
-                if export is not None:
-                    self._corrupt(export, fault.region)
-                elif path is not None:
+                if path is not None:
                     self._corrupt_file(path)
                 return fault
             return fault
         return None
-
-    def _corrupt(self, export, region: str | None) -> None:
-        """Overwrite one exported region with seeded garbage."""
-        name = region if region is not None else "lit_var"
-        view = export.array(name)
-        raw = view.view(np.uint8).reshape(-1)
-        if raw.size:
-            raw[:] = self.rng.integers(0, 256, size=raw.size, dtype=np.uint8)
 
     def _corrupt_file(self, path) -> None:
         """Scribble seeded garbage over the middle of a file on disk."""
@@ -214,12 +172,7 @@ def maybe_fire(site: str, **ctx):
 
 @contextmanager
 def inject_faults(plan: FaultPlan):
-    """Activate ``plan`` for the duration of the block (controller side).
-
-    Worker processes forked while a plan is active inherit the module
-    global, but all hooks live on controller-side code paths, so faults
-    only ever fire in the driving process.
-    """
+    """Activate ``plan`` for the duration of the block."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = plan

@@ -1,6 +1,6 @@
-"""Seeded retry/backoff policy for supervised pool commands.
+"""Seeded retry/backoff policy for pipeline and service retries.
 
-Kept free of any pool/engine imports so the whole stack (and tests) can
+Kept free of any engine imports so the whole stack (and tests) can
 share one policy object.  The jitter stream is seeded: two runs with the
 same policy sleep the same durations, which keeps crash-recovery tests
 deterministic end to end.
@@ -44,7 +44,7 @@ class RetryPolicy:
 
         ``fn`` receives the 1-based attempt number.  On a retryable
         exception the optional ``on_retry(attempt, exc)`` hook runs (e.g.
-        to respawn a worker) before backing off; the final failure is
+        to count the retry) before backing off; the final failure is
         re-raised unchanged.
         """
         delays = self.delays()

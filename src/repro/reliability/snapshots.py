@@ -4,28 +4,19 @@
 ground → patch → infer/relearn pipeline; these classes capture exactly
 the state such a failure can have touched — O(touched), not O(graph) —
 so the engine rolls back to its pre-update state and the retried apply
-is bit-identical to a never-failed one (serial components; see below).
+is bit-identical to a never-failed one.
 
 The heavy lifting for the compiled substrate lives on the objects
 themselves (:meth:`CompiledFactorGraph.snapshot_state`,
 :meth:`SweepPlan.snapshot_state`, :meth:`WeightStore.snapshot_state` —
-designed around the mutation inventory of ``apply_patch_ops``: alive
+designed around the mutation inventory of a patch splice: alive
 masks and mirrors are copied, append-only arrays are truncated by size,
 replaced-not-mutated arrays are captured by reference).  Pairing a
 substrate capture with the captures of the chains that follow it is the
 owner's job (:meth:`repro.core.resident.ResidentGraph.snapshot`); this
 module supplies the per-component pieces it composes and the two
-engine-level transaction snapshots built on top.
-
-**Pool-backed components are restored cold.**  A worker pool that
-half-applied a patch cannot be rolled back message-by-message; the
-restore instead closes it and leaves the owner to restart it lazily (the
-controller-side compiled substrate *is* rolled back exactly, so the
-restarted pool begins from the correct pre-update structure).  Serial
-samplers and learners are restored bit-exactly, including the shared rng
-stream.  Exception: ``spawn()`` advances a SeedSequence child counter
-that is not part of the generator state, so exact rng replay holds for
-serial components only — which is also where bit-parity is asserted.
+engine-level transaction snapshots built on top.  Samplers and learners
+are restored bit-exactly, including the shared rng stream.
 
 All snapshots are single-use: ``restore`` consumes them.
 """
@@ -128,14 +119,11 @@ class MaterializationSnapshot:
 
 
 class LearnerSnapshot:
-    """:class:`SGDLearner` — serial chain pairs restore exactly;
-    pool-backed learners restore cold (closed; ``restore`` returns None
-    and the engine rebuilds at the next relearn)."""
+    """:class:`SGDLearner` — its chain pair restores exactly."""
 
     def __init__(self, learner) -> None:
         self.learner = learner
-        self.pool_backed = learner is not None and learner._pool is not None
-        if learner is None or self.pool_backed:
+        if learner is None:
             return
         self.graph = learner.graph
         self.free_graph = learner.free_graph
@@ -147,9 +135,6 @@ class LearnerSnapshot:
         _consume(self)
         learner = self.learner
         if learner is None:
-            return None
-        if self.pool_backed:
-            learner.close()
             return None
         learner.graph = self.graph
         learner.free_graph = self.free_graph

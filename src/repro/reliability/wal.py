@@ -55,7 +55,10 @@ distinguishes the two ways a log can be damaged:
   replaying a wrong prefix.
 
 Logs written by the pre-framing format (a bare pickle stream) are still
-readable; they only support tail tolerance, not mid-log detection.
+readable, with tail tolerance only.  Opening one rewrites it framed
+(atomically, as :meth:`DeltaLog.truncate` does) before anything is
+appended: a framed append behind bare pickles would stop the legacy
+reader at its header, losing every later transaction.
 """
 
 from __future__ import annotations
@@ -119,7 +122,11 @@ class DeltaLog:
         if self.path is not None:
             if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
                 self._records, valid_end = self._read_frames(self.path)
-                if valid_end < os.path.getsize(self.path):
+                with open(self.path, "rb") as fh:
+                    framed = fh.read(len(_MAGIC)) == _MAGIC
+                if not framed:
+                    self._rewrite(self._records)
+                elif valid_end < os.path.getsize(self.path):
                     # Cut the torn tail off before appending: a frame
                     # written after it would turn it into a bad
                     # *non-final* frame and make the log unreadable.
@@ -316,20 +323,23 @@ class DeltaLog:
         self._records = keep
         if self.path is not None:
             self._fh.close()
-            tmp = self.path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(_MAGIC)
-                for rec in keep:
-                    payload = pickle.dumps(rec)
-                    fh.write(
-                        _HEADER.pack(len(payload), zlib.crc32(payload))
-                    )
-                    fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            replace_durably(tmp, self.path)
+            self._rewrite(keep)
             self._fh = open(self.path, "ab")
         return dropped
+
+    def _rewrite(self, records: list[dict]) -> None:
+        """Replace the log file with ``records``, framed, atomically
+        (tmp + fsync + rename + directory fsync)."""
+        tmp = self.path + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            for rec in records:
+                payload = pickle.dumps(rec)
+                fh.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
+                fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        replace_durably(tmp, self.path)
 
     def close(self) -> None:
         if self._fh is not None:

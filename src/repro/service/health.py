@@ -12,10 +12,7 @@ States::
 ``degraded``
     A batch failed (after the pipeline's own retries) and was rolled
     back — the service keeps running on the last committed state and
-    advertises the failure.  Nothing is reconfigured here: a pool-backed
-    component that loses its workers degrades to serial on its own
-    (``degradations`` counters in the learner and the grounding
-    executor).
+    advertises the failure.  Nothing is reconfigured here.
 ``recovering``
     Enough consecutive clean commits have passed; one more confirms
     ``healthy``.

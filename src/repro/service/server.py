@@ -144,9 +144,7 @@ class KBService:
             # Checkpoints pickle the live (grounder, engine) pair; a
             # file-backed engine WAL holds an open file handle, which does
             # not survive pickling.  Fail at construction, not
-            # mid-checkpoint.  (An engine holds no worker pool between
-            # calls: ``EngineConfig.n_workers`` pools only the bundle
-            # draw, and the service's relearns are serial.)
+            # mid-checkpoint.
             if getattr(engine.config, "wal_path", None) is not None:
                 raise ValueError(
                     "checkpointing requires an in-memory engine WAL "

@@ -4,7 +4,7 @@ These helpers are deliberately tiny; everything substantive lives in the
 domain packages (``repro.graph``, ``repro.inference``, ``repro.core`` ...).
 """
 
-from repro.util.rng import RngMixin, as_generator, spawn
+from repro.util.rng import RngMixin, as_generator
 from repro.util.stats import (
     empirical_marginals,
     kl_divergence_bernoulli,
@@ -22,6 +22,5 @@ __all__ = [
     "format_table",
     "kl_divergence_bernoulli",
     "max_marginal_error",
-    "spawn",
     "total_variation",
 ]

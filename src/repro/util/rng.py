@@ -24,15 +24,6 @@ def as_generator(seed=None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn(rng: np.random.Generator, count: int) -> list:
-    """Derive ``count`` independent child generators from ``rng``.
-
-    Used when an experiment runs several strategies that must not perturb
-    each other's random streams (e.g. Rerun vs. Incremental comparisons).
-    """
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(count)]
-
-
 class RngMixin:
     """Mixin giving a class a lazily created private generator."""
 

@@ -201,3 +201,19 @@ def mixed_case(seed, new_vars=None):
         if rng.random() < 0.25:
             delta.evidence_updates[var] = (None, True, False)[int(rng.integers(3))]
     return base, delta
+
+
+def graph_fingerprint(graph) -> dict:
+    """Everything observable about a factor graph, in exact order — two
+    runs are bit-identical iff their fingerprints are equal (factors are
+    frozen dataclasses and compare field by field).  Also imported by
+    ``benchmarks/bench_recovery.py --check``."""
+    return {
+        "names": [graph.name_of(v) for v in range(graph.num_vars)],
+        "evidence": dict(graph.evidence),
+        "factors": list(graph.factors),
+        "weights": list(graph.weights.items()),
+        "fixed": [
+            graph.weights.is_fixed(i) for i in range(len(graph.weights))
+        ],
+    }

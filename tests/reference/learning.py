@@ -45,10 +45,7 @@ def evidence_pseudo_nll(learner) -> float:
     """``SGDLearner.evidence_pseudo_nll`` scored on a cache built from
     scratch over the conditioned chain's current state."""
     graph = learner.graph
-    if learner._pool is not None:
-        state = learner._pool.call(0, "chain_states", chain_ids=[0])[0]
-    else:
-        state = learner._conditioned.state.copy()
+    state = learner._conditioned.state.copy()
     ev_vars, ev_vals = graph.evidence_arrays()
     state[ev_vars] = ev_vals
     cache = GibbsCache(learner._compiled, state)

@@ -15,6 +15,7 @@ import pytest
 from repro.datalog import Atom, DerivationRule, InferenceRule, Program, Var, WeightSpec
 from repro.db import Database
 from repro.db.columnar import ColumnarBatch
+from repro.db.plan import BindingBatch, canonicalize_batch
 from repro.db.query import static_join_order
 from repro.graph.factor_graph import FactorGraph
 from repro.grounding import Grounder, IncrementalGrounder
@@ -419,6 +420,70 @@ class TestStaticJoinOrder:
                 agg[key] = agg.get(key, 0) + sign
             agg = {k: c for k, c in agg.items() if c != 0}
             assert agg == binding_counts(db, atoms, head_vars)
+
+
+class TestCanonicalBatchOrder:
+    def test_order_depends_only_on_the_contents(self):
+        """Folding interns weights, head constants and variable ids in
+        batch order, so a batch's canonical order must not depend on the
+        join order that produced it: any permutation canonicalizes to the
+        same rows, insertions before retractions among equal rows."""
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            m = int(rng.integers(0, 40))
+            cols = {
+                name: rng.integers(0, 4, size=m).astype(np.int32)
+                for name in ("y", "x", "z")
+            }
+            batch = BindingBatch(cols=cols, signs=rng.choice([-1, 1, 2], size=m))
+            perm = rng.permutation(m)
+            shuffled = BindingBatch(
+                cols={name: col[perm] for name, col in cols.items()},
+                signs=batch.signs[perm],
+            )
+            a, b = canonicalize_batch(batch), canonicalize_batch(shuffled)
+            assert np.array_equal(a.signs, b.signs)
+            for name in cols:
+                assert np.array_equal(a.cols[name], b.cols[name])
+            rows = list(zip(a.cols["x"].tolist(), a.cols["y"].tolist(),
+                            a.cols["z"].tolist(), (-a.signs).tolist()))
+            assert rows == sorted(rows)
+
+    def test_canonical_order_is_a_permutation_of_the_rows(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            m = int(rng.integers(0, 25))
+            cols = {name: rng.integers(0, 3, size=m).astype(np.int32) for name in "ab"}
+            batch = BindingBatch(cols=cols, signs=rng.choice([-1, 1], size=m))
+            out = canonicalize_batch(batch)
+
+            def rows(b):
+                return sorted(
+                    zip(b.cols["a"].tolist(), b.cols["b"].tolist(), b.signs.tolist())
+                )
+
+            assert out.num_rows == m
+            assert rows(out) == rows(batch)
+
+
+class TestResolveTables:
+    def test_an_empty_join_still_syncs_every_step(self):
+        """The interner after an execution is a function of the plan and
+        the data: a join that comes up empty at its first step still
+        mirrors — and interns — every later step's relation."""
+        db = Database()
+        db.create_relation("E", ("a", "b"))
+        db.create_relation("F", ("b", "c"))
+        db.insert_all("F", [("p", "q"), ("q", "r")])
+        store = db.columnar
+        plan = store.plan(
+            (Atom("E", (Var("x"), Var("y"))), Atom("F", (Var("y"), Var("z"))))
+        )
+        assert plan.atoms[plan.steps[0].atom_index].pred == "E"
+        assert store.interner.probe("r") < 0
+        batch = plan.execute(store, db)
+        assert batch.num_rows == 0
+        assert [store.interner.probe(v) >= 0 for v in "pqr"] == [True] * 3
 
 
 # ---------------------------------------------------------------------- #

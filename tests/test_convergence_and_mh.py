@@ -5,13 +5,20 @@ import pytest
 
 from repro.core import EngineConfig, IncrementalEngine
 from repro.graph import FactorGraphDelta, Semantics
-from repro.inference import IndependentMH
+from repro.graph.compiled import CompiledFactorGraph
+from repro.inference import GibbsSampler, IndependentMH
 from repro.inference.convergence import sweeps_to_marginal
 from repro.inference.exact import ExactInference
+from repro.inference.gibbs import ChainStack
 from repro.workloads import voting_program
 from repro.workloads.systems import build_pipeline, workload_by_name
 
-from tests.helpers import chain_ising_graph, mixed_case
+from tests.helpers import (
+    chain_ising_graph,
+    mixed_case,
+    random_pairwise_graph,
+    voting_graph,
+)
 from tests.reference.metropolis import reference_mh_run
 
 
@@ -50,6 +57,120 @@ class TestConvergenceMeasurement:
         assert (
             results[Semantics.LINEAR]["sweeps"]
             >= results[Semantics.RATIO]["sweeps"]
+        )
+
+
+class TestEnsembleOnTheStack:
+    """The convergence ensemble is one ``ChainStack`` of same-compilation
+    chains drawing from one generator; it clamps evidence from the first
+    state on and samples the exact distribution."""
+
+    @staticmethod
+    def stack(graph, num_chains, seed, initial=None) -> ChainStack:
+        rng = np.random.default_rng(seed)
+        compiled = CompiledFactorGraph(graph)
+        return ChainStack(
+            [
+                GibbsSampler(graph, seed=rng, initial=initial, compiled=compiled)
+                for _ in range(num_chains)
+            ]
+        )
+
+    def test_initial_state_is_clamped_to_evidence(self):
+        graph = chain_ising_graph(6, coupling=0.2)
+        graph.set_evidence(2, True)
+        initial = np.zeros(graph.num_vars, dtype=bool)
+        expected = initial.copy()
+        expected[2] = True
+        for chain in self.stack(graph, 2, 0, initial).members:
+            assert np.array_equal(chain.state, expected)
+        # The clamped variable sits at its target from the first sweep.
+        result = sweeps_to_marginal(
+            graph, 2, 1.0, tol=0.0, num_chains=2, max_sweeps=10, seed=0,
+            initial=initial,
+        )
+        assert (result["sweeps"], result["converged"]) == (3, True)
+
+    def test_rule_graph_with_evidence_matches_exact(self):
+        graph = voting_graph(4, 4, voter_bias=0.3)
+        graph.set_evidence(1, True)
+        exact = ExactInference(graph).marginals()
+        worlds = self.stack(graph, 4, 9).sample_worlds(1000, burn_in=50)
+        assert worlds[:, :, 1].all()
+        estimate = worlds.reshape(-1, graph.num_vars).mean(axis=0)
+        assert float(np.abs(estimate - exact).max()) < 0.05
+
+    def test_all_evidence_graph(self):
+        graph = chain_ising_graph(4, coupling=0.2)
+        for v in range(4):
+            graph.set_evidence(v, v % 2 == 0)
+        evidence = [True, False, True, False]
+        stack = self.stack(graph, 2, 0)
+        for _ in range(3):
+            stack.sweep()
+        for chain in stack.members:
+            assert chain.state.tolist() == evidence
+        worlds = stack.sample_worlds(5)
+        assert worlds.shape == (2, 5, 4)
+        assert (worlds == np.array(evidence)).all()
+
+    def test_deterministic_given_seed(self):
+        graph = chain_ising_graph(16, coupling=0.4)
+        runs = []
+        for _ in range(2):
+            stack = self.stack(graph, 4, 5)
+            values = []
+            for _ in range(5):
+                stack.sweep()
+                values.append([chain.state[3] for chain in stack.members])
+            runs.append((np.array(values), stack.sample_worlds(30, thin=2)))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_pairwise_graph_matches_exact(self):
+        graph = random_pairwise_graph(10, density=0.3, seed=6)
+        exact = ExactInference(graph).marginals()
+        worlds = self.stack(graph, 4, 1).sample_worlds(1000, burn_in=200)
+        estimate = worlds.reshape(-1, graph.num_vars).mean(axis=0)
+        assert float(np.abs(estimate - exact).max()) < 0.05
+
+    @pytest.mark.parametrize("semantics", list(Semantics), ids=lambda s: s.value)
+    def test_voting_graph_matches_exact_under_each_semantics(self, semantics):
+        graph = voting_graph(3, 3, semantics=semantics, voter_bias=-0.2)
+        graph.set_evidence(2, True)
+        exact = ExactInference(graph).marginals()
+        worlds = self.stack(graph, 4, 3).sample_worlds(1000, burn_in=50)
+        assert worlds[:, :, 2].all()
+        estimate = worlds.reshape(-1, graph.num_vars).mean(axis=0)
+        assert float(np.abs(estimate - exact).max()) < 0.05
+
+    def test_weight_updates_reach_every_member(self):
+        graph = chain_ising_graph(6, coupling=0.0, bias=0.0)
+        bias = graph.weights.intern("strong_bias", initial=0.0)
+        for var in range(graph.num_vars):
+            graph.add_bias_factor(bias, var)
+        stack = self.stack(graph, 4, 1)
+        stack.sweep()
+        graph.weights.set_value(bias, 40.0)
+        stack.sweep()
+        for chain in stack.members:
+            assert chain.state.all()
+            chain.cache.check_consistency(chain.state)
+
+    def test_thinned_samples_end_at_the_members_states(self):
+        graph = voting_graph(3, 3)
+        stack = self.stack(graph, 5, 0)
+        worlds = stack.sample_worlds(3, thin=4, burn_in=2)
+        assert worlds.shape == (5, 3, graph.num_vars)
+        for chain, last in zip(stack.members, worlds[:, -1]):
+            assert np.array_equal(chain.state, last)
+            assert chain.sweeps_done == 2 + 3 * 4
+
+    def test_sweeps_to_marginal_is_deterministic_given_seed(self):
+        graph = voting_graph(5, 5, semantics=Semantics.LINEAR)
+        kw = dict(tol=0.05, num_chains=16, max_sweeps=200, seed=4)
+        assert sweeps_to_marginal(graph, 0, 0.5, **kw) == sweeps_to_marginal(
+            graph, 0, 0.5, **kw
         )
 
 

@@ -14,8 +14,6 @@ array paths to it:
 * the build decided before patching ≡ patch-then-compact ≡ a fresh
   compile of ``delta.apply(graph)``, and the same calls compact;
 * ``snapshot_state`` → either branch → ``restore_state`` ≡ never touched;
-* a shared-memory attached view replaying the pickled op dict ≡ the
-  controller;
 * the tables born lowered (grounder, ``compose_deltas``, the variational
   splice) ≡ ``lower_factors`` of the objects the old code built;
 
@@ -32,7 +30,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.variational import VariationalMaterialization
@@ -53,7 +51,6 @@ from repro.graph.delta import (
 )
 from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
 from repro.graph.semantics import Semantics
-from repro.inference.parallel import SharedGraphExport, attach_compiled
 from repro.workloads import ALL_SYSTEMS, build_pipeline
 
 from tests.helpers import chain_ising_graph, mixed_case
@@ -310,43 +307,6 @@ class TestRollbackAndReplay:
             assert_same(substrate_state(new), before)
             for key, plan in new._plan_cache.items():
                 assert all(x is y for x, y in zip(plan.blocks, blocks[key]))
-
-    @histories
-    @settings(max_examples=25, deadline=None)
-    def test_attached_view_replays_the_op_dict(self, seed, num_vars, ops):
-        rng, graph, new, _ = twins(seed, num_vars)
-        with SharedGraphExport(new) as export:
-            attached, shm, _ = attach_compiled(export.spec())
-            try:
-                attached.plan()
-                for step, op in enumerate(ops):
-                    patch = new.apply_delta(
-                        delta_for(rng, new, op, step), compact_threshold=None
-                    )
-                    # A patch that outgrew the segment is re-exported,
-                    # not replayed.
-                    assume(export.apply_patch(new))
-                    replayed = attached.apply_patch_ops(
-                        pickle.loads(pickle.dumps(patch.ops))
-                    )
-                    assert_same(patch_state(replayed), patch_state(patch))
-                    # The attached view never compiled: its CSR snapshot
-                    # and neighbour rows are the export's, and plans are
-                    # compared below.
-                    assert_same(
-                        substrate_state(attached, handles=False),
-                        substrate_state(new, handles=False),
-                        skip=("plans",),
-                    )
-                    assert_same(
-                        plan_state(attached.plan()), plan_state(new.plan()),
-                        skip=("blocks", "block_of"),
-                    )
-                    assert [b.vars.tolist() for b in attached.plan().blocks] == [
-                        b.vars.tolist() for b in new.plan().blocks
-                    ]
-            finally:
-                shm.close()
 
     def test_followers_ride_either_branch(self):
         """A warm cache spliced from the array patch ≡ one rebuilt."""

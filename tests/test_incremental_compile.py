@@ -4,9 +4,8 @@ The tentpole invariant of end-to-end incremental inference: after any
 sequence of ``CompiledFactorGraph.apply_delta`` calls (variable appends,
 factor inserts and retractions, rule add/remove, evidence flips), the
 patched compiled view — and every piece of derived state repaired from
-it (``GibbsCache``, ``SweepPlan``, warm samplers, the worker pool's
-shared export) — must behave identically to compiling the
-updated graph from scratch.
+it (``GibbsCache``, ``SweepPlan``, warm samplers) — must behave
+identically to compiling the updated graph from scratch.
 """
 
 import numpy as np
@@ -436,33 +435,35 @@ class TestGrounderBoundCompiled:
         assert max_marginal_error(patched, fresh) < 0.06
 
 
-class TestPoolSurvivesUpdates:
-    def test_learner_pool_not_respawned(self):
+class TestLearnerFollowsUpdates:
+    def test_conditioned_chain_follows_evidence_across_growth_and_compaction(self):
+        """The learner's chains ride in-place growth and then a threshold
+        compaction of the shared substrate: each keeps its sampler, sizes
+        to the new graph, and the conditioned one follows the evidence."""
         graph = random_pairwise_graph(40, density=0.1, seed=2)
         compiled = CompiledFactorGraph(graph)
-        with SGDLearner(graph, seed=0, n_workers=2, compiled=compiled) as learner:
-            pids = learner._pool.pids()
-            learner.fit(2, record_loss=False)
-            for step in range(3):
-                current = learner.graph
-                delta = FactorGraphDelta()
-                nw = len(current.weights)
-                delta.num_new_vars = 1
-                delta.new_weight_entries.append(((f"w{step}",), 0.4, False))
-                delta.new_factors.append(
-                    IsingFactor(weight_id=nw, i=current.num_vars, j=step)
-                )
-                delta.evidence_updates[step] = True
-                # Exercise in-place growth, then the compaction/re-export
-                # escalation — the processes must survive both.
-                threshold = 0.0 if step == 2 else 1.0
-                patch = compiled.apply_delta(delta, compact_threshold=threshold)
-                assert patch.compacted == (step == 2)
-                learner.apply_patch(patch)
-                learner.fit(1, record_loss=False)
-                # The conditioned chain follows the evidence.
-                state = learner._pool.call(0, "chain_states", chain_ids=[0])[0]
-                assert state.shape == (compiled.num_vars,)
-                for var, val in learner.graph.evidence.items():
-                    assert bool(state[var]) == val
-            assert learner._pool.pids() == pids
+        learner = SGDLearner(graph, seed=0, compiled=compiled)
+        chains = (learner._conditioned, learner._free)
+        learner.fit(2, record_loss=False)
+        for step in range(3):
+            current = learner.graph
+            delta = FactorGraphDelta()
+            nw = len(current.weights)
+            delta.num_new_vars = 1
+            delta.new_weight_entries.append(((f"w{step}",), 0.4, False))
+            delta.new_factors.append(
+                IsingFactor(weight_id=nw, i=current.num_vars, j=step)
+            )
+            delta.evidence_updates[step] = True
+            threshold = 0.0 if step == 2 else 1.0
+            patch = compiled.apply_delta(delta, compact_threshold=threshold)
+            assert patch.compacted == (step == 2)
+            learner.apply_patch(patch)
+            learner.fit(1, record_loss=False)
+            assert (learner._conditioned, learner._free) == chains
+            for chain in chains:
+                assert chain.state.shape == (compiled.num_vars,)
+                chain.cache.refresh_weights(chain.state)
+                chain.cache.check_consistency(chain.state)
+            for var, val in learner.graph.evidence.items():
+                assert bool(learner._conditioned.state[var]) == val

@@ -11,8 +11,6 @@ The tentpole invariants of the patchable learner:
   behave like a freshly constructed learner on the patched graph
   (identical gradients for identical worlds; loss trajectories within
   tolerance);
-* the pool-backed chain pair must survive a patch in place (same worker
-  PIDs) and keep learning;
 * the live-cache pseudo-NLL must match the reference that builds a
   fresh cache per call.
 """
@@ -185,41 +183,26 @@ class TestPatchedLearnerEquivalence:
                 learner.graph.weights.value(w) - fresh.graph.weights.value(w)
             ) < 0.25
 
-    def test_pool_chain_pair_survives_patch(self):
-        """n_workers=2 learner: both worker processes survive the patch
-        (same PIDs), keep learning, and agree with the serial learner."""
+    def test_chain_pair_survives_patch_and_learns_the_new_weight(self):
+        """The learner's two chains are carried across the patch, not
+        rebuilt, keep learning, and the conditioned one stays clamped."""
         fg, wid = labeled_bias_graph(n=30, extra_free=2)
-        with SGDLearner(fg, step_size=0.3, seed=0, l2=0.0, n_workers=2) as learner:
-            pids = learner._pool.pids()
-            learner.fit(20, record_loss=False)
-            delta = new_examples_delta(learner.graph, 0, k=8, pos=6)
-            updated = delta.apply(learner.graph)
-            patch = learner._compiled.apply_delta(delta)
-            learner.apply_patch(patch)
-            assert learner._pool.pids() == pids
-            learner.fit(40, record_loss=False)
-            assert learner._pool.pids() == pids
-            # New feature weight learned towards its MLE
-            # (sigmoid(2w) = 6/8 → w ≈ 0.55).
-            nw = len(updated.weights) - 1
-            assert learner.graph.weights.value(nw) == pytest.approx(0.55, abs=0.3)
-            # Conditioned-chain marginal state stays evidence-consistent.
-            state = learner._pool.call(0, "chain_states", chain_ids=[0])[0]
-            for var, val in learner.graph.evidence.items():
-                assert bool(state[var]) == val
-
-    def test_pool_matches_serial_learning(self):
-        fg, wid = labeled_bias_graph(n=30, extra_free=0)
-        serial_graph = fg.copy()
-        SGDLearner(serial_graph, step_size=0.3, seed=0, l2=0.0).fit(
-            40, record_loss=False
-        )
-        with SGDLearner(fg, step_size=0.3, seed=0, l2=0.0, n_workers=2) as learner:
-            learner.fit(40, record_loss=False)
-        assert fg.weights.value(wid) == pytest.approx(
-            serial_graph.weights.value(wid), abs=0.15
-        )
-
+        learner = SGDLearner(fg, step_size=0.3, seed=0, l2=0.0)
+        learner.fit(20, record_loss=False)
+        chains = (learner._conditioned, learner._free)
+        delta = new_examples_delta(learner.graph, 0, k=8, pos=6)
+        updated = delta.apply(learner.graph)
+        learner.apply_patch(learner._compiled.apply_delta(delta))
+        learner.fit(40, record_loss=False)
+        assert (learner._conditioned, learner._free) == chains
+        # New feature weight learned towards its MLE
+        # (sigmoid(2w) = 6/8 → w ≈ 0.55).
+        nw = len(updated.weights) - 1
+        assert learner.graph.weights.value(nw) == pytest.approx(0.55, abs=0.3)
+        state = learner._conditioned.state
+        assert state.shape == (updated.num_vars,)
+        for var, val in learner.graph.evidence.items():
+            assert bool(state[var]) == val
 
 class TestEvidencePseudoNLL:
     def test_live_cache_matches_fresh_path(self):
@@ -281,15 +264,6 @@ class TestEvidencePseudoNLL:
         learner.fit(5, record_loss=True)
         assert not builds
 
-    def test_pool_live_matches_fresh(self):
-        fg, _ = labeled_bias_graph(n=24, extra_free=0)
-        with SGDLearner(fg, step_size=0.3, seed=0, l2=0.0, n_workers=2) as learner:
-            learner.fit(4, record_loss=False)
-            assert learner.evidence_pseudo_nll() == pytest.approx(
-                reference.evidence_pseudo_nll(learner), abs=1e-9
-            )
-
-
 class TestEngineRelearn:
     def _delta(self, graph, step):
         return new_examples_delta(graph, step, k=8, pos=6)
@@ -344,17 +318,17 @@ class TestEngineRelearn:
                 wid_step = engine.current_graph.weights.id_for(("feat", step))
                 assert engine.current_graph.weights.value(wid_step) > 0.0
 
-    def test_pool_relearn_compaction_resyncs_engine_sampler(self):
-        """A pool-backed ``relearn(n_workers=2)`` compacts the shared
-        compilation (the export needs a clean CSR snapshot); the engine's
-        persistent sampler must be re-derived, not left indexing the
-        pre-compaction tombstoned layout."""
-        from repro.graph import Semantics
-
+    @pytest.mark.parametrize("compact_threshold", [0.0, 1.0])
+    def test_relearn_across_a_retraction_keeps_the_engine_sampler_in_step(
+        self, compact_threshold
+    ):
+        """A retraction either compacts the substrate or leaves
+        tombstones; relearning on it, then updating again, must leave the
+        engine's chain indexing the layout it is on."""
         fg, wid = labeled_bias_graph(n=24, extra_free=4)
         w_rule = fg.weights.intern("rule", initial=0.3)
         # Two rules: removing the first shifts the survivor's compiled
-        # rule/grounding ids when the compaction lands.
+        # rule/grounding ids when a compaction lands.
         rule_fi = fg.add_rule_factor(
             w_rule, 25, [[(0, True)], [(1, True)]], Semantics.RATIO
         )
@@ -364,22 +338,24 @@ class TestEngineRelearn:
         with RerunEngine(
             fg,
             EngineConfig(
-                seed=0, inference_samples=5, burn_in=2, compact_threshold=1.0
+                seed=0,
+                inference_samples=5,
+                burn_in=2,
+                compact_threshold=compact_threshold,
             ),
         ) as engine:
             engine.apply_update(FactorGraphDelta())  # prime compile
-            # Structural delta leaving tombstones behind.
-            delta = FactorGraphDelta(removed_factor_ids={rule_fi})
-            engine.apply_update(delta)
-            assert engine.resident.compiled.has_patches
-            engine.relearn(3, record_loss=False, n_workers=2)
-            assert not engine.resident.compiled.has_patches  # export compacted
-            # Pre-fix this splice landed on the compacted arrays with a
-            # cache still sized/ordered for the tombstoned layout.
+            engine.apply_update(FactorGraphDelta(removed_factor_ids={rule_fi}))
+            assert engine.resident.compiled.has_patches == (compact_threshold == 1.0)
+            engine.relearn(3, record_loss=False)
             out = engine.apply_update(self._delta(engine.current_graph, 0))
             assert out.marginals.shape[0] == engine.current_graph.num_vars
-            engine.resident.chain.cache.check_consistency(engine.resident.chain.state)
+            chain = engine.resident.chain
+            chain.cache.check_consistency(chain.state)
             engine.relearn(3, record_loss=False)
+            for chain in (engine.resident.learner._conditioned, engine.resident.learner._free):
+                chain.cache.refresh_weights(chain.state)
+                chain.cache.check_consistency(chain.state)
 
     def test_incremental_engine_relearn_does_not_touch_base_graph(self):
         fg, wid = labeled_bias_graph()

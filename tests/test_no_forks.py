@@ -1,15 +1,17 @@
-"""The package has one way to ground, one gradient, one scan.
+"""The package has one way to ground, one gradient, one scan, and one
+process.
 
 Every option whose non-default side only tests ever selected is gone, and
 the implementations those options selected live under ``tests/reference``
 — which nothing under ``src/`` may import.  These tests keep it that way:
 each removed keyword is a ``TypeError`` on every callable that took it,
-and an AST walk over the package finds no import of ``tests`` and no
-second query evaluator.
+and an AST walk over the package finds no import of ``tests``, no second
+query evaluator and no process pool.
 """
 
 import ast
 import pathlib
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -116,7 +118,6 @@ class TestRemovedKeywordsAreTypeErrors:
     def test_transactional(self):
         with pytest.raises(TypeError, match="transactional"):
             EngineConfig(transactional=False)
-        assert len(fields(EngineConfig)) == 14
 
 
 class TestPackageReachesNoOracle:
@@ -207,3 +208,60 @@ class TestPackageReachesNoOracle:
         assert [ast.unparse(owner) for owner in calls] == ["self._chains"]
         for path, _ in self.modules():
             assert "reference_epoch" not in path.read_text()
+
+
+class TestNoProcessPools:
+    """Chain ensembles, the learner pool and grounding shards lost to
+    their in-process twins and left the package; nothing brings a pool,
+    its option sites or its supervision back in."""
+
+    #: Removed names; ``_executor`` must not match asyncio's
+    #: ``run_in_executor``, which the JSON-lines server still uses.
+    REMOVED = (
+        r"n_workers",
+        r"\bexecutor=",
+        r"(?<![A-Za-z0-9])_executor\b",
+        r"WorkerCrashError",
+        r"ParallelChainEnsemble",
+        r"GibbsWorkerPool",
+        r"SharedGraphExport",
+        r"ShardedGroundingExecutor",
+        r"partition_of",
+        r"shard_assignments",
+        r"_cap_views",
+        r"apply_patch_ops",
+    )
+
+    def sources(self):
+        files = sorted(SRC.rglob("*.py"))
+        assert len(files) > 50
+        return [(path, path.read_text()) for path in files]
+
+    def test_no_module_imports_multiprocessing(self):
+        offenders = []
+        for path, text in self.sources():
+            for node in ast.walk(ast.parse(text, filename=str(path))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "multiprocessing" for m in modules):
+                    offenders.append((path.relative_to(SRC).as_posix(), node.lineno))
+        assert not offenders
+
+    def test_removed_names_stay_gone(self):
+        offenders = [
+            (path.relative_to(SRC).as_posix(), pattern)
+            for path, text in self.sources()
+            for pattern in self.REMOVED
+            if re.search(pattern, text)
+        ]
+        assert not offenders
+        assert "run_in_executor" in (SRC / "service" / "server.py").read_text()
+
+    def test_engine_config_has_thirteen_fields(self):
+        assert len(fields(EngineConfig)) == 13
+        with pytest.raises(TypeError, match="n_workers"):
+            EngineConfig(n_workers=2)

@@ -1,17 +1,10 @@
 """Fault-injection and crash-recovery suite.
 
-Three layers, matching the reliability stack:
+Layers, matching the reliability stack:
 
 * Unit: :class:`RetryPolicy` backoff, :class:`DeltaLog` WAL framing
-  (including torn final frames), :class:`FaultPlan` visit semantics.
-* Pool: typed :class:`WorkerCrashError` on dead and hung workers; a
-  chain worker respawned through ``supervised_call`` replays the
-  patch-op log and its ``chain_init``, and leaks no ``/dev/shm``
-  segment; shared-memory corruption is detected and repaired on an
-  ensemble's pool; a grounding worker killed, dropped or delayed
-  mid-command (before or after doing the work) is respawned with its
-  session re-shipped and the grounded graph is **bit-identical** to the
-  serial one; persistent faults degrade the learner to serial chains.
+  (including torn final frames and legacy logs), durable renames,
+  :class:`FaultPlan` visit semantics.
 * Engine: for every engine-level injection point, a seeded raise rolls
   ``apply_update``/``relearn`` back to the pre-update state (caches
   verified consistent) and the retried call matches a never-faulted twin
@@ -28,10 +21,7 @@ import pytest
 
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta
-from repro.graph.compiled import CompiledFactorGraph
 from repro.grounding import IncrementalGrounder
-from repro.inference.parallel import GibbsWorkerPool, ParallelChainEnsemble
-from repro.learning.sgd import SGDLearner
 from repro.reliability import (
     DeltaLog,
     Fault,
@@ -41,19 +31,12 @@ from repro.reliability import (
     ReliableUpdatePipeline,
     RetryPolicy,
     WALCorruptionError,
-    WorkerCrashError,
     inject_faults,
     maybe_fire,
 )
 
-from tests.helpers import chain_ising_graph, random_pairwise_graph
+from tests.helpers import chain_ising_graph
 from tests.test_grounding import spouse_db, spouse_program
-
-
-def shm_segments():
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
 
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
@@ -183,6 +166,92 @@ class TestDeltaLog:
             assert wal.committed() == [(1, {"u": 1})]
             assert wal.pending() == [(2, {"u": 2})]
 
+    def test_appends_to_a_legacy_log_survive_reopen(self, tmp_path):
+        # Framed records appended behind bare pickles used to stop the
+        # legacy reader at their header: every later commit vanished.
+        path = tmp_path / "legacy.wal"
+        with open(path, "wb") as fh:
+            for rec in (
+                {"txn": 1, "event": "begin", "payload": "a"},
+                {"txn": 1, "event": "commit"},
+            ):
+                fh.write(pickle.dumps(rec))
+        with DeltaLog(path) as wal:
+            wal.commit(wal.begin("b"))
+        with DeltaLog(path) as wal:
+            assert wal.committed() == [(1, "a"), (2, "b")]
+
+    def test_opening_a_legacy_log_rewrites_it_framed(self, tmp_path):
+        path = tmp_path / "legacy.wal"
+        records = [
+            {"txn": 1, "event": "begin", "payload": {"u": 1}},
+            {"txn": 1, "event": "mark", "stage": "grounded", "payload": None},
+            {"txn": 1, "event": "commit"},
+        ]
+        path.write_bytes(b"".join(pickle.dumps(rec) for rec in records))
+        DeltaLog(path).close()
+        assert path.read_bytes().startswith(b"DLOG0002")
+        assert not (tmp_path / "legacy.wal.tmp").exists()
+        with DeltaLog(path) as wal:
+            assert wal.records() == records
+            assert wal.stages(1) == ["grounded"]
+
+    def test_legacy_pending_txn_commits_after_the_upgrade(self, tmp_path):
+        path = tmp_path / "legacy.wal"
+        path.write_bytes(
+            pickle.dumps({"txn": 1, "event": "begin", "payload": "retry me"})
+        )
+        with DeltaLog(path) as wal:
+            assert wal.pending() == [(1, "retry me")]
+            wal.commit(1)
+            assert wal.begin("next") == 2
+        with DeltaLog(path) as wal:
+            assert wal.committed() == [(1, "retry me")]
+            assert wal.pending() == [(2, "next")]
+
+    def test_legacy_torn_tail_is_cut_by_the_upgrade(self, tmp_path):
+        path = tmp_path / "legacy.wal"
+        torn = pickle.dumps({"txn": 2, "event": "begin", "payload": "lost"})
+        path.write_bytes(
+            pickle.dumps({"txn": 1, "event": "begin", "payload": "kept"})
+            + pickle.dumps({"txn": 1, "event": "commit"})
+            + torn[: len(torn) // 2]
+        )
+        with DeltaLog(path) as wal:
+            assert wal.committed() == [(1, "kept")]
+            assert wal.pending() == []
+            wal.commit(wal.begin("after"))
+        with DeltaLog(path) as wal:
+            assert wal.committed() == [(1, "kept"), (2, "after")]
+
+    def test_legacy_log_truncates_after_the_upgrade(self, tmp_path):
+        path = tmp_path / "legacy.wal"
+        path.write_bytes(
+            b"".join(
+                pickle.dumps(rec)
+                for txn in (1, 2)
+                for rec in (
+                    {"txn": txn, "event": "begin", "payload": txn},
+                    {"txn": txn, "event": "commit"},
+                )
+            )
+        )
+        with DeltaLog(path) as wal:
+            assert wal.truncate(upto_txn=1) == 2
+        with DeltaLog(path) as wal:
+            assert wal.truncated_below() == 1
+            assert wal.committed() == [(2, 2)]
+
+    def test_empty_file_opens_as_a_new_log(self, tmp_path):
+        path = tmp_path / "empty.wal"
+        path.write_bytes(b"")
+        with DeltaLog(path) as wal:
+            assert wal.records() == []
+            wal.commit(wal.begin("first"))
+        assert path.read_bytes().startswith(b"DLOG0002")
+        with DeltaLog(path) as wal:
+            assert wal.committed() == [(1, "first")]
+
     def test_fsync_policy_validated(self):
         with pytest.raises(ValueError, match="fsync"):
             DeltaLog(fsync="sometimes")
@@ -271,6 +340,14 @@ class TestDurableRename:
         assert recorder.events[0] == ("fsync", False)  # the rewritten file
         recorder.assert_every_replace_synced()
 
+    def test_legacy_upgrade_syncs_the_directory(self, tmp_path, monkeypatch):
+        path = tmp_path / "legacy.wal"
+        path.write_bytes(pickle.dumps({"txn": 1, "event": "begin", "payload": 1}))
+        recorder = RenameRecorder(monkeypatch)
+        DeltaLog(path).close()
+        assert recorder.events[:2] == [("fsync", False), ("replace", "legacy.wal")]
+        recorder.assert_every_replace_synced()
+
     def test_checkpoint_name_is_durable_before_retention_unlinks(
         self, tmp_path, monkeypatch
     ):
@@ -322,16 +399,15 @@ class TestFaultPlan:
             assert maybe_fire("x") is None  # not repeating
         assert plan.fired_sites() == ["x"]
 
-    def test_repeat_and_context_narrowing(self):
+    def test_repeat_fires_on_every_later_visit(self):
         plan = FaultPlan(
-            [Fault(site="pool.send", action="drop", worker=1, at=1, repeat=True)]
+            [Fault(site="x", action="delay", delay=0.0, at=2, repeat=True)],
+            extra_sites=("x",),
         )
         with inject_faults(plan):
-            from repro.reliability.faults import maybe_fire
-
-            assert maybe_fire("pool.send", worker=0) is None
-            assert maybe_fire("pool.send", worker=1).action == "drop"
-            assert maybe_fire("pool.send", worker=1).action == "drop"
+            assert maybe_fire("x") is None
+            assert maybe_fire("x").action == "delay"
+            assert maybe_fire("x").action == "delay"
         assert len(plan.fired) == 2
 
     def test_inactive_is_noop(self):
@@ -340,303 +416,72 @@ class TestFaultPlan:
         assert active_plan() is None
         assert maybe_fire("anything", worker=3) is None
 
+    def test_unknown_action_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault action"):
+            Fault(site="service.batch.start", action="kill")
 
-# --------------------------------------------------------------------- #
-# Pool layer
-
-
-class TestWorkerCrashError:
-    def test_dead_worker_typed_error(self):
-        graph = chain_ising_graph(8)
-        pool = GibbsWorkerPool(CompiledFactorGraph(graph), 1, command_timeout=5.0)
-        try:
-            pool._procs[0].kill()
-            pool._procs[0].join(5)
-            with pytest.raises(WorkerCrashError) as info:
-                pool.call(0, "chain_states", chain_ids=[])
-            assert info.value.worker == 0
-            assert not info.value.hung
-            assert info.value.exitcode is not None
-        finally:
-            pool.close()
-
-    def test_hung_command_typed_error_within_timeout(self):
-        graph = chain_ising_graph(8)
-        import time
-
-        pool = GibbsWorkerPool(CompiledFactorGraph(graph), 1)
-        try:
-            start = time.monotonic()
-            # No command outstanding: a live worker never replies.
-            with pytest.raises(WorkerCrashError) as info:
-                pool.recv(0, timeout=0.4)
-            assert info.value.hung
-            assert time.monotonic() - start < 5.0
-        finally:
-            pool.close()
-
-    def test_respawn_after_worker_error_keeps_traceback(self):
-        graph = chain_ising_graph(8)
-        pool = GibbsWorkerPool(CompiledFactorGraph(graph), 1, command_timeout=5.0)
-        try:
-            with pytest.raises(RuntimeError, match="worker 0 failed"):
-                pool.call(0, "chain_states", chain_ids=[99])
-            pool._procs[0].kill()
-            pool._procs[0].join(5)
-            with pytest.raises(WorkerCrashError) as info:
-                pool.recv(0)
-            assert info.value.last_traceback is not None
-            pool.respawn_worker(0)
-            assert pool.respawns == 1
-            pool.call(0, "chain_init", chain_id=0, rng=np.random.default_rng(0))
-            states = pool.call(0, "chain_states", chain_ids=[0])
-            assert states.shape == (1, graph.num_vars)
-        finally:
-            pool.close()
-
-
-class TestChainPoolRespawn:
-    def test_supervised_call_replays_patch_and_chain_logs(self):
-        """A chain worker killed after a patch comes back through
-        ``supervised_call`` on the patched structure (patch-op log) with
-        its chain restarted from the logged ``chain_init`` — and the
-        segment is unlinked at close."""
-        before = shm_segments()
-        compiled = CompiledFactorGraph(chain_ising_graph(8))
-        pool = GibbsWorkerPool(compiled, 1, command_timeout=15.0)
-        try:
-            pool.call(0, "chain_init", chain_id=0, rng=np.random.default_rng(0))
-            patch = compiled.apply_delta(
-                FactorGraphDelta(num_new_vars=2), compact_threshold=1.0
+    def test_corrupt_scribbles_the_file_deterministically(self, tmp_path):
+        original = bytes(range(256)) * 2
+        scribbled = []
+        for _ in range(2):
+            path = tmp_path / "blob.bin"
+            path.write_bytes(original)
+            plan = FaultPlan(
+                [Fault(site="service.checkpoint.write", action="corrupt")], seed=3
             )
-            assert pool.export.apply_patch(compiled)
-            pool.graph_patch(compiled, patch)
-            pool._procs[0].kill()
-            pool._procs[0].join(5)
-            states = pool.supervised_call(
-                0, "chain_states", retry=FAST_RETRY, chain_ids=[0]
-            )
-            assert pool.respawns == 1
-            # The logged generator was never advanced on this side: the
-            # replayed chain_init draws the initial state again, over the
-            # replayed patch's ten variables.
-            expected = np.random.default_rng(0).random(compiled.num_vars) < 0.5
-            assert np.array_equal(states, expected[None, :])
-        finally:
-            pool.close()
-        assert shm_segments() - before == set()
-
-    def test_corruption_detected_and_repaired(self):
-        """``audit_export`` on an ensemble's pool finds exactly the
-        scribbled regions — a flat array, the weight region and the
-        logical sizes — and re-copies them from the controller."""
-        graph = random_pairwise_graph(18, density=0.2, seed=0)
-        regions = ("ising_row", "__weights__", "__sizes__")
-
-        def run(plan):
-            with ParallelChainEnsemble(
-                graph, num_chains=2, n_workers=2, seed=7
-            ) as ensemble:
-                export = ensemble.pool.export
-                with inject_faults(plan):
-                    # chain_states reads no shared region.
-                    ensemble.states()
-                    ensemble.states()
-                repaired = ensemble.pool.audit_export()
-                assert export.verify() == []
-                ensemble.sweeps(4)
-                return ensemble.states(), repaired
-
-        baseline, clean = run(FaultPlan([]))
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="pool.send",
-                    action="corrupt",
-                    region=region,
-                    method="chain_states",
-                )
-                for region in regions
-            ]
-        )
-        states, repaired = run(plan)
-        assert plan.fired_sites() == ["pool.send"] * 3
-        assert clean == []
-        assert sorted(repaired) == sorted(regions)
-        assert np.array_equal(states, baseline)
-
-
-def ground_sharded(plan=None, **kwargs):
-    """Fingerprint of a two-worker sharded chain-join grounder driven
-    through every update under ``plan``, and its pool's respawn count."""
-    from tests.test_sharded_grounding import (
-        UPDATES,
-        graph_fingerprint,
-        sharded_chain,
-    )
-
-    kwargs.setdefault("command_timeout", 15.0)
-    with inject_faults(plan or FaultPlan([])):
-        grounder = sharded_chain(3, 2, UPDATES, retry=FAST_RETRY, **kwargs)
-    try:
-        assert not grounder.executor.degraded
-        return graph_fingerprint(grounder.graph), grounder.executor.pool.respawns
-    finally:
-        grounder.close()
-
-
-def serial_fingerprint() -> dict:
-    from tests.test_sharded_grounding import UPDATES, graph_fingerprint, serial_chain
-
-    return graph_fingerprint(serial_chain(3, UPDATES).graph)
-
-
-def ground_fault(action, worker, at, **kwargs) -> FaultPlan:
-    return FaultPlan(
-        [
-            Fault(
-                site="pool.send",
-                action=action,
-                method="ground",
-                worker=worker,
-                at=at,
-                **kwargs,
-            )
-        ]
-    )
-
-
-class TestKillRecoveryParity:
-    """A grounding worker lost mid-command is respawned, its session is
-    re-shipped from the controller's shadow, the command is resent, and
-    the grounded graph is the serial one to the bit."""
-
-    @pytest.mark.parametrize(
-        "action,worker,at",
-        [
-            ("kill", 0, 2),
-            ("kill", 1, 3),
-            ("kill_after", 0, 3),
-            ("kill_after", 1, 2),
-        ],
-    )
-    def test_killed_mid_command_matches_serial(self, action, worker, at):
-        plan = ground_fault(action, worker, at)
-        fingerprint, respawns = ground_sharded(plan)
-        assert len(plan.fired) == 1
-        assert respawns == 1
-        assert fingerprint == serial_fingerprint()
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_randomized_kill_schedule(self, seed):
-        rng = np.random.default_rng(seed)
-        worker = int(rng.integers(0, 2))
-        at = int(rng.integers(1, 6))
-        action = ["kill", "kill_after"][int(rng.integers(0, 2))]
-        plan = ground_fault(action, worker, at)
-        fingerprint, respawns = ground_sharded(plan)
-        assert respawns == 1
-        assert fingerprint == serial_fingerprint()
-
-    def test_drop_recovered_via_timeout_resend(self):
-        plan = ground_fault("drop", 1, 2)
-        fingerprint, respawns = ground_sharded(plan, command_timeout=0.5)
-        assert len(plan.fired) == 1
-        assert respawns == 1
-        assert fingerprint == serial_fingerprint()
-
-    def test_delay_is_harmless(self):
-        plan = FaultPlan(
-            [
-                Fault(site="pool.send", action="delay", delay=0.05, at=2),
-                Fault(site="pool.recv", action="delay", delay=0.05, at=2),
-            ]
-        )
-        fingerprint, respawns = ground_sharded(plan)
-        assert sorted(plan.fired_sites()) == ["pool.recv", "pool.send"]
-        assert respawns == 0
-        assert fingerprint == serial_fingerprint()
-
-
-class TestLearnerDegradation:
-    def test_pool_crash_mid_epoch_falls_back_to_serial(self):
-        graph = chain_ising_graph(10, coupling=0.4, bias=0.2)
-        graph.set_evidence(0, True)
-        learner = SGDLearner(graph, seed=0, n_workers=2)
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="pool.send",
-                    action="kill",
-                    method="chain_sample_worlds",
-                    worker=0,
-                    at=1,
-                )
-            ]
-        )
-        try:
             with inject_faults(plan):
-                history = learner.fit(2, record_loss=True)
-            assert learner.degradations == 1
-            assert learner._pool is None
-            assert len(history.grad_norms) == 2
-            assert np.isfinite(history.losses).all()
-        finally:
-            learner.close()
+                assert maybe_fire("service.checkpoint.write", path=path).action == "corrupt"
+            scribbled.append(path.read_bytes())
+        assert scribbled[0] == scribbled[1]
+        assert len(scribbled[0]) == len(original)
+        assert scribbled[0] != original
 
-    def test_persistent_fault_degrades_once_and_keeps_learning(self):
-        graph = random_pairwise_graph(18, density=0.2, seed=0)
-        graph.set_evidence(0, True)
+    def test_corrupt_without_a_path_is_a_noop(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(b"untouched")
+        plan = FaultPlan([Fault(site="service.checkpoint.write", action="corrupt")])
+        with inject_faults(plan):
+            assert maybe_fire("service.checkpoint.write").action == "corrupt"
+        assert path.read_bytes() == b"untouched"
+        assert plan.fired_sites() == ["service.checkpoint.write"]
+
+    def test_nested_plans_restore_the_outer_one(self):
+        from repro.reliability.faults import active_plan
+
+        outer = FaultPlan([Fault(site="x", action="delay", delay=0.0)], extra_sites=("x",))
+        inner = FaultPlan([Fault(site="y")], extra_sites=("y",))
+        with inject_faults(outer):
+            with inject_faults(inner):
+                assert active_plan() is inner
+                assert maybe_fire("x") is None
+            assert active_plan() is outer
+            assert maybe_fire("x").action == "delay"
+        assert active_plan() is None
+        assert outer.fired_sites() == ["x"] and inner.fired == []
+
+    def test_dict_specs_and_fired_context(self):
+        plan = FaultPlan([{"site": "ground.update.start", "at": 2, "note": "second"}])
+        assert isinstance(plan.faults[0], Fault)
+        with inject_faults(plan):
+            maybe_fire("ground.update.start", txn=1)
+            with pytest.raises(FaultInjected, match="second"):
+                maybe_fire("ground.update.start", txn=2)
+        assert plan.fired == [("ground.update.start", "raise", {"txn": 2})]
+
+    def test_visits_count_per_fault_site(self):
         plan = FaultPlan(
             [
-                Fault(
-                    site="pool.send",
-                    action="kill",
-                    method="chain_sample_worlds",
-                    worker=0,
-                    at=1,
-                    repeat=True,
-                )
-            ]
+                Fault(site="x", action="delay", delay=0.0, at=2),
+                Fault(site="y", action="delay", delay=0.0, at=1),
+            ],
+            extra_sites=("x", "y"),
         )
-        learner = SGDLearner(graph, seed=4, n_workers=2)
-        try:
-            with inject_faults(plan):
-                history = learner.fit(3, record_loss=False)
-            assert len(plan.fired) == 1  # no pool left to kill
-            assert learner.degradations == 1
-            assert learner._pool is None
-            assert len(history.grad_norms) == 3
-            assert np.isfinite(history.grad_norms).all()
-        finally:
-            learner.close()
-
-    def test_no_shm_leak_across_kill_degrade_close(self):
-        """The abandoned pool's export is unlinked when the learner
-        degrades, not left for interpreter exit."""
-        before = shm_segments()
-        graph = chain_ising_graph(10, coupling=0.4, bias=0.2)
-        plan = FaultPlan(
-            [
-                Fault(
-                    site="pool.send",
-                    action="kill",
-                    method="chain_sample_worlds",
-                    worker=1,
-                    at=2,
-                )
-            ]
-        )
-        learner = SGDLearner(graph, seed=1, n_workers=2)
-        try:
-            assert shm_segments() - before
-            with inject_faults(plan):
-                learner.fit(3, record_loss=False)
-            assert learner.degradations == 1
-            assert shm_segments() - before == set()
-        finally:
-            learner.close()
-        assert shm_segments() - before == set()
+        with inject_faults(plan):
+            assert maybe_fire("x") is None
+            assert maybe_fire("y").action == "delay"
+            assert maybe_fire("y") is None
+            assert maybe_fire("x").action == "delay"
+        assert plan.fired_sites() == ["y", "x"]
 
 
 # --------------------------------------------------------------------- #
@@ -678,7 +523,7 @@ def check_engine_caches(engine):
         sampler.cache.refresh_weights(sampler.state)
         sampler.cache.check_consistency(sampler.state)
     learner = engine.resident.learner
-    if learner is not None and learner._pool is None and learner._conditioned:
+    if learner is not None:
         for chain in (learner._conditioned, learner._free):
             chain.cache.refresh_weights(chain.state)
             chain.cache.check_consistency(chain.state)
@@ -752,6 +597,29 @@ class TestIncrementalEngineRollback:
             twin.current_graph.weights.values_array(),
         )
 
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_relearn_fault_at_any_epoch_after_an_update(self, at):
+        """Every learner rolls back bit-exactly, whichever epoch fails —
+        including one carried across a patch."""
+        fg1, faulted = self.make()
+        fg2, twin = self.make()
+        for engine, fg in ((faulted, fg1), (twin, fg2)):
+            engine.relearn(2, record_loss=False)
+            engine.apply_update(self.delta(fg))
+        with inject_faults(FaultPlan([Fault(site="learn.epoch", at=at)])):
+            with pytest.raises(FaultInjected):
+                faulted.relearn(3)
+        assert faulted.rollbacks == 1
+        check_engine_caches(faulted)
+        assert faulted.relearn(3).losses == twin.relearn(3).losses
+        np.testing.assert_array_equal(
+            faulted.current_graph.weights.values_array(),
+            twin.current_graph.weights.values_array(),
+        )
+        out_a = faulted.apply_update(FactorGraphDelta(evidence_updates={4: True}))
+        out_b = twin.apply_update(FactorGraphDelta(evidence_updates={4: True}))
+        assert np.array_equal(out_a.marginals, out_b.marginals)
+
 
 class TestRerunEngineRollback:
     def make(self):
@@ -801,52 +669,45 @@ class TestRerunEngineRollback:
             twin.current_graph.weights.values_array(),
         )
 
-
-class TestParallelConfigRunsOneSerialChain:
-    """``EngineConfig.n_workers`` pools only the materialization bundle:
-    a Rerun engine's chain is the serial one whatever it says, so it
-    answers the same and rolls back bit-exactly."""
-
-    def make(self, n_workers):
-        fg = chain_ising_graph(6, coupling=0.5, bias=0.2)
-        return RerunEngine(
-            fg, small_config(inference_samples=40, n_workers=n_workers)
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_relearn_fault_at_any_epoch_matches_twin(self, at):
+        fg1, faulted = self.make()
+        fg2, twin = self.make()
+        for engine, fg in ((faulted, fg1), (twin, fg2)):
+            engine.apply_update(feature_delta(len(fg.weights), 2, 0.5, "f"))
+        with inject_faults(FaultPlan([Fault(site="learn.epoch", at=at)])):
+            with pytest.raises(FaultInjected):
+                faulted.relearn(3)
+        assert faulted.rollbacks == 1
+        check_engine_caches(faulted)
+        assert faulted.relearn(3).grad_norms == twin.relearn(3).grad_norms
+        np.testing.assert_array_equal(
+            faulted.current_graph.weights.values_array(),
+            twin.current_graph.weights.values_array(),
         )
 
-    @staticmethod
-    def delta(engine, var):
-        return feature_delta(
-            len(engine.current_graph.weights), var, 0.3 - 0.2 * var, f"f{var}"
-        )
-
-    def test_marginals_do_not_depend_on_n_workers(self):
+    def test_answers_are_a_function_of_the_seed(self):
+        """The engine's one chain: two engines of one config answer an
+        update history identically."""
         histories = []
-        for n_workers in (1, 2):
-            with self.make(n_workers) as engine:
+        for _ in range(2):
+            fg, engine = self.make()
+            with engine:
                 histories.append(
                     [
-                        engine.apply_update(self.delta(engine, var)).marginals
+                        engine.apply_update(
+                            feature_delta(
+                                len(engine.current_graph.weights),
+                                var,
+                                0.3 - 0.2 * var,
+                                f"f{var}",
+                            )
+                        ).marginals
                         for var in (1, 3, 4)
                     ]
                 )
-        serial, parallel = histories
-        for a, b in zip(serial, parallel):
+        for a, b in zip(*histories):
             assert np.array_equal(a, b)
-
-    def test_retry_after_patched_fault_matches_twin(self):
-        with self.make(2) as faulted, self.make(2) as twin:
-            out_a = faulted.apply_update(self.delta(faulted, 1))
-            out_b = twin.apply_update(self.delta(twin, 1))
-            assert np.array_equal(out_a.marginals, out_b.marginals)
-            plan = FaultPlan([Fault(site="engine.update.patched")])
-            with inject_faults(plan):
-                with pytest.raises(FaultInjected):
-                    faulted.apply_update(self.delta(faulted, 3))
-            assert faulted.rollbacks == 1
-            check_engine_caches(faulted)
-            out_retry = faulted.apply_update(self.delta(faulted, 3))
-            out_fresh = twin.apply_update(self.delta(twin, 3))
-            assert np.array_equal(out_retry.marginals, out_fresh.marginals)
 
 
 # --------------------------------------------------------------------- #

@@ -917,49 +917,6 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="in-memory engine WAL"):
             KBService(grounder, engine, checkpoint_dir=tmp_path / "ckpt")
 
-    def test_parallel_materialization_engine_checkpoints(self, tmp_path):
-        """``n_workers=2`` pools only the bundle draw: the engine holds
-        no worker between calls, so it checkpoints and restores like a
-        serial one."""
-
-        def parallel_stack():
-            program = spouse_program()
-            grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
-            engine = IncrementalEngine(grounder.graph, small_config(n_workers=2))
-            engine.materialize()
-            return grounder, engine
-
-        wal_path = tmp_path / "service.wal"
-        ckpt_dir = tmp_path / "ckpt"
-        cfg = ServiceConfig(poll_interval=0.005, checkpoint_every=1)
-        grounder, engine = parallel_stack()
-        svc = KBService(
-            grounder,
-            engine,
-            config=cfg,
-            retry=FAST_RETRY,
-            wal_path=wal_path,
-            checkpoint_dir=ckpt_dir,
-        ).start()
-        svc.prime()
-        svc.submit(**UPDATE_A)
-        assert svc.drain(timeout=60)
-        expected = svc.read(max_staleness=0).marginals.copy()
-        svc.stop()
-        restored = KBService.restore(
-            wal_path,
-            parallel_stack,
-            checkpoint_dir=ckpt_dir,
-            config=cfg,
-            retry=FAST_RETRY,
-        )
-        assert restored.recovery["mode"] == "checkpoint"
-        assert restored.recovery["replayed"] == 0
-        np.testing.assert_array_equal(
-            restored.read(max_staleness=0).marginals, expected
-        )
-        restored.stop()
-
 
 class TestInferenceStatus:
     def test_status_names_the_strategy_and_the_acceptance_rate(self):

@@ -12,7 +12,6 @@ from repro.util import (
     format_table,
     kl_divergence_bernoulli,
     max_marginal_error,
-    spawn,
     total_variation,
 )
 
@@ -111,8 +110,19 @@ class TestRng:
         gen = as_generator(0)
         assert as_generator(gen) is gen
 
-    def test_spawn_independent_streams(self):
-        children = spawn(as_generator(0), 3)
-        assert len(children) == 3
-        draws = [c.random() for c in children]
-        assert len(set(draws)) == 3
+    def test_shared_stream_is_consumed_by_every_holder(self):
+        shared = as_generator(9)
+        a, b = as_generator(shared), as_generator(shared)
+        drawn = np.concatenate([a.random(2), b.random(2)])
+        assert np.array_equal(drawn, as_generator(9).random(4))
+
+    def test_mixin_seeds_once_and_creates_lazily(self):
+        from repro.util.rng import RngMixin
+
+        seeded = RngMixin()
+        seeded._init_rng(5)
+        assert seeded.rng is seeded.rng
+        assert np.array_equal(seeded.rng.random(3), as_generator(5).random(3))
+        lazy = RngMixin()
+        assert isinstance(lazy.rng, np.random.Generator)
+        assert lazy.rng is lazy.rng
