@@ -11,24 +11,23 @@ and :class:`GibbsCache` evaluates conditionals against them.
 Compiled layout (all arrays contiguous, ``n`` = number of variables):
 
 ========================  =====================================================
-``bias_indptr/bias_wid``  per-variable CSR of bias-factor weight ids
-``ising_indptr/…``        per-variable CSR of Ising incidences: for variable
-                          ``v`` the slice holds ``ising_other`` (neighbour id)
-                          and ``ising_wid`` (weight id); each edge appears
-                          twice, once per endpoint.  ``ising_row[k]`` is the
-                          owning variable of incidence ``k``.
-``rule_head/rule_wid/``   per fast-path rule factor (dense index ``ri``):
-``rule_sem``              head variable, tied weight id, semantics int8 code
+``bias_var/bias_wid``     one row per bias factor, grouped by variable
+``ising_row/…``           one row per Ising incidence, grouped by owning
+                          variable ``ising_row``: ``ising_other`` (neighbour
+                          id) and ``ising_wid`` (weight id); each edge
+                          appears twice, once per endpoint.
+                          ``ising_indptr`` is its per-variable CSR offsets.
+``rule_head/rule_wid/``   per rule factor (dense index ``ri``): head
+``rule_sem``              variable, tied weight id, semantics int8 code
 ``grounding_ri``          grounding id ``gg`` → owning rule ``ri``
 ``lit_gg/lit_var/``       one row per body literal (used to (re)initialise
 ``lit_pos``               the satisfied-count state)
-``head_indptr/head_ri``   per-variable CSR of rules the variable heads and
-                          does not also appear under
-``body_indptr/body_ri/``  per-variable CSR of body incidences, sorted by
-``body_gg/body_pos``      rule id within each variable's slice
-``bseg_indptr/…``         per-variable segments of the body slice: one
-                          segment per distinct ``(var, ri)`` pair
-``slow_indptr/slow_idx``  per-variable CSR into ``slow_list``
+``py_bias/py_ising/``     per-variable Python mirrors — the one per-variable
+``py_head/py_body``       view every kernel reads: bias weight ids,
+                          ``(neighbour, wid)`` pairs, rules the variable
+                          heads and does not also appear under, and one
+                          ``(ri, [(gg, pos), …])`` segment per rule whose
+                          body the variable is in
 ========================  =====================================================
 
 State kept by :class:`GibbsCache` (one instance per sampler chain):
@@ -42,9 +41,9 @@ A variable that heads a rule it also appears under (an agreement rule
 with no ``m ≠ m′`` guard grounds nothing else) stays on the fast path: it
 carries only the body incidence, and the kernels use the closed form
 ``E(v=1) − E(v=0) = w·(g(n₁) + g(n₀))`` in place of
-``w·sign(head)·(g(n₁) − g(n₀))``.  Only rule factors that mention one
-variable twice within one grounding are handled on a brute-force "slow
-path" (none of the paper's rule templates produce them).
+``w·sign(head)·(g(n₁) − g(n₀))``.  No grounding mentions a variable
+twice: :func:`~repro.graph.delta.rule_table` canonicalizes every rule
+column it builds, so every rule factor is on this one path.
 
 Scan-order blocking: the substrate keeps a proper greedy colouring of
 the variables over the shared-factor neighbour index (``_color``, one
@@ -59,8 +58,7 @@ valid, systematic-scan Gibbs chain from the id-order scan; the order is a
 pure function of the substrate state (colours, solo flags), the evidence
 mask and the window width, so it survives snapshots, pickling and
 checkpoint restores and is the same whether a plan was built from scratch
-or repaired.  Members of very large rule factors or slow-path factors
-scan alone.
+or repaired.  Members of very large rule factors scan alone.
 
 Incremental compilation: :meth:`CompiledFactorGraph.apply_delta` brings
 the compiled view to ``graph ⊕ delta`` in place from a
@@ -76,7 +74,7 @@ is offsetting its ids and appending its columns.  The patch protocol:
 * **ops** — the delta becomes a picklable op dict: the table as it is
   (``add``) and, for the removed factor ids, the slots they resolve to
   through the factor-handle table (``bias_del``, ``ising_del``,
-  ``rule_del``, ``slow_del``).  Cached scan plans read its evidence ops
+  ``rule_del``).  Cached scan plans read its evidence ops
   when they follow the patch;
 * **decide, then land** — what the ops will touch (every variable that
   gains or loses an incidence; a removed rule finds its body in its
@@ -94,12 +92,11 @@ is offsetting its ids and appending its columns.  The patch protocol:
 * **retractions** tombstone their entries via ``*_alive`` masks (the
   entries stay in the arrays, masked out of every reader) until the next
   build;
-* per-variable CSR slices are *not* rewritten: a variable whose
-  incidence set changed is flagged in ``var_patched`` and its scalar
-  kernels route through the always-current Python mirrors (``py_*``
-  lists, extended per touched variable from the table's rows grouped by
-  variable) until the next build.  Blocks gather from the mirrors, so
-  the batched kernel never reads a stale slice;
+* the per-variable view is the Python mirrors (``py_*`` lists), which
+  the splice extends and scrubs per touched variable from the table's
+  rows grouped by variable, flagging the variable in ``var_patched``
+  until the next build.  Both kernels read the mirrors, so nothing
+  per-variable ever goes stale;
 * touched variables that now share a colour with a neighbour — and
   appended variables — take the smallest colour their neighbours leave
   free; nothing else is recoloured.
@@ -115,7 +112,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as _dc_field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,10 +127,6 @@ from repro.graph.delta import (
 )
 from repro.graph.factor_graph import CompiledGraphView, FactorGraph
 from repro.graph.semantics import g_table, g_value, sems_from_codes
-
-#: Handle-table kind of a rule factor kept on the brute-force slow path
-#: (the other kinds are the :class:`FactorTable` codes).
-_KIND_SLOW = 3
 
 #: Rule factors touching more variables than this force their members into
 #: singleton blocks (avoids quadratic co-membership edges; such factors
@@ -157,14 +149,6 @@ _BIG_FACTOR = 32
 _BATCH_MIN = 5
 _BATCH_MIN_ROWS = 20
 
-#: Per-variable incidence count above which the scalar kernel switches
-#: from Python loops to numpy slice arithmetic (only slow-path members
-#: ever scan alone with this many: any other block over
-#: ``_BATCH_MIN_ROWS`` is batched).  Re-measured in PR 22 on one variable
-#: of 8–64 body rows (evaluate + flip): the loop costs 1.4–2.0 µs per row,
-#: the numpy form ≈ 60 µs flat — they cross at 30–45 rows, so it stays.
-_SCALAR_NUMPY_MIN = 48
-
 #: Target variables per scan block.  The scan window of a compilation is
 #: ``_CHUNK_CAP × #colours`` consecutive ids, so one colour class inside
 #: one window holds about this many variables.  Measured on blocks cut
@@ -177,7 +161,7 @@ _SCALAR_NUMPY_MIN = 48
 _CHUNK_CAP = 256
 
 #: A scan block's key packs (id window, colour); a variable that scans
-#: alone (member of an oversized or slow-path factor) gets
+#: alone (member of an oversized factor) gets
 #: (``_SOLO_WINDOW``, id), which sorts after every real window.
 _SOLO_WINDOW = 1 << 20
 _KEY_SHIFT = 40
@@ -196,6 +180,13 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr
+
+
+def _per_variable(rows: np.ndarray, items: list, n: int) -> list:
+    """``items``, one per incidence row grouped by owning variable
+    ``rows``, as one list per variable."""
+    ptr = _indptr(rows, n).tolist()
+    return [items[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -316,12 +307,12 @@ class _Growable:
         return self.buf[:need]
 
 
-#: Per-variable Python mirrors of the incidence lists (scalar kernel).
-_MIRROR_NAMES = ("py_bias", "py_ising", "py_head", "py_body", "py_slow")
+#: Per-variable Python mirrors of the incidence lists (what both kernels
+#: read per variable).
+_MIRROR_NAMES = ("py_bias", "py_ising", "py_head", "py_body")
 
 #: Global flat arrays maintained under :meth:`CompiledFactorGraph.apply_delta`
-#: (appends via amortized doubling; per-variable CSR snapshots are *not* in
-#: this set — they go stale for ``var_patched`` variables until compaction).
+#: (appends via amortized doubling).
 _GROWABLE_NAMES = (
     "bias_var",
     "bias_wid",
@@ -341,7 +332,6 @@ _GROWABLE_NAMES = (
     "evidence_mask",
     "var_patched",
     "_force_singleton",
-    "_needs_scalar",
     "_big_count",
     "_color",
 )
@@ -381,7 +371,8 @@ def rule_unit_energies(
     and a rule without groundings has ``n = 0`` (``np.add.reduceat``
     gets both wrong).  A grounding with contradictory literals is never
     satisfied and one with a repeated literal is satisfied when the
-    literal is — whole-world energies need no slow path."""
+    literal is, so a raw grounding and its canonical form
+    (:func:`~repro.graph.delta.rule_table`) score the same."""
     S = worlds.shape[0]
     R, G = rule_head.shape[0], grounding_ri.shape[0]
     if G:
@@ -455,7 +446,6 @@ class CompiledPatch:
             or len(ops["bias_del"])
             or len(ops["ising_del"])
             or len(ops["rule_del"])
-            or len(ops["slow_del"])
         )
 
 
@@ -519,31 +509,20 @@ class CompiledFactorGraph:
         self._mirror_journal = None
         F = len(table)
 
-        # ---- route the rules ---------------------------------------------
         # Per-factor handle table: factor index → compiled handle (bias /
-        # Ising incidence positions, rule ri, slow si).  Kept aligned
-        # with the factor list across apply_delta calls so removed
-        # factor ids resolve to tombstones in O(1).
-        fkind = table.kind.copy()
+        # Ising incidence positions, rule ri).  Kept aligned with the
+        # factor list across apply_delta calls so removed factor ids
+        # resolve to tombstones in O(1).
+        fkind = table.kind
         fh1 = np.empty(F, dtype=np.int64)
         fh2 = np.full(F, -1, dtype=np.int64)
-        rule_rows = np.flatnonzero(fkind == KIND_RULE)
-        slow = table.repeats_a_variable()
-        rules = table
-        self.slow_list = []      # dense list of slow-path factors
-        if slow.any():
-            rules = table.take(rule_rows[~slow])
-            self.slow_list = table.take(rule_rows[slow]).factors()
-            fkind[rule_rows[slow]] = _KIND_SLOW
-            fh1[rule_rows[slow]] = np.arange(len(self.slow_list))
-        R = self.num_rules = rules.num_rules
-        fh1[rule_rows[~slow]] = np.arange(R)
+        R = self.num_rules = table.num_rules
+        fh1[fkind == KIND_RULE] = np.arange(R)
 
         # ---- bias / Ising incidences, grouped by owning variable ---------
         order, slot = _by_owner(table.bias_var)
         self.bias_var = table.bias_var[order]
         self.bias_wid = table.bias_wid[order]
-        self.bias_indptr = _indptr(self.bias_var, n)
         fh1[fkind == KIND_BIAS] = slot
 
         rows = _interleave(table.ising_i, table.ising_j)
@@ -556,52 +535,27 @@ class CompiledFactorGraph:
         fh2[fkind == KIND_ISING] = slot[1::2]
         self._fkind, self._fh1, self._fh2 = fkind, fh1, fh2
 
-        # ---- fast-path rules ---------------------------------------------
-        self.rule_head = rules.rule_head
-        self.rule_wid = rules.rule_wid
-        self.rule_sem = rules.rule_sem
-        self.grounding_ri = rules.grounding_ri
+        # ---- rules -------------------------------------------------------
+        self.rule_head = table.rule_head
+        self.rule_wid = table.rule_wid
+        self.rule_sem = table.rule_sem
+        self.grounding_ri = table.grounding_ri
         self.num_groundings = self.grounding_ri.shape[0]
         self.rule_nmax = _max_groundings(self.grounding_ri)
         self.lit_gg, self.lit_var, self.lit_pos = (
-            rules.lit_gg, rules.lit_var, rules.lit_pos
+            table.lit_gg, table.lit_var, table.lit_pos
         )
-        lit_ri = rules.lit_ri
-        heads = _heads_outside_body(rules)
-        self.head_ri = heads[np.argsort(self.rule_head[heads], kind="stable")]
-        self.head_indptr = _indptr(self.rule_head[self.head_ri], n)
-
-        order = np.argsort(self.lit_var, kind="stable")
-        body_var = self.lit_var[order]
-        self.body_ri = lit_ri[order]
-        self.body_gg = self.lit_gg[order]
-        self.body_pos = self.lit_pos[order]
-        self.body_indptr = _indptr(body_var, n)
-        self.bseg_start = _segment_starts(body_var, self.body_ri)
-        self.bseg_ri = self.body_ri[self.bseg_start]
-        self.bseg_indptr = _indptr(body_var[self.bseg_start], n)
-
-        # ---- slow-path rules ---------------------------------------------
-        slow_var, slow_si = [], []
-        for si, factor in enumerate(self.slow_list):
-            members = factor.variables()
-            slow_var.extend(members)
-            slow_si.extend([si] * len(members))
-        slow_var = np.asarray(slow_var, dtype=np.int64)
-        order = np.argsort(slow_var, kind="stable")
-        self.slow_idx = np.asarray(slow_si, dtype=np.int64)[order]
-        self.slow_indptr = _indptr(slow_var[order], n)
-
-        self._mirrors_from_csr()
+        lit_ri = table.lit_ri
+        self._mirrors(table, lit_ri)
 
         # ---- evidence ----------------------------------------------------
         self.evidence_mask = self.graph.evidence_mask()
         self.free_vars = np.flatnonzero(~self.evidence_mask)
 
         # ---- block-planning adjacency ------------------------------------
-        # nbr: variables sharing any fast factor (used to prove two scan
+        # nbr: variables sharing any factor (used to prove two scan
         # neighbours conditionally independent).  Members of oversized rule
-        # factors and slow-path factors are forced into singleton blocks.
+        # factors are forced into singleton blocks.
         # One entry per *incidence* (parallel edges are not deduplicated):
         # apply_delta decrements the neighbour multiset per removed factor,
         # which is only sound if compile time counted per factor too.
@@ -610,7 +564,6 @@ class CompiledFactorGraph:
         )
         self._big_count = np.bincount(big_members, minlength=n).astype(np.int32)
         self._force_singleton = self._big_count > 0
-        self._needs_scalar = np.diff(self.slow_indptr) > 0
         rows = np.concatenate([self.ising_row, a])
         order = np.argsort(rows, kind="stable")
         rows = rows[order]
@@ -641,9 +594,7 @@ class CompiledFactorGraph:
         self.ising_alive = np.ones(self.ising_wid.shape[0], dtype=bool)
         self.rule_alive = np.ones(R, dtype=bool)
         self.var_patched = np.zeros(n, dtype=bool)
-        self.slow_alive = [True] * len(self.slow_list)
         self.num_live_rules = R
-        self.num_live_slow = len(self.slow_list)
         self._patched = False
         self._nbr_patch = {}
         self._csr_num_vars = n
@@ -658,30 +609,32 @@ class CompiledFactorGraph:
         # once here, then adjusted per patch by the splice.
         self.weight_factor_counts = self._compute_weight_counts()
 
-    def _mirrors_from_csr(self) -> None:
-        """Derive the scalar-kernel Python mirrors from the per-variable
-        CSR arrays (which must be current: a fresh build)."""
-
-        def rows_of(indptr, flat):
-            ptr = indptr.tolist()
-            return [flat[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
-
-        self.py_bias = rows_of(self.bias_indptr, self.bias_wid.tolist())
-        self.py_ising = rows_of(
-            self.ising_indptr,
+    def _mirrors(self, rules: FactorTable, lit_ri: np.ndarray) -> None:
+        """Derive the per-variable Python mirrors from freshly built
+        arrays: incidences grouped by variable, a variable's body
+        literals in rule order, cut into one segment per rule."""
+        n = self.num_vars
+        self.py_bias = _per_variable(self.bias_var, self.bias_wid.tolist(), n)
+        self.py_ising = _per_variable(
+            self.ising_row,
             list(zip(self.ising_other.tolist(), self.ising_wid.tolist())),
+            n,
         )
-        self.py_head = rows_of(self.head_indptr, self.head_ri.tolist())
-        lits = list(zip(self.body_gg.tolist(), self.body_pos.tolist()))
-        starts = self.bseg_start.tolist()
+        heads = _heads_outside_body(rules)
+        heads = heads[np.argsort(self.rule_head[heads], kind="stable")]
+        self.py_head = _per_variable(self.rule_head[heads], heads.tolist(), n)
+        order = np.argsort(self.lit_var, kind="stable")
+        body_var, body_ri = self.lit_var[order], lit_ri[order]
+        lits = list(zip(self.lit_gg[order].tolist(), self.lit_pos[order].tolist()))
+        starts = _segment_starts(body_var, body_ri)
+        bounds = starts.tolist() + [len(lits)]
         segments = list(
             zip(
-                self.bseg_ri.tolist(),
-                [lits[lo:hi] for lo, hi in zip(starts, starts[1:] + [len(lits)])],
+                body_ri[starts].tolist(),
+                [lits[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
             )
         )
-        self.py_body = rows_of(self.bseg_indptr, segments)
-        self.py_slow = rows_of(self.slow_indptr, self.slow_idx.tolist())
+        self.py_body = _per_variable(body_var[starts], segments, n)
         self._rule_head_l = self.rule_head.tolist()
         self._rule_wid_l = self.rule_wid.tolist()
         self._rule_sem_l = sems_from_codes(self.rule_sem)
@@ -709,7 +662,7 @@ class CompiledFactorGraph:
     @property
     def is_pairwise(self) -> bool:
         """True when the graph holds only (live) bias/Ising factors."""
-        return self.num_live_rules == 0 and self.num_live_slow == 0
+        return self.num_live_rules == 0
 
     @property
     def has_patches(self) -> bool:
@@ -738,26 +691,11 @@ class CompiledFactorGraph:
 
     def factor_table(self, indices) -> FactorTable:
         """The factors at ``indices`` of the current factor list, in that
-        order, gathered from the arrays — no factor object is built
-        (bar the slow-path ones, which are kept as objects)."""
+        order, gathered from the arrays — no factor object is built."""
         indices = np.asarray(indices, dtype=np.int64)
         kind, h1 = self._fkind[indices], self._fh1[indices]
         bias, ising = h1[kind == KIND_BIAS], h1[kind == KIND_ISING]
         columns = gather_rules(self, h1[kind == KIND_RULE])
-        if (kind == _KIND_SLOW).any():
-            # Interleave the slow-path rules back into list order.
-            is_slow = kind[kind >= KIND_RULE] == _KIND_SLOW
-            slow = lower_factors(
-                [self.slow_list[si] for si in h1[kind == _KIND_SLOW].tolist()]
-            )
-            fast = FactorTable(
-                kind=np.full(columns["rule_head"].shape[0], KIND_RULE), **columns
-            )
-            order = np.empty(is_slow.shape[0], dtype=np.int64)
-            order[~is_slow] = np.arange(len(fast))
-            order[is_slow] = len(fast) + np.arange(len(slow))
-            columns = FactorTable.concat([fast, slow]).take(order).columns()
-            kind = np.where(kind == _KIND_SLOW, KIND_RULE, kind)
         columns.update(
             kind=kind,
             bias_var=self.bias_var[bias],
@@ -792,24 +730,6 @@ class CompiledFactorGraph:
             self.views_materialized += 1
         return self._view_factors
 
-    def degree(self, var: int) -> int:
-        """Number of factor incidences of ``var`` (proxy for Gibbs cost)."""
-        if self._patched and (var >= self._csr_num_vars or self.var_patched[var]):
-            return (
-                len(self.py_bias[var])
-                + len(self.py_ising[var])
-                + len(self.py_head[var])
-                + sum(len(lits) for _, lits in self.py_body[var])
-                + len(self.py_slow[var])
-            )
-        return int(
-            (self.bias_indptr[var + 1] - self.bias_indptr[var])
-            + (self.ising_indptr[var + 1] - self.ising_indptr[var])
-            + (self.head_indptr[var + 1] - self.head_indptr[var])
-            + (self.body_indptr[var + 1] - self.body_indptr[var])
-            + (self.slow_indptr[var + 1] - self.slow_indptr[var])
-        )
-
     # ------------------------------------------------------------------ #
     # Compiled gradient aggregation (learning hot path)
     # ------------------------------------------------------------------ #
@@ -832,9 +752,6 @@ class CompiledFactorGraph:
             counts += np.bincount(
                 self.rule_wid, weights=self.rule_alive.astype(np.float64), minlength=W
             ).astype(np.int64)[:W]
-        for si, factor in enumerate(self.slow_list):
-            if self.slow_alive[si]:
-                counts[factor.weight_id] += 1
         return counts
 
     def _count_adjust(self, wids: np.ndarray, delta: int) -> None:
@@ -873,8 +790,8 @@ class CompiledFactorGraph:
         ``k`` the average over worlds of the summed unit energies
         (``σ_v``, ``σ_i·σ_j``, ``sign(head)·g(nsat)``) of the live factors
         tied to ``k``.  Batched over the whole ``(S, n)`` world matrix via
-        the flat incidence arrays — no per-factor Python work outside the
-        (rare) slow path.  Stays correct across :meth:`apply_delta`
+        the flat incidence arrays — no per-factor Python work.  Stays
+        correct across :meth:`apply_delta`
         patches: appends land in the global arrays and retractions are
         masked by the ``*_alive`` tombstones.
 
@@ -927,14 +844,6 @@ class CompiledFactorGraph:
                 self.lit_pos,
             )
             add(self.rule_wid, unit * self.rule_alive)
-        if self.num_live_slow:
-            for si, factor in enumerate(self.slow_list):
-                if not self.slow_alive[si]:
-                    continue
-                for k, (lo, hi) in enumerate(sets):
-                    totals[k, factor.weight_id] += sum(
-                        factor.unit_energy(worlds[s]) for s in range(lo, hi)
-                    )
         stats = totals / sizes[:, None]
         return stats[0] if counts is None else stats
 
@@ -979,7 +888,7 @@ class CompiledFactorGraph:
         setattr(self, name, self._grow[name].append(values))
 
     def _var_neighbors(self, var: int) -> set:
-        """Variables sharing a live fast factor with ``var`` (patch-aware)."""
+        """Variables sharing a live factor with ``var`` (patch-aware)."""
         counts = Counter()
         if var < self._csr_num_vars:
             lo, hi = int(self._nbr_indptr[var]), int(self._nbr_indptr[var + 1])
@@ -1038,7 +947,6 @@ class CompiledFactorGraph:
             "bias_del": _NO_IDS,
             "ising_del": _NO_PAIRS,
             "rule_del": _NO_IDS,
-            "slow_del": _NO_IDS,
             "add": delta.new_factors.table,
         }
         if delta.removed_factor_ids:
@@ -1049,7 +957,6 @@ class CompiledFactorGraph:
                 bias_del=h1[kind == KIND_BIAS],
                 ising_del=_rows(h1[ising], self._fh2[removed][ising]),
                 rule_del=h1[kind == KIND_RULE],
-                slow_del=h1[kind == _KIND_SLOW],
             )
             keep = np.ones(self._fkind.shape[0], dtype=bool)
             keep[removed] = False
@@ -1084,20 +991,20 @@ class CompiledFactorGraph:
         for wid, value in delta.changed_weight_values.items():
             self.weights.set_value(wid, value)
         ops = self._ops_from_delta(delta)
-        patch, survey = self._survey(ops)
+        patch, doomed = self._survey(ops)
         if (
             compact_threshold is not None
-            and self._fraction_after(patch, survey) > compact_threshold
+            and self._fraction_after(patch) > compact_threshold
         ):
             return self._rebuild(patch)
-        return self._splice(patch, survey)
+        return self._splice(patch, doomed)
 
     def _survey(self, ops: dict) -> tuple:
         """What ``ops`` will change, read off the arrays — nothing
         mutates.  Returns the patch header (``dirty_vars``: every variable
-        that gains or loses an incidence) and what the splice and the
-        density forecast both need: the literals of the rules to remove
-        and the routing of the rules to add."""
+        that gains or loses an incidence) and what the splice needs: the
+        ``(rule position in rule_del, variable)`` rows of the body
+        literals of the rules to remove (``None`` when there are none)."""
         add = ops["add"]
         n = self.num_vars + ops["num_new_vars"]
         patch = CompiledPatch(
@@ -1126,23 +1033,18 @@ class CompiledFactorGraph:
             grounding_ri, lits, lit_gg = rule_literals(self, ops["rule_del"])
             doomed = grounding_ri[lit_gg], self.lit_var[lits]
             touched += [self.rule_head[ops["rule_del"]], doomed[1]]
-        for si in ops["slow_del"].tolist():
-            touched.append(
-                np.fromiter(self.slow_list[si].variables(), dtype=np.int64)
-            )
         patch.dirty_vars = dirty = np.unique(np.concatenate(touched))
         if dirty.size and not 0 <= dirty[0] <= dirty[-1] < n:
             self._check_ids(add, n, len(self.weights))
-        return patch, SimpleNamespace(doomed=doomed, slow_add=add.repeats_a_variable())
+        return patch, doomed
 
     def _slot_counts(self) -> list:
         """``(live, slots)`` per kind of slot a retraction tombstones:
-        bias incidences, Ising incidences, rules, slow-path rules."""
+        bias incidences, Ising incidences, rules."""
         return [
             (np.count_nonzero(self.bias_alive), self.bias_alive.shape[0]),
             (np.count_nonzero(self.ising_alive), self.ising_alive.shape[0]),
             (self.num_live_rules, self.num_rules),
-            (self.num_live_slow, len(self.slow_list)),
         ]
 
     @staticmethod
@@ -1161,24 +1063,13 @@ class CompiledFactorGraph:
             np.count_nonzero(self.var_patched), self.num_vars, self._slot_counts()
         )
 
-    def _fraction_after(self, patch: CompiledPatch, survey) -> float:
+    def _fraction_after(self, patch: CompiledPatch) -> float:
         """:meth:`patch_fraction` as it will read once ``patch`` is in."""
         if not (self._patched or patch.structural):
             return 0.0
         ops = patch.ops
-        slow_add = np.count_nonzero(survey.slow_add)
-        added = (
-            len(patch.bias_add),
-            2 * len(patch.ising_add),
-            ops["add"].num_rules - slow_add,
-            slow_add,
-        )
-        removed = (
-            len(patch.bias_del),
-            2 * len(patch.ising_del),
-            len(ops["rule_del"]),
-            len(ops["slow_del"]),
-        )
+        added = (len(patch.bias_add), 2 * len(patch.ising_add), ops["add"].num_rules)
+        removed = (len(patch.bias_del), 2 * len(patch.ising_del), len(ops["rule_del"]))
         dirty = patch.dirty_vars
         old = dirty[: np.searchsorted(dirty, patch.old_num_vars)]
         return self._density(
@@ -1251,7 +1142,7 @@ class CompiledFactorGraph:
         self._build(self._live_table(), self.num_vars)
         self.structure_version += 1
 
-    def _splice(self, patch: CompiledPatch, survey) -> CompiledPatch:
+    def _splice(self, patch: CompiledPatch, doomed) -> CompiledPatch:
         """Land ``patch`` in the arrays: every growable array is appended
         at most once, the handle table is extended with one concatenate,
         and mirrors, neighbour multiset, solo flags and the snapshot
@@ -1268,7 +1159,6 @@ class CompiledFactorGraph:
             self.num_vars = n0 + k
             self._append("evidence_mask", np.zeros(k, dtype=bool))
             self._append("var_patched", np.ones(k, dtype=bool))
-            self._append("_needs_scalar", np.zeros(k, dtype=bool))
             self._append("_force_singleton", np.zeros(k, dtype=bool))
             self._append("_big_count", np.zeros(k, dtype=np.int32))
             self._append("_color", np.full(k, -1, dtype=np.int32))
@@ -1309,7 +1199,7 @@ class CompiledFactorGraph:
             self.rule_alive[ris] = False
             self.num_live_rules -= ris.shape[0]
             self._count_adjust(self.rule_wid[ris], -1)
-            doomed_ri, doomed_var = survey.doomed
+            doomed_ri, doomed_var = doomed
             head_in_body = np.zeros(ris.shape[0], dtype=bool)
             head_in_body[doomed_ri[doomed_var == heads[doomed_ri]]] = True
             for ri, head in zip(ris[~head_in_body].tolist(), heads[~head_in_body].tolist()):
@@ -1328,14 +1218,6 @@ class CompiledFactorGraph:
             )
             self._count_big(big_members, -1)
             self._nbr_adjust(a, b, -1)
-        for si in ops["slow_del"].tolist():
-            factor = self.slow_list[si]
-            self.slow_alive[si] = False
-            self.num_live_slow -= 1
-            self._count_adjust(np.array([factor.weight_id]), -1)
-            for var in factor.variables():
-                self.py_slow[var].remove(si)
-                self._needs_scalar[var] = bool(self.py_slow[var])
 
         # ---- additions ---------------------------------------------------
         handle = np.empty(len(add), dtype=np.int64)
@@ -1372,27 +1254,8 @@ class CompiledFactorGraph:
             self._nbr_adjust(rows, others, 1)
         if add.num_rules:
             self._count_adjust(add.rule_wid, 1)
-            rule_rows = np.flatnonzero(kind == KIND_RULE)
-            slow = survey.slow_add
-            rules = add
-            if slow.any():
-                rules = add.take(rule_rows[~slow])
-                kind = kind.copy()
-                kind[rule_rows[slow]] = _KIND_SLOW
-                handle[rule_rows[slow]] = len(self.slow_list) + np.arange(
-                    np.count_nonzero(slow)
-                )
-                for factor in add.take(rule_rows[slow]).factors():
-                    si = len(self.slow_list)
-                    self.slow_list.append(factor)
-                    self.slow_alive.append(True)
-                    self.num_live_slow += 1
-                    for var in factor.variables():
-                        self.py_slow[var].append(si)
-                        self._needs_scalar[var] = True
-            handle[rule_rows[~slow]] = patch.old_num_rules + np.arange(rules.num_rules)
-            if rules.num_rules:
-                self._splice_rules(rules, patch)
+            handle[kind == KIND_RULE] = patch.old_num_rules + np.arange(add.num_rules)
+            self._splice_rules(add, patch)
 
         if len(add):
             self._fkind = np.concatenate([self._fkind, kind])
@@ -1437,8 +1300,8 @@ class CompiledFactorGraph:
         return patch
 
     def _splice_rules(self, rules: FactorTable, patch: CompiledPatch) -> None:
-        """Append the fast-path rule rows ``rules`` (ids local to the
-        table) behind the existing ones."""
+        """Append the rule rows of ``rules`` (ids local to the table)
+        behind the existing ones."""
         R0, R = patch.old_num_rules, rules.num_rules
         G0 = patch.old_num_groundings
         self.num_rules = R0 + R
@@ -1502,30 +1365,13 @@ class CompiledFactorGraph:
         "var_patched",
         "evidence_mask",
         "_force_singleton",
-        "_needs_scalar",
         "_big_count",
         "_color",
     )
 
     #: Arrays a patch never mutates in place (``compact`` replaces them
     #: wholesale) — captured and restored by reference.
-    _SNAP_STATIC = (
-        "bias_indptr",
-        "ising_indptr",
-        "head_indptr",
-        "head_ri",
-        "body_indptr",
-        "body_ri",
-        "body_gg",
-        "body_pos",
-        "bseg_indptr",
-        "bseg_start",
-        "bseg_ri",
-        "slow_indptr",
-        "slow_idx",
-        "_nbr_indptr",
-        "_nbr_idx",
-    )
+    _SNAP_STATIC = ("ising_indptr", "_nbr_indptr", "_nbr_idx")
 
     #: Attributes a patch only ever *replaces* (never mutates in place) —
     #: captured and restored by reference.
@@ -1536,7 +1382,6 @@ class CompiledFactorGraph:
         "num_rules",
         "num_groundings",
         "num_live_rules",
-        "num_live_slow",
         "rule_nmax",
         "_patched",
         "_csr_num_vars",
@@ -1549,12 +1394,7 @@ class CompiledFactorGraph:
 
     #: Append-only Python lists: captured by (ref, len), rolled back by
     #: truncating the same object.
-    _SNAP_APPEND_LISTS = (
-        "slow_list",
-        "_rule_head_l",
-        "_rule_wid_l",
-        "_rule_sem_l",
-    )
+    _SNAP_APPEND_LISTS = ("_rule_head_l", "_rule_wid_l", "_rule_sem_l")
 
     def snapshot_state(self) -> dict:
         """Bounded pre-update snapshot for commit-or-rollback deltas.
@@ -1593,7 +1433,6 @@ class CompiledFactorGraph:
                 self.num_vars,
                 journal,
             ),
-            "slow_alive": list(self.slow_alive),
             "weight_factor_counts": self.weight_factor_counts.copy(),
             "nbr_patch": {v: c.copy() for v, c in self._nbr_patch.items()},
             "plan_cache": {
@@ -1655,7 +1494,6 @@ class CompiledFactorGraph:
             if var < num_vars:
                 for mirror, row in zip(mirrors, rows):
                     mirror[var] = row
-        self.slow_alive = snap["slow_alive"]
         self.weight_factor_counts = snap["weight_factor_counts"]
         self._nbr_patch = snap["nbr_patch"]
         cache = {}
@@ -1693,8 +1531,7 @@ class _Block:
     (or a single variable that scans alone) and therefore share no
     factor: their conditionals evaluate — and their flips commit — in a
     handful of numpy calls.  Blocks with too little work to amortise
-    those calls, and blocks holding a slow-path variable, iterate the
-    scalar kernel and gather nothing.
+    those calls iterate the scalar kernel and gather nothing.
 
     One row per Ising incidence (``ising_*``), per rule headed and not
     also appeared under (``head_*``), per body literal (``body_*``) and
@@ -1708,7 +1545,6 @@ class _Block:
     __slots__ = (
         "vars",
         "key",
-        "scalar_only",
         "use_batch",
         "ising_seg",
         "ising_other",
@@ -1735,10 +1571,6 @@ class _Block:
     def __init__(self, compiled, vars_, key=None):
         self.vars = vars_
         self.key = key
-        self.scalar_only = bool(compiled._needs_scalar[vars_].any())
-        self.use_batch = False
-        if self.scalar_only:
-            return
         rows = self._incidence_rows(compiled)
         self.use_batch = _pays_to_batch(
             vars_.size,
@@ -1805,8 +1637,7 @@ class _Block:
 
     def gathered(self, compiled) -> "_Block":
         """This block with its gather arrays, whatever it decided for
-        itself: a twin when it gathered nothing.  Not for blocks that
-        hold a slow-path variable."""
+        itself: a twin when it gathered nothing."""
         if self.use_batch:
             return self
         twin = _Block.__new__(_Block)
@@ -1857,8 +1688,7 @@ class _StackedBlock(_Block):
     computes for that member alone.  The batch/scalar rule is applied to
     the stacked totals, whatever each member decided for itself;
     ``parts`` (``[(k, member's own variable ids), …]``) is what the
-    scalar kernel iterates when the stack is still under the crossover or
-    holds a slow-path variable.
+    scalar kernel iterates when the stack is still under the crossover.
     """
 
     __slots__ = ("parts",)
@@ -1868,10 +1698,6 @@ class _StackedBlock(_Block):
         self.key = members[0][1].key
         self.parts = [(k, block.vars.tolist()) for k, block in members]
         self.vars = np.concatenate([block.vars + k * n for k, block in members])
-        self.scalar_only = any(block.scalar_only for _, block in members)
-        self.use_batch = False
-        if self.scalar_only:
-            return
         columns = {name: [] for name in _STACK_SHIFT}
         fseg_self = []
         pos = row = 0
@@ -1904,8 +1730,7 @@ class SweepPlan:
     evidence mask and the window width: the free variables of one colour
     inside one window of ``window`` consecutive ids form a block (no two
     share a factor, so resampling them at once is one valid systematic
-    scan step), and a variable of an oversized or slow-path factor scans
-    alone.  Blocks run window by window, colour by colour inside each,
+    scan step), and a variable of an oversized factor scans alone.  Blocks run window by window, colour by colour inside each,
     solo blocks last; a patch moves only the variables it touched, so
     every other block object, and the scan order, survives.
     """
@@ -1933,9 +1758,8 @@ class SweepPlan:
     def _keys(self, vars_) -> np.ndarray:
         """Block key of each variable: (id window, colour), or (solo, id)."""
         c = self.compiled
-        solo = c._needs_scalar[vars_] | c._force_singleton[vars_]
         return np.where(
-            solo,
+            c._force_singleton[vars_],
             (_SOLO_WINDOW << _KEY_SHIFT) | vars_,
             ((vars_ // self.window) << _KEY_SHIFT) | c._color[vars_],
         )
@@ -2186,84 +2010,36 @@ class GibbsCache:
 
         segs = c.py_body[var]
         if segs:
-            if (
-                not c.var_patched[var]
-                and c.body_indptr[var + 1] - c.body_indptr[var] > _SCALAR_NUMPY_MIN
-            ):
-                delta += self._body_delta_numpy(var, assignment)
-            else:
-                unsat = self.unsat
-                current = bool(assignment[var])
-                for ri, lits in segs:
-                    up = down = now = 0
-                    for gg, pos in lits:
-                        u = unsat[gg]
-                        if u == 0:
-                            now += 1
-                        if u - (1 if current != pos else 0) == 0:
-                            if pos:
-                                up += 1
-                            else:
-                                down += 1
-                    head = c._rule_head_l[ri]
-                    if head == var:
-                        # The variable heads a rule it appears under:
-                        # E(1) − E(0) = w·g(n₁) − (−w·g(n₀)).
-                        base = int(nsat[ri]) - now
-                        sem = c._rule_sem_l[ri]
-                        delta += w[c._rule_wid_l[ri]] * (
-                            g_value(sem, base + up) + g_value(sem, base + down)
-                        )
-                    elif up != down:
-                        base = int(nsat[ri]) - now
-                        sign = 1.0 if assignment[head] else -1.0
-                        sem = c._rule_sem_l[ri]
-                        delta += w[c._rule_wid_l[ri]] * sign * (
-                            g_value(sem, base + up) - g_value(sem, base + down)
-                        )
-
-        if c.py_slow[var]:
-            delta += self._slow_delta(var, assignment)
+            unsat = self.unsat
+            current = bool(assignment[var])
+            for ri, lits in segs:
+                up = down = now = 0
+                for gg, pos in lits:
+                    u = unsat[gg]
+                    if u == 0:
+                        now += 1
+                    if u - (1 if current != pos else 0) == 0:
+                        if pos:
+                            up += 1
+                        else:
+                            down += 1
+                head = c._rule_head_l[ri]
+                if head == var:
+                    # The variable heads a rule it appears under:
+                    # E(1) − E(0) = w·g(n₁) − (−w·g(n₀)).
+                    base = int(nsat[ri]) - now
+                    sem = c._rule_sem_l[ri]
+                    delta += w[c._rule_wid_l[ri]] * (
+                        g_value(sem, base + up) + g_value(sem, base + down)
+                    )
+                elif up != down:
+                    base = int(nsat[ri]) - now
+                    sign = 1.0 if assignment[head] else -1.0
+                    sem = c._rule_sem_l[ri]
+                    delta += w[c._rule_wid_l[ri]] * sign * (
+                        g_value(sem, base + up) - g_value(sem, base + down)
+                    )
         return delta
-
-    def _body_delta_numpy(self, var: int, assignment) -> float:
-        """Body-incidence part of ``delta_energy`` for high-degree vars."""
-        c = self.compiled
-        lo, hi = c.body_indptr[var], c.body_indptr[var + 1]
-        gg = c.body_gg[lo:hi]
-        pos = c.body_pos[lo:hi]
-        current = bool(assignment[var])
-        u = self.unsat[gg]
-        zero_others = (u - (pos != current)) == 0
-        up = (pos & zero_others).astype(np.int64)
-        down = ((~pos) & zero_others).astype(np.int64)
-        now = (u == 0).astype(np.int64)
-        s0, s1 = c.bseg_indptr[var], c.bseg_indptr[var + 1]
-        starts = c.bseg_start[s0:s1] - lo
-        upc = np.add.reduceat(up, starts)
-        downc = np.add.reduceat(down, starts)
-        nowc = np.add.reduceat(now, starts)
-        ris = c.bseg_ri[s0:s1]
-        base = self.nsat[ris] - nowc
-        heads = c.rule_head[ris]
-        sign = np.where(assignment[heads], 1.0, -1.0)
-        G, sem = g_table(c.rule_nmax), c.rule_sem[ris]
-        g1 = G[sem, base + upc]
-        g0 = G[sem, base + downc]
-        unit = np.where(heads == var, g1 + g0, sign * (g1 - g0))
-        return float((self.weights_vec[c.rule_wid[ris]] * unit).sum())
-
-    def _slow_delta(self, var: int, assignment) -> float:
-        c = self.compiled
-        weights = c.graph.weights
-        factors = [c.slow_list[si] for si in c.py_slow[var]]
-        saved = assignment[var]
-        assignment[var] = True
-        e1 = sum(f.energy(assignment, weights) for f in factors)
-        assignment[var] = False
-        e0 = sum(f.energy(assignment, weights) for f in factors)
-        assignment[var] = saved
-        return e1 - e0
 
     def scalar_parts(self, block: _Block, assignment: np.ndarray) -> tuple:
         """``(cache, assignment, variables)`` for each chain a scalar
@@ -2375,56 +2151,26 @@ class GibbsCache:
 
         ising = c.py_ising[var]
         if ising:
-            if len(ising) <= _SCALAR_NUMPY_MIN or c.var_patched[var]:
-                field = self.field
-                w = self._w_list
-                for other, wid in ising:
-                    field[other] += w[wid] * ds
-            else:
-                lo, hi = c.ising_indptr[var], c.ising_indptr[var + 1]
-                np.add.at(
-                    self.field, c.ising_other[lo:hi], self._edge_w[lo:hi] * ds
-                )
+            field = self.field
+            w = self._w_list
+            for other, wid in ising:
+                field[other] += w[wid] * ds
 
         segs = c.py_body[var]
         if segs:
-            if (
-                c.var_patched[var]
-                or c.body_indptr[var + 1] - c.body_indptr[var] <= _SCALAR_NUMPY_MIN
-            ):
-                unsat = self.unsat
-                nsat = self.nsat
-                for ri, lits in segs:
-                    for gg, pos in lits:
-                        u = unsat[gg]
-                        if pos == old_value:   # literal was satisfied
-                            if u == 0:
-                                nsat[ri] -= 1
-                            unsat[gg] = u + 1
-                        else:
-                            unsat[gg] = u - 1
-                            if u == 1:
-                                nsat[ri] += 1
-            else:
-                self._commit_body_numpy(var, old_value)
-
-    def _commit_body_numpy(self, var: int, old_value: bool) -> None:
-        c = self.compiled
-        lo, hi = c.body_indptr[var], c.body_indptr[var + 1]
-        gg = c.body_gg[lo:hi]
-        pos = c.body_pos[lo:hi]
-        ris = c.body_ri[lo:hi]
-        u = self.unsat[gg]
-        was_sat = pos == old_value
-        newly_unsat = was_sat & (u == 0)
-        newly_sat = (~was_sat) & (u == 1)
-        # gg entries are unique within one variable's slice (duplicated
-        # literals route to the slow path), so a plain scatter is safe.
-        self.unsat[gg] = u + np.where(was_sat, 1, -1)
-        if newly_unsat.any():
-            np.subtract.at(self.nsat, ris[newly_unsat], 1)
-        if newly_sat.any():
-            np.add.at(self.nsat, ris[newly_sat], 1)
+            unsat = self.unsat
+            nsat = self.nsat
+            for ri, lits in segs:
+                for gg, pos in lits:
+                    u = unsat[gg]
+                    if pos == old_value:   # literal was satisfied
+                        if u == 0:
+                            nsat[ri] -= 1
+                        unsat[gg] = u + 1
+                    else:
+                        unsat[gg] = u - 1
+                        if u == 1:
+                            nsat[ri] += 1
 
     # ------------------------------------------------------------------ #
     # Incremental repair

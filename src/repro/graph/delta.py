@@ -35,7 +35,7 @@ from repro.graph.factor_graph import BiasFactor, FactorGraph, IsingFactor, RuleF
 from repro.graph.semantics import sem_code, sems_from_codes
 
 #: ``FactorTable.kind`` codes — the substrate's handle table uses the
-#: same ones (and a fourth, for the rules it routes to its slow path).
+#: same ones.
 KIND_BIAS, KIND_ISING, KIND_RULE = 0, 1, 2
 
 _COLUMN_DTYPES = {
@@ -114,8 +114,10 @@ class FactorTable:
     kind's columns.  A rule's groundings are the run of ``grounding_ri``
     equal to its row and a grounding's literals the run of ``lit_gg``
     equal to its id, both in list order, so neither column ever
-    decreases.  Tables are immutable: every operation returns a new one
-    (sharing the columns it did not touch).
+    decreases.  Every grounding is canonical — it names each variable
+    once (:func:`rule_table` builds the rule columns and every operation
+    here keeps them).  Tables are immutable: every operation returns a
+    new one (sharing the columns it did not touch).
     """
 
     __slots__ = tuple(_COLUMN_DTYPES)
@@ -168,19 +170,6 @@ class FactorTable:
         for code, name in enumerate(("bias_wid", "ising_wid", "rule_wid")):
             columns[name] = wids[self.kind == code]
         return FactorTable(**columns)
-
-    def repeats_a_variable(self) -> np.ndarray:
-        """Per rule row: does one of its groundings mention a variable
-        twice?  (The only rules the substrate keeps off its fast path.)"""
-        repeats = np.zeros(self.num_rules, dtype=bool)
-        if self.lit_gg.size > 1:
-            # Sorting by variable inside each grounding (``lit_gg`` is
-            # already sorted) puts a repeated variable next to itself.
-            order = np.lexsort((self.lit_var, self.lit_gg))
-            gg, var = self.lit_gg[order], self.lit_var[order]
-            same = (gg[1:] == gg[:-1]) & (var[1:] == var[:-1])
-            repeats[self.grounding_ri[gg[1:][same]]] = True
-        return repeats
 
     def take(self, which) -> "FactorTable":
         """The factors at ``which`` — a boolean mask over the list, or
@@ -252,10 +241,47 @@ class FactorTable:
         return [next(by_kind[code]) for code in self.kind.tolist()]
 
 
+def _canonical(grounding_ri, lit_gg, lit_var, lit_pos) -> tuple:
+    """The groundings as conjunctions that name each variable once.
+
+    ``x ∧ x = x``: a repeated literal is dropped, its first occurrence
+    stays.  ``x ∧ ¬x`` holds in no world: a grounding with a variable
+    under both polarities is dropped whole — never left empty, since an
+    empty grounding counts as satisfied.  Either way every world keeps
+    its satisfied-grounding count, so energies do not move.  Groundings
+    without a repeat come back as they are."""
+    if lit_gg.size < 2:
+        return grounding_ri, lit_gg, lit_var, lit_pos
+    # Sorting by variable inside each grounding (``lit_gg`` never
+    # decreases and the sort is stable) puts a repeated variable right
+    # behind its first occurrence.
+    order = np.lexsort((lit_var, lit_gg))
+    gg, var = lit_gg[order], lit_var[order]
+    repeat = (gg[1:] == gg[:-1]) & (var[1:] == var[:-1])
+    if not repeat.any():
+        return grounding_ri, lit_gg, lit_var, lit_pos
+    pos = lit_pos[order]
+    contradicted = np.zeros(grounding_ri.shape[0], dtype=bool)
+    contradicted[gg[1:][repeat & (pos[1:] != pos[:-1])]] = True
+    keep = ~contradicted[lit_gg]
+    keep[order[1:][repeat]] = False
+    renumber = np.cumsum(~contradicted) - 1
+    return (
+        grounding_ri[~contradicted],
+        renumber[lit_gg[keep]],
+        lit_var[keep],
+        lit_pos[keep],
+    )
+
+
 def rule_table(heads, wids, sems, groundings) -> FactorTable:
     """A table of rule factors from parallel per-rule sequences: head
     variable, weight id, semantics code, and the rule's groundings (each
-    a sequence of ``(var, positive)`` literals)."""
+    a sequence of ``(var, positive)`` literals).
+
+    The one constructor of rule columns: the groundings land canonical
+    (:func:`_canonical`), which is what lets the substrate keep a single
+    rule representation."""
     per_rule = np.fromiter(map(len, groundings), dtype=np.int64, count=len(heads))
     flat = list(chain.from_iterable(groundings))
     per_grounding = np.fromiter(map(len, flat), dtype=np.int64, count=len(flat))
@@ -265,15 +291,21 @@ def rule_table(heads, wids, sems, groundings) -> FactorTable:
         dtype=np.int64,
         count=2 * num_lits,
     ).reshape(num_lits, 2)
+    grounding_ri, lit_gg, lit_var, lit_pos = _canonical(
+        np.repeat(np.arange(len(heads)), per_rule),
+        np.repeat(np.arange(len(flat)), per_grounding),
+        lits[:, 0],
+        lits[:, 1],
+    )
     return FactorTable(
         kind=np.full(len(heads), KIND_RULE, dtype=np.int8),
         rule_head=heads,
         rule_wid=wids,
         rule_sem=sems,
-        grounding_ri=np.repeat(np.arange(len(heads)), per_rule),
-        lit_gg=np.repeat(np.arange(len(flat)), per_grounding),
-        lit_var=lits[:, 0],
-        lit_pos=lits[:, 1],
+        grounding_ri=grounding_ri,
+        lit_gg=lit_gg,
+        lit_var=lit_var,
+        lit_pos=lit_pos,
     )
 
 
@@ -549,17 +581,6 @@ class FactorGraphDelta:
             reweighted = survivors.take(shift[survivors.weight_ids()] != 0.0)
         return removed, reweighted, shift
 
-    def index_mapping(self, num_base_factors: int) -> dict:
-        """Old factor index → new index after applying this delta."""
-        mapping = {}
-        new_index = 0
-        for old_index in range(num_base_factors):
-            if old_index in self.removed_factor_ids:
-                continue
-            mapping[old_index] = new_index
-            new_index += 1
-        return mapping
-
     def summary(self) -> str:
         return (
             f"Delta(+vars={self.num_new_vars}, +factors={len(self.new_factors)}, "
@@ -627,10 +648,9 @@ def compose_deltas(
     # graph: survivors of base first, then first's new factors.  Survivor
     # indexes translate back to base indexes in O(|first.removed|) per
     # lookup; the grow-only common case (``first`` removes nothing) is an
-    # identity map, so neither path builds the O(#factors)
-    # ``index_mapping``/``inverse`` dicts.  The factors themselves are
-    # two tables laid end to end, ``first``'s masked by what ``second``
-    # removed of it.
+    # identity map, so neither path builds an O(#factors) index map.  The
+    # factors themselves are two tables laid end to end, ``first``'s
+    # masked by what ``second`` removed of it.
     removed_first = sorted(first.removed_factor_ids)
     survivors = base.num_factors - len(removed_first)
     composed.removed_factor_ids = set(first.removed_factor_ids)

@@ -461,14 +461,6 @@ class FactorGraph:
     # Structure queries
     # ------------------------------------------------------------------ #
 
-    def adjacency(self) -> list:
-        """For each variable, the set of factor indexes touching it."""
-        adj = [set() for _ in range(self._num_vars)]
-        for fi, factor in enumerate(self.factors):
-            for var in factor.variables():
-                adj[var].add(fi)
-        return adj
-
     def neighbor_pairs(self):
         """Yield each unordered variable pair co-occurring in some factor.
 

@@ -38,7 +38,7 @@ from repro.datalog.ast import EVIDENCE_SUFFIX
 from repro.datalog.program import Program
 from repro.db.database import Database
 from repro.db.plan import canonicalize_batch
-from repro.graph.delta import FactorGraphDelta, FactorList, rule_table
+from repro.graph.delta import KIND_RULE, FactorGraphDelta, FactorList, rule_table
 from repro.graph.factor_graph import FactorGraph, RuleFactor
 from repro.graph.semantics import sem_code
 from repro.reliability.faults import maybe_fire
@@ -621,14 +621,9 @@ class IncrementalGrounder:
         if compiled is None:
             factor = self.graph.factors[index]
             return isinstance(factor, RuleFactor) and factor.head == record.head_var
-        kind = int(compiled._fkind[index])
-        if kind == 2:
-            ri = int(compiled._fh1[index])
-            return int(compiled.rule_head[ri]) == record.head_var
-        if kind == 3:
-            factor = compiled.slow_list[int(compiled._fh1[index])]
-            return factor.head == record.head_var
-        return False
+        if compiled._fkind[index] != KIND_RULE:
+            return False
+        return int(compiled.rule_head[compiled._fh1[index]]) == record.head_var
 
 
 class _DeltaWeightView:

@@ -27,31 +27,11 @@ from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
 
 
-def greedy_coloring(num_vars: int, edges) -> list:
-    """Greedy proper colouring; returns a list of colour classes (arrays)."""
-    neighbors = [[] for _ in range(num_vars)]
-    for i, j in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    colors = np.full(num_vars, -1, dtype=np.int64)
-    # Highest-degree-first ordering keeps the colour count low.
-    order = sorted(range(num_vars), key=lambda v: -len(neighbors[v]))
-    for v in order:
-        used = {colors[u] for u in neighbors[v] if colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    classes = []
-    for c in range(int(colors.max()) + 1 if num_vars else 0):
-        classes.append(np.flatnonzero(colors == c))
-    return classes
-
-
 def _greedy_coloring_csr(indptr, indices, num_vars: int) -> np.ndarray:
     """Greedy colouring over a CSR adjacency; returns the colour vector."""
     colors = np.full(num_vars, -1, dtype=np.int64)
     degrees = np.diff(indptr)
+    # Highest-degree-first ordering keeps the colour count low.
     order = np.argsort(-degrees, kind="stable")
     for v in order:
         v = int(v)

@@ -16,14 +16,12 @@ evidence.  Two entry points:
 from repro.learning.gradient import weight_gradient, weight_statistics
 from repro.learning.logistic import LogisticRegression, TrainingTrace
 from repro.learning.sgd import LearningHistory, SGDLearner
-from repro.learning.vocabulary import Vocabulary
 
 __all__ = [
     "LearningHistory",
     "LogisticRegression",
     "SGDLearner",
     "TrainingTrace",
-    "Vocabulary",
     "weight_gradient",
     "weight_statistics",
 ]

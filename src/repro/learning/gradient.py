@@ -87,39 +87,31 @@ class EvidenceScorer:
     Scores ``−mean log P(x_v = label | rest)`` over the evidence
     variables without rebuilding any O(graph) state per call: the caller
     hands in a maintained cache (typically the conditioned persistent
-    chain's), and the scorer only evaluates the per-variable conditionals.
-    Variables free of slow-path factors batch through
-    ``delta_energy_block`` when that pays; the rest go through the scalar
-    kernel.  Rebuild the scorer when the evidence set or the compiled
-    structure changes (it precomputes gather arrays over both).
+    chain's), and the scorer only evaluates the per-variable conditionals:
+    in one ``delta_energy_block`` call when that pays, through the scalar
+    kernel otherwise.  Rebuild the scorer when the evidence set or the
+    compiled structure changes (it precomputes gather arrays over both).
     """
 
     def __init__(self, compiled, evidence) -> None:
         items = sorted((int(v), bool(val)) for v, val in evidence.items())
         self.vars = np.array([v for v, _ in items], dtype=np.int64)
         self.vals = np.array([val for _, val in items], dtype=bool)
-        has_slow = np.array(
-            [bool(compiled.py_slow[v]) for v in self.vars], dtype=bool
-        )
-        block = compiled.gather_block(self.vars[~has_slow])
+        block = compiled.gather_block(self.vars)
         self.block = block if block.use_batch else None
-        self.fast_idx = np.flatnonzero(~has_slow)
-        self.scalar_idx = (
-            np.flatnonzero(has_slow)
-            if self.block is not None
-            else np.arange(self.vars.size)
-        )
 
     def nll(self, cache, state: np.ndarray) -> float:
         """The pseudo-NLL under ``cache``/``state`` (evidence clamped)."""
         if not self.vars.size:
             return 0.0
         cache.refresh_weights(state)
-        deltas = np.empty(self.vars.size, dtype=np.float64)
         if self.block is not None:
-            deltas[self.fast_idx] = cache.delta_energy_block(self.block, state)
-        for k in self.scalar_idx:
-            deltas[k] = cache.delta_energy(int(self.vars[k]), state)
+            deltas = cache.delta_energy_block(self.block, state)
+        else:
+            deltas = np.array(
+                [cache.delta_energy(v, state) for v in self.vars.tolist()],
+                dtype=np.float64,
+            )
         p = _sigmoid_vec(deltas)
         p = np.where(self.vals, p, 1.0 - p)
         return float(-np.log(np.maximum(p, 1e-12)).mean())

@@ -10,7 +10,7 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0005 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0006 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
@@ -18,7 +18,11 @@ the compiled substrate stopped carrying a factor object per rule;
 ``CKPT0003``: it carries ``rule_nmax``, which the sweep kernel reads,
 and scan blocks carry ``fseg_start``; ``CKPT0004``: a serial learner
 carries the ``ChainStack`` of its chain pair; ``CKPT0005``: scan blocks
-lost their ``seq`` stamp and the plan cache its window key), so a
+lost their ``seq`` stamp and the plan cache its window key;
+``CKPT0006``: groundings are canonical, so the substrate lost its
+brute-force slow path with its per-variable flags, scan blocks their
+scalar-only flag, and the substrate every per-variable CSR slice but
+``ising_indptr``), so a
 file written by an older tree fails verification here — skipped and
 counted like a corrupt one, recovery falling back to an older checkpoint
 or the WAL — instead of unpickling into an object that breaks at its
@@ -42,7 +46,7 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0005"
+_MAGIC = b"CKPT0006"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG management, timers, statistics.
+"""Shared utilities: deterministic RNG management, statistics, tables.
 
 These helpers are deliberately tiny; everything substantive lives in the
 domain packages (``repro.graph``, ``repro.inference``, ``repro.core`` ...).
@@ -12,11 +12,9 @@ from repro.util.stats import (
     total_variation,
 )
 from repro.util.tables import format_table
-from repro.util.timer import Timer
 
 __all__ = [
     "RngMixin",
-    "Timer",
     "as_generator",
     "empirical_marginals",
     "format_table",

@@ -4,8 +4,9 @@
 substrate replaced, verbatim, so the array paths have something slow and
 obvious to equal:
 
-* ``__init__`` walks the graph's factor *objects* into per-variable
-  Python lists and flattens those;
+* ``__init__`` walks the graph's factor *objects* — in their canonical
+  form, ``lower_factors(graph.factors).factors()``, since the package
+  keeps no other — into per-variable Python lists and flattens those;
 * ``apply_delta`` lowers the delta to lists of tuples
   (``_ops_from_delta``), applies them one factor at a time
   (``apply_patch_ops``: a dozen single-row appends per factor, a
@@ -35,6 +36,7 @@ from repro.graph.compiled import (
     _Growable,
     _smallest_free_color,
 )
+from repro.graph.delta import lower_factors
 from repro.graph.factor_graph import (
     BiasFactor,
     CompiledGraphView,
@@ -45,23 +47,13 @@ from repro.graph.factor_graph import (
 from repro.graph.semantics import sem_code, sem_from_code
 
 
-def _has_duplicated_literal(groundings) -> bool:
-    """True when some grounding mentions one variable twice — the only
-    rule factors left on the brute-force slow path."""
-    for grounding in groundings:
-        per_grounding = [var for var, _ in grounding]
-        if len(per_grounding) != len(set(per_grounding)):
-            return True
-    return False
-
-
-def _csr(lists, dtype=np.int64):
+def _csr(lists):
     """Flatten a list of per-variable lists into (indptr, flat array)."""
     counts = np.fromiter((len(l) for l in lists), dtype=np.int64, count=len(lists))
     indptr = np.zeros(len(lists) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     flat = np.fromiter(
-        (x for l in lists for x in l), dtype=dtype, count=int(indptr[-1])
+        (x for l in lists for x in l), dtype=np.int64, count=int(indptr[-1])
     )
     return indptr, flat
 
@@ -70,7 +62,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
     """Object-walking compile, per-factor patch, patch-then-compact."""
 
     # The resident factor objects roll back with the arrays.
-    _SNAP_REFS = CompiledFactorGraph._SNAP_REFS + ("rule_factors", "slow_factors")
+    _SNAP_REFS = CompiledFactorGraph._SNAP_REFS + ("rule_factors",)
     _SNAP_APPEND_LISTS = CompiledFactorGraph._SNAP_APPEND_LISTS + ("_ri_factor",)
 
     def __init__(self, graph: FactorGraph) -> None:
@@ -83,23 +75,20 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         ising_lists = [[] for _ in range(n)]  # [(other, wid)]
         head_lists = [[] for _ in range(n)]   # [ri]
         body_lists = [[] for _ in range(n)]   # [(ri, gg, pos)]
-        slow_lists = [[] for _ in range(n)]   # [slow idx]
 
-        self.rule_factors = {}   # original factor idx -> RuleFactor (fast path)
-        self.slow_factors = {}   # original factor idx -> RuleFactor (slow path)
-        self.slow_list = []      # dense list of slow-path factors
+        self.rule_factors = {}   # original factor idx -> canonical RuleFactor
 
         rule_head_l, rule_wid_l, rule_sem_l, rule_code_l = [], [], [], []
         grounding_ri_l = []
         lit_gg_l, lit_var_l, lit_pos_l = [], [], []
 
         # Per-factor handle table: original factor index → compiled handle
-        # (bias/ising incidence positions, rule ri, slow si).  Kept aligned
+        # (bias/ising incidence positions, rule ri).  Kept aligned
         # with the graph's factor list across apply_delta calls so removed
         # factor ids resolve to tombstones in O(1).
         fkind_l, fprov_l = [], []
 
-        for fi, factor in enumerate(graph.factors):
+        for fi, factor in enumerate(lower_factors(graph.factors).factors()):
             if isinstance(factor, BiasFactor):
                 fkind_l.append(0)
                 fprov_l.append((factor.var, len(bias_lists[factor.var])))
@@ -115,15 +104,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 ising_lists[factor.i].append((factor.j, factor.weight_id))
                 ising_lists[factor.j].append((factor.i, factor.weight_id))
             elif isinstance(factor, RuleFactor):
-                if _has_duplicated_literal(factor.groundings):
-                    self.slow_factors[fi] = factor
-                    si = len(self.slow_list)
-                    fkind_l.append(3)
-                    fprov_l.append(si)
-                    self.slow_list.append(factor)
-                    for var in factor.variables():
-                        slow_lists[var].append(si)
-                    continue
                 ri = len(rule_head_l)
                 fkind_l.append(2)
                 fprov_l.append(ri)
@@ -149,10 +129,8 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 raise TypeError(f"unknown factor type {type(factor)!r}")
 
         # ---- flat arrays -------------------------------------------------
-        self.bias_indptr, self.bias_wid = _csr(bias_lists)
-        self.bias_var = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self.bias_indptr)
-        )
+        bias_indptr, self.bias_wid = _csr(bias_lists)
+        self.bias_var = np.repeat(np.arange(n, dtype=np.int64), np.diff(bias_indptr))
 
         self.ising_indptr, _ = _csr([[0] * len(l) for l in ising_lists])
         self.ising_other = np.fromiter(
@@ -183,43 +161,9 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         self.lit_var = np.asarray(lit_var_l, dtype=np.int64)
         self.lit_pos = np.asarray(lit_pos_l, dtype=bool)
 
-        self.head_indptr, self.head_ri = _csr(head_lists)
-
-        self.body_indptr, self.body_ri = _csr(
-            [[ri for ri, _, _ in l] for l in body_lists]
-        )
-        _, self.body_gg = _csr([[gg for _, gg, _ in l] for l in body_lists])
-        _, self.body_pos = _csr(
-            [[pos for _, _, pos in l] for l in body_lists], dtype=bool
-        )
-
-        # Body segments: one per distinct (var, ri) pair.  Within a
-        # variable's body slice incidences are sorted by ri (factors are
-        # compiled in order), so segments are consecutive runs.
-        bseg_counts, bseg_start_l, bseg_ri_l = [], [], []
-        base = 0
-        for var in range(n):
-            runs = 0
-            prev_ri = -1
-            for k, (ri, _, _) in enumerate(body_lists[var]):
-                if ri != prev_ri:
-                    bseg_start_l.append(base + k)
-                    bseg_ri_l.append(ri)
-                    runs += 1
-                    prev_ri = ri
-            bseg_counts.append(runs)
-            base += len(body_lists[var])
-        self.bseg_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.asarray(bseg_counts, dtype=np.int64), out=self.bseg_indptr[1:])
-        self.bseg_start = np.asarray(bseg_start_l, dtype=np.int64)
-        self.bseg_ri = np.asarray(bseg_ri_l, dtype=np.int64)
-
-        self.slow_indptr, self.slow_idx = _csr(slow_lists)
-
-        # ---- Python mirrors for the scalar (low-degree) kernel -----------
+        # ---- Python mirrors: the per-variable view ----------------------
         self.py_ising = ising_lists
         self.py_head = head_lists
-        self.py_slow = slow_lists
         self.py_body = []
         for var in range(n):
             segs = []
@@ -240,15 +184,14 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         self.free_vars = np.flatnonzero(~self.evidence_mask)
 
         # ---- block-planning adjacency ------------------------------------
-        # nbr: variables sharing any fast factor (used to prove two scan
+        # nbr: variables sharing any factor (used to prove two scan
         # neighbours conditionally independent).  Members of oversized rule
-        # factors and slow-path factors are forced into singleton blocks.
+        # factors are forced into singleton blocks.
         # One entry per *incidence* (parallel edges are not deduplicated):
         # apply_delta decrements the neighbour multiset per removed factor,
         # which is only sound if compile time counted per factor too.
         nbr = [[o for o, _ in l] for l in ising_lists]
         self._force_singleton = np.zeros(n, dtype=bool)
-        self._needs_scalar = np.zeros(n, dtype=bool)
         self._big_count = np.zeros(n, dtype=np.int32)
         for factor in self.rule_factors.values():
             members = set(factor.variables())
@@ -259,9 +202,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 continue
             for a in members:
                 nbr[a].extend(members - {a})
-        for var in range(n):
-            if slow_lists[var]:
-                self._needs_scalar[var] = True
         self._nbr_indptr, self._nbr_idx = _csr(nbr)
         # Greedy colouring in id order (evidence included, so clamping a
         # variable never recolours anything).  The window width is fixed
@@ -283,14 +223,11 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         self.ising_alive = np.ones(self.ising_wid.shape[0], dtype=bool)
         self.rule_alive = np.ones(self.num_rules, dtype=bool)
         self.var_patched = np.zeros(n, dtype=bool)
-        self.slow_alive = [True] * len(self.slow_list)
         self.num_live_rules = self.num_rules
-        self.num_live_slow = len(self.slow_list)
         self._ri_factor = list(self.rule_factors.values())
         self._patched = False
         self._nbr_patch = {}
         self._csr_num_vars = n
-        self._cap_views = None  # set on shared-memory attached instances
 
         F = len(fkind_l)
         self._fkind = np.asarray(fkind_l, dtype=np.int8)
@@ -300,7 +237,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             kind, prov = fkind_l[fi], fprov_l[fi]
             if kind == 0:
                 var, occ = prov
-                self._fh1[fi] = self.bias_indptr[var] + occ
+                self._fh1[fi] = bias_indptr[var] + occ
             elif kind == 1:
                 (i, occ_i), (j, occ_j) = prov
                 self._fh1[fi] = self.ising_indptr[i] + occ_i
@@ -316,8 +253,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
 
         # Per-weight live-factor counts (the gradient normalizer): built
         # once here, then adjusted in O(1) per factor add/remove by
-        # apply_patch_ops.  Worker-attached instances leave this None
-        # (they never estimate gradients).
+        # apply_patch_ops.
         self.weight_factor_counts = self._compute_weight_counts()
 
         # ---- substrate-as-truth state ------------------------------------
@@ -336,11 +272,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
     def factor_at(self, fi: int):
         """The factor at index ``fi`` of the current factor list, rebuilt
         O(1) from the handle table — no factor list is materialized."""
-        if self._fkind is None:
-            raise RuntimeError(
-                "attached (worker-side) compiled views carry no factor "
-                "handle table; materialize on the controller"
-            )
         kind = self._fkind[fi]
         h1 = self._fh1[fi]
         if kind == 2:
@@ -351,9 +282,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 int(self.ising_row[h1]),
                 int(self.ising_other[h1]),
             )
-        if kind == 0:
-            return BiasFactor(int(self.bias_wid[h1]), int(self.bias_var[h1]))
-        return self.slow_list[h1]
+        return BiasFactor(int(self.bias_wid[h1]), int(self.bias_var[h1]))
 
     def materialized_factors(self) -> list:
         """The current factor list, lazily rebuilt from the handle table.
@@ -366,11 +295,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         inference, test references) pay for it; the default update path
         must not — single factors come from :meth:`factor_at`.
         """
-        if self._fkind is None:
-            raise RuntimeError(
-                "attached (worker-side) compiled views carry no factor "
-                "handle table; materialize on the controller"
-            )
         if (
             self._view_factors is None
             or self._view_factors_version != self.structure_version
@@ -383,7 +307,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             ising_row = self.ising_row
             ising_other = self.ising_other
             ising_wid = self.ising_wid
-            ri_factor, slow_list = self._ri_factor, self.slow_list
+            ri_factor = self._ri_factor
             factors = []
             append = factors.append
             for fi in range(fkind.shape[0]):
@@ -399,10 +323,8 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                             int(ising_other[h1]),
                         )
                     )
-                elif kind == 0:
-                    append(BiasFactor(int(bias_wid[h1]), int(bias_var[h1])))
                 else:
-                    append(slow_list[h1])
+                    append(BiasFactor(int(bias_wid[h1]), int(bias_var[h1])))
             self._view_factors = factors
             self._view_factors_version = self.structure_version
             self.views_materialized += 1
@@ -427,8 +349,9 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         """Lower a :class:`FactorGraphDelta` to a picklable patch-op dict.
 
         Resolves removed factor ids through the handle table (and compacts
-        the table to match the post-delta factor numbering).  The op dict
-        is what worker processes replay on their attached views."""
+        the table to match the post-delta factor numbering).  Added rule
+        factors go in canonical (``delta.new_factors.table.factors()``),
+        as the package lands them."""
         ops = {
             "num_new_vars": int(delta.num_new_vars),
             "var_names": list(delta.new_var_names),
@@ -436,7 +359,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             "bias_del": [],
             "ising_del": [],
             "rule_del": [],
-            "slow_del": [],
             "bias_add": [],
             "ising_add": [],
             "rule_add": [],
@@ -454,20 +376,18 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 ops["bias_del"].append(int(self._fh1[fi]))
             elif kind == 1:
                 ops["ising_del"].append((int(self._fh1[fi]), int(self._fh2[fi])))
-            elif kind == 2:
+            else:
                 ri = int(self._fh1[fi])
                 factor = self._ri_factor[ri]
                 body_vars = sorted({v for g in factor.groundings for v, _ in g})
                 ops["rule_del"].append((ri, int(factor.head), body_vars))
-            else:
-                ops["slow_del"].append(int(self._fh1[fi]))
         if removed:
             keep = np.ones(self._fkind.shape[0], dtype=bool)
             keep[removed] = False
             self._fkind = self._fkind[keep]
             self._fh1 = self._fh1[keep]
             self._fh2 = self._fh2[keep]
-        for factor in delta.new_factors:
+        for factor in delta.new_factors.table.factors():
             if isinstance(factor, BiasFactor):
                 ops["add_order"].append(0)
                 ops["bias_add"].append((int(factor.var), int(factor.weight_id)))
@@ -505,7 +425,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         and ``self.graph`` becomes (or stays) a lazy
         :class:`~repro.graph.factor_graph.CompiledGraphView` — no
         materialized ``delta.apply`` graph is ever built.  Returns the
-        :class:`CompiledPatch` that cache/plan/export holders splice
+        :class:`CompiledPatch` that cache/plan holders splice
         from.  When the tombstone/patched density crosses
         ``compact_threshold`` the instance is recompiled in place
         (amortized O(|graph|)) and the patch is marked ``compacted``."""
@@ -521,14 +441,8 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         return patch
 
     def apply_patch_ops(self, ops: dict) -> CompiledPatch:
-        """Replay a patch-op dict against this compiled view.
-
-        The op application is deterministic, so a controller (building
-        the ops from a delta) and its shared-memory workers (receiving
-        them over a pipe) assign identical new rule/grounding/incidence
-        ids.  The controller maintains its own graph facade (names +
-        shared evidence dict behind a lazy view); workers patch their
-        stub graph instead."""
+        """Replay a patch-op dict against this compiled view, one factor
+        at a time."""
         patch = CompiledPatch(
             ops=ops,
             old_num_vars=self.num_vars,
@@ -542,7 +456,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         patch.bias_del, patch.ising_del, patch.bias_add, patch.ising_add = [], [], [], []
         old_evidence = tuple(sorted(self.graph.evidence.items()))
         dirty = set()
-        track_handles = self._fkind is not None
         handles_by_kind = {0: [], 1: [], 2: []}
 
         # ---- new variables ----------------------------------------------
@@ -553,16 +466,13 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             self._append("evidence_mask", np.zeros(k, dtype=bool))
             self._append("var_patched", np.ones(k, dtype=bool))
             self._append("_force_singleton", np.zeros(k, dtype=bool))
-            self._append("_needs_scalar", np.zeros(k, dtype=bool))
             self._append("_big_count", np.zeros(k, dtype=np.int32))
-            if self._cap_views is None:
-                self._append("_color", np.full(k, -1, dtype=np.int32))
+            self._append("_color", np.full(k, -1, dtype=np.int32))
             for _ in range(k):
                 self.py_bias.append([])
                 self.py_ising.append([])
                 self.py_head.append([])
                 self.py_body.append([])
-                self.py_slow.append([])
 
         journal = self._mirror_journal
         if journal is not None:
@@ -625,15 +535,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                     for b in members:
                         if a != b:
                             self._nbr_adjust(a, b, -1)
-        for si in ops["slow_del"]:
-            factor = self.slow_list[si]
-            self.slow_alive[si] = False
-            self.num_live_slow -= 1
-            self._count_adjust(factor.weight_id, -1)
-            for var in factor.variables():
-                touch(var)
-                self.py_slow[var].remove(si)
-                self._needs_scalar[var] = bool(self.py_slow[var])
 
         # ---- additions ---------------------------------------------------
         for var, wid in ops["bias_add"]:
@@ -645,8 +546,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             self.py_bias[var].append(wid)
             self._count_adjust(wid, 1)
             patch.bias_add.append((int(var), int(wid)))
-            if track_handles:
-                handles_by_kind[0].append((0, kb, -1))
+            handles_by_kind[0].append((0, kb, -1))
         for i, j, wid in ops["ising_add"]:
             k1 = self.ising_wid.shape[0]
             touch(i)
@@ -661,26 +561,13 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             self._nbr_adjust(i, j, 1)
             self._nbr_adjust(j, i, 1)
             patch.ising_add.append((int(i), int(j), int(wid)))
-            if track_handles:
-                handles_by_kind[1].append((1, k1, k1 + 1))
+            handles_by_kind[1].append((1, k1, k1 + 1))
         for head, wid, code, groundings in ops["rule_add"]:
             semantics = sem_from_code(code)
             self._count_adjust(wid, 1)
             factor = RuleFactor(
                 weight_id=wid, head=head, groundings=groundings, semantics=semantics
             )
-            if _has_duplicated_literal(groundings):
-                si = len(self.slow_list)
-                self.slow_list.append(factor)
-                self.slow_alive.append(True)
-                self.num_live_slow += 1
-                for var in factor.variables():
-                    touch(var)
-                    self.py_slow[var].append(si)
-                    self._needs_scalar[var] = True
-                if track_handles:
-                    handles_by_kind[2].append((3, si, -1))
-                continue
             body_vars = {v for grounding in groundings for v, _ in grounding}
             members = body_vars | {head}
             for var in members:
@@ -695,8 +582,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             self._rule_head_l.append(head)
             self._rule_wid_l.append(wid)
             self._rule_sem_l.append(semantics)
-            if self._ri_factor is not None:
-                self._ri_factor.append(factor)
+            self._ri_factor.append(factor)
             self.rule_nmax = max(self.rule_nmax, len(groundings))
             if head not in body_vars:
                 self.py_head[head].append(ri)
@@ -727,10 +613,9 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                     for b in members:
                         if a != b:
                             self._nbr_adjust(a, b, 1)
-            if track_handles:
-                handles_by_kind[2].append((2, ri, -1))
+            handles_by_kind[2].append((2, ri, -1))
 
-        if track_handles and ops["add_order"]:
+        if ops["add_order"]:
             # Interleave the per-kind handle rows back into the factor
             # list's append order.
             iters = {kind: iter(rows) for kind, rows in handles_by_kind.items()}
@@ -756,37 +641,30 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 patch.evidence_sets.append((var, bool(val)))
         self.free_vars = np.flatnonzero(~self.evidence_mask)
 
-        if self._cap_views is not None:
-            # Worker-side stub graph: patch evidence + size in place.
-            self.graph.apply_patch(k, ops["evidence"])
-        else:
-            # Substrate-as-truth: extend the shared name list, write
-            # evidence through the shared dict, and keep ``self.graph``
-            # a lazy view over this substrate.  The source graph handed
-            # to ``__init__`` shares names/evidence/weights with the
-            # substrate from compile time on — compiling transfers
-            # ownership of that state.
-            graph = self.graph
-            if not (
-                isinstance(graph, CompiledGraphView) and graph.compiled is self
-            ):
-                graph = CompiledGraphView(self)
-            if k:
-                new_names = list(ops.get("var_names") or [])
-                new_names += [None] * (k - len(new_names))
-                graph._names.extend(new_names[:k])
-            for var, val in sorted(ops["evidence"].items()):
-                if val is None:
-                    graph.clear_evidence(int(var))
-                else:
-                    graph.set_evidence(int(var), bool(val))
-            if graph is not self.graph:
-                old = self.graph
-                self.graph = graph
-                # The old facade shares the evidence dict; drop its
-                # (now stale) cached evidence arrays.
-                if hasattr(old, "_evidence_arrays"):
-                    old._evidence_arrays = None
+        # Substrate-as-truth: extend the shared name list, write evidence
+        # through the shared dict, and keep ``self.graph`` a lazy view
+        # over this substrate.  The source graph handed to ``__init__``
+        # shares names/evidence/weights with the substrate from compile
+        # time on — compiling transfers ownership of that state.
+        graph = self.graph
+        if not (isinstance(graph, CompiledGraphView) and graph.compiled is self):
+            graph = CompiledGraphView(self)
+        if k:
+            new_names = list(ops.get("var_names") or [])
+            new_names += [None] * (k - len(new_names))
+            graph._names.extend(new_names[:k])
+        for var, val in sorted(ops["evidence"].items()):
+            if val is None:
+                graph.clear_evidence(int(var))
+            else:
+                graph.set_evidence(int(var), bool(val))
+        if graph is not self.graph:
+            old = self.graph
+            self.graph = graph
+            # The old facade shares the evidence dict; drop its (now
+            # stale) cached evidence arrays.
+            if hasattr(old, "_evidence_arrays"):
+                old._evidence_arrays = None
 
         if patch.structural:
             self._patched = True
@@ -794,12 +672,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         patch.dirty_vars = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
 
         # ---- recolour, then repair every cached scan plan ----------------
-        if self._cap_views is not None:
-            # Colours are the controller's to assign: it wrote them into
-            # the shared region before shipping these ops.
-            self._color = self._cap_views["_color"][: self.num_vars]
-        else:
-            self._recolor(sorted(dirty.union(range(n0, n0 + k))))
+        self._recolor(sorted(dirty.union(range(n0, n0 + k))))
         # Plans keyed to the graph's own evidence follow its evidence ops
         # (and are re-keyed); plans for other evidence configurations
         # (e.g. a free learning chain) keep theirs, and are dropped —
@@ -833,11 +706,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         but plans/blocks/caches derived before the compaction are invalid
         — holders must re-derive them (apply_delta signals this with
         ``CompiledPatch.compacted``)."""
-        if self._cap_views is not None:
-            raise RuntimeError(
-                "shared-memory attached views cannot compact; the "
-                "controller re-exports instead"
-            )
         graph = self.graph
         version = self.structure_version
         materialized = self.views_materialized

@@ -13,7 +13,7 @@ two-call epoch).  Here:
   whose own block batches, the floats that block evaluates to alone
   (``checked_stack``).  Members with different evidence (one lacking a
   whole plan key), shared and separate generators, mixed semantics,
-  head-in-body rules on one member only, oversized and slow-path rules,
+  head-in-body rules on one member only, oversized rules, repeated literals,
   stacked blocks on both sides of the batching crossover.
 * **The learner** — ``SGDLearner.fit`` over relearn → patch → relearn
   leaves the weights of the two-call, two-pass reference epoch; a
@@ -221,7 +221,7 @@ class TestBitIdentity:
     def test_random_histories(self, seed, ops, size, shared, batch_min):
         """Warm members across appends, retractions, evidence flips and
         threshold compactions; ``random_graph`` draws head-in-body,
-        oversized (solo) and duplicated-literal (slow-path) rules in all
+        oversized (solo) and duplicated-literal (canonicalized) rules in all
         three semantics; ``batch_min`` puts the small stacked blocks on
         either side of the crossover."""
         rng = np.random.default_rng(seed)
@@ -309,21 +309,21 @@ class TestBitIdentity:
         """Four pairs: colour classes of four variables — scalar alone,
         batched from two members up.  A rule over ``_BIG_FACTOR`` makes
         its variables scan alone: a stack of two such blocks is still
-        scalar, a stack of five batches.  A duplicated literal keeps its
-        variables' stacked blocks scalar whatever their size."""
+        scalar, a stack of five batches.  (Its groundings repeat their
+        literal: canonical, each names its variable once.)"""
         graph = FactorGraph()
-        graph.add_variables(8 + _BIG_FACTOR + 2 + 2)
+        graph.add_variables(8 + _BIG_FACTOR + 2)
         for pair in range(4):
             wid = graph.weights.intern(("pair", pair), initial=0.4 * (pair + 1))
             graph.add_ising_factor(wid, 2 * pair, 2 * pair + 1)
         big = graph.weights.intern("big", initial=0.3)
         body = range(8, 8 + _BIG_FACTOR + 1)
         graph.add_rule_factor(
-            big, 8 + _BIG_FACTOR + 1, [((v, True),) for v in body], Semantics.RATIO
+            big,
+            8 + _BIG_FACTOR + 1,
+            [((v, True), (v, True)) for v in body],
+            Semantics.RATIO,
         )
-        slow = graph.weights.intern("slow", initial=-0.5)
-        a, b = graph.num_vars - 2, graph.num_vars - 1
-        graph.add_rule_factor(slow, a, [((b, True), (b, True))], Semantics.LINEAR)
         for size in (2, 5):
             compiled = CompiledFactorGraph(graph)
             kinds = ("free",) * size
@@ -332,12 +332,9 @@ class TestBitIdentity:
             stack = ChainStack(ours)
             with checked_stack():
                 advance(stack, theirs)
-            shapes = {
-                (len(b.parts[0][1]), b.scalar_only): b.use_batch for b in stack.plan.blocks
-            }
-            assert shapes[(4, False)] is True
-            assert shapes[(1, False)] is (size >= compiled_module._BATCH_MIN)
-            assert shapes[(1, True)] is False
+            shapes = {len(b.parts[0][1]): b.use_batch for b in stack.plan.blocks}
+            assert shapes[4] is True
+            assert shapes[1] is (size >= compiled_module._BATCH_MIN)
 
     def test_one_member_is_that_member(self):
         graph = random_graph(np.random.default_rng(3), 40, 35)
@@ -448,12 +445,16 @@ class TestLearner:
     @pytest.mark.parametrize("seed", range(4))
     def test_one_pass_gradient_equals_two_passes(self, seed):
         graph = seed_graph(seed=seed)
-        w = graph.weights.intern(("slow", seed), initial=0.2)
+        w = graph.weights.intern(("repeat", seed), initial=0.2)
         graph.add_rule_factor(
             w, 4, [[(4, True), (8, True)], [(9, False), (9, False)]], Semantics.LOGICAL
         )
         compiled = CompiledFactorGraph(graph)
-        assert compiled.num_live_slow
+        # ``9 ∧ 9`` lands as ``9``, on the one rule path.
+        assert compiled.materialized_factors()[-1].groundings == (
+            ((4, True), (8, True)),
+            ((9, False),),
+        )
         rng = np.random.default_rng(seed)
         for conditioned, free in ((5, 5), (3, 7), (1, 1)):
             cond = rng.random((conditioned, graph.num_vars)) < 0.5

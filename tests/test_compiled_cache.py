@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.graph import CompiledFactorGraph, FactorGraph, Semantics
 from repro.graph.compiled import GibbsCache
+from repro.graph.delta import KIND_RULE
 
 from tests.helpers import (
     brute_force_delta,
@@ -26,13 +27,13 @@ def random_rule_graph(
     seed: int,
     num_vars: int = 6,
     num_factors: int = 8,
-    slow_paths: bool = False,
+    repeats: bool = False,
 ) -> FactorGraph:
     """Random graph mixing all three factor kinds and semantics.
 
-    With ``slow_paths=True`` some rule factors deliberately put the head
-    in their own body or duplicate a literal's variable within one
-    grounding, exercising the brute-force slow path.
+    With ``repeats=True`` some rule factors deliberately put the head in
+    their own body or repeat a literal's variable within one grounding
+    (same or opposite polarity), which the substrate lands canonical.
     """
     rng = np.random.default_rng(seed)
     fg = FactorGraph()
@@ -55,7 +56,7 @@ def random_rule_graph(
                     (int(rng.integers(num_vars)), bool(rng.integers(2)))
                     for _ in range(size)
                 ]
-                if slow_paths and rng.random() < 0.5:
+                if repeats and rng.random() < 0.5:
                     if rng.random() < 0.5:
                         # Head appears in its own body.
                         lits.append((head, bool(rng.integers(2))))
@@ -76,38 +77,35 @@ class TestCompiledStructure:
         compiled = CompiledFactorGraph(fg)
         # Variable q (0) is head of the single rule factor (dense rule 0).
         assert compiled.py_head[0] == [0]
-        assert compiled.head_ri[
-            compiled.head_indptr[0] : compiled.head_indptr[1]
-        ].tolist() == [0]
+        assert compiled.py_head[1:] == [[], [], []]
         # a, b, c appear in bodies; all incidences belong to rule 0.
-        a_slice = slice(compiled.body_indptr[1], compiled.body_indptr[2])
-        assert set(compiled.body_ri[a_slice].tolist()) == {0}
+        assert [ri for ri, _ in compiled.py_body[1]] == [0]
         # b occurs in both groundings.
-        assert compiled.body_indptr[3] - compiled.body_indptr[2] == 2
+        assert [len(lits) for _, lits in compiled.py_body[2]] == [2]
 
-    def test_csr_arrays_consistent(self):
+    def test_flat_arrays_and_mirrors_consistent(self):
         fg = implication_graph()
         compiled = CompiledFactorGraph(fg)
         assert compiled.num_rules == 1
         assert compiled.num_groundings == 2
         assert compiled.grounding_ri.tolist() == [0, 0]
         assert compiled.lit_gg.size == compiled.lit_var.size == 4
-        # Flat body arrays and the Python mirror agree.
+        # Flat literal arrays and the Python mirror agree.
+        lits = list(
+            zip(
+                compiled.lit_var.tolist(),
+                compiled.grounding_ri[compiled.lit_gg].tolist(),
+                compiled.lit_gg.tolist(),
+                compiled.lit_pos.tolist(),
+            )
+        )
         for var in range(fg.num_vars):
-            lo, hi = compiled.body_indptr[var], compiled.body_indptr[var + 1]
             mirror = [
                 (ri, gg, pos)
-                for ri, lits in compiled.py_body[var]
-                for gg, pos in lits
+                for ri, rows in compiled.py_body[var]
+                for gg, pos in rows
             ]
-            flat = list(
-                zip(
-                    compiled.body_ri[lo:hi].tolist(),
-                    compiled.body_gg[lo:hi].tolist(),
-                    compiled.body_pos[lo:hi].tolist(),
-                )
-            )
-            assert mirror == flat
+            assert mirror == [(ri, gg, pos) for v, ri, gg, pos in lits if v == var]
 
     def test_pairwise_flag(self):
         assert CompiledFactorGraph(chain_ising_graph(4)).is_pairwise
@@ -125,8 +123,7 @@ class TestCompiledStructure:
             wid, q, [[(q, True)], [(q, False), (a, True)]], Semantics.RATIO
         )
         compiled = CompiledFactorGraph(fg)
-        assert compiled.num_live_slow == 0 and not compiled.slow_list
-        assert compiled._fkind.tolist() == [2]  # a fast-path rule
+        assert compiled._fkind.tolist() == [KIND_RULE]
         assert compiled.py_head[q] == []
         assert [ri for ri, _ in compiled.py_body[q]] == [0]
         for bits in range(4):
@@ -137,10 +134,10 @@ class TestCompiledStructure:
                     brute_force_delta(fg, x, var), abs=1e-12
                 )
 
-    def test_duplicate_var_in_grounding_goes_to_slow_path(self):
-        """The one routing left to the brute-force path: a grounding that
-        mentions a variable twice (here under a head that is also in the
-        body, which alone would stay fast)."""
+    def test_duplicate_var_in_grounding_lands_canonical(self):
+        """A grounding that mentions a variable twice lands in its
+        canonical form on the one rule path: ``a ∧ ¬a`` never holds, so
+        that grounding goes and the head-in-body one stays."""
         fg = FactorGraph()
         q = fg.add_variable()
         a = fg.add_variable()
@@ -149,22 +146,17 @@ class TestCompiledStructure:
             wid, q, [[(a, True), (a, False)], [(q, True)]], Semantics.LOGICAL
         )
         compiled = CompiledFactorGraph(fg)
-        assert compiled._fkind.tolist() == [3]  # routed to the slow path
-        assert compiled.num_rules == 0
-        assert compiled.num_live_slow == 1
-        assert all(b.scalar_only for b in compiled.plan().blocks)
-        x = np.array([True, False])
-        cache = GibbsCache(compiled, x)
-        for var in (q, a):
-            assert cache.delta_energy(var, x) == pytest.approx(
-                brute_force_delta(fg, x, var), abs=1e-12
-            )
-
-    def test_degree(self):
-        fg = chain_ising_graph(4)
-        compiled = CompiledFactorGraph(fg)
-        assert compiled.degree(0) == 2  # one coupling + one bias
-        assert compiled.degree(1) == 3
+        assert compiled._fkind.tolist() == [KIND_RULE]
+        assert compiled.num_rules == 1 and compiled.num_groundings == 1
+        assert compiled.materialized_factors()[0].groundings == (((q, True),),)
+        assert compiled.py_body[a] == [] and compiled.py_head[q] == []
+        for bits in range(4):
+            x = np.array([bits & 1, bits >> 1], dtype=bool)
+            cache = GibbsCache(compiled, x)
+            for var in (q, a):
+                assert cache.delta_energy(var, x) == pytest.approx(
+                    brute_force_delta(fg, x, var), abs=1e-12
+                )
 
     def test_free_vars_exclude_evidence(self):
         fg = chain_ising_graph(4)
@@ -233,13 +225,14 @@ class TestGibbsCacheCorrectness:
 
 
 class TestRandomizedEquivalence:
-    """Randomized equivalence of the flat kernels against brute force,
-    including slow-path factors (head-in-body, duplicated literals)."""
+    """Randomized equivalence of the flat kernels against brute force on
+    the raw factor objects, including head-in-body rules and repeated
+    literals (which the substrate keeps canonical)."""
 
     @given(st.integers(min_value=0, max_value=300), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_delta_energy_matches_brute_force_with_slow_paths(self, seed, data):
-        fg = random_rule_graph(seed, num_vars=7, num_factors=10, slow_paths=True)
+    def test_delta_energy_matches_brute_force_with_repeats(self, seed, data):
+        fg = random_rule_graph(seed, num_vars=7, num_factors=10, repeats=True)
         compiled = CompiledFactorGraph(fg)
         rng = np.random.default_rng(seed + 1)
         x = rng.random(fg.num_vars) < 0.5
@@ -252,7 +245,7 @@ class TestRandomizedEquivalence:
     @given(st.integers(min_value=0, max_value=150))
     @settings(max_examples=25, deadline=None)
     def test_hundred_random_flips_stay_consistent(self, seed):
-        fg = random_rule_graph(seed, num_vars=8, num_factors=12, slow_paths=True)
+        fg = random_rule_graph(seed, num_vars=8, num_factors=12, repeats=True)
         compiled = CompiledFactorGraph(fg)
         rng = np.random.default_rng(seed)
         x = rng.random(fg.num_vars) < 0.5
@@ -324,7 +317,7 @@ class TestRandomizedEquivalence:
     def test_sweep_leaves_cache_consistent(self):
         from repro.inference.gibbs import GibbsSampler
 
-        fg = random_rule_graph(42, num_vars=10, num_factors=14, slow_paths=True)
+        fg = random_rule_graph(42, num_vars=10, num_factors=14, repeats=True)
         sampler = GibbsSampler(fg, seed=5)
         sampler.run(20)
         sampler.cache.check_consistency(sampler.state)
@@ -334,7 +327,7 @@ class TestRandomizedEquivalence:
         from repro.inference.gibbs import GibbsSampler
         from repro.util.stats import max_marginal_error
 
-        fg = random_rule_graph(7, num_vars=6, num_factors=9, slow_paths=True)
+        fg = random_rule_graph(7, num_vars=6, num_factors=9, repeats=True)
         exact = ExactInference(fg).marginals()
         est = GibbsSampler(fg, seed=3).estimate_marginals(8000, burn_in=300)
         assert max_marginal_error(est, exact) < 0.04

@@ -78,11 +78,6 @@ class TestDeltaApply:
         ).adds_features
         assert not FactorGraphDelta(evidence_updates={0: True}).changes_structure
 
-    def test_index_mapping(self):
-        delta = FactorGraphDelta(removed_factor_ids={1, 3})
-        mapping = delta.index_mapping(5)
-        assert mapping == {0: 0, 2: 1, 4: 2}
-
 
 class TestDeltaEvaluator:
     def test_delta_energy_matches_graph_difference(self):

@@ -5,7 +5,7 @@ while ∆F was a list of factor objects: an object-walking compile, a patch
 applied one factor at a time, a compaction decided *after* the patch and
 run through ``materialized_factors()``.  Over random histories — bias,
 Ising and rule factors of all three semantics, head-in-body, duplicated
-literals (slow path), more than ``_BIG_FACTOR`` members, removals
+literals (landed canonical), more than ``_BIG_FACTOR`` members, removals
 (parallel edges included), appended variables with and without evidence,
 evidence set / flipped / cleared, the empty delta — these tests hold the
 array paths to it:
@@ -66,13 +66,12 @@ _SCALARS = (
     "num_rules",
     "num_groundings",
     "num_live_rules",
-    "num_live_slow",
     "rule_nmax",
     "_patched",
     "_csr_num_vars",
     "_scan_window",
 )
-_LISTS = ("slow_list", "slow_alive", "_rule_head_l", "_rule_wid_l", "_rule_sem_l")
+_LISTS = ("_rule_head_l", "_rule_wid_l", "_rule_sem_l")
 #: Per-variable CSR snapshot (fixed between compactions).
 _STATIC = tuple(
     name for name in CompiledFactorGraph._SNAP_STATIC if name != "_nbr_idx"
@@ -82,8 +81,7 @@ _STATIC = tuple(
 def plan_state(plan) -> dict:
     return {
         "blocks": [
-            (b.vars.tolist(), b.key, b.use_batch, b.scalar_only)
-            for b in plan.blocks
+            (b.vars.tolist(), b.key, b.use_batch) for b in plan.blocks
         ],
         "evidence_mask": plan.evidence_mask.tolist(),
         "free_vars": plan.free_vars.tolist(),
@@ -126,6 +124,12 @@ def substrate_state(c, handles: bool = True) -> dict:
         for evidence, plan in c._plan_cache.items()
     }
     return state
+
+
+def canonical(factors) -> list:
+    """The factor objects as the substrate keeps them: every grounding
+    canonical (what ``rule_table`` makes of it)."""
+    return lower_factors(factors).factors()
 
 
 def assert_same(left: dict, right: dict, skip=()) -> None:
@@ -194,9 +198,11 @@ class TestArrayPathsEqualTheReference:
     def test_array_build_equals_the_object_walking_compile(self, seed, num_vars):
         _, graph, new, ref = twins(seed, num_vars)
         assert_same(substrate_state(new), substrate_state(ref))
-        assert new.materialized_factors() == graph.factors
+        assert new.materialized_factors() == canonical(graph.factors)
         order = np.random.default_rng(seed).permutation(graph.num_factors)
-        assert new.factor_table(order).factors() == [graph.factors[i] for i in order]
+        assert new.factor_table(order).factors() == canonical(
+            [graph.factors[i] for i in order]
+        )
 
     @histories
     @settings(max_examples=60, deadline=None)
@@ -210,7 +216,7 @@ class TestArrayPathsEqualTheReference:
             assert not a.compacted and not b.compacted
             assert_same(patch_state(a), patch_state(b))
             assert_same(substrate_state(new), substrate_state(ref))
-            assert new.materialized_factors() == graph.factors
+            assert new.materialized_factors() == canonical(graph.factors)
             cached_plans(new)
             cached_plans(ref)
 
@@ -228,7 +234,7 @@ class TestArrayPathsEqualTheReference:
         b = ref.apply_delta(delta, compact_threshold=1.0)
         assert_same(patch_state(a), patch_state(b))
         assert_same(substrate_state(new), substrate_state(ref))
-        assert new.materialized_factors() == delta.apply(base).factors
+        assert new.materialized_factors() == canonical(delta.apply(base).factors)
 
     @histories
     @settings(max_examples=60, deadline=None)
@@ -336,7 +342,7 @@ def assert_same_table(table: FactorTable, factors: list) -> None:
     for name, column in table.columns().items():
         assert column.dtype == expected[name].dtype, name
         assert column.tolist() == expected[name].tolist(), name
-    assert table.factors() == factors
+    assert table.factors() == canonical(factors)
 
 
 class TestBornLowered:
@@ -383,7 +389,9 @@ class TestBornLowered:
             [f for i, f in enumerate(first.new_factors) if i not in dropped]
             + list(second.new_factors),
         )
-        assert composed.apply(base).factors == second.apply(middle).factors
+        assert canonical(composed.apply(base).factors) == canonical(
+            second.apply(middle).factors
+        )
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
@@ -537,10 +545,17 @@ class TestWorkCounts:
 
     def test_oversized_rules_are_reached(self):
         """The generator the equivalence tests draw from does produce
-        rules over ``_BIG_FACTOR`` variables and slow-path rules."""
-        big = slow = 0
+        rules over ``_BIG_FACTOR`` variables and groundings that name a
+        variable twice (which land canonical)."""
+        big = repeated = 0
         for seed in range(30):
-            compiled = CompiledFactorGraph(random_graph(np.random.default_rng(seed), 40, 30))
+            graph = random_graph(np.random.default_rng(seed), 40, 30)
+            compiled = CompiledFactorGraph(graph)
             big += int(compiled._force_singleton.any())
-            slow += compiled.num_live_slow
-        assert big and slow and _BIG_FACTOR == 32
+            repeated += sum(
+                len({var for var, _ in grounding}) < len(grounding)
+                for factor in graph.factors
+                if isinstance(factor, RuleFactor)
+                for grounding in factor.groundings
+            )
+        assert big and repeated and _BIG_FACTOR == 32

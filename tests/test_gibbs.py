@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph import FactorGraph, Semantics
 from repro.inference import ChromaticGibbsSampler, ExactInference, GibbsSampler
-from repro.inference.chromatic import greedy_coloring
 from repro.util.stats import max_marginal_error
 
 from tests.helpers import (
@@ -81,8 +80,8 @@ class TestGibbsSampler:
         sampler.run(7)
         assert sampler.sweeps_done == 7
 
-    def test_slow_path_factor_sampled_correctly(self):
-        # Self-referential rule: q :- q (head in body) uses the slow path.
+    def test_head_in_body_rule_sampled_correctly(self):
+        # Self-referential rule: q :- q (head in body, closed form).
         fg = FactorGraph()
         q = fg.add_variable()
         wid = fg.weights.intern("w", initial=0.8)
@@ -95,23 +94,21 @@ class TestGibbsSampler:
 class TestChromaticGibbs:
     def test_coloring_is_proper(self):
         fg = random_pairwise_graph(30, density=0.2, seed=1)
-        edges = [
-            (f.i, f.j)
-            for f in fg.factors
-            if hasattr(f, "i") and hasattr(f, "j")
-        ]
-        classes = greedy_coloring(fg.num_vars, edges)
+        sampler = ChromaticGibbsSampler(fg, seed=0)
         color_of = {}
-        for c, cls in enumerate(classes):
+        for c, cls in enumerate(sampler.color_classes):
             for v in cls:
                 color_of[int(v)] = c
-        for i, j in edges:
-            assert color_of[i] != color_of[j]
+        for f in fg.factors:
+            if hasattr(f, "i") and hasattr(f, "j"):
+                assert color_of[f.i] != color_of[f.j]
 
-    def test_coloring_covers_all_vars(self):
-        classes = greedy_coloring(5, [(0, 1), (1, 2)])
-        covered = sorted(int(v) for cls in classes for v in cls)
-        assert covered == [0, 1, 2, 3, 4]
+    def test_coloring_covers_all_free_vars(self):
+        fg = chain_ising_graph(5)
+        fg.set_evidence(1, True)
+        sampler = ChromaticGibbsSampler(fg, seed=0)
+        covered = sorted(int(v) for cls in sampler.color_classes for v in cls)
+        assert covered == [0, 2, 3, 4]
 
     def test_marginals_match_exact(self):
         fg = random_pairwise_graph(8, density=0.4, seed=2)

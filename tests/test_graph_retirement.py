@@ -8,7 +8,7 @@ lazily-materialized oracle view (``FactorGraph.from_compiled`` /
 * compiled-direct updates ≡ the legacy materialize-a-copy path, under
   randomized delta sequences (canonical graph equality via the view);
 * the default engine update path materializes **zero** oracle views;
-* ``compose_deltas`` never builds the O(#factors) ``index_mapping``;
+* ``compose_deltas`` has no O(#factors) ``index_mapping`` to build;
 * snapshot/rollback re-derives the lazy view from the rolled-back
   substrate instead of resurrecting a stale materialized graph.
 """
@@ -179,19 +179,7 @@ class TestNoMaterializationOnDefaultPath:
 
 class TestComposeDeltasFastPath:
     """``compose_deltas`` maintenance is O(|Δ|): the O(#factors)
-    ``index_mapping`` dict is never built on any path."""
-
-    @pytest.fixture
-    def mapping_counter(self, monkeypatch):
-        calls = {"n": 0}
-        original = FactorGraphDelta.index_mapping
-
-        def counting(self, base_num_factors):
-            calls["n"] += 1
-            return original(self, base_num_factors)
-
-        monkeypatch.setattr(FactorGraphDelta, "index_mapping", counting)
-        return calls
+    ``index_mapping`` dict it once could build is gone."""
 
     def _chain(self, base, rng, steps):
         """Compose a random chain both ways; return (composed, sequential)."""
@@ -207,23 +195,23 @@ class TestComposeDeltasFastPath:
             )
         return composed, graph
 
-    def test_grow_only_composition_skips_index_mapping(self, mapping_counter):
+    def test_grow_only_composition_skips_index_mapping(self):
         base = seed_graph(1)
         first = FactorGraphDelta()
         first.new_weight_entries.append((("a",), 0.2, False))
         first.new_factors.append(BiasFactor(weight_id=len(base.weights), var=0))
         second = FactorGraphDelta(removed_factor_ids={1, base.num_factors})
         composed = compose_deltas(base, first, second)
-        assert mapping_counter["n"] == 0
+        assert not hasattr(FactorGraphDelta, "index_mapping")
         assert composed.removed_factor_ids == {1}
         assert len(composed.new_factors) == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_removal_composition_matches_sequential(self, seed, mapping_counter):
+    def test_removal_composition_matches_sequential(self, seed):
         rng = np.random.default_rng(700 + seed)
         base = seed_graph(seed)
         composed, sequential = self._chain(base, rng, 6)
-        assert mapping_counter["n"] == 0
+        assert not hasattr(FactorGraphDelta, "index_mapping")
         assert_graphs_equal(composed.apply(base), sequential)
 
     def test_apply_in_place_matches_oracle(self):

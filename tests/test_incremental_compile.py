@@ -151,10 +151,10 @@ class TestPatchVsFresh:
         assert_plan_valid(compiled, updated)
         assert_patched_equals_fresh(compiled, updated)
 
-    def test_slow_path_rule_add_and_remove(self):
-        """Through apply_delta a head-in-body rule lands on the fast path
-        and only a duplicated-literal rule on the slow path; both retract
-        cleanly."""
+    def test_repeated_literal_rule_add_and_remove(self):
+        """Through apply_delta a head-in-body rule and a rule whose
+        grounding names a variable twice both land on the one rule path,
+        the second in canonical form; both retract cleanly."""
         graph = chain_ising_graph(8, 0.3, 0.1)
         compiled = CompiledFactorGraph(graph)
         compiled.plan(graph)
@@ -177,32 +177,29 @@ class TestPatchVsFresh:
         )
         updated = delta.apply(graph)
         compiled.apply_delta(delta, compact_threshold=1.0)
-        assert compiled.num_live_slow == 1
-        assert compiled.slow_list[-1] == duplicated
-        assert compiled.factor_table([compiled.num_factors - 2]).factors() == [
-            self_headed
-        ]
-        assert compiled.py_head[2] == []
+        assert compiled.num_live_rules == 2
+        # ``6 ∧ ¬6`` never holds: that grounding goes, ``5`` stays.
+        canonical = RuleFactor(nw, 5, (((5, True),),), Semantics.LOGICAL)
+        assert compiled.factor_table(
+            [compiled.num_factors - 2, compiled.num_factors - 1]
+        ).factors() == [self_headed, canonical]
+        assert compiled.py_head[2] == [] and compiled.py_head[5] == []
+        assert compiled.py_body[6] == []
         assert_patched_equals_fresh(compiled, updated)
         assert_brute_force(compiled, updated)
         assert_plan_valid(compiled, updated)
-        solo = {
-            int(b.vars[0]) for b in compiled.plan(updated).blocks if b.scalar_only
-        }
-        assert solo == {5, 6}
+        assert not compiled._force_singleton.any()
         # And retract both again.
         removal = FactorGraphDelta(
             removed_factor_ids={updated.num_factors - 2, updated.num_factors - 1}
         )
         final = removal.apply(updated)
         compiled.apply_delta(removal, compact_threshold=1.0)
-        assert compiled.num_live_slow == 0
         assert compiled.num_live_rules == 0
-        assert compiled.py_body[2] == []
+        assert compiled.py_body[2] == [] and compiled.py_body[5] == []
         assert_patched_equals_fresh(compiled, final)
         assert_brute_force(compiled, final)
         assert_plan_valid(compiled, final)
-        assert not any(b.scalar_only for b in compiled.plan(final).blocks)
 
     def test_compaction_threshold_recompiles(self):
         graph = chain_ising_graph(10, 0.3, 0.1)

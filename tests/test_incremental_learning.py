@@ -63,8 +63,8 @@ class TestCompiledWeightStatistics:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_python_loop_on_random_graph(self, seed):
         graph = seed_graph(seed=seed)
-        # Force a slow-path factor (head appears in its own body).
-        w = graph.weights.intern(("slow", seed), initial=0.2)
+        # A head-in-body rule (head appears in its own body).
+        w = graph.weights.intern(("self", seed), initial=0.2)
         graph.add_rule_factor(
             w, 4, [[(4, True), (8, True)], [(9, False)]], Semantics.LOGICAL
         )
@@ -91,7 +91,7 @@ class TestCompiledWeightStatistics:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_after_random_patches(self, seed):
         """Patched flat arrays (tombstones + appends + compactions) keep
-        the compiled statistics equal to the slow path on the updated
+        the compiled statistics equal to the Python loop on the updated
         graph."""
         rng = np.random.default_rng(100 + seed)
         graph = seed_graph(seed=seed)

@@ -9,7 +9,6 @@ from repro.inference import ExactInference
 from repro.learning import (
     LogisticRegression,
     SGDLearner,
-    Vocabulary,
     weight_gradient,
     weight_statistics,
 )
@@ -177,27 +176,3 @@ class TestLogisticRegression:
         proba = model.predict_proba([[0, 99]])
         assert proba.shape == (1,)
 
-
-class TestVocabulary:
-    def test_add_and_lookup(self):
-        vocab = Vocabulary()
-        a = vocab.add("phrase:his wife")
-        assert vocab.add("phrase:his wife") == a
-        assert vocab.name_of(a) == "phrase:his wife"
-        assert len(vocab) == 1
-        assert "phrase:his wife" in vocab
-
-    def test_frozen_rejects_new(self):
-        vocab = Vocabulary()
-        vocab.add("a")
-        vocab.freeze()
-        assert vocab.add("b") == -1
-        assert vocab.index_of("b") == -1
-        assert len(vocab) == 1
-
-    def test_encode_drops_unknown_when_frozen(self):
-        vocab = Vocabulary()
-        vocab.add("a")
-        vocab.add("b")
-        vocab.freeze()
-        assert vocab.encode(["a", "zzz", "b"]) == [0, 1]

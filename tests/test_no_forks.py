@@ -1,5 +1,5 @@
-"""The package has one way to ground, one gradient, one scan, and one
-process.
+"""The package has one way to ground, one gradient, one scan, one rule
+path, and one process.
 
 Every option whose non-default side only tests ever selected is gone, and
 the implementations those options selected live under ``tests/reference``
@@ -265,3 +265,40 @@ class TestNoProcessPools:
         assert len(fields(EngineConfig)) == 13
         with pytest.raises(TypeError, match="n_workers"):
             EngineConfig(n_workers=2)
+
+
+class TestOneRulePath:
+    """Groundings are canonical when lowered, so the substrate keeps one
+    rule representation, one scalar kernel and one per-variable view (the
+    ``py_*`` mirrors): the brute-force slow path, the numpy forms of the
+    scalar kernel and the per-variable CSR slices only they read stay
+    gone."""
+
+    REMOVED = (
+        "slow_list",
+        "_KIND_SLOW",
+        "_SCALAR_NUMPY_MIN",
+        "py_slow",
+        "_needs_scalar",
+        "scalar_only",
+        "repeats_a_variable",
+        "body_indptr",
+        "bseg_indptr",
+    )
+
+    def test_removed_names_stay_gone(self):
+        offenders = [
+            (path.relative_to(SRC).as_posix(), name)
+            for path in sorted(SRC.rglob("*.py"))
+            for name in self.REMOVED
+            if name in path.read_text()
+        ]
+        assert not offenders
+
+    def test_the_only_per_variable_offsets_are_isings_and_neighbours(self):
+        graph = chain_ising_graph(6)
+        wid = graph.weights.intern("rule", initial=0.4)
+        graph.add_rule_factor(wid, 0, [[(1, True), (1, True)], [(2, False)]], "ratio")
+        compiled = CompiledFactorGraph(graph)
+        offsets = {name for name in vars(compiled) if name.endswith("_indptr")}
+        assert offsets == {"ising_indptr", "_nbr_indptr"}

@@ -11,7 +11,7 @@
   a plan built from scratch on the patched substrate.  "Valid" is the
   predicate the id-run planner this one replaced satisfies; that planner
   is kept below as the reference.
-* **Kernel equivalence** — scalar, numpy-scalar and batched conditionals
+* **Kernel equivalence** — scalar and batched conditionals
   ≡ the brute-force energy difference with head-in-body rules under every
   semantics; the batched commit ≡ sequential ``commit_flip``.
 * **Exactness** — colour-scan marginals vs ``ExactInference`` on an
@@ -131,7 +131,8 @@ def sweep_and_check(compiled, plan, seed) -> None:
 
 def random_factor(rng, num_vars: int, weight_id: int):
     """One factor over ``num_vars`` variables: bias, Ising, or a rule that
-    is plain, head-in-body, duplicated-literal (slow path) or oversized."""
+    is plain, head-in-body, duplicated-literal (landed canonical) or
+    oversized."""
     kind = int(rng.integers(7))
     if kind == 0:
         return BiasFactor(weight_id=weight_id, var=int(rng.integers(num_vars)))
@@ -295,21 +296,22 @@ class TestPlannerProperties:
 
     def test_scan_order_is_colour_within_window_then_solo(self):
         fg = FactorGraph()
-        fg.add_variables(12)
+        fg.add_variables(10 + _BIG_FACTOR + 1)
         w = fg.weights.intern("w", initial=0.3)
         for i in range(9):
             fg.add_ising_factor(w, i, i + 1)
-        # Variables 10 and 11 sit under a duplicated-literal rule: solo.
-        fg.add_rule_factor(w, 10, [[(11, True), (11, False)]], Semantics.LINEAR)
+        # Variable 10 and every later one sit under one oversized rule: solo.
+        big = range(11, fg.num_vars)
+        fg.add_rule_factor(w, 10, [[(v, True)] for v in big], Semantics.LINEAR)
         compiled = CompiledFactorGraph(fg)
         assert compiled._color.tolist()[:10] == [0, 1] * 5
+        solo = [[v] for v in range(10, fg.num_vars)]
         plan = SweepPlan(compiled, fg.evidence_mask(), 4)
         assert plan_blocks(plan) == [
-            [0, 2], [1, 3], [4, 6], [5, 7], [8], [9], [10], [11],
+            [0, 2], [1, 3], [4, 6], [5, 7], [8], [9], *solo,
         ]
-        assert [b.scalar_only for b in plan.blocks] == [False] * 6 + [True] * 2
         assert plan_blocks(compiled.plan()) == [
-            [0, 2, 4, 6, 8], [1, 3, 5, 7, 9], [10], [11],
+            [0, 2, 4, 6, 8], [1, 3, 5, 7, 9], *solo,
         ]
 
     def test_evidence_masks_classes_without_recolouring(self):
@@ -349,8 +351,7 @@ class TestPlannerProperties:
 
 def head_in_body_graph(rng, semantics, num_vars: int = 14) -> FactorGraph:
     """Every rule's head also sits in some of its groundings; no literal
-    is duplicated, so nothing routes to the slow path.  ``semantics`` of
-    ``None`` mixes all three."""
+    is duplicated.  ``semantics`` of ``None`` mixes all three."""
     fg = FactorGraph()
     fg.add_variables(num_vars)
     for k in range(num_vars):
@@ -379,12 +380,11 @@ def head_in_body_graph(rng, semantics, num_vars: int = 14) -> FactorGraph:
 
 @pytest.mark.parametrize("semantics", SEMANTICS + [None], ids=lambda s: getattr(s, "value", "mixed"))
 class TestKernelsMatchBruteForce:
-    def test_scalar_numpy_and_batched_conditionals(self, semantics, monkeypatch):
+    def test_scalar_and_batched_conditionals(self, semantics):
         for seed in range(6):
             rng = np.random.default_rng(seed)
             fg = head_in_body_graph(rng, semantics)
             compiled = CompiledFactorGraph(fg)
-            assert compiled.num_live_slow == 0
             assert (np.unique(compiled.rule_sem).size > 1) == (semantics is None)
             x = rng.random(fg.num_vars) < 0.5
             cache = GibbsCache(compiled, x)
@@ -396,11 +396,6 @@ class TestKernelsMatchBruteForce:
             assert cache.delta_energy_block(block, x) == pytest.approx(
                 expected, abs=1e-12
             )
-            # Route every body through the numpy scalar kernel.
-            monkeypatch.setattr(compiled_module, "_SCALAR_NUMPY_MIN", 0)
-            numpy_scalar = [cache.delta_energy(v, x) for v in range(fg.num_vars)]
-            monkeypatch.undo()
-            assert numpy_scalar == pytest.approx(expected, abs=1e-12)
 
     def test_batched_commit_equals_sequential_flips(self, semantics):
         for seed in range(4):
@@ -485,7 +480,6 @@ def test_colour_scan_marginals_match_exact_inference(batch_min, monkeypatch):
     fg = agreement_graph()
     exact = ExactInference(fg).marginals()
     sampler = GibbsSampler(fg, seed=12)
-    assert sampler.compiled.num_live_slow == 0
     assert sampler.plan.batched_fraction == (1.0 if batch_min == 1 else 0.0)
     # Cliques of 4 need 4 colours: the scan is genuinely multi-class.
     assert sampler.plan.num_blocks >= 4
@@ -520,7 +514,6 @@ def full_program_grounder(pipeline: KBCPipeline):
 
 
 def assert_batched_shape(plan) -> None:
-    assert not any(block.scalar_only for block in plan.blocks)
     assert plan.batched_fraction >= 0.9, [b.vars.size for b in plan.blocks]
 
 
@@ -528,7 +521,6 @@ def assert_batched_shape(plan) -> None:
 def test_kbc_systems_sweep_on_the_batched_kernel(spec):
     grounder = full_program_grounder(build_pipeline(spec, scale=1.0, seed=0))
     compiled = CompiledFactorGraph(grounder.graph)
-    assert compiled.num_live_slow == 0
     assert_batched_shape(compiled.plan())
     assert_batched_shape(compiled.plan(free_twin(compiled)))
 

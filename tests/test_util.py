@@ -1,4 +1,4 @@
-"""Tests for the utility layer: stats, tables, timer, rng."""
+"""Tests for the utility layer: stats, tables, rng."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util import (
-    Timer,
     as_generator,
     empirical_marginals,
     format_table,
@@ -84,20 +83,6 @@ class TestTables:
         assert "1.23e+06" in out
         assert "1e-05" in out
         assert "0.5" in out
-
-
-class TestTimer:
-    def test_elapsed_positive(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.elapsed >= 0.0
-
-    def test_lap_and_restart(self):
-        with Timer() as t:
-            first = t.lap()
-            t.restart()
-            second = t.lap()
-        assert first >= 0.0 and second >= 0.0
 
 
 class TestRng:
