@@ -39,8 +39,12 @@ after *every* incremental update, the maintained graph must agree
 canonically with ``reference_ground`` of a twin database the same
 updates were replayed on — on the spouse program, on the benchmark
 workload and on the arity workload (incremental ≡ from-scratch and
-columnar ≡ tuple-at-a-time in one comparison); and the arity counters
-must have the linear shape.
+columnar ≡ tuple-at-a-time in one comparison); the arity counters
+must have the linear shape; and the full ground must do the record
+fold's work without its objects — its factor table equal, column by
+column, to ``lower_factors`` of ``tests/reference``'s ``fold_ground``
+(factor, grounding and weight-intern order), with zero ``RuleFactor``
+constructions and zero ``lower_factors`` calls through ground + compile.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grounding_incremental.py
 [--scale tiny|small|medium] [--check]`` from the repository root.
@@ -61,6 +65,7 @@ from _helpers import emit_json
 
 sys.path.insert(0, ".")  # tests/ (fixtures and the reference) is at the root
 from tests.reference import reference_ground  # noqa: E402
+from tests.reference.grounding import fold_ground  # noqa: E402
 
 SCALES = {
     "tiny": {"sentences": [60, 120], "deltas": [1, 4], "arity_edges": 200},
@@ -478,9 +483,59 @@ def run(scale: str) -> dict:
     return record
 
 
+def object_work(run) -> tuple:
+    """``run()``'s result and how many ``RuleFactor`` objects it built and
+    ``lower_factors`` calls it made."""
+    import repro.graph.delta as delta_module
+    from repro.graph import RuleFactor
+
+    counts = {"rule_factors": 0, "lower_factors": 0}
+    real_init, real_lower = RuleFactor.__init__, delta_module.lower_factors
+
+    def init(self, *args, **kwargs):
+        counts["rule_factors"] += 1
+        real_init(self, *args, **kwargs)
+
+    def lower(factors):
+        counts["lower_factors"] += 1
+        return real_lower(factors)
+
+    RuleFactor.__init__, delta_module.lower_factors = init, lower
+    try:
+        result = run()
+    finally:
+        RuleFactor.__init__, delta_module.lower_factors = real_init, real_lower
+    return result, counts
+
+
+def check_full_ground_work(rows: dict) -> dict:
+    """The full ground's table ≡ the record fold's lowering, column by
+    column, with no factor object built through ground + compile."""
+    from repro.graph.delta import lower_factors
+
+    program = build_program()
+
+    def ground_and_compile():
+        grounding = Grounder(program, make_db(program, rows)).ground()
+        grounding.compile()
+        return grounding
+
+    grounding, work = object_work(ground_and_compile)
+    assert work == {"rule_factors": 0, "lower_factors": 0}, work
+    graph = grounding.graph
+    assert not graph.factors.materialized
+    oracle, _records = fold_ground(program, make_db(program, rows))
+    expected = lower_factors(oracle.factors).columns()
+    for name, column in expected.items():
+        assert np.array_equal(getattr(graph.factors.table, name), column), name
+    assert list(graph.weights.items()) == list(oracle.weights.items())
+    return work
+
+
 def check() -> None:
     """CI smoke: incremental ≡ from-scratch reference after every update;
-    arity counters linear."""
+    arity counters linear; full ground ≡ the record fold without its
+    objects."""
     from tests.test_grounding import spouse_db, spouse_program
     from tests.test_incremental_grounding import assert_equivalent, reground
 
@@ -499,6 +554,8 @@ def check() -> None:
     _, col = time_full_ground(rows, columnar_ground, repeats=1)
     _, ref = time_full_ground(rows, reference_ground, repeats=1)
     assert_equivalent(col, ref)
+    # …doing the record fold's work without its objects…
+    work = check_full_ground_work(rows)
     # …and across two-document updates, after every one of them.
     reground(
         build_program,
@@ -527,7 +584,7 @@ def check() -> None:
         "grounding smoke ok: columnar-incremental ≡ tuple-at-a-time "
         "from-scratch reference after every update (spouse, benchmark and "
         f"arity workloads); arity k={k}: {shape}; {col.num_vars} vars, "
-        f"{col.num_factors} factors"
+        f"{col.num_factors} factors; full ground ≡ record fold, {work}"
     )
 
 

@@ -49,7 +49,7 @@ def decompose(graph: FactorGraph, active_vars) -> list:
     n = graph.num_vars
     is_active = np.zeros(n, dtype=bool)
     is_active[[v for v in map(int, active_vars) if 0 <= v < n]] = True
-    pairs = np.array(list(graph.neighbor_pairs()), dtype=np.int64).reshape(-1, 2)
+    pairs = graph.neighbor_pairs()
     a, b = pairs[:, 0], pairs[:, 1]
     inner = ~is_active[a] & ~is_active[b]
     _, label = connected_components(

@@ -36,7 +36,13 @@ import numpy as np
 
 from repro.core.resident import ResidentGraph
 from repro.core.sampling import make_sampler
-from repro.graph.delta import FactorGraphDelta, FactorList, FactorTable
+from repro.graph.delta import (
+    KIND_BIAS,
+    KIND_ISING,
+    FactorGraphDelta,
+    FactorList,
+    FactorTable,
+)
 from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
 
@@ -143,47 +149,54 @@ def learn_approximation(
 
     n = graph.num_vars
     nz_mask = np.eye(n, dtype=bool)
-    candidate_pairs = 0
-    for i, j in graph.neighbor_pairs():
-        nz_mask[i, j] = nz_mask[j, i] = True
-        candidate_pairs += 1
+    pairs = graph.neighbor_pairs()
+    nz_mask[pairs[:, 0], pairs[:, 1]] = nz_mask[pairs[:, 1], pairs[:, 0]] = True
     cov = cov_full * nz_mask
     cov[np.diag_indices(n)] = np.diag(cov_full) + 1.0 / 3.0
 
     precision = solve_logdet(cov, nz_mask, lam, max_iter=max_iter)
 
     approx = FactorGraph()
-    for v in range(n):
-        approx.add_variable(name=graph.name_of(v))
+    approx.add_named_variables([graph.name_of(v) for v in range(n)])
     for var, value in graph.evidence.items():
         approx.set_evidence(var, value)
 
-    kept = 0
+    # Kept couplings in row-major order: one Ising factor each, then one
+    # bias per free variable — the approximate graph is born lowered.
+    ii, jj = np.nonzero(np.triu(nz_mask & (np.abs(precision) > weight_threshold), 1))
     couplings = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = precision[i, j]
-            if nz_mask[i, j] and abs(w) > weight_threshold:
-                wid = approx.weights.intern(("J", i, j), initial=w, fixed=True)
-                approx.add_ising_factor(wid, i, j)
-                couplings[i, j] = couplings[j, i] = w
-                kept += 1
+    couplings[ii, jj] = couplings[jj, ii] = precision[ii, jj]
+    intern = approx.weights.intern
+    ising_wid = [
+        intern(("J", i, j), initial=w, fixed=True)
+        for i, j, w in zip(ii.tolist(), jj.tolist(), precision[ii, jj].tolist())
+    ]
     # Mean-field bias calibration: anchor each variable's marginal.
     safe_means = np.clip(means, -0.999999, 0.999999)
     biases = np.arctanh(safe_means) - couplings @ means
-    for v in range(n):
-        if graph.is_evidence(v):
-            continue
-        wid = approx.weights.intern(("h", v), initial=float(biases[v]), fixed=True)
-        approx.add_bias_factor(wid, v)
+    free = np.flatnonzero(~graph.evidence_mask())
+    bias_wid = [
+        intern(("h", v), initial=b, fixed=True)
+        for v, b in zip(free.tolist(), biases[free].tolist())
+    ]
+    approx.factors = FactorList.from_table(
+        FactorTable(
+            kind=np.repeat([KIND_ISING, KIND_BIAS], [len(ising_wid), len(bias_wid)]),
+            ising_i=ii,
+            ising_j=jj,
+            ising_wid=ising_wid,
+            bias_var=free,
+            bias_wid=bias_wid,
+        )
+    )
 
     return VariationalApproximation(
         graph=approx,
         means=means,
         precision=precision,
         lam=lam,
-        candidate_pairs=candidate_pairs,
-        kept_pairs=kept,
+        candidate_pairs=len(pairs),
+        kept_pairs=len(ising_wid),
     )
 
 

@@ -4,9 +4,11 @@ The dominant cost of Gibbs sampling is fetching, for each variable, the
 factors it participates in (paper §3.2.3).  DeepDive's sampler is fast
 because the grounded graph is compiled once into contiguous incidence
 arrays that a tight loop can walk without object traffic.  This module
-is the Python equivalent: :class:`CompiledFactorGraph` lowers a
-:class:`~repro.graph.factor_graph.FactorGraph` into flat numpy arrays,
-and :class:`GibbsCache` evaluates conditionals against them.
+is the Python equivalent: :class:`CompiledFactorGraph` builds flat numpy
+arrays from a :class:`~repro.graph.factor_graph.FactorGraph`'s factor
+table (``graph.factor_table()``: a grounded graph's list is born
+lowered, so no factor object is walked), and :class:`GibbsCache`
+evaluates conditionals against them.
 
 Compiled layout (all arrays contiguous, ``n`` = number of variables):
 
@@ -83,7 +85,7 @@ is offsetting its ids and appending its columns.  The patch protocol:
   caller's ``compact_threshold`` the ops are *spliced*; over it a splice
   would be thrown away by the compaction behind it, so the live rows and
   the table's rows go through the array build (``_build``, which is also
-  all ``__init__`` does after lowering the source graph, and all
+  all ``__init__`` does with the source graph's table, and all
   ``compact`` does) once instead, and the patch is marked ``compacted``;
 * **appends** (new variables, factors, groundings, literals) land at the
   end of the global incidence arrays, which are backed by
@@ -122,7 +124,6 @@ from repro.graph.delta import (
     FactorTable,
     expand_ranges,
     gather_rules,
-    lower_factors,
     rule_literals,
 )
 from repro.graph.factor_graph import CompiledGraphView, FactorGraph
@@ -277,7 +278,11 @@ def _rule_members(num_rules: int, head, lit_ri, lit_var, span: int) -> tuple:
 
 
 class _Growable:
-    """Amortized-doubling backing buffer behind one flat global array."""
+    """Amortized-doubling backing buffer behind one flat global array.
+
+    The first buffer is the built array itself, which may be a column of
+    the source graph's (immutable, possibly read-only) factor table: an
+    append that grows reallocates first, so it is never written."""
 
     __slots__ = ("buf", "size")
 
@@ -296,6 +301,8 @@ class _Growable:
 
     def append(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=self.buf.dtype)
+        if not values.shape[0]:
+            return self.view
         need = self.size + values.shape[0]
         if need > self.buf.shape[0]:
             cap = max(need, 2 * self.buf.shape[0], 8)
@@ -464,8 +471,8 @@ class CompiledFactorGraph:
     _mirror_journal = None
 
     def __init__(self, graph: FactorGraph) -> None:
-        table = lower_factors(graph.factors)
-        self._check_ids(table, graph.num_vars, len(graph.weights))
+        table = graph.factor_table()
+        table.check_ids(graph.num_vars, len(graph.weights))
         for var in graph.evidence:
             if not 0 <= var < graph.num_vars:
                 raise ValueError(f"evidence on unknown variable {var}")
@@ -483,23 +490,12 @@ class CompiledFactorGraph:
         self._view_factors_version = -1
         self._build(table, graph.num_vars)
 
-    @staticmethod
-    def _check_ids(table: FactorTable, num_vars: int, num_weights: int) -> None:
-        """Every variable and weight id of ``table`` exists."""
-        for ids, count, what in (
-            (table.variables(), num_vars, "variable"),
-            (table.weight_ids(), num_weights, "weight"),
-        ):
-            if ids.size and not 0 <= ids.min() <= ids.max() < count:
-                bad = ids[(ids < 0) | (ids >= count)][0]
-                raise ValueError(f"factor references unknown {what} {int(bad)}")
-
     def _build(self, table: FactorTable, num_vars: int) -> None:
         """Derive the whole compiled state from ``table``, the graph's
         factor list in list order, over ``num_vars`` variables.
 
-        The one array build: :meth:`__init__` runs it on the lowered
-        source graph, :meth:`compact` on the live rows, and a delta that
+        The one array build: :meth:`__init__` runs it on the source
+        graph's table, :meth:`compact` on the live rows, and a delta that
         takes the patched density over the threshold on the live rows
         with the delta's rows behind them.  Everything a patch maintains
         incrementally is reset (tombstones, ``var_patched``, the
@@ -1035,7 +1031,7 @@ class CompiledFactorGraph:
             touched += [self.rule_head[ops["rule_del"]], doomed[1]]
         patch.dirty_vars = dirty = np.unique(np.concatenate(touched))
         if dirty.size and not 0 <= dirty[0] <= dirty[-1] < n:
-            self._check_ids(add, n, len(self.weights))
+            add.check_ids(n, len(self.weights))
         return patch, doomed
 
     def _slot_counts(self) -> list:

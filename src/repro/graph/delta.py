@@ -17,10 +17,13 @@ the grounder flattens its touched records straight into one
 (:func:`rule_table`), :func:`compose_deltas` concatenates two, the
 variational splice remaps the weight columns, the MH target scores the
 columns as they are and ``apply_delta`` appends them to the substrate.
+A full ground builds the same columns from its binding batches
+(:func:`rule_columns`, then :meth:`FactorTable.canonical`), so a
+grounded graph's factor list is born lowered too.
 :func:`lower_factors` is the one place factor *objects* become a table;
-:class:`FactorList` keeps ``delta.new_factors`` readable as a list of
-objects for the oracle paths (``delta.apply``, the strawman, tests) and
-lowers a list that was built from objects on first use.
+:class:`FactorList` keeps a lowered list readable as a list of objects
+for the oracle paths (``delta.apply``, the strawman, tests) and lowers a
+list that was built from objects on first use.
 """
 
 from __future__ import annotations
@@ -115,9 +118,10 @@ class FactorTable:
     equal to its row and a grounding's literals the run of ``lit_gg``
     equal to its id, both in list order, so neither column ever
     decreases.  Every grounding is canonical — it names each variable
-    once (:func:`rule_table` builds the rule columns and every operation
-    here keeps them).  Tables are immutable: every operation returns a
-    new one (sharing the columns it did not touch).
+    once (:func:`rule_table` builds the rule columns, :meth:`canonical`
+    makes :func:`rule_columns`' raw ones so, and every operation here
+    keeps them).  Tables are immutable: every operation returns a new
+    one (sharing the columns it did not touch).
     """
 
     __slots__ = tuple(_COLUMN_DTYPES)
@@ -154,6 +158,35 @@ class FactorTable:
             [self.bias_var, self.ising_i, self.ising_j, self.rule_head, self.lit_var]
         )
 
+    def check_ids(self, num_vars: int, num_weights: int) -> None:
+        """Every variable and weight id exists; ``ValueError`` names the
+        first one that does not."""
+        for ids, count, what in (
+            (self.variables(), num_vars, "variable"),
+            (self.weight_ids(), num_weights, "weight"),
+        ):
+            if ids.size and not 0 <= ids.min() <= ids.max() < count:
+                bad = ids[(ids < 0) | (ids >= count)][0]
+                raise ValueError(f"factor references unknown {what} {int(bad)}")
+
+    def neighbor_pairs(self) -> np.ndarray:
+        """Each unordered variable pair ``(a, b)``, ``a < b``, that
+        co-occurs in some factor, ascending, as a ``(k, 2)`` array: the
+        ``NZ`` set of Algorithm 1."""
+        rule_f = np.flatnonzero(self.kind == KIND_RULE)
+        ising_f = np.flatnonzero(self.kind == KIND_ISING)
+        owner = np.concatenate([rule_f, rule_f[self.lit_ri], ising_f, ising_f])
+        var = np.concatenate([self.rule_head, self.lit_var, self.ising_i, self.ising_j])
+        n = int(var.max()) + 1 if var.size else 1
+        # Distinct (factor, variable) memberships, sorted: each one pairs
+        # with the later members of its factor.
+        owner, var = np.divmod(np.unique(owner * n + var), n)
+        later, first = expand_ranges(
+            np.arange(1, owner.shape[0] + 1), np.searchsorted(owner, owner, "right")
+        )
+        pairs = np.unique(var[first] * n + var[later])
+        return np.stack(np.divmod(pairs, n), axis=1)
+
     def weight_ids(self) -> np.ndarray:
         """The weight id of each factor, in list order."""
         wids = np.empty(len(self), dtype=np.int64)
@@ -174,9 +207,11 @@ class FactorTable:
     def take(self, which) -> "FactorTable":
         """The factors at ``which`` — a boolean mask over the list, or
         indexes in the order wanted — with rule and grounding ids
-        renumbered."""
-        which = np.asarray(which)
-        index = np.flatnonzero(which) if which.dtype == bool else which
+        renumbered.  A mask keeps list order, so its groundings and
+        literals are masked in one pass each rather than searched for."""
+        index = np.asarray(which)
+        if index.dtype == bool:
+            return self._masked(index)
         kind = self.kind[index]
         local = np.empty(len(self), dtype=np.int64)
         for code in (KIND_BIAS, KIND_ISING, KIND_RULE):
@@ -192,6 +227,28 @@ class FactorTable:
             ising_j=self.ising_j[ising],
             ising_wid=self.ising_wid[ising],
             **gather_rules(self, local[kind == KIND_RULE]),
+        )
+
+    def _masked(self, keep: np.ndarray) -> "FactorTable":
+        bias, ising, rules = (
+            keep[self.kind == code] for code in (KIND_BIAS, KIND_ISING, KIND_RULE)
+        )
+        groundings = rules[self.grounding_ri]
+        lits = groundings[self.lit_gg]
+        return FactorTable(
+            kind=self.kind[keep],
+            bias_var=self.bias_var[bias],
+            bias_wid=self.bias_wid[bias],
+            ising_i=self.ising_i[ising],
+            ising_j=self.ising_j[ising],
+            ising_wid=self.ising_wid[ising],
+            rule_head=self.rule_head[rules],
+            rule_wid=self.rule_wid[rules],
+            rule_sem=self.rule_sem[rules],
+            grounding_ri=(np.cumsum(rules) - 1)[self.grounding_ri[groundings]],
+            lit_gg=(np.cumsum(groundings) - 1)[self.lit_gg[lits]],
+            lit_var=self.lit_var[lits],
+            lit_pos=self.lit_pos[lits],
         )
 
     @staticmethod
@@ -217,6 +274,23 @@ class FactorTable:
             **{name: np.concatenate(parts) for name, parts in columns.items()}
         )
 
+    def canonical(self) -> "FactorTable":
+        """This table with every grounding canonical (:func:`_canonical`;
+        columns without a repeat are shared, not copied)."""
+        names = ("grounding_ri", "lit_gg", "lit_var", "lit_pos")
+        columns = self.columns()
+        columns.update(zip(names, _canonical(*(columns[name] for name in names))))
+        return FactorTable(**columns)
+
+    def rule_groundings(self) -> list:
+        """Per rule row, its groundings as tuples of ``(var, positive)``
+        literals, in table order."""
+        lits = list(zip(self.lit_var.tolist(), self.lit_pos.tolist()))
+        l_ptr = _bounds(self.lit_gg, self.grounding_ri.shape[0]).tolist()
+        groundings = [tuple(lits[a:b]) for a, b in zip(l_ptr, l_ptr[1:])]
+        g_ptr = _bounds(self.grounding_ri, self.num_rules).tolist()
+        return [tuple(groundings[a:b]) for a, b in zip(g_ptr, g_ptr[1:])]
+
     def factors(self) -> list:
         """The factor objects the table stands for (oracle view)."""
         bias = map(BiasFactor, self.bias_wid.tolist(), self.bias_var.tolist())
@@ -226,15 +300,11 @@ class FactorTable:
             self.ising_i.tolist(),
             self.ising_j.tolist(),
         )
-        lits = list(zip(self.lit_var.tolist(), self.lit_pos.tolist()))
-        l_ptr = _bounds(self.lit_gg, self.grounding_ri.shape[0]).tolist()
-        groundings = [tuple(lits[a:b]) for a, b in zip(l_ptr, l_ptr[1:])]
-        g_ptr = _bounds(self.grounding_ri, self.num_rules).tolist()
         rules = map(
             RuleFactor,
             self.rule_wid.tolist(),
             self.rule_head.tolist(),
-            (tuple(groundings[a:b]) for a, b in zip(g_ptr, g_ptr[1:])),
+            self.rule_groundings(),
             sems_from_codes(self.rule_sem),
         )
         by_kind = (bias, ising, rules)
@@ -274,14 +344,12 @@ def _canonical(grounding_ri, lit_gg, lit_var, lit_pos) -> tuple:
     )
 
 
-def rule_table(heads, wids, sems, groundings) -> FactorTable:
-    """A table of rule factors from parallel per-rule sequences: head
-    variable, weight id, semantics code, and the rule's groundings (each
-    a sequence of ``(var, positive)`` literals).
-
-    The one constructor of rule columns: the groundings land canonical
-    (:func:`_canonical`), which is what lets the substrate keep a single
-    rule representation."""
+def rule_columns(heads, wids, sems, groundings) -> FactorTable:
+    """Rule columns from parallel per-rule sequences: head variable,
+    weight id, semantics code, and the rule's groundings (each a
+    sequence of ``(var, positive)`` literals), taken as they are —
+    repeats and contradictions included, so not yet a table the
+    substrate may read (:meth:`FactorTable.canonical` makes it one)."""
     per_rule = np.fromiter(map(len, groundings), dtype=np.int64, count=len(heads))
     flat = list(chain.from_iterable(groundings))
     per_grounding = np.fromiter(map(len, flat), dtype=np.int64, count=len(flat))
@@ -291,22 +359,25 @@ def rule_table(heads, wids, sems, groundings) -> FactorTable:
         dtype=np.int64,
         count=2 * num_lits,
     ).reshape(num_lits, 2)
-    grounding_ri, lit_gg, lit_var, lit_pos = _canonical(
-        np.repeat(np.arange(len(heads)), per_rule),
-        np.repeat(np.arange(len(flat)), per_grounding),
-        lits[:, 0],
-        lits[:, 1],
-    )
     return FactorTable(
         kind=np.full(len(heads), KIND_RULE, dtype=np.int8),
         rule_head=heads,
         rule_wid=wids,
         rule_sem=sems,
-        grounding_ri=grounding_ri,
-        lit_gg=lit_gg,
-        lit_var=lit_var,
-        lit_pos=lit_pos,
+        grounding_ri=np.repeat(np.arange(len(heads)), per_rule),
+        lit_gg=np.repeat(np.arange(len(flat)), per_grounding),
+        lit_var=lits[:, 0],
+        lit_pos=lits[:, 1],
     )
+
+
+def rule_table(heads, wids, sems, groundings) -> FactorTable:
+    """A table of rule factors from parallel per-rule sequences (see
+    :func:`rule_columns`).
+
+    The groundings land canonical (:func:`_canonical`), which is what
+    lets the substrate keep a single rule representation."""
+    return rule_columns(heads, wids, sems, groundings).canonical()
 
 
 def lower_factors(factors) -> FactorTable:
@@ -347,14 +418,15 @@ def lower_factors(factors) -> FactorTable:
 
 
 class FactorList(MutableSequence):
-    """``FactorGraphDelta.new_factors``: a list of factor objects backed
-    by a :class:`FactorTable`.
+    """A list of factor objects backed by a :class:`FactorTable`:
+    ``FactorGraphDelta.new_factors``, and the factor list of a grounded
+    :class:`~repro.graph.factor_graph.FactorGraph`.
 
     Built from objects, it lowers them on the first ``table`` read; born
     lowered (:meth:`from_table`), it builds the objects on the first read
-    that needs them — iteration, indexing, comparison — and ``len`` never
-    does.  Either form is cached; a mutation goes through the objects and
-    drops the table.
+    that needs them — iteration, indexing, comparison — and ``len``,
+    :meth:`copy` and pickling never do.  Either form is cached; a
+    mutation goes through the objects and drops the table.
     """
 
     __slots__ = ("_objects", "_table")
@@ -385,6 +457,13 @@ class FactorList(MutableSequence):
         if self._objects is None:
             self._objects = self._table.factors()
         return self._objects
+
+    def copy(self) -> "FactorList":
+        """A list of its own over the same table and objects."""
+        clone = FactorList.from_table(self._table)
+        if self._objects is not None:
+            clone._objects = list(self._objects)
+        return clone
 
     def __reduce__(self):
         if self._table is not None:
@@ -522,10 +601,11 @@ class FactorGraphDelta:
     def apply_in_place(self, base: FactorGraph) -> FactorGraph:
         """Apply this delta directly onto ``base``, mutating it.
 
-        Removals go through a set-difference tail splice: only the factor
-        list from ``min(removed_factor_ids)`` onward is rebuilt, so a few
-        removals near the end of the list stay cheap instead of paying a
-        full O(#factors) list comprehension.
+        A lowered factor list (:class:`FactorList`) stays lowered: it
+        drops the removed factors with ``take`` and appends the new ones
+        by table concatenation, and builds no object.  A list of objects
+        removes through a set-difference tail splice — only the list from
+        ``min(removed_factor_ids)`` onward is rebuilt — and extends.
         """
         for key, initial, fixed in self.new_weight_entries:
             base.weights.intern(key, initial=initial, fixed=fixed)
@@ -539,18 +619,28 @@ class FactorGraphDelta:
             if offset in self.new_var_evidence:
                 base.set_evidence(vid, self.new_var_evidence[offset])
 
-        if self.removed_factor_ids:
-            removed = self.removed_factor_ids
-            lo = min(removed)
-            factors = base.factors
-            tail = [
-                f
-                for fi, f in enumerate(factors[lo:], start=lo)
-                if fi not in removed
-            ]
-            del factors[lo:]
-            factors.extend(tail)
-        base.factors.extend(self.new_factors)
+        removed = self.removed_factor_ids
+        factors = base.factors
+        if isinstance(factors, FactorList):
+            table = factors.table
+            if removed:
+                keep = np.ones(len(table), dtype=bool)
+                keep[list(removed)] = False
+                table = table.take(keep)
+            base.factors = FactorList.from_table(
+                FactorTable.concat([table, self.new_factors.table])
+            )
+        else:
+            if removed:
+                lo = min(removed)
+                tail = [
+                    f
+                    for fi, f in enumerate(factors[lo:], start=lo)
+                    if fi not in removed
+                ]
+                del factors[lo:]
+                factors.extend(tail)
+            factors.extend(self.new_factors)
 
         for var, value in self.evidence_updates.items():
             if value is None:

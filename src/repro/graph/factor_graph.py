@@ -265,6 +265,10 @@ class FactorGraph:
 
     Evidence variables (``E = P ∪ N`` in §2.4) are clamped to fixed values;
     query variables are free.  The graph owns a :class:`WeightStore`.
+    ``factors`` is a list of factor objects, or — for a grounded graph —
+    a :class:`~repro.graph.delta.FactorList` born lowered, which the
+    compile, :meth:`copy`, :meth:`validate` and :meth:`factor_table` read
+    as a table without building an object.
     """
 
     def __init__(self, weights: WeightStore | None = None) -> None:
@@ -434,13 +438,22 @@ class FactorGraph:
         self.factors.append(BiasFactor(int(weight_id), int(var)))
         return len(self.factors) - 1
 
-    def factor_table(self, indices):
-        """The factors at ``indices`` of the factor list, in that order,
-        as a :class:`~repro.graph.delta.FactorTable` (a compiled view
-        gathers it from its arrays without building a factor object)."""
-        from repro.graph.delta import lower_factors
+    def factor_table(self, indices=None):
+        """The factors at ``indices`` of the factor list (all of them by
+        default), in that order, as a
+        :class:`~repro.graph.delta.FactorTable`: a lowered list and a
+        compiled view gather it from their arrays without building a
+        factor object."""
+        from repro.graph.delta import FactorList, lower_factors
 
         factors = self.factors
+        if isinstance(factors, FactorList):
+            table = factors.table
+            if indices is None:
+                return table
+            return table.take(np.asarray(indices, dtype=np.int64))
+        if indices is None:
+            return lower_factors(factors)
         return lower_factors([factors[index] for index in indices])
 
     # ------------------------------------------------------------------ #
@@ -461,29 +474,24 @@ class FactorGraph:
     # Structure queries
     # ------------------------------------------------------------------ #
 
-    def neighbor_pairs(self):
-        """Yield each unordered variable pair co-occurring in some factor.
+    def neighbor_pairs(self) -> np.ndarray:
+        """Each unordered variable pair ``(a, b)``, ``a < b``, co-occurring
+        in some factor, ascending, as a ``(k, 2)`` array.
 
         This is the ``NZ`` set of Algorithm 1 (variational materialization).
         """
-        seen = set()
-        for factor in self.factors:
-            variables = sorted(factor.variables())
-            for a_pos, a in enumerate(variables):
-                for b in variables[a_pos + 1 :]:
-                    if (a, b) not in seen:
-                        seen.add((a, b))
-                        yield a, b
+        return self.factor_table().neighbor_pairs()
 
     def copy(self, share_weights: bool = False) -> "FactorGraph":
         """Deep-enough copy: immutable factors shared, weights copied.
 
+        A lowered factor list is copied as its table, never materialized.
         With ``share_weights=True`` the clone references the *same*
         :class:`WeightStore`, so learning on one graph is visible to the
         other (used for the conditioned/free chain pair in SGD).
         """
         clone = FactorGraph(self.weights if share_weights else self.weights.copy())
-        clone.factors = list(self.factors)
+        clone.factors = self.factors.copy()
         clone._num_vars = self._num_vars
         clone._names = list(self._names)
         clone._evidence.update(self._evidence)
@@ -513,16 +521,13 @@ class FactorGraph:
         return graph
 
     def validate(self) -> None:
-        """Check internal invariants; raises ``ValueError`` on violation."""
-        for factor in self.factors:
-            for var in factor.variables():
-                if not 0 <= var < self._num_vars:
-                    raise ValueError(f"factor references unknown variable {var}")
-            if not 0 <= factor.weight_id < len(self.weights):
-                raise ValueError(f"factor references unknown weight {factor.weight_id}")
-        for var in self._evidence:
-            if not 0 <= var < self._num_vars:
-                raise ValueError(f"evidence on unknown variable {var}")
+        """Check internal invariants; raises ``ValueError`` on violation:
+        range checks on the factor table's id columns and the evidence."""
+        self.factor_table().check_ids(self._num_vars, len(self.weights))
+        ev_vars, _ = self.evidence_arrays()
+        if ev_vars.size and not 0 <= ev_vars.min() <= ev_vars.max() < self._num_vars:
+            bad = ev_vars[(ev_vars < 0) | (ev_vars >= self._num_vars)][0]
+            raise ValueError(f"evidence on unknown variable {int(bad)}")
 
     # ------------------------------------------------------------------ #
     # Internal helpers
@@ -588,7 +593,9 @@ class CompiledGraphView(FactorGraph):
     def factors(self) -> list:
         return self._compiled.materialized_factors()
 
-    def factor_table(self, indices):
+    def factor_table(self, indices=None):
+        if indices is None:
+            return self._compiled._live_table()
         return self._compiled.factor_table(indices)
 
     # --- Structural mutation goes through the substrate, not the view.

@@ -15,14 +15,21 @@ Phases, mirroring the paper's execution model:
 Phases 1 and 4 are joins, and every join is a compiled vectorized plan
 over the database's columnar mirrors (:mod:`repro.db.plan`): a rule body
 executes into one binding batch, and whole batches fold into relations
-and factor records.  What the result must equal is defined outside the
-package, by the tuple-at-a-time ``reference_ground`` under
-``tests/reference/``.
+and — phase 4 — straight into factor-table columns
+(:func:`ground_rule_batch`), concatenated in program order.  The
+grounded graph's factor list is born lowered, so compiling it walks no
+factor object; the per-factor records incremental maintenance keeps are
+derived from the same columns only when asked for
+(:attr:`GroundingResult.factor_records`).  What the result must equal is
+defined outside the package, by the tuple-at-a-time ``reference_ground``
+under ``tests/reference/``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +37,9 @@ from repro.datalog.ast import EVIDENCE_SUFFIX, InferenceRule
 from repro.datalog.program import Program
 from repro.db.database import Database
 from repro.db.query import Var
-from repro.graph.factor_graph import FactorGraph, RuleFactor
+from repro.graph.delta import KIND_RULE, FactorList, FactorTable, rule_columns
+from repro.graph.factor_graph import FactorGraph
+from repro.graph.semantics import sem_code
 
 
 class GroundingMultiset:
@@ -99,9 +108,11 @@ class GroundingMultiset:
 class FactorRecord:
     """Bookkeeping for one grounded factor (used incrementally).
 
-    During a full ground ``groundings`` is a plain list (append-only, so
-    C-level extends suffice); :class:`IncrementalGrounder` promotes it to
-    a :class:`GroundingMultiset` so retraction deltas stay O(|Δ|).
+    Derived from a full ground (:attr:`GroundingResult.factor_records`),
+    ``groundings`` is a plain list of the raw literal tuples the join
+    produced — a retraction removes exactly the tuple its delta join
+    produces; :class:`IncrementalGrounder` promotes it to a
+    :class:`GroundingMultiset` so retraction deltas stay O(|Δ|).
     """
 
     rule_name: str
@@ -114,18 +125,49 @@ class FactorRecord:
 
 @dataclass
 class GroundingResult:
-    """The grounded graph plus the maps incremental maintenance needs."""
+    """The grounded graph plus the maps incremental maintenance needs.
+
+    ``graph.factors`` is born lowered: the canonical form
+    (:meth:`~repro.graph.delta.FactorTable.canonical`) of ``raw_rules``,
+    the rule columns the joins produced, in program order.
+    ``factor_records`` is derived from ``raw_rules`` on first access —
+    only :class:`~repro.grounding.incremental.IncrementalGrounder` asks,
+    so a from-scratch (Rerun) build neither makes nor pickles a record.
+    """
 
     graph: FactorGraph
     variable_of: dict          # (relation, tuple) -> variable id
     tuple_of: dict             # variable id -> (relation, tuple)
-    factor_records: dict       # (rule, head var, weight id) -> FactorRecord
+    raw_rules: FactorTable     # one row per factor, groundings as joined
+    rule_spans: list           # (rule name, semantics, #factors) per rule
+
+    @cached_property
+    def factor_records(self) -> dict:
+        """``(rule, head var, weight id) -> FactorRecord``, in factor order."""
+        raw = self.raw_rules
+        heads, wids = raw.rule_head.tolist(), raw.rule_wid.tolist()
+        groundings = raw.rule_groundings()
+        records: dict = {}
+        index = 0
+        for rule_name, semantics, count in self.rule_spans:
+            for k in range(index, index + count):
+                records[(rule_name, heads[k], wids[k])] = FactorRecord(
+                    rule_name=rule_name,
+                    head_var=heads[k],
+                    weight_id=wids[k],
+                    semantics=semantics,
+                    groundings=list(groundings[k]),
+                    factor_index=k,
+                )
+            index += count
+        return records
 
     def variable(self, relation: str, row) -> int:
         return self.variable_of[(relation, tuple(row))]
 
     def compile(self):
-        """Lower the grounded graph into its compiled substrate.
+        """Build the compiled substrate from the grounded graph's
+        (born-lowered) factor table; no factor object is walked.
 
         The substrate owns graph state from here on (see
         ``CompiledFactorGraph.apply_delta``); bind it to an
@@ -166,8 +208,6 @@ def signed_head_counts(db: Database, rule, batch) -> dict:
     interner = db.columnar.interner
     if rule.udf is None and batch.num_rows < _BATCH_VECTOR_THRESHOLD:
         # Small batches: decode only the head columns, fold in Python.
-        import itertools
-
         m = batch.num_rows
         cols = [
             interner.decode(batch.cols[arg.name])
@@ -317,43 +357,12 @@ def _atom_code_matrix(batch, interner, args) -> np.ndarray:
 _BATCH_VECTOR_THRESHOLD = 64
 
 
-def apply_rule_binding_batch(
-    rule: InferenceRule,
-    semantics,
-    batch,
-    interner,
-    variable_relations,
-    variable_of: dict,
-    weights,
-    records: dict,
-    resolver: VariableCodeResolver | None = None,
-    accumulator: "RuleDeltaAccumulator | None" = None,
-) -> None:
-    """Fold a rule's binding batch into the factor records.
-
-    Each binding contributes one grounding (the body's variable literals)
-    to the record keyed by ``(rule, head var, weight id)``.  A full
-    ground folds its (all-positive) batch straight into ``records``; an
-    incremental update passes an ``accumulator``, where signed groundings
-    net across the rule's delta terms and reach the records — insertions
-    before retractions — at :meth:`RuleDeltaAccumulator.flush`.
-    Large batches ground without per-binding Python: head and literal
-    variable ids resolve through packed-code maps, weight keys intern
-    once per *distinct* tied-value row, and groundings fold into records
-    one ``(head, weight)`` group at a time.  Small batches decode the
-    code columns once and fold row-at-a-time.
-    """
-    m = batch.num_rows
-    if m == 0:
-        return
-    if m >= _BATCH_VECTOR_THRESHOLD:
-        if resolver is None:
-            resolver = VariableCodeResolver(interner, variable_of)
-        _apply_batch_vectorized(
-            rule, semantics, batch, interner, variable_relations,
-            weights, records, resolver, accumulator,
-        )
-        return
+def _batch_rows(rule, batch, interner, variable_relations, variable_of, weights):
+    """Yield each binding of a small batch as ``(head var, weight id,
+    literals, sign)``, insertions before retractions (so a batch that
+    both adds and removes a grounding never transiently under-runs a
+    record).  The code columns decode once; ids resolve through
+    ``variable_of`` and weight keys intern binding by binding."""
     decoded: dict = {}
 
     def column(name):
@@ -381,9 +390,7 @@ def apply_rule_binding_batch(
             (atom.pred, arg_cols, pos not in rule.negated_positions)
         )
     signs = batch.signs.tolist()
-    # Insertions fold before retractions so a batch that both adds and
-    # removes the same grounding never transiently under-runs a record.
-    row_order = range(m)
+    row_order = range(batch.num_rows)
     if any(s < 0 for s in signs) and any(s > 0 for s in signs):
         row_order = sorted(row_order, key=lambda i: signs[i] < 0)
     for i in row_order:
@@ -410,106 +417,31 @@ def apply_rule_binding_batch(
             )
             for pred, arg_cols, positive in literal_atoms
         )
-        if accumulator is not None:
-            head_var = variable_of.get(head_key)
-            if head_var is None:
-                raise KeyError(
-                    f"inference rule {rule_name!r} derives head tuple "
-                    f"{head_key} that is not a grounded variable; add a "
-                    "candidate (derivation) rule that creates it"
-                )
-            weight_id = weights.intern(
-                weight_key, initial=rule.weight.value, fixed=rule.weight.fixed
+        head_var = variable_of.get(head_key)
+        if head_var is None:
+            raise KeyError(
+                f"inference rule {rule_name!r} derives head tuple "
+                f"{head_key} that is not a grounded variable; add a "
+                "candidate (derivation) rule that creates it"
             )
-            accumulator.add(head_var, weight_id, literals, signs[i])
-            continue
-        _fold_grounding(
-            rule, semantics, head_key, weight_key, literals, signs[i],
-            variable_of, weights, records,
+        weight_id = weights.intern(
+            weight_key, initial=rule.weight.value, fixed=rule.weight.fixed
         )
+        yield head_var, weight_id, literals, signs[i]
 
 
-def _apply_batch_vectorized(
-    rule, semantics, batch, interner, variable_relations,
-    weights, records, resolver: VariableCodeResolver,
-    accumulator: "RuleDeltaAccumulator | None" = None,
-) -> None:
-    """Group a whole binding batch into factor records with numpy.
-
-    Per-row Python is reduced to zipping pre-resolved literal id lists;
-    head resolution, weight interning, and record grouping all run over
-    arrays.  Signed batches go to the ``accumulator``; without one the
-    batch is a full ground's and every sign is positive.
-    """
-    import itertools
-
+def _resolve_batch(rule, batch, interner, variable_relations, weights, resolver):
+    """A large batch's bindings as arrays: head variable ids, weight ids,
+    and one literal variable-id column per variable body atom with that
+    atom's polarity.  Ids resolve through packed-code maps and weight
+    keys intern once per *distinct* tied-value row, in that row order."""
     m = batch.num_rows
-    if accumulator is None and not bool(np.all(batch.signs > 0)):
-        raise ValueError("a signed batch folds through a RuleDeltaAccumulator")
-    has_literals = any(
-        atom.pred in variable_relations for atom in rule.body
-    )
-    if not has_literals and accumulator is None:
-        # Frequency-rule fast path (no body literals — every grounding
-        # is the empty conjunction): group on the raw (head, tied) code
-        # rows first, then resolve heads and intern weights once per
-        # *group*; each record's groundings are just () × count.
-        from repro.db.columnar import pack_rows
-
-        head_width = len(rule.head.args)
-        matrix = np.empty(
-            (m, head_width + len(rule.weight.tied_on)), dtype=np.int32
-        )
-        for i, arg in enumerate(rule.head.args):
-            if isinstance(arg, Var):
-                matrix[:, i] = batch.cols[arg.name]
-            else:
-                matrix[:, i] = interner.intern(arg)
-        for i, name in enumerate(rule.weight.tied_on):
-            matrix[:, head_width + i] = batch.cols[name]
-        _, first, counts = np.unique(
-            pack_rows(matrix), return_index=True, return_counts=True
-        )
-        head_vids = resolver.resolve(
-            rule.name, rule.head.pred, matrix[first][:, :head_width]
-        ).tolist()
-        counts = counts.tolist()
-        rule_name = rule.name
-        initial, fixed = rule.weight.value, rule.weight.fixed
-        if rule.weight.tied_on:
-            tied_rows = matrix[first][:, head_width:]
-            wids = [
-                weights.intern(
-                    (rule_name, tuple(interner.decode(tied_rows[gi]))),
-                    initial=initial,
-                    fixed=fixed,
-                )
-                for gi in range(len(first))
-            ]
-        else:
-            wid = weights.intern((rule_name, ()), initial=initial, fixed=fixed)
-            wids = [wid] * len(first)
-        for gi in range(len(first)):
-            record_key = (rule_name, head_vids[gi], wids[gi])
-            record = records.get(record_key)
-            if record is None:
-                records[record_key] = FactorRecord(
-                    rule_name=rule_name,
-                    head_var=head_vids[gi],
-                    weight_id=wids[gi],
-                    semantics=semantics,
-                    groundings=[()] * counts[gi],
-                )
-            else:
-                record.groundings.extend([()] * counts[gi])
-        return
     # Head variable ids (vectorized resolve, same KeyError contract).
     head_vids = resolver.resolve(
         rule.name,
         rule.head.pred,
         _atom_code_matrix(batch, interner, rule.head.args),
     )
-    # Weight ids: intern once per distinct tied-value row.
     if rule.weight.tied_on:
         tied = np.empty((m, len(rule.weight.tied_on)), dtype=np.int32)
         for i, name in enumerate(rule.weight.tied_on):
@@ -531,123 +463,190 @@ def _apply_batch_vectorized(
             (rule.name, ()), initial=rule.weight.value, fixed=rule.weight.fixed
         )
         wids = np.full(m, wid, dtype=np.int64)
-    # Literal tuples: one (vid, positive) pair list per variable atom,
-    # zipped row-wise into grounding tuples.
-    pair_lists = []
+    lit_vids, positives = [], []
     for pos, atom in enumerate(rule.body):
         if atom.pred not in variable_relations:
             continue
-        vids = resolver.resolve(
-            rule.name,
-            atom.pred,
-            _atom_code_matrix(batch, interner, atom.args),
-            is_head=False,
+        lit_vids.append(
+            resolver.resolve(
+                rule.name,
+                atom.pred,
+                _atom_code_matrix(batch, interner, atom.args),
+                is_head=False,
+            )
         )
-        positive = pos not in rule.negated_positions
-        pair_lists.append(
-            list(zip(vids.tolist(), itertools.repeat(positive)))
+        positives.append(pos not in rule.negated_positions)
+    return head_vids, wids, lit_vids, positives
+
+
+def apply_rule_binding_batch(
+    rule: InferenceRule,
+    batch,
+    interner,
+    variable_relations,
+    variable_of: dict,
+    weights,
+    accumulator: "RuleDeltaAccumulator",
+    resolver: VariableCodeResolver | None = None,
+) -> None:
+    """Fold one signed binding batch of an incremental update into the
+    rule's ``accumulator``, one grounding (the body's variable literals)
+    per binding; the net reaches the records at
+    :meth:`RuleDeltaAccumulator.flush`.  Small batches go row-at-a-time
+    (:func:`_batch_rows`), large ones resolve over arrays
+    (:func:`_resolve_batch`) and only zip literal tuples per binding."""
+    m = batch.num_rows
+    if m == 0:
+        return
+    if m < _BATCH_VECTOR_THRESHOLD:
+        for row in _batch_rows(
+            rule, batch, interner, variable_relations, variable_of, weights
+        ):
+            accumulator.add(*row)
+        return
+    if resolver is None:
+        resolver = VariableCodeResolver(interner, variable_of)
+    head_vids, wids, lit_vids, positives = _resolve_batch(
+        rule, batch, interner, variable_relations, weights, resolver
+    )
+    if lit_vids:
+        literals = list(
+            zip(
+                *(
+                    list(zip(vids.tolist(), itertools.repeat(positive)))
+                    for vids, positive in zip(lit_vids, positives)
+                )
+            )
         )
-    if pair_lists:
-        literals = list(zip(*pair_lists))
     else:
         literals = [()] * m
-    if accumulator is not None:
-        add = accumulator.add
-        head_list = head_vids.tolist()
-        wid_list = wids.tolist()
-        signs = batch.signs.tolist()
-        for i in range(m):
-            add(head_list[i], wid_list[i], literals[i], signs[i])
-        return
-    # Group rows by (head, weight) and fold each group into its record.
+    add = accumulator.add
+    for row in zip(head_vids.tolist(), wids.tolist(), literals, batch.signs.tolist()):
+        add(*row)
+
+
+def ground_rule_batch(
+    rule: InferenceRule,
+    sem: int,
+    batch,
+    interner,
+    variable_relations,
+    variable_of: dict,
+    weights,
+    resolver: VariableCodeResolver | None = None,
+) -> FactorTable:
+    """A full ground's binding batch for ``rule`` as rule columns: one
+    factor per ``(head variable, weight id)``, one grounding (the body's
+    variable literals) per binding, taken as the join produced them
+    (:func:`~repro.graph.delta.rule_columns`: canonicalize before the
+    substrate reads them).  ``sem`` is the rule's semantics code.
+
+    Factor order is fixed by the batch's shape:
+
+    * under :data:`_BATCH_VECTOR_THRESHOLD` bindings, first appearance
+      (weights intern binding by binding, :func:`_batch_rows`);
+    * no variable body atom (a frequency rule, every grounding empty):
+      the ``np.unique`` order of the raw head / tied code rows, each
+      group resolved and interned once;
+    * otherwise ascending ``head << 31 | weight id`` (a stable sort, so
+      a factor's groundings keep batch order) — or batch order when every
+      binding is its own factor.
+    """
+    m = batch.num_rows
+    if m == 0:
+        return FactorTable()
+    if not bool(np.all(batch.signs > 0)):
+        raise ValueError("a signed batch folds through a RuleDeltaAccumulator")
+    if m < _BATCH_VECTOR_THRESHOLD:
+        groups: dict = {}
+        for head_var, weight_id, literals, _sign in _batch_rows(
+            rule, batch, interner, variable_relations, variable_of, weights
+        ):
+            groups.setdefault((head_var, weight_id), []).append(literals)
+        return rule_columns(
+            [head for head, _ in groups],
+            [wid for _, wid in groups],
+            [sem] * len(groups),
+            list(groups.values()),
+        )
+    if resolver is None:
+        resolver = VariableCodeResolver(interner, variable_of)
+    if not any(atom.pred in variable_relations for atom in rule.body):
+        heads, wids, counts = _frequency_groups(rule, batch, interner, weights, resolver)
+        return _rule_rows(
+            heads, wids, sem, grounding_ri=np.repeat(np.arange(heads.shape[0]), counts)
+        )
+    head_vids, wids, lit_vids, positives = _resolve_batch(
+        rule, batch, interner, variable_relations, weights, resolver
+    )
     group_codes = (head_vids << 31) | wids
-    head_list = head_vids.tolist()
-    wid_list = wids.tolist()
-    rule_name = rule.name
     order = np.argsort(group_codes, kind="stable")
+    starts = np.ones(m, dtype=bool)
     ordered = group_codes[order]
-    boundaries = np.flatnonzero(ordered[1:] != ordered[:-1])
-    if len(boundaries) + 1 == m:
-        # Every binding is its own record (no grouping) — the dominant
-        # shape for per-binding weight tying.
-        for i in range(m):
-            record_key = (rule_name, head_list[i], wid_list[i])
-            record = records.get(record_key)
-            if record is None:
-                records[record_key] = FactorRecord(
-                    rule_name=rule_name,
-                    head_var=head_list[i],
-                    weight_id=wid_list[i],
-                    semantics=semantics,
-                    groundings=[literals[i]],
+    starts[1:] = ordered[1:] != ordered[:-1]
+    if starts.all():
+        order = np.arange(m)
+    first = order[starts]
+    return _rule_rows(
+        head_vids[first],
+        wids[first],
+        sem,
+        grounding_ri=np.cumsum(starts) - 1,
+        lit_gg=np.repeat(np.arange(m), len(lit_vids)),
+        lit_var=np.stack(lit_vids, axis=1)[order].ravel(),
+        lit_pos=np.tile(positives, m),
+    )
+
+
+def _rule_rows(heads, wids, sem, **groundings) -> FactorTable:
+    """Rule columns for rows ``heads`` / ``wids`` of one semantics code,
+    with their grounding and literal columns."""
+    return FactorTable(
+        kind=np.full(heads.shape[0], KIND_RULE, dtype=np.int8),
+        rule_head=heads,
+        rule_wid=wids,
+        rule_sem=np.full(heads.shape[0], sem),
+        **groundings,
+    )
+
+
+def _frequency_groups(rule, batch, interner, weights, resolver) -> tuple:
+    """A literal-free rule's bindings grouped on their raw (head, tied)
+    code rows: per group, in ``np.unique`` order, the head variable id,
+    the weight id and the binding count — heads resolve and weights
+    intern once per *group*."""
+    from repro.db.columnar import pack_rows
+
+    head_width = len(rule.head.args)
+    matrix = np.empty(
+        (batch.num_rows, head_width + len(rule.weight.tied_on)), dtype=np.int32
+    )
+    matrix[:, :head_width] = _atom_code_matrix(batch, interner, rule.head.args)
+    for i, name in enumerate(rule.weight.tied_on):
+        matrix[:, head_width + i] = batch.cols[name]
+    _, first, counts = np.unique(
+        pack_rows(matrix), return_index=True, return_counts=True
+    )
+    heads = resolver.resolve(rule.name, rule.head.pred, matrix[first][:, :head_width])
+    initial, fixed = rule.weight.value, rule.weight.fixed
+    if rule.weight.tied_on:
+        tied_rows = matrix[first][:, head_width:]
+        wids = np.fromiter(
+            (
+                weights.intern(
+                    (rule.name, tuple(interner.decode(row))),
+                    initial=initial,
+                    fixed=fixed,
                 )
-            else:
-                record.groundings.append(literals[i])
-        return
-    starts = np.concatenate(([0], boundaries + 1, [m])).tolist()
-    order = order.tolist()
-    literals_ordered = [literals[i] for i in order]
-    for gi in range(len(starts) - 1):
-        lo, hi = starts[gi], starts[gi + 1]
-        row0 = order[lo]
-        record_key = (rule_name, head_list[row0], wid_list[row0])
-        record = records.get(record_key)
-        if record is None:
-            record = records[record_key] = FactorRecord(
-                rule_name=rule_name,
-                head_var=record_key[1],
-                weight_id=record_key[2],
-                semantics=semantics,
-            )
-        record.groundings.extend(literals_ordered[lo:hi])
-
-
-def _fold_grounding(
-    rule, semantics, head_key, weight_key, literals, sign,
-    variable_of, weights, records,
-) -> None:
-    """Fold one grounding of a full ground into its ``(rule, head,
-    weight)`` record."""
-    head_var = variable_of.get(head_key)
-    if head_var is None:
-        raise KeyError(
-            f"inference rule {rule.name!r} derives head tuple "
-            f"{head_key} that is not a grounded variable; add a "
-            "candidate (derivation) rule that creates it"
+                for row in tied_rows
+            ),
+            dtype=np.int64,
+            count=len(first),
         )
-    weight_id = weights.intern(
-        weight_key, initial=rule.weight.value, fixed=rule.weight.fixed
-    )
-    _fold_into_record(
-        rule.name, semantics, head_var, weight_id, literals, sign,
-        records, None,
-    )
-
-
-def _fold_into_record(
-    rule_name, semantics, head_var, weight_id, literals, count,
-    records, touched_keys,
-) -> None:
-    record_key = (rule_name, head_var, weight_id)
-    record = records.get(record_key)
-    if record is None:
-        record = FactorRecord(
-            rule_name=rule_name,
-            head_var=head_var,
-            weight_id=weight_id,
-            semantics=semantics,
-        )
-        if touched_keys is not None:  # incremental: counted multiset
-            record.groundings = GroundingMultiset()
-        records[record_key] = record
-    if touched_keys is not None:
-        touched_keys.add(record_key)
-    if count > 0:
-        for _ in range(count):
-            record.groundings.append(literals)
     else:
-        for _ in range(-count):
-            record.groundings.remove(literals)
+        wid = weights.intern((rule.name, ()), initial=initial, fixed=fixed)
+        wids = np.full(len(first), wid, dtype=np.int64)
+    return heads, wids, counts
 
 
 class RuleDeltaAccumulator:
@@ -674,13 +673,28 @@ class RuleDeltaAccumulator:
             self._net.pop(key, None)
 
     def flush(self, rule_name, semantics, records, touched_keys) -> None:
+        """Fold the net into ``records`` (new records start as counted
+        multisets) and add every record it reaches to ``touched_keys``."""
         entries = sorted(self._net.items(), key=lambda kv: kv[1] < 0)
         self._net = {}
         for (head_var, weight_id, literals), count in entries:
-            _fold_into_record(
-                rule_name, semantics, head_var, weight_id, literals,
-                count, records, touched_keys,
-            )
+            key = (rule_name, head_var, weight_id)
+            record = records.get(key)
+            if record is None:
+                record = records[key] = FactorRecord(
+                    rule_name=rule_name,
+                    head_var=head_var,
+                    weight_id=weight_id,
+                    semantics=semantics,
+                    groundings=GroundingMultiset(),
+                )
+            touched_keys.add(key)
+            if count > 0:
+                for _ in range(count):
+                    record.groundings.append(literals)
+            else:
+                for _ in range(-count):
+                    record.groundings.remove(literals)
 
 
 class Grounder:
@@ -730,18 +744,17 @@ class Grounder:
         rule: InferenceRule,
         graph: FactorGraph,
         variable_of: dict,
-        records: dict,
-    ) -> None:
-        """Ground one inference rule's full body into ``records``."""
-        apply_rule_binding_batch(
+    ) -> FactorTable:
+        """One inference rule's factors, from its full body's binding
+        batch, as raw rule columns (:func:`ground_rule_batch`)."""
+        return ground_rule_batch(
             rule,
-            self.program.semantics_of(rule),
+            sem_code(self.program.semantics_of(rule)),
             full_body_batch(self.db, rule),
             self.db.columnar.interner,
             self.program.variable_relations,
             variable_of,
             graph.weights,
-            records,
             resolver=self._resolver,
         )
 
@@ -753,32 +766,25 @@ class Grounder:
         graph = FactorGraph()
         variable_of, tuple_of = self.create_variables(graph)
         self.apply_evidence(graph, variable_of)
-        records: dict = {}
         # One resolver for the whole ground: its per-relation packed
         # code maps are shared across every inference rule.
         self._resolver = VariableCodeResolver(
             self.db.columnar.interner, variable_of
         )
+        tables, spans = [], []
         for rule in self.program.inference_rules:
-            self.ground_inference_rule(rule, graph, variable_of, records)
+            table = self.ground_inference_rule(rule, graph, variable_of)
+            tables.append(table)
+            spans.append((rule.name, self.program.semantics_of(rule), table.num_rules))
         self._resolver = None
-        # Trusted frozen-factor append: records hold resolved int ids and
-        # coerced semantics; validate() below checks the result.
-        factors = graph.factors
-        for record in records.values():
-            record.factor_index = len(factors)
-            factors.append(
-                RuleFactor(
-                    weight_id=record.weight_id,
-                    head=record.head_var,
-                    groundings=tuple(record.groundings),
-                    semantics=record.semantics,
-                )
-            )
-        graph.validate()
+        # Every id was resolved through ``variable_of`` or interned in
+        # ``graph.weights``, so the columns need no validate() pass.
+        raw = FactorTable.concat(tables)
+        graph.factors = FactorList.from_table(raw.canonical())
         return GroundingResult(
             graph=graph,
             variable_of=variable_of,
             tuple_of=tuple_of,
-            factor_records=records,
+            raw_rules=raw,
+            rule_spans=spans,
         )

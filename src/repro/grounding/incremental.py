@@ -34,12 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.datalog.ast import EVIDENCE_SUFFIX
 from repro.datalog.program import Program
 from repro.db.database import Database
 from repro.db.plan import canonicalize_batch
 from repro.graph.delta import KIND_RULE, FactorGraphDelta, FactorList, rule_table
-from repro.graph.factor_graph import FactorGraph, RuleFactor
+from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import sem_code
 from repro.reliability.faults import maybe_fire
 from repro.grounding.grounder import (
@@ -177,11 +179,11 @@ class IncrementalGrounder:
         self._compact_threshold = compact_threshold
 
     def compile(self, compact_threshold: float = 0.25):
-        """Lower the current graph into a bound compiled substrate.
+        """Compile the current graph into a bound compiled substrate.
 
         One-call convenience for the ground-straight-into-the-substrate
-        flow: compiles ``self.graph`` once (O(graph), the unavoidable
-        initial lowering), binds it, and returns it.  From then on every
+        flow: compiles ``self.graph`` once (O(graph): one array build
+        from its factor table), binds it, and returns it.  From then on every
         :meth:`apply_update` patches the substrate in place and
         ``self.graph`` is its lazy view.
         """
@@ -421,15 +423,13 @@ class IncrementalGrounder:
             ):
                 apply_rule_binding_batch(
                     rule,
-                    semantics,
                     batch,
                     self.db.columnar.interner,
                     self.program.variable_relations,
                     self.variable_of,
                     weights,
-                    self.records,
+                    accumulator,
                     resolver=resolver,
-                    accumulator=accumulator,
                 )
             accumulator.flush(
                 rule.name, semantics, self.records, touched_keys
@@ -610,20 +610,25 @@ class IncrementalGrounder:
         )
         if len(self._factor_keys) != num_factors:
             raise AssertionError("factor registry out of sync")
-        for key in appended:
-            if not self._factor_matches(records[key]):
-                raise AssertionError("factor registry out of sync")
+        if appended and not self._factors_match([records[key] for key in appended]):
+            raise AssertionError("factor registry out of sync")
 
-    def _factor_matches(self, record: FactorRecord) -> bool:
-        """Head-check one appended record against the factor of truth."""
-        index = record.factor_index
+    def _factors_match(self, appended: list) -> bool:
+        """Head-check the appended records against the factors of truth:
+        the bound substrate's handle table, or the graph's factor table
+        (read as arrays — a lowered list stays lowered)."""
+        index = np.array([record.factor_index for record in appended])
         compiled = self._compiled
-        if compiled is None:
-            factor = self.graph.factors[index]
-            return isinstance(factor, RuleFactor) and factor.head == record.head_var
-        if compiled._fkind[index] != KIND_RULE:
-            return False
-        return int(compiled.rule_head[compiled._fh1[index]]) == record.head_var
+        if compiled is not None:
+            kind, store, rows = compiled._fkind, compiled, compiled._fh1[index]
+        else:
+            store = self.graph.factor_table()
+            kind = store.kind
+            rows = (np.cumsum(kind == KIND_RULE) - 1)[index]
+        heads = [record.head_var for record in appended]
+        return bool((kind[index] == KIND_RULE).all()) and (
+            store.rule_head[rows].tolist() == heads
+        )
 
 
 class _DeltaWeightView:

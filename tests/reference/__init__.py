@@ -4,8 +4,13 @@ Nothing under ``src/`` imports this package; tests and the non-e2e
 ``benchmarks/bench_*.py`` baselines do.  One oracle per contract:
 
 * :mod:`~tests.reference.grounding` — ``reference_ground(program, db)``,
-  from-scratch tuple-at-a-time grounding, and ``replay`` to bring a fresh
-  ``(program, db)`` to the state a sequence of updates leads to;
+  from-scratch tuple-at-a-time grounding, ``replay`` to bring a fresh
+  ``(program, db)`` to the state a sequence of updates leads to, and
+  ``fold_ground``, the full ground through factor records and
+  ``RuleFactor`` objects whose lowering the column-building ground must
+  equal;
+* :mod:`~tests.reference.variational` — Algorithm 1's ``NZ`` set from a
+  walk over factor objects and its couplings from the ``n²/2`` pair loop;
 * :mod:`~tests.reference.query` — the backtracking join it runs on
   (``evaluate_query`` / ``binding_counts``);
 * :mod:`~tests.reference.columnar` — ``columnar_binding_counts``, the

@@ -135,7 +135,7 @@ class TestGraphConstruction:
 
     def test_neighbor_pairs_cover_factor_scopes(self):
         fg = implication_graph()
-        pairs = set(fg.neighbor_pairs())
+        pairs = set(map(tuple, fg.neighbor_pairs().tolist()))
         # q, a, b, c all co-occur in the single rule factor.
         assert (0, 1) in pairs and (1, 2) in pairs and (0, 3) in pairs
         assert all(a < b for a, b in pairs)

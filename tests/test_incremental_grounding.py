@@ -24,10 +24,14 @@ def canonical_form(graph: FactorGraph) -> dict:
 
     Removed (tombstoned) variables — clamped False with no factors —
     are excluded so that incrementally maintained graphs compare equal
-    to freshly grounded ones.
+    to freshly grounded ones.  Factors compare in canonical form (the
+    factor table's: a repeated literal once, a contradictory grounding
+    dropped), so the raw objects of ``reference_ground`` meet the
+    grounder's born-lowered lists.
     """
+    factor_objects = graph.factor_table().factors()
     touched = set()
-    for factor in graph.factors:
+    for factor in factor_objects:
         touched.update(factor.variables())
 
     def name(v):
@@ -47,7 +51,7 @@ def canonical_form(graph: FactorGraph) -> dict:
             evidence[name(v)] = graph.evidence_value(v)
 
     factors = {}
-    for factor in graph.factors:
+    for factor in factor_objects:
         if not isinstance(factor, RuleFactor):
             raise TypeError("canonical_form only supports rule factors")
         key = graph.weights.key_for(factor.weight_id)

@@ -19,7 +19,9 @@ import pytest
 
 import repro
 import repro.db.query
+import repro.graph.delta
 from repro.core import EngineConfig
+from repro.graph import FactorGraph, RuleFactor
 from repro.graph.compiled import CompiledFactorGraph
 from repro.grounding import Grounder, IncrementalGrounder
 from repro.inference import GibbsSampler
@@ -302,3 +304,46 @@ class TestOneRulePath:
         compiled = CompiledFactorGraph(graph)
         offsets = {name for name in vars(compiled) if name.endswith("_indptr")}
         assert offsets == {"ising_indptr", "_nbr_indptr"}
+
+
+class TestGroundStraightIntoArrays:
+    """A full ground folds its binding batches into factor-table columns
+    and the compile reads that table: between them no ``RuleFactor`` is
+    constructed, ``lower_factors`` and ``FactorGraph.validate`` never run,
+    the factor list stays unmaterialized and no record is derived.  The
+    record fold and its object loop are ``tests/reference/grounding``'s
+    ``fold_ground``."""
+
+    def test_ground_and_compile_build_no_factor_object(self, monkeypatch):
+        calls = {"RuleFactor": 0, "lower_factors": 0, "validate": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            RuleFactor, "__init__", counting("RuleFactor", RuleFactor.__init__)
+        )
+        monkeypatch.setattr(
+            repro.graph.delta,
+            "lower_factors",
+            counting("lower_factors", repro.graph.delta.lower_factors),
+        )
+        monkeypatch.setattr(
+            FactorGraph, "validate", counting("validate", FactorGraph.validate)
+        )
+        for spec in ALL_SYSTEMS:
+            pipeline = build_pipeline(spec, scale=0.3, seed=0)
+            program = pipeline.build_program()
+            db = program.create_database()
+            for name, rows in pipeline.corpus_rows().items():
+                db.insert_all(name, rows)
+            grounding = Grounder(program, db).ground()
+            compiled = grounding.compile()
+            assert compiled.num_factors == grounding.graph.num_factors > 0
+            assert not grounding.graph.factors.materialized
+            assert "factor_records" not in vars(grounding)
+        assert calls == {"RuleFactor": 0, "lower_factors": 0, "validate": 0}
