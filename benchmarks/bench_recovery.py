@@ -80,7 +80,7 @@ def measure_rollback(num_vars: int, delta_sizes: list) -> list:
         graph = build_graph(num_vars)
         engine = RerunEngine(
             graph,
-            EngineConfig(inference_samples=3, burn_in=2, incremental_burn_in=2, seed=0),
+            EngineConfig(inference_samples=3, burn_in=2, seed=0),
         )
         engine.apply_update(FactorGraphDelta())  # prime the compile
         rng = np.random.default_rng(7)
@@ -128,7 +128,7 @@ def run(scale: str) -> dict:
 def check() -> None:
     """CI chaos smoke: an engine fault rolls back and retries to the
     never-faulted twin's marginals and graph."""
-    cfg = EngineConfig(inference_samples=20, burn_in=5, incremental_burn_in=5, seed=0)
+    cfg = EngineConfig(inference_samples=20, burn_in=5, seed=0)
     faulted = RerunEngine(build_graph(60, seed=1), cfg)
     twin = RerunEngine(build_graph(60, seed=1), cfg)
     rng = np.random.default_rng(2)

@@ -27,9 +27,10 @@ measurement isolates update *setup* cost (compile + plan + chain
 sampling work.
 
 ``--check`` runs the CI smoke contract instead: ground the paper's
-spouse program, apply three incremental updates through a bound compiled
-view (``IncrementalGrounder.bind_compiled``), and assert the patched
-compilation's marginals agree with a from-scratch compile; then drive a
+spouse program, patch each of three incremental updates' deltas into a
+substrate compiled from a copy of the grounded graph (as the engines'
+``ResidentGraph`` does), and assert the patched compilation's marginals
+agree with a from-scratch compile of the grounder's graph; then drive a
 variational-only ``IncrementalEngine`` through three appends and a
 retraction and assert its approximate substrate was constructed once,
 no oracle view was materialized, and the warm chain's marginals agree
@@ -113,7 +114,6 @@ def engine_config() -> EngineConfig:
     return EngineConfig(
         inference_samples=INFERENCE_SAMPLES,
         burn_in=BURN_IN,
-        incremental_burn_in=BURN_IN,
         seed=0,
     )
 
@@ -252,30 +252,25 @@ def check() -> None:
     program = spouse_program()
     db = spouse_db(program)
     grounder = IncrementalGrounder.from_scratch(program, db)
-    compiled = CompiledFactorGraph(grounder.graph)
-    compiled.plan(grounder.graph)
-    grounder.bind_compiled(compiled, compact_threshold=1.0)
+    # The substrate takes its graph's weights, names and evidence, so it
+    # is compiled from a copy: the grounder keeps splicing its own graph.
+    compiled = CompiledFactorGraph(grounder.graph.copy())
+    compiled.plan()
     updates = [
         dict(inserts={"PhraseFeature": [("m1", "m2", "his spouse")]}),
         dict(inserts={"PersonCandidate": [("s3", "m5"), ("s3", "m6")]}),
         dict(deletes={"PhraseFeature": [("m3", "m4", "friend of")]}),
     ]
     for update in updates:
-        result = grounder.apply_update(**update)
-        assert result.patch is not None, "bound compiled did not produce a patch"
+        compiled.apply_delta(grounder.apply_update(**update).delta, compact_threshold=1.0)
     assert compiled.num_vars == grounder.graph.num_vars
-    # Graph-layer contract: the bound update path grounds straight into
-    # the compiled substrate — zero oracle FactorGraph views are built.
-    from repro.graph.factor_graph import CompiledGraphView
-
-    assert isinstance(grounder.graph, CompiledGraphView), (
-        "bound grounder did not hand out the substrate's lazy view"
-    )
+    # Graph-layer contract: the deltas land straight in the compiled
+    # substrate — zero oracle FactorGraph views are built.
     assert compiled.views_materialized == 0, (
         f"update path materialized {compiled.views_materialized} oracle views"
     )
     patched = GibbsSampler(
-        grounder.graph, seed=0, compiled=compiled
+        compiled.graph, seed=0, compiled=compiled
     ).estimate_marginals(3000, burn_in=50)
     fresh = GibbsSampler(grounder.graph, seed=1).estimate_marginals(
         3000, burn_in=50

@@ -18,8 +18,10 @@ Both hold their current graph as one
 :class:`~repro.core.resident.ResidentGraph` — compiled once, patched in
 place by every delta, with the chains that ride the patches — and run
 every ``apply_update`` / ``relearn`` through one transaction shell
-(:meth:`_Engine._transaction`): snapshot → WAL begin → fault points →
-commit, or restore + WAL rollback.
+(:meth:`_Engine._transaction`): snapshot → fault points → commit, or
+restore.  Engines keep no log of their own: the durable record of an
+update is its *input*, in the pipeline's / service's WAL
+(:mod:`repro.reliability.pipeline`), which is what recovery replays.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from repro.graph.delta import FactorGraphDelta, compose_deltas
 from repro.graph.factor_graph import FactorGraph
 from repro.reliability.faults import maybe_fire
 from repro.reliability.snapshots import IncrementalUpdateSnapshot, RelearnSnapshot
-from repro.reliability.wal import DeltaLog
 from repro.util.rng import as_generator
 
 #: Patch (rather than extend-per-proposal) the materialized tuple bundle
@@ -50,23 +51,16 @@ from repro.util.rng import as_generator
 #: (§3.2.2's sampling approach, applied to the bundle itself).
 BUNDLE_PATCH_FRACTION = 0.25
 
-#: Closed transactions an in-memory engine WAL retains.  Nothing replays
-#: that log (a file-backed one survives the process and is never
-#: trimmed), and an engine is pickled into every service checkpoint with
-#: it, so it keeps a short tail for inspection instead of its history.
-WAL_WINDOW = 8
-
 
 @dataclass
 class EngineConfig:
     """Tuning knobs; the defaults are scaled-down but proportionate to the
     paper's settings (1000 inference / 2000 materialization samples).
 
-    Thirteen fields in three groups.  The lesions that reproduce a paper
+    Eleven fields in two groups.  The lesions that reproduce a paper
     figure are fields (``strategies`` / ``workload_aware`` for Fig. 11,
     ``warm_learning`` for Fig. 16); whether updates are transactional is
-    not — they always are, and ``wal_path`` only says where the log
-    lives."""
+    not — they always are."""
 
     # -- sampling ------------------------------------------------------- #
     materialization_samples: int = 500
@@ -75,11 +69,6 @@ class EngineConfig:
     variational_lam: float = 0.1
     variational_inference_samples: int = 150
     burn_in: int = 20
-    #: Burn-in for updates that patch an already compiled graph; ``None``
-    #: falls back to ``burn_in``.  Warm chains start near the updated
-    #: distribution's typical set (Pr^Δ ≈ Pr⁰), so a shorter burn-in
-    #: usually suffices.
-    incremental_burn_in: int | None = None
     seed: int | None = None
     #: Tombstone/patched density above which a compiled factor graph
     #: recompacts (full recompile, amortized across updates).
@@ -100,11 +89,6 @@ class EngineConfig:
     #: engine's patched compilation).
     warm_learning: bool = True
 
-    # -- durability ----------------------------------------------------- #
-    #: File path for the delta WAL; ``None`` keeps it in memory.  A
-    #: file-backed WAL survives the process, so committed updates can be
-    #: replayed onto a rebuilt engine after a crash.
-    wal_path: str | None = None
 
 @dataclass
 class InferenceOutcome:
@@ -163,7 +147,6 @@ class _Engine:
         self._last_marginals = None
         self.learns_warm = 0
         self.learns_cold = 0
-        self.wal = DeltaLog(self.config.wal_path)
         self.rollbacks = 0
         self.committed_updates = 0
 
@@ -188,42 +171,27 @@ class _Engine:
             chain_state=None if chain is None else _read_only(chain.state),
         )
 
-    def _transaction(self, snapshot, site: str, body, delta=None):
+    def _transaction(self, snapshot, site: str, body):
         """Run ``body()`` as one transaction.
 
-        A bounded snapshot is taken and, for an update, ``delta`` is
-        WAL-logged before anything mutates.  A failure anywhere in
-        ``body`` restores the engine — substrate, chains, learner,
-        materializations, rng — to its pre-transaction state, so the
-        retried call matches a never-failed one exactly, and the WAL
-        records the rollback.  ``relearn`` passes no delta: the weights it
-        moves are not replayable from one, so it is rolled back but not
-        logged."""
+        A bounded snapshot is taken before anything mutates.  A failure
+        anywhere in ``body`` restores the engine — substrate, chains,
+        learner, materializations, rng — to its pre-transaction state, so
+        the retried call matches a never-failed one exactly."""
         snap = snapshot(self)
-        txn = None
-        if delta is not None:
-            txn = self.wal.begin(delta)
-            if self.wal.path is None:
-                self.wal.truncate(txn - WAL_WINDOW)
         try:
             maybe_fire(site)
-            result = body()
-        except Exception as exc:
+            return body()
+        except Exception:
             snap.restore()
             self.rollbacks += 1
-            if txn is not None:
-                self.wal.rollback(txn, reason=repr(exc))
             raise
-        if txn is not None:
-            self.wal.commit(txn)
-        return result
 
     def _apply_update(self, snapshot, delta: FactorGraphDelta) -> InferenceOutcome:
         outcome = self._transaction(
             snapshot,
             "engine.update.start",
             lambda: self._apply_update_inner(delta),
-            delta,
         )
         self.committed_updates += 1
         return outcome
@@ -262,10 +230,8 @@ class _Engine:
         return marginals
 
     def close(self) -> None:
-        """Release the persistent chain and learner and the WAL's file
-        handle."""
+        """Release the persistent chain and learner."""
         self.resident.close()
-        self.wal.close()
 
     def __enter__(self):
         return self
@@ -522,20 +488,15 @@ class RerunEngine(_Engine):
                 details={"short_circuit": "empty delta"},
             )
         if self.resident.compiled is None:
-            # The update that pays the one-time O(graph) compile is
-            # counted as recompiled and burns in from scratch.
-            burn = cfg.burn_in
+            # The update that pays the one-time O(graph) compile.
             self.updates_recompiled += 1
         else:
-            burn = (
-                cfg.incremental_burn_in
-                if cfg.incremental_burn_in is not None
-                else cfg.burn_in
-            )
             self.updates_patched += 1
         self.resident.apply_delta(delta)
         maybe_fire("engine.update.patched")
-        marginals = self._clamp(self.resident.marginals(cfg.inference_samples, burn))
+        marginals = self._clamp(
+            self.resident.marginals(cfg.inference_samples, cfg.burn_in)
+        )
         maybe_fire("engine.update.inferred")
         self._last_marginals = marginals
         return InferenceOutcome(

@@ -167,12 +167,11 @@ class _TableIndex:
     in a small *overflow* dict of buckets so deltas never rebuild the
     base; when the overflow outgrows a fraction of the base it is merged
     back in one vectorized rebuild (amortized O(1) per append).
+    Old-state views pin a slot fence, not the index structure, so
+    long-lived views never block these merges.
     """
 
-    __slots__ = (
-        "base_uniq", "base_starts", "base_slots", "extra", "extra_size",
-        "merge_fraction", "probe_merge_threshold",
-    )
+    __slots__ = ("base_uniq", "base_starts", "base_slots", "extra", "extra_size")
 
     #: merge the overflow into the base when it exceeds base/4 slots.
     _MERGE_FRACTION = 4
@@ -180,20 +179,7 @@ class _TableIndex:
     #: beats a per-key overflow scan); delta-sized probes stay under it.
     _PROBE_MERGE_THRESHOLD = 256
 
-    def __init__(
-        self,
-        keys: np.ndarray,
-        merge_fraction: int | None = None,
-        probe_merge_threshold: int | None = None,
-    ) -> None:
-        self.merge_fraction = (
-            self._MERGE_FRACTION if merge_fraction is None else merge_fraction
-        )
-        self.probe_merge_threshold = (
-            self._PROBE_MERGE_THRESHOLD
-            if probe_merge_threshold is None
-            else probe_merge_threshold
-        )
+    def __init__(self, keys: np.ndarray) -> None:
         self.rebuild(keys)
 
     def rebuild(self, keys: np.ndarray) -> None:
@@ -224,11 +210,8 @@ class _TableIndex:
         if not self.extra_size:
             return False
         if probe_size is not None:
-            return probe_size >= self.probe_merge_threshold
-        return (
-            self.extra_size * self.merge_fraction
-            > len(self.base_slots) + 16
-        )
+            return probe_size >= self._PROBE_MERGE_THRESHOLD
+        return self.extra_size * self._MERGE_FRACTION > len(self.base_slots) + 16
 
     def probe(self, probe_keys: np.ndarray) -> tuple:
         """``(probe_idx, slots)`` match pairs (alive filtering is the
@@ -275,22 +258,10 @@ class ColumnarTable:
     _COMPACT_MIN_SLOTS = 256
     _COMPACT_DEAD_FRACTION = 0.5
 
-    def __init__(
-        self,
-        relation,
-        interner: Interner,
-        stats: dict,
-        merge_fraction: int | None = None,
-        probe_merge_threshold: int | None = None,
-    ) -> None:
+    def __init__(self, relation, interner: Interner, stats: dict) -> None:
         self._relation = relation
         self._interner = interner
         self._stats = stats
-        #: overflow-bucket merge tuning, passed to every _TableIndex.
-        #: Old-state views pin a slot fence, not the index structure, so
-        #: long-lived views never block these amortized merges.
-        self._merge_fraction = merge_fraction
-        self._probe_merge_threshold = probe_merge_threshold
         self._log: list = []
         relation.attach_mirror(self._log)
         self.arity = relation.arity
@@ -419,11 +390,7 @@ class ColumnarTable:
         index = self._indexes.get(positions)
         if index is None:
             self._stats["index_builds"] += 1
-            index = _TableIndex(
-                self._index_keys(positions),
-                merge_fraction=self._merge_fraction,
-                probe_merge_threshold=self._probe_merge_threshold,
-            )
+            index = _TableIndex(self._index_keys(positions))
             self._indexes[positions] = index
         return index
 
@@ -692,22 +659,12 @@ class ColumnarStore:
         self._struct_plans: dict = {}  # (kind, atoms tuple) -> compiled
         self._plan_pins: dict = {}     # id(atoms) -> atoms (keeps ids stable)
         self._old_views: dict = {}  # relation name -> TableView (per update)
-        #: overflow-bucket merge tuning applied to newly created mirrors
-        #: (None = the _TableIndex class defaults).
-        self.merge_fraction: int | None = None
-        self.probe_merge_threshold: int | None = None
         self.stats = dict.fromkeys(self.STAT_KEYS, 0)
 
     def table(self, relation) -> ColumnarTable:
         mirror = self._tables.get(relation.name)
         if mirror is None or mirror._relation is not relation:
-            mirror = ColumnarTable(
-                relation,
-                self.interner,
-                self.stats,
-                merge_fraction=self.merge_fraction,
-                probe_merge_threshold=self.probe_merge_threshold,
-            )
+            mirror = ColumnarTable(relation, self.interner, self.stats)
             self._tables[relation.name] = mirror
         else:
             mirror.sync()

@@ -137,7 +137,6 @@ class GroundingResult:
 
     graph: FactorGraph
     variable_of: dict          # (relation, tuple) -> variable id
-    tuple_of: dict             # variable id -> (relation, tuple)
     raw_rules: FactorTable     # one row per factor, groundings as joined
     rule_spans: list           # (rule name, semantics, #factors) per rule
 
@@ -167,13 +166,9 @@ class GroundingResult:
 
     def compile(self):
         """Build the compiled substrate from the grounded graph's
-        (born-lowered) factor table; no factor object is walked.
-
-        The substrate owns graph state from here on (see
-        ``CompiledFactorGraph.apply_delta``); bind it to an
-        :class:`~repro.grounding.incremental.IncrementalGrounder` so
-        updates patch it in place without materializing a graph copy.
-        """
+        (born-lowered) factor table; no factor object is walked.  The
+        substrate owns graph state from here on (see
+        ``CompiledFactorGraph.apply_delta``)."""
         from repro.graph.compiled import CompiledFactorGraph
 
         return CompiledFactorGraph(self.graph)
@@ -715,9 +710,10 @@ class Grounder:
                 signed_head_counts(self.db, rule, batch)
             )
 
-    def create_variables(self, graph: FactorGraph) -> tuple:
+    def create_variables(self, graph: FactorGraph) -> dict:
+        """One variable per candidate tuple, named ``(relation, row)``;
+        returns ``variable_of``.  The inverse map is ``graph.name_of``."""
         variable_of: dict = {}
-        tuple_of: dict = {}
         for relation_name in sorted(self.program.variable_relations):
             names = [
                 (relation_name, row)
@@ -725,8 +721,7 @@ class Grounder:
             ]
             vids = graph.add_named_variables(names)
             variable_of.update(zip(names, vids))
-            tuple_of.update(zip(vids, names))
-        return variable_of, tuple_of
+        return variable_of
 
     def apply_evidence(self, graph: FactorGraph, variable_of: dict) -> None:
         for relation_name in self.program.variable_relations:
@@ -764,7 +759,7 @@ class Grounder:
         """Run all phases and return the grounded graph + maps."""
         self.run_derivation_rules()
         graph = FactorGraph()
-        variable_of, tuple_of = self.create_variables(graph)
+        variable_of = self.create_variables(graph)
         self.apply_evidence(graph, variable_of)
         # One resolver for the whole ground: its per-relation packed
         # code maps are shared across every inference rule.
@@ -784,7 +779,6 @@ class Grounder:
         return GroundingResult(
             graph=graph,
             variable_of=variable_of,
-            tuple_of=tuple_of,
             raw_rules=raw,
             rule_spans=spans,
         )

@@ -28,11 +28,16 @@ state (``tests/reference/``).
 Program changes are handled in the same framework: an added rule's delta
 is its full evaluation over the new state; a removed inference rule's
 delta is the retraction of all its factors.
+
+The grounder splices each delta into its own lowered graph
+(``delta.apply_in_place``) and hands the same delta to its consumer; a
+compiled substrate is the engine's
+(:class:`~repro.core.resident.ResidentGraph`), never the grounder's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,22 +64,11 @@ from repro.grounding.grounder import (
 
 @dataclass
 class UpdateResult:
-    """What one incremental update produced.
-
-    ``graph`` is the grounder's post-update graph *facade*: with a bound
-    compiled substrate it is the substrate's lazy
-    :class:`~repro.graph.factor_graph.CompiledGraphView` (no materialized
-    graph is ever built on the update path); unbound grounders mutate
-    their mutable graph in place and return it.
-    """
+    """What one incremental update produced: the delta, and the
+    grounder's graph with that delta spliced in place."""
 
     delta: FactorGraphDelta
     graph: FactorGraph
-    transitions: dict = field(default_factory=dict)
-    #: CompiledPatch when a compiled view is bound to the grounder (the
-    #: end-to-end incremental path: ΔV/ΔF flow straight into the CSR
-    #: substrate without a recompile or a ``delta.apply`` copy).
-    patch: object = None
 
     @property
     def summary(self) -> str:
@@ -129,7 +123,6 @@ class IncrementalGrounder:
         self.db = db
         self.graph = grounding.graph
         self.variable_of = grounding.variable_of
-        self.tuple_of = grounding.tuple_of
         self.records = grounding.factor_records
         # Promote freshly grounded records (plain lists) to counted
         # multisets so retraction deltas fold in O(|Δ|), not O(n) each.
@@ -147,8 +140,6 @@ class IncrementalGrounder:
         for key, record in self.records.items():
             if record.factor_index >= 0:
                 self._factor_keys[record.factor_index] = key
-        self._compiled = None
-        self._compact_threshold = 0.25
         #: persistent vectorized (relation, row) → vid maps; kept in sync
         #: as variables appear/disappear so updates never rebuild them.
         self._code_resolver = VariableCodeResolver(
@@ -163,35 +154,6 @@ class IncrementalGrounder:
     @classmethod
     def from_scratch(cls, program: Program, db: Database) -> "IncrementalGrounder":
         return cls(program, db, Grounder(program, db).ground())
-
-    def bind_compiled(self, compiled, compact_threshold: float = 0.25) -> None:
-        """Keep a :class:`CompiledFactorGraph` in sync with this grounder.
-
-        Every subsequent :meth:`apply_update` patches the bound compiled
-        view in place (``apply_delta``) instead of leaving callers to
-        recompile — ΔV/ΔF flow end-to-end from the delta rules into the
-        CSR substrate.  The compiled graph must currently reflect
-        ``self.graph``.  The resulting :class:`CompiledPatch` is returned
-        on ``UpdateResult.patch`` for warm-started samplers."""
-        if compiled.graph is not self.graph and compiled.num_vars != self.graph.num_vars:
-            raise ValueError("compiled view does not match the grounder's graph")
-        self._compiled = compiled
-        self._compact_threshold = compact_threshold
-
-    def compile(self, compact_threshold: float = 0.25):
-        """Compile the current graph into a bound compiled substrate.
-
-        One-call convenience for the ground-straight-into-the-substrate
-        flow: compiles ``self.graph`` once (O(graph): one array build
-        from its factor table), binds it, and returns it.  From then on every
-        :meth:`apply_update` patches the substrate in place and
-        ``self.graph`` is its lazy view.
-        """
-        from repro.graph.compiled import CompiledFactorGraph
-
-        compiled = CompiledFactorGraph(self.graph)
-        self.bind_compiled(compiled, compact_threshold=compact_threshold)
-        return compiled
 
     @staticmethod
     def _record_vars(record: FactorRecord):
@@ -369,7 +331,6 @@ class IncrementalGrounder:
                     delta.new_var_names.append((name, row))
                     vid = self.graph.num_vars + offset
                     self.variable_of[(name, row)] = vid
-                    self.tuple_of[vid] = (name, row)
                     self._code_resolver.add(name, row, vid)
                     new_var_offset[vid] = offset
                     # A candidate appearing after its labels: pick up
@@ -441,7 +402,7 @@ class IncrementalGrounder:
             for key in list(self._records_by_var.get(var, ())):
                 if self.records[key].head_var == var:
                     removed_record_keys.add(key)
-            name_row = self.tuple_of.pop(var)
+            name_row = self.graph.name_of(var)
             del self.variable_of[name_row]
             self._code_resolver.discard(*name_row)
 
@@ -489,26 +450,13 @@ class IncrementalGrounder:
         for var in removed_vars:
             delta.evidence_updates[var] = False
 
-        # ---- 8. Apply and re-index.  The O(graph) invariant walk is
+        # ---- 8. Splice and re-index.  The O(graph) invariant walk is
         # skipped: the grounder constructs deltas from resolved variable
         # ids and interned weights, and _reindex re-verifies the factor
-        # registry whenever factors were removed.  With a bound compiled
-        # substrate the delta lands as an O(|Δ|) patch straight in the
-        # CSR arrays — no ``delta.apply`` copy, no materialized factor
-        # list; ``self.graph`` becomes the substrate's lazy view.
-        # Unbound grounders splice their mutable graph in place.
-        patch = None
-        if self._compiled is not None:
-            patch = self._compiled.apply_delta(
-                delta, compact_threshold=self._compact_threshold
-            )
-            self.graph = self._compiled.graph
-        else:
-            delta.apply_in_place(self.graph)
+        # registry whenever factors were removed.
+        delta.apply_in_place(self.graph)
         self._reindex(delta, appended)
-        result = UpdateResult(
-            delta=delta, graph=self.graph, transitions=all_transitions, patch=patch
-        )
+        result = UpdateResult(delta=delta, graph=self.graph)
         self.last_result = result
         maybe_fire("ground.update.finish")
         return result
@@ -579,9 +527,7 @@ class IncrementalGrounder:
         factor list: the maintained ``_factor_keys`` table is compacted
         in one list pass and indexes are reassigned from the first
         removed position onward.  Verification is scoped to the touched
-        (appended) records — survivors keep positions by construction —
-        and resolves through the compiled handle table when a substrate
-        is bound (O(1) per record, no factor-list materialization).
+        (appended) records — survivors keep positions by construction.
         """
         removed = delta.removed_factor_ids
         records = self.records
@@ -604,30 +550,21 @@ class IncrementalGrounder:
             self._factor_keys.extend(appended)
             for offset, key in enumerate(appended):
                 records[key].factor_index = base + offset
-        compiled = self._compiled
-        num_factors = (
-            compiled.num_factors if compiled is not None else self.graph.num_factors
-        )
-        if len(self._factor_keys) != num_factors:
+        if len(self._factor_keys) != self.graph.num_factors:
             raise AssertionError("factor registry out of sync")
         if appended and not self._factors_match([records[key] for key in appended]):
             raise AssertionError("factor registry out of sync")
 
     def _factors_match(self, appended: list) -> bool:
-        """Head-check the appended records against the factors of truth:
-        the bound substrate's handle table, or the graph's factor table
-        (read as arrays — a lowered list stays lowered)."""
+        """Head-check the appended records against the graph's factor
+        table (read as arrays — a lowered list stays lowered)."""
         index = np.array([record.factor_index for record in appended])
-        compiled = self._compiled
-        if compiled is not None:
-            kind, store, rows = compiled._fkind, compiled, compiled._fh1[index]
-        else:
-            store = self.graph.factor_table()
-            kind = store.kind
-            rows = (np.cumsum(kind == KIND_RULE) - 1)[index]
+        table = self.graph.factor_table()
+        kind = table.kind
+        rows = (np.cumsum(kind == KIND_RULE) - 1)[index]
         heads = [record.head_var for record in appended]
         return bool((kind[index] == KIND_RULE).all()) and (
-            store.rule_head[rows].tolist() == heads
+            table.rule_head[rows].tolist() == heads
         )
 
 

@@ -1,10 +1,10 @@
 """Write-ahead delta log.
 
 A :class:`DeltaLog` records every update transaction *before* it is
-applied: ``begin(payload)`` appends the update's description (a
-:class:`~repro.graph.delta.FactorGraphDelta`, raw relation rows, or
-compiled patch ops — anything picklable), ``mark`` stamps intermediate
-pipeline stages, and ``commit``/``rollback`` close the transaction.
+applied: ``begin(payload)`` appends the update's description (its
+relation rows, rule changes and relearn epochs — anything picklable),
+``mark`` stamps intermediate pipeline stages, and ``commit``/``rollback``
+close the transaction.
 After a crash, :meth:`pending` returns the payloads of transactions that
 began but never committed — exactly the updates that must be retried —
 and :meth:`committed` replays the applied history onto a fresh engine.

@@ -89,10 +89,13 @@ class UpdateBatcher:
         and the lag stays exact.  (``KBService.stop`` drains first, so on
         a healthy service nothing is left.)"""
         self._stop.set()
+        queue = self.service.queue
+        # Wake a batcher parked in ``queue.drain`` instead of letting it
+        # sit out its ``poll_interval``.
+        queue.close()
         if self._thread.is_alive():
             self._thread.join(timeout)
         if not self._thread.is_alive():
-            queue = self.service.queue
             self._abandon(queue.drain(max_batch=queue.maxsize, timeout=0), "service stopped")
         self.notify_progress()
 
@@ -133,6 +136,8 @@ class UpdateBatcher:
                 batch = svc.queue.drain(
                     max_batch=svc.config.batch_max, timeout=self.poll_interval
                 )
+                if not batch and svc.queue.closed:
+                    break  # nothing left, and nothing more can arrive
                 for done, (seq, payload) in enumerate(batch, 1):
                     self.in_flight += 1
                     try:

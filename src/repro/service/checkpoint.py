@@ -10,7 +10,7 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0007 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0008 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
@@ -24,11 +24,12 @@ brute-force slow path with its per-variable flags, scan blocks their
 scalar-only flag, and the substrate every per-variable CSR slice but
 ``ising_indptr``; ``CKPT0007``: a grounded graph's factor list is a
 table-backed ``FactorList`` and its full ground's records are derived,
-not stored), so a
-file written by an older tree fails verification here — skipped and
-counted like a corrupt one, recovery falling back to an older checkpoint
-or the WAL — instead of unpickling into an object that breaks at its
-first update.
+not stored; ``CKPT0008``: engines lost their delta log, grounders their
+bound substrate and inverse variable map, and index mirrors their
+per-table merge knobs), so a file written by an older tree fails
+verification here — skipped and counted like a corrupt one, recovery
+falling back to an older checkpoint or the WAL — instead of unpickling
+into an object that breaks at its first update.
 
 The store keeps the ``keep`` most recent checkpoints; after a checkpoint
 at transaction ``txn`` the service truncates its WAL to ``txn``, so the
@@ -48,7 +49,7 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0007"
+_MAGIC = b"CKPT0008"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

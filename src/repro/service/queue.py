@@ -76,10 +76,10 @@ class BoundedUpdateQueue:
 
     def drain(self, max_batch: int = 8, timeout: float = 0.05) -> list:
         """Pop up to ``max_batch`` payloads, waiting ``timeout`` seconds
-        for the first one.  Returns ``[(seq, payload), ...]`` (possibly
-        empty)."""
+        for the first one (a closed queue never waits).  Returns
+        ``[(seq, payload), ...]`` (possibly empty)."""
         with self._not_empty:
-            if not self._items:
+            if not self._items and not self.closed:
                 self._not_empty.wait(timeout)
             batch = []
             while self._items and len(batch) < max_batch:

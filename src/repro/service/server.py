@@ -102,9 +102,6 @@ class ServiceConfig:
     #: submission wakes it at once).  Delays no commit, no ``drain()``
     #: and no read: those wake on the batcher's progress signal.
     poll_interval: float = 0.01
-    #: Staleness bound applied when a read does not pass its own
-    #: (``None`` = unbounded: serve whatever snapshot is committed).
-    default_max_staleness: int | None = None
     #: fsync policy for the service WAL (see ``wal.FSYNC_POLICIES``).
     wal_fsync: str = "always"
     #: Clean-commit streak that lifts ``degraded`` (health machine).
@@ -140,17 +137,6 @@ class KBService:
             if checkpoint_dir is not None
             else None
         )
-        if self.checkpoints is not None:
-            # Checkpoints pickle the live (grounder, engine) pair; a
-            # file-backed engine WAL holds an open file handle, which does
-            # not survive pickling.  Fail at construction, not
-            # mid-checkpoint.
-            if getattr(engine.config, "wal_path", None) is not None:
-                raise ValueError(
-                    "checkpointing requires an in-memory engine WAL "
-                    "(EngineConfig.wal_path=None); the service WAL is the "
-                    "durable log"
-                )
         self.reads = 0
         self.reads_shed = 0
         self.reads_stale_rejected = 0
@@ -263,17 +249,15 @@ class KBService:
     ) -> StampedRead:
         """Serve the committed marginals under an explicit bound.
 
-        ``max_staleness`` caps the lag a served read may carry
-        (``None`` falls back to ``ServiceConfig.default_max_staleness``;
-        still ``None`` = unbounded).  With a ``deadline`` (seconds) the
-        read *waits* for the backlog to drain below the bound and is
+        ``max_staleness`` caps the lag a served read may carry (``None``
+        = unbounded: serve whatever snapshot is committed).  With a
+        ``deadline`` (seconds) the read *waits* for the backlog to drain
+        below the bound and is
         load-shed with :class:`DeadlineExceeded` when time runs out;
         without one an over-stale read fails fast with
         :class:`StalenessExceeded`."""
         start = time.perf_counter()
         maybe_fire("service.read.start")
-        if max_staleness is None:
-            max_staleness = self.config.default_max_staleness
         stamped = self._serve(max_staleness, deadline, start)
         if stamped is None:
             # Over-stale with a deadline: sleep on the batcher's progress

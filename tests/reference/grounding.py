@@ -124,7 +124,7 @@ def fold_ground(program, db) -> tuple:
     grounder = Grounder(program, db)
     grounder.run_derivation_rules()
     graph = FactorGraph()
-    variable_of, _tuple_of = grounder.create_variables(graph)
+    variable_of = grounder.create_variables(graph)
     grounder.apply_evidence(graph, variable_of)
     interner = db.columnar.interner
     resolver = VariableCodeResolver(interner, variable_of)

@@ -533,13 +533,13 @@ class TestDerivedState:
 
 
 def news_learner(rng) -> tuple:
-    """``(learner, grounder, updates)``: a serial learner over the News
-    base graph's bound substrate and the development-loop updates that
-    patch it."""
+    """``(learner, grounder, updates)``: a serial learner over a substrate
+    compiled from a copy of the News base graph, and the
+    development-loop updates whose deltas patch it."""
     pipeline = build_pipeline(workload_by_name("news"), scale=0.6, seed=0)
     grounder = pipeline.build_base()
-    compiled = grounder.compile(compact_threshold=1.0)
-    learner = SGDLearner(grounder.graph, seed=rng, compiled=compiled)
+    compiled = CompiledFactorGraph(grounder.graph.copy())
+    learner = SGDLearner(compiled.graph, seed=rng, compiled=compiled)
     updates = [update for _label, update in pipeline.snapshot_updates() if update]
     return learner, grounder, updates
 
@@ -556,7 +556,8 @@ def assert_epoch_work_counts(learner, grounder, update) -> dict:
         learner.rng.calls = 0
         learner.fit(3, record_loss=False)
         assert counts["stacked_plans"] == warm["stacked_plans"], "rebuilt with no patch"
-        learner.apply_patch(grounder.apply_update(**update).patch)
+        delta = grounder.apply_update(**update).delta
+        learner.apply_patch(learner._compiled.apply_delta(delta, compact_threshold=1.0))
         before = Counter(counts)
         learner.rng.calls = 0
         learner.fit(1, record_loss=False)

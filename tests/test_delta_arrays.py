@@ -350,9 +350,10 @@ class TestBornLowered:
     def test_grounder_deltas(self, spec):
         pipeline = build_pipeline(spec, scale=0.2, seed=0)
         grounder = pipeline.build_base()
-        compiled = grounder.compile()
+        compiled = CompiledFactorGraph(grounder.graph.copy())
         for _label, update in pipeline.snapshot_updates():
             delta = grounder.apply_update(**update).delta
+            compiled.apply_delta(delta)
             assert not delta.new_factors.materialized
             count = len(delta.new_factors)
             keys = grounder._factor_keys[len(grounder._factor_keys) - count :]

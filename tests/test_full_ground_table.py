@@ -18,7 +18,7 @@ are derived from the raw columns when asked for.  The oracle is
   included, and a repeated-literal grounding retracts cleanly.
 * **Lowered lists stay lowered** — copies share the table,
   ``factor_table(ids)`` takes from it, a delta lands by concatenation,
-  the engine's base graph and the unbound grounder never build a factor
+  the engine's base graph and the grounder's graph never build a factor
   object; ``validate`` raises the same errors from the columns.
 * **Materialization reads arrays** — ``learn_approximation`` equals the
   pair-loop oracle bit for bit and leaves the base graph lowered.

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import Atom, Program, Var, WeightSpec
-from repro.db.columnar import ColumnarTable, Interner
+from repro.db.columnar import _TableIndex
 from repro.db.database import Database
 from repro.grounding import Grounder, IncrementalGrounder
 
@@ -307,10 +307,11 @@ class TestTableViews:
         # Live table kept only the survivors.
         assert table.num_rows == 100
 
-    def test_held_view_survives_forced_merges(self):
+    def test_held_view_survives_forced_merges(self, monkeypatch):
+        # Any overflow slot forces a merge.
+        monkeypatch.setattr(_TableIndex, "_MERGE_FRACTION", 10**9)
         db = _edge_db([(f"a{i}", "hub") for i in range(20)])
         store = db.columnar
-        store.merge_fraction = 10**9  # any overflow slot forces a merge
         rel = db.relation("E")
         table = store.table(rel)
         key = np.array([[store.interner.intern("hub")]], dtype=np.int32)
@@ -327,32 +328,6 @@ class TestTableViews:
         assert view._materialized is None
         assert len(view.probe((1,), key)[1]) == 20
         assert len(table.probe((1,), key)[1]) == 40
-
-    def test_merge_knobs_reach_indexes(self):
-        db = _edge_db([("a", "b")])
-        store = db.columnar
-        store.merge_fraction = 7
-        store.probe_merge_threshold = 99
-        table = store.table(db.relation("E"))
-        index = table._ensure_index((0,))
-        assert index.merge_fraction == 7
-        assert index.probe_merge_threshold == 99
-
-    def test_constructor_knobs_direct(self):
-        db = _edge_db([("a", "b"), ("c", "d")])
-        stats = dict.fromkeys(
-            ("index_builds", "index_merges", "probes", "rebuilds"), 0
-        )
-        table = ColumnarTable(
-            db.relation("E"),
-            Interner(),
-            stats,
-            merge_fraction=2,
-            probe_merge_threshold=5,
-        )
-        index = table._ensure_index((1,))
-        assert index.merge_fraction == 2
-        assert index.probe_merge_threshold == 5
 
     def test_released_view_stops_copy_on_write(self):
         db = _edge_db([("a", "b"), ("c", "d")])

@@ -98,25 +98,24 @@ class TestCompiledDirectEquivalence:
         assert f2 is not f1 and len(f2) == len(f1) + 1
         assert compiled.views_materialized == 2
 
-    def test_grounder_compiled_direct_equals_unbound(self):
+    def test_substrate_patched_by_grounder_deltas_equals_grounder_graph(self):
         updates = [
             {"inserts": {"PersonCandidate": [("s3", "m5"), ("s3", "m6")]}},
             {"inserts": {"PhraseFeature": [("m5", "m6", "new feat")]}},
             {"deletes": {"PhraseFeature": [("m3", "m4", "friend of")]}},
             {"inserts": {"Married": [("barack", "hillary")]}},
         ]
-        bound = IncrementalGrounder.from_scratch(spouse_program(), spouse_db(spouse_program()))
-        unbound = IncrementalGrounder.from_scratch(spouse_program(), spouse_db(spouse_program()))
-        # Re-key the unbound db against its own program instance.
-        substrate = bound.compile()
+        grounder = IncrementalGrounder.from_scratch(
+            spouse_program(), spouse_db(spouse_program())
+        )
+        substrate = CompiledFactorGraph(grounder.graph.copy())
         for update in updates:
-            bound.apply_update(**update)
-            unbound.apply_update(**update)
-        # Bound grounder's graph is the substrate's lazy view.
-        assert isinstance(bound.graph, CompiledGraphView)
-        assert bound.graph.compiled is substrate
+            substrate.apply_delta(grounder.apply_update(**update).delta)
+        # The substrate's graph is its lazy view; the grounder keeps its own.
+        assert isinstance(substrate.graph, CompiledGraphView)
+        assert not isinstance(grounder.graph, CompiledGraphView)
         a = canonical_form(FactorGraph.from_compiled(substrate))
-        b = canonical_form(unbound.graph)
+        b = canonical_form(grounder.graph)
         assert a == b
 
     def test_engine_marginals_match_exact_over_sequence(self):

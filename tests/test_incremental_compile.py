@@ -400,7 +400,7 @@ class TestRelationLookup:
         assert set(rel.rows()) == {("x",), ("y",)}
 
 
-class TestGrounderBoundCompiled:
+class TestGrounderDeltasPatchASubstrate:
     def test_ground_update_x3_matches_fresh_compile(self):
         """CI smoke contract: ground → update ×3 → patched ≡ fresh."""
         from tests.test_grounding import spouse_db, spouse_program
@@ -409,22 +409,20 @@ class TestGrounderBoundCompiled:
         program = spouse_program()
         db = spouse_db(program)
         grounder = IncrementalGrounder.from_scratch(program, db)
-        compiled = CompiledFactorGraph(grounder.graph)
-        compiled.plan(grounder.graph)
-        grounder.bind_compiled(compiled, compact_threshold=1.0)
+        compiled = CompiledFactorGraph(grounder.graph.copy())
+        compiled.plan()
         updates = [
             dict(inserts={"PhraseFeature": [("m1", "m2", "his spouse")]}),
             dict(inserts={"PersonCandidate": [("s3", "m5"), ("s3", "m6")]}),
             dict(deletes={"PhraseFeature": [("m3", "m4", "friend of")]}),
         ]
         for update in updates:
-            result = grounder.apply_update(**update)
-            assert result.patch is not None
-            assert compiled.graph is grounder.graph
+            delta = grounder.apply_update(**update).delta
+            compiled.apply_delta(delta, compact_threshold=1.0)
         assert_patched_equals_fresh(compiled, grounder.graph)
         assert_plan_valid(compiled, grounder.graph)
         patched = GibbsSampler(
-            grounder.graph, seed=0, compiled=compiled
+            compiled.graph, seed=0, compiled=compiled
         ).estimate_marginals(2000, burn_in=50)
         fresh = GibbsSampler(grounder.graph, seed=1).estimate_marginals(
             2000, burn_in=50

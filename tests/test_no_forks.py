@@ -1,5 +1,5 @@
 """The package has one way to ground, one gradient, one scan, one rule
-path, and one process.
+path, one process, and one copy of each piece of update state.
 
 Every option whose non-default side only tests ever selected is gone, and
 the implementations those options selected live under ``tests/reference``
@@ -20,10 +20,14 @@ import pytest
 import repro
 import repro.db.query
 import repro.graph.delta
-from repro.core import EngineConfig
+import repro.core.engine
+from repro.core import EngineConfig, IncrementalEngine, RerunEngine
+from repro.db.columnar import ColumnarTable, Interner
 from repro.graph import FactorGraph, RuleFactor
 from repro.graph.compiled import CompiledFactorGraph
 from repro.grounding import Grounder, IncrementalGrounder
+from repro.grounding.grounder import GroundingResult
+from repro.grounding.incremental import UpdateResult
 from repro.inference import GibbsSampler
 from repro.kbc.corpus import generate_corpus
 from repro.kbc.pipeline import KBCPipeline
@@ -33,6 +37,7 @@ from repro.learning.gradient import (
     weight_gradient,
     weight_statistics,
 )
+from repro.service import ServiceConfig
 from repro.workloads.systems import ALL_SYSTEMS, build_pipeline
 
 from tests.helpers import chain_ising_graph
@@ -263,8 +268,7 @@ class TestNoProcessPools:
         assert not offenders
         assert "run_in_executor" in (SRC / "service" / "server.py").read_text()
 
-    def test_engine_config_has_thirteen_fields(self):
-        assert len(fields(EngineConfig)) == 13
+    def test_engine_config_takes_no_n_workers(self):
         with pytest.raises(TypeError, match="n_workers"):
             EngineConfig(n_workers=2)
 
@@ -347,3 +351,67 @@ class TestGroundStraightIntoArrays:
             assert not grounding.graph.factors.materialized
             assert "factor_records" not in vars(grounding)
         assert calls == {"RuleFactor": 0, "lower_factors": 0, "validate": 0}
+
+
+class TestOneCopyOfUpdateState:
+    """Grounding emits an update's (ΔV, ΔF) once and the engine consumes
+    it: the engine keeps no log of its own (the pipeline's / service's WAL
+    of update inputs is the one recovery replays), a grounder splices its
+    own lowered graph and never a substrate, and the graph's names are the
+    one inverse of ``variable_of``."""
+
+    def test_grounder_binds_no_substrate(self):
+        program, db = grounding_inputs()
+        grounder = IncrementalGrounder.from_scratch(program, db)
+        for name in ("bind_compiled", "compile", "_compiled", "_compact_threshold"):
+            assert not hasattr(grounder, name), name
+        result = grounder.apply_update(
+            inserts={"PersonCandidate": [("s3", "m5"), ("s3", "m6")]}
+        )
+        assert result.graph is grounder.graph
+        assert isinstance(grounder.graph, FactorGraph)
+
+    def test_update_result_is_the_delta_and_the_graph(self):
+        assert [f.name for f in fields(UpdateResult)] == ["delta", "graph"]
+
+    def test_no_inverse_variable_map(self):
+        program, db = grounding_inputs()
+        grounding = Grounder(program, db).ground()
+        assert "tuple_of" not in {f.name for f in fields(GroundingResult)}
+        grounder = IncrementalGrounder(program, db, grounding)
+        assert not hasattr(grounder, "tuple_of")
+        for key, vid in grounder.variable_of.items():
+            assert grounder.graph.name_of(vid) == key
+
+    @pytest.mark.parametrize("engine_cls", [IncrementalEngine, RerunEngine])
+    def test_engines_keep_no_log(self, engine_cls):
+        engine = engine_cls(chain_ising_graph(4), EngineConfig(seed=0))
+        assert not hasattr(engine, "wal")
+        assert not hasattr(repro.core.engine, "WAL_WINDOW")
+        core = SRC / "core"
+        assert not any(
+            "reliability.wal" in path.read_text() for path in core.rglob("*.py")
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: EngineConfig(wal_path="engine.wal"),
+            lambda: EngineConfig(incremental_burn_in=2),
+            lambda: ServiceConfig(default_max_staleness=0),
+            lambda: ColumnarTable(
+                spouse_db(spouse_program()).relation("PersonCandidate"),
+                Interner(),
+                {},
+                merge_fraction=2,
+            ),
+        ],
+        ids=["wal_path", "incremental_burn_in", "default_max_staleness", "merge_fraction"],
+    )
+    def test_removed_knobs_are_type_errors(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_config_field_counts(self):
+        assert len(fields(EngineConfig)) == 11
+        assert len(fields(ServiceConfig)) == 7

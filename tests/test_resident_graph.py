@@ -10,8 +10,7 @@ against a twin that never failed and was never pickled — because the bugs
 of this layer (flags lost only after restore *then* patch *then* append)
 live in the composition.
 
-Also here: the engine WAL stays bounded, and ``EngineConfig`` carries
-exactly the surviving knobs.
+Also here: ``EngineConfig`` carries exactly the surviving knobs.
 """
 
 import pickle
@@ -21,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EngineConfig, IncrementalEngine, RerunEngine
-from repro.core.engine import WAL_WINDOW
+from repro.core import EngineConfig, RerunEngine
 from repro.core.resident import ResidentGraph
 from repro.graph import FactorGraph, FactorGraphDelta
 from repro.graph.factor_graph import BiasFactor
@@ -192,106 +190,12 @@ class TestRerunEngineComposedHistory:
 
 
 # --------------------------------------------------------------------- #
-# The engine's in-memory WAL is bounded.
-
-
-def tiny_config(**overrides) -> EngineConfig:
-    base = dict(
-        materialization_samples=20,
-        inference_steps=3,
-        inference_samples=2,
-        variational_inference_samples=2,
-        burn_in=1,
-        seed=0,
-    )
-    base.update(overrides)
-    return EngineConfig(**base)
-
-
-def one_variable_append(engine, step: int) -> FactorGraphDelta:
-    graph = engine.current_graph
-    return FactorGraphDelta(
-        num_new_vars=1,
-        new_weight_entries=[((f"a{step}",), 0.2, False)],
-        new_factors=[BiasFactor(weight_id=len(graph.weights), var=graph.num_vars)],
-    )
-
-
-class TestEngineWalIsBounded:
-    @pytest.mark.parametrize("engine_cls", [IncrementalEngine, RerunEngine])
-    def test_records_and_pickle_stay_flat_over_200_updates(self, engine_cls):
-        engine = engine_cls(chain_ising_graph(20, 0.4, 0.1), tiny_config())
-        if engine_cls is IncrementalEngine:
-            engine.materialize()
-        sizes = {}
-        for step in range(200):
-            engine.apply_update(one_variable_append(engine, step))
-            if step + 1 in (100, 200):
-                sizes[step + 1] = len(pickle.dumps(engine.wal))
-        # The retained window, its floor marker, nothing pending.
-        assert len(engine.wal.records()) == 2 * WAL_WINDOW + 1
-        assert engine.wal.pending() == []
-        assert len(engine.wal.committed()) == WAL_WINDOW
-        assert sizes[200] <= sizes[100] + 64
-        assert engine.committed_updates == 200
-
-    def test_rolled_back_transactions_are_trimmed_too(self):
-        engine = RerunEngine(chain_ising_graph(6, 0.4, 0.1), tiny_config())
-        plan = FaultPlan([Fault(site="engine.update.start", at=1, repeat=True)])
-        with inject_faults(plan):
-            for step in range(3 * WAL_WINDOW):
-                with pytest.raises(FaultInjected):
-                    engine.apply_update(one_variable_append(engine, step))
-        assert engine.rollbacks == 3 * WAL_WINDOW
-        assert len(engine.wal.records()) == 2 * WAL_WINDOW + 1
-        assert engine.wal.committed() == []
-
-    def test_file_backed_wal_keeps_its_history(self, tmp_path):
-        config = tiny_config(wal_path=str(tmp_path / "engine.wal"))
-        with RerunEngine(chain_ising_graph(6, 0.4, 0.1), config) as engine:
-            for step in range(2 * WAL_WINDOW):
-                engine.apply_update(one_variable_append(engine, step))
-            assert len(engine.wal.committed()) == 2 * WAL_WINDOW
-
-    def test_service_checkpoint_does_not_carry_update_history(self, tmp_path):
-        """Checkpoints pickle the engine: the engine WAL inside one taken
-        after 200 updates is no larger than inside one taken after 100."""
-        from repro.grounding import IncrementalGrounder
-        from repro.service import KBService
-
-        from tests.test_grounding import spouse_db, spouse_program
-        from tests.test_reliability import FAST_RETRY
-
-        program = spouse_program()
-        grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
-        engine = IncrementalEngine(grounder.graph, tiny_config())
-        engine.materialize()
-        service = KBService(
-            grounder, engine, checkpoint_dir=tmp_path / "ckpt", retry=FAST_RETRY
-        )
-        service.prime()
-        wal_bytes = {}
-        for step in range(200):
-            a, b = f"m{100 + 2 * step}", f"m{101 + 2 * step}"
-            service.pipeline.apply_update(
-                inserts={
-                    "PersonCandidate": [(f"s{100 + step}", a), (f"s{100 + step}", b)],
-                    "PhraseFeature": [(a, b, "and his wife")],
-                }
-            )
-            if step + 1 in (100, 200):
-                assert service.checkpoint() is not None
-                wal_bytes[step + 1] = len(pickle.dumps(service.pipeline.engine.wal))
-        assert wal_bytes[200] <= wal_bytes[100] + 64
-
-
-# --------------------------------------------------------------------- #
 # Option diet.
 
 
 class TestEngineConfigSurface:
     # The field count is pinned where the latest removal is tested:
-    # tests/test_no_forks.py (14 since ``transactional`` went).
+    # tests/test_no_forks.py (11 since the engine WAL went).
 
     @pytest.mark.parametrize(
         "removed",

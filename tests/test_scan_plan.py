@@ -526,24 +526,24 @@ def test_kbc_systems_sweep_on_the_batched_kernel(spec):
 
 
 def test_streamed_graph_stays_on_the_batched_kernel():
-    """≥ 30 one-document patches on a bound substrate: the repaired plans
-    keep the batched shape and equal from-scratch plans."""
+    """≥ 30 one-document patches on a substrate: the repaired plans keep
+    the batched shape and equal from-scratch plans."""
     spec = workload_by_name("adversarial")
     corpus = build_pipeline(spec, scale=0.5, seed=0).corpus
     num_base = len(corpus.documents) - 32
     assert num_base >= 10
     base = dataclasses.replace(corpus, documents=corpus.documents[:num_base])
     grounder = full_program_grounder(KBCPipeline(base, i1_style=spec.i1_style, seed=0))
-    compiled = CompiledFactorGraph(grounder.graph)
-    grounder.bind_compiled(compiled, compact_threshold=1.0)
+    compiled = CompiledFactorGraph(grounder.graph.copy())
     own, free = compiled.plan(), compiled.plan(free_twin(compiled))
     for doc in corpus.documents[num_base:]:
         rows = KBCPipeline(
             dataclasses.replace(corpus, documents=(doc,)), i1_style=spec.i1_style
         ).corpus_rows()
         rows.pop("KnownRel")
-        patch = grounder.apply_update(inserts=rows).patch
-        assert patch is not None and not patch.compacted
+        delta = grounder.apply_update(inserts=rows).delta
+        patch = compiled.apply_delta(delta, compact_threshold=1.0)
+        assert not patch.compacted
         # A learner's free chain rides every patch and asks again; a plan
         # nobody asked for between two patches would be dropped.
         assert compiled.plan(free_twin(compiled)) is free

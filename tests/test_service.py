@@ -198,16 +198,16 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled state changed
-        shape (magic ``CKPT0006``) is valid by its own checksum and must
+        shape (magic ``CKPT0007``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0007"
+            assert fh.read(8) == b"CKPT0008"
             fh.seek(0)
-            fh.write(b"CKPT0006")
+            fh.write(b"CKPT0007")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -217,7 +217,7 @@ class TestCheckpointStore:
         only = CheckpointStore(tmp_path / "only")
         path = only.save({"txn": 7}, 7)
         with open(path, "r+b") as fh:
-            fh.write(b"CKPT0006")
+            fh.write(b"CKPT0007")
         assert only.load() == (None, 0) and only.corrupt_skipped == 1
 
     def test_empty_store(self, tmp_path):
@@ -367,15 +367,6 @@ class TestAdmissionAndStaleness:
         assert plan.fired_sites() == ["service.read.start"]
         # Without the injected latency the same read serves instantly.
         assert svc.read(deadline=0.02).txn == 1
-
-    def test_default_max_staleness_from_config(self):
-        svc = make_service(
-            config=ServiceConfig(default_max_staleness=0, poll_interval=0.005)
-        )
-        svc.prime()
-        svc.submit(**UPDATE_A)
-        with pytest.raises(StalenessExceeded):
-            svc.read()  # config bound applies when the read passes none
 
 
 class TestHealthDegradation:
@@ -647,6 +638,16 @@ class TestStopDrains:
         # The killed payload has no outcome; the one still queued does.
         assert [why for _, why in svc.batcher.failed] == ["not applied: service stopped"]
 
+    def test_batcher_stop_wakes_a_parked_batcher(self):
+        """``batcher.stop()`` wakes a batcher parked in ``queue.drain``
+        instead of leaving it to sit out its ``poll_interval``."""
+        svc = make_service(config=ServiceConfig(poll_interval=5.0)).start()
+        time.sleep(0.1)  # the idle batcher parks in queue.drain
+        start = time.monotonic()
+        svc.batcher.stop(timeout=30)
+        assert time.monotonic() - start < 1.0
+        assert not svc.batcher._thread.is_alive()
+
 
 class TestCrashRecovery:
     def test_kill_mid_batch_then_restore_matches_twin(self, tmp_path):
@@ -905,17 +906,6 @@ class TestCrashRecovery:
             restored.read(max_staleness=0).marginals, expected
         )
         restored.stop()
-
-    def test_checkpoint_requires_in_memory_engine_wal(self, tmp_path):
-        program = spouse_program()
-        db = spouse_db(program)
-        grounder = IncrementalGrounder.from_scratch(program, db)
-        engine = IncrementalEngine(
-            grounder.graph,
-            small_config(wal_path=str(tmp_path / "engine.wal")),
-        )
-        with pytest.raises(ValueError, match="in-memory engine WAL"):
-            KBService(grounder, engine, checkpoint_dir=tmp_path / "ckpt")
 
 
 class TestInferenceStatus:
