@@ -2,7 +2,7 @@
 
 Grounding dominates end-to-end latency in the paper's development loop
 (§1, Fig. 9: incremental grounding buys up to 360×).  The package grounds
-through compiled vectorized plans over columnar relation mirrors and
+through compiled vectorized plans over columnar relations and
 maintains the result with fused k-term delta plans; this benchmark
 tracks what that buys on a grounding-bound workload shaped like the
 paper's spouse system:
@@ -39,7 +39,9 @@ after *every* incremental update, the maintained graph must agree
 canonically with ``reference_ground`` of a twin database the same
 updates were replayed on — on the spouse program, on the benchmark
 workload and on the arity workload (incremental ≡ from-scratch and
-columnar ≡ tuple-at-a-time in one comparison); the arity counters
+columnar ≡ tuple-at-a-time in one comparison); on the first two, no
+relation may compact and the final database's ``copy()`` must ground
+from scratch to the maintained graph; the arity counters
 must have the linear shape; and the full ground must do the record
 fold's work without its objects — its factor table equal, column by
 column, to ``lower_factors`` of ``tests/reference``'s ``fold_ground``
@@ -532,10 +534,31 @@ def check_full_ground_work(rows: dict) -> dict:
     return work
 
 
+def reground_checked(program_factory, db_builder, updates) -> None:
+    """``reground`` (incremental ≡ reference after every update), plus
+    two checks on the incremental side's final database: no relation
+    compacted (the columnar ``rebuilds`` counter counts compactions and
+    nothing else), and its ``Database.copy()`` grounds from scratch to
+    the maintained graph."""
+    from tests.test_incremental_grounding import assert_equivalent, reground
+
+    built = []
+
+    def build(program):
+        built.append((program, db_builder(program)))
+        return built[-1][1]
+
+    graph, _ = reground(program_factory, build, updates)
+    program, db = built[0]  # the incremental side's
+    assert db.index_stats()["columnar"]["rebuilds"] == 0, db.index_stats()
+    assert_equivalent(graph, Grounder(program, db.copy()).ground().graph)
+
+
 def check() -> None:
-    """CI smoke: incremental ≡ from-scratch reference after every update;
-    arity counters linear; full ground ≡ the record fold without its
-    objects."""
+    """CI smoke: incremental ≡ from-scratch reference after every update,
+    with no compaction and a database copy that regrounds to the same
+    graph; arity counters linear; full ground ≡ the record fold without
+    its objects."""
     from tests.test_grounding import spouse_db, spouse_program
     from tests.test_incremental_grounding import assert_equivalent, reground
 
@@ -546,7 +569,7 @@ def check() -> None:
         dict(inserts={"PersonCandidate": [("s3", "m5"), ("s3", "m6")]}),
         dict(deletes={"PhraseFeature": [("m3", "m4", "friend of")]}),
     ]
-    reground(spouse_program, spouse_db, updates)
+    reground_checked(spouse_program, spouse_db, updates)
 
     # 2. The benchmark workload: columnar full ground ≡ reference…
     rng = np.random.default_rng(7)
@@ -557,7 +580,7 @@ def check() -> None:
     # …doing the record fold's work without its objects…
     work = check_full_ground_work(rows)
     # …and across two-document updates, after every one of them.
-    reground(
+    reground_checked(
         build_program,
         lambda program: make_db(program, rows),
         document_updates(pool, 40, 2, 3),

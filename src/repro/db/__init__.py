@@ -3,16 +3,18 @@
 All data in DeepDive lives in a relational database (§2.2); grounding is a
 sequence of SQL joins over it.  This package provides:
 
-* :class:`~repro.db.relation.Relation` — tuples with *derivation counts*
-  (the ``count`` column of DRed delta relations, §3.1) and lazily built
-  hash indexes.
-* :class:`~repro.db.database.Database` — a named catalog of relations.
+* :class:`~repro.db.relation.Relation` — a columnar Z-set of facts:
+  interned int32 code rows with a *derivation count* column (the
+  ``count`` column of DRed delta relations, §3.1) and grouped hash
+  indexes maintained in O(|Δ|).
+* :class:`~repro.db.database.Database` — a named catalog of relations
+  sharing one constant interner.
 * :mod:`~repro.db.query` — conjunctive-query syntax: atoms over
   variables and constants, and the static join order.
-* :mod:`~repro.db.columnar` — numpy-backed columnar relation mirrors
-  (interned int32 columns, bucketed hash indexes maintained in O(|Δ|)).
-* :mod:`~repro.db.plan` — compiled vectorized join plans over the
-  columnar mirrors: how every query is evaluated.
+* :mod:`~repro.db.columnar` — the interner, index, signed-batch and
+  old-state-view pieces relations and plans share.
+* :mod:`~repro.db.plan` — compiled vectorized join plans that probe the
+  relations directly: how every query is evaluated.
 """
 
 from repro.db.columnar import ColumnarBatch, ColumnarStore

@@ -1,30 +1,29 @@
-"""Columnar relation mirrors: interned int32 columns + bucketed hash indexes.
+"""The columnar pieces relations and join plans are built from.
 
 Grounding is joins, and joins over Python tuples pay per-tuple
-interpreter overhead on every full ground and every delta.  This module
-provides the columnar substrate the vectorized join plans
-(:mod:`repro.db.plan`) — the package's only join engine — run on:
+interpreter overhead on every full ground and every delta.  A
+:class:`~repro.db.relation.Relation` therefore *is* a columnar table
+(interned code rows + a signed count column), and this module holds what
+it and the vectorized join plans (:mod:`repro.db.plan`) — the package's
+only join engine — share:
 
 * :class:`Interner` — a database-wide dictionary mapping arbitrary
   hashable constants to dense ``int32`` codes, so joins compare machine
   integers instead of Python objects.
-* :class:`ColumnarTable` — a numpy mirror of one :class:`Relation`:
-  visible rows as an ``(n, arity)`` int32 code matrix with an alive mask,
-  maintained *incrementally* from the relation's visibility transitions
-  (appends + tombstones, threshold compaction — the PR 3 pattern applied
-  to relations).  Per-key-column hash indexes are dictionaries from
-  packed key bytes to contiguous slot arrays, grown in O(|Δ|) per update.
+* :class:`_TableIndex` — a relation's grouped hash index on one key
+  combination: sorted packed keys + CSR slot groups, with overflow
+  buckets so deltas append in O(|Δ|).
 * :class:`ColumnarBatch` — a transient signed relation (delta relations,
-  intermediate join results) with ephemeral sort-based indexes.
-* :class:`TableView` — an immutable *old-state* snapshot of a
-  :class:`ColumnarTable` taken at an ``apply_delta`` boundary: O(1) to
-  capture (a slot fence + copy-on-write alive overrides, no row copies),
-  so the fused k-term delta plans (:func:`repro.db.plan.compile_delta_plans`)
-  can probe "the relation as of before this update" next to the live
-  new state.
-* :class:`ColumnarStore` — the per-:class:`Database` catalog of mirrors
-  plus the shared interner, the join-plan and delta-plan caches, and the
-  per-update registry of captured old-state views.
+  visibility transitions, intermediate join results) with ephemeral
+  sort-based indexes.
+* :class:`TableView` — an immutable *old-state* snapshot of a relation
+  taken at an ``apply_delta`` boundary: O(1) to capture (a slot fence +
+  copy-on-write visibility overrides, no row copies), so the fused k-term
+  delta plans (:func:`repro.db.plan.compile_delta_plans`) can probe "the
+  relation as of before this update" next to the live new state.
+* :class:`ColumnarStore` — the per-:class:`Database` join-plan and
+  delta-plan caches, the per-update registry of captured old-state
+  views, and the counters every relation of the database bumps.
 
 All probe results flow as ``(probe_row, slot)`` index-pair arrays so a
 whole binding batch advances through a join step in a handful of numpy
@@ -33,25 +32,35 @@ operations.
 
 from __future__ import annotations
 
+import struct
+from itertools import islice
+
 import numpy as np
 
 __all__ = [
     "ColumnarBatch",
     "ColumnarStore",
-    "ColumnarTable",
     "Interner",
     "TableView",
     "expand_ranges",
+    "group_rows",
     "pack_rows",
+    "row_keys",
 ]
+
+#: Batches below this many rows pack and group in Python: numpy's fixed
+#: per-call costs dominate at that size.
+_SMALL_BATCH = 64
 
 
 class Interner:
     """Hashable constants ↔ dense ``int32`` codes.
 
-    Code equality must coincide with Python equality, which the backing
-    dict guarantees (note this conflates ``True``/``1`` exactly like the
-    tuple-keyed :class:`~repro.db.relation.Relation` does).
+    One per :class:`~repro.db.database.Database`, shared by all its
+    relations; a value is interned when a row holding it is first
+    stored, so codes follow insertion order.  Code equality must coincide
+    with Python equality, which the backing dict guarantees (note this
+    conflates ``True``/``1``, as any dict-keyed store would).
     :meth:`decode` returns the first representative interned for each
     code.
     """
@@ -62,6 +71,19 @@ class Interner:
 
     def __len__(self) -> int:
         return len(self._values)
+
+    def copy(self) -> "Interner":
+        clone = Interner()
+        clone._code_of = dict(self._code_of)
+        clone._values = list(self._values)
+        return clone
+
+    def truncate(self, size: int) -> None:
+        """Forget every code ``>= size`` (undoes the interning of a
+        rejected update)."""
+        for value in self._values[size:]:
+            del self._code_of[value]
+        del self._values[size:]
 
     def intern(self, value) -> int:
         code = self._code_of.get(value)
@@ -75,19 +97,34 @@ class Interner:
         """The code of ``value`` or ``-1`` (without interning it)."""
         return self._code_of.get(value, -1)
 
-    def encode_rows(self, rows) -> np.ndarray:
-        """Intern an iterable of equal-length tuples into an int32 matrix."""
+    def encode_rows(self, rows, width: int | None = None) -> np.ndarray:
+        """Intern equal-length tuples into an ``(n, width)`` int32 matrix
+        (``width`` defaults to the first row's length)."""
         rows = list(rows)
-        if not rows:
-            return np.empty((0, 0), dtype=np.int32)
-        intern = self.intern
-        flat = [intern(v) for row in rows for v in row]
-        return np.asarray(flat, dtype=np.int32).reshape(len(rows), len(rows[0]))
+        if width is None:
+            width = len(rows[0]) if rows else 0
+        code_of = self._code_of
+        known = len(code_of)
+        setdefault = code_of.setdefault  # a new value gets the next code
+        try:
+            flat = [setdefault(v, len(code_of)) for row in rows for v in row]
+        finally:  # even past an unhashable value, so truncate() can undo
+            if len(code_of) > known:  # the new values sit at the dict's end
+                added = islice(reversed(code_of), len(code_of) - known)
+                self._values.extend(list(added)[::-1])
+        return np.asarray(flat, dtype=np.int32).reshape(len(rows), width)
 
     def decode(self, codes) -> list:
         """Codes (array or list) back to their representative values."""
         values = self._values
         return [values[c] for c in np.asarray(codes).tolist()]
+
+    def decode_rows(self, codes: np.ndarray) -> list:
+        """A code matrix back to a list of value tuples."""
+        if codes.shape[1] == 0:
+            return [()] * len(codes)
+        values = self._values
+        return list(zip(*([values[c] for c in col] for col in codes.T.tolist())))
 
 
 def pack_rows(matrix: np.ndarray) -> np.ndarray:
@@ -116,13 +153,21 @@ def pack_row(row_codes) -> "int | bytes":
     """Scalar key for one code row, matching :func:`pack_rows` exactly
     (``.tolist()`` of a packed array yields these values)."""
     k = len(row_codes)
-    if k == 0:
-        return 0
-    if k == 1:
-        return int(row_codes[0])
     if k == 2:
         return (int(row_codes[0]) << 32) | int(row_codes[1])
-    return np.ascontiguousarray(row_codes, dtype=np.int32).tobytes()
+    if k == 1:
+        return int(row_codes[0])
+    if k == 0:
+        return 0
+    return struct.pack(f"={k}i", *row_codes)
+
+
+def row_keys(matrix: np.ndarray) -> list:
+    """``pack_rows(matrix).tolist()``; a small matrix packs row by row in
+    Python, skipping numpy's fixed per-call costs."""
+    if len(matrix) >= _SMALL_BATCH:
+        return pack_rows(matrix).tolist()
+    return [pack_row(row) for row in matrix.tolist()]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -137,25 +182,23 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + within
 
 
-class _Bucket:
-    """A growable contiguous slot array (one hash-index group)."""
+def cross_pairs(m: int, slots: np.ndarray) -> tuple:
+    """``(probe_idx, slots)`` pairing each of ``m`` probe rows with every
+    one of ``slots`` — what a probe on no key positions matches."""
+    return np.repeat(np.arange(m, dtype=np.int64), len(slots)), np.tile(slots, m)
 
-    __slots__ = ("slots", "size")
 
-    def __init__(self, initial) -> None:
-        self.slots = np.asarray(initial, dtype=np.int64)
-        self.size = len(self.slots)
-
-    def append(self, slot: int) -> None:
-        if self.size == len(self.slots):
-            grown = np.empty(max(4, 2 * self.size), dtype=np.int64)
-            grown[: self.size] = self.slots
-            self.slots = grown
-        self.slots[self.size] = slot
-        self.size += 1
-
-    def view(self) -> np.ndarray:
-        return self.slots[: self.size]
+def group_rows(codes: np.ndarray) -> tuple:
+    """``(first, inverse)`` of a code matrix's distinct rows, numbered in
+    first-appearance order: ``first[g]`` is group ``g``'s first row and
+    ``inverse[i]`` row ``i``'s group."""
+    _, first, inverse = np.unique(
+        pack_rows(codes), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
 
 
 class _TableIndex:
@@ -164,7 +207,7 @@ class _TableIndex:
     The *base* is a contiguous group structure built in one vectorized
     pass (sorted distinct keys + CSR offsets into a slot permutation);
     probes are pure ``searchsorted`` — no per-key Python.  Appends land
-    in a small *overflow* dict of buckets so deltas never rebuild the
+    in a small *overflow* dict of slot lists so deltas never rebuild the
     base; when the overflow outgrows a fraction of the base it is merged
     back in one vectorized rebuild (amortized O(1) per append).
     Old-state views pin a slot fence, not the index structure, so
@@ -198,13 +241,17 @@ class _TableIndex:
         self.extra: dict = {}
         self.extra_size = 0
 
-    def append(self, key_bytes: bytes, slot: int) -> None:
-        bucket = self.extra.get(key_bytes)
-        if bucket is None:
-            self.extra[key_bytes] = _Bucket([slot])
-        else:
-            bucket.append(slot)
-        self.extra_size += 1
+    def extend(self, keys: list, slots) -> None:
+        """Append ``slots`` (parallel to their packed ``keys``) to the
+        overflow buckets."""
+        extra = self.extra
+        for key, slot in zip(keys, slots):
+            bucket = extra.get(key)
+            if bucket is None:
+                extra[key] = [slot]
+            else:
+                bucket.append(slot)
+        self.extra_size += len(keys)
 
     def needs_merge(self, probe_size: int | None = None) -> bool:
         if not self.extra_size:
@@ -231,295 +278,70 @@ class _TableIndex:
             slots = np.empty(0, dtype=np.int64)
         if self.extra:
             extra = self.extra
-            extra_probe, extra_views = [], []
+            extra_probe, extra_slots = [], []
             for i, key in enumerate(probe_keys.tolist()):
                 bucket = extra.get(key)
                 if bucket is not None:
-                    extra_probe.append(
-                        np.full(bucket.size, i, dtype=np.int64)
-                    )
-                    extra_views.append(bucket.view())
+                    extra_probe += [i] * len(bucket)
+                    extra_slots += bucket
             if extra_probe:
-                probe_idx = np.concatenate([probe_idx, *extra_probe])
-                slots = np.concatenate([slots, *extra_views])
+                probe_idx = np.concatenate([probe_idx, extra_probe])
+                slots = np.concatenate([slots, extra_slots])
         return probe_idx, slots
 
 
-class ColumnarTable:
-    """Columnar mirror of one relation's *visible* rows.
-
-    Slots are append-only between compactions; a disappearing row flips
-    its alive bit, a reappearing row flips it back (the slot — and every
-    index bucket containing it — is reused).  Indexes therefore survive
-    :meth:`Relation.apply_delta` without rebuilds; probes filter through
-    the alive mask vectorized.
-    """
-
-    _COMPACT_MIN_SLOTS = 256
-    _COMPACT_DEAD_FRACTION = 0.5
-
-    def __init__(self, relation, interner: Interner, stats: dict) -> None:
-        self._relation = relation
-        self._interner = interner
-        self._stats = stats
-        self._log: list = []
-        relation.attach_mirror(self._log)
-        self.arity = relation.arity
-        self._codes = np.empty((0, self.arity), dtype=np.int32)
-        self._alive = np.empty(0, dtype=bool)
-        self._n_slots = 0
-        self._n_alive = 0
-        self._slot_of: dict = {}
-        self._indexes: dict = {}  # positions tuple -> {key bytes: _Bucket}
-        self._alive_slots_cache: np.ndarray | None = None
-        self._views: list = []  # live TableView snapshots (copy-on-write)
-        self._load(relation.rows())
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-
-    def _load(self, rows) -> None:
-        # Compaction (and clear-reload) reassigns every slot; live views
-        # fence on slot numbers, so they detach first by materializing
-        # their visible rows (O(view) — rare, and never blocks the merge
-        # or compaction itself).
-        if self._views:
-            for view in self._views:
-                view._materialize()
-            self._views = []
-        self._stats["rebuilds"] += 1
-        codes = self._interner.encode_rows(rows)
-        if codes.size == 0:
-            codes = codes.reshape(0, self.arity)
-        self._codes = codes.astype(np.int32, copy=False)
-        self._n_slots = len(codes)
-        self._n_alive = self._n_slots
-        self._alive = np.ones(self._n_slots, dtype=bool)
-        self._slot_of = {row: i for i, row in enumerate(rows)}
-        self._indexes.clear()
-        self._alive_slots_cache = None
-
-    def _append_slot(self, row: tuple) -> int:
-        slot = self._n_slots
-        if slot == len(self._codes):
-            cap = max(16, 2 * len(self._codes))
-            grown = np.empty((cap, self.arity), dtype=np.int32)
-            grown[:slot] = self._codes[:slot]
-            self._codes = grown
-            grown_alive = np.zeros(cap, dtype=bool)
-            grown_alive[:slot] = self._alive[:slot]
-            self._alive = grown_alive
-        intern = self._interner.intern
-        for pos, value in enumerate(row):
-            self._codes[slot, pos] = intern(value)
-        self._n_slots += 1
-        self._slot_of[row] = slot
-        for positions, index in self._indexes.items():
-            index.append(pack_row(self._codes[slot, positions]), slot)
-        return slot
-
-    def sync(self) -> None:
-        """Drain the relation's transition log into the mirror (O(|Δ|))."""
-        if not self._log:
-            return
-        log, self._log[:] = list(self._log), []
-        # Copy-on-write for old-state views: the first post-capture flip
-        # of a pre-fence slot records its capture-time alive value in
-        # every live view (slots are append-only between compactions, so
-        # codes never need copying).
-        views = [v for v in self._views if v._table is self]
-        self._views = views
-        for row, sign in log:
-            if row is None:  # clear() sentinel
-                self._load(self._relation.rows())
-                views = []
-                continue
-            slot = self._slot_of.get(row)
-            if sign > 0:
-                if slot is None:
-                    slot = self._append_slot(row)  # may reallocate _alive
-                    self._alive[slot] = True
-                    self._n_alive += 1
-                elif not self._alive[slot]:
-                    for view in views:
-                        if slot < view._fence and slot not in view._overrides:
-                            view._overrides[slot] = False
-                    self._alive[slot] = True
-                    self._n_alive += 1
-            elif slot is not None and self._alive[slot]:
-                for view in views:
-                    if slot < view._fence and slot not in view._overrides:
-                        view._overrides[slot] = True
-                self._alive[slot] = False
-                self._n_alive -= 1
-        self._alive_slots_cache = None
-        dead = self._n_slots - self._n_alive
-        if (
-            self._n_slots >= self._COMPACT_MIN_SLOTS
-            and dead > self._COMPACT_DEAD_FRACTION * self._n_slots
-        ):
-            self._load(self._relation.rows())
-
-    # ------------------------------------------------------------------ #
-    # Reads
-    # ------------------------------------------------------------------ #
-
-    @property
-    def num_rows(self) -> int:
-        return self._n_alive
-
-    def alive_slots(self) -> np.ndarray:
-        cached = self._alive_slots_cache
-        if cached is None:
-            cached = np.flatnonzero(self._alive[: self._n_slots])
-            self._alive_slots_cache = cached
-        return cached
-
-    def codes_at(self, slots: np.ndarray, position: int) -> np.ndarray:
-        return self._codes[slots, position]
-
-    def signs_of(self, slots: np.ndarray) -> np.ndarray:
-        """Relations contribute each visible tuple once, positively."""
-        return np.ones(len(slots), dtype=np.int64)
-
-    def _index_keys(self, positions: tuple) -> np.ndarray:
-        return pack_rows(self._codes[: self._n_slots][:, positions])
-
-    def _ensure_index(self, positions: tuple) -> _TableIndex:
-        index = self._indexes.get(positions)
-        if index is None:
-            self._stats["index_builds"] += 1
-            index = _TableIndex(self._index_keys(positions))
-            self._indexes[positions] = index
-        return index
-
-    def _matches(self, positions: tuple, key_rows: np.ndarray):
-        """Raw index matches — no alive filtering (shared by the live
-        table and its old-state views, which filter differently)."""
-        self._stats["probes"] += 1
-        index = self._ensure_index(positions)
-        if index.extra_size and (
-            index.needs_merge(probe_size=len(key_rows))
-            or index.needs_merge()
-        ):
-            self._stats["index_merges"] += 1
-            index.rebuild(self._index_keys(positions))
-        return index.probe(pack_rows(key_rows))
-
-    def probe(self, positions: tuple, key_rows: np.ndarray):
-        """Match a batch of key rows against the index on ``positions``.
-
-        ``key_rows`` is an ``(m, len(positions))`` int32 matrix (one key
-        per binding).  Returns ``(probe_idx, slots)`` — parallel arrays of
-        matching (binding row, alive table slot) pairs.  Empty
-        ``positions`` is a cross product with every alive row.
-        """
-        m = len(key_rows)
-        if not positions:
-            self._stats["probes"] += 1
-            alive = self.alive_slots()
-            probe_idx = np.repeat(np.arange(m, dtype=np.int64), len(alive))
-            return probe_idx, np.tile(alive, m)
-        probe_idx, slots = self._matches(positions, key_rows)
-        if self._n_alive == self._n_slots:  # no tombstones: skip filter
-            return probe_idx, slots
-        keep = self._alive[slots]
-        return probe_idx[keep], slots[keep]
-
-    # ------------------------------------------------------------------ #
-    # Old-state views
-    # ------------------------------------------------------------------ #
-
-    def capture_view(self) -> "TableView":
-        """O(1) snapshot of the current visible rows (see
-        :class:`TableView`).  Syncs first so the fence reflects the
-        relation's present state exactly."""
-        self.sync()
-        view = TableView(self, self._n_slots)
-        self._views.append(view)
-        return view
-
-    def _old_alive_of(self, view: "TableView", slots: np.ndarray) -> np.ndarray:
-        """Capture-time alive values for ``slots`` (all < the fence)."""
-        alive = self._alive[slots]
-        overrides = view._overrides
-        if overrides:
-            o_slots, o_vals = view._override_arrays()
-            pos = np.searchsorted(o_slots, slots)
-            pos_c = np.minimum(pos, len(o_slots) - 1)
-            hit = (pos < len(o_slots)) & (o_slots[pos_c] == slots)
-            alive = np.where(hit, o_vals[pos_c], alive)
-        return alive
-
-    def _probe_view(self, view: "TableView", positions: tuple, key_rows):
-        m = len(key_rows)
-        fence = view._fence
-        if not positions:
-            self._stats["probes"] += 1
-            alive = self._alive[:fence].copy()
-            for slot, value in view._overrides.items():
-                alive[slot] = value
-            old_slots = np.flatnonzero(alive)
-            probe_idx = np.repeat(np.arange(m, dtype=np.int64), len(old_slots))
-            return probe_idx, np.tile(old_slots, m)
-        probe_idx, slots = self._matches(positions, key_rows)
-        keep = slots < fence
-        if not keep.all():
-            probe_idx, slots = probe_idx[keep], slots[keep]
-        keep = self._old_alive_of(view, slots)
-        return probe_idx[keep], slots[keep]
-
-
 class TableView:
-    """An immutable snapshot of a table's visible rows at capture time.
+    """An immutable snapshot of a relation's visible rows at capture time.
 
-    Capture is O(1): a *slot fence* (``_n_slots`` at capture — slots are
-    append-only between compactions, so anything past the fence is new)
-    plus a copy-on-write ``{slot: capture-time alive}`` override map the
-    table fills in as post-capture transitions flip alive bits.  Probes
-    go through the live table's indexes (including overflow-bucket
-    merges, which reorder nothing) and filter by fence + old alive —
-    no row copies, and concurrent ``apply_delta`` on the relation never
-    perturbs the view.
+    Capture is O(1): a *slot fence* (the slot count at capture — slots
+    are append-only between compactions, so anything past the fence is
+    new) plus a copy-on-write ``{slot: capture-time visibility}`` override
+    map the relation fills in as post-capture deltas flip slots.  Probes
+    go through the live relation's indexes (including overflow-bucket
+    merges, which reorder nothing) and filter by fence + old visibility —
+    no row copies, and a concurrent ``apply_delta`` never perturbs the
+    view.
 
-    A compaction (or ``clear``) reassigns slots, so it first
-    *materializes* every live view — copies its visible code rows into a
-    standalone :class:`ColumnarBatch` with ephemeral sort indexes.  Views
-    therefore pin nothing: merges and compactions proceed regardless of
-    how long a view is held.
+    A compaction reassigns slots, so it first *materializes* every live
+    view — copies its visible code rows into a standalone
+    :class:`ColumnarBatch` with ephemeral sort indexes.  Views therefore
+    pin nothing: merges and compactions proceed regardless of how long a
+    view is held.
 
     Implements the plan-step table protocol (``probe`` / ``codes_at`` /
     ``signs_of``), so a join step can consume it interchangeably with a
-    live :class:`ColumnarTable`.
+    live :class:`~repro.db.relation.Relation`.
     """
 
     __slots__ = (
         "_table", "_fence", "_overrides", "_override_cache", "_materialized",
     )
 
-    def __init__(self, table: ColumnarTable, fence: int) -> None:
+    def __init__(self, table, fence: int) -> None:
         self._table = table
         self._fence = fence
-        self._overrides: dict = {}  # slot -> alive value at capture time
+        self._overrides: dict = {}  # slot -> visible at capture time
         self._override_cache: tuple | None = None
         self._materialized: ColumnarBatch | None = None
 
-    @property
-    def num_rows(self) -> int:
-        materialized = self._resolve()
-        if materialized is not None:
-            return materialized.num_rows
-        alive = int(np.count_nonzero(self._table._alive[: self._fence]))
+    def _old_alive(self) -> np.ndarray:
+        """Capture-time visibility of every slot below the fence."""
+        alive = self._table._count[: self._fence] > 0
         for slot, value in self._overrides.items():
-            alive += (1 if value else -1) * (
-                value != bool(self._table._alive[slot])
-            )
+            alive[slot] = value
         return alive
 
+    @property
+    def num_rows(self) -> int:
+        if self._materialized is not None:
+            return self._materialized.num_rows
+        return int(np.count_nonzero(self._old_alive()))
+
     def release(self) -> None:
-        """Detach from the table: stop copy-on-write recording.  The
+        """Detach from the relation: stop copy-on-write recording.  The
         view must not be probed afterwards."""
+        if self._table is not None:
+            self._table._views.remove(self)
         self._table = None
         self._materialized = None
         self._overrides = {}
@@ -539,34 +361,18 @@ class TableView:
         return cached[1], cached[2]
 
     def _materialize(self) -> None:
-        """Copy the view's visible rows out of the table (called by the
-        table right before a compaction reassigns slots)."""
-        if self._materialized is not None or self._table is None:
-            return
-        table = self._table
-        fence = self._fence
-        alive = table._alive[:fence].copy()
-        for slot, value in self._overrides.items():
-            alive[slot] = value
-        slots = np.flatnonzero(alive)
+        """Copy the view's visible rows out of the relation (called by
+        the relation right before a compaction reassigns slots)."""
+        slots = np.flatnonzero(self._old_alive())
         self._materialized = ColumnarBatch(
-            table._codes[:fence][slots], np.ones(len(slots), dtype=np.int64)
+            self._table._codes[slots], np.ones(len(slots), dtype=np.int64)
         )
         self._table = None
         self._overrides = {}
 
-    def _resolve(self):
-        """Sync the backing table (recording any pending copy-on-write
-        overrides — and possibly materializing this view if that sync
-        compacts) and return the materialized batch or ``None``."""
-        if self._materialized is None and self._table is not None:
-            self._table.sync()
-        return self._materialized
-
     def probe(self, positions: tuple, key_rows: np.ndarray):
-        materialized = self._resolve()
-        if materialized is not None:
-            return materialized.probe(positions, key_rows)
+        if self._materialized is not None:
+            return self._materialized.probe(positions, key_rows)
         return self._table._probe_view(self, positions, key_rows)
 
     def codes_at(self, slots: np.ndarray, position: int) -> np.ndarray:
@@ -598,6 +404,49 @@ class ColumnarBatch:
         codes = interner.encode_rows(rows)
         return cls(codes, np.asarray(signs, dtype=np.int64))
 
+    @classmethod
+    def concat(cls, batches) -> "ColumnarBatch":
+        batches = list(batches)
+        if len(batches) == 1:
+            return batches[0]
+        return cls(
+            np.concatenate([b.codes for b in batches]),
+            np.concatenate([b.signs for b in batches]),
+        )
+
+    def grouped(self) -> "ColumnarBatch":
+        """Equal rows summed into one (first-appearance order), zero sums
+        dropped: the batch as a Z-set."""
+        m = self.num_rows
+        if m == 0 or (m == 1 and self.signs[0]):
+            return self
+        if m < _SMALL_BATCH:
+            sums: dict = {}
+            first: dict = {}
+            for i, (key, sign) in enumerate(zip(row_keys(self.codes), self.signs.tolist())):
+                if key in sums:
+                    sums[key] += sign
+                else:
+                    sums[key], first[key] = sign, i
+            if len(sums) == m and all(sums.values()):
+                return self
+            keep = [(first[key], total) for key, total in sums.items() if total]
+            rows = [row for row, _ in keep]
+            return ColumnarBatch(
+                self.codes[rows], np.array([total for _, total in keep], dtype=np.int64)
+            )
+        keys = np.sort(pack_rows(self.codes))
+        if self.signs.all() and (keys[1:] != keys[:-1]).all():
+            return self
+        first, inverse = group_rows(self.codes)
+        sums = np.rint(
+            np.bincount(
+                inverse, weights=self.signs.astype(np.float64), minlength=len(first)
+            )
+        ).astype(np.int64)
+        keep = np.flatnonzero(sums)
+        return ColumnarBatch(self.codes[first[keep]], sums[keep])
+
     @property
     def num_rows(self) -> int:
         return len(self.signs)
@@ -611,10 +460,8 @@ class ColumnarBatch:
     def probe(self, positions: tuple, key_rows: np.ndarray):
         """Sort-based ephemeral index probe (same contract as tables)."""
         m = len(key_rows)
-        n = self.num_rows
         if not positions:
-            probe_idx = np.repeat(np.arange(m, dtype=np.int64), n)
-            return probe_idx, np.tile(np.arange(n, dtype=np.int64), m)
+            return cross_pairs(m, np.arange(self.num_rows, dtype=np.int64))
         cached = self._sorted.get(positions)
         if cached is None:
             keys = pack_rows(self.codes[:, positions])
@@ -632,14 +479,16 @@ class ColumnarBatch:
 
 
 class ColumnarStore:
-    """Per-database catalog of columnar mirrors + shared interner."""
+    """A database's plan caches, per-update old-state views and counters.
+
+    :attr:`stats` is shared with every relation of the database, which
+    bumps the index and compaction counters in it."""
 
     #: id-keyed plan entries are cleared past this point (ad-hoc atom
     #: sequences from one-shot callers must not pin memory forever).
     _PLAN_ID_CACHE_LIMIT = 4096
 
-    #: every counter in :attr:`stats` (``Database.index_stats`` reports
-    #: the same keys, zeroed, for a database that never built a store).
+    #: every counter in :attr:`stats`.
     STAT_KEYS = (
         "index_builds",
         "index_merges",
@@ -651,55 +500,37 @@ class ColumnarStore:
         "delta_batch_builds",
     )
 
-    def __init__(self) -> None:
-        self.interner = Interner()
-        self._tables: dict = {}
+    def __init__(self, interner: Interner) -> None:
+        self.interner = interner
         # One two-level cache for both plan kinds (see _cached_plans).
         self._plans: dict = {}         # (kind, id(atoms)) -> compiled
         self._struct_plans: dict = {}  # (kind, atoms tuple) -> compiled
         self._plan_pins: dict = {}     # id(atoms) -> atoms (keeps ids stable)
         self._old_views: dict = {}  # relation name -> TableView (per update)
+        self._capture: frozenset = frozenset()  # relations to capture (per update)
         self.stats = dict.fromkeys(self.STAT_KEYS, 0)
-
-    def table(self, relation) -> ColumnarTable:
-        mirror = self._tables.get(relation.name)
-        if mirror is None or mirror._relation is not relation:
-            mirror = ColumnarTable(relation, self.interner, self.stats)
-            self._tables[relation.name] = mirror
-        else:
-            mirror.sync()
-        return mirror
-
-    def drop(self, name: str) -> None:
-        self._tables.pop(name, None)
-
-    def delta_batch(self, transitions: dict) -> ColumnarBatch:
-        """A signed batch from a ``{row: ±count}`` transition map."""
-        self.stats["delta_batch_builds"] += 1
-        return ColumnarBatch.from_signed_rows(
-            self.interner, transitions.items()
-        )
 
     # ------------------------------------------------------------------ #
     # Old-state views (one capture epoch per incremental update)
     # ------------------------------------------------------------------ #
 
-    def begin_update(self) -> None:
-        """Open a capture epoch (defensively releasing any stale one)."""
+    def begin_update(self, capture=frozenset()) -> None:
+        """Open a capture epoch (defensively releasing any stale one):
+        the relations named in ``capture`` are those whose pre-update
+        state some fused delta plan may probe."""
         if self._old_views:
             self.release_views()
+        self._capture = frozenset(capture)
 
-    def capture_old(self, relation) -> TableView:
-        """Snapshot ``relation``'s pre-update state — call *before* its
-        ``apply_delta``.  Idempotent per epoch: the first capture (taken
-        while the relation is still untouched) wins."""
+    def before_flip(self, relation) -> None:
+        """A relation is about to flip some row's visibility: if it is
+        to be captured this epoch and is not yet, snapshot its old state
+        now — while it is still untouched.  Pure count changes never get
+        here, so they capture nothing."""
         name = relation.name
-        view = self._old_views.get(name)
-        if view is None:
-            view = self.table(relation).capture_view()
-            self._old_views[name] = view
+        if name in self._capture and name not in self._old_views:
+            self._old_views[name] = relation.capture_view()
             self.stats["view_captures"] += 1
-        return view
 
     def old_view(self, name: str) -> "TableView | None":
         """The captured old-state view for ``name``, or ``None`` (an
@@ -707,11 +538,12 @@ class ColumnarStore:
         return self._old_views.get(name)
 
     def release_views(self) -> None:
-        """Close the capture epoch: detach every view from its table so
-        later syncs stop paying copy-on-write recording."""
+        """Close the capture epoch: detach every view from its relation
+        so later deltas stop paying copy-on-write recording."""
         for view in self._old_views.values():
             view.release()
         self._old_views = {}
+        self._capture = frozenset()
 
     def _cached_plans(self, kind: str, atoms, compile_atoms) -> tuple:
         """``(compiled, compiled_now)`` from the two-level plan cache.

@@ -1,4 +1,4 @@
-"""Compiled vectorized join plans over columnar relation mirrors.
+"""Compiled vectorized join plans over columnar relations.
 
 A conjunctive query compiles once into a :class:`JoinPlan`: a static atom
 order (:func:`repro.db.query.static_join_order`) plus one :class:`_Step`
@@ -22,7 +22,7 @@ old/new factorization of a body's delta (the DBSP/DRed form)::
     Δ(A₁ ⋈ … ⋈ A_k) = Σ_i  A₁ⁿᵉʷ ⋈ … ⋈ A_{i−1}ⁿᵉʷ ⋈ Δ_i ⋈ A_{i+1}ᵒˡᵈ ⋈ … ⋈ A_kᵒˡᵈ
 
 one plan per body position ``i``: step ``i`` consumes the signed per-
-predicate delta batch, steps ``j<i`` probe new state (the live mirrors),
+predicate delta batch, steps ``j<i`` probe new state (the relations),
 and steps ``j>i`` probe *old-state* views (:class:`repro.db.columnar.
 TableView`) captured at the update's ``apply_delta`` boundaries — k terms
 for a k-atom body, where the inclusion/exclusion expansion over the new
@@ -101,12 +101,12 @@ class _Step:
     new_vars: tuple            # (name, position) introduced by this atom
     eq_filters: tuple          # (first position, duplicate position) pairs
     #: fused delta plans: probe the relation's captured old-state view
-    #: (when one exists this update) instead of the live mirror.
+    #: (when one exists this update) instead of the live relation.
     probe_old: bool = False
 
 
 class JoinPlan:
-    """A compiled conjunctive query over columnar mirrors."""
+    """A compiled conjunctive query over columnar relations."""
 
     def __init__(self, atoms, order, steps, out_vars) -> None:
         self.atoms = tuple(atoms)
@@ -173,34 +173,24 @@ class JoinPlan:
         )
 
     def resolve_tables(self, store: ColumnarStore, db, sources=None) -> list:
-        """Resolve every step's table, in step order, before execution.
-
-        Resolving a non-source step syncs its live mirror (recording any
-        pending copy-on-write overrides into captured views and interning
-        newly appended rows).  Doing this for *all* steps up front — even
-        ones a later early exit would skip — makes the interner's state
-        after an execution a pure function of the plan and the data, not
-        of where the join happened to come up empty.
-        """
+        """Every step's table, in step order: its source batch, its
+        relation, or — for an old-state step of an update that captured
+        one — the relation's old-state view."""
         tables = []
         for step in self.steps:
             if step.is_source:
                 tables.append(sources[step.atom_index])
                 continue
-            atom = self.atoms[step.atom_index]
-            table = store.table(db.relation(atom.pred))
-            if step.probe_old:
-                view = store.old_view(atom.pred)
-                if view is not None:
-                    table = view
-            tables.append(table)
+            pred = self.atoms[step.atom_index].pred
+            view = store.old_view(pred) if step.probe_old else None
+            tables.append(view if view is not None else db.relation(pred))
         return tables
 
     def execute(self, store: ColumnarStore, db, sources=None) -> BindingBatch:
         """Run the plan; ``sources`` maps atom index → :class:`ColumnarBatch`.
 
-        ``db`` supplies the relations for non-source atoms (mirrored and
-        synced through ``store``).
+        ``db`` supplies the relations for non-source atoms; each step
+        probes the relation itself.
         """
         interner = store.interner
         tables = self.resolve_tables(store, db, sources=sources)

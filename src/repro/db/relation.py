@@ -1,239 +1,393 @@
-"""A relation with derivation counts and lazy hash indexes.
+"""A relation: a columnar Z-set of facts with derivation counts.
 
 Derived relations maintained by the counting algorithm (DRed's delta
 relations, §3.1) need, for each tuple ``t``, the number of derivations
 ``t.count``; base relations simply have count 1 per inserted tuple.  A
-tuple is *visible* while its count is positive.
+tuple is *visible* while its count is positive.  A :class:`Relation`
+stores that once, in the columns the vectorized join plans
+(:mod:`repro.db.plan`) probe directly:
 
-Point lookups (:meth:`Relation.lookup` — evidence resolution in the
-incremental grounder, the tuple-at-a-time test oracle) use hash indexes
-built lazily per bound-column combination and maintained on every
-insert/delete; the join plans run on the columnar mirrors instead.
+* the rows as an ``(n, arity)`` int32 matrix of codes from the
+  database's :class:`~repro.db.columnar.Interner`;
+* an int64 count column — slot ``i`` is visible while ``count[i] > 0``;
+* one packed-row → slot map;
+* grouped hash indexes per probed key combination
+  (:class:`~repro.db.columnar._TableIndex`).
+
+Slots are append-only between compactions: a row whose count drops to
+zero keeps its slot as a tombstone and reuses it if it reappears, so
+indexes survive every delta and probes filter tombstones vectorized.
+Past a dead fraction the live slots are repacked with their counts.
+Old-state :class:`~repro.db.columnar.TableView`\\ s record the
+capture-time visibility of every slot a later delta flips.
+
+Tuples appear only at the edges: a ``{row: count}`` delta is encoded
+once, and :meth:`Relation.rows`, :meth:`Relation.counts` and
+:meth:`Relation.lookup` decode on demand.  Grounding hands code batches
+in and gets code batches of visibility transitions back.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.db.columnar import (
+    ColumnarBatch,
+    ColumnarStore,
+    Interner,
+    TableView,
+    _TableIndex,
+    cross_pairs,
+    pack_row,
+    pack_rows,
+    row_keys,
+)
+
 
 class Relation:
-    """A named multiset of fixed-arity tuples with derivation counts."""
+    """A named multiset of fixed-arity tuples with derivation counts.
 
-    def __init__(self, name: str, columns) -> None:
+    A database passes its interner and :class:`ColumnarStore` (counters,
+    old-state capture) to every relation it creates; a standalone
+    ``Relation(name, columns)`` gets private ones.
+    """
+
+    _COMPACT_MIN_SLOTS = 256
+    _COMPACT_DEAD_FRACTION = 0.5
+
+    def __init__(
+        self,
+        name: str,
+        columns,
+        interner: Interner | None = None,
+        store: ColumnarStore | None = None,
+    ) -> None:
         self.name = name
         self.columns = tuple(columns)
         self.arity = len(self.columns)
-        self._counts: dict = {}
-        self._indexes: dict = {}  # positions tuple -> {key tuple: set of rows}
-        self._rows_cache: tuple | None = None  # invalidated on visibility change
-        self._mirrors: list = []  # transition logs of columnar mirrors
-        self.index_builds = 0  # lazy index constructions (not maintenance)
-        self.index_probes = 0  # lookups answered from an index
+        self.interner = interner if interner is not None else Interner()
+        self._store = store if store is not None else ColumnarStore(self.interner)
+        # Capacity stays above the slot count, so slot -1 (an unknown
+        # row) gathers the always-zero last count cell.
+        self._codes = np.empty((16, self.arity), dtype=np.int32)
+        self._count = np.zeros(16, dtype=np.int64)
+        self._n_slots = 0
+        self._n_alive = 0
+        self._slot_of: dict = {}  # packed code row -> slot
+        self._index_on: dict = {}  # key positions -> _TableIndex
+        self._alive_slots_cache: np.ndarray | None = None
+        self._views: list = []  # live TableView snapshots (copy-on-write)
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
 
-    def _check(self, row) -> tuple:
-        row = tuple(row)
-        if len(row) != self.arity:
+    def encode(self, rows, signs=None) -> ColumnarBatch:
+        """``rows`` (each counted ``signs[i]``, default 1) as a grouped
+        code batch; interns their values.  Raises ``ValueError`` on a row
+        of the wrong arity before interning anything."""
+        rows = list(rows)
+        if rows and set(map(len, rows)) != {self.arity}:
+            row = next(row for row in rows if len(row) != self.arity)
             raise ValueError(
-                f"{self.name}: expected arity {self.arity}, got {len(row)}: {row!r}"
+                f"{self.name}: expected arity {self.arity}, got "
+                f"{len(row)}: {tuple(row)!r}"
             )
-        return row
+        if signs is None:
+            signs = np.ones(len(rows), dtype=np.int64)
+        codes = self.interner.encode_rows(rows, self.arity)
+        return ColumnarBatch(codes, signs).grouped()
+
+    def apply_delta(self, delta):
+        """Apply a signed delta and return its visibility transitions, in
+        the delta's own form.
+
+        ``delta`` is a ``{row: signed count}`` dict — the result is
+        ``(appeared, disappeared)``, lists of tuples — or a
+        :class:`ColumnarBatch` of *distinct* code rows with their
+        non-zero signed counts (:meth:`ColumnarBatch.grouped`) — the
+        result is a batch of the rows that became visible (sign +1) or
+        stopped being visible (sign −1).  Before the first row flips,
+        the database's store may capture the old state
+        (:meth:`ColumnarStore.before_flip`).  Everything is
+        validated before anything changes: deleting more derivations
+        than exist raises ``KeyError`` (the counting algorithm never
+        does) and leaves the relation, interner included, as it was.
+        """
+        if isinstance(delta, ColumnarBatch):
+            return self._apply(delta.codes, delta.signs)
+        mark = len(self.interner)
+        try:
+            batch = self.encode(delta.keys(), np.fromiter(delta.values(), np.int64))
+            flipped = self._apply(batch.codes, batch.signs)
+        except BaseException:
+            self.interner.truncate(mark)
+            raise
+        rows = self.interner.decode_rows(flipped.codes)
+        signs = flipped.signs.tolist()
+        return (
+            [row for row, sign in zip(rows, signs) if sign > 0],
+            [row for row, sign in zip(rows, signs) if sign < 0],
+        )
 
     def insert(self, row, count: int = 1) -> bool:
-        """Add ``count`` derivations of ``row``.
-
-        Returns True when the tuple becomes newly visible.
-        """
+        """Add ``count`` derivations of ``row``; True when it becomes
+        newly visible."""
         if count <= 0:
             raise ValueError("insert count must be positive")
-        row = self._check(row)
-        old = self._counts.get(row, 0)
-        self._counts[row] = old + count
-        if old == 0:
-            self._index_add(row)
-            self._rows_cache = None
-            self._notify(row, 1)
-            return True
-        return False
+        return bool(self.apply_delta({tuple(row): count})[0])
 
     def delete(self, row, count: int = 1) -> bool:
-        """Remove ``count`` derivations of ``row``.
-
-        Returns True when the tuple stops being visible.  Deleting more
-        derivations than exist raises (the counting algorithm never does).
-        """
+        """Remove ``count`` derivations of ``row``; True when it stops
+        being visible."""
         if count <= 0:
             raise ValueError("delete count must be positive")
-        row = self._check(row)
-        old = self._counts.get(row, 0)
-        if old < count:
+        return bool(self.apply_delta({tuple(row): -count})[1])
+
+    def _slots(self, codes: np.ndarray) -> tuple:
+        """``(packed keys, slots)`` of code rows; slot −1 — the always-zero
+        count cell past the last slot — for a row never stored."""
+        keys = row_keys(codes)
+        get = self._slot_of.get
+        return keys, np.array([get(key, -1) for key in keys], dtype=np.int64)
+
+    def counts_of(self, codes: np.ndarray) -> np.ndarray:
+        """Current derivation counts of code rows (0 where absent)."""
+        return self._count[self._slots(codes)[1]]
+
+    def _apply(self, codes: np.ndarray, changes: np.ndarray) -> ColumnarBatch:
+        keys, slots = self._slots(codes)
+        old = self._count[slots]
+        new = old + changes
+        if (new < 0).any():
+            i = int(np.argmin(new))
+            (row,) = self.interner.decode_rows(codes[i : i + 1])
             raise KeyError(
-                f"{self.name}: cannot delete {count} derivations of {row!r} "
-                f"(has {old})"
+                f"{self.name}: cannot delete {-int(changes[i])} derivations "
+                f"of {row!r} (has {int(old[i])})"
             )
-        new = old - count
-        if new == 0:
-            del self._counts[row]
-            self._index_remove(row)
-            self._rows_cache = None
-            self._notify(row, -1)
-            return True
-        self._counts[row] = new
-        return False
+        now = new > 0
+        flips = np.flatnonzero((old > 0) != now)
+        if not len(flips):
+            self._count[slots] = new
+            return ColumnarBatch(codes[:0], changes[:0])
+        self._store.before_flip(self)
+        # A row never stored has a non-zero change, so it appears.
+        fresh = np.flatnonzero(slots < 0)
+        if len(fresh) == len(slots):
+            slots = self._append(codes, keys)
+        elif len(fresh):
+            slots[fresh] = self._append(codes[fresh], [keys[i] for i in fresh.tolist()])
+        self._count[slots] = new
+        # Copy-on-write for old-state views: the first post-capture flip
+        # of a pre-fence slot records its capture-time visibility
+        # (appended slots lie past every fence).
+        for view in self._views:
+            overrides, fence = view._overrides, view._fence
+            for slot, visible in zip(slots[flips].tolist(), (old[flips] > 0).tolist()):
+                if slot < fence and slot not in overrides:
+                    overrides[slot] = visible
+        appeared = now[flips]
+        self._n_alive += 2 * int(appeared.sum()) - len(flips)
+        self._alive_slots_cache = None
+        transitions = ColumnarBatch(codes[flips], np.where(appeared, 1, -1))
+        dead = self._n_slots - self._n_alive
+        if (
+            self._n_slots >= self._COMPACT_MIN_SLOTS
+            and dead > self._COMPACT_DEAD_FRACTION * self._n_slots
+        ):
+            self._compact()
+        return transitions
 
-    def bulk_insert_counts(self, mapping: dict) -> None:
-        """Insert a ``{row: positive count}`` map in one pass.
+    def _append(self, codes: np.ndarray, keys: list) -> np.ndarray:
+        """Store new code rows (count 0 until the caller sets it); keeps
+        the capacity above the slot count."""
+        start = self._n_slots
+        end = start + len(codes)
+        if end >= len(self._count):
+            cap = max(16, 2 * len(self._count), end + 1)
+            grown = np.empty((cap, self.arity), dtype=np.int32)
+            grown[:start] = self._codes[:start]
+            self._codes = grown
+            grown_count = np.zeros(cap, dtype=np.int64)
+            grown_count[:start] = self._count[:start]
+            self._count = grown_count
+        self._codes[start:end] = codes
+        self._n_slots = end
+        slots = range(start, end)
+        self._slot_of.update(zip(keys, slots))
+        for positions, index in self._index_on.items():
+            index.extend(row_keys(codes[:, positions]), slots)
+        return np.arange(start, end, dtype=np.int64)
 
-        Semantically ``insert(row, count)`` per entry (rows must already
-        be tuples of the right arity); used by the columnar grounding
-        engine to fold whole aggregated head batches into the relation
-        without per-row call overhead.
-        """
-        counts = self._counts
-        arity = self.arity
-        # Validate everything before mutating anything: a mid-map raise
-        # must not leave earlier rows inserted without index/mirror
-        # maintenance.
-        for row, count in mapping.items():
-            if count <= 0:
-                raise ValueError("insert count must be positive")
-            if len(row) != arity:
-                raise ValueError(
-                    f"{self.name}: expected arity {arity}, got "
-                    f"{len(row)}: {row!r}"
-                )
-        appeared = []
-        for row, count in mapping.items():
-            old = counts.get(row, 0)
-            counts[row] = old + count
-            if old == 0:
-                appeared.append(row)
-        if appeared:
-            self._rows_cache = None
-            for row in appeared:
-                self._index_add(row)
-                self._notify(row, 1)
+    def _compact(self) -> None:
+        """Repack the live slots, keeping their counts.  Live views fence
+        on slot numbers, so they detach first by materializing their
+        visible rows (O(view) — rare, and never blocks the compaction)."""
+        for view in self._views:
+            view._materialize()
+        self._views = []
+        self._store.stats["rebuilds"] += 1
+        live = self.alive_slots()
+        n = len(live)
+        codes = np.empty((max(16, 2 * n), self.arity), dtype=np.int32)
+        codes[:n] = self._codes[live]
+        count = np.zeros(len(codes), dtype=np.int64)
+        count[:n] = self._count[live]
+        self._codes, self._count = codes, count
+        self._n_slots = self._n_alive = n
+        self._slot_of = dict(zip(pack_rows(codes[:n]).tolist(), range(n)))
+        self._index_on = {}
+        self._alive_slots_cache = None
 
-    def apply_delta(self, delta: dict) -> tuple:
-        """Apply a ``{row: signed count}`` delta.
+    def copy(self, interner: Interner, store: ColumnarStore) -> "Relation":
+        """An independent copy over ``interner`` (a copy of this
+        relation's, so codes carry over); indexes rebuild lazily."""
+        clone = Relation(self.name, self.columns, interner, store)
+        end = self._n_slots + 1  # capacity stays above the slot count
+        clone._codes = self._codes[:end].copy()
+        clone._count = self._count[:end].copy()
+        clone._n_slots, clone._n_alive = self._n_slots, self._n_alive
+        clone._slot_of = dict(self._slot_of)
+        return clone
 
-        Returns ``(appeared, disappeared)`` — lists of tuples that became
-        visible / stopped being visible.
-        """
-        appeared, disappeared = [], []
-        for row, change in delta.items():
-            if change > 0:
-                if self.insert(row, change):
-                    appeared.append(tuple(row))
-            elif change < 0:
-                if self.delete(row, -change):
-                    disappeared.append(tuple(row))
-        return appeared, disappeared
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self._indexes.clear()
-        self._rows_cache = None
-        self._notify(None, 0)  # reset sentinel: mirrors reload from scratch
-
-    def attach_mirror(self, log: list) -> None:
-        """Register a visibility-transition log (a columnar mirror's).
-
-        Every subsequent visibility transition appends ``(row, ±1)`` to
-        ``log``; :meth:`clear` appends the ``(None, 0)`` reset sentinel.
-        Mirrors drain their log on sync, so maintenance is O(|Δ|).
-        """
-        self._mirrors.append(log)
-
-    def _notify(self, row, sign: int) -> None:
-        for log in self._mirrors:
-            log.append((row, sign))
-            # An orphaned mirror (attached once, never synced again)
-            # must not accumulate the relation's whole mutation history:
-            # past a multiple of the relation size, collapse the log to
-            # the reset sentinel — the mirror reloads in full on its
-            # next sync, which costs no more than replaying the log.
-            if len(log) > 4 * len(self._counts) + 256:
-                log[:] = [(None, 0)]
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        end = self._n_slots + 1
+        state["_codes"] = self._codes[:end]
+        state["_count"] = self._count[:end]
+        state["_alive_slots_cache"] = None
+        state["_views"] = []
+        return state
 
     # ------------------------------------------------------------------ #
-    # Reads
+    # Reads (tuples, decoded on demand)
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return self._n_alive
 
     def __contains__(self, row) -> bool:
-        return tuple(row) in self._counts
-
-    def __iter__(self):
-        return iter(self._counts)
+        return self.count(row) > 0
 
     def count(self, row) -> int:
-        return self._counts.get(tuple(row), 0)
+        codes = [self.interner.probe(v) for v in row]
+        if len(codes) != self.arity or min(codes, default=0) < 0:
+            return 0
+        slot = self._slot_of.get(pack_row(codes))
+        return 0 if slot is None else int(self._count[slot])
 
     def rows(self) -> tuple:
-        """All visible rows, as a tuple cached until the next
-        visibility transition (so repeated full scans are free)."""
-        cached = self._rows_cache
-        if cached is None:
-            cached = self._rows_cache = tuple(self._counts)
-        return cached
+        """All visible rows, in slot order."""
+        return tuple(self.interner.decode_rows(self._codes[self.alive_slots()]))
 
     def counts(self) -> dict:
-        """A copy of the full ``{row: count}`` map."""
-        return dict(self._counts)
+        """The ``{row: count}`` map of the visible rows."""
+        slots = self.alive_slots()
+        return dict(
+            zip(
+                self.interner.decode_rows(self._codes[slots]),
+                self._count[slots].tolist(),
+            )
+        )
 
     def lookup(self, positions, values) -> tuple:
-        """Rows whose ``positions`` columns equal ``values``.
-
-        Builds (and thereafter maintains) a hash index on ``positions``.
-        An empty ``positions`` returns all rows.  Always returns a tuple
-        (matching :meth:`rows`); treat it as an unordered snapshot.
-        """
+        """Visible rows whose ``positions`` columns equal ``values`` (an
+        index probe).  An empty ``positions`` returns all rows."""
         positions = tuple(positions)
         if not positions:
             return self.rows()
-        index = self._indexes.get(positions)
+        codes = [self.interner.probe(v) for v in values]
+        if min(codes) < 0:
+            return ()
+        _, slots = self.probe(positions, np.array([codes], dtype=np.int32))
+        return tuple(self.interner.decode_rows(self._codes[slots]))
+
+    # ------------------------------------------------------------------ #
+    # The plan-step table protocol
+    # ------------------------------------------------------------------ #
+
+    @property
+    def num_rows(self) -> int:
+        return self._n_alive
+
+    def alive_slots(self) -> np.ndarray:
+        cached = self._alive_slots_cache
+        if cached is None:
+            cached = np.flatnonzero(self._count[: self._n_slots] > 0)
+            self._alive_slots_cache = cached
+        return cached
+
+    def codes_at(self, slots: np.ndarray, position: int) -> np.ndarray:
+        return self._codes[slots, position]
+
+    def signs_of(self, slots: np.ndarray) -> np.ndarray:
+        """Relations contribute each visible tuple once, positively."""
+        return np.ones(len(slots), dtype=np.int64)
+
+    def _index_keys(self, positions: tuple) -> np.ndarray:
+        return pack_rows(self._codes[: self._n_slots][:, positions])
+
+    def _matches(self, positions: tuple, key_rows: np.ndarray):
+        """Raw index matches — no visibility filtering (shared by the
+        live relation and its old-state views, which filter
+        differently)."""
+        self._store.stats["probes"] += 1
+        index = self._index_on.get(positions)
         if index is None:
-            self.index_builds += 1
-            index = {}
-            for row in self._counts:
-                key = tuple(row[p] for p in positions)
-                index.setdefault(key, set()).add(row)
-            self._indexes[positions] = index
-        self.index_probes += 1
-        bucket = index.get(tuple(values))
-        return tuple(bucket) if bucket else ()
+            self._store.stats["index_builds"] += 1
+            index = self._index_on[positions] = _TableIndex(self._index_keys(positions))
+        elif index.extra_size and (
+            index.needs_merge(probe_size=len(key_rows)) or index.needs_merge()
+        ):
+            self._store.stats["index_merges"] += 1
+            index.rebuild(self._index_keys(positions))
+        return index.probe(pack_rows(key_rows))
 
-    def index_stats(self) -> dict:
-        """Lazy-index counters: builds are full constructions (deltas
-        maintain existing indexes in place and must not bump this),
-        probes are index-served lookups."""
-        return {
-            "indexes": len(self._indexes),
-            "builds": self.index_builds,
-            "probes": self.index_probes,
-        }
+    def probe(self, positions: tuple, key_rows: np.ndarray):
+        """Match a batch of key rows against the index on ``positions``.
+
+        ``key_rows`` is an ``(m, len(positions))`` int32 matrix (one key
+        per binding).  Returns ``(probe_idx, slots)`` — parallel arrays of
+        matching (binding row, visible slot) pairs.  Empty ``positions``
+        is a cross product with every visible row.
+        """
+        if not positions:
+            self._store.stats["probes"] += 1
+            return cross_pairs(len(key_rows), self.alive_slots())
+        probe_idx, slots = self._matches(positions, key_rows)
+        if self._n_alive == self._n_slots:  # no tombstones: skip filter
+            return probe_idx, slots
+        keep = self._count[slots] > 0
+        return probe_idx[keep], slots[keep]
 
     # ------------------------------------------------------------------ #
-    # Index maintenance
+    # Old-state views
     # ------------------------------------------------------------------ #
 
-    def _index_add(self, row) -> None:
-        for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
-            index.setdefault(key, set()).add(row)
+    def capture_view(self) -> TableView:
+        """O(1) snapshot of the current visible rows (see
+        :class:`~repro.db.columnar.TableView`)."""
+        view = TableView(self, self._n_slots)
+        self._views.append(view)
+        return view
 
-    def _index_remove(self, row) -> None:
-        for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del index[key]
+    def _probe_view(self, view: TableView, positions: tuple, key_rows):
+        if not positions:
+            self._store.stats["probes"] += 1
+            return cross_pairs(len(key_rows), np.flatnonzero(view._old_alive()))
+        probe_idx, slots = self._matches(positions, key_rows)
+        keep = slots < view._fence
+        if not keep.all():
+            probe_idx, slots = probe_idx[keep], slots[keep]
+        alive = self._count[slots] > 0
+        if view._overrides:
+            o_slots, o_vals = view._override_arrays()
+            pos = np.searchsorted(o_slots, slots)
+            pos_c = np.minimum(pos, len(o_slots) - 1)
+            hit = (pos < len(o_slots)) & (o_slots[pos_c] == slots)
+            alive = np.where(hit, o_vals[pos_c], alive)
+        return probe_idx[alive], slots[alive]
 
     def __repr__(self) -> str:
         return f"Relation({self.name}{self.columns}, rows={len(self)})"

@@ -13,7 +13,7 @@ Phases, mirroring the paper's execution model:
    one rule factor whose groundings are the bodies' variable literals.
 
 Phases 1 and 4 are joins, and every join is a compiled vectorized plan
-over the database's columnar mirrors (:mod:`repro.db.plan`): a rule body
+over the database's columnar relations (:mod:`repro.db.plan`): a rule body
 executes into one binding batch, and whole batches fold into relations
 and — phase 4 — straight into factor-table columns
 (:func:`ground_rule_batch`), concatenated in program order.  The
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.datalog.ast import EVIDENCE_SUFFIX, InferenceRule
 from repro.datalog.program import Program
+from repro.db.columnar import ColumnarBatch, pack_row, pack_rows
 from repro.db.database import Database
 from repro.db.query import Var
 from repro.graph.delta import KIND_RULE, FactorList, FactorTable, rule_columns
@@ -193,67 +194,29 @@ def full_body_batch(db: Database, rule):
     return canonicalize_batch(store.plan(rule.body).execute(store, db))
 
 
-def signed_head_counts(db: Database, rule, batch) -> dict:
-    """Fold a binding batch into ``{head tuple: signed count}``.
-
-    UDF-free rules aggregate entirely in numpy (group-by over the head
-    columns); UDF rules decode the batch once and expand per binding
-    (UDFs are arbitrary Python and must see real values).
+def signed_head_counts(db: Database, rule, batch) -> ColumnarBatch:
+    """Fold a binding batch into the head's signed code rows, grouped
+    (:meth:`~repro.db.columnar.ColumnarBatch.grouped`: one row per head
+    tuple, zero sums dropped) — what the head relation's ``apply_delta``
+    takes.  UDF-free rules never leave codes; UDF rules decode the batch
+    once and expand per binding (UDFs are arbitrary Python and must see
+    real values).
     """
-    interner = db.columnar.interner
-    if rule.udf is None and batch.num_rows < _BATCH_VECTOR_THRESHOLD:
-        # Small batches: decode only the head columns, fold in Python.
-        m = batch.num_rows
-        cols = [
-            interner.decode(batch.cols[arg.name])
-            if isinstance(arg, Var)
-            else itertools.repeat(arg, m)
-            for arg in rule.head.args
-        ]
-        counts: dict = {}
-        for row, sign in zip(zip(*cols), batch.signs.tolist()):
-            counts[row] = counts.get(row, 0) + sign
-        if not rule.head.args and m:  # zip(*[]) yields nothing
-            counts[()] = int(batch.signs.sum())
-        return {row: c for row, c in counts.items() if c != 0}
+    interner = db.interner
     if rule.udf is None:
-        matrix = np.empty((batch.num_rows, len(rule.head.args)), dtype=np.int32)
-        for i, arg in enumerate(rule.head.args):
-            if isinstance(arg, Var):
-                matrix[:, i] = batch.cols[arg.name]
-            else:
-                matrix[:, i] = interner.intern(arg)
-        from repro.db.columnar import pack_rows
-
-        if batch.num_rows == 0:
-            return {}
-        keys = pack_rows(matrix)
-        _, first, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        sums = np.rint(
-            np.bincount(inverse, weights=batch.signs.astype(np.float64))
-        ).astype(np.int64)
-        keep = np.flatnonzero(sums)
-        rows = matrix[first[keep]]
-        decoded = [
-            interner.decode(rows[:, i]) for i in range(rows.shape[1])
-        ]
-        if not decoded:
-            return {(): int(sums[keep][0])} if len(keep) else {}
-        return dict(zip(zip(*decoded), sums[keep].tolist()))
+        codes = _atom_code_matrix(batch, interner, rule.head.args)
+        return ColumnarBatch(codes, batch.signs).grouped()
     decoded = {
         name: interner.decode(col) for name, col in batch.cols.items()
     }
-    names = list(decoded)
-    signs = batch.signs.tolist()
-    counts: dict = {}
-    for i in range(batch.num_rows):
-        binding = {name: decoded[name][i] for name in names}
+    rows, signs = [], []
+    for i, sign in enumerate(batch.signs.tolist()):
+        binding = {name: col[i] for name, col in decoded.items()}
         for expanded in rule.expanded_bindings(binding):
-            row = rule.head_tuple(expanded)
-            counts[row] = counts.get(row, 0) + signs[i]
-    return {row: c for row, c in counts.items() if c != 0}
+            rows.append(rule.head_tuple(expanded))
+            signs.append(sign)
+    codes = interner.encode_rows(rows, len(rule.head.args))
+    return ColumnarBatch(codes, np.asarray(signs, dtype=np.int64)).grouped()
 
 
 class VariableCodeResolver:
@@ -272,8 +235,6 @@ class VariableCodeResolver:
     def _map(self, pred: str) -> dict:
         mp = self._maps.get(pred)
         if mp is None:
-            from repro.db.columnar import pack_rows
-
             rows, vids = [], []
             for (rel, row), vid in self._variable_of.items():
                 if rel == pred:
@@ -289,8 +250,6 @@ class VariableCodeResolver:
         return mp
 
     def _key_of(self, row: tuple):
-        from repro.db.columnar import pack_row
-
         intern = self._interner.intern
         return pack_row([intern(v) for v in row])
 
@@ -314,8 +273,6 @@ class VariableCodeResolver:
         the "not a grounded variable" diagnosis for head atoms, a plain
         ``KeyError`` with the missing key for body literal atoms.
         """
-        from repro.db.columnar import pack_rows
-
         mp = self._map(pred)
         keys = pack_rows(matrix).tolist()
         try:
@@ -441,8 +398,6 @@ def _resolve_batch(rule, batch, interner, variable_relations, weights, resolver)
         tied = np.empty((m, len(rule.weight.tied_on)), dtype=np.int32)
         for i, name in enumerate(rule.weight.tied_on):
             tied[:, i] = batch.cols[name]
-        from repro.db.columnar import pack_rows
-
         _, first, inverse = np.unique(
             pack_rows(tied), return_index=True, return_inverse=True
         )
@@ -610,8 +565,6 @@ def _frequency_groups(rule, batch, interner, weights, resolver) -> tuple:
     code rows: per group, in ``np.unique`` order, the head variable id,
     the weight id and the binding count — heads resolve and weights
     intern once per *group*."""
-    from repro.db.columnar import pack_rows
-
     head_width = len(rule.head.args)
     matrix = np.empty(
         (batch.num_rows, head_width + len(rule.weight.tied_on)), dtype=np.int32
@@ -706,7 +659,7 @@ class Grounder:
         """Evaluate all derivation rules, accumulating derivation counts."""
         for rule in self.program.stratified_derivation_rules():
             batch = full_body_batch(self.db, rule)
-            self.db.relation(rule.head.pred).bulk_insert_counts(
+            self.db.relation(rule.head.pred).apply_delta(
                 signed_head_counts(self.db, rule, batch)
             )
 
@@ -724,14 +677,15 @@ class Grounder:
         return variable_of
 
     def apply_evidence(self, graph: FactorGraph, variable_of: dict) -> None:
+        """Clamp every variable its ``R_Ev`` rows label; a positive label
+        wins a conflict, whatever the row order."""
         for relation_name in self.program.variable_relations:
             ev_name = relation_name + EVIDENCE_SUFFIX
             if not self.db.has_relation(ev_name):
                 continue
             for row in self.db.relation(ev_name).rows():
-                key = (relation_name, row[:-1])
-                vid = variable_of.get(key)
-                if vid is not None:
+                vid = variable_of.get((relation_name, row[:-1]))
+                if vid is not None and (row[-1] or graph.evidence_value(vid) is None):
                     graph.set_evidence(vid, bool(row[-1]))
 
     def ground_inference_rule(
@@ -746,7 +700,7 @@ class Grounder:
             rule,
             sem_code(self.program.semantics_of(rule)),
             full_body_batch(self.db, rule),
-            self.db.columnar.interner,
+            self.db.interner,
             self.program.variable_relations,
             variable_of,
             graph.weights,
@@ -764,7 +718,7 @@ class Grounder:
         # One resolver for the whole ground: its per-relation packed
         # code maps are shared across every inference rule.
         self._resolver = VariableCodeResolver(
-            self.db.columnar.interner, variable_of
+            self.db.interner, variable_of
         )
         tables, spans = [], []
         for rule in self.program.inference_rules:

@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.datalog.ast import EVIDENCE_SUFFIX
 from repro.datalog.program import Program
+from repro.db.columnar import ColumnarBatch, group_rows
 from repro.db.database import Database
 from repro.db.plan import canonicalize_batch
 from repro.graph.delta import KIND_RULE, FactorGraphDelta, FactorList, rule_table
@@ -79,18 +80,17 @@ def _fused_delta_batches(db: Database, body, transitions: dict, batches: dict):
     """Yield the fused delta terms of a body join, one binding batch per
     *changed* body position ``i``.
 
-    ``transitions`` maps relation name → ``{row: ±1}``.  Each term drives
-    the cached fused plan whose step ``i`` consumes that position's
-    signed delta batch (``new_{<i} ⋈ Δ_i ⋈ old_{>i}``).  Positions whose
-    predicate did not change contribute no term (their Δ is empty and
-    old = new), so the surviving terms telescope to the exact net delta.
-    ``batches`` memoizes one signed batch per predicate across all k
-    plans of *all* rules in the update.
+    ``transitions`` maps relation name → the signed code batch of its
+    visibility transitions this update.  Each term drives the cached
+    fused plan whose step ``i`` consumes that batch
+    (``new_{<i} ⋈ Δ_i ⋈ old_{>i}``).  Positions whose predicate did not
+    change contribute no term (their Δ is empty and old = new), so the
+    surviving terms telescope to the exact net delta.  ``batches``
+    memoizes the hand-off of one batch per predicate across all k plans
+    of *all* rules in the update (counted as ``delta_batch_builds``).
     """
     changed_positions = [
-        i
-        for i, atom in enumerate(body)
-        if transitions.get(atom.pred)
+        i for i, atom in enumerate(body) if atom.pred in transitions
     ]
     if not changed_positions:
         return
@@ -100,7 +100,8 @@ def _fused_delta_batches(db: Database, body, transitions: dict, batches: dict):
         pred = body[i].pred
         batch = batches.get(pred)
         if batch is None:
-            batch = batches[pred] = store.delta_batch(transitions[pred])
+            batch = batches[pred] = transitions[pred]
+            store.stats["delta_batch_builds"] += 1
         yield canonicalize_batch(plans[i].execute(store, db, sources={i: batch}))
 
 
@@ -143,7 +144,7 @@ class IncrementalGrounder:
         #: persistent vectorized (relation, row) → vid maps; kept in sync
         #: as variables appear/disappear so updates never rebuild them.
         self._code_resolver = VariableCodeResolver(
-            db.columnar.interner, self.variable_of
+            db.interner, self.variable_of
         )
         #: the most recent :class:`UpdateResult` — stashed *before* the
         #: ``ground.update.finish`` injection point so a failure between
@@ -186,7 +187,11 @@ class IncrementalGrounder:
         # Fires before any relation is mutated: a failure here leaves the
         # grounder (db, records, graph) exactly as it was.
         maybe_fire("ground.update.start")
-        self.db.columnar.begin_update()
+        # Relations some fused plan may probe in their old state, from the
+        # rules registered *before* this update (added rules evaluate
+        # fully over new state): each is captured right before the first
+        # ``apply_delta`` that flips one of its rows.
+        self.db.columnar.begin_update(self._body_predicates())
         try:
             return self._apply_update(
                 inserts,
@@ -221,51 +226,35 @@ class IncrementalGrounder:
         add_inference_rules,
         remove_inference_rules,
     ) -> UpdateResult:
-        # Predicates some fused plan may probe in their old state; views
-        # are captured lazily right before each such relation's
-        # apply_delta below.  Computed from the rules registered *before*
-        # this update: added rules evaluate fully over new state.
-        body_preds = self._body_predicates()
-        old_store = self.db.columnar
-
         # ---- 1. Base-relation visibility transitions.  Every relation's
-        # counts are validated before any relation is touched, so a
-        # rejected update leaves the database exactly as it was.
-        transitions: dict = {}
-        for sign, updates in ((1, inserts), (-1, deletes)):
-            for name, rows in updates.items():
-                counts = transitions.setdefault(name, {})
-                for row in rows:
-                    row = tuple(row)
-                    counts[row] = counts.get(row, 0) + sign
-        base_transitions: dict = {}
-        for name, counts in transitions.items():
-            relation = self.db.relation(name)
-            visible: dict = {}
-            for row, change in counts.items():
-                if len(row) != relation.arity:
-                    raise ValueError(
-                        f"{name}: expected arity {relation.arity}, got "
-                        f"{len(row)}: {row!r}"
-                    )
-                old = relation.count(row)
-                new = old + change
-                if new < 0:
-                    raise KeyError(
-                        f"update deletes more derivations of {row!r} from "
-                        f"{name!r} than exist"
-                    )
-                if old == 0 and new > 0:
-                    visible[row] = 1
-                elif old > 0 and new == 0:
-                    visible[row] = -1
-            if visible:
-                base_transitions[name] = visible
-        for name, counts in transitions.items():
-            relation = self.db.relation(name)
-            if name in base_transitions and name in body_preds:
-                old_store.capture_old(relation)
-            relation.apply_delta(counts)
+        # rows are encoded and its counts validated before any relation
+        # is touched, so a rejected update leaves the database — its
+        # interner included — exactly as it was.
+        interner = self.db.interner
+        mark = len(interner)
+        base: list = []
+        try:
+            for name in dict.fromkeys([*inserts, *deletes]):
+                relation = self.db.relation(name)
+                plus, minus = list(inserts.get(name, ())), list(deletes.get(name, ()))
+                batch = relation.encode(
+                    plus + minus, np.repeat([1, -1], [len(plus), len(minus)])
+                )
+                if minus:  # only a delete can exceed the derivations stored
+                    short = relation.counts_of(batch.codes) + batch.signs < 0
+                    if short.any():
+                        (row,) = interner.decode_rows(batch.codes[short][:1])
+                        raise KeyError(
+                            f"update deletes more derivations of {row!r} from "
+                            f"{name!r} than exist"
+                        )
+                base.append((relation, batch))
+        except BaseException:
+            interner.truncate(mark)
+            raise
+        all_transitions: dict = {}
+        for relation, batch in base:
+            self._record(all_transitions, relation, relation.apply_delta(batch))
 
         # ---- 2. Register new derivation rules.
         new_derivation_names = set()
@@ -273,47 +262,35 @@ class IncrementalGrounder:
             self.program.register_derivation_rule(rule)
             new_derivation_names.add(rule.name)
 
-        # ---- 3. Propagate through derivation rules in stratified order.
-        all_transitions = dict(base_transitions)
-        #: per-relation delta batches, memoized across rules in this
-        #: update; invalidated whenever a relation's transitions change.
+        # ---- 3. Propagate through derivation rules in stratified order:
+        # each head's signed code rows, netted across its rules, land in
+        # one ``apply_delta`` whose transitions the next strata consume.
+        #: per-relation delta batches handed to fused plans, memoized
+        #: across rules in this update; dropped when a relation's
+        #: transitions change.
         delta_batches: dict = {}
         rules_by_head: dict = {}
         for rule in self.program.stratified_derivation_rules():
             rules_by_head.setdefault(rule.head.pred, []).append(rule)
         for head_name in self._derived_relation_order():
-            head_delta: dict = {}
-            for rule in rules_by_head.get(head_name, ()):
+            parts = [
+                signed_head_counts(self.db, rule, batch)
+                for rule in rules_by_head.get(head_name, ())
                 for batch in self._rule_delta_batches(
                     rule, new_derivation_names, all_transitions, delta_batches
-                ):
-                    for row, count in signed_head_counts(
-                        self.db, rule, batch
-                    ).items():
-                        head_delta[row] = head_delta.get(row, 0) + count
-            head_delta = {r: c for r, c in head_delta.items() if c != 0}
-            if not head_delta:
+                )
+                if batch.num_rows
+            ]
+            parts = [part for part in parts if part.num_rows]
+            if not parts:
                 continue
+            head_delta = ColumnarBatch.concat(parts)
+            if len(parts) > 1:
+                head_delta = head_delta.grouped()
+                if not head_delta.num_rows:
+                    continue
             relation = self.db.relation(head_name)
-            if head_name in body_preds:
-                # Capture only when some tuple actually transitions
-                # visibility — pure count changes leave the visible old
-                # state identical to the live table.
-                count_of = relation.count
-                if any(
-                    (count_of(row) == 0)
-                    if change > 0
-                    else (count_of(row) + change == 0)
-                    for row, change in head_delta.items()
-                ):
-                    old_store.capture_old(relation)
-            appeared, disappeared = relation.apply_delta(head_delta)
-            visible = {row: 1 for row in appeared}
-            visible.update({row: -1 for row in disappeared})
-            if visible:
-                merged = all_transitions.setdefault(head_name, {})
-                for row, sign in visible.items():
-                    merged[row] = merged.get(row, 0) + sign
+            if self._record(all_transitions, relation, relation.apply_delta(head_delta)):
                 delta_batches.pop(head_name, None)  # batch now stale
 
         # ---- 4. Variable relation transitions -> ∆V.  Removed tuples stay
@@ -324,22 +301,29 @@ class IncrementalGrounder:
         removed_vars: set = set()
         new_var_offset: dict = {}
         for name in sorted(self.program.variable_relations):
-            for row, sign in sorted(all_transitions.get(name, {}).items()):
-                if sign > 0:
-                    offset = delta.num_new_vars
-                    delta.num_new_vars += 1
-                    delta.new_var_names.append((name, row))
-                    vid = self.graph.num_vars + offset
-                    self.variable_of[(name, row)] = vid
-                    self._code_resolver.add(name, row, vid)
-                    new_var_offset[vid] = offset
-                    # A candidate appearing after its labels: pick up
-                    # pre-existing evidence rows.
-                    value = self._current_evidence_value(name, row)
-                    if value is not None:
-                        delta.new_var_evidence[offset] = value
-                elif sign < 0:
-                    removed_vars.add(self.variable_of[(name, row)])
+            flipped = all_transitions.get(name)
+            if flipped is None:
+                continue
+            rows = self.db.interner.decode_rows(flipped.codes)
+            signs = flipped.signs.tolist()
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            appeared = [i for i in order if signs[i] > 0]
+            # A candidate appearing after its labels picks up the
+            # pre-existing evidence rows.
+            labels = self._evidence_labels(name, flipped.codes[appeared])
+            for i, value in zip(appeared, labels):
+                offset = delta.num_new_vars
+                delta.num_new_vars += 1
+                delta.new_var_names.append((name, rows[i]))
+                vid = self.graph.num_vars + offset
+                self.variable_of[(name, rows[i])] = vid
+                self._code_resolver.add(name, rows[i], vid)
+                new_var_offset[vid] = offset
+                if value is not None:
+                    delta.new_var_evidence[offset] = value
+            for i in order:
+                if signs[i] < 0:
+                    removed_vars.add(self.variable_of[(name, rows[i])])
 
         # ---- 5. Evidence transitions (db is fully in its new state now).
         self._apply_evidence_transitions(delta, all_transitions, new_var_offset)
@@ -385,7 +369,7 @@ class IncrementalGrounder:
                 apply_rule_binding_batch(
                     rule,
                     batch,
-                    self.db.columnar.interner,
+                    self.db.interner,
                     self.program.variable_relations,
                     self.variable_of,
                     weights,
@@ -483,41 +467,56 @@ class IncrementalGrounder:
                 seen.append(rule.head.pred)
         return seen
 
-    def _current_evidence_value(self, name: str, var_row: tuple):
-        """The evidence label for a variable tuple under the current db
-        state, or ``None``.  Positive evidence wins label conflicts."""
+    @staticmethod
+    def _record(transitions: dict, relation, flipped: ColumnarBatch) -> bool:
+        """Fold ``relation``'s visibility transitions into
+        ``transitions``; True when there were any."""
+        if not flipped.num_rows:
+            return False
+        prior = transitions.get(relation.name)
+        if prior is not None:
+            flipped = ColumnarBatch.concat([prior, flipped]).grouped()
+        transitions[relation.name] = flipped
+        return True
+
+    def _evidence_labels(self, name: str, codes: np.ndarray) -> list:
+        """The evidence label of each variable code row under the
+        current db state (``None`` where unlabelled) — one index probe
+        on the relation's ``R_Ev``.  A positive label wins a conflict."""
+        labels = [None] * len(codes)
         ev_name = name + EVIDENCE_SUFFIX
-        if not self.db.has_relation(ev_name):
-            return None
-        rows = self.db.relation(ev_name).lookup(
-            tuple(range(len(var_row))), var_row
-        )
-        labels = {bool(row[-1]) for row in rows}
-        if not labels:
-            return None
-        return True in labels
+        if not len(codes) or not self.db.has_relation(ev_name):
+            return labels
+        evidence = self.db.relation(ev_name)
+        width = codes.shape[1]
+        probe_idx, slots = evidence.probe(tuple(range(width)), codes)
+        values = self.db.interner.decode(evidence.codes_at(slots, width))
+        for i, value in zip(probe_idx.tolist(), values):
+            labels[i] = labels[i] is True or bool(value)
+        return labels
 
     def _apply_evidence_transitions(
         self, delta: FactorGraphDelta, transitions: dict, new_var_offset: dict
     ) -> None:
         for name in self.program.variable_relations:
-            ev_name = name + EVIDENCE_SUFFIX
-            changed = transitions.get(ev_name)
-            if not changed:
+            changed = transitions.get(name + EVIDENCE_SUFFIX)
+            if changed is None:
                 continue
-            affected = {row[:-1] for row in changed}
-            for var_row in affected:
-                vid = self.variable_of.get((name, var_row))
-                if vid is None:
-                    continue  # evidence about a non-candidate tuple
-                value = self._current_evidence_value(name, var_row)
+            var_codes = changed.codes[:, :-1]
+            var_codes = var_codes[group_rows(var_codes)[0]]
+            vids = [
+                self.variable_of.get((name, row))
+                for row in self.db.interner.decode_rows(var_codes)
+            ]
+            # Evidence about a non-candidate tuple clamps nothing.
+            known = [i for i, vid in enumerate(vids) if vid is not None]
+            for i, value in zip(known, self._evidence_labels(name, var_codes[known])):
+                vid = vids[i]
                 if vid in new_var_offset:
                     if value is not None:
                         delta.new_var_evidence[new_var_offset[vid]] = value
-                else:
-                    current = self.graph.evidence_value(vid)
-                    if current != value:
-                        delta.evidence_updates[vid] = value
+                elif self.graph.evidence_value(vid) != value:
+                    delta.evidence_updates[vid] = value
 
     def _reindex(self, delta: FactorGraphDelta, appended) -> None:
         """Recompute record factor indexes after a delta application.

@@ -10,7 +10,7 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0008 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0009 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
@@ -26,10 +26,12 @@ scalar-only flag, and the substrate every per-variable CSR slice but
 table-backed ``FactorList`` and its full ground's records are derived,
 not stored; ``CKPT0008``: engines lost their delta log, grounders their
 bound substrate and inverse variable map, and index mirrors their
-per-table merge knobs), so a file written by an older tree fails
-verification here — skipped and counted like a corrupt one, recovery
-falling back to an older checkpoint or the WAL — instead of unpickling
-into an object that breaks at its first update.
+per-table merge knobs; ``CKPT0009``: a relation is its columnar table —
+code rows and a count column — and the database holds the interner), so
+a file written by an older tree fails verification here — skipped and
+counted like a corrupt one, recovery falling back to an older checkpoint
+or the WAL — instead of unpickling into an object that breaks at its
+first update.
 
 The store keeps the ``keep`` most recent checkpoints; after a checkpoint
 at transaction ``txn`` the service truncates its WAL to ``txn``, so the
@@ -49,7 +51,7 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0008"
+_MAGIC = b"CKPT0009"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

@@ -1,7 +1,11 @@
 """Tests for the relational substrate: relations, indexes, joins."""
 
+from collections import Counter
+from unittest import mock
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database, Relation
@@ -77,24 +81,27 @@ class TestRelation:
         # Misses and hits return the same type (tuple), like rows().
         assert rel.lookup((0, 2), (9, 9)) == ()
 
-    def test_bulk_insert_counts_matches_inserts(self):
+    def test_apply_delta_adds_derivations(self):
         rel = Relation("R", ("a", "b"))
         rel.insert(("x", 1))
-        rel.bulk_insert_counts({("x", 1): 2, ("y", 2): 1})
+        rel.apply_delta({("x", 1): 2, ("y", 2): 1})
         assert rel.count(("x", 1)) == 3
         assert rel.count(("y", 2)) == 1
 
-    def test_bulk_insert_counts_atomic_on_error(self):
-        """A bad entry anywhere in the map must leave the relation
-        (and its indexes/mirrors) completely untouched."""
+    def test_apply_delta_atomic_on_error(self):
+        """A bad entry anywhere in the delta must leave the relation —
+        its index and the interner included — completely untouched."""
         rel = Relation("R", ("a", "b"))
+        rel.insert(("x", 1))
         rel.lookup((0,), ("x",))  # force an index into existence
+        codes = len(rel.interner)
         with pytest.raises(ValueError):
-            rel.bulk_insert_counts({("x", 1): 1, ("bad",): 1})
-        with pytest.raises(ValueError):
-            rel.bulk_insert_counts({("x", 1): 1, ("y", 2): 0})
-        assert len(rel) == 0
-        assert rel.lookup((0,), ("x",)) == ()
+            rel.apply_delta({("y", 2): 1, ("bad",): 1})
+        with pytest.raises(KeyError):
+            rel.apply_delta({("y", 2): 1, ("x", 1): -2})
+        assert rel.counts() == {("x", 1): 1}
+        assert rel.lookup((0,), ("y",)) == ()
+        assert len(rel.interner) == codes
 
     def test_apply_delta_transitions(self):
         rel = Relation("R", ("a",))
@@ -122,6 +129,113 @@ class TestRelation:
             via_index = set(rel.lookup((0,), (value,)))
             via_scan = {row for row in rel.rows() if row[0] == value}
             assert via_index == via_scan
+
+
+VALUES_A = ("a", "b", 3, 4)
+VALUES_B = (0, "z")
+UNIVERSE = [(x, y) for x in VALUES_A for y in VALUES_B]
+POSITION_SUBSETS = [(), (0,), (1,), (0, 1)]
+
+
+def view_rows(relation, view) -> list:
+    _, slots = view.probe((), np.empty((1, 0), dtype=np.int32))
+    codes = np.stack(
+        [view.codes_at(slots, p) for p in range(relation.arity)], axis=1
+    )
+    return relation.interner.decode_rows(codes)
+
+
+class TestRelationModel:
+    """Random signed-count histories — inserts, deletes, re-inserts and
+    over-deletes — against a ``collections.Counter`` model, with
+    compaction forced low so it happens while an old-state view is
+    held."""
+
+    @given(
+        deltas=st.lists(
+            st.dictionaries(
+                st.sampled_from(UNIVERSE),
+                st.integers(-2, 3).filter(bool),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        capture_at=st.integers(0, 30),
+    )
+    @example(  # all eight in, view held, six out: compacts under the view
+        deltas=[
+            {row: 1 for row in UNIVERSE},
+            {row: -1 for row in UNIVERSE[:6]},
+            {UNIVERSE[0]: 2, UNIVERSE[7]: -2},
+            {UNIVERSE[7]: -1},
+        ],
+        capture_at=1,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_counter_model(self, deltas, capture_at):
+        with mock.patch.object(Relation, "_COMPACT_MIN_SLOTS", 4):
+            self.check_history(deltas, capture_at)
+
+    def check_history(self, deltas, capture_at) -> None:
+        rel = Relation("R", ("a", "b"))
+        model = Counter()
+        view = snapshot = None
+        for step, delta in enumerate(deltas):
+            if step == capture_at:
+                view = rel.capture_view()
+                snapshot = {row for row, c in model.items() if c > 0}
+            new = {row: model[row] + change for row, change in delta.items()}
+            if any(count < 0 for count in new.values()):
+                before = rel.counts()
+                with pytest.raises(KeyError):
+                    rel.apply_delta(delta)
+                assert rel.counts() == before
+            else:
+                appeared, disappeared = rel.apply_delta(delta)
+                assert set(appeared) == {
+                    row for row, c in new.items() if c > 0 and model[row] == 0
+                }
+                assert set(disappeared) == {
+                    row for row, c in new.items() if c == 0 and model[row] > 0
+                }
+                assert len(appeared) + len(disappeared) == len(
+                    set(appeared) | set(disappeared)
+                )
+                model.update(delta)
+            self.check_state(rel, model)
+            if view is not None:
+                self.check_view(rel, view, snapshot)
+
+    def check_state(self, rel, model) -> None:
+        visible = {row for row, c in model.items() if c > 0}
+        assert len(rel) == len(visible)
+        rows = rel.rows()
+        assert set(rows) == visible and len(rows) == len(visible)
+        assert rel.counts() == {row: model[row] for row in visible}
+        for row in UNIVERSE:
+            assert rel.count(row) == model[row]
+            assert (row in rel) == (row in visible)
+        for positions in POSITION_SUBSETS:
+            for key in {tuple(row[p] for p in positions) for row in UNIVERSE}:
+                got = rel.lookup(positions, key)
+                expected = {
+                    row for row in visible
+                    if tuple(row[p] for p in positions) == key
+                }
+                assert set(got) == expected and len(got) == len(expected)
+
+    def check_view(self, rel, view, snapshot) -> None:
+        rows = view_rows(rel, view)
+        assert set(rows) == snapshot and len(rows) == len(snapshot)
+        assert view.num_rows == len(snapshot)
+        for value in VALUES_A:
+            code = rel.interner.probe(value)
+            if code < 0:
+                continue
+            _, slots = view.probe((0,), np.array([[code]], dtype=np.int32))
+            assert len(slots) == sum(1 for row in snapshot if row[0] == value)
 
 
 class TestDatabase:

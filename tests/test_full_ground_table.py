@@ -22,6 +22,8 @@ are derived from the raw columns when asked for.  The oracle is
   object; ``validate`` raises the same errors from the columns.
 * **Materialization reads arrays** — ``learn_approximation`` equals the
   pair-loop oracle bit for bit and leaves the base graph lowered.
+* **Evidence conflicts** — a positive label wins whatever the row order,
+  in the full ground as in the reference and the incremental grounder.
 """
 
 from __future__ import annotations
@@ -402,3 +404,29 @@ class TestMaterializationReadsArrays:
         canonical.factors = base.factor_table().factors()
         pairs = base.neighbor_pairs()
         assert pairs.tolist() == sorted(map(list, object_neighbor_pairs(canonical)))
+
+
+class TestEvidenceConflicts:
+    @pytest.mark.parametrize("labels", [(True, False), (False, True)])
+    def test_positive_label_wins_whatever_the_row_order(self, labels):
+        from tests.reference import reference_ground
+        from tests.test_grounding import spouse_db, spouse_program
+
+        key = ("MarriedMentions", ("m3", "m4"))
+        program = spouse_program()
+        db = spouse_db(program)
+        incremental = IncrementalGrounder.from_scratch(program, db.copy())
+        for label in labels:
+            db.insert_all("MarriedMentions_Ev", [("m3", "m4", label)])
+            incremental.apply_update(
+                inserts={"MarriedMentions_Ev": [("m3", "m4", label)]}
+            )
+        full = Grounder(program, db.copy()).ground()
+        reference = reference_ground(program, db.copy())
+        reference_vid = {reference.name_of(v): v for v in range(reference.num_vars)}
+        for graph, vid in (
+            (full.graph, full.variable_of[key]),
+            (incremental.graph, incremental.variable_of[key]),
+            (reference, reference_vid[key]),
+        ):
+            assert graph.evidence_value(vid) is True

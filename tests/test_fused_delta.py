@@ -255,57 +255,49 @@ class TestTableViews:
     def test_view_immune_to_apply_delta(self):
         db = _edge_db([("a", "b"), ("b", "c"), ("c", "d")])
         store, rel = db.columnar, db.relation("E")
-        table = store.table(rel)
-        view = table.capture_view()
+        view = rel.capture_view()
         assert view.num_rows == 3
         rel.delete(("a", "b"))
         rel.insert(("x", "y"))
         rel.insert(("b", "c"))  # count 2: visibility unchanged
-        table.sync()
-        assert table.num_rows == 3
+        assert rel.num_rows == 3
         assert view.num_rows == 3
         assert _view_rows(store, view) == [("a", "b"), ("b", "c"), ("c", "d")]
         # Keyed probe: the deleted row resolves in the view only.
         key = np.array([[store.interner.probe("a")]], dtype=np.int32)
         assert len(view.probe((0,), key)[1]) == 1
-        assert len(table.probe((0,), key)[1]) == 0
-        # And the post-capture row resolves in the live table only.
+        assert len(rel.probe((0,), key)[1]) == 0
+        # And the post-capture row resolves in the live relation only.
         key = np.array([[store.interner.probe("x")]], dtype=np.int32)
         assert len(view.probe((0,), key)[1]) == 0
-        assert len(table.probe((0,), key)[1]) == 1
+        assert len(rel.probe((0,), key)[1]) == 1
 
     def test_double_flip_keeps_capture_state(self):
         db = _edge_db([("a", "b")])
         store, rel = db.columnar, db.relation("E")
-        table = store.table(rel)
-        view = table.capture_view()
+        view = rel.capture_view()
         rel.delete(("a", "b"))
-        table.sync()
-        rel.insert(("a", "b"))  # slot reused: alive flips back
-        table.sync()
+        rel.insert(("a", "b"))  # slot reused: visible again
         assert _view_rows(store, view) == [("a", "b")]
         rel.insert(("p", "q"))
-        table.sync()
         rel.delete(("p", "q"))
-        table.sync()
         assert _view_rows(store, view) == [("a", "b")]
 
     def test_view_survives_compaction_by_materializing(self):
         rows = [(f"a{i}", f"b{i}") for i in range(600)]
         db = _edge_db(rows)
-        store = db.columnar
-        table = store.table(db.relation("E"))
-        view = table.capture_view()
-        for i in range(500):
-            db.relation("E").delete((f"a{i}", f"b{i}"))
+        store, rel = db.columnar, db.relation("E")
+        view = rel.capture_view()
         rebuilds = store.stats["rebuilds"]
-        table.sync()  # crosses the dead-fraction threshold: compacts
+        # Crosses the dead-fraction threshold: compacts.
+        rel.apply_delta({row: -1 for row in rows[:500]})
         assert store.stats["rebuilds"] > rebuilds
         assert view._materialized is not None
         assert view.num_rows == 600
         assert _view_rows(store, view) == sorted(rows)
-        # Live table kept only the survivors.
-        assert table.num_rows == 100
+        # The live relation kept only the survivors, with their counts.
+        assert rel.num_rows == 100
+        assert rel.counts() == {row: 1 for row in rows[500:]}
 
     def test_held_view_survives_forced_merges(self, monkeypatch):
         # Any overflow slot forces a merge.
@@ -313,32 +305,28 @@ class TestTableViews:
         db = _edge_db([(f"a{i}", "hub") for i in range(20)])
         store = db.columnar
         rel = db.relation("E")
-        table = store.table(rel)
         key = np.array([[store.interner.intern("hub")]], dtype=np.int32)
-        table.probe((1,), key)  # build the index pre-capture
-        view = table.capture_view()
+        rel.probe((1,), key)  # build the index pre-capture
+        view = rel.capture_view()
         merges = store.stats["index_merges"]
         for i in range(20, 40):
             rel.insert((f"a{i}", "hub"))
-            table.sync()
-            table.probe((1,), key)
+            rel.probe((1,), key)
         assert store.stats["index_merges"] > merges
         # Merges reorder nothing the fence relies on: the held view
         # still answers with exactly the 20 pre-capture rows, live.
         assert view._materialized is None
         assert len(view.probe((1,), key)[1]) == 20
-        assert len(table.probe((1,), key)[1]) == 40
+        assert len(rel.probe((1,), key)[1]) == 40
 
     def test_released_view_stops_copy_on_write(self):
         db = _edge_db([("a", "b"), ("c", "d")])
-        store, rel = db.columnar, db.relation("E")
-        table = store.table(rel)
-        view = table.capture_view()
+        rel = db.relation("E")
+        view = rel.capture_view()
         view.release()
-        rel.delete(("a", "b"))
-        table.sync()  # must not touch the detached view
+        rel.delete(("a", "b"))  # must not touch the detached view
         assert view._overrides == {}
-        assert table._views == []
+        assert rel._views == []
 
     def test_grounder_releases_views_on_failure(self):
         """A mid-update crash must not leak capture epochs (the store is

@@ -386,19 +386,6 @@ class TestRelationLookup:
         assert isinstance(rel.lookup((0,), ("zzz",)), tuple)
         assert rel.lookup((), ()) == rel.rows()
 
-    def test_rows_cached_until_visibility_change(self):
-        from repro.db.relation import Relation
-
-        rel = Relation("r", ("a",))
-        rel.insert(("x",))
-        first = rel.rows()
-        assert rel.rows() is first  # no rebuild on repeated scans
-        rel.insert(("x",))  # count bump, no visibility change
-        assert rel.rows() is first
-        rel.insert(("y",))
-        assert rel.rows() is not first
-        assert set(rel.rows()) == {("x",), ("y",)}
-
 
 class TestGrounderDeltasPatchASubstrate:
     def test_ground_update_x3_matches_fresh_compile(self):

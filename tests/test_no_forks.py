@@ -22,7 +22,7 @@ import repro.db.query
 import repro.graph.delta
 import repro.core.engine
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
-from repro.db.columnar import ColumnarTable, Interner
+from repro.db.relation import Relation
 from repro.graph import FactorGraph, RuleFactor
 from repro.graph.compiled import CompiledFactorGraph
 from repro.grounding import Grounder, IncrementalGrounder
@@ -399,12 +399,7 @@ class TestOneCopyOfUpdateState:
             lambda: EngineConfig(wal_path="engine.wal"),
             lambda: EngineConfig(incremental_burn_in=2),
             lambda: ServiceConfig(default_max_staleness=0),
-            lambda: ColumnarTable(
-                spouse_db(spouse_program()).relation("PersonCandidate"),
-                Interner(),
-                {},
-                merge_fraction=2,
-            ),
+            lambda: Relation("R", ("a",), merge_fraction=2),
         ],
         ids=["wal_path", "incremental_burn_in", "default_max_staleness", "merge_fraction"],
     )
@@ -415,3 +410,40 @@ class TestOneCopyOfUpdateState:
     def test_config_field_counts(self):
         assert len(fields(EngineConfig)) == 11
         assert len(fields(ServiceConfig)) == 7
+
+
+class TestOneRelationRepresentation:
+    """A relation is stored once, as its columnar table: no tuple-keyed
+    count dict, no hash indexes beside the table's, no rows cache and no
+    mirror to keep in sync — the join plans probe the relation itself."""
+
+    def test_relation_keeps_no_second_copy(self):
+        _program, db = grounding_inputs()
+        relation = db.relation("PersonCandidate")
+        for name in ("_counts", "_indexes", "_rows_cache", "_mirrors", "attach_mirror"):
+            assert not hasattr(relation, name), name
+
+    def test_nothing_in_the_db_package_syncs_or_reloads(self):
+        defined = {
+            node.name
+            for path in (SRC / "db").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert not {"sync", "_load"} & defined
+
+    def test_plan_steps_probe_the_relation_itself(self, monkeypatch):
+        program, db = grounding_inputs()
+        probed = []
+        real_probe = Relation.probe
+
+        def probe(self, positions, key_rows):
+            probed.append(self)
+            return real_probe(self, positions, key_rows)
+
+        monkeypatch.setattr(Relation, "probe", probe)
+        rule = program.inference_rules[0]
+        db.columnar.plan(rule.body).execute(db.columnar, db)
+        assert probed
+        assert all(relation is db.relation(relation.name) for relation in probed)
+        assert {relation.name for relation in probed} <= {a.pred for a in rule.body}

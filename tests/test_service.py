@@ -198,16 +198,16 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled state changed
-        shape (magic ``CKPT0007``) is valid by its own checksum and must
+        shape (magic ``CKPT0008``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0008"
+            assert fh.read(8) == b"CKPT0009"
             fh.seek(0)
-            fh.write(b"CKPT0007")
+            fh.write(b"CKPT0008")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -217,7 +217,7 @@ class TestCheckpointStore:
         only = CheckpointStore(tmp_path / "only")
         path = only.save({"txn": 7}, 7)
         with open(path, "r+b") as fh:
-            fh.write(b"CKPT0007")
+            fh.write(b"CKPT0008")
         assert only.load() == (None, 0) and only.corrupt_skipped == 1
 
     def test_empty_store(self, tmp_path):
