@@ -42,11 +42,15 @@ workload and on the arity workload (incremental ≡ from-scratch and
 columnar ≡ tuple-at-a-time in one comparison); on the first two, no
 relation may compact and the final database's ``copy()`` must ground
 from scratch to the maintained graph; the arity counters
-must have the linear shape; and the full ground must do the record
-fold's work without its objects — its factor table equal, column by
-column, to ``lower_factors`` of ``tests/reference``'s ``fold_ground``
-(factor, grounding and weight-intern order), with zero ``RuleFactor``
-constructions and zero ``lower_factors`` calls through ground + compile.
+must have the linear shape; after the full ground and after every
+update, each inference rule's grounding table must hold the record fold
+of the replayed twin (``fold_ground``), multiplicities included — the
+canonical graph drops repeats, so this is where a multiplicity slip
+shows first; and the full ground must do the record fold's work without
+its objects — its factor table equal, column by column, to
+``lower_factors`` of ``fold_ground`` (factor, grounding and
+weight-intern order), with zero ``RuleFactor`` constructions and zero
+``lower_factors`` calls through ground + compile.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grounding_incremental.py
 [--scale tiny|small|medium] [--check]`` from the repository root.
@@ -67,7 +71,13 @@ from _helpers import emit_json
 
 sys.path.insert(0, ".")  # tests/ (fixtures and the reference) is at the root
 from tests.reference import reference_ground  # noqa: E402
-from tests.reference.grounding import fold_ground  # noqa: E402
+from tests.reference import replay  # noqa: E402
+from tests.reference.grounding import (  # noqa: E402
+    by_name,
+    fold_ground,
+    fold_rows,
+    table_rows,
+)
 
 SCALES = {
     "tiny": {"sentences": [60, 120], "deltas": [1, 4], "arity_edges": 200},
@@ -554,11 +564,33 @@ def reground_checked(program_factory, db_builder, updates) -> None:
     assert_equivalent(graph, Grounder(program, db.copy()).ground().graph)
 
 
+def check_grounding_tables(program_factory, db_builder, updates) -> int:
+    """After the full ground and after every update, each rule's
+    grounding table ≡ the record fold of a twin the same updates were
+    replayed on, multiplicities included (rows compared by variable
+    names and weight keys).  Returns the number of tables compared."""
+    program = program_factory()
+    grounder = IncrementalGrounder.from_scratch(program, db_builder(program))
+    twin_program = program_factory()
+    twin_db = db_builder(twin_program)
+    compared = 0
+    for update in [None, *updates]:
+        if update is not None:
+            grounder.apply_update(**update)
+            replay(twin_program, twin_db, update)
+        graph, records = fold_ground(twin_program, twin_db.copy())
+        ours = by_name(grounder.graph, table_rows(grounder))
+        assert ours == by_name(graph, fold_rows(records)), "grounding table ≠ record fold"
+        compared += len(ours)
+    return compared
+
+
 def check() -> None:
     """CI smoke: incremental ≡ from-scratch reference after every update,
     with no compaction and a database copy that regrounds to the same
-    graph; arity counters linear; full ground ≡ the record fold without
-    its objects."""
+    graph; grounding tables ≡ the record fold after every update; arity
+    counters linear; full ground ≡ the record fold without its
+    objects."""
     from tests.test_grounding import spouse_db, spouse_program
     from tests.test_incremental_grounding import assert_equivalent, reground
 
@@ -570,6 +602,7 @@ def check() -> None:
         dict(deletes={"PhraseFeature": [("m3", "m4", "friend of")]}),
     ]
     reground_checked(spouse_program, spouse_db, updates)
+    tables = check_grounding_tables(spouse_program, spouse_db, updates)
 
     # 2. The benchmark workload: columnar full ground ≡ reference…
     rng = np.random.default_rng(7)
@@ -580,10 +613,10 @@ def check() -> None:
     # …doing the record fold's work without its objects…
     work = check_full_ground_work(rows)
     # …and across two-document updates, after every one of them.
-    reground_checked(
-        build_program,
-        lambda program: make_db(program, rows),
-        document_updates(pool, 40, 2, 3),
+    streamed = document_updates(pool, 40, 2, 3)
+    reground_checked(build_program, lambda program: make_db(program, rows), streamed)
+    tables += check_grounding_tables(
+        build_program, lambda program: make_db(program, rows), streamed
     )
 
     # 3. The arity workload, where every body position changes: same
@@ -598,6 +631,11 @@ def check() -> None:
         lambda program: arity_db(program, edges, num_nodes),
         arity_updates(edges, num_nodes, 4),
     )
+    tables += check_grounding_tables(
+        lambda: build_arity_program(k),
+        lambda program: arity_db(program, edges, num_nodes),
+        arity_updates(edges, num_nodes, 4),
+    )
     _, shape = time_arity_updates(k, edges, num_nodes, updates=3)
     assert shape["fused_terms_per_rule"] == k, shape
     assert shape["delta_plan_misses"] == 1, shape
@@ -606,8 +644,10 @@ def check() -> None:
     print(
         "grounding smoke ok: columnar-incremental ≡ tuple-at-a-time "
         "from-scratch reference after every update (spouse, benchmark and "
-        f"arity workloads); arity k={k}: {shape}; {col.num_vars} vars, "
-        f"{col.num_factors} factors; full ground ≡ record fold, {work}"
+        f"arity workloads); grounding tables ≡ record fold after every "
+        f"update ({tables} table states); arity k={k}: {shape}; "
+        f"{col.num_vars} vars, {col.num_factors} factors; full ground ≡ "
+        f"record fold, {work}"
     )
 
 

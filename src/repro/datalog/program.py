@@ -8,6 +8,7 @@ recursion raises at validation time.
 
 from __future__ import annotations
 
+import copy
 import graphlib
 
 from repro.datalog.ast import (
@@ -106,6 +107,29 @@ class Program:
             if rule.name == name:
                 return self.inference_rules.pop(i)
         raise KeyError(f"no inference rule named {name!r}")
+
+    def change_rules(
+        self, add_derivation_rules=(), add_inference_rules=(), remove_inference_rules=()
+    ) -> None:
+        """Register derivation rules (raising on recursion), then remove
+        inference rules (rules or names) and register new ones: an
+        update's rule changes, in the order the grounder makes them."""
+        for rule in add_derivation_rules:
+            self.register_derivation_rule(rule)
+        if add_derivation_rules:
+            self.stratified_derivation_rules()
+        for rule in remove_inference_rules:
+            self.remove_inference_rule(getattr(rule, "name", rule))
+        for rule in add_inference_rules:
+            self.register_inference_rule(rule)
+
+    def check_rule_changes(self, *changes) -> None:
+        """Raise what :meth:`change_rules` would, leaving this program
+        as it is."""
+        trial = copy.copy(self)
+        trial.derivation_rules = list(self.derivation_rules)
+        trial.inference_rules = list(self.inference_rules)
+        trial.change_rules(*changes)
 
     def _check_atoms(self, rule_name, atoms) -> None:
         for atom in atoms:

@@ -44,12 +44,26 @@ from repro.db.columnar import (
 )
 
 
+class RawIds:
+    """The values of a relation of raw ids — non-negative ints below
+    2³¹, each its own code — so reads decode nothing and nothing is
+    interned (a grounding table's variable and weight ids).  Such a
+    relation takes code batches only."""
+
+    def probe(self, value) -> int:
+        return value
+
+    def decode_rows(self, codes: np.ndarray) -> list:
+        return list(map(tuple, codes.tolist()))
+
+
 class Relation:
     """A named multiset of fixed-arity tuples with derivation counts.
 
     A database passes its interner and :class:`ColumnarStore` (counters,
     old-state capture) to every relation it creates; a standalone
-    ``Relation(name, columns)`` gets private ones.
+    ``Relation(name, columns)`` gets private ones, and one over
+    :class:`RawIds` stores its int values as they are.
     """
 
     _COMPACT_MIN_SLOTS = 256
@@ -59,7 +73,7 @@ class Relation:
         self,
         name: str,
         columns,
-        interner: Interner | None = None,
+        interner: Interner | RawIds | None = None,
         store: ColumnarStore | None = None,
     ) -> None:
         self.name = name
@@ -150,6 +164,10 @@ class Relation:
         keys = row_keys(codes)
         get = self._slot_of.get
         return keys, np.array([get(key, -1) for key in keys], dtype=np.int64)
+
+    def rows_at(self, slots: np.ndarray) -> ColumnarBatch:
+        """The code rows at ``slots`` with their derivation counts."""
+        return ColumnarBatch(self._codes[slots], self._count[slots])
 
     def counts_of(self, codes: np.ndarray) -> np.ndarray:
         """Current derivation counts of code rows (0 where absent)."""

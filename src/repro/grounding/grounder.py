@@ -18,18 +18,17 @@ executes into one binding batch, and whole batches fold into relations
 and — phase 4 — straight into factor-table columns
 (:func:`ground_rule_batch`), concatenated in program order.  The
 grounded graph's factor list is born lowered, so compiling it walks no
-factor object; the per-factor records incremental maintenance keeps are
-derived from the same columns only when asked for
-(:attr:`GroundingResult.factor_records`).  What the result must equal is
-defined outside the package, by the tuple-at-a-time ``reference_ground``
-under ``tests/reference/``.
+factor object.  The raw columns (:attr:`GroundingResult.raw_rules`) are
+what incremental maintenance seeds its per-rule grounding tables from;
+an update's binding batches reach those tables as signed code rows
+(:func:`binding_rows`).  What the result must equal is defined outside
+the package, by the tuple-at-a-time ``reference_ground`` under
+``tests/reference/``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,124 +42,21 @@ from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import sem_code
 
 
-class GroundingMultiset:
-    """Counted multiset of groundings — insertion-ordered, O(1) updates.
-
-    Factor records used to keep groundings as a plain list, making each
-    retraction an O(n) ``list.remove`` scan (quadratic over a heavy
-    retraction delta).  This keeps ``{grounding: count}`` (dicts preserve
-    insertion order), so a batch of |Δ| retractions costs O(|Δ|).
-    """
-
-    __slots__ = ("_counts", "_total")
-
-    def __init__(self, items=()) -> None:
-        self._counts: dict = {}
-        self._total = 0
-        if items:
-            self.extend(items)
-
-    def append(self, grounding) -> None:
-        self._counts[grounding] = self._counts.get(grounding, 0) + 1
-        self._total += 1
-
-    def extend(self, groundings) -> None:
-        counts = self._counts
-        added = 0
-        for grounding in groundings:
-            counts[grounding] = counts.get(grounding, 0) + 1
-            added += 1
-        self._total += added
-
-    def remove(self, grounding) -> None:
-        count = self._counts.get(grounding, 0)
-        if count == 0:
-            raise ValueError(f"grounding not present: {grounding!r}")
-        if count == 1:
-            del self._counts[grounding]
-        else:
-            self._counts[grounding] = count - 1
-        self._total -= 1
-
-    def counts(self) -> dict:
-        """A copy of the ``{grounding: count}`` map."""
-        return dict(self._counts)
-
-    def as_tuple(self) -> tuple:
-        """All groundings (with multiplicity) as a tuple."""
-        counts = self._counts
-        if self._total == len(counts):  # all counts 1: one C-level pass
-            return tuple(counts)
-        return tuple(self)
-
-    def __len__(self) -> int:
-        return self._total
-
-    def __bool__(self) -> bool:
-        return self._total > 0
-
-    def __iter__(self):
-        for grounding, count in self._counts.items():
-            for _ in range(count):
-                yield grounding
-
-
-@dataclass
-class FactorRecord:
-    """Bookkeeping for one grounded factor (used incrementally).
-
-    Derived from a full ground (:attr:`GroundingResult.factor_records`),
-    ``groundings`` is a plain list of the raw literal tuples the join
-    produced — a retraction removes exactly the tuple its delta join
-    produces; :class:`IncrementalGrounder` promotes it to a
-    :class:`GroundingMultiset` so retraction deltas stay O(|Δ|).
-    """
-
-    rule_name: str
-    head_var: int
-    weight_id: int
-    semantics: object
-    groundings: object = field(default_factory=list)
-    factor_index: int = -1
-
-
 @dataclass
 class GroundingResult:
     """The grounded graph plus the maps incremental maintenance needs.
 
     ``graph.factors`` is born lowered: the canonical form
     (:meth:`~repro.graph.delta.FactorTable.canonical`) of ``raw_rules``,
-    the rule columns the joins produced, in program order.
-    ``factor_records`` is derived from ``raw_rules`` on first access —
-    only :class:`~repro.grounding.incremental.IncrementalGrounder` asks,
-    so a from-scratch (Rerun) build neither makes nor pickles a record.
+    the rule columns the joins produced, in program order — from which
+    :class:`~repro.grounding.incremental.IncrementalGrounder` seeds its
+    grounding tables.
     """
 
     graph: FactorGraph
     variable_of: dict          # (relation, tuple) -> variable id
     raw_rules: FactorTable     # one row per factor, groundings as joined
     rule_spans: list           # (rule name, semantics, #factors) per rule
-
-    @cached_property
-    def factor_records(self) -> dict:
-        """``(rule, head var, weight id) -> FactorRecord``, in factor order."""
-        raw = self.raw_rules
-        heads, wids = raw.rule_head.tolist(), raw.rule_wid.tolist()
-        groundings = raw.rule_groundings()
-        records: dict = {}
-        index = 0
-        for rule_name, semantics, count in self.rule_spans:
-            for k in range(index, index + count):
-                records[(rule_name, heads[k], wids[k])] = FactorRecord(
-                    rule_name=rule_name,
-                    head_var=heads[k],
-                    weight_id=wids[k],
-                    semantics=semantics,
-                    groundings=list(groundings[k]),
-                    factor_index=k,
-                )
-            index += count
-        return records
 
     def variable(self, relation: str, row) -> int:
         return self.variable_of[(relation, tuple(row))]
@@ -311,10 +207,9 @@ _BATCH_VECTOR_THRESHOLD = 64
 
 def _batch_rows(rule, batch, interner, variable_relations, variable_of, weights):
     """Yield each binding of a small batch as ``(head var, weight id,
-    literals, sign)``, insertions before retractions (so a batch that
-    both adds and removes a grounding never transiently under-runs a
-    record).  The code columns decode once; ids resolve through
-    ``variable_of`` and weight keys intern binding by binding."""
+    literals, sign)``, insertions before retractions.  The code columns
+    decode once; ids resolve through ``variable_of`` and weight keys
+    intern binding by binding."""
     decoded: dict = {}
 
     def column(name):
@@ -384,9 +279,9 @@ def _batch_rows(rule, batch, interner, variable_relations, variable_of, weights)
 
 def _resolve_batch(rule, batch, interner, variable_relations, weights, resolver):
     """A large batch's bindings as arrays: head variable ids, weight ids,
-    and one literal variable-id column per variable body atom with that
-    atom's polarity.  Ids resolve through packed-code maps and weight
-    keys intern once per *distinct* tied-value row, in that row order."""
+    and one literal variable-id column per variable body atom.  Ids
+    resolve through packed-code maps and weight keys intern once per
+    *distinct* tied-value row, in that row order."""
     m = batch.num_rows
     # Head variable ids (vectorized resolve, same KeyError contract).
     head_vids = resolver.resolve(
@@ -413,66 +308,58 @@ def _resolve_batch(rule, batch, interner, variable_relations, weights, resolver)
             (rule.name, ()), initial=rule.weight.value, fixed=rule.weight.fixed
         )
         wids = np.full(m, wid, dtype=np.int64)
-    lit_vids, positives = [], []
-    for pos, atom in enumerate(rule.body):
-        if atom.pred not in variable_relations:
-            continue
-        lit_vids.append(
-            resolver.resolve(
-                rule.name,
-                atom.pred,
-                _atom_code_matrix(batch, interner, atom.args),
-                is_head=False,
-            )
+    lit_vids = [
+        resolver.resolve(
+            rule.name,
+            atom.pred,
+            _atom_code_matrix(batch, interner, atom.args),
+            is_head=False,
         )
-        positives.append(pos not in rule.negated_positions)
-    return head_vids, wids, lit_vids, positives
+        for atom in rule.body
+        if atom.pred in variable_relations
+    ]
+    return head_vids, wids, lit_vids
 
 
-def apply_rule_binding_batch(
+def binding_rows(
     rule: InferenceRule,
     batch,
     interner,
     variable_relations,
     variable_of: dict,
     weights,
-    accumulator: "RuleDeltaAccumulator",
-    resolver: VariableCodeResolver | None = None,
-) -> None:
-    """Fold one signed binding batch of an incremental update into the
-    rule's ``accumulator``, one grounding (the body's variable literals)
-    per binding; the net reaches the records at
-    :meth:`RuleDeltaAccumulator.flush`.  Small batches go row-at-a-time
-    (:func:`_batch_rows`), large ones resolve over arrays
-    (:func:`_resolve_batch`) and only zip literal tuples per binding."""
-    m = batch.num_rows
-    if m == 0:
-        return
-    if m < _BATCH_VECTOR_THRESHOLD:
-        for row in _batch_rows(
+    resolver: VariableCodeResolver,
+) -> ColumnarBatch:
+    """One signed incremental binding batch of ``rule`` as grounding
+    rows: ``(head var, weight id, lit var₁ … lit var_k)`` per binding,
+    the literal variables in body order (the rule fixes each one's
+    polarity, :func:`literal_polarities`).  Small batches resolve
+    row-at-a-time (:func:`_batch_rows`), large ones over arrays
+    (:func:`_resolve_batch`)."""
+    width = 2 + len(literal_polarities(rule, variable_relations))
+    if batch.num_rows < _BATCH_VECTOR_THRESHOLD:
+        rows, signs = [], []
+        for head_var, weight_id, literals, sign in _batch_rows(
             rule, batch, interner, variable_relations, variable_of, weights
         ):
-            accumulator.add(*row)
-        return
-    if resolver is None:
-        resolver = VariableCodeResolver(interner, variable_of)
-    head_vids, wids, lit_vids, positives = _resolve_batch(
+            rows.append((head_var, weight_id, *(var for var, _ in literals)))
+            signs.append(sign)
+        codes = np.array(rows, dtype=np.int32).reshape(len(rows), width)
+        return ColumnarBatch(codes, np.array(signs, dtype=np.int64))
+    head_vids, wids, lit_vids = _resolve_batch(
         rule, batch, interner, variable_relations, weights, resolver
     )
-    if lit_vids:
-        literals = list(
-            zip(
-                *(
-                    list(zip(vids.tolist(), itertools.repeat(positive)))
-                    for vids, positive in zip(lit_vids, positives)
-                )
-            )
-        )
-    else:
-        literals = [()] * m
-    add = accumulator.add
-    for row in zip(head_vids.tolist(), wids.tolist(), literals, batch.signs.tolist()):
-        add(*row)
+    return ColumnarBatch(np.column_stack([head_vids, wids, *lit_vids]), batch.signs)
+
+
+def literal_polarities(rule: InferenceRule, variable_relations) -> list:
+    """Per variable body atom of ``rule``, in body order, whether its
+    literal is positive."""
+    return [
+        pos not in rule.negated_positions
+        for pos, atom in enumerate(rule.body)
+        if atom.pred in variable_relations
+    ]
 
 
 def ground_rule_batch(
@@ -506,7 +393,7 @@ def ground_rule_batch(
     if m == 0:
         return FactorTable()
     if not bool(np.all(batch.signs > 0)):
-        raise ValueError("a signed batch folds through a RuleDeltaAccumulator")
+        raise ValueError("a signed batch folds through binding_rows")
     if m < _BATCH_VECTOR_THRESHOLD:
         groups: dict = {}
         for head_var, weight_id, literals, _sign in _batch_rows(
@@ -526,9 +413,10 @@ def ground_rule_batch(
         return _rule_rows(
             heads, wids, sem, grounding_ri=np.repeat(np.arange(heads.shape[0]), counts)
         )
-    head_vids, wids, lit_vids, positives = _resolve_batch(
+    head_vids, wids, lit_vids = _resolve_batch(
         rule, batch, interner, variable_relations, weights, resolver
     )
+    positives = literal_polarities(rule, variable_relations)
     group_codes = (head_vids << 31) | wids
     order = np.argsort(group_codes, kind="stable")
     starts = np.ones(m, dtype=bool)
@@ -595,54 +483,6 @@ def _frequency_groups(rule, batch, interner, weights, resolver) -> tuple:
         wid = weights.intern((rule.name, ()), initial=initial, fixed=fixed)
         wids = np.full(len(first), wid, dtype=np.int64)
     return heads, wids, counts
-
-
-class RuleDeltaAccumulator:
-    """Nets one rule's signed groundings across all its delta terms.
-
-    The delta identity ``Δ(A₁⋈…⋈A_k) = Σ_i new_{<i} ⋈ Δ_i ⋈ old_{>i}``
-    only guarantees non-negative grounding counts for the *sum*; an
-    individual term may retract a grounding that a later term
-    re-inserts.  Folding term-by-term can therefore transiently
-    under-run a record; accumulating the net per
-    ``(head, weight, literals)`` and flushing once — insertions before
-    retractions — is always safe.
-    """
-
-    def __init__(self) -> None:
-        self._net: dict = {}
-
-    def add(self, head_var, weight_id, literals, count) -> None:
-        key = (head_var, weight_id, literals)
-        total = self._net.get(key, 0) + count
-        if total:
-            self._net[key] = total
-        else:
-            self._net.pop(key, None)
-
-    def flush(self, rule_name, semantics, records, touched_keys) -> None:
-        """Fold the net into ``records`` (new records start as counted
-        multisets) and add every record it reaches to ``touched_keys``."""
-        entries = sorted(self._net.items(), key=lambda kv: kv[1] < 0)
-        self._net = {}
-        for (head_var, weight_id, literals), count in entries:
-            key = (rule_name, head_var, weight_id)
-            record = records.get(key)
-            if record is None:
-                record = records[key] = FactorRecord(
-                    rule_name=rule_name,
-                    head_var=head_var,
-                    weight_id=weight_id,
-                    semantics=semantics,
-                    groundings=GroundingMultiset(),
-                )
-            touched_keys.add(key)
-            if count > 0:
-                for _ in range(count):
-                    record.groundings.append(literals)
-            else:
-                for _ in range(-count):
-                    record.groundings.remove(literals)
 
 
 class Grounder:

@@ -27,7 +27,19 @@ state (``tests/reference/``).
 
 Program changes are handled in the same framework: an added rule's delta
 is its full evaluation over the new state; a removed inference rule's
-delta is the retraction of all its factors.
+delta is the retraction of all its factors.  Every rule change and base
+row is checked before anything moves, and a refused update raises
+:class:`~repro.reliability.errors.UpdateRejected`.
+
+An inference rule's groundings are a relation too: one signed-count
+table per rule (:class:`~repro.db.relation.Relation` over
+:class:`~repro.db.relation.RawIds`) with a row ``(head var, weight id,
+lit var₁ … lit var_k)`` per distinct grounding — the rule fixes k and
+each literal's polarity — and its multiplicity in the count column.  A
+rule's delta terms are netted into one grouped batch, land in its table
+with one ``apply_delta``, and every ``(head, weight)`` factor the batch
+touches is rebuilt from the table's rows.  A weight key starts with its
+rule's name, so ``(head, weight)`` names one factor of the graph.
 
 The grounder splices each delta into its own lowered graph
 (``delta.apply_in_place``) and hands the same delta to its consumer; a
@@ -46,19 +58,19 @@ from repro.datalog.program import Program
 from repro.db.columnar import ColumnarBatch, group_rows
 from repro.db.database import Database
 from repro.db.plan import canonicalize_batch
-from repro.graph.delta import KIND_RULE, FactorGraphDelta, FactorList, rule_table
+from repro.db.relation import RawIds, Relation
+from repro.graph.delta import FactorGraphDelta, FactorList, FactorTable, rule_table
 from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import sem_code
+from repro.reliability.errors import UpdateRejected
 from repro.reliability.faults import maybe_fire
 from repro.grounding.grounder import (
-    FactorRecord,
     Grounder,
-    GroundingMultiset,
     GroundingResult,
-    RuleDeltaAccumulator,
     VariableCodeResolver,
-    apply_rule_binding_batch,
+    binding_rows,
     full_body_batch,
+    literal_polarities,
     signed_head_counts,
 )
 
@@ -124,23 +136,10 @@ class IncrementalGrounder:
         self.db = db
         self.graph = grounding.graph
         self.variable_of = grounding.variable_of
-        self.records = grounding.factor_records
-        # Promote freshly grounded records (plain lists) to counted
-        # multisets so retraction deltas fold in O(|Δ|), not O(n) each.
-        for record in self.records.values():
-            if not isinstance(record.groundings, GroundingMultiset):
-                record.groundings = GroundingMultiset(record.groundings)
-        self._records_by_var: dict = {}
-        for key, record in self.records.items():
-            for var in self._record_vars(record):
-                self._records_by_var.setdefault(var, set()).add(key)
-        #: factor index -> record key, maintained across deltas so
-        #: re-indexing after a compaction is one list pass, not an
-        #: O(#factors) mapping dict + full registry walk.
-        self._factor_keys: list = [None] * self.graph.num_factors
-        for key, record in self.records.items():
-            if record.factor_index >= 0:
-                self._factor_keys[record.factor_index] = key
+        #: rule name -> the rule's grounding table (module docstring)
+        self.grounding_tables = self._seeded_tables(
+            grounding.raw_rules, grounding.rule_spans
+        )
         #: persistent vectorized (relation, row) → vid maps; kept in sync
         #: as variables appear/disappear so updates never rebuild them.
         self._code_resolver = VariableCodeResolver(
@@ -156,13 +155,34 @@ class IncrementalGrounder:
     def from_scratch(cls, program: Program, db: Database) -> "IncrementalGrounder":
         return cls(program, db, Grounder(program, db).ground())
 
-    @staticmethod
-    def _record_vars(record: FactorRecord):
-        seen = {record.head_var}
-        for grounding in record.groundings:
-            for var, _pos in grounding:
-                seen.add(var)
-        return seen
+    def _grounding_table(self, rule) -> Relation:
+        """An empty grounding table for ``rule``."""
+        k = len(literal_polarities(rule, self.program.variable_relations))
+        return Relation(
+            rule.name, ("head", "wid", *(f"lit{i}" for i in range(k))), RawIds()
+        )
+
+    def _seeded_tables(self, raw: FactorTable, spans) -> dict:
+        """Every inference rule's grounding table, filled from a full
+        ground's raw rule columns (``spans``: each rule's run of rows)."""
+        rules = {rule.name: rule for rule in self.program.inference_rules}
+        row_ends = np.cumsum([count for *_, count in spans], dtype=np.int64)
+        grounding_ends = np.searchsorted(raw.grounding_ri, row_ends)
+        literal_ends = np.searchsorted(raw.lit_gg, grounding_ends)
+        tables: dict = {}
+        g0 = l0 = 0
+        for (name, *_), g1, l1 in zip(
+            spans, grounding_ends.tolist(), literal_ends.tolist()
+        ):
+            table = tables[name] = self._grounding_table(rules[name])
+            owner = raw.grounding_ri[g0:g1]
+            lits = raw.lit_var[l0:l1].reshape(g1 - g0, table.arity - 2)
+            rows = np.column_stack([raw.rule_head[owner], raw.rule_wid[owner], lits])
+            table.apply_delta(
+                ColumnarBatch(rows, np.ones(g1 - g0, dtype=np.int64)).grouped()
+            )
+            g0, l0 = g1, l1
+        return tables
 
     # ------------------------------------------------------------------ #
     # The update entry point
@@ -180,12 +200,16 @@ class IncrementalGrounder:
 
         ``inserts``/``deletes`` map base-relation names to lists of rows.
         Rules are :class:`DerivationRule` / :class:`InferenceRule`
-        instances (or names, for removal).
+        instances (or names, for removal).  An update that names an
+        unknown relation, has a row of the wrong arity, deletes more than
+        is stored or makes an invalid rule change raises
+        :class:`~repro.reliability.errors.UpdateRejected` (a ``KeyError``
+        or ``ValueError``) having changed nothing.
         """
         inserts = inserts or {}
         deletes = deletes or {}
         # Fires before any relation is mutated: a failure here leaves the
-        # grounder (db, records, graph) exactly as it was.
+        # grounder (db, grounding tables, graph) exactly as it was.
         maybe_fire("ground.update.start")
         # Relations some fused plan may probe in their old state, from the
         # rules registered *before* this update (added rules evaluate
@@ -218,22 +242,18 @@ class IncrementalGrounder:
             return (full_body_batch(self.db, rule),)
         return _fused_delta_batches(self.db, rule.body, transitions, delta_batches)
 
-    def _apply_update(
-        self,
-        inserts,
-        deletes,
-        add_derivation_rules,
-        add_inference_rules,
-        remove_inference_rules,
-    ) -> UpdateResult:
-        # ---- 1. Base-relation visibility transitions.  Every relation's
-        # rows are encoded and its counts validated before any relation
-        # is touched, so a rejected update leaves the database — its
-        # interner included — exactly as it was.
+    def _validated(self, inserts, deletes, rule_changes) -> list:
+        """Check the update's rule changes, then encode every base
+        relation's rows and check its counts, before anything changes;
+        returns ``(relation, code batch)`` per relation.  A rejected
+        update leaves the program and the database — its interner
+        included — exactly as they were."""
         interner = self.db.interner
         mark = len(interner)
         base: list = []
         try:
+            if any(rule_changes):
+                self.program.check_rule_changes(*rule_changes)
             for name in dict.fromkeys([*inserts, *deletes]):
                 relation = self.db.relation(name)
                 plus, minus = list(inserts.get(name, ())), list(deletes.get(name, ()))
@@ -249,20 +269,37 @@ class IncrementalGrounder:
                             f"{name!r} than exist"
                         )
                 base.append((relation, batch))
+        except (KeyError, ValueError) as error:
+            interner.truncate(mark)
+            raise UpdateRejected.of(error) from error
         except BaseException:
             interner.truncate(mark)
             raise
+        return base
+
+    def _apply_update(
+        self,
+        inserts,
+        deletes,
+        add_derivation_rules,
+        add_inference_rules,
+        remove_inference_rules,
+    ) -> UpdateResult:
+        # ---- 1. Validate, then make the rule changes (which cannot fail
+        # now) and the base-relation visibility transitions.
+        rule_changes = tuple(
+            map(tuple, (add_derivation_rules, add_inference_rules, remove_inference_rules))
+        )
+        base = self._validated(inserts, deletes, rule_changes)
+        self.program.change_rules(*rule_changes)
+        added_derivations, added_rules, removed_rules = rule_changes
+        new_derivation_names = {rule.name for rule in added_derivations}
+        new_rule_names = {rule.name for rule in added_rules}
         all_transitions: dict = {}
         for relation, batch in base:
             self._record(all_transitions, relation, relation.apply_delta(batch))
 
-        # ---- 2. Register new derivation rules.
-        new_derivation_names = set()
-        for rule in add_derivation_rules:
-            self.program.register_derivation_rule(rule)
-            new_derivation_names.add(rule.name)
-
-        # ---- 3. Propagate through derivation rules in stratified order:
+        # ---- 2. Propagate through derivation rules in stratified order:
         # each head's signed code rows, netted across its rules, land in
         # one ``apply_delta`` whose transitions the next strata consume.
         #: per-relation delta batches handed to fused plans, memoized
@@ -293,10 +330,9 @@ class IncrementalGrounder:
             if self._record(all_transitions, relation, relation.apply_delta(head_delta)):
                 delta_batches.pop(head_name, None)  # batch now stale
 
-        # ---- 4. Variable relation transitions -> ∆V.  Removed tuples stay
+        # ---- 3. Variable relation transitions -> ∆V.  Removed tuples stay
         # resolvable in ``variable_of`` until the factor deltas are joined
-        # (their retraction bindings need the ids); they are dropped in
-        # step 7.
+        # (their retraction bindings need the ids); they are dropped after.
         delta = FactorGraphDelta()
         removed_vars: set = set()
         new_var_offset: dict = {}
@@ -325,107 +361,76 @@ class IncrementalGrounder:
                 if signs[i] < 0:
                     removed_vars.add(self.variable_of[(name, rows[i])])
 
-        # ---- 5. Evidence transitions (db is fully in its new state now).
+        # ---- 4. Evidence transitions (db is fully in its new state now).
         self._apply_evidence_transitions(delta, all_transitions, new_var_offset)
 
-        # ---- 6. Inference-rule factor deltas.
-        removed_record_keys: set = set()
-        touched_keys: set = set()
-        # 6a. Removed rules retract all their factors.
-        removed_rule_names = set()
-        for rule_or_name in remove_inference_rules:
-            name = getattr(rule_or_name, "name", rule_or_name)
-            self.program.remove_inference_rule(name)
-            removed_rule_names.add(name)
-        if removed_rule_names:
-            # The one pass over every record: only a rule removal pays it.
-            for key, record in self.records.items():
-                if record.rule_name in removed_rule_names:
-                    removed_record_keys.add(key)
-        # 6b. New rules ground fully; existing rules ground their delta.
-        # Groundings that referenced a removed variable are retracted here
-        # naturally: the variable's tuple disappeared from its relation, so
-        # the delta join emits the matching negative bindings.
-        new_rule_names = set()
-        for rule in add_inference_rules:
-            self.program.register_inference_rule(rule)
-            new_rule_names.add(rule.name)
+        # ---- 5. Inference-rule factor deltas.  A removed rule retracts
+        # all its factors.  Every other rule nets its delta terms into one
+        # grouped batch of grounding rows — a term may retract a grounding
+        # a later term re-inserts — lands it in its table, and rebuilds the
+        # factors it touched from the table.  Groundings that referenced a
+        # removed variable are retracted here naturally: the variable's
+        # tuple disappeared from its relation, so the delta join emits the
+        # matching negative bindings.
+        tables = self.grounding_tables
+        touched: list = []  # (head, weight id) rows of every touched factor
+        for name in {getattr(rule, "name", rule) for rule in removed_rules}:
+            table = tables.pop(name)
+            touched.append(table.rows_at(table.alive_slots()).codes[:, :2])
         new_weight_entries: list = []
         weights = _DeltaWeightView(self.graph.weights, new_weight_entries)
-        # Persistent across updates; per-relation maps build lazily on
-        # the first large batch and are maintained in O(|ΔV|) after.
-        resolver = self._code_resolver
+        variable_relations = self.program.variable_relations
+        rebuilt: dict = {}  # (rule, head, weight id) -> groundings
+        sems: dict = {}
         for rule in self.program.inference_rules:
-            if rule.name in removed_rule_names:
-                continue
-            semantics = self.program.semantics_of(rule)
-            # Net the rule's delta across all its terms before folding:
-            # an individual term may retract a grounding that a later
-            # term re-inserts (see RuleDeltaAccumulator).
-            accumulator = RuleDeltaAccumulator()
-            for batch in self._rule_delta_batches(
-                rule, new_rule_names, all_transitions, delta_batches
-            ):
-                apply_rule_binding_batch(
+            if rule.name in new_rule_names:
+                tables[rule.name] = self._grounding_table(rule)
+            parts = [
+                binding_rows(
                     rule,
                     batch,
                     self.db.interner,
-                    self.program.variable_relations,
+                    variable_relations,
                     self.variable_of,
                     weights,
-                    accumulator,
-                    resolver=resolver,
+                    self._code_resolver,
                 )
-            accumulator.flush(
-                rule.name, semantics, self.records, touched_keys
-            )
+                for batch in self._rule_delta_batches(
+                    rule, new_rule_names, all_transitions, delta_batches
+                )
+                if batch.num_rows
+            ]
+            if not parts:
+                continue
+            rows = ColumnarBatch.concat(parts).grouped()
+            if not rows.num_rows:
+                continue
+            table = tables[rule.name]
+            table.apply_delta(rows)
+            touched.append(rows.codes[:, :2])
+            polarities = literal_polarities(rule, variable_relations)
+            for (head, wid), groundings in _groundings_of(
+                table, rows, polarities, self.graph.num_vars
+            ).items():
+                rebuilt[rule.name, head, wid] = groundings
+            sems[rule.name] = sem_code(self.program.semantics_of(rule))
         delta.new_weight_entries = new_weight_entries
-        # 6c. Records whose head variable disappeared are retracted; their
-        # ids are dropped from the maps now that joins are done.
         for var in removed_vars:
-            for key in list(self._records_by_var.get(var, ())):
-                if self.records[key].head_var == var:
-                    removed_record_keys.add(key)
             name_row = self.graph.name_of(var)
             del self.variable_of[name_row]
             self._code_resolver.discard(*name_row)
 
-        # ---- 7. Convert record changes into (∆F): every touched surviving
-        # record is rebuilt (old factor removed, new factor appended).
-        touched_keys -= removed_record_keys
-        for key in removed_record_keys:
-            record = self.records.pop(key)
-            if record.factor_index >= 0:
-                delta.removed_factor_ids.add(record.factor_index)
-            for var in self._record_vars(record):
-                bucket = self._records_by_var.get(var)
-                if bucket:
-                    bucket.discard(key)
-        # Each rebuilt record's groundings are flattened straight into the
-        # delta's factor table: no factor object is made on the way.
-        appended: list = []
-        rebuilt: list = []
-        for key in sorted(touched_keys, key=str):
-            record = self.records[key]
-            if record.factor_index >= 0:
-                delta.removed_factor_ids.add(record.factor_index)
-            if not record.groundings:
-                del self.records[key]
-                for var in self._record_vars(record):
-                    bucket = self._records_by_var.get(var)
-                    if bucket:
-                        bucket.discard(key)
-                continue
-            rebuilt.append(record)
-            appended.append(key)
-            for var in self._record_vars(record):
-                self._records_by_var.setdefault(var, set()).add(key)
+        # ---- 6. (∆F): every touched factor is rebuilt — its old factor
+        # removed, and, while it has groundings, the new one appended.
+        if touched:
+            delta.removed_factor_ids = self._factor_ids(np.concatenate(touched))
+        keys = sorted(rebuilt, key=str)
         delta.new_factors = FactorList.from_table(
             rule_table(
-                [record.head_var for record in rebuilt],
-                [record.weight_id for record in rebuilt],
-                [sem_code(record.semantics) for record in rebuilt],
-                [record.groundings.as_tuple() for record in rebuilt],
+                [head for _, head, _ in keys],
+                [wid for *_, wid in keys],
+                [sems[name] for name, *_ in keys],
+                [rebuilt[key] for key in keys],
             )
         )
 
@@ -434,16 +439,27 @@ class IncrementalGrounder:
         for var in removed_vars:
             delta.evidence_updates[var] = False
 
-        # ---- 8. Splice and re-index.  The O(graph) invariant walk is
-        # skipped: the grounder constructs deltas from resolved variable
-        # ids and interned weights, and _reindex re-verifies the factor
-        # registry whenever factors were removed.
+        # ---- 7. Splice.  The O(graph) invariant walk is skipped: the
+        # grounder constructs deltas from resolved variable ids and
+        # interned weights.
         delta.apply_in_place(self.graph)
-        self._reindex(delta, appended)
         result = UpdateResult(delta=delta, graph=self.graph)
         self.last_result = result
         maybe_fire("ground.update.finish")
         return result
+
+    def _factor_ids(self, pairs: np.ndarray) -> set:
+        """Ids of the graph's factors named by ``(head, weight id)``
+        rows.  The grounder's graph holds rule factors only, so a rule
+        row of its factor table is a factor id; a head variable new in
+        this update names none yet."""
+        pairs = pairs[pairs[:, 0] < self.graph.num_vars]
+        if not len(pairs):
+            return set()
+        table = self.graph.factor_table()
+        named = (table.rule_head << 31) | table.rule_wid
+        wanted = (pairs[:, 0].astype(np.int64) << 31) | pairs[:, 1]
+        return set(np.flatnonzero(np.isin(named, wanted)).tolist())
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -518,53 +534,28 @@ class IncrementalGrounder:
                 elif self.graph.evidence_value(vid) != value:
                     delta.evidence_updates[vid] = value
 
-    def _reindex(self, delta: FactorGraphDelta, appended) -> None:
-        """Recompute record factor indexes after a delta application.
 
-        With no removals, surviving indexes are untouched and only the
-        appended records are assigned — O(|Δ|).  Removals compact the
-        factor list: the maintained ``_factor_keys`` table is compacted
-        in one list pass and indexes are reassigned from the first
-        removed position onward.  Verification is scoped to the touched
-        (appended) records — survivors keep positions by construction.
-        """
-        removed = delta.removed_factor_ids
-        records = self.records
-        if removed:
-            first = min(removed)
-            keys = self._factor_keys
-            keys = keys[:first] + [
-                keys[index]
-                for index in range(first, len(keys))
-                if index not in removed
-            ]
-            keys.extend(appended)
-            self._factor_keys = keys
-            for index in range(first, len(keys)):
-                record = records.get(keys[index])
-                if record is not None:
-                    record.factor_index = index
-        else:
-            base = len(self._factor_keys)
-            self._factor_keys.extend(appended)
-            for offset, key in enumerate(appended):
-                records[key].factor_index = base + offset
-        if len(self._factor_keys) != self.graph.num_factors:
-            raise AssertionError("factor registry out of sync")
-        if appended and not self._factors_match([records[key] for key in appended]):
-            raise AssertionError("factor registry out of sync")
-
-    def _factors_match(self, appended: list) -> bool:
-        """Head-check the appended records against the graph's factor
-        table (read as arrays — a lowered list stays lowered)."""
-        index = np.array([record.factor_index for record in appended])
-        table = self.graph.factor_table()
-        kind = table.kind
-        rows = (np.cumsum(kind == KIND_RULE) - 1)[index]
-        heads = [record.head_var for record in appended]
-        return bool((kind[index] == KIND_RULE).all()) and (
-            table.rule_head[rows].tolist() == heads
+def _groundings_of(table: Relation, rows: ColumnarBatch, polarities, first_new_var) -> dict:
+    """``{(head, weight id): groundings}`` of the factors ``rows`` (just
+    applied to the rule's ``table``) touched that still have groundings:
+    a factor's rows in slot order, each repeated by its count, as
+    ``(var, positive)`` literals with the rule's ``polarities``.  A factor
+    whose head variable is new this update has only the rows ``rows``
+    brought, already in slot order; any other is gathered from the
+    table."""
+    old = rows.codes[:, 0] < first_new_var
+    if old.any():
+        _, slots = table.probe((0, 1), rows.codes[old, :2])
+        new = ~old
+        rows = ColumnarBatch.concat(
+            [table.rows_at(np.unique(slots)), ColumnarBatch(rows.codes[new], rows.signs[new])]
         )
+    groundings: dict = {}
+    for (head, wid, *lits), count in zip(rows.codes.tolist(), rows.signs.tolist()):
+        groundings.setdefault((head, wid), []).extend(
+            [tuple(zip(lits, polarities))] * count
+        )
+    return groundings
 
 
 class _DeltaWeightView:

@@ -20,6 +20,7 @@ from repro.reliability.errors import (
     ProcessCrash,
     ReliabilityError,
     RollbackError,
+    UpdateRejected,
     WALCorruptionError,
 )
 from repro.reliability.faults import (
@@ -44,6 +45,7 @@ __all__ = [
     "ReliableUpdatePipeline",
     "RetryPolicy",
     "RollbackError",
+    "UpdateRejected",
     "WALCorruptionError",
     "inject_faults",
     "maybe_fire",

@@ -26,6 +26,30 @@ class FaultInjected(ReliabilityError):
         self.site = site
 
 
+class UpdateRejected(Exception):
+    """An update refused before it changed anything: an unknown
+    relation, a row of the wrong arity, an over-delete, an invalid rule
+    change.  The same input fails the same way every time, so the
+    pipeline re-raises it at once instead of retrying.  It is raised as
+    :class:`RejectedKeyError` or :class:`RejectedValueError`, so a caller
+    catching the ``KeyError`` / ``ValueError`` the check raises still
+    catches it."""
+
+    @staticmethod
+    def of(error: Exception) -> "UpdateRejected":
+        """``error`` (a ``KeyError`` or ``ValueError``) as a rejection."""
+        kind = RejectedKeyError if isinstance(error, KeyError) else RejectedValueError
+        return kind(*error.args)
+
+
+class RejectedKeyError(UpdateRejected, KeyError):
+    """A rejection whose check raised ``KeyError``."""
+
+
+class RejectedValueError(UpdateRejected, ValueError):
+    """A rejection whose check raised ``ValueError``."""
+
+
 class RollbackError(ReliabilityError):
     """A transactional rollback failed to restore a consistent state.
 

@@ -33,6 +33,7 @@ recovery.
 
 from __future__ import annotations
 
+from repro.reliability.errors import UpdateRejected
 from repro.reliability.retry import RetryPolicy
 from repro.reliability.wal import DeltaLog
 
@@ -90,7 +91,9 @@ class ReliableUpdatePipeline:
 
         Returns the engine's :class:`InferenceOutcome`.  On unrecoverable
         failure the transaction is rolled back in the WAL (the engine has
-        already rolled itself back) and the final exception re-raises."""
+        already rolled itself back) and the final exception re-raises —
+        at once, without a retry, when the grounder rejected the input
+        (:class:`~repro.reliability.errors.UpdateRejected`)."""
         payload = {
             "inserts": inserts,
             "deletes": deletes,
@@ -132,7 +135,7 @@ class ReliableUpdatePipeline:
             return inferred["outcome"]
 
         try:
-            outcome = self.retry.call(attempt)
+            outcome = self.retry.call(attempt, fatal=(UpdateRejected,))
         except Exception as exc:
             self.rollbacks += 1
             self.wal.rollback(txn, reason=repr(exc))

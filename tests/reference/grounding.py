@@ -13,12 +13,15 @@ folded binding batches straight into factor-table columns: every batch
 folds into ``FactorRecord`` objects holding literal tuples, one
 ``RuleFactor`` per record, and ``lower_factors`` of those objects is
 what ``Grounder.ground()``'s table must equal column by column — factor
-order, grounding order and weight-intern order included.
+order, grounding order and weight-intern order included.  Its records,
+as rows (:func:`fold_rows`), are what an incremental grounder's
+per-rule grounding tables must hold, multiplicities included.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from repro.db.query import Var
 from repro.graph.factor_graph import FactorGraph, RuleFactor
 from repro.grounding.grounder import (
     _BATCH_VECTOR_THRESHOLD,
-    FactorRecord,
     Grounder,
     VariableCodeResolver,
     full_body_batch,
@@ -115,6 +117,29 @@ def replay(program, db, update: dict) -> None:
 # ---------------------------------------------------------------------- #
 
 
+@dataclass
+class FactorRecord:
+    """One factor of the record fold: its rule, head variable and weight
+    id, and its groundings — the raw literal tuples the join produced, in
+    fold order, repeats included."""
+
+    rule_name: str
+    head_var: int
+    weight_id: int
+    semantics: object
+    groundings: list = field(default_factory=list)
+    factor_index: int = -1
+
+    def rows(self) -> dict:
+        """The groundings as a grounding table holds them:
+        ``{(head var, weight id, lit var₁ … lit var_k): count}``."""
+        rows: dict = {}
+        for grounding in self.groundings:
+            row = (self.head_var, self.weight_id, *(var for var, _ in grounding))
+            rows[row] = rows.get(row, 0) + 1
+        return rows
+
+
 def fold_ground(program, db) -> tuple:
     """Ground ``program`` over ``db`` through factor records; returns
     ``(graph, records)`` — ``graph.factors`` a list of raw ``RuleFactor``
@@ -153,6 +178,40 @@ def fold_ground(program, db) -> tuple:
             )
         )
     return graph, records
+
+
+def fold_rows(records) -> dict:
+    """The record fold as grounding tables hold it: per rule with
+    factors, ``{(head var, weight id, lit var₁ … lit var_k): count}`` in
+    fold order."""
+    tables: dict = {}
+    for record in records.values():
+        tables.setdefault(record.rule_name, {}).update(record.rows())
+    return tables
+
+
+def table_rows(grounder) -> dict:
+    """An incremental grounder's grounding tables the same way (rules
+    with no grounding left are skipped)."""
+    return {
+        name: table.counts()
+        for name, table in grounder.grounding_tables.items()
+        if len(table)
+    }
+
+
+def by_name(graph, tables: dict) -> dict:
+    """``tables`` as :func:`fold_rows` gives them, with every variable id
+    replaced by its name and every weight id by its key, so the tables
+    of two groundings of one state compare whatever their ids."""
+    name = graph.name_of
+    return {
+        rule: {
+            (name(head), graph.weights.key_for(wid), *map(name, lits)): count
+            for (head, wid, *lits), count in rows.items()
+        }
+        for rule, rows in tables.items()
+    }
 
 
 def _record(records, rule_name, semantics, head_var, weight_id) -> FactorRecord:

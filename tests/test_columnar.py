@@ -5,7 +5,7 @@ what they must compute is defined by the tuple-at-a-time evaluator under
 ``tests/reference``: on any program, database, and update sequence the
 same signed binding multisets, the same grounded graph (canonically,
 after every update), and the same posterior marginals.  Satellite
-regressions (counted grounding multisets, static join order, index
+regressions (counted grounding tables, static join order, index
 survival) live here too.
 """
 
@@ -19,11 +19,12 @@ from repro.db.plan import BindingBatch, canonicalize_batch
 from repro.db.query import static_join_order
 from repro.graph.factor_graph import FactorGraph
 from repro.grounding import Grounder, IncrementalGrounder
-from repro.grounding.grounder import GroundingMultiset
+from repro.db.relation import RawIds, Relation
 from repro.inference.exact import ExactInference
 
 from tests.reference import binding_counts, evaluate_query, reference_ground, replay
 from tests.reference.columnar import columnar_binding_counts
+from tests.reference.grounding import fold_ground, fold_rows, table_rows
 from tests.test_incremental_grounding import assert_equivalent
 
 
@@ -280,81 +281,102 @@ class TestGroundingEquivalence:
 
 
 # ---------------------------------------------------------------------- #
-# Satellite: counted grounding multiset (heavy retraction is O(|Δ|))
+# Satellite: counted grounding tables (heavy retraction is O(|Δ|))
 # ---------------------------------------------------------------------- #
 
 
-class TestGroundingMultiset:
+def occurrence_program(literal: bool = False) -> Program:
+    """One factor per ``a``, one grounding per ``Occ(a, s)`` row — with
+    ``literal``, the grounding is the sentence variable ``S(s)``, else
+    empty."""
+    program = Program(default_semantics="ratio")
+    program.add_relation("Occ", ("a", "s"))
+    program.add_relation("Cand", ("a",))
+    program.declare_variable_relation("Q", ("a",))
+    program.declare_variable_relation("S", ("s",))
+    program.add_derivation_rule(
+        "cand", Atom("Cand", (Var("x"),)), [Atom("Occ", (Var("x"), Var("s")))]
+    )
+    program.add_derivation_rule(
+        "vars", Atom("Q", (Var("x"),)), [Atom("Cand", (Var("x"),))]
+    )
+    program.add_derivation_rule(
+        "sentences", Atom("S", (Var("s"),)), [Atom("Occ", (Var("x"), Var("s")))]
+    )
+    body = [Atom("Occ", (Var("x"), Var("s")))]
+    if literal:
+        body.append(Atom("S", (Var("s"),)))
+    program.add_inference_rule("occ", Atom("Q", (Var("x"),)), body)
+    return program
+
+
+class TestGroundingTable:
     def test_counted_semantics(self):
-        ms = GroundingMultiset()
-        g1, g2 = ((1, True),), ((2, False),)
-        ms.append(g1)
-        ms.append(g2)
-        ms.append(g1)
-        assert len(ms) == 3
-        assert sorted(ms) == sorted([g1, g1, g2])
-        ms.remove(g1)
-        assert len(ms) == 2
-        assert ms.counts() == {g1: 1, g2: 1}
-        ms.remove(g1)
-        with pytest.raises(ValueError):
-            ms.remove(g1)
-        assert ms.as_tuple() == (g2,)
+        table = Relation("r", ("head", "wid", "lit0"), RawIds())
+        g1, g2 = (0, 1, 5), (0, 1, 6)
 
-    def test_bulk_retraction_is_linear(self):
-        """Regression: retracting a large batch must not be quadratic.
+        def apply(rows, signs):
+            table.apply_delta(ColumnarBatch(np.array(rows), np.array(signs)))
 
-        20k retractions from a 20k-grounding record complete in well
-        under a second with the counted multiset; the old list-based
-        ``remove`` was an O(n) scan each (~minutes at this size).
-        """
+        apply([g1, g2], [2, 1])
+        assert len(table) == 2
+        assert table.counts() == {g1: 2, g2: 1}
+        apply([g1], [-1])
+        assert table.counts() == {g1: 1, g2: 1}
+        apply([g1], [-1])
+        with pytest.raises(KeyError, match=r"cannot delete 1 derivations of \(0, 1, 5\)"):
+            apply([g1], [-1])
+        assert table.counts() == {g2: 1}
+        assert table.count(g2) == 1 and table.count(g1) == 0
+
+    @pytest.mark.parametrize("literal", [False, True], ids=["empty", "distinct"])
+    def test_bulk_retraction_is_linear(self, literal):
+        """Regression: retracting a large factor must not be quadratic.
+
+        A 20k-grounding factor — 20k empty groundings in one counted row,
+        or 20k distinct rows — retracted in one update completes in well
+        under a second; a list-based ``remove`` was an O(n) scan per
+        grounding (~minutes at this size)."""
         import time
 
         n = 20000
-        ms = GroundingMultiset(((i, True),) for i in range(n))
-        assert len(ms) == n
+        program = occurrence_program(literal)
+        db = program.create_database()
+        rows = [("a", f"s{i}") for i in range(n)]
+        db.insert_all("Occ", rows)
+        grounder = IncrementalGrounder.from_scratch(program, db)
+        (rule_rows,) = table_rows(grounder).values()
+        assert sum(rule_rows.values()) == n
+        assert len(rule_rows) == (n if literal else 1)
         start = time.perf_counter()
-        for i in range(n):
-            ms.remove(((i, True),))
+        result = grounder.apply_update(deletes={"Occ": rows})
         elapsed = time.perf_counter() - start
-        assert len(ms) == 0
+        assert table_rows(grounder) == {}
+        assert result.delta.removed_factor_ids == {0}
+        assert grounder.graph.num_factors == 0
         assert elapsed < 1.0, f"bulk retraction took {elapsed:.2f}s"
 
-    def test_incremental_promotes_records_to_multisets(self):
-        rng = np.random.default_rng(5)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tables_are_the_record_fold(self, seed):
+        rng = np.random.default_rng(seed)
         program, build_db, _updates = random_program_and_db(rng)
-        grounder = IncrementalGrounder.from_scratch(program, build_db(program))
-        assert all(
-            isinstance(r.groundings, GroundingMultiset)
-            for r in grounder.records.values()
-        )
+        db = build_db(program)
+        grounder = IncrementalGrounder.from_scratch(program, db.copy())
+        _graph, records = fold_ground(program, db)
+        assert list(table_rows(grounder).items()) == list(fold_rows(records).items())
 
     def test_heavy_retraction_update(self):
-        """A delta that retracts many groundings of one record at once."""
-        program = Program(default_semantics="ratio")
-        program.add_relation("Occ", ("a", "s"))
-        program.add_relation("Cand", ("a",))
-        program.declare_variable_relation("Q", ("a",))
-        program.add_derivation_rule(
-            "cand", Atom("Cand", (Var("x"),)), [Atom("Occ", (Var("x"), Var("s")))]
-        )
-        program.add_derivation_rule(
-            "vars", Atom("Q", (Var("x"),)), [Atom("Cand", (Var("x"),))]
-        )
-        program.add_inference_rule(
-            "occ",
-            Atom("Q", (Var("x"),)),
-            [Atom("Occ", (Var("x"), Var("s")))],
-        )
+        """A delta that retracts many groundings of one factor at once."""
+        program = occurrence_program()
         db = program.create_database()
         rows = [("a", f"s{i}") for i in range(400)]
         db.insert_all("Occ", rows)
         grounder = IncrementalGrounder.from_scratch(program, db)
-        (record,) = grounder.records.values()
-        assert len(record.groundings) == 400
+        (rule_rows,) = table_rows(grounder).values()
+        assert sum(rule_rows.values()) == 400
         grounder.apply_update(deletes={"Occ": rows[1:]})
-        (record,) = grounder.records.values()
-        assert len(record.groundings) == 1
+        (rule_rows,) = table_rows(grounder).values()
+        assert sum(rule_rows.values()) == 1
         # Rebuild from the surviving database state and compare.
         fresh_db = program.create_database()
         fresh_db.insert_all("Occ", rows[:1])

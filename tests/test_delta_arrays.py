@@ -345,6 +345,38 @@ def assert_same_table(table: FactorTable, factors: list) -> None:
     assert table.factors() == canonical(factors)
 
 
+def factors_from_tables(grounder, delta) -> list:
+    """The delta's new factors as objects built from the grounder's
+    grounding tables: per factor, its rule's rows with its head and
+    weight, each repeated by its count, in table order."""
+    graph, program = grounder.graph, grounder.program
+    rules = {rule.name: rule for rule in program.inference_rules}
+    factors = []
+    table = delta.new_factors.table
+    for head, wid in zip(table.rule_head.tolist(), table.rule_wid.tolist()):
+        rule = rules[graph.weights.key_for(wid)[0]]
+        positives = [
+            pos not in rule.negated_positions
+            for pos, atom in enumerate(rule.body)
+            if atom.pred in program.variable_relations
+        ]
+        groundings = [
+            tuple(zip(lits, positives))
+            for (h, w, *lits), count in grounder.grounding_tables[rule.name].counts().items()
+            if (h, w) == (head, wid)
+            for _ in range(count)
+        ]
+        factors.append(
+            RuleFactor(
+                weight_id=wid,
+                head=head,
+                groundings=tuple(groundings),
+                semantics=program.semantics_of(rule),
+            )
+        )
+    return factors
+
+
 class TestBornLowered:
     @pytest.mark.parametrize("spec", ALL_SYSTEMS[:2], ids=lambda s: s.name)
     def test_grounder_deltas(self, spec):
@@ -355,20 +387,8 @@ class TestBornLowered:
             delta = grounder.apply_update(**update).delta
             compiled.apply_delta(delta)
             assert not delta.new_factors.materialized
-            count = len(delta.new_factors)
-            keys = grounder._factor_keys[len(grounder._factor_keys) - count :]
-            records = [grounder.records[key] for key in keys]
             assert_same_table(
-                delta.new_factors.table,
-                [
-                    RuleFactor(
-                        weight_id=r.weight_id,
-                        head=r.head_var,
-                        groundings=r.groundings.as_tuple(),
-                        semantics=r.semantics,
-                    )
-                    for r in records
-                ],
+                delta.new_factors.table, factors_from_tables(grounder, delta)
             )
         assert compiled.views_materialized == 0
 

@@ -2,8 +2,8 @@
 
 ``Grounder.ground()`` builds the grounded graph's factor list born
 lowered; compile, copy, validate and Algorithm 1's ``NZ`` read that
-table, and the per-factor records only the incremental grounder keeps
-are derived from the raw columns when asked for.  The oracle is
+table, and the incremental grounder seeds its per-rule grounding tables
+from the raw columns.  The oracle is
 ``tests.reference.grounding.fold_ground`` — the record fold, one
 ``RuleFactor`` per record — lowered by ``lower_factors``.  Here:
 
@@ -13,9 +13,11 @@ are derived from the raw columns when asked for.  The oracle is
   every fold shape (row-at-a-time, frequency, grouped, one factor per
   binding) with negated, tied, constant, repeated and contradictory
   literals.
-* **Records only when asked** — the Rerun path builds and pickles none;
-  derived, they equal the oracle's, raw repeats and ``factor_index``
-  included, and a repeated-literal grounding retracts cleanly.
+* **Grounding tables from the raw columns** — the Rerun path builds and
+  pickles no record; an incremental grounder seeds its per-rule tables
+  from the raw columns, equal to the oracle's records as rows, raw
+  repeats, multiplicities and fold order included, and a
+  repeated-literal grounding retracts cleanly.
 * **Lowered lists stay lowered** — copies share the table,
   ``factor_table(ids)`` takes from it, a delta lands by concatenation,
   the engine's base graph and the grounder's graph never build a factor
@@ -46,7 +48,7 @@ from repro.inference.gibbs import GibbsSampler
 from repro.workloads import ALL_SYSTEMS, build_pipeline
 
 from tests.helpers import graph_fingerprint, mixed_case
-from tests.reference.grounding import fold_ground
+from tests.reference.grounding import fold_ground, fold_rows, table_rows
 from tests.reference.variational import reference_learn_approximation
 from tests.test_incremental_grounding import reground
 
@@ -92,6 +94,13 @@ def ground_both(program, db) -> tuple:
     ]
     assert dict(graph.evidence) == dict(oracle.evidence)
     return ours, oracle, records
+
+
+def assert_tables_are_the_fold(ours, program, db, records) -> None:
+    """The grounding tables an incremental grounder seeds from ``ours``
+    hold the oracle's records as rows, in fold order."""
+    grounder = IncrementalGrounder(program, db, ours)
+    assert list(table_rows(grounder).items()) == list(fold_rows(records).items())
 
 
 def fold_shapes(program, db, records) -> set:
@@ -216,7 +225,7 @@ class TestSameWork:
         program, db = kbc_inputs(spec, scale)
         ours, _oracle, records = ground_both(program, db)
         assert ours.graph.num_factors > 0
-        assert list(ours.factor_records.items()) == list(records.items())
+        assert_tables_are_the_fold(ours, program, db, records)
 
     def test_every_fold_shape_and_literal_kind(self):
         program, dense, sparse = full_case()
@@ -226,7 +235,7 @@ class TestSameWork:
             grounded = db.copy()
             Grounder(program, grounded).run_derivation_rules()
             shapes |= fold_shapes(program, grounded, records)
-            assert list(ours.factor_records.items()) == list(records.items())
+            assert_tables_are_the_fold(ours, program, db, records)
             # The raw rows keep repeats and contradictions; the table is
             # their canonical form.
             assert ours.raw_rules.lit_var.size > ours.graph.factors.table.lit_var.size
@@ -237,32 +246,29 @@ class TestSameWork:
     def test_random_programs(self, seed):
         program, db = random_case(seed)
         ours, _oracle, records = ground_both(program, db)
-        assert list(ours.factor_records.items()) == list(records.items())
+        assert_tables_are_the_fold(ours, program, db, records)
 
 
-class TestRecordsOnlyWhenAsked:
+class TestGroundingTablesFromRawColumns:
     def test_the_rerun_path_builds_and_pickles_no_record(self):
         program, dense, _sparse = full_case()
         result = Grounder(program, dense).ground()
         result.compile()
         blob = pickle.dumps(result)
-        assert "factor_records" not in vars(result)
         assert b"FactorRecord" not in blob and b"RuleFactor" not in blob
         restored = pickle.loads(blob)
         assert not restored.graph.factors.materialized
-        assert list(restored.factor_records.items()) == list(result.factor_records.items())
+        assert table_rows(IncrementalGrounder(program, dense, restored)) == table_rows(
+            IncrementalGrounder(program, dense, result)
+        )
 
-    def test_incremental_grounder_gets_the_oracle_records(self):
+    def test_incremental_grounder_seeds_the_oracle_records(self):
         program, dense, _sparse = full_case(1)
         _ours, _oracle, records = ground_both(program, dense)
         grounder = IncrementalGrounder.from_scratch(program, dense.copy())
-        assert [
-            (key, r.head_var, r.weight_id, r.factor_index, sorted(r.groundings))
-            for key, r in grounder.records.items()
-        ] == [
-            (key, r.head_var, r.weight_id, r.factor_index, sorted(r.groundings))
-            for key, r in records.items()
-        ]
+        assert list(table_rows(grounder).items()) == list(fold_rows(records).items())
+        counts = [count for rows in fold_rows(records).values() for count in rows.values()]
+        assert max(counts) > 1  # a repeated grounding is one row, counted
 
     @pytest.mark.parametrize("negated", [(), (2,)], ids=["repeated", "contradictory"])
     @pytest.mark.parametrize("domain", [3, 7], ids=["rows", "arrays"])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.datalog import Atom, DerivationRule, InferenceRule, Program, Var, WeightSpec
 from repro.graph import FactorGraph, RuleFactor
 from repro.grounding import IncrementalGrounder
+from repro.reliability import UpdateRejected
 
 from tests.reference import reference_ground, replay
 from tests.test_grounding import spouse_db, spouse_program
@@ -284,54 +285,126 @@ class TestRejectedUpdateAppliesNothing:
         assert_equivalent(grounder.graph, reference_ground(twin_program, twin_db))
 
 
-class _ScanCountingDict(dict):
-    """A dict that counts whole-dict passes (not keyed lookups)."""
-
-    scans = 0
-
-    def _scanned(self, view):
-        self.scans += 1
-        return view
-
-    def __iter__(self):
-        return self._scanned(super().__iter__())
-
-    def items(self):
-        return self._scanned(super().items())
-
-    def values(self):
-        return self._scanned(super().values())
-
-    def keys(self):
-        return self._scanned(super().keys())
+def _mentions_rule(name, head_pred, body_pred) -> DerivationRule:
+    return DerivationRule(
+        name=name,
+        head=Atom(head_pred, (Var("m1"), Var("m2"))),
+        body=(Atom(body_pred, (Var("m1"), Var("m2"))),),
+    )
 
 
-class TestUpdateCostIsNotLinearInRecords:
-    """The grounder's insert path is keyed: only a rule removal may walk
-    the whole record registry."""
+def _feature_rule(name) -> InferenceRule:
+    return InferenceRule(
+        name=name,
+        head=Atom("MarriedMentions", (Var("m1"), Var("m2"))),
+        body=(Atom("MarriedCandidate", (Var("m1"), Var("m2"))),),
+        weight=WeightSpec(value=0.5),
+    )
+
+
+class TestRejectedRuleChangeAppliesNothing:
+    """Every rule change is checked before any relation moves: a
+    rejected one leaves the database, its interner, the variables and the
+    program as they were, raises typed, and the next valid update grounds
+    as if it had never been sent."""
+
+    NEW_SENTENCE = [("s3", "m5"), ("s3", "m6")]
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"remove_inference_rules": ["no_such_rule"]}, KeyError),
+            (
+                {"add_derivation_rules": [_mentions_rule("r1", "MarriedCandidate", "EL")]},
+                ValueError,
+            ),
+            ({"add_inference_rules": [_feature_rule("fe1")]}, ValueError),
+            (
+                {"add_inference_rules": [_feature_rule("fe9"), _feature_rule("fe9")]},
+                ValueError,
+            ),
+            (
+                {
+                    "add_derivation_rules": [
+                        _mentions_rule("loop", "MarriedCandidate", "MarriedCandidate")
+                    ]
+                },
+                ValueError,
+            ),
+            (
+                {
+                    "add_derivation_rules": [
+                        _mentions_rule("there", "Married", "MarriedCandidate"),
+                        _mentions_rule("back", "MarriedCandidate", "Married"),
+                    ]
+                },
+                ValueError,
+            ),
+        ],
+        ids=[
+            "unknown-removal",
+            "duplicate-derivation",
+            "duplicate-inference",
+            "duplicate-within-update",
+            "recursive",
+            "cyclic",
+        ],
+    )
+    def test_state_untouched_and_next_update_grounds(self, change, error):
+        program = spouse_program()
+        db = spouse_db(program)
+        grounder = IncrementalGrounder.from_scratch(program, db)
+
+        def state():
+            return (
+                {name: db.relation(name).counts() for name in db.relation_names()},
+                len(db.interner),
+                dict(grounder.variable_of),
+                grounder.graph.num_vars,
+                [rule.name for rule in program.derivation_rules],
+                [rule.name for rule in program.inference_rules],
+            )
+
+        before = state()
+        with pytest.raises(error) as raised:
+            grounder.apply_update(
+                inserts={"PersonCandidate": self.NEW_SENTENCE}, **change
+            )
+        assert isinstance(raised.value, UpdateRejected)
+        assert state() == before
+        assert grounder.last_result is None
+
+        update = {"inserts": {"PersonCandidate": self.NEW_SENTENCE}}
+        grounder.apply_update(**update)
+        twin_program = spouse_program()
+        twin_db = spouse_db(twin_program)
+        replay(twin_program, twin_db, update)
+        assert_equivalent(grounder.graph, reference_ground(twin_program, twin_db))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"deletes": {"PhraseFeature": [("nope", "nope", "nope")]}},
+            {"inserts": {"NoSuchRelation": [("x",)]}},
+            {"inserts": {"EL": [("m5", "barack", "extra")]}},
+        ],
+        ids=["over-delete", "unknown-relation", "arity"],
+    )
+    def test_bad_rows_are_rejections_too(self, bad):
+        program = spouse_program()
+        grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
+        with pytest.raises(UpdateRejected):
+            grounder.apply_update(**bad)
+
+
+class TestUpdateTouchesOnlyItsRulesTables:
+    """An update reads and writes the grounding table of a rule its
+    changes reach, and no other; a rule removal retracts exactly that
+    rule's factors."""
 
     def make(self):
         program = spouse_program()
         grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
-        grounder.records = _ScanCountingDict(grounder.records)
-        assert len(grounder.records) > 0
-        return grounder
-
-    def test_insert_only_update_never_scans_records(self):
-        grounder = self.make()
-        before = len(grounder.records)
-        result = grounder.apply_update(
-            inserts={
-                "PersonCandidate": [("s3", "m5"), ("s3", "m6")],
-                "PhraseFeature": [("m5", "m6", "and his wife")],
-            }
-        )
-        assert result.delta.new_factors  # the update did ground something
-        assert len(grounder.records) > before
-        assert grounder.records.scans == 0
-
-    def test_rule_removal_still_retracts_exactly_its_factors(self):
-        grounder = self.make()
         symmetry = InferenceRule(
             name="i1",
             head=Atom("MarriedMentions", (Var("m2"), Var("m1"))),
@@ -340,12 +413,35 @@ class TestUpdateCostIsNotLinearInRecords:
             semantics="logical",
         )
         grounder.apply_update(add_inference_rules=[symmetry])
+        return grounder
+
+    def test_insert_only_update_probes_no_other_rules_table(self, monkeypatch):
+        grounder = self.make()
+        touched = []
+        for name, table in grounder.grounding_tables.items():
+            for method in ("probe", "apply_delta", "rows_at"):
+                real = getattr(table, method)
+
+                def counting(*args, _name=name, _real=real):
+                    touched.append(_name)
+                    return _real(*args)
+
+                monkeypatch.setattr(table, method, counting)
+        result = grounder.apply_update(
+            inserts={"PhraseFeature": [("m1", "m2", "friend of")]}
+        )
+        assert result.delta.new_factors  # the update did ground something
+        assert set(touched) == {"fe1"}  # i1's body reads no PhraseFeature
+
+    def test_rule_removal_still_retracts_exactly_its_factors(self):
+        grounder = self.make()
 
         def factor_ids(rule_name):
+            graph = grounder.graph
             return {
-                record.factor_index
-                for record in dict.values(grounder.records)
-                if record.rule_name == rule_name
+                f
+                for f, wid in enumerate(graph.factor_table().rule_wid.tolist())
+                if graph.weights.key_for(wid)[0] == rule_name
             }
 
         theirs, others = factor_ids("fe1"), len(factor_ids("i1"))
@@ -354,7 +450,20 @@ class TestUpdateCostIsNotLinearInRecords:
         assert set(result.delta.removed_factor_ids) == theirs
         assert not result.delta.new_factors
         assert not factor_ids("fe1")
+        assert "fe1" not in grounder.grounding_tables
         assert len(factor_ids("i1")) == others == grounder.graph.num_factors
+
+
+    def test_a_rule_removed_and_readded_in_one_update_regrounds(self):
+        program = spouse_program()
+        grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
+        (fe1,) = program.inference_rules
+        result = grounder.apply_update(
+            remove_inference_rules=["fe1"], add_inference_rules=[fe1]
+        )
+        assert len(result.delta.removed_factor_ids) == len(result.delta.new_factors) == 3
+        twin = spouse_program()
+        assert_equivalent(grounder.graph, reference_ground(twin, spouse_db(twin)))
 
 
 @st.composite

@@ -10,6 +10,7 @@ query evaluator and no process pool.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
 from dataclasses import fields
@@ -30,6 +31,7 @@ from repro.grounding.grounder import GroundingResult
 from repro.grounding.incremental import UpdateResult
 from repro.inference import GibbsSampler
 from repro.kbc.corpus import generate_corpus
+from repro.kbc.entity_linking import link_mentions
 from repro.kbc.pipeline import KBCPipeline
 from repro.learning import SGDLearner
 from repro.learning.gradient import (
@@ -41,6 +43,7 @@ from repro.service import ServiceConfig
 from repro.workloads.systems import ALL_SYSTEMS, build_pipeline
 
 from tests.helpers import chain_ising_graph
+from tests.reference.grounding import FactorRecord
 from tests.test_grounding import spouse_db, spouse_program
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -349,7 +352,7 @@ class TestGroundStraightIntoArrays:
             compiled = grounding.compile()
             assert compiled.num_factors == grounding.graph.num_factors > 0
             assert not grounding.graph.factors.materialized
-            assert "factor_records" not in vars(grounding)
+            assert not hasattr(grounding, "factor_records")
         assert calls == {"RuleFactor": 0, "lower_factors": 0, "validate": 0}
 
 
@@ -447,3 +450,72 @@ class TestOneRelationRepresentation:
         assert probed
         assert all(relation is db.relation(relation.name) for relation in probed)
         assert {relation.name for relation in probed} <= {a.pred for a in rule.body}
+
+
+def document_rows(corpus, doc) -> dict:
+    """The base-relation rows of one document (``corpus_rows`` of the
+    document alone)."""
+    rows = {"MentionInSentence": [], "CuePhrase": [], "SentenceContext": []}
+    for sentence in doc.sentences:
+        rows["MentionInSentence"] += [
+            (sentence.sentence_id, mention.mention_id) for mention in sentence.mentions
+        ]
+        rows["CuePhrase"].append((sentence.sentence_id, sentence.cue))
+        rows["SentenceContext"].append(
+            (sentence.sentence_id, sentence.tokens[0] if sentence.tokens else "")
+        )
+    mentions = {row[1] for row in rows["MentionInSentence"]}
+    rows["EL"] = [row for row in link_mentions(corpus) if row[0] in mentions]
+    return rows
+
+
+class TestOneGroundingRepresentation:
+    """An inference rule's groundings are stored once, as its grounding
+    table (a signed-count relation of ``(head, weight, literal vars)``
+    rows): no per-factor record, no grounding multiset, no delta
+    accumulator and no factor-position registry beside it."""
+
+    REMOVED = (
+        "GroundingMultiset",
+        "RuleDeltaAccumulator",
+        "FactorRecord",
+        "factor_records",
+        "apply_rule_binding_batch",
+        "_factor_keys",
+        "_records_by_var",
+        "_record_vars",
+        "_reindex",
+        "_factors_match",
+    )
+
+    def test_removed_names_stay_gone(self):
+        pattern = re.compile(r"\b(" + "|".join(self.REMOVED) + r")\b")
+        for path in SRC.rglob("*.py"):
+            assert not pattern.search(path.read_text()), path
+
+    def test_a_stream_sized_update_builds_no_record(self, monkeypatch):
+        built = {"FactorRecord": 0, "RuleFactor": 0}
+        for cls in (FactorRecord, RuleFactor):
+            real = cls.__init__
+
+            def counting(self, *args, _name=cls.__name__, _real=real, **kwargs):
+                built[_name] += 1
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        spec = ALL_SYSTEMS[0]
+        corpus = generate_corpus(spec.corpus_config(scale=0.3, seed=0))
+        *documents, last = corpus.documents
+        base = KBCPipeline(
+            dataclasses.replace(corpus, documents=documents), i1_style=spec.i1_style
+        )
+        grounder = base.build_base()
+        for _label, update in base.snapshot_updates():
+            grounder.apply_update(**update)
+        rows = document_rows(corpus, last)
+        for update in ({"inserts": rows}, {"deletes": rows}):
+            delta = grounder.apply_update(**update).delta
+            assert delta.new_factors or delta.removed_factor_ids
+            assert not delta.new_factors.materialized
+        assert built == {"FactorRecord": 0, "RuleFactor": 0}
+        assert not grounder.graph.factors.materialized

@@ -30,10 +30,13 @@ from repro.reliability import (
     ProcessCrash,
     ReliableUpdatePipeline,
     RetryPolicy,
+    UpdateRejected,
     WALCorruptionError,
     inject_faults,
     maybe_fire,
 )
+
+from repro.datalog import Atom, DerivationRule, Var
 
 from tests.helpers import chain_ising_graph
 from tests.test_grounding import spouse_db, spouse_program
@@ -808,6 +811,49 @@ class TestReliablePipeline:
         assert pipe.rollbacks == 1
         assert pipe.wal.committed() == []
         assert pipe.wal.pending() == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"inserts": {"NoSuchRelation": [("x",)]}},
+            {"inserts": {"EL": [("m5", "barack", "extra")]}},
+            {"deletes": {"PhraseFeature": [("nope", "nope", "nope")]}},
+            {
+                **UPDATE,
+                "add_derivation_rules": [
+                    DerivationRule(
+                        name="r1",
+                        head=Atom("MarriedCandidate", (Var("a"), Var("b"))),
+                        body=(Atom("EL", (Var("a"), Var("b"))),),
+                    )
+                ],
+            },
+        ],
+        ids=["unknown-relation", "arity", "over-delete", "duplicate-rule"],
+    )
+    def test_rejected_input_is_not_retried(self, bad, monkeypatch):
+        sleeps = []
+        real_delays = RetryPolicy.delays
+
+        def delays(policy):
+            for pause in real_delays(policy):
+                sleeps.append(pause)
+                yield pause
+
+        monkeypatch.setattr(RetryPolicy, "delays", delays)
+        grounder, _e, pipe = make_stack()
+        with pytest.raises(UpdateRejected):
+            pipe.apply_update(**bad)
+        assert pipe.retries == 0
+        assert sleeps == []
+        assert pipe.rollbacks == 1
+        assert [rec["event"] for rec in pipe.wal.records()] == ["begin", "rollback"]
+        # Nothing landed: the valid rows beside a bad rule were not
+        # counted once per attempt.
+        assert grounder.db.relation("PersonCandidate").count(("s3", "m5")) == 0
+        pipe.apply_update(**UPDATE)
+        assert grounder.db.relation("PersonCandidate").count(("s3", "m5")) == 1
+        assert len(pipe.wal.committed()) == 1
 
     def test_replay_committed_history(self, tmp_path):
         wal = DeltaLog(tmp_path / "pipeline.wal")

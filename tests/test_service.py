@@ -198,16 +198,16 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled state changed
-        shape (magic ``CKPT0008``) is valid by its own checksum and must
+        shape (magic ``CKPT0009``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0009"
+            assert fh.read(8) == b"CKPT0010"
             fh.seek(0)
-            fh.write(b"CKPT0008")
+            fh.write(b"CKPT0009")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -400,6 +400,26 @@ class TestHealthDegradation:
         svc.submit(**UPDATE_A)
         assert svc.drain(timeout=60)
         assert svc.status()["health"]["state"] == HEALTHY
+        svc.stop()
+
+    def test_rejected_payload_is_not_retried_and_the_batcher_goes_on(self):
+        svc = make_service().start()
+        svc.prime()
+        svc.submit(inserts={"NoSuchRelation": [("x",)]})
+        svc.submit(**UPDATE_A)
+        svc.submit(**UPDATE_B)
+        assert svc.drain(timeout=60)
+        pipeline = svc.pipeline
+        assert pipeline.retries == 0
+        assert pipeline.rollbacks == 1
+        assert [seq for seq, _ in svc.batcher.failed] == [1]
+        assert "RejectedKeyError" in svc.batcher.failed[0][1]
+        assert svc.status()["batcher"]["failures"] == 1
+        assert svc.lag() == 0
+        assert svc.read(max_staleness=0).txn == pipeline.last_txn
+        np.testing.assert_array_equal(
+            svc.read().marginals, twin_marginals([UPDATE_A, UPDATE_B])
+        )
         svc.stop()
 
 
