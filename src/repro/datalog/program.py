@@ -108,28 +108,34 @@ class Program:
                 return self.inference_rules.pop(i)
         raise KeyError(f"no inference rule named {name!r}")
 
-    def change_rules(
+    def with_rule_changes(
         self, add_derivation_rules=(), add_inference_rules=(), remove_inference_rules=()
-    ) -> None:
-        """Register derivation rules (raising on recursion), then remove
-        inference rules (rules or names) and register new ones: an
-        update's rule changes, in the order the grounder makes them."""
-        for rule in add_derivation_rules:
-            self.register_derivation_rule(rule)
-        if add_derivation_rules:
-            self.stratified_derivation_rules()
-        for rule in remove_inference_rules:
-            self.remove_inference_rule(getattr(rule, "name", rule))
-        for rule in add_inference_rules:
-            self.register_inference_rule(rule)
-
-    def check_rule_changes(self, *changes) -> None:
-        """Raise what :meth:`change_rules` would, leaving this program
-        as it is."""
+    ) -> "Program":
+        """A copy of this program with an update's rule changes made:
+        derivation rules registered (raising on recursion), then
+        inference rules (rules or names) removed and new ones registered.
+        An invalid change raises, leaving this program as it is; a valid
+        one takes effect through :meth:`adopt_rules`."""
         trial = copy.copy(self)
         trial.derivation_rules = list(self.derivation_rules)
         trial.inference_rules = list(self.inference_rules)
-        trial.change_rules(*changes)
+        for rule in add_derivation_rules:
+            trial.register_derivation_rule(rule)
+        if add_derivation_rules:
+            trial.stratified_derivation_rules()
+        for rule in remove_inference_rules:
+            trial.remove_inference_rule(getattr(rule, "name", rule))
+        for rule in add_inference_rules:
+            trial.register_inference_rule(rule)
+        return trial
+
+    def adopt_rules(self, trial: "Program") -> None:
+        """Take the rules (and their stratification) of ``trial``, a
+        :meth:`with_rule_changes` copy of this program."""
+        self.derivation_rules = trial.derivation_rules
+        self.inference_rules = trial.inference_rules
+        self._stratified_key = trial._stratified_key
+        self._stratified_cache = trial._stratified_cache
 
     def _check_atoms(self, rule_name, atoms) -> None:
         for atom in atoms:

@@ -33,7 +33,6 @@ recovery.
 
 from __future__ import annotations
 
-from repro.reliability.errors import UpdateRejected
 from repro.reliability.retry import RetryPolicy
 from repro.reliability.wal import DeltaLog
 
@@ -135,7 +134,7 @@ class ReliableUpdatePipeline:
             return inferred["outcome"]
 
         try:
-            outcome = self.retry.call(attempt, fatal=(UpdateRejected,))
+            outcome = self.retry.call(attempt)
         except Exception as exc:
             self.rollbacks += 1
             self.wal.rollback(txn, reason=repr(exc))

@@ -12,6 +12,8 @@ import random
 import time
 from dataclasses import dataclass
 
+from repro.reliability.errors import UpdateRejected
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -40,21 +42,22 @@ class RetryPolicy:
             delay *= self.multiplier
 
     def call(
-        self, fn, *, retryable=(Exception,), fatal=(), on_retry=None, sleep=time.sleep
+        self, fn, *, retryable=(Exception,), on_retry=None, sleep=time.sleep
     ):
         """Run ``fn(attempt)`` under this policy.
 
         ``fn`` receives the 1-based attempt number.  On a retryable
         exception the optional ``on_retry(attempt, exc)`` hook runs (e.g.
         to count the retry) before backing off; the final failure, and
-        any ``fatal`` one, is re-raised unchanged.
+        any :class:`~repro.reliability.errors.UpdateRejected` (the same
+        input fails the same way again), is re-raised unchanged.
         """
         delays = self.delays()
         for attempt in range(1, max(self.max_attempts, 1) + 1):
             try:
                 return fn(attempt)
             except retryable as exc:
-                if attempt >= max(self.max_attempts, 1) or isinstance(exc, fatal):
+                if attempt >= max(self.max_attempts, 1) or isinstance(exc, UpdateRejected):
                     raise
                 if on_retry is not None:
                     on_retry(attempt, exc)

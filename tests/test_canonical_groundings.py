@@ -10,8 +10,10 @@ oracle:
 
 * over raw graphs full of repeated, contradictory and empty groundings,
   every rule lands at ``KIND_RULE``; the scalar and batched conditionals
-  and ``weight_statistics`` equal the raw objects' energies; Gibbs
-  marginals match exact inference on the raw graph;
+  and ``weight_statistics`` equal the raw objects' energies; a Gibbs
+  chain's marginals match exact inference on the raw graph where single
+  sites mix, and chains started from the exact distribution keep it and
+  move every variable that is not near-deterministic;
 * ``rule_table`` equals a per-literal Python canonicalization, which is
   the identity on groundings without a repeat.
 """
@@ -22,7 +24,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CompiledFactorGraph, FactorGraph, Semantics
@@ -31,7 +33,7 @@ from repro.graph.delta import KIND_RULE, FactorTable, lower_factors, rule_table
 from repro.graph.factor_graph import RuleFactor
 from repro.graph.semantics import sem_code
 from repro.inference.exact import ExactInference
-from repro.inference.gibbs import GibbsSampler
+from repro.inference.gibbs import ChainStack, GibbsSampler
 
 from tests.helpers import SEMANTICS, brute_force_delta, random_factor
 from tests.reference import learning as reference
@@ -61,6 +63,25 @@ def raw_graph(seed: int, max_vars: int = 6) -> FactorGraph:
         if rng.random() < 0.2:
             fg.set_evidence(var, bool(rng.integers(2)))
     return fg
+
+
+def single_site_relaxation_sweeps(exact: ExactInference) -> float:
+    """Relaxation time, in sweeps, of single-site Gibbs on the exact
+    distribution: ``1 / (1 − λ₂)`` of the random-scan kernel, whose step
+    resamples one of the m free variables from its conditional, over m."""
+    pi = exact.distribution()
+    m = len(exact.free)
+    if not m:
+        return 0.0
+    worlds = np.arange(pi.size)  # each bit of a world's index is one free variable
+    kernel = np.zeros((pi.size, pi.size))
+    for bit in range(m):
+        flipped = worlds ^ (1 << bit)
+        kernel[worlds, flipped] = pi[flipped] / (pi + pi[flipped]) / m
+    kernel[worlds, worlds] = 1.0 - kernel.sum(axis=1)
+    root = np.sqrt(pi)
+    second = np.linalg.eigvalsh(root[:, None] * kernel / root[None, :])[-2]
+    return 1.0 / (1.0 - second) / m
 
 
 def canonical_groundings(groundings) -> list:
@@ -125,7 +146,16 @@ class TestCanonicalSubstrateEqualsRawObjects:
     @settings(max_examples=10, deadline=None)
     def test_gibbs_marginals_match_exact_inference_on_the_raw_graph(self, seed):
         fg = raw_graph(seed)
-        exact = ExactInference(fg).marginals()
+        exact_inference = ExactInference(fg)
+        exact = exact_inference.marginals()
+        # One chain from its default start is held to the exact marginals
+        # where single sites mix: 200-sweep batches span ≥ 10 relaxation
+        # times, and no free variable is so near-deterministic that 8 000
+        # sweeps see its rare value only a few times (batch means then
+        # miss its variance).  The exact-start test below covers the rest.
+        free_marginals = exact[exact_inference.free]
+        assume(((free_marginals >= 1e-3) & (free_marginals <= 1 - 1e-3)).all())
+        assume(single_site_relaxation_sweeps(exact_inference) <= 20)
         sampler = GibbsSampler(fg.copy(), seed=seed)
         rules = [i for i, f in enumerate(fg.factors) if isinstance(f, RuleFactor)]
         assert (sampler.compiled._fkind[rules] == KIND_RULE).all()
@@ -143,6 +173,51 @@ class TestCanonicalSubstrateEqualsRawObjects:
         bound = z * stderr[free] + 1.0 / worlds.shape[0]
         assert (np.abs(estimate - exact)[free] <= bound).all(), (
             np.abs(estimate - exact)[free], bound
+        )
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=10, deadline=None)
+    def test_chains_started_from_the_exact_distribution_keep_it(self, seed):
+        fg = raw_graph(seed)
+        exact = ExactInference(fg)
+        marginals = exact.marginals()
+        # Independent chains started from the exact distribution: a sweep
+        # leaves it invariant, so every sweep of every chain is an exact
+        # draw, however slowly one chain would cross between the raw
+        # graph's near-deterministic modes.  Starts are a systematic
+        # sample, so each world gets ⌊K·π⌋ or ⌈K·π⌉ of the K chains: a
+        # rare mode is missed or over-drawn by at most one chain.
+        num_chains, num_sweeps = 4000, 20
+        streams = np.random.SeedSequence(seed).spawn(num_chains + 1)
+        cdf = np.cumsum(exact.distribution())
+        u = (np.random.default_rng(streams[0]).random() + np.arange(num_chains)) / num_chains
+        picks = np.searchsorted(cdf / cdf[-1], u, side="right")
+        starts = exact.worlds[np.minimum(picks, cdf.size - 1)]
+        graph = fg.copy()
+        compiled = CompiledFactorGraph(graph)
+        chains = [
+            GibbsSampler(graph, seed=stream, initial=start, compiled=compiled)
+            for stream, start in zip(streams[1:], starts)
+        ]
+        worlds = ChainStack(chains).sample_worlds(num_sweeps)
+        free = chains[0].plan.free_vars
+        # A sweep that skips a site keeps the distribution too, but leaves
+        # the site at its start in every chain.
+        movable = free[(marginals[free] >= 1e-3) & (marginals[free] <= 1 - 1e-3)]
+        moved = (worlds[:, :, movable] != starts[:, None, movable]).any(axis=(0, 1))
+        assert moved.all(), movable[~moved]
+        chain_means = worlds.mean(axis=1)
+        estimate = chain_means.mean(axis=0)
+        # The chains draw independently from stratified starts, so the
+        # spread of their means bounds the standard error from above
+        # (autocorrelation within a chain needs no model); z at a 1e-4
+        # family-wise miss rate over the free variables; one chain's worth
+        # of slack for the rounding of the starts.
+        stderr = chain_means.std(axis=0, ddof=1) / np.sqrt(num_chains)
+        z = NormalDist().inv_cdf(1.0 - 1e-4 / (2 * max(free.size, 1)))
+        bound = z * stderr[free] + 1.0 / num_chains
+        assert (np.abs(estimate - marginals)[free] <= bound).all(), (
+            np.abs(estimate - marginals)[free], bound
         )
 
 

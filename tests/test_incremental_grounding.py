@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.datalog import Atom, DerivationRule, InferenceRule, Program, Var, WeightSpec
 from repro.graph import FactorGraph, RuleFactor
-from repro.grounding import IncrementalGrounder
+from repro.grounding import Grounder, IncrementalGrounder
 from repro.reliability import UpdateRejected
 
 from tests.reference import reference_ground, replay
@@ -464,6 +464,51 @@ class TestUpdateTouchesOnlyItsRulesTables:
         assert len(result.delta.removed_factor_ids) == len(result.delta.new_factors) == 3
         twin = spouse_program()
         assert_equivalent(grounder.graph, reference_ground(twin, spouse_db(twin)))
+
+
+class TestFactorOutlivingItsHeadRaises:
+    """A rule whose body does not imply its head candidate: deleting the
+    candidate while the body rows stay leaves a factor with no head
+    variable.  The update raises the error a full ground of that state
+    raises, whether the factor is untouched or rebuilt this update."""
+
+    def make(self):
+        program = Program(default_semantics="ratio")
+        program.add_relation("Cand", ("a",))
+        program.add_relation("Feat", ("a", "f"))
+        program.declare_variable_relation("Q", ("a",))
+        program.add_derivation_rule("vars", Atom("Q", (Var("a"),)), [Atom("Cand", (Var("a"),))])
+        program.add_inference_rule(
+            "fe",
+            Atom("Q", (Var("a"),)),
+            [Atom("Feat", (Var("a"), Var("f")))],
+            weight=WeightSpec(tied_on=("f",), value=0.5),
+        )
+        db = program.create_database()
+        db.relation("Cand").insert(("x",))
+        db.relation("Cand").insert(("y",))
+        db.relation("Feat").insert(("x", "f1"))
+        db.relation("Feat").insert(("y", "f1"))
+        return program, db
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"inserts": {"Feat": [("x", "f2")]}}],
+        ids=["untouched-factor", "rebuilt-factor"],
+    )
+    def test_update_raises_like_the_full_ground(self, extra):
+        program, db = self.make()
+        grounder = IncrementalGrounder.from_scratch(program, db)
+        with pytest.raises(KeyError, match=r"'fe'.*\('Q', \('x',\)\).*not a grounded variable"):
+            grounder.apply_update(deletes={"Cand": [("x",)]}, **extra)
+        with pytest.raises(KeyError, match="not a grounded variable"):
+            Grounder(program, db).ground()
+
+    def test_deleting_the_body_with_its_head_grounds(self):
+        program, db = self.make()
+        grounder = IncrementalGrounder.from_scratch(program, db)
+        grounder.apply_update(deletes={"Cand": [("x",)], "Feat": [("x", "f1")]})
+        assert_equivalent(grounder.graph, reference_ground(program, db))
 
 
 @st.composite
