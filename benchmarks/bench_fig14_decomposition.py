@@ -15,7 +15,7 @@ from _helpers import emit, once
 
 from repro.core import VariationalMaterialization
 from repro.core.decomposition import group_subgraph, plan_groups
-from repro.graph import BiasFactor, FactorGraphDelta
+from repro.graph import FactorGraphDelta
 from repro.util.tables import format_table
 from repro.workloads import synthetic_pairwise_graph
 
@@ -60,15 +60,9 @@ def _experiment() -> str:
     delta_local = FactorGraphDelta()
     for k, var in enumerate(touched):
         delta_whole.new_weight_entries.append((("f", k), 0.4, False))
-        delta_whole.new_factors.append(
-            BiasFactor(weight_id=len(graph.weights) + k, var=var)
-        )
+        delta_whole.new_factors.add_bias(len(graph.weights) + k, var)
         delta_local.new_weight_entries.append((("f", k), 0.4, False))
-        delta_local.new_factors.append(
-            BiasFactor(
-                weight_id=len(target_sub.weights) + k, var=target_local[var]
-            )
-        )
+        delta_local.new_factors.add_bias(len(target_sub.weights) + k, target_local[var])
 
     # Decomposed inference: only the touched group is re-inferred; the
     # other groups' materialized marginals stay valid.  Inference uses

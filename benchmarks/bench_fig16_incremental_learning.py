@@ -46,7 +46,7 @@ import time
 import numpy as np
 from _helpers import emit, emit_json, once
 
-from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta
+from repro.graph import FactorGraph, FactorGraphDelta
 from repro.graph.compiled import CompiledFactorGraph
 from repro.learning import LogisticRegression, SGDLearner
 from repro.learning.gradient import weight_statistics
@@ -199,7 +199,7 @@ def make_update_delta(graph, truth, cfg, seed=42):
         for f in feats:
             f = int(f)
             wid = f if f < d_old else base_w + (f - d_old)
-            delta.new_factors.append(BiasFactor(weight_id=wid, var=var))
+            delta.new_factors.add_bias(wid, var)
     return delta
 
 

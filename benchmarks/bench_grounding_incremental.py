@@ -47,10 +47,11 @@ update, each inference rule's grounding table must hold the record fold
 of the replayed twin (``fold_ground``), multiplicities included — the
 canonical graph drops repeats, so this is where a multiplicity slip
 shows first; and the full ground must do the record fold's work without
-its objects — its factor table equal, column by column, to
-``lower_factors`` of ``fold_ground`` (factor, grounding and
-weight-intern order), with zero ``RuleFactor`` constructions and zero
-``lower_factors`` calls through ground + compile.
+its objects — its factor table equal, column by column, to the
+reference ``lower_factors`` of ``fold_ground``'s records (factor,
+grounding and weight-intern order), with zero factor-record
+constructions and zero ``FactorTable.factors()`` decodes through ground
++ compile.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grounding_incremental.py
 [--scale tiny|small|medium] [--check]`` from the repository root.
@@ -496,35 +497,37 @@ def run(scale: str) -> dict:
 
 
 def object_work(run) -> tuple:
-    """``run()``'s result and how many ``RuleFactor`` objects it built and
-    ``lower_factors`` calls it made."""
-    import repro.graph.delta as delta_module
-    from repro.graph import RuleFactor
+    """``run()``'s result and how many factor records it built (any kind)
+    and ``FactorTable.factors()`` decodes it made."""
+    from repro.graph import BiasFactor, IsingFactor, RuleFactor
+    from repro.graph.delta import FactorTable
 
-    counts = {"rule_factors": 0, "lower_factors": 0}
-    real_init, real_lower = RuleFactor.__init__, delta_module.lower_factors
+    counts = {"records": 0, "decodes": 0}
+    originals = [(cls, "__init__", "records") for cls in (RuleFactor, IsingFactor, BiasFactor)]
+    originals.append((FactorTable, "factors", "decodes"))
+    saved = [(cls, name, getattr(cls, name)) for cls, name, _ in originals]
 
-    def init(self, *args, **kwargs):
-        counts["rule_factors"] += 1
-        real_init(self, *args, **kwargs)
+    def counting(real, key):
+        def wrapper(self, *args, **kwargs):
+            counts[key] += 1
+            return real(self, *args, **kwargs)
 
-    def lower(factors):
-        counts["lower_factors"] += 1
-        return real_lower(factors)
+        return wrapper
 
-    RuleFactor.__init__, delta_module.lower_factors = init, lower
+    for (cls, name, key), (_, _, real) in zip(originals, saved):
+        setattr(cls, name, counting(real, key))
     try:
         result = run()
     finally:
-        RuleFactor.__init__, delta_module.lower_factors = real_init, real_lower
+        for cls, name, real in saved:
+            setattr(cls, name, real)
     return result, counts
 
 
 def check_full_ground_work(rows: dict) -> dict:
     """The full ground's table ≡ the record fold's lowering, column by
-    column, with no factor object built through ground + compile."""
-    from repro.graph.delta import lower_factors
-
+    column, with no factor record built or decoded through ground +
+    compile."""
     program = build_program()
 
     def ground_and_compile():
@@ -533,11 +536,12 @@ def check_full_ground_work(rows: dict) -> dict:
         return grounding
 
     grounding, work = object_work(ground_and_compile)
-    assert work == {"rule_factors": 0, "lower_factors": 0}, work
+    assert work == {"records": 0, "decodes": 0}, work
     graph = grounding.graph
-    assert not graph.factors.materialized
+    # ``fold_ground`` lowers its raw records with the reference
+    # ``lower_factors`` (tests/reference/factors.py).
     oracle, _records = fold_ground(program, make_db(program, rows))
-    expected = lower_factors(oracle.factors).columns()
+    expected = oracle.factor_table().columns()
     for name, column in expected.items():
         assert np.array_equal(getattr(graph.factors.table, name), column), name
     assert list(graph.weights.items()) == list(oracle.weights.items())

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core import EngineConfig, RerunEngine
 from repro.graph import FactorGraph, FactorGraphDelta
-from repro.graph.factor_graph import IsingFactor
 from repro.reliability import Fault, FaultInjected, FaultPlan, inject_faults
 
 from _helpers import emit_json
@@ -69,7 +68,7 @@ def make_delta(graph: FactorGraph, size: int, rng, step: int) -> FactorGraphDelt
         i, j = int(rng.integers(n)), int(rng.integers(n))
         if i == j:
             j = (j + 1) % n
-        delta.new_factors.append(IsingFactor(weight_id=nw, i=i, j=j))
+        delta.new_factors.add_ising(nw, i, j)
     return delta
 
 

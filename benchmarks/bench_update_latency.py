@@ -33,11 +33,11 @@ substrate compiled from a copy of the grounded graph (as the engines'
 agree with a from-scratch compile of the grounder's graph; then drive a
 variational-only ``IncrementalEngine`` through three appends and a
 retraction and assert its approximate substrate was constructed once,
-no oracle view was materialized, and the warm chain's marginals agree
+no whole factor list was gathered, and the warm chain's marginals agree
 with a freshly compiled sampler over the spliced graph; then count the
 substrate's work per delta (array appends independent of |Δ|, no factor
-list materialized by patch, build or compaction, a threshold delta = one
-build and no splice).
+record decoded or built by patch, build or compaction, a threshold delta
+= one build and no splice).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_update_latency.py
 [--scale tiny|small|medium] [--check]``
@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.core import EngineConfig, RerunEngine
 from repro.graph import FactorGraph, FactorGraphDelta
-from repro.graph.factor_graph import IsingFactor
 
 from _helpers import emit_json
 
@@ -103,7 +102,7 @@ def make_delta(graph: FactorGraph, size: int, rng, step: int) -> FactorGraphDelt
         i, j = int(rng.integers(n)), int(rng.integers(n))
         if i == j:
             j = (j + 1) % n
-        delta.new_factors.append(IsingFactor(weight_id=nw, i=i, j=j))
+        delta.new_factors.add_ising(nw, i, j)
     for _ in range(max(size // 4, 1)):
         delta.removed_factor_ids.add(int(rng.integers(graph.num_factors)))
     delta.evidence_updates[int(rng.integers(n))] = bool(rng.integers(2))
@@ -184,8 +183,8 @@ def measure_graph_layer(num_vars: int, delta_size: int, updates: int = 6) -> dic
         "delta_size": delta_size,
         "patched_median_seconds": float(np.median(patched_s)),
         "materialized_median_seconds": float(np.median(materialized_s)),
-        # Oracle views built during patching — 0 proves the compiled
-        # path never materializes the retired FactorGraph layer.
+        # Whole-list gathers during patching — 0 proves the compiled
+        # path never reads the factor list whole.
         "views_materialized": compiled.views_materialized,
     }
 
@@ -288,7 +287,6 @@ def check_variational() -> None:
 
     from repro.core import IncrementalEngine
     from repro.graph.compiled import CompiledFactorGraph
-    from repro.graph.factor_graph import BiasFactor
     from repro.inference.gibbs import GibbsSampler
     from repro.util.stats import max_marginal_error
 
@@ -313,13 +311,11 @@ def check_variational() -> None:
         )
         engine.materialize()
         num_weights = len(engine.current_graph.weights)
-        deltas = [
-            FactorGraphDelta(
-                new_weight_entries=[(("upd", step), 0.6, False)],
-                new_factors=[BiasFactor(weight_id=num_weights + step, var=step)],
-            )
-            for step in range(3)
-        ]
+        deltas = []
+        for step in range(3):
+            delta = FactorGraphDelta(new_weight_entries=[(("upd", step), 0.6, False)])
+            delta.new_factors.add_bias(num_weights + step, step)
+            deltas.append(delta)
         deltas.append(FactorGraphDelta(removed_factor_ids={0, 7}))
         for delta in deltas:
             outcome = engine.apply_update(delta)
@@ -357,7 +353,8 @@ def check_work_counts() -> None:
     from collections import Counter
 
     from repro.graph.compiled import _GROWABLE_NAMES, CompiledFactorGraph, _Growable
-    from repro.graph.factor_graph import BiasFactor
+    from repro.graph.delta import FactorTable
+    from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
 
     counts = Counter()
     originals = {}
@@ -377,15 +374,20 @@ def check_work_counts() -> None:
         wid, total = len(compiled.weights), compiled.num_vars + 2
         for k in range(num_factors):
             i, j = k % total, (7 * k + 3) % total
-            delta.new_factors.append(
-                BiasFactor(wid, i) if k % 2 or i == j else IsingFactor(wid, i, j)
-            )
+            if k % 2 or i == j:
+                delta.new_factors.add_bias(wid, i)
+            else:
+                delta.new_factors.add_ising(wid, i, j)
         delta.removed_factor_ids.update({0, 5})
         return delta
 
     counting(_Growable, "append")
-    for name in ("materialized_factors", "_build", "_splice"):
+    for name in ("_build", "_splice"):
         counting(CompiledFactorGraph, name)
+    # Factor records decoded from a table, or built at all.
+    counting(FactorTable, "factors")
+    for record in (RuleFactor, IsingFactor, BiasFactor):
+        counting(record, "__init__")
     try:
         appends = {}
         for num_factors in (8, 200):
@@ -408,16 +410,17 @@ def check_work_counts() -> None:
         )
         compiled.apply_delta(bulk(compiled, 40), compact_threshold=None)
         compiled.compact()
-        assert not counts["materialized_factors"] and compiled.views_materialized == 0, (
-            "patch / build / compact materialized a factor list"
+        assert not counts["factors"] and not counts["__init__"], (
+            "patch / build / compact decoded or built a factor record"
         )
+        assert compiled.views_materialized == 0, "patch / build / compact gathered a view"
     finally:
         for (cls, name), original in originals.items():
             setattr(cls, name, original)
     print(
         f"work-count smoke ok: {appends[8]} / {appends[200]} array appends for an "
         "8- / 200-factor delta, threshold delta = 1 build + 0 splices, "
-        "0 factor lists materialized"
+        "0 factor records decoded or built"
     )
 
 

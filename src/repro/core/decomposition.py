@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from repro.graph.delta import FactorList
 from repro.graph.factor_graph import FactorGraph
 
 
@@ -109,42 +110,23 @@ def group_subgraph(graph: FactorGraph, group: VariableGroup) -> tuple:
 
     Returns ``(subgraph, local_of)`` where ``local_of`` maps original
     variable ids to the subgraph's ids.  Only factors whose full scope
-    lies inside the group are included; by construction of the
-    decomposition, every factor touching the group's inactive variables
-    qualifies.
+    lies inside the group are included — the rows of the graph's factor
+    table, in order, with their variables renumbered; by construction of
+    the decomposition, every factor touching the group's inactive
+    variables qualifies.
     """
-    variables = sorted(group.variables)
-    local_of = {v: i for i, v in enumerate(variables)}
+    variables = np.array(sorted(group.variables), dtype=np.int64)
+    local_of = {v: i for i, v in enumerate(variables.tolist())}
     sub = FactorGraph(graph.weights.copy())
-    for v in variables:
-        sub.add_variable(name=graph.name_of(v))
+    sub.add_named_variables([graph.name_of(v) for v in local_of])
+    for v, local in local_of.items():
         if graph.is_evidence(v):
-            sub.set_evidence(local_of[v], graph.evidence_value(v))
-    for factor in graph.factors:
-        scope = factor.variables()
-        if scope <= group.variables:
-            sub.factors.append(_relocalize(factor, local_of))
+            sub.set_evidence(local, graph.evidence_value(v))
+    lookup = np.full(graph.num_vars, -1, dtype=np.int64)
+    lookup[variables] = np.arange(variables.shape[0])
+    table = graph.factor_table()
+    outside = np.zeros(len(table), dtype=bool)
+    outside[table.variable_owners()[lookup[table.variables()] < 0]] = True
+    sub.factors = FactorList(table.take(~outside).with_variables(lookup))
     sub.validate()
     return sub, local_of
-
-
-def _relocalize(factor, local_of: dict):
-    import dataclasses
-
-    from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
-
-    if isinstance(factor, BiasFactor):
-        return dataclasses.replace(factor, var=local_of[factor.var])
-    if isinstance(factor, IsingFactor):
-        return dataclasses.replace(
-            factor, i=local_of[factor.i], j=local_of[factor.j]
-        )
-    if isinstance(factor, RuleFactor):
-        groundings = tuple(
-            tuple((local_of[v], pos) for v, pos in g)
-            for g in factor.groundings
-        )
-        return dataclasses.replace(
-            factor, head=local_of[factor.head], groundings=groundings
-        )
-    raise TypeError(f"unknown factor type {type(factor)!r}")

@@ -82,10 +82,10 @@ class StrawmanMaterialization:
         total = 0
         for sweep in range(num_sweeps):
             for var in free:
-                world[var] = True
-                log_p1 = self._lookup_plus_delta(world, evaluator)
-                world[var] = False
-                log_p0 = self._lookup_plus_delta(world, evaluator)
+                # The flip's two candidate worlds, ``var`` true then false.
+                pair = np.repeat(world[None, :], 2, axis=0)
+                pair[:, var] = (True, False)
+                log_p1, log_p0 = self._lookup_plus_delta(pair, evaluator)
                 if log_p1 == float("-inf") and log_p0 == float("-inf"):
                     raise RuntimeError(
                         "no stored world is consistent with the update"
@@ -100,10 +100,11 @@ class StrawmanMaterialization:
             marginals[var] = 1.0 if value else 0.0
         return marginals
 
-    def _lookup_plus_delta(self, world, evaluator: DeltaEvaluator) -> float:
-        base = self._log_probs.get(
-            world[: self.graph.num_vars][self._free].tobytes(), float("-inf")
-        )
-        if base == float("-inf"):
-            return base
-        return base + evaluator.delta_energy(world)
+    def _lookup_plus_delta(self, worlds, evaluator: DeltaEvaluator) -> list:
+        """``log Pr⁰`` looked up plus ``δW`` for each row of ``worlds``:
+        the rows are scored in one ``delta_energies`` call."""
+        base = [
+            self._log_probs.get(row[self._free].tobytes(), float("-inf"))
+            for row in worlds[:, : self.graph.num_vars]
+        ]
+        return (np.array(base) + evaluator.delta_energies(worlds)).tolist()

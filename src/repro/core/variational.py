@@ -179,7 +179,7 @@ def learn_approximation(
         intern(("h", v), initial=b, fixed=True)
         for v, b in zip(free.tolist(), biases[free].tolist())
     ]
-    approx.factors = FactorList.from_table(
+    approx.factors = FactorList(
         FactorTable(
             kind=np.repeat([KIND_ISING, KIND_BIAS], [len(ising_wid), len(bias_wid)]),
             ising_i=ii,
@@ -332,7 +332,7 @@ class VariationalMaterialization:
             num_new_vars=delta.num_new_vars,
             new_var_names=delta.new_var_names,
             new_var_evidence=delta.new_var_evidence,
-            new_factors=FactorList.from_table(FactorTable.concat(tables)),
+            new_factors=FactorTable.concat(tables),
             evidence_updates=delta.evidence_updates,
         )
 

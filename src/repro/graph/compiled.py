@@ -6,8 +6,8 @@ because the grounded graph is compiled once into contiguous incidence
 arrays that a tight loop can walk without object traffic.  This module
 is the Python equivalent: :class:`CompiledFactorGraph` builds flat numpy
 arrays from a :class:`~repro.graph.factor_graph.FactorGraph`'s factor
-table (``graph.factor_table()``: a grounded graph's list is born
-lowered, so no factor object is walked), and :class:`GibbsCache`
+table (``graph.factor_table()``, the graph's one factor
+representation), and :class:`GibbsCache`
 evaluates conditionals against them.
 
 Compiled layout (all arrays contiguous, ``n`` = number of variables):
@@ -125,6 +125,7 @@ from repro.graph.delta import (
     expand_ranges,
     gather_rules,
     rule_literals,
+    rule_unit_energies,
 )
 from repro.graph.factor_graph import CompiledGraphView, FactorGraph
 from repro.graph.semantics import g_table, g_value, sems_from_codes
@@ -363,44 +364,6 @@ def bias_init_values(num_new_vars, old_num_vars, bias_add, weights, rng):
     return rng.random(k) < p
 
 
-def rule_unit_energies(
-    worlds, rule_head, rule_sem, grounding_ri, lit_gg, lit_var, lit_pos
-) -> np.ndarray:
-    """``(S, R)`` unit energies ``sign(head) · g(#satisfied groundings)``
-    of rule factors in the flat layout, one row per world of the
-    ``(S, n)`` boolean matrix ``worlds``.
-
-    The whole-world rule kernel shared by
-    :meth:`CompiledFactorGraph.weight_statistics` and
-    :meth:`~repro.graph.delta_energy.DeltaEvaluator.delta_energies`:
-    literal mismatches are summed per grounding and satisfied groundings
-    per rule with ``bincount``, so an empty grounding counts as satisfied
-    and a rule without groundings has ``n = 0`` (``np.add.reduceat``
-    gets both wrong).  A grounding with contradictory literals is never
-    satisfied and one with a repeated literal is satisfied when the
-    literal is, so a raw grounding and its canonical form
-    (:func:`~repro.graph.delta.rule_table`) score the same."""
-    S = worlds.shape[0]
-    R, G = rule_head.shape[0], grounding_ri.shape[0]
-    if G:
-        if lit_gg.size:
-            mismatch = worlds[:, lit_var] != lit_pos
-            flat_g = (lit_gg[None, :] + G * np.arange(S)[:, None]).ravel()
-            unsat = np.bincount(
-                flat_g,
-                weights=mismatch.astype(np.float64).ravel(),
-                minlength=S * G,
-            ).reshape(S, G)
-        else:
-            unsat = np.zeros((S, G), dtype=np.float64)
-        flat_r = (grounding_ri[None, :] + R * np.arange(S)[:, None]).ravel()
-        nsat = np.bincount(flat_r[(unsat == 0).ravel()], minlength=S * R).reshape(S, R)
-    else:
-        nsat = np.zeros((S, R), dtype=np.int64)
-    g = g_table(int(nsat.max()) if nsat.size else 0)[rule_sem, nsat]
-    return np.where(worlds[:, rule_head], 1.0, -1.0) * g
-
-
 def _no_rows(*shape) -> np.ndarray:
     rows = np.zeros(shape, dtype=np.int64)
     rows.flags.writeable = False
@@ -480,14 +443,12 @@ class CompiledFactorGraph:
         # ---- substrate-as-truth state ------------------------------------
         # Once deltas are applied directly (``apply_delta`` with no
         # materialized graph) this object is the single source of graph
-        # truth: ``structure_version`` stamps structural patches,
-        # ``materialized_factors()`` lazily rebuilds the oracle factor
-        # list against that stamp, and ``views_materialized`` counts
-        # rebuilds — the default update path must never trigger one.
+        # truth: ``structure_version`` stamps structural patches, and
+        # ``views_materialized`` counts whole-list gathers of the factor
+        # table (``FactorGraph.from_compiled``, ``CompiledGraphView.factors``)
+        # — the default update path must never trigger one.
         self.structure_version = 0
         self.views_materialized = 0
-        self._view_factors = None
-        self._view_factors_version = -1
         self._build(table, graph.num_vars)
 
     def _build(self, table: FactorTable, num_vars: int) -> None:
@@ -687,7 +648,7 @@ class CompiledFactorGraph:
 
     def factor_table(self, indices) -> FactorTable:
         """The factors at ``indices`` of the current factor list, in that
-        order, gathered from the arrays — no factor object is built."""
+        order, gathered from the arrays."""
         indices = np.asarray(indices, dtype=np.int64)
         kind, h1 = self._fkind[indices], self._fh1[indices]
         bias, ising = h1[kind == KIND_BIAS], h1[kind == KIND_ISING]
@@ -705,26 +666,6 @@ class CompiledFactorGraph:
     def _live_table(self) -> FactorTable:
         """The whole current factor list."""
         return self.factor_table(np.arange(self.num_factors))
-
-    def materialized_factors(self) -> list:
-        """The current factor list, lazily rebuilt from the handle table.
-
-        The oracle-view escape hatch behind
-        :meth:`FactorGraph.from_compiled` and
-        :class:`~repro.graph.factor_graph.CompiledGraphView.factors`:
-        O(#factors) when (re)built, then cached until the next structural
-        patch bumps ``structure_version``.  Slow paths (strawman, exact
-        inference, test references) pay for it; the update path never
-        does — it gathers arrays with :meth:`factor_table`.
-        """
-        if (
-            self._view_factors is None
-            or self._view_factors_version != self.structure_version
-        ):
-            self._view_factors = self._live_table().factors()
-            self._view_factors_version = self.structure_version
-            self.views_materialized += 1
-        return self._view_factors
 
     # ------------------------------------------------------------------ #
     # Compiled gradient aggregation (learning hot path)
@@ -929,13 +870,13 @@ class CompiledFactorGraph:
                 used.discard(-1)
                 color[v] = _smallest_free_color(used)
 
-    def _ops_from_delta(self, delta) -> dict:
+    def _ops_from_delta(self, delta, removed: np.ndarray) -> dict:
         """A :class:`FactorGraphDelta` as a picklable patch-op dict.
 
-        The delta's factor table goes in as it is (``add``); removed
-        factor ids resolve through the handle table — which is compacted
-        to the post-delta factor numbering here — to the positions to
-        tombstone."""
+        The delta's factor table goes in as it is (``add``); the removed
+        factor ids (``removed``, checked and ascending) resolve through
+        the handle table — which is compacted to the post-delta factor
+        numbering here — to the positions to tombstone."""
         ops = {
             "num_new_vars": int(delta.num_new_vars),
             "var_names": list(delta.new_var_names),
@@ -945,8 +886,7 @@ class CompiledFactorGraph:
             "rule_del": _NO_IDS,
             "add": delta.new_factors.table,
         }
-        if delta.removed_factor_ids:
-            removed = np.array(sorted(delta.removed_factor_ids), dtype=np.int64)
+        if removed.size:
             kind, h1 = self._fkind[removed], self._fh1[removed]
             ising = kind == KIND_ISING
             ops.update(
@@ -981,12 +921,14 @@ class CompiledFactorGraph:
         (O(|Δ|)); over it the splice would be thrown away by a
         compaction, so the live rows and the delta's rows go through the
         array build once instead and the patch is marked ``compacted``
-        (amortized O(|graph|))."""
+        (amortized O(|graph|)).  A removed factor id outside the list
+        raises ``ValueError`` before anything moves."""
+        removed = delta.removed_ids(self.num_factors)
         for key, initial, fixed in delta.new_weight_entries:
             self.weights.intern(key, initial=initial, fixed=fixed)
         for wid, value in delta.changed_weight_values.items():
             self.weights.set_value(wid, value)
-        ops = self._ops_from_delta(delta)
+        ops = self._ops_from_delta(delta, removed)
         patch, doomed = self._survey(ops)
         if (
             compact_threshold is not None
@@ -1384,8 +1326,6 @@ class CompiledFactorGraph:
         "_scan_window",
         "structure_version",
         "views_materialized",
-        "_view_factors",
-        "_view_factors_version",
     )
 
     #: Append-only Python lists: captured by (ref, len), rolled back by

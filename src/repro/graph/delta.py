@@ -7,35 +7,35 @@ approach evaluates its Metropolis–Hastings acceptance test using **only**
 the delta, and the variational approach splices the delta into the
 approximated graph.
 
-∆F travels as arrays.  :class:`FactorTable` is the flat layout
+A factor list is a table.  :class:`FactorTable` is the flat layout
 :class:`~repro.graph.compiled.CompiledFactorGraph` stores — ``bias_var /
 bias_wid``, ``ising_i / ising_j / ising_wid``, ``rule_head / rule_wid /
 rule_sem``, ``grounding_ri``, ``lit_gg / lit_var / lit_pos``, rule and
 grounding ids local to the table, plus ``kind``, the factor kinds in
-list order — and it is the payload of ``FactorGraphDelta.new_factors``:
-the grounder flattens its touched records straight into one
+list order — and :class:`FactorList` wraps one as the factor list of a
+:class:`~repro.graph.factor_graph.FactorGraph` and as
+``FactorGraphDelta.new_factors``: ``add_*_factor`` append rows to it,
+the grounder flattens its touched groundings straight into one
 (:func:`rule_table`), :func:`compose_deltas` concatenates two, the
 variational splice remaps the weight columns, the MH target scores the
-columns as they are and ``apply_delta`` appends them to the substrate.
-A full ground builds the same columns from its binding batches
-(:func:`rule_columns`, then :meth:`FactorTable.canonical`), so a
-grounded graph's factor list is born lowered too.
-:func:`lower_factors` is the one place factor *objects* become a table;
-:class:`FactorList` keeps a lowered list readable as a list of objects
-for the oracle paths (``delta.apply``, the strawman, tests) and lowers a
-list that was built from objects on first use.
+columns as they are (:meth:`FactorTable.energies`) and ``apply_delta``
+appends them to the substrate.  A full ground builds the same columns
+from its binding batches (:func:`rule_columns`, then
+:meth:`FactorTable.canonical`).  The factor records of
+:mod:`repro.graph.factor_graph` exist only as what
+:meth:`FactorTable.factors` decodes a table into, for readers outside
+the update path.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableSequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from repro.graph.factor_graph import BiasFactor, FactorGraph, IsingFactor, RuleFactor
-from repro.graph.semantics import sem_code, sems_from_codes
+from repro.graph.semantics import Semantics, g_table, sem_code, sems_from_codes
 
 #: ``FactorTable.kind`` codes — the substrate's handle table uses the
 #: same ones.
@@ -57,6 +57,9 @@ _COLUMN_DTYPES = {
     "lit_pos": np.bool_,
 }
 
+
+#: The columns holding variable ids, in :meth:`FactorTable.variables` order.
+_VARIABLE_COLUMNS = ("bias_var", "ising_i", "ising_j", "rule_head", "lit_var")
 
 _NO_ROWS = {name: np.zeros(0, dtype=dtype) for name, dtype in _COLUMN_DTYPES.items()}
 for _column in _NO_ROWS.values():
@@ -109,6 +112,51 @@ def gather_rules(store, rows) -> dict:
     }
 
 
+#: Cells (rows × widest per-world temporary) one scoring chunk may span.
+#: The rule block holds ``(rows, literals)`` gather, mismatch, int64
+#: index and float64 weight temporaries at once — 18 bytes a cell, so
+#: 2¹⁸ cells keep a chunk near 5 MB however many worlds a call scores
+#: (a Fig. 9-scale Δ × 300 steps in one piece would take hundreds of MB).
+_SCORE_CELLS = 1 << 18
+
+
+def rule_unit_energies(
+    worlds, rule_head, rule_sem, grounding_ri, lit_gg, lit_var, lit_pos
+) -> np.ndarray:
+    """``(S, R)`` unit energies ``sign(head) · g(#satisfied groundings)``
+    of rule factors in the flat layout, one row per world of the
+    ``(S, n)`` boolean matrix ``worlds``.
+
+    The whole-world rule kernel shared by :meth:`FactorTable.energies`
+    and :meth:`~repro.graph.compiled.CompiledFactorGraph.weight_statistics`:
+    literal mismatches are summed per grounding and satisfied groundings
+    per rule with ``bincount``, so an empty grounding counts as satisfied
+    and a rule without groundings has ``n = 0`` (``np.add.reduceat``
+    gets both wrong).  A grounding with contradictory literals is never
+    satisfied and one with a repeated literal is satisfied when the
+    literal is, so a raw grounding and its canonical form
+    (:func:`rule_table`) score the same."""
+    S = worlds.shape[0]
+    R, G = rule_head.shape[0], grounding_ri.shape[0]
+    if G:
+        if lit_gg.size:
+            mismatch = worlds[:, lit_var] != lit_pos
+            flat_g = (lit_gg[None, :] + G * np.arange(S)[:, None]).ravel()
+            unsat = np.bincount(
+                flat_g,
+                weights=mismatch.astype(np.float64).ravel(),
+                minlength=S * G,
+            ).reshape(S, G)
+        else:
+            unsat = np.zeros((S, G), dtype=np.float64)
+        flat_r = (grounding_ri[None, :] + R * np.arange(S)[:, None]).ravel()
+        nsat = np.bincount(flat_r[(unsat == 0).ravel()], minlength=S * R).reshape(S, R)
+    else:
+        nsat = np.zeros((S, R), dtype=np.int64)
+    g = g_table(int(nsat.max()) if nsat.size else 0)[rule_sem, nsat]
+    return np.where(worlds[:, rule_head], 1.0, -1.0) * g
+
+
 class FactorTable:
     """Factors lowered to flat arrays (see the module docstring).
 
@@ -154,9 +202,22 @@ class FactorTable:
 
     def variables(self) -> np.ndarray:
         """Every variable id the factors mention (with repeats)."""
-        return np.concatenate(
-            [self.bias_var, self.ising_i, self.ising_j, self.rule_head, self.lit_var]
-        )
+        return np.concatenate([getattr(self, name) for name in _VARIABLE_COLUMNS])
+
+    def variable_owners(self) -> np.ndarray:
+        """The factor (list position) each entry of :meth:`variables`
+        belongs to."""
+        rule_f = np.flatnonzero(self.kind == KIND_RULE)
+        ising_f = np.flatnonzero(self.kind == KIND_ISING)
+        bias_f = np.flatnonzero(self.kind == KIND_BIAS)
+        return np.concatenate([bias_f, ising_f, ising_f, rule_f, rule_f[self.lit_ri]])
+
+    def with_variables(self, lookup: np.ndarray) -> "FactorTable":
+        """The same factors, variable ``v`` renamed ``lookup[v]``."""
+        columns = self.columns()
+        for name in _VARIABLE_COLUMNS:
+            columns[name] = lookup[columns[name]]
+        return FactorTable(**columns)
 
     def check_ids(self, num_vars: int, num_weights: int) -> None:
         """Every variable and weight id exists; ``ValueError`` names the
@@ -173,13 +234,10 @@ class FactorTable:
         """Each unordered variable pair ``(a, b)``, ``a < b``, that
         co-occurs in some factor, ascending, as a ``(k, 2)`` array: the
         ``NZ`` set of Algorithm 1."""
-        rule_f = np.flatnonzero(self.kind == KIND_RULE)
-        ising_f = np.flatnonzero(self.kind == KIND_ISING)
-        owner = np.concatenate([rule_f, rule_f[self.lit_ri], ising_f, ising_f])
-        var = np.concatenate([self.rule_head, self.lit_var, self.ising_i, self.ising_j])
+        owner, var = self.variable_owners(), self.variables()
         n = int(var.max()) + 1 if var.size else 1
         # Distinct (factor, variable) memberships, sorted: each one pairs
-        # with the later members of its factor.
+        # with the later members of its factor (a bias has none).
         owner, var = np.divmod(np.unique(owner * n + var), n)
         later, first = expand_ranges(
             np.arange(1, owner.shape[0] + 1), np.searchsorted(owner, owner, "right")
@@ -203,6 +261,52 @@ class FactorTable:
         for code, name in enumerate(("bias_wid", "ising_wid", "rule_wid")):
             columns[name] = wids[self.kind == code]
         return FactorTable(**columns)
+
+    def energies(self, worlds: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """``Σ_f coef[f] · U_f(x)`` for every row ``x`` of the ``(S, n)``
+        boolean matrix ``worlds``, as an ``(S,)`` float64 vector:
+        ``coef`` holds one float per factor in list order and ``U`` is a
+        factor's unit energy — ``σ_v`` for a bias, ``σ_i σ_j`` for an
+        Ising factor, ``sign(head) · g(n)`` for a rule (Eq. 1), with
+        ``σ = 2x − 1``.  The one energy scorer: a graph's energy is its
+        table under ``coef = w[weight_ids()]``, the MH target ``δW`` the
+        delta's terms under theirs.  Worlds go through in chunks of at
+        most :data:`_SCORE_CELLS` cells."""
+        coefs = [coef[self.kind == code] for code in (KIND_BIAS, KIND_ISING, KIND_RULE)]
+        energies = np.zeros(worlds.shape[0], dtype=np.float64)
+        widest = max(
+            1,
+            self.lit_var.size,
+            self.grounding_ri.size,
+            self.bias_var.size,
+            self.ising_i.size,
+        )
+        rows = max(1, _SCORE_CELLS // widest)
+        for lo in range(0, worlds.shape[0], rows):
+            energies[lo : lo + rows] = self._energies(worlds[lo : lo + rows], *coefs)
+        return energies
+
+    def _energies(self, worlds, bias_coef, ising_coef, rule_coef) -> np.ndarray:
+        energy = np.zeros(worlds.shape[0], dtype=np.float64)
+        if self.bias_var.size:
+            energy += np.where(worlds[:, self.bias_var], 1.0, -1.0) @ bias_coef
+        if self.ising_i.size:
+            agree = worlds[:, self.ising_i] == worlds[:, self.ising_j]
+            energy += np.where(agree, 1.0, -1.0) @ ising_coef
+        if self.rule_head.size:
+            energy += (
+                rule_unit_energies(
+                    worlds,
+                    self.rule_head,
+                    self.rule_sem,
+                    self.grounding_ri,
+                    self.lit_gg,
+                    self.lit_var,
+                    self.lit_pos,
+                )
+                @ rule_coef
+            )
+        return energy
 
     def take(self, which) -> "FactorTable":
         """The factors at ``which`` — a boolean mask over the list, or
@@ -292,7 +396,11 @@ class FactorTable:
         return [tuple(groundings[a:b]) for a, b in zip(g_ptr, g_ptr[1:])]
 
     def factors(self) -> list:
-        """The factor objects the table stands for (oracle view)."""
+        """The factor records the table stands for, in list order: the
+        read-only view for readers off the update path (tests, the e2e
+        benchmark's graph check); nothing in the package calls it."""
+        from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
+
         bias = map(BiasFactor, self.bias_wid.tolist(), self.bias_var.tolist())
         ising = map(
             IsingFactor,
@@ -380,124 +488,93 @@ def rule_table(heads, wids, sems, groundings) -> FactorTable:
     return rule_columns(heads, wids, sems, groundings).canonical()
 
 
-def lower_factors(factors) -> FactorTable:
-    """Factor objects → :class:`FactorTable` (the package's one walk over
-    factor kinds)."""
-    kind = []
-    bias_var, bias_wid = [], []
-    ising_i, ising_j, ising_wid = [], [], []
-    heads, wids, sems, groundings = [], [], [], []
-    for factor in factors:
-        if isinstance(factor, RuleFactor):
-            kind.append(KIND_RULE)
-            heads.append(factor.head)
-            wids.append(factor.weight_id)
-            sems.append(sem_code(factor.semantics))
-            groundings.append(factor.groundings)
-        elif isinstance(factor, IsingFactor):
-            kind.append(KIND_ISING)
-            ising_i.append(factor.i)
-            ising_j.append(factor.j)
-            ising_wid.append(factor.weight_id)
-        elif isinstance(factor, BiasFactor):
-            kind.append(KIND_BIAS)
-            bias_var.append(factor.var)
-            bias_wid.append(factor.weight_id)
-        else:
-            raise TypeError(f"unknown factor type {type(factor)!r}")
-    columns = rule_table(heads, wids, sems, groundings).columns()
-    columns.update(
-        kind=kind,
-        bias_var=bias_var,
-        bias_wid=bias_wid,
-        ising_i=ising_i,
-        ising_j=ising_j,
-        ising_wid=ising_wid,
-    )
-    return FactorTable(**columns)
+_NO_FACTORS = FactorTable()
 
 
-class FactorList(MutableSequence):
-    """A list of factor objects backed by a :class:`FactorTable`:
-    ``FactorGraphDelta.new_factors``, and the factor list of a grounded
-    :class:`~repro.graph.factor_graph.FactorGraph`.
+class FactorList(Sequence):
+    """The factor list of a :class:`~repro.graph.factor_graph.FactorGraph`
+    and a delta's ``new_factors``: a :class:`FactorTable` (:attr:`table`)
+    plus the rows appended since it was last read.
 
-    Built from objects, it lowers them on the first ``table`` read; born
-    lowered (:meth:`from_table`), it builds the objects on the first read
-    that needs them — iteration, indexing, comparison — and ``len``,
-    :meth:`copy` and pickling never do.  Either form is cached; a
-    mutation goes through the objects and drops the table.
+    ``add_bias`` / ``add_ising`` / ``add_rule`` append one row each
+    without checking ids (``FactorGraph.add_*_factor`` check them first);
+    the rows are buffered and land in the table in one concatenation, at
+    the next :attr:`table` read.  Reading an item or iterating decodes
+    factor records (:meth:`FactorTable.factors`) — a read-only view for
+    tests; ``len``, :meth:`copy` and pickling never do.
     """
 
-    __slots__ = ("_objects", "_table")
+    __slots__ = ("_table", "_kind", "_rows")
 
-    def __init__(self, factors=()) -> None:
-        self._objects = list(factors)
-        self._table = None
+    def __init__(self, table: FactorTable | None = None) -> None:
+        if table is not None and not isinstance(table, FactorTable):
+            raise TypeError(f"a FactorList wraps a FactorTable, not {type(table)!r}")
+        self._table = _NO_FACTORS if table is None else table
+        self._kind = []
+        self._rows = ([], [], [])
 
-    @classmethod
-    def from_table(cls, table: FactorTable) -> "FactorList":
-        self = cls.__new__(cls)
-        self._objects = None
-        self._table = table
-        return self
+    def _add(self, kind: int, row: tuple) -> int:
+        self._kind.append(kind)
+        self._rows[kind].append(row)
+        return len(self) - 1
+
+    def add_bias(self, weight_id, var) -> int:
+        """Append a bias factor; returns its index."""
+        return self._add(KIND_BIAS, (int(weight_id), int(var)))
+
+    def add_ising(self, weight_id, i, j) -> int:
+        """Append an Ising factor; returns its index."""
+        return self._add(KIND_ISING, (int(weight_id), int(i), int(j)))
+
+    def add_rule(self, weight_id, head, groundings, semantics) -> int:
+        """Append a rule factor; returns its index.  ``groundings`` is an
+        iterable of groundings, each an iterable of ``(var, positive)``
+        literals; they land canonical (:func:`rule_table`)."""
+        groundings = tuple(
+            tuple((int(var), bool(pos)) for var, pos in grounding)
+            for grounding in groundings
+        )
+        code = sem_code(Semantics.coerce(semantics))
+        return self._add(KIND_RULE, (int(weight_id), int(head), groundings, code))
 
     @property
     def table(self) -> FactorTable:
-        if self._table is None:
-            self._table = lower_factors(self._objects)
+        if self._kind:
+            bias, ising, rules = self._rows
+            wids, heads, groundings, sems = zip(*rules) if rules else ((),) * 4
+            columns = rule_table(heads, wids, sems, groundings).columns()
+            bias = np.array(bias, dtype=np.int64).reshape(-1, 2)
+            ising = np.array(ising, dtype=np.int64).reshape(-1, 3)
+            columns.update(
+                kind=self._kind,
+                bias_wid=bias[:, 0],
+                bias_var=bias[:, 1],
+                ising_wid=ising[:, 0],
+                ising_i=ising[:, 1],
+                ising_j=ising[:, 2],
+            )
+            self._table = FactorTable.concat([self._table, FactorTable(**columns)])
+            self._kind, self._rows = [], ([], [], [])
         return self._table
 
-    @property
-    def materialized(self) -> bool:
-        """Whether the factor objects exist (the update path never asks)."""
-        return self._objects is not None
-
-    def _factors(self) -> list:
-        if self._objects is None:
-            self._objects = self._table.factors()
-        return self._objects
-
     def copy(self) -> "FactorList":
-        """A list of its own over the same table and objects."""
-        clone = FactorList.from_table(self._table)
-        if self._objects is not None:
-            clone._objects = list(self._objects)
-        return clone
+        """A list of its own over the same table."""
+        return FactorList(self.table)
 
     def __reduce__(self):
-        if self._table is not None:
-            return FactorList.from_table, (self._table,)
-        return FactorList, (self._objects,)
+        return FactorList, (self.table,)
 
     def __len__(self) -> int:
-        return len(self._table if self._objects is None else self._objects)
+        return len(self._table) + len(self._kind)
 
     def __iter__(self):
-        return iter(self._factors())
+        return iter(self.table.factors())
 
-    def __getitem__(self, index):
-        return self._factors()[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (FactorList, list)):
-            return self._factors() == list(other)
-        return NotImplemented
+    def __getitem__(self, index: int):
+        return self.table.take([range(len(self))[index]]).factors()[0]
 
     def __repr__(self) -> str:
         return f"FactorList({len(self)} factors)"
-
-    def __setitem__(self, index, factor) -> None:
-        self._factors()[index] = factor
-        self._table = None
-
-    def __delitem__(self, index) -> None:
-        del self._factors()[index]
-        self._table = None
-
-    def insert(self, index, factor) -> None:
-        self._factors().insert(index, factor)
-        self._table = None
 
 
 @dataclass
@@ -514,14 +591,14 @@ class FactorGraphDelta:
     new_var_evidence:
         Evidence clamps for *new* variables, ``{new var id: value}``.
     new_factors:
-        The added factors (Rule/Ising/Bias), which may reference both old
-        and new variable ids; weight ids must be valid after
-        ``new_weight_entries`` are appended.  Always a :class:`FactorList`
-        — assign a :class:`FactorTable`-backed one or any iterable of
-        factor objects; consumers on the update path read
-        ``new_factors.table``.
+        The added factors, which may reference both old and new variable
+        ids; weight ids must be valid after ``new_weight_entries`` are
+        appended.  Always a :class:`FactorList` — assign one or a
+        :class:`FactorTable`, or append rows with its ``add_*``;
+        consumers read ``new_factors.table``.
     removed_factor_ids:
-        Indexes into the base graph's factor list to drop.
+        Indexes into the base graph's factor list to drop; every
+        consumer checks them (:meth:`removed_ids`) before anything moves.
     evidence_updates:
         ``{existing var id: True/False/None}`` — ``None`` clears evidence
         (a label retracted), a bool sets or flips it (new training data).
@@ -546,6 +623,18 @@ class FactorGraphDelta:
         if name == "new_factors" and not isinstance(value, FactorList):
             value = FactorList(value)
         object.__setattr__(self, name, value)
+
+    def removed_ids(self, num_factors: int) -> np.ndarray:
+        """``removed_factor_ids`` ascending, as an array, checked against
+        a base of ``num_factors`` factors: ``ValueError`` names the first
+        id outside ``[0, num_factors)``."""
+        removed = np.array(sorted(self.removed_factor_ids), dtype=np.int64)
+        bad = removed[(removed < 0) | (removed >= num_factors)]
+        if bad.size:
+            raise ValueError(
+                f"removed factor id {int(bad[0])}, outside [0, {num_factors})"
+            )
+        return removed
 
     # ------------------------------------------------------------------ #
     # Classification used by the rule-based optimizer (§3.3)
@@ -587,7 +676,7 @@ class FactorGraphDelta:
 
         This is the validated *oracle* for the compiled-direct patch path
         (``CompiledFactorGraph.apply_delta``), which maintains the same
-        state without ever materializing a factor list.
+        state in the substrate's arrays.
 
         ``validate=False`` skips the O(|graph|) invariant walk — used by
         slow-path callers where the delta comes from the grounder and the
@@ -599,14 +688,10 @@ class FactorGraphDelta:
         return updated
 
     def apply_in_place(self, base: FactorGraph) -> FactorGraph:
-        """Apply this delta directly onto ``base``, mutating it.
-
-        A lowered factor list (:class:`FactorList`) stays lowered: it
-        drops the removed factors with ``take`` and appends the new ones
-        by table concatenation, and builds no object.  A list of objects
-        removes through a set-difference tail splice — only the list from
-        ``min(removed_factor_ids)`` onward is rebuilt — and extends.
-        """
+        """Apply this delta directly onto ``base``, mutating it: the
+        factor table drops the removed rows with ``take`` and gains the
+        new ones by concatenation."""
+        removed = self.removed_ids(base.num_factors)
         for key, initial, fixed in self.new_weight_entries:
             base.weights.intern(key, initial=initial, fixed=fixed)
         for wid, value in self.changed_weight_values.items():
@@ -619,28 +704,12 @@ class FactorGraphDelta:
             if offset in self.new_var_evidence:
                 base.set_evidence(vid, self.new_var_evidence[offset])
 
-        removed = self.removed_factor_ids
-        factors = base.factors
-        if isinstance(factors, FactorList):
-            table = factors.table
-            if removed:
-                keep = np.ones(len(table), dtype=bool)
-                keep[list(removed)] = False
-                table = table.take(keep)
-            base.factors = FactorList.from_table(
-                FactorTable.concat([table, self.new_factors.table])
-            )
-        else:
-            if removed:
-                lo = min(removed)
-                tail = [
-                    f
-                    for fi, f in enumerate(factors[lo:], start=lo)
-                    if fi not in removed
-                ]
-                del factors[lo:]
-                factors.extend(tail)
-            factors.extend(self.new_factors)
+        table = base.factor_table()
+        if removed.size:
+            keep = np.ones(len(table), dtype=bool)
+            keep[removed] = False
+            table = table.take(keep)
+        base.factors = FactorList(FactorTable.concat([table, self.new_factors.table]))
 
         for var, value in self.evidence_updates.items():
             if value is None:
@@ -654,9 +723,9 @@ class FactorGraphDelta:
         ``(removed, reweighted, shift)``: the factors it removes and the
         surviving ones whose weight value it moves, both as tables (in
         list order), and ``w_new − w_old`` per weight of ``base``."""
-        if not (self.removed_factor_ids or self.changed_weight_values):
+        removed_ids = self.removed_ids(base.num_factors)
+        if not (removed_ids.size or self.changed_weight_values):
             return FactorTable(), FactorTable(), np.zeros(0)
-        removed_ids = sorted(self.removed_factor_ids)
         removed = base.factor_table(removed_ids)
         old = base.weights.values_array()
         shift = np.zeros(old.shape[0])
@@ -759,9 +828,7 @@ def compose_deltas(
             keep[removed - survivors] = False
     if keep is not None:
         kept = kept.take(keep)
-    composed.new_factors = FactorList.from_table(
-        FactorTable.concat([kept, second.new_factors.table])
-    )
+    composed.new_factors = FactorTable.concat([kept, second.new_factors.table])
     return composed
 
 

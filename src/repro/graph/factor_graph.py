@@ -1,17 +1,24 @@
 """Mutable factor-graph model.
 
 Variables are Boolean random variables (one per tuple in the user schema,
-paper §2.4).  Factors come in three kinds:
+paper §2.4).  A graph's factors are one
+:class:`~repro.graph.delta.FactorTable` (``graph.factors``, a
+:class:`~repro.graph.delta.FactorList` over it), holding three kinds:
 
-* :class:`RuleFactor` — the paper's general inference-rule factor: a head
+* rule factors — the paper's general inference-rule factor: a head
   variable, a bag of body *groundings* (each a conjunction of signed
   literals over variables), a tied weight, and a semantics ``g``.  Its
   energy is ``w · sign(head, I) · g(#satisfied groundings)`` (Eq. 1).
-* :class:`IsingFactor` — a pairwise binary potential ``w · σ_i · σ_j`` with
+* Ising factors — a pairwise binary potential ``w · σ_i · σ_j`` with
   ``σ = 2x − 1``.  These are emitted by the variational approximation
   (Algorithm 1 outputs pairwise-only graphs) and by synthetic workloads.
-* :class:`BiasFactor` — a unary potential ``w · σ_v``; the per-tuple prior
+* bias factors — a unary potential ``w · σ_v``; the per-tuple prior
   weight ``w_a : R(a)`` of Appendix A.
+
+:class:`RuleFactor`, :class:`IsingFactor` and :class:`BiasFactor` are
+the read-only records a table decodes into
+(:meth:`~repro.graph.delta.FactorTable.factors`) for readers off the
+update path; the package never builds one.
 
 Weights are stored once in a :class:`WeightStore` and referenced by id so
 that *weight tying* (§2.3) works: factors grounded from the same rule with
@@ -20,23 +27,18 @@ the same feature key share a single learnable parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from repro.graph.semantics import Semantics, g_value
-
-# A literal is (variable id, required truth value); a grounding is a
-# conjunction of literals.  An empty grounding is vacuously satisfied
-# (it arises when all body atoms of a rule ground to known facts).
-Literal = "tuple[int, bool]"
-Grounding = "tuple[Literal, ...]"
+from repro.graph.delta import FactorList
+from repro.graph.semantics import Semantics
 
 
 @dataclass(frozen=True)
 class RuleFactor:
-    """General inference-rule factor (paper Eq. 1)."""
+    """A decoded rule-factor row (paper Eq. 1)."""
 
     weight_id: int
     head: int
@@ -51,24 +53,10 @@ class RuleFactor:
                 seen.add(var)
         return seen
 
-    def unit_energy(self, assignment) -> float:
-        """``sign(head) · g(n)`` — the energy per unit of weight."""
-        sign = 1.0 if assignment[self.head] else -1.0
-        n = sum(
-            1
-            for grounding in self.groundings
-            if all(bool(assignment[var]) == pos for var, pos in grounding)
-        )
-        return sign * g_value(self.semantics, n)
-
-    def energy(self, assignment, weights: "WeightStore") -> float:
-        """``w · sign(head) · g(n)`` under ``assignment`` (bool array)."""
-        return weights.value(self.weight_id) * self.unit_energy(assignment)
-
 
 @dataclass(frozen=True)
 class IsingFactor:
-    """Pairwise spin-coupling potential ``w · σ_i · σ_j``."""
+    """A decoded Ising-factor row: ``w · σ_i · σ_j``."""
 
     weight_id: int
     i: int
@@ -77,30 +65,16 @@ class IsingFactor:
     def variables(self):
         return {self.i, self.j}
 
-    def unit_energy(self, assignment) -> float:
-        si = 1.0 if assignment[self.i] else -1.0
-        sj = 1.0 if assignment[self.j] else -1.0
-        return si * sj
-
-    def energy(self, assignment, weights: "WeightStore") -> float:
-        return weights.value(self.weight_id) * self.unit_energy(assignment)
-
 
 @dataclass(frozen=True)
 class BiasFactor:
-    """Unary potential ``w · σ_v``."""
+    """A decoded bias-factor row: ``w · σ_v``."""
 
     weight_id: int
     var: int
 
     def variables(self):
         return {self.var}
-
-    def unit_energy(self, assignment) -> float:
-        return 1.0 if assignment[self.var] else -1.0
-
-    def energy(self, assignment, weights: "WeightStore") -> float:
-        return weights.value(self.weight_id) * self.unit_energy(assignment)
 
 
 class WeightStore:
@@ -265,15 +239,14 @@ class FactorGraph:
 
     Evidence variables (``E = P ∪ N`` in §2.4) are clamped to fixed values;
     query variables are free.  The graph owns a :class:`WeightStore`.
-    ``factors`` is a list of factor objects, or — for a grounded graph —
-    a :class:`~repro.graph.delta.FactorList` born lowered, which the
-    compile, :meth:`copy`, :meth:`validate` and :meth:`factor_table` read
-    as a table without building an object.
+    ``factors`` is a :class:`~repro.graph.delta.FactorList`: the factor
+    table, which the compile, :meth:`copy`, :meth:`validate`,
+    :meth:`energy` and :meth:`factor_table` read as it is.
     """
 
     def __init__(self, weights: WeightStore | None = None) -> None:
         self.weights = weights if weights is not None else WeightStore()
-        self.factors: list = []
+        self.factors = FactorList()
         self._num_vars = 0
         self._names: list = []
         self._evidence: dict = {}
@@ -407,21 +380,12 @@ class FactorGraph:
         """
         semantics = Semantics.coerce(semantics)
         self._check_var(head)
-        frozen = []
+        groundings = [tuple(grounding) for grounding in groundings]
         for grounding in groundings:
-            lits = tuple((int(v), bool(p)) for v, p in grounding)
-            for var, _ in lits:
+            for var, _ in grounding:
                 self._check_var(var)
-            frozen.append(lits)
-        factor = RuleFactor(
-            weight_id=int(weight_id),
-            head=int(head),
-            groundings=tuple(frozen),
-            semantics=semantics,
-        )
-        self._check_weight(factor.weight_id)
-        self.factors.append(factor)
-        return len(self.factors) - 1
+        self._check_weight(weight_id)
+        return self.factors.add_rule(weight_id, head, groundings, semantics)
 
     def add_ising_factor(self, weight_id, i, j) -> int:
         self._check_var(i)
@@ -429,36 +393,37 @@ class FactorGraph:
         if i == j:
             raise ValueError("Ising factor endpoints must differ")
         self._check_weight(weight_id)
-        self.factors.append(IsingFactor(int(weight_id), int(i), int(j)))
-        return len(self.factors) - 1
+        return self.factors.add_ising(weight_id, i, j)
 
     def add_bias_factor(self, weight_id, var) -> int:
         self._check_var(var)
         self._check_weight(weight_id)
-        self.factors.append(BiasFactor(int(weight_id), int(var)))
-        return len(self.factors) - 1
+        return self.factors.add_bias(weight_id, var)
 
     def factor_table(self, indices=None):
         """The factors at ``indices`` of the factor list (all of them by
         default), in that order, as a
-        :class:`~repro.graph.delta.FactorTable`: a lowered list and a
-        compiled view gather it from their arrays without building a
-        factor object."""
-        from repro.graph.delta import FactorList, lower_factors
-
-        factors = self.factors
-        if isinstance(factors, FactorList):
-            table = factors.table
-            if indices is None:
-                return table
-            return table.take(np.asarray(indices, dtype=np.int64))
+        :class:`~repro.graph.delta.FactorTable`."""
+        table = self.factors.table
         if indices is None:
-            return lower_factors(factors)
-        return lower_factors([factors[index] for index in indices])
+            return table
+        return table.take(np.asarray(indices, dtype=np.int64))
 
     # ------------------------------------------------------------------ #
     # Energy / probability
     # ------------------------------------------------------------------ #
+
+    def energies(self, worlds) -> np.ndarray:
+        """``W(F, I)`` of every row ``I`` of the ``(S, num_vars)``
+        boolean matrix ``worlds``, scored from the factor table
+        (:meth:`~repro.graph.delta.FactorTable.energies`)."""
+        worlds = np.asarray(worlds, dtype=bool)
+        if worlds.ndim != 2 or worlds.shape[1] != self._num_vars:
+            raise ValueError(
+                f"worlds must be (S, {self._num_vars}); got {worlds.shape}"
+            )
+        table = self.factor_table()
+        return table.energies(worlds, self.weights.values_array()[table.weight_ids()])
 
     def energy(self, assignment) -> float:
         """Total log-weight ``W(F, I)`` of a world (paper §2.5)."""
@@ -468,7 +433,7 @@ class FactorGraph:
                 f"assignment must have shape ({self._num_vars},), "
                 f"got {assignment.shape}"
             )
-        return sum(f.energy(assignment, self.weights) for f in self.factors)
+        return float(self.energies(assignment[None, :])[0])
 
     # ------------------------------------------------------------------ #
     # Structure queries
@@ -483,9 +448,9 @@ class FactorGraph:
         return self.factor_table().neighbor_pairs()
 
     def copy(self, share_weights: bool = False) -> "FactorGraph":
-        """Deep-enough copy: immutable factors shared, weights copied.
+        """Deep-enough copy: the immutable factor table shared, weights
+        copied.
 
-        A lowered factor list is copied as its table, never materialized.
         With ``share_weights=True`` the clone references the *same*
         :class:`WeightStore`, so learning on one graph is visible to the
         other (used for the conditioned/free chain pair in SGD).
@@ -506,18 +471,16 @@ class FactorGraph:
 
     @classmethod
     def from_compiled(cls, compiled, share_weights: bool = False) -> "FactorGraph":
-        """Materialize a plain mutable graph from a compiled substrate.
-
-        The compiled substrate is the source of truth for graph state;
-        this is the oracle-view escape hatch for slow paths (strawman, exact
-        inference, test references) that need a real factor list.  O(#factors) — never call it on the
-        default update path.
+        """A plain mutable graph over a compiled substrate's current
+        factor table (one whole-list gather, counted in
+        ``compiled.views_materialized``).  O(#factors) — never call it on
+        the default update path.
         """
         graph = cls(compiled.weights if share_weights else compiled.weights.copy())
         graph._num_vars = compiled.num_vars
         graph._names = list(compiled.names)
         graph._evidence.update(compiled.evidence_dict)
-        graph.factors = list(compiled.materialized_factors())
+        graph.factors = _gathered(compiled)
         return graph
 
     def validate(self) -> None:
@@ -550,15 +513,24 @@ class FactorGraph:
         )
 
 
+def _gathered(compiled) -> FactorList:
+    """A substrate's whole current factor list, gathered from its arrays
+    and counted in ``views_materialized`` (the update path gathers only
+    the rows it needs, with ``factor_table(ids)``)."""
+    compiled.views_materialized += 1
+    return FactorList(compiled._live_table())
+
+
 class CompiledGraphView(FactorGraph):
     """Read-mostly :class:`FactorGraph` facade over a compiled substrate.
 
     The :class:`~repro.graph.compiled.CompiledFactorGraph` owns the graph
     state (CSR arrays + the factor-handle table); this view exposes the
     classic ``FactorGraph`` API on top of it without holding a factor
-    list of its own.  ``factors`` lazily materializes from the handle
-    table (version-stamped cache in the substrate), so slow-path oracles
-    keep working while the default update path never pays O(#factors).
+    list of its own.  :meth:`factor_table` gathers from the arrays;
+    ``factors`` gathers the whole list, each read counted in the
+    substrate's ``views_materialized`` — the default update path never
+    reads it.
 
     Structure is immutable through the view — patch the substrate
     instead.  Evidence mutation is allowed and writes through to the
@@ -590,8 +562,8 @@ class CompiledGraphView(FactorGraph):
         return self._compiled.num_factors
 
     @property
-    def factors(self) -> list:
-        return self._compiled.materialized_factors()
+    def factors(self) -> FactorList:
+        return _gathered(self._compiled)
 
     def factor_table(self, indices=None):
         if indices is None:
@@ -630,9 +602,9 @@ class CompiledGraphView(FactorGraph):
 
         ``share_weights=True`` returns another *lazy* view over the same
         substrate with an independent evidence dict (the SGD free-chain
-        twin: shared weights, private evidence, no materialization).
-        ``share_weights=False`` materializes a fully detached mutable
-        :class:`FactorGraph` (oracle semantics).
+        twin: shared weights, private evidence, no gather).
+        ``share_weights=False`` gathers a fully detached mutable
+        :class:`FactorGraph` (:meth:`FactorGraph.from_compiled`).
         """
         if share_weights:
             return CompiledGraphView(self._compiled, evidence=dict(self._evidence))

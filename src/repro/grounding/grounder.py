@@ -569,7 +569,7 @@ class Grounder:
         # Every id was resolved through ``variable_of`` or interned in
         # ``graph.weights``, so the columns need no validate() pass.
         raw = FactorTable.concat(tables)
-        graph.factors = FactorList.from_table(raw.canonical())
+        graph.factors = FactorList(raw.canonical())
         return GroundingResult(
             graph=graph,
             variable_of=variable_of,

@@ -59,7 +59,7 @@ from repro.db.columnar import ColumnarBatch, group_rows
 from repro.db.database import Database
 from repro.db.plan import canonicalize_batch
 from repro.db.relation import RawIds, Relation
-from repro.graph.delta import FactorGraphDelta, FactorList, FactorTable, rule_table
+from repro.graph.delta import FactorGraphDelta, FactorTable, rule_table
 from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import sem_code
 from repro.reliability.errors import UpdateRejected
@@ -430,13 +430,11 @@ class IncrementalGrounder:
             del self.variable_of[name_row]
             self._code_resolver.discard(*name_row)
         keys = sorted(rebuilt, key=str)
-        delta.new_factors = FactorList.from_table(
-            rule_table(
-                [head for _, head, _ in keys],
-                [wid for *_, wid in keys],
-                [sems[name] for name, *_ in keys],
-                [rebuilt[key] for key in keys],
-            )
+        delta.new_factors = rule_table(
+            [head for _, head, _ in keys],
+            [wid for *_, wid in keys],
+            [sems[name] for name, *_ in keys],
+            [rebuilt[key] for key in keys],
         )
 
         # Tombstone removed variables: clamp them false so any residual

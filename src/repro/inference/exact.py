@@ -11,8 +11,6 @@ roles here:
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 from scipy.special import logsumexp
 
@@ -43,18 +41,17 @@ class ExactInference:
         self._enumerate()
 
     def _enumerate(self) -> None:
+        """Every world consistent with the evidence, scored in one call
+        of the table scorer (``graph.energies``).  World ``k`` sets free
+        variable ``free[j]`` to bit ``num_free − 1 − j`` of ``k`` — the
+        first free variable is the most significant bit."""
         graph = self.graph
-        base = graph.initial_assignment()
         num_free = len(self.free)
-        num_worlds = 1 << num_free
-        log_weights = np.empty(num_worlds)
-        worlds = np.zeros((num_worlds, graph.num_vars), dtype=bool)
-        for idx, bits in enumerate(itertools.product((False, True), repeat=num_free)):
-            world = base.copy()
-            for var, bit in zip(self.free, bits):
-                world[var] = bit
-            worlds[idx] = world
-            log_weights[idx] = graph.energy(world)
+        codes = np.arange(1 << num_free, dtype=np.uint32)
+        worlds = np.repeat(graph.initial_assignment()[None, :], codes.shape[0], axis=0)
+        for j, var in enumerate(self.free):
+            worlds[:, var] = (codes >> (num_free - 1 - j)) & 1
+        log_weights = graph.energies(worlds)
         self.log_partition = float(logsumexp(log_weights))
         self.log_probs = log_weights - self.log_partition
         self.worlds = worlds

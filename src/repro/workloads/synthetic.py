@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.sampling import SampleMaterialization
 from repro.graph.delta import FactorGraphDelta
-from repro.graph.factor_graph import BiasFactor, FactorGraph
+from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
 
 
@@ -81,9 +81,7 @@ def random_delta_factors(
         delta.new_weight_entries.append(
             (("delta-bias", int(var), k), sign * magnitude, False)
         )
-        delta.new_factors.append(
-            BiasFactor(weight_id=len(graph.weights) + k, var=int(var))
-        )
+        delta.new_factors.add_bias(len(graph.weights) + k, var)
     return delta
 
 

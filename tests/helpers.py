@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+from collections import Counter
+
 import numpy as np
 
 from repro.graph import (
@@ -12,6 +15,9 @@ from repro.graph import (
     RuleFactor,
     Semantics,
 )
+from repro.graph.delta import FactorTable
+
+from tests.reference.factors import add_factor
 
 
 def single_bias_graph(weight: float = 0.7) -> FactorGraph:
@@ -158,11 +164,13 @@ def random_factor(rng, num_vars, weight_id):
     return random_rule(rng, num_vars, weight_id)
 
 
-def mixed_case(seed, new_vars=None):
+def mixed_case(seed, new_vars=None, records=None):
     """A random base graph and a delta against it that mixes every kind of
     term: bias / Ising / rule factors of all three semantics added and
     removed, reweighted survivors, new weights, appended variables with
-    and without evidence, evidence set, flipped and cleared."""
+    and without evidence, evidence set, flipped and cleared.  The raw
+    records drawn for the delta's new factors (before their groundings
+    land canonical) are appended to ``records`` when given."""
     rng = np.random.default_rng(seed)
     base = FactorGraph()
     n = int(rng.integers(2, 7))
@@ -172,8 +180,8 @@ def mixed_case(seed, new_vars=None):
     for k in range(int(rng.integers(1, 5))):
         base.weights.intern(("w", k), initial=float(rng.normal()))
     for _ in range(int(rng.integers(0, 9))):
-        base.factors.append(
-            random_factor(rng, n, int(rng.integers(len(base.weights))))
+        add_factor(
+            base.factors, random_factor(rng, n, int(rng.integers(len(base.weights))))
         )
 
     delta = FactorGraphDelta()
@@ -188,9 +196,10 @@ def mixed_case(seed, new_vars=None):
         delta.new_weight_entries.append((("new", k), float(rng.normal()), False))
     num_weights = len(base.weights) + len(delta.new_weight_entries)
     for _ in range(int(rng.integers(0, 7))):
-        delta.new_factors.append(
-            random_factor(rng, total, int(rng.integers(num_weights)))
-        )
+        factor = random_factor(rng, total, int(rng.integers(num_weights)))
+        add_factor(delta.new_factors, factor)
+        if records is not None:
+            records.append(factor)
     for fi in range(base.num_factors):
         if rng.random() < 0.3:
             delta.removed_factor_ids.add(fi)
@@ -206,7 +215,7 @@ def mixed_case(seed, new_vars=None):
 def graph_fingerprint(graph) -> dict:
     """Everything observable about a factor graph, in exact order — two
     runs are bit-identical iff their fingerprints are equal (factors are
-    frozen dataclasses and compare field by field).  Also imported by
+    decoded into frozen records, which compare field by field).  Also imported by
     ``benchmarks/bench_recovery.py --check``."""
     return {
         "names": [graph.name_of(v) for v in range(graph.num_vars)],
@@ -217,3 +226,27 @@ def graph_fingerprint(graph) -> dict:
             graph.weights.is_fixed(i) for i in range(len(graph.weights))
         ],
     }
+
+
+@contextlib.contextmanager
+def counting(cls, name, counts=None):
+    """``cls.name`` counts its calls into ``counts[name]`` (a fresh
+    ``Counter`` by default, yielded) while the block runs."""
+    counts = Counter() if counts is None else counts
+    original = getattr(cls, name)
+
+    def wrapper(self, *args, **kwargs):
+        counts[name] += 1
+        return original(self, *args, **kwargs)
+
+    setattr(cls, name, wrapper)
+    try:
+        yield counts
+    finally:
+        setattr(cls, name, original)
+
+
+def decodes():
+    """Counts ``FactorTable.factors()`` calls — factor records decoded
+    from a table — under ``"factors"`` while the block runs."""
+    return counting(FactorTable, "factors")

@@ -4,15 +4,15 @@
 substrate replaced, verbatim, so the array paths have something slow and
 obvious to equal:
 
-* ``__init__`` walks the graph's factor *objects* — in their canonical
-  form, ``lower_factors(graph.factors).factors()``, since the package
-  keeps no other — into per-variable Python lists and flattens those;
+* ``__init__`` walks the graph's factor *records* — its table decoded,
+  ``graph.factor_table().factors()``, canonical since the package keeps
+  no other form — into per-variable Python lists and flattens those;
 * ``apply_delta`` lowers the delta to lists of tuples
   (``_ops_from_delta``), applies them one factor at a time
   (``apply_patch_ops``: a dozen single-row appends per factor, a
   ``RuleFactor`` kept resident per rule in ``_ri_factor``), and only
   *then* looks at ``patch_fraction()``;
-* ``compact`` rebuilds every factor object from the arrays so that
+* ``compact`` decodes every factor record from the arrays so that
   ``__init__`` can walk them back into arrays.
 
 Everything else — kernels, plans, caches, snapshots — is inherited, and
@@ -36,7 +36,6 @@ from repro.graph.compiled import (
     _Growable,
     _smallest_free_color,
 )
-from repro.graph.delta import lower_factors
 from repro.graph.factor_graph import (
     BiasFactor,
     CompiledGraphView,
@@ -88,7 +87,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         # factor ids resolve to tombstones in O(1).
         fkind_l, fprov_l = [], []
 
-        for fi, factor in enumerate(lower_factors(graph.factors).factors()):
+        for fi, factor in enumerate(graph.factor_table().factors()):
             if isinstance(factor, BiasFactor):
                 fkind_l.append(0)
                 fprov_l.append((factor.var, len(bias_lists[factor.var])))
@@ -256,18 +255,9 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         # apply_patch_ops.
         self.weight_factor_counts = self._compute_weight_counts()
 
-        # ---- substrate-as-truth state ------------------------------------
-        # Once deltas are applied directly (``apply_delta`` with no
-        # materialized graph) this object is the single source of graph
-        # truth: ``structure_version`` stamps structural patches,
-        # ``materialized_factors()`` lazily rebuilds the oracle factor
-        # list against that stamp, and ``views_materialized`` counts
-        # rebuilds — the default update path must never trigger one.
-        # ``compact()`` preserves the version/counter across its re-init.
+        # ``compact()`` preserves these across its re-init.
         self.structure_version = 0
         self.views_materialized = 0
-        self._view_factors = None
-        self._view_factors_version = -1
 
     def factor_at(self, fi: int):
         """The factor at index ``fi`` of the current factor list, rebuilt
@@ -283,52 +273,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 int(self.ising_other[h1]),
             )
         return BiasFactor(int(self.bias_wid[h1]), int(self.bias_var[h1]))
-
-    def materialized_factors(self) -> list:
-        """The current factor list, lazily rebuilt from the handle table.
-
-        The oracle-view escape hatch behind
-        :meth:`FactorGraph.from_compiled` and
-        :class:`~repro.graph.factor_graph.CompiledGraphView.factors`:
-        O(#factors) when (re)built, then cached until the next structural
-        patch bumps ``structure_version``.  Slow paths (strawman, exact
-        inference, test references) pay for it; the default update path
-        must not — single factors come from :meth:`factor_at`.
-        """
-        if (
-            self._view_factors is None
-            or self._view_factors_version != self.structure_version
-        ):
-            # :meth:`factor_at` for every index, inlined: this loop is
-            # the whole cost of an engine's Pr⁰ copy and of a compaction.
-            fkind = self._fkind
-            fh1 = self._fh1
-            bias_var, bias_wid = self.bias_var, self.bias_wid
-            ising_row = self.ising_row
-            ising_other = self.ising_other
-            ising_wid = self.ising_wid
-            ri_factor = self._ri_factor
-            factors = []
-            append = factors.append
-            for fi in range(fkind.shape[0]):
-                kind = fkind[fi]
-                h1 = fh1[fi]
-                if kind == 2:
-                    append(ri_factor[h1])
-                elif kind == 1:
-                    append(
-                        IsingFactor(
-                            int(ising_wid[h1]),
-                            int(ising_row[h1]),
-                            int(ising_other[h1]),
-                        )
-                    )
-                else:
-                    append(BiasFactor(int(bias_wid[h1]), int(bias_var[h1])))
-            self._view_factors = factors
-            self._view_factors_version = self.structure_version
-            self.views_materialized += 1
-        return self._view_factors
 
     def _count_adjust(self, wid: int, delta: int) -> None:
         counts = self.weight_factor_counts
@@ -369,7 +313,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             # Read by ``CompiledPatch.structural`` only.
             "add": delta.new_factors.table,
         }
-        removed = sorted(delta.removed_factor_ids)
+        removed = delta.removed_ids(self.num_factors).tolist()
         for fi in removed:
             kind = int(self._fkind[fi])
             if kind == 0:
@@ -709,13 +653,8 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         graph = self.graph
         version = self.structure_version
         materialized = self.views_materialized
-        if isinstance(graph, CompiledGraphView) and graph.compiled is self:
-            # Re-init compiles from ``graph.factors``, and a view's
-            # factor list derives from this instance's arrays — build it
-            # while they are intact.  (Captured counters are restored
-            # below: a compaction-internal rebuild is amortized O(|graph|)
-            # by design and does not count as an oracle materialization.)
-            self.materialized_factors()
+        # Re-init decodes ``graph.factor_table()`` before it writes an
+        # array, and a view's table gathers from this instance's arrays.
         self.__init__(graph)
         self.structure_version = version + 1
         self.views_materialized = materialized

@@ -11,8 +11,9 @@ fresh database, ground it here, compare canonical forms" checks
 :func:`fold_ground` is the full ground as the package ran it before it
 folded binding batches straight into factor-table columns: every batch
 folds into ``FactorRecord`` objects holding literal tuples, one
-``RuleFactor`` per record, and ``lower_factors`` of those objects is
-what ``Grounder.ground()``'s table must equal column by column — factor
+``RuleFactor`` per record, and ``lower_factors`` of those records
+(``tests.reference.factors``) is the oracle graph's table, which
+``Grounder.ground()``'s must equal column by column — factor
 order, grounding order and weight-intern order included.  Its records,
 as rows (:func:`fold_rows`), are what an incremental grounder's
 per-rule grounding tables must hold, multiplicities included.
@@ -36,6 +37,7 @@ from repro.grounding.grounder import (
     full_body_batch,
 )
 
+from tests.reference.factors import as_factor_list
 from tests.reference.query import evaluate_query
 
 
@@ -142,8 +144,9 @@ class FactorRecord:
 
 def fold_ground(program, db) -> tuple:
     """Ground ``program`` over ``db`` through factor records; returns
-    ``(graph, records)`` — ``graph.factors`` a list of raw ``RuleFactor``
-    objects (literal tuples as the joins produced them), ``records``
+    ``(graph, records)`` — ``graph.factors`` the ``lower_factors`` of
+    one raw ``RuleFactor`` per record (literal tuples as the joins
+    produced them), ``records``
     ``{(rule, head var, weight id): FactorRecord}`` with plain-list
     groundings and ``factor_index`` set."""
     grounder = Grounder(program, db)
@@ -167,9 +170,10 @@ def fold_ground(program, db) -> tuple:
                 rule, semantics, batch, interner, program.variable_relations,
                 variable_of, graph.weights, records,
             )
+    factors = []
     for record in records.values():
-        record.factor_index = len(graph.factors)
-        graph.factors.append(
+        record.factor_index = len(factors)
+        factors.append(
             RuleFactor(
                 weight_id=record.weight_id,
                 head=record.head_var,
@@ -177,6 +181,7 @@ def fold_ground(program, db) -> tuple:
                 semantics=record.semantics,
             )
         )
+    graph.factors = as_factor_list(factors)
     return graph, records
 
 

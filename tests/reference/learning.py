@@ -11,14 +11,18 @@ import numpy as np
 
 from repro.graph.compiled import GibbsCache
 
+from tests.reference.factors import unit_energy
 
-def weight_statistics(graph, worlds) -> np.ndarray:
-    """Mean summed unit energy per weight id over ``worlds``."""
+
+def weight_statistics(graph, worlds, factors=None) -> np.ndarray:
+    """Mean summed unit energy per weight id over ``worlds``, over
+    ``factors`` (records; ``graph.factors`` decoded by default)."""
     worlds = np.atleast_2d(np.asarray(worlds, dtype=bool))
     totals = np.zeros(len(graph.weights))
+    factors = list(graph.factors) if factors is None else factors
     for world in worlds:
-        for factor in graph.factors:
-            totals[factor.weight_id] += factor.unit_energy(world)
+        for factor in factors:
+            totals[factor.weight_id] += unit_energy(factor, world)
     return totals / len(worlds)
 
 

@@ -1,6 +1,7 @@
 """The per-proposal independent-MH loop ``IndependentMH.run`` is checked
 against: every proposal extended, checked and scored world by world
-through :class:`DeltaEvaluator`'s scalar methods, the chain advanced one
+through the one-world evaluator
+(:class:`tests.reference.delta_energy.OneWorldEvaluator`), the chain advanced one
 step at a time.
 """
 
@@ -8,14 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.delta_energy import DeltaEvaluator
 from repro.inference.metropolis import MHResult
 from repro.util.rng import as_generator
+
+from tests.reference.delta_energy import OneWorldEvaluator
 
 
 def reference_mh_run(base, delta, stored, seed, num_steps, keep_chain=False) -> MHResult:
     """``IndependentMH(base, delta, stored, seed).run(num_steps, keep_chain)``."""
-    evaluator = DeltaEvaluator(base, delta)
+    evaluator = OneWorldEvaluator(base, delta)
     stored = np.asarray(stored, dtype=bool)
     rng = as_generator(seed)
     total_vars = evaluator.total_vars

@@ -5,8 +5,8 @@ Eq. 1 counts satisfied groundings, and a grounding is a conjunction, so
 builds every rule column in that form — a repeated literal keeps its
 first occurrence, a contradictory grounding is dropped whole (never left
 empty: an empty grounding is satisfied) — and the substrate has one rule
-path.  Factor *objects* stay raw, and their brute-force energies are the
-oracle:
+path.  Factor *records* built by hand stay raw, and their
+record-by-record energies (``tests.reference.factors``) are the oracle:
 
 * over raw graphs full of repeated, contradictory and empty groundings,
   every rule lands at ``KIND_RULE``; the scalar and batched conditionals
@@ -29,40 +29,59 @@ from hypothesis import strategies as st
 
 from repro.graph import CompiledFactorGraph, FactorGraph, Semantics
 from repro.graph.compiled import GibbsCache
-from repro.graph.delta import KIND_RULE, FactorTable, lower_factors, rule_table
+from repro.graph.delta import KIND_RULE, FactorTable, rule_table
 from repro.graph.factor_graph import RuleFactor
 from repro.graph.semantics import sem_code
 from repro.inference.exact import ExactInference
 from repro.inference.gibbs import ChainStack, GibbsSampler
 
-from tests.helpers import SEMANTICS, brute_force_delta, random_factor
+from tests.helpers import SEMANTICS, random_factor
 from tests.reference import learning as reference
+from tests.reference.factors import as_factor_list, factor_energy, lower_factors
 
 
-def raw_graph(seed: int, max_vars: int = 6) -> FactorGraph:
-    """A small graph of bias, Ising and rule factors whose rules have
-    zero, empty, repeated and contradictory groundings — and always one
-    rule with a repeated literal and a contradiction next to an empty
-    grounding."""
+def raw_case(seed: int, max_vars: int = 6) -> tuple:
+    """``(graph, records)``: a small graph of bias, Ising and rule factors
+    whose rules have zero, empty, repeated and contradictory groundings —
+    and always one rule with a repeated literal and a contradiction next
+    to an empty grounding — and the raw records it was built from."""
     rng = np.random.default_rng(seed)
     fg = FactorGraph()
     n = int(rng.integers(2, max_vars + 1))
     fg.add_variables(n)
     for k in range(int(rng.integers(1, 4))):
         fg.weights.intern(("w", k), initial=float(rng.normal(0, 0.7)))
-    for _ in range(int(rng.integers(1, 8))):
-        fg.factors.append(random_factor(rng, n, int(rng.integers(len(fg.weights)))))
+    records = [
+        random_factor(rng, n, int(rng.integers(len(fg.weights))))
+        for _ in range(int(rng.integers(1, 8)))
+    ]
     a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
-    fg.add_rule_factor(
-        int(rng.integers(len(fg.weights))),
-        int(rng.integers(n)),
-        [[(a, True), (b, False), (a, True)], [(b, True), (a, False), (b, False)], []],
-        SEMANTICS[int(rng.integers(3))],
+    records.append(
+        RuleFactor(
+            int(rng.integers(len(fg.weights))),
+            int(rng.integers(n)),
+            (((a, True), (b, False), (a, True)), ((b, True), (a, False), (b, False)), ()),
+            SEMANTICS[int(rng.integers(3))],
+        )
     )
+    fg.factors = as_factor_list(records)
     for var in range(n):
         if rng.random() < 0.2:
             fg.set_evidence(var, bool(rng.integers(2)))
-    return fg
+    return fg, records
+
+
+def raw_graph(seed: int) -> FactorGraph:
+    return raw_case(seed)[0]
+
+
+def raw_delta(records, weights, x, var) -> float:
+    """``E(x | x_var=1) − E(x | x_var=0)`` over the raw records."""
+    x1, x0 = x.copy(), x.copy()
+    x1[var], x0[var] = True, False
+    return sum(factor_energy(f, x1, weights) for f in records) - sum(
+        factor_energy(f, x0, weights) for f in records
+    )
 
 
 def single_site_relaxation_sweeps(exact: ExactInference) -> float:
@@ -120,7 +139,7 @@ class TestCanonicalSubstrateEqualsRawObjects:
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
     def test_kernels_and_statistics_match_the_raw_energies(self, seed):
-        fg = raw_graph(seed)
+        fg, records = raw_case(seed)
         compiled = CompiledFactorGraph(fg.copy())
         rules = [i for i, f in enumerate(fg.factors) if isinstance(f, RuleFactor)]
         assert (compiled._fkind[rules] == KIND_RULE).all()
@@ -130,7 +149,7 @@ class TestCanonicalSubstrateEqualsRawObjects:
 
         rng = np.random.default_rng(seed + 1)
         x = rng.random(fg.num_vars) < 0.5
-        expected = [brute_force_delta(fg, x, v) for v in range(fg.num_vars)]
+        expected = [raw_delta(records, fg.weights, x, v) for v in range(fg.num_vars)]
         cache = GibbsCache(compiled, x)
         scalar = [cache.delta_energy(v, x) for v in range(fg.num_vars)]
         assert scalar == pytest.approx(expected, abs=1e-9)
@@ -139,7 +158,7 @@ class TestCanonicalSubstrateEqualsRawObjects:
 
         worlds = rng.random((5, fg.num_vars)) < 0.5
         assert compiled.weight_statistics(worlds) == pytest.approx(
-            reference.weight_statistics(fg, worlds), abs=1e-9
+            reference.weight_statistics(fg, worlds, records), abs=1e-9
         )
 
     @given(seed=st.integers(0, 100_000))
@@ -252,7 +271,7 @@ class TestRuleTable:
         ``factor_table`` only move canonical rows around."""
         rng = np.random.default_rng(seed)
         graphs = [raw_graph(seed), raw_graph(seed + 1)]
-        tables = [lower_factors(fg.factors) for fg in graphs]
+        tables = [fg.factor_table() for fg in graphs]
         joined = FactorTable.concat(tables)
         picked = joined.take(rng.permutation(len(joined))[: len(joined) // 2 + 1])
         compiled = CompiledFactorGraph(graphs[0].copy())
@@ -275,6 +294,7 @@ class TestRuleTable:
         fg.add_variables(2)
         wid = fg.weights.intern("w", initial=0.9)
         fg.add_rule_factor(wid, head, [[(a, True), (a, False)], []], Semantics.LINEAR)
+        raw = [RuleFactor(wid, head, (((a, True), (a, False)), ()), Semantics.LINEAR)]
         compiled = CompiledFactorGraph(fg.copy())
         assert compiled.num_groundings == 1
         for bits in range(4):
@@ -283,7 +303,7 @@ class TestRuleTable:
             assert cache.nsat.tolist() == [1]
             for var in (a, head):
                 assert cache.delta_energy(var, x) == pytest.approx(
-                    brute_force_delta(fg, x, var), abs=1e-12
+                    raw_delta(raw, fg.weights, x, var), abs=1e-12
                 )
 
     def test_repeats_keep_the_first_literal_and_renumber_the_rest(self):

@@ -451,7 +451,8 @@ class TestLearner:
         )
         compiled = CompiledFactorGraph(graph)
         # ``9 ∧ 9`` lands as ``9``, on the one rule path.
-        assert compiled.materialized_factors()[-1].groundings == (
+        last = compiled.factor_table([compiled.num_factors - 1]).factors()[0]
+        assert last.groundings == (
             ((4, True), (8, True)),
             ((9, False),),
         )
@@ -496,7 +497,10 @@ class TestDerivedState:
         with counted_chain_work() as counts:
             advance(clone, theirs)
             assert counts["stacked_plans"] == 1
-        assert len(pickle.dumps(clone)) - len(pickle.dumps(stack)) in range(-64, 64)
+        # Against a round trip of the original, so both sides carry the
+        # dtype objects numpy rebuilds on load (they memoize apart).
+        twin = pickle.loads(pickle.dumps(stack))
+        assert len(pickle.dumps(clone)) - len(pickle.dumps(twin)) in range(-64, 64)
 
     def test_plan_survives_until_a_patch_moves_a_block(self):
         graph = random_graph(np.random.default_rng(12), 40, 35)

@@ -148,7 +148,7 @@ class TestCompiledStructure:
         compiled = CompiledFactorGraph(fg)
         assert compiled._fkind.tolist() == [KIND_RULE]
         assert compiled.num_rules == 1 and compiled.num_groundings == 1
-        assert compiled.materialized_factors()[0].groundings == (((q, True),),)
+        assert compiled.factor_table([0]).factors()[0].groundings == (((q, True),),)
         assert compiled.py_body[a] == [] and compiled.py_head[q] == []
         for bits in range(4):
             x = np.array([bits & 1, bits >> 1], dtype=bool)

@@ -235,11 +235,7 @@ class TestIndependentMHEdgeCases:
         bundle = GibbsSampler(fg, seed=0).sample_worlds(3000, burn_in=100)
         delta = FactorGraphDelta()
         delta.new_weight_entries.append(("b", 0.8, False))
-        from repro.graph import BiasFactor
-
-        delta.new_factors.append(
-            BiasFactor(weight_id=len(fg.weights), var=2)
-        )
+        delta.new_factors.add_bias(len(fg.weights), 2)
         mh = IndependentMH(fg, delta, bundle, seed=1)
         result = mh.run(3000)
         exact = ExactInference(delta.apply(fg)).marginals()

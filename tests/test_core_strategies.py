@@ -14,18 +14,19 @@ from repro.core import (
     learn_approximation,
     solve_logdet,
 )
-from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta, IsingFactor
+from repro.graph import FactorGraph, FactorGraphDelta, IsingFactor
 from repro.inference import ExactInference
 from repro.util.stats import max_marginal_error
 
 from tests.helpers import chain_ising_graph, random_pairwise_graph
+from tests.reference.factors import factor_energy
 
 
 def feature_delta(fg, var=0, weight=1.2, key="new-feature"):
     """A delta adding one bias factor (a new feature on one variable)."""
     delta = FactorGraphDelta()
     delta.new_weight_entries.append((key, weight, False))
-    delta.new_factors.append(BiasFactor(weight_id=len(fg.weights), var=var))
+    delta.new_factors.add_bias(len(fg.weights), var)
     return delta
 
 
@@ -54,9 +55,7 @@ class TestStrawman:
         strawman = StrawmanMaterialization(fg, seed=1)
         delta = FactorGraphDelta(num_new_vars=1)
         delta.new_weight_entries.append(("J-new", 0.8, False))
-        delta.new_factors.append(
-            IsingFactor(weight_id=len(fg.weights), i=2, j=3)
-        )
+        delta.new_factors.add_ising(len(fg.weights), 2, 3)
         exact = ExactInference(delta.apply(fg)).marginals()
         est = strawman.infer(delta, num_sweeps=800, burn_in=80)
         assert max_marginal_error(est, exact) < 0.06
@@ -236,7 +235,7 @@ class TestVariationalStrategy:
             world = rng.random(4) < 0.5
             spliced_shift = mat.current.energy(world) - approx_before.energy(world)
             assert spliced_shift == pytest.approx(
-                -removed.energy(world, fg.weights)
+                -factor_energy(removed, world, fg.weights)
             )
 
     def test_evidence_vars_get_no_couplings(self):

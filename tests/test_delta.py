@@ -1,5 +1,6 @@
 """Tests for FactorGraphDelta: application, classification, composition,
-and the lowered ``DeltaEvaluator`` kernel against its per-factor oracle."""
+and the ``DeltaEvaluator`` table scorer against its one-world record
+oracle (``tests.reference.delta_energy.OneWorldEvaluator``)."""
 
 from unittest import mock
 
@@ -16,16 +17,13 @@ from repro.graph import (
     RuleFactor,
     Semantics,
 )
-from repro.graph import delta_energy as delta_energy_module
-from repro.graph.delta import compose_deltas
+from repro.graph import delta as delta_module
+from repro.graph.delta import FactorTable, compose_deltas
 from repro.graph.delta_energy import DeltaEvaluator
 
 from tests.helpers import chain_ising_graph, mixed_case, random_pairwise_graph
-
-
-def bias_factor_for(graph, var, weight, key):
-    wid = graph.weights.intern(key, initial=weight)
-    return BiasFactor(weight_id=wid, var=var)
+from tests.reference.delta_energy import OneWorldEvaluator
+from tests.reference.factors import lower_factors
 
 
 class TestDeltaApply:
@@ -34,8 +32,8 @@ class TestDeltaApply:
         delta = FactorGraphDelta(num_new_vars=2, new_var_names=["a", "b"])
         delta.new_weight_entries.append(("new", 0.5, False))
         wid = len(fg.weights)
-        delta.new_factors.append(BiasFactor(weight_id=wid, var=3))
-        delta.new_factors.append(IsingFactor(weight_id=wid, i=3, j=4))
+        delta.new_factors.add_bias(wid, 3)
+        delta.new_factors.add_ising(wid, 3, 4)
         updated = delta.apply(fg)
         assert updated.num_vars == 5
         assert updated.num_factors == fg.num_factors + 2
@@ -84,8 +82,8 @@ class TestDeltaEvaluator:
         fg = chain_ising_graph(4, coupling=0.7, bias=0.2)
         delta = FactorGraphDelta(removed_factor_ids={0})
         delta.new_weight_entries.append(("extra", 1.1, False))
-        delta.new_factors.append(BiasFactor(weight_id=len(fg.weights), var=2))
-        evaluator = DeltaEvaluator(fg, delta)
+        delta.new_factors.add_bias(len(fg.weights), 2)
+        evaluator = OneWorldEvaluator(fg, delta)
         updated = delta.apply(fg)
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -98,8 +96,8 @@ class TestDeltaEvaluator:
         fg = chain_ising_graph(2, coupling=0.5, bias=0.0)
         delta = FactorGraphDelta(num_new_vars=1)
         delta.new_weight_entries.append(("J", 0.9, False))
-        delta.new_factors.append(IsingFactor(weight_id=len(fg.weights), i=1, j=2))
-        evaluator = DeltaEvaluator(fg, delta)
+        delta.new_factors.add_ising(len(fg.weights), 1, 2)
+        evaluator = OneWorldEvaluator(fg, delta)
         updated = delta.apply(fg)
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -112,7 +110,7 @@ class TestDeltaEvaluator:
     def test_reweighted_factor_shift(self):
         fg = chain_ising_graph(2, coupling=0.5, bias=0.3)
         delta = FactorGraphDelta(changed_weight_values={0: 1.5})
-        evaluator = DeltaEvaluator(fg, delta)
+        evaluator = OneWorldEvaluator(fg, delta)
         updated = delta.apply(fg)
         world = np.array([True, False])
         assert evaluator.delta_energy(world) == pytest.approx(
@@ -122,7 +120,7 @@ class TestDeltaEvaluator:
     def test_evidence_violation_detected(self):
         fg = chain_ising_graph(2)
         delta = FactorGraphDelta(evidence_updates={0: True})
-        evaluator = DeltaEvaluator(fg, delta)
+        evaluator = OneWorldEvaluator(fg, delta)
         assert evaluator.violates_evidence(np.array([False, True]))
         assert not evaluator.violates_evidence(np.array([True, False]))
         assert evaluator.log_density_ratio(np.array([False, True])) == float(
@@ -132,7 +130,7 @@ class TestDeltaEvaluator:
     def test_extend_world_respects_new_evidence(self):
         fg = chain_ising_graph(2)
         delta = FactorGraphDelta(num_new_vars=2, new_var_evidence={1: True})
-        evaluator = DeltaEvaluator(fg, delta)
+        evaluator = OneWorldEvaluator(fg, delta)
         rng = np.random.default_rng(0)
         world = evaluator.extend_world(np.array([True, False]), rng)
         assert len(world) == 4
@@ -156,7 +154,7 @@ class TestLoweredKernelMatchesOracle:
     @settings(max_examples=150, deadline=None)
     def test_random_mixed_deltas(self, seed, num_worlds):
         base, delta = mixed_case(seed)
-        evaluator = DeltaEvaluator(base, delta)
+        evaluator = OneWorldEvaluator(base, delta)
         rng = np.random.default_rng(seed + 1)
         worlds = rng.random((num_worlds, evaluator.total_vars)) < 0.5
         assert_kernel_matches_oracle(evaluator, worlds)
@@ -167,13 +165,24 @@ class TestLoweredKernelMatchesOracle:
         """A batch over the cell budget is scored piecewise (one row at a
         time when a single world already exceeds it)."""
         base, delta = mixed_case(seed)
-        evaluator = DeltaEvaluator(base, delta)
+        evaluator = OneWorldEvaluator(base, delta)
         rng = np.random.default_rng(seed + 1)
         worlds = rng.random((23, evaluator.total_vars)) < 0.5
-        budget = 1 if rows_per_chunk == 1 else 3 * evaluator._cells_per_world
-        with mock.patch.object(delta_energy_module, "_SCORE_CELLS", budget), \
+        terms = evaluator.terms
+        widest = max(
+            1,
+            terms.lit_var.size,
+            terms.grounding_ri.size,
+            terms.bias_var.size,
+            terms.ising_i.size,
+        )
+        budget = 1 if rows_per_chunk == 1 else 3 * widest
+        with mock.patch.object(delta_module, "_SCORE_CELLS", budget), \
                 mock.patch.object(
-                    evaluator, "_score", wraps=evaluator._score
+                    FactorTable,
+                    "_energies",
+                    autospec=True,
+                    side_effect=FactorTable._energies,
                 ) as score:
             evaluator.delta_energies(worlds)
             assert score.call_count == -(-len(worlds) // rows_per_chunk)
@@ -183,15 +192,15 @@ class TestLoweredKernelMatchesOracle:
         """The generator reaches every term kind the kernel lowers."""
         reached = set()
         for seed in range(200):
-            base, delta = mixed_case(seed)
-            evaluator = DeltaEvaluator(base, delta)
-            rules = [
-                f for f, _ in evaluator._terms() if isinstance(f, RuleFactor)
-            ]
+            raw = []
+            base, delta = mixed_case(seed, records=raw)
+            evaluator = OneWorldEvaluator(base, delta)
+            rules = [f for f in raw if isinstance(f, RuleFactor)]
+            terms = evaluator.terms
             cells = {
-                "bias": evaluator.bias_var.size > 0,
-                "ising": evaluator.ising_i.size > 0,
-                "mixed semantics": len(set(evaluator.rule_sem.tolist())) == 3,
+                "bias": terms.bias_var.size > 0,
+                "ising": terms.ising_i.size > 0,
+                "mixed semantics": len(set(terms.rule_sem.tolist())) == 3,
                 "no groundings": any(not f.groundings for f in rules),
                 "empty grounding": any(() in f.groundings for f in rules),
                 "contradictory": any(
@@ -251,7 +260,7 @@ class TestLoweredKernelMatchesOracle:
         """Same worlds, same generator state afterwards — whatever part of
         the appended columns the stored rows already carry."""
         base, delta = mixed_case(seed)
-        evaluator = DeltaEvaluator(base, delta)
+        evaluator = OneWorldEvaluator(base, delta)
         rng = np.random.default_rng(seed + 1)
         have = int(rng.integers(base.num_vars, evaluator.total_vars + 1))
         stored = rng.random((num_worlds, have)) < 0.5
@@ -284,11 +293,11 @@ class TestUnknownIdsFailAtConstruction:
     @pytest.mark.parametrize(
         "factor, message",
         [
-            (BiasFactor(0, 4), r"BiasFactor\(weight_id=0, var=4\).*variable id 4"),
+            (BiasFactor(0, 4), r"bias factor \(weight id 0, variable 4\).*variable id 4"),
             (BiasFactor(0, -1), r"variable id -1, outside \[0, 4\)"),
-            (IsingFactor(1, 0, 4), r"IsingFactor.*variable id 4"),
+            (IsingFactor(1, 0, 4), r"Ising factor.*variable id 4"),
             (IsingFactor(1, -2, 0), r"variable id -2"),
-            (rule(0, 4), r"RuleFactor\(weight_id=0, head=4, 0 groundings\)"),
+            (rule(0, 4), r"rule factor \(weight id 0, head 4, 0 groundings\)"),
             (rule(0, 0, ((1, True), (9, False))), r"1 groundings.*variable id 9"),
             (rule(0, 0, ((-1, True),)), r"variable id -1"),
             (BiasFactor(3, 0), r"weight id 3, outside \[0, 3\)"),
@@ -296,7 +305,7 @@ class TestUnknownIdsFailAtConstruction:
         ],
     )
     def test_new_factor(self, factor, message):
-        delta = FactorGraphDelta(num_new_vars=1, new_factors=[factor])
+        delta = FactorGraphDelta(num_new_vars=1, new_factors=lower_factors([factor]))
         delta.new_weight_entries.append(("new", 0.5, False))
         with pytest.raises(ValueError, match=message):
             DeltaEvaluator(chain_ising_graph(3), delta)
@@ -329,10 +338,12 @@ class TestUnknownIdsFailAtConstruction:
     def test_ids_at_the_edge_of_the_range_are_accepted(self):
         delta = FactorGraphDelta(num_new_vars=1, removed_factor_ids={0, 4})
         delta.new_weight_entries.append(("new", 0.5, False))
-        delta.new_factors += [BiasFactor(2, 3), rule(2, 3, ((0, True), (3, False)))]
+        delta.new_factors = lower_factors(
+            [BiasFactor(2, 3), rule(2, 3, ((0, True), (3, False)))]
+        )
         delta.evidence_updates[2] = None
         delta.new_var_evidence[0] = True
-        evaluator = DeltaEvaluator(chain_ising_graph(3), delta)
+        evaluator = OneWorldEvaluator(chain_ising_graph(3), delta)
         assert_kernel_matches_oracle(
             evaluator, np.array([[True, False, True, True]])
         )
@@ -354,7 +365,7 @@ def random_delta(fg, seed):
     if rng.random() < 0.8:
         delta.new_weight_entries.append((("w", seed), float(rng.normal()), False))
         var = int(rng.integers(fg.num_vars + delta.num_new_vars))
-        delta.new_factors.append(BiasFactor(weight_id=next_wid, var=var))
+        delta.new_factors.add_bias(next_wid, var)
     if rng.random() < 0.5:
         delta.evidence_updates[int(rng.integers(fg.num_vars))] = bool(
             rng.integers(2)

@@ -1,9 +1,9 @@
 """A delta lands as arrays — and lands exactly where the objects did.
 
 ``tests/reference/compiled.py`` keeps the substrate this repository had
-while ∆F was a list of factor objects: an object-walking compile, a patch
+while ∆F was a list of factor objects: a record-walking compile, a patch
 applied one factor at a time, a compaction decided *after* the patch and
-run through ``materialized_factors()``.  Over random histories — bias,
+run through the decoded records.  Over random histories — bias,
 Ising and rule factors of all three semantics, head-in-body, duplicated
 literals (landed canonical), more than ``_BIG_FACTOR`` members, removals
 (parallel edges included), appended variables with and without evidence,
@@ -14,16 +14,18 @@ array paths to it:
 * the build decided before patching ≡ patch-then-compact ≡ a fresh
   compile of ``delta.apply(graph)``, and the same calls compact;
 * ``snapshot_state`` → either branch → ``restore_state`` ≡ never touched;
-* the tables born lowered (grounder, ``compose_deltas``, the variational
-  splice) ≡ ``lower_factors`` of the objects the old code built;
+* the tables built as tables (grounder, ``compose_deltas``, the
+  variational splice) ≡ ``lower_factors`` of the records the old code
+  built;
 
 and count the work: array appends per ``apply_delta`` do not grow with
-|∆|, nothing on the update path materializes a factor list, and a delta
+|∆|, nothing on the update path decodes a factor record, and a delta
 that crosses the threshold runs the build once and the splice never.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pickle
 from collections import Counter
@@ -43,18 +45,14 @@ from repro.graph.compiled import (
     GibbsCache,
     _Growable,
 )
-from repro.graph.delta import (
-    FactorList,
-    FactorTable,
-    compose_deltas,
-    lower_factors,
-)
+from repro.graph.delta import FactorList, FactorTable, compose_deltas
 from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
 from repro.graph.semantics import Semantics
 from repro.workloads import ALL_SYSTEMS, build_pipeline
 
-from tests.helpers import chain_ising_graph, mixed_case
+from tests.helpers import chain_ising_graph, counting, decodes, mixed_case
 from tests.reference.compiled import ReferenceCompiledFactorGraph
+from tests.reference.factors import add_factor, lower_factors
 from tests.test_scan_plan import PLAN_ARGS, history_delta, random_graph
 
 # --------------------------------------------------------------------- #
@@ -127,9 +125,14 @@ def substrate_state(c, handles: bool = True) -> dict:
 
 
 def canonical(factors) -> list:
-    """The factor objects as the substrate keeps them: every grounding
+    """The factor records as the substrate keeps them: every grounding
     canonical (what ``rule_table`` makes of it)."""
     return lower_factors(factors).factors()
+
+
+def live(compiled) -> list:
+    """A substrate's current factor list, decoded."""
+    return compiled._live_table().factors()
 
 
 def assert_same(left: dict, right: dict, skip=()) -> None:
@@ -195,10 +198,10 @@ histories = given(
 class TestArrayPathsEqualTheReference:
     @given(seed=st.integers(0, 10_000), num_vars=st.sampled_from([6, 40]))
     @settings(max_examples=40, deadline=None)
-    def test_array_build_equals_the_object_walking_compile(self, seed, num_vars):
+    def test_array_build_equals_the_record_walking_compile(self, seed, num_vars):
         _, graph, new, ref = twins(seed, num_vars)
         assert_same(substrate_state(new), substrate_state(ref))
-        assert new.materialized_factors() == canonical(graph.factors)
+        assert live(new) == canonical(graph.factors)
         order = np.random.default_rng(seed).permutation(graph.num_factors)
         assert new.factor_table(order).factors() == canonical(
             [graph.factors[i] for i in order]
@@ -216,7 +219,7 @@ class TestArrayPathsEqualTheReference:
             assert not a.compacted and not b.compacted
             assert_same(patch_state(a), patch_state(b))
             assert_same(substrate_state(new), substrate_state(ref))
-            assert new.materialized_factors() == canonical(graph.factors)
+            assert live(new) == canonical(graph.factors)
             cached_plans(new)
             cached_plans(ref)
 
@@ -234,7 +237,7 @@ class TestArrayPathsEqualTheReference:
         b = ref.apply_delta(delta, compact_threshold=1.0)
         assert_same(patch_state(a), patch_state(b))
         assert_same(substrate_state(new), substrate_state(ref))
-        assert new.materialized_factors() == canonical(delta.apply(base).factors)
+        assert live(new) == canonical(delta.apply(base).factors)
 
     @histories
     @settings(max_examples=60, deadline=None)
@@ -288,6 +291,58 @@ class TestArrayPathsEqualTheReference:
         assert new._var_neighbors(a) == {b}
 
 
+def two_factor_graph() -> FactorGraph:
+    graph = FactorGraph()
+    graph.add_variables(2)
+    wid = graph.weights.intern("w", initial=0.5)
+    graph.add_ising_factor(wid, 0, 1)
+    graph.add_bias_factor(wid, 1)
+    return graph
+
+
+def graph_state(graph) -> tuple:
+    return (
+        graph.num_vars,
+        dict(graph.evidence),
+        list(graph.weights.items()),
+        {name: column.tolist() for name, column in graph.factor_table().columns().items()},
+    )
+
+
+class TestRemovedIdsAreChecked:
+    """A removed factor id outside ``[0, num_factors)`` is a ``ValueError``
+    from every consumer before anything moves.  A negative id used to
+    drop the last factor; one past the end vanished in ``delta.apply``
+    and surfaced as numpy's ``IndexError`` from ``apply_delta``."""
+
+    @pytest.mark.parametrize("consumer", ["apply", "apply_in_place", "apply_delta"])
+    @pytest.mark.parametrize("position", ["-1", "num_factors"])
+    def test_out_of_range_ids_raise_before_anything_moves(self, consumer, position):
+        graph = two_factor_graph()
+        bad = -1 if position == "-1" else graph.num_factors
+        delta = FactorGraphDelta(
+            num_new_vars=1,
+            removed_factor_ids={0, bad},
+            evidence_updates={0: True},
+            new_weight_entries=[("new", 0.3, False)],
+            changed_weight_values={0: 2.0},
+        )
+        delta.new_factors.add_bias(1, 2)
+        compiled = CompiledFactorGraph(graph.copy())
+        before = graph_state(graph), substrate_state(compiled), graph_state(compiled.graph)
+        message = rf"removed factor id {bad}, outside \[0, 2\)"
+        with pytest.raises(ValueError, match=message):
+            if consumer == "apply":
+                delta.apply(graph)
+            elif consumer == "apply_in_place":
+                delta.apply_in_place(graph)
+            else:
+                compiled.apply_delta(delta)
+        assert graph.num_factors == compiled.num_factors == 2
+        after = graph_state(graph), substrate_state(compiled), graph_state(compiled.graph)
+        assert after == before
+
+
 # --------------------------------------------------------------------- #
 # Rollback and replay
 # --------------------------------------------------------------------- #
@@ -333,7 +388,7 @@ class TestRollbackAndReplay:
 
 
 # --------------------------------------------------------------------- #
-# Born lowered ≡ lower(objects)
+# Built as tables ≡ lower(records)
 # --------------------------------------------------------------------- #
 
 
@@ -346,7 +401,7 @@ def assert_same_table(table: FactorTable, factors: list) -> None:
 
 
 def factors_from_tables(grounder, delta) -> list:
-    """The delta's new factors as objects built from the grounder's
+    """The delta's new factors as records built from the grounder's
     grounding tables: per factor, its rule's rows with its head and
     weight, each repeated by its count, in table order."""
     graph, program = grounder.graph, grounder.program
@@ -377,19 +432,20 @@ def factors_from_tables(grounder, delta) -> list:
     return factors
 
 
-class TestBornLowered:
+class TestBuiltAsTables:
     @pytest.mark.parametrize("spec", ALL_SYSTEMS[:2], ids=lambda s: s.name)
-    def test_grounder_deltas(self, spec):
+    def test_grounder_deltas(self, spec, decodes):
         pipeline = build_pipeline(spec, scale=0.2, seed=0)
         grounder = pipeline.build_base()
         compiled = CompiledFactorGraph(grounder.graph.copy())
         for _label, update in pipeline.snapshot_updates():
             delta = grounder.apply_update(**update).delta
             compiled.apply_delta(delta)
-            assert not delta.new_factors.materialized
+            assert not decodes["factors"]
             assert_same_table(
                 delta.new_factors.table, factors_from_tables(grounder, delta)
             )
+            decodes.clear()
         assert compiled.views_materialized == 0
 
     @given(seed=st.integers(0, 100_000))
@@ -401,8 +457,9 @@ class TestBornLowered:
         second = history_delta(
             rng, CompiledFactorGraph(middle.copy()), ("add", "remove", "append")[seed % 3], 0
         )
-        composed = compose_deltas(base, first, second)
-        assert not composed.new_factors.materialized
+        with decodes() as calls:
+            composed = compose_deltas(base, first, second)
+        assert not calls
         survivors = base.num_factors - len(first.removed_factor_ids)
         dropped = {r - survivors for r in second.removed_factor_ids if r >= survivors}
         assert_same_table(
@@ -422,8 +479,9 @@ class TestBornLowered:
         materialization.materialize(num_samples=20)
         weights = materialization.resident.compiled.weights
         twin = weights.copy()
-        lowered = materialization._lower(base, delta)
-        assert not lowered.new_factors.materialized
+        with decodes() as calls:
+            lowered = materialization._lower(base, delta)
+        assert not calls
         assert not lowered.removed_factor_ids and not lowered.new_weight_entries
         assert_same_table(
             lowered.new_factors.table, object_splice(base, delta, twin)
@@ -431,20 +489,36 @@ class TestBornLowered:
         assert list(weights.items()) == list(twin.items())
         assert weights.fixed_mask().tolist() == twin.fixed_mask().tolist()
 
-    def test_a_list_of_objects_lowers_on_first_use_and_len_never_does(self):
+    def test_appended_rows_land_at_the_next_table_read(self):
         factors = [BiasFactor(0, 1), IsingFactor(0, 0, 1)]
-        delta = FactorGraphDelta(new_factors=factors)
+        delta = FactorGraphDelta(new_factors=lower_factors(factors))
         assert isinstance(delta.new_factors, FactorList)
-        assert delta.new_factors._table is None
         table = delta.new_factors.table
         assert delta.new_factors.table is table
-        delta.new_factors.append(BiasFactor(0, 0))
-        assert delta.new_factors.table is not table and len(delta.new_factors) == 3
-        born = FactorList.from_table(table)
-        assert len(born) == 2 and bool(born) and not born.materialized
-        assert pickle.loads(pickle.dumps(born)).table.columns().keys()
-        assert not born.materialized
-        assert list(born) == factors and born.materialized
+        delta.new_factors.add_bias(0, 0)
+        delta.new_factors.add_rule(0, 1, [[(0, True), (0, True)]], "ratio")
+        assert len(delta.new_factors) == 4 and delta.new_factors.table is not table
+        grown = delta.new_factors.table
+        assert delta.new_factors.table is grown
+        assert_same_table(
+            grown,
+            factors
+            + [BiasFactor(0, 0), RuleFactor(0, 1, (((0, True),),), Semantics.RATIO)],
+        )
+        with pytest.raises(TypeError, match="wraps a FactorTable"):
+            FactorGraphDelta(new_factors=factors)
+
+    def test_len_copy_and_pickle_never_decode(self, decodes):
+        rows = FactorList(lower_factors([BiasFactor(0, 1), IsingFactor(0, 0, 1)]))
+        rows.add_bias(0, 0)
+        clone = rows.copy()
+        clone.add_ising(0, 1, 0)
+        assert len(rows) == 3 and bool(rows) and len(clone) == 4
+        restored = pickle.loads(pickle.dumps(rows))
+        assert restored.table.columns().keys() and len(restored) == 3
+        assert not decodes["factors"]
+        assert list(restored) == list(rows) and rows[-1] == BiasFactor(0, 0)
+        assert decodes["factors"]
 
 
 def object_splice(base, delta, weights) -> list:
@@ -463,7 +537,7 @@ def object_splice(base, delta, weights) -> list:
         wid = weights.intern(key, initial=changed.get(wid, value), fixed=fixed)
         factors.append(dataclasses.replace(factor, weight_id=wid))
     for fi in sorted(delta.removed_factor_ids):
-        factor = base.factors[fi]
+        factor = list(base.factors)[fi]
         counter += 1
         wid = weights.intern(
             ("spliced-removal", counter), initial=-old.value(factor.weight_id), fixed=True
@@ -486,24 +560,22 @@ def object_splice(base, delta, weights) -> list:
 # --------------------------------------------------------------------- #
 
 
+@pytest.fixture(name="decodes")
+def decodes_fixture():
+    with decodes() as counts:
+        yield counts
+
+
 @pytest.fixture
-def work(monkeypatch):
+def work():
     """Counts of the calls a delta must not multiply."""
-    counts = Counter()
-
-    def counting(cls, name):
-        original = getattr(cls, name)
-
-        def wrapper(self, *args, **kwargs):
-            counts[name] += 1
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counting(_Growable, "append")
-    for name in ("materialized_factors", "_build", "_splice"):
-        counting(CompiledFactorGraph, name)
-    return counts
+    with contextlib.ExitStack() as stack:
+        counts = Counter()
+        stack.enter_context(counting(_Growable, "append", counts))
+        stack.enter_context(counting(FactorTable, "factors", counts))
+        for name in ("_build", "_splice"):
+            stack.enter_context(counting(CompiledFactorGraph, name, counts))
+        yield counts
 
 
 def bulk_delta(compiled, num_factors: int, seed: int = 0) -> FactorGraphDelta:
@@ -515,7 +587,8 @@ def bulk_delta(compiled, num_factors: int, seed: int = 0) -> FactorGraphDelta:
     wid, total = len(compiled.weights), compiled.num_vars + 2
     for k in range(num_factors):
         a, b, c = (int(v) for v in rng.choice(total, size=3, replace=False))
-        delta.new_factors.append(
+        add_factor(
+            delta.new_factors,
             (
                 BiasFactor(wid, a),
                 IsingFactor(wid, a, b),
@@ -538,7 +611,7 @@ class TestWorkCounts:
         assert not patch.compacted
         assert 0 < work["append"] <= len(_GROWABLE_NAMES)
         assert work["_splice"] == 1 and not work["_build"]
-        assert not work["materialized_factors"]
+        assert not work["factors"]
         assert compiled.num_factors == 599 - 2 + num_factors
 
     def test_a_delta_over_the_threshold_builds_once_and_never_splices(self, work):
@@ -548,21 +621,21 @@ class TestWorkCounts:
         patch = compiled.apply_delta(bulk_delta(compiled, 200), compact_threshold=0.25)
         assert patch.compacted and not compiled.has_patches
         assert work["_build"] == 1 and not work["_splice"]
-        assert not work["append"] and not work["materialized_factors"]
+        assert not work["append"] and not work["factors"]
         # ... and one under it splices and never builds.
         work.clear()
         patch = compiled.apply_delta(bulk_delta(compiled, 2, seed=1), compact_threshold=0.25)
         assert not patch.compacted
         assert work["_splice"] == 1 and not work["_build"]
 
-    def test_compaction_never_materializes_a_factor_list(self, work):
+    def test_compaction_never_decodes_a_factor_record(self, work):
         compiled = CompiledFactorGraph(chain_ising_graph(40))
         compiled.apply_delta(bulk_delta(compiled, 30), compact_threshold=None)
         assert compiled.has_patches
         work.clear()
         compiled.compact()
         assert work["_build"] == 1 and not compiled.has_patches
-        assert not work["materialized_factors"] and compiled.views_materialized == 0
+        assert not work["factors"] and compiled.views_materialized == 0
 
     def test_oversized_rules_are_reached(self):
         """The generator the equivalence tests draw from does produce
@@ -570,12 +643,13 @@ class TestWorkCounts:
         variable twice (which land canonical)."""
         big = repeated = 0
         for seed in range(30):
-            graph = random_graph(np.random.default_rng(seed), 40, 30)
+            records = []
+            graph = random_graph(np.random.default_rng(seed), 40, 30, records=records)
             compiled = CompiledFactorGraph(graph)
             big += int(compiled._force_singleton.any())
             repeated += sum(
                 len({var for var, _ in grounding}) < len(grounding)
-                for factor in graph.factors
+                for factor in records
                 if isinstance(factor, RuleFactor)
                 for grounding in factor.groundings
             )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.core.costmodel import CostInputs, all_costs
-from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta
+from repro.graph import FactorGraph, FactorGraphDelta
 from repro.inference import ExactInference
 from repro.util.stats import max_marginal_error
 
@@ -15,7 +15,7 @@ from tests.helpers import chain_ising_graph, random_pairwise_graph
 def feature_delta(fg_weights_len, var, weight, key):
     delta = FactorGraphDelta()
     delta.new_weight_entries.append((key, weight, False))
-    delta.new_factors.append(BiasFactor(weight_id=fg_weights_len, var=var))
+    delta.new_factors.add_bias(fg_weights_len, var)
     return delta
 
 

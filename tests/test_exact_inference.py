@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import FactorGraph, Semantics
 from repro.inference import ExactInference
+from repro.inference.exact import MAX_FREE_VARS
 
-from tests.helpers import single_bias_graph, voting_graph
+from tests.helpers import mixed_case, single_bias_graph, voting_graph
+from tests.reference.exact import reference_enumeration
 
 
 def sigmoid(z):
@@ -102,3 +106,27 @@ class TestExactInference:
         fg.add_variables(30)
         with pytest.raises(ValueError):
             ExactInference(fg)
+
+
+class TestEnumerationIsTheRecordLoop:
+    """The world matrix is built with bit operations and scored in one
+    chunked call of the table scorer; the reference enumerates with
+    ``itertools.product`` and scores each world record by record."""
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=80, deadline=None)
+    def test_log_probs_equal_the_reference_enumeration(self, seed):
+        graph, _delta = mixed_case(seed)
+        exact = ExactInference(graph)
+        worlds, log_probs = reference_enumeration(graph)
+        assert np.array_equal(exact.worlds, worlds)
+        assert exact.log_probs == pytest.approx(log_probs, abs=1e-12)
+        for world, log_prob in zip(worlds, log_probs):
+            assert exact.world_log_prob(world) == pytest.approx(log_prob, abs=1e-12)
+
+    def test_free_variable_limit(self):
+        assert MAX_FREE_VARS == 24
+        graph = FactorGraph()
+        graph.add_variables(MAX_FREE_VARS + 1)
+        with pytest.raises(ValueError, match="limited to 24 free variables"):
+            ExactInference(graph)

@@ -1,11 +1,11 @@
 """A full ground folds each rule's binding batch into factor-table columns.
 
-``Grounder.ground()`` builds the grounded graph's factor list born
-lowered; compile, copy, validate and Algorithm 1's ``NZ`` read that
-table, and the incremental grounder seeds its per-rule grounding tables
-from the raw columns.  The oracle is
-``tests.reference.grounding.fold_ground`` — the record fold, one
-``RuleFactor`` per record — lowered by ``lower_factors``.  Here:
+``Grounder.ground()`` builds the grounded graph's factor table; compile,
+copy, validate and Algorithm 1's ``NZ`` read that table, and the
+incremental grounder seeds its per-rule grounding tables from the raw
+columns.  The oracle is ``tests.reference.grounding.fold_ground`` — the
+record fold, one ``RuleFactor`` per record — lowered by the reference
+``lower_factors``.  Here:
 
 * **Same work** — the table equals the oracle's lowering column by
   column, and the weight store, names and evidence are the oracle's, on
@@ -18,12 +18,12 @@ from the raw columns.  The oracle is
   from the raw columns, equal to the oracle's records as rows, raw
   repeats, multiplicities and fold order included, and a
   repeated-literal grounding retracts cleanly.
-* **Lowered lists stay lowered** — copies share the table,
-  ``factor_table(ids)`` takes from it, a delta lands by concatenation,
-  the engine's base graph and the grounder's graph never build a factor
-  object; ``validate`` raises the same errors from the columns.
+* **Tables stay tables** — copies share the table, ``factor_table(ids)``
+  takes from it, a delta lands as its records say, the engine and the
+  grounder never decode a factor record; ``validate`` raises the same
+  errors from the columns, whether appended as rows or given as a table.
 * **Materialization reads arrays** — ``learn_approximation`` equals the
-  pair-loop oracle bit for bit and leaves the base graph lowered.
+  pair-loop oracle bit for bit and decodes no record.
 * **Evidence conflicts** — a positive label wins whatever the row order,
   in the full ground as in the reference and the incremental grounder.
 """
@@ -41,13 +41,14 @@ from repro.core import EngineConfig, IncrementalEngine
 from repro.core.variational import learn_approximation
 from repro.datalog import Atom, Program, Var, WeightSpec
 from repro.graph import FactorGraph
-from repro.graph.delta import KIND_ISING, KIND_RULE, FactorList, FactorTable, lower_factors
+from repro.graph.delta import KIND_ISING, KIND_RULE, FactorList, FactorTable
 from repro.grounding import Grounder, IncrementalGrounder
 from repro.grounding.grounder import _BATCH_VECTOR_THRESHOLD, full_body_batch
 from repro.inference.gibbs import GibbsSampler
 from repro.workloads import ALL_SYSTEMS, build_pipeline
 
-from tests.helpers import graph_fingerprint, mixed_case
+from tests.helpers import decodes, graph_fingerprint, mixed_case
+from tests.reference.factors import add_factor, lower_factors
 from tests.reference.grounding import fold_ground, fold_rows, table_rows
 from tests.reference.variational import reference_learn_approximation
 from tests.test_incremental_grounding import reground
@@ -77,12 +78,13 @@ def kbc_inputs(spec, scale):
 def ground_both(program, db) -> tuple:
     """``Grounder.ground()`` and the oracle over copies of ``db``; the
     two must agree on everything but the factor representation."""
-    ours = Grounder(program, db.copy()).ground()
+    with decodes() as calls:
+        ours = Grounder(program, db.copy()).ground()
+    assert not calls
     oracle, records = fold_ground(program, db.copy())
     graph = ours.graph
     assert isinstance(graph.factors, FactorList)
-    assert not graph.factors.materialized
-    expected = lower_factors(oracle.factors)
+    expected = oracle.factor_table()
     for name, column in expected.columns().items():
         got = getattr(graph.factors.table, name)
         assert got.dtype == column.dtype, name
@@ -252,15 +254,15 @@ class TestSameWork:
 class TestGroundingTablesFromRawColumns:
     def test_the_rerun_path_builds_and_pickles_no_record(self):
         program, dense, _sparse = full_case()
-        result = Grounder(program, dense).ground()
-        result.compile()
-        blob = pickle.dumps(result)
+        with decodes() as calls:
+            result = Grounder(program, dense).ground()
+            result.compile()
+            blob = pickle.dumps(result)
+            restored = pickle.loads(blob)
+            seeded = table_rows(IncrementalGrounder(program, dense, restored))
+        assert not calls
         assert b"FactorRecord" not in blob and b"RuleFactor" not in blob
-        restored = pickle.loads(blob)
-        assert not restored.graph.factors.materialized
-        assert table_rows(IncrementalGrounder(program, dense, restored)) == table_rows(
-            IncrementalGrounder(program, dense, result)
-        )
+        assert seeded == table_rows(IncrementalGrounder(program, dense, result))
 
     def test_incremental_grounder_seeds_the_oracle_records(self):
         program, dense, _sparse = full_case(1)
@@ -292,7 +294,7 @@ class TestGroundingTablesFromRawColumns:
         assert graph.num_factors == 0
 
 
-class TestLoweredListsStayLowered:
+class TestTablesStayTables:
     def grounded(self):
         program, dense, _sparse = full_case()
         return Grounder(program, dense).ground().graph
@@ -300,11 +302,12 @@ class TestLoweredListsStayLowered:
     def test_copy_free_twin_and_factor_table_share_the_table(self):
         graph = self.grounded()
         table = graph.factors.table
-        for other in (graph.copy(), graph.copy(share_weights=True), graph.free_twin()):
-            assert other.factors.table is table and not other.factors.materialized
         ids = [5, 0, 3, graph.num_factors - 1]
-        taken = graph.factor_table(ids)
-        assert not graph.factors.materialized
+        with decodes() as calls:
+            for other in (graph.copy(), graph.copy(share_weights=True), graph.free_twin()):
+                assert other.factors.table is table
+            taken = graph.factor_table(ids)
+        assert not calls
         assert taken.factors() == [graph.factors[i] for i in ids]
 
     @pytest.mark.parametrize("seed", range(20))
@@ -318,22 +321,23 @@ class TestLoweredListsStayLowered:
             assert np.array_equal(getattr(by_mask, name), column), name
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_a_delta_lands_on_a_lowered_list_as_on_objects(self, seed):
+    def test_a_delta_lands_as_its_records_say(self, seed):
+        """The survivors' records, then the new ones, lowered."""
         base, delta = mixed_case(seed)
-        lowered = base.copy()
-        lowered.factors = FactorList.from_table(base.factor_table())
-        objects = delta.apply(base)
-        applied = delta.apply(lowered)
+        records = [
+            f for i, f in enumerate(base.factors) if i not in delta.removed_factor_ids
+        ] + list(delta.new_factors)
+        with decodes() as calls:
+            applied = delta.apply(base)
+        assert not calls
         assert isinstance(applied.factors, FactorList)
-        assert not applied.factors.materialized
-        expected, got = objects.factor_table(), applied.factor_table()
+        expected, got = lower_factors(records), applied.factor_table()
         for name, column in expected.columns().items():
+            assert got.columns()[name].dtype == column.dtype, name
             assert np.array_equal(getattr(got, name), column), name
-        assert applied.num_vars == objects.num_vars
-        assert dict(applied.evidence) == dict(objects.evidence)
-        assert list(applied.weights.items()) == list(objects.weights.items())
+        assert applied.num_vars == base.num_vars + delta.num_new_vars
 
-    def test_the_engine_and_the_unbound_grounder_build_no_factor_object(self):
+    def test_the_engine_and_the_unbound_grounder_decode_no_factor_record(self):
         pipeline = build_pipeline(ALL_SYSTEMS[0], scale=0.3, seed=0)
         grounder = pipeline.build_base()
         engine = IncrementalEngine(
@@ -346,15 +350,15 @@ class TestLoweredListsStayLowered:
                 seed=0,
             ),
         )
-        engine.materialize()
-        for _label, update in list(pipeline.snapshot_updates())[:2]:
-            result = grounder.apply_update(**update)
-            engine.apply_update(result.delta)
-            engine.relearn(1)
-        assert not grounder.graph.factors.materialized
-        assert not engine.base_graph.factors.materialized
+        with decodes() as calls:
+            engine.materialize()
+            for _label, update in list(pipeline.snapshot_updates())[:2]:
+                result = grounder.apply_update(**update)
+                engine.apply_update(result.delta)
+                engine.relearn(1)
+        assert not calls
 
-    @pytest.mark.parametrize("lowered", [False, True], ids=["objects", "lowered"])
+    @pytest.mark.parametrize("lowered", [False, True], ids=["rows", "table"])
     def test_validate_raises_from_the_columns(self, lowered):
         def graph(lit_var=(1, 2), ising_wid=0, evidence=()):
             table = FactorTable(
@@ -373,7 +377,10 @@ class TestLoweredListsStayLowered:
             fg = FactorGraph()
             fg.add_variables(3)
             fg.weights.intern("w", initial=0.5)
-            fg.factors = FactorList.from_table(table) if lowered else table.factors()
+            fg.factors = FactorList(table if lowered else None)
+            if not lowered:
+                for record in table.factors():
+                    add_factor(fg.factors, record)
             for var in evidence:
                 fg._evidence[var] = True
             return fg
@@ -392,8 +399,9 @@ class TestMaterializationReadsArrays:
     def test_learn_approximation_equals_the_pair_loop(self, spec):
         graph = Grounder(*kbc_inputs(spec, 0.3)).ground().graph
         samples = GibbsSampler(graph, seed=0).sample_worlds(60, burn_in=5)
-        ours = learn_approximation(graph, 0.05, samples=samples)
-        assert not graph.factors.materialized
+        with decodes() as calls:
+            ours = learn_approximation(graph, 0.05, samples=samples)
+        assert not calls
         oracle = reference_learn_approximation(graph, 0.05, samples)
         assert ours.candidate_pairs == oracle.candidate_pairs > 0
         assert ours.kept_pairs == oracle.kept_pairs
@@ -405,11 +413,8 @@ class TestMaterializationReadsArrays:
         from tests.reference.variational import object_neighbor_pairs
 
         base, _delta = mixed_case(seed)
-        canonical = FactorGraph()
-        canonical.add_variables(base.num_vars)
-        canonical.factors = base.factor_table().factors()
         pairs = base.neighbor_pairs()
-        assert pairs.tolist() == sorted(map(list, object_neighbor_pairs(canonical)))
+        assert pairs.tolist() == sorted(map(list, object_neighbor_pairs(base)))
 
 
 class TestEvidenceConflicts:

@@ -1,16 +1,17 @@
 """The compiled substrate is the single source of truth for graph state.
 
 This PR retires the mutable ``FactorGraph`` middle layer: grounding and
-engines patch ``CompiledFactorGraph`` directly, and ``FactorGraph`` is a
-lazily-materialized oracle view (``FactorGraph.from_compiled`` /
-``CompiledGraphView``).  The suite checks the retirement's contract:
+engines patch ``CompiledFactorGraph`` directly, and ``FactorGraph`` is an
+oracle view whose factor table is gathered from the substrate's arrays
+(``FactorGraph.from_compiled`` / ``CompiledGraphView``).  The suite
+checks the retirement's contract:
 
 * compiled-direct updates ≡ the legacy materialize-a-copy path, under
   randomized delta sequences (canonical graph equality via the view);
-* the default engine update path materializes **zero** oracle views;
+* the default engine update path gathers **zero** whole-list views;
 * ``compose_deltas`` has no O(#factors) ``index_mapping`` to build;
-* snapshot/rollback re-derives the lazy view from the rolled-back
-  substrate instead of resurrecting a stale materialized graph.
+* after snapshot/rollback a view is gathered from the rolled-back
+  substrate, never a stale one.
 """
 
 import pickle
@@ -32,6 +33,7 @@ from tests.helpers import chain_ising_graph
 from tests.test_incremental_compile import random_delta, seed_graph
 from tests.test_incremental_grounding import canonical_form
 from tests.test_grounding import spouse_db, spouse_program
+from tests.reference.factors import add_factor
 
 
 def assert_graphs_equal(a: FactorGraph, b: FactorGraph) -> None:
@@ -79,24 +81,27 @@ class TestCompiledDirectEquivalence:
             view = FactorGraph.from_compiled(compiled)
             assert_graphs_equal(view, legacy)
 
-    def test_view_is_cached_until_structure_changes(self):
+    def test_each_view_gather_counts_once_and_shows_the_latest_patch(self):
         graph = seed_graph(0)
         compiled = CompiledFactorGraph(graph)
+        view = CompiledGraphView(compiled)
         assert compiled.views_materialized == 0
-        f1 = compiled.materialized_factors()
+        f1 = FactorGraph.from_compiled(compiled).factors
         assert compiled.views_materialized == 1
-        # Same structure version: the cached list is reused.
-        assert compiled.materialized_factors() is f1
-        assert compiled.views_materialized == 1
+        assert list(view.factors) == list(f1) == list(graph.factors)
+        assert compiled.views_materialized == 2
+        # Row reads gather no whole list.
+        view.factor_table()
+        compiled.factor_table([0, 3])
+        assert compiled.views_materialized == 2
         delta = FactorGraphDelta()
         delta.new_weight_entries.append((("nv",), 0.3, False))
-        delta.new_factors.append(
-            BiasFactor(weight_id=len(compiled.weights), var=0)
-        )
+        wid = len(compiled.weights)
+        delta.new_factors.add_bias(wid, 0)
         compiled.apply_delta(delta, compact_threshold=1.0)
-        f2 = compiled.materialized_factors()
-        assert f2 is not f1 and len(f2) == len(f1) + 1
-        assert compiled.views_materialized == 2
+        f2 = view.factors
+        assert compiled.views_materialized == 3
+        assert list(f2) == list(f1) + [BiasFactor(weight_id=wid, var=0)]
 
     def test_substrate_patched_by_grounder_deltas_equals_grounder_graph(self):
         updates = [
@@ -124,7 +129,8 @@ class TestCompiledDirectEquivalence:
         for step in range(3):
             delta = FactorGraphDelta()
             delta.new_weight_entries.append(((f"f{step}",), 0.5, False))
-            delta.new_factors.append(
+            add_factor(
+                delta.new_factors,
                 BiasFactor(
                     weight_id=len(engine.current_graph.weights), var=step
                 )
@@ -147,7 +153,8 @@ class TestNoMaterializationOnDefaultPath:
         for step in range(4):
             delta = FactorGraphDelta()
             delta.new_weight_entries.append(((f"f{step}",), 0.4, False))
-            delta.new_factors.append(
+            add_factor(
+                delta.new_factors,
                 BiasFactor(
                     weight_id=len(engine.current_graph.weights), var=step
                 )
@@ -165,7 +172,8 @@ class TestNoMaterializationOnDefaultPath:
         for step in range(3):
             delta = FactorGraphDelta()
             delta.new_weight_entries.append(((f"f{step}",), 0.3, False))
-            delta.new_factors.append(
+            add_factor(
+                delta.new_factors,
                 BiasFactor(
                     weight_id=len(engine.current_graph.weights), var=step
                 )
@@ -198,7 +206,7 @@ class TestComposeDeltasFastPath:
         base = seed_graph(1)
         first = FactorGraphDelta()
         first.new_weight_entries.append((("a",), 0.2, False))
-        first.new_factors.append(BiasFactor(weight_id=len(base.weights), var=0))
+        first.new_factors.add_bias(len(base.weights), 0)
         second = FactorGraphDelta(removed_factor_ids={1, base.num_factors})
         composed = compose_deltas(base, first, second)
         assert not hasattr(FactorGraphDelta, "index_mapping")
@@ -234,9 +242,7 @@ class TestSnapshotRollbackRederivesView:
         delta.new_var_names.append(f"added-{step}")
         nw = len(engine.current_graph.weights)
         delta.new_weight_entries.append(((f"g{step}",), 0.4, False))
-        delta.new_factors.append(
-            BiasFactor(weight_id=nw, var=engine.current_graph.num_vars)
-        )
+        delta.new_factors.add_bias(nw, engine.current_graph.num_vars)
         delta.evidence_updates[step] = True
         return delta
 
@@ -261,8 +267,9 @@ class TestSnapshotRollbackRederivesView:
         assert engine.current_graph.name_of(committed.num_vars - 1) == "added-0"
 
     def test_rerun_rollback_discards_stale_materialization(self):
-        """A view materialized *during* the failed transaction carries a
-        post-bump version stamp and must not survive the rollback."""
+        """A view gathered *during* the failed transaction does not
+        outlive the rollback: the next gather reads the rolled-back
+        substrate."""
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
         engine = RerunEngine(fg, config(inference_samples=40))
         engine.apply_update(self._grow_delta(engine, 0))
@@ -273,20 +280,18 @@ class TestSnapshotRollbackRederivesView:
 
         try:
             snap_delta = self._grow_delta(engine, 1)
-            # Simulate a consumer materializing mid-transaction, then a
-            # failure: patch, materialize, raise inside the txn body.
+            # Simulate a consumer gathering a view mid-transaction, then
+            # a failure: patch, gather, raise inside the txn body.
             from repro.reliability.snapshots import RelearnSnapshot
 
             snap = RelearnSnapshot(engine)
             engine.resident.compiled.apply_delta(snap_delta, compact_threshold=1.0)
-            engine.resident.compiled.materialized_factors()  # stale after rollback
+            FactorGraph.from_compiled(engine.resident.compiled)  # stale after rollback
             raise Boom()
         except Boom:
             snap.restore()
         assert engine.resident.compiled.num_factors == before
-        # The stale cache is version-stamped: the next oracle read
-        # rebuilds against the rolled-back substrate.
-        assert len(engine.resident.compiled.materialized_factors()) == before
+        assert len(FactorGraph.from_compiled(engine.resident.compiled).factors) == before
 
     def test_incremental_rollback_rederives_view(self):
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
@@ -363,9 +368,7 @@ class TestViewSemantics:
         compiled = CompiledFactorGraph(graph)
         delta = FactorGraphDelta()
         delta.new_weight_entries.append((("p",), 0.3, False))
-        delta.new_factors.append(
-            BiasFactor(weight_id=len(compiled.weights), var=0)
-        )
+        delta.new_factors.add_bias(len(compiled.weights), 0)
         compiled.apply_delta(delta, compact_threshold=1.0)
         clone = pickle.loads(pickle.dumps(compiled))
         assert isinstance(clone.graph, CompiledGraphView)

@@ -25,6 +25,7 @@ from tests.helpers import (
     random_pairwise_graph,
     voting_graph,
 )
+from tests.reference.factors import add_factor, lower_factors
 
 
 def seed_graph(seed: int = 0, n: int = 24) -> FactorGraph:
@@ -50,12 +51,13 @@ def random_delta(graph: FactorGraph, rng, step: int) -> FactorGraphDelta:
         kind = int(rng.integers(0, 3))
         a, b = (int(x) for x in rng.choice(total, size=2, replace=False))
         if kind == 0:
-            delta.new_factors.append(BiasFactor(weight_id=nw, var=a))
+            delta.new_factors.add_bias(nw, a)
         elif kind == 1:
-            delta.new_factors.append(IsingFactor(weight_id=nw, i=a, j=b))
+            delta.new_factors.add_ising(nw, a, b)
         else:
             c = int(rng.integers(total))
-            delta.new_factors.append(
+            add_factor(
+                delta.new_factors,
                 RuleFactor(
                     weight_id=nw,
                     head=a,
@@ -173,7 +175,7 @@ class TestPatchVsFresh:
         )
         delta = FactorGraphDelta(
             new_weight_entries=[(("s",), 0.5, False)],
-            new_factors=[self_headed, duplicated],
+            new_factors=lower_factors([self_headed, duplicated]),
         )
         updated = delta.apply(graph)
         compiled.apply_delta(delta, compact_threshold=1.0)
@@ -239,9 +241,7 @@ class TestPatchVsFresh:
             delta.num_new_vars = 1
             nw = len(graph.weights)
             delta.new_weight_entries.append(((f"x{step}",), 0.5, False))
-            delta.new_factors.append(
-                IsingFactor(weight_id=nw, i=graph.num_vars, j=step)
-            )
+            delta.new_factors.add_ising(nw, graph.num_vars, step)
             delta.removed_factor_ids.add(step)
             updated = delta.apply(graph)
             patch = compiled.apply_delta(delta, compact_threshold=1.0)
@@ -274,7 +274,7 @@ class TestRerunEngineIncremental:
         delta = FactorGraphDelta(
             num_new_vars=1,
             new_weight_entries=[(("f",), 0.5, False)],
-            new_factors=[IsingFactor(weight_id=nw, i=10, j=0)],
+            new_factors=lower_factors([IsingFactor(weight_id=nw, i=10, j=0)]),
         )
         engine.apply_update(delta)
         assert engine.updates_recompiled == 1
@@ -297,10 +297,10 @@ class TestRerunEngineIncremental:
         delta = FactorGraphDelta(
             num_new_vars=1,
             new_weight_entries=[(("f",), 0.6, False)],
-            new_factors=[
+            new_factors=lower_factors([
                 IsingFactor(weight_id=nw, i=8, j=0),
                 BiasFactor(weight_id=nw, var=8),
-            ],
+            ]),
         )
         inc = RerunEngine(
             graph, EngineConfig(inference_samples=2000, seed=0)
@@ -351,7 +351,7 @@ class TestIncrementalEngineSatellites:
         delta = FactorGraphDelta(
             num_new_vars=1,
             new_weight_entries=[(("f",), 0.5, False)],
-            new_factors=[IsingFactor(weight_id=nw, i=8, j=0)],
+            new_factors=lower_factors([IsingFactor(weight_id=nw, i=8, j=0)]),
         )
         outcome = engine.apply_update(delta)
         assert engine.sampling.width == 9  # patched, not per-proposal
@@ -367,7 +367,7 @@ class TestIncrementalEngineSatellites:
         delta = FactorGraphDelta(
             num_new_vars=4,
             new_weight_entries=[(("f",), 0.5, False)],
-            new_factors=[IsingFactor(weight_id=nw, i=8, j=9)],
+            new_factors=lower_factors([IsingFactor(weight_id=nw, i=8, j=9)]),
         )
         outcome = engine.apply_update(delta)
         assert engine.sampling.width == 8  # falls back to per-proposal
@@ -433,9 +433,7 @@ class TestLearnerFollowsUpdates:
             nw = len(current.weights)
             delta.num_new_vars = 1
             delta.new_weight_entries.append(((f"w{step}",), 0.4, False))
-            delta.new_factors.append(
-                IsingFactor(weight_id=nw, i=current.num_vars, j=step)
-            )
+            delta.new_factors.add_ising(nw, current.num_vars, step)
             delta.evidence_updates[step] = True
             threshold = 0.0 if step == 2 else 1.0
             patch = compiled.apply_delta(delta, compact_threshold=threshold)

@@ -21,7 +21,6 @@ import pytest
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.graph import FactorGraph, FactorGraphDelta, Semantics
 from repro.graph.compiled import CompiledFactorGraph
-from repro.graph.factor_graph import BiasFactor
 from repro.learning import SGDLearner
 from repro.learning.gradient import (
     factor_counts_per_weight,
@@ -54,7 +53,7 @@ def new_examples_delta(graph, step, k=10, pos=7):
     delta.new_weight_entries.append((("feat", step), 0.0, False))
     delta.num_new_vars = k
     for j in range(k):
-        delta.new_factors.append(BiasFactor(weight_id=nw, var=graph.num_vars + j))
+        delta.new_factors.add_bias(nw, graph.num_vars + j)
         delta.new_var_evidence[j] = j < pos
     return delta
 

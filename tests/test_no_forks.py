@@ -1,5 +1,6 @@
 """The package has one way to ground, one gradient, one scan, one rule
-path, one process, and one copy of each piece of update state.
+path, one process, one factor representation, and one copy of each
+piece of update state.
 
 Every option whose non-default side only tests ever selected is gone, and
 the implementations those options selected live under ``tests/reference``
@@ -10,6 +11,7 @@ query evaluator and no process pool.
 """
 
 import ast
+import contextlib
 import dataclasses
 import pathlib
 import re
@@ -20,16 +22,18 @@ import pytest
 
 import repro
 import repro.db.query
-import repro.graph.delta
 import repro.core.engine
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
+from repro.core.decomposition import group_subgraph, plan_groups
 from repro.db.relation import Relation
-from repro.graph import FactorGraph, RuleFactor
+from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta, IsingFactor, RuleFactor
 from repro.graph.compiled import CompiledFactorGraph
+from repro.graph.delta import FactorList, FactorTable
+from repro.graph.delta_energy import DeltaEvaluator
 from repro.grounding import Grounder, IncrementalGrounder
 from repro.grounding.grounder import GroundingResult
 from repro.grounding.incremental import UpdateResult
-from repro.inference import GibbsSampler
+from repro.inference import ExactInference, GibbsSampler
 from repro.kbc.corpus import generate_corpus
 from repro.kbc.entity_linking import link_mentions
 from repro.kbc.pipeline import KBCPipeline
@@ -42,7 +46,7 @@ from repro.learning.gradient import (
 from repro.service import ServiceConfig
 from repro.workloads.systems import ALL_SYSTEMS, build_pipeline
 
-from tests.helpers import chain_ising_graph
+from tests.helpers import chain_ising_graph, counting, decodes, voting_graph
 from tests.reference.grounding import FactorRecord
 from tests.test_grounding import spouse_db, spouse_program
 
@@ -169,11 +173,11 @@ class TestPackageReachesNoOracle:
         }
         assert not hasattr(repro.db.query, "evaluate_query")
 
-    def test_one_function_lowers_factor_objects(self):
-        """The walk over factor kinds that turns objects into arrays
-        exists once (``graph.delta.lower_factors``): the compile, the
-        patch and the MH target read tables.  The per-factor patch and
-        the object-walking compile live in ``tests/reference/compiled``."""
+    def test_no_function_walks_factor_records(self):
+        """No function dispatches on the factor kinds of records: the
+        compile, the patch, the energy and the MH target read tables.
+        Lowering records (``lower_factors``), the per-factor patch and
+        the record-walking compile live in ``tests/reference``."""
         kinds = {"BiasFactor", "IsingFactor", "RuleFactor"}
         dispatchers = []
         for path, tree in self.modules():
@@ -192,7 +196,7 @@ class TestPackageReachesNoOracle:
                 }
                 if kinds <= tested:
                     dispatchers.append((path.relative_to(SRC).as_posix(), node.name))
-        assert dispatchers == [("graph/delta.py", "lower_factors")]
+        assert dispatchers == []
         for name in ("_ri_factor", "rule_factors", "_has_duplicated_literal"):
             assert not any(name in path.read_text() for path, _ in self.modules())
 
@@ -316,13 +320,12 @@ class TestOneRulePath:
 class TestGroundStraightIntoArrays:
     """A full ground folds its binding batches into factor-table columns
     and the compile reads that table: between them no ``RuleFactor`` is
-    constructed, ``lower_factors`` and ``FactorGraph.validate`` never run,
-    the factor list stays unmaterialized and no record is derived.  The
-    record fold and its object loop are ``tests/reference/grounding``'s
-    ``fold_ground``."""
+    constructed, no table is decoded into records, ``FactorGraph.validate``
+    never runs and no grounding record is derived.  The record fold and
+    its object loop are ``tests/reference/grounding``'s ``fold_ground``."""
 
     def test_ground_and_compile_build_no_factor_object(self, monkeypatch):
-        calls = {"RuleFactor": 0, "lower_factors": 0, "validate": 0}
+        calls = {"RuleFactor": 0, "decodes": 0, "validate": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -335,9 +338,7 @@ class TestGroundStraightIntoArrays:
             RuleFactor, "__init__", counting("RuleFactor", RuleFactor.__init__)
         )
         monkeypatch.setattr(
-            repro.graph.delta,
-            "lower_factors",
-            counting("lower_factors", repro.graph.delta.lower_factors),
+            FactorTable, "factors", counting("decodes", FactorTable.factors)
         )
         monkeypatch.setattr(
             FactorGraph, "validate", counting("validate", FactorGraph.validate)
@@ -351,9 +352,8 @@ class TestGroundStraightIntoArrays:
             grounding = Grounder(program, db).ground()
             compiled = grounding.compile()
             assert compiled.num_factors == grounding.graph.num_factors > 0
-            assert not grounding.graph.factors.materialized
             assert not hasattr(grounding, "factor_records")
-        assert calls == {"RuleFactor": 0, "lower_factors": 0, "validate": 0}
+        assert calls == {"RuleFactor": 0, "decodes": 0, "validate": 0}
 
 
 class TestOneCopyOfUpdateState:
@@ -494,7 +494,14 @@ class TestOneGroundingRepresentation:
             assert not pattern.search(path.read_text()), path
 
     def test_a_stream_sized_update_builds_no_record(self, monkeypatch):
-        built = {"FactorRecord": 0, "RuleFactor": 0}
+        built = {"FactorRecord": 0, "RuleFactor": 0, "decodes": 0}
+        real_decode = FactorTable.factors
+
+        def decode(self):
+            built["decodes"] += 1
+            return real_decode(self)
+
+        monkeypatch.setattr(FactorTable, "factors", decode)
         for cls in (FactorRecord, RuleFactor):
             real = cls.__init__
 
@@ -516,6 +523,112 @@ class TestOneGroundingRepresentation:
         for update in ({"inserts": rows}, {"deletes": rows}):
             delta = grounder.apply_update(**update).delta
             assert delta.new_factors or delta.removed_factor_ids
-            assert not delta.new_factors.materialized
-        assert built == {"FactorRecord": 0, "RuleFactor": 0}
-        assert not grounder.graph.factors.materialized
+        assert built == {"FactorRecord": 0, "RuleFactor": 0, "decodes": 0}
+
+
+class TestOneFactorRepresentation:
+    """A factor graph is its factor table: ``FactorGraph.factors`` and a
+    delta's ``new_factors`` are read-only :class:`FactorList` s over one,
+    energies are scored from its columns, and the three factor records
+    are only what a table decodes into — fields and ``variables()``.  The
+    object form, its lowering walk and the one-world energy oracle live
+    in ``tests/reference`` (``factors``, ``delta_energy``)."""
+
+    REMOVED = (
+        "lower_factors",
+        "materialized_factors",
+        "_view_factors",
+        "_view_factors_version",
+        "_relocalize",
+        "_raise_unknown_variable",
+        "log_density_ratio",
+        "violates_evidence",
+        "extend_world",
+        "removed_factors",
+        "unit_energy",
+    )
+
+    def test_removed_names_stay_gone(self):
+        pattern = re.compile(r"\b(" + "|".join(self.REMOVED) + r")\b")
+        for path in SRC.rglob("*.py"):
+            assert not pattern.search(path.read_text()), path
+        for name in ("_objects", "materialized", "from_table", "append", "insert"):
+            assert not hasattr(FactorList, name), name
+        for name in ("__setitem__", "__delitem__"):
+            assert getattr(FactorList, name, None) is None, name
+        for name in ("delta_energy", "reweighted", "_terms", "_score", "new_factors"):
+            assert not hasattr(DeltaEvaluator, name), name
+        assert not hasattr(CompiledFactorGraph, "materialized_factors")
+        assert not {"_view_factors", "_view_factors_version"} & set(
+            CompiledFactorGraph._SNAP_SCALARS
+        )
+        for record in (RuleFactor, IsingFactor, BiasFactor):
+            methods = {
+                name
+                for name, value in vars(record).items()
+                if callable(value) and not name.startswith("__")
+            }
+            assert methods == {"variables"}, record
+
+    @pytest.fixture
+    def built(self):
+        """Factor records constructed (any kind, under ``"__init__"``) or
+        decoded from a table (``"factors"``) while the test runs."""
+        with contextlib.ExitStack() as stack:
+            counts = stack.enter_context(decodes())
+            for record in (RuleFactor, IsingFactor, BiasFactor):
+                stack.enter_context(counting(record, "__init__", counts))
+            yield counts
+
+    def test_add_built_graphs_score_from_the_table(self, built):
+        graph = voting_graph(num_up=2, num_down=2, voter_bias=0.3)
+        graph.add_ising_factor(graph.weights.intern("J", initial=0.2), 1, 3)
+        compiled = CompiledFactorGraph(graph.copy())
+        exact = ExactInference(graph)
+        graph.energy(np.ones(graph.num_vars, dtype=bool))
+        for group in plan_groups(graph, [0]):
+            group_subgraph(graph, group)
+        delta = FactorGraphDelta(num_new_vars=1, removed_factor_ids={1})
+        delta.new_weight_entries.append(("new", 0.4, False))
+        delta.new_factors.add_bias(len(graph.weights), graph.num_vars)
+        evaluator = DeltaEvaluator(graph, delta)
+        worlds = evaluator.extend_worlds(exact.worlds, np.random.default_rng(0))
+        evaluator.delta_energies(worlds)
+        compiled.apply_delta(delta)
+        delta.apply(graph)
+        assert not built
+
+    @pytest.mark.parametrize("strategy", ["sampling", "variational"])
+    def test_ground_compile_update_splice_and_score_build_no_record(
+        self, built, strategy
+    ):
+        """Ground → compile → insert / retract updates through an engine
+        whose only strategy is MH over ``delta_energies`` or the
+        variational splice, with relearning between updates."""
+        spec = ALL_SYSTEMS[0]
+        corpus = generate_corpus(spec.corpus_config(scale=0.3, seed=0))
+        *documents, last = corpus.documents
+        base = KBCPipeline(
+            dataclasses.replace(corpus, documents=documents), i1_style=spec.i1_style
+        )
+        grounder = base.build_base()
+        engine = IncrementalEngine(
+            grounder.graph,
+            EngineConfig(
+                materialization_samples=60,
+                inference_steps=20,
+                inference_samples=20,
+                variational_inference_samples=20,
+                strategies=(strategy,),
+                seed=0,
+            ),
+        )
+        engine.materialize()
+        rows = document_rows(corpus, last)
+        for update in ({"inserts": rows}, {"deletes": rows}):
+            delta = grounder.apply_update(**update).delta
+            outcome = engine.apply_update(delta)
+            assert outcome.strategy == strategy
+            engine.relearn(1)
+        assert not built
+        assert engine.current_graph.compiled.views_materialized == 0

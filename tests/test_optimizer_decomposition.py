@@ -5,7 +5,10 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     OptimizerDecision,
@@ -19,7 +22,9 @@ from repro.graph import FactorGraph, FactorGraphDelta
 from repro.inference import ExactInference
 
 from tests.helpers import chain_ising_graph, voting_graph
+from tests.reference import factors as reference
 from tests.test_incremental_compile import seed_graph
+from tests.test_scan_plan import random_graph
 
 
 class TestOptimizerRules:
@@ -41,10 +46,8 @@ class TestOptimizerRules:
         assert choose_strategy(delta, 100).strategy == "variational"
 
     def test_rule3_new_features_go_sampling(self):
-        delta = FactorGraphDelta(
-            new_weight_entries=[("f", 0.0, False)],
-            new_factors=["placeholder"],
-        )
+        delta = FactorGraphDelta(new_weight_entries=[("f", 0.0, False)])
+        delta.new_factors.add_bias(0, 0)
         decision = choose_strategy(delta, samples_remaining=100)
         assert decision.strategy == "sampling"
         assert decision.rule == 3
@@ -55,10 +58,8 @@ class TestOptimizerRules:
         assert decision.rule == 4
 
     def test_acceptance_probe_override(self):
-        delta = FactorGraphDelta(
-            new_weight_entries=[("f", 0.0, False)],
-            new_factors=["placeholder"],
-        )
+        delta = FactorGraphDelta(new_weight_entries=[("f", 0.0, False)])
+        delta.new_factors.add_bias(0, 0)
         decision = choose_strategy(
             delta, samples_remaining=100, acceptance_estimate=0.001,
             min_acceptance=0.01,
@@ -217,6 +218,46 @@ def check_pinned_decompositions() -> None:
     for name, (graph, active) in decomposition_cases().items():
         groups = decompose(graph, active)
         assert (shown(groups), shown(merge_groups(groups))) == PINNED[name], name
+
+
+def assert_subgraph_is_the_record_walk(graph, group) -> None:
+    ours, ours_local = group_subgraph(graph, group)
+    theirs, their_local = reference.group_subgraph(graph, group)
+    assert ours_local == their_local
+    assert ours.num_vars == theirs.num_vars
+    assert [ours.name_of(v) for v in range(ours.num_vars)] == [
+        theirs.name_of(v) for v in range(theirs.num_vars)
+    ]
+    assert dict(ours.evidence) == dict(theirs.evidence)
+    assert list(ours.weights.items()) == list(theirs.weights.items())
+    expected = theirs.factor_table().columns()
+    for name, column in ours.factor_table().columns().items():
+        assert column.dtype == expected[name].dtype, name
+        assert column.tolist() == expected[name].tolist(), name
+
+
+class TestGroupSubgraphIsTheRecordWalk:
+    """``group_subgraph`` takes the table rows whose scope lies inside a
+    group and renumbers their variables: the same rows, in the same
+    order, as the record walk in ``tests/reference/factors``."""
+
+    @pytest.mark.parametrize("name", sorted(decomposition_cases()))
+    def test_decomposition_cases(self, name):
+        graph, active = decomposition_cases()[name]
+        for group in decompose(graph, active) + plan_groups(graph, active):
+            assert_subgraph_is_the_record_walk(graph, group)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs_with_rule_factors(self, seed):
+        rng = np.random.default_rng(seed)
+        num_vars = int(rng.choice([6, 12, 40]))
+        graph = random_graph(rng, num_vars, int(rng.integers(4, 30)))
+        active = np.flatnonzero(rng.random(num_vars) < 0.3).tolist()
+        groups = decompose(graph, active) + plan_groups(graph, active)
+        assert groups
+        for group in groups:
+            assert_subgraph_is_the_record_walk(graph, group)
 
 
 class TestCleanInstall:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
-from repro.graph import BiasFactor, FactorGraph, FactorGraphDelta
+from repro.graph import FactorGraph, FactorGraphDelta
 from repro.grounding import IncrementalGrounder
 from repro.reliability import (
     DeltaLog,
@@ -494,7 +494,7 @@ class TestFaultPlan:
 def feature_delta(fg_weights_len, var, weight, key):
     delta = FactorGraphDelta()
     delta.new_weight_entries.append((key, weight, False))
-    delta.new_factors.append(BiasFactor(weight_id=fg_weights_len, var=var))
+    delta.new_factors.add_bias(fg_weights_len, var)
     return delta
 
 
@@ -570,7 +570,7 @@ class TestIncrementalEngineRollback:
         # the rollback leaves it equal to the never-updated twin's.
         rolled_back, untouched = faulted.variational.current, twin.variational.current
         assert dict(rolled_back.evidence) == dict(untouched.evidence)
-        assert rolled_back.factors == untouched.factors
+        assert list(rolled_back.factors) == list(untouched.factors)
         np.testing.assert_array_equal(
             rolled_back.weights.values_array(), untouched.weights.values_array()
         )

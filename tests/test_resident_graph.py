@@ -30,6 +30,7 @@ from repro.reliability.snapshots import RngSnapshot
 from tests.helpers import chain_ising_graph
 from tests.test_incremental_compile import seed_graph
 from tests.test_variational_incremental import canonical, draw_delta
+from tests.reference.factors import lower_factors
 
 #: Low enough that a handful of drawn deltas crosses it.
 COMPACT_THRESHOLD = 0.15
@@ -122,10 +123,10 @@ class TestComposedHistories:
         def appends(resident, step):
             return FactorGraphDelta(
                 new_weight_entries=[((f"w{step}",), 0.3, False)],
-                new_factors=[
+                new_factors=lower_factors([
                     BiasFactor(weight_id=len(resident.graph.weights), var=v)
                     for v in range(step, step + 5)
-                ],
+                ]),
             )
 
         assert failed_transaction(live, appends(live, 0))
@@ -144,7 +145,7 @@ def grow_delta(engine, step: int) -> FactorGraphDelta:
         num_new_vars=1,
         new_var_names=[f"added-{step}"],
         new_weight_entries=[((f"g{step}",), 0.4, False)],
-        new_factors=[BiasFactor(weight_id=len(graph.weights), var=graph.num_vars)],
+        new_factors=lower_factors([BiasFactor(weight_id=len(graph.weights), var=graph.num_vars)]),
         evidence_updates={step % 6: step % 2 == 0},
     )
 
@@ -154,7 +155,7 @@ def patch_delta(engine, step: int) -> FactorGraphDelta:
     graph = engine.current_graph
     return FactorGraphDelta(
         new_weight_entries=[((f"p{step}",), -0.3, False)],
-        new_factors=[BiasFactor(weight_id=len(graph.weights), var=step % 6)],
+        new_factors=lower_factors([BiasFactor(weight_id=len(graph.weights), var=step % 6)]),
     )
 
 

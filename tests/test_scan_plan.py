@@ -6,7 +6,7 @@
   cached plan (the graph's own evidence and an evidence-free learner
   twin) stays *valid* — its blocks partition the
   free variables exactly and no two members of a block share a live
-  factor, judged against ``materialized_factors()`` and never against the
+  factor, judged against the decoded factor table and never against the
   planner's own neighbour index — and *pure*: equal, block for block, to
   a plan built from scratch on the patched substrate.  "Valid" is the
   predicate the id-run planner this one replaced satisfies; that planner
@@ -47,6 +47,7 @@ from repro.kbc.pipeline import KBCPipeline
 from repro.workloads import ALL_SYSTEMS, build_pipeline, workload_by_name
 
 from tests.helpers import brute_force_delta
+from tests.reference.factors import add_factor, lower_factors
 
 SEMANTICS = list(Semantics)
 
@@ -96,7 +97,7 @@ def plan_blocks(plan) -> list:
 
 
 def assert_plan_valid_and_pure(compiled, plan) -> None:
-    factors = compiled.materialized_factors()
+    factors = compiled._live_table().factors()
     free = np.flatnonzero(~plan.evidence_mask).tolist()
     assert plan.free_vars.tolist() == free
     assert_valid(plan_blocks(plan), factors, free)
@@ -161,12 +162,18 @@ def random_factor(rng, num_vars: int, weight_id: int):
     )
 
 
-def random_graph(rng, num_vars: int, num_factors: int, evidence: int = 3) -> FactorGraph:
+def random_graph(
+    rng, num_vars: int, num_factors: int, evidence: int = 3, records=None
+) -> FactorGraph:
+    """A random graph built through ``add_*_factor``; the raw records
+    drawn for it are appended to ``records`` when given."""
     fg = FactorGraph()
     fg.add_variables(num_vars)
     for k in range(num_factors):
         wid = fg.weights.intern(("w", k), initial=float(rng.normal(0, 0.6)))
         factor = random_factor(rng, num_vars, wid)
+        if records is not None:
+            records.append(factor)
         if isinstance(factor, BiasFactor):
             fg.add_bias_factor(wid, factor.var)
         elif isinstance(factor, IsingFactor):
@@ -192,12 +199,10 @@ def history_delta(rng, compiled, op: str, step: int) -> FactorGraphDelta:
             ((f"h{step}",), float(rng.normal(0, 0.6)), False)
         )
         for _ in range(int(rng.integers(1, 4))):
-            delta.new_factors.append(random_factor(rng, total, wid))
+            add_factor(delta.new_factors, random_factor(rng, total, wid))
         if op == "append":
             # Tie the first new variable to an old one.
-            delta.new_factors.append(
-                IsingFactor(weight_id=wid, i=n, j=int(rng.integers(n)))
-            )
+            delta.new_factors.add_ising(wid, n, int(rng.integers(n)))
     elif op == "remove" and compiled.num_factors:
         count = min(int(rng.integers(1, 4)), compiled.num_factors)
         delta.removed_factor_ids.update(
@@ -408,15 +413,17 @@ class TestKernelsMatchBruteForce:
                     delta = FactorGraphDelta(
                         num_new_vars=2,
                         new_weight_entries=[(("p",), 0.4, False)],
-                        new_factors=[
-                            IsingFactor(weight_id=wid, i=30, j=3),
-                            RuleFactor(
-                                weight_id=wid,
-                                head=31,
-                                groundings=(((31, True), (5, False)), ((7, True),)),
-                                semantics=semantics or Semantics.RATIO,
-                            ),
-                        ],
+                        new_factors=lower_factors(
+                            [
+                                IsingFactor(weight_id=wid, i=30, j=3),
+                                RuleFactor(
+                                    weight_id=wid,
+                                    head=31,
+                                    groundings=(((31, True), (5, False)), ((7, True),)),
+                                    semantics=semantics or Semantics.RATIO,
+                                ),
+                            ]
+                        ),
                         removed_factor_ids={0, 7},
                     )
                     compiled.apply_delta(delta, compact_threshold=1.0)

@@ -205,7 +205,7 @@ class TestCheckpointStore:
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0010"
+            assert fh.read(8) == b"CKPT0011"
             fh.seek(0)
             fh.write(b"CKPT0009")
         with pytest.raises(CheckpointError, match="bad magic"):

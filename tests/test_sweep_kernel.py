@@ -45,6 +45,7 @@ from repro.workloads import build_pipeline, workload_by_name
 
 from tests.helpers import mixed_case
 from tests.reference import gibbs as reference
+from tests.reference.factors import lower_factors
 from tests.test_scan_plan import (
     full_program_grounder,
     head_in_body_graph,
@@ -386,7 +387,7 @@ class TestGTable:
             semantics=Semantics.RATIO,
         )
         delta = FactorGraphDelta(
-            new_weight_entries=[(("big",), 0.05, False)], new_factors=[rule]
+            new_weight_entries=[(("big",), 0.05, False)], new_factors=lower_factors([rule])
         )
         snap = compiled.snapshot_state()
         patch = compiled.apply_delta(delta, compact_threshold=1.0)

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.core import EngineConfig, IncrementalEngine, VariationalMaterialization
 from repro.graph import BiasFactor, FactorGraphDelta, IsingFactor
 from repro.graph.compiled import CompiledFactorGraph
-from repro.graph.delta_energy import DeltaEvaluator
 from repro.graph.factor_graph import RuleFactor
 from repro.graph.semantics import Semantics
 from repro.inference import ExactInference
@@ -35,6 +34,8 @@ from repro.reliability.faults import Fault, FaultInjected, FaultPlan, inject_fau
 from repro.util.stats import max_marginal_error
 
 from tests.helpers import chain_ising_graph, random_pairwise_graph
+from tests.reference.delta_energy import OneWorldEvaluator
+from tests.reference.factors import add_factor, as_factor_list, lower_factors
 from tests.test_incremental_compile import seed_graph
 
 
@@ -42,8 +43,9 @@ def reference_splice(current, base, delta, counter):
     """The copy-splice ``apply_update`` replaced: copy the approximated
     graph, re-intern the delta's weights by key, append new factors
     as-is, removed ones negated and reweighted ones shifted."""
-    evaluator = DeltaEvaluator(base, delta)
+    evaluator = OneWorldEvaluator(base, delta)
     updated = current.copy()
+    records = list(updated.factors)
     for offset in range(delta.num_new_vars):
         names = delta.new_var_names
         vid = updated.add_variable(name=names[offset] if offset < len(names) else None)
@@ -61,7 +63,7 @@ def reference_splice(current, base, delta, counter):
             initial=new_weights.value(factor.weight_id),
             fixed=new_weights.is_fixed(factor.weight_id),
         )
-        updated.factors.append(dataclasses.replace(factor, weight_id=wid))
+        records.append(dataclasses.replace(factor, weight_id=wid))
     for factor in evaluator.removed_factors:
         counter += 1
         wid = updated.weights.intern(
@@ -69,13 +71,14 @@ def reference_splice(current, base, delta, counter):
             initial=-old_weights.value(factor.weight_id),
             fixed=True,
         )
-        updated.factors.append(dataclasses.replace(factor, weight_id=wid))
+        records.append(dataclasses.replace(factor, weight_id=wid))
     for factor, shift in evaluator.reweighted:
         counter += 1
         wid = updated.weights.intern(
             ("spliced-reweight", counter), initial=shift, fixed=True
         )
-        updated.factors.append(dataclasses.replace(factor, weight_id=wid))
+        records.append(dataclasses.replace(factor, weight_id=wid))
+    updated.factors = as_factor_list(records)
     updated.validate()
     return updated, counter
 
@@ -118,11 +121,12 @@ def draw_delta(data, graph, step):
             st.lists(var, min_size=3, max_size=3, unique=True), label="scope"
         )
         if kind == "bias":
-            delta.new_factors.append(BiasFactor(weight_id=wid, var=a))
+            delta.new_factors.add_bias(wid, a)
         elif kind == "ising":
-            delta.new_factors.append(IsingFactor(weight_id=wid, i=a, j=b))
+            delta.new_factors.add_ising(wid, a, b)
         else:
-            delta.new_factors.append(
+            add_factor(
+                delta.new_factors,
                 RuleFactor(
                     weight_id=wid,
                     head=a,
@@ -193,7 +197,7 @@ class TestSubstrateEqualsCopySplice:
         for step in range(6):
             delta = FactorGraphDelta(
                 new_weight_entries=[((f"w{step}",), 0.3, False)],
-                new_factors=[BiasFactor(weight_id=len(legacy.weights), var=step)],
+                new_factors=lower_factors([BiasFactor(weight_id=len(legacy.weights), var=step)]),
             )
             mat.apply_update(legacy, delta)
             compacted |= not mat.resident.compiled.has_patches
@@ -221,17 +225,17 @@ def update_sequence(graph):
     num_weights, num_vars = len(graph.weights), graph.num_vars
     yield FactorGraphDelta(
         new_weight_entries=[("f1", 0.9, False)],
-        new_factors=[BiasFactor(weight_id=num_weights, var=2)],
+        new_factors=lower_factors([BiasFactor(weight_id=num_weights, var=2)]),
     )
     yield FactorGraphDelta(evidence_updates={1: True})
     yield FactorGraphDelta(
         num_new_vars=2,
         new_var_evidence={0: True},
         new_weight_entries=[("f2", 0.7, False)],
-        new_factors=[
+        new_factors=lower_factors([
             IsingFactor(weight_id=num_weights + 1, i=num_vars, j=3),
             IsingFactor(weight_id=num_weights + 1, i=num_vars + 1, j=0),
-        ],
+        ]),
     )
     yield FactorGraphDelta(removed_factor_ids={0}, evidence_updates={1: None})
 
@@ -284,12 +288,12 @@ class TestOneConstructionPerEngine:
             current = engine.current_graph
             delta = FactorGraphDelta(
                 new_weight_entries=[((f"w{step}",), 0.2, False)],
-                new_factors=[
+                new_factors=lower_factors([
                     BiasFactor(
                         weight_id=len(current.weights),
                         var=int(rng.integers(current.num_vars)),
                     )
-                ],
+                ]),
             )
             if step % 3 == 2:
                 delta.removed_factor_ids.add(int(rng.integers(current.num_factors)))
@@ -323,9 +327,9 @@ class TestOneConstructionPerEngine:
         for step in range(3):
             delta = FactorGraphDelta(
                 new_weight_entries=[((f"w{step}",), 0.2, False)],
-                new_factors=[
+                new_factors=lower_factors([
                     BiasFactor(weight_id=len(engine.current_graph.weights), var=step)
-                ],
+                ]),
             )
             engine.apply_update(delta)
         engine.apply_update(FactorGraphDelta(removed_factor_ids={0, 5}))
@@ -385,9 +389,9 @@ class TestRollbackAndCheckpointParity:
             substrate.apply_delta(
                 FactorGraphDelta(
                     new_weight_entries=[("f", 0.5, False)],
-                    new_factors=[
+                    new_factors=lower_factors([
                         BiasFactor(weight_id=len(substrate.weights), var=5)
-                    ],
+                    ]),
                 ),
                 compact_threshold=None,
             )
