@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -258,7 +259,7 @@ def measure(workload: str, scale: str, compare_naive: bool = True) -> dict:
         "num_vars": graph.num_vars,
         "num_factors": graph.num_factors,
         "num_blocks": fast.plan.num_blocks,
-        **plan_shape(fast.plan),
+        **plan_shape(fast),
         "sweeps_per_sec": round(fast_rate, 2),
         "var_updates_per_sec": round(fast_rate * num_free, 1),
         "vars_factors_per_sec": round(
@@ -273,9 +274,57 @@ def measure(workload: str, scale: str, compare_naive: bool = True) -> dict:
     return record
 
 
-def plan_shape(plan) -> dict:
-    """Which kernel a plan's sweep runs on."""
-    return {"batched_fraction": round(plan.batched_fraction, 4)}
+def plan_shape(sampler) -> dict:
+    """One sweep of ``sampler``'s plan, counted: whether its blocks
+    partition the free variables, and the fewest / most
+    ``delta_energy_block`` and the most ``commit_block`` calls any block
+    took."""
+    from repro.graph.compiled import GibbsCache
+
+    plan = sampler.plan
+    members = np.concatenate([b.vars for b in plan.blocks] + [np.zeros(0, np.int64)])
+    calls = {"delta_energy_block": Counter(), "commit_block": Counter()}
+    real = {name: getattr(GibbsCache, name) for name in calls}
+
+    def counted(name):
+        def wrapper(self, block, *args):
+            calls[name][id(block)] += 1
+            return real[name](self, block, *args)
+
+        return wrapper
+
+    for name in calls:
+        setattr(GibbsCache, name, counted(name))
+    try:
+        sampler.sweep()
+    finally:
+        for name, method in real.items():
+            setattr(GibbsCache, name, method)
+    evaluations = [calls["delta_energy_block"][id(b)] for b in plan.blocks]
+    commits = [calls["commit_block"][id(b)] for b in plan.blocks]
+    return {
+        "blocks_partition_free_vars": bool(
+            np.array_equal(np.sort(members), plan.free_vars)
+        ),
+        "evaluations_per_block": [min(evaluations, default=0), max(evaluations, default=0)],
+        "max_commits_per_block": max(commits, default=0),
+    }
+
+
+def assert_shape(name: str, shape: dict) -> None:
+    """A sweep visits every free variable through exactly one block
+    evaluation per block and at most one commit."""
+    if not shape["blocks_partition_free_vars"]:
+        raise AssertionError(f"{name}: the blocks do not partition the free variables")
+    if shape["evaluations_per_block"] != [1, 1]:
+        raise AssertionError(
+            f"{name}: block evaluations per sweep {shape['evaluations_per_block']}, "
+            "expected exactly one per block"
+        )
+    if shape["max_commits_per_block"] > 1:
+        raise AssertionError(
+            f"{name}: a block committed {shape['max_commits_per_block']} times in a sweep"
+        )
 
 
 def full_program_graph(spec):
@@ -291,27 +340,26 @@ def full_program_graph(spec):
 
 
 def check_shape(rows) -> dict:
-    """The batched kernel must be the one that runs.
+    """A sweep is one block evaluation per block.
 
     On every measured workload and on the five KBC systems (full six-rule
-    program): at least 90 % of the free variables sit in batched blocks —
-    the check that would have caught a planner whose blocks never reach
-    the batched kernel."""
-    from repro.graph.compiled import CompiledFactorGraph
+    program): the blocks partition the free variables, and one sweep
+    takes exactly one ``delta_energy_block`` and at most one
+    ``commit_block`` per block."""
     from repro.workloads import ALL_SYSTEMS
 
     shapes = {f"{row['workload']}/{row['scale']}": row for row in rows}
     for spec in ALL_SYSTEMS:
-        shapes[spec.name] = plan_shape(
-            CompiledFactorGraph(full_program_graph(spec)).plan()
-        )
+        shapes[spec.name] = plan_shape(GibbsSampler(full_program_graph(spec), seed=0))
     for name, shape in shapes.items():
-        if shape["batched_fraction"] < 0.9:
-            raise AssertionError(
-                f"{name}: sweep is not on the batched kernel "
-                f"(batched_fraction={shape['batched_fraction']})"
-            )
-    return {name: shape["batched_fraction"] for name, shape in shapes.items()}
+        assert_shape(name, shape)
+    return {
+        name: {key: shape[key] for key in ("num_blocks", *SHAPE_KEYS) if key in shape}
+        for name, shape in shapes.items()
+    }
+
+
+SHAPE_KEYS = ("blocks_partition_free_vars", "evaluations_per_block", "max_commits_per_block")
 
 
 class _CountingGenerator(np.random.Generator):
@@ -328,10 +376,10 @@ def check_work_counts() -> dict:
     """The sweep layer's interpreter steps, counted rather than timed.
 
     On Pharma's full-program graph (the one system whose plan has small
-    blocks): every free variable sweeps on the batched kernel; one
+    blocks): a sweep is one block evaluation per block; one
     ``sample_worlds`` / ``materialize`` call draws its uniforms once per
-    chunk of ``_DRAW_CHUNK`` doubles, not once per sweep; and a batched
-    block evaluation takes no logarithm (``g`` is a table lookup)."""
+    chunk of ``_DRAW_CHUNK`` doubles, not once per sweep; and a block
+    evaluation takes no logarithm (``g`` is a table lookup)."""
     import repro.inference.gibbs as gibbs_module
     from repro.core.sampling import SampleMaterialization
     from repro.graph.compiled import CompiledFactorGraph
@@ -340,10 +388,8 @@ def check_work_counts() -> dict:
     graph = full_program_graph(workload_by_name("pharma"))
     compiled = CompiledFactorGraph(graph)
     plan = compiled.plan()
-    if plan.batched_fraction != 1.0:
-        raise AssertionError(
-            f"Pharma: batched_fraction={plan.batched_fraction}, expected 1.0"
-        )
+    shape = plan_shape(GibbsSampler(graph, seed=0, compiled=compiled))
+    assert_shape("Pharma", shape)
     width = plan.free_vars.size
 
     def chunks(sweeps: int) -> int:
@@ -376,7 +422,7 @@ def check_work_counts() -> dict:
         np.log1p = real_log1p
     if calls:
         raise AssertionError(
-            f"{len(calls)} np.log1p calls inside batched block evaluations"
+            f"{len(calls)} np.log1p calls inside block evaluations"
         )
 
     rng = _CountingGenerator(np.random.PCG64(1))
@@ -390,7 +436,7 @@ def check_work_counts() -> dict:
             f"expected ≤ {chunks(420)}"
         )
     return {
-        "pharma_batched_fraction": plan.batched_fraction,
+        "pharma_plan_shape": shape,
         "sample_worlds_draws": sample_draws,
         "materialize_400_draws": materialize_draws,
         "log1p_calls_in_block_evaluation": 0,
@@ -437,8 +483,8 @@ def main(argv=None) -> dict:
         "--check",
         action="store_true",
         help="also assert marginal agreement between the two kernels, that "
-        "sweeps run on the batched kernel, and the sweep layer's work counts "
-        "(draws per run, no logarithm per block evaluation)",
+        "a sweep is one block evaluation per block, and the sweep layer's work "
+        "counts (draws per run, no logarithm per block evaluation)",
     )
     args = parser.parse_args(argv)
 
@@ -461,8 +507,8 @@ def main(argv=None) -> dict:
     if args.check:
         record["agreement"] = check_agreement()
         print(f"agreement: {record['agreement']}")
-        record["batched_fraction"] = check_shape(rows)
-        print(f"batched fraction: {record['batched_fraction']}")
+        record["plan_shape"] = check_shape(rows)
+        print(f"plan shape: {record['plan_shape']}")
         record["work_counts"] = check_work_counts()
         print(f"work counts: {record['work_counts']}")
     emit_json("BENCH_inference", record)

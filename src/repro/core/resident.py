@@ -126,8 +126,7 @@ class ResidentGraph:
 
     def snapshot(self) -> SimpleNamespace:
         """Bounded pre-transaction capture — O(touched), see
-        ``CompiledFactorGraph.snapshot_state``, of which only the most
-        recent capture can be restored."""
+        ``CompiledFactorGraph.snapshot_state``."""
         return SimpleNamespace(
             graph=self.graph,
             compiled=self.compiled,

@@ -22,15 +22,20 @@ Compiled layout (all arrays contiguous, ``n`` = number of variables):
 ``rule_head/rule_wid/``   per rule factor (dense index ``ri``): head
 ``rule_sem``              variable, tied weight id, semantics int8 code
 ``grounding_ri``          grounding id ``gg`` → owning rule ``ri``
-``lit_gg/lit_var/``       one row per body literal (used to (re)initialise
-``lit_pos``               the satisfied-count state)
-``py_bias/py_ising/``     per-variable Python mirrors — the one per-variable
-``py_head/py_body``       view every kernel reads: bias weight ids,
-                          ``(neighbour, wid)`` pairs, rules the variable
-                          heads and does not also appear under, and one
-                          ``(ri, [(gg, pos), …])`` segment per rule whose
-                          body the variable is in
+``lit_gg/lit_var/``       one row per body literal
+``lit_pos``
+``head_order/``           the rules grouped by head variable, and the
+``head_indptr``           per-variable offsets into that order
+``lit_order/``            the literals grouped by variable, and the
+``lit_indptr``            per-variable offsets into that order
 ========================  =====================================================
+
+The arrays are the substrate's one incidence representation.  A
+variable's rows are the ones the last build grouped under it (the
+offsets) followed by the ones appended since (found by owner in the
+tail behind the offsets), tombstoned rows masked by the ``*_alive``
+arrays — in ascending row order, so every per-variable sum a kernel
+takes adds its terms in one fixed order.
 
 State kept by :class:`GibbsCache` (one instance per sampler chain):
 
@@ -40,15 +45,15 @@ State kept by :class:`GibbsCache` (one instance per sampler chain):
 * ``nsat``   — int64[R], fully-satisfied grounding count per rule factor.
 
 A variable that heads a rule it also appears under (an agreement rule
-with no ``m ≠ m′`` guard grounds nothing else) stays on the fast path: it
-carries only the body incidence, and the kernels use the closed form
-``E(v=1) − E(v=0) = w·(g(n₁) + g(n₀))`` in place of
+with no ``m ≠ m′`` guard grounds nothing else) stays on the one rule
+path: its block carries only the body incidence, and the kernel uses the
+closed form ``E(v=1) − E(v=0) = w·(g(n₁) + g(n₀))`` in place of
 ``w·sign(head)·(g(n₁) − g(n₀))``.  No grounding mentions a variable
 twice: :func:`~repro.graph.delta.rule_table` canonicalizes every rule
 column it builds, so every rule factor is on this one path.
 
 Scan-order blocking: the substrate keeps a proper greedy colouring of
-the variables over the shared-factor neighbour index (``_color``, one
+the variables over the shared-factor neighbour relation (``_color``, one
 growable array beside ``var_patched``; evidence is coloured too, so
 clamping never recolours).  :class:`SweepPlan` scans colour class by
 colour class inside windows of consecutive ids: the free variables of one
@@ -94,25 +99,26 @@ is offsetting its ids and appending its columns.  The patch protocol:
 * **retractions** tombstone their entries via ``*_alive`` masks (the
   entries stay in the arrays, masked out of every reader) until the next
   build;
-* the per-variable view is the Python mirrors (``py_*`` lists), which
-  the splice extends and scrubs per touched variable from the table's
-  rows grouped by variable, flagging the variable in ``var_patched``
-  until the next build.  Both kernels read the mirrors, so nothing
-  per-variable ever goes stale;
+* every variable that gains or loses an incidence is flagged in
+  ``var_patched`` until the next build; nothing per-variable is stored
+  beside the arrays, so nothing per-variable goes stale;
 * touched variables that now share a colour with a neighbour — and
   appended variables — take the smallest colour their neighbours leave
-  free; nothing else is recoloured.
+  free; nothing else is recoloured.  A variable's neighbours are read
+  off its live rows: the other ends of its Ising rows and the members
+  of the rules of at most ``_BIG_FACTOR`` variables it heads or appears
+  in.
 
 Derived state is repaired, not rebuilt: :meth:`GibbsCache.apply_patch`
 splices the ``field``/``unsat``/``nsat`` caches, :meth:`SweepPlan.apply_patch`
-moves only the touched variables between blocks — in *every* cached
-plan, whatever evidence it was derived for (one for other evidence that
-nobody asked for since the previous patch is dropped instead).
+moves only the touched variables between blocks and gathers the blocks
+it rebuilds in one pass — in *every* cached plan, whatever evidence it
+was derived for (one for other evidence that nobody asked for since the
+previous patch is dropped instead).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
@@ -128,34 +134,19 @@ from repro.graph.delta import (
     rule_unit_energies,
 )
 from repro.graph.factor_graph import CompiledGraphView, FactorGraph
-from repro.graph.semantics import g_table, g_value, sems_from_codes
+from repro.graph.semantics import g_table
 
 #: Rule factors touching more variables than this force their members into
 #: singleton blocks (avoids quadratic co-membership edges; such factors
 #: couple everything anyway, so no block could contain two members).
 _BIG_FACTOR = 32
 
-#: Blocks of at least this many variables, or whose members own more than
-#: ``_BATCH_MIN_ROWS`` incidence rows (Ising + head + body literals)
-#: between them, use the batched numpy kernel; smaller blocks go through
-#: the scalar kernel, which has lower fixed overhead.  Measured in PR 22
-#: on blocks of 1–16 variables cut from the five KBC systems' full-program
-#: plans at scale 1.0 (evaluate + commit under ``sweep_blocks``, fresh
-#: draws per repeat, best of three rounds): the scalar kernel costs
-#: ≈ 1.0 µs per incidence row on the four pairwise-heavy systems (4.9 µs
-#: for a 5-row variable) and ≈ 1.4 on Pharma's rule bodies (17.8 µs for a
-#: 12-row variable), the batched one 20.4 / 23.3 / 25.0 / 27.3 µs at
-#: 1 / 5 / 8 / 16 variables (25.4 / 28.1 for Pharma's 2 / 5).  They cross
-#: at 20–25 rows: five 5-row variables (24.5 vs 23.3 µs; four: 19.6 vs
-#: 22.5) or two of Pharma's (35.0 vs 25.4 µs).
-_BATCH_MIN = 5
-_BATCH_MIN_ROWS = 20
-
 #: Target variables per scan block.  The scan window of a compilation is
 #: ``_CHUNK_CAP × #colours`` consecutive ids, so one colour class inside
 #: one window holds about this many variables.  Measured on blocks cut
-#: from the KBC systems' plans (PR 22, same method as ``_BATCH_MIN``),
-#: evaluate + commit costs ≈ 25 µs + 0.1 µs per variable: 3.2 / 1.7 /
+#: from the five KBC systems' full-program plans at scale 1.0 (evaluate
+#: + commit under ``sweep_blocks``, fresh draws per repeat, best of three
+#: rounds), evaluate + commit costs ≈ 25 µs + 0.1 µs per variable: 3.2 / 1.7 /
 #: 0.89 / 0.50 / 0.30 / 0.18 / 0.15 µs per variable at 8 / 16 / 32 / 64 /
 #: 128 / 256 / 488 (the last two from scale-4.0 plans) — past 256 the
 #: fixed cost is no longer the larger half, while the price of rebuilding
@@ -184,11 +175,34 @@ def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
-def _per_variable(rows: np.ndarray, items: list, n: int) -> list:
-    """``items``, one per incidence row grouped by owning variable
-    ``rows``, as one list per variable."""
-    ptr = _indptr(rows, n).tolist()
-    return [items[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+def _owned_rows(members, where, owner, indptr, order=None) -> tuple:
+    """Every row of the flat incidence column ``owner`` that one of the
+    distinct variables ``members`` owns, as ``(position in members, row)``
+    in ascending ``(position, row)`` order; ``where`` maps a variable to
+    its position in ``members`` (−1 elsewhere).
+
+    The rows the last build grouped by owner are read through its
+    offsets ``indptr`` (into ``order``, or into the rows themselves when
+    they are laid down grouped); the rows appended since sit in the tail
+    behind them and are found by owner there.  Tombstones are the
+    caller's to mask."""
+    built = indptr.shape[0] - 1
+    rows, pos = expand_ranges(
+        indptr[np.minimum(members, built)], indptr[np.minimum(members + 1, built)]
+    )
+    if order is not None:
+        rows = order[rows]
+    start = int(indptr[-1])
+    if owner.shape[0] > start:
+        tail = where[owner[start:]]
+        hit = np.flatnonzero(tail >= 0)
+        if hit.size:
+            # Built rows precede the tail: a stable sort by position keeps
+            # each member's rows ascending.
+            pos = np.concatenate([pos, tail[hit]])
+            by = np.argsort(pos, kind="stable")
+            pos, rows = pos[by], np.concatenate([rows, start + hit])[by]
+    return pos, rows
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,21 +243,11 @@ def _by_owner(rows: np.ndarray) -> tuple:
     return order, slot
 
 
-def _heads_outside_body(rules: FactorTable) -> np.ndarray:
-    """The rule rows that carry a head incidence: a head that sits in its
-    own body carries only the body one (closed form, see module
-    docstring)."""
-    lit_ri = rules.lit_ri
-    outside = np.ones(rules.num_rules, dtype=bool)
-    outside[lit_ri[rules.lit_var == rules.rule_head[lit_ri]]] = False
-    return np.flatnonzero(outside)
-
-
-def _segment_starts(var: np.ndarray, ri: np.ndarray) -> np.ndarray:
-    """Where the body segments — runs of one ``(variable, rule)`` pair —
-    start in literals sorted by variable (stably, so by rule within)."""
-    starts = np.ones(var.shape[0], dtype=bool)
-    starts[1:] = (var[1:] != var[:-1]) | (ri[1:] != ri[:-1])
+def _segment_starts(owner: np.ndarray, ri: np.ndarray) -> np.ndarray:
+    """Where the body segments — runs of one ``(owner, rule)`` pair —
+    start in literals sorted by owner (stably, so by rule within)."""
+    starts = np.ones(owner.shape[0], dtype=bool)
+    starts[1:] = (owner[1:] != owner[:-1]) | (ri[1:] != ri[:-1])
     return np.flatnonzero(starts)
 
 
@@ -254,28 +258,28 @@ def _max_groundings(grounding_ri: np.ndarray) -> int:
 
 
 def _rule_members(num_rules: int, head, lit_ri, lit_var, span: int) -> tuple:
-    """Who a batch of fast-path rules couples.
-
-    Returns ``(big_members, a, b)``: the members (head and body, once
-    each) of rules over more than ``_BIG_FACTOR`` variables, and every
-    ordered pair ``(a, b)`` of distinct members of each smaller rule —
-    one neighbour-multiset entry per rule per pair.  ``span`` exceeds
-    every variable id."""
+    """Who a batch of rules couples: ``(ri, var, size)``, one row per
+    distinct member (head and body, once each) sorted by rule, with the
+    member count of the row's rule.  ``span`` exceeds every variable id."""
     member = np.unique(
         np.concatenate([np.arange(num_rules) * span + head, lit_ri * span + lit_var])
     )
     ri, var = np.divmod(member, span)
-    size = np.bincount(ri, minlength=num_rules)[ri]
-    big_members = var[size > _BIG_FACTOR]
-    # A rule of one variable couples nothing; an oversized one is not
-    # tracked pair by pair.
+    return ri, var, np.bincount(ri, minlength=num_rules)[ri]
+
+
+def _member_pairs(ri, var, size) -> tuple:
+    """Every ordered pair ``(a, b)`` of distinct members of each rule of
+    :func:`_rule_members` that couples its members pairwise: a rule of
+    one variable couples nothing, and the members of one over
+    ``_BIG_FACTOR`` variables scan alone instead."""
     paired = (size > 1) & (size <= _BIG_FACTOR)
     ri, var, size = ri[paired], var[paired], size[paired]
     # Members of one rule are consecutive: pair each with its rule's run.
     first = np.searchsorted(ri, ri, "left")
     b, a = expand_ranges(first, first + size)
     distinct = a != b
-    return big_members, var[a[distinct]], var[b[distinct]]
+    return var[a[distinct]], var[b[distinct]]
 
 
 class _Growable:
@@ -314,10 +318,6 @@ class _Growable:
         self.size = need
         return self.buf[:need]
 
-
-#: Per-variable Python mirrors of the incidence lists (what both kernels
-#: read per variable).
-_MIRROR_NAMES = ("py_bias", "py_ising", "py_head", "py_body")
 
 #: Global flat arrays maintained under :meth:`CompiledFactorGraph.apply_delta`
 #: (appends via amortized doubling).
@@ -428,11 +428,6 @@ class CompiledFactorGraph:
     recompiling.
     """
 
-    #: Armed by :meth:`snapshot_state`: ``{var: pre-patch mirror rows}``,
-    #: filled on first touch by a splice.  ``None`` on instances that
-    #: never snapshot (non-transactional use).
-    _mirror_journal = None
-
     def __init__(self, graph: FactorGraph) -> None:
         table = graph.factor_table()
         table.check_ids(graph.num_vars, len(graph.weights))
@@ -459,11 +454,10 @@ class CompiledFactorGraph:
         graph's table, :meth:`compact` on the live rows, and a delta that
         takes the patched density over the threshold on the live rows
         with the delta's rows behind them.  Everything a patch maintains
-        incrementally is reset (tombstones, ``var_patched``, the
-        neighbour patch, colours, cached plans); graph state — names,
+        incrementally is reset (tombstones, ``var_patched``, the tails
+        behind the offsets, colours, cached plans); graph state — names,
         evidence, weights, the ``graph`` facade — is the caller's."""
         n = self.num_vars = num_vars
-        self._mirror_journal = None
         F = len(table)
 
         # Per-factor handle table: factor index → compiled handle (bias /
@@ -502,37 +496,39 @@ class CompiledFactorGraph:
         self.lit_gg, self.lit_var, self.lit_pos = (
             table.lit_gg, table.lit_var, table.lit_pos
         )
-        lit_ri = table.lit_ri
-        self._mirrors(table, lit_ri)
+        # The per-variable offsets blocks gather through: rules by head,
+        # literals by variable (each stably, so ascending within).
+        self.head_order = np.argsort(self.rule_head, kind="stable")
+        self.head_indptr = _indptr(self.rule_head, n)
+        self.lit_order = np.argsort(self.lit_var, kind="stable")
+        self.lit_indptr = _indptr(self.lit_var, n)
 
         # ---- evidence ----------------------------------------------------
         self.evidence_mask = self.graph.evidence_mask()
         self.free_vars = np.flatnonzero(~self.evidence_mask)
 
-        # ---- block-planning adjacency ------------------------------------
-        # nbr: variables sharing any factor (used to prove two scan
-        # neighbours conditionally independent).  Members of oversized rule
-        # factors are forced into singleton blocks.
-        # One entry per *incidence* (parallel edges are not deduplicated):
-        # apply_delta decrements the neighbour multiset per removed factor,
-        # which is only sound if compile time counted per factor too.
-        big_members, a, b = _rule_members(
-            R, self.rule_head, lit_ri, self.lit_var, max(n, 1)
+        # ---- block planning ----------------------------------------------
+        # Members of oversized rule factors are forced into singleton
+        # blocks; every other pair of variables sharing a factor is a
+        # neighbour pair, used here once to colour and then dropped.
+        ri, var, size = _rule_members(
+            R, self.rule_head, table.lit_ri, self.lit_var, max(n, 1)
         )
-        self._big_count = np.bincount(big_members, minlength=n).astype(np.int32)
+        self._big_count = np.bincount(
+            var[size > _BIG_FACTOR], minlength=n
+        ).astype(np.int32)
         self._force_singleton = self._big_count > 0
+        a, b = _member_pairs(ri, var, size)
         rows = np.concatenate([self.ising_row, a])
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        self._nbr_idx = np.concatenate([self.ising_other, b])[order]
-        self._nbr_indptr = _indptr(rows, n)
+        others = np.concatenate([self.ising_other, b])
         # Greedy colouring in id order (evidence included, so clamping a
         # variable never recolours anything): only neighbours with a
         # smaller id are coloured when a variable's turn comes.  The
         # window width is fixed here and only changes at compaction.
-        earlier = self._nbr_idx < rows
+        earlier = others < rows
+        order = np.argsort(rows[earlier], kind="stable")
         ptr = _indptr(rows[earlier], n)
-        nbr = self._nbr_idx[earlier].tolist()
+        nbr = others[earlier][order].tolist()
         color = [0] * n
         ptr_l = ptr.tolist()
         for var in np.flatnonzero(np.diff(ptr)).tolist():
@@ -553,8 +549,6 @@ class CompiledFactorGraph:
         self.var_patched = np.zeros(n, dtype=bool)
         self.num_live_rules = R
         self._patched = False
-        self._nbr_patch = {}
-        self._csr_num_vars = n
 
         self._grow = {}
         for name in _GROWABLE_NAMES:
@@ -566,42 +560,9 @@ class CompiledFactorGraph:
         # once here, then adjusted per patch by the splice.
         self.weight_factor_counts = self._compute_weight_counts()
 
-    def _mirrors(self, rules: FactorTable, lit_ri: np.ndarray) -> None:
-        """Derive the per-variable Python mirrors from freshly built
-        arrays: incidences grouped by variable, a variable's body
-        literals in rule order, cut into one segment per rule."""
-        n = self.num_vars
-        self.py_bias = _per_variable(self.bias_var, self.bias_wid.tolist(), n)
-        self.py_ising = _per_variable(
-            self.ising_row,
-            list(zip(self.ising_other.tolist(), self.ising_wid.tolist())),
-            n,
-        )
-        heads = _heads_outside_body(rules)
-        heads = heads[np.argsort(self.rule_head[heads], kind="stable")]
-        self.py_head = _per_variable(self.rule_head[heads], heads.tolist(), n)
-        order = np.argsort(self.lit_var, kind="stable")
-        body_var, body_ri = self.lit_var[order], lit_ri[order]
-        lits = list(zip(self.lit_gg[order].tolist(), self.lit_pos[order].tolist()))
-        starts = _segment_starts(body_var, body_ri)
-        bounds = starts.tolist() + [len(lits)]
-        segments = list(
-            zip(
-                body_ri[starts].tolist(),
-                [lits[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
-            )
-        )
-        self.py_body = _per_variable(body_var[starts], segments, n)
-        self._rule_head_l = self.rule_head.tolist()
-        self._rule_wid_l = self.rule_wid.tolist()
-        self._rule_sem_l = sems_from_codes(self.rule_sem)
-
     def __getstate__(self):
-        # A transaction snapshot never outlives its process: checkpoints
-        # pickle the substrate without the journal armed for it.  The
-        # growable arrays travel once, inside ``_grow``.
+        # The growable arrays travel once, inside ``_grow``.
         state = self.__dict__.copy()
-        state["_mirror_journal"] = None
         for name in _GROWABLE_NAMES:
             del state[name]
         return state
@@ -810,11 +771,17 @@ class CompiledFactorGraph:
         return plan
 
     def gather_block(self, vars_) -> "_Block":
-        """Batched-kernel gather arrays over ``vars_`` (any variables, in
-        the given order): what :meth:`GibbsCache.delta_energy_block`
-        evaluates in one step.  Only a block whose members share no
-        factor may also be committed as one."""
-        return _Block(self, np.asarray(vars_, dtype=np.int64))
+        """Gather arrays over ``vars_`` (distinct variables, in the given
+        order): what :meth:`GibbsCache.delta_energy_block` evaluates in
+        one step.  Only a block whose members share no factor may also be
+        committed as one."""
+        (block,) = self.gather_blocks([vars_])
+        return block
+
+    def gather_blocks(self, groups) -> list:
+        """:meth:`gather_block` of every group of ``groups`` (distinct
+        variables across all of them), in one pass over the arrays."""
+        return _gather_blocks(self, [np.asarray(g, dtype=np.int64) for g in groups])
 
     # ------------------------------------------------------------------ #
     # Incremental compilation
@@ -824,48 +791,72 @@ class CompiledFactorGraph:
         """Append rows to one growable global array (amortized doubling)."""
         setattr(self, name, self._grow[name].append(values))
 
-    def _var_neighbors(self, var: int) -> set:
-        """Variables sharing a live factor with ``var`` (patch-aware)."""
-        counts = Counter()
-        if var < self._csr_num_vars:
-            lo, hi = int(self._nbr_indptr[var]), int(self._nbr_indptr[var + 1])
-            counts.update(self._nbr_idx[lo:hi].tolist())
-        patch = self._nbr_patch.get(var)
-        if patch:
-            counts.update(patch)
-        return {o for o, c in counts.items() if c > 0}
+    def _owned(self, members: np.ndarray) -> tuple:
+        """The live incidence rows the distinct variables ``members`` own,
+        each as ``(position in members, row)`` in ascending ``(position,
+        row)`` order (:func:`_owned_rows`): Ising rows, rules headed and
+        body literals."""
+        where = np.full(self.num_vars, -1, dtype=np.int64)
+        where[members] = np.arange(members.shape[0])
+        pos, rows = _owned_rows(members, where, self.ising_row, self.ising_indptr)
+        keep = self.ising_alive[rows]
+        ising = pos[keep], rows[keep]
+        pos, ris = _owned_rows(
+            members, where, self.rule_head, self.head_indptr, self.head_order
+        )
+        keep = self.rule_alive[ris]
+        heads = pos[keep], ris[keep]
+        pos, lits = _owned_rows(
+            members, where, self.lit_var, self.lit_indptr, self.lit_order
+        )
+        keep = self.rule_alive[self.grounding_ri[self.lit_gg[lits]]]
+        return ising, heads, (pos[keep], lits[keep])
 
-    def _nbr_adjust(self, a: np.ndarray, b: np.ndarray, delta: int) -> None:
-        """Move the neighbour multiset by ``delta`` (±1) for every pair
-        ``(a[k], b[k])``, one counter update per distinct ``a``."""
+    def _neighbours(self, vars_: np.ndarray) -> list:
+        """Per variable of the distinct ``vars_``, the set of variables it
+        shares a live factor with: the other ends of its Ising rows and
+        the other members of every rule of at most ``_BIG_FACTOR``
+        variables it heads or appears in."""
+        (pos, rows), (_, heads), (_, lits) = self._owned(vars_)
+        rules = np.unique(
+            np.concatenate([heads, self.grounding_ri[self.lit_gg[lits]]])
+        )
+        grounding_ri, body, lit_gg = rule_literals(self, rules)
+        a, b = _member_pairs(
+            *_rule_members(
+                rules.shape[0],
+                self.rule_head[rules],
+                grounding_ri[lit_gg],
+                self.lit_var[body],
+                max(self.num_vars, 1),
+            )
+        )
+        a = np.concatenate([vars_[pos], a])
         order, groups = _groups(a)
-        others = b[order].tolist()
-        for var, lo, hi in groups:
-            counter = self._nbr_patch.get(var)
-            if counter is None:
-                counter = self._nbr_patch[var] = Counter()
-            if delta > 0:
-                counter.update(others[lo:hi])
-            else:
-                counter.subtract(others[lo:hi])
+        others = np.concatenate([self.ising_other[rows], b])[order].tolist()
+        found = {var: set(others[lo:hi]) for var, lo, hi in groups}
+        return [found.get(var, set()) for var in vars_.tolist()]
 
-    def _count_big(self, members: np.ndarray, delta: int) -> None:
-        """``members`` joined (+1) or left (−1) one oversized rule each."""
+    def _count_big(self, num_rules, head, lit_ri, lit_var, span, delta) -> None:
+        """The members of the oversized ones of a batch of rules (see
+        :func:`_rule_members`) joined (+1) or left (−1) one more."""
+        _, var, size = _rule_members(num_rules, head, lit_ri, lit_var, span)
+        members = var[size > _BIG_FACTOR]
         if members.size:
             np.add.at(self._big_count, members, delta)
             self._force_singleton[members] = self._big_count[members] > 0
 
-    def _recolor(self, vars_sorted) -> None:
+    def _recolor(self, vars_sorted: np.ndarray) -> None:
         """Restore a proper colouring after a patch touched ``vars_sorted``.
 
-        A touched variable keeps its colour unless a (patch-aware)
-        neighbour now holds the same one; otherwise it takes the smallest
-        colour its neighbours leave free.  Both endpoints of every added
-        factor are touched, so visiting them in id order repairs every
-        new conflict."""
+        A touched variable keeps its colour unless a neighbour now holds
+        the same one; otherwise it takes the smallest colour its
+        neighbours leave free.  Both endpoints of every added factor are
+        touched, so visiting them in id order repairs every new
+        conflict."""
         color = self._color
-        for v in vars_sorted:
-            used = {int(color[o]) for o in self._var_neighbors(v)}
+        for v, neighbours in zip(vars_sorted.tolist(), self._neighbours(vars_sorted)):
+            used = {int(color[o]) for o in neighbours}
             if color[v] < 0 or int(color[v]) in used:
                 used.discard(-1)
                 color[v] = _smallest_free_color(used)
@@ -1083,8 +1074,7 @@ class CompiledFactorGraph:
     def _splice(self, patch: CompiledPatch, doomed) -> CompiledPatch:
         """Land ``patch`` in the arrays: every growable array is appended
         at most once, the handle table is extended with one concatenate,
-        and mirrors, neighbour multiset, solo flags and the snapshot
-        journal are updated per touched variable from grouped rows."""
+        and the solo flags and colours of the touched variables follow."""
         ops, add = patch.ops, patch.ops["add"]
         old_evidence = (
             tuple(sorted(self.graph.evidence.items())) if self._plan_cache else ()
@@ -1100,62 +1090,23 @@ class CompiledFactorGraph:
             self._append("_force_singleton", np.zeros(k, dtype=bool))
             self._append("_big_count", np.zeros(k, dtype=np.int32))
             self._append("_color", np.full(k, -1, dtype=np.int32))
-            for name in _MIRROR_NAMES:
-                getattr(self, name).extend([] for _ in range(k))
-
-        # Before any mirror row mutates, an armed snapshot journals the
-        # pre-patch rows of every variable the patch touches for the
-        # first time (appended variables roll back by truncation).
-        journal = self._mirror_journal
-        if journal is not None:
-            mirrors = [getattr(self, name) for name in _MIRROR_NAMES]
-            for var in dirty[: np.searchsorted(dirty, n0)].tolist():
-                if var not in journal:
-                    journal[var] = [list(m[var]) for m in mirrors]
         self.var_patched[dirty] = True
 
-        # ---- removals (tombstones + mirror scrub) ------------------------
+        # ---- removals (tombstones) ---------------------------------------
         if patch.bias_del.size:
-            kb = patch.bias_del
-            self.bias_alive[kb] = False
-            wids = self.bias_wid[kb]
-            for var, wid in zip(self.bias_var[kb].tolist(), wids.tolist()):
-                self.py_bias[var].remove(wid)
-            self._count_adjust(wids, -1)
+            self.bias_alive[patch.bias_del] = False
+            self._count_adjust(self.bias_wid[patch.bias_del], -1)
         if patch.ising_del.size:
-            k1 = patch.ising_del[:, 0]
             self.ising_alive[patch.ising_del.ravel()] = False
-            i, j, wids = self.ising_row[k1], self.ising_other[k1], self.ising_wid[k1]
-            for a, b, wid in zip(i.tolist(), j.tolist(), wids.tolist()):
-                self.py_ising[a].remove((b, wid))
-                self.py_ising[b].remove((a, wid))
-            self._count_adjust(wids, -1)
-            self._nbr_adjust(_interleave(i, j), _interleave(j, i), -1)
+            self._count_adjust(self.ising_wid[patch.ising_del[:, 0]], -1)
         if ops["rule_del"].size:
             ris = ops["rule_del"]
-            heads = self.rule_head[ris]
             self.rule_alive[ris] = False
             self.num_live_rules -= ris.shape[0]
             self._count_adjust(self.rule_wid[ris], -1)
-            doomed_ri, doomed_var = doomed
-            head_in_body = np.zeros(ris.shape[0], dtype=bool)
-            head_in_body[doomed_ri[doomed_var == heads[doomed_ri]]] = True
-            for ri, head in zip(ris[~head_in_body].tolist(), heads[~head_in_body].tolist()):
-                self.py_head[head].remove(ri)
-            body = np.unique(doomed_ri * self.num_vars + doomed_var)
-            for ri, var in zip(
-                ris[body // self.num_vars].tolist(), (body % self.num_vars).tolist()
-            ):
-                segs = self.py_body[var]
-                for s, (seg_ri, _lits) in enumerate(segs):
-                    if seg_ri == ri:
-                        del segs[s]
-                        break
-            big_members, a, b = _rule_members(
-                ris.shape[0], heads, doomed_ri, doomed_var, self.num_vars
+            self._count_big(
+                ris.shape[0], self.rule_head[ris], *doomed, self.num_vars, -1
             )
-            self._count_big(big_members, -1)
-            self._nbr_adjust(a, b, -1)
 
         # ---- additions ---------------------------------------------------
         handle = np.empty(len(add), dtype=np.int64)
@@ -1168,28 +1119,16 @@ class CompiledFactorGraph:
             self._append("bias_var", add.bias_var)
             self._append("bias_wid", add.bias_wid)
             self._append("bias_alive", np.ones(add.bias_var.shape[0], dtype=bool))
-            order, groups = _groups(add.bias_var)
-            wids = add.bias_wid[order].tolist()
-            for var, lo, hi in groups:
-                self.py_bias[var].extend(wids[lo:hi])
             self._count_adjust(add.bias_wid, 1)
         if add.ising_i.size:
             k1 = patch.old_num_ising + 2 * np.arange(add.ising_i.shape[0])
             handle[kind == KIND_ISING] = k1
             handle2[kind == KIND_ISING] = k1 + 1
-            rows = _interleave(add.ising_i, add.ising_j)
-            others = _interleave(add.ising_j, add.ising_i)
-            wids = np.repeat(add.ising_wid, 2)
-            self._append("ising_row", rows)
-            self._append("ising_other", others)
-            self._append("ising_wid", wids)
-            self._append("ising_alive", np.ones(rows.shape[0], dtype=bool))
-            order, groups = _groups(rows)
-            incidences = list(zip(others[order].tolist(), wids[order].tolist()))
-            for var, lo, hi in groups:
-                self.py_ising[var].extend(incidences[lo:hi])
+            self._append("ising_row", _interleave(add.ising_i, add.ising_j))
+            self._append("ising_other", _interleave(add.ising_j, add.ising_i))
+            self._append("ising_wid", np.repeat(add.ising_wid, 2))
+            self._append("ising_alive", np.ones(2 * add.ising_i.shape[0], dtype=bool))
             self._count_adjust(add.ising_wid, 1)
-            self._nbr_adjust(rows, others, 1)
         if add.num_rules:
             self._count_adjust(add.rule_wid, 1)
             handle[kind == KIND_RULE] = patch.old_num_rules + np.arange(add.num_rules)
@@ -1211,7 +1150,7 @@ class CompiledFactorGraph:
             self.structure_version += 1
 
         # ---- recolour, then repair every cached scan plan ----------------
-        self._recolor(np.union1d(dirty, np.arange(n0, n0 + k)).tolist())
+        self._recolor(np.union1d(dirty, np.arange(n0, n0 + k)))
         # Plans keyed to the graph's own evidence follow its evidence ops
         # (and are re-keyed); plans for other evidence configurations
         # (e.g. a free learning chain) keep theirs, and are dropped —
@@ -1253,40 +1192,10 @@ class CompiledFactorGraph:
         self._append("lit_gg", rules.lit_gg + G0)
         self._append("lit_var", rules.lit_var)
         self._append("lit_pos", rules.lit_pos)
-        self._rule_head_l.extend(rules.rule_head.tolist())
-        self._rule_wid_l.extend(rules.rule_wid.tolist())
-        self._rule_sem_l.extend(sems_from_codes(rules.rule_sem))
         self.rule_nmax = max(self.rule_nmax, _max_groundings(rules.grounding_ri))
-
-        lit_ri = rules.lit_ri
-        heads = _heads_outside_body(rules)
-        order, groups = _groups(rules.rule_head[heads])
-        ris = (R0 + heads[order]).tolist()
-        for var, lo, hi in groups:
-            self.py_head[var].extend(ris[lo:hi])
-
-        order, groups = _groups(rules.lit_var)
-        seg_ri = lit_ri[order]
-        starts = _segment_starts(rules.lit_var[order], seg_ri)
-        lits = list(
-            zip((G0 + rules.lit_gg[order]).tolist(), rules.lit_pos[order].tolist())
+        self._count_big(
+            R, rules.rule_head, rules.lit_ri, rules.lit_var, self.num_vars, 1
         )
-        bounds = starts.tolist() + [len(lits)]
-        segments = list(
-            zip(
-                (R0 + seg_ri[starts]).tolist(),
-                [lits[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
-            )
-        )
-        seg_of = np.searchsorted(starts, np.arange(order.shape[0] + 1)).tolist()
-        for var, lo, hi in groups:
-            self.py_body[var].extend(segments[seg_of[lo] : seg_of[hi]])
-
-        big_members, a, b = _rule_members(
-            R, rules.rule_head, lit_ri, rules.lit_var, self.num_vars
-        )
-        self._count_big(big_members, 1)
-        self._nbr_adjust(a, b, 1)
 
     # ------------------------------------------------------------------ #
     # Transactional snapshot/rollback (repro.reliability)
@@ -1309,7 +1218,13 @@ class CompiledFactorGraph:
 
     #: Arrays a patch never mutates in place (``compact`` replaces them
     #: wholesale) — captured and restored by reference.
-    _SNAP_STATIC = ("ising_indptr", "_nbr_indptr", "_nbr_idx")
+    _SNAP_STATIC = (
+        "ising_indptr",
+        "head_order",
+        "head_indptr",
+        "lit_order",
+        "lit_indptr",
+    )
 
     #: Attributes a patch only ever *replaces* (never mutates in place) —
     #: captured and restored by reference.
@@ -1322,15 +1237,10 @@ class CompiledFactorGraph:
         "num_live_rules",
         "rule_nmax",
         "_patched",
-        "_csr_num_vars",
         "_scan_window",
         "structure_version",
         "views_materialized",
     )
-
-    #: Append-only Python lists: captured by (ref, len), rolled back by
-    #: truncating the same object.
-    _SNAP_APPEND_LISTS = ("_rule_head_l", "_rule_wid_l", "_rule_sem_l")
 
     def snapshot_state(self) -> dict:
         """Bounded pre-update snapshot for commit-or-rollback deltas.
@@ -1338,39 +1248,25 @@ class CompiledFactorGraph:
         Captures exactly the state :meth:`apply_delta` (and a threshold
         :meth:`compact` it may trigger) can change: the growable buffers
         by (object, size) plus content copies of the in-place-mutated
-        masks, the handle table and plan cache.  The Python mirrors are
-        captured by reference and *journaled*: while this capture is the
-        latest one, a splice saves a variable's mirror
-        rows the first time a patch touches it (a compaction swaps the
-        lists wholesale and leaves the captured ones intact), so the
-        mirrors cost O(touched), not O(num_vars).  Only the most recent
-        capture can be restored.
+        masks, the handle table and plan cache.  Appends never write
+        inside a captured size and a build abandons the buffers rather
+        than mutating them, so a capture — not only the latest — stays
+        restorable until a restore to an earlier one discards the rows
+        behind it.
         Must be taken *before* ``apply_delta`` runs (``_ops_from_delta``
         rewrites the handle table first).  Restoring recovers the exact
         pre-patch layout — same tombstones, same block objects,
         same float summation order — so a retried update is bit-identical
         to one applied to a never-failed engine.
         """
-        # Arming a new journal supersedes the previous capture's.
-        self._mirror_journal = journal = {}
-        snap = {
+        return {
             "grow": self._grow,
             "sizes": {n: self._grow[n].size for n in _GROWABLE_NAMES},
             "mutated": {n: getattr(self, n).copy() for n in self._SNAP_MUTATED},
             "static": {n: getattr(self, n) for n in self._SNAP_STATIC},
             "refs": {n: getattr(self, n) for n in self._SNAP_REFS},
             "scalars": {n: getattr(self, n) for n in self._SNAP_SCALARS},
-            "append_lists": {
-                n: (getattr(self, n), len(getattr(self, n)))
-                for n in self._SNAP_APPEND_LISTS
-            },
-            "mirrors": (
-                [getattr(self, n) for n in _MIRROR_NAMES],
-                self.num_vars,
-                journal,
-            ),
             "weight_factor_counts": self.weight_factor_counts.copy(),
-            "nbr_patch": {v: c.copy() for v, c in self._nbr_patch.items()},
             "plan_cache": {
                 key: (plan, plan.snapshot_state())
                 for key, plan in self._plan_cache.items()
@@ -1387,7 +1283,6 @@ class CompiledFactorGraph:
             else None,
             "used": False,
         }
-        return snap
 
     def restore_state(self, snap: dict) -> None:
         """Roll back to a :meth:`snapshot_state` capture (single use).
@@ -1398,13 +1293,6 @@ class CompiledFactorGraph:
         compaction abandons rather than mutates)."""
         if snap["used"]:
             raise RuntimeError("compiled snapshot already consumed")
-        mirrors, num_vars, journal = snap["mirrors"]
-        if self._mirror_journal is not journal and self.py_bias is mirrors[0]:
-            # Still on the captured lists (no compaction since), yet their
-            # first-touch journal went to a newer capture.
-            raise RuntimeError(
-                "compiled snapshot superseded by a later snapshot_state()"
-            )
         snap["used"] = True
         self._grow = snap["grow"]
         for name in _GROWABLE_NAMES:
@@ -1419,19 +1307,7 @@ class CompiledFactorGraph:
             setattr(self, name, saved)
         for name, saved in snap["scalars"].items():
             setattr(self, name, saved)
-        for name, (lst, length) in snap["append_lists"].items():
-            del lst[length:]
-            setattr(self, name, lst)
-        self._mirror_journal = None
-        for name, mirror in zip(_MIRROR_NAMES, mirrors):
-            del mirror[num_vars:]
-            setattr(self, name, mirror)
-        for var, rows in journal.items():
-            if var < num_vars:
-                for mirror, row in zip(mirrors, rows):
-                    mirror[var] = row
         self.weight_factor_counts = snap["weight_factor_counts"]
-        self._nbr_patch = snap["nbr_patch"]
         cache = {}
         for key, (plan, plan_snap) in snap["plan_cache"].items():
             plan.restore_state(plan_snap)
@@ -1450,38 +1326,28 @@ class CompiledFactorGraph:
             del self.graph._names[snap["names_len"] :]
 
 
-def _ids(rows) -> np.ndarray:
-    return np.asarray(rows, dtype=np.int64)
-
-
-def _pays_to_batch(num_vars: int, num_rows: int) -> bool:
-    """Whether a block of ``num_vars`` variables owning ``num_rows``
-    incidence rows is past the batched kernel's crossover."""
-    return num_vars >= _BATCH_MIN or num_rows > _BATCH_MIN_ROWS
-
-
 class _Block:
-    """Gather arrays of the batched kernel over one set of variables.
+    """Gather arrays of the kernel over one set of variables.
 
     In a scan plan the members are one colour class inside one id window
     (or a single variable that scans alone) and therefore share no
     factor: their conditionals evaluate — and their flips commit — in a
-    handful of numpy calls.  Blocks with too little work to amortise
-    those calls iterate the scalar kernel and gather nothing.
+    handful of numpy calls.
 
-    One row per Ising incidence (``ising_*``), per rule headed and not
-    also appeared under (``head_*``), per body literal (``body_*``) and
-    per distinct (member, rule) body pair (``fseg_*``); ``*_seg`` /
-    ``fseg_pos`` are member positions, ``*_var`` variable ids.  A pair's
-    body rows are consecutive and start at ``fseg_start``.
-    ``fseg_self`` marks pairs whose rule the member itself heads
-    (``None`` when there is none).
+    One row per live Ising incidence (``ising_*``), per live rule headed
+    and not also appeared under (``head_*``), per live body literal
+    (``body_*``) and per distinct (member, rule) body pair (``fseg_*``),
+    member by member and in ascending row order within a member;
+    ``*_seg`` / ``fseg_pos`` are member positions, ``*_var`` variable
+    ids.  A pair's body rows are consecutive and start at
+    ``fseg_start``.  ``fseg_self`` marks pairs whose rule the member
+    itself heads (``None`` when there is none).  Built by
+    :func:`_gather_blocks`.
     """
 
     __slots__ = (
         "vars",
         "key",
-        "use_batch",
         "ising_seg",
         "ising_other",
         "ising_wid",
@@ -1504,82 +1370,86 @@ class _Block:
         "fseg_self",
     )
 
-    def __init__(self, compiled, vars_, key=None):
+    def __init__(self, vars_, key, columns: dict) -> None:
         self.vars = vars_
         self.key = key
-        rows = self._incidence_rows(compiled)
-        self.use_batch = _pays_to_batch(
-            vars_.size,
-            len(rows["ising_seg"]) + len(rows["head_seg"]) + len(rows["body_seg"]),
-        )
-        if self.use_batch:
-            self._gather(compiled, rows)
+        for name, column in columns.items():
+            setattr(self, name, column)
 
-    def _incidence_rows(self, compiled) -> dict:
-        """The members' incidence rows as parallel lists per column,
-        member by member: what the batch/scalar decision counts and
-        :meth:`_gather` turns into arrays."""
-        ising_seg, ising_other, ising_wid = [], [], []
-        head_seg, head_ri = [], []
-        body_seg, body_gg, body_pos, body_ri = [], [], [], []
-        fseg_start, fseg_pos, fseg_ri = [], [], []
-        for p, v in enumerate(self.vars.tolist()):
-            for other, wid in compiled.py_ising[v]:
-                ising_seg.append(p)
-                ising_other.append(other)
-                ising_wid.append(wid)
-            for ri in compiled.py_head[v]:
-                head_seg.append(p)
-                head_ri.append(ri)
-            for ri, lits in compiled.py_body[v]:
-                fseg_start.append(len(body_gg))
-                fseg_pos.append(p)
-                fseg_ri.append(ri)
-                for gg, pos in lits:
-                    body_seg.append(p)
-                    body_gg.append(gg)
-                    body_pos.append(pos)
-                    body_ri.append(ri)
-        return {
-            "ising_seg": ising_seg,
-            "ising_other": ising_other,
-            "ising_wid": ising_wid,
-            "head_seg": head_seg,
+
+def _gather_blocks(compiled, groups, keys=None) -> list:
+    """One :class:`_Block` per array of ``groups`` (distinct variables
+    across all of them), gathered from the arrays in one pass: every
+    member's rows are found at once and cut per block."""
+    if not groups:
+        return []
+    keys = [None] * len(groups) if keys is None else keys
+    sizes = np.array([group.size for group in groups], dtype=np.int64)
+    first = np.cumsum(sizes) - sizes
+    members = np.concatenate(groups)
+    # Each member's position inside its own block.
+    local = np.arange(members.size) - np.repeat(first, sizes)
+    (ising_p, ising), (head_p, head_ri), (body_p, lits) = compiled._owned(members)
+    body_gg = compiled.lit_gg[lits]
+    body_ri = compiled.grounding_ri[body_gg]
+    starts = _segment_starts(body_p, body_ri)
+    fseg_p, fseg_ri = body_p[starts], body_ri[starts]
+    # A member that heads a rule it appears under carries only the body
+    # pair (closed form, see module docstring).
+    if head_p.size and fseg_p.size:
+        span = compiled.num_rules
+        outside = ~np.isin(head_p * span + head_ri, fseg_p * span + fseg_ri)
+        head_p, head_ri = head_p[outside], head_ri[outside]
+    fseg_var = members[fseg_p]
+    fseg_head = compiled.rule_head[fseg_ri]
+    fseg_self = fseg_head == fseg_var
+    cuts = {
+        name: np.searchsorted(p, first).tolist() + [p.size]
+        for name, p in (("ising", ising_p), ("head", head_p), ("body", body_p), ("fseg", fseg_p))
+    }
+    body_first = np.asarray(cuts["body"][:-1], dtype=np.int64)
+    columns = {
+        "ising": {
+            "ising_seg": local[ising_p],
+            "ising_other": compiled.ising_other[ising],
+            "ising_wid": compiled.ising_wid[ising],
+        },
+        "head": {
+            "head_seg": local[head_p],
             "head_ri": head_ri,
-            "body_seg": body_seg,
+            "head_wid": compiled.rule_wid[head_ri],
+            "head_sem": compiled.rule_sem[head_ri].astype(np.intp),
+        },
+        "body": {
+            "body_seg": local[body_p],
+            "body_var": members[body_p],
             "body_gg": body_gg,
-            "body_pos": body_pos,
+            "body_pos": compiled.lit_pos[lits],
             "body_ri": body_ri,
-            "fseg_start": fseg_start,
-            "fseg_pos": fseg_pos,
+        },
+        "fseg": {
+            # Each pair's first body row, counted from its block's first.
+            "fseg_start": starts - np.repeat(body_first, np.diff(cuts["fseg"])),
+            "fseg_pos": local[fseg_p],
+            "fseg_var": fseg_var,
             "fseg_ri": fseg_ri,
-        }
-
-    def _gather(self, compiled, rows: dict) -> None:
-        """Set the gather arrays from :meth:`_incidence_rows`' columns."""
-        for name, column in rows.items():
-            dtype = bool if name == "body_pos" else np.int64
-            setattr(self, name, np.asarray(column, dtype=dtype))
-        vars_ = self.vars
-        self.head_wid = compiled.rule_wid[self.head_ri]
-        self.head_sem = compiled.rule_sem[self.head_ri].astype(np.intp)
-        self.body_var = vars_[self.body_seg]
-        self.fseg_var = vars_[self.fseg_pos]
-        self.fseg_wid = compiled.rule_wid[self.fseg_ri]
-        self.fseg_sem = compiled.rule_sem[self.fseg_ri].astype(np.intp)
-        self.fseg_head = compiled.rule_head[self.fseg_ri]
-        fseg_self = self.fseg_head == self.fseg_var
-        self.fseg_self = fseg_self if fseg_self.any() else None
-
-    def gathered(self, compiled) -> "_Block":
-        """This block with its gather arrays, whatever it decided for
-        itself: a twin when it gathered nothing."""
-        if self.use_batch:
-            return self
-        twin = _Block.__new__(_Block)
-        twin.vars = self.vars
-        twin._gather(compiled, twin._incidence_rows(compiled))
-        return twin
+            "fseg_wid": compiled.rule_wid[fseg_ri],
+            "fseg_sem": compiled.rule_sem[fseg_ri].astype(np.intp),
+            "fseg_head": fseg_head,
+        },
+    }
+    selfs = np.concatenate(([0], np.cumsum(fseg_self))).tolist()
+    blocks = []
+    for b, (group, key) in enumerate(zip(groups, keys)):
+        block = {}
+        for kind, named in columns.items():
+            lo, hi = cuts[kind][b], cuts[kind][b + 1]
+            for name, column in named.items():
+                block[name] = column[lo:hi]
+        lo, hi = cuts["fseg"][b], cuts["fseg"][b + 1]
+        block["fseg_self"] = fseg_self[lo:hi] if selfs[hi] > selfs[lo] else None
+        blocks.append(_Block(group, key, block))
+    return blocks
 
 
 #: What each gather column of a member's block is shifted by when the
@@ -1620,25 +1490,20 @@ class _StackedBlock(_Block):
     (:data:`_STACK_SHIFT`).  Replicas share no factor, so the members'
     variables are as independent of each other as of their own block
     mates, and every per-variable sum keeps its rows in the member's
-    order: the batched kernel computes for each member the floats it
-    computes for that member alone.  The batch/scalar rule is applied to
-    the stacked totals, whatever each member decided for itself;
-    ``parts`` (``[(k, member's own variable ids), …]``) is what the
-    scalar kernel iterates when the stack is still under the crossover.
+    order: the kernel computes for each member the floats it computes
+    for that member alone.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
     def __init__(self, compiled, members):
         n, G, R = compiled.num_vars, compiled.num_groundings, compiled.num_rules
         self.key = members[0][1].key
-        self.parts = [(k, block.vars.tolist()) for k, block in members]
         self.vars = np.concatenate([block.vars + k * n for k, block in members])
         columns = {name: [] for name in _STACK_SHIFT}
         fseg_self = []
         pos = row = 0
         for k, block in members:
-            block = block.gathered(compiled)
             shift = {None: 0, "n": k * n, "G": k * G, "R": k * R, "pos": pos, "row": row}
             for name, by in _STACK_SHIFT.items():
                 column = getattr(block, name)
@@ -1653,10 +1518,6 @@ class _StackedBlock(_Block):
             setattr(self, name, np.concatenate(parts))
         fseg_self = np.concatenate(fseg_self)
         self.fseg_self = fseg_self if fseg_self.any() else None
-        self.use_batch = _pays_to_batch(
-            self.vars.size,
-            self.ising_seg.size + self.head_seg.size + self.body_seg.size,
-        )
 
 
 class SweepPlan:
@@ -1681,14 +1542,9 @@ class SweepPlan:
         keys = self._keys(self.free_vars)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        cuts = np.flatnonzero(np.diff(keys)) + 1
-        self.blocks = [
-            _Block(compiled, vars_, int(keys[start]))
-            for start, vars_ in zip(
-                np.concatenate(([0], cuts)), np.split(self.free_vars[order], cuts)
-            )
-            if vars_.size
-        ]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        groups = np.split(self.free_vars[order], starts[1:]) if starts.size else []
+        self.blocks = _gather_blocks(compiled, groups, keys[starts].tolist())
         self._index_blocks()
 
     def _keys(self, vars_) -> np.ndarray:
@@ -1712,7 +1568,8 @@ class SweepPlan:
         Every variable whose incidence, colour, solo flag or clamping
         changed leaves its block and joins the one its key now names;
         blocks that lost, gained or kept such a variable are rebuilt
-        (fresh gather arrays), every other block object survives.  With
+        (fresh gather arrays, all gathered in one pass), every other
+        block object survives.  With
         ``follow_evidence=False`` the patch's evidence ops are ignored
         (a plan pinned to its own evidence) and appended variables are
         free."""
@@ -1743,12 +1600,17 @@ class SweepPlan:
                     block = by_key.get(key)
                     members[key] = set(block.vars.tolist()) if block else set()
                 members[key].add(v)
-        for key, vars_ in members.items():
-            if vars_:
-                vars_ = np.fromiter(sorted(vars_), dtype=np.int64, count=len(vars_))
-                by_key[key] = _Block(self.compiled, vars_, key)
-            else:
-                del by_key[key]
+        rebuilt = [key for key, vars_ in members.items() if vars_]
+        for key in members.keys() - set(rebuilt):
+            del by_key[key]
+        groups = [
+            np.fromiter(sorted(members[key]), dtype=np.int64, count=len(members[key]))
+            for key in rebuilt
+        ]
+        by_key.update(
+            (block.key, block)
+            for block in _gather_blocks(self.compiled, groups, rebuilt)
+        )
         self.blocks = [by_key[key] for key in sorted(by_key)]
         self.free_vars = np.flatnonzero(~mask)
         self._index_blocks()
@@ -1777,12 +1639,6 @@ class SweepPlan:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    @property
-    def batched_fraction(self) -> float:
-        """Share of the free variables resampled by the batched kernel."""
-        batched = sum(b.vars.size for b in self.blocks if b.use_batch)
-        return batched / max(self.free_vars.size, 1)
 
 
 class StackedPlan:
@@ -1856,8 +1712,10 @@ class GibbsCache:
 
     Keeps ``field`` (bias + Ising local field per variable), ``unsat``
     (unsatisfied-literal count per grounding) and ``nsat`` (satisfied
-    grounding count per rule factor) in sync with the assignment via
-    :meth:`commit_flip`.  ``refresh_weights`` re-snapshots the weight
+    grounding count per rule factor) in sync with the assignment: the one
+    kernel evaluates a block's conditionals from them
+    (:meth:`delta_energy_block`) and commits its new values into them
+    (:meth:`commit_block`).  ``refresh_weights`` re-snapshots the weight
     vector (an O(1) view of the store) and rebuilds the field; samplers
     call it once per sweep so learning updates land without per-incidence
     ``weights.value()`` calls.
@@ -1894,7 +1752,7 @@ class GibbsCache:
 
         A no-op when the weight store has not been mutated since the last
         refresh (the field is maintained incrementally by
-        :meth:`commit_flip`), so sweeping with static weights pays
+        :meth:`commit_block`), so sweeping with static weights pays
         nothing; learning pays one rebuild per weight update.
         """
         c = self.compiled
@@ -1904,7 +1762,6 @@ class GibbsCache:
         self._weights_version = version
         w = np.asarray(c.graph.weights.values_array(), dtype=np.float64)
         self.weights_vec = w
-        self._w_list = w.tolist()
         n = c.num_vars
         if c.bias_wid.size:
             # Tombstoned incidences contribute nothing (alive multiply).
@@ -1926,68 +1783,12 @@ class GibbsCache:
         self.field = field
 
     # ------------------------------------------------------------------ #
-    # Scalar kernel
-    # ------------------------------------------------------------------ #
-
-    def delta_energy(self, var: int, assignment: np.ndarray) -> float:
-        """``E(x | x_var=1) − E(x | x_var=0)`` for the Gibbs conditional."""
-        var = int(var)
-        c = self.compiled
-        delta = 2.0 * float(self.field[var])
-        w = self._w_list
-        nsat = self.nsat
-
-        heads = c.py_head[var]
-        if heads:
-            for ri in heads:
-                delta += 2.0 * w[c._rule_wid_l[ri]] * g_value(
-                    c._rule_sem_l[ri], int(nsat[ri])
-                )
-
-        segs = c.py_body[var]
-        if segs:
-            unsat = self.unsat
-            current = bool(assignment[var])
-            for ri, lits in segs:
-                up = down = now = 0
-                for gg, pos in lits:
-                    u = unsat[gg]
-                    if u == 0:
-                        now += 1
-                    if u - (1 if current != pos else 0) == 0:
-                        if pos:
-                            up += 1
-                        else:
-                            down += 1
-                head = c._rule_head_l[ri]
-                if head == var:
-                    # The variable heads a rule it appears under:
-                    # E(1) − E(0) = w·g(n₁) − (−w·g(n₀)).
-                    base = int(nsat[ri]) - now
-                    sem = c._rule_sem_l[ri]
-                    delta += w[c._rule_wid_l[ri]] * (
-                        g_value(sem, base + up) + g_value(sem, base + down)
-                    )
-                elif up != down:
-                    base = int(nsat[ri]) - now
-                    sign = 1.0 if assignment[head] else -1.0
-                    sem = c._rule_sem_l[ri]
-                    delta += w[c._rule_wid_l[ri]] * sign * (
-                        g_value(sem, base + up) - g_value(sem, base + down)
-                    )
-        return delta
-
-    def scalar_parts(self, block: _Block, assignment: np.ndarray) -> tuple:
-        """``(cache, assignment, variables)`` for each chain a scalar
-        block spans — here the one chain this cache follows."""
-        return ((self, assignment, block.vars.tolist()),)
-
-    # ------------------------------------------------------------------ #
-    # Batched kernel
+    # Kernel
     # ------------------------------------------------------------------ #
 
     def delta_energy_block(self, block: _Block, assignment: np.ndarray) -> np.ndarray:
-        """``delta_energy`` for every variable of a fast block at once.
+        """``E(x | x_v=1) − E(x | x_v=0)`` for every variable ``v`` of a
+        block at once: the logit of its Gibbs conditional.
 
         Per body pair, setting the member to its current value leaves the
         rule's satisfied count at ``nsat``; flipping it moves the count by
@@ -2029,7 +1830,7 @@ class GibbsCache:
         return delta
 
     def commit_block(self, block: _Block, new_values, assignment: np.ndarray) -> None:
-        """Set a batched block's variables to ``new_values``, caches too.
+        """Set a block's variables to ``new_values``, caches too.
 
         One vectorised commit from the block's own gather arrays: block
         members share no factor, so the groundings they touch are
@@ -2067,48 +1868,6 @@ class GibbsCache:
             )
 
     # ------------------------------------------------------------------ #
-    # Flips
-    # ------------------------------------------------------------------ #
-
-    def commit_flip(self, var: int, new_value: bool, assignment: np.ndarray) -> None:
-        """Set ``assignment[var] := new_value`` and update the caches.
-
-        ``assignment[var]`` must still hold the *old* value on entry; this
-        method writes the new one.
-        """
-        var = int(var)
-        old_value = bool(assignment[var])
-        new_value = bool(new_value)
-        if old_value == new_value:
-            return
-        assignment[var] = new_value
-        c = self.compiled
-        ds = 2.0 if new_value else -2.0
-
-        ising = c.py_ising[var]
-        if ising:
-            field = self.field
-            w = self._w_list
-            for other, wid in ising:
-                field[other] += w[wid] * ds
-
-        segs = c.py_body[var]
-        if segs:
-            unsat = self.unsat
-            nsat = self.nsat
-            for ri, lits in segs:
-                for gg, pos in lits:
-                    u = unsat[gg]
-                    if pos == old_value:   # literal was satisfied
-                        if u == 0:
-                            nsat[ri] -= 1
-                        unsat[gg] = u + 1
-                    else:
-                        unsat[gg] = u - 1
-                        if u == 1:
-                            nsat[ri] += 1
-
-    # ------------------------------------------------------------------ #
     # Incremental repair
     # ------------------------------------------------------------------ #
 
@@ -2118,7 +1877,7 @@ class GibbsCache:
         ``assignment`` must already be grown to the new variable count,
         with the new variables holding their initial values and *old*
         variables untouched (evidence re-clamps go through
-        :meth:`commit_flip` afterwards, so the caches follow).  Tombstoned
+        :meth:`commit_block` afterwards, so the caches follow).  Tombstoned
         rules/groundings keep their (now unread) cache entries; new
         groundings get theirs from the appended literal slices."""
         c = self.compiled
@@ -2162,7 +1921,6 @@ class GibbsCache:
             return
         w = np.asarray(c.graph.weights.values_array(), dtype=np.float64)
         self.weights_vec = w
-        self._w_list = w.tolist()
         if k:
             self.field = np.concatenate([self.field, np.zeros(k)])
         field = self.field
@@ -2226,12 +1984,10 @@ class StackedCache(GibbsCache):
     ``field`` / ``unsat`` / ``nsat`` and ``state`` are the members'
     concatenated (member ``k`` at ``k·n`` / ``k·G`` / ``k·R`` / ``k·n``),
     which is where a :class:`_StackedBlock`'s shifted indices point, so
-    ``delta_energy_block`` and ``commit_block`` run unchanged.  The
-    scalar kernel reads the substrate's per-variable mirrors by
-    unshifted id: it runs member by member on *views* of the flat arrays
-    (:meth:`scalar_parts`).  A per-call object: the members' caches must
-    be current with the weight store before they are gathered, and
-    nothing is theirs again until :meth:`scatter`.
+    ``delta_energy_block`` and ``commit_block`` run unchanged.  A
+    per-call object: the members' caches must be current with the weight
+    store before they are gathered, and nothing is theirs again until
+    :meth:`scatter`.
     """
 
     def __init__(self, caches, states) -> None:
@@ -2247,28 +2003,17 @@ class StackedCache(GibbsCache):
         if sizes != (K * n, K * n, K * G, K * R):
             raise ValueError("stacked chains do not all follow the substrate")
         self._members = list(zip(caches, states))
-        #: Per member: its cache and assignment as views of the flat arrays.
-        self.views = []
-        for k, cache in enumerate(caches):
-            part = GibbsCache.__new__(GibbsCache)
-            vars(part).update(vars(cache))
-            part.field = self.field[k * n : (k + 1) * n]
-            part.unsat = self.unsat[k * G : (k + 1) * G]
-            part.nsat = self.nsat[k * R : (k + 1) * R]
-            self.views.append((part, self.state[k * n : (k + 1) * n]))
 
     def refresh_weights(self, assignment) -> None:
         """Nothing to do: the members refreshed before they were gathered
         and the weight store does not move during a call."""
 
-    def scalar_parts(self, block: _StackedBlock, assignment: np.ndarray) -> list:
-        return [(*self.views[k], vars_) for k, vars_ in block.parts]
-
     def scatter(self) -> None:
         """Write every member's stretch back into its own arrays, in
         place."""
-        for (cache, state), (part, state_view) in zip(self._members, self.views):
-            state[:] = state_view
-            cache.field[:] = part.field
-            cache.unsat[:] = part.unsat
-            cache.nsat[:] = part.nsat
+        for k, (cache, state) in enumerate(self._members):
+            n, G, R = state.size, cache.unsat.size, cache.nsat.size
+            state[:] = self.state[k * n : (k + 1) * n]
+            cache.field[:] = self.field[k * n : (k + 1) * n]
+            cache.unsat[:] = self.unsat[k * G : (k + 1) * G]
+            cache.nsat[:] = self.nsat[k * R : (k + 1) * R]

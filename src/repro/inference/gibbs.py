@@ -1,12 +1,14 @@
 """Systematic-scan Gibbs sampling (the paper's inference workhorse, §2.5).
 
 Each sweep visits every free variable once and resamples it from its
-conditional.  The hot path runs over the flat-array compilation of
+conditional.  The sweep runs over the flat-array compilation of
 :mod:`repro.graph.compiled`: the scan goes colour class by colour class
 (within windows of consecutive ids) of a colouring the substrate
 maintains, so every block holds mutually factor-independent variables
 and is resampled — conditionals and cache commit — in a handful of array
-operations.  The order is fixed by the substrate, not by variable ids.
+operations by the one kernel (``GibbsCache.delta_energy_block`` /
+``commit_block``), whatever the block's size.  The order is fixed by
+the substrate, not by variable ids.
 Evidence variables stay clamped, which is exactly how the E-step
 ("conditioned chain") of weight learning is run as well.
 
@@ -47,8 +49,6 @@ doubles (one epoch — 10 sweeps — for the learner, one sweep for
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.graph.compiled import (
@@ -60,13 +60,6 @@ from repro.graph.compiled import (
 )
 from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 #: Doubles drawn at once by :func:`logit_rows` (≈ 1.5 MB of temporaries
@@ -135,20 +128,7 @@ def sweep_blocks(cache, state, blocks, logits) -> None:
         size = block.vars.size
         logit_u = logits[offset : offset + size]
         offset += size
-        if block.use_batch:
-            cache.commit_block(
-                block, logit_u < cache.delta_energy_block(block, state), state
-            )
-        else:
-            # One chain's cache yields itself; stacked chains take their
-            # turns, each on its own view of the flat arrays.
-            k = 0
-            for part, part_state, vars_ in cache.scalar_parts(block, state):
-                for var in vars_:
-                    new_value = bool(logit_u[k] < part.delta_energy(var, part_state))
-                    if new_value != bool(part_state[var]):
-                        part.commit_flip(var, new_value, part_state)
-                    k += 1
+        cache.commit_block(block, logit_u < cache.delta_energy_block(block, state), state)
 
 
 class GibbsSampler:
@@ -243,9 +223,12 @@ class GibbsSampler:
             return
         self.cache.apply_patch(patch, self.state)
         self.plan = compiled.plan(self.graph)
-        for var, val in clamps:
-            if bool(self.state[var]) != val:
-                self.cache.commit_flip(int(var), bool(val), self.state)
+        # One commit per variable: the groundings of one commit must be
+        # disjoint, and two clamped variables may share a factor.
+        moved = [(var, val) for var, val in clamps if bool(self.state[var]) != val]
+        blocks = compiled.gather_blocks([[var] for var, _ in moved])
+        for block, (_, val) in zip(blocks, moved):
+            self.cache.commit_block(block, np.array([val]), self.state)
 
     # ------------------------------------------------------------------ #
 
@@ -298,9 +281,16 @@ class GibbsSampler:
         worlds = self.sample_worlds(num_samples, thin=thin, burn_in=burn_in)
         return worlds.mean(axis=0)
 
-    def conditional_probability(self, var: int) -> float:
-        """P(X_var = 1 | rest of current state) — exposed for tests."""
-        return _sigmoid(self.cache.delta_energy(var, self.state))
+
+def _members_only(name: str):
+    def method(self, *args, **kwargs):
+        raise TypeError(
+            f"ChainStack serves sweep() and sample_worlds() only; "
+            f"call {name}() on a member"
+        )
+
+    method.__name__ = name
+    return method
 
 
 class ChainStack(GibbsSampler):
@@ -324,8 +314,13 @@ class ChainStack(GibbsSampler):
     derived, checked against the members' block lists at every call,
     rebuilt when a patch moved them, dropped by pickling.  ``sweep`` and
     ``sample_worlds`` are the whole surface: the rest of a chain's
-    belongs to the members.
+    belongs to the members, and is a ``TypeError`` here.
     """
+
+    run = _members_only("run")
+    iter_worlds = _members_only("iter_worlds")
+    estimate_marginals = _members_only("estimate_marginals")
+    apply_patch = _members_only("apply_patch")
 
     def __init__(self, members) -> None:
         self.members = tuple(members)

@@ -87,31 +87,23 @@ class EvidenceScorer:
     Scores ``−mean log P(x_v = label | rest)`` over the evidence
     variables without rebuilding any O(graph) state per call: the caller
     hands in a maintained cache (typically the conditioned persistent
-    chain's), and the scorer only evaluates the per-variable conditionals:
-    in one ``delta_energy_block`` call when that pays, through the scalar
-    kernel otherwise.  Rebuild the scorer when the evidence set or the
-    compiled structure changes (it precomputes gather arrays over both).
+    chain's), and the scorer only evaluates the per-variable conditionals,
+    in one ``delta_energy_block`` call.  Rebuild the scorer when the
+    evidence set or the compiled structure changes (it precomputes gather
+    arrays over both).
     """
 
     def __init__(self, compiled, evidence) -> None:
         items = sorted((int(v), bool(val)) for v, val in evidence.items())
         self.vars = np.array([v for v, _ in items], dtype=np.int64)
         self.vals = np.array([val for _, val in items], dtype=bool)
-        block = compiled.gather_block(self.vars)
-        self.block = block if block.use_batch else None
+        self.block = compiled.gather_block(self.vars)
 
     def nll(self, cache, state: np.ndarray) -> float:
         """The pseudo-NLL under ``cache``/``state`` (evidence clamped)."""
         if not self.vars.size:
             return 0.0
         cache.refresh_weights(state)
-        if self.block is not None:
-            deltas = cache.delta_energy_block(self.block, state)
-        else:
-            deltas = np.array(
-                [cache.delta_energy(v, state) for v in self.vars.tolist()],
-                dtype=np.float64,
-            )
-        p = _sigmoid_vec(deltas)
+        p = _sigmoid_vec(cache.delta_energy_block(self.block, state))
         p = np.where(self.vals, p, 1.0 - p)
         return float(-np.log(np.maximum(p, 1e-12)).mean())

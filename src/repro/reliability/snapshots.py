@@ -10,7 +10,7 @@ The heavy lifting for the compiled substrate lives on the objects
 themselves (:meth:`CompiledFactorGraph.snapshot_state`,
 :meth:`SweepPlan.snapshot_state`, :meth:`WeightStore.snapshot_state` —
 designed around the mutation inventory of a patch splice: alive
-masks and mirrors are copied, append-only arrays are truncated by size,
+masks are copied, append-only arrays are truncated by size,
 replaced-not-mutated arrays are captured by reference).  Pairing a
 substrate capture with the captures of the chains that follow it is the
 owner's job (:meth:`repro.core.resident.ResidentGraph.snapshot`); this
@@ -57,7 +57,6 @@ class CacheSnapshot:
         self.field = cache.field.copy()
         self.edge_w = cache._edge_w.copy()
         self.weights_vec = cache.weights_vec
-        self.w_list = cache._w_list
         self.weights_version = cache._weights_version
 
     def restore(self):
@@ -68,7 +67,6 @@ class CacheSnapshot:
         cache.field = self.field
         cache._edge_w = self.edge_w
         cache.weights_vec = self.weights_vec
-        cache._w_list = self.w_list
         cache._weights_version = self.weights_version
         return cache
 

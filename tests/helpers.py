@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from repro.graph import (
     BiasFactor,
@@ -15,8 +17,10 @@ from repro.graph import (
     RuleFactor,
     Semantics,
 )
+from repro.graph.compiled import GibbsCache, StackedCache
 from repro.graph.delta import FactorTable
 
+from tests.reference import gibbs as scalar
 from tests.reference.factors import add_factor
 
 
@@ -125,6 +129,20 @@ def brute_force_delta(graph: FactorGraph, x, var: int) -> float:
     x1, x0 = x.copy(), x.copy()
     x1[var], x0[var] = True, False
     return graph.energy(x1) - graph.energy(x0)
+
+
+def conditional(cache, var: int, x) -> float:
+    """The package kernel's ``E(x | x_var=1) − E(x | x_var=0)`` for one
+    variable: a one-variable block."""
+    block = cache.compiled.gather_block([int(var)])
+    return float(cache.delta_energy_block(block, x)[0])
+
+
+def flip(cache, var: int, value: bool, x) -> None:
+    """``x[var] := value`` through the package kernel, caches too: a
+    one-variable block committed."""
+    block = cache.compiled.gather_block([int(var)])
+    cache.commit_block(block, np.array([bool(value)]), x)
 
 
 SEMANTICS = (Semantics.LINEAR, Semantics.RATIO, Semantics.LOGICAL)
@@ -250,3 +268,116 @@ def decodes():
     """Counts ``FactorTable.factors()`` calls — factor records decoded
     from a table — under ``"factors"`` while the block runs."""
     return counting(FactorTable, "factors")
+
+
+#: The substrate arrays :class:`tests.reference.gibbs.IncidenceLists`
+#: walks.
+_INCIDENCE_ARRAYS = (
+    "ising_row",
+    "ising_other",
+    "ising_wid",
+    "ising_alive",
+    "rule_head",
+    "rule_wid",
+    "rule_sem",
+    "rule_alive",
+    "grounding_ri",
+    "lit_gg",
+    "lit_var",
+    "lit_pos",
+)
+
+
+def block_chains(cache, block, assignment) -> list:
+    """``(cache, assignment, variables, rows of the block)`` per chain a
+    block spans: the one chain of a cache, or each member of a stacked
+    one on its stretch of the flat arrays (its variables unshifted)."""
+    if not isinstance(cache, StackedCache):
+        return [(cache, assignment, block.vars, np.arange(block.vars.size))]
+    c = cache.compiled
+    n, G, R = c.num_vars, c.num_groundings, c.num_rules
+    member = block.vars // n
+    chains = []
+    for k in np.unique(member).tolist():
+        part = SimpleNamespace(
+            compiled=c,
+            weights_vec=cache.weights_vec,
+            field=cache.field[k * n : (k + 1) * n],
+            unsat=cache.unsat[k * G : (k + 1) * G],
+            nsat=cache.nsat[k * R : (k + 1) * R],
+        )
+        at = np.flatnonzero(member == k)
+        chains.append((part, assignment[k * n : (k + 1) * n], block.vars[at] - k * n, at))
+    return chains
+
+
+@contextlib.contextmanager
+def scalar_checked():
+    """While open, every block the kernel evaluates or commits is also
+    run through the per-variable scalar oracle
+    (:mod:`tests.reference.gibbs`, over lists walked off the substrate's
+    arrays), chain by chain for a stacked cache: evaluations agree to
+    1e-9 (the oracle sums in another order), commits leave the same
+    ``state`` / ``field`` / ``unsat`` / ``nsat`` exactly.  Yields a
+    ``Counter`` of the block shapes checked: ``one`` (a single
+    variable), ``solo`` (a member of an oversized rule, scanning alone)
+    and ``self`` (a member heading a rule it appears in)."""
+    evaluate, commit = GibbsCache.delta_energy_block, GibbsCache.commit_block
+    shapes = Counter()
+    walked = {}
+
+    def lists_of(compiled):
+        """The oracle's lists, walked again whenever the arrays moved."""
+        key = (id(compiled), compiled.num_vars) + tuple(
+            getattr(compiled, name).tobytes() for name in _INCIDENCE_ARRAYS
+        )
+        if key not in walked:
+            walked.clear()
+            walked[key] = scalar.IncidenceLists(compiled)
+        return walked[key]
+
+    def record(cache, block) -> None:
+        shapes["one"] += block.vars.size == 1
+        shapes["solo"] += bool(
+            cache.compiled._force_singleton[block.vars % cache.compiled.num_vars].any()
+        )
+        shapes["self"] += block.fseg_self is not None
+
+    def checked_evaluate(self, block, assignment):
+        got = evaluate(self, block, assignment)
+        lists = lists_of(self.compiled)
+        for part, state, vars_, at in block_chains(self, block, assignment):
+            want = [scalar.delta_energy(part, lists, v, state) for v in vars_.tolist()]
+            assert np.allclose(got[at], want, rtol=1e-9, atol=1e-9), (got[at], want)
+        record(self, block)
+        return got
+
+    def checked_commit(self, block, new_values, assignment):
+        chains = block_chains(self, block, assignment)
+        twins = [
+            (
+                SimpleNamespace(
+                    weights_vec=part.weights_vec,
+                    field=part.field.copy(),
+                    unsat=part.unsat.copy(),
+                    nsat=part.nsat.copy(),
+                ),
+                state.copy(),
+                vars_,
+                at,
+            )
+            for part, state, vars_, at in chains
+        ]
+        commit(self, block, new_values, assignment)
+        lists = lists_of(self.compiled)
+        for (part, state, _, _), (twin, twin_state, vars_, at) in zip(chains, twins):
+            for var, value in zip(vars_.tolist(), new_values[at].tolist()):
+                scalar.commit_flip(twin, lists, var, value, twin_state)
+            assert (state == twin_state).all() and (part.field == twin.field).all()
+            assert (part.unsat == twin.unsat).all() and (part.nsat == twin.nsat).all()
+        record(self, block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GibbsCache, "delta_energy_block", checked_evaluate)
+        patch.setattr(GibbsCache, "commit_block", checked_commit)
+        yield shapes

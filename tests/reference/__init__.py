@@ -28,11 +28,13 @@ Nothing under ``src/`` imports this package; tests and the non-e2e
 * :mod:`~tests.reference.metropolis` — ``reference_mh_run``, independent
   MH one proposal at a time;
 * :mod:`~tests.reference.compiled` — ``ReferenceCompiledFactorGraph``,
-  the substrate with the record-walking compile, the per-factor patch
-  and patch-then-compact;
+  the substrate with the record-walking compile, the per-factor patch,
+  patch-then-compact, and the per-variable lists and neighbour multiset
+  it keeps factor by factor;
 * :mod:`~tests.reference.gibbs` — the sweep kernel that computes ``g``
   (``g_coded`` / ``g_code_array``) in every block evaluation and draws
-  its uniforms sweep by sweep.
+  its uniforms sweep by sweep, and the per-variable scalar kernel
+  (``delta_energy`` / ``commit_flip`` over ``IncidenceLists``).
 """
 
 from tests.reference.grounding import reference_ground, replay

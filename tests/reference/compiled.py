@@ -1,6 +1,6 @@
 """The compiled substrate as it was before a delta landed as arrays.
 
-``ReferenceCompiledFactorGraph`` keeps the three things the package's
+``ReferenceCompiledFactorGraph`` keeps the four things the package's
 substrate replaced, verbatim, so the array paths have something slow and
 obvious to equal:
 
@@ -13,15 +13,21 @@ obvious to equal:
   ``RuleFactor`` kept resident per rule in ``_ri_factor``), and only
   *then* looks at ``patch_fraction()``;
 * ``compact`` decodes every factor record from the arrays so that
-  ``__init__`` can walk them back into arrays.
+  ``__init__`` can walk them back into arrays;
+* the per-variable Python lists (``py_*``, the scalar kernel's input,
+  :mod:`tests.reference.gibbs`) and the neighbour multiset, both
+  maintained factor by factor through every patch, and the recolouring
+  that reads the multiset; a snapshot copies them whole.
 
-Everything else — kernels, plans, caches, snapshots — is inherited, and
-the :class:`~repro.graph.compiled.CompiledPatch` it returns has the
+Everything else — the block gather, kernels, plans, caches, the array
+snapshot — is inherited, and the
+:class:`~repro.graph.compiled.CompiledPatch` it returns has the
 package's shape (row arrays), so followers ride either substrate.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -30,7 +36,6 @@ from repro.graph.compiled import (
     _BIG_FACTOR,
     _CHUNK_CAP,
     _GROWABLE_NAMES,
-    _MIRROR_NAMES,
     CompiledFactorGraph,
     CompiledPatch,
     _Growable,
@@ -62,18 +67,37 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
 
     # The resident factor objects roll back with the arrays.
     _SNAP_REFS = CompiledFactorGraph._SNAP_REFS + ("rule_factors",)
-    _SNAP_APPEND_LISTS = CompiledFactorGraph._SNAP_APPEND_LISTS + ("_ri_factor",)
+
+    #: The per-variable state only the reference keeps: copied whole by a
+    #: snapshot.
+    _LISTS = (
+        "py_bias",
+        "py_ising",
+        "py_head",
+        "py_body",
+        "_rule_head_l",
+        "_rule_wid_l",
+        "_rule_sem_l",
+        "_ri_factor",
+        "_nbr_indptr",
+        "_nbr_idx",
+        "_nbr_patch",
+        "_csr_num_vars",
+    )
 
     def __init__(self, graph: FactorGraph) -> None:
         graph.validate()
         self.graph = graph
         n = self.num_vars = graph.num_vars
-        self._mirror_journal = None
 
         bias_lists = [[] for _ in range(n)]   # [wid]
         ising_lists = [[] for _ in range(n)]  # [(other, wid)]
         head_lists = [[] for _ in range(n)]   # [ri]
         body_lists = [[] for _ in range(n)]   # [(ri, gg, pos)]
+        # What blocks gather through: every rule by its head, every
+        # literal by its variable.
+        heads_of = [[] for _ in range(n)]     # [ri]
+        lits_of = [[] for _ in range(n)]      # [literal row]
 
         self.rule_factors = {}   # original factor idx -> canonical RuleFactor
 
@@ -107,6 +131,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 fkind_l.append(2)
                 fprov_l.append(ri)
                 self.rule_factors[fi] = factor
+                heads_of[factor.head].append(ri)
                 rule_head_l.append(factor.head)
                 rule_wid_l.append(factor.weight_id)
                 rule_sem_l.append(factor.semantics)
@@ -115,6 +140,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                     gg = len(grounding_ri_l)
                     grounding_ri_l.append(ri)
                     for var, pos in grounding:
+                        lits_of[var].append(len(lit_gg_l))
                         lit_gg_l.append(gg)
                         lit_var_l.append(var)
                         lit_pos_l.append(bool(pos))
@@ -159,6 +185,8 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         self.lit_gg = np.asarray(lit_gg_l, dtype=np.int64)
         self.lit_var = np.asarray(lit_var_l, dtype=np.int64)
         self.lit_pos = np.asarray(lit_pos_l, dtype=bool)
+        self.head_indptr, self.head_order = _csr(heads_of)
+        self.lit_indptr, self.lit_order = _csr(lits_of)
 
         # ---- Python mirrors: the per-variable view ----------------------
         self.py_ising = ising_lists
@@ -289,6 +317,31 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
     def _nbr_adjust(self, a: int, b: int, delta: int) -> None:
         self._nbr_patch.setdefault(a, Counter())[b] += delta
 
+    def _var_neighbors(self, var: int) -> set:
+        """Variables sharing a live factor with ``var``: the positive
+        entries of its compile-time row plus its patch counts."""
+        counts = Counter()
+        if var < self._csr_num_vars:
+            lo, hi = int(self._nbr_indptr[var]), int(self._nbr_indptr[var + 1])
+            counts.update(self._nbr_idx[lo:hi].tolist())
+        counts.update(self._nbr_patch.get(var, {}))
+        return {o for o, c in counts.items() if c > 0}
+
+    def _neighbours(self, vars_) -> list:
+        """The multiset's neighbour sets: what the inherited recolouring
+        reads here."""
+        return [self._var_neighbors(v) for v in vars_.tolist()]
+
+    def snapshot_state(self) -> dict:
+        snap = super().snapshot_state()
+        snap["lists"] = copy.deepcopy({name: getattr(self, name) for name in self._LISTS})
+        return snap
+
+    def restore_state(self, snap: dict) -> None:
+        super().restore_state(snap)
+        for name, value in snap["lists"].items():
+            setattr(self, name, value)
+
     def _ops_from_delta(self, delta) -> dict:
         """Lower a :class:`FactorGraphDelta` to a picklable patch-op dict.
 
@@ -418,18 +471,9 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
                 self.py_head.append([])
                 self.py_body.append([])
 
-        journal = self._mirror_journal
-        if journal is not None:
-            mirrors = [getattr(self, name) for name in _MIRROR_NAMES]
-
         def touch(var):
-            """Mark ``var`` patched.  Called *before* its mirror rows
-            mutate, so an armed snapshot journals their pre-patch
-            content on first touch (appended variables roll back by
-            truncation instead)."""
+            """Mark ``var`` patched."""
             var = int(var)
-            if journal is not None and var < n0 and var not in journal:
-                journal[var] = [list(m[var]) for m in mirrors]
             dirty.add(var)
             self.var_patched[var] = True
 
@@ -616,7 +660,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         patch.dirty_vars = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
 
         # ---- recolour, then repair every cached scan plan ----------------
-        self._recolor(sorted(dirty.union(range(n0, n0 + k))))
+        self._recolor(np.array(sorted(dirty.union(range(n0, n0 + k))), dtype=np.int64))
         # Plans keyed to the graph's own evidence follow its evidence ops
         # (and are re-keyed); plans for other evidence configurations
         # (e.g. a free learning chain) keep theirs, and are dropped —

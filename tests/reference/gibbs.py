@@ -1,21 +1,147 @@
 """The sweep kernel as it stood before ``g`` became a table lookup and a
 run drew its uniforms once: the oracle ``tests/test_sweep_kernel.py``
-holds the package's kernel to, bit for bit.
+holds the package's kernel to, bit for bit — and the scalar kernel the
+package kept beside it for small blocks until its flat arrays became its
+one incidence representation.
 
-The bodies are the former ``repro.graph.semantics.g_coded`` /
+The block bodies are the former ``repro.graph.semantics.g_coded`` /
 ``g_code_array``, ``GibbsCache.delta_energy_block`` / ``commit_block``,
 ``repro.inference.gibbs.sweep_blocks`` and ``GibbsSampler.sweep``, moved
 here unchanged except that a method's ``self`` is the ``cache`` /
 ``sampler`` argument, and that the two things the substrate no longer
 stores are derived on the spot: the uniform-semantics code
 (:func:`rule_sem_uniform`) and a body row's pair index
-(:func:`body_fsid`).  The scalar kernel (``delta_energy`` /
-``commit_flip``) did not change and is the package's own.
+(:func:`body_fsid`).
+
+The scalar kernel (:func:`delta_energy` / :func:`commit_flip`, the
+former ``GibbsCache`` methods) is the per-variable oracle: it walks
+per-variable Python lists, one variable at a time, over a cache's
+``field`` / ``unsat`` / ``nsat``.  It reads the lists of any object with
+the substrate's former mirror attributes (``py_ising`` / ``py_head`` /
+``py_body`` and ``_rule_head_l`` / ``_rule_wid_l`` / ``_rule_sem_l``):
+a :class:`IncidenceLists` walked off a substrate's arrays row by row,
+or a :class:`~tests.reference.compiled.ReferenceCompiledFactorGraph`,
+which keeps its own through every patch.
 """
 
 import numpy as np
 
-from repro.graph.semantics import SEM_LINEAR, SEM_LOGICAL, SEM_RATIO
+from repro.graph.semantics import (
+    SEM_LINEAR,
+    SEM_LOGICAL,
+    SEM_RATIO,
+    g_value,
+    sems_from_codes,
+)
+
+
+class IncidenceLists:
+    """A substrate's live incidences as per-variable Python lists, built
+    by walking its arrays one row at a time, in row order: per variable
+    its ``(neighbour, wid)`` Ising rows, the rules it heads and does not
+    also appear under, and one ``(ri, [(gg, pos), …])`` segment per rule
+    whose body it is in."""
+
+    def __init__(self, compiled) -> None:
+        n = compiled.num_vars
+        self.py_ising = [[] for _ in range(n)]
+        self.py_head = [[] for _ in range(n)]
+        self.py_body = [[] for _ in range(n)]
+        self._rule_head_l = compiled.rule_head.tolist()
+        self._rule_wid_l = compiled.rule_wid.tolist()
+        self._rule_sem_l = sems_from_codes(compiled.rule_sem)
+        for k in range(compiled.ising_row.shape[0]):
+            if compiled.ising_alive[k]:
+                self.py_ising[int(compiled.ising_row[k])].append(
+                    (int(compiled.ising_other[k]), int(compiled.ising_wid[k]))
+                )
+        in_body = set()
+        for k in range(compiled.lit_var.shape[0]):
+            gg = int(compiled.lit_gg[k])
+            ri = int(compiled.grounding_ri[gg])
+            if not compiled.rule_alive[ri]:
+                continue
+            var = int(compiled.lit_var[k])
+            in_body.add((var, ri))
+            segs = self.py_body[var]
+            if not (segs and segs[-1][0] == ri):
+                segs.append((ri, []))
+            segs[-1][1].append((gg, bool(compiled.lit_pos[k])))
+        for ri, head in enumerate(self._rule_head_l):
+            if compiled.rule_alive[ri] and (head, ri) not in in_body:
+                self.py_head[head].append(ri)
+
+
+def delta_energy(cache, lists, var: int, assignment: np.ndarray) -> float:
+    """``E(x | x_var=1) − E(x | x_var=0)``, one variable through its
+    lists."""
+    var = int(var)
+    c = lists
+    delta = 2.0 * float(cache.field[var])
+    w = cache.weights_vec.tolist()
+    nsat = cache.nsat
+
+    for ri in c.py_head[var]:
+        delta += 2.0 * w[c._rule_wid_l[ri]] * g_value(c._rule_sem_l[ri], int(nsat[ri]))
+
+    unsat = cache.unsat
+    current = bool(assignment[var])
+    for ri, lits in c.py_body[var]:
+        up = down = now = 0
+        for gg, pos in lits:
+            u = unsat[gg]
+            if u == 0:
+                now += 1
+            if u - (1 if current != pos else 0) == 0:
+                if pos:
+                    up += 1
+                else:
+                    down += 1
+        head = c._rule_head_l[ri]
+        if head == var:
+            # The variable heads a rule it appears under:
+            # E(1) − E(0) = w·g(n₁) − (−w·g(n₀)).
+            base = int(nsat[ri]) - now
+            sem = c._rule_sem_l[ri]
+            delta += w[c._rule_wid_l[ri]] * (
+                g_value(sem, base + up) + g_value(sem, base + down)
+            )
+        elif up != down:
+            base = int(nsat[ri]) - now
+            sign = 1.0 if assignment[head] else -1.0
+            sem = c._rule_sem_l[ri]
+            delta += w[c._rule_wid_l[ri]] * sign * (
+                g_value(sem, base + up) - g_value(sem, base + down)
+            )
+    return delta
+
+
+def commit_flip(cache, lists, var: int, new_value: bool, assignment: np.ndarray) -> None:
+    """Set ``assignment[var] := new_value`` and update the caches, one
+    incidence at a time.  ``assignment[var]`` must still hold the *old*
+    value on entry."""
+    var = int(var)
+    old_value = bool(assignment[var])
+    new_value = bool(new_value)
+    if old_value == new_value:
+        return
+    assignment[var] = new_value
+    ds = 2.0 if new_value else -2.0
+    w = cache.weights_vec.tolist()
+    for other, wid in lists.py_ising[var]:
+        cache.field[other] += w[wid] * ds
+    unsat, nsat = cache.unsat, cache.nsat
+    for ri, lits in lists.py_body[var]:
+        for gg, pos in lits:
+            u = unsat[gg]
+            if pos == old_value:  # literal was satisfied
+                if u == 0:
+                    nsat[ri] -= 1
+                unsat[gg] = u + 1
+            else:
+                unsat[gg] = u - 1
+                if u == 1:
+                    nsat[ri] += 1
 
 
 def g_code_array(code: int, n: np.ndarray) -> np.ndarray:
@@ -137,15 +263,9 @@ def sweep_blocks(cache, state, blocks, uniforms) -> None:
         size = block.vars.size
         logit_u = logits[offset : offset + size]
         offset += size
-        if block.use_batch:
-            commit_block(
-                cache, block, logit_u < delta_energy_block(cache, block, state), state
-            )
-        else:
-            for k, var in enumerate(block.vars.tolist()):
-                new_value = bool(logit_u[k] < cache.delta_energy(var, state))
-                if new_value != bool(state[var]):
-                    cache.commit_flip(var, new_value, state)
+        commit_block(
+            cache, block, logit_u < delta_energy_block(cache, block, state), state
+        )
 
 
 def sweep(sampler) -> None:

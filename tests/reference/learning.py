@@ -1,6 +1,7 @@
 """Per-factor Python loops the compiled learning kernels are checked
 against: the gradient statistics walk ``graph.factors`` world by world,
-the pseudo-NLL builds a fresh O(graph) cache per call.
+the pseudo-NLL builds a fresh O(graph) cache per call and scores each
+evidence variable through the scalar oracle (``tests.reference.gibbs``).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 from repro.graph.compiled import GibbsCache
 
 from tests.reference.factors import unit_energy
+from tests.reference.gibbs import IncidenceLists, delta_energy
 
 
 def weight_statistics(graph, worlds, factors=None) -> np.ndarray:
@@ -53,10 +55,11 @@ def evidence_pseudo_nll(learner) -> float:
     ev_vars, ev_vals = graph.evidence_arrays()
     state[ev_vars] = ev_vals
     cache = GibbsCache(learner._compiled, state)
+    lists = IncidenceLists(learner._compiled)
     total = 0.0
     for var, value in graph.evidence.items():
         # sigmoid(Δ), in the form that cannot overflow
-        p_true = 0.5 * (1.0 + math.tanh(0.5 * cache.delta_energy(var, state)))
+        p_true = 0.5 * (1.0 + math.tanh(0.5 * delta_energy(cache, lists, var, state)))
         total -= math.log(max(p_true if value else 1.0 - p_true, 1e-12))
     return total / len(graph.evidence)
 

@@ -9,12 +9,16 @@ two-call epoch).  Here:
   ``sweep()``s, across random patch histories, every member's ``state`` /
   ``field`` / ``unsat`` / ``nsat`` / ``sweeps_done`` / generator state and
   the returned worlds equal (``==``) those of a same-seed member advanced
-  alone; every stacked ``delta_energy_block`` returns, for each member
-  whose own block batches, the floats that block evaluates to alone
-  (``checked_stack``).  Members with different evidence (one lacking a
-  whole plan key), shared and separate generators, mixed semantics,
-  head-in-body rules on one member only, oversized rules, repeated literals,
-  stacked blocks on both sides of the batching crossover.
+  alone; every stacked ``delta_energy_block`` returns, for each member,
+  the floats that member's own block evaluates to alone, and every
+  stacked evaluation and commit agrees, member by member, with the
+  per-variable scalar oracle (``checked_stack``).  Members with different
+  evidence (one lacking a whole plan key), shared and separate
+  generators, mixed semantics, head-in-body rules on one member only,
+  oversized rules, repeated literals, stacks of one-variable and solo
+  blocks.
+* **Surface** — what a stack cannot serve for its members is a
+  ``TypeError`` naming what it does serve.
 * **The learner** — ``SGDLearner.fit`` over relearn → patch → relearn
   leaves the weights of the two-call, two-pass reference epoch; a
   rolled-back relearn followed by an epoch equals its never-faulted
@@ -37,7 +41,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.graph.compiled as compiled_module
 import repro.inference.gibbs as gibbs_module
 from repro.graph import FactorGraph, FactorGraphDelta, Semantics
 from repro.graph.compiled import (
@@ -55,7 +58,7 @@ from repro.learning.gradient import weight_gradient
 from repro.reliability.snapshots import LearnerSnapshot, RngSnapshot
 from repro.workloads import build_pipeline, workload_by_name
 
-from tests.helpers import mixed_case, voting_graph
+from tests.helpers import block_chains, mixed_case, scalar_checked, voting_graph
 from tests.reference import learning as reference
 from tests.test_incremental_compile import random_delta, seed_graph
 from tests.test_scan_plan import head_in_body_graph, history_delta, random_graph
@@ -138,42 +141,48 @@ def advance(stack: ChainStack, theirs) -> None:
 
 
 @contextlib.contextmanager
-def checked_stack(**constants):
+def checked_stack(oracle: bool = True):
     """While open, every stacked ``delta_energy_block`` is also evaluated
     member by member — each member's own block on that member's stretch
-    of the flat arrays — and must return those floats wherever the
-    member's block batches alone; yields ``[stacked, member]`` evaluation
-    counts.  ``constants`` are ``repro.graph.compiled`` module constants
-    to set meanwhile."""
+    of the flat arrays — and must return those floats, and (``oracle``)
+    every evaluation and commit is held to the scalar oracle
+    (:func:`tests.helpers.scalar_checked`); yields the ``Counter`` of
+    block shapes checked, with the ``stacked`` and ``member`` evaluation
+    counts."""
     real = GibbsCache.delta_energy_block
-    seen = [0, 0]
+    begin = ChainStack._begin
+    own = {}  # (member, key) → that member's own block, per stacked plan
+
+    def begun(self, count):
+        rows = begin(self, count)
+        own.clear()
+        for k, blocks in enumerate(self.plan.member_blocks):
+            own.update(((k, block.key), block) for block in blocks)
+        return rows
 
     def checked(self, block, assignment):
         got = real(self, block, assignment)
         if isinstance(self, StackedCache):
-            seen[0] += 1
-            at = 0
-            for k, vars_ in block.parts:
-                part, part_state = self.views[k]
-                alone = self.compiled.gather_block(vars_)
-                if alone.use_batch:
-                    want = real(part, alone, part_state)
-                    assert np.array_equal(got[at : at + len(vars_)], want)
-                    seen[1] += 1
-                at += len(vars_)
+            seen["stacked"] += 1
+            n = self.compiled.num_vars
+            for part, part_state, vars_, at in block_chains(self, block, assignment):
+                alone = own[int(block.vars[at[0]]) // n, block.key]
+                assert np.array_equal(alone.vars, vars_)
+                assert np.array_equal(got[at], real(part, alone, part_state))
+                seen["member"] += 1
         return got
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ChainStack, "_begin", begun)
         patch.setattr(GibbsCache, "delta_energy_block", checked)
-        for name, value in constants.items():
-            patch.setattr(compiled_module, name, value)
-        yield seen
+        with scalar_checked() if oracle else contextlib.nullcontext(Counter()) as seen:
+            yield seen
 
 
 @contextlib.contextmanager
 def counted_chain_work():
     """While open, count the sweep layer's work in the yielded ``Counter``:
-    ``blocks`` evaluated by ``sweep_blocks`` (batched or scalar),
+    ``blocks`` evaluated by ``sweep_blocks``,
     ``sweeps`` entered through ``GibbsSampler.sweep`` (the span the e2e
     record wraps) and ``stacked_plans`` built."""
     counts = Counter()
@@ -215,18 +224,17 @@ class TestBitIdentity:
         ),
         size=st.sampled_from((1, 2, 3, 5)),
         shared=st.booleans(),
-        batch_min=st.sampled_from((1, 2, 5, 8)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_histories(self, seed, ops, size, shared, batch_min):
+    def test_random_histories(self, seed, ops, size, shared):
         """Warm members across appends, retractions, evidence flips and
         threshold compactions; ``random_graph`` draws head-in-body,
         oversized (solo) and duplicated-literal (canonicalized) rules in all
-        three semantics; ``batch_min`` puts the small stacked blocks on
-        either side of the crossover."""
+        three semantics.  (The scalar oracle checks the stacks of the
+        tests below: it would multiply this one's time by four.)"""
         rng = np.random.default_rng(seed)
         kinds = KINDS[:size]
-        with checked_stack(_BATCH_MIN=batch_min):
+        with checked_stack(oracle=False):
             graph = random_graph(rng, _BIG_FACTOR + 8, 30)
             compiled = CompiledFactorGraph(graph)
             ours, theirs = ensembles(compiled, kinds, seed, shared)
@@ -253,12 +261,11 @@ class TestBitIdentity:
     )
     @settings(max_examples=40, deadline=None)
     def test_mixed_case_deltas(self, seed, size, shared):
-        """Every kind of term a delta carries on tiny graphs, the batched
-        kernel forced on: each stacked evaluation is checked against the
-        members' own."""
+        """Every kind of term a delta carries on tiny graphs: each stacked
+        evaluation is checked against the members' own."""
         base, delta = mixed_case(seed)
         kinds = KINDS[:size]
-        with checked_stack(_BATCH_MIN=1):
+        with checked_stack():
             compiled = CompiledFactorGraph(base)
             ours, theirs = ensembles(compiled, kinds, seed, shared)
             stack = ChainStack(ours)
@@ -283,7 +290,7 @@ class TestBitIdentity:
             selfish = {
                 int(var)
                 for block in compiled.plan(free).blocks
-                if block.use_batch and block.fseg_self is not None
+                if block.fseg_self is not None
                 for var in block.fseg_var[block.fseg_self]
             }
             clamped = CompiledGraphView(compiled, evidence=dict.fromkeys(selfish, True))
@@ -295,22 +302,19 @@ class TestBitIdentity:
                 for rng in (np.random.default_rng(seed), np.random.default_rng(seed))
             ]
             ours, theirs = sides
-            assert all(
-                b.fseg_self is None for b in ours[1].plan.blocks if b.use_batch
-            )
+            assert all(b.fseg_self is None for b in ours[1].plan.blocks)
             stack = ChainStack(ours)
             with checked_stack() as seen:
                 advance(stack, theirs)
-            assert any(b.use_batch and b.fseg_self is not None for b in stack.plan.blocks)
-            checked += seen[1]
+            assert any(b.fseg_self is not None for b in stack.plan.blocks)
+            checked += seen["member"] and seen["self"]
         assert checked
 
-    def test_stacked_blocks_on_both_sides_of_the_crossover(self):
-        """Four pairs: colour classes of four variables — scalar alone,
-        batched from two members up.  A rule over ``_BIG_FACTOR`` makes
-        its variables scan alone: a stack of two such blocks is still
-        scalar, a stack of five batches.  (Its groundings repeat their
-        literal: canonical, each names its variable once.)"""
+    def test_stacks_of_small_and_solo_blocks(self):
+        """Four pairs: colour classes of four variables.  A rule over
+        ``_BIG_FACTOR`` makes its variables scan alone: stacks of two and
+        five one-variable blocks.  (Its groundings repeat their literal:
+        canonical, each names its variable once.)"""
         graph = FactorGraph()
         graph.add_variables(8 + _BIG_FACTOR + 2)
         for pair in range(4):
@@ -328,13 +332,13 @@ class TestBitIdentity:
             compiled = CompiledFactorGraph(graph)
             kinds = ("free",) * size
             ours, theirs = ensembles(compiled, kinds, 7, shared=True)
-            assert not any(b.use_batch for b in ours[0].plan.blocks)
+            assert {b.vars.size for b in ours[0].plan.blocks} == {4, 1}
             stack = ChainStack(ours)
-            with checked_stack():
+            with checked_stack() as seen:
                 advance(stack, theirs)
-            shapes = {len(b.parts[0][1]): b.use_batch for b in stack.plan.blocks}
-            assert shapes[4] is True
-            assert shapes[1] is (size >= compiled_module._BATCH_MIN)
+            assert {b.vars.size for b in stack.plan.blocks} == {4 * size, size}
+            assert seen["solo"] and seen["member"] == size * seen["stacked"]
+            assert seen["one"]  # the members' own solo blocks, swept alone
 
     def test_one_member_is_that_member(self):
         graph = random_graph(np.random.default_rng(3), 40, 35)
@@ -350,6 +354,32 @@ class TestBitIdentity:
         graph = random_graph(np.random.default_rng(3), 12, 10)
         with pytest.raises(ValueError, match="one compiled substrate"):
             ChainStack([GibbsSampler(graph, seed=0), GibbsSampler(graph, seed=0)])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            ("run", (5,)),
+            ("iter_worlds", (2,)),
+            ("estimate_marginals", (5,)),
+            ("apply_patch", (None,)),
+        ],
+        ids=lambda call: call[0],
+    )
+    def test_a_single_chain_call_is_a_type_error(self, call):
+        """A stack serves ``sweep`` and ``sample_worlds``; a single
+        chain's other calls belong to its members, and touch none of
+        them."""
+        name, args = call
+        graph = voting_graph(2, 2)
+        compiled = CompiledFactorGraph(graph)
+        members = [GibbsSampler(graph, seed=k, compiled=compiled) for k in range(3)]
+        stack = ChainStack(members)
+        before = [(m.state.copy(), m.sweeps_done) for m in members]
+        with pytest.raises(TypeError, match=r"sweep\(\) and sample_worlds\(\)"):
+            result = getattr(stack, name)(*args)
+            next(iter(result))  # a generator raises when first advanced
+        for member, (state, sweeps) in zip(members, before):
+            assert np.array_equal(member.state, state) and member.sweeps_done == sweeps
 
     def test_convergence_ensemble_is_the_chains_swept_in_turn(self):
         """``sweeps_to_marginal``'s serial ensemble is one stack; its

@@ -17,6 +17,8 @@ from repro.graph.delta import KIND_RULE
 from tests.helpers import (
     brute_force_delta,
     chain_ising_graph,
+    conditional,
+    flip,
     implication_graph,
     random_pairwise_graph,
     voting_graph,
@@ -76,21 +78,22 @@ class TestCompiledStructure:
         fg = implication_graph()
         compiled = CompiledFactorGraph(fg)
         # Variable q (0) is head of the single rule factor (dense rule 0).
-        assert compiled.py_head[0] == [0]
-        assert compiled.py_head[1:] == [[], [], []]
+        assert compiled.gather_block([0]).head_ri.tolist() == [0]
+        assert compiled.gather_block([1, 2, 3]).head_ri.size == 0
         # a, b, c appear in bodies; all incidences belong to rule 0.
-        assert [ri for ri, _ in compiled.py_body[1]] == [0]
+        assert compiled.gather_block([1]).fseg_ri.tolist() == [0]
         # b occurs in both groundings.
-        assert [len(lits) for _, lits in compiled.py_body[2]] == [2]
+        block = compiled.gather_block([2])
+        assert block.fseg_start.tolist() == [0] and block.body_gg.size == 2
 
-    def test_flat_arrays_and_mirrors_consistent(self):
+    def test_flat_arrays_and_block_columns_consistent(self):
         fg = implication_graph()
         compiled = CompiledFactorGraph(fg)
         assert compiled.num_rules == 1
         assert compiled.num_groundings == 2
         assert compiled.grounding_ri.tolist() == [0, 0]
         assert compiled.lit_gg.size == compiled.lit_var.size == 4
-        # Flat literal arrays and the Python mirror agree.
+        # Flat literal arrays and a variable's block columns agree.
         lits = list(
             zip(
                 compiled.lit_var.tolist(),
@@ -100,12 +103,11 @@ class TestCompiledStructure:
             )
         )
         for var in range(fg.num_vars):
-            mirror = [
-                (ri, gg, pos)
-                for ri, rows in compiled.py_body[var]
-                for gg, pos in rows
-            ]
-            assert mirror == [(ri, gg, pos) for v, ri, gg, pos in lits if v == var]
+            block = compiled.gather_block([var])
+            gathered = list(
+                zip(block.body_ri.tolist(), block.body_gg.tolist(), block.body_pos.tolist())
+            )
+            assert gathered == [(ri, gg, pos) for v, ri, gg, pos in lits if v == var]
 
     def test_pairwise_flag(self):
         assert CompiledFactorGraph(chain_ising_graph(4)).is_pairwise
@@ -124,13 +126,14 @@ class TestCompiledStructure:
         )
         compiled = CompiledFactorGraph(fg)
         assert compiled._fkind.tolist() == [KIND_RULE]
-        assert compiled.py_head[q] == []
-        assert [ri for ri, _ in compiled.py_body[q]] == [0]
+        block = compiled.gather_block([q])
+        assert block.head_ri.size == 0 and block.fseg_ri.tolist() == [0]
+        assert block.fseg_self.tolist() == [True]
         for bits in range(4):
             x = np.array([bits & 1, bits >> 1], dtype=bool)
             cache = GibbsCache(compiled, x)
             for var in (q, a):
-                assert cache.delta_energy(var, x) == pytest.approx(
+                assert conditional(cache, var, x) == pytest.approx(
                     brute_force_delta(fg, x, var), abs=1e-12
                 )
 
@@ -149,12 +152,13 @@ class TestCompiledStructure:
         assert compiled._fkind.tolist() == [KIND_RULE]
         assert compiled.num_rules == 1 and compiled.num_groundings == 1
         assert compiled.factor_table([0]).factors()[0].groundings == (((q, True),),)
-        assert compiled.py_body[a] == [] and compiled.py_head[q] == []
+        assert compiled.gather_block([a]).body_gg.size == 0
+        assert compiled.gather_block([q]).head_ri.size == 0
         for bits in range(4):
             x = np.array([bits & 1, bits >> 1], dtype=bool)
             cache = GibbsCache(compiled, x)
             for var in (q, a):
-                assert cache.delta_energy(var, x) == pytest.approx(
+                assert conditional(cache, var, x) == pytest.approx(
                     brute_force_delta(fg, x, var), abs=1e-12
                 )
 
@@ -175,7 +179,7 @@ class TestGibbsCacheCorrectness:
         x = rng.random(fg.num_vars) < 0.5
         cache = GibbsCache(compiled, x)
         var = data.draw(st.integers(min_value=0, max_value=fg.num_vars - 1))
-        assert cache.delta_energy(var, x) == pytest.approx(
+        assert conditional(cache, var, x) == pytest.approx(
             brute_force_delta(fg, x, var), abs=1e-9
         )
 
@@ -190,7 +194,7 @@ class TestGibbsCacheCorrectness:
         for _ in range(30):
             var = int(rng.integers(fg.num_vars))
             new_value = bool(rng.integers(2))
-            cache.commit_flip(var, new_value, x)
+            flip(cache, var, new_value, x)
             assert x[var] == new_value
         cache.check_consistency(x)
 
@@ -199,7 +203,7 @@ class TestGibbsCacheCorrectness:
         compiled = CompiledFactorGraph(fg)
         x = np.zeros(fg.num_vars, dtype=bool)
         cache = GibbsCache(compiled, x)
-        cache.commit_flip(1, False, x)
+        flip(cache, 1, False, x)
         cache.check_consistency(x)
 
     def test_delta_energy_after_many_flips(self):
@@ -210,9 +214,9 @@ class TestGibbsCacheCorrectness:
         cache = GibbsCache(compiled, x)
         for _ in range(50):
             var = int(rng.integers(fg.num_vars))
-            cache.commit_flip(var, bool(rng.integers(2)), x)
+            flip(cache, var, bool(rng.integers(2)), x)
         for var in range(fg.num_vars):
-            assert cache.delta_energy(var, x) == pytest.approx(
+            assert conditional(cache, var, x) == pytest.approx(
                 brute_force_delta(fg, x, var), abs=1e-9
             )
 
@@ -238,7 +242,7 @@ class TestRandomizedEquivalence:
         x = rng.random(fg.num_vars) < 0.5
         cache = GibbsCache(compiled, x)
         var = data.draw(st.integers(min_value=0, max_value=fg.num_vars - 1))
-        assert cache.delta_energy(var, x) == pytest.approx(
+        assert conditional(cache, var, x) == pytest.approx(
             brute_force_delta(fg, x, var), abs=1e-9
         )
 
@@ -252,17 +256,16 @@ class TestRandomizedEquivalence:
         cache = GibbsCache(compiled, x)
         for _ in range(100):
             var = int(rng.integers(fg.num_vars))
-            cache.commit_flip(var, bool(rng.integers(2)), x)
+            flip(cache, var, bool(rng.integers(2)), x)
         cache.check_consistency(x)
         for var in range(fg.num_vars):
-            assert cache.delta_energy(var, x) == pytest.approx(
+            assert conditional(cache, var, x) == pytest.approx(
                 brute_force_delta(fg, x, var), abs=1e-9
             )
 
-    def test_batched_kernel_matches_scalar(self):
+    def test_plan_blocks_match_brute_force(self):
         # Wide graph with disjoint rule factors so the plan forms real
-        # batched blocks, including head and body incidences.
-        from repro.graph.compiled import _BATCH_MIN
+        # multi-variable blocks, including head and body incidences.
         from repro.inference.gibbs import GibbsSampler
 
         rng = np.random.default_rng(11)
@@ -270,7 +273,7 @@ class TestRandomizedEquivalence:
         num_groups = 40
         # Same-factor variables are spaced num_groups apart in id (scan)
         # order, so consecutive variables share no factor and the planner
-        # forms large batched blocks with head AND body incidences.
+        # forms large blocks with head AND body incidences.
         heads = list(fg.add_variables(num_groups))
         bodies = list(fg.add_variables(2 * num_groups))
         for g in range(num_groups):
@@ -288,15 +291,11 @@ class TestRandomizedEquivalence:
             for v in (heads[g], bodies[g], bodies[num_groups + g]):
                 fg.add_bias_factor(wb, v)
         sampler = GibbsSampler(fg, seed=0)
-        assert any(
-            b.use_batch and b.vars.size >= _BATCH_MIN
-            for b in sampler.plan.blocks
-        )
+        big = [b for b in sampler.plan.blocks if b.vars.size >= 5]
+        assert any(b.head_ri.size for b in big) and any(b.body_gg.size for b in big)
         x = rng.random(fg.num_vars) < 0.5
         cache = GibbsCache(CompiledFactorGraph(fg), x)
         for block in sampler.plan.blocks:
-            if not block.use_batch:
-                continue
             batched = cache.delta_energy_block(block, x)
             for k, var in enumerate(block.vars):
                 assert batched[k] == pytest.approx(

@@ -11,9 +11,13 @@ evidence set / flipped / cleared, the empty delta — these tests hold the
 array paths to it:
 
 * the spliced patch ≡ the per-factor patch, **array for array**;
+* every plan block gathers from the arrays the columns the reference
+  walks off the per-variable lists it keeps, and the colouring read off
+  the rows ≡ the reference's neighbour-multiset recolouring;
 * the build decided before patching ≡ patch-then-compact ≡ a fresh
   compile of ``delta.apply(graph)``, and the same calls compact;
-* ``snapshot_state`` → either branch → ``restore_state`` ≡ never touched;
+* ``snapshot_state`` → either branch → ``restore_state`` ≡ never touched,
+  also for a capture older than the latest;
 * the tables built as tables (grounder, ``compose_deltas``, the
   variational splice) ≡ ``lower_factors`` of the records the old code
   built;
@@ -40,14 +44,14 @@ from repro.graph import FactorGraph, FactorGraphDelta
 from repro.graph.compiled import (
     _BIG_FACTOR,
     _GROWABLE_NAMES,
-    _MIRROR_NAMES,
     CompiledFactorGraph,
     GibbsCache,
+    _Block,
     _Growable,
 )
 from repro.graph.delta import FactorList, FactorTable, compose_deltas
 from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
-from repro.graph.semantics import Semantics
+from repro.graph.semantics import Semantics, sem_code
 from repro.workloads import ALL_SYSTEMS, build_pipeline
 
 from tests.helpers import chain_ising_graph, counting, decodes, mixed_case
@@ -66,21 +70,26 @@ _SCALARS = (
     "num_live_rules",
     "rule_nmax",
     "_patched",
-    "_csr_num_vars",
     "_scan_window",
 )
-_LISTS = ("_rule_head_l", "_rule_wid_l", "_rule_sem_l")
-#: Per-variable CSR snapshot (fixed between compactions).
-_STATIC = tuple(
-    name for name in CompiledFactorGraph._SNAP_STATIC if name != "_nbr_idx"
-)
+#: The build's per-variable offsets (fixed between compactions).
+_STATIC = CompiledFactorGraph._SNAP_STATIC
+#: A block's gather columns.
+_COLUMNS = tuple(name for name in _Block.__slots__ if name not in ("vars", "key"))
+
+
+def block_state(block) -> dict:
+    """A block's members, key and gather columns."""
+    state = {"vars": block.vars.tolist(), "key": block.key}
+    for name in _COLUMNS:
+        column = getattr(block, name)
+        state[name] = None if column is None else column.tolist()
+    return state
 
 
 def plan_state(plan) -> dict:
     return {
-        "blocks": [
-            (b.vars.tolist(), b.key, b.use_batch) for b in plan.blocks
-        ],
+        "blocks": [block_state(b) for b in plan.blocks],
         "evidence_mask": plan.evidence_mask.tolist(),
         "free_vars": plan.free_vars.tolist(),
         "block_of": plan._block_of.tolist(),
@@ -91,9 +100,11 @@ def substrate_state(c, handles: bool = True) -> dict:
     """Everything a kernel, a planner, a learner or a later patch reads."""
     state = {name: getattr(c, name).tolist() for name in _GROWABLE_NAMES + _STATIC}
     state.update({name: getattr(c, name) for name in _SCALARS})
-    state.update({name: list(getattr(c, name)) for name in _LISTS})
-    # A patch mutates a touched variable's mirror rows in place: copy them.
-    state.update({name: [list(row) for row in getattr(c, name)] for name in _MIRROR_NAMES})
+    # Per variable, its own block's columns: every live row a kernel
+    # reads of it.
+    state["columns"] = [
+        block_state(b) for b in c.gather_blocks([[v] for v in range(c.num_vars)])
+    ]
     if handles:
         state.update(
             fkind=c._fkind.tolist(),
@@ -103,18 +114,11 @@ def substrate_state(c, handles: bool = True) -> dict:
             weights=list(c.weights.items()),
             names=list(c.names),
         )
-    # The neighbour multiset: the compile-time rows per variable (their
-    # order inside a row is not observable) and the patch on top.
-    ptr = c._nbr_indptr.tolist()
-    state["nbr_rows"] = [
-        sorted(c._nbr_idx[lo:hi].tolist()) for lo, hi in zip(ptr, ptr[1:])
+    # What the recolouring reads: from the rows here, from the neighbour
+    # multiset on the reference.
+    state["neighbours"] = [
+        sorted(found) for found in c._neighbours(np.arange(c.num_vars))
     ]
-    state["nbr_patch"] = {
-        var: {o: n for o, n in sorted(counts.items()) if n}
-        for var, counts in sorted(c._nbr_patch.items())
-        if any(counts.values())
-    }
-    state["neighbours"] = [sorted(c._var_neighbors(v)) for v in range(c.num_vars)]
     state["evidence"] = dict(c.graph.evidence)
     state["free_vars"] = c.free_vars.tolist()
     state["plans"] = {
@@ -288,7 +292,7 @@ class TestArrayPathsEqualTheReference:
             new.apply_delta(delta, compact_threshold=1.0)
             ref.apply_delta(delta, compact_threshold=1.0)
             assert_same(substrate_state(new), substrate_state(ref))
-        assert new._var_neighbors(a) == {b}
+        assert new._neighbours(np.array([a]))[0] == {b}
 
 
 def two_factor_graph() -> FactorGraph:
@@ -307,6 +311,111 @@ def graph_state(graph) -> tuple:
         list(graph.weights.items()),
         {name: column.tolist() for name, column in graph.factor_table().columns().items()},
     )
+
+
+def columns_from_lists(ref, vars_) -> dict:
+    """The gather columns of a block over ``vars_``, walked member by
+    member off the reference's own per-variable lists — the former
+    block gather (``_incidence_rows``) — as :func:`block_state` has
+    them."""
+    vars_ = list(vars_)
+    ising_seg, ising_other, ising_wid = [], [], []
+    head_seg, head_ri = [], []
+    body_seg, body_gg, body_pos, body_ri = [], [], [], []
+    fseg_start, fseg_pos, fseg_ri = [], [], []
+    for p, v in enumerate(vars_):
+        for other, wid in ref.py_ising[v]:
+            ising_seg.append(p)
+            ising_other.append(other)
+            ising_wid.append(wid)
+        for ri in ref.py_head[v]:
+            head_seg.append(p)
+            head_ri.append(ri)
+        for ri, lits in ref.py_body[v]:
+            fseg_start.append(len(body_gg))
+            fseg_pos.append(p)
+            fseg_ri.append(ri)
+            for gg, pos in lits:
+                body_seg.append(p)
+                body_gg.append(gg)
+                body_pos.append(pos)
+                body_ri.append(ri)
+    wid, head = ref._rule_wid_l, ref._rule_head_l
+    sem = [sem_code(semantics) for semantics in ref._rule_sem_l]
+    fseg_self = [head[ri] == vars_[p] for p, ri in zip(fseg_pos, fseg_ri)]
+    return {
+        "vars": vars_,
+        "ising_seg": ising_seg,
+        "ising_other": ising_other,
+        "ising_wid": ising_wid,
+        "head_seg": head_seg,
+        "head_ri": head_ri,
+        "head_wid": [wid[ri] for ri in head_ri],
+        "head_sem": [sem[ri] for ri in head_ri],
+        "body_seg": body_seg,
+        "body_var": [vars_[p] for p in body_seg],
+        "body_gg": body_gg,
+        "body_pos": body_pos,
+        "body_ri": body_ri,
+        "fseg_start": fseg_start,
+        "fseg_pos": fseg_pos,
+        "fseg_var": [vars_[p] for p in fseg_pos],
+        "fseg_ri": fseg_ri,
+        "fseg_wid": [wid[ri] for ri in fseg_ri],
+        "fseg_sem": [sem[ri] for ri in fseg_ri],
+        "fseg_head": [head[ri] for ri in fseg_ri],
+        "fseg_self": fseg_self if any(fseg_self) else None,
+    }
+
+
+class TestOneIncidenceRepresentation:
+    """The arrays are the substrate's one incidence representation: over
+    random histories — Ising and rule inserts and retractions
+    (head-in-body, more than ``_BIG_FACTOR`` members), evidence set and
+    cleared, appended variables, threshold compactions, snapshot and
+    restore — every block of every cached plan gathers, from the arrays,
+    the columns the reference walks off the per-variable lists it keeps
+    factor by factor, and the colouring read off the rows is the one the
+    reference's neighbour multiset gives."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        ops=st.lists(
+            st.sampled_from(OPS + ("compact", "rollback")), min_size=1, max_size=8
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_columns_equal_the_reference_lists(self, seed, ops):
+        rng, _, new, ref = twins(seed, 40)
+        self.check(new, ref)
+        for step, op in enumerate(ops):
+            if op == "rollback":
+                snaps = new.snapshot_state(), ref.snapshot_state()
+                delta = delta_for(rng, new, "add", step)
+                threshold = 0.0 if rng.random() < 0.5 else 1.0
+                new.apply_delta(delta, compact_threshold=threshold)
+                ref.apply_delta(delta, compact_threshold=threshold)
+                new.restore_state(snaps[0])
+                ref.restore_state(snaps[1])
+            else:
+                delta = delta_for(rng, new, "add" if op == "compact" else op, step)
+                threshold = 0.0 if op == "compact" else 1.0
+                a = new.apply_delta(delta, compact_threshold=threshold)
+                b = ref.apply_delta(delta, compact_threshold=threshold)
+                assert a.compacted == b.compacted == (op == "compact")
+            cached_plans(new)
+            cached_plans(ref)
+            self.check(new, ref)
+
+    @staticmethod
+    def check(new, ref) -> None:
+        assert new._color.tolist() == ref._color.tolist()
+        for plan in new._plan_cache.values():
+            for block in plan.blocks:
+                want = columns_from_lists(ref, block.vars.tolist())
+                got = block_state(block)
+                del got["key"]
+                assert got == want
 
 
 class TestRemovedIdsAreChecked:
@@ -368,6 +477,26 @@ class TestRollbackAndReplay:
             assert_same(substrate_state(new), before)
             for key, plan in new._plan_cache.items():
                 assert all(x is y for x, y in zip(plan.blocks, blocks[key]))
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["spliced", "compacted"])
+    def test_an_older_capture_restores_exactly(self, compact):
+        """Capture A, patch, capture B, patch, (compact), restore A: the
+        substrate is A's again — variables 10 and 20 hold no edge between
+        them, whether or not a compaction came between."""
+        compiled = CompiledFactorGraph(chain_ising_graph(40))
+        cached_plans(compiled)
+        at_a = substrate_state(compiled)
+        captures = []
+        for i, j in ((0, 5), (10, 20)):
+            captures.append(compiled.snapshot_state())
+            delta = FactorGraphDelta()
+            delta.new_factors.add_ising(0, i, j)
+            compiled.apply_delta(delta, compact_threshold=1.0)
+        if compact:
+            compiled.compact()
+        compiled.restore_state(captures[0])
+        assert_same(substrate_state(compiled), at_a)
+        assert compiled.gather_block([10]).ising_other.tolist() == [9, 11]
 
     def test_followers_ride_either_branch(self):
         """A warm cache spliced from the array patch ≡ one rebuilt."""

@@ -9,6 +9,7 @@ from repro.util.stats import max_marginal_error
 
 from tests.helpers import (
     chain_ising_graph,
+    conditional,
     implication_graph,
     random_pairwise_graph,
     single_bias_graph,
@@ -21,7 +22,8 @@ class TestGibbsSampler:
         fg = single_bias_graph(weight=0.7)
         sampler = GibbsSampler(fg, seed=0)
         exact = ExactInference(fg).marginal(0)
-        assert sampler.conditional_probability(0) == pytest.approx(exact)
+        logit = conditional(sampler.cache, 0, sampler.state)
+        assert 1.0 / (1.0 + np.exp(-logit)) == pytest.approx(exact)
 
     def test_marginals_match_exact_on_chain(self):
         fg = chain_ising_graph(5, coupling=0.6, bias=0.3)

@@ -22,6 +22,7 @@ from repro.util.stats import max_marginal_error
 from tests.helpers import (
     brute_force_delta,
     chain_ising_graph,
+    conditional,
     random_pairwise_graph,
     voting_graph,
 )
@@ -83,14 +84,14 @@ def random_delta(graph: FactorGraph, rng, step: int) -> FactorGraphDelta:
 
 
 def assert_patched_equals_fresh(compiled, graph, seed=1):
-    """Conditional parity: delta_energy of patched vs fresh, every var."""
+    """Conditional parity: the kernel on patched vs fresh, every var."""
     fresh = CompiledFactorGraph(graph.copy(share_weights=True))
     state = graph.initial_assignment(np.random.default_rng(seed))
     ca = GibbsCache(compiled, state.copy())
     cb = GibbsCache(fresh, state.copy())
     for var in range(graph.num_vars):
-        da = ca.delta_energy(var, state)
-        db = cb.delta_energy(var, state)
+        da = conditional(ca, var, state)
+        db = conditional(cb, var, state)
         assert da == pytest.approx(db, abs=1e-8), f"var {var}: {da} != {db}"
 
 
@@ -99,7 +100,7 @@ def assert_brute_force(compiled, graph, seed=2):
     state = graph.initial_assignment(np.random.default_rng(seed))
     cache = GibbsCache(compiled, state)
     for var in range(graph.num_vars):
-        assert cache.delta_energy(var, state) == pytest.approx(
+        assert conditional(cache, var, state) == pytest.approx(
             brute_force_delta(graph, state, var), abs=1e-9
         )
 
@@ -107,12 +108,13 @@ def assert_brute_force(compiled, graph, seed=2):
 def assert_plan_valid(compiled, graph):
     """The (patched) plan partitions the free vars into independent blocks."""
     plan = compiled.plan(graph)
+    neighbours = compiled._neighbours(np.arange(compiled.num_vars))
     seen = []
     for block in plan.blocks:
         seen.extend(int(v) for v in block.vars)
         members = set(int(v) for v in block.vars)
         for v in members:
-            assert not (compiled._var_neighbors(v) & (members - {v})), (
+            assert not (neighbours[v] & (members - {v})), (
                 f"block members {sorted(members)} share a factor via {v}"
             )
     assert sorted(seen) == sorted(
@@ -149,7 +151,7 @@ class TestPatchVsFresh:
         delta = FactorGraphDelta(removed_factor_ids={e1})
         updated = delta.apply(fg)
         compiled.apply_delta(delta, compact_threshold=1.0)
-        assert b in compiled._var_neighbors(a)
+        assert b in compiled._neighbours(np.array([a]))[0]
         assert_plan_valid(compiled, updated)
         assert_patched_equals_fresh(compiled, updated)
 
@@ -185,8 +187,8 @@ class TestPatchVsFresh:
         assert compiled.factor_table(
             [compiled.num_factors - 2, compiled.num_factors - 1]
         ).factors() == [self_headed, canonical]
-        assert compiled.py_head[2] == [] and compiled.py_head[5] == []
-        assert compiled.py_body[6] == []
+        assert compiled.gather_block([2, 5]).head_ri.size == 0
+        assert compiled.gather_block([6]).body_gg.size == 0
         assert_patched_equals_fresh(compiled, updated)
         assert_brute_force(compiled, updated)
         assert_plan_valid(compiled, updated)
@@ -198,7 +200,7 @@ class TestPatchVsFresh:
         final = removal.apply(updated)
         compiled.apply_delta(removal, compact_threshold=1.0)
         assert compiled.num_live_rules == 0
-        assert compiled.py_body[2] == [] and compiled.py_body[5] == []
+        assert compiled.gather_block([2, 5]).body_gg.size == 0
         assert_patched_equals_fresh(compiled, final)
         assert_brute_force(compiled, final)
         assert_plan_valid(compiled, final)

@@ -282,10 +282,9 @@ class TestNoProcessPools:
 
 class TestOneRulePath:
     """Groundings are canonical when lowered, so the substrate keeps one
-    rule representation, one scalar kernel and one per-variable view (the
-    ``py_*`` mirrors): the brute-force slow path, the numpy forms of the
-    scalar kernel and the per-variable CSR slices only they read stay
-    gone."""
+    rule representation: the brute-force slow path, the numpy forms of
+    the former scalar kernel and the per-variable CSR slices only they
+    read stay gone."""
 
     REMOVED = (
         "slow_list",
@@ -308,13 +307,118 @@ class TestOneRulePath:
         ]
         assert not offenders
 
-    def test_the_only_per_variable_offsets_are_isings_and_neighbours(self):
+    def test_the_only_per_variable_offsets_are_the_gathers(self):
+        """Per variable, the build lays down offsets over its Ising rows,
+        the rules it heads and the literals it is in — what blocks and
+        the recolouring gather through — and nothing else."""
         graph = chain_ising_graph(6)
         wid = graph.weights.intern("rule", initial=0.4)
         graph.add_rule_factor(wid, 0, [[(1, True), (1, True)], [(2, False)]], "ratio")
         compiled = CompiledFactorGraph(graph)
         offsets = {name for name in vars(compiled) if name.endswith("_indptr")}
-        assert offsets == {"ising_indptr", "_nbr_indptr"}
+        assert offsets == {"ising_indptr", "head_indptr", "lit_indptr"}
+
+
+class TestOneIncidenceRepresentation:
+    """The substrate's flat arrays are its one incidence representation
+    and the block kernel its one kernel: a block gathers its rows through
+    the build's offsets and the appended tail, and the recolouring reads
+    a variable's neighbours off the same rows.  The per-variable Python
+    mirrors, their snapshot journal, the neighbour multiset and the
+    scalar kernel live in ``tests/reference`` (``compiled``, ``gibbs``);
+    the batch/scalar crossover is gone."""
+
+    REMOVED = (
+        "py_bias",
+        "py_ising",
+        "py_head",
+        "py_body",
+        "_mirrors",
+        "_per_variable",
+        "_MIRROR_NAMES",
+        "_rule_head_l",
+        "_rule_wid_l",
+        "_rule_sem_l",
+        "_SNAP_APPEND_LISTS",
+        "_mirror_journal",
+        "nbr_patch",
+        "_nbr_idx",
+        "_nbr_indptr",
+        "_nbr_patch",
+        "_nbr_adjust",
+        "_var_neighbors",
+        "_csr_num_vars",
+        "_incidence_rows",
+        "delta_energy",
+        "commit_flip",
+        "scalar_parts",
+        "_pays_to_batch",
+        "_BATCH_MIN",
+        "_BATCH_MIN_ROWS",
+        "use_batch",
+        "gathered",
+        "batched_fraction",
+        "conditional_probability",
+        "_sigmoid",
+    )
+
+    @staticmethod
+    def identifiers(tree) -> set:
+        """Every name a module defines, binds, reads or spells as an
+        identifier-shaped string (``__slots__``, snapshot name lists)."""
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    names.add(node.value)
+        return names
+
+    def test_removed_names_stay_gone(self):
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            names = self.identifiers(ast.parse(path.read_text()))
+            offenders += [(path.name, name) for name in self.REMOVED if name in names]
+            if path.name == "compiled.py":
+                assert "Counter" not in names  # no neighbour multiset
+        assert not offenders
+
+    def test_one_kernel_surface(self):
+        from repro.graph.compiled import GibbsCache, StackedCache, SweepPlan, _Block
+        from repro.inference.gibbs import ChainStack
+
+        for owner, name in (
+            (GibbsCache, "delta_energy"),
+            (GibbsCache, "commit_flip"),
+            (StackedCache, "scalar_parts"),
+            (_Block, "use_batch"),
+            (_Block, "gathered"),
+            (_Block, "parts"),
+            (SweepPlan, "batched_fraction"),
+            (GibbsSampler, "conditional_probability"),
+        ):
+            assert not hasattr(owner, name), (owner, name)
+        graph = chain_ising_graph(6)
+        members = [GibbsSampler(graph, seed=k) for k in range(2)]
+        members[1].compiled = members[0].compiled
+        members[1].plan = members[0].plan
+        members[1].cache = GibbsCache(members[0].compiled, members[1].state)
+        stack = ChainStack(members)
+        stack._begin(1)
+        assert not hasattr(stack.cache, "views")
+        assert not any(hasattr(block, "parts") for block in stack.plan.blocks)
+        stack._end()
+        snap = members[0].compiled.snapshot_state()
+        assert not {"mirrors", "append_lists", "nbr_patch"} & snap.keys()
 
 
 class TestGroundStraightIntoArrays:

@@ -11,13 +11,15 @@
   a plan built from scratch on the patched substrate.  "Valid" is the
   predicate the id-run planner this one replaced satisfies; that planner
   is kept below as the reference.
-* **Kernel equivalence** — scalar and batched conditionals
-  ≡ the brute-force energy difference with head-in-body rules under every
-  semantics; the batched commit ≡ sequential ``commit_flip``.
+* **Kernel equivalence** — the kernel's and the scalar oracle's
+  conditionals ≡ the brute-force energy difference with head-in-body
+  rules under every semantics; a block commit ≡ the oracle's sequential
+  ``commit_flip``.
 * **Exactness** — colour-scan marginals vs ``ExactInference`` on an
   agreement-style graph, within a tolerance derived from the samples.
 * **Shape guard** — on the five KBC systems and on a streamed graph the
-  batched kernel actually runs (the check PR 1's idle kernel never had).
+  blocks partition the free variables and a sweep takes one block
+  evaluation per block and at most one commit.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from repro.inference.gibbs import GibbsSampler, logit_rows, sweep_blocks
 from repro.kbc.pipeline import KBCPipeline
 from repro.workloads import ALL_SYSTEMS, build_pipeline, workload_by_name
 
-from tests.helpers import brute_force_delta
+from tests.helpers import brute_force_delta, counting, scalar_checked
+from tests.reference import gibbs as reference_gibbs
 from tests.reference.factors import add_factor, lower_factors
 
 SEMANTICS = list(Semantics)
@@ -106,7 +109,6 @@ def assert_plan_valid_and_pure(compiled, plan) -> None:
     fresh = SweepPlan(compiled, plan.evidence_mask, plan.window)
     assert plan_blocks(plan) == plan_blocks(fresh)
     assert [b.key for b in plan.blocks] == [b.key for b in fresh.blocks]
-    assert [b.use_batch for b in plan.blocks] == [b.use_batch for b in fresh.blocks]
     for bi, block in enumerate(plan.blocks):
         assert (plan._block_of[block.vars] == bi).all()
 
@@ -385,7 +387,7 @@ def head_in_body_graph(rng, semantics, num_vars: int = 14) -> FactorGraph:
 
 @pytest.mark.parametrize("semantics", SEMANTICS + [None], ids=lambda s: getattr(s, "value", "mixed"))
 class TestKernelsMatchBruteForce:
-    def test_scalar_and_batched_conditionals(self, semantics):
+    def test_scalar_oracle_and_kernel_conditionals(self, semantics):
         for seed in range(6):
             rng = np.random.default_rng(seed)
             fg = head_in_body_graph(rng, semantics)
@@ -394,15 +396,19 @@ class TestKernelsMatchBruteForce:
             x = rng.random(fg.num_vars) < 0.5
             cache = GibbsCache(compiled, x)
             expected = [brute_force_delta(fg, x, v) for v in range(fg.num_vars)]
-            scalar = [cache.delta_energy(v, x) for v in range(fg.num_vars)]
+            lists = reference_gibbs.IncidenceLists(compiled)
+            scalar = [
+                reference_gibbs.delta_energy(cache, lists, v, x)
+                for v in range(fg.num_vars)
+            ]
             assert scalar == pytest.approx(expected, abs=1e-12)
             block = compiled.gather_block(np.arange(fg.num_vars))
-            assert block.use_batch and block.fseg_self is not None
+            assert block.fseg_self is not None
             assert cache.delta_energy_block(block, x) == pytest.approx(
                 expected, abs=1e-12
             )
 
-    def test_batched_commit_equals_sequential_flips(self, semantics):
+    def test_block_commit_equals_sequential_flips(self, semantics):
         for seed in range(4):
             rng = np.random.default_rng(100 + seed)
             fg = head_in_body_graph(rng, semantics, num_vars=30)
@@ -429,24 +435,23 @@ class TestKernelsMatchBruteForce:
                     compiled.apply_delta(delta, compact_threshold=1.0)
                     assert compiled.has_patches
                 n = compiled.num_vars
+                lists = reference_gibbs.IncidenceLists(compiled)
                 # One block per colour class: members share no factor.
                 for colour in range(int(compiled._color.max()) + 1):
                     block = compiled.gather_block(
                         np.flatnonzero(compiled._color == colour)
                     )
-                    if not block.use_batch:
-                        continue
                     x = rng.random(n) < 0.5
                     a_state, b_state = x.copy(), x.copy()
                     a, b = GibbsCache(compiled, a_state), GibbsCache(compiled, b_state)
                     new_values = rng.random(block.vars.size) < 0.5
                     a.commit_block(block, new_values, a_state)
                     for v, value in zip(block.vars.tolist(), new_values.tolist()):
-                        b.commit_flip(v, value, b_state)
+                        reference_gibbs.commit_flip(b, lists, v, value, b_state)
                     assert np.array_equal(a_state, b_state)
                     assert np.array_equal(a.unsat, b.unsat)
                     assert np.array_equal(a.nsat, b.nsat)
-                    assert a.field == pytest.approx(b.field, abs=1e-12)
+                    assert np.array_equal(a.field, b.field)
                     a.check_consistency(a_state)
 
 
@@ -478,16 +483,21 @@ def agreement_graph() -> FactorGraph:
     return fg
 
 
-@pytest.mark.parametrize("batch_min", [1, 8], ids=["batched", "scalar"])
-def test_colour_scan_marginals_match_exact_inference(batch_min, monkeypatch):
-    # Exact inference caps the graph at a dozen variables, whose colour
-    # classes are below the batching crossover: lower it to put the
-    # batched kernel and commit under test, keep it for the scalar one.
-    monkeypatch.setattr(compiled_module, "_BATCH_MIN", batch_min)
+@pytest.mark.parametrize("cap", [None, 1], ids=["classes", "narrow"])
+def test_colour_scan_marginals_match_exact_inference(cap, monkeypatch):
+    # Exact inference caps the graph at a dozen variables: one window
+    # holds whole colour classes, or — one id per colour per window —
+    # blocks of one or two variables.
+    if cap is not None:
+        monkeypatch.setattr(compiled_module, "_CHUNK_CAP", cap)
     fg = agreement_graph()
     exact = ExactInference(fg).marginals()
     sampler = GibbsSampler(fg, seed=12)
-    assert sampler.plan.batched_fraction == (1.0 if batch_min == 1 else 0.0)
+    sizes = [b.vars.size for b in sampler.plan.blocks]
+    assert max(sizes) > 2 if cap is None else min(sizes) == 1
+    with scalar_checked() as shapes:
+        sampler.run(5)
+    assert shapes["self"] and bool(shapes["one"]) == (cap is not None)
     # Cliques of 4 need 4 colours: the scan is genuinely multi-class.
     assert sampler.plan.num_blocks >= 4
     num_batches, per_batch = 40, 250
@@ -520,21 +530,34 @@ def full_program_grounder(pipeline: KBCPipeline):
     return grounder
 
 
-def assert_batched_shape(plan) -> None:
-    assert plan.batched_fraction >= 0.9, [b.vars.size for b in plan.blocks]
+def assert_one_kernel_shape(compiled, plan) -> None:
+    """The blocks partition the free variables, and a sweep takes one
+    block evaluation per block and at most one commit."""
+    members = np.concatenate([b.vars for b in plan.blocks])
+    assert np.array_equal(np.sort(members), plan.free_vars)
+    rng = np.random.default_rng(0)
+    state = rng.random(compiled.num_vars) < 0.5
+    state[plan.evidence_mask] = False
+    cache = GibbsCache(compiled, state)
+    with counting(GibbsCache, "delta_energy_block") as counts:
+        with counting(GibbsCache, "commit_block", counts):
+            for logits in logit_rows(rng, plan.free_vars.size, 2):
+                sweep_blocks(cache, state, plan.blocks, logits)
+    assert counts["delta_energy_block"] == 2 * len(plan.blocks)
+    assert counts["commit_block"] <= 2 * len(plan.blocks)
 
 
 @pytest.mark.parametrize("spec", ALL_SYSTEMS, ids=lambda spec: spec.name)
-def test_kbc_systems_sweep_on_the_batched_kernel(spec):
+def test_kbc_systems_sweep_block_by_block(spec):
     grounder = full_program_grounder(build_pipeline(spec, scale=1.0, seed=0))
     compiled = CompiledFactorGraph(grounder.graph)
-    assert_batched_shape(compiled.plan())
-    assert_batched_shape(compiled.plan(free_twin(compiled)))
+    assert_one_kernel_shape(compiled, compiled.plan())
+    assert_one_kernel_shape(compiled, compiled.plan(free_twin(compiled)))
 
 
-def test_streamed_graph_stays_on_the_batched_kernel():
+def test_streamed_graph_keeps_its_block_shape():
     """≥ 30 one-document patches on a substrate: the repaired plans keep
-    the batched shape and equal from-scratch plans."""
+    their shape and equal from-scratch plans."""
     spec = workload_by_name("adversarial")
     corpus = build_pipeline(spec, scale=0.5, seed=0).corpus
     num_base = len(corpus.documents) - 32
@@ -557,5 +580,5 @@ def test_streamed_graph_stays_on_the_batched_kernel():
     assert compiled.has_patches
     assert compiled.plan() is own
     for plan in (own, free):
-        assert_batched_shape(plan)
+        assert_one_kernel_shape(compiled, plan)
         assert_plan_valid_and_pure(compiled, plan)

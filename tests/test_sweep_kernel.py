@@ -8,17 +8,19 @@ became a table lookup and a run drew its uniforms once.  Here:
   ``nsat`` (``==``, never ``approx``) after every run of sweeps across
   random patch histories, and *every* batched evaluation the package
   makes on the way returns the reference's floats (the ``checked_kernel``
-  fixture compares inside ``delta_energy_block``): warm spliced caches,
-  mixed and uniform semantics, head-in-body rules, oversized rules,
-  blocks on both sides of the batching crossover, ``gather_block``
-  blocks.
+  fixture compares inside ``delta_energy_block``), and every evaluation
+  and commit agrees with the per-variable scalar oracle
+  (``tests.helpers.scalar_checked``): warm spliced caches, mixed and
+  uniform semantics, head-in-body rules, oversized rules, one-variable,
+  solo and ``fseg_self`` blocks, ``gather_block`` blocks.
 * **Draw contract** — ``run(k)`` ≡ ``k × sweep()`` ≡ ``sample_worlds``,
   under any draw-chunk size, generator left where per-sweep draws leave
   it.
 * **The table** — ``g_table`` rows equal ``g_coded`` on ``0 … n_max`` and
   the table grows with the substrate's largest rule.
 * **Work counts** — the number of ``Generator.random`` calls per run, no
-  ``np.log1p`` inside a batched evaluation, Pharma's plan fully batched.
+  ``np.log1p`` inside a block evaluation, Pharma's blocks partitioning
+  its free variables.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.graph.compiled as compiled_module
 import repro.graph.semantics as semantics_module
 import repro.inference.gibbs as gibbs_module
 from repro.core.sampling import SampleMaterialization
@@ -43,7 +44,7 @@ from repro.inference.gibbs import GibbsSampler
 from repro.learning.gradient import EvidenceScorer
 from repro.workloads import build_pipeline, workload_by_name
 
-from tests.helpers import mixed_case
+from tests.helpers import flip, mixed_case, scalar_checked
 from tests.reference import gibbs as reference
 from tests.reference.factors import lower_factors
 from tests.test_scan_plan import (
@@ -69,28 +70,27 @@ def counting_rng(seed) -> CountingGenerator:
 
 
 @contextlib.contextmanager
-def checked_kernel(**constants):
+def checked_kernel():
     """While open, every ``delta_energy_block`` call also runs the
     reference on the same cache, block and state and must return its
-    floats exactly; yields the sizes of the blocks evaluated.
-    ``constants`` are ``repro.graph.compiled`` module constants to set
-    meanwhile (a context manager, not a fixture: hypothesis runs many
-    examples inside one test call)."""
+    floats exactly, and every evaluation and commit is held to the scalar
+    oracle (:func:`tests.helpers.scalar_checked`); yields the ``Counter``
+    of block shapes checked, with the evaluations under ``evaluated`` (a
+    context manager, not a fixture: hypothesis runs many examples inside
+    one test call)."""
     real = GibbsCache.delta_energy_block
-    seen = []
 
     def checked(self, block, assignment):
         got = real(self, block, assignment)
         want = reference.delta_energy_block(self, block, assignment)
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        seen.append(block.vars.size)
+        shapes["evaluated"] += 1
         return got
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(GibbsCache, "delta_energy_block", checked)
-        for name, value in constants.items():
-            patch.setattr(compiled_module, name, value)
-        yield seen
+        with scalar_checked() as shapes:
+            yield shapes
 
 
 def chain_pair(graph, seed, compiled=None):
@@ -136,15 +136,14 @@ class TestBitIdentity:
             min_size=1,
             max_size=6,
         ),
-        batch_min=st.sampled_from((1, 2, 5, 8)),
     )
     @settings(max_examples=30, deadline=None)
-    def test_random_histories(self, seed, ops, batch_min):
+    def test_random_histories(self, seed, ops):
         """Warm chains across patches: spliced caches, repaired plans,
         head-in-body and oversized rules (``random_graph`` draws both),
-        small blocks batched or scalar as ``batch_min`` puts them."""
+        blocks of every size on the one kernel."""
         rng = np.random.default_rng(seed)
-        with checked_kernel(_BATCH_MIN=batch_min):
+        with checked_kernel():
             graph = random_graph(rng, _BIG_FACTOR + 8, 30)
             compiled = CompiledFactorGraph(graph)
             ours, theirs = chain_pair(graph, seed, compiled)
@@ -167,10 +166,10 @@ class TestBitIdentity:
     @settings(max_examples=40, deadline=None)
     def test_mixed_case_deltas(self, seed):
         """Every kind of term a delta carries, all three semantics,
-        duplicated literals (slow path) and empty groundings; tiny graphs,
-        so the batched kernel is forced on."""
+        duplicated literals (landed canonical) and empty groundings, on
+        tiny graphs."""
         base, delta = mixed_case(seed)
-        with checked_kernel(_BATCH_MIN=1):
+        with checked_kernel():
             compiled = CompiledFactorGraph(base)
             ours, theirs = chain_pair(base, seed, compiled)
             advance(ours, theirs, 4)
@@ -188,26 +187,22 @@ class TestBitIdentity:
             compiled = CompiledFactorGraph(graph)
             assert (reference.rule_sem_uniform(compiled) is None) == (semantics is None)
             ours, theirs = chain_pair(graph, seed, compiled)
-            assert any(
-                b.use_batch and b.fseg_self is not None for b in ours.plan.blocks
-            )
-            with checked_kernel() as evaluated:
+            assert any(b.fseg_self is not None for b in ours.plan.blocks)
+            with checked_kernel() as shapes:
                 advance(ours, theirs, 10)
-            assert evaluated
+            assert shapes["evaluated"] and shapes["self"] and shapes["one"]
 
     @pytest.mark.parametrize("size", range(1, 9))
-    def test_small_blocks_either_side_of_the_crossover(self, size, monkeypatch):
-        """A block of 1–8 variables evaluates to the reference's floats on
-        the batched kernel and to the same values (another summation
-        order) on the scalar one — so where the crossover sits moves no
-        decision."""
+    def test_small_blocks_equal_the_oracles(self, size):
+        """A block of 1–8 variables evaluates to the reference's floats
+        and to the scalar oracle's values (another summation order), and
+        commits what the oracle's flips, one after the other, leave."""
         graph = head_in_body_graph(np.random.default_rng(size), None, 80)
         compiled = CompiledFactorGraph(graph)
         colour0 = largest_colour_class(compiled)[:size]
         assert colour0.size == size
-        monkeypatch.setattr(compiled_module, "_BATCH_MIN", 1)
         block = compiled.gather_block(colour0)
-        assert block.use_batch
+        lists = reference.IncidenceLists(compiled)
         rng = np.random.default_rng(size)
         for _ in range(10):
             state = rng.random(graph.num_vars) < 0.5
@@ -216,30 +211,28 @@ class TestBitIdentity:
             assert np.array_equal(
                 batched, reference.delta_energy_block(cache, block, state)
             )
-            scalar = [cache.delta_energy(v, state) for v in colour0.tolist()]
+            scalar = [
+                reference.delta_energy(cache, lists, v, state) for v in colour0.tolist()
+            ]
             assert batched == pytest.approx(scalar, rel=1e-12, abs=1e-12)
+            with scalar_checked() as shapes:
+                cache.commit_block(block, rng.random(size) < 0.5, state)
+            assert shapes["one"] == (size == 1)
 
-    def test_default_crossover_batches_by_variables_or_rows(self):
-        compiled = CompiledFactorGraph(
-            head_in_body_graph(np.random.default_rng(0), None, 80)
-        )
-        colour0 = largest_colour_class(compiled)
-        at = compiled_module._BATCH_MIN
-        assert compiled.gather_block(colour0[:at]).use_batch
-
-        def rows(vars_) -> int:
-            return sum(
-                len(compiled.py_ising[v])
-                + len(compiled.py_head[v])
-                + sum(len(lits) for _, lits in compiled.py_body[v])
-                for v in vars_.tolist()
-            )
-
-        for size in range(1, at):
-            block = compiled.gather_block(colour0[:size])
-            assert block.use_batch == (
-                rows(colour0[:size]) > compiled_module._BATCH_MIN_ROWS
-            )
+    def test_one_variable_blocks_commit_like_the_scalar_flip(self):
+        """The re-clamp path: a variable committed alone, each one after
+        the other, leaves what the oracle's flips leave — also for
+        variables that share a factor."""
+        graph = head_in_body_graph(np.random.default_rng(4), None, 40)
+        compiled = CompiledFactorGraph(graph)
+        rng = np.random.default_rng(4)
+        state = rng.random(graph.num_vars) < 0.5
+        cache = GibbsCache(compiled, state)
+        with scalar_checked() as shapes:
+            for var in rng.permutation(graph.num_vars).tolist():
+                flip(cache, var, not state[var], state)
+        assert shapes["one"] == graph.num_vars and shapes["self"]
+        cache.check_consistency(state)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -251,8 +244,6 @@ class TestBitIdentity:
         graph = random_graph(rng, 40, 35, evidence=20)
         compiled = CompiledFactorGraph(graph)
         scorer = EvidenceScorer(compiled, graph.evidence)
-        if scorer.block is None:
-            return
         sampler = GibbsSampler(graph, seed=seed, compiled=compiled)
         for step in range(3):
             sampler.run(2)
@@ -266,8 +257,6 @@ class TestBitIdentity:
                 )
             )
             scorer = EvidenceScorer(compiled, graph.evidence)
-            if scorer.block is None:
-                return
 
 
 # --------------------------------------------------------------------- #
@@ -368,7 +357,6 @@ class TestGTable:
 
     def test_a_patch_with_a_larger_rule_grows_the_table(self, monkeypatch):
         monkeypatch.setattr(semantics_module, "_G_TABLE", None)
-        monkeypatch.setattr(compiled_module, "_BATCH_MIN", 1)
         graph = head_in_body_graph(np.random.default_rng(1), None, 40)
         compiled = CompiledFactorGraph(graph)
         ours, theirs = chain_pair(graph, 1, compiled)
@@ -396,7 +384,7 @@ class TestGTable:
         theirs.apply_patch(patch)
         for var in body.tolist():
             for chain in (ours, theirs):
-                chain.cache.commit_flip(var, True, chain.state)
+                flip(chain.cache, var, True, chain.state)
         assert ours.cache.nsat[-1] == 70
         advance(ours, theirs, 3)
         assert semantics_module._G_TABLE.shape[1] == 128
@@ -456,17 +444,15 @@ class TestWorkCounts:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np, "log1p", counted)
-        evaluated = 0
         for block in sampler.plan.blocks:
-            if block.use_batch:
-                sampler.cache.delta_energy_block(block, sampler.state)
-                evaluated += 1
-        assert evaluated and not calls
+            sampler.cache.delta_energy_block(block, sampler.state)
+        assert sampler.plan.blocks and not calls
         sampler.run(3)
         assert len(calls) == 1  # the run's one draw
 
-    def test_pharma_sweeps_entirely_on_the_batched_kernel(self):
+    def test_pharma_blocks_partition_the_free_variables(self):
         compiled = CompiledFactorGraph(pharma_post_s2())
         plan = compiled.plan()
-        assert plan.batched_fraction == 1.0
+        members = np.concatenate([b.vars for b in plan.blocks])
+        assert np.array_equal(np.sort(members), plan.free_vars)
         assert min(b.vars.size for b in plan.blocks) < 8
