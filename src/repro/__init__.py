@@ -19,7 +19,19 @@ The public API is organised by the paper's architecture:
   distant supervision, error analysis).
 * :mod:`repro.workloads` — the five evaluation systems plus the voting
   and synthetic tradeoff workloads.
+
+scipy and asyncio are imported inside the functions that use them
+(exact enumeration, the chromatic sampler, logistic regression,
+Algorithm 2's decomposition, the TCP front end): grounding, the engines
+and :class:`~repro.service.KBService` never call them, and together
+they double the package's resident size.
 """
+
+# On numpy 2.x, ``np.unique`` imports ``numpy.ma`` on its first call
+# (``np.ma.is_masked`` in ``_unique1d``).  Loading it with the package
+# keeps that one-time import out of whatever first calls ``np.unique`` —
+# a timed grounding step or a service update.
+import numpy.ma  # noqa: F401
 
 from repro.graph import (
     BiasFactor,

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.graph.delta import FactorList
 from repro.graph.factor_graph import FactorGraph
@@ -47,6 +45,10 @@ def decompose(graph: FactorGraph, active_vars) -> list:
     are the connected components of the adjacency restricted to inactive
     variables, each with the active variables adjacent to it, in order of
     their smallest variable."""
+    # scipy loads on first use: see the package docstring.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = graph.num_vars
     is_active = np.zeros(n, dtype=bool)
     is_active[[v for v in map(int, active_vars) if 0 <= v < n]] = True

@@ -20,7 +20,6 @@ rule factors must use :class:`~repro.inference.gibbs.GibbsSampler`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.factor_graph import FactorGraph
@@ -77,6 +76,8 @@ class ChromaticGibbsSampler:
         self.sweeps_done = 0
 
     def _build(self, graph: FactorGraph) -> None:
+        import scipy.sparse as sp  # on first use: see the package docstring
+
         compiled = self.compiled
         n = graph.num_vars
         weights = np.asarray(graph.weights.values_array(), dtype=np.float64)

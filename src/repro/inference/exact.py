@@ -12,7 +12,6 @@ roles here:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.graph.factor_graph import FactorGraph
 
@@ -45,6 +44,8 @@ class ExactInference:
         of the table scorer (``graph.energies``).  World ``k`` sets free
         variable ``free[j]`` to bit ``num_free − 1 − j`` of ``k`` — the
         first free variable is the most significant bit."""
+        from scipy.special import logsumexp  # on first use: see the package docstring
+
         graph = self.graph
         num_free = len(self.free)
         codes = np.arange(1 << num_free, dtype=np.uint32)

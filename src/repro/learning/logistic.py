@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.util.rng import as_generator
 
@@ -42,8 +41,10 @@ class TrainingTrace:
         return None
 
 
-def _as_csr(features, num_features: int) -> sp.csr_matrix:
+def _as_csr(features, num_features: int):
     """Accept a CSR matrix or a list of feature-index lists."""
+    import scipy.sparse as sp  # on first use: see the package docstring
+
     if sp.issparse(features):
         return features.tocsr()
     rows, cols = [], []

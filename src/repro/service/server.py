@@ -32,7 +32,6 @@ and thread-safe (one writer thread, any number of reader threads).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
 from dataclasses import dataclass
@@ -521,6 +520,11 @@ class KBService:
 # --------------------------------------------------------------------- #
 # Network front end
 
+#: Longest request line the front end reads, in bytes.  asyncio's
+#: default (64 KiB) is smaller than one update carrying a document
+#: batch (6 000 ``PersonCandidate`` rows are ≈ 118 KB of JSON).
+REQUEST_LINE_LIMIT = 16 * 1024 * 1024
+
 
 class ServiceServer:
     """Asyncio JSON-lines TCP front end over a :class:`KBService`.
@@ -535,20 +539,28 @@ class ServiceServer:
     Blocking service calls run in the default executor so slow reads
     (deadline waits) never stall the event loop.  Errors come back as
     ``{"ok": false, "error": "<ExceptionName>", "detail": "..."}`` —
-    backpressure and staleness rejections are protocol answers, not
-    connection failures.
+    backpressure and staleness rejections and malformed requests are
+    protocol answers, not connection failures.  A line longer than
+    :data:`REQUEST_LINE_LIMIT` is answered with a ``ValueError`` and
+    then the connection closes: where the stream stands after an
+    overrun is undefined.
+
+    asyncio is imported by the methods that run the server, so a
+    process that serves a :class:`KBService` in-process never loads it.
     """
 
     def __init__(self, service: KBService, host: str = "127.0.0.1") -> None:
         self.service = service
         self.host = host
         self.port: int | None = None
-        self._server: asyncio.AbstractServer | None = None
+        self._server = None  # an asyncio.Server while started
 
     async def start(self) -> int:
+        import asyncio
+
         self.service.start()
         self._server = await asyncio.start_server(
-            self._handle, self.host, 0
+            self._handle, self.host, 0, limit=REQUEST_LINE_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -560,10 +572,20 @@ class ServiceServer:
             self._server = None
 
     async def _handle(self, reader, writer) -> None:
+        import asyncio
+
         loop = asyncio.get_running_loop()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # the line overran REQUEST_LINE_LIMIT
+                    overrun = ValueError(
+                        f"request line exceeds {REQUEST_LINE_LIMIT} bytes"
+                    )
+                    writer.write(json.dumps(_error(overrun)).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:
@@ -572,22 +594,22 @@ class ServiceServer:
                         None, self._dispatch, request
                     )
                 except Exception as exc:  # noqa: BLE001 — protocol boundary
-                    response = {
-                        "ok": False,
-                        "error": type(exc).__name__,
-                        "detail": str(exc),
-                    }
+                    response = _error(exc)
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
         finally:
             writer.close()
 
-    def _dispatch(self, request: dict) -> dict:
+    def _dispatch(self, request) -> dict:
+        if not isinstance(request, dict):
+            raise ValueError(
+                f"a request must be a JSON object, got {type(request).__name__}"
+            )
         op = request.get("op")
         if op == "update":
             seq = self.service.submit(
-                inserts=_rows(request.get("inserts")),
-                deletes=_rows(request.get("deletes")),
+                inserts=_rows("inserts", request.get("inserts")),
+                deletes=_rows("deletes", request.get("deletes")),
                 relearn_epochs=int(request.get("relearn_epochs", 0)),
             )
             return {"ok": True, "seq": seq}
@@ -615,13 +637,29 @@ class ServiceServer:
         raise ValueError(f"unknown op {op!r}")
 
 
-def _rows(relations: dict | None) -> dict | None:
-    """JSON arrays → the tuple rows the grounder expects."""
+def _error(exc: Exception) -> dict:
+    return {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
+
+
+def _rows(field: str, relations) -> dict | None:
+    """JSON arrays → the tuple rows the grounder expects.  ``field``
+    must map relation names to arrays of arrays; anything else is a
+    ``ValueError`` naming it."""
     if relations is None:
         return None
-    return {
-        name: [tuple(row) for row in rows] for name, rows in relations.items()
-    }
+    if not isinstance(relations, dict):
+        raise ValueError(
+            f"{field!r} must map relation names to arrays of rows, "
+            f"got {type(relations).__name__}"
+        )
+    rows_by_name = {}
+    for name, rows in relations.items():
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) for row in rows
+        ):
+            raise ValueError(f"{field}[{name!r}] must be an array of arrays")
+        rows_by_name[name] = [tuple(row) for row in rows]
+    return rows_by_name
 
 
 def _jsonable(obj):

@@ -19,7 +19,10 @@ Layered like the service itself:
 import asyncio
 import dataclasses
 import json
+import pathlib
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -48,6 +51,7 @@ from repro.service import (
     ServiceUnavailable,
     StalenessExceeded,
 )
+from repro.service import server as server_module
 
 from repro.workloads.systems import build_pipeline, workload_by_name
 
@@ -1076,3 +1080,160 @@ class TestServiceServer:
             await server.stop()
 
         asyncio.run(scenario())
+
+    def test_a_document_batch_fits_on_one_request_line(self):
+        """One update of 6 000 candidate rows is ≈ 118 KB of JSON: past
+        asyncio's default 64 KiB line limit, inside the front end's."""
+        svc = make_service()
+        svc.prime()
+        update = {
+            "op": "update",
+            "inserts": {
+                "PersonCandidate": [[f"s{i}", f"m{i}"] for i in range(6000)]
+            },
+        }
+        line = json.dumps(update).encode() + b"\n"
+        assert len(line) > 64 * 1024
+
+        async def scenario():
+            server = ServiceServer(svc)
+            server.service._started = True  # the answer is all this checks
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(line)
+            await writer.drain()
+            answer = json.loads(await reader.readline())
+            assert answer == {"ok": True, "seq": 1}
+            writer.close()
+            await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_a_line_past_the_limit_is_answered_then_closed(self, monkeypatch):
+        monkeypatch.setattr(server_module, "REQUEST_LINE_LIMIT", 4096)
+        svc = make_service()
+        svc.prime()
+
+        async def scenario():
+            server = ServiceServer(svc)
+            server.service._started = True
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(json.dumps({"op": "status", "pad": "x" * 5000}).encode() + b"\n")
+            await writer.drain()
+            answer = json.loads(await reader.readline())
+            assert answer["ok"] is False and answer["error"] == "ValueError"
+            assert "4096" in answer["detail"]
+            assert await reader.readline() == b""  # the server closed it
+            writer.close()
+            await server.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "request_, field",
+        [
+            ([1, 2], "object"),
+            (5, "object"),
+            ({"op": "update", "inserts": [1]}, "inserts"),
+            ({"op": "update", "inserts": {"PersonCandidate": [1]}}, "inserts"),
+            ({"op": "update", "deletes": {"PersonCandidate": "ab"}}, "deletes"),
+        ],
+    )
+    def test_malformed_requests_are_value_errors_naming_the_field(
+        self, request_, field
+    ):
+        svc = make_service()
+        svc.prime()
+
+        async def scenario():
+            server = ServiceServer(svc)
+            server.service._started = True
+            port = await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def rpc(obj):
+                writer.write(json.dumps(obj).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            bad = await rpc(request_)
+            assert bad["ok"] is False and bad["error"] == "ValueError"
+            assert field in bad["detail"]
+            assert svc.queue.accepted == 0
+            # The connection survives the rejection.
+            assert (await rpc({"op": "status"}))["ok"]
+            writer.close()
+            await server.stop()
+
+        asyncio.run(scenario())
+
+
+class TestLeanServingPath:
+    def test_serving_path_loads_neither_scipy_nor_asyncio(self):
+        """Ground → engine → :class:`KBService` → WAL / checkpoint /
+        restore never calls scipy or asyncio, so neither is imported;
+        ``numpy.ma`` comes with the package (numpy 2.x imports it at the
+        first ``np.unique``), and nothing at all is first imported
+        between ``prime()`` and the end of the restore."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.modules["scipy"] = None  # any import of it now raises
+            sys.modules["asyncio"] = None
+            import repro, repro.service
+            assert "numpy.ma" in sys.modules
+            import tempfile
+            from pathlib import Path
+            from repro.core import IncrementalEngine
+            from repro.grounding import IncrementalGrounder
+            from repro.service import KBService, ServiceConfig
+            from tests.test_grounding import spouse_db, spouse_program
+            from tests.test_reliability import FAST_RETRY, small_config
+
+            def make_stack():
+                program = spouse_program()
+                grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
+                engine = IncrementalEngine(grounder.graph, small_config())
+                engine.materialize()
+                return grounder, engine
+
+            update_a = {"PersonCandidate": [("s3", "m5"), ("s3", "m6")],
+                        "PhraseFeature": [("m5", "m6", "and his wife")]}
+            update_b = {"PersonCandidate": [("s4", "m7"), ("s4", "m8")],
+                        "PhraseFeature": [("m7", "m8", "married")]}
+            with tempfile.TemporaryDirectory() as tmp:
+                wal, ckpt = Path(tmp) / "service.wal", Path(tmp) / "ckpt"
+                cfg = ServiceConfig(poll_interval=0.005, checkpoint_every=1)
+                grounder, engine = make_stack()
+                svc = KBService(grounder, engine, config=cfg, retry=FAST_RETRY,
+                                wal_path=wal, checkpoint_dir=ckpt).start()
+                before = set(sys.modules)
+                svc.prime()
+                svc.submit(inserts=update_a)
+                svc.submit(inserts=update_b, relearn_epochs=1)
+                assert svc.drain(timeout=60)
+                served = svc.read(max_staleness=0)
+                svc.stop()
+                assert svc.batcher.commits == 2 and svc.batcher.failed == []
+                restored = KBService.restore(wal, make_stack, checkpoint_dir=ckpt,
+                                             config=cfg, retry=FAST_RETRY)
+                assert (restored.read(max_staleness=0).marginals == served.marginals).all()
+                restored.stop()
+                assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+            loaded = {name.split(".")[0] for name, m in sys.modules.items() if m}
+            assert not loaded & {"scipy", "asyncio"}
+            print("lean")
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env={"PYTHONPATH": f"{root / 'src'}:{root}", "PATH": ""},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "lean"
