@@ -42,6 +42,7 @@ __all__ = [
     "ColumnarStore",
     "Interner",
     "TableView",
+    "appearance_order",
     "expand_ranges",
     "group_rows",
     "pack_rows",
@@ -195,10 +196,16 @@ def group_rows(codes: np.ndarray) -> tuple:
     _, first, inverse = np.unique(
         pack_rows(codes), return_index=True, return_inverse=True
     )
+    return appearance_order(first, inverse.ravel())
+
+
+def appearance_order(first: np.ndarray, inverse: np.ndarray) -> tuple:
+    """``np.unique``'s ``(first, inverse)`` renumbered so groups run in
+    first-appearance order."""
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.ravel()]
+    return first[order], rank[inverse]
 
 
 class _TableIndex:
@@ -508,6 +515,8 @@ class ColumnarStore:
         self._plan_pins: dict = {}     # id(atoms) -> atoms (keeps ids stable)
         self._old_views: dict = {}  # relation name -> TableView (per update)
         self._capture: frozenset = frozenset()  # relations to capture (per update)
+        #: relation name -> relation due a compaction; ``None`` outside an update
+        self._to_compact: dict | None = None
         self.stats = dict.fromkeys(self.STAT_KEYS, 0)
 
     # ------------------------------------------------------------------ #
@@ -518,9 +527,9 @@ class ColumnarStore:
         """Open a capture epoch (defensively releasing any stale one):
         the relations named in ``capture`` are those whose pre-update
         state some fused delta plan may probe."""
-        if self._old_views:
-            self.release_views()
+        self.release_views()
         self._capture = frozenset(capture)
+        self._to_compact = {}
 
     def before_flip(self, relation) -> None:
         """A relation is about to flip some row's visibility: if it is
@@ -537,13 +546,26 @@ class ColumnarStore:
         unchanged relation's live table *is* its old state)."""
         return self._old_views.get(name)
 
+    def compact(self, relation) -> None:
+        """Repack ``relation``'s live slots now or, inside an update, once
+        the update ends: until then a variable the update removed must
+        keep resolving through its slot."""
+        if self._to_compact is None:
+            relation._compact()
+        else:
+            self._to_compact[relation.name] = relation
+
     def release_views(self) -> None:
         """Close the capture epoch: detach every view from its relation
-        so later deltas stop paying copy-on-write recording."""
+        so later deltas stop paying copy-on-write recording, then compact
+        the relations that came due during it."""
         for view in self._old_views.values():
             view.release()
         self._old_views = {}
         self._capture = frozenset()
+        pending, self._to_compact = self._to_compact, None
+        for relation in (pending or {}).values():
+            relation._compact()
 
     def _cached_plans(self, kind: str, atoms, compile_atoms) -> tuple:
         """``(compiled, compiled_now)`` from the two-level plan cache.

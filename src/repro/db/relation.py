@@ -10,6 +10,8 @@ stores that once, in the columns the vectorized join plans
 * the rows as an ``(n, arity)`` int32 matrix of codes from the
   database's :class:`~repro.db.columnar.Interner`;
 * an int64 count column — slot ``i`` is visible while ``count[i] > 0``;
+* an int64 vid column — in a variable relation, the variable id of the
+  tuple at each slot (−1: no variable), written by the grounder;
 * one packed-row → slot map;
 * grouped hash indexes per probed key combination
   (:class:`~repro.db.columnar._TableIndex`).
@@ -17,7 +19,10 @@ stores that once, in the columns the vectorized join plans
 Slots are append-only between compactions: a row whose count drops to
 zero keeps its slot as a tombstone and reuses it if it reappears, so
 indexes survive every delta and probes filter tombstones vectorized.
-Past a dead fraction the live slots are repacked with their counts.
+Past a dead fraction the live slots are repacked with their counts and
+vids — inside an update only once it ends
+(:meth:`~repro.db.columnar.ColumnarStore.release_views`), so a variable
+removed by the update keeps resolving until its retractions are joined.
 Old-state :class:`~repro.db.columnar.TableView`\\ s record the
 capture-time visibility of every slot a later delta flips.
 
@@ -82,9 +87,11 @@ class Relation:
         self.interner = interner if interner is not None else Interner()
         self._store = store if store is not None else ColumnarStore(self.interner)
         # Capacity stays above the slot count, so slot -1 (an unknown
-        # row) gathers the always-zero last count cell.
+        # row) gathers the always-zero last count cell and the always
+        # -1 last vid cell.
         self._codes = np.empty((16, self.arity), dtype=np.int32)
         self._count = np.zeros(16, dtype=np.int64)
+        self._vid = np.full(16, -1, dtype=np.int64)
         self._n_slots = 0
         self._n_alive = 0
         self._slot_of: dict = {}  # packed code row -> slot
@@ -173,6 +180,21 @@ class Relation:
         """Current derivation counts of code rows (0 where absent)."""
         return self._count[self._slots(codes)[1]]
 
+    def vids_of(self, codes: np.ndarray) -> np.ndarray:
+        """Variable ids of code rows (−1 where absent or no variable)."""
+        return self._vid[self._slots(codes)[1]]
+
+    def set_vids(self, codes: np.ndarray, vids) -> None:
+        """Write the variable ids of stored code rows (−1 clears one)."""
+        slots = self._slots(codes)[1]
+        if (slots < 0).any():  # the last cell must stay −1
+            raise KeyError(f"{self.name}: no stored row to hold a variable id")
+        self._vid[slots] = vids
+
+    def clear_vids(self) -> None:
+        """Mark every row no variable (a full ground renumbers them)."""
+        self._vid[:] = -1
+
     def _apply(self, codes: np.ndarray, changes: np.ndarray) -> ColumnarBatch:
         keys, slots = self._slots(codes)
         old = self._count[slots]
@@ -214,22 +236,17 @@ class Relation:
             self._n_slots >= self._COMPACT_MIN_SLOTS
             and dead > self._COMPACT_DEAD_FRACTION * self._n_slots
         ):
-            self._compact()
+            self._store.compact(self)
         return transitions
 
     def _append(self, codes: np.ndarray, keys: list) -> np.ndarray:
-        """Store new code rows (count 0 until the caller sets it); keeps
-        the capacity above the slot count."""
+        """Store new code rows (count 0 until the caller sets it, no
+        vid); keeps the capacity above the slot count."""
         start = self._n_slots
         end = start + len(codes)
         if end >= len(self._count):
             cap = max(16, 2 * len(self._count), end + 1)
-            grown = np.empty((cap, self.arity), dtype=np.int32)
-            grown[:start] = self._codes[:start]
-            self._codes = grown
-            grown_count = np.zeros(cap, dtype=np.int64)
-            grown_count[:start] = self._count[:start]
-            self._count = grown_count
+            self._codes, self._count, self._vid = self._columns(slice(start), cap)
         self._codes[start:end] = codes
         self._n_slots = end
         slots = range(start, end)
@@ -239,7 +256,7 @@ class Relation:
         return np.arange(start, end, dtype=np.int64)
 
     def _compact(self) -> None:
-        """Repack the live slots, keeping their counts.  Live views fence
+        """Repack the live slots with their counts and vids.  Live views fence
         on slot numbers, so they detach first by materializing their
         visible rows (O(view) — rare, and never blocks the compaction)."""
         for view in self._views:
@@ -248,15 +265,25 @@ class Relation:
         self._store.stats["rebuilds"] += 1
         live = self.alive_slots()
         n = len(live)
-        codes = np.empty((max(16, 2 * n), self.arity), dtype=np.int32)
-        codes[:n] = self._codes[live]
-        count = np.zeros(len(codes), dtype=np.int64)
-        count[:n] = self._count[live]
-        self._codes, self._count = codes, count
+        self._codes, self._count, self._vid = self._columns(live, max(16, 2 * n))
         self._n_slots = self._n_alive = n
-        self._slot_of = dict(zip(pack_rows(codes[:n]).tolist(), range(n)))
+        self._slot_of = dict(zip(pack_rows(self._codes[:n]).tolist(), range(n)))
         self._index_on = {}
         self._alive_slots_cache = None
+
+    def _columns(self, slots, cap: int) -> tuple:
+        """The code, count and vid columns at ``slots`` (an index array
+        or a slice) packed into new arrays of capacity ``cap``: count 0
+        and vid −1 past them."""
+        kept = self._codes[slots]
+        n = len(kept)
+        codes = np.empty((cap, self.arity), dtype=np.int32)
+        codes[:n] = kept
+        count = np.zeros(cap, dtype=np.int64)
+        count[:n] = self._count[slots]
+        vid = np.full(cap, -1, dtype=np.int64)
+        vid[:n] = self._vid[slots]
+        return codes, count, vid
 
     def copy(self, interner: Interner, store: ColumnarStore) -> "Relation":
         """An independent copy over ``interner`` (a copy of this
@@ -265,6 +292,7 @@ class Relation:
         end = self._n_slots + 1  # capacity stays above the slot count
         clone._codes = self._codes[:end].copy()
         clone._count = self._count[:end].copy()
+        clone._vid = self._vid[:end].copy()
         clone._n_slots, clone._n_alive = self._n_slots, self._n_alive
         clone._slot_of = dict(self._slot_of)
         return clone
@@ -274,6 +302,7 @@ class Relation:
         end = self._n_slots + 1
         state["_codes"] = self._codes[:end]
         state["_count"] = self._count[:end]
+        state["_vid"] = self._vid[:end]
         state["_alive_slots_cache"] = None
         state["_views"] = []
         return state

@@ -34,19 +34,23 @@ import numpy as np
 
 from repro.datalog.ast import EVIDENCE_SUFFIX, InferenceRule
 from repro.datalog.program import Program
-from repro.db.columnar import ColumnarBatch, pack_row, pack_rows
+from repro.db.columnar import ColumnarBatch, appearance_order, pack_rows
 from repro.db.database import Database
+from repro.db.plan import BindingBatch
 from repro.db.query import Var
-from repro.graph.delta import KIND_RULE, FactorList, FactorTable, rule_columns
+from repro.graph.delta import KIND_RULE, FactorList, FactorTable
 from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import sem_code
 
 
 @dataclass
 class GroundingResult:
-    """The grounded graph plus the maps incremental maintenance needs.
+    """The grounded graph plus the columns incremental maintenance
+    seeds from.
 
-    ``graph.factors`` is born lowered: the canonical form
+    A variable's id sits in its relation's vid column
+    (:meth:`~repro.db.relation.Relation.vids_of`); ``graph.name_of`` is
+    the inverse.  ``graph.factors`` is born lowered: the canonical form
     (:meth:`~repro.graph.delta.FactorTable.canonical`) of ``raw_rules``,
     the rule columns the joins produced, in program order — from which
     :class:`~repro.grounding.incremental.IncrementalGrounder` seeds its
@@ -54,12 +58,8 @@ class GroundingResult:
     """
 
     graph: FactorGraph
-    variable_of: dict          # (relation, tuple) -> variable id
     raw_rules: FactorTable     # one row per factor, groundings as joined
     rule_spans: list           # (rule name, semantics, #factors) per rule
-
-    def variable(self, relation: str, row) -> int:
-        return self.variable_of[(relation, tuple(row))]
 
     def compile(self):
         """Build the compiled substrate from the grounded graph's
@@ -69,9 +69,6 @@ class GroundingResult:
         from repro.graph.compiled import CompiledFactorGraph
 
         return CompiledFactorGraph(self.graph)
-
-    def marginal_of(self, marginals, relation: str, row) -> float:
-        return float(marginals[self.variable(relation, row)])
 
 
 # ---------------------------------------------------------------------- #
@@ -115,80 +112,6 @@ def signed_head_counts(db: Database, rule, batch) -> ColumnarBatch:
     return ColumnarBatch(codes, np.asarray(signs, dtype=np.int64)).grouped()
 
 
-class VariableCodeResolver:
-    """Vectorized ``(variable relation, code row) → variable id`` maps.
-
-    Built per ground / per update from ``variable_of``; per-relation maps
-    (packed code bytes → id) are constructed lazily, so small updates
-    whose batches take the row-at-a-time path never pay for them.
-    """
-
-    def __init__(self, interner, variable_of: dict) -> None:
-        self._interner = interner
-        self._variable_of = variable_of
-        self._maps: dict = {}
-
-    def _map(self, pred: str) -> dict:
-        mp = self._maps.get(pred)
-        if mp is None:
-            rows, vids = [], []
-            for (rel, row), vid in self._variable_of.items():
-                if rel == pred:
-                    rows.append(row)
-                    vids.append(vid)
-            keys = (
-                pack_rows(self._interner.encode_rows(rows)).tolist()
-                if rows
-                else []
-            )
-            mp = dict(zip(keys, vids))
-            self._maps[pred] = mp
-        return mp
-
-    def _key_of(self, row: tuple):
-        intern = self._interner.intern
-        return pack_row([intern(v) for v in row])
-
-    def add(self, pred: str, row: tuple, vid: int) -> None:
-        """Keep an already-built map in sync with a new variable."""
-        mp = self._maps.get(pred)
-        if mp is not None:
-            mp[self._key_of(row)] = vid
-
-    def discard(self, pred: str, row: tuple) -> None:
-        mp = self._maps.get(pred)
-        if mp is not None:
-            mp.pop(self._key_of(row), None)
-
-    def resolve(
-        self, rule_name: str, pred: str, matrix, is_head: bool = True
-    ) -> np.ndarray:
-        """Variable ids for every code row of ``matrix``.
-
-        Missing rows raise the same errors as the row-at-a-time path:
-        the "not a grounded variable" diagnosis for head atoms, a plain
-        ``KeyError`` with the missing key for body literal atoms.
-        """
-        mp = self._map(pred)
-        keys = pack_rows(matrix).tolist()
-        try:
-            return np.fromiter(
-                (mp[k] for k in keys), dtype=np.int64, count=len(keys)
-            )
-        except KeyError:
-            for i, key in enumerate(keys):
-                if key not in mp:
-                    row = tuple(self._interner.decode(matrix[i]))
-                    if not is_head:
-                        raise KeyError((pred, row)) from None
-                    raise KeyError(
-                        f"inference rule {rule_name!r} derives head tuple "
-                        f"{(pred, row)} that is not a grounded variable; "
-                        "add a candidate (derivation) rule that creates it"
-                    ) from None
-            raise
-
-
 def _atom_code_matrix(batch, interner, args) -> np.ndarray:
     """``(m, len(args))`` code matrix of an atom under a binding batch."""
     matrix = np.empty((batch.num_rows, len(args)), dtype=np.int32)
@@ -200,154 +123,90 @@ def _atom_code_matrix(batch, interner, args) -> np.ndarray:
     return matrix
 
 
-#: Batches below this take the row-at-a-time fold (resolver maps would
-#: cost more to build than they save).
+def _vids(rule, pred: str, matrix, db: Database, is_head: bool) -> np.ndarray:
+    """Variable ids of the code rows ``matrix`` of variable relation
+    ``pred``: each row's slot, gathered from the relation's vid column.
+
+    A row with no variable raises the "not a grounded variable"
+    diagnosis for a head atom, a plain ``KeyError`` naming ``(pred, row)``
+    for a body literal atom.
+    """
+    vids = db.relation(pred).vids_of(matrix)
+    missing = np.flatnonzero(vids < 0)
+    if len(missing):
+        row = tuple(db.interner.decode(matrix[missing[0]]))
+        if not is_head:
+            raise KeyError((pred, row))
+        raise KeyError(
+            f"inference rule {rule.name!r} derives head tuple {(pred, row)} "
+            "that is not a grounded variable; add a candidate (derivation) "
+            "rule that creates it"
+        )
+    return vids
+
+
+#: Below this many bindings a batch interns weights and groups factors in
+#: first-appearance order; from it on, in ``np.unique`` order.
 _BATCH_VECTOR_THRESHOLD = 64
 
 
-def _batch_rows(rule, batch, interner, variable_relations, variable_of, weights):
-    """Yield each binding of a small batch as ``(head var, weight id,
-    literals, sign)``, insertions before retractions.  The code columns
-    decode once; ids resolve through ``variable_of`` and weight keys
-    intern binding by binding."""
-    decoded: dict = {}
-
-    def column(name):
-        col = decoded.get(name)
-        if col is None:
-            col = decoded[name] = interner.decode(batch.cols[name])
-        return col
-
-    head_cols = tuple(
-        column(a.name) if isinstance(a, Var) else None for a in rule.head.args
+def _weight_ids(rule, tied, interner, weights, appearance: bool) -> np.ndarray:
+    """The weight id of each row of the tied-value code matrix ``tied``.
+    Each distinct row's key interns once: in first-appearance order when
+    ``appearance``, else in ``np.unique`` order."""
+    initial, fixed = rule.weight.value, rule.weight.fixed
+    if not rule.weight.tied_on:
+        wid = weights.intern((rule.name, ()), initial=initial, fixed=fixed)
+        return np.full(len(tied), wid, dtype=np.int64)
+    _, first, inverse = np.unique(
+        pack_rows(tied), return_index=True, return_inverse=True
     )
-    head_args = rule.head.args
-    head_pred = rule.head.pred
-    tied_cols = tuple(column(v) for v in rule.weight.tied_on)
-    rule_name = rule.name
-    literal_atoms = []
-    for pos, atom in enumerate(rule.body):
-        if atom.pred not in variable_relations:
-            continue
-        arg_cols = tuple(
-            (column(a.name), None) if isinstance(a, Var) else (None, a)
-            for a in atom.args
-        )
-        literal_atoms.append(
-            (atom.pred, arg_cols, pos not in rule.negated_positions)
-        )
-    signs = batch.signs.tolist()
-    row_order = range(batch.num_rows)
-    if any(s < 0 for s in signs) and any(s > 0 for s in signs):
-        row_order = sorted(row_order, key=lambda i: signs[i] < 0)
-    for i in row_order:
-        head_key = (
-            head_pred,
-            tuple(
-                col[i] if col is not None else arg
-                for col, arg in zip(head_cols, head_args)
-            ),
-        )
-        weight_key = (rule_name, tuple(col[i] for col in tied_cols))
-        literals = tuple(
-            (
-                variable_of[
-                    (
-                        pred,
-                        tuple(
-                            col[i] if col is not None else const
-                            for col, const in arg_cols
-                        ),
-                    )
-                ],
-                positive,
-            )
-            for pred, arg_cols, positive in literal_atoms
-        )
-        head_var = variable_of.get(head_key)
-        if head_var is None:
-            raise KeyError(
-                f"inference rule {rule_name!r} derives head tuple "
-                f"{head_key} that is not a grounded variable; add a "
-                "candidate (derivation) rule that creates it"
-            )
-        weight_id = weights.intern(
-            weight_key, initial=rule.weight.value, fixed=rule.weight.fixed
-        )
-        yield head_var, weight_id, literals, signs[i]
+    distinct = np.empty(len(first), dtype=np.int64)
+    for g in (np.argsort(first) if appearance else range(len(first))):
+        key = (rule.name, tuple(interner.decode(tied[first[g]])))
+        distinct[g] = weights.intern(key, initial=initial, fixed=fixed)
+    return distinct[inverse]
 
 
-def _resolve_batch(rule, batch, interner, variable_relations, weights, resolver):
-    """A large batch's bindings as arrays: head variable ids, weight ids,
-    and one literal variable-id column per variable body atom.  Ids
-    resolve through packed-code maps and weight keys intern once per
-    *distinct* tied-value row, in that row order."""
-    m = batch.num_rows
-    # Head variable ids (vectorized resolve, same KeyError contract).
-    head_vids = resolver.resolve(
-        rule.name,
-        rule.head.pred,
-        _atom_code_matrix(batch, interner, rule.head.args),
-    )
-    if rule.weight.tied_on:
-        tied = np.empty((m, len(rule.weight.tied_on)), dtype=np.int32)
-        for i, name in enumerate(rule.weight.tied_on):
-            tied[:, i] = batch.cols[name]
-        _, first, inverse = np.unique(
-            pack_rows(tied), return_index=True, return_inverse=True
-        )
-        distinct_wids = np.empty(len(first), dtype=np.int64)
-        for gi, row_i in enumerate(first.tolist()):
-            key = (rule.name, tuple(interner.decode(tied[row_i])))
-            distinct_wids[gi] = weights.intern(
-                key, initial=rule.weight.value, fixed=rule.weight.fixed
-            )
-        wids = distinct_wids[inverse]
-    else:
-        wid = weights.intern(
-            (rule.name, ()), initial=rule.weight.value, fixed=rule.weight.fixed
-        )
-        wids = np.full(m, wid, dtype=np.int64)
+def _resolve_batch(rule, batch, db, variable_relations, weights, appearance):
+    """A batch's bindings as arrays: head variable ids, weight ids, and
+    one literal variable-id column per variable body atom — each atom a
+    slot lookup and a vid gather (:func:`_vids`), each distinct tied row
+    interned once (:func:`_weight_ids`)."""
+    interner = db.interner
+
+    def atom_vids(atom, is_head):
+        matrix = _atom_code_matrix(batch, interner, atom.args)
+        return _vids(rule, atom.pred, matrix, db, is_head)
+
+    head_vids = atom_vids(rule.head, True)
+    tied = batch.column_matrix(rule.weight.tied_on)
+    wids = _weight_ids(rule, tied, interner, weights, appearance)
     lit_vids = [
-        resolver.resolve(
-            rule.name,
-            atom.pred,
-            _atom_code_matrix(batch, interner, atom.args),
-            is_head=False,
-        )
-        for atom in rule.body
-        if atom.pred in variable_relations
+        atom_vids(atom, False) for atom in rule.body if atom.pred in variable_relations
     ]
     return head_vids, wids, lit_vids
 
 
 def binding_rows(
-    rule: InferenceRule,
-    batch,
-    interner,
-    variable_relations,
-    variable_of: dict,
-    weights,
-    resolver: VariableCodeResolver,
+    rule: InferenceRule, batch, db: Database, variable_relations, weights
 ) -> ColumnarBatch:
     """One signed incremental binding batch of ``rule`` as grounding
     rows: ``(head var, weight id, lit var₁ … lit var_k)`` per binding,
     the literal variables in body order (the rule fixes each one's
-    polarity, :func:`literal_polarities`).  Small batches resolve
-    row-at-a-time (:func:`_batch_rows`), large ones over arrays
-    (:func:`_resolve_batch`)."""
-    width = 2 + len(literal_polarities(rule, variable_relations))
-    if batch.num_rows < _BATCH_VECTOR_THRESHOLD:
-        rows, signs = [], []
-        for head_var, weight_id, literals, sign in _batch_rows(
-            rule, batch, interner, variable_relations, variable_of, weights
-        ):
-            rows.append((head_var, weight_id, *(var for var, _ in literals)))
-            signs.append(sign)
-        codes = np.array(rows, dtype=np.int32).reshape(len(rows), width)
-        return ColumnarBatch(codes, np.array(signs, dtype=np.int64))
+    polarity, :func:`literal_polarities`).  Under
+    :data:`_BATCH_VECTOR_THRESHOLD` bindings the rows come insertions
+    first and weights intern in first-appearance order; otherwise in
+    batch order and ``np.unique`` order."""
+    appearance = batch.num_rows < _BATCH_VECTOR_THRESHOLD
+    if appearance and (batch.signs < 0).any():
+        order = np.argsort(batch.signs < 0, kind="stable")
+        batch = BindingBatch(
+            {name: col[order] for name, col in batch.cols.items()},
+            batch.signs[order],
+        )
     head_vids, wids, lit_vids = _resolve_batch(
-        rule, batch, interner, variable_relations, weights, resolver
+        rule, batch, db, variable_relations, weights, appearance
     )
     return ColumnarBatch(np.column_stack([head_vids, wids, *lit_vids]), batch.signs)
 
@@ -363,14 +222,7 @@ def literal_polarities(rule: InferenceRule, variable_relations) -> list:
 
 
 def ground_rule_batch(
-    rule: InferenceRule,
-    sem: int,
-    batch,
-    interner,
-    variable_relations,
-    variable_of: dict,
-    weights,
-    resolver: VariableCodeResolver | None = None,
+    rule: InferenceRule, sem: int, batch, db: Database, variable_relations, weights
 ) -> FactorTable:
     """A full ground's binding batch for ``rule`` as rule columns: one
     factor per ``(head variable, weight id)``, one grounding (the body's
@@ -378,10 +230,10 @@ def ground_rule_batch(
     (:func:`~repro.graph.delta.rule_columns`: canonicalize before the
     substrate reads them).  ``sem`` is the rule's semantics code.
 
-    Factor order is fixed by the batch's shape:
+    Factor order is fixed by the batch's shape, and weights intern in
+    the same order:
 
-    * under :data:`_BATCH_VECTOR_THRESHOLD` bindings, first appearance
-      (weights intern binding by binding, :func:`_batch_rows`);
+    * under :data:`_BATCH_VECTOR_THRESHOLD` bindings, first appearance;
     * no variable body atom (a frequency rule, every grounding empty):
       the ``np.unique`` order of the raw head / tied code rows, each
       group resolved and interned once;
@@ -394,45 +246,29 @@ def ground_rule_batch(
         return FactorTable()
     if not bool(np.all(batch.signs > 0)):
         raise ValueError("a signed batch folds through binding_rows")
-    if m < _BATCH_VECTOR_THRESHOLD:
-        groups: dict = {}
-        for head_var, weight_id, literals, _sign in _batch_rows(
-            rule, batch, interner, variable_relations, variable_of, weights
-        ):
-            groups.setdefault((head_var, weight_id), []).append(literals)
-        return rule_columns(
-            [head for head, _ in groups],
-            [wid for _, wid in groups],
-            [sem] * len(groups),
-            list(groups.values()),
-        )
-    if resolver is None:
-        resolver = VariableCodeResolver(interner, variable_of)
+    appearance = m < _BATCH_VECTOR_THRESHOLD
     if not any(atom.pred in variable_relations for atom in rule.body):
-        heads, wids, counts = _frequency_groups(rule, batch, interner, weights, resolver)
+        heads, wids, counts = _frequency_groups(rule, batch, db, weights, appearance)
         return _rule_rows(
             heads, wids, sem, grounding_ri=np.repeat(np.arange(heads.shape[0]), counts)
         )
     head_vids, wids, lit_vids = _resolve_batch(
-        rule, batch, interner, variable_relations, weights, resolver
+        rule, batch, db, variable_relations, weights, appearance
     )
-    positives = literal_polarities(rule, variable_relations)
-    group_codes = (head_vids << 31) | wids
-    order = np.argsort(group_codes, kind="stable")
-    starts = np.ones(m, dtype=bool)
-    ordered = group_codes[order]
-    starts[1:] = ordered[1:] != ordered[:-1]
-    if starts.all():
-        order = np.arange(m)
-    first = order[starts]
+    _, first, inverse = np.unique(
+        (head_vids << 31) | wids, return_index=True, return_inverse=True
+    )
+    if appearance or len(first) == m:
+        first, inverse = appearance_order(first, inverse)
+    order = np.argsort(inverse, kind="stable")
     return _rule_rows(
         head_vids[first],
         wids[first],
         sem,
-        grounding_ri=np.cumsum(starts) - 1,
+        grounding_ri=inverse[order],
         lit_gg=np.repeat(np.arange(m), len(lit_vids)),
         lit_var=np.stack(lit_vids, axis=1)[order].ravel(),
-        lit_pos=np.tile(positives, m),
+        lit_pos=np.tile(literal_polarities(rule, variable_relations), m),
     )
 
 
@@ -448,41 +284,29 @@ def _rule_rows(heads, wids, sem, **groundings) -> FactorTable:
     )
 
 
-def _frequency_groups(rule, batch, interner, weights, resolver) -> tuple:
+def _frequency_groups(rule, batch, db, weights, appearance: bool) -> tuple:
     """A literal-free rule's bindings grouped on their raw (head, tied)
-    code rows: per group, in ``np.unique`` order, the head variable id,
-    the weight id and the binding count — heads resolve and weights
-    intern once per *group*."""
+    code rows: per group — in first-appearance order when
+    ``appearance``, else ``np.unique`` order — the head variable id, the
+    weight id and the binding count.  Heads resolve and weights intern
+    once per *group*, in group order."""
     head_width = len(rule.head.args)
-    matrix = np.empty(
-        (batch.num_rows, head_width + len(rule.weight.tied_on)), dtype=np.int32
+    matrix = np.concatenate(
+        [
+            _atom_code_matrix(batch, db.interner, rule.head.args),
+            batch.column_matrix(rule.weight.tied_on),
+        ],
+        axis=1,
     )
-    matrix[:, :head_width] = _atom_code_matrix(batch, interner, rule.head.args)
-    for i, name in enumerate(rule.weight.tied_on):
-        matrix[:, head_width + i] = batch.cols[name]
-    _, first, counts = np.unique(
-        pack_rows(matrix), return_index=True, return_counts=True
+    _, first, inverse = np.unique(
+        pack_rows(matrix), return_index=True, return_inverse=True
     )
-    heads = resolver.resolve(rule.name, rule.head.pred, matrix[first][:, :head_width])
-    initial, fixed = rule.weight.value, rule.weight.fixed
-    if rule.weight.tied_on:
-        tied_rows = matrix[first][:, head_width:]
-        wids = np.fromiter(
-            (
-                weights.intern(
-                    (rule.name, tuple(interner.decode(row))),
-                    initial=initial,
-                    fixed=fixed,
-                )
-                for row in tied_rows
-            ),
-            dtype=np.int64,
-            count=len(first),
-        )
-    else:
-        wid = weights.intern((rule.name, ()), initial=initial, fixed=fixed)
-        wids = np.full(len(first), wid, dtype=np.int64)
-    return heads, wids, counts
+    if appearance:
+        first, inverse = appearance_order(first, inverse)
+    groups = matrix[first]
+    heads = _vids(rule, rule.head.pred, groups[:, :head_width], db, is_head=True)
+    wids = _weight_ids(rule, groups[:, head_width:], db.interner, weights, True)
+    return heads, wids, np.bincount(inverse, minlength=len(first))
 
 
 class Grounder:
@@ -491,7 +315,6 @@ class Grounder:
     def __init__(self, program: Program, db: Database) -> None:
         self.program = program
         self.db = db
-        self._resolver: VariableCodeResolver | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -503,76 +326,62 @@ class Grounder:
                 signed_head_counts(self.db, rule, batch)
             )
 
-    def create_variables(self, graph: FactorGraph) -> dict:
-        """One variable per candidate tuple, named ``(relation, row)``;
-        returns ``variable_of``.  The inverse map is ``graph.name_of``."""
-        variable_of: dict = {}
+    def create_variables(self, graph: FactorGraph) -> None:
+        """One variable per candidate tuple, named ``(relation, row)`` and
+        numbered in row order; its id goes into the relation's vid
+        column, which holds no other.  The inverse map is
+        ``graph.name_of``."""
         for relation_name in sorted(self.program.variable_relations):
-            names = [
-                (relation_name, row)
-                for row in sorted(self.db.relation(relation_name).rows())
-            ]
-            vids = graph.add_named_variables(names)
-            variable_of.update(zip(names, vids))
-        return variable_of
+            relation = self.db.relation(relation_name)
+            codes = relation.rows_at(relation.alive_slots()).codes
+            rows = self.db.interner.decode_rows(codes)
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            vids = graph.add_named_variables([(relation_name, rows[i]) for i in order])
+            relation.clear_vids()
+            relation.set_vids(codes[order], vids)
 
-    def apply_evidence(self, graph: FactorGraph, variable_of: dict) -> None:
+    def apply_evidence(self, graph: FactorGraph) -> None:
         """Clamp every variable its ``R_Ev`` rows label; a positive label
         wins a conflict, whatever the row order."""
         for relation_name in self.program.variable_relations:
             ev_name = relation_name + EVIDENCE_SUFFIX
             if not self.db.has_relation(ev_name):
                 continue
-            for row in self.db.relation(ev_name).rows():
-                vid = variable_of.get((relation_name, row[:-1]))
-                if vid is not None and (row[-1] or graph.evidence_value(vid) is None):
-                    graph.set_evidence(vid, bool(row[-1]))
+            evidence = self.db.relation(ev_name)
+            codes = evidence.rows_at(evidence.alive_slots()).codes
+            vids = self.db.relation(relation_name).vids_of(codes[:, :-1])
+            labels = self.db.interner.decode(codes[:, -1])
+            for vid, label in zip(vids.tolist(), labels):
+                if vid >= 0 and (label or graph.evidence_value(vid) is None):
+                    graph.set_evidence(vid, bool(label))
 
-    def ground_inference_rule(
-        self,
-        rule: InferenceRule,
-        graph: FactorGraph,
-        variable_of: dict,
-    ) -> FactorTable:
+    def ground_inference_rule(self, rule: InferenceRule, graph: FactorGraph) -> FactorTable:
         """One inference rule's factors, from its full body's binding
         batch, as raw rule columns (:func:`ground_rule_batch`)."""
         return ground_rule_batch(
             rule,
             sem_code(self.program.semantics_of(rule)),
             full_body_batch(self.db, rule),
-            self.db.interner,
+            self.db,
             self.program.variable_relations,
-            variable_of,
             graph.weights,
-            resolver=self._resolver,
         )
 
     # ------------------------------------------------------------------ #
 
     def ground(self) -> GroundingResult:
-        """Run all phases and return the grounded graph + maps."""
+        """Run all phases and return the grounded graph + seed columns."""
         self.run_derivation_rules()
         graph = FactorGraph()
-        variable_of = self.create_variables(graph)
-        self.apply_evidence(graph, variable_of)
-        # One resolver for the whole ground: its per-relation packed
-        # code maps are shared across every inference rule.
-        self._resolver = VariableCodeResolver(
-            self.db.interner, variable_of
-        )
+        self.create_variables(graph)
+        self.apply_evidence(graph)
         tables, spans = [], []
         for rule in self.program.inference_rules:
-            table = self.ground_inference_rule(rule, graph, variable_of)
+            table = self.ground_inference_rule(rule, graph)
             tables.append(table)
             spans.append((rule.name, self.program.semantics_of(rule), table.num_rules))
-        self._resolver = None
-        # Every id was resolved through ``variable_of`` or interned in
+        # Every id was resolved through a vid column or interned in
         # ``graph.weights``, so the columns need no validate() pass.
         raw = FactorTable.concat(tables)
         graph.factors = FactorList(raw.canonical())
-        return GroundingResult(
-            graph=graph,
-            variable_of=variable_of,
-            raw_rules=raw,
-            rule_spans=spans,
-        )
+        return GroundingResult(graph=graph, raw_rules=raw, rule_spans=spans)

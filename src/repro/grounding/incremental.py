@@ -67,7 +67,6 @@ from repro.reliability.faults import maybe_fire
 from repro.grounding.grounder import (
     Grounder,
     GroundingResult,
-    VariableCodeResolver,
     binding_rows,
     full_body_batch,
     literal_polarities,
@@ -135,15 +134,9 @@ class IncrementalGrounder:
         self.program = program
         self.db = db
         self.graph = grounding.graph
-        self.variable_of = grounding.variable_of
         #: rule name -> the rule's grounding table (module docstring)
         self.grounding_tables = self._seeded_tables(
             grounding.raw_rules, grounding.rule_spans
-        )
-        #: persistent vectorized (relation, row) → vid maps; kept in sync
-        #: as variables appear/disappear so updates never rebuild them.
-        self._code_resolver = VariableCodeResolver(
-            db.interner, self.variable_of
         )
         #: the most recent :class:`UpdateResult` — stashed *before* the
         #: ``ground.update.finish`` injection point so a failure between
@@ -333,20 +326,27 @@ class IncrementalGrounder:
             if self._record(all_transitions, relation, relation.apply_delta(head_delta)):
                 delta_batches.pop(head_name, None)  # batch now stale
 
-        # ---- 3. Variable relation transitions -> ∆V.  Removed tuples stay
-        # resolvable in ``variable_of`` until the factor deltas are joined
-        # (their retraction bindings need the ids); they are dropped after.
+        # ---- 3. Variable relation transitions -> ∆V: an appearing row's
+        # new id goes into its slot of the relation's vid column.  A
+        # removed row keeps its id there until the factor deltas are
+        # joined (their retraction bindings need it); it is cleared after.
         delta = FactorGraphDelta()
         removed_vars: set = set()
+        removed_rows: list = []  # (relation, code rows) to clear
         new_var_offset: dict = {}
         for name in sorted(self.program.variable_relations):
             flipped = all_transitions.get(name)
             if flipped is None:
                 continue
+            relation = self.db.relation(name)
             rows = self.db.interner.decode_rows(flipped.codes)
             signs = flipped.signs.tolist()
             order = sorted(range(len(rows)), key=rows.__getitem__)
             appeared = [i for i in order if signs[i] > 0]
+            first = self.graph.num_vars + delta.num_new_vars
+            relation.set_vids(
+                flipped.codes[appeared], np.arange(first, first + len(appeared))
+            )
             # A candidate appearing after its labels picks up the
             # pre-existing evidence rows.
             labels = self._evidence_labels(name, flipped.codes[appeared])
@@ -354,15 +354,12 @@ class IncrementalGrounder:
                 offset = delta.num_new_vars
                 delta.num_new_vars += 1
                 delta.new_var_names.append((name, rows[i]))
-                vid = self.graph.num_vars + offset
-                self.variable_of[(name, rows[i])] = vid
-                self._code_resolver.add(name, rows[i], vid)
-                new_var_offset[vid] = offset
+                new_var_offset[self.graph.num_vars + offset] = offset
                 if value is not None:
                     delta.new_var_evidence[offset] = value
-            for i in order:
-                if signs[i] < 0:
-                    removed_vars.add(self.variable_of[(name, rows[i])])
+            gone = flipped.codes[[i for i in order if signs[i] < 0]]
+            removed_vars.update(relation.vids_of(gone).tolist())
+            removed_rows.append((relation, gone))
 
         # ---- 4. Evidence transitions (db is fully in its new state now).
         self._apply_evidence_transitions(delta, all_transitions, new_var_offset)
@@ -389,15 +386,7 @@ class IncrementalGrounder:
             if rule.name in new_rule_names:
                 tables[rule.name] = self._grounding_table(rule)
             parts = [
-                binding_rows(
-                    rule,
-                    batch,
-                    self.db.interner,
-                    variable_relations,
-                    self.variable_of,
-                    weights,
-                    self._code_resolver,
-                )
+                binding_rows(rule, batch, self.db, variable_relations, weights)
                 for batch in self._rule_delta_batches(
                     rule, new_rule_names, all_transitions, delta_batches
                 )
@@ -425,10 +414,8 @@ class IncrementalGrounder:
             delta.removed_factor_ids = self._factor_ids(np.concatenate(touched))
         if removed_vars:
             self._check_heads(removed_vars, delta.removed_factor_ids, rebuilt)
-        for var in removed_vars:
-            name_row = self.graph.name_of(var)
-            del self.variable_of[name_row]
-            self._code_resolver.discard(*name_row)
+        for relation, gone in removed_rows:
+            relation.set_vids(gone, -1)
         keys = sorted(rebuilt, key=str)
         delta.new_factors = rule_table(
             [head for _, head, _ in keys],
@@ -541,12 +528,9 @@ class IncrementalGrounder:
                 continue
             var_codes = changed.codes[:, :-1]
             var_codes = var_codes[group_rows(var_codes)[0]]
-            vids = [
-                self.variable_of.get((name, row))
-                for row in self.db.interner.decode_rows(var_codes)
-            ]
+            vids = self.db.relation(name).vids_of(var_codes).tolist()
             # Evidence about a non-candidate tuple clamps nothing.
-            known = [i for i, vid in enumerate(vids) if vid is not None]
+            known = [i for i, vid in enumerate(vids) if vid >= 0]
             for i, value in zip(known, self._evidence_labels(name, var_codes[known])):
                 vid = vids[i]
                 if vid in new_var_offset:

@@ -10,7 +10,7 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0012 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0013 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
@@ -34,8 +34,9 @@ grounding table, not as per-factor records and a factor registry;
 the substrate lost its cached factor-object view; ``CKPT0012``: the
 substrate lost its per-variable Python mirrors and neighbour multiset
 and gained the head and literal offsets its blocks gather through, and
-scan blocks lost their batch flag), so
-a file written by an older tree fails verification here — skipped and
+scan blocks lost their batch flag; ``CKPT0013``: a relation carries
+a vid column beside its counts, and a grounder lost its name-keyed
+variable map and packed-code resolver), so a file written by an older tree fails verification here — skipped and
 counted like a corrupt one, recovery falling back to an older checkpoint
 or the WAL — instead of unpickling into an object that breaks at its
 first update.
@@ -58,7 +59,7 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0012"
+_MAGIC = b"CKPT0013"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

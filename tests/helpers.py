@@ -246,6 +246,13 @@ def graph_fingerprint(graph) -> dict:
     }
 
 
+def vid_of(db, relation: str, row) -> int:
+    """The variable id of ``row`` of variable relation ``relation``, read
+    from the relation's vid column (−1 where it is no variable)."""
+    codes = np.array([[db.interner.probe(value) for value in row]], dtype=np.int32)
+    return int(db.relation(relation).vids_of(codes)[0])
+
+
 @contextlib.contextmanager
 def counting(cls, name, counts=None):
     """``cls.name`` counts its calls into ``counts[name]`` (a fresh

@@ -33,7 +33,6 @@ from repro.graph.factor_graph import FactorGraph, RuleFactor
 from repro.grounding.grounder import (
     _BATCH_VECTOR_THRESHOLD,
     Grounder,
-    VariableCodeResolver,
     full_body_batch,
 )
 
@@ -152,10 +151,10 @@ def fold_ground(program, db) -> tuple:
     grounder = Grounder(program, db)
     grounder.run_derivation_rules()
     graph = FactorGraph()
-    variable_of = grounder.create_variables(graph)
-    grounder.apply_evidence(graph, variable_of)
+    grounder.create_variables(graph)
+    grounder.apply_evidence(graph)
+    variable_of = {graph.name_of(vid): vid for vid in range(graph.num_vars)}
     interner = db.columnar.interner
-    resolver = VariableCodeResolver(interner, variable_of)
     records: dict = {}
     for rule in program.inference_rules:
         batch = full_body_batch(db, rule)
@@ -163,7 +162,7 @@ def fold_ground(program, db) -> tuple:
         if batch.num_rows >= _BATCH_VECTOR_THRESHOLD:
             _fold_batch(
                 rule, semantics, batch, interner, program.variable_relations,
-                graph.weights, records, resolver,
+                variable_of, graph.weights, records,
             )
         else:
             _fold_rows(
@@ -273,6 +272,24 @@ def _fold_rows(
         )
 
 
+def _resolve(variable_of, interner, rule, pred, matrix, is_head=True) -> np.ndarray:
+    """Variable ids of the code rows ``matrix`` of ``pred``, looked up by
+    name, with the package's errors for a row that is no variable."""
+    vids = []
+    for row in interner.decode_rows(matrix):
+        vid = variable_of.get((pred, row))
+        if vid is None:
+            if not is_head:
+                raise KeyError((pred, row))
+            raise KeyError(
+                f"inference rule {rule.name!r} derives head tuple {(pred, row)} "
+                "that is not a grounded variable; add a candidate (derivation) "
+                "rule that creates it"
+            )
+        vids.append(vid)
+    return np.array(vids, dtype=np.int64)
+
+
 def _code_matrix(batch, interner, args) -> np.ndarray:
     matrix = np.empty((batch.num_rows, len(args)), dtype=np.int32)
     for i, arg in enumerate(args):
@@ -300,8 +317,8 @@ def _intern_tied(rule, batch, interner, weights, rows) -> list:
 
 
 def _fold_batch(
-    rule, semantics, batch, interner, variable_relations, weights, records,
-    resolver,
+    rule, semantics, batch, interner, variable_relations, variable_of,
+    weights, records,
 ) -> None:
     """A large batch over arrays: a literal-free rule groups its raw
     (head, tied) code rows (``np.unique`` order), any other rule its
@@ -320,8 +337,8 @@ def _fold_batch(
         _, first, counts = np.unique(
             pack_rows(matrix), return_index=True, return_counts=True
         )
-        head_vids = resolver.resolve(
-            rule.name, rule.head.pred, matrix[first][:, :head_width]
+        head_vids = _resolve(
+            variable_of, interner, rule, rule.head.pred, matrix[first][:, :head_width]
         ).tolist()
         if rule.weight.tied_on:
             wids = _intern_tied(rule, batch, interner, weights, first.tolist())
@@ -336,8 +353,9 @@ def _fold_batch(
                 records, rule.name, semantics, head_vids[gi], wids[gi]
             ).groundings.extend([()] * count)
         return
-    head_vids = resolver.resolve(
-        rule.name, rule.head.pred, _code_matrix(batch, interner, rule.head.args)
+    head_vids = _resolve(
+        variable_of, interner, rule, rule.head.pred,
+        _code_matrix(batch, interner, rule.head.args),
     )
     if rule.weight.tied_on:
         tied = np.stack([batch.cols[v] for v in rule.weight.tied_on], axis=1)
@@ -359,11 +377,9 @@ def _fold_batch(
     pair_lists = [
         list(
             zip(
-                resolver.resolve(
-                    rule.name,
-                    atom.pred,
-                    _code_matrix(batch, interner, atom.args),
-                    is_head=False,
+                _resolve(
+                    variable_of, interner, rule, atom.pred,
+                    _code_matrix(batch, interner, atom.args), is_head=False,
                 ).tolist(),
                 itertools.repeat(pos not in rule.negated_positions),
             )

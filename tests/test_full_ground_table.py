@@ -47,7 +47,7 @@ from repro.grounding.grounder import _BATCH_VECTOR_THRESHOLD, full_body_batch
 from repro.inference.gibbs import GibbsSampler
 from repro.workloads import ALL_SYSTEMS, build_pipeline
 
-from tests.helpers import decodes, graph_fingerprint, mixed_case
+from tests.helpers import decodes, graph_fingerprint, mixed_case, vid_of
 from tests.reference.factors import add_factor, lower_factors
 from tests.reference.grounding import fold_ground, fold_rows, table_rows
 from tests.reference.variational import reference_learn_approximation
@@ -432,12 +432,13 @@ class TestEvidenceConflicts:
             incremental.apply_update(
                 inserts={"MarriedMentions_Ev": [("m3", "m4", label)]}
             )
-        full = Grounder(program, db.copy()).ground()
+        full_db = db.copy()
+        full = Grounder(program, full_db).ground()
         reference = reference_ground(program, db.copy())
         reference_vid = {reference.name_of(v): v for v in range(reference.num_vars)}
         for graph, vid in (
-            (full.graph, full.variable_of[key]),
-            (incremental.graph, incremental.variable_of[key]),
+            (full.graph, vid_of(full_db, *key)),
+            (incremental.graph, vid_of(incremental.db, *key)),
             (reference, reference_vid[key]),
         ):
             assert graph.evidence_value(vid) is True

@@ -6,6 +6,8 @@ from repro.datalog import Atom, Program, Var, WeightSpec
 from repro.graph import RuleFactor, Semantics
 from repro.grounding import Grounder
 
+from tests.helpers import vid_of
+
 
 def spouse_program() -> Program:
     """The paper's running example (Fig. 2) as a program."""
@@ -95,15 +97,15 @@ class TestFullGrounding:
         db = spouse_db(program)
         result = Grounder(program, db).ground()
         assert result.graph.num_vars == 8
-        assert ("MarriedMentions", ("m1", "m2")) in result.variable_of
+        assert vid_of(db, "MarriedMentions", ("m1", "m2")) >= 0
 
     def test_distant_supervision_sets_evidence(self):
         program = spouse_program()
         db = spouse_db(program)
         result = Grounder(program, db).ground()
-        vid = result.variable(("MarriedMentions"), ("m1", "m2"))
+        vid = vid_of(db, "MarriedMentions", ("m1", "m2"))
         assert result.graph.evidence_value(vid) is True
-        free = result.variable(("MarriedMentions"), ("m3", "m4"))
+        free = vid_of(db, "MarriedMentions", ("m3", "m4"))
         assert result.graph.evidence_value(free) is None
 
     def test_weight_tying_across_sentences(self):
@@ -125,7 +127,7 @@ class TestFullGrounding:
         db = spouse_db(program)
         result = Grounder(program, db).ground()
         # m3-m4 has two features, hence two factors on the same head.
-        head = result.variable("MarriedMentions", ("m3", "m4"))
+        head = vid_of(db, "MarriedMentions", ("m3", "m4"))
         mine = [f for f in result.graph.factors if f.head == head]
         assert len(mine) == 2
         for f in mine:
@@ -181,8 +183,8 @@ class TestFullGrounding:
         assert result.graph.weights.is_fixed(wid)
         assert result.graph.weights.value(wid) == 1.5
         # The symmetry factor couples (m1,m2) with (m2,m1).
-        a = result.variable("MarriedMentions", ("m1", "m2"))
-        b = result.variable("MarriedMentions", ("m2", "m1"))
+        a = vid_of(db, "MarriedMentions", ("m1", "m2"))
+        b = vid_of(db, "MarriedMentions", ("m2", "m1"))
         sym = [
             f
             for f in result.graph.factors

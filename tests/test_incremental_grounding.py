@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import Atom, DerivationRule, InferenceRule, Program, Var, WeightSpec
-from repro.graph import FactorGraph, RuleFactor
+from repro.db.relation import Relation
+from repro.graph import FactorGraph, FactorGraphDelta, RuleFactor
 from repro.grounding import Grounder, IncrementalGrounder
 from repro.reliability import UpdateRejected
 
+from tests.helpers import vid_of
 from tests.reference import reference_ground, replay
 from tests.test_grounding import spouse_db, spouse_program
 
@@ -214,7 +216,7 @@ class TestIncrementalMatchesScratch:
         program = spouse_program()
         db = spouse_db(program)
         grounder = IncrementalGrounder.from_scratch(program, db)
-        vid = grounder.variable_of[("MarriedMentions", ("m3", "m4"))]
+        vid = vid_of(db, "MarriedMentions", ("m3", "m4"))
         result = grounder.apply_update(
             inserts={"MarriedMentions_Ev": [("m3", "m4", True)]}
         )
@@ -359,7 +361,11 @@ class TestRejectedRuleChangeAppliesNothing:
             return (
                 {name: db.relation(name).counts() for name in db.relation_names()},
                 len(db.interner),
-                dict(grounder.variable_of),
+                {
+                    (name, row): vid_of(db, name, row)
+                    for name in program.variable_relations
+                    for row in db.relation(name).rows()
+                },
                 grounder.graph.num_vars,
                 [rule.name for rule in program.derivation_rules],
                 [rule.name for rule in program.inference_rules],
@@ -509,6 +515,109 @@ class TestFactorOutlivingItsHeadRaises:
         grounder = IncrementalGrounder.from_scratch(program, db)
         grounder.apply_update(deletes={"Cand": [("x",)], "Feat": [("x", "f1")]})
         assert_equivalent(grounder.graph, reference_ground(program, db))
+
+
+class TestTombstonedSlotNeverResolves:
+    """A removed variable's slot keeps its relation row as a tombstone,
+    but its vid is cleared once the update has retracted its factors: a
+    later binding that reaches the row is not a grounded variable, and a
+    re-inserted row gets a fresh id."""
+
+    make = TestFactorOutlivingItsHeadRaises.make
+    RETRACT_X = {"deletes": {"Cand": [("x",)], "Feat": [("x", "f1")]}}
+
+    def test_a_retracted_head_stays_ungrounded(self):
+        program, db = self.make()
+        grounder = IncrementalGrounder.from_scratch(program, db)
+        grounder.apply_update(**self.RETRACT_X)
+        with pytest.raises(KeyError, match=r"'fe'.*\('Q', \('x',\)\).*not a grounded variable"):
+            grounder.apply_update(inserts={"Feat": [("x", "f3")]})
+
+    def test_a_reinserted_candidate_gets_a_fresh_vid(self):
+        program, db = self.make()
+        grounder = IncrementalGrounder.from_scratch(program, db)
+        old = vid_of(db, "Q", ("x",))
+        updates = [self.RETRACT_X, {"inserts": {"Cand": [("x",)], "Feat": [("x", "f3")]}}]
+        grounder.apply_update(**updates[0])
+        assert vid_of(db, "Q", ("x",)) == -1
+        fresh = grounder.graph.num_vars
+        grounder.apply_update(**updates[1])
+        assert vid_of(db, "Q", ("x",)) == fresh != old
+        assert grounder.graph.name_of(fresh) == ("Q", ("x",))
+        twin_program, twin_db = self.make()
+        for update in updates:
+            replay(twin_program, twin_db, update)
+        assert_equivalent(grounder.graph, reference_ground(twin_program, twin_db))
+
+
+class TestCompactionInsideAnUpdate:
+    """A variable relation whose dead fraction crosses the threshold
+    mid-update compacts only once the update ends: its removed
+    variables' retraction bindings resolve through their slots first."""
+
+    def make(self):
+        program = Program(default_semantics="ratio")
+        program.add_relation("Cand", ("a",))
+        program.add_relation("Feat", ("a", "f"))
+        program.add_relation("Link", ("a", "b"))
+        program.declare_variable_relation("Q", ("a",))
+        program.add_derivation_rule("vars", Atom("Q", (Var("a"),)), [Atom("Cand", (Var("a"),))])
+        program.add_inference_rule(
+            "fe",
+            Atom("Q", (Var("a"),)),
+            [Atom("Feat", (Var("a"), Var("f")))],
+            weight=WeightSpec(tied_on=("f",), value=0.5),
+        )
+        program.add_inference_rule(
+            "link",
+            Atom("Q", (Var("a"),)),
+            [Atom("Q", (Var("b"),)), Atom("Link", (Var("a"), Var("b")))],
+            weight=WeightSpec(value=0.3),
+        )
+        db = program.create_database()
+        names = [f"c{i}" for i in range(8)]
+        db.insert_all("Cand", [(c,) for c in names])
+        db.insert_all("Feat", [(c, f"f{i % 2}") for i, c in enumerate(names)])
+        db.insert_all("Link", list(zip(names, names[1:])))
+        return program, db
+
+    def test_removed_variables_resolve_until_the_update_ends(self, monkeypatch):
+        monkeypatch.setattr(Relation, "_COMPACT_MIN_SLOTS", 4)
+        program, db = self.make()
+        grounder = IncrementalGrounder.from_scratch(program, db)
+        gone = [f"c{i}" for i in range(2, 8)]  # 6 of the 8 candidates
+        removed = {vid_of(db, "Q", (c,)) for c in gone}
+        update = {
+            "deletes": {
+                "Cand": [(c,) for c in gone],
+                "Feat": [(c, f"f{i % 2}") for i, c in enumerate(gone, start=2)],
+                "Link": [(f"c{i}", f"c{i + 1}") for i in range(2, 7)],
+            }
+        }
+        stats = db.columnar.stats
+        before = stats["rebuilds"]
+        at_splice = []
+        splice = FactorGraphDelta.apply_in_place
+
+        def recording(delta, graph):
+            at_splice.append(stats["rebuilds"])
+            return splice(delta, graph)
+
+        monkeypatch.setattr(FactorGraphDelta, "apply_in_place", recording)
+        grounder.apply_update(**update)
+        assert at_splice == [before]
+        assert stats["rebuilds"] > before
+        assert removed.isdisjoint(grounder.graph.factor_table().variables().tolist())
+        for c in ("c0", "c1"):
+            assert grounder.graph.name_of(vid_of(db, "Q", (c,))) == ("Q", (c,))
+        twin_program, twin_db = self.make()
+        replay(twin_program, twin_db, update)
+        assert_equivalent(grounder.graph, reference_ground(twin_program, twin_db.copy()))
+        # The repacked column serves the next update.
+        again = {"inserts": {"Cand": [("c2",)], "Feat": [("c2", "f0")], "Link": [("c2", "c1")]}}
+        grounder.apply_update(**again)
+        replay(twin_program, twin_db, again)
+        assert_equivalent(grounder.graph, reference_ground(twin_program, twin_db.copy()))
 
 
 @st.composite

@@ -464,8 +464,9 @@ class TestOneCopyOfUpdateState:
     """Grounding emits an update's (ΔV, ΔF) once and the engine consumes
     it: the engine keeps no log of its own (the pipeline's / service's WAL
     of update inputs is the one recovery replays), a grounder splices its
-    own lowered graph and never a substrate, and the graph's names are the
-    one inverse of ``variable_of``."""
+    own lowered graph and never a substrate, and a variable's id is held
+    once, in its relation's vid column, whose one inverse is the graph's
+    names."""
 
     def test_grounder_binds_no_substrate(self):
         program, db = grounding_inputs()
@@ -481,14 +482,38 @@ class TestOneCopyOfUpdateState:
     def test_update_result_is_the_delta_and_the_graph(self):
         assert [f.name for f in fields(UpdateResult)] == ["delta", "graph"]
 
-    def test_no_inverse_variable_map(self):
+    def test_one_variable_representation(self):
         program, db = grounding_inputs()
         grounding = Grounder(program, db).ground()
-        assert "tuple_of" not in {f.name for f in fields(GroundingResult)}
         grounder = IncrementalGrounder(program, db, grounding)
-        assert not hasattr(grounder, "tuple_of")
-        for key, vid in grounder.variable_of.items():
-            assert grounder.graph.name_of(vid) == key
+        grounder.apply_update(
+            inserts={"PersonCandidate": [("s3", "m5"), ("s3", "m6")]},
+            deletes={"PhraseFeature": [("m1", "m2", "and his wife")]},
+        )
+        for name in ("variable_of", "tuple_of"):
+            assert name not in {f.name for f in fields(GroundingResult)}
+            assert not hasattr(grounder, name)
+        def name_keyed(value) -> bool:
+            return isinstance(value, dict) and any(
+                isinstance(key, tuple) and key[:1] and key[0] in program.variable_relations
+                for key in value
+            )
+
+        for holder in (grounding, grounder):
+            assert not any(map(name_keyed, vars(holder).values()))
+        module = repro.grounding.grounder
+        assert not hasattr(module, "VariableCodeResolver")
+        assert not hasattr(module, "_batch_rows")
+        # No variable was removed, so the live slots hold every vid once.
+        graph, seen = grounder.graph, []
+        for name in program.variable_relations:
+            relation = db.relation(name)
+            codes = relation.rows_at(relation.alive_slots()).codes
+            vids = relation.vids_of(codes).tolist()
+            for row, vid in zip(db.interner.decode_rows(codes), vids):
+                assert graph.name_of(vid) == (name, row)
+            seen += vids
+        assert sorted(seen) == list(range(graph.num_vars))
 
     @pytest.mark.parametrize("engine_cls", [IncrementalEngine, RerunEngine])
     def test_engines_keep_no_log(self, engine_cls):

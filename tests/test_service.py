@@ -209,7 +209,7 @@ class TestCheckpointStore:
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0012"
+            assert fh.read(8) == b"CKPT0013"
             fh.seek(0)
             fh.write(b"CKPT0011")
         with pytest.raises(CheckpointError, match="bad magic"):
