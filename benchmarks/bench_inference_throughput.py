@@ -15,7 +15,8 @@ and a vars·factors/sec rate, plus the speedup over ``NaiveGibbsSampler``
 — a faithful copy of the seed's dict/list kernel kept here as the
 reference point.  Results are written to
 ``benchmark_results/BENCH_inference.json`` via ``_helpers.emit_json`` so
-the performance trajectory is tracked.
+the performance trajectory is tracked; a ``--check`` run asserts and
+writes nothing, like every other ``--check`` smoke.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_inference_throughput.py
 [--scale tiny|small|medium|large] [--check]``
@@ -511,6 +512,7 @@ def main(argv=None) -> dict:
         print(f"plan shape: {record['plan_shape']}")
         record["work_counts"] = check_work_counts()
         print(f"work counts: {record['work_counts']}")
+        return record
     emit_json("BENCH_inference", record)
     return record
 

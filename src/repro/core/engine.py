@@ -19,9 +19,11 @@ Both hold their current graph as one
 place by every delta, with the chains that ride the patches — and run
 every ``apply_update`` / ``relearn`` through one transaction shell
 (:meth:`_Engine._transaction`): snapshot → fault points → commit, or
-restore.  Engines keep no log of their own: the durable record of an
-update is its *input*, in the pipeline's / service's WAL
-(:mod:`repro.reliability.pipeline`), which is what recovery replays.
+restore — and the update's snapshot is kept until the next one begins
+(:meth:`_Engine.rollback`).  Engines keep no log of their own: the
+durable record of an update is its *input*, in the pipeline's /
+service's WAL (:mod:`repro.reliability.pipeline`), which is what
+recovery replays.
 """
 
 from __future__ import annotations
@@ -115,23 +117,11 @@ class ReadSnapshot:
     snapshot isolation by immutability.  ``txn`` counts the engine's
     committed updates at capture time; the service re-stamps snapshots
     with its WAL transaction id.
-
-    ``chain_state`` (optional) is a read-only view of the persistent
-    chain's live assignment.  Unlike ``marginals`` it views a
-    mutated-in-place buffer: it is consistent at update boundaries, not
-    across them.
     """
 
     marginals: np.ndarray
     txn: int
     num_vars: int
-    chain_state: np.ndarray | None = None
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.flags.writeable = False
-    return view
 
 
 class _Engine:
@@ -149,6 +139,14 @@ class _Engine:
         self.learns_cold = 0
         self.rollbacks = 0
         self.committed_updates = 0
+        #: the last committed update's snapshot, until the next begins
+        self._undo = None
+
+    def __getstate__(self) -> dict:
+        # A checkpoint follows a commit: the snapshot does not travel.
+        state = dict(self.__dict__)
+        state["_undo"] = None
+        return state
 
     @property
     def current_graph(self) -> FactorGraph:
@@ -158,27 +156,24 @@ class _Engine:
 
     def read_snapshot(self) -> ReadSnapshot | None:
         """Zero-copy snapshot of the last committed marginals (or None
-        before the first inference); see :class:`ReadSnapshot` for the
-        consistency caveat of its ``chain_state``."""
+        before the first inference)."""
         if self._last_marginals is None:
             return None
-        marginals = _read_only(self._last_marginals)
-        chain = self.resident.chain
+        marginals = self._last_marginals.view()
+        marginals.flags.writeable = False
         return ReadSnapshot(
             marginals=marginals,
             txn=self.committed_updates,
             num_vars=int(marginals.shape[0]),
-            chain_state=None if chain is None else _read_only(chain.state),
         )
 
-    def _transaction(self, snapshot, site: str, body):
+    def _transaction(self, snap, site: str, body):
         """Run ``body()`` as one transaction.
 
-        A bounded snapshot is taken before anything mutates.  A failure
-        anywhere in ``body`` restores the engine — substrate, chains,
-        learner, materializations, rng — to its pre-transaction state, so
-        the retried call matches a never-failed one exactly."""
-        snap = snapshot(self)
+        ``snap`` is a bounded snapshot taken before anything mutates.  A
+        failure anywhere in ``body`` restores the engine — substrate,
+        chains, learner, materializations, rng — to its pre-transaction
+        state, so the retried call matches a never-failed one exactly."""
         try:
             maybe_fire(site)
             return body()
@@ -188,13 +183,24 @@ class _Engine:
             raise
 
     def _apply_update(self, snapshot, delta: FactorGraphDelta) -> InferenceOutcome:
+        self._undo = None  # dropped before the next snapshot is taken
+        snap = snapshot(self)
         outcome = self._transaction(
-            snapshot,
-            "engine.update.start",
-            lambda: self._apply_update_inner(delta),
+            snap, "engine.update.start", lambda: self._apply_update_inner(delta)
         )
         self.committed_updates += 1
+        self._undo = snap
         return outcome
+
+    def rollback(self) -> None:
+        """Undo the last committed ``apply_update``, and any ``relearn``
+        since, from the snapshot its transaction took — a no-op once the
+        next update has begun, or after a rollback."""
+        snap, self._undo = self._undo, None
+        if snap is not None:
+            rollbacks = self.rollbacks  # a relearn's since counts too
+            snap.restore()
+            self.rollbacks = rollbacks + 1
 
     def _relearn(self, num_epochs: int, record_loss: bool):
         """Shared body of both engines' ``relearn``.
@@ -221,7 +227,7 @@ class _Engine:
                 self.resident.learner = None
             return history
 
-        return self._transaction(RelearnSnapshot, "engine.relearn.start", body)
+        return self._transaction(RelearnSnapshot(self), "engine.relearn.start", body)
 
     def _clamp(self, marginals: np.ndarray) -> np.ndarray:
         marginals = np.asarray(marginals, dtype=float).copy()

@@ -45,10 +45,6 @@ class StrawmanMaterialization:
     def _key(self, world) -> bytes:
         return np.asarray(world, dtype=bool)[self._free].tobytes()
 
-    def stored_log_prob(self, world) -> float:
-        """``log Pr⁰[I]``, looked up — never recomputed from factors."""
-        return self._log_probs.get(self._key(world), float("-inf"))
-
     # ------------------------------------------------------------------ #
 
     def infer(

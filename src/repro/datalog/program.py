@@ -8,7 +8,6 @@ recursion raises at validation time.
 
 from __future__ import annotations
 
-import copy
 import graphlib
 
 from repro.datalog.ast import (
@@ -50,9 +49,6 @@ class Program:
         self.add_relation(
             name + EVIDENCE_SUFFIX, tuple(columns) + ("label",)
         )
-
-    def evidence_relation_of(self, name: str) -> str:
-        return name + EVIDENCE_SUFFIX
 
     # ------------------------------------------------------------------ #
     # Rules
@@ -108,34 +104,21 @@ class Program:
                 return self.inference_rules.pop(i)
         raise KeyError(f"no inference rule named {name!r}")
 
-    def with_rule_changes(
+    def change_rules(
         self, add_derivation_rules=(), add_inference_rules=(), remove_inference_rules=()
-    ) -> "Program":
-        """A copy of this program with an update's rule changes made:
-        derivation rules registered (raising on recursion), then
-        inference rules (rules or names) removed and new ones registered.
-        An invalid change raises, leaving this program as it is; a valid
-        one takes effect through :meth:`adopt_rules`."""
-        trial = copy.copy(self)
-        trial.derivation_rules = list(self.derivation_rules)
-        trial.inference_rules = list(self.inference_rules)
+    ) -> None:
+        """Make an update's rule changes: derivation rules registered
+        (raising on recursion), then inference rules (rules or names)
+        removed and new ones registered.  An invalid change raises part
+        way; the incremental grounder's rollback restores the rules."""
         for rule in add_derivation_rules:
-            trial.register_derivation_rule(rule)
+            self.register_derivation_rule(rule)
         if add_derivation_rules:
-            trial.stratified_derivation_rules()
+            self.stratified_derivation_rules()
         for rule in remove_inference_rules:
-            trial.remove_inference_rule(getattr(rule, "name", rule))
+            self.remove_inference_rule(getattr(rule, "name", rule))
         for rule in add_inference_rules:
-            trial.register_inference_rule(rule)
-        return trial
-
-    def adopt_rules(self, trial: "Program") -> None:
-        """Take the rules (and their stratification) of ``trial``, a
-        :meth:`with_rule_changes` copy of this program."""
-        self.derivation_rules = trial.derivation_rules
-        self.inference_rules = trial.inference_rules
-        self._stratified_key = trial._stratified_key
-        self._stratified_cache = trial._stratified_cache
+            self.register_inference_rule(rule)
 
     def _check_atoms(self, rule_name, atoms) -> None:
         for atom in atoms:

@@ -23,7 +23,8 @@ only join engine — share:
   relation as of before this update" next to the live new state.
 * :class:`ColumnarStore` — the per-:class:`Database` join-plan and
   delta-plan caches, the per-update registry of captured old-state
-  views, and the counters every relation of the database bumps.
+  views, the undo log of the last update, and the counters every
+  relation of the database bumps.
 
 All probe results flow as ``(probe_row, slot)`` index-pair arrays so a
 whole binding batch advances through a join step in a handful of numpy
@@ -486,7 +487,8 @@ class ColumnarBatch:
 
 
 class ColumnarStore:
-    """A database's plan caches, per-update old-state views and counters.
+    """A database's plan caches, per-update old-state views, undo log
+    and counters.
 
     :attr:`stats` is shared with every relation of the database, which
     bumps the index and compaction counters in it."""
@@ -515,21 +517,53 @@ class ColumnarStore:
         self._plan_pins: dict = {}     # id(atoms) -> atoms (keeps ids stable)
         self._old_views: dict = {}  # relation name -> TableView (per update)
         self._capture: frozenset = frozenset()  # relations to capture (per update)
-        #: relation name -> relation due a compaction; ``None`` outside an update
+        #: relation name -> relation due a compaction, and the log of
+        #: relation writes since the last update began; ``None`` before
+        #: the first update (the log also after unpickling)
         self._to_compact: dict | None = None
+        self._undo: list | None = None
         self.stats = dict.fromkeys(self.STAT_KEYS, 0)
 
+    def __getstate__(self) -> dict:
+        # A checkpoint follows a commit: the undo log does not travel.
+        state = dict(self.__dict__)
+        state["_undo"] = None
+        return state
+
     # ------------------------------------------------------------------ #
-    # Old-state views (one capture epoch per incremental update)
+    # One update: old-state views, its undo log, deferred compactions
     # ------------------------------------------------------------------ #
 
     def begin_update(self, capture=frozenset()) -> None:
-        """Open a capture epoch (defensively releasing any stale one):
-        the relations named in ``capture`` are those whose pre-update
-        state some fused delta plan may probe."""
+        """Open an update: the last one can no longer be undone, so the
+        relations due a compaction compact now and a fresh undo log
+        starts.  ``capture`` names the relations whose pre-update state
+        some fused delta plan may probe."""
         self.release_views()
-        self._capture = frozenset(capture)
+        for relation in (self._to_compact or {}).values():
+            relation._compact()
         self._to_compact = {}
+        self._undo = []
+        self._capture = frozenset(capture)
+
+    def log_write(self, relation, column: str, slots: np.ndarray) -> None:
+        """Before ``relation`` writes ``column`` at ``slots``, log what
+        inverts the write while an update can be undone: the old values,
+        and the slot count past which (append-only) its new slots lie."""
+        if self._undo is not None:
+            old = getattr(relation, column)[slots]
+            self._undo.append(
+                (relation, relation._n_slots, relation._n_alive, column, slots, old)
+            )
+
+    def rollback(self) -> None:
+        """Invert every relation write since the last update began, last
+        first, and forget the compactions those writes made due."""
+        if self._undo is None:
+            return
+        for relation, *write in reversed(self._undo):
+            relation._undo(*write)
+        self._undo, self._to_compact = [], {}
 
     def before_flip(self, relation) -> None:
         """A relation is about to flip some row's visibility: if it is
@@ -547,9 +581,9 @@ class ColumnarStore:
         return self._old_views.get(name)
 
     def compact(self, relation) -> None:
-        """Repack ``relation``'s live slots now or, inside an update, once
-        the update ends: until then a variable the update removed must
-        keep resolving through its slot."""
+        """Repack ``relation``'s live slots now before the first update,
+        else when the next one begins: until then the last update may be
+        undone, and a variable it removed resolves through its slot."""
         if self._to_compact is None:
             relation._compact()
         else:
@@ -557,15 +591,11 @@ class ColumnarStore:
 
     def release_views(self) -> None:
         """Close the capture epoch: detach every view from its relation
-        so later deltas stop paying copy-on-write recording, then compact
-        the relations that came due during it."""
+        so later deltas stop paying copy-on-write recording."""
         for view in self._old_views.values():
             view.release()
         self._old_views = {}
         self._capture = frozenset()
-        pending, self._to_compact = self._to_compact, None
-        for relation in (pending or {}).values():
-            relation._compact()
 
     def _cached_plans(self, kind: str, atoms, compile_atoms) -> tuple:
         """``(compiled, compiled_now)`` from the two-level plan cache.

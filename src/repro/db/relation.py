@@ -20,9 +20,10 @@ Slots are append-only between compactions: a row whose count drops to
 zero keeps its slot as a tombstone and reuses it if it reappears, so
 indexes survive every delta and probes filter tombstones vectorized.
 Past a dead fraction the live slots are repacked with their counts and
-vids — inside an update only once it ends
-(:meth:`~repro.db.columnar.ColumnarStore.release_views`), so a variable
-removed by the update keeps resolving until its retractions are joined.
+vids — once an update has begun, only when the next one begins
+(:meth:`~repro.db.columnar.ColumnarStore.begin_update`), so a variable
+removed by an update resolves until its retractions are joined, and the
+update can be undone slot for slot until then.
 Old-state :class:`~repro.db.columnar.TableView`\\ s record the
 capture-time visibility of every slot a later delta flips.
 
@@ -176,10 +177,6 @@ class Relation:
         """The code rows at ``slots`` with their derivation counts."""
         return ColumnarBatch(self._codes[slots], self._count[slots])
 
-    def counts_of(self, codes: np.ndarray) -> np.ndarray:
-        """Current derivation counts of code rows (0 where absent)."""
-        return self._count[self._slots(codes)[1]]
-
     def vids_of(self, codes: np.ndarray) -> np.ndarray:
         """Variable ids of code rows (−1 where absent or no variable)."""
         return self._vid[self._slots(codes)[1]]
@@ -189,11 +186,14 @@ class Relation:
         slots = self._slots(codes)[1]
         if (slots < 0).any():  # the last cell must stay −1
             raise KeyError(f"{self.name}: no stored row to hold a variable id")
+        self._store.log_write(self, "_vid", slots)
         self._vid[slots] = vids
 
     def clear_vids(self) -> None:
         """Mark every row no variable (a full ground renumbers them)."""
-        self._vid[:] = -1
+        slots = np.arange(self._n_slots)
+        self._store.log_write(self, "_vid", slots)
+        self._vid[slots] = -1
 
     def _apply(self, codes: np.ndarray, changes: np.ndarray) -> ColumnarBatch:
         keys, slots = self._slots(codes)
@@ -206,6 +206,7 @@ class Relation:
                 f"{self.name}: cannot delete {-int(changes[i])} derivations "
                 f"of {row!r} (has {int(old[i])})"
             )
+        self._store.log_write(self, "_count", slots)
         now = new > 0
         flips = np.flatnonzero((old > 0) != now)
         if not len(flips):
@@ -254,6 +255,18 @@ class Relation:
         for positions, index in self._index_on.items():
             index.extend(row_keys(codes[:, positions]), slots)
         return np.arange(start, end, dtype=np.int64)
+
+    def _undo(self, n_slots: int, n_alive: int, column: str, slots, old) -> None:
+        """Invert one logged write (:meth:`ColumnarStore.log_write`): the
+        old values back at ``slots``, no slot past ``n_slots``; the
+        indexes rebuild at their next probe."""
+        getattr(self, column)[slots] = old
+        end = self._n_slots
+        for key in row_keys(self._codes[n_slots:end]):
+            del self._slot_of[key]
+        self._count[n_slots:end], self._vid[n_slots:end] = 0, -1
+        self._n_slots, self._n_alive = n_slots, n_alive
+        self._index_on, self._alive_slots_cache = {}, None
 
     def _compact(self) -> None:
         """Repack the live slots with their counts and vids.  Live views fence

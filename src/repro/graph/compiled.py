@@ -1967,13 +1967,13 @@ class GibbsCache:
             else np.zeros(0, dtype=bool)
         )
         if not np.array_equal(fresh.unsat[galive], self.unsat[galive]):
-            raise AssertionError("GibbsCache.unsat diverged from assignment")
+            raise AssertionError("GibbsCache.unsat disagrees with the assignment")
         if not np.array_equal(
             fresh.nsat[c.rule_alive], self.nsat[c.rule_alive]
         ):
-            raise AssertionError("GibbsCache.nsat diverged from assignment")
+            raise AssertionError("GibbsCache.nsat disagrees with the assignment")
         if not np.allclose(fresh.field, self.field, rtol=1e-9, atol=1e-9):
-            raise AssertionError("GibbsCache.field diverged from assignment")
+            raise AssertionError("GibbsCache.field disagrees with the assignment")
 
 
 class StackedCache(GibbsCache):

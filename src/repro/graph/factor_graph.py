@@ -205,13 +205,19 @@ class WeightStore:
         (their incrementally maintained fields match the restored values
         bit for bit, which a forced rebuild would not guarantee)."""
         size = snap["size"]
-        for key in self._keys[size:]:
-            self._by_key.pop(key, None)
-        del self._keys[size:]
-        self._size = size
+        self.truncate(size)
         self._values[:size] = snap["values"]
         self._fixed[:size] = snap["fixed"]
         self._version = snap["version"]
+
+    def truncate(self, size: int) -> None:
+        """Forget the weights interned from id ``size`` on (undoes an
+        update's interning)."""
+        for key in self._keys[size:]:
+            del self._by_key[key]
+        del self._keys[size:]
+        self._size = size
+        self._version += 1
 
     def fixed_mask(self) -> np.ndarray:
         """Read-only boolean view: True where the weight is fixed."""
@@ -303,6 +309,15 @@ class FactorGraph:
         self._names.extend(names)
         self._num_vars = len(self._names)
         return range(start, self._num_vars)
+
+    def truncate_variables(self, num_vars: int) -> None:
+        """Drop the variables from id ``num_vars`` on, with their names
+        and evidence (undoes an update's :meth:`add_variable` calls)."""
+        for var in range(num_vars, self._num_vars):
+            self._evidence.pop(var, None)
+        del self._names[num_vars:]
+        self._num_vars = num_vars
+        self._evidence_arrays = None
 
     def name_of(self, var: int):
         return self._names[var]

@@ -27,8 +27,14 @@ state (``tests/reference/``).
 
 Program changes are handled in the same framework: an added rule's delta
 is its full evaluation over the new state; a removed inference rule's
-delta is the retraction of all its factors.  Every rule change and base
-row is checked before anything moves, and a refused update raises
+delta is the retraction of all its factors.
+
+An update is undone whole: until the next one begins,
+:meth:`IncrementalGrounder.rollback` puts the relations and grounding
+tables (from their stores' O(|Δ|) undo logs), the interner, the
+program's rules, the graph and ``last_result`` back exactly as they
+were.  ``apply_update`` rolls back on any exception; a ``KeyError`` or
+``ValueError`` then leaves as
 :class:`~repro.reliability.errors.UpdateRejected`.
 
 An inference rule's groundings are a relation too: one signed-count
@@ -50,16 +56,17 @@ compiled substrate is the engine's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.datalog.ast import EVIDENCE_SUFFIX
 from repro.datalog.program import Program
-from repro.db.columnar import ColumnarBatch, group_rows
+from repro.db.columnar import ColumnarBatch, ColumnarStore, group_rows
 from repro.db.database import Database
 from repro.db.plan import canonicalize_batch
 from repro.db.relation import RawIds, Relation
-from repro.graph.delta import FactorGraphDelta, FactorTable, rule_table
+from repro.graph.delta import FactorGraphDelta, FactorList, FactorTable, rule_table
 from repro.graph.factor_graph import FactorGraph
 from repro.graph.semantics import sem_code
 from repro.reliability.errors import UpdateRejected
@@ -85,6 +92,19 @@ class UpdateResult:
     @property
     def summary(self) -> str:
         return self.delta.summary()
+
+
+class _UpdateUndo(NamedTuple):
+    """What an update rebinds or appends to, as it was when it began."""
+
+    interner_size: int
+    rules: tuple  # copies of the derivation and inference rule lists
+    grounding_tables: dict
+    last_result: UpdateResult | None
+    num_vars: int
+    num_weights: int
+    factors: FactorList
+    evidence: dict  # var -> its evidence before the splice clamped it
 
 
 def _fused_delta_batches(db: Database, body, transitions: dict, batches: dict):
@@ -122,7 +142,8 @@ class IncrementalGrounder:
     Use :meth:`from_scratch` to ground initially, then call
     :meth:`apply_update` per development iteration; each call returns the
     :class:`FactorGraphDelta` (for incremental inference) and the updated
-    graph, and advances the grounder's internal state.
+    graph, and advances the grounder's internal state — revocably, by
+    :meth:`rollback`, until the next call begins.
     """
 
     def __init__(
@@ -134,15 +155,22 @@ class IncrementalGrounder:
         self.program = program
         self.db = db
         self.graph = grounding.graph
+        #: the grounding tables' undo log and deferred compactions
+        self._table_store = ColumnarStore(RawIds())
         #: rule name -> the rule's grounding table (module docstring)
         self.grounding_tables = self._seeded_tables(
             grounding.raw_rules, grounding.rule_spans
         )
-        #: the most recent :class:`UpdateResult` — stashed *before* the
-        #: ``ground.update.finish`` injection point so a failure between
-        #: grounding and downstream application can resume without
-        #: re-running the (non-idempotent) relation deltas.
+        #: the most recent :class:`UpdateResult`
         self.last_result: UpdateResult | None = None
+        #: what undoes the last update, until the next one begins
+        self._undo: _UpdateUndo | None = None
+
+    def __getstate__(self) -> dict:
+        # A checkpoint follows a commit: the undo does not travel.
+        state = dict(self.__dict__)
+        state["_undo"] = None
+        return state
 
     @classmethod
     def from_scratch(cls, program: Program, db: Database) -> "IncrementalGrounder":
@@ -151,9 +179,8 @@ class IncrementalGrounder:
     def _grounding_table(self, rule) -> Relation:
         """An empty grounding table for ``rule``."""
         k = len(literal_polarities(rule, self.program.variable_relations))
-        return Relation(
-            rule.name, ("head", "wid", *(f"lit{i}" for i in range(k))), RawIds()
-        )
+        columns = ("head", "wid", *(f"lit{i}" for i in range(k)))
+        return Relation(rule.name, columns, RawIds(), self._table_store)
 
     def _seeded_tables(self, raw: FactorTable, spans) -> dict:
         """Every inference rule's grounding table, filled from a full
@@ -193,35 +220,78 @@ class IncrementalGrounder:
 
         ``inserts``/``deletes`` map base-relation names to lists of rows.
         Rules are :class:`DerivationRule` / :class:`InferenceRule`
-        instances (or names, for removal).  An update that names an
-        unknown relation, has a row of the wrong arity, deletes more than
-        is stored or makes an invalid rule change raises
+        instances (or names, for removal).  Any exception rolls the
+        update back (:meth:`rollback`); an update that names an unknown
+        relation, has a row of the wrong arity, deletes more than is
+        stored, makes an invalid rule change or leaves a factor without
+        its head variable raises
         :class:`~repro.reliability.errors.UpdateRejected` (a ``KeyError``
-        or ``ValueError``) having changed nothing.
+        or ``ValueError``).
         """
-        inserts = inserts or {}
-        deletes = deletes or {}
-        # Fires before any relation is mutated: a failure here leaves the
-        # grounder (db, grounding tables, graph) exactly as it was.
-        maybe_fire("ground.update.start")
-        # Relations some fused plan may probe in their old state, from the
-        # rules registered *before* this update (added rules evaluate
-        # fully over new state): each is captured right before the first
-        # ``apply_delta`` that flips one of its rows.
-        self.db.columnar.begin_update(self._body_predicates())
+        self._begin_update()
         try:
+            maybe_fire("ground.update.start")
             return self._apply_update(
-                inserts,
-                deletes,
+                inserts or {},
+                deletes or {},
                 add_derivation_rules,
                 add_inference_rules,
                 remove_inference_rules,
             )
+        except Exception as error:
+            self.rollback()
+            if isinstance(error, (KeyError, ValueError)):
+                raise UpdateRejected.of(error) from error
+            raise
         finally:
             # Old-state views live exactly one update; releasing them
             # unpins their fences (and keeps the store picklable for
             # service checkpoints between updates).
             self.db.columnar.release_views()
+
+    def _begin_update(self) -> None:
+        """Drop the last update's undo and open this one's."""
+        self._undo = None
+        # Relations some fused plan may probe in their old state, from the
+        # rules registered *before* this update (added rules evaluate
+        # fully over new state): each is captured right before the first
+        # ``apply_delta`` that flips one of its rows.
+        self.db.columnar.begin_update(self._body_predicates())
+        self._table_store.begin_update()
+        program, graph = self.program, self.graph
+        self._undo = _UpdateUndo(
+            len(self.db.interner),
+            (list(program.derivation_rules), list(program.inference_rules)),
+            dict(self.grounding_tables),
+            self.last_result,
+            graph.num_vars,
+            len(graph.weights),
+            graph.factors,
+            {},
+        )
+
+    def rollback(self) -> None:
+        """Undo the last :meth:`apply_update` whole — a no-op once the
+        next one has begun, or after a rollback."""
+        undo, self._undo = self._undo, None
+        if undo is None:
+            return
+        self.db.columnar.rollback()
+        self._table_store.rollback()
+        self.db.interner.truncate(undo.interner_size)
+        self.program.derivation_rules, self.program.inference_rules = undo.rules
+        self.grounding_tables.clear()
+        self.grounding_tables.update(undo.grounding_tables)
+        self.last_result = undo.last_result
+        graph = self.graph
+        graph.factors = undo.factors
+        for var, value in undo.evidence.items():
+            if value is None:
+                graph.clear_evidence(var)
+            else:
+                graph.set_evidence(var, value)
+        graph.truncate_variables(undo.num_vars)
+        graph.weights.truncate(undo.num_weights)
 
     def _rule_delta_batches(self, rule, new_rule_names, transitions, delta_batches):
         """The binding batches whose signed sum is ``rule``'s delta.
@@ -235,43 +305,6 @@ class IncrementalGrounder:
             return (full_body_batch(self.db, rule),)
         return _fused_delta_batches(self.db, rule.body, transitions, delta_batches)
 
-    def _validated(self, inserts, deletes, rule_changes) -> tuple:
-        """Make the update's rule changes on a copy of the program, then
-        encode every base relation's rows and check its counts, before
-        anything changes; returns the changed program (``None`` when the
-        rules stay) and ``(relation, code batch)`` per relation.  A
-        rejected update leaves the program and the database — its
-        interner included — exactly as they were."""
-        interner = self.db.interner
-        mark = len(interner)
-        trial = None
-        base: list = []
-        try:
-            if any(rule_changes):
-                trial = self.program.with_rule_changes(*rule_changes)
-            for name in dict.fromkeys([*inserts, *deletes]):
-                relation = self.db.relation(name)
-                plus, minus = list(inserts.get(name, ())), list(deletes.get(name, ()))
-                batch = relation.encode(
-                    plus + minus, np.repeat([1, -1], [len(plus), len(minus)])
-                )
-                if minus:  # only a delete can exceed the derivations stored
-                    short = relation.counts_of(batch.codes) + batch.signs < 0
-                    if short.any():
-                        (row,) = interner.decode_rows(batch.codes[short][:1])
-                        raise KeyError(
-                            f"update deletes more derivations of {row!r} from "
-                            f"{name!r} than exist"
-                        )
-                base.append((relation, batch))
-        except (KeyError, ValueError) as error:
-            interner.truncate(mark)
-            raise UpdateRejected.of(error) from error
-        except BaseException:
-            interner.truncate(mark)
-            raise
-        return trial, base
-
     def _apply_update(
         self,
         inserts,
@@ -280,19 +313,22 @@ class IncrementalGrounder:
         add_inference_rules,
         remove_inference_rules,
     ) -> UpdateResult:
-        # ---- 1. Validate, then adopt the changed rules and make the
-        # base-relation visibility transitions.
+        # ---- 1. Change the rules and make the base-relation visibility
+        # transitions.
         rule_changes = tuple(
             map(tuple, (add_derivation_rules, add_inference_rules, remove_inference_rules))
         )
-        trial, base = self._validated(inserts, deletes, rule_changes)
-        if trial is not None:
-            self.program.adopt_rules(trial)
+        self.program.change_rules(*rule_changes)
         added_derivations, added_rules, removed_rules = rule_changes
         new_derivation_names = {rule.name for rule in added_derivations}
         new_rule_names = {rule.name for rule in added_rules}
         all_transitions: dict = {}
-        for relation, batch in base:
+        for name in dict.fromkeys([*inserts, *deletes]):
+            relation = self.db.relation(name)
+            plus, minus = list(inserts.get(name, ())), list(deletes.get(name, ()))
+            batch = relation.encode(
+                plus + minus, np.repeat([1, -1], [len(plus), len(minus)])
+            )
             self._record(all_transitions, relation, relation.apply_delta(batch))
 
         # ---- 2. Propagate through derivation rules in stratified order:
@@ -377,8 +413,7 @@ class IncrementalGrounder:
         for name in {getattr(rule, "name", rule) for rule in removed_rules}:
             table = tables.pop(name)
             touched.append(table.rows_at(table.alive_slots()).codes[:, :2])
-        new_weight_entries: list = []
-        weights = _DeltaWeightView(self.graph.weights, new_weight_entries)
+        weights = self.graph.weights  # a weight new to it is the delta's
         variable_relations = self.program.variable_relations
         rebuilt: dict = {}  # (rule, head, weight id) -> groundings
         sems: dict = {}
@@ -406,7 +441,10 @@ class IncrementalGrounder:
             ).items():
                 rebuilt[rule.name, head, wid] = groundings
             sems[rule.name] = sem_code(self.program.semantics_of(rule))
-        delta.new_weight_entries = new_weight_entries
+        delta.new_weight_entries = [
+            (weights.key_for(wid), weights.value(wid), weights.is_fixed(wid))
+            for wid in range(self._undo.num_weights, len(weights))
+        ]
 
         # ---- 6. (∆F): every touched factor is rebuilt — its old factor
         # removed, and, while it has groundings, the new one appended.
@@ -432,6 +470,9 @@ class IncrementalGrounder:
         # ---- 7. Splice.  The O(graph) invariant walk is skipped: the
         # grounder constructs deltas from resolved variable ids and
         # interned weights.
+        self._undo.evidence.update(
+            (var, self.graph.evidence_value(var)) for var in delta.evidence_updates
+        )
         delta.apply_in_place(self.graph)
         result = UpdateResult(delta=delta, graph=self.graph)
         self.last_result = result
@@ -452,8 +493,7 @@ class IncrementalGrounder:
         when a factor outlives its head variable — a rule whose body does
         not imply its head candidate: a rebuilt factor that keeps
         groundings, or an untouched one, on a removed variable.  The
-        update has moved the database by then, so the grounder is not
-        usable afterwards, as after any such error mid-update."""
+        update then rolls back and leaves as a rejection."""
         table = self.graph.factor_table()
         left = np.isin(table.rule_head, list(removed_vars))
         left[list(removed_ids)] = False
@@ -555,7 +595,8 @@ def _groundings_of(table: Relation, rows: ColumnarBatch, polarities, first_new_v
     every pair."""
     old = rows.codes[:, 0] < first_new_var
     if old.any():
-        _, slots = table.probe((0, 1), rows.codes[old, :2])
+        factors = rows.codes[old, :2]
+        _, slots = table.probe((0, 1), factors[group_rows(factors)[0]])
         new = ~old
         rows = ColumnarBatch.concat(
             [table.rows_at(np.unique(slots)), ColumnarBatch(rows.codes[new], rows.signs[new])]
@@ -566,27 +607,3 @@ def _groundings_of(table: Relation, rows: ColumnarBatch, polarities, first_new_v
             [tuple(zip(lits, polarities))] * count
         )
     return groundings
-
-
-class _DeltaWeightView:
-    """Weight-store facade that records newly interned keys into a delta.
-
-    Existing keys resolve against the base store; new keys get the next
-    ids *as if* appended, matching :meth:`FactorGraphDelta.apply`.
-    """
-
-    def __init__(self, base, new_entries: list) -> None:
-        self._base = base
-        self._new_entries = new_entries
-        self._new_ids: dict = {}
-
-    def intern(self, key, initial: float = 0.0, fixed: bool = False) -> int:
-        existing = self._base.id_for(key)
-        if existing is not None:
-            return existing
-        if key in self._new_ids:
-            return self._new_ids[key]
-        wid = len(self._base) + len(self._new_entries)
-        self._new_ids[key] = wid
-        self._new_entries.append((key, initial, fixed))
-        return wid

@@ -27,9 +27,11 @@ class FaultInjected(ReliabilityError):
 
 
 class UpdateRejected(Exception):
-    """An update refused before it changed anything: an unknown
-    relation, a row of the wrong arity, an over-delete, an invalid rule
-    change.  The same input fails the same way every time, so the
+    """An update refused, and rolled back whole: an unknown relation, a
+    row of the wrong arity, an over-delete, an invalid rule change, a
+    factor outliving its head variable — any ``KeyError`` or
+    ``ValueError`` the grounder meets.  The same input fails the same
+    way every time, so the
     pipeline re-raises it at once instead of retrying.  It is raised as
     :class:`RejectedKeyError` or :class:`RejectedValueError`, so a caller
     catching the ``KeyError`` / ``ValueError`` the check raises still

@@ -4,19 +4,14 @@
 :class:`~repro.grounding.incremental.IncrementalGrounder` and an engine
 (Incremental or Rerun) together under a :class:`DeltaLog`: every update
 is logged *before* it runs, retried under a :class:`RetryPolicy`, and
-committed only once inference (and optional relearning) succeeded.  The
-engines' own transactional ``apply_update``/``relearn`` guarantee that a
-failed attempt rolls the engine back to its pre-update state, so a retry
-starts clean.
+committed only once inference (and optional relearning) succeeded.
 
-Grounding is **not** re-run on retry when it already completed: the
-grounder stashes ``last_result`` before its ``ground.update.finish``
-injection point, and the pipeline compares that marker across attempts —
-relation deltas are not idempotent, so re-grounding a grounded update
-would double-apply them.  (A failure *inside* grounding is only safe to
-retry when nothing was mutated yet, i.e. at ``ground.update.start``;
-mid-grounding crash atomicity is out of scope, matching the harness's
-injection points.)
+An attempt is all-or-nothing.  The grounder and the engine each keep
+their last update revocable until the next one begins
+(``IncrementalGrounder.rollback``, ``engine.rollback``) and roll a
+failed call back themselves; when an attempt fails after grounding, the
+pipeline rolls back whatever already succeeded.  Every attempt therefore
+starts from the pre-update stack, and a retry grounds the update again.
 
 After a crash, :meth:`DeltaLog.pending` names the updates that began but
 never committed, and :meth:`replay` re-applies the committed history
@@ -70,7 +65,6 @@ class ReliableUpdatePipeline:
         self.updates = 0
         self.retries = 0
         self.rollbacks = 0
-        self.regrounds_skipped = 0
         #: Transaction id of the most recently committed update — the
         #: staleness stamp the service attaches to read snapshots.
         self.last_txn = 0
@@ -89,9 +83,9 @@ class ReliableUpdatePipeline:
         """One logged, retried, committed development iteration.
 
         Returns the engine's :class:`InferenceOutcome`.  On unrecoverable
-        failure the transaction is rolled back in the WAL (the engine has
-        already rolled itself back) and the final exception re-raises —
-        at once, without a retry, when the grounder rejected the input
+        failure the stack has been rolled back, the transaction is rolled
+        back in the WAL, and the final exception re-raises — at once,
+        without a retry, when the grounder rejected the input
         (:class:`~repro.reliability.errors.UpdateRejected`)."""
         payload = {
             "inserts": inserts,
@@ -100,38 +94,27 @@ class ReliableUpdatePipeline:
             **ground_kwargs,
         }
         txn = self.wal.begin(payload)
-        marker = self.grounder.last_result
-        grounded = {"result": None}
-        inferred = {"outcome": None}
 
         def attempt(n):
             if n > 1:
                 self.retries += 1
-            if grounded["result"] is None:
-                if self.grounder.last_result is not marker:
-                    # A prior attempt finished grounding, then failed
-                    # downstream: resume from the stashed result.
-                    grounded["result"] = self.grounder.last_result
-                    self.regrounds_skipped += 1
-                else:
-                    grounded["result"] = self.grounder.apply_update(
-                        inserts=inserts, deletes=deletes, **ground_kwargs
-                    )
-                self.wal.mark(txn, "grounded", grounded["result"].summary)
-            if inferred["outcome"] is None:
-                # A failed apply_update rolled the engine back, so re-running
-                # it is safe; a *committed* one must not run again — the
-                # delta is relative to the pre-update graph, and the engine
-                # already holds the post-update state.  A later relearn
-                # failure therefore retries only the relearn.
-                inferred["outcome"] = self.engine.apply_update(
-                    grounded["result"].delta
-                )
+            result = self.grounder.apply_update(
+                inserts=inserts, deletes=deletes, **ground_kwargs
+            )
+            outcome = None
+            try:
+                self.wal.mark(txn, "grounded", result.summary)
+                outcome = self.engine.apply_update(result.delta)
                 self.wal.mark(txn, "inferred")
-            if relearn_epochs:
-                self.engine.relearn(relearn_epochs, record_loss=False)
-                self.wal.mark(txn, "relearned")
-            return inferred["outcome"]
+                if relearn_epochs:
+                    self.engine.relearn(relearn_epochs, record_loss=False)
+                    self.wal.mark(txn, "relearned")
+            except Exception:
+                if outcome is not None:  # else the engine rolled itself back
+                    self.engine.rollback()
+                self.grounder.rollback()
+                raise
+            return outcome
 
         try:
             outcome = self.retry.call(attempt)

@@ -24,15 +24,14 @@ thread that died without saying so.
 Failure handling mirrors the health state machine:
 
 * an ``Exception`` escaping ``pipeline.apply_update`` means the
-  pipeline's own retries were exhausted and the engine rolled back —
-  the payload is recorded as failed, the service degrades, and the
-  batcher moves on (one poisoned update must not wedge the queue) —
-  unless the grounder had already committed its relation delta: then
-  grounder and engine are diverged, the service crashes itself and the
-  batcher stops *there*: what is left of the drained batch is recorded
-  as failed and touches neither the stack nor the WAL (``stop()`` after
-  its drain timed out ends a batch the same way, and fails whatever is
-  still queued);
+  pipeline's own retries were exhausted and the whole stack — grounder
+  and engine, each revocable until its next update begins — rolled
+  back: the payload is recorded as failed, the service degrades, and
+  the batcher moves on to the next payload on the unchanged stack (one
+  poisoned update must not wedge the queue, nor cost the service);
+* ``stop()`` after its drain timed out ends a batch: what is left of
+  it is recorded as failed and touches neither the stack nor the WAL,
+  and so is whatever is still queued;
 * a :class:`~repro.reliability.errors.ProcessCrash` is the simulated
   SIGKILL: it is caught only here, at the outermost boundary, the
   service transitions to ``crashed`` and the thread exits with
@@ -141,17 +140,16 @@ class UpdateBatcher:
                 for done, (seq, payload) in enumerate(batch, 1):
                     self.in_flight += 1
                     try:
-                        diverged = self._apply_one(seq, payload)
+                        self._apply_one(seq, payload)
                     finally:
                         self.in_flight -= 1
-                    halted = diverged or (self._stop.is_set() and "service stopped")
+                    halted = self._stop.is_set()
                     if halted:
-                        # Fail-stop means now: the rest of the drained
-                        # batch is never grounded, logged or applied on
-                        # the diverged stack (nor after ``stop()`` gave
-                        # up waiting).  It has left the queue, so it is
-                        # accounted failed and the lag stays exact.
-                        self._abandon(batch[done:], halted)
+                        # The rest of the drained batch is never
+                        # grounded, logged or applied once ``stop()``
+                        # gave up waiting.  It has left the queue, so it
+                        # is accounted failed and the lag stays exact.
+                        self._abandon(batch[done:], "service stopped")
                     self.notify_progress()
                     if halted:
                         break
@@ -162,33 +160,20 @@ class UpdateBatcher:
             self.in_flight = 0
             svc._on_crash(str(crash))
 
-    def _apply_one(self, seq: int, payload: dict) -> str | None:
-        """Apply one payload.  Returns the reason when the failure left
-        the write stack diverged (the batcher must stop), else ``None``."""
+    def _apply_one(self, seq: int, payload: dict) -> None:
+        """Apply one payload; a terminal failure is recorded and degrades
+        the service (the pipeline rolled the stack back)."""
         svc = self.service
         maybe_fire("service.batch.start", seq=seq)
-        marker = svc.pipeline.grounder.last_result
         try:
             svc.pipeline.apply_update(**payload)
         except Exception as exc:  # noqa: BLE001 — pipeline retries exhausted
             self.failed.append((seq, repr(exc)))
-            diverged = None
-            if svc.pipeline.grounder.last_result is not marker:
-                # The grounder committed its (non-idempotent) relation
-                # delta but the engine never applied the result: the
-                # write stack is diverged and every later update would
-                # build on the inconsistency.  Fail-stop — restore()
-                # rebuilds a consistent pair from the WAL, in which this
-                # transaction was rolled back.
-                diverged = f"grounder/engine diverged on seq={seq}: {exc!r}"
-                svc._on_crash(diverged)
-                self._stop.set()
-            else:
-                svc.health.record_failure(f"update seq={seq} failed: {exc!r}")
+            svc.health.record_failure(f"update seq={seq} failed: {exc!r}")
             # A terminally failed payload will never reach the snapshot;
             # counting it processed removes it from the lag bound.
             self.failures += 1
-            return diverged
+            return
         svc.health.record_commit()
         # Snapshot first, then account: see module docstring.
         svc._on_commit(svc.pipeline.last_txn)
@@ -203,4 +188,3 @@ class UpdateBatcher:
         # "drained" means fully applied and durable.  (_run notifies
         # ``progress`` right after.)
         self.commits += 1
-        return None

@@ -10,7 +10,7 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0013 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0014 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
@@ -36,10 +36,13 @@ substrate lost its per-variable Python mirrors and neighbour multiset
 and gained the head and literal offsets its blocks gather through, and
 scan blocks lost their batch flag; ``CKPT0013``: a relation carries
 a vid column beside its counts, and a grounder lost its name-keyed
-variable map and packed-code resolver), so a file written by an older tree fails verification here — skipped and
-counted like a corrupt one, recovery falling back to an older checkpoint
-or the WAL — instead of unpickling into an object that breaks at its
-first update.
+variable map and packed-code resolver; ``CKPT0014``: a database's store,
+a grounder and an engine carry the (never pickled) undo of their last
+update, and a grounder's grounding tables share one store), so a file
+written by an older tree fails verification here — skipped and counted
+like a corrupt one, recovery falling back to an older checkpoint or the
+WAL — instead of unpickling into an object that breaks at its first
+update.
 
 The store keeps the ``keep`` most recent checkpoints; after a checkpoint
 at transaction ``txn`` the service truncates its WAL to ``txn``, so the
@@ -59,7 +62,7 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0013"
+_MAGIC = b"CKPT0014"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

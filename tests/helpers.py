@@ -246,6 +246,55 @@ def graph_fingerprint(graph) -> dict:
     }
 
 
+def slot_state(relation) -> tuple:
+    """A relation's physical layout, in slot order: code rows, counts,
+    vids and the packed-row → slot map."""
+    n = relation._n_slots
+    return (
+        relation._codes[:n].tolist(),
+        relation._count[:n].tolist(),
+        relation._vid[:n].tolist(),
+        dict(relation._slot_of),
+    )
+
+
+def stack_state(grounder, engine=None) -> dict:
+    """Everything an update can move in a grounder (and an engine), in
+    exact order — two stacks hold the same state iff these are equal:
+    every relation's and grounding table's slots, the interner size, the
+    program's rules, the grounder graph's fingerprint, and the engine's
+    current graph and marginals."""
+    db, program = grounder.db, grounder.program
+    state = {
+        "relations": {name: slot_state(db.relation(name)) for name in db.relation_names()},
+        "interner": len(db.interner),
+        "tables": {name: slot_state(table) for name, table in grounder.grounding_tables.items()},
+        "rules": (
+            [rule.name for rule in program.derivation_rules],
+            [rule.name for rule in program.inference_rules],
+        ),
+        "graph": graph_fingerprint(grounder.graph),
+    }
+    if engine is not None:
+        snapshot = engine.read_snapshot()
+        state["engine_graph"] = graph_fingerprint(engine.current_graph)
+        state["marginals"] = None if snapshot is None else snapshot.marginals.tolist()
+    return state
+
+
+def delta_fingerprint(delta) -> tuple:
+    """Everything a grounder delta says, in exact order."""
+    return (
+        delta.num_new_vars,
+        list(delta.new_var_names),
+        dict(delta.new_var_evidence),
+        dict(delta.evidence_updates),
+        sorted(delta.removed_factor_ids),
+        list(delta.new_weight_entries),
+        list(delta.new_factors),
+    )
+
+
 def vid_of(db, relation: str, row) -> int:
     """The variable id of ``row`` of variable relation ``relation``, read
     from the relation's vid column (−1 where it is no variable)."""

@@ -476,7 +476,8 @@ class TestFactorOutlivingItsHeadRaises:
     """A rule whose body does not imply its head candidate: deleting the
     candidate while the body rows stay leaves a factor with no head
     variable.  The update raises the error a full ground of that state
-    raises, whether the factor is untouched or rebuilt this update."""
+    raises, whether the factor is untouched or rebuilt this update, as a
+    rejection that moved nothing."""
 
     def make(self):
         program = Program(default_semantics="ratio")
@@ -505,10 +506,15 @@ class TestFactorOutlivingItsHeadRaises:
     def test_update_raises_like_the_full_ground(self, extra):
         program, db = self.make()
         grounder = IncrementalGrounder.from_scratch(program, db)
-        with pytest.raises(KeyError, match=r"'fe'.*\('Q', \('x',\)\).*not a grounded variable"):
-            grounder.apply_update(deletes={"Cand": [("x",)]}, **extra)
+        update = {"deletes": {"Cand": [("x",)]}, **extra}
+        before = {name: db.relation(name).counts() for name in db.relation_names()}
+        with pytest.raises(UpdateRejected, match=r"'fe'.*\('Q', \('x',\)\).*not a grounded variable"):
+            grounder.apply_update(**update)
+        assert {name: db.relation(name).counts() for name in db.relation_names()} == before
+        twin_program, twin_db = self.make()
+        replay(twin_program, twin_db, update)
         with pytest.raises(KeyError, match="not a grounded variable"):
-            Grounder(program, db).ground()
+            Grounder(twin_program, twin_db).ground()
 
     def test_deleting_the_body_with_its_head_grounds(self):
         program, db = self.make()
@@ -552,8 +558,9 @@ class TestTombstonedSlotNeverResolves:
 
 class TestCompactionInsideAnUpdate:
     """A variable relation whose dead fraction crosses the threshold
-    mid-update compacts only once the update ends: its removed
-    variables' retraction bindings resolve through their slots first."""
+    mid-update compacts only once the next update begins: its removed
+    variables' retraction bindings resolve through their slots first,
+    and the update stays revocable slot for slot until then."""
 
     def make(self):
         program = Program(default_semantics="ratio")
@@ -606,16 +613,18 @@ class TestCompactionInsideAnUpdate:
         monkeypatch.setattr(FactorGraphDelta, "apply_in_place", recording)
         grounder.apply_update(**update)
         assert at_splice == [before]
-        assert stats["rebuilds"] > before
+        assert stats["rebuilds"] == before
         assert removed.isdisjoint(grounder.graph.factor_table().variables().tolist())
         for c in ("c0", "c1"):
             assert grounder.graph.name_of(vid_of(db, "Q", (c,))) == ("Q", (c,))
         twin_program, twin_db = self.make()
         replay(twin_program, twin_db, update)
         assert_equivalent(grounder.graph, reference_ground(twin_program, twin_db.copy()))
-        # The repacked column serves the next update.
+        # The next update repacks the column first, and it serves that
+        # update.
         again = {"inserts": {"Cand": [("c2",)], "Feat": [("c2", "f0")], "Link": [("c2", "c1")]}}
         grounder.apply_update(**again)
+        assert at_splice[-1] > before
         replay(twin_program, twin_db, again)
         assert_equivalent(grounder.graph, reference_ground(twin_program, twin_db.copy()))
 

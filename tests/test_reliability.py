@@ -8,8 +8,11 @@ Layers, matching the reliability stack:
 * Engine: for every engine-level injection point, a seeded raise rolls
   ``apply_update``/``relearn`` back to the pre-update state (caches
   verified consistent) and the retried call matches a never-faulted twin
-  engine exactly; the WAL-backed pipeline never re-grounds a grounded
-  update and replays its committed history onto a fresh stack.
+  engine exactly.
+* Pipeline: an attempt that fails rolls the whole stack back — grounder
+  and engine — so a retry re-grounds from the pre-update state, a
+  terminal failure leaves a stack equal to a twin that never saw the
+  update, and the committed history replays onto a fresh stack.
 """
 
 import os
@@ -38,7 +41,9 @@ from repro.reliability import (
 
 from repro.datalog import Atom, DerivationRule, Var
 
-from tests.helpers import chain_ising_graph
+from repro.db.relation import Relation
+
+from tests.helpers import chain_ising_graph, delta_fingerprint, stack_state
 from tests.test_grounding import spouse_db, spouse_program
 
 
@@ -717,12 +722,15 @@ class TestRerunEngineRollback:
 # WAL pipeline layer
 
 
-def make_stack(wal=None, retry=None):
+def make_stack(wal=None, retry=None, rerun=False):
     program = spouse_program()
     db = spouse_db(program)
     grounder = IncrementalGrounder.from_scratch(program, db)
-    engine = IncrementalEngine(grounder.graph, small_config())
-    engine.materialize()
+    if rerun:
+        engine = RerunEngine(grounder.graph, small_config(inference_samples=40))
+    else:
+        engine = IncrementalEngine(grounder.graph, small_config())
+        engine.materialize()
     return grounder, engine, ReliableUpdatePipeline(
         grounder, engine, wal=wal, retry=retry or FAST_RETRY
     )
@@ -752,45 +760,37 @@ class TestReliablePipeline:
         with inject_faults(FaultPlan([Fault(site="ground.update.start")])):
             outcome = pipe.apply_update(**UPDATE)
         assert pipe.retries == 1
-        assert pipe.regrounds_skipped == 0
         # Single application of the relation delta.
         assert grounder.db.relation("PersonCandidate").count(("s3", "m5")) == 1
         assert np.array_equal(outcome.marginals, baseline.marginals)
 
     @pytest.mark.parametrize(
-        "site,skips",
-        [
-            # Raise after the grounder stashed its result: the retry
-            # resumes from the stash (regrounds_skipped increments).
-            ("ground.update.finish", 1),
-            # Raise inside the engine: grounding completed inside this
-            # same pipeline attempt, so the retry reuses it directly.
-            ("engine.update.start", 0),
-        ],
+        "site", ["ground.update.finish", *ENGINE_UPDATE_SITES]
     )
-    def test_fault_after_grounding_never_regrounds(self, site, skips):
-        _g0, _e0, clean = make_stack()
+    def test_fault_after_grounding_regrounds_from_the_rolled_back_stack(self, site):
+        clean_grounder, clean_engine, clean = make_stack()
         baseline = clean.apply_update(**UPDATE)
-        grounder, _e, pipe = make_stack()
+        grounder, engine, pipe = make_stack()
         with inject_faults(FaultPlan([Fault(site=site)])):
             outcome = pipe.apply_update(**UPDATE)
         assert pipe.retries == 1
-        assert pipe.regrounds_skipped == skips
-        # The relation delta landed exactly once despite the retry.
+        # The relation delta landed exactly once despite the retry, and
+        # the retry left what a never-faulted run leaves.
         assert grounder.db.relation("PersonCandidate").count(("s3", "m5")) == 1
         assert np.array_equal(outcome.marginals, baseline.marginals)
+        assert stack_state(grounder, engine) == stack_state(clean_grounder, clean_engine)
 
-    def test_relearn_fault_does_not_reapply_engine_update(self, tmp_path):
+    def test_relearn_fault_retries_the_whole_update(self, tmp_path):
         # A fault *after* the engine committed its update (mid-relearn)
-        # must retry only the relearn: re-running apply_update would
-        # double-apply the delta, silently diverging from a WAL replay.
+        # rolls back the relearn, the engine update and the grounding;
+        # the retry then ends where a WAL replay ends.
         wal = DeltaLog(tmp_path / "relearn.wal")
-        _g1, engine, pipe = make_stack(wal=wal)
+        grounder, engine, pipe = make_stack(wal=wal)
         with inject_faults(FaultPlan([Fault(site="learn.epoch", at=1)])):
             outcome = pipe.apply_update(relearn_epochs=2, **UPDATE)
         assert pipe.retries == 1
-        assert engine.rollbacks == 1  # the relearn rolled back, not the update
-        assert engine.committed_updates == 1  # engine update applied once
+        assert engine.committed_updates == 1  # the retry's, once
+        assert grounder.db.relation("PersonCandidate").count(("s3", "m5")) == 1
         grounder2, engine2, _p2 = make_stack()
         outcomes = pipe.replay(grounder2, engine2)
         assert len(outcomes) == 1
@@ -799,6 +799,7 @@ class TestReliablePipeline:
             engine.current_graph.weights.values_array(),
             engine2.current_graph.weights.values_array(),
         )
+        assert stack_state(grounder, engine) == stack_state(grounder2, engine2)
 
     def test_exhausted_retries_roll_back_wal(self):
         _g, _e, pipe = make_stack()
@@ -863,3 +864,143 @@ class TestReliablePipeline:
         outcomes = pipe.replay(grounder2, engine2)
         assert len(outcomes) == 1
         assert np.array_equal(outcomes[0].marginals, baseline.marginals)
+
+
+# --------------------------------------------------------------------- #
+# An update is undone whole
+
+
+#: Every fault site inside a grounder or engine call of an update.
+STACK_SITES = [
+    "ground.update.start",
+    "ground.update.finish",
+    *ENGINE_UPDATE_SITES,
+    "engine.relearn.start",
+    "learn.epoch",
+]
+
+UPDATE_2 = {
+    "inserts": {"PhraseFeature": [("m5", "m6", "married")]},
+    "deletes": {"PersonCandidate": [("s3", "m6")]},
+}
+UPDATE_3 = {
+    "inserts": {
+        "PersonCandidate": [("s4", "m7"), ("s4", "m8")],
+        "PhraseFeature": [("m7", "m8", "and his wife")],
+    }
+}
+
+
+class TestTerminalFaultLeavesTheTwin:
+    """A terminal fault at any grounder or engine site leaves the stack
+    equal to a twin that never saw the update, and the next update
+    grounds and infers exactly as the twin's does."""
+
+    @pytest.mark.parametrize("rerun", [False, True], ids=["incremental", "rerun"])
+    @pytest.mark.parametrize("site", STACK_SITES)
+    def test_through_the_pipeline(self, site, rerun):
+        grounder, engine, pipe = make_stack(rerun=rerun)
+        twin_grounder, twin_engine, twin = make_stack(rerun=rerun)
+        for p in (pipe, twin):
+            p.apply_update(relearn_epochs=1, **UPDATE)
+        plan = FaultPlan([Fault(site=site, repeat=True)])
+        with inject_faults(plan):
+            with pytest.raises(FaultInjected):
+                pipe.apply_update(relearn_epochs=2, **UPDATE_2)
+        assert plan.fired_sites().count(site) == FAST_RETRY.max_attempts
+        assert pipe.rollbacks == 1
+        assert stack_state(grounder, engine) == stack_state(twin_grounder, twin_engine)
+        after = pipe.apply_update(relearn_epochs=1, **UPDATE_3)
+        expected = twin.apply_update(relearn_epochs=1, **UPDATE_3)
+        assert delta_fingerprint(grounder.last_result.delta) == delta_fingerprint(
+            twin_grounder.last_result.delta
+        )
+        assert np.array_equal(after.marginals, expected.marginals)
+        assert stack_state(grounder, engine) == stack_state(twin_grounder, twin_engine)
+
+
+def stack_over(program, db):
+    """A grounder, engine and pipeline over ``(program, db)``."""
+    grounder = IncrementalGrounder.from_scratch(program, db)
+    engine = IncrementalEngine(grounder.graph, small_config())
+    engine.materialize()
+    return grounder, engine, ReliableUpdatePipeline(grounder, engine, retry=FAST_RETRY)
+
+
+class TestAnUpdateIsUndoneWhole:
+    def test_program_error_is_rejected_and_moves_nothing(self):
+        """Deleting a candidate whose feature rows stay leaves a factor
+        without its head: the update is rejected at once, the stack is
+        the twin's, and the next update grounds as a full ground does."""
+        # Imported here: test_service imports this module on the lean
+        # serving path, which must not load hypothesis (it loads asyncio).
+        from tests import test_incremental_grounding as grounding_tests
+        from tests.reference import reference_ground, replay
+
+        make = grounding_tests.TestFactorOutlivingItsHeadRaises().make
+        grounder, engine, pipe = stack_over(*make())
+        twin_grounder, twin_engine, _twin = stack_over(*make())
+        with pytest.raises(UpdateRejected, match=r"'fe'.*not a grounded variable"):
+            pipe.apply_update(deletes={"Cand": [("x",)]})
+        assert pipe.retries == 0
+        assert stack_state(grounder, engine) == stack_state(twin_grounder, twin_engine)
+        update = {"deletes": {"Cand": [("x",)], "Feat": [("x", "f1")]}}
+        pipe.apply_update(**update)
+        program, db = make()
+        replay(program, db, update)
+        grounding_tests.assert_equivalent(grounder.graph, reference_ground(program, db))
+
+    def test_rollback_of_an_update_that_made_compactions_due(self, monkeypatch):
+        """The update retracts most of a variable relation and of a rule's
+        grounding table, so both come due for a compaction; a terminal
+        fault after inference rolls it back to the very slots it found,
+        with no compaction run, and the next update matches the twin."""
+        from tests import test_incremental_grounding as grounding_tests
+
+        monkeypatch.setattr(Relation, "_COMPACT_MIN_SLOTS", 4)
+        make = grounding_tests.TestCompactionInsideAnUpdate().make
+        grounder, engine, pipe = stack_over(*make())
+        twin_grounder, twin_engine, twin = stack_over(*make())
+        gone = [f"c{i}" for i in range(2, 8)]
+        update = {
+            "deletes": {
+                "Cand": [(c,) for c in gone],
+                "Feat": [(c, f"f{i % 2}") for i, c in enumerate(gone, start=2)],
+                "Link": [(f"c{i}", f"c{i + 1}") for i in range(2, 7)],
+            }
+        }
+        db_stats = grounder.db.columnar.stats
+        table_stats = grounder.grounding_tables["fe"]._store.stats
+        before = stack_state(grounder, engine)
+        rebuilds = db_stats["rebuilds"], table_stats["rebuilds"]
+        compacted = []
+        real_compact = Relation._compact
+
+        def recording(relation):
+            compacted.append(relation.name)
+            real_compact(relation)
+
+        monkeypatch.setattr(Relation, "_compact", recording)
+        plan = FaultPlan([Fault(site="engine.update.inferred", repeat=True)])
+        with inject_faults(plan):
+            with pytest.raises(FaultInjected):
+                pipe.apply_update(**update)
+        # Each attempt made Q and fe's table due; none compacted them.
+        assert compacted == []
+        assert grounder.db.columnar._to_compact == {}
+        assert (db_stats["rebuilds"], table_stats["rebuilds"]) == rebuilds
+        assert stack_state(grounder, engine) == before
+        assert before == stack_state(twin_grounder, twin_engine)
+        # The update then commits on both stacks; its compactions land
+        # when the next update begins.
+        again = {"inserts": {"Cand": [("c2",)], "Feat": [("c2", "f0")], "Link": [("c2", "c1")]}}
+        for p in (pipe, twin):
+            p.apply_update(**update)
+        assert compacted == []
+        for p in (pipe, twin):
+            p.apply_update(**again)
+        assert {"Q", "fe"} <= set(compacted)
+        assert delta_fingerprint(grounder.last_result.delta) == delta_fingerprint(
+            twin_grounder.last_result.delta
+        )
+        assert stack_state(grounder, engine) == stack_state(twin_grounder, twin_engine)

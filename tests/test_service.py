@@ -55,8 +55,9 @@ from repro.service import server as server_module
 
 from repro.workloads.systems import build_pipeline, workload_by_name
 
+from tests.helpers import stack_state
 from tests.test_grounding import spouse_db, spouse_program
-from tests.test_reliability import FAST_RETRY, small_config
+from tests.test_reliability import FAST_RETRY, STACK_SITES, small_config
 
 UPDATE_A = {
     "inserts": {
@@ -202,16 +203,16 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled state changed
-        shape (magic ``CKPT0011``) is valid by its own checksum and must
+        shape (magic ``CKPT0013``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0013"
+            assert fh.read(8) == b"CKPT0014"
             fh.seek(0)
-            fh.write(b"CKPT0011")
+            fh.write(b"CKPT0013")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -379,12 +380,10 @@ class TestHealthDegradation:
             config=ServiceConfig(poll_interval=0.005, recover_after=1)
         ).start()
         svc.prime()
-        # Every retry attempt of the first update fails *before the
-        # grounder mutates anything*: the pipeline exhausts its
-        # attempts, rolls back, and the batcher records a terminal
-        # failure instead of wedging the queue.  (A failure after
-        # grounding committed diverges the stack and fail-stops instead
-        # — see TestCrashRecovery.)
+        # Every retry attempt of the first update fails: the pipeline
+        # exhausts its attempts, rolls back, and the batcher records a
+        # terminal failure instead of wedging the queue.  (A failure
+        # after grounding does the same — see TestCrashRecovery.)
         plan = FaultPlan(
             [Fault(site="ground.update.start", at=1, repeat=True)]
         )
@@ -720,26 +719,37 @@ class TestCrashRecovery:
         assert restored.pipeline.wal.pending() == []
         restored.stop()
 
-    def test_diverged_stack_fail_stops_then_restores_clean(self, tmp_path):
-        # A terminal failure *after* grounding committed its relation
-        # delta leaves grounder and engine inconsistent — the batcher
-        # must fail-stop rather than apply later updates on top of the
-        # divergence, and restore() must come back without the
-        # rolled-back transaction.
+    @pytest.mark.parametrize("site", STACK_SITES)
+    def test_terminal_fault_degrades_and_leaves_the_twin(self, site, tmp_path):
+        # A terminal failure anywhere in the grounder or the engine rolls
+        # the whole stack back: the service degrades instead of crashing,
+        # its stack equals a twin's that never saw the update, later
+        # updates commit, and a restore from the WAL — where the failed
+        # transaction was rolled back — answers what the live service
+        # answers.
         wal_path = tmp_path / "service.wal"
         svc = make_service(wal_path=wal_path).start()
         svc.prime()
-        plan = FaultPlan(
-            [Fault(site="engine.update.start", at=1, repeat=True)]
-        )
+        twin = make_service()
+        twin.prime()
+        plan = FaultPlan([Fault(site=site, repeat=True)])
         with inject_faults(plan):
-            svc.submit(**UPDATE_A)
+            svc.submit(relearn_epochs=1, **UPDATE_A)
             assert svc.drain(timeout=60)
+        assert plan.fired_sites().count(site) == FAST_RETRY.max_attempts
         status = svc.status()
-        assert status["health"]["state"] == CRASHED
-        assert "diverged" in status["health"]["reason"]
-        with pytest.raises(ServiceUnavailable):
-            svc.submit(**UPDATE_B)
+        assert status["health"]["state"] == DEGRADED
+        assert status["batcher"]["failures"] == 1
+        pipe = svc.pipeline
+        assert stack_state(pipe.grounder, pipe.engine) == stack_state(
+            twin.pipeline.grounder, twin.pipeline.engine
+        )
+        svc.submit(**UPDATE_B)
+        assert svc.drain(timeout=60)
+        assert svc.status()["batcher"]["commits"] == 1
+        live = svc.read(max_staleness=0).marginals
+        np.testing.assert_array_equal(live, twin_marginals([UPDATE_B]))
+        svc.stop()
 
         restored = KBService.restore(
             wal_path,
@@ -747,21 +757,14 @@ class TestCrashRecovery:
             config=ServiceConfig(poll_interval=0.005),
             retry=FAST_RETRY,
         )
-        # The diverged transaction was rolled back in the WAL, so the
-        # restored state is prime-only — identical to a twin that never
-        # saw the poisoned update.
         assert restored.recovery["pending_reapplied"] == 0
-        expected = twin_marginals([])
-        np.testing.assert_array_equal(
-            restored.read(max_staleness=0).marginals, expected
-        )
+        np.testing.assert_array_equal(restored.read(max_staleness=0).marginals, live)
         restored.stop()
 
-    def test_divergence_stops_the_batch_it_happens_in(self, tmp_path):
-        # Three payloads drained as one batch, the first diverges the
-        # stack: the other two must never reach the pipeline (they would
-        # be grounded, WAL-logged and applied on a stack just declared
-        # diverged), yet count as processed so drain() returns.
+    def test_a_failed_update_does_not_stop_its_batch(self, tmp_path):
+        # Three payloads drained as one batch, the first fails after
+        # grounding on every attempt: it is rolled back and recorded, and
+        # the other two commit on the unchanged stack.
         wal_path = tmp_path / "service.wal"
         svc = make_service(wal_path=wal_path).start()
         svc.prime()
@@ -775,28 +778,27 @@ class TestCrashRecovery:
 
         svc.queue.drain = gated_drain
         assert parked.wait(30)  # the batcher holds no payload and waits
-        applied = []
-        real_apply = svc.pipeline.apply_update
-
-        def spied_apply(**payload):
-            applied.append(payload)
-            return real_apply(**payload)
-
-        svc.pipeline.apply_update = spied_apply
         seqs = [svc.submit(**update) for update in (UPDATE_A, UPDATE_B, UPDATE_A)]
-        plan = FaultPlan([Fault(site="engine.update.start", at=1, repeat=True)])
+        attempts = FAST_RETRY.max_attempts
+        # A raise that fires stops the visit, so each of these fires on
+        # the next visit after the one before it: once per attempt.
+        plan = FaultPlan([Fault(site="engine.update.start") for _ in range(attempts)])
         with inject_faults(plan):
             gate.set()
             assert svc.drain(timeout=60)
-        assert len(applied) == 1 and applied[0]["inserts"] == UPDATE_A["inserts"]
-        assert svc.status()["health"]["state"] == CRASHED
-        assert [seq for seq, _ in svc.batcher.failed] == seqs
-        assert all("not applied" in why for _, why in svc.batcher.failed[1:])
-        assert svc.batcher.failures == 3 and svc.lag() == 0
-        # Only the diverged transaction ever reached the log.
+        assert plan.fired_sites() == ["engine.update.start"] * attempts
+        health = svc.status()["health"]
+        assert health["failures"] == 1
+        assert [new for _, new, _ in health["transitions"]][0] == DEGRADED
+        assert CRASHED not in [new for _, new, _ in health["transitions"]]
+        assert [seq for seq, _ in svc.batcher.failed] == seqs[:1]
+        assert svc.batcher.commits == 2 and svc.lag() == 0
         with DeltaLog(wal_path) as audit:
-            assert len(audit.committed()) == 1  # prime
+            assert len(audit.committed()) == 3  # prime, UPDATE_B, UPDATE_A
             assert audit.pending() == []
+        live = svc.read(max_staleness=0).marginals
+        np.testing.assert_array_equal(live, twin_marginals([UPDATE_B, UPDATE_A]))
+        svc.stop()
 
         restored = KBService.restore(
             wal_path,
@@ -805,9 +807,7 @@ class TestCrashRecovery:
             retry=FAST_RETRY,
         )
         assert restored.recovery["pending_reapplied"] == 0
-        np.testing.assert_array_equal(
-            restored.read(max_staleness=0).marginals, twin_marginals([])
-        )
+        np.testing.assert_array_equal(restored.read(max_staleness=0).marginals, live)
         restored.stop()
 
     def test_checkpoint_recovery_skips_replayed_history(self, tmp_path):
