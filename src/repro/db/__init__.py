@@ -10,7 +10,7 @@ sequence of SQL joins over it.  This package provides:
 * :class:`~repro.db.database.Database` — a named catalog of relations
   sharing one constant interner.
 * :mod:`~repro.db.query` — conjunctive-query syntax: atoms over
-  variables and constants, and the static join order.
+  variables and constants, and the join order.
 * :mod:`~repro.db.columnar` — the interner, index, signed-batch and
   old-state-view pieces relations and plans share.
 * :mod:`~repro.db.plan` — compiled vectorized join plans that probe the

@@ -22,9 +22,10 @@ only join engine — share:
   delta plans (:func:`repro.db.plan.compile_delta_plans`) can probe "the
   relation as of before this update" next to the live new state.
 * :class:`ColumnarStore` — the per-:class:`Database` join-plan and
-  delta-plan caches, the per-update registry of captured old-state
-  views, the undo log of the last update, and the counters every
-  relation of the database bumps.
+  delta-plan caches (a plan's atom order is chosen from the fan-out of
+  the relations the store serves, estimated when it compiles), the
+  per-update registry of captured old-state views, the undo log of the
+  last update, and the counters every relation of the database bumps.
 
 All probe results flow as ``(probe_row, slot)`` index-pair arrays so a
 whole binding batch advances through a join step in a handful of numpy
@@ -34,6 +35,7 @@ operations.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -490,8 +492,12 @@ class ColumnarStore:
     """A database's plan caches, per-update old-state views, undo log
     and counters.
 
-    :attr:`stats` is shared with every relation of the database, which
-    bumps the index and compaction counters in it."""
+    Every relation created over the store registers with it
+    (:meth:`serve`), so a plan compiled here orders its atoms by their
+    relations' estimated fan-out (:meth:`fan_out`).  :attr:`stats` is
+    shared with every relation of the database, which bumps the index
+    and compaction counters in it; plans count the binding rows their
+    steps emit in ``join_rows``."""
 
     #: id-keyed plan entries are cleared past this point (ad-hoc atom
     #: sequences from one-shot callers must not pin memory forever).
@@ -507,10 +513,12 @@ class ColumnarStore:
         "delta_plan_hits",
         "delta_plan_misses",
         "delta_batch_builds",
+        "join_rows",
     )
 
     def __init__(self, interner: Interner) -> None:
         self.interner = interner
+        self._relations: dict = {}  # name -> the relation served
         # One two-level cache for both plan kinds (see _cached_plans).
         self._plans: dict = {}         # (kind, id(atoms)) -> compiled
         self._struct_plans: dict = {}  # (kind, atoms tuple) -> compiled
@@ -523,6 +531,17 @@ class ColumnarStore:
         self._to_compact: dict | None = None
         self._undo: list | None = None
         self.stats = dict.fromkeys(self.STAT_KEYS, 0)
+
+    def serve(self, relation) -> None:
+        """Register ``relation``: plans compiled here read its size."""
+        self._relations[relation.name] = relation
+
+    def fan_out(self, atom, positions: tuple) -> float:
+        """The estimated rows ``atom``'s relation matches per probe on
+        ``positions`` (:meth:`~repro.db.relation.Relation.fan_out`); an
+        atom over no relation served here counts as empty."""
+        relation = self._relations.get(atom.pred)
+        return 0.0 if relation is None else relation.fan_out(positions)
 
     def __getstate__(self) -> dict:
         # A checkpoint follows a commit: the undo log does not travel.
@@ -631,10 +650,12 @@ class ColumnarStore:
 
     def plan(self, atoms):
         """Cached compiled :class:`~repro.db.plan.JoinPlan` of a full
-        body join (every atom probes its live relation)."""
+        body join (every atom probes its live relation), its atoms
+        ordered by the fan-out estimated when it compiles."""
         from repro.db.plan import JoinPlan
 
-        return self._cached_plans("full", atoms, JoinPlan.compile)[0]
+        compile_atoms = partial(JoinPlan.compile, fan_out=self.fan_out)
+        return self._cached_plans("full", atoms, compile_atoms)[0]
 
     def delta_plans(self, atoms) -> tuple:
         """Cached fused k-term delta plans for a rule body (one plan per
@@ -644,8 +665,7 @@ class ColumnarStore:
         """
         from repro.db.plan import compile_delta_plans
 
-        plans, compiled_now = self._cached_plans(
-            "delta", atoms, compile_delta_plans
-        )
+        compile_atoms = partial(compile_delta_plans, fan_out=self.fan_out)
+        plans, compiled_now = self._cached_plans("delta", atoms, compile_atoms)
         self.stats["delta_plan_misses" if compiled_now else "delta_plan_hits"] += 1
         return plans

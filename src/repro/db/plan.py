@@ -1,20 +1,25 @@
 """Compiled vectorized join plans over columnar relations.
 
-A conjunctive query compiles once into a :class:`JoinPlan`: a static atom
-order (:func:`repro.db.query.static_join_order`) plus one :class:`_Step`
-per atom describing which positions are constants, which join against
-already-bound variables, which introduce new variables, and which must
-satisfy within-atom equality.  Execution advances a whole *binding
+A conjunctive query compiles once into a :class:`JoinPlan`: an atom order
+(:func:`repro.db.query.static_join_order`: each step takes the atom its
+store estimates, when the plan compiles, to match the fewest rows per
+probe) plus one :class:`_Step` per atom describing which positions are
+constants, which join against already-bound variables, which introduce
+new variables, and which must satisfy within-atom equality.  Execution advances a whole *binding
 batch* — one int32 code column per bound variable plus a signed count
 column — through each step with a handful of numpy operations: an index
 probe produces ``(binding row, table slot)`` match pairs, existing
 columns gather through the binding side, new columns gather through the
 table side, and signs multiply (the delta-join algebra's signed counts).
+The order decides only how many rows the intermediate batches carry
+(the ``join_rows`` counter): every batch is canonicalized
+(:func:`canonicalize_batch`) before anything folds it.
 
 This is the only way the package evaluates a query.  The tuple-at-a-time
 evaluator in ``tests/reference/query.py`` defines the semantics the plans
 are held to: ``tests/test_columnar.py`` checks the signed binding
-multisets agree on random programs and deltas.
+multisets agree on random programs and deltas, and that any atom order
+gives the same canonical batch.
 
 For incremental grounding, :func:`compile_delta_plans` emits the k-term
 old/new factorization of a body's delta (the DBSP/DRed form)::
@@ -116,16 +121,23 @@ class JoinPlan:
 
     @classmethod
     def compile(
-        cls, atoms, source_positions=frozenset(), old_positions=frozenset()
+        cls,
+        atoms,
+        source_positions=frozenset(),
+        old_positions=frozenset(),
+        fan_out=None,
     ) -> "JoinPlan":
         """Compile ``atoms`` into a plan.  ``old_positions`` marks atoms
         that must probe old-state views (the ``j>i`` segment of a fused
         delta term); the execution order still interleaves freely — the
-        state choice is per-atom, not per-segment."""
+        state choice is per-atom, not per-segment.  ``fan_out`` estimates
+        an atom's matches per probe (see
+        :func:`~repro.db.query.static_join_order`); without it the
+        order is the static one."""
         atoms = tuple(atoms)
         source_positions = frozenset(source_positions)
         old_positions = frozenset(old_positions)
-        order = static_join_order(atoms, source_positions)
+        order = static_join_order(atoms, source_positions, fan_out=fan_out)
         bound: set = set()
         steps = []
         out_vars: list = []
@@ -190,9 +202,11 @@ class JoinPlan:
         """Run the plan; ``sources`` maps atom index → :class:`ColumnarBatch`.
 
         ``db`` supplies the relations for non-source atoms; each step
-        probes the relation itself.
+        probes the relation itself, and the rows it emits count in the
+        store's ``join_rows``.
         """
         interner = store.interner
+        stats = store.stats
         tables = self.resolve_tables(store, db, sources=sources)
         cols: dict = {}
         signs = np.ones(1, dtype=np.int64)
@@ -222,19 +236,21 @@ class JoinPlan:
             for name, pos in step.new_vars:
                 cols[name] = table.codes_at(slots, pos)
             signs = signs[probe_idx] * table.signs_of(slots)
+            stats["join_rows"] += len(signs)
             if not len(signs):
                 return self._empty()
         return BindingBatch(cols=cols, signs=signs)
 
 
-def compile_delta_plans(atoms) -> tuple:
+def compile_delta_plans(atoms, fan_out=None) -> tuple:
     """The k fused delta plans of a body — one per position (module
     docstring identity).  Plan ``i`` consumes the signed delta batch at
     position ``i``; positions ``j<i`` probe new state and ``j>i`` probe
     old-state views.  Positions whose predicate did not change this
     update execute identically under either state (old = new), so the
     driver simply skips plans whose Δᵢ is empty — the surviving terms
-    telescope to exactly ``⋈new − ⋈old``.
+    telescope to exactly ``⋈new − ⋈old``.  ``fan_out`` orders every
+    plan's non-source atoms as in :meth:`JoinPlan.compile`.
     """
     atoms = tuple(atoms)
     k = len(atoms)
@@ -243,6 +259,7 @@ def compile_delta_plans(atoms) -> tuple:
             atoms,
             source_positions=frozenset((i,)),
             old_positions=frozenset(range(i + 1, k)),
+            fan_out=fan_out,
         )
         for i in range(k)
     )

@@ -1,4 +1,4 @@
-"""Conjunctive-query syntax: atoms, variables, and the static join order.
+"""Conjunctive-query syntax: atoms, variables, and the join order.
 
 Grounding in DeepDive is a set of SQL queries (§2.5); here those queries
 are conjunctions of :class:`Atom` s over relations, compiled into
@@ -46,17 +46,23 @@ class Atom:
         return f"{self.pred}({inner})"
 
 
-def static_join_order(atoms, source_positions=frozenset(), prebound=frozenset()):
-    """The query's static atom order under the ``bound_score`` heuristic.
+def static_join_order(
+    atoms, source_positions=frozenset(), prebound=frozenset(), fan_out=None
+):
+    """The query's atom order, chosen greedily one atom at a time.
 
-    Greedy: delta sources first, then the atom with the most bound
-    argument positions (constants count as bound; a processed atom binds
-    all its variables; ``prebound`` names variables bound from outside).
-    Which variables are bound at any point of a join depends only on
-    *which atoms* were already processed — never on their values — so
-    there is one static order per query: the plan compiler
-    (:mod:`repro.db.plan`) computes it once per plan, and the test
-    oracle's backtracking join walks the identical order.
+    Delta sources go first.  With ``fan_out`` — a callable
+    ``(atom, bound positions) -> estimated matches per probe`` — each
+    step then takes the atom with the smallest estimate; ties, and every
+    choice without ``fan_out``, fall back to the ``bound_score``
+    heuristic: the most bound argument positions, then the lowest body
+    index.  Constants count as bound, a processed atom binds all its
+    variables and ``prebound`` names variables bound from outside.
+    Which positions are bound at any point depends only on *which atoms*
+    were already processed — never on their values — so the order is
+    fixed once per query: the plan compiler (:mod:`repro.db.plan`)
+    computes it when a plan compiles, from estimates its store takes
+    then, and the test oracle walks the order without estimates.
     """
     atoms = tuple(atoms)
     bound = set(prebound)
@@ -65,12 +71,14 @@ def static_join_order(atoms, source_positions=frozenset(), prebound=frozenset())
 
     def bound_score(idx: int) -> tuple:
         atom = atoms[idx]
-        count = sum(
-            1
-            for arg in atom.args
+        positions = tuple(
+            pos
+            for pos, arg in enumerate(atom.args)
             if not isinstance(arg, Var) or arg.name in bound
         )
-        return (idx in source_positions, count, -idx)
+        is_source = idx in source_positions
+        cost = 0.0 if fan_out is None or is_source else -fan_out(atom, positions)
+        return (is_source, cost, len(positions), -idx)
 
     while remaining:
         idx = max(remaining, key=bound_score)

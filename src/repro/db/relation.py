@@ -97,8 +97,11 @@ class Relation:
         self._n_alive = 0
         self._slot_of: dict = {}  # packed code row -> slot
         self._index_on: dict = {}  # key positions -> _TableIndex
-        self._alive_slots_cache: np.ndarray | None = None
+        # Memos of the visible rows, cleared whenever one flips: "alive"
+        # -> the visible slots, key positions -> their distinct keys.
+        self._visible: dict = {}
         self._views: list = []  # live TableView snapshots (copy-on-write)
+        self._store.serve(self)
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -230,7 +233,7 @@ class Relation:
                     overrides[slot] = visible
         appeared = now[flips]
         self._n_alive += 2 * int(appeared.sum()) - len(flips)
-        self._alive_slots_cache = None
+        self._visible = {}
         transitions = ColumnarBatch(codes[flips], np.where(appeared, 1, -1))
         dead = self._n_slots - self._n_alive
         if (
@@ -266,7 +269,7 @@ class Relation:
             del self._slot_of[key]
         self._count[n_slots:end], self._vid[n_slots:end] = 0, -1
         self._n_slots, self._n_alive = n_slots, n_alive
-        self._index_on, self._alive_slots_cache = {}, None
+        self._index_on, self._visible = {}, {}
 
     def _compact(self) -> None:
         """Repack the live slots with their counts and vids.  Live views fence
@@ -281,8 +284,7 @@ class Relation:
         self._codes, self._count, self._vid = self._columns(live, max(16, 2 * n))
         self._n_slots = self._n_alive = n
         self._slot_of = dict(zip(pack_rows(self._codes[:n]).tolist(), range(n)))
-        self._index_on = {}
-        self._alive_slots_cache = None
+        self._index_on, self._visible = {}, {}
 
     def _columns(self, slots, cap: int) -> tuple:
         """The code, count and vid columns at ``slots`` (an index array
@@ -316,7 +318,7 @@ class Relation:
         state["_codes"] = self._codes[:end]
         state["_count"] = self._count[:end]
         state["_vid"] = self._vid[:end]
-        state["_alive_slots_cache"] = None
+        state["_visible"] = {}
         state["_views"] = []
         return state
 
@@ -372,11 +374,24 @@ class Relation:
         return self._n_alive
 
     def alive_slots(self) -> np.ndarray:
-        cached = self._alive_slots_cache
+        cached = self._visible.get("alive")
         if cached is None:
             cached = np.flatnonzero(self._count[: self._n_slots] > 0)
-            self._alive_slots_cache = cached
+            self._visible["alive"] = cached
         return cached
+
+    def fan_out(self, positions: tuple) -> float:
+        """Estimated visible rows a probe on ``positions`` matches: the
+        visible rows over their distinct keys there, or all of them when
+        no position is bound (what a join plan orders its atoms by)."""
+        n = self._n_alive
+        if not positions or not n:
+            return float(n)
+        distinct = self._visible.get(positions)
+        if distinct is None:
+            keys = pack_rows(self._codes[self.alive_slots()][:, positions])
+            distinct = self._visible[positions] = len(np.unique(keys))
+        return n / distinct
 
     def codes_at(self, slots: np.ndarray, position: int) -> np.ndarray:
         return self._codes[slots, position]

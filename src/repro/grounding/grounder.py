@@ -123,6 +123,20 @@ def _atom_code_matrix(batch, interner, args) -> np.ndarray:
     return matrix
 
 
+def variable_order(relation_name: str, rows: list) -> list:
+    """Indices of a variable relation's ``rows`` in row order, the order
+    their variables are numbered in.  Rows whose constants do not
+    compare (an ``int`` beside a ``str`` in one column) raise a
+    ``ValueError`` naming the relation."""
+    try:
+        return sorted(range(len(rows)), key=rows.__getitem__)
+    except TypeError as error:
+        raise ValueError(
+            f"{relation_name}: rows whose constants do not compare cannot "
+            f"be numbered as variables ({error})"
+        ) from None
+
+
 def _vids(rule, pred: str, matrix, db: Database, is_head: bool) -> np.ndarray:
     """Variable ids of the code rows ``matrix`` of variable relation
     ``pred``: each row's slot, gathered from the relation's vid column.
@@ -335,7 +349,7 @@ class Grounder:
             relation = self.db.relation(relation_name)
             codes = relation.rows_at(relation.alive_slots()).codes
             rows = self.db.interner.decode_rows(codes)
-            order = sorted(range(len(rows)), key=rows.__getitem__)
+            order = variable_order(relation_name, rows)
             vids = graph.add_named_variables([(relation_name, rows[i]) for i in order])
             relation.clear_vids()
             relation.set_vids(codes[order], vids)

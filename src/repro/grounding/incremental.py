@@ -78,6 +78,7 @@ from repro.grounding.grounder import (
     full_body_batch,
     literal_polarities,
     signed_head_counts,
+    variable_order,
 )
 
 
@@ -377,7 +378,7 @@ class IncrementalGrounder:
             relation = self.db.relation(name)
             rows = self.db.interner.decode_rows(flipped.codes)
             signs = flipped.signs.tolist()
-            order = sorted(range(len(rows)), key=rows.__getitem__)
+            order = variable_order(name, rows)
             appeared = [i for i in order if signs[i] > 0]
             first = self.graph.num_vars + delta.num_new_vars
             relation.set_vids(

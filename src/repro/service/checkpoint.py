@@ -10,7 +10,7 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0014 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0015 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
@@ -38,11 +38,13 @@ scan blocks lost their batch flag; ``CKPT0013``: a relation carries
 a vid column beside its counts, and a grounder lost its name-keyed
 variable map and packed-code resolver; ``CKPT0014``: a database's store,
 a grounder and an engine carry the (never pickled) undo of their last
-update, and a grounder's grounding tables share one store), so a file
-written by an older tree fails verification here — skipped and counted
-like a corrupt one, recovery falling back to an older checkpoint or the
-WAL — instead of unpickling into an object that breaks at its first
-update.
+update, and a grounder's grounding tables share one store;
+``CKPT0015``: a database's store names the relations it serves and
+counts ``join_rows``, and a relation keeps its visible-row memos in
+one dict), so a file written by an older tree fails verification here
+— skipped and counted like a corrupt one, recovery falling back to an
+older checkpoint or the WAL — instead of unpickling into an object that
+breaks at its first update.
 
 The store keeps the ``keep`` most recent checkpoints; after a checkpoint
 at transaction ``txn`` the service truncates its WAL to ``txn``, so the
@@ -62,7 +64,7 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0014"
+_MAGIC = b"CKPT0015"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

@@ -1,9 +1,11 @@
 """The tuple-at-a-time conjunctive-query evaluator (grounding's oracle).
 
 A backtracking join: atoms are processed in the query's static order
-(:func:`repro.db.query.static_join_order` — the same order the compiled
-plans use), each one probing the relation's lazy hash index on whatever
-the partial binding already fixes.  An atom can draw its rows from an
+(:func:`repro.db.query.static_join_order` without estimates: most bound
+positions first, then body order — the compiled plans order by their
+relations' fan-out instead, which moves no canonical batch), each one
+probing the relation's lazy hash index on whatever the partial binding
+already fixes.  An atom can draw its rows from an
 explicit signed list instead of the stored relation (*source
 overrides*); the signs multiply through the join.
 

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.graph import FactorGraph, FactorGraphDelta
-from repro.grounding import IncrementalGrounder
+from repro.grounding import Grounder, IncrementalGrounder
 from repro.reliability import (
     DeltaLog,
     Fault,
@@ -1003,4 +1003,43 @@ class TestAnUpdateIsUndoneWhole:
         assert delta_fingerprint(grounder.last_result.delta) == delta_fingerprint(
             twin_grounder.last_result.delta
         )
+        assert stack_state(grounder, engine) == stack_state(twin_grounder, twin_engine)
+
+
+class TestRowsThatDoNotCompare:
+    """A candidate relation whose constants mix types (valid JSON on the
+    wire) cannot number its variables: every path raises a
+    ``ValueError`` naming the relation, and an update is rejected whole
+    instead of retried."""
+
+    ROWS = {"PersonCandidate": [("s9", "m9"), ("s9", 7)]}
+
+    def test_full_ground_names_the_relation(self):
+        program = spouse_program()
+        db = spouse_db(program)
+        for name, rows in self.ROWS.items():
+            db.insert_all(name, rows)
+        with pytest.raises(ValueError, match="MarriedMentions"):
+            Grounder(program, db).ground()
+
+    def test_grounder_update_is_rejected_and_moves_nothing(self):
+        grounder, twin = (
+            IncrementalGrounder.from_scratch(program, spouse_db(program))
+            for program in (spouse_program(), spouse_program())
+        )
+        with pytest.raises(UpdateRejected, match="MarriedMentions"):
+            grounder.apply_update(inserts=self.ROWS)
+        assert stack_state(grounder) == stack_state(twin)
+        grounder.apply_update(**UPDATE)
+        twin.apply_update(**UPDATE)
+        assert delta_fingerprint(grounder.last_result.delta) == delta_fingerprint(
+            twin.last_result.delta
+        )
+
+    def test_pipeline_does_not_retry_it(self):
+        grounder, engine, pipe = make_stack()
+        twin_grounder, twin_engine, _twin = make_stack()
+        with pytest.raises(UpdateRejected, match="MarriedMentions"):
+            pipe.apply_update(inserts=self.ROWS)
+        assert pipe.retries == 0
         assert stack_state(grounder, engine) == stack_state(twin_grounder, twin_engine)
