@@ -11,10 +11,6 @@ Expected shape: decomposition wins clearly on localized updates
 
 import time
 
-# The library imports scipy where it calls it (``decompose``, timed
-# first); loading it here keeps the one-time import out of every timed
-# row.
-import scipy.sparse.csgraph  # noqa: F401
 from _helpers import emit, once
 
 from repro.core import VariationalMaterialization

@@ -39,7 +39,7 @@ from repro.core.variational import (
     VariationalApproximation,
     VariationalMaterialization,
     learn_approximation,
-    solve_logdet,
+    solve_logdet_blocks,
 )
 
 __all__ = [
@@ -58,5 +58,5 @@ __all__ = [
     "decompose",
     "learn_approximation",
     "merge_groups",
-    "solve_logdet",
+    "solve_logdet_blocks",
 ]

@@ -37,6 +37,35 @@ class VariableGroup:
         return len(self.inactive) + len(self.active)
 
 
+def component_labels(num_vars: int, pairs: np.ndarray) -> np.ndarray:
+    """Each variable's connected component under the edges ``pairs``
+    (a ``(k, 2)`` array), labelled by the component's smallest id.
+
+    Min-label hooking with pointer jumping, in numpy: every round hooks
+    each tree's root under the smallest root it shares an edge with, then
+    jumps every pointer to its root.  Labels only fall and always name a
+    variable of the same component, so at the fixed point (every edge's
+    endpoints share a root) each root is its component's smallest id.
+    A round costs a few passes over the edges; a path of n variables
+    takes O(log n) rounds."""
+    label = np.arange(num_vars, dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    a, b = pairs[:, 0], pairs[:, 1]
+    while True:
+        root_a, root_b = label[a], label[b]
+        split = root_a != root_b
+        if not split.any():
+            return label
+        root_a, root_b = root_a[split], root_b[split]
+        low = np.minimum(root_a, root_b)
+        np.minimum.at(label, np.concatenate([root_a, root_b]), np.concatenate([low, low]))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def decompose(graph: FactorGraph, active_vars) -> list:
     """Algorithm 2 lines 1–3: split inactive variables into conditionally
     independent groups with their minimal active boundaries.
@@ -44,21 +73,23 @@ def decompose(graph: FactorGraph, active_vars) -> list:
     Variables are adjacent iff they co-occur in some factor: the groups
     are the connected components of the adjacency restricted to inactive
     variables, each with the active variables adjacent to it, in order of
-    their smallest variable."""
-    # scipy loads on first use: see the package docstring.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
+    their smallest variable.  An active id outside the graph is a
+    ``ValueError``."""
     n = graph.num_vars
+    active = np.fromiter(map(int, active_vars), dtype=np.int64)
+    unknown = (active < 0) | (active >= n)
+    if unknown.any():
+        raise ValueError(
+            f"active variable {int(active[unknown.argmax()])} is not in the "
+            f"graph's {n} variables"
+        )
     is_active = np.zeros(n, dtype=bool)
-    is_active[[v for v in map(int, active_vars) if 0 <= v < n]] = True
+    is_active[active] = True
     pairs = graph.neighbor_pairs()
     a, b = pairs[:, 0], pairs[:, 1]
     inner = ~is_active[a] & ~is_active[b]
-    _, label = connected_components(
-        coo_matrix((np.ones(inner.sum()), (a[inner], b[inner])), shape=(n, n)),
-        directed=False,
-    )
+    # An inactive variable's label is its group's smallest variable.
+    label = component_labels(n, pairs[inner])
     # Boundary edges, inactive endpoint first.
     cross = is_active[a] != is_active[b]
     inside = np.where(is_active[a[cross]], b[cross], a[cross])
@@ -69,15 +100,14 @@ def decompose(graph: FactorGraph, active_vars) -> list:
     inactive = np.flatnonzero(~is_active)
     inactive = inactive[np.argsort(label[inactive], kind="stable")]
     cuts = np.flatnonzero(np.diff(label[inactive])) + 1
-    groups = [
+    return [
         VariableGroup(
             inactive=frozenset(members.tolist()),
-            active=frozenset(boundary.get(int(label[members[0]]), ())),
+            active=frozenset(boundary.get(int(members[0]), ())),
         )
         for members in np.split(inactive, cuts)
         if members.size
     ]
-    return sorted(groups, key=lambda group: min(group.inactive))
 
 
 def merge_groups(groups) -> list:

@@ -10,11 +10,14 @@ then solve
 
 by projected gradient ascent with a Cholesky-guarded backtracking step.
 Entries with ``|M_kj| ≤ λ`` project to zero — λ directly controls the
-sparsity of the approximation (Fig. 6).  Each non-zero off-diagonal
-becomes a pairwise (Ising) factor with weight ``X̂_ij``; unary bias
-factors are calibrated mean-field-style so the approximate graph
-reproduces the materialized marginals (the paper leaves the unary
-treatment unspecified — see DESIGN.md).
+sparsity of the approximation (Fig. 6).  Every entry off ``NZ`` is zero,
+so X is block-diagonal over the connected components of ``NZ`` and the
+problem is solved per component (:class:`ComponentBlocks`): cost grows
+with component size, not with ``n²`` memory and ``n³`` time.  Each
+non-zero off-diagonal becomes a pairwise (Ising) factor with weight
+``X̂_ij``; unary bias factors are calibrated mean-field-style so the
+approximate graph reproduces the materialized marginals
+(:func:`calibrated_biases`).
 
 The inference phase splices updates into the approximated graph in
 *energy space*: new factors are added as-is, removed factors are added
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.decomposition import component_labels
 from repro.core.resident import ResidentGraph
 from repro.core.sampling import make_sampler
 from repro.graph.delta import (
@@ -47,75 +51,169 @@ from repro.graph.factor_graph import FactorGraph
 from repro.util.rng import as_generator
 
 
-def _is_positive_definite(matrix: np.ndarray) -> bool:
+@dataclass(frozen=True)
+class ComponentBlocks:
+    """A symmetric ``n × n`` matrix that is zero between the connected
+    components of ``NZ``, kept as one square block per component.
+
+    Components of equal size ``s`` are stacked: ``members[g]`` is a
+    ``(k, s)`` array of variable ids (one component per row, ids
+    ascending, rows in order of their smallest id) and ``values[g]`` the
+    matching ``(k, s, s)`` blocks.  Groups run by ascending ``s``, and
+    every variable sits in exactly one row."""
+
+    members: tuple
+    values: tuple
+
+
+def _component_members(labels: np.ndarray) -> tuple:
+    """The variables of each component of ``labels`` (as
+    :func:`~repro.core.decomposition.component_labels` returns them),
+    stacked by component size: the ``members`` of :class:`ComponentBlocks`."""
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])[: len(order)]
+    sizes = np.diff(np.r_[starts, len(order)])
+    return tuple(
+        order[starts[sizes == size, None] + np.arange(size)]
+        for size in np.unique(sizes).tolist()
+    )
+
+
+def covariance_blocks(centered: np.ndarray, pairs: np.ndarray) -> tuple:
+    """Algorithm 1 lines 1–3, one block per connected component of ``NZ``.
+
+    ``centered`` is the ``(samples, n)`` centred spin matrix and ``pairs``
+    the ``NZ`` set as ``(k, 2)`` variable pairs.  Returns ``(cov, nz)``:
+    ``cov`` the sample covariance masked to ``NZ`` with the ``+1/3``
+    diagonal boost, as :class:`ComponentBlocks`, and ``nz[g]`` the
+    ``(k, s, s)`` mask of ``cov.values[g]``'s allowed entries (the
+    diagonal included).  Nothing here has ``n²`` entries: a component's
+    block is its own columns' product."""
+    num_samples, n = centered.shape
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    members = _component_members(component_labels(n, pairs))
+    group = np.empty(n, dtype=np.int64)
+    row = np.empty(n, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    for g, ids in enumerate(members):
+        group[ids] = g
+        row[ids] = np.arange(ids.shape[0])[:, None]
+        pos[ids] = np.arange(ids.shape[1])
+    a, b = pairs[:, 0], pairs[:, 1]
+    values, nz = [], []
+    for g, ids in enumerate(members):
+        k, size = ids.shape
+        # (k, samples, s): each component's columns, one gemm per block.
+        columns = np.moveaxis(centered[:, ids], 0, 1)
+        cov = columns.transpose(0, 2, 1) @ columns / max(num_samples, 1)
+        mask = np.zeros((k, size, size), dtype=bool)
+        diagonal = np.arange(size)
+        mask[:, diagonal, diagonal] = True
+        here = group[a] == g
+        at, bt = a[here], b[here]
+        mask[row[at], pos[at], pos[bt]] = mask[row[at], pos[bt], pos[at]] = True
+        boosted = np.diagonal(cov, axis1=1, axis2=2) + 1.0 / 3.0
+        cov *= mask
+        cov[:, diagonal, diagonal] = boosted
+        values.append(cov)
+        nz.append(mask)
+    return ComponentBlocks(members, tuple(values)), tuple(nz)
+
+
+def _feasible(blocks: list) -> bool:
+    """Whether every block is positive definite (its Cholesky succeeds)."""
     try:
-        np.linalg.cholesky(matrix)
-        return True
+        for block in blocks:
+            np.linalg.cholesky(block)
     except np.linalg.LinAlgError:
         return False
+    return True
 
 
-def solve_logdet(
-    cov: np.ndarray,
-    nz_mask: np.ndarray,
+def solve_logdet_blocks(
+    cov: ComponentBlocks,
+    nz: tuple,
     lam: float,
     max_iter: int = 40,
     tol: float = 1e-5,
     step: float = 0.25,
-) -> np.ndarray:
-    """Algorithm 1's optimization step (line 4).
+) -> ComponentBlocks:
+    """Algorithm 1's optimization step (line 4), one block per component.
 
     ``cov`` is the masked covariance with the ``+1/3`` diagonal boost
-    already applied; ``nz_mask`` marks allowed off-diagonal entries.
+    already applied and ``nz[g]`` marks the allowed entries of
+    ``cov.values[g]`` (as :func:`covariance_blocks` returns them).  X is
+    zero between components, so log det X is the sum of its blocks' and
+    the problem separates exactly.  The blocks still run one schedule —
+    one backtracking step size for all, a trial step feasible only when
+    every block's Cholesky succeeds, the diagonal start for all when any
+    block's projected start is not positive definite, and a stop when the
+    largest entry change over all blocks is below ``tol`` — so the
+    solution is the dense projected gradient ascent's, block by block.
+    A one-variable block is its fixed diagonal: it never moves and never
+    fails, so only larger blocks iterate.
     """
-    n = cov.shape[0]
-    if cov.shape != (n, n) or nz_mask.shape != (n, n):
-        raise ValueError("cov and nz_mask must be square and same shape")
-    diag = np.diag(cov).copy()
-    if (diag <= 0).any():
-        raise ValueError("boosted diagonal must be positive")
-    off_mask = nz_mask.astype(bool) & ~np.eye(n, dtype=bool)
-    # Masked-out entries get a degenerate [0, 0] box, i.e. they stay zero.
-    lower = (cov - lam) * off_mask
-    upper = (cov + lam) * off_mask
+    for block, mask in zip(cov.values, nz):
+        k, size = block.shape[:2]
+        if block.shape != (k, size, size) or mask.shape != block.shape:
+            raise ValueError("cov and nz blocks must be square and same shape")
+        if (np.diagonal(block, axis1=1, axis2=2) <= 0).any():
+            raise ValueError("boosted diagonal must be positive")
+    moving = [g for g, block in enumerate(cov.values) if block.shape[1] > 1]
+    starts, off, lower, upper = [], [], [], []
+    for g in moving:
+        block = cov.values[g]
+        eye = np.eye(block.shape[1], dtype=bool)
+        off_mask = np.asarray(nz[g], dtype=bool) & ~eye
+        starts.append(np.where(eye, block, 0.0))
+        off.append(off_mask)
+        # Masked-out entries get a degenerate [0, 0] box, i.e. they stay zero.
+        lower.append((block - lam) * off_mask)
+        upper.append((block + lam) * off_mask)
 
-    def project(x: np.ndarray) -> np.ndarray:
-        off = np.clip(x, lower, upper) * off_mask
-        out = off + np.diag(diag)
-        return (out + out.T) / 2.0
+    def project(blocks: list) -> list:
+        projected = []
+        for x, off_mask, low, high, start in zip(blocks, off, lower, upper, starts):
+            out = np.clip(x, low, high) * off_mask + start
+            projected.append((out + out.transpose(0, 2, 1)) / 2.0)
+        return projected
 
-    x = np.diag(diag)
-    x = project(x)
-    if not _is_positive_definite(x):
+    x = project(starts)
+    if not _feasible(x):
         # Fall back to the always-feasible diagonal start.
-        x = np.diag(diag)
-    for _ in range(max_iter):
-        gradient = np.linalg.inv(x)
+        x = starts
+    for _ in range(max_iter if moving else 0):
+        gradient = [np.linalg.inv(block) for block in x]
         alpha = step
         candidate = x
         while alpha > 1e-9:
-            trial = project(x + alpha * gradient)
-            if _is_positive_definite(trial):
+            trial = project([b + alpha * d for b, d in zip(x, gradient)])
+            if _feasible(trial):
                 candidate = trial
                 break
             alpha /= 2.0
-        if np.abs(candidate - x).max() < tol:
-            x = candidate
-            break
+        change = max(np.abs(c - b).max() for c, b in zip(candidate, x))
         x = candidate
-    return x
+        if change < tol:
+            break
+    values = list(cov.values)
+    for g, block in zip(moving, x):
+        values[g] = block
+    return ComponentBlocks(cov.members, tuple(values))
 
 
 @dataclass
 class VariationalApproximation:
     """Output of Algorithm 1 plus bookkeeping.
 
-    Under a :class:`VariationalMaterialization`, ``graph`` follows the
-    spliced approximation (the compiled substrate's lazy view)."""
+    ``precision`` is the solution X̂ as per-component blocks.  Under a
+    :class:`VariationalMaterialization`, ``graph`` follows the spliced
+    approximation (the compiled substrate's lazy view)."""
 
     graph: FactorGraph
     means: np.ndarray
-    precision: np.ndarray
+    precision: ComponentBlocks
     lam: float
     candidate_pairs: int
     kept_pairs: int
@@ -142,19 +240,15 @@ def learn_approximation(
     if samples is None:
         sampler = make_sampler(graph, seed=rng)
         samples = sampler.sample_worlds(num_samples, burn_in=20)
-    spins = np.where(np.asarray(samples, dtype=bool), 1.0, -1.0)
-    means = spins.mean(axis=0)
-    centered = spins - means
-    cov_full = centered.T @ centered / max(len(spins), 1)
+    centered = np.where(np.asarray(samples, dtype=bool), 1.0, -1.0)
+    means = centered.mean(axis=0)
+    centered -= means
 
     n = graph.num_vars
-    nz_mask = np.eye(n, dtype=bool)
     pairs = graph.neighbor_pairs()
-    nz_mask[pairs[:, 0], pairs[:, 1]] = nz_mask[pairs[:, 1], pairs[:, 0]] = True
-    cov = cov_full * nz_mask
-    cov[np.diag_indices(n)] = np.diag(cov_full) + 1.0 / 3.0
-
-    precision = solve_logdet(cov, nz_mask, lam, max_iter=max_iter)
+    cov, nz = covariance_blocks(centered, pairs)
+    del centered  # the largest array left: free it before the solve
+    precision = solve_logdet_blocks(cov, nz, lam, max_iter=max_iter)
 
     approx = FactorGraph()
     approx.add_named_variables([graph.name_of(v) for v in range(n)])
@@ -163,17 +257,13 @@ def learn_approximation(
 
     # Kept couplings in row-major order: one Ising factor each, then one
     # bias per free variable — the approximate graph is born lowered.
-    ii, jj = np.nonzero(np.triu(nz_mask & (np.abs(precision) > weight_threshold), 1))
-    couplings = np.zeros((n, n))
-    couplings[ii, jj] = couplings[jj, ii] = precision[ii, jj]
+    ii, jj, ww = _kept_couplings(precision, nz, weight_threshold)
     intern = approx.weights.intern
     ising_wid = [
         intern(("J", i, j), initial=w, fixed=True)
-        for i, j, w in zip(ii.tolist(), jj.tolist(), precision[ii, jj].tolist())
+        for i, j, w in zip(ii.tolist(), jj.tolist(), ww.tolist())
     ]
-    # Mean-field bias calibration: anchor each variable's marginal.
-    safe_means = np.clip(means, -0.999999, 0.999999)
-    biases = np.arctanh(safe_means) - couplings @ means
+    biases = calibrated_biases(means, ii, jj, ww)
     free = np.flatnonzero(~graph.evidence_mask())
     bias_wid = [
         intern(("h", v), initial=b, fixed=True)
@@ -198,6 +288,55 @@ def learn_approximation(
         candidate_pairs=len(pairs),
         kept_pairs=len(ising_wid),
     )
+
+
+def _kept_couplings(
+    precision: ComponentBlocks, nz: tuple, weight_threshold: float
+) -> tuple:
+    """``(ii, jj, ww)``: every ``NZ`` pair ``i < j`` whose solved entry
+    exceeds ``weight_threshold`` in magnitude, with that entry, in
+    row-major ``(i, j)`` order over the whole graph."""
+    ii, jj, ww = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for ids, block, mask in zip(precision.members, precision.values, nz):
+        upper_i, upper_j = np.triu_indices(ids.shape[1], 1)
+        w = block[:, upper_i, upper_j]
+        kept = mask[:, upper_i, upper_j] & (np.abs(w) > weight_threshold)
+        ii.append(ids[:, upper_i][kept])
+        jj.append(ids[:, upper_j][kept])
+        ww.append(w[kept])
+    ii, jj, ww = map(np.concatenate, (ii, jj, ww))
+    order = np.lexsort((jj, ii))
+    return ii[order], jj[order], ww[order]
+
+
+def calibrated_biases(
+    means: np.ndarray, ii: np.ndarray, jj: np.ndarray, ww: np.ndarray
+) -> np.ndarray:
+    """Each variable's unary weight ``h_v = artanh(m_v) − Σ_j J_vj m_j``.
+
+    Algorithm 1 learns only the couplings; the paper leaves the unary
+    factors unspecified.  A mean-field fixed point of the approximate
+    graph satisfies ``m_v = tanh(h_v + Σ_j J_vj m_j)``, so solving it for
+    ``h_v`` anchors every variable's mean-field marginal at its sampled
+    one, and with all couplings pruned (``λ`` large) ``h_v`` is the exact
+    independent-variable weight.  ``(ii, jj, ww)`` are the kept
+    couplings, ``i < j``; each row's sum runs over its own component's
+    couplings in column order, so a row's bias does not depend on the
+    rest of the graph.
+    """
+    rows = np.concatenate([ii, jj])
+    cols = np.concatenate([jj, ii])
+    weights = np.concatenate([ww, ww])
+    order = np.lexsort((cols, rows))
+    field = np.bincount(
+        rows[order],
+        weights=weights[order] * means[cols[order]],
+        minlength=len(means),
+    )
+    # Clipping keeps a variable that never changed (evidence, or a
+    # saturated marginal) at a finite weight.
+    safe_means = np.clip(means, -0.999999, 0.999999)
+    return np.arctanh(safe_means) - field
 
 
 class VariationalMaterialization:

@@ -3,8 +3,14 @@
 The paper's corpora (1.8M news articles, paleontology journals, ads,
 biomedical text) are unavailable; :mod:`repro.kbc.corpus` synthesises
 documents with entity mentions, relation-bearing cue phrases, and
-configurable noise, together with a gold KB used both for distant
-supervision and for precision/recall scoring (see DESIGN.md §2).
+configurable noise, together with a gold KB.  The gold KB plays two
+roles.  A random fraction of it (``supervision_fraction``) is the
+incomplete KB that distant supervision joins against, as the paper's
+systems join against an existing KB; the whole of it is the truth that
+precision/recall are scored against, standing in for the paper's
+human-labelled samples.  A gold fact outside the supervised fraction is
+never evidence, so recall beyond that fraction is what the factor graph
+infers.
 
 :class:`~repro.kbc.pipeline.KBCPipeline` assembles the full DeepDive
 program for a corpus and drives grounding, learning, inference, and

@@ -4,6 +4,8 @@ Each strategy must converge to the *updated* distribution; the exact
 oracle on the updated graph is the reference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,17 @@ from repro.core import (
     StrawmanMaterialization,
     VariationalMaterialization,
     learn_approximation,
-    solve_logdet,
+    solve_logdet_blocks,
 )
+from repro.core.variational import ComponentBlocks, covariance_blocks
 from repro.graph import FactorGraph, FactorGraphDelta, IsingFactor
 from repro.inference import ExactInference
+from repro.inference.gibbs import GibbsSampler
 from repro.util.stats import max_marginal_error
 
 from tests.helpers import chain_ising_graph, random_pairwise_graph
 from tests.reference.factors import factor_energy
+from tests.reference.variational import dense, solve_logdet
 
 
 def feature_delta(fg, var=0, weight=1.2, key="new-feature"):
@@ -173,15 +178,106 @@ class TestSamplingStrategy:
         assert mat.samples.shape == (10, 17)
 
 
+def component_graph(seed, num_vars=30, evidence=0.15):
+    """A graph of several random pairwise components, isolated variables
+    and clamped evidence variables."""
+    rng = np.random.default_rng(seed)
+    fg = FactorGraph()
+    fg.add_variables(num_vars)
+    cuts = np.sort(rng.choice(np.arange(1, num_vars), size=num_vars // 5, replace=False))
+    for part in np.split(rng.permutation(num_vars), cuts):
+        for a_pos, a in enumerate(part.tolist()):
+            for b in part[a_pos + 1 :].tolist():
+                if rng.random() < 0.6:
+                    wid = fg.weights.intern(("J", a, b), initial=rng.uniform(-0.8, 0.8))
+                    fg.add_ising_factor(wid, a, b)
+    for v in range(num_vars):
+        wid = fg.weights.intern(("h", v), initial=rng.uniform(-0.5, 0.5))
+        fg.add_bias_factor(wid, v)
+        if rng.random() < evidence:
+            fg.set_evidence(v, bool(rng.random() < 0.5))
+    return fg
+
+
+def centered_spins(samples):
+    spins = np.where(np.asarray(samples, dtype=bool), 1.0, -1.0)
+    return spins - spins.mean(axis=0)
+
+
+def check_constraints(fg):
+    """Algorithm 1's constraints, block by block: X_kk = M_kk + 1/3,
+    |X_kj − M_kj| ≤ λ on NZ, X_kj = 0 off NZ; symmetric and PD."""
+    samples = GibbsSampler(fg, seed=0).sample_worlds(400, burn_in=20)
+    lam = 0.05
+    approx = learn_approximation(fg, lam=lam, samples=samples)
+    centered = centered_spins(samples)
+    cov = centered.T @ centered / len(samples)
+    nz_pairs = {tuple(pair) for pair in fg.neighbor_pairs().tolist()}
+    assert len(approx.precision.members) > 1  # singletons and larger
+    for ids, blocks in zip(approx.precision.members, approx.precision.values):
+        for members, X in zip(ids.tolist(), blocks):
+            M = cov[np.ix_(members, members)]
+            in_nz = np.array(
+                [[(a, b) in nz_pairs or (b, a) in nz_pairs for b in members]
+                 for a in members]
+            )
+            # Symmetric, PD, and box-constrained.
+            assert np.array_equal(X, X.T)
+            assert np.all(np.linalg.eigvalsh(X) > 0)
+            assert np.allclose(np.diag(X), np.diag(M) + 1.0 / 3.0, rtol=0, atol=1e-12)
+            assert np.all(np.abs(X - M)[in_nz] <= lam + 1e-12)
+            off = ~in_nz & ~np.eye(len(members), dtype=bool)
+            assert np.all(X[off] == 0.0)
+
+
 class TestVariationalStrategy:
     def test_solve_logdet_respects_constraints(self):
-        fg = random_pairwise_graph(6, density=0.5, seed=0)
-        approx = learn_approximation(fg, lam=0.05, num_samples=400, seed=0)
-        X = approx.precision
+        for seed in range(4):
+            check_constraints(component_graph(seed))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_per_component_solve_is_the_dense_solve(self, seed):
+        """Algorithm 1 separates over NZ's components: the block solve
+        equals the dense oracle on the whole matrix."""
+        num_vars = int(np.random.default_rng(seed).integers(8, 40))
+        fg = component_graph(seed, num_vars=num_vars)
+        samples = GibbsSampler(fg, seed=seed).sample_worlds(300, burn_in=20)
+        centered = centered_spins(samples)
         n = fg.num_vars
-        # Symmetric, PD, and box-constrained.
-        assert np.allclose(X, X.T)
-        assert np.all(np.linalg.eigvalsh(X) > 0)
+        pairs = fg.neighbor_pairs()
+        nz_mask = np.eye(n, dtype=bool)
+        nz_mask[pairs[:, 0], pairs[:, 1]] = nz_mask[pairs[:, 1], pairs[:, 0]] = True
+        cov_full = centered.T @ centered / len(samples)
+        cov_dense = cov_full * nz_mask
+        cov_dense[np.diag_indices(n)] = np.diag(cov_full) + 1.0 / 3.0
+        cov, nz = covariance_blocks(centered, pairs)
+        assert np.allclose(dense(cov, n), cov_dense, rtol=0, atol=1e-12)
+        assert np.array_equal(dense(ComponentBlocks(cov.members, nz), n), nz_mask)
+        for lam in (0.01, 0.05, 0.2):
+            ours = dense(solve_logdet_blocks(cov, nz, lam), n)
+            oracle = solve_logdet(cov_dense, nz_mask, lam)
+            assert np.allclose(ours, oracle, rtol=0, atol=1e-8), lam
+
+    def test_materialization_allocates_no_n_by_n_array(self):
+        """1 200 variables in components of six: the solve's traced peak
+        stays under one ``n × n`` float64 matrix."""
+        n = 1200
+        fg = FactorGraph()
+        fg.add_variables(n)
+        rng = np.random.default_rng(0)
+        for start in range(0, n, 6):
+            for a in range(start, start + 5):
+                wid = fg.weights.intern(("J", a), initial=rng.uniform(-0.8, 0.8))
+                fg.add_ising_factor(wid, a, a + 1)
+        samples = GibbsSampler(fg, seed=0).sample_worlds(200, burn_in=5)
+        tracemalloc.start()
+        try:
+            approx = learn_approximation(fg, lam=0.05, samples=samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert approx.kept_pairs > 0
+        assert peak < n * n * 8, peak
 
     def test_lambda_controls_sparsity(self):
         """Fig. 6: larger λ → fewer factors."""

@@ -17,7 +17,7 @@ from repro.core import (
     decompose,
     merge_groups,
 )
-from repro.core.decomposition import group_subgraph, plan_groups
+from repro.core.decomposition import component_labels, group_subgraph, plan_groups
 from repro.graph import FactorGraph, FactorGraphDelta
 from repro.inference import ExactInference
 
@@ -150,6 +150,56 @@ class TestDecomposition:
         groups = decompose(fg, active_vars=[])
         assert len(groups) == 1
         assert groups[0].active == frozenset()
+
+    def test_active_id_outside_the_graph_raises(self):
+        """An interest area naming a variable the graph does not have is a
+        typed error naming the first such id, not a silently smaller
+        interest area."""
+        fg = chain_ising_graph(20)
+        with pytest.raises(ValueError, match="active variable 999 "):
+            decompose(fg, [3, 999, -5])
+        with pytest.raises(ValueError, match="active variable -5 "):
+            plan_groups(fg, np.array([-5, 3]))
+        with pytest.raises(ValueError, match="active variable 20 "):
+            decompose(fg, {20})
+
+
+def union_find_labels(num_vars, pairs) -> list:
+    """Each variable's component's smallest id, by union–find."""
+    parent = list(range(num_vars))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(v) for v in range(num_vars)]
+
+
+class TestComponentLabels:
+    @given(
+        num_vars=st.integers(1, 60),
+        edges=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_labels_are_the_union_find_minimum(self, num_vars, edges):
+        pairs = [(a, b) for a, b in edges if a < num_vars and b < num_vars]
+        labels = component_labels(num_vars, np.array(pairs, dtype=np.int64))
+        assert labels.tolist() == union_find_labels(num_vars, pairs)
+
+    @pytest.mark.parametrize("order", ["forward", "backward", "shuffled"])
+    def test_long_paths(self, order):
+        n = 5000
+        path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        if order == "backward":
+            path = path[::-1, ::-1]
+        elif order == "shuffled":
+            path = np.random.default_rng(0).permutation(n)[path]
+        assert not component_labels(n, path).any()
 
 
 def decomposition_cases() -> dict:
