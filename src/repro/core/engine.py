@@ -59,7 +59,7 @@ class EngineConfig:
     """Tuning knobs; the defaults are scaled-down but proportionate to the
     paper's settings (1000 inference / 2000 materialization samples).
 
-    Eleven fields in two groups.  The lesions that reproduce a paper
+    Ten fields in two groups.  The lesions that reproduce a paper
     figure are fields (``strategies`` / ``workload_aware`` for Fig. 11,
     ``warm_learning`` for Fig. 16); whether updates are transactional is
     not — they always are."""
@@ -72,9 +72,6 @@ class EngineConfig:
     variational_inference_samples: int = 150
     burn_in: int = 20
     seed: int | None = None
-    #: Tombstone/patched density above which a compiled factor graph
-    #: recompacts (full recompile, amortized across updates).
-    compact_threshold: float = 0.25
     #: Lesion knobs — remove a strategy to reproduce Fig. 11.
     strategies: tuple = (SAMPLING, VARIATIONAL)
     #: False reproduces the NoWorkloadInfo baseline: sampling until the
@@ -131,9 +128,7 @@ class _Engine:
     def __init__(self, graph: FactorGraph, config: EngineConfig | None) -> None:
         self.config = config or EngineConfig()
         self.rng = as_generator(self.config.seed)
-        self.resident = ResidentGraph(
-            graph, self.rng, compact_threshold=self.config.compact_threshold
-        )
+        self.resident = ResidentGraph(graph, self.rng)
         self._last_marginals = None
         self.learns_warm = 0
         self.learns_cold = 0
@@ -260,7 +255,6 @@ class IncrementalEngine(_Engine):
             self.base_graph,
             lam=self.config.variational_lam,
             seed=self.rng,
-            compact_threshold=self.config.compact_threshold,
         )
         self.materialized = False
 

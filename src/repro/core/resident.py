@@ -27,6 +27,12 @@ from repro.learning.sgd import SGDLearner
 from repro.reliability.snapshots import LearnerSnapshot, SerialSamplerSnapshot
 
 
+#: Tombstone/patched density above which a resident substrate recompiles
+#: itself (``CompiledFactorGraph.apply_delta``; a full recompile,
+#: amortized across updates).
+COMPACT_THRESHOLD = 0.25
+
+
 class ResidentGraph:
     """A factor graph compiled once and patched in place from then on.
 
@@ -35,20 +41,13 @@ class ResidentGraph:
     :class:`~repro.inference.gibbs.GibbsSampler`, started by the first
     :meth:`marginals`) and
     ``learner`` (started by :meth:`warm_learner`) keep their assignments
-    across every :meth:`apply_delta`.  ``compact_threshold`` is the
-    tombstone/patched density above which the substrate recompiles
-    itself (``CompiledFactorGraph.apply_delta``).
+    across every :meth:`apply_delta`.  The substrate recompiles itself
+    past :data:`COMPACT_THRESHOLD`.
     """
 
-    def __init__(
-        self,
-        graph: FactorGraph,
-        rng: np.random.Generator,
-        compact_threshold: float = 0.25,
-    ) -> None:
+    def __init__(self, graph: FactorGraph, rng: np.random.Generator) -> None:
         self.graph = graph
         self.rng = rng
-        self.compact_threshold = compact_threshold
         self.compiled: CompiledFactorGraph | None = None
         self.chain = None
         self.learner: SGDLearner | None = None
@@ -76,7 +75,7 @@ class ResidentGraph:
         start compacts instead)."""
         compiled = self.compile()
         patch = compiled.apply_delta(
-            delta, compact_threshold=self.compact_threshold if compact else None
+            delta, compact_threshold=COMPACT_THRESHOLD if compact else None
         )
         self.graph = compiled.graph
         if self.chain is not None:
@@ -91,7 +90,7 @@ class ResidentGraph:
         if self.chain is None:
             compiled = self.compile()
             patched = compiled.has_patches
-            if compiled.patch_fraction() > self.compact_threshold:
+            if compiled.patch_fraction() > COMPACT_THRESHOLD:
                 compiled.compact()
             self.chain = make_sampler(
                 self.graph, seed=self.rng, compiled=compiled, incremental=True

@@ -346,21 +346,12 @@ class VariationalMaterialization:
     :meth:`materialize` compiles it once, :meth:`apply_update` patches it
     in place with the (append-only) splice, and :meth:`infer` samples its
     persistent chain, which keeps its assignment across patches.
-    ``compact_threshold`` is the patched density above which the
-    substrate recompiles itself (see ``CompiledFactorGraph.apply_delta``).
     """
 
-    def __init__(
-        self,
-        graph: FactorGraph,
-        lam: float = 0.05,
-        seed=None,
-        compact_threshold: float = 0.25,
-    ) -> None:
+    def __init__(self, graph: FactorGraph, lam: float = 0.05, seed=None) -> None:
         self.base_graph = graph
         self.lam = lam
         self.rng = as_generator(seed)
-        self.compact_threshold = compact_threshold
         self.approximation: VariationalApproximation | None = None
         self.materialization_seconds = 0.0
         self.resident: ResidentGraph | None = None
@@ -379,11 +370,7 @@ class VariationalMaterialization:
             samples=samples,
             seed=self.rng,
         )
-        self.resident = ResidentGraph(
-            self.approximation.graph,
-            self.rng,
-            compact_threshold=self.compact_threshold,
-        )
+        self.resident = ResidentGraph(self.approximation.graph, self.rng)
         self.resident.compile()
         self.approximation.graph = self.resident.graph
         self.materialization_seconds = time.perf_counter() - start

@@ -16,16 +16,17 @@ only join engine — share:
 * :class:`ColumnarBatch` — a transient signed relation (delta relations,
   visibility transitions, intermediate join results) with ephemeral
   sort-based indexes.
-* :class:`TableView` — an immutable *old-state* snapshot of a relation
-  taken at an ``apply_delta`` boundary: O(1) to capture (a slot fence +
-  copy-on-write visibility overrides, no row copies), so the fused k-term
-  delta plans (:func:`repro.db.plan.compile_delta_plans`) can probe "the
-  relation as of before this update" next to the live new state.
+* :class:`TableView` — a relation's *old state* in the open update:
+  the slot fence and visibility flips the update's write log implies,
+  so the fused k-term delta plans
+  (:func:`repro.db.plan.compile_delta_plans`) can probe "the relation
+  as of before this update" next to the live new state.
 * :class:`ColumnarStore` — the per-:class:`Database` join-plan and
   delta-plan caches (a plan's atom order is chosen from the fan-out of
   the relations the store serves, estimated when it compiles), the
-  per-update registry of captured old-state views, the undo log of the
-  last update, and the counters every relation of the database bumps.
+  write log of the last update — which undoes it and is where old-state
+  views are read from — and the counters every relation of the
+  database bumps.
 
 All probe results flow as ``(probe_row, slot)`` index-pair arrays so a
 whole binding batch advances through a join step in a handful of numpy
@@ -301,93 +302,43 @@ class _TableIndex:
 
 
 class TableView:
-    """An immutable snapshot of a relation's visible rows at capture time.
+    """A relation's visible rows as they were when the open update began.
 
-    Capture is O(1): a *slot fence* (the slot count at capture — slots
-    are append-only between compactions, so anything past the fence is
-    new) plus a copy-on-write ``{slot: capture-time visibility}`` override
-    map the relation fills in as post-capture deltas flip slots.  Probes
-    go through the live relation's indexes (including overflow-bucket
-    merges, which reorder nothing) and filter by fence + old visibility —
-    no row copies, and a concurrent ``apply_delta`` never perturbs the
-    view.
-
-    A compaction reassigns slots, so it first *materializes* every live
-    view — copies its visible code rows into a standalone
-    :class:`ColumnarBatch` with ephemeral sort indexes.  Views therefore
-    pin nothing: merges and compactions proceed regardless of how long a
-    view is held.
+    Derived from the update's write log (:meth:`ColumnarStore.old_view`):
+    a *slot fence* (the slot count before the update's first write —
+    slots are append-only inside an update, so anything past the fence
+    is new) plus the sorted slots below it whose visibility the update
+    flipped.  Probes go through the live relation's indexes (including
+    overflow-bucket merges, which reorder nothing) and filter by fence +
+    old visibility — no row copies.  A view describes the relation up to
+    its next write; the store builds a new one after that.
 
     Implements the plan-step table protocol (``probe`` / ``codes_at`` /
     ``signs_of``), so a join step can consume it interchangeably with a
     live :class:`~repro.db.relation.Relation`.
     """
 
-    __slots__ = (
-        "_table", "_fence", "_overrides", "_override_cache", "_materialized",
-    )
+    __slots__ = ("_table", "_fence", "_flipped")
 
-    def __init__(self, table, fence: int) -> None:
+    def __init__(self, table, fence: int, flipped: np.ndarray) -> None:
         self._table = table
         self._fence = fence
-        self._overrides: dict = {}  # slot -> visible at capture time
-        self._override_cache: tuple | None = None
-        self._materialized: ColumnarBatch | None = None
+        self._flipped = flipped
 
     def _old_alive(self) -> np.ndarray:
-        """Capture-time visibility of every slot below the fence."""
+        """Pre-update visibility of every slot below the fence."""
         alive = self._table._count[: self._fence] > 0
-        for slot, value in self._overrides.items():
-            alive[slot] = value
+        alive[self._flipped] ^= True
         return alive
 
     @property
     def num_rows(self) -> int:
-        if self._materialized is not None:
-            return self._materialized.num_rows
         return int(np.count_nonzero(self._old_alive()))
 
-    def release(self) -> None:
-        """Detach from the relation: stop copy-on-write recording.  The
-        view must not be probed afterwards."""
-        if self._table is not None:
-            self._table._views.remove(self)
-        self._table = None
-        self._materialized = None
-        self._overrides = {}
-
-    def _override_arrays(self) -> tuple:
-        cached = self._override_cache
-        if cached is None or cached[0] != len(self._overrides):
-            o_slots = np.fromiter(
-                self._overrides.keys(), dtype=np.int64, count=len(self._overrides)
-            )
-            o_vals = np.fromiter(
-                self._overrides.values(), dtype=bool, count=len(self._overrides)
-            )
-            order = np.argsort(o_slots)
-            cached = (len(self._overrides), o_slots[order], o_vals[order])
-            self._override_cache = cached
-        return cached[1], cached[2]
-
-    def _materialize(self) -> None:
-        """Copy the view's visible rows out of the relation (called by
-        the relation right before a compaction reassigns slots)."""
-        slots = np.flatnonzero(self._old_alive())
-        self._materialized = ColumnarBatch(
-            self._table._codes[slots], np.ones(len(slots), dtype=np.int64)
-        )
-        self._table = None
-        self._overrides = {}
-
     def probe(self, positions: tuple, key_rows: np.ndarray):
-        if self._materialized is not None:
-            return self._materialized.probe(positions, key_rows)
         return self._table._probe_view(self, positions, key_rows)
 
     def codes_at(self, slots: np.ndarray, position: int) -> np.ndarray:
-        if self._materialized is not None:
-            return self._materialized.codes_at(slots, position)
         return self._table._codes[slots, position]
 
     def signs_of(self, slots: np.ndarray) -> np.ndarray:
@@ -489,8 +440,8 @@ class ColumnarBatch:
 
 
 class ColumnarStore:
-    """A database's plan caches, per-update old-state views, undo log
-    and counters.
+    """A database's plan caches, the write log of its last update and
+    its counters.
 
     Every relation created over the store registers with it
     (:meth:`serve`), so a plan compiled here orders its atoms by their
@@ -523,13 +474,14 @@ class ColumnarStore:
         self._plans: dict = {}         # (kind, id(atoms)) -> compiled
         self._struct_plans: dict = {}  # (kind, atoms tuple) -> compiled
         self._plan_pins: dict = {}     # id(atoms) -> atoms (keeps ids stable)
-        self._old_views: dict = {}  # relation name -> TableView (per update)
-        self._capture: frozenset = frozenset()  # relations to capture (per update)
-        #: relation name -> relation due a compaction, and the log of
-        #: relation writes since the last update began; ``None`` before
-        #: the first update (the log also after unpickling)
+        #: relation name -> relation due a compaction, and relation ->
+        #: its writes since the last update began; ``None`` before the
+        #: first update (the log also after unpickling)
         self._to_compact: dict | None = None
-        self._undo: list | None = None
+        self._log: dict | None = None
+        #: relation name -> its memoized old-state view (``None``: it has
+        #: none) while an update is open; ``None`` when none is
+        self._views: dict | None = None
         self.stats = dict.fromkeys(self.STAT_KEYS, 0)
 
     def serve(self, relation) -> None:
@@ -544,60 +496,84 @@ class ColumnarStore:
         return 0.0 if relation is None else relation.fan_out(positions)
 
     def __getstate__(self) -> dict:
-        # A checkpoint follows a commit: the undo log does not travel.
+        # A checkpoint follows a commit: the write log does not travel.
         state = dict(self.__dict__)
-        state["_undo"] = None
+        state["_log"] = state["_views"] = None
         return state
 
     # ------------------------------------------------------------------ #
-    # One update: old-state views, its undo log, deferred compactions
+    # One update: its write log, old-state views, deferred compactions
     # ------------------------------------------------------------------ #
 
-    def begin_update(self, capture=frozenset()) -> None:
+    def begin_update(self) -> None:
         """Open an update: the last one can no longer be undone, so the
-        relations due a compaction compact now and a fresh undo log
-        starts.  ``capture`` names the relations whose pre-update state
-        some fused delta plan may probe."""
-        self.release_views()
+        relations due a compaction compact now and a fresh write log
+        starts."""
         for relation in (self._to_compact or {}).values():
             relation._compact()
         self._to_compact = {}
-        self._undo = []
-        self._capture = frozenset(capture)
+        self._log = {}
+        self._views = {}
+
+    def end_update(self) -> None:
+        """Close the open update: no old-state view from here on, while
+        its log stays to :meth:`rollback` it until the next begins."""
+        self._views = None
 
     def log_write(self, relation, column: str, slots: np.ndarray) -> None:
         """Before ``relation`` writes ``column`` at ``slots``, log what
         inverts the write while an update can be undone: the old values,
         and the slot count past which (append-only) its new slots lie."""
-        if self._undo is not None:
+        if self._log is not None:
             old = getattr(relation, column)[slots]
-            self._undo.append(
-                (relation, relation._n_slots, relation._n_alive, column, slots, old)
-            )
+            write = (relation._n_slots, relation._n_alive, column, slots, old)
+            self._log.setdefault(relation, []).append(write)
+            if self._views:
+                self._views.pop(relation.name, None)
 
     def rollback(self) -> None:
-        """Invert every relation write since the last update began, last
-        first, and forget the compactions those writes made due."""
-        if self._undo is None:
+        """Invert every relation write since the last update began, each
+        relation's last first (a write's inverse touches only its own
+        relation), and forget the compactions those writes made due."""
+        if self._log is None:
             return
-        for relation, *write in reversed(self._undo):
-            relation._undo(*write)
-        self._undo, self._to_compact = [], {}
-
-    def before_flip(self, relation) -> None:
-        """A relation is about to flip some row's visibility: if it is
-        to be captured this epoch and is not yet, snapshot its old state
-        now — while it is still untouched.  Pure count changes never get
-        here, so they capture nothing."""
-        name = relation.name
-        if name in self._capture and name not in self._old_views:
-            self._old_views[name] = relation.capture_view()
-            self.stats["view_captures"] += 1
+        for relation, writes in self._log.items():
+            for write in reversed(writes):
+                relation._undo(*write)
+        self._log, self._to_compact, self._views = {}, {}, None
 
     def old_view(self, name: str) -> "TableView | None":
-        """The captured old-state view for ``name``, or ``None`` (an
-        unchanged relation's live table *is* its old state)."""
-        return self._old_views.get(name)
+        """Relation ``name`` as it was when the open update began, read
+        off the update's log: the fence is the slot count at its first
+        write, and a slot below it flipped when its first logged count
+        and its live count differ in visibility.  ``None`` when no
+        update is open or none of its rows changed visibility (the live
+        table then *is* its old state).  Memoized until the relation
+        writes again."""
+        if self._views is None:
+            return None
+        if name in self._views:
+            return self._views[name]
+        relation = self._relations.get(name)
+        writes = self._log.get(relation, ())
+        counts = [(slots, old) for *_, column, slots, old in writes if column == "_count"]
+        view = None
+        if counts:
+            fence = writes[0][0]
+            slots, was = counts[0]
+            if len(counts) > 1:  # a slot's first logged count is its old one
+                slots, first = np.unique(
+                    np.concatenate([slots for slots, _ in counts]), return_index=True
+                )
+                was = np.concatenate([old for _, old in counts])[first]
+            below = (slots >= 0) & (slots < fence)
+            slots, was = slots[below], was[below] > 0
+            flipped = np.sort(slots[was != (relation._count[slots] > 0)])
+            if len(flipped) or relation._count[fence : relation._n_slots].any():
+                view = TableView(relation, fence, flipped)
+                self.stats["view_captures"] += 1
+        self._views[name] = view
+        return view
 
     def compact(self, relation) -> None:
         """Repack ``relation``'s live slots now before the first update,
@@ -607,14 +583,6 @@ class ColumnarStore:
             relation._compact()
         else:
             self._to_compact[relation.name] = relation
-
-    def release_views(self) -> None:
-        """Close the capture epoch: detach every view from its relation
-        so later deltas stop paying copy-on-write recording."""
-        for view in self._old_views.values():
-            view.release()
-        self._old_views = {}
-        self._capture = frozenset()
 
     def _cached_plans(self, kind: str, atoms, compile_atoms) -> tuple:
         """``(compiled, compiled_now)`` from the two-level plan cache.

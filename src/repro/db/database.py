@@ -40,8 +40,8 @@ class Database:
         """Index counters for benchmarks and regression tests.
 
         ``columnar`` is :attr:`ColumnarStore.stats`: bucket-index builds
-        and merges, batch probes, compactions (``rebuilds``), view
-        captures and delta-plan activity.  ``index_builds`` must stay
+        and merges, batch probes, compactions (``rebuilds``), old-state
+        views built (``view_captures``) and delta-plan activity.  ``index_builds`` must stay
         flat across ``apply_delta`` — indexes are maintained, never
         rebuilt, under deltas.
         """

@@ -29,9 +29,10 @@ old/new factorization of a body's delta (the DBSP/DRed form)::
 one plan per body position ``i``: step ``i`` consumes the signed per-
 predicate delta batch, steps ``j<i`` probe new state (the relations),
 and steps ``j>i`` probe *old-state* views (:class:`repro.db.columnar.
-TableView`) captured at the update's ``apply_delta`` boundaries — k terms
-for a k-atom body, where the inclusion/exclusion expansion over the new
-state alone (``Σ_S ±(⋈Δ/⋈new)``) needs 2^k−1.
+TableView`) the store reads off the open update's write log
+(:meth:`repro.db.columnar.ColumnarStore.old_view`) — k terms for a
+k-atom body, where the inclusion/exclusion expansion over the new state
+alone (``Σ_S ±(⋈Δ/⋈new)``) needs 2^k−1.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ class _Step:
     bound_names: tuple         # variable names, parallel to the rest
     new_vars: tuple            # (name, position) introduced by this atom
     eq_filters: tuple          # (first position, duplicate position) pairs
-    #: fused delta plans: probe the relation's captured old-state view
-    #: (when one exists this update) instead of the live relation.
+    #: fused delta plans: probe the relation's old-state view (when the
+    #: open update changed it) instead of the live relation.
     probe_old: bool = False
 
 
@@ -186,8 +187,8 @@ class JoinPlan:
 
     def resolve_tables(self, store: ColumnarStore, db, sources=None) -> list:
         """Every step's table, in step order: its source batch, its
-        relation, or — for an old-state step of an update that captured
-        one — the relation's old-state view."""
+        relation, or — for an old-state step over a relation the open
+        update changed — the relation's old-state view."""
         tables = []
         for step in self.steps:
             if step.is_source:

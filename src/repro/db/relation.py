@@ -23,9 +23,10 @@ Past a dead fraction the live slots are repacked with their counts and
 vids — once an update has begun, only when the next one begins
 (:meth:`~repro.db.columnar.ColumnarStore.begin_update`), so a variable
 removed by an update resolves until its retractions are joined, and the
-update can be undone slot for slot until then.
-Old-state :class:`~repro.db.columnar.TableView`\\ s record the
-capture-time visibility of every slot a later delta flips.
+update can be undone slot for slot until then.  Every write is logged
+first (:meth:`~repro.db.columnar.ColumnarStore.log_write`): that log
+undoes the update, and the open update's old-state
+:class:`~repro.db.columnar.TableView`\\ s are read off it.
 
 Tuples appear only at the edges: a ``{row: count}`` delta is encoded
 once, and :meth:`Relation.rows`, :meth:`Relation.counts` and
@@ -67,7 +68,7 @@ class Relation:
     """A named multiset of fixed-arity tuples with derivation counts.
 
     A database passes its interner and :class:`ColumnarStore` (counters,
-    old-state capture) to every relation it creates; a standalone
+    the write log) to every relation it creates; a standalone
     ``Relation(name, columns)`` gets private ones, and one over
     :class:`RawIds` stores its int values as they are.
     """
@@ -100,7 +101,6 @@ class Relation:
         # Memos of the visible rows, cleared whenever one flips: "alive"
         # -> the visible slots, key positions -> their distinct keys.
         self._visible: dict = {}
-        self._views: list = []  # live TableView snapshots (copy-on-write)
         self._store.serve(self)
 
     # ------------------------------------------------------------------ #
@@ -132,12 +132,10 @@ class Relation:
         :class:`ColumnarBatch` of *distinct* code rows with their
         non-zero signed counts (:meth:`ColumnarBatch.grouped`) — the
         result is a batch of the rows that became visible (sign +1) or
-        stopped being visible (sign −1).  Before the first row flips,
-        the database's store may capture the old state
-        (:meth:`ColumnarStore.before_flip`).  Everything is
-        validated before anything changes: deleting more derivations
-        than exist raises ``KeyError`` (the counting algorithm never
-        does) and leaves the relation, interner included, as it was.
+        stopped being visible (sign −1).  Everything is validated before
+        anything changes: deleting more derivations than exist raises
+        ``KeyError`` (the counting algorithm never does) and leaves the
+        relation, interner included, as it was.
         """
         if isinstance(delta, ColumnarBatch):
             return self._apply(delta.codes, delta.signs)
@@ -215,7 +213,6 @@ class Relation:
         if not len(flips):
             self._count[slots] = new
             return ColumnarBatch(codes[:0], changes[:0])
-        self._store.before_flip(self)
         # A row never stored has a non-zero change, so it appears.
         fresh = np.flatnonzero(slots < 0)
         if len(fresh) == len(slots):
@@ -223,14 +220,6 @@ class Relation:
         elif len(fresh):
             slots[fresh] = self._append(codes[fresh], [keys[i] for i in fresh.tolist()])
         self._count[slots] = new
-        # Copy-on-write for old-state views: the first post-capture flip
-        # of a pre-fence slot records its capture-time visibility
-        # (appended slots lie past every fence).
-        for view in self._views:
-            overrides, fence = view._overrides, view._fence
-            for slot, visible in zip(slots[flips].tolist(), (old[flips] > 0).tolist()):
-                if slot < fence and slot not in overrides:
-                    overrides[slot] = visible
         appeared = now[flips]
         self._n_alive += 2 * int(appeared.sum()) - len(flips)
         self._visible = {}
@@ -272,12 +261,8 @@ class Relation:
         self._index_on, self._visible = {}, {}
 
     def _compact(self) -> None:
-        """Repack the live slots with their counts and vids.  Live views fence
-        on slot numbers, so they detach first by materializing their
-        visible rows (O(view) — rare, and never blocks the compaction)."""
-        for view in self._views:
-            view._materialize()
-        self._views = []
+        """Repack the live slots with their counts and vids (never inside
+        an update, whose log and views address slots)."""
         self._store.stats["rebuilds"] += 1
         live = self.alive_slots()
         n = len(live)
@@ -319,7 +304,6 @@ class Relation:
         state["_count"] = self._count[:end]
         state["_vid"] = self._vid[:end]
         state["_visible"] = {}
-        state["_views"] = []
         return state
 
     # ------------------------------------------------------------------ #
@@ -436,17 +420,6 @@ class Relation:
         keep = self._count[slots] > 0
         return probe_idx[keep], slots[keep]
 
-    # ------------------------------------------------------------------ #
-    # Old-state views
-    # ------------------------------------------------------------------ #
-
-    def capture_view(self) -> TableView:
-        """O(1) snapshot of the current visible rows (see
-        :class:`~repro.db.columnar.TableView`)."""
-        view = TableView(self, self._n_slots)
-        self._views.append(view)
-        return view
-
     def _probe_view(self, view: TableView, positions: tuple, key_rows):
         if not positions:
             self._store.stats["probes"] += 1
@@ -456,12 +429,10 @@ class Relation:
         if not keep.all():
             probe_idx, slots = probe_idx[keep], slots[keep]
         alive = self._count[slots] > 0
-        if view._overrides:
-            o_slots, o_vals = view._override_arrays()
-            pos = np.searchsorted(o_slots, slots)
-            pos_c = np.minimum(pos, len(o_slots) - 1)
-            hit = (pos < len(o_slots)) & (o_slots[pos_c] == slots)
-            alive = np.where(hit, o_vals[pos_c], alive)
+        flipped = view._flipped
+        if len(flipped):
+            at = np.minimum(np.searchsorted(flipped, slots), len(flipped) - 1)
+            alive ^= flipped[at] == slots
         return probe_idx[alive], slots[alive]
 
     def __repr__(self) -> str:

@@ -12,14 +12,14 @@ factorization::
     Δ(A₁ ⋈ … ⋈ A_k) = Σ_i A^new_{<i} ⋈ Δ_i ⋈ A^old_{>i}
 
 driven by k compiled plans per rule (cached like the full-ground
-``JoinPlan``s) whose ``>i`` steps probe *old-state table views* captured
-at the update's ``apply_delta`` boundaries — **linear** in body arity,
-where expanding the same delta over the new state alone
-(``Σ_{∅≠S} (−1)^{|S|+1} ⋈_{i∈S} Δ_i ⋈_{i∉S} A_i^new``) takes 2^c−1 terms
-for c changed positions.  Tuple signs multiply through the join and the
-terms telescope to the exact net signed multiset.  Because the paper's
-programs are non-recursive, this specialisation of DRed is exact — no
-over-deletion/rederivation pass is needed.
+``JoinPlan``s) whose ``>i`` steps probe *old-state table views* read off
+the update's write log (:meth:`~repro.db.columnar.ColumnarStore.old_view`)
+— **linear** in body arity, where expanding the same delta over the new
+state alone (``Σ_{∅≠S} (−1)^{|S|+1} ⋈_{i∈S} Δ_i ⋈_{i∉S} A_i^new``) takes
+2^c−1 terms for c changed positions.  Tuple signs multiply through the
+join and the terms telescope to the exact net signed multiset.  Because
+the paper's programs are non-recursive, this specialisation of DRed is
+exact — no over-deletion/rederivation pass is needed.
 
 There is one such path.  What it must equal — after every update —
 is the from-scratch, tuple-at-a-time ``reference_ground`` of the same
@@ -31,7 +31,7 @@ delta is the retraction of all its factors.
 
 An update is undone whole: until the next one begins,
 :meth:`IncrementalGrounder.rollback` puts the relations and grounding
-tables (from their stores' O(|Δ|) undo logs), the interner, the
+tables (from their stores' O(|Δ|) write logs), the interner, the
 program's rules, the graph and ``last_result`` back exactly as they
 were.  ``apply_update`` rolls back on any exception; a ``KeyError`` or
 ``ValueError`` then leaves as
@@ -232,7 +232,7 @@ class IncrementalGrounder:
         self._begin_update()
         try:
             maybe_fire("ground.update.start")
-            return self._apply_update(
+            result = self._apply_update(
                 inserts or {},
                 deletes or {},
                 add_derivation_rules,
@@ -244,20 +244,13 @@ class IncrementalGrounder:
             if isinstance(error, (KeyError, ValueError)):
                 raise UpdateRejected.of(error) from error
             raise
-        finally:
-            # Old-state views live exactly one update; releasing them
-            # unpins their fences (and keeps the store picklable for
-            # service checkpoints between updates).
-            self.db.columnar.release_views()
+        self.db.columnar.end_update()
+        return result
 
     def _begin_update(self) -> None:
         """Drop the last update's undo and open this one's."""
         self._undo = None
-        # Relations some fused plan may probe in their old state, from the
-        # rules registered *before* this update (added rules evaluate
-        # fully over new state): each is captured right before the first
-        # ``apply_delta`` that flips one of its rows.
-        self.db.columnar.begin_update(self._body_predicates())
+        self.db.columnar.begin_update()
         self._table_store.begin_update()
         program, graph = self.program, self.graph
         self._undo = _UpdateUndo(
@@ -513,16 +506,6 @@ class IncrementalGrounder:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-
-    def _body_predicates(self) -> frozenset:
-        """Predicates appearing in any registered rule body — the set of
-        relations whose pre-update state a fused delta plan may probe."""
-        preds: set = set()
-        for rule in self.program.stratified_derivation_rules():
-            preds.update(atom.pred for atom in rule.body)
-        for rule in self.program.inference_rules:
-            preds.update(atom.pred for atom in rule.body)
-        return frozenset(preds)
 
     def _derived_relation_order(self) -> list:
         """Derived relations in dependency order (deduped, stable)."""

@@ -54,11 +54,10 @@ distinguishes the two ways a log can be damaged:
   and reading raises :class:`WALCorruptionError` instead of silently
   replaying a wrong prefix.
 
-Logs written by the pre-framing format (a bare pickle stream) are still
-readable, with tail tolerance only.  Opening one rewrites it framed
-(atomically, as :meth:`DeltaLog.truncate` does) before anything is
-appended: a framed append behind bare pickles would stop the legacy
-reader at its header, losing every later transaction.
+A file that is a proper prefix of the magic is a creation torn by a
+crash before any frame was written, and opens as a new log; any other
+file without the magic is not a log, and opening it raises
+:class:`WALCorruptionError` and leaves it as it is.
 """
 
 from __future__ import annotations
@@ -120,34 +119,36 @@ class DeltaLog:
         self._records: list[dict] = []
         self._fh = None
         if self.path is not None:
-            if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-                self._records, valid_end = self._read_frames(self.path)
-                with open(self.path, "rb") as fh:
-                    framed = fh.read(len(_MAGIC)) == _MAGIC
-                if not framed:
-                    self._rewrite(self._records)
-                elif valid_end < os.path.getsize(self.path):
-                    # Cut the torn tail off before appending: a frame
-                    # written after it would turn it into a bad
-                    # *non-final* frame and make the log unreadable.
-                    os.truncate(self.path, valid_end)
-            else:
+            self._records, valid_end = self._read_frames(self.path)
+            if valid_end is None:
                 with open(self.path, "wb") as fh:
                     fh.write(_MAGIC)
                     fh.flush()
                     os.fsync(fh.fileno())
+            elif valid_end < os.path.getsize(self.path):
+                # Cut the torn tail off before appending: a frame written
+                # after it would turn it into a bad *non-final* frame and
+                # make the log unreadable.
+                os.truncate(self.path, valid_end)
             self._fh = open(self.path, "ab")
         existing = [r["txn"] for r in self._records]
         self._next_txn = max(existing, default=0) + 1
 
     @classmethod
-    def _read_frames(cls, path: str) -> tuple[list[dict], int]:
+    def _read_frames(cls, path: str) -> tuple[list[dict], int | None]:
         """The log's records and the byte offset its valid prefix ends
-        at (anything past it is a torn tail)."""
+        at (anything past it is a torn tail); ``([], None)`` when there
+        is no log yet — no file, or a proper prefix of the magic."""
+        if not os.path.exists(path):
+            return [], None
         with open(path, "rb") as fh:
             data = fh.read()
         if not data.startswith(_MAGIC):
-            return cls._read_legacy_frames(data, path), len(data)
+            if _MAGIC.startswith(data):
+                return [], None
+            raise WALCorruptionError(
+                f"{path}: not a delta log (no {_MAGIC.decode()} header)"
+            )
         records = []
         pos = len(_MAGIC)
         end = len(data)
@@ -194,25 +195,6 @@ class DeltaLog:
                 if isinstance(record, dict) and "event" in record:
                     return True
         return False
-
-    @staticmethod
-    def _read_legacy_frames(data: bytes, path: str) -> list[dict]:
-        """Pre-framing format: consecutive bare pickle frames.
-
-        Tail tolerance only — without length prefixes a torn frame and
-        mid-log corruption are indistinguishable."""
-        import io
-
-        records = []
-        fh = io.BytesIO(data)
-        while True:
-            try:
-                records.append(pickle.load(fh))
-            except EOFError:
-                break
-            except (pickle.UnpicklingError, ValueError):
-                break
-        return records
 
     def _append(self, record: dict) -> None:
         self._records.append(record)

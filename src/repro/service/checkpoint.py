@@ -10,7 +10,7 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0016 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0017 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape (``CKPT0002``:
@@ -42,7 +42,10 @@ update, and a grounder's grounding tables share one store;
 ``CKPT0015``: a database's store names the relations it serves and
 counts ``join_rows``, and a relation keeps its visible-row memos in
 one dict; ``CKPT0016``: a variational approximation keeps its
-precision as per-component blocks, not as a dense matrix), so a file
+precision as per-component blocks, not as a dense matrix;
+``CKPT0017``: a database's store keeps its update's write log per
+relation and no capture set or old-view registry, relations lost their
+view lists, and ``EngineConfig`` lost ``compact_threshold``), so a file
 written by an older tree fails verification here — skipped and counted
 like a corrupt one, recovery falling back to an older checkpoint or the
 WAL — instead of unpickling into an object that breaks at its first
@@ -66,7 +69,7 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0016"
+_MAGIC = b"CKPT0017"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

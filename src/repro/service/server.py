@@ -610,14 +610,11 @@ class ServiceServer:
             seq = self.service.submit(
                 inserts=_rows("inserts", request.get("inserts")),
                 deletes=_rows("deletes", request.get("deletes")),
-                relearn_epochs=int(request.get("relearn_epochs", 0)),
+                relearn_epochs=_number(request, "relearn_epochs", int, default=0),
             )
             return {"ok": True, "seq": seq}
         if op == "read":
-            stamped = self.service.read(
-                max_staleness=request.get("max_staleness"),
-                deadline=request.get("deadline"),
-            )
+            stamped = self.service.read(**_read_bounds(request))
             return {
                 "ok": True,
                 "txn": stamped.txn,
@@ -627,9 +624,7 @@ class ServiceServer:
             }
         if op == "fact":
             p, stamped = self.service.read_fact(
-                int(request["var"]),
-                max_staleness=request.get("max_staleness"),
-                deadline=request.get("deadline"),
+                _number(request, "var", int, minimum=None), **_read_bounds(request)
             )
             return {"ok": True, "p": p, "txn": stamped.txn, "lag": stamped.lag}
         if op == "status":
@@ -639,6 +634,38 @@ class ServiceServer:
 
 def _error(exc: Exception) -> dict:
     return {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
+
+
+_REQUIRED = object()
+
+
+def _number(request: dict, field: str, kind, default=_REQUIRED, minimum=0):
+    """``request[field]`` as a JSON number of ``kind`` (``int``, or
+    ``(int, float)``; never a bool) at least ``minimum``, or ``default``
+    when it is absent or null.  Anything else is a ``ValueError`` naming
+    ``field``."""
+    value = request.get(field)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{field!r} is required")
+        return default
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or (minimum is not None and not value >= minimum)
+    ):
+        what = "an integer" if kind is int else "a number"
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{field!r} must be {what}{bound}, got {value!r}")
+    return value
+
+
+def _read_bounds(request: dict) -> dict:
+    """A read request's staleness and deadline bounds, checked."""
+    return {
+        "max_staleness": _number(request, "max_staleness", int, default=None),
+        "deadline": _number(request, "deadline", (int, float), default=None),
+    }
 
 
 def _rows(field: str, relations) -> dict | None:

@@ -7,10 +7,11 @@ Three layers under test:
   factorization ``Σ_i new_{<i} ⋈ Δ_i ⋈ old_{>i}`` must have maintained a
   factor graph canonically identical to ``reference_ground`` of the same
   state: from scratch, tuple at a time, no delta algebra at all;
-* old-state views — ``TableView`` snapshots must be immune to concurrent
-  ``apply_delta``, overflow-bucket merges, and compaction;
+* old-state views — the ``TableView`` an update's write log implies must
+  be the relation as the update found it, through later ``apply_delta``
+  and overflow-bucket merges, and exist only while the update is open;
 * counters — one shared signed delta batch per predicate per update,
-  cached fused plans, and captures bounded by changed body predicates.
+  cached fused plans, and views built only for old state a plan reads.
 """
 
 import numpy as np
@@ -102,7 +103,7 @@ def ground_sequence(k, edges, updates) -> tuple:
 def edge_update_sequences(draw):
     """(base edges, updates) with count-aware deletes: sequences freely
     retract visible edges and re-insert them later — the transitions the
-    copy-on-write views must get right."""
+    old-state views must get right."""
     nodes = [f"n{i}" for i in range(5)]
     universe = [(a, b) for a in nodes for b in nodes if a != b]
     base = draw(
@@ -205,20 +206,22 @@ class TestCounters:
         )
 
     def test_view_captures_bounded_by_changed_body_preds(self):
-        """Edge and Reach appear in rule bodies and transition; Path
-        transitions too but no body references it, and Node/PathCandidate
-        never change — two captures, regardless of how many fused terms
-        probe old state."""
+        """A view is built when a fused term first probes a changed
+        relation's old state, and reused until that relation writes
+        again.  Edge changes and the 3-atom bodies of reach and inf
+        probe its old state — one view, however many terms read it.
+        Reach changes too, but its only reader is inf2's one-atom body,
+        whose one term reads no old state; Path has no reader, and
+        Node / PathCandidate do not change."""
         program = chain_program(3)
         db = chain_db(program, [("n0", "n1"), ("n1", "n2"), ("n2", "n3")])
         grounder = IncrementalGrounder.from_scratch(program, db)
         before = _columnar_stats(db)
         grounder.apply_update(inserts={"Edge": [("n3", "n4")]})
         after = _columnar_stats(db)
-        assert after["view_captures"] - before["view_captures"] == 2
-        # Views live exactly one update: the epoch is released even
-        # though nothing failed.
-        assert db.columnar._old_views == {}
+        assert after["view_captures"] - before["view_captures"] == 1
+        # Views exist while the update is open, not after it returns.
+        assert db.columnar.old_view("Edge") is None
 
     def test_delta_plans_cached_across_updates(self):
         program = chain_program(2)
@@ -234,7 +237,7 @@ class TestCounters:
 
 
 # --------------------------------------------------------------------- #
-# Old-state views: immunity to apply_delta, merges, and compaction.
+# Old-state views: read off the update's log, through writes and merges.
 # --------------------------------------------------------------------- #
 
 
@@ -255,49 +258,42 @@ class TestTableViews:
     def test_view_immune_to_apply_delta(self):
         db = _edge_db([("a", "b"), ("b", "c"), ("c", "d")])
         store, rel = db.columnar, db.relation("E")
-        view = rel.capture_view()
-        assert view.num_rows == 3
+        store.begin_update()
         rel.delete(("a", "b"))
         rel.insert(("x", "y"))
         rel.insert(("b", "c"))  # count 2: visibility unchanged
         assert rel.num_rows == 3
+        view = store.old_view("E")
         assert view.num_rows == 3
         assert _view_rows(store, view) == [("a", "b"), ("b", "c"), ("c", "d")]
         # Keyed probe: the deleted row resolves in the view only.
         key = np.array([[store.interner.probe("a")]], dtype=np.int32)
         assert len(view.probe((0,), key)[1]) == 1
         assert len(rel.probe((0,), key)[1]) == 0
-        # And the post-capture row resolves in the live relation only.
+        # And the row the update added resolves in the live relation only.
         key = np.array([[store.interner.probe("x")]], dtype=np.int32)
         assert len(view.probe((0,), key)[1]) == 0
         assert len(rel.probe((0,), key)[1]) == 1
+        # Memoized until the relation writes again.
+        assert store.old_view("E") is view
+        rel.delete(("c", "d"))
+        view = store.old_view("E")
+        assert _view_rows(store, view) == [("a", "b"), ("b", "c"), ("c", "d")]
 
-    def test_double_flip_keeps_capture_state(self):
-        db = _edge_db([("a", "b")])
+    def test_double_flip_keeps_the_old_state(self):
+        db = _edge_db([("a", "b"), ("c", "d")])
         store, rel = db.columnar, db.relation("E")
-        view = rel.capture_view()
+        store.begin_update()
         rel.delete(("a", "b"))
         rel.insert(("a", "b"))  # slot reused: visible again
-        assert _view_rows(store, view) == [("a", "b")]
         rel.insert(("p", "q"))
         rel.delete(("p", "q"))
-        assert _view_rows(store, view) == [("a", "b")]
-
-    def test_view_survives_compaction_by_materializing(self):
-        rows = [(f"a{i}", f"b{i}") for i in range(600)]
-        db = _edge_db(rows)
-        store, rel = db.columnar, db.relation("E")
-        view = rel.capture_view()
-        rebuilds = store.stats["rebuilds"]
-        # Crosses the dead-fraction threshold: compacts.
-        rel.apply_delta({row: -1 for row in rows[:500]})
-        assert store.stats["rebuilds"] > rebuilds
-        assert view._materialized is not None
-        assert view.num_rows == 600
-        assert _view_rows(store, view) == sorted(rows)
-        # The live relation kept only the survivors, with their counts.
-        assert rel.num_rows == 100
-        assert rel.counts() == {row: 1 for row in rows[500:]}
+        # Every flip netted out: the live table is the old state.
+        assert store.old_view("E") is None
+        rel.delete(("c", "d"))
+        rel.insert(("c", "d"))
+        rel.delete(("a", "b"))
+        assert _view_rows(store, store.old_view("E")) == [("a", "b"), ("c", "d")]
 
     def test_held_view_survives_forced_merges(self, monkeypatch):
         # Any overflow slot forces a merge.
@@ -306,31 +302,40 @@ class TestTableViews:
         store = db.columnar
         rel = db.relation("E")
         key = np.array([[store.interner.intern("hub")]], dtype=np.int32)
-        rel.probe((1,), key)  # build the index pre-capture
-        view = rel.capture_view()
-        merges = store.stats["index_merges"]
+        rel.probe((1,), key)  # build the index before the update
+        store.begin_update()
         for i in range(20, 40):
             rel.insert((f"a{i}", "hub"))
-            rel.probe((1,), key)
+        view = store.old_view("E")
+        merges = store.stats["index_merges"]
+        assert len(rel.probe((1,), key)[1]) == 40
         assert store.stats["index_merges"] > merges
         # Merges reorder nothing the fence relies on: the held view
-        # still answers with exactly the 20 pre-capture rows, live.
-        assert view._materialized is None
+        # still answers with exactly the 20 pre-update rows, live.
         assert len(view.probe((1,), key)[1]) == 20
-        assert len(rel.probe((1,), key)[1]) == 40
 
-    def test_released_view_stops_copy_on_write(self):
+    def test_no_view_outside_an_update_or_after_a_rollback(self):
         db = _edge_db([("a", "b"), ("c", "d")])
-        rel = db.relation("E")
-        view = rel.capture_view()
-        view.release()
-        rel.delete(("a", "b"))  # must not touch the detached view
-        assert view._overrides == {}
-        assert rel._views == []
+        store, rel = db.columnar, db.relation("E")
+        rel.delete(("a", "b"))
+        assert store.old_view("E") is None  # no update yet
+        store.begin_update()
+        rel.delete(("c", "d"))
+        assert _view_rows(store, store.old_view("E")) == [("c", "d")]
+        store.rollback()
+        assert store.old_view("E") is None
+        assert rel.rows() == (("c", "d"),)
+        store.begin_update()
+        rel.delete(("c", "d"))
+        assert store.old_view("E") is not None
+        store.end_update()
+        assert store.old_view("E") is None  # closed; the log still undoes it
+        store.rollback()
+        assert rel.rows() == (("c", "d"),)
 
-    def test_grounder_releases_views_on_failure(self):
-        """A mid-update crash must not leak capture epochs (the store is
-        pickled by service checkpoints between updates)."""
+    def test_grounder_failure_leaves_no_view(self):
+        """A mid-update crash rolls the update back, and no old-state
+        view outlives it."""
         from repro.reliability.errors import FaultInjected
         from repro.reliability.faults import Fault, FaultPlan, inject_faults
 
@@ -338,11 +343,12 @@ class TestTableViews:
         db = chain_db(program, [("n0", "n1"), ("n1", "n2")])
         grounder = IncrementalGrounder.from_scratch(program, db)
         before = _columnar_stats(db)
-        # Edge and Reach both captured and applied by the time the
-        # update's last injection point fires.
+        # Every fused term has run by the update's last injection
+        # point; only Edge's old state is probed (Reach's reader, inf2,
+        # has a one-atom body).
         plan = FaultPlan([Fault("ground.update.finish")])
         with inject_faults(plan), pytest.raises(FaultInjected):
             grounder.apply_update(inserts={"Edge": [("n2", "n3")]})
         after = _columnar_stats(db)
-        assert after["view_captures"] - before["view_captures"] == 2
-        assert db.columnar._old_views == {}
+        assert after["view_captures"] - before["view_captures"] == 1
+        assert db.columnar.old_view("Edge") is None

@@ -18,6 +18,7 @@ The tentpole invariants of the patchable learner:
 import numpy as np
 import pytest
 
+import repro.core.resident
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.graph import FactorGraph, FactorGraphDelta, Semantics
 from repro.graph.compiled import CompiledFactorGraph
@@ -319,7 +320,7 @@ class TestEngineRelearn:
 
     @pytest.mark.parametrize("compact_threshold", [0.0, 1.0])
     def test_relearn_across_a_retraction_keeps_the_engine_sampler_in_step(
-        self, compact_threshold
+        self, compact_threshold, monkeypatch
     ):
         """A retraction either compacts the substrate or leaves
         tombstones; relearning on it, then updating again, must leave the
@@ -334,15 +335,9 @@ class TestEngineRelearn:
         fg.add_rule_factor(
             w_rule, 26, [[(2, True), (3, True)], [(27, False)]], Semantics.RATIO
         )
-        with RerunEngine(
-            fg,
-            EngineConfig(
-                seed=0,
-                inference_samples=5,
-                burn_in=2,
-                compact_threshold=compact_threshold,
-            ),
-        ) as engine:
+        monkeypatch.setattr(repro.core.resident, "COMPACT_THRESHOLD", compact_threshold)
+        config = EngineConfig(seed=0, inference_samples=5, burn_in=2)
+        with RerunEngine(fg, config) as engine:
             engine.apply_update(FactorGraphDelta())  # prime compile
             engine.apply_update(FactorGraphDelta(removed_factor_ids={rule_fi}))
             assert engine.resident.compiled.has_patches == (compact_threshold == 1.0)

@@ -13,6 +13,7 @@ query evaluator and no process pool.
 import ast
 import contextlib
 import dataclasses
+import inspect
 import pathlib
 import re
 from dataclasses import fields
@@ -540,7 +541,7 @@ class TestOneCopyOfUpdateState:
             make()
 
     def test_config_field_counts(self):
-        assert len(fields(EngineConfig)) == 11
+        assert len(fields(EngineConfig)) == 10
         assert len(fields(ServiceConfig)) == 7
 
 
@@ -563,6 +564,18 @@ class TestOneRelationRepresentation:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         assert not {"sync", "_load"} & defined
+
+    def test_old_state_is_read_off_the_write_log(self):
+        """An update's pre-update state is recorded once, in its store's
+        write log: no copy-on-write view registry on a relation and no
+        capture set or release on the store."""
+        _program, db = grounding_inputs()
+        relation = db.relation("PersonCandidate")
+        for name in ("capture_view", "_views"):
+            assert not hasattr(relation, name), name
+        for name in ("before_flip", "release_views", "_capture", "_old_views"):
+            assert not hasattr(db.columnar, name), name
+        assert list(inspect.signature(db.columnar.begin_update).parameters) == []
 
     def test_plan_steps_probe_the_relation_itself(self, monkeypatch):
         program, db = grounding_inputs()

@@ -3,7 +3,8 @@
 Layers, matching the reliability stack:
 
 * Unit: :class:`RetryPolicy` backoff, :class:`DeltaLog` WAL framing
-  (including torn final frames and legacy logs), durable renames,
+  (including torn final frames, torn creations and files that are not
+  logs), durable renames,
   :class:`FaultPlan` visit semantics.
 * Engine: for every engine-level injection point, a seeded raise rolls
   ``apply_update``/``relearn`` back to the pre-update state (caches
@@ -161,94 +162,35 @@ class TestDeltaLog:
         with pytest.raises(WALCorruptionError, match="non-final"):
             DeltaLog(path)
 
-    def test_legacy_bare_pickle_log_readable(self, tmp_path):
-        path = tmp_path / "legacy.wal"
-        with open(path, "wb") as fh:
-            for rec in (
-                {"txn": 1, "event": "begin", "payload": {"u": 1}},
-                {"txn": 1, "event": "commit"},
-                {"txn": 2, "event": "begin", "payload": {"u": 2}},
-            ):
-                fh.write(pickle.dumps(rec))
+    @pytest.mark.parametrize("kept", [1, 4, 7])
+    def test_torn_creation_opens_as_a_new_log(self, tmp_path, kept):
+        """A crash while the magic was being written leaves a proper
+        prefix of it: no frame was ever written, so it is a new log."""
+        path = tmp_path / "torn-creation.wal"
+        path.write_bytes(b"DLOG0002"[:kept])
         with DeltaLog(path) as wal:
-            assert wal.committed() == [(1, {"u": 1})]
-            assert wal.pending() == [(2, {"u": 2})]
-
-    def test_appends_to_a_legacy_log_survive_reopen(self, tmp_path):
-        # Framed records appended behind bare pickles used to stop the
-        # legacy reader at their header: every later commit vanished.
-        path = tmp_path / "legacy.wal"
-        with open(path, "wb") as fh:
-            for rec in (
-                {"txn": 1, "event": "begin", "payload": "a"},
-                {"txn": 1, "event": "commit"},
-            ):
-                fh.write(pickle.dumps(rec))
-        with DeltaLog(path) as wal:
-            wal.commit(wal.begin("b"))
-        with DeltaLog(path) as wal:
-            assert wal.committed() == [(1, "a"), (2, "b")]
-
-    def test_opening_a_legacy_log_rewrites_it_framed(self, tmp_path):
-        path = tmp_path / "legacy.wal"
-        records = [
-            {"txn": 1, "event": "begin", "payload": {"u": 1}},
-            {"txn": 1, "event": "mark", "stage": "grounded", "payload": None},
-            {"txn": 1, "event": "commit"},
-        ]
-        path.write_bytes(b"".join(pickle.dumps(rec) for rec in records))
-        DeltaLog(path).close()
+            assert wal.records() == []
+            wal.commit(wal.begin("first"))
         assert path.read_bytes().startswith(b"DLOG0002")
-        assert not (tmp_path / "legacy.wal.tmp").exists()
         with DeltaLog(path) as wal:
-            assert wal.records() == records
-            assert wal.stages(1) == ["grounded"]
+            assert wal.committed() == [(1, "first")]
 
-    def test_legacy_pending_txn_commits_after_the_upgrade(self, tmp_path):
-        path = tmp_path / "legacy.wal"
-        path.write_bytes(
-            pickle.dumps({"txn": 1, "event": "begin", "payload": "retry me"})
-        )
-        with DeltaLog(path) as wal:
-            assert wal.pending() == [(1, "retry me")]
-            wal.commit(1)
-            assert wal.begin("next") == 2
-        with DeltaLog(path) as wal:
-            assert wal.committed() == [(1, "retry me")]
-            assert wal.pending() == [(2, "next")]
-
-    def test_legacy_torn_tail_is_cut_by_the_upgrade(self, tmp_path):
-        path = tmp_path / "legacy.wal"
-        torn = pickle.dumps({"txn": 2, "event": "begin", "payload": "lost"})
-        path.write_bytes(
-            pickle.dumps({"txn": 1, "event": "begin", "payload": "kept"})
-            + pickle.dumps({"txn": 1, "event": "commit"})
-            + torn[: len(torn) // 2]
-        )
-        with DeltaLog(path) as wal:
-            assert wal.committed() == [(1, "kept")]
-            assert wal.pending() == []
-            wal.commit(wal.begin("after"))
-        with DeltaLog(path) as wal:
-            assert wal.committed() == [(1, "kept"), (2, "after")]
-
-    def test_legacy_log_truncates_after_the_upgrade(self, tmp_path):
-        path = tmp_path / "legacy.wal"
-        path.write_bytes(
-            b"".join(
-                pickle.dumps(rec)
-                for txn in (1, 2)
-                for rec in (
-                    {"txn": txn, "event": "begin", "payload": txn},
-                    {"txn": txn, "event": "commit"},
-                )
-            )
-        )
-        with DeltaLog(path) as wal:
-            assert wal.truncate(upto_txn=1) == 2
-        with DeltaLog(path) as wal:
-            assert wal.truncated_below() == 1
-            assert wal.committed() == [(2, 2)]
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pickle.dumps({"txn": 1, "event": "begin", "payload": "bare"}),
+            b"DLOG0001",
+            b"XLOG0002" + b"\0" * 8,
+        ],
+        ids=["bare-pickle", "old-magic", "foreign"],
+    )
+    def test_a_file_without_the_magic_is_refused_untouched(self, tmp_path, content):
+        path = tmp_path / "not-a-log.wal"
+        path.write_bytes(content)
+        with pytest.raises(WALCorruptionError, match="not-a-log.wal"):
+            DeltaLog(path)
+        assert path.read_bytes() == content
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-log.wal"]
 
     def test_empty_file_opens_as_a_new_log(self, tmp_path):
         path = tmp_path / "empty.wal"
@@ -346,14 +288,6 @@ class TestDurableRename:
             recorder = RenameRecorder(monkeypatch)
             assert wal.truncate(upto_txn=2) == 4
         assert recorder.events[0] == ("fsync", False)  # the rewritten file
-        recorder.assert_every_replace_synced()
-
-    def test_legacy_upgrade_syncs_the_directory(self, tmp_path, monkeypatch):
-        path = tmp_path / "legacy.wal"
-        path.write_bytes(pickle.dumps({"txn": 1, "event": "begin", "payload": 1}))
-        recorder = RenameRecorder(monkeypatch)
-        DeltaLog(path).close()
-        assert recorder.events[:2] == [("fsync", False), ("replace", "legacy.wal")]
         recorder.assert_every_replace_synced()
 
     def test_checkpoint_name_is_durable_before_retention_unlinks(

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.resident
 from repro.core import EngineConfig, RerunEngine
 from repro.core.resident import ResidentGraph
 from repro.graph import FactorGraph, FactorGraphDelta
@@ -38,11 +39,7 @@ COMPACT_THRESHOLD = 0.15
 
 def make_resident(seed: int, with_learner: bool) -> ResidentGraph:
     """The Rerun configuration: a serial chain, optionally a learner."""
-    resident = ResidentGraph(
-        seed_graph(seed),
-        np.random.default_rng(seed),
-        compact_threshold=COMPACT_THRESHOLD,
-    )
+    resident = ResidentGraph(seed_graph(seed), np.random.default_rng(seed))
     resident.marginals(2, 1)
     if with_learner:
         resident.warm_learner(True)
@@ -91,6 +88,12 @@ def advance(resident: ResidentGraph) -> np.ndarray:
 
 
 class TestComposedHistories:
+    @pytest.fixture(autouse=True, scope="class")
+    def low_compact_threshold(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(repro.core.resident, "COMPACT_THRESHOLD", COMPACT_THRESHOLD)
+            yield
+
     @pytest.mark.parametrize("with_learner", [False, True])
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -160,14 +163,13 @@ def patch_delta(engine, step: int) -> FactorGraphDelta:
 
 
 class TestRerunEngineComposedHistory:
-    def test_restore_patch_append_pickle_patch_matches_twin(self):
+    def test_restore_patch_append_pickle_patch_matches_twin(self, monkeypatch):
         """The history that lost patch flags behind numpy's detached
         views, on the Rerun owner: restore → patch → append → pickle →
         patch, every step bit-identical to a never-failed, never-pickled
         twin."""
-        config = EngineConfig(
-            inference_samples=30, burn_in=3, seed=0, compact_threshold=1.0
-        )
+        monkeypatch.setattr(repro.core.resident, "COMPACT_THRESHOLD", 1.0)
+        config = EngineConfig(inference_samples=30, burn_in=3, seed=0)
         live = RerunEngine(chain_ising_graph(6, 0.4, 0.1), config)
         twin = RerunEngine(chain_ising_graph(6, 0.4, 0.1), config)
         for engine in (live, twin):
@@ -196,7 +198,8 @@ class TestRerunEngineComposedHistory:
 
 class TestEngineConfigSurface:
     # The field count is pinned where the latest removal is tested:
-    # tests/test_no_forks.py (11 since the engine WAL went).
+    # tests/test_no_forks.py (10 since compact_threshold became
+    # repro.core.resident.COMPACT_THRESHOLD).
 
     @pytest.mark.parametrize(
         "removed",

@@ -203,16 +203,16 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled state changed
-        shape (magic ``CKPT0015``) is valid by its own checksum and must
+        shape (magic ``CKPT0016``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0016"
+            assert fh.read(8) == b"CKPT0017"
             fh.seek(0)
-            fh.write(b"CKPT0015")
+            fh.write(b"CKPT0016")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -1138,6 +1138,18 @@ class TestServiceServer:
             ({"op": "update", "inserts": [1]}, "inserts"),
             ({"op": "update", "inserts": {"PersonCandidate": [1]}}, "inserts"),
             ({"op": "update", "deletes": {"PersonCandidate": "ab"}}, "deletes"),
+            ({"op": "fact", "var": 1.5}, "var"),
+            ({"op": "fact", "var": True}, "var"),
+            ({"op": "fact"}, "var"),
+            ({"op": "update", "relearn_epochs": -1}, "relearn_epochs"),
+            ({"op": "update", "relearn_epochs": 2.5}, "relearn_epochs"),
+            ({"op": "update", "relearn_epochs": "3"}, "relearn_epochs"),
+            ({"op": "read", "max_staleness": "2"}, "max_staleness"),
+            ({"op": "read", "max_staleness": -1}, "max_staleness"),
+            ({"op": "fact", "var": 0, "max_staleness": 1.0}, "max_staleness"),
+            ({"op": "read", "deadline": "1"}, "deadline"),
+            ({"op": "read", "deadline": -0.5}, "deadline"),
+            ({"op": "fact", "var": 0, "deadline": False}, "deadline"),
         ],
     )
     def test_malformed_requests_are_value_errors_naming_the_field(
