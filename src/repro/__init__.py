@@ -21,10 +21,9 @@ The public API is organised by the paper's architecture:
   and synthetic tradeoff workloads.
 
 scipy and asyncio are imported inside the functions that use them
-(exact enumeration, the chromatic sampler, logistic regression,
-Algorithm 2's decomposition, the TCP front end): grounding, the engines
-and :class:`~repro.service.KBService` never call them, and together
-they double the package's resident size.
+(scipy: exact enumeration and the chromatic sampler; asyncio: the TCP
+front end): grounding, the engines and :class:`~repro.service.KBService`
+never call them, and together they double the package's resident size.
 """
 
 # On numpy 2.x, ``np.unique`` imports ``numpy.ma`` on its first call

@@ -89,19 +89,14 @@ class ResidentGraph:
         on first use."""
         if self.chain is None:
             compiled = self.compile()
-            patched = compiled.has_patches
+            # Only a deferred compaction (``apply_delta(compact=False)``)
+            # leaves the substrate over the threshold, and no such owner
+            # has a learner to tell.
             if compiled.patch_fraction() > COMPACT_THRESHOLD:
                 compiled.compact()
             self.chain = make_sampler(
                 self.graph, seed=self.rng, compiled=compiled, incremental=True
             )
-            if patched and not compiled.has_patches and self.learner is not None:
-                # The substrate compacted outside a patch, so no patch
-                # told the learner: it re-derives plans and caches around
-                # its warm state, through an empty compacted patch.
-                self.learner.apply_patch(
-                    CompiledPatch(ops=None, old_num_vars=compiled.num_vars, compacted=True)
-                )
         return self.chain.estimate_marginals(num_samples, burn_in=burn_in)
 
     def warm_learner(self, warm: bool) -> bool:

@@ -218,13 +218,6 @@ class VariationalApproximation:
     candidate_pairs: int
     kept_pairs: int
 
-    @property
-    def sparsity(self) -> float:
-        """Kept fraction of candidate pairwise factors."""
-        if self.candidate_pairs == 0:
-            return 0.0
-        return self.kept_pairs / self.candidate_pairs
-
 
 def learn_approximation(
     graph: FactorGraph,

@@ -43,12 +43,6 @@ class MHResult:
     exhausted: bool
     chain: np.ndarray | None = None
 
-    def summary(self) -> str:
-        return (
-            f"MHResult(acceptance={self.acceptance_rate:.3f}, "
-            f"used={self.proposals_used}, exhausted={self.exhausted})"
-        )
-
 
 class IndependentMH:
     """Reuse stored samples as proposals for the updated distribution.

@@ -141,7 +141,3 @@ class ReliableUpdatePipeline:
         for _txn, payload in self.wal.committed():
             outcomes.append(replay_payload(grounder, engine, payload))
         return outcomes
-
-    def pending(self) -> list:
-        """Updates that began but never committed (crash recovery)."""
-        return self.wal.pending()

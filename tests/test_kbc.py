@@ -1,5 +1,6 @@
 """Tests for the KBC pipeline: corpus, linking, supervision, end to end."""
 
+import numpy as np
 import pytest
 
 from repro.kbc import (
@@ -181,17 +182,28 @@ class TestSpamStream:
 
     def test_drift_changes_signal(self):
         """A model fit before the drift degrades after it."""
-        from repro.learning import LogisticRegression
+        from repro.graph import FactorGraph
+        from repro.learning import SGDLearner
 
         stream = SpamStream(num_emails=2000, drift_point=0.5, seed=1)
-        early_x = stream.features[:600]
-        early_y = stream.labels[:600]
-        late_x = stream.features[1400:]
-        late_y = stream.labels[1400:]
-        model = LogisticRegression(stream.vocabulary_size, seed=0)
-        model.fit_sgd(early_x, early_y, epochs=20, step_size=0.5)
-        assert model.accuracy(early_x, early_y) > 0.8
-        assert model.accuracy(late_x, late_y) < model.accuracy(early_x, early_y)
+        # Ex. 2.6's logistic model: one labelled variable per email, one
+        # bias factor per word on that word's tied weight (id = word).
+        graph = FactorGraph()
+        for word in range(stream.vocabulary_size):
+            graph.weights.intern(("word", word), initial=0.0)
+        for words, label in zip(stream.features[:600], stream.labels[:600]):
+            var = graph.add_variable(evidence=bool(label))
+            for word in words:
+                graph.add_bias_factor(word, var)
+        SGDLearner(graph, step_size=0.2, seed=0).fit(30, record_loss=False)
+        weights = graph.weights.values_array()
+
+        def accuracy(lo, hi):
+            spam = [weights[words].sum() > 0 for words in stream.features[lo:hi]]
+            return float(np.mean(np.array(spam) == stream.labels[lo:hi]))
+
+        assert accuracy(0, 600) > 0.8
+        assert accuracy(1400, 2000) < accuracy(0, 600)
 
     def test_labels_depend_on_words(self):
         stream = SpamStream(num_emails=300, seed=2)

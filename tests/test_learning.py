@@ -1,4 +1,4 @@
-"""Tests for weight learning: gradients, SGD, warmstart, logistic model."""
+"""Tests for weight learning: gradients, SGD, warmstart."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ import pytest
 from repro.graph import FactorGraph, Semantics
 from repro.graph.compiled import CompiledFactorGraph
 from repro.inference import ExactInference
-from repro.learning import (
-    LogisticRegression,
-    SGDLearner,
-    weight_gradient,
-    weight_statistics,
-)
+from repro.learning import SGDLearner, weight_gradient, weight_statistics
 
 from tests.reference import learning as reference
 
@@ -113,66 +108,3 @@ class TestSGDLearner:
         v = probe.add_variable()
         probe.add_bias_factor(wid, v)
         assert ExactInference(probe).marginal(v) == pytest.approx(0.8, abs=0.07)
-
-
-class TestLogisticRegression:
-    @staticmethod
-    def _separable(seed=0, n=300, d=20):
-        rng = np.random.default_rng(seed)
-        truth = rng.normal(size=d)
-        rows = [rng.choice(d, size=5, replace=False).tolist() for _ in range(n)]
-        labels = np.array([truth[r].sum() > 0 for r in rows])
-        return rows, labels
-
-    def test_fits_separable_data(self):
-        rows, labels = self._separable()
-        model = LogisticRegression(20, seed=0)
-        model.fit_sgd(rows, labels, epochs=30, step_size=0.5)
-        assert model.accuracy(rows, labels) > 0.9
-
-    def test_loss_monotone_ish(self):
-        rows, labels = self._separable(seed=1)
-        model = LogisticRegression(20, seed=1)
-        trace = model.fit_gd(rows, labels, epochs=30, step_size=1.0)
-        assert trace.losses[-1] < trace.losses[0]
-
-    def test_warmstart_resumes_cold_restarts(self):
-        rows, labels = self._separable(seed=2)
-        model = LogisticRegression(20, seed=2)
-        model.fit_sgd(rows, labels, epochs=20)
-        loss_after = model.loss(rows, labels)
-        warm = model.fit_sgd(rows, labels, epochs=1, warmstart=True)
-        assert warm.losses[0] <= loss_after + 0.05
-        cold = model.fit_sgd(rows, labels, epochs=1, warmstart=False)
-        assert cold.losses[0] >= warm.losses[0]
-
-    def test_sgd_reaches_near_gd_optimum(self):
-        rows, labels = self._separable(seed=3)
-        gd_model = LogisticRegression(20, seed=3)
-        gd_model.fit_gd(rows, labels, epochs=400, step_size=1.0)
-        sgd_model = LogisticRegression(20, seed=3)
-        sgd_model.fit_sgd(rows, labels, epochs=80, step_size=0.5)
-        assert sgd_model.loss(rows, labels) <= gd_model.loss(rows, labels) * 1.5
-
-    def test_trace_time_to_loss(self):
-        rows, labels = self._separable(seed=4)
-        model = LogisticRegression(20, seed=4)
-        trace = model.fit_sgd(rows, labels, epochs=10)
-        target = trace.losses[-1]
-        assert trace.time_to_loss(target) is not None
-        assert trace.time_to_loss(-1.0) is None
-
-    def test_accepts_csr_input(self):
-        import scipy.sparse as sp
-
-        x = sp.csr_matrix(np.eye(4))
-        y = np.array([1, 0, 1, 0])
-        model = LogisticRegression(4, seed=0)
-        model.fit_gd(x, y, epochs=50, step_size=2.0)
-        assert model.accuracy(x, y) == 1.0
-
-    def test_out_of_range_features_dropped(self):
-        model = LogisticRegression(3, seed=0)
-        proba = model.predict_proba([[0, 99]])
-        assert proba.shape == (1,)
-

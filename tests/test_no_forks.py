@@ -1,6 +1,6 @@
-"""The package has one way to ground, one gradient, one scan, one rule
-path, one process, one factor representation, and one copy of each
-piece of update state.
+"""The package has one way to ground, one gradient, one learner, one
+scan, one rule path, one process, one factor representation, and one
+copy of each piece of update state.
 
 Every option whose non-default side only tests ever selected is gone, and
 the implementations those options selected live under ``tests/reference``
@@ -13,6 +13,7 @@ query evaluator and no process pool.
 import ast
 import contextlib
 import dataclasses
+import importlib
 import inspect
 import pathlib
 import re
@@ -774,3 +775,27 @@ class TestOneFactorRepresentation:
             engine.relearn(1)
         assert not built
         assert engine.current_graph.compiled.views_materialized == 0
+
+
+class TestOneLearner:
+    """Figs. 16–17 train with ``SGDLearner`` on Ex. 2.6's graph, so the
+    logistic-regression trainer that only they reached left the package."""
+
+    REMOVED = ("LogisticRegression", "TrainingTrace")
+
+    def test_removed_names_stay_gone(self):
+        import repro.learning
+
+        for name in self.REMOVED:
+            assert not hasattr(repro.learning, name)
+            assert name not in repro.learning.__all__
+        offenders = [
+            path.relative_to(SRC).as_posix()
+            for path in sorted(SRC.rglob("*.py"))
+            if re.search("|".join(self.REMOVED), path.read_text())
+        ]
+        assert not offenders
+
+    def test_logistic_module_does_not_import(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.learning.logistic")

@@ -114,6 +114,23 @@ class TestComposedHistories:
                 assert np.array_equal(advance(live), advance(twin))
             assert_same(live, twin)
 
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_patches_and_restores_stay_at_or_under_the_threshold(self, data):
+        """``apply_delta`` with compaction on, and ``restore``, leave
+        ``patch_fraction() ≤ COMPACT_THRESHOLD``: so ``marginals`` never
+        compacts a substrate a learner rides (only a deferred compaction
+        leaves it over, and no such owner has a learner)."""
+        resident = make_resident(data.draw(st.integers(0, 3), label="graph seed"), True)
+        for step in range(data.draw(st.integers(4, 9), label="steps")):
+            delta = draw_delta(data, resident.graph, step)
+            if data.draw(st.booleans(), label="fail"):
+                failed_transaction(resident, delta)
+            else:
+                resident.apply_delta(delta)
+            assert resident.compiled.patch_fraction() <= COMPACT_THRESHOLD
+            advance(resident)
+
     @pytest.mark.parametrize("with_learner", [False, True])
     def test_forced_compaction_inside_failed_transaction(self, with_learner):
         """The failed transaction crosses the threshold (the substrate
