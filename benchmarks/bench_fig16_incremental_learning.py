@@ -150,7 +150,7 @@ def run_strategy(name: str, cfg) -> dict:
 
     start = time.perf_counter()
     if name == "warm_patched":
-        patch = learner._compiled.apply_delta(delta)
+        patch = learner.compiled.apply_delta(delta)
         learner.apply_patch(patch)
         runner = learner
     elif name == "recompile":

@@ -108,7 +108,7 @@ def held_out_curves(seed: int = 0) -> dict:
     )
     incremental.fit(MATERIALIZE_EPOCHS, record_loss=False)
     delta = email_delta(stream, incremental.graph, materialized, trained)
-    incremental.apply_patch(incremental._compiled.apply_delta(delta))
+    incremental.apply_patch(incremental.compiled.apply_delta(delta))
 
     rerun = SGDLearner(
         email_graph(stream, 0, trained),

@@ -55,7 +55,9 @@ constructions and zero ``FactorTable.factors()`` decodes through ground
 candidates: the full ground, its plans ordered by estimated fan-out,
 must emit at most ``AGREEMENT_JOIN_ROWS`` binding rows (the static
 order emits six times that), and the rule's canonical batch must equal
-the static order's.
+the static order's.  And a stream of one-document inserts must prune
+fused terms (``terms_pruned`` > 0: the document's fresh sentence ids key
+old-state probes), each of which, run anyway, returns no rows.
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grounding_incremental.py
 [--scale tiny|small|medium] [--check]`` from the repository root.
@@ -659,12 +661,45 @@ def check_agreement_join_rows() -> dict:
     return {"join_rows": ordered, "agreement_bindings": batch.num_rows}
 
 
+def check_pruned_terms(rows: dict, pool: int) -> int:
+    """One-document inserts prune the fused terms whose fresh ids key an
+    old-state probe; each, run anyway with no floor, returns no rows.
+    Returns the number pruned."""
+    from repro.db.plan import JoinPlan
+
+    program = build_program()
+    grounder = IncrementalGrounder.from_scratch(program, make_db(program, rows))
+    run = JoinPlan.execute
+    pruned = []
+
+    def execute(plan, store, db, sources=None):
+        if plan.cannot_match(store, sources):
+            floor, store.floor = store.floor, None
+            try:
+                pruned.append(run(plan, store, db, sources=sources).num_rows)
+            finally:
+                store.floor = floor
+        return run(plan, store, db, sources=sources)
+
+    JoinPlan.execute = execute
+    try:
+        for update in document_updates(pool, 40, 1, 4):
+            grounder.apply_update(**update)
+    finally:
+        JoinPlan.execute = run
+    stats = grounder.db.index_stats()["columnar"]
+    assert stats["terms_pruned"] == len(pruned) > 0, (stats["terms_pruned"], pruned)
+    assert not any(pruned), f"a pruned term matched rows: {pruned}"
+    return len(pruned)
+
+
 def check() -> None:
     """CI smoke: incremental ≡ from-scratch reference after every update,
     with no compaction and a database copy that regrounds to the same
     graph; grounding tables ≡ the record fold after every update; arity
     counters linear; full ground ≡ the record fold without its
-    objects; an agreement rule's join rows bounded."""
+    objects; an agreement rule's join rows bounded; one-document inserts
+    prune terms that, run anyway, are empty."""
     from tests.test_grounding import spouse_db, spouse_program
     from tests.test_incremental_grounding import assert_equivalent, reground
 
@@ -718,6 +753,9 @@ def check() -> None:
     # 4. An agreement-shaped rule: the join order comes from the data.
     agreement = check_agreement_join_rows()
 
+    # 5. One-document inserts: the terms that cannot match never run.
+    pruned = check_pruned_terms(rows, pool)
+
     print(
         "grounding smoke ok: columnar-incremental ≡ tuple-at-a-time "
         "from-scratch reference after every update (spouse, benchmark and "
@@ -725,7 +763,8 @@ def check() -> None:
         f"update ({tables} table states); arity k={k}: {shape}; "
         f"{col.num_vars} vars, {col.num_factors} factors; full ground ≡ "
         f"record fold, {work}; agreement rule ordered by fan-out: "
-        f"{agreement} (≤ {AGREEMENT_JOIN_ROWS} join rows)"
+        f"{agreement} (≤ {AGREEMENT_JOIN_ROWS} join rows); four one-document "
+        f"inserts pruned {pruned} terms, each empty when run anyway"
     )
 
 

@@ -32,9 +32,11 @@ substrate compiled from a copy of the grounded graph (as the engines'
 ``ResidentGraph`` does), and assert the patched compilation's marginals
 agree with a from-scratch compile of the grounder's graph; then drive a
 variational-only ``IncrementalEngine`` through three appends and a
-retraction and assert its approximate substrate was constructed once,
-no whole factor list was gathered, and the warm chain's marginals agree
-with a freshly compiled sampler over the spliced graph; then count the
+retraction and assert that its current graph, which no learner or chain
+follows, compiled nothing, that its approximate substrate was
+constructed once and gathered no whole factor list, and that the warm
+chain's marginals agree with a freshly compiled sampler over the spliced
+graph; then count the
 substrate's work per delta (array appends independent of |Δ|, no factor
 record decoded or built by patch, build or compaction, a threshold delta
 = one build and no splice).
@@ -282,7 +284,9 @@ def check() -> None:
 def check_variational() -> None:
     """CI smoke: the variational strategy patches one approximate
     substrate — 3 appends + 1 retraction, one construction, zero oracle
-    views, warm-chain marginals ≡ a fresh compile of the spliced graph."""
+    views, warm-chain marginals ≡ a fresh compile of the spliced graph —
+    and the engine's own current graph, with no follower, compiles
+    nothing."""
     from collections import Counter
 
     from repro.core import IncrementalEngine
@@ -310,6 +314,7 @@ def check_variational() -> None:
             ),
         )
         engine.materialize()
+        materialized = len(builds)
         num_weights = len(engine.current_graph.weights)
         deltas = []
         for step in range(3):
@@ -322,24 +327,23 @@ def check_variational() -> None:
             assert outcome.strategy == "variational", outcome.strategy
     finally:
         CompiledFactorGraph.__init__ = original_init
+    assert engine.resident.compiled is None and len(builds) == materialized, (
+        f"an update with no follower compiled {len(builds) - materialized} substrates"
+    )
     substrate = engine.variational.current.compiled
     assert builds[id(substrate)] == 1, (
         f"approximate substrate constructed {builds[id(substrate)]} times"
     )
-    for name, compiled in (
-        ("approximate", substrate),
-        ("engine", engine.current_graph.compiled),
-    ):
-        assert compiled.views_materialized == 0, (
-            f"{name} substrate materialized {compiled.views_materialized} oracle views"
-        )
+    assert substrate.views_materialized == 0, (
+        f"approximate substrate materialized {substrate.views_materialized} oracle views"
+    )
     spliced = FactorGraph.from_compiled(substrate)
     fresh = GibbsSampler(spliced, seed=1).estimate_marginals(3000, burn_in=50)
     err = max_marginal_error(outcome.marginals, fresh)
     assert err < 0.06, f"warm chain vs fresh compile marginal disagreement: {err:.3f}"
     print(
         "variational smoke ok: append ×3 + retract on one substrate, "
-        f"max marginal err {err:.3f}"
+        f"none on the engine's, max marginal err {err:.3f}"
     )
 
 

@@ -15,8 +15,10 @@
 the whole updated graph.
 
 Both hold their current graph as one
-:class:`~repro.core.resident.ResidentGraph` — compiled once, patched in
-place by every delta, with the chains that ride the patches — and run
+:class:`~repro.core.resident.ResidentGraph` — compiled once, for its
+first follower (the Rerun chain at the first update, a learner at the
+first ``relearn``), patched in place by every delta from then on, with
+the chains that ride the patches — and run
 every ``apply_update`` / ``relearn`` through one transaction shell
 (:meth:`_Engine._transaction`): snapshot → fault points → commit, or
 restore — and the update's snapshot is kept until the next one begins
@@ -145,8 +147,10 @@ class _Engine:
 
     @property
     def current_graph(self) -> FactorGraph:
-        """The graph all updates so far produced: the substrate's lazy
-        view once anything compiled it, the constructor's graph before."""
+        """The graph all updates so far produced, for reading: the
+        substrate's lazy view once a follower compiled it; before that
+        the lowered graph the updates advanced in place (the
+        constructor's graph until the first update)."""
         return self.resident.graph
 
     def read_snapshot(self) -> ReadSnapshot | None:
@@ -200,8 +204,9 @@ class _Engine:
     def _relearn(self, num_epochs: int, record_loss: bool):
         """Shared body of both engines' ``relearn``.
 
-        The first call compiles the current graph once; every later
-        ``apply_update`` patches that compilation in place and, with
+        The first call compiles the current graph once (Pr⁰ with the
+        updates so far replayed onto it); every later ``apply_update``
+        patches that compilation in place and, with
         ``EngineConfig.warm_learning`` (default), the learner's
         persistent chains and weight store ride along — so each relearn
         is the paper's SGD+Warmstart step (App. B.3) with O(|Δ|) setup
@@ -342,10 +347,9 @@ class IncrementalEngine(_Engine):
                 self.base_graph, self.cumulative_delta, delta
             )
 
-        # The first structural update compiles the current graph once
-        # (detached from the frozen Pr⁰ snapshot), every later one is an
-        # O(|Δ|) patch the persistent learner rides — no ``delta.apply``
-        # materialization on this path.
+        # Until a relearn compiles the current graph, the update splices
+        # its lowered copy (detached from the frozen Pr⁰ snapshot); from
+        # then on it is an O(|Δ|) patch the persistent learner rides.
         self.resident.apply_delta(delta)
 
         # Patch the tuple bundle in place for small variable appends so
@@ -488,8 +492,10 @@ class RerunEngine(_Engine):
                 details={"short_circuit": "empty delta"},
             )
         if self.resident.compiled is None:
-            # The update that pays the one-time O(graph) compile.
+            # The update that pays the one-time O(graph) compile: its
+            # chain follows the substrate from here on.
             self.updates_recompiled += 1
+            self.resident.compile()
         else:
             self.updates_patched += 1
         self.resident.apply_delta(delta)

@@ -11,10 +11,19 @@ that ride its patches, and their transactional snapshot:
 :class:`~repro.core.engine.IncrementalEngine` each hold one over the
 current graph, :class:`~repro.core.variational.VariationalMaterialization`
 one over the approximated graph.
+
+A substrate is compiled for its first follower, not before: until
+something sweeps the graph, an update costs the O(F) in-place splice of
+the lowered graph, not a patch of arrays nobody reads.  So an
+``IncrementalEngine`` that never relearns never compiles its current
+graph; ``RerunEngine`` (whose chain starts in its first update) and the
+variational materialization (compiled at ``materialize()``) compile as
+early as ever.
 """
 
 from __future__ import annotations
 
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +33,11 @@ from repro.graph.compiled import CompiledFactorGraph, CompiledPatch
 from repro.graph.delta import FactorGraphDelta
 from repro.graph.factor_graph import FactorGraph
 from repro.learning.sgd import SGDLearner
-from repro.reliability.snapshots import LearnerSnapshot, SerialSamplerSnapshot
+from repro.reliability.snapshots import (
+    GraphSnapshot,
+    LearnerSnapshot,
+    SerialSamplerSnapshot,
+)
 
 
 #: Tombstone/patched density above which a resident substrate recompiles
@@ -34,15 +47,24 @@ COMPACT_THRESHOLD = 0.25
 
 
 class ResidentGraph:
-    """A factor graph compiled once and patched in place from then on.
+    """A factor graph compiled at its first follower and patched in place
+    from then on.
 
-    ``graph`` is the frozen source until the first :meth:`compile` and the
-    substrate's lazy view afterwards.  ``chain`` (a serial
-    :class:`~repro.inference.gibbs.GibbsSampler`, started by the first
-    :meth:`marginals`) and
-    ``learner`` (started by :meth:`warm_learner`) keep their assignments
-    across every :meth:`apply_delta`.  The substrate recompiles itself
-    past :data:`COMPACT_THRESHOLD`.
+    Before the first :meth:`compile`, ``graph`` is the current graph
+    lowered: the frozen source until the first :meth:`apply_delta`, then
+    a private copy each delta advances in place
+    (``FactorGraphDelta.apply_in_place``), while the deltas since the
+    source are held pickled.  :meth:`compile` compiles the source and
+    replays them as :meth:`apply_delta` would have patched them, so the
+    substrate — and every world a follower draws from it — is the one
+    patching from the start builds; ``graph`` is its lazy view from
+    then on.  Callers read the lowered graph, they do not mutate it.
+
+    ``chain`` (a serial :class:`~repro.inference.gibbs.GibbsSampler`,
+    started by the first :meth:`marginals`) and ``learner`` (started by
+    :meth:`warm_learner`) keep their assignments across every
+    :meth:`apply_delta`.  The substrate recompiles itself past
+    :data:`COMPACT_THRESHOLD`.
     """
 
     def __init__(self, graph: FactorGraph, rng: np.random.Generator) -> None:
@@ -51,10 +73,14 @@ class ResidentGraph:
         self.compiled: CompiledFactorGraph | None = None
         self.chain = None
         self.learner: SGDLearner | None = None
+        #: until the first compile: the frozen source, and the deltas
+        #: since it, pickled
+        self._source: FactorGraph | None = graph
+        self._held: list = []
 
     def compile(self) -> CompiledFactorGraph:
         """The substrate, compiled on first use from a *copy* of the
-        source graph.
+        source graph, with the held deltas replayed onto it.
 
         Compiling hands graph state (weights, evidence, names) to the
         substrate, which mutates it in place from then on.  The source
@@ -62,27 +88,48 @@ class ResidentGraph:
         that compiled and then failed rolls back by dropping the
         substrate."""
         if self.compiled is None:
-            self.compiled = CompiledFactorGraph(self.graph.copy())
-            self.graph = self.compiled.graph
+            compiled = CompiledFactorGraph(self._source.copy())
+            for blob in self._held:
+                compiled.apply_delta(
+                    pickle.loads(blob), compact_threshold=COMPACT_THRESHOLD
+                )
+            self.compiled, self.graph = compiled, compiled.graph
+            self._source, self._held = None, []
         return self.compiled
 
-    def apply_delta(self, delta: FactorGraphDelta, compact: bool = True) -> CompiledPatch:
+    def apply_delta(
+        self, delta: FactorGraphDelta, compact: bool = True
+    ) -> CompiledPatch | None:
         """Patch the substrate in O(|Δ|); the chain, then the learner,
-        ride the patch.
+        ride the patch.  Before the first compile, splice ``delta`` into
+        the lowered graph instead and hold it (returns ``None``).
 
         ``compact=False`` defers a threshold compaction (an owner whose
         chain has not started yet has no sweeps to buy back; the chain's
-        start compacts instead)."""
-        compiled = self.compile()
-        patch = compiled.apply_delta(
+        start compacts instead).  A held delta replays with compaction
+        on: the one owner that defers compiles before its first delta."""
+        if self.compiled is None:
+            self._hold(delta)
+            return None
+        patch = self.compiled.apply_delta(
             delta, compact_threshold=COMPACT_THRESHOLD if compact else None
         )
-        self.graph = compiled.graph
+        self.graph = self.compiled.graph
         if self.chain is not None:
             self.chain.apply_patch(patch)
         if self.learner is not None:
             self.learner.apply_patch(patch)
         return patch
+
+    def _hold(self, delta: FactorGraphDelta) -> None:
+        """Advance the lowered graph by ``delta`` and keep it for the
+        compile; a factor naming no variable or weight is a
+        ``ValueError`` now, as a patch would raise it."""
+        if self.graph is self._source:
+            self.graph = self._source.copy()
+        delta.apply_in_place(self.graph)
+        delta.new_factors.table.check_ids(self.graph.num_vars, len(self.graph.weights))
+        self._held.append(pickle.dumps(delta, pickle.HIGHEST_PROTOCOL))
 
     def marginals(self, num_samples: int, burn_in: int) -> np.ndarray:
         """Monte-Carlo marginals from the persistent chain, started here
@@ -120,11 +167,20 @@ class ResidentGraph:
 
     def snapshot(self) -> SimpleNamespace:
         """Bounded pre-transaction capture — O(touched), see
-        ``CompiledFactorGraph.snapshot_state``."""
+        ``CompiledFactorGraph.snapshot_state`` and, before the first
+        compile, :class:`~repro.reliability.snapshots.GraphSnapshot` of
+        the lowered graph beside the number of held deltas."""
+        compiled, graph = self.compiled, self.graph
         return SimpleNamespace(
-            graph=self.graph,
-            compiled=self.compiled,
-            substrate=None if self.compiled is None else self.compiled.snapshot_state(),
+            graph=graph,
+            compiled=compiled,
+            substrate=None if compiled is None else compiled.snapshot_state(),
+            lowered=None
+            if compiled is not None or graph is self._source
+            else GraphSnapshot(graph),
+            source=self._source,
+            held=self._held,
+            num_held=len(self._held),
             chain=self.chain,
             chain_state=None if self.chain is None else SerialSamplerSnapshot(self.chain),
             learner=self.learner,
@@ -139,7 +195,10 @@ class ResidentGraph:
         re-checks their caches from scratch)."""
         if snap.substrate is not None:
             snap.compiled.restore_state(snap.substrate)
-        self.compiled = snap.compiled
+        if snap.lowered is not None:
+            snap.lowered.restore()
+        del snap.held[snap.num_held :]
+        self.compiled, self._source, self._held = snap.compiled, snap.source, snap.held
         # The lazy view is re-derived from the rolled-back substrate: the
         # captured reference may be a facade swapped in, or a graph
         # materialized, during the failed transaction.

@@ -25,7 +25,8 @@ only join engine — share:
   delta-plan caches (a plan's atom order is chosen from the fan-out of
   the relations the store serves, estimated when it compiles), the
   write log of the last update — which undoes it and is where old-state
-  views are read from — and the counters every relation of the
+  views are read from — the open update's interner floor, below which
+  every old-state code lies, and the counters every relation of the
   database bumps.
 
 All probe results flow as ``(probe_row, slot)`` index-pair arrays so a
@@ -465,6 +466,7 @@ class ColumnarStore:
         "delta_plan_misses",
         "delta_batch_builds",
         "join_rows",
+        "terms_pruned",
     )
 
     def __init__(self, interner: Interner) -> None:
@@ -482,6 +484,11 @@ class ColumnarStore:
         #: relation name -> its memoized old-state view (``None``: it has
         #: none) while an update is open; ``None`` when none is
         self._views: dict | None = None
+        #: the interner's size when the open update began — every code
+        #: from here on is new in it, so no old state holds one (see
+        #: :meth:`~repro.db.plan.JoinPlan.cannot_match`); ``None`` while
+        #: no update is open, and over raw ids, which intern nothing
+        self.floor: int | None = None
         self.stats = dict.fromkeys(self.STAT_KEYS, 0)
 
     def serve(self, relation) -> None:
@@ -498,7 +505,7 @@ class ColumnarStore:
     def __getstate__(self) -> dict:
         # A checkpoint follows a commit: the write log does not travel.
         state = dict(self.__dict__)
-        state["_log"] = state["_views"] = None
+        state["_log"] = state["_views"] = state["floor"] = None
         return state
 
     # ------------------------------------------------------------------ #
@@ -507,18 +514,22 @@ class ColumnarStore:
 
     def begin_update(self) -> None:
         """Open an update: the last one can no longer be undone, so the
-        relations due a compaction compact now and a fresh write log
-        starts."""
+        relations due a compaction compact now, a fresh write log
+        starts and the interner's size becomes the update's
+        :attr:`floor`."""
         for relation in (self._to_compact or {}).values():
             relation._compact()
         self._to_compact = {}
         self._log = {}
         self._views = {}
+        if isinstance(self.interner, Interner):
+            self.floor = len(self.interner)
 
     def end_update(self) -> None:
-        """Close the open update: no old-state view from here on, while
-        its log stays to :meth:`rollback` it until the next begins."""
-        self._views = None
+        """Close the open update: no old-state view or floor from here
+        on, while its log stays to :meth:`rollback` it until the next
+        begins."""
+        self._views = self.floor = None
 
     def log_write(self, relation, column: str, slots: np.ndarray) -> None:
         """Before ``relation`` writes ``column`` at ``slots``, log what
@@ -540,7 +551,7 @@ class ColumnarStore:
         for relation, writes in self._log.items():
             for write in reversed(writes):
                 relation._undo(*write)
-        self._log, self._to_compact, self._views = {}, {}, None
+        self._log, self._to_compact, self._views, self.floor = {}, {}, None, None
 
     def old_view(self, name: str) -> "TableView | None":
         """Relation ``name`` as it was when the open update began, read

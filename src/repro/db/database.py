@@ -41,7 +41,9 @@ class Database:
 
         ``columnar`` is :attr:`ColumnarStore.stats`: bucket-index builds
         and merges, batch probes, compactions (``rebuilds``), old-state
-        views built (``view_captures``) and delta-plan activity.  ``index_builds`` must stay
+        views built (``view_captures``), delta-plan activity and the
+        fused delta terms skipped as unable to match
+        (``terms_pruned``).  ``index_builds`` must stay
         flat across ``apply_delta`` — indexes are maintained, never
         rebuilt, under deltas.
         """

@@ -33,6 +33,16 @@ TableView`) the store reads off the open update's write log
 (:meth:`repro.db.columnar.ColumnarStore.old_view`) — k terms for a
 k-atom body, where the inclusion/exclusion expansion over the new state
 alone (``Σ_S ±(⋈Δ/⋈new)``) needs 2^k−1.
+
+A term can be empty before it runs.  The interner is append-only, so a
+code interned in the open update (at or above the store's
+:attr:`~repro.db.columnar.ColumnarStore.floor`) is in no relation's old
+state.  When a source column holds only such codes and a later
+old-state step keys on its variable, the step matches nothing:
+:meth:`JoinPlan.execute` returns the empty batch before it resolves a
+table and counts the term in ``terms_pruned``.  A one-document insert
+makes such terms by construction — they join the document's rows
+against old rows on ids the document itself introduced.
 """
 
 from __future__ import annotations
@@ -119,6 +129,9 @@ class JoinPlan:
         self.order = tuple(order)
         self.steps = tuple(steps)
         self.out_vars = tuple(out_vars)
+        #: ``(source atom index, position)`` of each source column whose
+        #: variable a later old-state step keys on (:meth:`cannot_match`)
+        self.fresh_guards = _fresh_guards(self.atoms, self.steps)
 
     @classmethod
     def compile(
@@ -199,15 +212,32 @@ class JoinPlan:
             tables.append(view if view is not None else db.relation(pred))
         return tables
 
+    def cannot_match(self, store: ColumnarStore, sources) -> bool:
+        """Whether some guarded source column holds only codes interned
+        in the open update: the old-state step keyed on its variable
+        then matches nothing (module docstring)."""
+        floor = store.floor
+        if floor is None:
+            return False
+        for atom_index, pos in self.fresh_guards:
+            column = sources[atom_index].codes[:, pos]
+            if len(column) and column.min() >= floor:
+                return True
+        return False
+
     def execute(self, store: ColumnarStore, db, sources=None) -> BindingBatch:
         """Run the plan; ``sources`` maps atom index → :class:`ColumnarBatch`.
 
         ``db`` supplies the relations for non-source atoms; each step
         probes the relation itself, and the rows it emits count in the
-        store's ``join_rows``.
+        store's ``join_rows``.  A term that :meth:`cannot_match` returns
+        the empty batch at once (``terms_pruned``).
         """
         interner = store.interner
         stats = store.stats
+        if self.cannot_match(store, sources):
+            stats["terms_pruned"] += 1
+            return self._empty()
         tables = self.resolve_tables(store, db, sources=sources)
         cols: dict = {}
         signs = np.ones(1, dtype=np.int64)
@@ -241,6 +271,25 @@ class JoinPlan:
             if not len(signs):
                 return self._empty()
         return BindingBatch(cols=cols, signs=signs)
+
+
+def _fresh_guards(atoms, steps) -> tuple:
+    """The ``(source atom index, position)`` pairs of the source columns
+    whose variable an old-state step after the source keys on: every row
+    a source emits carries its code there into that probe."""
+    guards: list = []
+    sources: list = []
+    for step in steps:
+        if step.is_source:
+            sources.append(step.atom_index)
+        elif step.probe_old:
+            guards += [
+                (source, pos)
+                for source in sources
+                for pos, arg in enumerate(atoms[source].args)
+                if isinstance(arg, Var) and arg.name in step.bound_names
+            ]
+    return tuple(dict.fromkeys(guards))
 
 
 def compile_delta_plans(atoms, fan_out=None) -> tuple:

@@ -122,6 +122,13 @@ class SGDLearner:
         )
         self._chains = ChainStack((self._conditioned, self._free))
 
+    @property
+    def compiled(self) -> CompiledFactorGraph:
+        """The compilation both chains sweep and the gradient reads: a
+        caller patches it (``compiled.apply_delta``) and hands the patch
+        to :meth:`apply_patch`."""
+        return self._compiled
+
     # ------------------------------------------------------------------ #
 
     def apply_patch(self, patch) -> None:

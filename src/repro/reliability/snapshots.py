@@ -46,6 +46,31 @@ class RngSnapshot:
         self.rng.bit_generator.state = copy.deepcopy(self.state)
 
 
+class GraphSnapshot:
+    """A lowered :class:`~repro.graph.factor_graph.FactorGraph` that
+    ``FactorGraphDelta.apply_in_place`` advances: its factor list is
+    replaced, never mutated, so it is captured by reference; variables
+    only append (truncated by count); the weight store and the evidence
+    dict are copied, as a substrate's own capture copies them."""
+
+    def __init__(self, graph) -> None:
+        self.graph = graph
+        self.num_vars = graph.num_vars
+        self.factors = graph.factors
+        self.weights = graph.weights.snapshot_state()
+        self.evidence = dict(graph._evidence)
+
+    def restore(self) -> None:
+        _consume(self)
+        graph = self.graph
+        graph.truncate_variables(self.num_vars)
+        graph.factors = self.factors
+        graph.weights.restore_state(self.weights)
+        graph._evidence.clear()
+        graph._evidence.update(self.evidence)
+        graph._evidence_arrays = None
+
+
 class CacheSnapshot:
     """One :class:`GibbsCache`: incremental stats are copied, the weight
     vector (replaced, never mutated, on refresh) by reference."""

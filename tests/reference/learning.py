@@ -54,8 +54,8 @@ def evidence_pseudo_nll(learner) -> float:
     state = learner._conditioned.state.copy()
     ev_vars, ev_vals = graph.evidence_arrays()
     state[ev_vars] = ev_vals
-    cache = GibbsCache(learner._compiled, state)
-    lists = IncidenceLists(learner._compiled)
+    cache = GibbsCache(learner.compiled, state)
+    lists = IncidenceLists(learner.compiled)
     total = 0.0
     for var, value in graph.evidence.items():
         # sigmoid(Δ), in the form that cannot overflow
@@ -96,7 +96,7 @@ def reference_epoch(learner) -> float:
     """One epoch of a serial ``SGDLearner`` on the two-call worlds and the
     two-pass gradient; returns the gradient norm."""
     grad = two_pass_gradient(
-        learner._compiled, *reference_epoch_worlds(learner), l2=learner.l2
+        learner.compiled, *reference_epoch_worlds(learner), l2=learner.l2
     )
     weights = learner.graph.weights
     weights.set_values_array(weights.values_array() + learner.step_size * grad)

@@ -451,7 +451,7 @@ class TestLearner:
             delta = random_delta(ours.graph, rng, step)
             threshold = 1.0 if step % 2 else 0.2
             for learner in (ours, theirs):
-                patch = learner._compiled.apply_delta(delta, compact_threshold=threshold)
+                patch = learner.compiled.apply_delta(delta, compact_threshold=threshold)
                 learner.apply_patch(patch)
         assert not ours.free_graph.evidence
         assert ours.fit(2, record_loss=False).grad_norms == [
@@ -591,7 +591,7 @@ def assert_epoch_work_counts(learner, grounder, update) -> dict:
         learner.fit(3, record_loss=False)
         assert counts["stacked_plans"] == warm["stacked_plans"], "rebuilt with no patch"
         delta = grounder.apply_update(**update).delta
-        learner.apply_patch(learner._compiled.apply_delta(delta, compact_threshold=1.0))
+        learner.apply_patch(learner.compiled.apply_delta(delta, compact_threshold=1.0))
         before = Counter(counts)
         learner.rng.calls = 0
         learner.fit(1, record_loss=False)

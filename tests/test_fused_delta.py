@@ -11,8 +11,14 @@ Three layers under test:
   be the relation as the update found it, through later ``apply_delta``
   and overflow-bucket merges, and exist only while the update is open;
 * counters — one shared signed delta batch per predicate per update,
-  cached fused plans, and views built only for old state a plan reads.
+  cached fused plans, and views built only for old state a plan reads;
+* pruned terms — a term whose Δ column holds only codes interned in the
+  open update, keying an old-state probe, returns no rows when run
+  anyway, and pruning it changes no batch.
 """
+
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from hypothesis import strategies as st
 from repro.datalog import Atom, Program, Var, WeightSpec
 from repro.db.columnar import _TableIndex
 from repro.db.database import Database
+from repro.db.plan import JoinPlan, canonicalize_batch
 from repro.grounding import Grounder, IncrementalGrounder
 
 from tests.reference import reference_ground
@@ -352,3 +359,209 @@ class TestTableViews:
         after = _columnar_stats(db)
         assert after["view_captures"] - before["view_captures"] == 1
         assert db.columnar.old_view("Edge") is None
+
+
+# --------------------------------------------------------------------- #
+# Terms that cannot match: a one-document insert joins its own rows
+# against old rows on ids it introduced.
+# --------------------------------------------------------------------- #
+
+#: each rule's body atoms, permuted by a drawn order so the fused terms
+#: put different atoms after their source
+DOCUMENT_BODIES = {
+    "cand": [("Sentence", ("s", "m1")), ("Sentence", ("s", "m2"))],
+    "ev": [("Cand", ("m1", "m2")), ("EL", ("m1", "e1")), ("EL", ("m2", "e2")),
+           ("Known", ("e1", "e2"))],
+    "fe": [("Cand", ("m1", "m2")), ("Feature", ("m1", "m2", "f"))],
+    "el": [("Cand", ("m1", "m2")), ("EL", ("m1", "e1")), ("EL", ("m2", "e1"))],
+}
+
+DOCUMENT_BASE = {
+    "Sentence": [("s0", "m0"), ("s0", "m1"), ("s1", "m2"), ("s1", "m3")],
+    "EL": [("m0", "e0"), ("m1", "e1"), ("m2", "e0"), ("m3", "e0")],
+    "Known": [("e0", "e1")],
+    "Feature": [("m0", "m1", "f0"), ("m2", "m3", "f1")],
+}
+
+
+def document_program(orders: dict) -> Program:
+    """Spouse-shaped (Fig. 2): sentences pair their mentions into
+    candidates, known entity pairs supervise them, phrase features and
+    shared entities weigh them."""
+    program = Program(default_semantics="ratio")
+    for name, columns in (
+        ("Sentence", ("s", "m")), ("EL", ("m", "e")), ("Known", ("e1", "e2")),
+        ("Feature", ("m1", "m2", "f")), ("Cand", ("m1", "m2")),
+    ):
+        program.add_relation(name, columns)
+    program.declare_variable_relation("Rel", ("m1", "m2"))
+
+    def body(rule):
+        atoms = DOCUMENT_BODIES[rule]
+        order = orders.get(rule, range(len(atoms)))
+        return [Atom(atoms[i][0], tuple(map(Var, atoms[i][1]))) for i in order]
+
+    rel = Atom("Rel", (Var("m1"), Var("m2")))
+    program.add_derivation_rule("cand", Atom("Cand", (Var("m1"), Var("m2"))), body("cand"))
+    program.add_derivation_rule("vars", rel, [Atom("Cand", (Var("m1"), Var("m2")))])
+    program.add_derivation_rule(
+        "ev", Atom("Rel_Ev", (Var("m1"), Var("m2"), True)), body("ev")
+    )
+    program.add_inference_rule("fe", rel, body("fe"), weight=WeightSpec(tied_on=("f",)))
+    program.add_inference_rule(
+        "el", rel, body("el"), weight=WeightSpec(value=0.5, fixed=True)
+    )
+    return program
+
+
+def document_grounder(orders: dict) -> IncrementalGrounder:
+    program = document_program(orders)
+    db = program.create_database()
+    for name, rows in DOCUMENT_BASE.items():
+        db.insert_all(name, rows)
+    return IncrementalGrounder.from_scratch(program, db)
+
+
+def document_update(u: int, mentions: int, entities: list, phrase: str) -> dict:
+    """Document ``u``: a fresh sentence of fresh mentions, linked to
+    ``entities`` (cycled), its mention pairs featuring ``phrase``."""
+    ms = [f"d{u}m{j}" for j in range(mentions)]
+    return {
+        "Sentence": [(f"d{u}", m) for m in ms],
+        "EL": [(m, entities[j % len(entities)]) for j, m in enumerate(ms)],
+        "Feature": [(a, b, phrase) for a in ms for b in ms if a != b],
+    }
+
+
+@st.composite
+def document_histories(draw):
+    """``(orders, updates)``: a permutation of every rule body, and a
+    history of one-document inserts (fresh sentence and mention ids,
+    old or fresh entities and phrases) mixed with count-aware
+    retractions and re-insertions of stored rows."""
+    orders = {
+        rule: tuple(draw(st.permutations(range(len(atoms)))))
+        for rule, atoms in DOCUMENT_BODIES.items()
+    }
+    stored = Counter((name, row) for name, rows in DOCUMENT_BASE.items() for row in rows)
+    entities = ["e0", "e1"]
+    updates = []
+    for u in range(draw(st.integers(1, 5))):
+        inserts: dict = {}
+        deletes: dict = {}
+        if draw(st.booleans()):
+            if draw(st.booleans()):
+                entities.append(f"d{u}e")
+            linked = draw(st.lists(st.sampled_from(entities), min_size=1, max_size=3))
+            phrase = draw(st.sampled_from(["f0", "f1", f"d{u}f"]))
+            inserts = document_update(u, draw(st.integers(1, 3)), linked, phrase)
+            if draw(st.booleans()):
+                inserts["Known"] = [(linked[0], linked[-1])]
+        for _ in range(draw(st.integers(0, 3))):
+            name, row = draw(st.sampled_from(sorted(stored)))
+            if draw(st.booleans()):
+                deletes.setdefault(name, []).append(row)
+                stored[name, row] -= 1
+                if not stored[name, row]:
+                    del stored[name, row]
+            else:
+                inserts.setdefault(name, []).append(row)
+        for name, rows in inserts.items():
+            stored.update((name, row) for row in rows)
+        if inserts or deletes:
+            updates.append({"inserts": inserts, "deletes": deletes})
+    return orders, updates
+
+
+@contextmanager
+def executions(observe):
+    """Call ``observe(run, plan, store, db, sources, batch)`` after every
+    plan execution, ``run`` being the unwrapped ``JoinPlan.execute``."""
+    run = JoinPlan.execute
+
+    def execute(plan, store, db, sources=None):
+        batch = run(plan, store, db, sources=sources)
+        observe(run, plan, store, db, sources, batch)
+        return batch
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JoinPlan, "execute", execute)
+        yield
+
+
+def run_anyway(run, plan, store, db, sources):
+    """``plan`` executed with no floor: every step probes."""
+    floor, store.floor = store.floor, None
+    try:
+        return run(plan, store, db, sources=sources)
+    finally:
+        store.floor = floor
+
+
+def batch_key(batch) -> tuple:
+    batch = canonicalize_batch(batch)
+    return (
+        tuple(sorted((name, col.tolist()) for name, col in batch.cols.items())),
+        batch.signs.tolist(),
+    )
+
+
+class TestTermsThatCannotMatch:
+    def test_one_document_insert_prunes_its_fresh_terms(self):
+        """A document of fresh sentence and mention ids: its candidate
+        pairs, and every term probing old links or features on its
+        mentions, prune — and run anyway, each is empty."""
+        grounder = document_grounder({})
+        pruned = []
+
+        def observe(run, plan, store, db, sources, batch):
+            if plan.cannot_match(store, sources):
+                pruned.append(run_anyway(run, plan, store, db, sources).num_rows)
+
+        with executions(observe):
+            grounder.apply_update(inserts=document_update(9, 3, ["e0", "e1"], "f0"))
+        stats = grounder.db.index_stats()["columnar"]
+        assert stats["terms_pruned"] == len(pruned) > 0
+        assert pruned == [0] * len(pruned)
+        assert grounder.db.columnar.floor is None  # closed with the update
+
+    @given(history=document_histories())
+    @settings(max_examples=25, deadline=None)
+    def test_a_pruned_term_run_anyway_returns_no_rows(self, history):
+        orders, updates = history
+        grounder = document_grounder(orders)
+
+        def observe(run, plan, store, db, sources, batch):
+            if plan.cannot_match(store, sources):
+                assert batch.num_rows == 0
+                assert run_anyway(run, plan, store, db, sources).num_rows == 0
+
+        with executions(observe):
+            for update in updates:
+                grounder.apply_update(**update)
+
+    @given(history=document_histories())
+    @settings(max_examples=25, deadline=None)
+    def test_every_delta_batch_is_the_same_with_pruning_off(self, history):
+        """Every plan execution returns the same canonical batch, and
+        the grounded factor tables end equal, column by column."""
+        orders, updates = history
+        batches, tables = {}, {}
+        for prune in (True, False):
+            grounder = document_grounder(orders)
+            seen = batches[prune] = []
+
+            def observe(run, plan, store, db, sources, batch):
+                seen.append(batch_key(batch))
+
+            with executions(observe), pytest.MonkeyPatch.context() as patch:
+                if not prune:
+                    patch.setattr(JoinPlan, "cannot_match", lambda *_: False)
+                for update in updates:
+                    grounder.apply_update(**update)
+            tables[prune] = grounder.graph.factor_table().columns()
+            pruned = grounder.db.index_stats()["columnar"]["terms_pruned"]
+            assert prune or not pruned
+        assert batches[True] == batches[False]
+        for name, column in tables[True].items():
+            assert np.array_equal(column, tables[False][name]), name

@@ -166,9 +166,13 @@ class TestNoMaterializationOnDefaultPath:
         assert engine.resident.compiled.structure_version >= 4
 
     def test_incremental_sampling_path_materializes_no_views(self):
+        """No follower, no substrate: the updates splice the lowered
+        current graph.  The first relearn compiles it, and the substrate
+        it compiles gathers no view."""
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
         engine = IncrementalEngine(fg, config(strategies=("sampling",)))
         engine.materialize()
+        legacy = fg.copy()
         for step in range(3):
             delta = FactorGraphDelta()
             delta.new_weight_entries.append(((f"f{step}",), 0.3, False))
@@ -178,8 +182,13 @@ class TestNoMaterializationOnDefaultPath:
                     weight_id=len(engine.current_graph.weights), var=step
                 )
             )
+            legacy = delta.apply(legacy)
             outcome = engine.apply_update(delta)
             assert outcome.strategy == "sampling"
+        assert engine.resident.compiled is None
+        assert not isinstance(engine.current_graph, CompiledGraphView)
+        assert_graphs_equal(engine.current_graph, legacy)
+        engine.relearn(1, record_loss=False)
         assert engine.current_graph is engine.resident.compiled.graph
         assert engine.resident.compiled.views_materialized == 0
 
@@ -294,18 +303,22 @@ class TestSnapshotRollbackRederivesView:
         assert len(FactorGraph.from_compiled(engine.resident.compiled).factors) == before
 
     def test_incremental_rollback_rederives_view(self):
+        """A rolled-back update of an engine with no follower puts back
+        the lowered graph and the deltas it holds: the substrate a
+        first follower compiles is the committed graph's."""
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
         engine = IncrementalEngine(fg, config(strategies=("sampling",)))
         engine.materialize()
         engine.apply_update(self._grow_delta(engine, 0))
-        committed = FactorGraph.from_compiled(engine.resident.compiled)
+        committed = engine.current_graph.copy()
         with inject_faults(FaultPlan([Fault(site="engine.update.inferred")])):
             with pytest.raises(FaultInjected):
                 engine.apply_update(self._grow_delta(engine, 1))
-        assert engine.current_graph is engine.resident.compiled.graph
-        assert_graphs_equal(
-            FactorGraph.from_compiled(engine.resident.compiled), committed
-        )
+        assert engine.resident.compiled is None
+        assert_graphs_equal(engine.current_graph, committed)
+        compiled = engine.resident.compile()
+        assert engine.current_graph is compiled.graph
+        assert_graphs_equal(FactorGraph.from_compiled(compiled), committed)
 
     def test_rollback_twin_parity(self):
         """After a rollback, retrying produces bit-identical marginals to
@@ -331,17 +344,31 @@ class TestSnapshotRollbackRederivesView:
         )
 
 
+#: every structural mutator a view refuses, with arguments that would be
+#: valid on a mutable graph
+STRUCTURAL_MUTATIONS = {
+    "add_variable": lambda view: view.add_variable(),
+    "add_variables": lambda view: view.add_variables(2),
+    "add_named_variables": lambda view: view.add_named_variables(["x", "y"]),
+    "add_rule_factor": lambda view: view.add_rule_factor(0, 0, [[(1, True)]], "ratio"),
+    "add_ising_factor": lambda view: view.add_ising_factor(0, 0, 1),
+    "add_bias_factor": lambda view: view.add_bias_factor(0, 0),
+}
+
+
 class TestViewSemantics:
-    def test_view_rejects_structural_mutation(self):
+    @pytest.mark.parametrize("mutation", sorted(STRUCTURAL_MUTATIONS))
+    def test_view_rejects_structural_mutation(self, mutation):
         graph = seed_graph(0)
         compiled = CompiledFactorGraph(graph)
         compiled.apply_delta(FactorGraphDelta(), compact_threshold=1.0)
         view = compiled.graph
         assert isinstance(view, CompiledGraphView)
-        with pytest.raises(TypeError):
-            view.add_variable()
-        with pytest.raises(TypeError):
-            view.add_bias_factor(0, 0)
+        shape = (compiled.num_vars, compiled.num_factors)
+        with pytest.raises(TypeError, match="CompiledGraphView"):
+            STRUCTURAL_MUTATIONS[mutation](view)
+        assert (compiled.num_vars, compiled.num_factors) == shape
+        assert (view.num_vars, view.num_factors) == shape
         # Evidence mutation is allowed (flows to the substrate's dict).
         view.set_evidence(0, True)
         assert compiled.evidence_dict[0] is True

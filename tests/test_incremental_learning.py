@@ -169,7 +169,7 @@ class TestPatchedLearnerEquivalence:
 
         delta = new_examples_delta(learner.graph, 0)
         updated = delta.apply(learner.graph)
-        patch = learner._compiled.apply_delta(delta)
+        patch = learner.compiled.apply_delta(delta)
         learner.apply_patch(patch)
 
         fresh = SGDLearner(updated.copy(), step_size=0.3, seed=1, l2=0.0)
@@ -192,7 +192,7 @@ class TestPatchedLearnerEquivalence:
         chains = (learner._conditioned, learner._free)
         delta = new_examples_delta(learner.graph, 0, k=8, pos=6)
         updated = delta.apply(learner.graph)
-        learner.apply_patch(learner._compiled.apply_delta(delta))
+        learner.apply_patch(learner.compiled.apply_delta(delta))
         learner.fit(40, record_loss=False)
         assert (learner._conditioned, learner._free) == chains
         # New feature weight learned towards its MLE
@@ -237,7 +237,7 @@ class TestEvidencePseudoNLL:
         learner.fit(5, record_loss=False)
         delta = new_examples_delta(learner.graph, 0)
         updated = delta.apply(learner.graph)
-        patch = learner._compiled.apply_delta(delta)
+        patch = learner.compiled.apply_delta(delta)
         learner.apply_patch(patch)
         assert learner.evidence_pseudo_nll() == pytest.approx(
             reference.evidence_pseudo_nll(learner), abs=1e-9

@@ -210,7 +210,7 @@ class TestLogisticRegression:
             delta.new_var_evidence[j] = bool(labels[60 + j])
             for feature in rows[60 + j]:
                 delta.new_factors.add_bias(feature, learner.graph.num_vars + j)
-        learner.apply_patch(learner._compiled.apply_delta(delta))
+        learner.apply_patch(learner.compiled.apply_delta(delta))
         assert learner.graph.num_vars == 200
 
         fresh_graph = logistic_graph(rows[:200], labels[:200])

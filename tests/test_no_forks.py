@@ -545,6 +545,50 @@ class TestOneCopyOfUpdateState:
         assert len(fields(EngineConfig)) == 10
         assert len(fields(ServiceConfig)) == 7
 
+    def test_incremental_engine_compiles_only_for_a_follower(self):
+        """Ten one-document inserts and no relearn compile nothing.  A
+        twin compiled right after construction — patching every update,
+        as an eager substrate would — then relearns to the same weights
+        and answers the same marginals as the engine whose relearn
+        compiled Pr⁰ and replayed the ten."""
+        spec = ALL_SYSTEMS[0]
+        corpus = generate_corpus(spec.corpus_config(scale=0.3, seed=0))
+        documents = list(corpus.documents)
+        base = KBCPipeline(
+            dataclasses.replace(corpus, documents=documents[:-10]), i1_style=spec.i1_style
+        )
+        config = EngineConfig(
+            materialization_samples=60,
+            inference_steps=20,
+            variational_inference_samples=20,
+            seed=0,
+        )
+        engines = []
+        for compiled_first in (False, True):
+            grounder = base.build_base()
+            engine = IncrementalEngine(grounder.graph, config)
+            if compiled_first:
+                engine.resident.compile()
+            engine.materialize()
+            for doc in documents[-10:]:
+                delta = grounder.apply_update(inserts=document_rows(corpus, doc)).delta
+                engine.apply_update(delta)
+            assert (engine.resident.compiled is None) != compiled_first
+            engine.relearn(2, record_loss=False)
+            # One more update: the learner rides its patch on both.
+            rows = document_rows(corpus, documents[-1])
+            engine.apply_update(grounder.apply_update(deletes=rows).delta)
+            engines.append(engine)
+        lazy, eager = engines
+        assert np.array_equal(
+            lazy.current_graph.weights.values_array(),
+            eager.current_graph.weights.values_array(),
+        )
+        assert np.array_equal(
+            lazy.read_snapshot().marginals, eager.read_snapshot().marginals
+        )
+        assert list(lazy.current_graph.factors) == list(eager.current_graph.factors)
+
 
 class TestOneRelationRepresentation:
     """A relation is stored once, as its columnar table: no tuple-keyed
@@ -799,3 +843,18 @@ class TestOneLearner:
     def test_logistic_module_does_not_import(self):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.learning.logistic")
+
+    def test_callers_read_the_learner_compilation_by_its_public_name(self):
+        """``SGDLearner.compiled`` is how anything outside the learner
+        reaches the compilation it sweeps; only an object's own methods
+        touch a private ``_compiled``."""
+        private = re.compile(r"(?<!\bself)\." + "_compiled" + r"\b")
+        root = SRC.parents[1]
+        offenders = [
+            f"{path.relative_to(root).as_posix()}:{number}"
+            for folder in ("src", "benchmarks", "tests", "examples")
+            for path in sorted((root / folder).rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if private.search(line)
+        ]
+        assert not offenders

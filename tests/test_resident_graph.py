@@ -21,14 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.resident
-from repro.core import EngineConfig, RerunEngine
+from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.core.resident import ResidentGraph
 from repro.graph import FactorGraph, FactorGraphDelta
 from repro.graph.factor_graph import BiasFactor
 from repro.reliability.faults import Fault, FaultInjected, FaultPlan, inject_faults
 from repro.reliability.snapshots import RngSnapshot
 
-from tests.helpers import chain_ising_graph
+from tests.helpers import chain_ising_graph, graph_fingerprint
 from tests.test_incremental_compile import seed_graph
 from tests.test_variational_incremental import canonical, draw_delta
 from tests.reference.factors import lower_factors
@@ -207,6 +207,77 @@ class TestRerunEngineComposedHistory:
             assert_same(live.resident, twin.resident)
         assert live.resident.compiled.has_patches
         assert (live.updates_patched, live.updates_recompiled) == (4, 1)
+
+
+class TestIncrementalEngineHeldDeltas:
+    """An ``IncrementalEngine`` holds its updates until its first
+    follower compiles them; both rollbacks a held state can meet leave
+    it exactly where a twin that never failed stands."""
+
+    @staticmethod
+    def make() -> IncrementalEngine:
+        engine = IncrementalEngine(
+            chain_ising_graph(6, 0.4, 0.1),
+            EngineConfig(
+                materialization_samples=60,
+                inference_steps=20,
+                variational_inference_samples=20,
+                burn_in=3,
+                seed=0,
+            ),
+        )
+        engine.materialize()
+        return engine
+
+    @staticmethod
+    def assert_twins(live: IncrementalEngine, twin: IncrementalEngine) -> None:
+        """Same updates ahead of both: same marginals, then the same
+        first relearn, compile and learner."""
+        for step in (3, 4):
+            ours = live.apply_update(grow_delta(live, step))
+            theirs = twin.apply_update(grow_delta(twin, step))
+            assert np.array_equal(ours.marginals, theirs.marginals)
+        assert live.resident.compiled is None
+        assert graph_fingerprint(live.current_graph) == graph_fingerprint(
+            twin.current_graph
+        )
+        assert live.relearn(2).losses == twin.relearn(2).losses
+        assert graph_fingerprint(
+            FactorGraph.from_compiled(live.resident.compiled)
+        ) == graph_fingerprint(FactorGraph.from_compiled(twin.resident.compiled))
+        for ours, theirs in (
+            (live.resident.learner._conditioned, twin.resident.learner._conditioned),
+            (live.resident.learner._free, twin.resident.learner._free),
+        ):
+            assert np.array_equal(ours.state, theirs.state)
+        assert live.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_rolled_back_updates_put_back_the_lowered_graph(self):
+        live, twin = self.make(), self.make()
+        for engine in (live, twin):
+            for step in (0, 1):
+                engine.apply_update(grow_delta(engine, step))
+        # A transaction that failed after its splice, then a committed
+        # update undone whole.
+        with inject_faults(FaultPlan([Fault(site="engine.update.inferred")])):
+            with pytest.raises(FaultInjected):
+                live.apply_update(grow_delta(live, 2))
+        live.apply_update(patch_delta(live, 2))
+        live.rollback()
+        assert live.resident.compiled is None
+        self.assert_twins(live, twin)
+
+    def test_rolled_back_first_relearn_drops_its_compile(self):
+        live, twin = self.make(), self.make()
+        for engine in (live, twin):
+            for step in (0, 1, 2):
+                engine.apply_update(grow_delta(engine, step))
+        with inject_faults(FaultPlan([Fault(site="learn.epoch", at=2)])):
+            with pytest.raises(FaultInjected):
+                live.relearn(2)
+        assert live.resident.compiled is None
+        assert live.resident.learner is None
+        self.assert_twins(live, twin)
 
 
 # --------------------------------------------------------------------- #

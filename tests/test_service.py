@@ -203,16 +203,16 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled state changed
-        shape (magic ``CKPT0016``) is valid by its own checksum and must
+        shape (magic ``CKPT0017``) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0017"
+            assert fh.read(8) == b"CKPT0018"
             fh.seek(0)
-            fh.write(b"CKPT0016")
+            fh.write(b"CKPT0017")
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)

@@ -305,10 +305,11 @@ class TestOneConstructionPerEngine:
         assert 0 < compactions < updates
         assert sum(1 for c in constructed if c is substrate) == 1
         # Everything else the engine compiled: the sampling bundle's
-        # substrate and the engine's own.
-        assert len(constructed) == 3
+        # substrate.  Its own current graph has no follower, so it stays
+        # lowered and compiles nothing.
+        assert len(constructed) == 2
+        assert engine.resident.compiled is None
         assert substrate.views_materialized == 0
-        assert engine.current_graph.compiled.views_materialized == 0
 
     def test_below_threshold_is_one_construction(self, monkeypatch):
         builds = Counter()
@@ -335,7 +336,7 @@ class TestOneConstructionPerEngine:
         engine.apply_update(FactorGraphDelta(removed_factor_ids={0, 5}))
         assert builds[id(engine.variational.resident.compiled)] == 1
         assert engine.variational.resident.compiled.views_materialized == 0
-        assert engine.current_graph.compiled.views_materialized == 0
+        assert engine.resident.compiled is None
 
 
 class TestRollbackAndCheckpointParity:
