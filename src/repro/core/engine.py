@@ -15,13 +15,16 @@
 the whole updated graph.
 
 Both hold their current graph as one
-:class:`~repro.core.resident.ResidentGraph` — compiled once, for its
-first follower (the Rerun chain at the first update, a learner at the
-first ``relearn``), patched in place by every delta from then on, with
-the chains that ride the patches — and run
-every ``apply_update`` / ``relearn`` through one transaction shell
-(:meth:`_Engine._transaction`): snapshot → fault points → commit, or
-restore — and the update's snapshot is kept until the next one begins
+:class:`~repro.core.resident.ResidentGraph`, compiled once, for its
+first follower.  Rerun's chain starts at the first update and every
+delta patches the substrate it sweeps from then on.  The incremental
+engine's current graph has only a learner, compiled at the first
+``relearn``: an update holds its delta, and the next ``relearn``
+replays the held deltas onto the substrate, the learner riding each
+patch.  Both run every ``apply_update`` / ``relearn`` through one
+transaction shell (:meth:`_Engine._transaction`): snapshot → fault
+points → commit, or restore — and the update's snapshot, with those of
+the relearns after it, is kept until the next update begins
 (:meth:`_Engine.rollback`).  Engines keep no log of their own: the
 durable record of an update is its *input*, in the pipeline's /
 service's WAL (:mod:`repro.reliability.pipeline`), which is what
@@ -82,8 +85,9 @@ class EngineConfig:
 
     # -- learning ------------------------------------------------------- #
     #: Persistent incremental learning: keep one :class:`SGDLearner`
-    #: whose chains, compiled gradient substrate and weight store are
-    #: patched across ``apply_update`` calls, so ``relearn()`` warm-starts
+    #: whose chains, compiled gradient substrate and weight store ride
+    #: the patches of every update (replayed at the next ``relearn()``),
+    #: so ``relearn()`` warm-starts
     #: (App. B.3's SGD+Warmstart).  False is the lesion reproducing the
     #: SGD-cold baseline of Fig. 16: every ``relearn()`` constructs a
     #: fresh learner with zeroed weights and fresh chains (still over the
@@ -136,7 +140,8 @@ class _Engine:
         self.learns_cold = 0
         self.rollbacks = 0
         self.committed_updates = 0
-        #: the last committed update's snapshot, until the next begins
+        #: the last committed update's snapshot, then those of the
+        #: relearns committed since, until the next update begins
         self._undo = None
 
     def __getstate__(self) -> dict:
@@ -148,8 +153,8 @@ class _Engine:
     @property
     def current_graph(self) -> FactorGraph:
         """The graph all updates so far produced, for reading: the
-        substrate's lazy view once a follower compiled it; before that
-        the lowered graph the updates advanced in place (the
+        substrate's lazy view while it is current; while the resident
+        holds deltas, the lowered graph they advanced in place (the
         constructor's graph until the first update)."""
         return self.resident.graph
 
@@ -188,33 +193,39 @@ class _Engine:
             snap, "engine.update.start", lambda: self._apply_update_inner(delta)
         )
         self.committed_updates += 1
-        self._undo = snap
+        self._undo = [snap]
         return outcome
 
     def rollback(self) -> None:
         """Undo the last committed ``apply_update``, and any ``relearn``
-        since, from the snapshot its transaction took — a no-op once the
-        next update has begun, or after a rollback."""
-        snap, self._undo = self._undo, None
-        if snap is not None:
+        since, from the snapshots their transactions took, newest first
+        — a no-op once the next update has begun, or after a rollback."""
+        snaps, self._undo = self._undo, None
+        if snaps is not None:
             rollbacks = self.rollbacks  # a relearn's since counts too
-            snap.restore()
+            for snap in reversed(snaps):
+                snap.restore()
+            self._undo = None
             self.rollbacks = rollbacks + 1
 
     def _relearn(self, num_epochs: int, record_loss: bool):
         """Shared body of both engines' ``relearn``.
 
         The first call compiles the current graph once (Pr⁰ with the
-        updates so far replayed onto it); every later ``apply_update``
-        patches that compilation in place and, with
-        ``EngineConfig.warm_learning`` (default), the learner's
-        persistent chains and weight store ride along — so each relearn
-        is the paper's SGD+Warmstart step (App. B.3) with O(|Δ|) setup
-        (``learns_warm``).  Under the lesion every call pays the cold
-        restart the Fig. 16 baselines measure (``learns_cold``) and no
-        learner is kept between calls.  Weights are updated in place on
-        ``current_graph.weights``; a persistent chain picks them up
-        through its version-gated weight refresh."""
+        updates so far replayed onto it).  Every call brings that
+        compilation current: the deltas the updates since held are
+        replayed onto it in order, exactly as patching at each update
+        would have landed them, and with ``EngineConfig.warm_learning``
+        (default) the learner's persistent chains and weight store ride
+        each patch — so each relearn is the paper's SGD+Warmstart step
+        (App. B.3) with O(|Δ|) setup per update since (``learns_warm``).
+        Under the lesion every call pays the cold restart the Fig. 16
+        baselines measure (``learns_cold``), no learner is kept between
+        calls, and with none to hold for the updates patch the substrate.
+        Weights are updated in place on ``current_graph.weights``; a
+        persistent chain picks them up through its version-gated weight
+        refresh.  A committed relearn's snapshot joins the last update's,
+        so :meth:`rollback` undoes both."""
 
         def body():
             warm = self.config.warm_learning
@@ -227,7 +238,11 @@ class _Engine:
                 self.resident.learner = None
             return history
 
-        return self._transaction(RelearnSnapshot(self), "engine.relearn.start", body)
+        snap = RelearnSnapshot(self)
+        history = self._transaction(snap, "engine.relearn.start", body)
+        if self._undo is not None:
+            self._undo.append(snap)
+        return history
 
     def _clamp(self, marginals: np.ndarray) -> np.ndarray:
         marginals = np.asarray(marginals, dtype=float).copy()
@@ -347,9 +362,9 @@ class IncrementalEngine(_Engine):
                 self.base_graph, self.cumulative_delta, delta
             )
 
-        # Until a relearn compiles the current graph, the update splices
-        # its lowered copy (detached from the frozen Pr⁰ snapshot); from
-        # then on it is an O(|Δ|) patch the persistent learner rides.
+        # The update splices the lowered current graph (detached from the
+        # frozen Pr⁰ snapshot, or from the substrate) and holds its delta
+        # for the next relearn, whose learner rides the replayed patches.
         self.resident.apply_delta(delta)
 
         # Patch the tuple bundle in place for small variable appends so

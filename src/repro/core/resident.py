@@ -12,13 +12,19 @@ that ride its patches, and their transactional snapshot:
 current graph, :class:`~repro.core.variational.VariationalMaterialization`
 one over the approximated graph.
 
-A substrate is compiled for its first follower, not before: until
-something sweeps the graph, an update costs the O(F) in-place splice of
-the lowered graph, not a patch of arrays nobody reads.  So an
-``IncrementalEngine`` that never relearns never compiles its current
-graph; ``RerunEngine`` (whose chain starts in its first update) and the
-variational materialization (compiled at ``materialize()``) compile as
-early as ever.
+A substrate is patched while a chain follows it, and otherwise holds.
+A chain sweeps between updates, so each update patches the substrate it
+sweeps.  A learner reads the substrate only when it fits, and fitting
+brings the substrate current first; until then, and until the first
+follower compiles anything, an update costs the O(F) in-place splice of
+the lowered current graph, not a patch of arrays and chains nobody reads,
+and its delta is held for the next compile to replay.  So an
+``IncrementalEngine``, whose current graph only a learner follows,
+compiles it at its first relearn and patches it at relearns only, one
+held delta after the other; ``RerunEngine`` (whose chain starts in its
+first update) and the variational materialization (compiled at
+``materialize()`` for the chain its first ``infer`` starts) patch every
+update.
 """
 
 from __future__ import annotations
@@ -47,24 +53,29 @@ COMPACT_THRESHOLD = 0.25
 
 
 class ResidentGraph:
-    """A factor graph compiled at its first follower and patched in place
-    from then on.
+    """A factor graph compiled at its first follower, patched in place
+    while a chain follows it, and otherwise holding its deltas.
 
-    Before the first :meth:`compile`, ``graph`` is the current graph
-    lowered: the frozen source until the first :meth:`apply_delta`, then
-    a private copy each delta advances in place
-    (``FactorGraphDelta.apply_in_place``), while the deltas since the
-    source are held pickled.  :meth:`compile` compiles the source and
-    replays them as :meth:`apply_delta` would have patched them, so the
-    substrate — and every world a follower draws from it — is the one
-    patching from the start builds; ``graph`` is its lazy view from
-    then on.  Callers read the lowered graph, they do not mutate it.
+    It holds before the first :meth:`compile`, and while a learner but no
+    chain follows the substrate (one compiled with no follower at all is
+    compiled for the chain about to start, and patches).  While it
+    holds, ``graph`` is the current graph lowered: the frozen source (or
+    the substrate's view) until the first held delta, then a private copy
+    each delta advances in place (``FactorGraphDelta.apply_in_place``).
+    The deltas are held pickled, each beside the initial values the
+    learner's chains drew for its new variables when it arrived — they
+    share the owner's generator, so they draw in stream order, not at
+    replay.  :meth:`compile` compiles the source if there is no substrate
+    yet and replays the held deltas as :meth:`apply_delta` would have
+    patched them, the learner riding each patch on its early draws, so
+    the substrate — and every world a follower draws from it — is the one
+    eager patching builds; ``graph`` is its lazy view until the next
+    hold.  Callers read the lowered graph, they do not mutate it.
 
     ``chain`` (a serial :class:`~repro.inference.gibbs.GibbsSampler`,
     started by the first :meth:`marginals`) and ``learner`` (started by
-    :meth:`warm_learner`) keep their assignments across every
-    :meth:`apply_delta`.  The substrate recompiles itself past
-    :data:`COMPACT_THRESHOLD`.
+    :meth:`warm_learner`) keep their assignments across every patch.  The
+    substrate recompiles itself past :data:`COMPACT_THRESHOLD`.
     """
 
     def __init__(self, graph: FactorGraph, rng: np.random.Generator) -> None:
@@ -73,63 +84,93 @@ class ResidentGraph:
         self.compiled: CompiledFactorGraph | None = None
         self.chain = None
         self.learner: SGDLearner | None = None
-        #: until the first compile: the frozen source, and the deltas
-        #: since it, pickled
+        #: until the first compile, the frozen source
         self._source: FactorGraph | None = graph
+        #: the deltas since the source or the substrate, pickled, each
+        #: with the learner's draws for its new variables (or ``None``)
         self._held: list = []
 
+    @property
+    def held_updates(self) -> int:
+        """How many held deltas the next :meth:`compile` replays."""
+        return len(self._held)
+
+    def _holds(self) -> bool:
+        """Whether :meth:`apply_delta` holds now (see the class)."""
+        if self.chain is not None:
+            return False
+        return self.compiled is None or self.learner is not None
+
     def compile(self) -> CompiledFactorGraph:
-        """The substrate, compiled on first use from a *copy* of the
-        source graph, with the held deltas replayed onto it.
+        """The substrate, current: compiled on first use from a *copy* of
+        the source graph, with the held deltas replayed onto it.
 
         Compiling hands graph state (weights, evidence, names) to the
         substrate, which mutates it in place from then on.  The source
         stays frozen: it may be a materialized ``Pr⁰``, and a transaction
         that compiled and then failed rolls back by dropping the
-        substrate."""
+        substrate.  A held delta replays with compaction on: the one
+        owner that defers compaction (the variational materialization)
+        compiles before its first delta and patches every one."""
         if self.compiled is None:
-            compiled = CompiledFactorGraph(self._source.copy())
-            for blob in self._held:
-                compiled.apply_delta(
-                    pickle.loads(blob), compact_threshold=COMPACT_THRESHOLD
-                )
-            self.compiled, self.graph = compiled, compiled.graph
-            self._source, self._held = None, []
+            self.compiled = CompiledFactorGraph(self._source.copy())
+            self._source = None
+        held, self._held = self._held, []
+        for blob, drawn in held:
+            self._patch(pickle.loads(blob), COMPACT_THRESHOLD, drawn)
+        self.graph = self.compiled.graph
         return self.compiled
 
     def apply_delta(
         self, delta: FactorGraphDelta, compact: bool = True
     ) -> CompiledPatch | None:
         """Patch the substrate in O(|Δ|); the chain, then the learner,
-        ride the patch.  Before the first compile, splice ``delta`` into
-        the lowered graph instead and hold it (returns ``None``).
+        ride the patch.  While the resident holds (see the class), splice
+        ``delta`` into the lowered graph instead and hold it (returns
+        ``None``).
 
         ``compact=False`` defers a threshold compaction (an owner whose
         chain has not started yet has no sweeps to buy back; the chain's
-        start compacts instead).  A held delta replays with compaction
-        on: the one owner that defers compiles before its first delta."""
-        if self.compiled is None:
+        start compacts instead)."""
+        if self._holds():
             self._hold(delta)
             return None
-        patch = self.compiled.apply_delta(
-            delta, compact_threshold=COMPACT_THRESHOLD if compact else None
-        )
+        return self._patch(delta, COMPACT_THRESHOLD if compact else None)
+
+    def _patch(self, delta, compact_threshold, drawn=None) -> CompiledPatch:
+        patch = self.compiled.apply_delta(delta, compact_threshold=compact_threshold)
         self.graph = self.compiled.graph
         if self.chain is not None:
             self.chain.apply_patch(patch)
         if self.learner is not None:
-            self.learner.apply_patch(patch)
+            self.learner.apply_patch(patch, drawn)
         return patch
 
     def _hold(self, delta: FactorGraphDelta) -> None:
-        """Advance the lowered graph by ``delta`` and keep it for the
-        compile; a factor naming no variable or weight is a
-        ``ValueError`` now, as a patch would raise it."""
-        if self.graph is self._source:
-            self.graph = self._source.copy()
-        delta.apply_in_place(self.graph)
-        delta.new_factors.table.check_ids(self.graph.num_vars, len(self.graph.weights))
-        self._held.append(pickle.dumps(delta, pickle.HIGHEST_PROTOCOL))
+        """Advance the lowered graph by ``delta`` and keep it for the next
+        compile, with the learner's draws for its new variables.  A
+        removed factor outside the graph, or a new one naming no variable
+        or weight, is a ``ValueError`` before anything moves, as a patch
+        would raise it."""
+        graph = self.graph
+        delta.removed_ids(graph.num_factors)
+        delta.check_ids(graph.num_vars, graph.weights)
+        if not self._held:
+            # The source, or the substrate's view: advance a private copy.
+            graph = graph.copy() if self.compiled is None else self.compiled.lowered()
+            self.graph = graph
+        old_num_vars = graph.num_vars
+        delta.apply_in_place(graph)
+        drawn = None
+        if self.learner is not None and delta.num_new_vars:
+            table = delta.new_factors.table
+            drawn = self.learner.draw_new_values(
+                delta.num_new_vars,
+                old_num_vars,
+                np.column_stack((table.bias_var, table.bias_wid)),
+                graph.weights,
+            )
+        self._held.append((pickle.dumps(delta, pickle.HIGHEST_PROTOCOL), drawn))
 
     def marginals(self, num_samples: int, burn_in: int) -> np.ndarray:
         """Monte-Carlo marginals from the persistent chain, started here
@@ -147,16 +188,17 @@ class ResidentGraph:
         return self.chain.estimate_marginals(num_samples, burn_in=burn_in)
 
     def warm_learner(self, warm: bool) -> bool:
-        """Make ``learner`` ready to fit the current graph.
+        """Make ``learner`` ready to fit the current graph: replay the
+        held deltas (the learner rides them), then keep or build it.
 
         True when the existing learner is reused — its chains and weight
         store rode every patch (App. B.3's SGD+Warmstart).  False when
         one was built: the first call, after a cold restore, and always
         under ``warm=False`` (Fig. 16's SGD-cold lesion, which also
         zeroes the weights)."""
+        compiled = self.compile()  # the substrate's view becomes self.graph
         if warm and self.learner is not None:
             return True
-        compiled = self.compile()  # the substrate's view becomes self.graph
         self.learner = SGDLearner(
             self.graph, warmstart=warm, seed=self.rng, compiled=compiled
         )
@@ -165,26 +207,31 @@ class ResidentGraph:
     # ------------------------------------------------------------------ #
     # Transactions
 
-    def snapshot(self) -> SimpleNamespace:
-        """Bounded pre-transaction capture — O(touched), see
-        ``CompiledFactorGraph.snapshot_state`` and, before the first
-        compile, :class:`~repro.reliability.snapshots.GraphSnapshot` of
-        the lowered graph beside the number of held deltas."""
-        compiled, graph = self.compiled, self.graph
+    def snapshot(self, replays: bool = True) -> SimpleNamespace:
+        """Bounded pre-transaction capture: the number of held deltas and,
+        when a held delta advanced it, the lowered graph
+        (:class:`~repro.reliability.snapshots.GraphSnapshot`); the
+        substrate (O(touched), ``CompiledFactorGraph.snapshot_state``) and
+        its followers too, unless ``replays=False`` while the resident
+        holds — a transaction that only applies deltas then touches
+        neither."""
+        compiled = self.compiled
+        followers = replays or not self._holds()
         return SimpleNamespace(
-            graph=graph,
-            compiled=compiled,
-            substrate=None if compiled is None else compiled.snapshot_state(),
-            lowered=None
-            if compiled is not None or graph is self._source
-            else GraphSnapshot(graph),
+            graph=self.graph,
+            lowered=GraphSnapshot(self.graph) if self._held else None,
             source=self._source,
             held=self._held,
             num_held=len(self._held),
-            chain=self.chain,
-            chain_state=None if self.chain is None else SerialSamplerSnapshot(self.chain),
-            learner=self.learner,
-            learner_state=LearnerSnapshot(self.learner),
+            compiled=compiled,
+            followers=followers,
+            substrate=None
+            if compiled is None or not followers
+            else compiled.snapshot_state(),
+            chain_state=None
+            if self.chain is None or not followers
+            else SerialSamplerSnapshot(self.chain),
+            learner_state=LearnerSnapshot(self.learner) if followers else None,
         )
 
     def restore(self, snap: SimpleNamespace, verify: bool = True) -> None:
@@ -199,14 +246,18 @@ class ResidentGraph:
             snap.lowered.restore()
         del snap.held[snap.num_held :]
         self.compiled, self._source, self._held = snap.compiled, snap.source, snap.held
-        # The lazy view is re-derived from the rolled-back substrate: the
-        # captured reference may be a facade swapped in, or a graph
-        # materialized, during the failed transaction.
-        self.graph = snap.graph if snap.compiled is None else snap.compiled.graph
-        self.chain = (
-            None if snap.chain_state is None else snap.chain_state.restore(verify=verify)
-        )
-        self.learner = snap.learner_state.restore(verify=verify)
+        if snap.followers:
+            chain = snap.chain_state
+            self.chain = None if chain is None else chain.restore(verify=verify)
+            self.learner = snap.learner_state.restore(verify=verify)
+        # With nothing held, the lazy view is re-derived from the
+        # rolled-back substrate: the captured reference may be a facade
+        # swapped in, or a graph materialized, during the failed
+        # transaction.
+        if self.compiled is None or self._held:
+            self.graph = snap.graph
+        else:
+            self.graph = self.compiled.graph
 
     def close(self) -> None:
         """Drop the followers."""

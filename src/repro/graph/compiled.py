@@ -112,9 +112,12 @@ is offsetting its ids and appending its columns.  The patch protocol:
 Derived state is repaired, not rebuilt: :meth:`GibbsCache.apply_patch`
 splices the ``field``/``unsat``/``nsat`` caches, :meth:`SweepPlan.apply_patch`
 moves only the touched variables between blocks and gathers the blocks
-it rebuilds in one pass — in *every* cached plan, whatever evidence it
-was derived for (one for other evidence that nobody asked for since the
-previous patch is dropped instead).
+it rebuilds in one pass — in every cached plan somebody asked for since
+the previous patch, whatever evidence it was derived for.  One nobody
+asked for is dropped instead, and rebuilt when asked for: a chain asks
+at its first sampling call after a patch, not at the patch, so deltas
+landed one after the other between two sampling calls repair its plan
+once.
 """
 
 from __future__ import annotations
@@ -127,6 +130,7 @@ from repro.graph.delta import (
     KIND_BIAS,
     KIND_ISING,
     KIND_RULE,
+    FactorList,
     FactorTable,
     expand_ranges,
     gather_rules,
@@ -628,6 +632,20 @@ class CompiledFactorGraph:
         """The whole current factor list."""
         return self.factor_table(np.arange(self.num_factors))
 
+    def lowered(self, share_weights: bool = False) -> FactorGraph:
+        """The current graph as a detached mutable :class:`FactorGraph`:
+        the live factor table gathered once, names and evidence copied,
+        the weight store copied unless ``share_weights``.  What a
+        :class:`~repro.core.resident.ResidentGraph` advances in place
+        while it holds deltas back from this substrate; uncounted —
+        ``FactorGraph.from_compiled`` is the counted oracle view."""
+        graph = FactorGraph(self.weights if share_weights else self.weights.copy())
+        graph._num_vars = self.num_vars
+        graph._names = list(self.names)
+        graph._evidence.update(self.evidence_dict)
+        graph.factors = FactorList(self._live_table())
+        return graph
+
     # ------------------------------------------------------------------ #
     # Compiled gradient aggregation (learning hot path)
     # ------------------------------------------------------------------ #
@@ -912,9 +930,11 @@ class CompiledFactorGraph:
         (O(|Δ|)); over it the splice would be thrown away by a
         compaction, so the live rows and the delta's rows go through the
         array build once instead and the patch is marked ``compacted``
-        (amortized O(|graph|)).  A removed factor id outside the list
+        (amortized O(|graph|)).  A removed factor id outside the list,
+        or a new factor naming a variable or weight that will not exist,
         raises ``ValueError`` before anything moves."""
         removed = delta.removed_ids(self.num_factors)
+        delta.check_ids(self.num_vars, self.weights)
         for key, initial, fixed in delta.new_weight_entries:
             self.weights.intern(key, initial=initial, fixed=fixed)
         for wid, value in delta.changed_weight_values.items():
@@ -935,7 +955,6 @@ class CompiledFactorGraph:
         ``(rule position in rule_del, variable)`` rows of the body
         literals of the rules to remove (``None`` when there are none)."""
         add = ops["add"]
-        n = self.num_vars + ops["num_new_vars"]
         patch = CompiledPatch(
             ops=ops,
             old_num_vars=self.num_vars,
@@ -962,9 +981,7 @@ class CompiledFactorGraph:
             grounding_ri, lits, lit_gg = rule_literals(self, ops["rule_del"])
             doomed = grounding_ri[lit_gg], self.lit_var[lits]
             touched += [self.rule_head[ops["rule_del"]], doomed[1]]
-        patch.dirty_vars = dirty = np.unique(np.concatenate(touched))
-        if dirty.size and not 0 <= dirty[0] <= dirty[-1] < n:
-            add.check_ids(n, len(self.weights))
+        patch.dirty_vars = np.unique(np.concatenate(touched))
         return patch, doomed
 
     def _slot_counts(self) -> list:
@@ -1153,11 +1170,14 @@ class CompiledFactorGraph:
         self._recolor(np.union1d(dirty, np.arange(n0, n0 + k)))
         # Plans keyed to the graph's own evidence follow its evidence ops
         # (and are re-keyed); plans for other evidence configurations
-        # (e.g. a free learning chain) keep theirs, and are dropped —
-        # rebuilt on demand — once a whole patch interval passes without
-        # anybody asking for them, so a caller whose evidence keeps
-        # changing cannot grow the cache.  Own plans go last so they win
-        # a key collision.
+        # (e.g. a free learning chain) keep theirs.  A plan nobody asked
+        # for over a whole patch interval is dropped instead — rebuilt on
+        # demand, block for block the plan repairs would have kept, since
+        # a plan is a function of the colouring, the solo flags, its
+        # evidence and the window — so a caller whose evidence keeps
+        # changing cannot grow the cache, and deltas replayed one after
+        # the other repair a chain's plan once.  Own plans go last so
+        # they win a key collision.
         new_evidence = (
             tuple(sorted(self.graph.evidence.items()))
             if self._plan_cache and ops["evidence"]
@@ -1167,9 +1187,9 @@ class CompiledFactorGraph:
         for evidence, plan in sorted(
             self._plan_cache.items(), key=lambda item: item[0] == old_evidence
         ):
-            own = evidence == old_evidence
-            if not (own or plan.requested):
+            if not plan.requested:
                 continue
+            own = evidence == old_evidence
             plan.requested = False
             plan.apply_patch(patch, follow_evidence=own)
             cache[new_evidence if own else evidence] = plan

@@ -636,6 +636,19 @@ class FactorGraphDelta:
             )
         return removed
 
+    def check_ids(self, num_vars: int, weights) -> None:
+        """Every variable and weight id the new factors name exists once
+        this delta lands on a base of ``num_vars`` variables over the
+        store ``weights`` (whose ids the new keys extend): ``ValueError``
+        names the first that does not.  Reads only, so a consumer calls
+        it before anything moves."""
+        new_keys = {
+            key for key, _, _ in self.new_weight_entries if weights.id_for(key) is None
+        }
+        self.new_factors.table.check_ids(
+            num_vars + self.num_new_vars, len(weights) + len(new_keys)
+        )
+
     # ------------------------------------------------------------------ #
     # Classification used by the rule-based optimizer (§3.3)
     # ------------------------------------------------------------------ #

@@ -491,12 +491,8 @@ class FactorGraph:
         ``compiled.views_materialized``).  O(#factors) — never call it on
         the default update path.
         """
-        graph = cls(compiled.weights if share_weights else compiled.weights.copy())
-        graph._num_vars = compiled.num_vars
-        graph._names = list(compiled.names)
-        graph._evidence.update(compiled.evidence_dict)
-        graph.factors = _gathered(compiled)
-        return graph
+        compiled.views_materialized += 1
+        return compiled.lowered(share_weights)
 
     def validate(self) -> None:
         """Check internal invariants; raises ``ValueError`` on violation:

@@ -161,6 +161,8 @@ class GibbsSampler:
         self.graph = graph
         self.compiled = compiled if compiled is not None else CompiledFactorGraph(graph)
         self.plan = self.compiled.plan(graph)
+        #: a patch landed since ``plan`` was taken
+        self._replan = False
         self.rng = as_generator(seed)
         if initial is None:
             self.state = graph.initial_assignment(self.rng)
@@ -173,25 +175,31 @@ class GibbsSampler:
 
     # ------------------------------------------------------------------ #
 
-    def _grow_state(self, patch) -> None:
+    def _grow_state(self, patch, drawn=None) -> None:
         """Append the patch's new variables to the chain state.
 
         New free variables are drawn from their bias-only conditional
-        (``P(x=1) = σ(2·Σ w_bias)``); clamped new variables take their
-        evidence values."""
+        (``P(x=1) = σ(2·Σ w_bias)``) — or take ``drawn``, those values
+        drawn when the patch's delta arrived; clamped new variables take
+        their evidence values."""
         k = patch.num_new_vars
         if not k:
             return
         old_n = patch.old_num_vars
-        new_vals = bias_init_values(
-            k, old_n, patch.bias_add, self.compiled.graph.weights, self.rng
-        )
+        if drawn is None:
+            new_vals = bias_init_values(
+                k, old_n, patch.bias_add, self.compiled.graph.weights, self.rng
+            )
+        else:
+            new_vals = np.array(drawn, dtype=bool)
         for var, val in patch.evidence_sets:
             if var >= old_n:
                 new_vals[var - old_n] = val
         self.state = np.concatenate([self.state, new_vals])
 
-    def apply_patch(self, patch, graph: FactorGraph | None = None) -> None:
+    def apply_patch(
+        self, patch, graph: FactorGraph | None = None, drawn=None
+    ) -> None:
         """Warm-start this chain across a compiled-graph patch.
 
         The assignment of surviving variables is kept (the paper's
@@ -204,9 +212,12 @@ class GibbsSampler:
         pass a structure-identical twin with its own evidence (e.g. the
         evidence-free chain of SGD learning) to keep the chain's clamping
         independent of the compiled graph's — only evidence the override
-        graph actually clamps is re-applied."""
+        graph actually clamps is re-applied.  ``drawn``: the appended
+        variables' initial values, drawn from this chain's generator when
+        the delta arrived (a held delta, replayed later)."""
         compiled = self.compiled
-        self._grow_state(patch)
+        self._replan = True
+        self._grow_state(patch, drawn)
         self.graph = graph if graph is not None else compiled.graph
         clamps = [
             (var, val)
@@ -218,17 +229,24 @@ class GibbsSampler:
             # them; the warm assignment is all that carries over.
             for var, val in clamps:
                 self.state[var] = val
-            self.plan = compiled.plan(self.graph)
             self.cache = GibbsCache(compiled, self.state)
             return
         self.cache.apply_patch(patch, self.state)
-        self.plan = compiled.plan(self.graph)
         # One commit per variable: the groundings of one commit must be
         # disjoint, and two clamped variables may share a factor.
         moved = [(var, val) for var, val in clamps if bool(self.state[var]) != val]
         blocks = compiled.gather_blocks([[var] for var, _ in moved])
         for block, (_, val) in zip(blocks, moved):
             self.cache.commit_block(block, np.array([val]), self.state)
+
+    def _fetch_plan(self) -> None:
+        """Take the substrate's scan plan again if a patch landed since it
+        was taken — at the sampling call after the patch, not at the
+        patch, so a plan nobody sweeps between patches need not be
+        repaired at each."""
+        if self._replan:
+            self.plan = self.compiled.plan(self.graph)
+            self._replan = False
 
     # ------------------------------------------------------------------ #
 
@@ -242,12 +260,14 @@ class GibbsSampler:
         state = self.state
         cache.refresh_weights(state)
         if logits is None:
+            self._fetch_plan()
             (logits,) = logit_rows(self.rng, len(self.plan.free_vars), 1)
         sweep_blocks(cache, state, self.plan.blocks, logits)
         self.sweeps_done += 1
 
     def run(self, num_sweeps: int) -> np.ndarray:
         """Run ``num_sweeps`` sweeps; returns the final state (a view)."""
+        self._fetch_plan()
         for logits in logit_rows(self.rng, len(self.plan.free_vars), num_sweeps):
             self.sweep(logits)
         return self.state
@@ -258,6 +278,7 @@ class GibbsSampler:
 
         The yielded array is the live chain state: copy (or pack) it
         before advancing."""
+        self._fetch_plan()
         width = len(self.plan.free_vars)
         for _ in iter_worlds(self.sweep, self.rng, width, num_samples, thin, burn_in):
             yield self.state
@@ -356,6 +377,8 @@ class ChainStack(GibbsSampler):
         members' weights up to date, draw, gather.  Returns the rows."""
         members = self.members
         compiled = members[0].compiled
+        for member in members:
+            member._fetch_plan()
         plans = [member.plan for member in members]
         if self.plan is None or not self.plan.covers(compiled, plans):
             self.plan = StackedPlan(compiled, plans)

@@ -103,6 +103,7 @@ class SerialSamplerSnapshot:
         self.sampler = sampler
         self.graph = sampler.graph
         self.plan = sampler.plan
+        self.replan = sampler._replan
         self.plan_state = sampler.plan.snapshot_state()
         self.state = sampler.state.copy()
         self.sweeps_done = sampler.sweeps_done
@@ -112,7 +113,7 @@ class SerialSamplerSnapshot:
         _consume(self)
         s = self.sampler
         s.graph = self.graph
-        s.plan = self.plan
+        s.plan, s._replan = self.plan, self.replan
         self.plan.restore_state(self.plan_state)
         s.state = self.state
         s.sweeps_done = self.sweeps_done
@@ -182,11 +183,15 @@ class RelearnSnapshot:
     cumulative delta — it *rebinds*, so a shallow copy of the engine's
     attribute dict restores it by reference."""
 
+    #: Whether the transaction may replay the resident graph's held
+    #: deltas (``ResidentGraph.snapshot``).
+    replays = True
+
     def __init__(self, engine) -> None:
         self.engine = engine
         self.attrs = dict(vars(engine))
         self.rng = RngSnapshot(engine.rng)
-        self.resident = engine.resident.snapshot()
+        self.resident = engine.resident.snapshot(replays=self.replays)
 
     def restore(self, verify: bool = True) -> None:
         _consume(self)
@@ -197,7 +202,11 @@ class RelearnSnapshot:
 
 class IncrementalUpdateSnapshot(RelearnSnapshot):
     """Everything ``IncrementalEngine.apply_update`` can touch: the
-    current graph plus both materializations."""
+    current graph plus both materializations.  The update only applies
+    its delta to the current graph, so while that graph holds its deltas
+    neither its substrate nor its learner is captured."""
+
+    replays = False
 
     def __init__(self, engine) -> None:
         super().__init__(engine)

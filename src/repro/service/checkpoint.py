@@ -10,50 +10,16 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0018 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0019 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
-header: it moves whenever a pickled class changes shape (``CKPT0002``:
-the compiled substrate stopped carrying a factor object per rule;
-``CKPT0003``: it carries ``rule_nmax``, which the sweep kernel reads,
-and scan blocks carry ``fseg_start``; ``CKPT0004``: a serial learner
-carries the ``ChainStack`` of its chain pair; ``CKPT0005``: scan blocks
-lost their ``seq`` stamp and the plan cache its window key;
-``CKPT0006``: groundings are canonical, so the substrate lost its
-brute-force slow path with its per-variable flags, scan blocks their
-scalar-only flag, and the substrate every per-variable CSR slice but
-``ising_indptr``; ``CKPT0007``: a grounded graph's factor list is a
-table-backed ``FactorList`` and its full ground's records are derived,
-not stored; ``CKPT0008``: engines lost their delta log, grounders their
-bound substrate and inverse variable map, and index mirrors their
-per-table merge knobs; ``CKPT0009``: a relation is its columnar table —
-code rows and a count column — and the database holds the interner;
-``CKPT0010``: a grounder keeps each inference rule's groundings as a
-grounding table, not as per-factor records and a factor registry;
-``CKPT0011``: every factor list is a table-backed ``FactorList``, and
-the substrate lost its cached factor-object view; ``CKPT0012``: the
-substrate lost its per-variable Python mirrors and neighbour multiset
-and gained the head and literal offsets its blocks gather through, and
-scan blocks lost their batch flag; ``CKPT0013``: a relation carries
-a vid column beside its counts, and a grounder lost its name-keyed
-variable map and packed-code resolver; ``CKPT0014``: a database's store,
-a grounder and an engine carry the (never pickled) undo of their last
-update, and a grounder's grounding tables share one store;
-``CKPT0015``: a database's store names the relations it serves and
-counts ``join_rows``, and a relation keeps its visible-row memos in
-one dict; ``CKPT0016``: a variational approximation keeps its
-precision as per-component blocks, not as a dense matrix;
-``CKPT0017``: a database's store keeps its update's write log per
-relation and no capture set or old-view registry, relations lost their
-view lists, and ``EngineConfig`` lost ``compact_threshold``;
-``CKPT0018``: an engine's resident graph compiles at its first follower,
-so until then it holds its source and the deltas since, pickled, beside
-a lowered current graph, and a database's store carries the interner
-floor of its open update), so a file
+header: it moves whenever a pickled class changes shape, so a file
 written by an older tree fails verification here — skipped and counted
 like a corrupt one, recovery falling back to an older checkpoint or the
 WAL — instead of unpickling into an object that breaks at its first
-update.
+update.  ``_SHAPE_DIGEST`` pins the shape the current magic names, and a
+tier-1 test fails on a shape change until both move (CHANGES.md records
+what each bump changed).
 
 The store keeps the ``keep`` most recent checkpoints; after a checkpoint
 at transaction ``txn`` the service truncates its WAL to ``txn``, so the
@@ -73,7 +39,12 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0018"
+_MAGIC = b"CKPT0019"
+#: The shape of the state ``_MAGIC`` names: what a small service's
+#: checkpoint pickles, hashed by ``tests/test_service.py``
+#: (``checkpoint_shape``) — a shape change fails that test until the
+#: magic moves and the new digest is pinned here.
+_SHAPE_DIGEST = "0fb511afc071df6a6f92ffc8a7b45074fa1380a3c087daa311a1529ffc0d7bf3"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

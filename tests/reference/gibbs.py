@@ -270,10 +270,12 @@ def sweep_blocks(cache, state, blocks, uniforms) -> None:
 
 def sweep(sampler) -> None:
     """One full pass of ``sampler`` over its free variables, drawing this
-    sweep's uniforms by itself."""
+    sweep's uniforms by itself — a sampling call, so it takes the
+    substrate's current plan first."""
     cache = sampler.cache
     state = sampler.state
     cache.refresh_weights(state)
+    sampler.plan = sampler.compiled.plan(sampler.graph)
     uniforms = sampler.rng.random(len(sampler.plan.free_vars))
     sweep_blocks(cache, state, sampler.plan.blocks, uniforms)
     sampler.sweeps_done += 1

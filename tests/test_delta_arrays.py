@@ -39,6 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.resident import ResidentGraph
 from repro.core.variational import VariationalMaterialization
 from repro.graph import FactorGraph, FactorGraphDelta
 from repro.graph.compiled import (
@@ -450,6 +451,50 @@ class TestRemovedIdsAreChecked:
         assert graph.num_factors == compiled.num_factors == 2
         after = graph_state(graph), substrate_state(compiled), graph_state(compiled.graph)
         assert after == before
+
+
+class TestNewFactorIdsAreChecked:
+    """A new factor naming a weight or variable that will not exist is a
+    ``ValueError`` from the substrate and from a holding resident alike,
+    before anything moves — also when every variable it names exists
+    (a bias factor on weight 7 of a 2-weight graph used to splice in)."""
+
+    @staticmethod
+    def bad_delta(what: str) -> FactorGraphDelta:
+        delta = FactorGraphDelta(
+            num_new_vars=1,
+            evidence_updates={0: True},
+            new_weight_entries=[("new", 0.3, False)],
+            changed_weight_values={0: 2.0},
+        )
+        delta.new_factors.add_bias(2, 4)  # the new weight, the new variable
+        if what == "weight":
+            delta.new_factors.add_bias(7, 1)
+        else:
+            delta.new_factors.add_ising(0, 1, 5)
+        return delta
+
+    @pytest.mark.parametrize("what, bad", [("weight", 7), ("variable", 5)])
+    def test_the_substrate_raises_before_anything_moves(self, what, bad):
+        compiled = CompiledFactorGraph(chain_ising_graph(4))
+        before = substrate_state(compiled), graph_state(compiled.graph)
+        with pytest.raises(ValueError, match=f"unknown {what} {bad}"):
+            compiled.apply_delta(self.bad_delta(what))
+        assert (substrate_state(compiled), graph_state(compiled.graph)) == before
+
+    @pytest.mark.parametrize("what", ["weight", "variable"])
+    @pytest.mark.parametrize("compiled", [False, True], ids=["source", "substrate"])
+    def test_a_holding_resident_raises_before_anything_moves(self, what, compiled):
+        resident = ResidentGraph(chain_ising_graph(4), np.random.default_rng(0))
+        if compiled:
+            resident.warm_learner(True)  # a learner, no chain: it holds
+        graph, rng = resident.graph, resident.rng.bit_generator.state
+        before = graph_state(graph)
+        with pytest.raises(ValueError, match=f"unknown {what}"):
+            resident.apply_delta(self.bad_delta(what))
+        assert resident.graph is graph and graph_state(graph) == before
+        assert resident.held_updates == 0
+        assert resident.rng.bit_generator.state == rng
 
 
 # --------------------------------------------------------------------- #

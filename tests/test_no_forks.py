@@ -590,6 +590,53 @@ class TestOneCopyOfUpdateState:
         assert list(lazy.current_graph.factors) == list(eager.current_graph.factors)
 
 
+    def test_between_relearns_updates_patch_neither_substrate_nor_learner(
+        self, monkeypatch
+    ):
+        """After a relearn an ``IncrementalEngine``'s current graph has a
+        substrate and a learner, and no chain: three updates hold their
+        deltas — no ``apply_delta`` on the substrate, no ``apply_patch``
+        on the learner — and the next relearn replays all three."""
+        spec = ALL_SYSTEMS[0]
+        corpus = generate_corpus(spec.corpus_config(scale=0.3, seed=0))
+        documents = list(corpus.documents)
+        base = dataclasses.replace(corpus, documents=documents[:-3])
+        kbc = KBCPipeline(base, i1_style=spec.i1_style)
+        grounder = kbc.build_base()
+        engine = IncrementalEngine(
+            grounder.graph,
+            EngineConfig(
+                materialization_samples=60,
+                inference_steps=20,
+                variational_inference_samples=20,
+                seed=0,
+            ),
+        )
+        engine.materialize()
+        engine.relearn(1, record_loss=False)
+        resident = engine.resident
+        calls = {"apply_delta": 0, "apply_patch": 0}
+        spied = ((resident.compiled, "apply_delta"), (resident.learner, "apply_patch"))
+        for target, name in spied:
+            original = getattr(target, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, spy)
+        for doc in documents[-3:]:
+            delta = grounder.apply_update(inserts=document_rows(corpus, doc)).delta
+            engine.apply_update(delta)
+        assert calls == {"apply_delta": 0, "apply_patch": 0}
+        assert resident.held_updates == 3
+        assert engine.current_graph is not resident.compiled.graph
+        engine.relearn(1, record_loss=False)
+        assert calls == {"apply_delta": 3, "apply_patch": 3}
+        assert resident.held_updates == 0
+        assert engine.current_graph is resident.compiled.graph
+
+
 class TestOneRelationRepresentation:
     """A relation is stored once, as its columnar table: no tuple-keyed
     count dict, no hash indexes beside the table's, no rows cache and no

@@ -280,6 +280,87 @@ class TestIncrementalEngineHeldDeltas:
         self.assert_twins(live, twin)
 
 
+def holding_engine(seed: int) -> IncrementalEngine:
+    engine = IncrementalEngine(
+        seed_graph(seed),
+        EngineConfig(
+            materialization_samples=60,
+            inference_steps=20,
+            variational_inference_samples=20,
+            burn_in=3,
+            seed=seed,
+        ),
+    )
+    engine.materialize()
+    return engine
+
+
+def learner_chains(engine: IncrementalEngine) -> tuple:
+    learner = engine.resident.learner
+    return (learner._conditioned, learner._free)
+
+
+def assert_relearned_alike(live: IncrementalEngine, twin: IncrementalEngine) -> None:
+    """Bit for bit after a relearn: the substrate, the weights, the
+    learner's chain states and caches, and the shared generator."""
+    assert live.resident.held_updates == twin.resident.held_updates == 0
+    assert live.current_graph is live.resident.compiled.graph
+    assert graph_fingerprint(live.current_graph) == graph_fingerprint(
+        twin.current_graph
+    )
+    for ours, theirs in zip(learner_chains(live), learner_chains(twin), strict=True):
+        assert ours.sweeps_done == theirs.sweeps_done
+        for name in ("field", "unsat", "nsat"):
+            assert np.array_equal(
+                getattr(ours.cache, name), getattr(theirs.cache, name)
+            )
+        assert np.array_equal(ours.state, theirs.state)
+    assert live.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+class TestHeldUpdatesReplayLikeEagerPatches:
+    """After a relearn an ``IncrementalEngine`` holds every update's delta
+    until the next one.  Whatever the history — inserts, retractions,
+    evidence flips, rolled-back updates and relearns, pickle round trips
+    — each relearn leaves it where a twin that brings its substrate
+    current after every update (``resident.compile()``, so its learner
+    rides each patch as the update lands) stands."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_every_relearn_matches_the_flushing_twin(self, data):
+        seed = data.draw(st.integers(0, 3), label="graph seed")
+        live, twin = holding_engine(seed), holding_engine(seed)
+        ops = data.draw(
+            st.lists(
+                st.sampled_from(["update", "relearn", "rollback", "pickle"]),
+                min_size=4,
+                max_size=10,
+            ),
+            label="ops",
+        )
+        for step, op in enumerate(ops + ["relearn"]):
+            if op == "pickle":
+                live = pickle.loads(pickle.dumps(live))
+            elif op == "relearn":
+                assert live.relearn(1).losses == twin.relearn(1).losses
+                assert_relearned_alike(live, twin)
+            elif op == "rollback":
+                # An update, maybe a relearn on top, undone whole: the
+                # twin never sees either.
+                live.apply_update(draw_delta(data, live.current_graph, step))
+                if data.draw(st.booleans(), label="relearn before rollback"):
+                    live.relearn(1)
+                live.rollback()
+            else:
+                delta = draw_delta(data, twin.current_graph, step)
+                ours, theirs = live.apply_update(delta), twin.apply_update(delta)
+                assert np.array_equal(ours.marginals, theirs.marginals)
+                twin.resident.compile()
+                assert twin.resident.held_updates == 0
+            assert live.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
 # --------------------------------------------------------------------- #
 # Option diet.
 

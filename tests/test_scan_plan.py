@@ -574,11 +574,23 @@ def test_streamed_graph_keeps_its_block_shape():
         delta = grounder.apply_update(inserts=rows).delta
         patch = compiled.apply_delta(delta, compact_threshold=1.0)
         assert not patch.compacted
-        # A learner's free chain rides every patch and asks again; a plan
-        # nobody asked for between two patches would be dropped.
+        # A learner's chains sweep between patches and ask again; a plan
+        # nobody asked for between two patches is dropped.
+        assert compiled.plan() is own
         assert compiled.plan(free_twin(compiled)) is free
     assert compiled.has_patches
-    assert compiled.plan() is own
     for plan in (own, free):
         assert_one_kernel_shape(compiled, plan)
         assert_plan_valid_and_pure(compiled, plan)
+    # Two patches nobody sweeps between: the plans are dropped, and the
+    # ones built on demand are the plans repairs would have kept.
+    for doc in corpus.documents[num_base - 2 : num_base]:
+        rows = KBCPipeline(
+            dataclasses.replace(corpus, documents=(doc,)), i1_style=spec.i1_style
+        ).corpus_rows()
+        rows.pop("KnownRel")
+        compiled.apply_delta(grounder.apply_update(deletes=rows).delta)
+    for plan, evidence_of in ((own, None), (free, free_twin(compiled))):
+        rebuilt = compiled.plan(evidence_of)
+        assert rebuilt is not plan
+        assert_plan_valid_and_pure(compiled, rebuilt)

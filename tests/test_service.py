@@ -18,8 +18,11 @@ Layered like the service itself:
 
 import asyncio
 import dataclasses
+import hashlib
+import io
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -51,6 +54,7 @@ from repro.service import (
     ServiceUnavailable,
     StalenessExceeded,
 )
+from repro.service import checkpoint as checkpoint_module
 from repro.service import server as server_module
 
 from repro.workloads.systems import build_pipeline, workload_by_name
@@ -69,6 +73,12 @@ UPDATE_B = {
     "inserts": {
         "PersonCandidate": [("s4", "m7"), ("s4", "m8")],
         "PhraseFeature": [("m7", "m8", "married")],
+    }
+}
+UPDATE_C = {
+    "inserts": {
+        "PersonCandidate": [("s5", "m9"), ("s5", "m10")],
+        "PhraseFeature": [("m9", "m10", "and his wife")],
     }
 }
 
@@ -203,16 +213,17 @@ class TestCheckpointStore:
 
     def test_older_format_is_skipped_like_a_corrupt_file(self, tmp_path):
         """A checkpoint written before the pickled state changed
-        shape (magic ``CKPT0017``) is valid by its own checksum and must
+        shape (the magic before this one) is valid by its own checksum and must
         still not be unpickled: it fails typed at load, not with an
         ``AttributeError`` at the first ``apply_delta`` after recovery."""
         store = CheckpointStore(tmp_path, keep=3)
         store.save({"txn": 1}, 1)
         path2 = store.save({"txn": 2}, 2)
+        magic = checkpoint_module._MAGIC
         with open(path2, "r+b") as fh:
-            assert fh.read(8) == b"CKPT0018"
+            assert fh.read(8) == magic
             fh.seek(0)
-            fh.write(b"CKPT0017")
+            fh.write(b"CKPT%04d" % (int(magic[4:]) - 1))
         with pytest.raises(CheckpointError, match="bad magic"):
             store._read(path2)
         assert store.load() == ({"txn": 1}, 1)
@@ -227,6 +238,58 @@ class TestCheckpointStore:
 
     def test_empty_store(self, tmp_path):
         assert CheckpointStore(tmp_path).load() == (None, 0)
+
+
+def checkpoint_shape(state) -> str:
+    """sha256 of the shape of what a checkpoint pickles: per ``repro``
+    class reached, its sorted state keys and the dtype of each
+    array-valued one, as a recording pickler meets them."""
+    shapes = set()
+
+    class Recorder(pickle.Pickler):
+        def reducer_override(self, obj):
+            cls = type(obj)
+            if cls.__module__.startswith("repro."):
+                reduced = obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+                parts = reduced[2] if len(reduced) > 2 else None
+                attrs = {}
+                for part in parts if isinstance(parts, tuple) else (parts,):
+                    if isinstance(part, dict):
+                        attrs.update(part)
+                arrays = [
+                    (key, value.dtype.str)
+                    for key, value in attrs.items()
+                    if isinstance(value, np.ndarray)
+                ]
+                name = f"{cls.__module__}.{cls.__qualname__}"
+                shapes.add((name, tuple(sorted(attrs)), tuple(sorted(arrays))))
+            return NotImplemented
+
+    Recorder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+    return hashlib.sha256(repr(sorted(shapes)).encode()).hexdigest()
+
+
+class TestCheckpointShape:
+    """The magic names the shape of the pickled state, and a shape change
+    cannot ship under an old magic: a small service's checkpoint — its
+    engine's current graph compiled, with a learner and an update held
+    beside it — hashes to the digest pinned beside ``_MAGIC``."""
+
+    def test_the_pinned_digest_is_this_shape(self, tmp_path):
+        svc = make_service(checkpoint_dir=tmp_path)
+        svc.prime()
+        svc.pipeline.apply_update(relearn_epochs=1, **UPDATE_A)
+        svc.pipeline.apply_update(**UPDATE_B)
+        assert svc.status()["engine"] == {"compiled": True, "held_updates": 1}
+        svc.checkpoint()
+        state, _ = svc.checkpoints.load()
+        digest = checkpoint_shape(state)
+        magic = checkpoint_module._MAGIC
+        assert digest == checkpoint_module._SHAPE_DIGEST, (
+            "the pickled checkpoint state changed shape: bump the magic "
+            f"(_MAGIC in repro/service/checkpoint.py, now {magic!r}) "
+            f"and pin _SHAPE_DIGEST = {digest!r} beside it"
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -929,6 +992,62 @@ class TestCrashRecovery:
         np.testing.assert_array_equal(
             restored.read(max_staleness=0).marginals, expected
         )
+        restored.stop()
+
+
+class TestHeldUpdatesAcrossRecovery:
+    """Between relearns the engine holds its updates' deltas, and a
+    checkpoint taken then carries them: the WAL tail's held updates and
+    relearn, replayed after checkpoint + restore, leave the engine where
+    a never-crashed twin stands, bit for bit."""
+
+    HISTORY = [
+        (UPDATE_A, 1),
+        (UPDATE_B, 0),  # held, then checkpointed
+        (UPDATE_C, 0),  # held again, in the WAL tail
+        ({"deletes": UPDATE_B["inserts"]}, 1),  # replays both
+    ]
+
+    def test_wal_tail_replays_held_updates_like_the_twin(self, tmp_path):
+        wal_path, ckpt_dir = tmp_path / "service.wal", tmp_path / "ckpt"
+        svc = make_service(wal_path=wal_path, checkpoint_dir=ckpt_dir).start()
+        svc.prime()
+        assert svc.status()["engine"] == {"compiled": False, "held_updates": 0}
+        held = []
+        for update, epochs in self.HISTORY:
+            svc.submit(relearn_epochs=epochs, **update)
+            assert svc.drain(timeout=60)
+            held.append(svc.status()["engine"]["held_updates"])
+            if len(held) == 2:
+                svc.checkpoint()
+        svc.stop()
+        assert held == [0, 1, 2, 0]
+        assert svc.status()["engine"]["compiled"]
+
+        restored = KBService.restore(
+            wal_path,
+            make_stack,
+            checkpoint_dir=ckpt_dir,
+            config=ServiceConfig(poll_interval=0.005),
+            retry=FAST_RETRY,
+        )
+        assert restored.recovery["mode"] == "checkpoint"
+        assert restored.recovery["replayed"] == 2
+        twin = make_service()
+        twin.prime()
+        for update, epochs in self.HISTORY:
+            twin.pipeline.apply_update(relearn_epochs=epochs, **update)
+        ours, theirs = restored.pipeline.engine, twin.pipeline.engine
+        assert ours.resident.held_updates == theirs.resident.held_updates == 0
+        assert stack_state(restored.pipeline.grounder, ours) == stack_state(
+            twin.pipeline.grounder, theirs
+        )
+        learners = ours.resident.learner, theirs.resident.learner
+        chains = [(learner._conditioned, learner._free) for learner in learners]
+        for a, b in zip(*chains):
+            assert np.array_equal(a.state, b.state)
+            assert np.array_equal(a.cache.field, b.cache.field)
+        assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
         restored.stop()
 
 
