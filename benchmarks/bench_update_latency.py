@@ -42,7 +42,8 @@ the next relearn matches a twin that brought its substrate current after
 every update bit for bit; then count the
 substrate's work per delta (array appends independent of |Δ|, no factor
 record decoded or built by patch, build or compaction, a threshold delta
-= one build and no splice).
+= one build and no splice, no scan plan built and no block gathered by a
+patch, one plan built at a chain's first sweep after three patches).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_update_latency.py
 [--scale tiny|small|medium] [--check]``
@@ -259,7 +260,6 @@ def check() -> None:
     # The substrate takes its graph's weights, names and evidence, so it
     # is compiled from a copy: the grounder keeps splicing its own graph.
     compiled = CompiledFactorGraph(grounder.graph.copy())
-    compiled.plan()
     updates = [
         dict(inserts={"PhraseFeature": [("m1", "m2", "his spouse")]}),
         dict(inserts={"PersonCandidate": [("s3", "m5"), ("s3", "m6")]}),
@@ -432,24 +432,32 @@ def check_work_counts() -> None:
     within one per growable array whether the delta has 8 factors or 200;
     patch, pre-decided build and ``compact()`` never materialize a factor
     list; a delta over the threshold runs the array build once and the
-    splice never."""
+    splice never; a patch builds no scan plan and gathers no block, and a
+    chain's first sweep after three patches builds one plan."""
     from collections import Counter
 
-    from repro.graph.compiled import _GROWABLE_NAMES, CompiledFactorGraph, _Growable
+    import repro.graph.compiled as compiled_module
+    from repro.graph.compiled import (
+        _GROWABLE_NAMES,
+        CompiledFactorGraph,
+        SweepPlan,
+        _Growable,
+    )
     from repro.graph.delta import FactorTable
     from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
+    from repro.inference.gibbs import GibbsSampler
 
     counts = Counter()
     originals = {}
 
-    def counting(cls, name):
-        originals[cls, name] = original = getattr(cls, name)
+    def counting(owner, name, key=None):
+        originals[owner, name] = original = getattr(owner, name)
 
-        def wrapper(self, *args, **kwargs):
-            counts[name] += 1
-            return original(self, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            counts[key or name] += 1
+            return original(*args, **kwargs)
 
-        setattr(cls, name, wrapper)
+        setattr(owner, name, wrapper)
 
     def bulk(compiled, num_factors):
         delta = FactorGraphDelta(num_new_vars=2)
@@ -471,11 +479,12 @@ def check_work_counts() -> None:
     counting(FactorTable, "factors")
     for record in (RuleFactor, IsingFactor, BiasFactor):
         counting(record, "__init__")
+    counting(SweepPlan, "__init__", "plans")
+    counting(compiled_module, "_gather_blocks")
     try:
         appends = {}
         for num_factors in (8, 200):
             compiled = CompiledFactorGraph(build_graph(400))
-            compiled.plan()
             counts.clear()
             patch = compiled.apply_delta(bulk(compiled, num_factors), compact_threshold=1.0)
             assert not patch.compacted and counts["_splice"] == 1 and not counts["_build"]
@@ -484,7 +493,6 @@ def check_work_counts() -> None:
                 f"{counts['append']} array appends for a {num_factors}-factor delta"
             )
         compiled = CompiledFactorGraph(build_graph(60))
-        compiled.plan()
         counts.clear()
         patch = compiled.apply_delta(bulk(compiled, 200), compact_threshold=0.25)
         assert patch.compacted and not compiled.has_patches
@@ -497,13 +505,29 @@ def check_work_counts() -> None:
             "patch / build / compact decoded or built a factor record"
         )
         assert compiled.views_materialized == 0, "patch / build / compact gathered a view"
+        # A chain follows three patches and sweeps after the last: the
+        # patches build no plan and gather no block; the sweep builds one.
+        compiled = CompiledFactorGraph(build_graph(400))
+        chain = GibbsSampler(compiled.graph, seed=0, compiled=compiled)
+        for _ in range(3):
+            counts.clear()
+            patch = compiled.apply_delta(bulk(compiled, 8), compact_threshold=1.0)
+            assert not counts["plans"] and not counts["_gather_blocks"], (
+                f"a patch built {counts['plans']} plans and gathered "
+                f"{counts['_gather_blocks']} times"
+            )
+            chain.apply_patch(patch)
+        counts.clear()
+        chain.sweep()
+        assert counts["plans"] == 1, f"first sweep after 3 patches: {counts['plans']} plans"
     finally:
         for (cls, name), original in originals.items():
             setattr(cls, name, original)
     print(
         f"work-count smoke ok: {appends[8]} / {appends[200]} array appends for an "
         "8- / 200-factor delta, threshold delta = 1 build + 0 splices, "
-        "0 factor records decoded or built"
+        "0 factor records decoded or built, 0 plans built and 0 gathers per "
+        "patch, 1 plan at a chain's first sweep after 3 patches"
     )
 
 

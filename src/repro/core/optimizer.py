@@ -33,18 +33,8 @@ class OptimizerDecision:
     reason: str
 
 
-def choose_strategy(
-    delta: FactorGraphDelta,
-    samples_remaining: int,
-    acceptance_estimate: float | None = None,
-    min_acceptance: float = 0.0,
-) -> OptimizerDecision:
-    """Pick the inference strategy for one update.
-
-    ``acceptance_estimate`` (optional, from a cheap probe) lets a caller
-    route away from sampling when the estimated acceptance rate is below
-    ``min_acceptance`` even if the rules would pick it.
-    """
+def choose_strategy(delta: FactorGraphDelta, samples_remaining: int) -> OptimizerDecision:
+    """Pick the inference strategy for one update."""
     if samples_remaining <= 0:
         return OptimizerDecision(
             VARIATIONAL, 4, "materialized samples exhausted"
@@ -58,20 +48,7 @@ def choose_strategy(
             SAMPLING, 1, "graph structure unchanged (acceptance ≈ 100%)"
         )
     if delta.adds_features:
-        if acceptance_estimate is not None and acceptance_estimate < min_acceptance:
-            return OptimizerDecision(
-                VARIATIONAL,
-                3,
-                f"new features but acceptance probe {acceptance_estimate:.3f} "
-                f"below threshold {min_acceptance:.3f}",
-            )
         return OptimizerDecision(SAMPLING, 3, "update introduces new features")
     # Structural change without new features (e.g. a fixed-weight
     # inference rule): default to sampling, fall back on exhaustion.
-    if acceptance_estimate is not None and acceptance_estimate < min_acceptance:
-        return OptimizerDecision(
-            VARIATIONAL,
-            3,
-            f"acceptance probe {acceptance_estimate:.3f} below threshold",
-        )
     return OptimizerDecision(SAMPLING, 3, "structural update; sampling by default")

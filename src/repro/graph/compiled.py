@@ -64,8 +64,7 @@ variables however the ids interleave.  That is a different, equally
 valid, systematic-scan Gibbs chain from the id-order scan; the order is a
 pure function of the substrate state (colours, solo flags), the evidence
 mask and the window width, so it survives snapshots, pickling and
-checkpoint restores and is the same whether a plan was built from scratch
-or repaired.  Members of very large rule factors scan alone.
+checkpoint restores.  Members of very large rule factors scan alone.
 
 Incremental compilation: :meth:`CompiledFactorGraph.apply_delta` brings
 the compiled view to ``graph ⊕ delta`` in place from a
@@ -81,8 +80,7 @@ is offsetting its ids and appending its columns.  The patch protocol:
 * **ops** — the delta becomes a picklable op dict: the table as it is
   (``add``) and, for the removed factor ids, the slots they resolve to
   through the factor-handle table (``bias_del``, ``ising_del``,
-  ``rule_del``).  Cached scan plans read its evidence ops
-  when they follow the patch;
+  ``rule_del``);
 * **decide, then land** — what the ops will touch (every variable that
   gains or loses an incidence; a removed rule finds its body in its
   literal range) is read off the arrays before anything mutates, and
@@ -109,15 +107,14 @@ is offsetting its ids and appending its columns.  The patch protocol:
   of the rules of at most ``_BIG_FACTOR`` variables it heads or appears
   in.
 
-Derived state is repaired, not rebuilt: :meth:`GibbsCache.apply_patch`
-splices the ``field``/``unsat``/``nsat`` caches, :meth:`SweepPlan.apply_patch`
-moves only the touched variables between blocks and gathers the blocks
-it rebuilds in one pass — in every cached plan somebody asked for since
-the previous patch, whatever evidence it was derived for.  One nobody
-asked for is dropped instead, and rebuilt when asked for: a chain asks
-at its first sampling call after a patch, not at the patch, so deltas
-landed one after the other between two sampling calls repair its plan
-once.
+A chain's cache is spliced, its scan plan built again:
+:meth:`GibbsCache.apply_patch` splices the ``field``/``unsat``/``nsat``
+caches, while a :class:`SweepPlan` is an immutable value that a patch
+never touches.  :meth:`CompiledFactorGraph.plan` keeps the plans built
+since the last patch or compaction, one per evidence mask, and a patch
+drops them; a chain takes its plan again at its first sampling call
+after a patch, not at the patch, so deltas landed one after the other
+between two sampling calls cost it one build.
 """
 
 from __future__ import annotations
@@ -381,8 +378,8 @@ _NO_IDS, _NO_PAIRS, _NO_TRIPLES = _no_rows(0), _no_rows(0, 2), _no_rows(0, 3)
 class CompiledPatch:
     """What one :meth:`CompiledFactorGraph.apply_delta` call changed.
 
-    Consumed by :meth:`GibbsCache.apply_patch` (cache splice), warm-started
-    samplers (state growth + evidence re-clamp) and scan plans.  ``ops``
+    Consumed by :meth:`GibbsCache.apply_patch` (cache splice) and
+    warm-started samplers (state growth + evidence re-clamp).  ``ops``
     is the op dict the patch was landed from.  Row arrays: ``bias_del``
     the tombstoned bias positions,
     ``ising_del`` the ``(k1, k2)`` incidence pairs of tombstoned edges,
@@ -764,13 +761,14 @@ class CompiledFactorGraph:
         return stats[0] if counts is None else stats
 
     def plan(self, graph: FactorGraph | None = None) -> "SweepPlan":
-        """The (cached) block-structured scan plan for ``graph``'s evidence.
+        """The block-structured scan plan for ``graph``'s evidence mask.
 
         ``graph`` defaults to the compiled graph; passing another graph
         with identical factor structure but different evidence (e.g. the
         free chain of SGD learning) reuses this compilation with its own
         free-variable partition.  Plans scan at the compilation's own
-        window and are cached by evidence.
+        window; one built since the last patch or compaction for the
+        same evidence mask is returned again.
         """
         target = graph if graph is not None else self.graph
         if target.num_vars != self.num_vars:
@@ -778,14 +776,13 @@ class CompiledFactorGraph:
                 f"graph has {target.num_vars} variables, "
                 f"compiled for {self.num_vars}"
             )
-        key = tuple(sorted(target.evidence.items()))
+        # Always read the *current* evidence (never the compile-time
+        # snapshot): evidence may have been set after compilation.
+        mask = target.evidence_mask()
+        key = mask.tobytes()
         plan = self._plan_cache.get(key)
         if plan is None:
-            # Always read the *current* evidence (never the compile-time
-            # snapshot): evidence may have been set after compilation.
-            plan = SweepPlan(self, target.evidence_mask(), self._scan_window)
-            self._plan_cache[key] = plan
-        plan.requested = True
+            plan = self._plan_cache[key] = SweepPlan(self, mask, self._scan_window)
         return plan
 
     def gather_block(self, vars_) -> "_Block":
@@ -922,7 +919,7 @@ class CompiledFactorGraph:
         table give the patch ops, and ``self.graph`` becomes (or stays) a
         lazy :class:`~repro.graph.factor_graph.CompiledGraphView` — no
         materialized ``delta.apply`` graph is ever built.  Returns the
-        :class:`CompiledPatch` that cache/plan/chain holders follow.
+        :class:`CompiledPatch` that cache and chain holders follow.
 
         The patched density the delta will leave (:meth:`patch_fraction`)
         is read off the ops before anything mutates.  At or under
@@ -1093,9 +1090,6 @@ class CompiledFactorGraph:
         at most once, the handle table is extended with one concatenate,
         and the solo flags and colours of the touched variables follow."""
         ops, add = patch.ops, patch.ops["add"]
-        old_evidence = (
-            tuple(sorted(self.graph.evidence.items())) if self._plan_cache else ()
-        )
         n0, k = patch.old_num_vars, patch.num_new_vars
         dirty = patch.dirty_vars
 
@@ -1166,34 +1160,9 @@ class CompiledFactorGraph:
             self._patched = True
             self.structure_version += 1
 
-        # ---- recolour, then repair every cached scan plan ----------------
+        # ---- recolour; the scan plans built before the patch go ----------
         self._recolor(np.union1d(dirty, np.arange(n0, n0 + k)))
-        # Plans keyed to the graph's own evidence follow its evidence ops
-        # (and are re-keyed); plans for other evidence configurations
-        # (e.g. a free learning chain) keep theirs.  A plan nobody asked
-        # for over a whole patch interval is dropped instead — rebuilt on
-        # demand, block for block the plan repairs would have kept, since
-        # a plan is a function of the colouring, the solo flags, its
-        # evidence and the window — so a caller whose evidence keeps
-        # changing cannot grow the cache, and deltas replayed one after
-        # the other repair a chain's plan once.  Own plans go last so
-        # they win a key collision.
-        new_evidence = (
-            tuple(sorted(self.graph.evidence.items()))
-            if self._plan_cache and ops["evidence"]
-            else old_evidence
-        )
-        cache = {}
-        for evidence, plan in sorted(
-            self._plan_cache.items(), key=lambda item: item[0] == old_evidence
-        ):
-            if not plan.requested:
-                continue
-            own = evidence == old_evidence
-            plan.requested = False
-            plan.apply_patch(patch, follow_evidence=own)
-            cache[new_evidence if own else evidence] = plan
-        self._plan_cache = cache
+        self._plan_cache = {}
         return patch
 
     def _splice_rules(self, rules: FactorTable, patch: CompiledPatch) -> None:
@@ -1268,14 +1237,14 @@ class CompiledFactorGraph:
         Captures exactly the state :meth:`apply_delta` (and a threshold
         :meth:`compact` it may trigger) can change: the growable buffers
         by (object, size) plus content copies of the in-place-mutated
-        masks, the handle table and plan cache.  Appends never write
+        masks and the handle table.  Appends never write
         inside a captured size and a build abandons the buffers rather
         than mutating them, so a capture — not only the latest — stays
         restorable until a restore to an earlier one discards the rows
         behind it.
         Must be taken *before* ``apply_delta`` runs (``_ops_from_delta``
         rewrites the handle table first).  Restoring recovers the exact
-        pre-patch layout — same tombstones, same block objects,
+        pre-patch layout — same tombstones, same colours,
         same float summation order — so a retried update is bit-identical
         to one applied to a never-failed engine.
         """
@@ -1287,10 +1256,6 @@ class CompiledFactorGraph:
             "refs": {n: getattr(self, n) for n in self._SNAP_REFS},
             "scalars": {n: getattr(self, n) for n in self._SNAP_SCALARS},
             "weight_factor_counts": self.weight_factor_counts.copy(),
-            "plan_cache": {
-                key: (plan, plan.snapshot_state())
-                for key, plan in self._plan_cache.items()
-            },
             # Substrate-owned graph state: direct deltas intern weights
             # and mutate the shared evidence dict / name list in place,
             # so all three roll back with the arrays.
@@ -1328,11 +1293,9 @@ class CompiledFactorGraph:
         for name, saved in snap["scalars"].items():
             setattr(self, name, saved)
         self.weight_factor_counts = snap["weight_factor_counts"]
-        cache = {}
-        for key, (plan, plan_snap) in snap["plan_cache"].items():
-            plan.restore_state(plan_snap)
-            cache[key] = plan
-        self._plan_cache = cache
+        # A chain restores its own pre-transaction plan; the substrate
+        # builds any other afresh.
+        self._plan_cache = {}
         # Substrate-owned graph state (the graph ref itself was already
         # restored above): weights, the shared evidence dict (restored in
         # place so every facade sharing it rolls back too), names.
@@ -1547,9 +1510,11 @@ class SweepPlan:
     evidence mask and the window width: the free variables of one colour
     inside one window of ``window`` consecutive ids form a block (no two
     share a factor, so resampling them at once is one valid systematic
-    scan step), and a variable of an oversized factor scans alone.  Blocks run window by window, colour by colour inside each,
-    solo blocks last; a patch moves only the variables it touched, so
-    every other block object, and the scan order, survives.
+    scan step), and a variable of an oversized factor scans alone.
+    Blocks run window by window, colour by colour inside each, solo
+    blocks last.  Immutable once built: a plan describes the substrate
+    as it was before the next patch, and holders take a new one after
+    it (:meth:`CompiledFactorGraph.plan`).
     """
 
     def __init__(self, compiled: CompiledFactorGraph, evidence_mask, window: int) -> None:
@@ -1557,15 +1522,12 @@ class SweepPlan:
         self.window = window
         self.evidence_mask = np.asarray(evidence_mask, dtype=bool).copy()
         self.free_vars = np.flatnonzero(~self.evidence_mask)
-        #: Asked for (``CompiledFactorGraph.plan``) since the last patch.
-        self.requested = True
         keys = self._keys(self.free_vars)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         groups = np.split(self.free_vars[order], starts[1:]) if starts.size else []
         self.blocks = _gather_blocks(compiled, groups, keys[starts].tolist())
-        self._index_blocks()
 
     def _keys(self, vars_) -> np.ndarray:
         """Block key of each variable: (id window, colour), or (solo, id)."""
@@ -1575,86 +1537,6 @@ class SweepPlan:
             (_SOLO_WINDOW << _KEY_SHIFT) | vars_,
             ((vars_ // self.window) << _KEY_SHIFT) | c._color[vars_],
         )
-
-    def _index_blocks(self) -> None:
-        """(Re)build the var → block-position map."""
-        self._block_of = np.full(self.compiled.num_vars, -1, dtype=np.int64)
-        for bi, block in enumerate(self.blocks):
-            self._block_of[block.vars] = bi
-
-    def apply_patch(self, patch: CompiledPatch, follow_evidence: bool = True) -> None:
-        """Re-plan only the blocks a compiled patch touched, in place.
-
-        Every variable whose incidence, colour, solo flag or clamping
-        changed leaves its block and joins the one its key now names;
-        blocks that lost, gained or kept such a variable are rebuilt
-        (fresh gather arrays, all gathered in one pass), every other
-        block object survives.  With
-        ``follow_evidence=False`` the patch's evidence ops are ignored
-        (a plan pinned to its own evidence) and appended variables are
-        free."""
-        old_n = patch.old_num_vars
-        k = patch.num_new_vars
-        mask = self.evidence_mask
-        if k:
-            mask = np.concatenate([mask, np.zeros(k, dtype=bool)])
-        touched = set(patch.dirty_vars.tolist())
-        touched.update(range(old_n, old_n + k))
-        if follow_evidence:
-            for var, val in patch.ops["evidence"].items():
-                mask[int(var)] = val is not None
-                touched.add(int(var))
-        self.evidence_mask = mask
-        if not touched:
-            return
-
-        by_key = {block.key: block for block in self.blocks}
-        members = {}
-        touched = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
-        for v, key in zip(touched.tolist(), self._keys(touched).tolist()):
-            if v < old_n and self._block_of[v] >= 0:
-                old = self.blocks[self._block_of[v]]
-                members.setdefault(old.key, set(old.vars.tolist())).discard(v)
-            if not mask[v]:
-                if key not in members:
-                    block = by_key.get(key)
-                    members[key] = set(block.vars.tolist()) if block else set()
-                members[key].add(v)
-        rebuilt = [key for key, vars_ in members.items() if vars_]
-        for key in members.keys() - set(rebuilt):
-            del by_key[key]
-        groups = [
-            np.fromiter(sorted(members[key]), dtype=np.int64, count=len(members[key]))
-            for key in rebuilt
-        ]
-        by_key.update(
-            (block.key, block)
-            for block in _gather_blocks(self.compiled, groups, rebuilt)
-        )
-        self.blocks = [by_key[key] for key in sorted(by_key)]
-        self.free_vars = np.flatnonzero(~mask)
-        self._index_blocks()
-
-    def snapshot_state(self) -> dict:
-        """Capture the mutable plan state for transactional rollback.
-
-        Surviving :class:`_Block` objects are never mutated by
-        :meth:`apply_patch`, so the block list is captured shallowly;
-        ``evidence_mask`` is copied because a var-count-preserving patch
-        writes it in place."""
-        return {
-            "evidence_mask": self.evidence_mask.copy(),
-            "free_vars": self.free_vars,
-            "blocks": list(self.blocks),
-            "block_of": self._block_of,
-        }
-
-    def restore_state(self, snap: dict) -> None:
-        self.evidence_mask = snap["evidence_mask"]
-        self.free_vars = snap["free_vars"]
-        self.blocks = snap["blocks"]
-        self._block_of = snap["block_of"]
-        self.requested = True
 
     @property
     def num_blocks(self) -> int:
@@ -1678,15 +1560,14 @@ class StackedPlan:
     per member — what each draws per sweep) and ``logit_order``, the
     permutation that takes the members' logit rows, laid end to end in
     member order, to stacked-block order.  :meth:`covers` says whether
-    it still describes its members; rebuild it when it does not.
+    it still stacks its members' plans; rebuild it when it does not.
     """
 
     def __init__(self, compiled: CompiledFactorGraph, plans) -> None:
         self.compiled = compiled
         self.shape = (compiled.num_vars, compiled.num_groundings, compiled.num_rules)
-        # References, not copies: valid while every member still scans
-        # these very block objects (a patch rebuilds the blocks it touches).
-        self.member_blocks = [list(plan.blocks) for plan in plans]
+        # Valid while every member still scans this very (immutable) plan.
+        self.member_plans = list(plans)
         self.widths = [plan.free_vars.size for plan in plans]
         n = compiled.num_vars
         self.free_vars = np.concatenate(
@@ -1694,8 +1575,8 @@ class StackedPlan:
         )
         by_key: dict = {}
         at = 0  # where the block's logits start in the members' rows, end to end
-        for k, blocks in enumerate(self.member_blocks):
-            for block in blocks:
+        for k, plan in enumerate(self.member_plans):
+            for block in plan.blocks:
                 by_key.setdefault(block.key, []).append((k, block, at))
                 at += block.vars.size
         self.blocks = []
@@ -1712,18 +1593,12 @@ class StackedPlan:
 
     def covers(self, compiled: CompiledFactorGraph, plans) -> bool:
         """Whether this is still the stack of ``plans`` over ``compiled``:
-        same substrate, same (n, G, R) — the member offsets — and every
-        member's block list holding the same block objects."""
+        same substrate and the very plan objects it was built from (a
+        patch makes every follower take a new one)."""
         return (
             compiled is self.compiled
-            and self.shape
-            == (compiled.num_vars, compiled.num_groundings, compiled.num_rules)
-            and len(plans) == len(self.member_blocks)
-            and all(
-                len(plan.blocks) == len(blocks)
-                and all(a is b for a, b in zip(plan.blocks, blocks))
-                for plan, blocks in zip(plans, self.member_blocks)
-            )
+            and len(plans) == len(self.member_plans)
+            and all(a is b for a, b in zip(plans, self.member_plans))
         )
 
 

@@ -242,8 +242,8 @@ class GibbsSampler:
     def _fetch_plan(self) -> None:
         """Take the substrate's scan plan again if a patch landed since it
         was taken — at the sampling call after the patch, not at the
-        patch, so a plan nobody sweeps between patches need not be
-        repaired at each."""
+        patch, so patches landed one after the other between two sampling
+        calls cost one plan build, not one each."""
         if self._replan:
             self.plan = self.compiled.plan(self.graph)
             self._replan = False
@@ -332,8 +332,8 @@ class ChainStack(GibbsSampler):
     and bumps each member's ``sweeps_done``; between calls nothing
     stacked is resident, so patching, snapshotting, scoring or pickling a
     member needs to know nothing of the stack.  Only ``plan`` is kept —
-    derived, checked against the members' block lists at every call,
-    rebuilt when a patch moved them, dropped by pickling.  ``sweep`` and
+    derived, checked against the members' plans at every call, rebuilt
+    when a patch gave them new ones, dropped by pickling.  ``sweep`` and
     ``sample_worlds`` are the whole surface: the rest of a chain's
     belongs to the members, and is a ``TypeError`` here.
     """

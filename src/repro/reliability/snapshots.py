@@ -8,14 +8,15 @@ is bit-identical to a never-failed one.
 
 The heavy lifting for the compiled substrate lives on the objects
 themselves (:meth:`CompiledFactorGraph.snapshot_state`,
-:meth:`SweepPlan.snapshot_state`, :meth:`WeightStore.snapshot_state` —
-designed around the mutation inventory of a patch splice: alive
-masks are copied, append-only arrays are truncated by size,
-replaced-not-mutated arrays are captured by reference).  Pairing a
-substrate capture with the captures of the chains that follow it is the
-owner's job (:meth:`repro.core.resident.ResidentGraph.snapshot`); this
-module supplies the per-component pieces it composes and the two
-engine-level transaction snapshots built on top.  Samplers and learners
+:meth:`WeightStore.snapshot_state` — designed around the mutation
+inventory of a patch splice: alive masks are copied, append-only arrays
+are truncated by size, replaced-not-mutated arrays are captured by
+reference).  A scan plan is immutable, so a chain's is captured by
+reference.  Pairing a substrate capture with the captures of the chains
+that follow it is the owner's job
+(:meth:`repro.core.resident.ResidentGraph.snapshot`); this module
+supplies the per-component pieces it composes and the two engine-level
+transaction snapshots built on top.  Samplers and learners
 are restored bit-exactly, including the shared rng stream.
 
 All snapshots are single-use: ``restore`` consumes them.
@@ -104,7 +105,6 @@ class SerialSamplerSnapshot:
         self.graph = sampler.graph
         self.plan = sampler.plan
         self.replan = sampler._replan
-        self.plan_state = sampler.plan.snapshot_state()
         self.state = sampler.state.copy()
         self.sweeps_done = sampler.sweeps_done
         self.cache = CacheSnapshot(sampler.cache)
@@ -114,7 +114,6 @@ class SerialSamplerSnapshot:
         s = self.sampler
         s.graph = self.graph
         s.plan, s._replan = self.plan, self.replan
-        self.plan.restore_state(self.plan_state)
         s.state = self.state
         s.sweeps_done = self.sweeps_done
         s.cache = self.cache.restore()

@@ -422,7 +422,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         and ``self.graph`` becomes (or stays) a lazy
         :class:`~repro.graph.factor_graph.CompiledGraphView` — no
         materialized ``delta.apply`` graph is ever built.  Returns the
-        :class:`CompiledPatch` that cache/plan holders splice
+        :class:`CompiledPatch` that cache holders splice
         from.  When the tombstone/patched density crosses
         ``compact_threshold`` the instance is recompiled in place
         (amortized O(|graph|)) and the patch is marked ``compacted``."""
@@ -451,7 +451,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             old_num_bias=self.bias_wid.shape[0],
         )
         patch.bias_del, patch.ising_del, patch.bias_add, patch.ising_add = [], [], [], []
-        old_evidence = tuple(sorted(self.graph.evidence.items()))
         dirty = set()
         handles_by_kind = {0: [], 1: [], 2: []}
 
@@ -659,27 +658,9 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             self.structure_version += 1
         patch.dirty_vars = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
 
-        # ---- recolour, then repair every cached scan plan ----------------
+        # ---- recolour; the scan plans built before the patch go ----------
         self._recolor(np.array(sorted(dirty.union(range(n0, n0 + k))), dtype=np.int64))
-        # Plans keyed to the graph's own evidence follow its evidence ops
-        # (and are re-keyed); plans for other evidence configurations
-        # (e.g. a free learning chain) keep theirs, and are dropped —
-        # rebuilt on demand — once a whole patch interval passes without
-        # anybody asking for them, so a caller whose evidence keeps
-        # changing cannot grow the cache.  Own plans go last so they win
-        # a key collision.
-        new_evidence = tuple(sorted(self.graph.evidence.items()))
-        cache = {}
-        for evidence, plan in sorted(
-            self._plan_cache.items(), key=lambda item: item[0] == old_evidence
-        ):
-            own = evidence == old_evidence
-            if not (own or plan.requested):
-                continue
-            plan.requested = False
-            plan.apply_patch(patch, follow_evidence=own)
-            cache[new_evidence if own else evidence] = plan
-        self._plan_cache = cache
+        self._plan_cache = {}
         # The package's patch shape: row arrays.
         patch.bias_del = np.asarray(patch.bias_del, dtype=np.int64)
         for name, width in (("ising_del", 2), ("bias_add", 2), ("ising_add", 3)):

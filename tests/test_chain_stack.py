@@ -23,7 +23,10 @@ two-call epoch).  Here:
   leaves the weights of the two-call, two-pass reference epoch; a
   rolled-back relearn followed by an epoch equals its never-faulted
   twin; the one-pass gradient equals the two-pass one.
-* **Derived state** — the stack pickles without its plan and rebuilds it.
+* **Derived state** — the stack pickles without its plan and rebuilds it;
+  a rollback puts every member's plan back, and the stacked plan still
+  covers them; a patch makes the members take new plans, and the stack a
+  new stacked plan.
 * **Work counts** — per epoch of the News learner: sweeps × stacked blocks
   block evaluations, one ``Generator.random`` call per member, no stacked
   plan built unless a patch came between, one ``GibbsSampler.sweep`` per
@@ -55,10 +58,20 @@ from repro.inference.convergence import sweeps_to_marginal
 from repro.inference.gibbs import ChainStack, GibbsSampler
 from repro.learning import SGDLearner
 from repro.learning.gradient import weight_gradient
-from repro.reliability.snapshots import LearnerSnapshot, RngSnapshot
+from repro.reliability.snapshots import (
+    LearnerSnapshot,
+    RngSnapshot,
+    SerialSamplerSnapshot,
+)
 from repro.workloads import build_pipeline, workload_by_name
 
-from tests.helpers import block_chains, mixed_case, scalar_checked, voting_graph
+from tests.helpers import (
+    block_chains,
+    counting,
+    mixed_case,
+    scalar_checked,
+    voting_graph,
+)
 from tests.reference import learning as reference
 from tests.test_incremental_compile import random_delta, seed_graph
 from tests.test_scan_plan import head_in_body_graph, history_delta, random_graph
@@ -156,8 +169,8 @@ def checked_stack(oracle: bool = True):
     def begun(self, count):
         rows = begin(self, count)
         own.clear()
-        for k, blocks in enumerate(self.plan.member_blocks):
-            own.update(((k, block.key), block) for block in blocks)
+        for k, plan in enumerate(self.plan.member_plans):
+            own.update(((k, block.key), block) for block in plan.blocks)
         return rows
 
     def checked(self, block, assignment):
@@ -532,7 +545,7 @@ class TestDerivedState:
         twin = pickle.loads(pickle.dumps(stack))
         assert len(pickle.dumps(clone)) - len(pickle.dumps(twin)) in range(-64, 64)
 
-    def test_plan_survives_until_a_patch_moves_a_block(self):
+    def test_plan_survives_until_a_patch(self):
         graph = random_graph(np.random.default_rng(12), 40, 35)
         compiled = CompiledFactorGraph(graph)
         kinds = KINDS[:2]
@@ -543,14 +556,25 @@ class TestDerivedState:
             advance(stack, theirs)
             assert counts["stacked_plans"] == 1
             plan = stack.plan
-            # A rollback puts the same block objects back: still covered.
+            members = [chain.plan for chain in ours]
+            # A rolled-back patch puts every member's own plan object
+            # back: the stacked plan still covers them, and no member
+            # takes a plan again.
             snap = compiled.snapshot_state()
+            captures = [SerialSamplerSnapshot(chain) for chain in (*ours, *theirs)]
             rng = np.random.default_rng(0)
-            compiled.apply_delta(history_delta(rng, compiled, "add", 0), compact_threshold=1.0)
+            patch = compiled.apply_delta(
+                history_delta(rng, compiled, "add", 0), compact_threshold=1.0
+            )
+            patch_all(ours, kinds, patch)
+            patch_all(theirs, kinds, patch)
             compiled.restore_state(snap)
-            for chain in (*ours, *theirs):
-                chain.plan = compiled.plan(chain.graph)
-            advance(stack, theirs)
+            for capture in captures:
+                capture.restore(verify=True)
+            assert all(chain.plan is member for chain, member in zip(ours, members))
+            with counting(CompiledFactorGraph, "plan") as fetched:
+                advance(stack, theirs)
+            assert not fetched["plan"]
             assert stack.plan is plan and counts["stacked_plans"] == 1
             patch = compiled.apply_delta(
                 history_delta(rng, compiled, "append", 1), compact_threshold=1.0

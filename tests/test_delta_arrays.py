@@ -12,8 +12,9 @@ array paths to it:
 
 * the spliced patch ≡ the per-factor patch, **array for array**;
 * every plan block gathers from the arrays the columns the reference
-  walks off the per-variable lists it keeps, and the colouring read off
-  the rows ≡ the reference's neighbour-multiset recolouring;
+  walks off the per-variable lists it keeps, the colouring read off
+  the rows ≡ the reference's neighbour-multiset recolouring, and the
+  plans either substrate gives after a patch are the same;
 * the build decided before patching ≡ patch-then-compact ≡ a fresh
   compile of ``delta.apply(graph)``, and the same calls compact;
 * ``snapshot_state`` → either branch → ``restore_state`` ≡ never touched,
@@ -93,8 +94,12 @@ def plan_state(plan) -> dict:
         "blocks": [block_state(b) for b in plan.blocks],
         "evidence_mask": plan.evidence_mask.tolist(),
         "free_vars": plan.free_vars.tolist(),
-        "block_of": plan._block_of.tolist(),
     }
+
+
+def current_plans(c) -> dict:
+    """The plan ``c`` gives now for each evidence of ``PLAN_ARGS``."""
+    return {name: c.plan(*args(c)) for name, args in PLAN_ARGS.items()}
 
 
 def substrate_state(c, handles: bool = True) -> dict:
@@ -123,8 +128,7 @@ def substrate_state(c, handles: bool = True) -> dict:
     state["evidence"] = dict(c.graph.evidence)
     state["free_vars"] = c.free_vars.tolist()
     state["plans"] = {
-        tuple(sorted(dict(evidence).items())): plan_state(plan)
-        for evidence, plan in c._plan_cache.items()
+        name: plan_state(plan) for name, plan in current_plans(c).items()
     }
     return state
 
@@ -160,12 +164,6 @@ def patch_state(patch) -> dict:
     return state
 
 
-def cached_plans(compiled) -> None:
-    """Ask for every cached plan (so patches keep repairing them)."""
-    for args in PLAN_ARGS.values():
-        compiled.plan(*args(compiled))
-
-
 OPS = ("add", "remove", "evidence", "append", "empty")
 
 
@@ -181,8 +179,6 @@ def twins(seed: int, num_vars: int):
     graph = random_graph(rng, num_vars, 30 if num_vars > 8 else 12)
     new = CompiledFactorGraph(graph.copy())
     ref = ReferenceCompiledFactorGraph(graph.copy())
-    cached_plans(new)
-    cached_plans(ref)
     return rng, graph, new, ref
 
 
@@ -225,8 +221,6 @@ class TestArrayPathsEqualTheReference:
             assert_same(patch_state(a), patch_state(b))
             assert_same(substrate_state(new), substrate_state(ref))
             assert live(new) == canonical(graph.factors)
-            cached_plans(new)
-            cached_plans(ref)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=120, deadline=None)
@@ -236,8 +230,6 @@ class TestArrayPathsEqualTheReference:
         base, delta = mixed_case(seed)
         new = CompiledFactorGraph(base.copy())
         ref = ReferenceCompiledFactorGraph(base.copy())
-        cached_plans(new)
-        cached_plans(ref)
         a = new.apply_delta(delta, compact_threshold=1.0)
         b = ref.apply_delta(delta, compact_threshold=1.0)
         assert_same(patch_state(a), patch_state(b))
@@ -264,8 +256,6 @@ class TestArrayPathsEqualTheReference:
                 # ... which is the fresh compile of the oracle graph.
                 fresh = CompiledFactorGraph(graph.copy())
                 assert_same(substrate_state(new), substrate_state(fresh))
-            cached_plans(new)
-            cached_plans(ref)
 
     @histories
     @settings(max_examples=40, deadline=None)
@@ -404,14 +394,12 @@ class TestOneIncidenceRepresentation:
                 a = new.apply_delta(delta, compact_threshold=threshold)
                 b = ref.apply_delta(delta, compact_threshold=threshold)
                 assert a.compacted == b.compacted == (op == "compact")
-            cached_plans(new)
-            cached_plans(ref)
             self.check(new, ref)
 
     @staticmethod
     def check(new, ref) -> None:
         assert new._color.tolist() == ref._color.tolist()
-        for plan in new._plan_cache.values():
+        for plan in current_plans(new).values():
             for block in plan.blocks:
                 want = columns_from_lists(ref, block.vars.tolist())
                 got = block_state(block)
@@ -508,10 +496,8 @@ class TestRollbackAndReplay:
     def test_snapshot_restore_across_both_branches(self, seed, num_vars, ops):
         rng, graph, new, _ = twins(seed, num_vars)
         new.apply_delta(delta_for(rng, new, "add", -1), compact_threshold=1.0)
-        cached_plans(new)
         for step, op in enumerate(ops):
             before = substrate_state(new)
-            blocks = {key: list(plan.blocks) for key, plan in new._plan_cache.items()}
             snap = new.snapshot_state()
             threshold = 0.0 if rng.random() < 0.5 else 1.0
             patch = new.apply_delta(
@@ -520,8 +506,6 @@ class TestRollbackAndReplay:
             assert patch.compacted == (threshold == 0.0)
             new.restore_state(snap)
             assert_same(substrate_state(new), before)
-            for key, plan in new._plan_cache.items():
-                assert all(x is y for x, y in zip(plan.blocks, blocks[key]))
 
     @pytest.mark.parametrize("compact", [False, True], ids=["spliced", "compacted"])
     def test_an_older_capture_restores_exactly(self, compact):
@@ -529,7 +513,6 @@ class TestRollbackAndReplay:
         substrate is A's again — variables 10 and 20 hold no edge between
         them, whether or not a compaction came between."""
         compiled = CompiledFactorGraph(chain_ising_graph(40))
-        cached_plans(compiled)
         at_a = substrate_state(compiled)
         captures = []
         for i, j in ((0, 5), (10, 20)):

@@ -106,7 +106,7 @@ def assert_brute_force(compiled, graph, seed=2):
 
 
 def assert_plan_valid(compiled, graph):
-    """The (patched) plan partitions the free vars into independent blocks."""
+    """The plan of the patched substrate partitions the free vars into independent blocks."""
     plan = compiled.plan(graph)
     neighbours = compiled._neighbours(np.arange(compiled.num_vars))
     seen = []
@@ -128,7 +128,6 @@ class TestPatchVsFresh:
         rng = np.random.default_rng(seed + 100)
         graph = seed_graph(seed)
         compiled = CompiledFactorGraph(graph)
-        compiled.plan(graph)  # cache a plan so apply_delta patches it
         for step in range(8):
             delta = random_delta(graph, rng, step)
             updated = delta.apply(graph)

@@ -423,6 +423,35 @@ class TestOneIncidenceRepresentation:
         assert not {"mirrors", "append_lists", "nbr_patch"} & snap.keys()
 
 
+class TestPlansAreBuiltNotRepaired:
+    """A scan plan is an immutable value: ``CompiledFactorGraph.plan``
+    builds it, a patch drops it, and nothing patches, captures or
+    restores one — a rollback restores each chain's own plan object by
+    reference, and a substrate snapshot carries no plan."""
+
+    def test_a_plan_has_no_repair_and_a_snapshot_carries_none(self):
+        from repro.graph.compiled import SweepPlan
+        from repro.reliability.snapshots import SerialSamplerSnapshot
+
+        for name in ("apply_patch", "snapshot_state", "restore_state", "_index_blocks"):
+            assert not hasattr(SweepPlan, name), name
+        compiled = CompiledFactorGraph(chain_ising_graph(6))
+        chain = GibbsSampler(compiled.graph, seed=0, compiled=compiled)
+        assert not {"requested", "_block_of"} & vars(chain.plan).keys()
+        assert not hasattr(SerialSamplerSnapshot(chain), "plan_state")
+
+        def values(value):
+            yield value
+            if isinstance(value, dict):
+                value = list(value.keys()) + list(value.values())
+            if isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from values(item)
+
+        snap = compiled.snapshot_state()
+        assert not any(isinstance(value, SweepPlan) for value in values(snap))
+
+
 class TestGroundStraightIntoArrays:
     """A full ground folds its binding batches into factor-table columns
     and the compile reads that table: between them no ``RuleFactor`` is

@@ -57,15 +57,6 @@ class TestOptimizerRules:
         assert decision.strategy == "variational"
         assert decision.rule == 4
 
-    def test_acceptance_probe_override(self):
-        delta = FactorGraphDelta(new_weight_entries=[("f", 0.0, False)])
-        delta.new_factors.add_bias(0, 0)
-        decision = choose_strategy(
-            delta, samples_remaining=100, acceptance_estimate=0.001,
-            min_acceptance=0.01,
-        )
-        assert decision.strategy == "variational"
-
 
 def star_graph(num_leaves=6):
     """One active hub (0) with independent leaves — decomposes fully."""

@@ -1,14 +1,15 @@
 """The colour-class scan plan and the kernels that ride it.
 
 * **Planner property test** — over random histories of factor adds and
-  removals, evidence flips, appended variables, forced compactions,
-  ``snapshot_state`` → ``restore_state`` and pickle round-trips, every
-  cached plan (the graph's own evidence and an evidence-free learner
-  twin) stays *valid* — its blocks partition the
+  removals, evidence flips, appended variables, compactions, rolled-back
+  transactions and pickle round-trips, the plan a chain takes at its
+  next sampling call (a chain on the graph's own evidence and one on an
+  evidence-free learner twin) is *valid* — its blocks partition the
   free variables exactly and no two members of a block share a live
   factor, judged against the decoded factor table and never against the
   planner's own neighbour index — and *pure*: equal, block for block, to
-  a plan built from scratch on the patched substrate.  "Valid" is the
+  a plan built from scratch on the patched substrate.  A rollback puts
+  each chain's pre-transaction plan object back.  "Valid" is the
   predicate the id-run planner this one replaced satisfies; that planner
   is kept below as the reference.
 * **Kernel equivalence** — the kernel's and the scalar oracle's
@@ -19,7 +20,8 @@
   agreement-style graph, within a tolerance derived from the samples.
 * **Shape guard** — on the five KBC systems and on a streamed graph the
   blocks partition the free variables and a sweep takes one block
-  evaluation per block and at most one commit.
+  evaluation per block and at most one commit; patches landed between
+  two sampling calls cost a chain one plan build.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.graph.factor_graph import BiasFactor, IsingFactor, RuleFactor
 from repro.inference.exact import ExactInference
 from repro.inference.gibbs import GibbsSampler, logit_rows, sweep_blocks
 from repro.kbc.pipeline import KBCPipeline
+from repro.reliability.snapshots import SerialSamplerSnapshot
 from repro.workloads import ALL_SYSTEMS, build_pipeline, workload_by_name
 
 from tests.helpers import brute_force_delta, counting, scalar_checked
@@ -109,8 +112,6 @@ def assert_plan_valid_and_pure(compiled, plan) -> None:
     fresh = SweepPlan(compiled, plan.evidence_mask, plan.window)
     assert plan_blocks(plan) == plan_blocks(fresh)
     assert [b.key for b in plan.blocks] == [b.key for b in fresh.blocks]
-    for bi, block in enumerate(plan.blocks):
-        assert (plan._block_of[block.vars] == bi).all()
 
 
 def sweep_and_check(compiled, plan, seed) -> None:
@@ -223,25 +224,33 @@ def free_twin(compiled):
     return compiled.graph.free_twin()
 
 
-#: ``CompiledFactorGraph.plan`` arguments that fetch each cached plan.
+#: ``CompiledFactorGraph.plan`` arguments for a chain of each evidence.
 PLAN_ARGS = {
     "own": lambda compiled: (None,),
     "free": lambda compiled: (free_twin(compiled),),
 }
 
 
-def cached_plans(compiled) -> dict:
-    return {name: compiled.plan(*args(compiled)) for name, args in PLAN_ARGS.items()}
+def follower_chains(compiled, seed) -> dict:
+    """A chain on the graph's own evidence and one on its free twin (an
+    SGD learner's pair) over ``compiled``."""
+    return {
+        "own": GibbsSampler(compiled.graph, seed=seed, compiled=compiled),
+        "free": GibbsSampler(free_twin(compiled), seed=seed, compiled=compiled),
+    }
 
 
-def assert_same_plan_objects(compiled, plans) -> None:
-    """The cache still serves the very plan objects (repaired in place,
-    not dropped and rebuilt).  With no evidence left the graph's own plan
-    and the free twin's share one key, and the own plan keeps it."""
-    for name, plan in plans.items():
-        if name == "free" and not compiled.graph.evidence:
-            continue
-        assert compiled.plan(*PLAN_ARGS[name](compiled)) is plan
+def follow(chains, compiled, patch) -> None:
+    """Carry the chains across ``patch``, as an SGD learner carries its pair."""
+    chains["own"].apply_patch(patch)
+    chains["free"].apply_patch(patch, graph=free_twin(compiled))
+
+
+def sweep_each(chains) -> None:
+    """One sweep of every chain: each takes its plan here if a patch
+    landed since it last did."""
+    for chain in chains.values():
+        chain.sweep()
 
 
 OPS = ("add", "remove", "evidence", "append", "compact", "rollback", "pickle")
@@ -254,7 +263,7 @@ class TestPlannerProperties:
         narrow=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_histories_keep_every_cached_plan_valid_and_pure(
+    def test_the_plan_a_chain_takes_after_any_history_is_valid_and_pure(
         self, seed, ops, narrow
     ):
         # A 40-variable graph fits one default window; ``narrow`` windows
@@ -266,40 +275,49 @@ class TestPlannerProperties:
     def check_history(self, seed, ops):
         rng = np.random.default_rng(seed)
         compiled = CompiledFactorGraph(random_graph(rng, 40, 30))
-        plans = cached_plans(compiled)
+        chains = follower_chains(compiled, seed)
         for step, op in enumerate(ops):
-            if op == "compact":
-                compiled.compact()
-            elif op == "pickle":
-                compiled = pickle.loads(pickle.dumps(compiled))
-                restored = cached_plans(compiled)
-                for name, plan in plans.items():
-                    assert plan_blocks(restored[name]) == plan_blocks(plan)
+            if op == "pickle":
+                before = {name: plan_blocks(chain.plan) for name, chain in chains.items()}
+                compiled, chains = pickle.loads(pickle.dumps((compiled, chains)))
+                assert {
+                    name: plan_blocks(chain.plan) for name, chain in chains.items()
+                } == before
             elif op == "rollback":
                 snap = compiled.snapshot_state()
-                before = {name: list(plan.blocks) for name, plan in plans.items()}
+                captures = {name: SerialSamplerSnapshot(c) for name, c in chains.items()}
+                before = {name: chain.plan for name, chain in chains.items()}
                 for sub, kind in enumerate(("append", "add", "evidence", "remove")):
-                    compiled.apply_delta(
+                    patch = compiled.apply_delta(
                         history_delta(rng, compiled, kind, 100 * step + sub),
                         # The last one compacts: rollback must cross it.
                         compact_threshold=0.0 if sub == 3 else 1.0,
                     )
+                    follow(chains, compiled, patch)
+                    if sub == 1:
+                        sweep_each(chains)  # plans taken inside the transaction
                 compiled.restore_state(snap)
-                assert_same_plan_objects(compiled, plans)
-                for name, plan in plans.items():
-                    assert len(plan.blocks) == len(before[name])
-                    assert all(a is b for a, b in zip(plan.blocks, before[name]))
+                for capture in captures.values():
+                    capture.restore(verify=True)
+                for name, chain in chains.items():
+                    assert chain.plan is before[name] and not chain._replan
             else:
+                kind = "add" if op == "compact" else op
                 patch = compiled.apply_delta(
-                    history_delta(rng, compiled, op, step), compact_threshold=1.0
+                    history_delta(rng, compiled, kind, step),
+                    compact_threshold=0.0 if op == "compact" else 1.0,
                 )
-                assert not patch.compacted
-                assert_same_plan_objects(compiled, plans)
-            plans = cached_plans(compiled)
+                assert patch.compacted == (op == "compact")
+                follow(chains, compiled, patch)
+            sweep_each(chains)
             assert (compiled._color >= 0).all()
-            for name, plan in plans.items():
-                assert_plan_valid_and_pure(compiled, plan)
-                sweep_and_check(compiled, plan, seed + step)
+            for name, chain in chains.items():
+                assert_plan_valid_and_pure(compiled, chain.plan)
+                if op not in ("rollback", "pickle"):
+                    # Taken after a patch: the one the substrate gives
+                    # every chain of this evidence.
+                    assert compiled.plan(*PLAN_ARGS[name](compiled)) is chain.plan
+                sweep_and_check(compiled, chain.plan, seed + step)
 
     def test_scan_order_is_colour_within_window_then_solo(self):
         fg = FactorGraph()
@@ -329,26 +347,6 @@ class TestPlannerProperties:
         compiled.apply_delta(delta, compact_threshold=1.0)
         assert np.array_equal(compiled._color, colours)
         assert not {4, 9} & set(compiled.plan().free_vars.tolist())
-
-    def test_cache_stays_bounded_under_changing_twin_evidence(self):
-        # A twin whose labels grow asks for a new evidence key after every
-        # patch; the keys it stopped asking for must not pile up (each
-        # would be repaired on every later patch).
-        rng = np.random.default_rng(5)
-        compiled = CompiledFactorGraph(random_graph(rng, 60, 40))
-        own = compiled.plan()
-        twin = compiled.graph.copy(share_weights=True)
-        for step in range(100):
-            twin.set_evidence(int(rng.integers(compiled.num_vars)), True)
-            held = compiled.plan(twin)
-            compiled.apply_delta(
-                history_delta(rng, compiled, "add", step), compact_threshold=1.0
-            )
-            # The key asked for since the previous patch survives, repaired.
-            assert compiled.plan(twin) is held
-            assert compiled.plan() is own
-            assert len(compiled._plan_cache) <= 3
-            assert_plan_valid_and_pure(compiled, held)
 
 
 # --------------------------------------------------------------------- #
@@ -556,8 +554,10 @@ def test_kbc_systems_sweep_block_by_block(spec):
 
 
 def test_streamed_graph_keeps_its_block_shape():
-    """≥ 30 one-document patches on a substrate: the repaired plans keep
-    their shape and equal from-scratch plans."""
+    """≥ 30 one-document patches on a substrate, a chain of each evidence
+    following them: the plan each takes at its next sampling call keeps
+    its shape and equals a from-scratch plan, and two patches landed
+    between two sampling calls cost each evidence mask one plan build."""
     spec = workload_by_name("adversarial")
     corpus = build_pipeline(spec, scale=0.5, seed=0).corpus
     num_base = len(corpus.documents) - 32
@@ -565,32 +565,34 @@ def test_streamed_graph_keeps_its_block_shape():
     base = dataclasses.replace(corpus, documents=corpus.documents[:num_base])
     grounder = full_program_grounder(KBCPipeline(base, i1_style=spec.i1_style, seed=0))
     compiled = CompiledFactorGraph(grounder.graph.copy())
-    own, free = compiled.plan(), compiled.plan(free_twin(compiled))
+    chains = follower_chains(compiled, 0)
+
+    def stream(doc, change: str, **threshold):
+        rows = KBCPipeline(
+            dataclasses.replace(corpus, documents=(doc,)), i1_style=spec.i1_style
+        ).corpus_rows()
+        rows.pop("KnownRel")
+        delta = grounder.apply_update(**{change: rows}).delta
+        return compiled.apply_delta(delta, **threshold)
+
     for doc in corpus.documents[num_base:]:
-        rows = KBCPipeline(
-            dataclasses.replace(corpus, documents=(doc,)), i1_style=spec.i1_style
-        ).corpus_rows()
-        rows.pop("KnownRel")
-        delta = grounder.apply_update(inserts=rows).delta
-        patch = compiled.apply_delta(delta, compact_threshold=1.0)
+        patch = stream(doc, "inserts", compact_threshold=1.0)
         assert not patch.compacted
-        # A learner's chains sweep between patches and ask again; a plan
-        # nobody asked for between two patches is dropped.
-        assert compiled.plan() is own
-        assert compiled.plan(free_twin(compiled)) is free
+        follow(chains, compiled, patch)
+        sweep_each(chains)
     assert compiled.has_patches
-    for plan in (own, free):
-        assert_one_kernel_shape(compiled, plan)
-        assert_plan_valid_and_pure(compiled, plan)
-    # Two patches nobody sweeps between: the plans are dropped, and the
-    # ones built on demand are the plans repairs would have kept.
+    for chain in chains.values():
+        assert_one_kernel_shape(compiled, chain.plan)
+        assert_plan_valid_and_pure(compiled, chain.plan)
+    # Two patches nobody sweeps between: one build per evidence mask, at
+    # the chains' next sampling call.
+    held = {name: chain.plan for name, chain in chains.items()}
     for doc in corpus.documents[num_base - 2 : num_base]:
-        rows = KBCPipeline(
-            dataclasses.replace(corpus, documents=(doc,)), i1_style=spec.i1_style
-        ).corpus_rows()
-        rows.pop("KnownRel")
-        compiled.apply_delta(grounder.apply_update(deletes=rows).delta)
-    for plan, evidence_of in ((own, None), (free, free_twin(compiled))):
-        rebuilt = compiled.plan(evidence_of)
-        assert rebuilt is not plan
-        assert_plan_valid_and_pure(compiled, rebuilt)
+        follow(chains, compiled, stream(doc, "deletes"))
+    assert compiled.graph.evidence
+    with counting(SweepPlan, "__init__") as builds:
+        sweep_each(chains)
+    assert builds["__init__"] == len(chains)
+    for name, chain in chains.items():
+        assert chain.plan is not held[name]
+        assert_plan_valid_and_pure(compiled, chain.plan)

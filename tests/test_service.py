@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.core import IncrementalEngine
+from repro.core.resident import ResidentGraph
 from repro.grounding import IncrementalGrounder
 from repro.kbc.pipeline import KBCPipeline
 from repro.reliability import DeltaLog, Fault, FaultPlan, inject_faults
@@ -240,10 +241,28 @@ class TestCheckpointStore:
         assert CheckpointStore(tmp_path).load() == (None, 0)
 
 
+def value_shape(value):
+    """What the shape records of one state value: an array's dtype, a
+    list's, tuple's or dict's own type and the sorted shapes of what it
+    holds (a dict's keys and values apart), else the value's type."""
+    if isinstance(value, np.ndarray):
+        return f"ndarray[{value.dtype.str}]"
+    if isinstance(value, dict):
+        return ("dict", held_shapes(value.keys()), held_shapes(value.values()))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, held_shapes(value))
+    return type(value).__qualname__
+
+
+def held_shapes(values) -> tuple:
+    return tuple(sorted({repr(value_shape(value)) for value in values}))
+
+
 def checkpoint_shape(state) -> str:
     """sha256 of the shape of what a checkpoint pickles: per ``repro``
     class reached, its sorted state keys and the dtype of each
-    array-valued one, as a recording pickler meets them."""
+    array-valued one, and for each list-, tuple- or dict-valued one what
+    it holds (:func:`value_shape`), as a recording pickler meets them."""
     shapes = set()
 
     class Recorder(pickle.Pickler):
@@ -256,13 +275,13 @@ def checkpoint_shape(state) -> str:
                 for part in parts if isinstance(parts, tuple) else (parts,):
                     if isinstance(part, dict):
                         attrs.update(part)
-                arrays = [
-                    (key, value.dtype.str)
+                held = [
+                    (key, repr(value_shape(value)))
                     for key, value in attrs.items()
-                    if isinstance(value, np.ndarray)
+                    if isinstance(value, (np.ndarray, list, tuple, dict))
                 ]
                 name = f"{cls.__module__}.{cls.__qualname__}"
-                shapes.add((name, tuple(sorted(attrs)), tuple(sorted(arrays))))
+                shapes.add((name, tuple(sorted(attrs)), tuple(sorted(held))))
             return NotImplemented
 
     Recorder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(state)
@@ -290,6 +309,36 @@ class TestCheckpointShape:
             f"(_MAGIC in repro/service/checkpoint.py, now {magic!r}) "
             f"and pin _SHAPE_DIGEST = {digest!r} beside it"
         )
+
+    def test_the_shape_sees_inside_containers(self, tmp_path):
+        # A held update is a ``(bytes, draws)`` pair; held as bare bytes,
+        # the resident graph's keys and dtypes would be the same, so only
+        # what the list holds can tell the two shapes apart.
+        svc = make_service(checkpoint_dir=tmp_path)
+        svc.prime()
+        svc.pipeline.apply_update(relearn_epochs=1, **UPDATE_A)
+        svc.pipeline.apply_update(**UPDATE_B)
+        svc.checkpoint()
+        state, _ = svc.checkpoints.load()
+        residents = []
+
+        class Finder(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is ResidentGraph:
+                    residents.append(obj)
+                return NotImplemented
+
+        Finder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(state)
+        holding = [resident for resident in residents if resident._held]
+        assert holding and all(
+            isinstance(entry, tuple) and isinstance(entry[0], bytes)
+            for resident in holding
+            for entry in resident._held
+        )
+        digest = checkpoint_shape(state)
+        for resident in holding:
+            resident._held = [blob for blob, _ in resident._held]
+        assert checkpoint_shape(state) != digest
 
 
 # --------------------------------------------------------------------- #
