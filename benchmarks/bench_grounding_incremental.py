@@ -57,7 +57,11 @@ must emit at most ``AGREEMENT_JOIN_ROWS`` binding rows (the static
 order emits six times that), and the rule's canonical batch must equal
 the static order's.  And a stream of one-document inserts must prune
 fused terms (``terms_pruned`` > 0: the document's fresh sentence ids key
-old-state probes), each of which, run anyway, returns no rows.
+old-state probes), each of which, run anyway, returns no rows.  Such a
+stream, run once under the shipped ``_SMALL_BATCH`` and once with it
+at 0 (every batch on the vector path), must end in the same factor
+table, weights, grounding tables and columnar counters, and neither run
+may probe a delta source (a leading source binds its own rows).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_grounding_incremental.py
 [--scale tiny|small|medium] [--check]`` from the repository root.
@@ -693,6 +697,55 @@ def check_pruned_terms(rows: dict, pool: int) -> int:
     return len(pruned)
 
 
+def stream_one_documents(rows: dict, pool: int, threshold: int) -> tuple:
+    """A stream of one-document inserts with the row-by-row threshold
+    set to ``threshold`` (0: every batch on the vector path).  Returns
+    the grounder, its columnar counters and how many times a binding
+    batch was probed (a leading delta source binds its rows without
+    one)."""
+    from repro.db import columnar
+    from repro.db.columnar import ColumnarBatch
+
+    program = build_program()
+    grounder = IncrementalGrounder.from_scratch(program, make_db(program, rows))
+    shipped, probe = columnar._SMALL_BATCH, ColumnarBatch.probe
+    probes = []
+
+    def counted(batch, positions, key_rows):
+        probes.append(len(key_rows))
+        return probe(batch, positions, key_rows)
+
+    columnar._SMALL_BATCH, ColumnarBatch.probe = threshold, counted
+    try:
+        for update in document_updates(pool, 40, 1, 6):
+            grounder.apply_update(**update)
+    finally:
+        columnar._SMALL_BATCH, ColumnarBatch.probe = shipped, probe
+    return grounder, dict(grounder.db.index_stats()["columnar"]), len(probes)
+
+
+def check_small_batch_paths(rows: dict, pool: int) -> dict:
+    """The row-by-row paths under the shipped ``_SMALL_BATCH`` do the
+    vector paths' work: a one-document stream run both ways ends in the
+    same factor table, weights, grounding tables and columnar counters
+    (``join_rows`` and ``terms_pruned`` included), and no delta source
+    is ever probed.  Returns the shipped run's counters."""
+    from repro.db import columnar
+    from tests.test_incremental_grounding import assert_equivalent
+
+    small, small_stats, small_probes = stream_one_documents(rows, pool, columnar._SMALL_BATCH)
+    vector, vector_stats, vector_probes = stream_one_documents(rows, pool, 0)
+    assert_equivalent(small.graph, vector.graph)
+    ours, theirs = small.graph.factor_table().columns(), vector.graph.factor_table().columns()
+    for name, column in ours.items():
+        assert np.array_equal(column, theirs[name]), name
+    assert list(small.graph.weights.items()) == list(vector.graph.weights.items())
+    assert table_rows(small) == table_rows(vector), "grounding tables differ"
+    assert small_stats == vector_stats, (small_stats, vector_stats)
+    assert small_probes == vector_probes == 0, (small_probes, vector_probes)
+    return small_stats
+
+
 def check() -> None:
     """CI smoke: incremental ≡ from-scratch reference after every update,
     with no compaction and a database copy that regrounds to the same
@@ -756,6 +809,10 @@ def check() -> None:
     # 5. One-document inserts: the terms that cannot match never run.
     pruned = check_pruned_terms(rows, pool)
 
+    # 6. ...and the row-by-row paths their small batches take do the
+    # vector paths' work, with no delta source probed.
+    small = check_small_batch_paths(rows, pool)
+
     print(
         "grounding smoke ok: columnar-incremental ≡ tuple-at-a-time "
         "from-scratch reference after every update (spouse, benchmark and "
@@ -764,7 +821,10 @@ def check() -> None:
         f"{col.num_vars} vars, {col.num_factors} factors; full ground ≡ "
         f"record fold, {work}; agreement rule ordered by fan-out: "
         f"{agreement} (≤ {AGREEMENT_JOIN_ROWS} join rows); four one-document "
-        f"inserts pruned {pruned} terms, each empty when run anyway"
+        f"inserts pruned {pruned} terms, each empty when run anyway; six "
+        "one-document inserts, row-by-row ≡ vector paths (graph, tables, "
+        f"counters {small['join_rows']} join rows / {small['terms_pruned']} "
+        "pruned), 0 delta sources probed"
     )
 
 

@@ -31,13 +31,14 @@ only join engine — share:
 
 All probe results flow as ``(probe_row, slot)`` index-pair arrays so a
 whole binding batch advances through a join step in a handful of numpy
-operations.
+operations.  Below :data:`_SMALL_BATCH` rows — a one-document update's
+batches — packing, grouping, index probes and relation writes walk the
+rows over Python scalars instead, to the same result.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -52,11 +53,25 @@ __all__ = [
     "group_rows",
     "pack_rows",
     "row_keys",
+    "small",
 ]
 
-#: Batches below this many rows pack and group in Python: numpy's fixed
-#: per-call costs dominate at that size.
-_SMALL_BATCH = 64
+#: Batches below this many rows take the row-by-row path — packing,
+#: grouping, index probes, relation writes, a view probe's filters and
+#: weight interning over Python scalars — where numpy's fixed per-call
+#: costs dominate.  Measured crossovers (best of 5, both paths on the
+#: same batch, a 2-CPU x86 box): an index probe 16–24 keys, a relation
+#: write and ``row_keys`` 8–12 rows, ``grouped`` 8–16; the row-by-row
+#: path runs 2–5× faster on the 1–3-row batches of a one-document
+#: insert.  A Python sort in ``canonicalize_batch`` lost to ``lexsort``
+#: from two rows on, and a row-by-row old-state view capture from three;
+#: both stay vector.
+_SMALL_BATCH = 16
+
+
+def small(n: int) -> bool:
+    """Whether ``n`` rows take the row-by-row path (:data:`_SMALL_BATCH`)."""
+    return n < _SMALL_BATCH
 
 
 class Interner:
@@ -168,12 +183,15 @@ def pack_row(row_codes) -> "int | bytes":
     return struct.pack(f"={k}i", *row_codes)
 
 
-def row_keys(matrix: np.ndarray) -> list:
-    """``pack_rows(matrix).tolist()``; a small matrix packs row by row in
+def row_keys(matrix: np.ndarray, positions: tuple | None = None) -> list:
+    """``pack_rows(matrix[:, positions]).tolist()`` (every column when
+    ``positions`` is ``None``); a small matrix packs row by row in
     Python, skipping numpy's fixed per-call costs."""
     if len(matrix) >= _SMALL_BATCH:
-        return pack_rows(matrix).tolist()
-    return [pack_row(row) for row in matrix.tolist()]
+        return pack_rows(matrix if positions is None else matrix[:, positions]).tolist()
+    if positions is None:
+        return [pack_row(row) for row in matrix.tolist()]
+    return [pack_row([row[p] for p in positions]) for row in matrix.tolist()]
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -218,7 +236,8 @@ class _TableIndex:
 
     The *base* is a contiguous group structure built in one vectorized
     pass (sorted distinct keys + CSR offsets into a slot permutation);
-    probes are pure ``searchsorted`` — no per-key Python.  Appends land
+    probes are one ``searchsorted`` — with no per-key Python from
+    :data:`_SMALL_BATCH` keys on.  Appends land
     in a small *overflow* dict of slot lists so deltas never rebuild the
     base; when the overflow outgrows a fraction of the base it is merged
     back in one vectorized rebuild (amortized O(1) per append).
@@ -274,7 +293,39 @@ class _TableIndex:
 
     def probe(self, probe_keys: np.ndarray) -> tuple:
         """``(probe_idx, slots)`` match pairs (alive filtering is the
-        caller's job)."""
+        caller's job): every base match in probe order, then every
+        overflow match.  Under :data:`_SMALL_BATCH` keys the keys are
+        walked one at a time (:meth:`probe_small`)."""
+        if len(probe_keys) < _SMALL_BATCH:
+            return self.probe_small(probe_keys)
+        return self.probe_vector(probe_keys)
+
+    def probe_small(self, probe_keys: np.ndarray) -> tuple:
+        """:meth:`probe`, key by key: one ``searchsorted`` for every key,
+        then Python scalars — the same pairs in the same order as
+        :meth:`probe_vector`."""
+        keys = probe_keys.tolist()
+        probe_idx: list = []
+        slots: list = []
+        g = len(self.base_uniq)
+        if g:
+            uniq, starts, base_slots = self.base_uniq, self.base_starts, self.base_slots
+            for i, p in enumerate(uniq.searchsorted(probe_keys).tolist()):
+                if p < g and uniq.item(p) == keys[i]:
+                    start, end = starts.item(p), starts.item(p + 1)
+                    probe_idx += [i] * (end - start)
+                    slots += base_slots[start:end].tolist()
+        extra = self.extra
+        if extra:
+            for i, key in enumerate(keys):
+                bucket = extra.get(key)
+                if bucket is not None:
+                    probe_idx += [i] * len(bucket)
+                    slots += bucket
+        return np.array(probe_idx, dtype=np.int64), np.array(slots, dtype=np.int64)
+
+    def probe_vector(self, probe_keys: np.ndarray) -> tuple:
+        """:meth:`probe` with a fixed number of numpy calls per batch."""
         m = len(probe_keys)
         g = len(self.base_uniq)
         if g:
@@ -314,17 +365,19 @@ class TableView:
     old visibility — no row copies.  A view describes the relation up to
     its next write; the store builds a new one after that.
 
-    Implements the plan-step table protocol (``probe`` / ``codes_at`` /
-    ``signs_of``), so a join step can consume it interchangeably with a
-    live :class:`~repro.db.relation.Relation`.
+    Implements the plan-step table protocol (``probe`` / ``codes_at``),
+    so a join step can consume it interchangeably with a live
+    :class:`~repro.db.relation.Relation`; like a relation, it counts each
+    visible tuple once.
     """
 
-    __slots__ = ("_table", "_fence", "_flipped")
+    __slots__ = ("_table", "_fence", "_flipped", "_flipped_set")
 
     def __init__(self, table, fence: int, flipped: np.ndarray) -> None:
         self._table = table
         self._fence = fence
         self._flipped = flipped
+        self._flipped_set = set(flipped.tolist())  # for small probes
 
     def _old_alive(self) -> np.ndarray:
         """Pre-update visibility of every slot below the fence."""
@@ -341,10 +394,6 @@ class TableView:
 
     def codes_at(self, slots: np.ndarray, position: int) -> np.ndarray:
         return self._table._codes[slots, position]
-
-    def signs_of(self, slots: np.ndarray) -> np.ndarray:
-        """Like relations, a view contributes each visible tuple once."""
-        return np.ones(len(slots), dtype=np.int64)
 
 
 class ColumnarBatch:
@@ -415,9 +464,6 @@ class ColumnarBatch:
 
     def codes_at(self, slots: np.ndarray, position: int) -> np.ndarray:
         return self.codes[slots, position]
-
-    def signs_of(self, slots: np.ndarray) -> np.ndarray:
-        return self.signs[slots]
 
     def probe(self, positions: tuple, key_rows: np.ndarray):
         """Sort-based ephemeral index probe (same contract as tables)."""
@@ -531,12 +577,14 @@ class ColumnarStore:
         begins."""
         self._views = self.floor = None
 
-    def log_write(self, relation, column: str, slots: np.ndarray) -> None:
+    def log_write(self, relation, column: str, slots: np.ndarray, old=None) -> None:
         """Before ``relation`` writes ``column`` at ``slots``, log what
-        inverts the write while an update can be undone: the old values,
-        and the slot count past which (append-only) its new slots lie."""
+        inverts the write while an update can be undone: the old values
+        (``old``, when the caller has gathered them), and the slot count
+        past which (append-only) its new slots lie."""
         if self._log is not None:
-            old = getattr(relation, column)[slots]
+            if old is None:
+                old = getattr(relation, column)[slots]
             write = (relation._n_slots, relation._n_alive, column, slots, old)
             self._log.setdefault(relation, []).append(write)
             if self._views:
@@ -595,8 +643,11 @@ class ColumnarStore:
         else:
             self._to_compact[relation.name] = relation
 
-    def _cached_plans(self, kind: str, atoms, compile_atoms) -> tuple:
-        """``(compiled, compiled_now)`` from the two-level plan cache.
+    def _cached_plans(self, kind: str, atoms) -> tuple:
+        """``(compiled, compiled_now)`` from the two-level plan cache:
+        ``kind`` ``"full"`` is a :class:`~repro.db.plan.JoinPlan` of the
+        whole body, ``"delta"`` its fused delta plans, each ordered by
+        the fan-out estimated when it compiles.
 
         The hot path keys on the *identity* of the atoms sequence (rule
         bodies are stable tuples), skipping re-hashing of nested atom
@@ -616,7 +667,10 @@ class ColumnarStore:
         found = self._struct_plans.get(struct_key)
         compiled_now = found is None
         if compiled_now:
-            found = compile_atoms(atoms)
+            from repro.db.plan import JoinPlan, compile_delta_plans
+
+            compile_atoms = JoinPlan.compile if kind == "full" else compile_delta_plans
+            found = compile_atoms(atoms, fan_out=self.fan_out)
             if len(self._struct_plans) >= self._PLAN_ID_CACHE_LIMIT:
                 self._struct_plans.clear()
             self._struct_plans[struct_key] = found
@@ -629,12 +683,8 @@ class ColumnarStore:
 
     def plan(self, atoms):
         """Cached compiled :class:`~repro.db.plan.JoinPlan` of a full
-        body join (every atom probes its live relation), its atoms
-        ordered by the fan-out estimated when it compiles."""
-        from repro.db.plan import JoinPlan
-
-        compile_atoms = partial(JoinPlan.compile, fan_out=self.fan_out)
-        return self._cached_plans("full", atoms, compile_atoms)[0]
+        body join (every atom probes its live relation)."""
+        return self._cached_plans("full", atoms)[0]
 
     def delta_plans(self, atoms) -> tuple:
         """Cached fused k-term delta plans for a rule body (one plan per
@@ -642,9 +692,6 @@ class ColumnarStore:
         The ``delta_plan_hits`` / ``delta_plan_misses`` counters make
         compile-per-update regressions visible in tests.
         """
-        from repro.db.plan import compile_delta_plans
-
-        compile_atoms = partial(compile_delta_plans, fan_out=self.fan_out)
-        plans, compiled_now = self._cached_plans("delta", atoms, compile_atoms)
+        plans, compiled_now = self._cached_plans("delta", atoms)
         self.stats["delta_plan_misses" if compiled_now else "delta_plan_hits"] += 1
         return plans

@@ -5,15 +5,30 @@ A conjunctive query compiles once into a :class:`JoinPlan`: an atom order
 store estimates, when the plan compiles, to match the fewest rows per
 probe) plus one :class:`_Step` per atom describing which positions are
 constants, which join against already-bound variables, which introduce
-new variables, and which must satisfy within-atom equality.  Execution advances a whole *binding
-batch* — one int32 code column per bound variable plus a signed count
-column — through each step with a handful of numpy operations: an index
-probe produces ``(binding row, table slot)`` match pairs, existing
-columns gather through the binding side, new columns gather through the
-table side, and signs multiply (the delta-join algebra's signed counts).
-The order decides only how many rows the intermediate batches carry
-(the ``join_rows`` counter): every batch is canonicalized
+new variables, and which must satisfy within-atom equality.  Execution
+advances a whole *binding batch* — one int32 code column per bound
+variable plus a signed count column — through each step with a handful
+of numpy operations: an index probe produces ``(binding row, table
+slot)`` match pairs, existing columns gather through the binding side,
+new columns gather through the table side, and a signed table's signs
+multiply in (the delta-join algebra's signed counts; relations and
+old-state views count each visible row once, so their steps only
+gather).  The order decides only how many rows the intermediate batches
+carry (the ``join_rows`` counter): every batch is canonicalized
 (:func:`canonicalize_batch`) before anything folds it.
+
+A delta source leads its plan, and its step is not a probe: it binds the
+source batch's own columns (:func:`_bind_source` — rows whose constant
+positions hold the step's constants and whose repeated variables agree,
+in row order, exactly the pairs a probe of the batch from one empty
+binding returns).  A one-document insert's batches are 1–3 rows, so
+every later step probes with a few keys, and a probe under
+:data:`~repro.db.columnar._SMALL_BATCH` keys walks them one at a time
+(:meth:`~repro.db.columnar._TableIndex.probe_small`, the vector probe's
+pairs in its order: base matches, then overflow), as does an old-state
+view's fence and flip filter; from the threshold on, the same steps run
+vectorized (``tests/test_columnar.py::TestSmallBatchPaths`` holds the
+two to one result at sizes around it).
 
 This is the only way the package evaluates a query.  The tuple-at-a-time
 evaluator in ``tests/reference/query.py`` defines the semantics the plans
@@ -51,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.columnar import ColumnarStore
+from repro.db.columnar import ColumnarBatch, ColumnarStore
 from repro.db.query import Var, static_join_order
 
 __all__ = [
@@ -60,6 +75,11 @@ __all__ = [
     "canonicalize_batch",
     "compile_delta_plans",
 ]
+
+#: The columns of every empty batch (nothing can be written into them).
+_NO_CODES = np.empty(0, dtype=np.int32)
+_NO_SIGNS = np.empty(0, dtype=np.int64)
+_NO_CODES.flags.writeable = _NO_SIGNS.flags.writeable = False
 
 
 @dataclass
@@ -193,10 +213,7 @@ class JoinPlan:
     # ------------------------------------------------------------------ #
 
     def _empty(self) -> BindingBatch:
-        return BindingBatch(
-            cols={name: np.empty(0, dtype=np.int32) for name in self.out_vars},
-            signs=np.empty(0, dtype=np.int64),
-        )
+        return BindingBatch(cols=dict.fromkeys(self.out_vars, _NO_CODES), signs=_NO_SIGNS)
 
     def resolve_tables(self, store: ColumnarStore, db, sources=None) -> list:
         """Every step's table, in step order: its source batch, its
@@ -240,37 +257,59 @@ class JoinPlan:
             return self._empty()
         tables = self.resolve_tables(store, db, sources=sources)
         cols: dict = {}
-        signs = np.ones(1, dtype=np.int64)
-        for si, step in enumerate(self.steps):
-            table = tables[si]
-            m = len(signs)
-            key_width = len(step.key_positions)
-            key_rows = np.empty((m, key_width), dtype=np.int32)
-            missing_const = False
-            for ci, value in enumerate(step.const_values):
-                code = interner.probe(value)
-                if code < 0:
-                    missing_const = True
-                    break
-                key_rows[:, ci] = code
-            if missing_const:
+        signs = None
+        for step, table in zip(self.steps, tables):
+            consts = [interner.probe(value) for value in step.const_values]
+            if min(consts, default=0) < 0:
                 return self._empty()
-            for bi, name in enumerate(step.bound_names):
-                key_rows[:, step.const_count + bi] = cols[name]
-            probe_idx, slots = table.probe(step.key_positions, key_rows)
-            for pos_a, pos_b in step.eq_filters:
-                keep = table.codes_at(slots, pos_a) == table.codes_at(
-                    slots, pos_b
-                )
-                probe_idx, slots = probe_idx[keep], slots[keep]
-            cols = {name: col[probe_idx] for name, col in cols.items()}
-            for name, pos in step.new_vars:
-                cols[name] = table.codes_at(slots, pos)
-            signs = signs[probe_idx] * table.signs_of(slots)
+            if signs is None and step.is_source:
+                cols, signs = _bind_source(step, table, consts)
+            else:
+                m = 1 if signs is None else len(signs)
+                if not consts and len(step.bound_names) == 1:
+                    key_rows = cols[step.bound_names[0]].reshape(m, 1)
+                else:
+                    key_rows = np.empty((m, len(step.key_positions)), dtype=np.int32)
+                    key_rows[:, : step.const_count] = consts
+                    for bi, name in enumerate(step.bound_names):
+                        key_rows[:, step.const_count + bi] = cols[name]
+                probe_idx, slots = table.probe(step.key_positions, key_rows)
+                for pos_a, pos_b in step.eq_filters:
+                    keep = table.codes_at(slots, pos_a) == table.codes_at(slots, pos_b)
+                    probe_idx, slots = probe_idx[keep], slots[keep]
+                cols = {name: col[probe_idx] for name, col in cols.items()}
+                for name, pos in step.new_vars:
+                    cols[name] = table.codes_at(slots, pos)
+                if signs is None:
+                    signs = np.ones(len(slots), dtype=np.int64)
+                else:
+                    signs = signs[probe_idx]
+                if isinstance(table, ColumnarBatch):
+                    signs = signs * table.signs[slots]
             stats["join_rows"] += len(signs)
             if not len(signs):
                 return self._empty()
+        if signs is None:  # no atom: the one empty binding
+            signs = np.ones(1, dtype=np.int64)
         return BindingBatch(cols=cols, signs=signs)
+
+
+def _bind_source(step: _Step, batch: ColumnarBatch, consts: list) -> tuple:
+    """``(cols, signs)`` of a leading source step: the batch's own rows
+    whose constant positions hold ``consts`` and whose repeated
+    variables agree, in row order — what probing the batch on its
+    constants from one empty binding returns, without the probe."""
+    codes = batch.codes
+    rows = None  # every row
+    if consts:
+        at = codes[:, step.key_positions[: step.const_count]] == consts
+        rows = np.flatnonzero(at.all(axis=1))
+    for pos_a, pos_b in step.eq_filters:
+        keep = codes[:, pos_a] == codes[:, pos_b]
+        rows = np.flatnonzero(keep) if rows is None else rows[keep[rows]]
+    if rows is None:
+        return {name: codes[:, pos] for name, pos in step.new_vars}, batch.signs
+    return {name: codes[rows, pos] for name, pos in step.new_vars}, batch.signs[rows]
 
 
 def _fresh_guards(atoms, steps) -> tuple:

@@ -48,6 +48,7 @@ from repro.db.columnar import (
     pack_row,
     pack_rows,
     row_keys,
+    small,
 )
 
 
@@ -199,31 +200,42 @@ class Relation:
     def _apply(self, codes: np.ndarray, changes: np.ndarray) -> ColumnarBatch:
         keys, slots = self._slots(codes)
         old = self._count[slots]
-        new = old + changes
-        if (new < 0).any():
+        if small(len(slots)):  # the same steps over Python scalars
+            was = old.tolist()
+            new = [count + change for count, change in zip(was, changes.tolist())]
+            lowest = min(new, default=0)
+            flips = [i for i, (a, b) in enumerate(zip(was, new)) if (a > 0) != (b > 0)]
+            signs = [1 if new[i] > 0 else -1 for i in flips]
+            appeared = signs.count(1)
+            fresh = [i for i, slot in enumerate(slots.tolist()) if slot < 0]
+        else:
+            new = old + changes
+            lowest = new.min(initial=0)
+            now = new > 0
+            flips = np.flatnonzero((old > 0) != now)
+            signs = np.where(now[flips], 1, -1)
+            appeared = int(now[flips].sum())
+            fresh = np.flatnonzero(slots < 0)
+        if lowest < 0:
             i = int(np.argmin(new))
             (row,) = self.interner.decode_rows(codes[i : i + 1])
             raise KeyError(
                 f"{self.name}: cannot delete {-int(changes[i])} derivations "
                 f"of {row!r} (has {int(old[i])})"
             )
-        self._store.log_write(self, "_count", slots)
-        now = new > 0
-        flips = np.flatnonzero((old > 0) != now)
+        self._store.log_write(self, "_count", slots, old)
         if not len(flips):
             self._count[slots] = new
             return ColumnarBatch(codes[:0], changes[:0])
         # A row never stored has a non-zero change, so it appears.
-        fresh = np.flatnonzero(slots < 0)
         if len(fresh) == len(slots):
             slots = self._append(codes, keys)
         elif len(fresh):
-            slots[fresh] = self._append(codes[fresh], [keys[i] for i in fresh.tolist()])
+            slots[fresh] = self._append(codes[fresh], [keys[i] for i in fresh])
         self._count[slots] = new
-        appeared = now[flips]
-        self._n_alive += 2 * int(appeared.sum()) - len(flips)
+        self._n_alive += 2 * appeared - len(flips)
         self._visible = {}
-        transitions = ColumnarBatch(codes[flips], np.where(appeared, 1, -1))
+        transitions = ColumnarBatch(codes[flips], signs)
         dead = self._n_slots - self._n_alive
         if (
             self._n_slots >= self._COMPACT_MIN_SLOTS
@@ -245,7 +257,7 @@ class Relation:
         slots = range(start, end)
         self._slot_of.update(zip(keys, slots))
         for positions, index in self._index_on.items():
-            index.extend(row_keys(codes[:, positions]), slots)
+            index.extend(row_keys(codes, positions), slots)
         return np.arange(start, end, dtype=np.int64)
 
     def _undo(self, n_slots: int, n_alive: int, column: str, slots, old) -> None:
@@ -380,10 +392,6 @@ class Relation:
     def codes_at(self, slots: np.ndarray, position: int) -> np.ndarray:
         return self._codes[slots, position]
 
-    def signs_of(self, slots: np.ndarray) -> np.ndarray:
-        """Relations contribute each visible tuple once, positively."""
-        return np.ones(len(slots), dtype=np.int64)
-
     def _index_keys(self, positions: tuple) -> np.ndarray:
         return pack_rows(self._codes[: self._n_slots][:, positions])
 
@@ -425,6 +433,16 @@ class Relation:
             self._store.stats["probes"] += 1
             return cross_pairs(len(key_rows), np.flatnonzero(view._old_alive()))
         probe_idx, slots = self._matches(positions, key_rows)
+        if small(len(slots)):  # the same filter over Python scalars
+            fence, flipped = view._fence, view._flipped_set
+            keep = [
+                i
+                for i, (slot, count) in enumerate(zip(slots.tolist(), self._count[slots].tolist()))
+                if slot < fence and (count > 0) != (slot in flipped)
+            ]
+            if len(keep) == len(slots):
+                return probe_idx, slots
+            return probe_idx[keep], slots[keep]
         keep = slots < view._fence
         if not keep.all():
             probe_idx, slots = probe_idx[keep], slots[keep]

@@ -34,7 +34,13 @@ import numpy as np
 
 from repro.datalog.ast import EVIDENCE_SUFFIX, InferenceRule
 from repro.datalog.program import Program
-from repro.db.columnar import ColumnarBatch, appearance_order, pack_rows
+from repro.db.columnar import (
+    ColumnarBatch,
+    appearance_order,
+    pack_rows,
+    row_keys,
+    small,
+)
 from repro.db.database import Database
 from repro.db.plan import BindingBatch
 from repro.db.query import Var
@@ -146,9 +152,8 @@ def _vids(rule, pred: str, matrix, db: Database, is_head: bool) -> np.ndarray:
     for a body literal atom.
     """
     vids = db.relation(pred).vids_of(matrix)
-    missing = np.flatnonzero(vids < 0)
-    if len(missing):
-        row = tuple(db.interner.decode(matrix[missing[0]]))
+    if vids.min(initial=0) < 0:
+        row = tuple(db.interner.decode(matrix[np.argmax(vids < 0)]))
         if not is_head:
             raise KeyError((pred, row))
         raise KeyError(
@@ -172,6 +177,14 @@ def _weight_ids(rule, tied, interner, weights, appearance: bool) -> np.ndarray:
     if not rule.weight.tied_on:
         wid = weights.intern((rule.name, ()), initial=initial, fixed=fixed)
         return np.full(len(tied), wid, dtype=np.int64)
+    if appearance and small(len(tied)):  # the same order, row by row
+        keys = row_keys(tied)
+        wid_of: dict = {}
+        for key, row in zip(keys, tied.tolist()):
+            if key not in wid_of:
+                key_values = (rule.name, tuple(interner.decode(row)))
+                wid_of[key] = weights.intern(key_values, initial=initial, fixed=fixed)
+        return np.array([wid_of[key] for key in keys], dtype=np.int64)
     _, first, inverse = np.unique(
         pack_rows(tied), return_index=True, return_inverse=True
     )

@@ -479,8 +479,11 @@ class IncrementalGrounder:
         row of its factor table is a factor id."""
         table = self.graph.factor_table()
         named = (table.rule_head << 31) | table.rule_wid
-        wanted = (pairs[:, 0].astype(np.int64) << 31) | pairs[:, 1]
-        return set(np.flatnonzero(np.isin(named, wanted)).tolist())
+        wanted = np.sort((pairs[:, 0].astype(np.int64) << 31) | pairs[:, 1])
+        if not len(wanted):
+            return set()
+        at = np.minimum(np.searchsorted(wanted, named), len(wanted) - 1)
+        return set(np.flatnonzero(wanted[at] == named).tolist())
 
     def _check_heads(self, removed_vars: set, removed_ids: set, rebuilt: dict) -> None:
         """Raise the full ground's "not a grounded variable" ``KeyError``

@@ -9,12 +9,17 @@ regressions (counted grounding tables, static join order, index
 survival) live here too.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog import Atom, DerivationRule, InferenceRule, Program, Var, WeightSpec
 from repro.db import Database
-from repro.db.columnar import ColumnarBatch, ColumnarStore
+from repro.db import columnar
+from repro.db.columnar import ColumnarBatch, ColumnarStore, _TableIndex, pack_rows, row_keys
 from repro.db.plan import BindingBatch, JoinPlan, canonicalize_batch, compile_delta_plans
 from repro.db.query import static_join_order
 from repro.graph.factor_graph import FactorGraph
@@ -67,6 +72,37 @@ def random_query(rng, arities, max_atoms=3, num_vars=4, domain=8):
     return atoms
 
 
+def threshold_size(size) -> int:
+    """A batch size given as an int or relative to the shipped
+    ``_SMALL_BATCH`` (``"T"``, ``"T-1"``, ``"T+1"``, ``"3T"``)."""
+    if isinstance(size, int):
+        return size
+    t = columnar._SMALL_BATCH
+    return {"T-1": t - 1, "T": t, "T+1": t + 1, "3T": 3 * t}[size]
+
+
+@contextlib.contextmanager
+def small_batch(threshold: int):
+    """Run with ``_SMALL_BATCH`` at ``threshold`` (0: every batch on the
+    vector path; a huge one: every batch row by row)."""
+    shipped = columnar._SMALL_BATCH
+    columnar._SMALL_BATCH = threshold
+    try:
+        yield
+    finally:
+        columnar._SMALL_BATCH = shipped
+
+
+ROW_BY_ROW, VECTOR = 10**9, 0
+
+
+def source_batch(db, rows, arity) -> ColumnarBatch:
+    """Signed ``(row, sign)`` pairs as a code batch (empty ones too)."""
+    if not rows:
+        return ColumnarBatch(np.empty((0, arity), dtype=np.int32), np.empty(0, dtype=np.int64))
+    return ColumnarBatch.from_signed_rows(db.columnar.interner, rows)
+
+
 def signed_multiset(pairs):
     counts = {}
     for binding, sign in pairs:
@@ -117,6 +153,32 @@ class TestPlanVsReferenceBindings:
             col = columnar_binding_counts(
                 db, atoms, head_vars, sources=sources
             )
+            assert expected == col, f"trial {trial}: {expected} != {col}"
+
+    @pytest.mark.parametrize("size", [0, 1, 2, "T-1", "T", "T+1", "3T"])
+    def test_leading_source_of_any_size_matches(self, size):
+        """A leading delta source binds its own rows (constants and
+        repeated variables filtered in place, no probe): held to the
+        reference on 0-, 1- and many-row sources, with later sources and
+        relation steps probing as usual."""
+        size = threshold_size(size)
+        rng = np.random.default_rng(size + 5)
+        for trial in range(40):
+            db, arities = random_database(rng, domain=4)
+            atoms = random_query(rng, arities, max_atoms=3, num_vars=3, domain=4)
+            head_vars = sorted({v for atom in atoms for v in atom.variables()})
+            sources = {}
+            for i, atom in enumerate(atoms):
+                if i == 0 or rng.random() < 0.3:
+                    n = size if i == 0 else int(rng.integers(0, 4))
+                    sources[i] = [
+                        (tuple(int(v) for v in rng.integers(4, size=arities[atom.pred])),
+                         1 if rng.random() < 0.6 else -1)
+                        for _ in range(n)
+                    ]
+            expected = binding_counts(db, atoms, head_vars, sources=sources)
+            batches = {i: source_batch(db, rows, arities[atoms[i].pred]) for i, rows in sources.items()}
+            col = columnar_binding_counts(db, atoms, head_vars, sources=batches)
             assert expected == col, f"trial {trial}: {expected} != {col}"
 
     def test_prebuilt_columnar_batch_source(self):
@@ -742,3 +804,110 @@ class TestColumnarMaintenance:
         assert columnar_binding_counts(db, atoms, ("x",)) == {(2,): 1}
         db.relation("R").insert((1,))
         assert columnar_binding_counts(db, atoms, ("x",)) == {(1,): 1, (2,): 1}
+
+
+# ---------------------------------------------------------------------- #
+# Small batches: the row-by-row paths do the vector paths' work
+# ---------------------------------------------------------------------- #
+
+SIZES = st.sampled_from([0, 1, "T-1", "T", "T+1"]).map(threshold_size)
+
+
+def key_matrix(ids, width: int) -> np.ndarray:
+    """Distinct key ids as distinct ``width``-column code rows (three
+    columns pack into void keys)."""
+    ids = np.asarray(ids, dtype=np.int32).reshape(-1)
+    return np.stack([ids, ids % 3, ids // 2][:width], axis=1)
+
+
+class TestSmallBatchPaths:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=SIZES,
+        width=st.sampled_from([1, 2, 3]),
+        with_base=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_index_probe_small_is_vector(self, seed, size, width, with_base):
+        """Keys 0–9 live in the base only, 10–19 in the overflow only,
+        20–29 in both, 30–39 nowhere; a probe repeats keys."""
+        rng = np.random.default_rng(seed)
+        base_ids = rng.choice(np.r_[0:10, 20:30], size=40) if with_base else np.empty(0)
+        index = _TableIndex(pack_rows(key_matrix(base_ids, width)))
+        over_ids = rng.choice(np.r_[10:30], size=12)
+        slots = range(len(base_ids), len(base_ids) + len(over_ids))
+        index.extend(row_keys(key_matrix(over_ids, width)), slots)
+        probe_keys = pack_rows(key_matrix(rng.integers(0, 40, size=size), width))
+        small, vector = index.probe_small(probe_keys), index.probe_vector(probe_keys)
+        for a, b in zip(small, vector):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
+        for threshold in (ROW_BY_ROW, VECTOR):
+            with small_batch(threshold):
+                assert all(map(np.array_equal, index.probe(probe_keys), vector))
+
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(SIZES, min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_relation_writes_small_is_vector(self, seed, sizes):
+        """One signed history — fresh rows, count-only changes,
+        retractions to zero, tombstones that reappear, compactions —
+        applied row by row and on the vector path: the same transitions,
+        slots, counts, log, view probes and counters after every step."""
+        rng = np.random.default_rng(seed)
+        twins = {}
+        for threshold in (ROW_BY_ROW, VECTOR):
+            relation = Relation("r", ("a", "b"))
+            relation._COMPACT_MIN_SLOTS = 8  # compactions inside the history
+            relation.probe((0,), np.zeros((1, 1), dtype=np.int32))  # an index to extend
+            twins[threshold] = relation
+        model: dict = {}
+        for size in sizes:
+            changes: dict = {}
+            for _ in range(size):
+                row = (int(rng.integers(12)), int(rng.integers(3)))
+                have = model.get(row, 0) + changes.get(row, 0)
+                change = int(rng.integers(-have, 3)) if have else int(rng.integers(1, 3))
+                changes[row] = changes.get(row, 0) + change
+            changes = {row: c for row, c in changes.items() if c}
+            for row, c in changes.items():
+                model[row] = model.get(row, 0) + c
+            seen = {}
+            for threshold, relation in twins.items():
+                with small_batch(threshold):
+                    store = relation._store
+                    store.begin_update()
+                    batch = relation.encode(list(changes), np.array(list(changes.values()), dtype=np.int64))
+                    flipped = relation.apply_delta(batch)
+                    view = store.old_view("r")
+                    keys = np.arange(len(relation.interner), dtype=np.int32).reshape(-1, 1)
+                    probes = [relation.probe((0,), keys)]
+                    if view is not None:
+                        probes.append(view.probe((0,), keys))
+                    store.end_update()
+                seen[threshold] = (flipped, relation, probes, store)
+            (fa, ra, pa, sa), (fb, rb, pb, sb) = seen[ROW_BY_ROW], seen[VECTOR]
+            assert np.array_equal(fa.codes, fb.codes) and np.array_equal(fa.signs, fb.signs)
+            assert fa.signs.dtype == fb.signs.dtype == np.int64
+            n = ra._n_slots
+            assert (n, ra._n_alive) == (rb._n_slots, rb._n_alive)
+            assert np.array_equal(ra._codes[:n], rb._codes[:n])
+            assert np.array_equal(ra._count[: n + 1], rb._count[: n + 1])
+            assert ra._slot_of == rb._slot_of
+            assert ra.counts() == rb.counts() == {r: c for r, c in model.items() if c}
+            assert len(pa) == len(pb)
+            for (ia, sa_), (ib, sb_) in zip(pa, pb):
+                assert np.array_equal(ia, ib) and np.array_equal(sa_, sb_)
+            assert sa.stats == sb.stats
+            log_a, log_b = sa._log[ra], sb._log[rb]
+            assert len(log_a) == len(log_b)
+            for wa, wb in zip(log_a, log_b):
+                assert wa[:3] == wb[:3]
+                assert np.array_equal(wa[3], wb[3]) and np.array_equal(wa[4], wb[4])
+
+    @pytest.mark.parametrize("threshold", [ROW_BY_ROW, VECTOR])
+    def test_over_retraction_fails_alike(self, threshold):
+        relation = Relation("r", ("a",))
+        relation.apply_delta({(1,): 2})
+        with small_batch(threshold), pytest.raises(KeyError, match=r"cannot delete 3 derivations of \(1,\) \(has 2\)"):
+            relation.apply_delta(relation.encode([(2,), (1,)], np.array([1, -3])))
+        assert relation.counts() == {(1,): 2}
