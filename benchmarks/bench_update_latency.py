@@ -43,7 +43,10 @@ every update bit for bit; then count the
 substrate's work per delta (array appends independent of |Δ|, no factor
 record decoded or built by patch, build or compaction, a threshold delta
 = one build and no splice, no scan plan built and no block gathered by a
-patch, one plan built at a chain's first sweep after three patches).
+patch, one plan built at a chain's first sweep after three patches; the
+recolouring reads the delta — no neighbour walk for a one-document
+append, one batched walk for a rule add that makes three old variables
+clash — and a plan build calls no ``np.isin``).
 
 Run: ``PYTHONPATH=src python benchmarks/bench_update_latency.py
 [--scale tiny|small|medium] [--check]``
@@ -433,8 +436,18 @@ def check_work_counts() -> None:
     patch, pre-decided build and ``compact()`` never materialize a factor
     list; a delta over the threshold runs the array build once and the
     splice never; a patch builds no scan plan and gathers no block, and a
-    chain's first sweep after three patches builds one plan."""
+    chain's first sweep after three patches builds one plan.  The
+    recolouring reads the delta: a one-document append walks no
+    neighbour list, a rule add whose new pairs make several old
+    variables clash walks them in one batch; and a plan build calls no
+    ``np.isin``."""
+    import sys
     from collections import Counter
+
+    sys.path.insert(0, ".")
+    from tests.test_grounding import spouse_db, spouse_program
+
+    from repro.grounding import IncrementalGrounder
 
     import repro.graph.compiled as compiled_module
     from repro.graph.compiled import (
@@ -481,6 +494,8 @@ def check_work_counts() -> None:
         counting(record, "__init__")
     counting(SweepPlan, "__init__", "plans")
     counting(compiled_module, "_gather_blocks")
+    counting(CompiledFactorGraph, "_neighbours")
+    counting(np, "isin")
     try:
         appends = {}
         for num_factors in (8, 200):
@@ -520,6 +535,45 @@ def check_work_counts() -> None:
         counts.clear()
         chain.sweep()
         assert counts["plans"] == 1, f"first sweep after 3 patches: {counts['plans']} plans"
+        assert not counts["isin"], f"a plan build called np.isin {counts['isin']} times"
+
+        # Recolouring from the delta.  A one-document append: its new
+        # variables' neighbours are its own rows, and it adds no pair
+        # between two old variables.
+        program = spouse_program()
+        grounder = IncrementalGrounder.from_scratch(program, spouse_db(program))
+        compiled = CompiledFactorGraph(grounder.graph.copy())
+        compiled.plan()
+        document = {
+            "PersonCandidate": [("s3", "m5"), ("s3", "m6")],
+            "PhraseFeature": [("m5", "m6", "and his wife")],
+        }
+        delta = grounder.apply_update(inserts=document).delta
+        counts.clear()
+        patch = compiled.apply_delta(delta, compact_threshold=1.0)
+        assert patch.num_new_vars and not patch.compacted
+        assert not counts["_neighbours"], (
+            f"a one-document append walked neighbours {counts['_neighbours']} times"
+        )
+        # A rule over three old variables of one colour: three clash, one
+        # walk reads all their neighbours.
+        compiled = CompiledFactorGraph(build_graph(400))
+        colour = compiled._color
+        head, *body = np.flatnonzero(colour == colour[0])[:3].tolist()
+        delta = FactorGraphDelta()
+        delta.new_weight_entries.append((("clash",), 0.4, False))
+        delta.new_factors.add_rule(
+            len(compiled.weights), head, [[(v, True) for v in body]], "linear"
+        )
+        counts.clear()
+        compiled.apply_delta(delta, compact_threshold=1.0)
+        assert counts["_neighbours"] == 1, (
+            f"3 clashing variables walked neighbours {counts['_neighbours']} times"
+        )
+        assert len({int(colour[v]) for v in (head, *body)}) == 3
+        counts.clear()
+        compiled.plan()
+        assert not counts["isin"], f"a plan build called np.isin {counts['isin']} times"
     finally:
         for (cls, name), original in originals.items():
             setattr(cls, name, original)
@@ -527,7 +581,9 @@ def check_work_counts() -> None:
         f"work-count smoke ok: {appends[8]} / {appends[200]} array appends for an "
         "8- / 200-factor delta, threshold delta = 1 build + 0 splices, "
         "0 factor records decoded or built, 0 plans built and 0 gathers per "
-        "patch, 1 plan at a chain's first sweep after 3 patches"
+        "patch, 1 plan at a chain's first sweep after 3 patches, 0 neighbour "
+        "walks for a one-document append, 1 for a rule add making 3 old "
+        "variables clash, 0 np.isin calls per plan build"
     )
 
 

@@ -29,7 +29,6 @@ update.
 
 from __future__ import annotations
 
-import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,7 +61,8 @@ class ResidentGraph:
     holds, ``graph`` is the current graph lowered: the frozen source (or
     the substrate's view) until the first held delta, then a private copy
     each delta advances in place (``FactorGraphDelta.apply_in_place``).
-    The deltas are held pickled, each beside the initial values the
+    The deltas are held as they arrived (a delta is a value: nothing
+    writes one after it is applied), each beside the initial values the
     learner's chains drew for its new variables when it arrived — they
     share the owner's generator, so they draw in stream order, not at
     replay.  :meth:`compile` compiles the source if there is no substrate
@@ -86,8 +86,8 @@ class ResidentGraph:
         self.learner: SGDLearner | None = None
         #: until the first compile, the frozen source
         self._source: FactorGraph | None = graph
-        #: the deltas since the source or the substrate, pickled, each
-        #: with the learner's draws for its new variables (or ``None``)
+        #: the deltas since the source or the substrate, each with the
+        #: learner's draws for its new variables (or ``None``)
         self._held: list = []
 
     @property
@@ -116,8 +116,8 @@ class ResidentGraph:
             self.compiled = CompiledFactorGraph(self._source.copy())
             self._source = None
         held, self._held = self._held, []
-        for blob, drawn in held:
-            self._patch(pickle.loads(blob), COMPACT_THRESHOLD, drawn)
+        for delta, drawn in held:
+            self._patch(delta, COMPACT_THRESHOLD, drawn)
         self.graph = self.compiled.graph
         return self.compiled
 
@@ -170,7 +170,7 @@ class ResidentGraph:
                 np.column_stack((table.bias_var, table.bias_wid)),
                 graph.weights,
             )
-        self._held.append((pickle.dumps(delta, pickle.HIGHEST_PROTOCOL), drawn))
+        self._held.append((delta, drawn))
 
     def marginals(self, num_samples: int, burn_in: int) -> np.ndarray:
         """Monte-Carlo marginals from the persistent chain, started here

@@ -407,6 +407,7 @@ class VariationalMaterialization:
         weights = self.resident.compiled.weights
         old_weights = base.weights
         num_old = len(old_weights)
+        old_values, old_fixed = old_weights.values_array(), old_weights.fixed_mask()
         changed = delta.changed_weight_values
 
         # New factors: one intern per distinct weight id, in the order
@@ -417,8 +418,7 @@ class VariationalMaterialization:
         for wid in dict.fromkeys(wids):
             if wid < num_old:
                 key = old_weights.key_for(wid)
-                value = old_weights.value(wid)
-                fixed = old_weights.is_fixed(wid)
+                value, fixed = old_values[wid], old_fixed[wid]
             else:
                 key, value, fixed = delta.new_weight_entries[wid - num_old]
             interned[wid] = weights.intern(

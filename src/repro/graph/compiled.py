@@ -99,13 +99,16 @@ is offsetting its ids and appending its columns.  The patch protocol:
   build;
 * every variable that gains or loses an incidence is flagged in
   ``var_patched`` until the next build; nothing per-variable is stored
-  beside the arrays, so nothing per-variable goes stale;
-* touched variables that now share a colour with a neighbour — and
-  appended variables — take the smallest colour their neighbours leave
-  free; nothing else is recoloured.  A variable's neighbours are read
-  off its live rows: the other ends of its Ising rows and the members
-  of the rules of at most ``_BIG_FACTOR`` variables it heads or appears
-  in.
+  beside the arrays, so nothing per-variable goes stale; the patched
+  and live counts the density reads are kept as the patches land;
+* the colouring is repaired from the delta's own rows (``_recolor``):
+  only a pair the new factors make can clash, so the old variables of a
+  new same-colour pair — one batched walk reads their neighbours off
+  their live rows — and the appended variables, whose neighbours are
+  exactly their new pairs, take the smallest colour their neighbours
+  leave free; nothing else is recoloured.  A variable's neighbours are
+  the other ends of its Ising rows and the members of the rules of at
+  most ``_BIG_FACTOR`` variables it heads or appears in.
 
 A chain's cache is spliced, its scan plan built again:
 :meth:`GibbsCache.apply_patch` splices the ``field``/``unsat``/``nsat``
@@ -168,6 +171,16 @@ def _smallest_free_color(used) -> int:
     return color
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, a 1-D array of the caller's
+    own, ascending (``np.unique`` in three calls; sorts it in place)."""
+    values.sort()
+    keep = np.empty(values.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _indptr(rows: np.ndarray, n: int) -> np.ndarray:
     """CSR offsets of ``n`` variables over incidence rows grouped by
     owning variable."""
@@ -196,13 +209,13 @@ def _owned_rows(members, where, owner, indptr, order=None) -> tuple:
     start = int(indptr[-1])
     if owner.shape[0] > start:
         tail = where[owner[start:]]
-        hit = np.flatnonzero(tail >= 0)
+        (hit,) = (tail >= 0).nonzero()
         if hit.size:
             # Built rows precede the tail: a stable sort by position keeps
             # each member's rows ascending.
-            pos = np.concatenate([pos, tail[hit]])
-            by = np.argsort(pos, kind="stable")
-            pos, rows = pos[by], np.concatenate([rows, start + hit])[by]
+            pos = np.concatenate((pos, tail[hit]))
+            by = pos.argsort(kind="stable")
+            pos, rows = pos[by], np.concatenate((rows, start + hit))[by]
     return pos, rows
 
 
@@ -247,9 +260,10 @@ def _by_owner(rows: np.ndarray) -> tuple:
 def _segment_starts(owner: np.ndarray, ri: np.ndarray) -> np.ndarray:
     """Where the body segments — runs of one ``(owner, rule)`` pair —
     start in literals sorted by owner (stably, so by rule within)."""
-    starts = np.ones(owner.shape[0], dtype=bool)
+    starts = np.empty(owner.shape[0], dtype=bool)
+    starts[:1] = True
     starts[1:] = (owner[1:] != owner[:-1]) | (ri[1:] != ri[:-1])
-    return np.flatnonzero(starts)
+    return starts.nonzero()[0]
 
 
 def _max_groundings(grounding_ri: np.ndarray) -> int:
@@ -262,8 +276,8 @@ def _rule_members(num_rules: int, head, lit_ri, lit_var, span: int) -> tuple:
     """Who a batch of rules couples: ``(ri, var, size)``, one row per
     distinct member (head and body, once each) sorted by rule, with the
     member count of the row's rule.  ``span`` exceeds every variable id."""
-    member = np.unique(
-        np.concatenate([np.arange(num_rules) * span + head, lit_ri * span + lit_var])
+    member = _distinct(
+        np.concatenate((np.arange(num_rules) * span + head, lit_ri * span + lit_var))
     )
     ri, var = np.divmod(member, span)
     return ri, var, np.bincount(ri, minlength=num_rules)[ri]
@@ -277,7 +291,7 @@ def _member_pairs(ri, var, size) -> tuple:
     paired = (size > 1) & (size <= _BIG_FACTOR)
     ri, var, size = ri[paired], var[paired], size[paired]
     # Members of one rule are consecutive: pair each with its rule's run.
-    first = np.searchsorted(ri, ri, "left")
+    first = ri.searchsorted(ri, "left")
     b, a = expand_ranges(first, first + size)
     distinct = a != b
     return var[a[distinct]], var[b[distinct]]
@@ -305,11 +319,16 @@ class _Growable:
         # Pickle the rows in use, not the spare capacity.
         return (_Growable, (self.view,))
 
-    def append(self, values) -> np.ndarray:
-        values = np.asarray(values, dtype=self.buf.dtype)
-        if not values.shape[0]:
+    def append(self, values, count=None) -> np.ndarray:
+        """Append the rows ``values`` — or ``count`` copies of the scalar
+        ``values`` — and return the grown view."""
+        if count is None:
+            if type(values) is not np.ndarray:
+                values = np.asarray(values, dtype=self.buf.dtype)
+            count = values.shape[0]
+        if not count:
             return self.view
-        need = self.size + values.shape[0]
+        need = self.size + count
         if need > self.buf.shape[0]:
             cap = max(need, 2 * self.buf.shape[0], 8)
             grown = np.empty((cap,) + self.buf.shape[1:], dtype=self.buf.dtype)
@@ -343,6 +362,10 @@ _GROWABLE_NAMES = (
     "_force_singleton",
     "_big_count",
     "_color",
+    # The per-factor handle table (factor index → kind, handles).
+    "_fkind",
+    "_fh1",
+    "_fh2",
 )
 
 
@@ -359,9 +382,10 @@ def bias_init_values(num_new_vars, old_num_vars, bias_add, weights, rng):
     if not k:
         return np.zeros(0, dtype=bool)
     bias = np.zeros(k, dtype=np.float64)
-    new = bias_add[bias_add[:, 0] >= old_num_vars]
-    np.add.at(bias, new[:, 0] - old_num_vars, weights.values_array()[new[:, 1]])
-    p = 1.0 / (1.0 + np.exp(-2.0 * np.clip(bias, -40.0, 40.0)))
+    if bias_add.size:
+        new = bias_add[bias_add[:, 0] >= old_num_vars]
+        np.add.at(bias, new[:, 0] - old_num_vars, weights.values_array()[new[:, 1]])
+    p = 1.0 / (1.0 + np.exp(-2.0 * np.minimum(np.maximum(bias, -40.0), 40.0)))
     return rng.random(k) < p
 
 
@@ -506,7 +530,6 @@ class CompiledFactorGraph:
 
         # ---- evidence ----------------------------------------------------
         self.evidence_mask = self.graph.evidence_mask()
-        self.free_vars = np.flatnonzero(~self.evidence_mask)
 
         # ---- block planning ----------------------------------------------
         # Members of oversized rule factors are forced into singleton
@@ -548,6 +571,10 @@ class CompiledFactorGraph:
         self.ising_alive = np.ones(self.ising_wid.shape[0], dtype=bool)
         self.rule_alive = np.ones(R, dtype=bool)
         self.var_patched = np.zeros(n, dtype=bool)
+        # What the patched density reads, counted as patches land.
+        self.num_patched = 0
+        self.num_live_bias = self.bias_wid.shape[0]
+        self.num_live_ising = self.ising_wid.shape[0]
         self.num_live_rules = R
         self._patched = False
 
@@ -592,6 +619,11 @@ class CompiledFactorGraph:
     def num_factors(self) -> int:
         """Live factor count — O(1) via the handle table."""
         return int(self._fkind.shape[0])
+
+    @property
+    def free_vars(self) -> np.ndarray:
+        """The variables the current evidence leaves free, ascending."""
+        return np.flatnonzero(~self.evidence_mask)
 
     @property
     def weights(self):
@@ -802,9 +834,18 @@ class CompiledFactorGraph:
     # Incremental compilation
     # ------------------------------------------------------------------ #
 
-    def _append(self, name: str, values) -> None:
-        """Append rows to one growable global array (amortized doubling)."""
-        setattr(self, name, self._grow[name].append(values))
+    def _append(self, name: str, values, count=None) -> None:
+        """Append rows — or ``count`` copies of a scalar — to one growable
+        global array (amortized doubling)."""
+        self.__dict__[name] = self._grow[name].append(values, count)
+
+    def _replace(self, name: str, values: np.ndarray) -> None:
+        """Give the growable global array ``name`` a buffer of its own
+        holding ``values``.  A snapshot keeps the buffers it captured, so
+        the dict of buffers is replaced, not written."""
+        self._grow = dict(self._grow)
+        grown = self._grow[name] = _Growable(values)
+        self.__dict__[name] = grown.view
 
     def _owned(self, members: np.ndarray) -> tuple:
         """The live incidence rows the distinct variables ``members`` own,
@@ -852,29 +893,50 @@ class CompiledFactorGraph:
         found = {var: set(others[lo:hi]) for var, lo, hi in groups}
         return [found.get(var, set()) for var in vars_.tolist()]
 
-    def _count_big(self, num_rules, head, lit_ri, lit_var, span, delta) -> None:
-        """The members of the oversized ones of a batch of rules (see
-        :func:`_rule_members`) joined (+1) or left (−1) one more."""
-        _, var, size = _rule_members(num_rules, head, lit_ri, lit_var, span)
+    def _count_big(self, members: tuple, delta: int) -> None:
+        """The members of the oversized ones of a batch of rules
+        (``members``: what :func:`_rule_members` makes of them) joined
+        (+1) or left (−1) one more."""
+        _, var, size = members
         members = var[size > _BIG_FACTOR]
         if members.size:
             np.add.at(self._big_count, members, delta)
             self._force_singleton[members] = self._big_count[members] > 0
 
-    def _recolor(self, vars_sorted: np.ndarray) -> None:
-        """Restore a proper colouring after a patch touched ``vars_sorted``.
+    def _recolor(self, n0: int, k: int, a: np.ndarray, b: np.ndarray) -> None:
+        """Restore a proper colouring after a patch that appended the ``k``
+        variables from ``n0`` and added the neighbour pairs ``(a, b)``
+        (both orders of every pair its new factors make).
 
-        A touched variable keeps its colour unless a neighbour now holds
-        the same one; otherwise it takes the smallest colour its
-        neighbours leave free.  Both endpoints of every added factor are
-        touched, so visiting them in id order repairs every new
-        conflict."""
+        Only an added pair can clash: a removal takes pairs away, and the
+        appended variables hold no colour (−1) yet.  So the old variables
+        that may clash are the ends of the added old–old pairs of one
+        colour; one batched walk reads their neighbours, and in id order
+        each one that still clashes takes the smallest colour its
+        neighbours leave free (a recoloured variable clashes with nobody,
+        so it never makes a later one clash).  A new variable's
+        neighbours are exactly its added pairs' other ends: in id order
+        it takes the smallest colour they leave free.  That is the colour
+        every touched variable visited in id order gets when each is
+        recoloured off its full neighbour set."""
         color = self._color
-        for v, neighbours in zip(vars_sorted.tolist(), self._neighbours(vars_sorted)):
-            used = {int(color[o]) for o in neighbours}
-            if color[v] < 0 or int(color[v]) in used:
-                used.discard(-1)
-                color[v] = _smallest_free_color(used)
+        ca = color[a]
+        clash = a[(ca == color[b]) & (ca >= 0)]
+        if clash.size:
+            clash = _distinct(clash)
+            for v, neighbours in zip(clash.tolist(), self._neighbours(clash)):
+                used = {int(color[o]) for o in neighbours}
+                if int(color[v]) in used:
+                    used.discard(-1)
+                    color[v] = _smallest_free_color(used)
+        if not k:
+            return
+        new = a >= n0
+        a, b = a[new], b[new]
+        for v in range(n0, n0 + k):
+            used = set(color[b[a == v]].tolist())
+            used.discard(-1)
+            color[v] = _smallest_free_color(used)
 
     def _ops_from_delta(self, delta, removed: np.ndarray) -> dict:
         """A :class:`FactorGraphDelta` as a picklable patch-op dict.
@@ -902,9 +964,8 @@ class CompiledFactorGraph:
             )
             keep = np.ones(self._fkind.shape[0], dtype=bool)
             keep[removed] = False
-            self._fkind = self._fkind[keep]
-            self._fh1 = self._fh1[keep]
-            self._fh2 = self._fh2[keep]
+            for name in ("_fkind", "_fh1", "_fh2"):
+                self._replace(name, getattr(self, name)[keep])
         for offset, val in delta.new_var_evidence.items():
             ops["evidence"][self.num_vars + int(offset)] = bool(val)
         for var, val in delta.evidence_updates.items():
@@ -978,15 +1039,17 @@ class CompiledFactorGraph:
             grounding_ri, lits, lit_gg = rule_literals(self, ops["rule_del"])
             doomed = grounding_ri[lit_gg], self.lit_var[lits]
             touched += [self.rule_head[ops["rule_del"]], doomed[1]]
-        patch.dirty_vars = np.unique(np.concatenate(touched))
+        patch.dirty_vars = _distinct(
+            touched[0] if len(touched) == 1 else np.concatenate(touched)
+        )
         return patch, doomed
 
     def _slot_counts(self) -> list:
         """``(live, slots)`` per kind of slot a retraction tombstones:
         bias incidences, Ising incidences, rules."""
         return [
-            (np.count_nonzero(self.bias_alive), self.bias_alive.shape[0]),
-            (np.count_nonzero(self.ising_alive), self.ising_alive.shape[0]),
+            (self.num_live_bias, self.bias_alive.shape[0]),
+            (self.num_live_ising, self.ising_alive.shape[0]),
             (self.num_live_rules, self.num_rules),
         ]
 
@@ -1002,9 +1065,7 @@ class CompiledFactorGraph:
         """Max tombstone/patched density across the compiled state."""
         if not self._patched:
             return 0.0
-        return self._density(
-            np.count_nonzero(self.var_patched), self.num_vars, self._slot_counts()
-        )
+        return self._density(self.num_patched, self.num_vars, self._slot_counts())
 
     def _fraction_after(self, patch: CompiledPatch) -> float:
         """:meth:`patch_fraction` as it will read once ``patch`` is in."""
@@ -1014,9 +1075,9 @@ class CompiledFactorGraph:
         added = (len(patch.bias_add), 2 * len(patch.ising_add), ops["add"].num_rules)
         removed = (len(patch.bias_del), 2 * len(patch.ising_del), len(ops["rule_del"]))
         dirty = patch.dirty_vars
-        old = dirty[: np.searchsorted(dirty, patch.old_num_vars)]
+        old = dirty[: dirty.searchsorted(patch.old_num_vars)]
         return self._density(
-            np.count_nonzero(self.var_patched)
+            self.num_patched
             + np.count_nonzero(~self.var_patched[old])
             + patch.num_new_vars,
             patch.old_num_vars + patch.num_new_vars,
@@ -1087,8 +1148,8 @@ class CompiledFactorGraph:
 
     def _splice(self, patch: CompiledPatch, doomed) -> CompiledPatch:
         """Land ``patch`` in the arrays: every growable array is appended
-        at most once, the handle table is extended with one concatenate,
-        and the solo flags and colours of the touched variables follow."""
+        at most once — the handle table too — and the solo flags and
+        colours of the touched variables follow."""
         ops, add = patch.ops, patch.ops["add"]
         n0, k = patch.old_num_vars, patch.num_new_vars
         dirty = patch.dirty_vars
@@ -1096,19 +1157,23 @@ class CompiledFactorGraph:
         # ---- new variables ----------------------------------------------
         if k:
             self.num_vars = n0 + k
-            self._append("evidence_mask", np.zeros(k, dtype=bool))
-            self._append("var_patched", np.ones(k, dtype=bool))
-            self._append("_force_singleton", np.zeros(k, dtype=bool))
-            self._append("_big_count", np.zeros(k, dtype=np.int32))
-            self._append("_color", np.full(k, -1, dtype=np.int32))
+            self._append("evidence_mask", False, k)
+            self._append("var_patched", True, k)
+            self._append("_force_singleton", False, k)
+            self._append("_big_count", 0, k)
+            self._append("_color", -1, k)
+        # The new variables were appended patched.
+        self.num_patched += k + int(np.count_nonzero(~self.var_patched[dirty]))
         self.var_patched[dirty] = True
 
         # ---- removals (tombstones) ---------------------------------------
         if patch.bias_del.size:
             self.bias_alive[patch.bias_del] = False
+            self.num_live_bias -= patch.bias_del.shape[0]
             self._count_adjust(self.bias_wid[patch.bias_del], -1)
         if patch.ising_del.size:
             self.ising_alive[patch.ising_del.ravel()] = False
+            self.num_live_ising -= patch.ising_del.size
             self._count_adjust(self.ising_wid[patch.ising_del[:, 0]], -1)
         if ops["rule_del"].size:
             ris = ops["rule_del"]
@@ -1116,20 +1181,25 @@ class CompiledFactorGraph:
             self.num_live_rules -= ris.shape[0]
             self._count_adjust(self.rule_wid[ris], -1)
             self._count_big(
-                ris.shape[0], self.rule_head[ris], *doomed, self.num_vars, -1
+                _rule_members(ris.shape[0], self.rule_head[ris], *doomed, self.num_vars),
+                -1,
             )
 
         # ---- additions ---------------------------------------------------
-        handle = np.empty(len(add), dtype=np.int64)
-        handle2 = np.full(len(add), -1, dtype=np.int64)
-        kind = add.kind
+        # The neighbour pairs the new factors make, both orders.
+        pairs = [add.ising_i, add.ising_j], [add.ising_j, add.ising_i]
+        if len(add):
+            kind = add.kind
+            handle = np.empty(len(add), dtype=np.int64)
+            handle2 = np.full(len(add), -1, dtype=np.int64)
         if add.bias_var.size:
             handle[kind == KIND_BIAS] = patch.old_num_bias + np.arange(
                 add.bias_var.shape[0]
             )
             self._append("bias_var", add.bias_var)
             self._append("bias_wid", add.bias_wid)
-            self._append("bias_alive", np.ones(add.bias_var.shape[0], dtype=bool))
+            self._append("bias_alive", True, add.bias_var.shape[0])
+            self.num_live_bias += add.bias_var.shape[0]
             self._count_adjust(add.bias_wid, 1)
         if add.ising_i.size:
             k1 = patch.old_num_ising + 2 * np.arange(add.ising_i.shape[0])
@@ -1137,37 +1207,46 @@ class CompiledFactorGraph:
             handle2[kind == KIND_ISING] = k1 + 1
             self._append("ising_row", _interleave(add.ising_i, add.ising_j))
             self._append("ising_other", _interleave(add.ising_j, add.ising_i))
-            self._append("ising_wid", np.repeat(add.ising_wid, 2))
-            self._append("ising_alive", np.ones(2 * add.ising_i.shape[0], dtype=bool))
+            self._append("ising_wid", add.ising_wid.repeat(2))
+            self._append("ising_alive", True, 2 * add.ising_i.shape[0])
+            self.num_live_ising += 2 * add.ising_i.shape[0]
             self._count_adjust(add.ising_wid, 1)
         if add.num_rules:
             self._count_adjust(add.rule_wid, 1)
             handle[kind == KIND_RULE] = patch.old_num_rules + np.arange(add.num_rules)
-            self._splice_rules(add, patch)
+            members = _rule_members(
+                add.num_rules, add.rule_head, add.lit_ri, add.lit_var, self.num_vars
+            )
+            self._splice_rules(add, patch, members)
+            a, b = _member_pairs(*members)
+            pairs[0].append(a)
+            pairs[1].append(b)
 
         if len(add):
-            self._fkind = np.concatenate([self._fkind, kind])
-            self._fh1 = np.concatenate([self._fh1, handle])
-            self._fh2 = np.concatenate([self._fh2, handle2])
+            self._append("_fkind", kind)
+            self._append("_fh1", handle)
+            self._append("_fh2", handle2)
 
         # ---- evidence ----------------------------------------------------
         self._graph_follows(patch)
-        self.evidence_mask[patch.evidence_clears] = False
-        self.evidence_mask[[var for var, _ in patch.evidence_sets]] = True
-        self.free_vars = np.flatnonzero(~self.evidence_mask)
+        if patch.evidence_clears:
+            self.evidence_mask[patch.evidence_clears] = False
+        if patch.evidence_sets:
+            self.evidence_mask[[var for var, _ in patch.evidence_sets]] = True
 
         if patch.structural:
             self._patched = True
             self.structure_version += 1
 
         # ---- recolour; the scan plans built before the patch go ----------
-        self._recolor(np.union1d(dirty, np.arange(n0, n0 + k)))
+        self._recolor(n0, k, np.concatenate(pairs[0]), np.concatenate(pairs[1]))
         self._plan_cache = {}
         return patch
 
-    def _splice_rules(self, rules: FactorTable, patch: CompiledPatch) -> None:
+    def _splice_rules(self, rules: FactorTable, patch: CompiledPatch, members) -> None:
         """Append the rule rows of ``rules`` (ids local to the table)
-        behind the existing ones."""
+        behind the existing ones; ``members`` is what
+        :func:`_rule_members` makes of them."""
         R0, R = patch.old_num_rules, rules.num_rules
         G0 = patch.old_num_groundings
         self.num_rules = R0 + R
@@ -1176,15 +1255,13 @@ class CompiledFactorGraph:
         self._append("rule_head", rules.rule_head)
         self._append("rule_wid", rules.rule_wid)
         self._append("rule_sem", rules.rule_sem)
-        self._append("rule_alive", np.ones(R, dtype=bool))
+        self._append("rule_alive", True, R)
         self._append("grounding_ri", rules.grounding_ri + R0)
         self._append("lit_gg", rules.lit_gg + G0)
         self._append("lit_var", rules.lit_var)
         self._append("lit_pos", rules.lit_pos)
         self.rule_nmax = max(self.rule_nmax, _max_groundings(rules.grounding_ri))
-        self._count_big(
-            R, rules.rule_head, rules.lit_ri, rules.lit_var, self.num_vars, 1
-        )
+        self._count_big(members, 1)
 
     # ------------------------------------------------------------------ #
     # Transactional snapshot/rollback (repro.reliability)
@@ -1217,13 +1294,16 @@ class CompiledFactorGraph:
 
     #: Attributes a patch only ever *replaces* (never mutates in place) —
     #: captured and restored by reference.
-    _SNAP_REFS = ("graph", "free_vars", "_fkind", "_fh1", "_fh2")
+    _SNAP_REFS = ("graph",)
 
     _SNAP_SCALARS = (
         "num_vars",
         "num_rules",
         "num_groundings",
         "num_live_rules",
+        "num_live_bias",
+        "num_live_ising",
+        "num_patched",
         "rule_nmax",
         "_patched",
         "_scan_window",
@@ -1248,13 +1328,14 @@ class CompiledFactorGraph:
         same float summation order — so a retried update is bit-identical
         to one applied to a never-failed engine.
         """
+        attrs, grow = self.__dict__, self._grow
         return {
-            "grow": self._grow,
-            "sizes": {n: self._grow[n].size for n in _GROWABLE_NAMES},
-            "mutated": {n: getattr(self, n).copy() for n in self._SNAP_MUTATED},
-            "static": {n: getattr(self, n) for n in self._SNAP_STATIC},
-            "refs": {n: getattr(self, n) for n in self._SNAP_REFS},
-            "scalars": {n: getattr(self, n) for n in self._SNAP_SCALARS},
+            "grow": grow,
+            "sizes": {n: grow[n].size for n in _GROWABLE_NAMES},
+            "mutated": {n: attrs[n].copy() for n in self._SNAP_MUTATED},
+            "static": {n: attrs[n] for n in self._SNAP_STATIC},
+            "refs": {n: attrs[n] for n in self._SNAP_REFS},
+            "scalars": {n: attrs[n] for n in self._SNAP_SCALARS},
             "weight_factor_counts": self.weight_factor_counts.copy(),
             # Substrate-owned graph state: direct deltas intern weights
             # and mutate the shared evidence dict / name list in place,
@@ -1309,6 +1390,31 @@ class CompiledFactorGraph:
             del self.graph._names[snap["names_len"] :]
 
 
+#: The gather columns of a :class:`_Block`.
+_BLOCK_COLUMNS = (
+    "ising_seg",
+    "ising_other",
+    "ising_wid",
+    "head_seg",
+    "head_ri",
+    "head_wid",
+    "head_sem",
+    "body_seg",
+    "body_var",
+    "body_gg",
+    "body_pos",
+    "body_ri",
+    "fseg_start",
+    "fseg_pos",
+    "fseg_var",
+    "fseg_ri",
+    "fseg_wid",
+    "fseg_sem",
+    "fseg_head",
+    "fseg_self",
+)
+
+
 class _Block:
     """Gather arrays of the kernel over one set of variables.
 
@@ -1328,30 +1434,9 @@ class _Block:
     :func:`_gather_blocks`.
     """
 
-    __slots__ = (
-        "vars",
-        "key",
-        "ising_seg",
-        "ising_other",
-        "ising_wid",
-        "head_seg",
-        "head_ri",
-        "head_wid",
-        "head_sem",
-        "body_seg",
-        "body_var",
-        "body_gg",
-        "body_pos",
-        "body_ri",
-        "fseg_start",
-        "fseg_pos",
-        "fseg_var",
-        "fseg_ri",
-        "fseg_wid",
-        "fseg_sem",
-        "fseg_head",
-        "fseg_self",
-    )
+    # Slots, not an instance dict: the kernel reads a dozen columns per
+    # block evaluation, and slot reads keep a sweep measurably faster.
+    __slots__ = ("vars", "key") + _BLOCK_COLUMNS
 
     def __init__(self, vars_, key, columns: dict) -> None:
         self.vars = vars_
@@ -1368,68 +1453,63 @@ def _gather_blocks(compiled, groups, keys=None) -> list:
         return []
     keys = [None] * len(groups) if keys is None else keys
     sizes = np.array([group.size for group in groups], dtype=np.int64)
-    first = np.cumsum(sizes) - sizes
+    first = sizes.cumsum() - sizes
     members = np.concatenate(groups)
     # Each member's position inside its own block.
-    local = np.arange(members.size) - np.repeat(first, sizes)
+    local = np.arange(members.size) - first.repeat(sizes)
     (ising_p, ising), (head_p, head_ri), (body_p, lits) = compiled._owned(members)
     body_gg = compiled.lit_gg[lits]
     body_ri = compiled.grounding_ri[body_gg]
     starts = _segment_starts(body_p, body_ri)
     fseg_p, fseg_ri = body_p[starts], body_ri[starts]
     # A member that heads a rule it appears under carries only the body
-    # pair (closed form, see module docstring).
+    # pair (closed form, see module docstring).  The pairs' keys ascend
+    # (members by position, a member's literals by row, so by rule).
     if head_p.size and fseg_p.size:
         span = compiled.num_rules
-        outside = ~np.isin(head_p * span + head_ri, fseg_p * span + fseg_ri)
+        pairs = fseg_p * span + fseg_ri
+        heads = head_p * span + head_ri
+        at = pairs.searchsorted(heads)
+        outside = pairs[np.minimum(at, pairs.size - 1)] != heads
         head_p, head_ri = head_p[outside], head_ri[outside]
     fseg_var = members[fseg_p]
     fseg_head = compiled.rule_head[fseg_ri]
     fseg_self = fseg_head == fseg_var
-    cuts = {
-        name: np.searchsorted(p, first).tolist() + [p.size]
-        for name, p in (("ising", ising_p), ("head", head_p), ("body", body_p), ("fseg", fseg_p))
-    }
-    body_first = np.asarray(cuts["body"][:-1], dtype=np.int64)
-    columns = {
-        "ising": {
-            "ising_seg": local[ising_p],
-            "ising_other": compiled.ising_other[ising],
-            "ising_wid": compiled.ising_wid[ising],
-        },
-        "head": {
-            "head_seg": local[head_p],
-            "head_ri": head_ri,
-            "head_wid": compiled.rule_wid[head_ri],
-            "head_sem": compiled.rule_sem[head_ri].astype(np.intp),
-        },
-        "body": {
-            "body_seg": local[body_p],
-            "body_var": members[body_p],
-            "body_gg": body_gg,
-            "body_pos": compiled.lit_pos[lits],
-            "body_ri": body_ri,
-        },
-        "fseg": {
-            # Each pair's first body row, counted from its block's first.
-            "fseg_start": starts - np.repeat(body_first, np.diff(cuts["fseg"])),
-            "fseg_pos": local[fseg_p],
-            "fseg_var": fseg_var,
-            "fseg_ri": fseg_ri,
-            "fseg_wid": compiled.rule_wid[fseg_ri],
-            "fseg_sem": compiled.rule_sem[fseg_ri].astype(np.intp),
-            "fseg_head": fseg_head,
-        },
-    }
-    selfs = np.concatenate(([0], np.cumsum(fseg_self))).tolist()
+    ising_cut, head_cut, body_cut, fseg_cut = (
+        p.searchsorted(first).tolist() + [p.size]
+        for p in (ising_p, head_p, body_p, fseg_p)
+    )
+    body_first = np.array(body_cut[:-1], dtype=np.int64)
+    pairs_per_block = np.array(fseg_cut, dtype=np.int64)
+    pairs_per_block = pairs_per_block[1:] - pairs_per_block[:-1]
+    # Each column with the cuts of the rows it is sliced by.
+    columns = (
+        ("ising_seg", local[ising_p], ising_cut),
+        ("ising_other", compiled.ising_other[ising], ising_cut),
+        ("ising_wid", compiled.ising_wid[ising], ising_cut),
+        ("head_seg", local[head_p], head_cut),
+        ("head_ri", head_ri, head_cut),
+        ("head_wid", compiled.rule_wid[head_ri], head_cut),
+        ("head_sem", compiled.rule_sem[head_ri].astype(np.intp), head_cut),
+        ("body_seg", local[body_p], body_cut),
+        ("body_var", members[body_p], body_cut),
+        ("body_gg", body_gg, body_cut),
+        ("body_pos", compiled.lit_pos[lits], body_cut),
+        ("body_ri", body_ri, body_cut),
+        # Each pair's first body row, counted from its block's first.
+        ("fseg_start", starts - body_first.repeat(pairs_per_block), fseg_cut),
+        ("fseg_pos", local[fseg_p], fseg_cut),
+        ("fseg_var", fseg_var, fseg_cut),
+        ("fseg_ri", fseg_ri, fseg_cut),
+        ("fseg_wid", compiled.rule_wid[fseg_ri], fseg_cut),
+        ("fseg_sem", compiled.rule_sem[fseg_ri].astype(np.intp), fseg_cut),
+        ("fseg_head", fseg_head, fseg_cut),
+    )
+    selfs = [0, *fseg_self.cumsum().tolist()]
     blocks = []
     for b, (group, key) in enumerate(zip(groups, keys)):
-        block = {}
-        for kind, named in columns.items():
-            lo, hi = cuts[kind][b], cuts[kind][b + 1]
-            for name, column in named.items():
-                block[name] = column[lo:hi]
-        lo, hi = cuts["fseg"][b], cuts["fseg"][b + 1]
+        block = {name: column[cut[b] : cut[b + 1]] for name, column, cut in columns}
+        lo, hi = fseg_cut[b], fseg_cut[b + 1]
         block["fseg_self"] = fseg_self[lo:hi] if selfs[hi] > selfs[lo] else None
         blocks.append(_Block(group, key, block))
     return blocks
@@ -1520,14 +1600,18 @@ class SweepPlan:
     def __init__(self, compiled: CompiledFactorGraph, evidence_mask, window: int) -> None:
         self.compiled = compiled
         self.window = window
-        self.evidence_mask = np.asarray(evidence_mask, dtype=bool).copy()
-        self.free_vars = np.flatnonzero(~self.evidence_mask)
+        self.evidence_mask = np.array(evidence_mask, dtype=bool)
+        (self.free_vars,) = (~self.evidence_mask).nonzero()
         keys = self._keys(self.free_vars)
-        order = np.argsort(keys, kind="stable")
+        order = keys.argsort(kind="stable")
         keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        groups = np.split(self.free_vars[order], starts[1:]) if starts.size else []
-        self.blocks = _gather_blocks(compiled, groups, keys[starts].tolist())
+        if not keys.size:
+            self.blocks = []
+            return
+        ordered = self.free_vars[order]
+        cuts = [0, *((keys[1:] != keys[:-1]).nonzero()[0] + 1).tolist(), keys.size]
+        groups = [ordered[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        self.blocks = _gather_blocks(compiled, groups, keys[cuts[:-1]].tolist())
 
     def _keys(self, vars_) -> np.ndarray:
         """Block key of each variable: (id window, colour), or (solo, id)."""
@@ -1619,8 +1703,32 @@ class GibbsCache:
     def __init__(self, compiled: CompiledFactorGraph, assignment: np.ndarray) -> None:
         self.compiled = compiled
         self._weights_version = None
+        self._grow = {}
         self._init_rule_state(assignment)
         self.refresh_weights(assignment)
+
+    def __getstate__(self):
+        # The buffers behind the caches are spare capacity, not state.
+        state = self.__dict__.copy()
+        state.pop("_grow", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._grow = {}
+
+    def _extend(self, rows: dict) -> None:
+        """Append ``rows[name]`` behind each cache array ``name``, in the
+        spare capacity of the buffer it was last grown in (amortized
+        doubling, :class:`_Growable`).  An array assigned since — a
+        rebuilt field, a restored capture — gets a buffer of its own."""
+        attrs, grow = self.__dict__, self._grow
+        for name, values in rows.items():
+            buffer, view = grow.get(name, (None, None))
+            if view is not attrs[name]:
+                buffer = _Growable(attrs[name])
+            attrs[name] = view = buffer.append(values)
+            grow[name] = buffer, view
 
     def _init_rule_state(self, assignment) -> None:
         c = self.compiled
@@ -1785,39 +1893,41 @@ class GibbsCache:
             )
 
         # ---- unsat / nsat for appended groundings and rules --------------
+        rows = {}
         new_g = c.num_groundings - patch.old_num_groundings
         new_r = c.num_rules - patch.old_num_rules
         if new_g or new_r:
-            lit_gg = c.lit_gg[patch.old_num_lits :]
-            lit_var = c.lit_var[patch.old_num_lits :]
-            lit_pos = c.lit_pos[patch.old_num_lits :]
-            mismatch = (assignment[lit_var] != lit_pos).astype(np.float64)
+            lits = slice(patch.old_num_lits, None)
+            mismatch = (assignment[c.lit_var[lits]] != c.lit_pos[lits]).astype(np.float64)
             new_unsat = np.bincount(
-                lit_gg - patch.old_num_groundings, weights=mismatch, minlength=new_g
+                c.lit_gg[lits] - patch.old_num_groundings,
+                weights=mismatch,
+                minlength=new_g,
             ).astype(np.int64)
-            self.unsat = np.concatenate([self.unsat, new_unsat])
-            new_nsat = np.bincount(
+            rows["unsat"] = new_unsat
+            rows["nsat"] = np.bincount(
                 c.grounding_ri[patch.old_num_groundings :] - patch.old_num_rules,
                 weights=(new_unsat == 0).astype(np.float64),
                 minlength=new_r,
             ).astype(np.int64)
-            self.nsat = np.concatenate([self.nsat, new_nsat])
 
         # ---- field -------------------------------------------------------
         k = patch.num_new_vars
-        version = c.graph.weights.version
-        if version != self._weights_version:
+        if k:
+            rows["field"] = np.zeros(k)
+        weights = c.graph.weights
+        if weights.version != self._weights_version:
             # Weight values changed too: the version-gated full rebuild
             # (alive-masked) reconstructs the field wholesale.
-            if k:
-                self.field = np.concatenate([self.field, np.zeros(k)])
+            self._extend(rows)
             self._weights_version = None
             self.refresh_weights(assignment)
             return
-        w = np.asarray(c.graph.weights.values_array(), dtype=np.float64)
-        self.weights_vec = w
-        if k:
-            self.field = np.concatenate([self.field, np.zeros(k)])
+        w = self.weights_vec = weights.values_array()
+        old_i = patch.old_num_ising
+        if c.ising_wid.shape[0] > old_i:
+            rows["_edge_w"] = w[c.ising_wid[old_i:]]
+        self._extend(rows)
         field = self.field
 
         def spin(vars_):
@@ -1834,17 +1944,17 @@ class GibbsCache:
                 self._edge_w[pairs] * spin(c.ising_other[pairs]),
             )
             self._edge_w[pairs] = 0.0
-        np.subtract.at(field, c.bias_var[patch.bias_del], w[c.bias_wid[patch.bias_del]])
-        np.add.at(field, patch.bias_add[:, 0], w[patch.bias_add[:, 1]])
-        old_i = patch.old_num_ising
-        if c.ising_wid.shape[0] > old_i:
-            self._edge_w = np.concatenate(
-                [self._edge_w, w[c.ising_wid[old_i:]]]
+        if patch.bias_del.size:
+            np.subtract.at(
+                field, c.bias_var[patch.bias_del], w[c.bias_wid[patch.bias_del]]
             )
-        i, j, wid = patch.ising_add.T
-        np.add.at(
-            field, _interleave(i, j), np.repeat(w[wid], 2) * spin(_interleave(j, i))
-        )
+        if patch.bias_add.size:
+            np.add.at(field, patch.bias_add[:, 0], w[patch.bias_add[:, 1]])
+        if patch.ising_add.size:
+            i, j, wid = patch.ising_add.T
+            np.add.at(
+                field, _interleave(i, j), w[wid].repeat(2) * spin(_interleave(j, i))
+            )
 
     # ------------------------------------------------------------------ #
 

@@ -75,8 +75,8 @@ def expand_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple:
     """The concatenation of ``arange(lo[k], hi[k])`` over ``k``, and the
     ``k`` each element came from."""
     counts = hi - lo
-    owner = np.repeat(np.arange(lo.shape[0]), counts)
-    first = np.cumsum(counts) - counts
+    owner = np.arange(lo.shape[0]).repeat(counts)
+    first = counts.cumsum() - counts
     return np.arange(owner.shape[0]) + (lo - first)[owner], owner
 
 
@@ -88,11 +88,11 @@ def rule_literals(store, rows) -> tuple:
     Returns ``(grounding_ri, lits, lit_gg)``: per grounding of the rows,
     the position in ``rows`` of its rule; per literal, its position in
     ``store`` and the (renumbered) grounding it belongs to."""
-    lo = np.searchsorted(store.grounding_ri, rows, "left")
-    hi = np.searchsorted(store.grounding_ri, rows, "right")
+    lo = store.grounding_ri.searchsorted(rows, "left")
+    hi = store.grounding_ri.searchsorted(rows, "right")
     groundings, grounding_ri = expand_ranges(lo, hi)
-    lo = np.searchsorted(store.lit_gg, groundings, "left")
-    hi = np.searchsorted(store.lit_gg, groundings, "right")
+    lo = store.lit_gg.searchsorted(groundings, "left")
+    hi = store.lit_gg.searchsorted(groundings, "right")
     lits, lit_gg = expand_ranges(lo, hi)
     return grounding_ri, lits, lit_gg
 
@@ -169,21 +169,28 @@ class FactorTable:
     once (:func:`rule_table` builds the rule columns, :meth:`canonical`
     makes :func:`rule_columns`' raw ones so, and every operation here
     keeps them).  Tables are immutable: every operation returns a new
-    one (sharing the columns it did not touch).
+    one (sharing the columns it did not touch).  The columns are the
+    instance's attributes, set in one update.
     """
 
-    __slots__ = tuple(_COLUMN_DTYPES)
-
     def __init__(self, **columns) -> None:
-        for name, dtype in _COLUMN_DTYPES.items():
-            column = columns.pop(name, None)
-            setattr(
-                self,
-                name,
-                _NO_ROWS[name] if column is None else np.asarray(column, dtype=dtype),
-            )
-        if columns:
-            raise TypeError(f"unknown columns {sorted(columns)}")
+        unknown = columns.keys() - _COLUMN_DTYPES.keys()
+        if unknown:
+            raise TypeError(f"unknown columns {sorted(unknown)}")
+        attrs = self.__dict__
+        attrs.update(_NO_ROWS)
+        for name, column in columns.items():
+            if column is not None:
+                attrs[name] = np.asarray(column, dtype=_COLUMN_DTYPES[name])
+
+    @classmethod
+    def _of(cls, columns: dict) -> "FactorTable":
+        """A table over ``columns`` — every column, each already of its
+        dtype — as they are: the constructor of this class's own
+        operations."""
+        table = cls.__new__(cls)
+        table.__dict__.update(columns)
+        return table
 
     def __len__(self) -> int:
         return self.kind.shape[0]
@@ -198,11 +205,12 @@ class FactorTable:
         return self.grounding_ri[self.lit_gg]
 
     def columns(self) -> dict:
-        return {name: getattr(self, name) for name in _COLUMN_DTYPES}
+        return dict(self.__dict__)
 
     def variables(self) -> np.ndarray:
         """Every variable id the factors mention (with repeats)."""
-        return np.concatenate([getattr(self, name) for name in _VARIABLE_COLUMNS])
+        columns = self.__dict__
+        return np.concatenate([columns[name] for name in _VARIABLE_COLUMNS])
 
     def variable_owners(self) -> np.ndarray:
         """The factor (list position) each entry of :meth:`variables`
@@ -258,9 +266,10 @@ class FactorTable:
         ``wids = lookup[table.weight_ids()]`` re-points a table at
         another weight store."""
         columns = self.columns()
+        wids = np.asarray(wids, dtype=np.int64)
         for code, name in enumerate(("bias_wid", "ising_wid", "rule_wid")):
             columns[name] = wids[self.kind == code]
-        return FactorTable(**columns)
+        return FactorTable._of(columns)
 
     def energies(self, worlds: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """``Σ_f coef[f] · U_f(x)`` for every row ``x`` of the ``(S, n)``
@@ -323,14 +332,16 @@ class FactorTable:
             local[of_kind] = np.arange(np.count_nonzero(of_kind))
         local = local[index]
         bias, ising = local[kind == KIND_BIAS], local[kind == KIND_ISING]
-        return FactorTable(
-            kind=kind,
-            bias_var=self.bias_var[bias],
-            bias_wid=self.bias_wid[bias],
-            ising_i=self.ising_i[ising],
-            ising_j=self.ising_j[ising],
-            ising_wid=self.ising_wid[ising],
-            **gather_rules(self, local[kind == KIND_RULE]),
+        return FactorTable._of(
+            dict(
+                kind=kind,
+                bias_var=self.bias_var[bias],
+                bias_wid=self.bias_wid[bias],
+                ising_i=self.ising_i[ising],
+                ising_j=self.ising_j[ising],
+                ising_wid=self.ising_wid[ising],
+                **gather_rules(self, local[kind == KIND_RULE]),
+            )
         )
 
     def _masked(self, keep: np.ndarray) -> "FactorTable":
@@ -339,20 +350,22 @@ class FactorTable:
         )
         groundings = rules[self.grounding_ri]
         lits = groundings[self.lit_gg]
-        return FactorTable(
-            kind=self.kind[keep],
-            bias_var=self.bias_var[bias],
-            bias_wid=self.bias_wid[bias],
-            ising_i=self.ising_i[ising],
-            ising_j=self.ising_j[ising],
-            ising_wid=self.ising_wid[ising],
-            rule_head=self.rule_head[rules],
-            rule_wid=self.rule_wid[rules],
-            rule_sem=self.rule_sem[rules],
-            grounding_ri=(np.cumsum(rules) - 1)[self.grounding_ri[groundings]],
-            lit_gg=(np.cumsum(groundings) - 1)[self.lit_gg[lits]],
-            lit_var=self.lit_var[lits],
-            lit_pos=self.lit_pos[lits],
+        return FactorTable._of(
+            dict(
+                kind=self.kind[keep],
+                bias_var=self.bias_var[bias],
+                bias_wid=self.bias_wid[bias],
+                ising_i=self.ising_i[ising],
+                ising_j=self.ising_j[ising],
+                ising_wid=self.ising_wid[ising],
+                rule_head=self.rule_head[rules],
+                rule_wid=self.rule_wid[rules],
+                rule_sem=self.rule_sem[rules],
+                grounding_ri=(np.cumsum(rules) - 1)[self.grounding_ri[groundings]],
+                lit_gg=(np.cumsum(groundings) - 1)[self.lit_gg[lits]],
+                lit_var=self.lit_var[lits],
+                lit_pos=self.lit_pos[lits],
+            )
         )
 
     @staticmethod
@@ -363,10 +376,8 @@ class FactorTable:
             return FactorTable()
         if len(tables) == 1:
             return tables[0]
-        columns = {
-            name: [getattr(table, name) for table in tables]
-            for name in _COLUMN_DTYPES
-        }
+        parts = [table.__dict__ for table in tables]
+        columns = {name: [part[name] for part in parts] for name in _COLUMN_DTYPES}
         rules = groundings = 0
         for k, table in enumerate(tables):
             if k:
@@ -374,8 +385,8 @@ class FactorTable:
                 columns["lit_gg"][k] = table.lit_gg + groundings
             rules += table.num_rules
             groundings += table.grounding_ri.shape[0]
-        return FactorTable(
-            **{name: np.concatenate(parts) for name, parts in columns.items()}
+        return FactorTable._of(
+            {name: np.concatenate(parts) for name, parts in columns.items()}
         )
 
     def canonical(self) -> "FactorTable":
@@ -489,6 +500,11 @@ def rule_table(heads, wids, sems, groundings) -> FactorTable:
 
 
 _NO_FACTORS = FactorTable()
+#: What :meth:`FactorGraphDelta.removed_ids` and ``base_terms`` return
+#: for a delta that removes nothing: shared, read-only.
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_SHIFT = np.zeros(0)
+_NO_IDS.flags.writeable = _NO_SHIFT.flags.writeable = False
 
 
 class FactorList(Sequence):
@@ -499,17 +515,23 @@ class FactorList(Sequence):
     ``add_bias`` / ``add_ising`` / ``add_rule`` append one row each
     without checking ids (``FactorGraph.add_*_factor`` check them first);
     the rows are buffered and land in the table in one concatenation, at
-    the next :attr:`table` read.  Reading an item or iterating decodes
-    factor records (:meth:`FactorTable.factors`) — a read-only view for
-    tests; ``len``, :meth:`copy` and pickling never do.
+    the next :attr:`table` read.  :meth:`extended` lays a table behind
+    the list the same way: at the new list's first :attr:`table` read,
+    so a list extended once per update is concatenated once per read,
+    not once per update.  Reading an item or iterating decodes factor
+    records (:meth:`FactorTable.factors`) — a read-only view for tests;
+    ``len``, :meth:`extended`, :meth:`copy` and pickling never do.
     """
 
-    __slots__ = ("_table", "_kind", "_rows")
+    __slots__ = ("_table", "_tail", "_tail_len", "_kind", "_rows")
 
     def __init__(self, table: FactorTable | None = None) -> None:
         if table is not None and not isinstance(table, FactorTable):
             raise TypeError(f"a FactorList wraps a FactorTable, not {type(table)!r}")
         self._table = _NO_FACTORS if table is None else table
+        #: tables laid behind ``_table`` at the next read, and their length
+        self._tail = ()
+        self._tail_len = 0
         self._kind = []
         self._rows = ([], [], [])
 
@@ -537,8 +559,23 @@ class FactorList(Sequence):
         code = sem_code(Semantics.coerce(semantics))
         return self._add(KIND_RULE, (int(weight_id), int(head), groundings, code))
 
+    def extended(self, table: FactorTable) -> "FactorList":
+        """A new list: this one's factors, then ``table``'s."""
+        if self._kind:
+            self.table  # the buffered rows come first
+        out = FactorList(self._table)
+        if len(table):
+            out._tail = (*self._tail, table)
+            out._tail_len = self._tail_len + len(table)
+        else:
+            out._tail, out._tail_len = self._tail, self._tail_len
+        return out
+
     @property
     def table(self) -> FactorTable:
+        if self._tail:
+            self._table = FactorTable.concat((self._table, *self._tail))
+            self._tail, self._tail_len = (), 0
         if self._kind:
             bias, ising, rules = self._rows
             wids, heads, groundings, sems = zip(*rules) if rules else ((),) * 4
@@ -565,7 +602,7 @@ class FactorList(Sequence):
         return FactorList, (self.table,)
 
     def __len__(self) -> int:
-        return len(self._table) + len(self._kind)
+        return len(self._table) + self._tail_len + len(self._kind)
 
     def __iter__(self):
         return iter(self.table.factors())
@@ -619,15 +656,12 @@ class FactorGraphDelta:
     new_weight_entries: list = field(default_factory=list)
     changed_weight_values: dict = field(default_factory=dict)
 
-    def __setattr__(self, name, value) -> None:
-        if name == "new_factors" and not isinstance(value, FactorList):
-            value = FactorList(value)
-        object.__setattr__(self, name, value)
-
     def removed_ids(self, num_factors: int) -> np.ndarray:
         """``removed_factor_ids`` ascending, as an array, checked against
         a base of ``num_factors`` factors: ``ValueError`` names the first
         id outside ``[0, num_factors)``."""
+        if not self.removed_factor_ids:
+            return _NO_IDS
         removed = np.array(sorted(self.removed_factor_ids), dtype=np.int64)
         bad = removed[(removed < 0) | (removed >= num_factors)]
         if bad.size:
@@ -703,7 +737,7 @@ class FactorGraphDelta:
     def apply_in_place(self, base: FactorGraph) -> FactorGraph:
         """Apply this delta directly onto ``base``, mutating it: the
         factor table drops the removed rows with ``take`` and gains the
-        new ones by concatenation."""
+        new ones behind it (:meth:`FactorList.extended`)."""
         removed = self.removed_ids(base.num_factors)
         for key, initial, fixed in self.new_weight_entries:
             base.weights.intern(key, initial=initial, fixed=fixed)
@@ -717,12 +751,11 @@ class FactorGraphDelta:
             if offset in self.new_var_evidence:
                 base.set_evidence(vid, self.new_var_evidence[offset])
 
-        table = base.factor_table()
         if removed.size:
-            keep = np.ones(len(table), dtype=bool)
+            keep = np.ones(base.num_factors, dtype=bool)
             keep[removed] = False
-            table = table.take(keep)
-        base.factors = FactorList(FactorTable.concat([table, self.new_factors.table]))
+            base.factors = FactorList(base.factor_table().take(keep))
+        base.factors = base.factors.extended(self.new_factors.table)
 
         for var, value in self.evidence_updates.items():
             if value is None:
@@ -738,7 +771,7 @@ class FactorGraphDelta:
         list order), and ``w_new − w_old`` per weight of ``base``."""
         removed_ids = self.removed_ids(base.num_factors)
         if not (removed_ids.size or self.changed_weight_values):
-            return FactorTable(), FactorTable(), np.zeros(0)
+            return _NO_FACTORS, _NO_FACTORS, _NO_SHIFT
         removed = base.factor_table(removed_ids)
         old = base.weights.values_array()
         shift = np.zeros(old.shape[0])
@@ -761,6 +794,20 @@ class FactorGraphDelta:
             f"+weights={len(self.new_weight_entries)}, "
             f"~weights={len(self.changed_weight_values)})"
         )
+
+
+class _FactorListField:
+    """``FactorGraphDelta.new_factors``: a write wraps a
+    :class:`FactorTable` in a :class:`FactorList`; a read is the
+    instance's own attribute (no ``__get__``, so reads cost no call)."""
+
+    def __set__(self, delta, value) -> None:
+        if not isinstance(value, FactorList):
+            value = FactorList(value)
+        delta.__dict__["new_factors"] = value
+
+
+FactorGraphDelta.new_factors = _FactorListField()
 
 
 def compose_deltas(
@@ -821,12 +868,14 @@ def compose_deltas(
     # indexes translate back to base indexes in O(|first.removed|) per
     # lookup; the grow-only common case (``first`` removes nothing) is an
     # identity map, so neither path builds an O(#factors) index map.  The
-    # factors themselves are two tables laid end to end, ``first``'s
-    # masked by what ``second`` removed of it.
+    # factors themselves are ``first``'s — masked by what ``second``
+    # removed of them — with ``second``'s laid behind, at the composed
+    # list's first read (``FactorList.extended``): composing one update
+    # after another copies no table.
     removed_first = sorted(first.removed_factor_ids)
     survivors = base.num_factors - len(removed_first)
     composed.removed_factor_ids = set(first.removed_factor_ids)
-    kept = first.new_factors.table
+    kept = first.new_factors
     keep = None
     for removed in second.removed_factor_ids:
         if removed < survivors:
@@ -840,8 +889,8 @@ def compose_deltas(
                 keep = np.ones(len(kept), dtype=bool)
             keep[removed - survivors] = False
     if keep is not None:
-        kept = kept.take(keep)
-    composed.new_factors = FactorTable.concat([kept, second.new_factors.table])
+        kept = FactorList(kept.table.take(keep))
+    composed.new_factors = kept.extended(second.new_factors.table)
     return composed
 
 

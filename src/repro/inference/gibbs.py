@@ -235,6 +235,8 @@ class GibbsSampler:
         # One commit per variable: the groundings of one commit must be
         # disjoint, and two clamped variables may share a factor.
         moved = [(var, val) for var, val in clamps if bool(self.state[var]) != val]
+        if not moved:
+            return
         blocks = compiled.gather_blocks([[var] for var, _ in moved])
         for block, (_, val) in zip(blocks, moved):
             self.cache.commit_block(block, np.array([val]), self.state)

@@ -24,8 +24,6 @@ All snapshots are single-use: ``restore`` consumes them.
 
 from __future__ import annotations
 
-import copy
-
 from repro.reliability.errors import RollbackError
 
 
@@ -36,15 +34,19 @@ def _consume(snap) -> None:
 
 
 class RngSnapshot:
-    """Exact bit-generator state of a shared ``np.random.Generator``."""
+    """Exact bit-generator state of a shared ``np.random.Generator``.
+
+    The ``state`` getter builds a new dict on every read and the setter
+    copies the values it is given, so the capture is the getter's dict
+    as it is."""
 
     def __init__(self, rng) -> None:
         self.rng = rng
-        self.state = copy.deepcopy(rng.bit_generator.state)
+        self.state = rng.bit_generator.state
 
     def restore(self) -> None:
         _consume(self)
-        self.rng.bit_generator.state = copy.deepcopy(self.state)
+        self.rng.bit_generator.state = self.state
 
 
 class GraphSnapshot:

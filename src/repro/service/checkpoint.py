@@ -10,7 +10,7 @@ costs recovery time (a longer WAL tail to replay), never correctness.
 
 File layout::
 
-    CKPT0020 | u64 payload length | 32-byte sha256(payload) | payload
+    CKPT0021 | u64 payload length | 32-byte sha256(payload) | payload
 
 The magic is the format version of the *pickled state*, not only of the
 header: it moves whenever a pickled class changes shape, so a file
@@ -39,12 +39,12 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0020"
+_MAGIC = b"CKPT0021"
 #: The shape of the state ``_MAGIC`` names: what a small service's
 #: checkpoint pickles, hashed by ``tests/test_service.py``
 #: (``checkpoint_shape``) — a shape change fails that test until the
 #: magic moves and the new digest is pinned here.
-_SHAPE_DIGEST = "cd7f1d52fcfad8555da22d79fdd1b6f0bc31d5683cf1d0989489fb489ea822bb"
+_SHAPE_DIGEST = "a03186184a9468083ab5eb5f077084a594a2560d2751fa8c19d4f99ed2208456"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

@@ -51,6 +51,37 @@ from repro.graph.factor_graph import (
 from repro.graph.semantics import sem_code, sem_from_code
 
 
+def recolor(color, neighbours, touched) -> None:
+    """The substrate-walk recolouring, in place: every touched variable
+    (ascending ids) whose colour is −1 or held by one of its neighbours
+    — ``neighbours(vars)`` gives each one's full neighbour set — takes
+    the smallest colour its neighbours leave free.  The package
+    recolours from the delta's own pairs instead and must leave the
+    colours this leaves."""
+    vars_ = np.asarray(touched, dtype=np.int64)
+    for v, found in zip(vars_.tolist(), neighbours(vars_)):
+        used = {int(color[o]) for o in found}
+        if color[v] < 0 or int(color[v]) in used:
+            used.discard(-1)
+            color[v] = _smallest_free_color(used)
+
+
+def scanned_patch_fraction(compiled) -> float:
+    """``patch_fraction`` read off the arrays — the patched flags and the
+    alive masks counted whole — where the package keeps counts."""
+    if not compiled._patched:
+        return 0.0
+    return compiled._density(
+        np.count_nonzero(compiled.var_patched),
+        compiled.num_vars,
+        [
+            (np.count_nonzero(compiled.bias_alive), compiled.bias_alive.shape[0]),
+            (np.count_nonzero(compiled.ising_alive), compiled.ising_alive.shape[0]),
+            (compiled.num_live_rules, compiled.num_rules),
+        ],
+    )
+
+
 def _csr(lists):
     """Flatten a list of per-variable lists into (indptr, flat array)."""
     counts = np.fromiter((len(l) for l in lists), dtype=np.int64, count=len(lists))
@@ -208,7 +239,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
 
         # ---- evidence ----------------------------------------------------
         self.evidence_mask = graph.evidence_mask()
-        self.free_vars = np.flatnonzero(~self.evidence_mask)
 
         # ---- block-planning adjacency ------------------------------------
         # nbr: variables sharing any factor (used to prove two scan
@@ -251,6 +281,9 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         self.rule_alive = np.ones(self.num_rules, dtype=bool)
         self.var_patched = np.zeros(n, dtype=bool)
         self.num_live_rules = self.num_rules
+        # The package's density counts: the reference scans instead
+        # (``patch_fraction``), and a snapshot carries them as they are.
+        self.num_patched = self.num_live_bias = self.num_live_ising = None
         self._ri_factor = list(self.rule_factors.values())
         self._patched = False
         self._nbr_patch = {}
@@ -313,6 +346,9 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             grown[: counts.shape[0]] = counts
             self.weight_factor_counts = counts = grown
         counts[wid] += delta
+
+    def patch_fraction(self) -> float:
+        return scanned_patch_fraction(self)
 
     def _nbr_adjust(self, a: int, b: int, delta: int) -> None:
         self._nbr_patch.setdefault(a, Counter())[b] += delta
@@ -381,9 +417,8 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         if removed:
             keep = np.ones(self._fkind.shape[0], dtype=bool)
             keep[removed] = False
-            self._fkind = self._fkind[keep]
-            self._fh1 = self._fh1[keep]
-            self._fh2 = self._fh2[keep]
+            for name in ("_fkind", "_fh1", "_fh2"):
+                self._replace(name, getattr(self, name)[keep])
         for factor in delta.new_factors.table.factors():
             if isinstance(factor, BiasFactor):
                 ops["add_order"].append(0)
@@ -432,7 +467,10 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             self.weights.set_value(wid, value)
         ops = self._ops_from_delta(delta)
         patch = self.apply_patch_ops(ops)
-        if compact_threshold is not None and self.patch_fraction() > compact_threshold:
+        if (
+            compact_threshold is not None
+            and scanned_patch_fraction(self) > compact_threshold
+        ):
             self.compact()
             patch.compacted = True
         return patch
@@ -607,15 +645,8 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             # list's append order.
             iters = {kind: iter(rows) for kind, rows in handles_by_kind.items()}
             new_handles = [next(iters[kind]) for kind in ops["add_order"]]
-            self._fkind = np.concatenate(
-                [self._fkind, np.asarray([h[0] for h in new_handles], dtype=np.int8)]
-            )
-            self._fh1 = np.concatenate(
-                [self._fh1, np.asarray([h[1] for h in new_handles], dtype=np.int64)]
-            )
-            self._fh2 = np.concatenate(
-                [self._fh2, np.asarray([h[2] for h in new_handles], dtype=np.int64)]
-            )
+            for name, column in zip(("_fkind", "_fh1", "_fh2"), zip(*new_handles)):
+                self._append(name, list(column))
 
         # ---- evidence ----------------------------------------------------
         for var, val in sorted(ops["evidence"].items()):
@@ -626,7 +657,6 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
             else:
                 self.evidence_mask[var] = True
                 patch.evidence_sets.append((var, bool(val)))
-        self.free_vars = np.flatnonzero(~self.evidence_mask)
 
         # Substrate-as-truth: extend the shared name list, write evidence
         # through the shared dict, and keep ``self.graph`` a lazy view
@@ -659,7 +689,7 @@ class ReferenceCompiledFactorGraph(CompiledFactorGraph):
         patch.dirty_vars = np.fromiter(sorted(dirty), dtype=np.int64, count=len(dirty))
 
         # ---- recolour; the scan plans built before the patch go ----------
-        self._recolor(np.array(sorted(dirty.union(range(n0, n0 + k))), dtype=np.int64))
+        recolor(self._color, self._neighbours, sorted(dirty.union(range(n0, n0 + k))))
         self._plan_cache = {}
         # The package's patch shape: row arrays.
         patch.bias_del = np.asarray(patch.bias_del, dtype=np.int64)

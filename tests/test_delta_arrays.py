@@ -45,10 +45,10 @@ from repro.core.variational import VariationalMaterialization
 from repro.graph import FactorGraph, FactorGraphDelta
 from repro.graph.compiled import (
     _BIG_FACTOR,
+    _BLOCK_COLUMNS,
     _GROWABLE_NAMES,
     CompiledFactorGraph,
     GibbsCache,
-    _Block,
     _Growable,
 )
 from repro.graph.delta import FactorList, FactorTable, compose_deltas
@@ -77,7 +77,7 @@ _SCALARS = (
 #: The build's per-variable offsets (fixed between compactions).
 _STATIC = CompiledFactorGraph._SNAP_STATIC
 #: A block's gather columns.
-_COLUMNS = tuple(name for name in _Block.__slots__ if name not in ("vars", "key"))
+_COLUMNS = _BLOCK_COLUMNS
 
 
 def block_state(block) -> dict:
@@ -127,6 +127,8 @@ def substrate_state(c, handles: bool = True) -> dict:
     ]
     state["evidence"] = dict(c.graph.evidence)
     state["free_vars"] = c.free_vars.tolist()
+    # Counted as patches land here, scanned from the arrays there.
+    state["patch_fraction"] = c.patch_fraction()
     state["plans"] = {
         name: plan_state(plan) for name, plan in current_plans(c).items()
     }

@@ -12,6 +12,12 @@
   each chain's pre-transaction plan object back.  "Valid" is the
   predicate the id-run planner this one replaced satisfies; that planner
   is kept below as the reference.
+* **Recolouring property test** — over random histories that include
+  rule adds and Ising factors between two old variables of one colour,
+  the colours a patch leaves — recoloured from the delta's own pairs —
+  equal bit for bit those of the substrate-walk recolouring
+  (``tests/reference/compiled.py::recolor``) of every touched variable,
+  and stay a proper colouring of the live factors.
 * **Kernel equivalence** — the kernel's and the scalar oracle's
   conditionals ≡ the brute-force energy difference with head-in-body
   rules under every semantics; a block commit ≡ the oracle's sequential
@@ -53,6 +59,7 @@ from repro.workloads import ALL_SYSTEMS, build_pipeline, workload_by_name
 
 from tests.helpers import brute_force_delta, counting, scalar_checked
 from tests.reference import gibbs as reference_gibbs
+from tests.reference.compiled import recolor
 from tests.reference.factors import add_factor, lower_factors
 
 SEMANTICS = list(Semantics)
@@ -347,6 +354,117 @@ class TestPlannerProperties:
         compiled.apply_delta(delta, compact_threshold=1.0)
         assert np.array_equal(compiled._color, colours)
         assert not {4, 9} & set(compiled.plan().free_vars.tolist())
+
+
+def assert_proper(compiled) -> None:
+    """No two variables of one live factor of at most ``_BIG_FACTOR``
+    variables share a colour — judged against the decoded factor table."""
+    colour = compiled._color.tolist()
+    assert min(colour, default=0) >= 0
+    for factor in compiled.graph.factor_table().factors():
+        members = sorted(factor.variables())
+        if len(members) > _BIG_FACTOR:
+            continue
+        colours = [colour[v] for v in members]
+        assert len(set(colours)) == len(colours), (factor, colours)
+
+
+def clash_delta(rng, compiled, step: int) -> tuple:
+    """A rule or an Ising factor between two old variables of one colour,
+    and the pair — ``(None, None)`` when every colour class is a single
+    variable."""
+    colour = compiled._color
+    classes = [
+        np.flatnonzero(colour == c) for c in range(int(colour.max()) + 1)
+    ]
+    classes = [members for members in classes if members.size >= 2]
+    if not classes:
+        return None, None
+    members = classes[int(rng.integers(len(classes)))]
+    a, b = (int(v) for v in rng.choice(members, size=2, replace=False))
+    delta = FactorGraphDelta()
+    wid = len(compiled.weights)
+    delta.new_weight_entries.append(((f"c{step}",), float(rng.normal(0, 0.6)), False))
+    if rng.random() < 0.5:
+        delta.new_factors.add_ising(wid, a, b)
+    else:
+        body = [(b, bool(rng.integers(2)))]
+        other = int(rng.integers(compiled.num_vars))
+        if other not in (a, b) and rng.random() < 0.5:
+            body.append((other, True))
+        delta.new_factors.add_rule(wid, a, [body], SEMANTICS[int(rng.integers(3))])
+    return delta, (a, b)
+
+
+#: ``clash`` twice: most histories must make old variables clash.
+RECOLOUR_OPS = (
+    "clash",
+    "clash",
+    "add",
+    "append",
+    "remove",
+    "evidence",
+    "compact",
+    "rollback",
+    "pickle",
+)
+
+
+class TestRecolouringFromTheDelta:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        ops=st.lists(st.sampled_from(RECOLOUR_OPS), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_colours_equal_the_substrate_walk_after_any_history(self, seed, ops):
+        rng = np.random.default_rng(seed)
+        compiled = CompiledFactorGraph(random_graph(rng, 40, 30))
+        for step, op in enumerate(ops):
+            if op == "pickle":
+                colours = compiled._color.tolist()
+                compiled = pickle.loads(pickle.dumps(compiled))
+                assert compiled._color.tolist() == colours
+            elif op == "rollback":
+                colours = compiled._color.tolist()
+                snap = compiled.snapshot_state()
+                for sub, kind in enumerate(("append", "clash", "remove")):
+                    self.patch_and_check(compiled, rng, kind, 100 * step + sub)
+                compiled.restore_state(snap)
+                assert compiled._color.tolist() == colours
+            else:
+                self.patch_and_check(compiled, rng, op, step)
+            assert_proper(compiled)
+
+    @staticmethod
+    def patch_and_check(compiled, rng, op, step) -> None:
+        if op == "clash":
+            delta, pair = clash_delta(rng, compiled, step)
+            if delta is None:
+                return
+        else:
+            delta = history_delta(rng, compiled, "add" if op == "compact" else op, step)
+        before = compiled._color.copy()
+        patch = compiled.apply_delta(
+            delta, compact_threshold=0.0 if op == "compact" else 1.0
+        )
+        assert patch.compacted == (op == "compact")
+        if patch.compacted:
+            return
+        # The oracle: the pre-patch colours, −1 for the appended
+        # variables, recoloured by walking every touched variable's
+        # neighbours on the patched substrate.
+        expected = np.concatenate(
+            [before, np.full(patch.num_new_vars, -1, dtype=np.int32)]
+        )
+        touched = np.union1d(
+            patch.dirty_vars, np.arange(patch.old_num_vars, compiled.num_vars)
+        )
+        recolor(expected, compiled._neighbours, touched)
+        assert compiled._color.tolist() == expected.tolist()
+        if op == "clash":
+            # The pair clashed before the patch, and no longer does.
+            a, b = pair
+            assert before[a] == before[b] and compiled._color[a] != compiled._color[b]
 
 
 # --------------------------------------------------------------------- #

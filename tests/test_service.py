@@ -34,6 +34,7 @@ import pytest
 
 from repro.core import IncrementalEngine
 from repro.core.resident import ResidentGraph
+from repro.graph.delta import FactorGraphDelta
 from repro.grounding import IncrementalGrounder
 from repro.kbc.pipeline import KBCPipeline
 from repro.reliability import DeltaLog, Fault, FaultPlan, inject_faults
@@ -311,7 +312,7 @@ class TestCheckpointShape:
         )
 
     def test_the_shape_sees_inside_containers(self, tmp_path):
-        # A held update is a ``(bytes, draws)`` pair; held as bare bytes,
+        # A held update is a ``(delta, draws)`` pair; held as bare deltas,
         # the resident graph's keys and dtypes would be the same, so only
         # what the list holds can tell the two shapes apart.
         svc = make_service(checkpoint_dir=tmp_path)
@@ -331,13 +332,13 @@ class TestCheckpointShape:
         Finder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(state)
         holding = [resident for resident in residents if resident._held]
         assert holding and all(
-            isinstance(entry, tuple) and isinstance(entry[0], bytes)
+            isinstance(entry, tuple) and isinstance(entry[0], FactorGraphDelta)
             for resident in holding
             for entry in resident._held
         )
         digest = checkpoint_shape(state)
         for resident in holding:
-            resident._held = [blob for blob, _ in resident._held]
+            resident._held = [delta for delta, _ in resident._held]
         assert checkpoint_shape(state) != digest
 
 
