@@ -32,14 +32,13 @@ substrate compiled from a copy of the grounded graph (as the engines'
 ``ResidentGraph`` does), and assert the patched compilation's marginals
 agree with a from-scratch compile of the grounder's graph; then drive a
 variational-only ``IncrementalEngine`` through three appends and a
-retraction and assert that its current graph, which no learner or chain
-follows, compiled nothing, that its approximate substrate was
-constructed once and gathered no whole factor list, and that the warm
-chain's marginals agree with a freshly compiled sampler over the spliced
-graph; then relearn an ``IncrementalEngine``, apply three updates and
-assert that they patched neither its substrate nor its learner, and that
-the next relearn matches a twin that brought its substrate current after
-every update bit for bit; then count the
+retraction and assert that its current graph was compiled once, at
+construction, that its approximate substrate was constructed once and
+gathered no whole factor list, and that the warm chain's marginals agree
+with a freshly compiled sampler over the spliced graph; then relearn an
+``IncrementalEngine``, apply three updates and assert that they made
+exactly three ``apply_delta`` calls on its substrate, three
+``SGDLearner.apply_patch`` calls and no oracle view; then count the
 substrate's work per delta (array appends independent of |Δ|, no factor
 record decoded or built by patch, build or compaction, a threshold delta
 = one build and no splice, no scan plan built and no block gathered by a
@@ -135,7 +134,7 @@ def measure_updates(num_vars: int, delta_size: int, path: str, updates: int = 4)
     and starts a fresh chain."""
     graph = build_graph(num_vars)
     engine = RerunEngine(graph, engine_config())
-    # Prime: the first update pays the one-time compile on both paths.
+    # Prime: the first update starts the chain on both paths.
     engine.apply_update(FactorGraphDelta())
     rng = np.random.default_rng(7)
     seconds = []
@@ -159,8 +158,6 @@ def measure_updates(num_vars: int, delta_size: int, path: str, updates: int = 4)
         "path": path,
         "median_seconds": float(np.median(seconds)),
         "min_seconds": float(np.min(seconds)),
-        "updates_patched": engine.updates_patched,
-        "updates_recompiled": engine.updates_recompiled,
     }
 
 
@@ -333,8 +330,11 @@ def check_variational() -> None:
             assert outcome.strategy == "variational", outcome.strategy
     finally:
         CompiledFactorGraph.__init__ = original_init
-    assert engine.resident.compiled is None and len(builds) == materialized, (
-        f"an update with no follower compiled {len(builds) - materialized} substrates"
+    assert builds[id(engine.resident.compiled)] == 1, (
+        "the engine's current graph was not compiled once, at construction"
+    )
+    assert len(builds) == materialized, (
+        f"the updates compiled {len(builds) - materialized} substrates"
     )
     substrate = engine.variational.current.compiled
     assert builds[id(substrate)] == 1, (
@@ -349,83 +349,61 @@ def check_variational() -> None:
     assert err < 0.06, f"warm chain vs fresh compile marginal disagreement: {err:.3f}"
     print(
         "variational smoke ok: append ×3 + retract on one substrate, "
-        f"none on the engine's, max marginal err {err:.3f}"
+        f"the engine's compiled once, max marginal err {err:.3f}"
     )
 
 
-def check_held_updates() -> None:
+def check_updates_patch() -> None:
     """CI smoke: after a relearn an ``IncrementalEngine``'s current graph
-    has a substrate and a learner but no chain, so three updates patch
-    neither — they hold their deltas — and the next relearn, replaying
-    them, leaves it bit for bit where a twin that brings its substrate
-    current after every update (``resident.compile()``) stands."""
+    has a substrate and a learner but no chain, and each of three updates
+    patches the substrate once (``apply_delta``), the learner riding the
+    patch (``SGDLearner.apply_patch``), with no oracle view gathered."""
     from repro.core import IncrementalEngine
 
-    config = EngineConfig(
-        materialization_samples=200,
-        inference_steps=40,
-        variational_inference_samples=50,
-        burn_in=5,
-        seed=0,
+    graph = build_graph(60)
+    for var in range(0, 60, 6):
+        graph.set_evidence(var, var % 12 == 0)
+    engine = IncrementalEngine(
+        graph,
+        EngineConfig(
+            materialization_samples=200,
+            inference_steps=40,
+            variational_inference_samples=50,
+            burn_in=5,
+            seed=0,
+        ),
     )
-    engines, calls = [], {"apply_delta": 0, "apply_patch": 0}
-    for flush in (False, True):
-        graph = build_graph(60)
-        for var in range(0, 60, 6):
-            graph.set_evidence(var, var % 12 == 0)
-        engine = IncrementalEngine(graph, config)
-        engine.materialize()
-        engine.relearn(2, record_loss=False)
-        resident = engine.resident
-        spied = ((resident.compiled, "apply_delta"), (resident.learner, "apply_patch"))
-        for target, name in () if flush else spied:
-            original = getattr(target, name)
+    engine.materialize()
+    engine.relearn(2, record_loss=False)
+    resident = engine.resident
+    calls = {"apply_delta": 0, "apply_patch": 0}
+    spied = ((resident.compiled, "apply_delta"), (resident.learner, "apply_patch"))
+    for target, name in spied:
+        original = getattr(target, name)
 
-            def spy(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-            setattr(target, name, spy)
-        for step in range(3):
-            current = engine.current_graph
-            delta = FactorGraphDelta(
-                num_new_vars=1,
-                new_weight_entries=[(("held", step), 0.4, False)],
-                evidence_updates={6 * step + 1: step % 2 == 0},
-            )
-            delta.new_factors.add_bias(len(current.weights), current.num_vars)
-            delta.new_factors.add_ising(0, step, current.num_vars)
-            engine.apply_update(delta)
-            if flush:
-                resident.compile()
-        if not flush:
-            assert calls == {"apply_delta": 0, "apply_patch": 0}, (
-                f"updates after a relearn patched the substrate / learner: {calls}"
-            )
-            assert resident.held_updates == 3
-        engine.relearn(2, record_loss=False)
-        engines.append(engine)
-    assert calls == {"apply_delta": 3, "apply_patch": 3}, calls
-    held, flushed = engines
-    assert np.array_equal(
-        held.current_graph.weights.values_array(),
-        flushed.current_graph.weights.values_array(),
-    ), "held vs flushed twin: weights differ after the relearn"
-    for ours, theirs in zip(
-        (held.resident.learner._conditioned, held.resident.learner._free),
-        (flushed.resident.learner._conditioned, flushed.resident.learner._free),
-    ):
-        assert np.array_equal(ours.state, theirs.state), "learner chain states differ"
-        for name in ("field", "unsat", "nsat"):
-            ours_, theirs_ = getattr(ours.cache, name), getattr(theirs.cache, name)
-            assert np.array_equal(ours_, theirs_), f"learner chain caches differ ({name})"
-    assert held.rng.bit_generator.state == flushed.rng.bit_generator.state
-    assert np.array_equal(
-        held.read_snapshot().marginals, flushed.read_snapshot().marginals
-    ), "held vs flushed twin: marginals differ"
+        setattr(target, name, spy)
+    for step in range(3):
+        current = engine.current_graph
+        delta = FactorGraphDelta(
+            num_new_vars=1,
+            new_weight_entries=[(("upd", step), 0.4, False)],
+            evidence_updates={6 * step + 1: step % 2 == 0},
+        )
+        delta.new_factors.add_bias(len(current.weights), current.num_vars)
+        delta.new_factors.add_ising(0, step, current.num_vars)
+        engine.apply_update(delta)
+    assert calls == {"apply_delta": 3, "apply_patch": 3}, (
+        f"3 updates after a relearn: {calls}"
+    )
+    views = resident.compiled.views_materialized
+    assert views == 0, f"the updates gathered {views} oracle views"
     print(
-        "held-update smoke ok: 3 updates after a relearn, 0 substrate / learner "
-        "patches; the next relearn replays 3 and matches the flushing twin bit for bit"
+        "update smoke ok: 3 updates after a relearn, 3 substrate patches, "
+        "3 learner patches, 0 oracle views"
     )
 
 
@@ -593,14 +571,14 @@ def main() -> None:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="run the incremental-compilation, variational, held-update and "
+        help="run the incremental-compilation, variational, update-patch and "
         "work-count smoke assertions only",
     )
     args = parser.parse_args()
     if args.check:
         check()
         check_variational()
-        check_held_updates()
+        check_updates_patch()
         check_work_counts()
         return
     record = run(args.scale)

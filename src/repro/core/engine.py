@@ -15,18 +15,16 @@
 the whole updated graph.
 
 Both hold their current graph as one
-:class:`~repro.core.resident.ResidentGraph`, compiled once, for its
-first follower.  Rerun's chain starts at the first update and every
-delta patches the substrate it sweeps from then on.  The incremental
-engine's current graph has only a learner, compiled at the first
-``relearn``: an update holds its delta, and the next ``relearn``
-replays the held deltas onto the substrate, the learner riding each
-patch.  Both run every ``apply_update`` / ``relearn`` through one
-transaction shell (:meth:`_Engine._transaction`): snapshot → fault
-points → commit, or restore — and the update's snapshot, with those of
-the relearns after it, is kept until the next update begins
-(:meth:`_Engine.rollback`).  Engines keep no log of their own: the
-durable record of an update is its *input*, in the pipeline's /
+:class:`~repro.core.resident.ResidentGraph`, compiled once, when the
+engine is built, and patched by every update.  Rerun's chain starts at
+the first update and rides every patch from then on; the incremental
+engine's current graph has only a learner, which rides every patch
+after the first ``relearn``.  Both run every ``apply_update`` /
+``relearn`` through one transaction shell (:meth:`_Engine._transaction`):
+snapshot → fault points → commit, or restore — and the update's
+snapshot, with those of the relearns after it, is kept until the next
+update begins (:meth:`_Engine.rollback`).  Engines keep no log of their
+own: the durable record of an update is its *input*, in the pipeline's /
 service's WAL (:mod:`repro.reliability.pipeline`), which is what
 recovery replays.
 """
@@ -86,8 +84,7 @@ class EngineConfig:
     # -- learning ------------------------------------------------------- #
     #: Persistent incremental learning: keep one :class:`SGDLearner`
     #: whose chains, compiled gradient substrate and weight store ride
-    #: the patches of every update (replayed at the next ``relearn()``),
-    #: so ``relearn()`` warm-starts
+    #: the patch of every update, so ``relearn()`` warm-starts
     #: (App. B.3's SGD+Warmstart).  False is the lesion reproducing the
     #: SGD-cold baseline of Fig. 16: every ``relearn()`` constructs a
     #: fresh learner with zeroed weights and fresh chains (still over the
@@ -131,7 +128,9 @@ class _Engine:
     """What the two engines share: the resident current graph with its
     persistent learner, the transaction shell, and the read path."""
 
-    def __init__(self, graph: FactorGraph, config: EngineConfig | None) -> None:
+    def __init__(
+        self, graph: FactorGraph, config: EngineConfig | None = None
+    ) -> None:
         self.config = config or EngineConfig()
         self.rng = as_generator(self.config.seed)
         self.resident = ResidentGraph(graph, self.rng)
@@ -153,9 +152,7 @@ class _Engine:
     @property
     def current_graph(self) -> FactorGraph:
         """The graph all updates so far produced, for reading: the
-        substrate's lazy view while it is current; while the resident
-        holds deltas, the lowered graph they advanced in place (the
-        constructor's graph until the first update)."""
+        substrate's view."""
         return self.resident.graph
 
     def read_snapshot(self) -> ReadSnapshot | None:
@@ -211,21 +208,17 @@ class _Engine:
     def _relearn(self, num_epochs: int, record_loss: bool):
         """Shared body of both engines' ``relearn``.
 
-        The first call compiles the current graph once (Pr⁰ with the
-        updates so far replayed onto it).  Every call brings that
-        compilation current: the deltas the updates since held are
-        replayed onto it in order, exactly as patching at each update
-        would have landed them, and with ``EngineConfig.warm_learning``
-        (default) the learner's persistent chains and weight store ride
-        each patch — so each relearn is the paper's SGD+Warmstart step
-        (App. B.3) with O(|Δ|) setup per update since (``learns_warm``).
-        Under the lesion every call pays the cold restart the Fig. 16
-        baselines measure (``learns_cold``), no learner is kept between
-        calls, and with none to hold for the updates patch the substrate.
-        Weights are updated in place on ``current_graph.weights``; a
-        persistent chain picks them up through its version-gated weight
-        refresh.  A committed relearn's snapshot joins the last update's,
-        so :meth:`rollback` undoes both."""
+        The learner fits the current graph's substrate.  With
+        ``EngineConfig.warm_learning`` (default) its persistent chains and
+        weight store rode the patch of every update since the last call —
+        so each relearn is the paper's SGD+Warmstart step (App. B.3) with
+        O(|Δ|) setup per update since (``learns_warm``).  Under the lesion
+        every call pays the cold restart the Fig. 16 baselines measure
+        (``learns_cold``) and no learner is kept between calls.  Weights
+        are updated in place on ``current_graph.weights``; a persistent
+        chain picks them up through its version-gated weight refresh.  A
+        committed relearn's snapshot joins the last update's, so
+        :meth:`rollback` undoes both."""
 
         def body():
             warm = self.config.warm_learning
@@ -362,9 +355,7 @@ class IncrementalEngine(_Engine):
                 self.base_graph, self.cumulative_delta, delta
             )
 
-        # The update splices the lowered current graph (detached from the
-        # frozen Pr⁰ snapshot, or from the substrate) and holds its delta
-        # for the next relearn, whose learner rides the replayed patches.
+        # Patch the current graph's substrate; a learner rides the patch.
         self.resident.apply_delta(delta)
 
         # Patch the tuple bundle in place for small variable appends so
@@ -478,16 +469,11 @@ class RerunEngine(_Engine):
 
     The *inference* cost stays O(graph) per update — that is the paper's
     baseline semantics.  The *setup* cost does not: the resident graph is
-    compiled by the first update and patched by every later one, and its
-    serial chain keeps its assignment across the patches.  The
+    compiled with the engine and patched by every update, and its serial
+    chain keeps its assignment across the patches.  The
     recompile-per-update baseline is a fresh engine on
     ``delta.apply(graph)``.
     """
-
-    def __init__(self, graph: FactorGraph, config: EngineConfig | None = None):
-        super().__init__(graph.copy(), config)
-        self.updates_patched = 0
-        self.updates_recompiled = 0
 
     def apply_update(self, delta: FactorGraphDelta) -> InferenceOutcome:
         """Apply one delta and re-run inference, as one transaction (see
@@ -506,13 +492,6 @@ class RerunEngine(_Engine):
                 seconds=time.perf_counter() - started,
                 details={"short_circuit": "empty delta"},
             )
-        if self.resident.compiled is None:
-            # The update that pays the one-time O(graph) compile: its
-            # chain follows the substrate from here on.
-            self.updates_recompiled += 1
-            self.resident.compile()
-        else:
-            self.updates_patched += 1
         self.resident.apply_delta(delta)
         maybe_fire("engine.update.patched")
         marginals = self._clamp(

@@ -364,7 +364,6 @@ class VariationalMaterialization:
             seed=self.rng,
         )
         self.resident = ResidentGraph(self.approximation.graph, self.rng)
-        self.resident.compile()
         self.approximation.graph = self.resident.graph
         self.materialization_seconds = time.perf_counter() - start
         return self.approximation

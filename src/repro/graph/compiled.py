@@ -130,7 +130,6 @@ from repro.graph.delta import (
     KIND_BIAS,
     KIND_ISING,
     KIND_RULE,
-    FactorList,
     FactorTable,
     expand_ranges,
     gather_rules,
@@ -660,20 +659,6 @@ class CompiledFactorGraph:
     def _live_table(self) -> FactorTable:
         """The whole current factor list."""
         return self.factor_table(np.arange(self.num_factors))
-
-    def lowered(self, share_weights: bool = False) -> FactorGraph:
-        """The current graph as a detached mutable :class:`FactorGraph`:
-        the live factor table gathered once, names and evidence copied,
-        the weight store copied unless ``share_weights``.  What a
-        :class:`~repro.core.resident.ResidentGraph` advances in place
-        while it holds deltas back from this substrate; uncounted —
-        ``FactorGraph.from_compiled`` is the counted oracle view."""
-        graph = FactorGraph(self.weights if share_weights else self.weights.copy())
-        graph._num_vars = self.num_vars
-        graph._names = list(self.names)
-        graph._evidence.update(self.evidence_dict)
-        graph.factors = FactorList(self._live_table())
-        return graph
 
     # ------------------------------------------------------------------ #
     # Compiled gradient aggregation (learning hot path)

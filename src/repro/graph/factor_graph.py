@@ -488,11 +488,17 @@ class FactorGraph:
     def from_compiled(cls, compiled, share_weights: bool = False) -> "FactorGraph":
         """A plain mutable graph over a compiled substrate's current
         factor table (one whole-list gather, counted in
-        ``compiled.views_materialized``).  O(#factors) — never call it on
-        the default update path.
+        ``compiled.views_materialized``), names and evidence copied, the
+        weight store copied unless ``share_weights``.  O(#factors) — never
+        call it on the default update path.
         """
         compiled.views_materialized += 1
-        return compiled.lowered(share_weights)
+        graph = cls(compiled.weights if share_weights else compiled.weights.copy())
+        graph._num_vars = compiled.num_vars
+        graph._names = list(compiled.names)
+        graph._evidence.update(compiled.evidence_dict)
+        graph.factors = FactorList(compiled._live_table())
+        return graph
 
     def validate(self) -> None:
         """Check internal invariants; raises ``ValueError`` on violation:

@@ -175,31 +175,25 @@ class GibbsSampler:
 
     # ------------------------------------------------------------------ #
 
-    def _grow_state(self, patch, drawn=None) -> None:
+    def _grow_state(self, patch) -> None:
         """Append the patch's new variables to the chain state.
 
         New free variables are drawn from their bias-only conditional
-        (``P(x=1) = σ(2·Σ w_bias)``) — or take ``drawn``, those values
-        drawn when the patch's delta arrived; clamped new variables take
-        their evidence values."""
+        (``P(x=1) = σ(2·Σ w_bias)``); clamped new variables take their
+        evidence values."""
         k = patch.num_new_vars
         if not k:
             return
         old_n = patch.old_num_vars
-        if drawn is None:
-            new_vals = bias_init_values(
-                k, old_n, patch.bias_add, self.compiled.graph.weights, self.rng
-            )
-        else:
-            new_vals = np.array(drawn, dtype=bool)
+        new_vals = bias_init_values(
+            k, old_n, patch.bias_add, self.compiled.graph.weights, self.rng
+        )
         for var, val in patch.evidence_sets:
             if var >= old_n:
                 new_vals[var - old_n] = val
         self.state = np.concatenate([self.state, new_vals])
 
-    def apply_patch(
-        self, patch, graph: FactorGraph | None = None, drawn=None
-    ) -> None:
+    def apply_patch(self, patch, graph: FactorGraph | None = None) -> None:
         """Warm-start this chain across a compiled-graph patch.
 
         The assignment of surviving variables is kept (the paper's
@@ -212,12 +206,10 @@ class GibbsSampler:
         pass a structure-identical twin with its own evidence (e.g. the
         evidence-free chain of SGD learning) to keep the chain's clamping
         independent of the compiled graph's — only evidence the override
-        graph actually clamps is re-applied.  ``drawn``: the appended
-        variables' initial values, drawn from this chain's generator when
-        the delta arrived (a held delta, replayed later)."""
+        graph actually clamps is re-applied."""
         compiled = self.compiled
         self._replan = True
-        self._grow_state(patch, drawn)
+        self._grow_state(patch)
         self.graph = graph if graph is not None else compiled.graph
         clamps = [
             (var, val)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.compiled import CompiledFactorGraph, bias_init_values
+from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.factor_graph import FactorGraph
 from repro.inference.gibbs import ChainStack, GibbsSampler
 from repro.learning.gradient import EvidenceScorer, weight_gradient
@@ -131,19 +131,7 @@ class SGDLearner:
 
     # ------------------------------------------------------------------ #
 
-    def draw_new_values(self, num_new_vars, old_num_vars, bias_add, weights) -> tuple:
-        """The initial values :meth:`apply_patch` draws for a patch's
-        ``num_new_vars`` appended variables, drawn now — the conditioned
-        chain's, then the free chain's, as the patch would — for a patch
-        that lands later (``apply_patch(patch, drawn=...)``).
-        ``bias_add`` and ``weights`` are the patch's ``(var, weight id)``
-        bias rows and the store as the patch will leave it."""
-        return tuple(
-            bias_init_values(num_new_vars, old_num_vars, bias_add, weights, chain.rng)
-            for chain in (self._conditioned, self._free)
-        )
-
-    def apply_patch(self, patch, drawn=None) -> None:
+    def apply_patch(self, patch) -> None:
         """Warm-start the learner across a compiled-graph patch.
 
         Both persistent chains keep their assignments (new variables
@@ -154,17 +142,14 @@ class SGDLearner:
 
         ``patch`` is the :class:`~repro.graph.compiled.CompiledPatch`
         returned by ``apply_delta`` on this learner's compilation — the
-        caller (typically an engine) owns applying the delta.  ``drawn``
-        is :meth:`draw_new_values` of the patch's delta, when it was
-        drawn before the patch landed.
+        caller (typically an engine) owns applying the delta.
         """
         compiled = self._compiled
         self.graph = compiled.graph
         self.free_graph = self.graph.free_twin()
         self._scorer = None
-        conditioned, free = (None, None) if drawn is None else drawn
-        self._conditioned.apply_patch(patch, drawn=conditioned)
-        self._free.apply_patch(patch, graph=self.free_graph, drawn=free)
+        self._conditioned.apply_patch(patch)
+        self._free.apply_patch(patch, graph=self.free_graph)
 
     # ------------------------------------------------------------------ #
 

@@ -16,8 +16,10 @@ reference.  Pairing a substrate capture with the captures of the chains
 that follow it is the owner's job
 (:meth:`repro.core.resident.ResidentGraph.snapshot`); this module
 supplies the per-component pieces it composes and the two engine-level
-transaction snapshots built on top.  Samplers and learners
-are restored bit-exactly, including the shared rng stream.
+transaction snapshots built on top.  Every update patches the resident
+graph as a relearn fits it, so both capture it whole: substrate, chain
+and learner.  Samplers and learners are restored bit-exactly, including
+the shared rng stream.
 
 All snapshots are single-use: ``restore`` consumes them.
 """
@@ -47,31 +49,6 @@ class RngSnapshot:
     def restore(self) -> None:
         _consume(self)
         self.rng.bit_generator.state = self.state
-
-
-class GraphSnapshot:
-    """A lowered :class:`~repro.graph.factor_graph.FactorGraph` that
-    ``FactorGraphDelta.apply_in_place`` advances: its factor list is
-    replaced, never mutated, so it is captured by reference; variables
-    only append (truncated by count); the weight store and the evidence
-    dict are copied, as a substrate's own capture copies them."""
-
-    def __init__(self, graph) -> None:
-        self.graph = graph
-        self.num_vars = graph.num_vars
-        self.factors = graph.factors
-        self.weights = graph.weights.snapshot_state()
-        self.evidence = dict(graph._evidence)
-
-    def restore(self) -> None:
-        _consume(self)
-        graph = self.graph
-        graph.truncate_variables(self.num_vars)
-        graph.factors = self.factors
-        graph.weights.restore_state(self.weights)
-        graph._evidence.clear()
-        graph._evidence.update(self.evidence)
-        graph._evidence_arrays = None
 
 
 class CacheSnapshot:
@@ -184,15 +161,11 @@ class RelearnSnapshot:
     cumulative delta — it *rebinds*, so a shallow copy of the engine's
     attribute dict restores it by reference."""
 
-    #: Whether the transaction may replay the resident graph's held
-    #: deltas (``ResidentGraph.snapshot``).
-    replays = True
-
     def __init__(self, engine) -> None:
         self.engine = engine
         self.attrs = dict(vars(engine))
         self.rng = RngSnapshot(engine.rng)
-        self.resident = engine.resident.snapshot(replays=self.replays)
+        self.resident = engine.resident.snapshot()
 
     def restore(self, verify: bool = True) -> None:
         _consume(self)
@@ -203,11 +176,7 @@ class RelearnSnapshot:
 
 class IncrementalUpdateSnapshot(RelearnSnapshot):
     """Everything ``IncrementalEngine.apply_update`` can touch: the
-    current graph plus both materializations.  The update only applies
-    its delta to the current graph, so while that graph holds its deltas
-    neither its substrate nor its learner is captured."""
-
-    replays = False
+    current graph plus both materializations."""
 
     def __init__(self, engine) -> None:
         super().__init__(engine)

@@ -39,12 +39,12 @@ import struct
 from repro.reliability.faults import maybe_fire
 from repro.reliability.wal import replace_durably
 
-_MAGIC = b"CKPT0021"
+_MAGIC = b"CKPT0022"
 #: The shape of the state ``_MAGIC`` names: what a small service's
 #: checkpoint pickles, hashed by ``tests/test_service.py``
 #: (``checkpoint_shape``) — a shape change fails that test until the
 #: magic moves and the new digest is pinned here.
-_SHAPE_DIGEST = "a03186184a9468083ab5eb5f077084a594a2560d2751fa8c19d4f99ed2208456"
+_SHAPE_DIGEST = "01c9f6fd164fcdbaa1ceb9985b3041b17c1270eb26f123381661af61c581ea95"
 _LEN = struct.Struct("<Q")
 _NAME = re.compile(r"^ckpt-(\d{10})\.bin$")
 

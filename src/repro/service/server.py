@@ -362,7 +362,6 @@ class KBService:
                 "last_txn": self.pipeline.last_txn,
             },
             "inference": self._inference_status(),
-            "engine": self._engine_status(),
             "reads": {
                 "served": self.reads,
                 "shed": self.reads_shed,
@@ -375,16 +374,6 @@ class KBService:
                 ),
             },
             "recovery": self.recovery,
-        }
-
-    def _engine_status(self) -> dict:
-        """The engine's current graph: whether a substrate is compiled
-        for it, and how many updates' deltas it holds — what the next
-        relearn replays onto that substrate (or compiles, with none)."""
-        resident = self.pipeline.engine.resident
-        return {
-            "compiled": resident.compiled is not None,
-            "held_updates": resident.held_updates,
         }
 
     def _inference_status(self) -> dict | None:

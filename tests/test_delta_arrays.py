@@ -445,8 +445,8 @@ class TestRemovedIdsAreChecked:
 
 class TestNewFactorIdsAreChecked:
     """A new factor naming a weight or variable that will not exist is a
-    ``ValueError`` from the substrate and from a holding resident alike,
-    before anything moves — also when every variable it names exists
+    ``ValueError`` from the substrate and from a resident alike, before
+    anything moves — also when every variable it names exists
     (a bias factor on weight 7 of a 2-weight graph used to splice in)."""
 
     @staticmethod
@@ -473,18 +473,28 @@ class TestNewFactorIdsAreChecked:
         assert (substrate_state(compiled), graph_state(compiled.graph)) == before
 
     @pytest.mark.parametrize("what", ["weight", "variable"])
-    @pytest.mark.parametrize("compiled", [False, True], ids=["source", "substrate"])
-    def test_a_holding_resident_raises_before_anything_moves(self, what, compiled):
+    def test_a_resident_with_a_learner_raises_before_anything_moves(self, what):
         resident = ResidentGraph(chain_ising_graph(4), np.random.default_rng(0))
-        if compiled:
-            resident.warm_learner(True)  # a learner, no chain: it holds
-        graph, rng = resident.graph, resident.rng.bit_generator.state
-        before = graph_state(graph)
+        resident.warm_learner(True)
+        learner = resident.learner
+        chains = learner._conditioned, learner._free
+
+        def state():
+            return (
+                substrate_state(resident.compiled),
+                graph_state(resident.graph),
+                [
+                    (chain.state.tolist(), chain.cache.field.tolist())
+                    for chain in chains
+                ],
+                resident.rng.bit_generator.state,
+            )
+
+        graph, before = resident.graph, state()
         with pytest.raises(ValueError, match=f"unknown {what}"):
             resident.apply_delta(self.bad_delta(what))
-        assert resident.graph is graph and graph_state(graph) == before
-        assert resident.held_updates == 0
-        assert resident.rng.bit_generator.state == rng
+        assert resident.graph is graph and resident.learner is learner
+        assert state() == before
 
 
 # --------------------------------------------------------------------- #

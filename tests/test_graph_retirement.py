@@ -29,7 +29,7 @@ from repro.inference import ExactInference
 from repro.reliability.faults import Fault, FaultInjected, FaultPlan, inject_faults
 from repro.util.stats import max_marginal_error
 
-from tests.helpers import chain_ising_graph
+from tests.helpers import chain_ising_graph, counting
 from tests.test_incremental_compile import random_delta, seed_graph
 from tests.test_incremental_grounding import canonical_form
 from tests.test_grounding import spouse_db, spouse_program
@@ -125,7 +125,13 @@ class TestCompiledDirectEquivalence:
 
     def test_engine_marginals_match_exact_over_sequence(self):
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
-        engine = RerunEngine(fg, config())
+        with counting(CompiledFactorGraph, "__init__") as builds:
+            engine = RerunEngine(fg, config())
+            self.run_sequence(engine)
+        assert builds["__init__"] == 1  # the one substrate, compiled with the engine
+
+    @staticmethod
+    def run_sequence(engine):
         for step in range(3):
             delta = FactorGraphDelta()
             delta.new_weight_entries.append(((f"f{step}",), 0.5, False))
@@ -140,8 +146,6 @@ class TestCompiledDirectEquivalence:
                 FactorGraph.from_compiled(engine.resident.compiled)
             ).marginals()
             assert max_marginal_error(out.marginals, exact) < 0.12
-        assert engine.updates_recompiled == 1  # the one-time substrate compile
-        assert engine.updates_patched == 2
 
 
 class TestNoMaterializationOnDefaultPath:
@@ -166,9 +170,8 @@ class TestNoMaterializationOnDefaultPath:
         assert engine.resident.compiled.structure_version >= 4
 
     def test_incremental_sampling_path_materializes_no_views(self):
-        """No follower, no substrate: the updates splice the lowered
-        current graph.  The first relearn compiles it, and the substrate
-        it compiles gathers no view."""
+        """The updates patch the substrate compiled with the engine, and
+        neither they nor a relearn gather a view."""
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
         engine = IncrementalEngine(fg, config(strategies=("sampling",)))
         engine.materialize()
@@ -185,12 +188,13 @@ class TestNoMaterializationOnDefaultPath:
             legacy = delta.apply(legacy)
             outcome = engine.apply_update(delta)
             assert outcome.strategy == "sampling"
-        assert engine.resident.compiled is None
-        assert not isinstance(engine.current_graph, CompiledGraphView)
-        assert_graphs_equal(engine.current_graph, legacy)
+        compiled = engine.resident.compiled
+        assert isinstance(engine.current_graph, CompiledGraphView)
+        assert engine.current_graph is compiled.graph
+        assert compiled.views_materialized == 0
+        assert_graphs_equal(FactorGraph.from_compiled(compiled), legacy)
         engine.relearn(1, record_loss=False)
-        assert engine.current_graph is engine.resident.compiled.graph
-        assert engine.resident.compiled.views_materialized == 0
+        assert compiled.views_materialized == 1  # the gather just above
 
 
 class TestComposeDeltasFastPath:
@@ -304,19 +308,18 @@ class TestSnapshotRollbackRederivesView:
 
     def test_incremental_rollback_rederives_view(self):
         """A rolled-back update of an engine with no follower puts back
-        the lowered graph and the deltas it holds: the substrate a
-        first follower compiles is the committed graph's."""
+        its substrate: the current graph is the view of the committed
+        one."""
         fg = chain_ising_graph(6, coupling=0.4, bias=0.1)
         engine = IncrementalEngine(fg, config(strategies=("sampling",)))
         engine.materialize()
         engine.apply_update(self._grow_delta(engine, 0))
-        committed = engine.current_graph.copy()
+        compiled = engine.resident.compiled
+        committed = FactorGraph.from_compiled(compiled)
         with inject_faults(FaultPlan([Fault(site="engine.update.inferred")])):
             with pytest.raises(FaultInjected):
                 engine.apply_update(self._grow_delta(engine, 1))
-        assert engine.resident.compiled is None
-        assert_graphs_equal(engine.current_graph, committed)
-        compiled = engine.resident.compile()
+        assert engine.resident.compiled is compiled
         assert engine.current_graph is compiled.graph
         assert_graphs_equal(FactorGraph.from_compiled(compiled), committed)
 

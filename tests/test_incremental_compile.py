@@ -23,6 +23,7 @@ from tests.helpers import (
     brute_force_delta,
     chain_ising_graph,
     conditional,
+    counting,
     random_pairwise_graph,
     voting_graph,
 )
@@ -254,42 +255,47 @@ class TestPatchVsFresh:
 
 
 class TestRerunEngineIncremental:
+    """A Rerun engine compiles its graph once, with the engine; every
+    update patches that substrate."""
+
     def test_no_recompile_for_nonstructural_deltas(self):
         graph = chain_ising_graph(10, 0.4, 0.1)
-        engine = RerunEngine(graph, EngineConfig(inference_samples=50, seed=0))
-        engine.apply_update(FactorGraphDelta())  # first: compiles once
-        for step in range(3):
-            engine.apply_update(
-                FactorGraphDelta(changed_weight_values={0: 0.4 + 0.01 * step})
-            )
-        engine.apply_update(FactorGraphDelta(evidence_updates={1: True}))
-        assert engine.updates_recompiled == 1
-        assert engine.updates_patched == 4
+        with counting(CompiledFactorGraph, "__init__") as builds:
+            engine = RerunEngine(graph, EngineConfig(inference_samples=50, seed=0))
+            engine.apply_update(FactorGraphDelta())
+            for step in range(3):
+                engine.apply_update(
+                    FactorGraphDelta(changed_weight_values={0: 0.4 + 0.01 * step})
+                )
+            engine.apply_update(FactorGraphDelta(evidence_updates={1: True}))
+        assert builds["__init__"] == 1
         engine.close()
 
     def test_structural_deltas_patch_not_recompile(self):
         graph = chain_ising_graph(10, 0.4, 0.1)
-        engine = RerunEngine(graph, EngineConfig(inference_samples=50, seed=0))
-        engine.apply_update(FactorGraphDelta())
-        nw = len(engine.current_graph.weights)
-        delta = FactorGraphDelta(
-            num_new_vars=1,
-            new_weight_entries=[(("f",), 0.5, False)],
-            new_factors=lower_factors([IsingFactor(weight_id=nw, i=10, j=0)]),
-        )
-        engine.apply_update(delta)
-        assert engine.updates_recompiled == 1
-        assert engine.updates_patched == 1
+        with counting(CompiledFactorGraph, "__init__") as builds:
+            engine = RerunEngine(graph, EngineConfig(inference_samples=50, seed=0))
+            engine.apply_update(FactorGraphDelta())
+            nw = len(engine.current_graph.weights)
+            delta = FactorGraphDelta(
+                num_new_vars=1,
+                new_weight_entries=[(("f",), 0.5, False)],
+                new_factors=lower_factors([IsingFactor(weight_id=nw, i=10, j=0)]),
+            )
+            engine.apply_update(delta)
+        assert builds["__init__"] == 1
+        assert engine.resident.compiled.has_patches
         engine.close()
 
     def test_empty_delta_short_circuits(self):
         graph = chain_ising_graph(8, 0.4, 0.1)
-        engine = RerunEngine(graph, EngineConfig(inference_samples=50, seed=0))
-        first = engine.apply_update(FactorGraphDelta())
-        second = engine.apply_update(FactorGraphDelta())
+        with counting(CompiledFactorGraph, "__init__") as builds:
+            engine = RerunEngine(graph, EngineConfig(inference_samples=50, seed=0))
+            first = engine.apply_update(FactorGraphDelta())
+            second = engine.apply_update(FactorGraphDelta())
         assert second.details.get("short_circuit") == "empty delta"
         assert np.array_equal(first.marginals, second.marginals)
-        assert engine.updates_recompiled == 1
+        assert builds["__init__"] == 1
         engine.close()
 
     def test_incremental_matches_baseline_quality(self):

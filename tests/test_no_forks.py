@@ -45,10 +45,11 @@ from repro.learning.gradient import (
     weight_gradient,
     weight_statistics,
 )
-from repro.service import ServiceConfig
+from repro.service import KBService, ServiceConfig
 from repro.workloads.systems import ALL_SYSTEMS, build_pipeline
 
 from tests.helpers import chain_ising_graph, counting, decodes, voting_graph
+from tests.test_incremental_grounding import canonical_form
 from tests.reference.grounding import FactorRecord
 from tests.test_grounding import spouse_db, spouse_program
 
@@ -574,64 +575,16 @@ class TestOneCopyOfUpdateState:
         assert len(fields(EngineConfig)) == 10
         assert len(fields(ServiceConfig)) == 7
 
-    def test_incremental_engine_compiles_only_for_a_follower(self):
-        """Ten one-document inserts and no relearn compile nothing.  A
-        twin compiled right after construction — patching every update,
-        as an eager substrate would — then relearns to the same weights
-        and answers the same marginals as the engine whose relearn
-        compiled Pr⁰ and replayed the ten."""
+    @staticmethod
+    def kbc_engine(held_out: int):
+        """A KBC stack over the first system's corpus minus its last
+        ``held_out`` documents: ``(corpus, held-out documents, grounder,
+        materialized engine)``."""
         spec = ALL_SYSTEMS[0]
         corpus = generate_corpus(spec.corpus_config(scale=0.3, seed=0))
         documents = list(corpus.documents)
-        base = KBCPipeline(
-            dataclasses.replace(corpus, documents=documents[:-10]), i1_style=spec.i1_style
-        )
-        config = EngineConfig(
-            materialization_samples=60,
-            inference_steps=20,
-            variational_inference_samples=20,
-            seed=0,
-        )
-        engines = []
-        for compiled_first in (False, True):
-            grounder = base.build_base()
-            engine = IncrementalEngine(grounder.graph, config)
-            if compiled_first:
-                engine.resident.compile()
-            engine.materialize()
-            for doc in documents[-10:]:
-                delta = grounder.apply_update(inserts=document_rows(corpus, doc)).delta
-                engine.apply_update(delta)
-            assert (engine.resident.compiled is None) != compiled_first
-            engine.relearn(2, record_loss=False)
-            # One more update: the learner rides its patch on both.
-            rows = document_rows(corpus, documents[-1])
-            engine.apply_update(grounder.apply_update(deletes=rows).delta)
-            engines.append(engine)
-        lazy, eager = engines
-        assert np.array_equal(
-            lazy.current_graph.weights.values_array(),
-            eager.current_graph.weights.values_array(),
-        )
-        assert np.array_equal(
-            lazy.read_snapshot().marginals, eager.read_snapshot().marginals
-        )
-        assert list(lazy.current_graph.factors) == list(eager.current_graph.factors)
-
-
-    def test_between_relearns_updates_patch_neither_substrate_nor_learner(
-        self, monkeypatch
-    ):
-        """After a relearn an ``IncrementalEngine``'s current graph has a
-        substrate and a learner, and no chain: three updates hold their
-        deltas — no ``apply_delta`` on the substrate, no ``apply_patch``
-        on the learner — and the next relearn replays all three."""
-        spec = ALL_SYSTEMS[0]
-        corpus = generate_corpus(spec.corpus_config(scale=0.3, seed=0))
-        documents = list(corpus.documents)
-        base = dataclasses.replace(corpus, documents=documents[:-3])
-        kbc = KBCPipeline(base, i1_style=spec.i1_style)
-        grounder = kbc.build_base()
+        base = dataclasses.replace(corpus, documents=documents[:-held_out])
+        grounder = KBCPipeline(base, i1_style=spec.i1_style).build_base()
         engine = IncrementalEngine(
             grounder.graph,
             EngineConfig(
@@ -642,6 +595,16 @@ class TestOneCopyOfUpdateState:
             ),
         )
         engine.materialize()
+        return corpus, documents[-held_out:], grounder, engine
+
+    def test_between_relearns_every_update_patches_substrate_and_learner(
+        self, monkeypatch
+    ):
+        """After a relearn an ``IncrementalEngine``'s current graph has a
+        substrate and a learner, and no chain: each of three updates
+        patches the substrate once, the learner rides each patch, and
+        none gathers an oracle view."""
+        corpus, documents, grounder, engine = self.kbc_engine(3)
         engine.relearn(1, record_loss=False)
         resident = engine.resident
         calls = {"apply_delta": 0, "apply_patch": 0}
@@ -654,16 +617,47 @@ class TestOneCopyOfUpdateState:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(target, name, spy)
-        for doc in documents[-3:]:
+        for doc in documents:
             delta = grounder.apply_update(inserts=document_rows(corpus, doc)).delta
             engine.apply_update(delta)
-        assert calls == {"apply_delta": 0, "apply_patch": 0}
-        assert resident.held_updates == 3
-        assert engine.current_graph is not resident.compiled.graph
-        engine.relearn(1, record_loss=False)
         assert calls == {"apply_delta": 3, "apply_patch": 3}
-        assert resident.held_updates == 0
+        assert resident.compiled.views_materialized == 0
         assert engine.current_graph is resident.compiled.graph
+
+    def test_a_service_engine_patches_its_one_substrate(self):
+        """Through a seeded history of inserts, retractions and relearns
+        on a ``KBService``, the engine's current graph is its one
+        substrate, patched by every update: after each committed update
+        it is the grounder's graph (weights compared by key), and the
+        resident keeps nothing beside the substrate, its generator and
+        its followers."""
+        corpus, outside, grounder, engine = self.kbc_engine(6)
+        service = KBService(
+            grounder, engine, config=ServiceConfig(poll_interval=0.005)
+        ).start()
+        rng = np.random.default_rng(0)
+        inside = []
+        try:
+            service.prime()
+            for step in range(10):
+                if inside and (not outside or rng.random() < 0.4):
+                    doc = inside.pop(int(rng.integers(len(inside))))
+                    outside.append(doc)
+                    update = {"deletes": document_rows(corpus, doc)}
+                else:
+                    doc = outside.pop(int(rng.integers(len(outside))))
+                    inside.append(doc)
+                    update = {"inserts": document_rows(corpus, doc)}
+                service.submit(relearn_epochs=int(rng.random() < 0.3), **update)
+                assert service.drain(timeout=60)
+                assert service.pipeline.last_txn == step + 2  # prime's, then ours
+                resident = service.pipeline.engine.resident
+                assert set(vars(resident)) == {"compiled", "rng", "chain", "learner"}
+                assert canonical_form(
+                    FactorGraph.from_compiled(resident.compiled)
+                ) == canonical_form(grounder.graph)
+        finally:
+            service.stop()
 
 
 class TestOneRelationRepresentation:

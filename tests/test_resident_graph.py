@@ -24,11 +24,12 @@ import repro.core.resident
 from repro.core import EngineConfig, IncrementalEngine, RerunEngine
 from repro.core.resident import ResidentGraph
 from repro.graph import FactorGraph, FactorGraphDelta
+from repro.graph.compiled import CompiledFactorGraph
 from repro.graph.factor_graph import BiasFactor
 from repro.reliability.faults import Fault, FaultInjected, FaultPlan, inject_faults
 from repro.reliability.snapshots import RngSnapshot
 
-from tests.helpers import chain_ising_graph, graph_fingerprint
+from tests.helpers import chain_ising_graph, counting, graph_fingerprint
 from tests.test_incremental_compile import seed_graph
 from tests.test_variational_incremental import canonical, draw_delta
 from tests.reference.factors import lower_factors
@@ -187,8 +188,16 @@ class TestRerunEngineComposedHistory:
         twin."""
         monkeypatch.setattr(repro.core.resident, "COMPACT_THRESHOLD", 1.0)
         config = EngineConfig(inference_samples=30, burn_in=3, seed=0)
-        live = RerunEngine(chain_ising_graph(6, 0.4, 0.1), config)
-        twin = RerunEngine(chain_ising_graph(6, 0.4, 0.1), config)
+        with counting(CompiledFactorGraph, "__init__") as builds:
+            live = RerunEngine(chain_ising_graph(6, 0.4, 0.1), config)
+            twin = RerunEngine(chain_ising_graph(6, 0.4, 0.1), config)
+            self.run_history(live, twin)
+        # One substrate per engine, compiled with it; a pickle round trip
+        # constructs none.
+        assert builds["__init__"] == 2
+
+    @staticmethod
+    def run_history(live, twin):
         for engine in (live, twin):
             engine.apply_update(grow_delta(engine, 0))
             engine.relearn(2, record_loss=False)
@@ -206,13 +215,12 @@ class TestRerunEngineComposedHistory:
             assert live.relearn(1).losses == twin.relearn(1).losses
             assert_same(live.resident, twin.resident)
         assert live.resident.compiled.has_patches
-        assert (live.updates_patched, live.updates_recompiled) == (4, 1)
 
 
-class TestIncrementalEngineHeldDeltas:
-    """An ``IncrementalEngine`` holds its updates until its first
-    follower compiles them; both rollbacks a held state can meet leave
-    it exactly where a twin that never failed stands."""
+class TestIncrementalEngineRollbacks:
+    """An ``IncrementalEngine`` patches its current graph at every
+    update, before its first relearn too; both rollbacks such a state can
+    meet leave it exactly where a twin that never failed stands."""
 
     @staticmethod
     def make() -> IncrementalEngine:
@@ -232,12 +240,11 @@ class TestIncrementalEngineHeldDeltas:
     @staticmethod
     def assert_twins(live: IncrementalEngine, twin: IncrementalEngine) -> None:
         """Same updates ahead of both: same marginals, then the same
-        first relearn, compile and learner."""
+        first relearn, substrate and learner."""
         for step in (3, 4):
             ours = live.apply_update(grow_delta(live, step))
             theirs = twin.apply_update(grow_delta(twin, step))
             assert np.array_equal(ours.marginals, theirs.marginals)
-        assert live.resident.compiled is None
         assert graph_fingerprint(live.current_graph) == graph_fingerprint(
             twin.current_graph
         )
@@ -252,7 +259,7 @@ class TestIncrementalEngineHeldDeltas:
             assert np.array_equal(ours.state, theirs.state)
         assert live.rng.bit_generator.state == twin.rng.bit_generator.state
 
-    def test_rolled_back_updates_put_back_the_lowered_graph(self):
+    def test_rolled_back_updates_put_back_the_substrate(self):
         live, twin = self.make(), self.make()
         for engine in (live, twin):
             for step in (0, 1):
@@ -264,10 +271,9 @@ class TestIncrementalEngineHeldDeltas:
                 live.apply_update(grow_delta(live, 2))
         live.apply_update(patch_delta(live, 2))
         live.rollback()
-        assert live.resident.compiled is None
         self.assert_twins(live, twin)
 
-    def test_rolled_back_first_relearn_drops_its_compile(self):
+    def test_rolled_back_first_relearn_drops_its_learner(self):
         live, twin = self.make(), self.make()
         for engine in (live, twin):
             for step in (0, 1, 2):
@@ -275,12 +281,11 @@ class TestIncrementalEngineHeldDeltas:
         with inject_faults(FaultPlan([Fault(site="learn.epoch", at=2)])):
             with pytest.raises(FaultInjected):
                 live.relearn(2)
-        assert live.resident.compiled is None
         assert live.resident.learner is None
         self.assert_twins(live, twin)
 
 
-def holding_engine(seed: int) -> IncrementalEngine:
+def materialized_engine(seed: int) -> IncrementalEngine:
     engine = IncrementalEngine(
         seed_graph(seed),
         EngineConfig(
@@ -303,7 +308,6 @@ def learner_chains(engine: IncrementalEngine) -> tuple:
 def assert_relearned_alike(live: IncrementalEngine, twin: IncrementalEngine) -> None:
     """Bit for bit after a relearn: the substrate, the weights, the
     learner's chain states and caches, and the shared generator."""
-    assert live.resident.held_updates == twin.resident.held_updates == 0
     assert live.current_graph is live.resident.compiled.graph
     assert graph_fingerprint(live.current_graph) == graph_fingerprint(
         twin.current_graph
@@ -318,19 +322,18 @@ def assert_relearned_alike(live: IncrementalEngine, twin: IncrementalEngine) -> 
     assert live.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
-class TestHeldUpdatesReplayLikeEagerPatches:
-    """After a relearn an ``IncrementalEngine`` holds every update's delta
-    until the next one.  Whatever the history — inserts, retractions,
+class TestLearnerRidesEveryUpdate:
+    """After a relearn an ``IncrementalEngine``'s learner rides the patch
+    of every update.  Whatever the history — inserts, retractions,
     evidence flips, rolled-back updates and relearns, pickle round trips
-    — each relearn leaves it where a twin that brings its substrate
-    current after every update (``resident.compile()``, so its learner
-    rides each patch as the update lands) stands."""
+    — each relearn leaves it where a twin that saw only the committed
+    updates, and was never pickled, stands."""
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
-    def test_every_relearn_matches_the_flushing_twin(self, data):
+    def test_every_relearn_matches_the_twin(self, data):
         seed = data.draw(st.integers(0, 3), label="graph seed")
-        live, twin = holding_engine(seed), holding_engine(seed)
+        live, twin = materialized_engine(seed), materialized_engine(seed)
         ops = data.draw(
             st.lists(
                 st.sampled_from(["update", "relearn", "rollback", "pickle"]),
@@ -356,8 +359,6 @@ class TestHeldUpdatesReplayLikeEagerPatches:
                 delta = draw_delta(data, twin.current_graph, step)
                 ours, theirs = live.apply_update(delta), twin.apply_update(delta)
                 assert np.array_equal(ours.marginals, theirs.marginals)
-                twin.resident.compile()
-                assert twin.resident.held_updates == 0
             assert live.rng.bit_generator.state == twin.rng.bit_generator.state
 
 

@@ -33,8 +33,6 @@ import numpy as np
 import pytest
 
 from repro.core import IncrementalEngine
-from repro.core.resident import ResidentGraph
-from repro.graph.delta import FactorGraphDelta
 from repro.grounding import IncrementalGrounder
 from repro.kbc.pipeline import KBCPipeline
 from repro.reliability import DeltaLog, Fault, FaultPlan, inject_faults
@@ -292,15 +290,15 @@ def checkpoint_shape(state) -> str:
 class TestCheckpointShape:
     """The magic names the shape of the pickled state, and a shape change
     cannot ship under an old magic: a small service's checkpoint — its
-    engine's current graph compiled, with a learner and an update held
-    beside it — hashes to the digest pinned beside ``_MAGIC``."""
+    engine's current graph compiled, with a learner that rode the last
+    update's patch — hashes to the digest pinned beside ``_MAGIC``."""
 
     def test_the_pinned_digest_is_this_shape(self, tmp_path):
         svc = make_service(checkpoint_dir=tmp_path)
         svc.prime()
         svc.pipeline.apply_update(relearn_epochs=1, **UPDATE_A)
         svc.pipeline.apply_update(**UPDATE_B)
-        assert svc.status()["engine"] == {"compiled": True, "held_updates": 1}
+        assert svc.pipeline.engine.resident.learner is not None
         svc.checkpoint()
         state, _ = svc.checkpoints.load()
         digest = checkpoint_shape(state)
@@ -312,33 +310,21 @@ class TestCheckpointShape:
         )
 
     def test_the_shape_sees_inside_containers(self, tmp_path):
-        # A held update is a ``(delta, draws)`` pair; held as bare deltas,
-        # the resident graph's keys and dtypes would be the same, so only
-        # what the list holds can tell the two shapes apart.
+        # A new variable's name is a tuple; held as lists, the cumulative
+        # delta's keys and dtypes would be the same, so only what the
+        # list holds can tell the two shapes apart.
         svc = make_service(checkpoint_dir=tmp_path)
         svc.prime()
         svc.pipeline.apply_update(relearn_epochs=1, **UPDATE_A)
         svc.pipeline.apply_update(**UPDATE_B)
         svc.checkpoint()
         state, _ = svc.checkpoints.load()
-        residents = []
-
-        class Finder(pickle.Pickler):
-            def reducer_override(self, obj):
-                if type(obj) is ResidentGraph:
-                    residents.append(obj)
-                return NotImplemented
-
-        Finder(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(state)
-        holding = [resident for resident in residents if resident._held]
-        assert holding and all(
-            isinstance(entry, tuple) and isinstance(entry[0], FactorGraphDelta)
-            for resident in holding
-            for entry in resident._held
+        delta = state["engine"].cumulative_delta
+        assert delta.new_var_names and all(
+            isinstance(name, tuple) for name in delta.new_var_names
         )
         digest = checkpoint_shape(state)
-        for resident in holding:
-            resident._held = [delta for delta, _ in resident._held]
+        delta.new_var_names = [list(name) for name in delta.new_var_names]
         assert checkpoint_shape(state) != digest
 
 
@@ -1045,34 +1031,29 @@ class TestCrashRecovery:
         restored.stop()
 
 
-class TestHeldUpdatesAcrossRecovery:
-    """Between relearns the engine holds its updates' deltas, and a
-    checkpoint taken then carries them: the WAL tail's held updates and
+class TestUpdatesBetweenRelearnsAcrossRecovery:
+    """Between relearns the engine's learner rides every update's patch,
+    and a checkpoint taken then carries it: the WAL tail's updates and
     relearn, replayed after checkpoint + restore, leave the engine where
     a never-crashed twin stands, bit for bit."""
 
     HISTORY = [
         (UPDATE_A, 1),
-        (UPDATE_B, 0),  # held, then checkpointed
-        (UPDATE_C, 0),  # held again, in the WAL tail
-        ({"deletes": UPDATE_B["inserts"]}, 1),  # replays both
+        (UPDATE_B, 0),  # then checkpointed
+        (UPDATE_C, 0),  # in the WAL tail
+        ({"deletes": UPDATE_B["inserts"]}, 1),
     ]
 
-    def test_wal_tail_replays_held_updates_like_the_twin(self, tmp_path):
+    def test_wal_tail_replays_like_the_twin(self, tmp_path):
         wal_path, ckpt_dir = tmp_path / "service.wal", tmp_path / "ckpt"
         svc = make_service(wal_path=wal_path, checkpoint_dir=ckpt_dir).start()
         svc.prime()
-        assert svc.status()["engine"] == {"compiled": False, "held_updates": 0}
-        held = []
-        for update, epochs in self.HISTORY:
+        for step, (update, epochs) in enumerate(self.HISTORY):
             svc.submit(relearn_epochs=epochs, **update)
             assert svc.drain(timeout=60)
-            held.append(svc.status()["engine"]["held_updates"])
-            if len(held) == 2:
+            if step == 1:
                 svc.checkpoint()
         svc.stop()
-        assert held == [0, 1, 2, 0]
-        assert svc.status()["engine"]["compiled"]
 
         restored = KBService.restore(
             wal_path,
@@ -1088,7 +1069,6 @@ class TestHeldUpdatesAcrossRecovery:
         for update, epochs in self.HISTORY:
             twin.pipeline.apply_update(relearn_epochs=epochs, **update)
         ours, theirs = restored.pipeline.engine, twin.pipeline.engine
-        assert ours.resident.held_updates == theirs.resident.held_updates == 0
         assert stack_state(restored.pipeline.grounder, ours) == stack_state(
             twin.pipeline.grounder, theirs
         )

@@ -304,11 +304,10 @@ class TestOneConstructionPerEngine:
         compactions = sum(1 for c in built if c is substrate) - 1
         assert 0 < compactions < updates
         assert sum(1 for c in constructed if c is substrate) == 1
-        # Everything else the engine compiled: the sampling bundle's
-        # substrate.  Its own current graph has no follower, so it stays
-        # lowered and compiles nothing.
-        assert len(constructed) == 2
-        assert engine.resident.compiled is None
+        # Everything else the engine compiled, once each: its own current
+        # graph's substrate, with the engine, and the sampling bundle's.
+        assert len(constructed) == 3
+        assert sum(1 for c in constructed if c is engine.resident.compiled) == 1
         assert substrate.views_materialized == 0
 
     def test_below_threshold_is_one_construction(self, monkeypatch):
@@ -336,7 +335,7 @@ class TestOneConstructionPerEngine:
         engine.apply_update(FactorGraphDelta(removed_factor_ids={0, 5}))
         assert builds[id(engine.variational.resident.compiled)] == 1
         assert engine.variational.resident.compiled.views_materialized == 0
-        assert engine.resident.compiled is None
+        assert builds[id(engine.resident.compiled)] == 1
 
 
 class TestRollbackAndCheckpointParity:
