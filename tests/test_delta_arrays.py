@@ -446,8 +446,9 @@ class TestRemovedIdsAreChecked:
 class TestNewFactorIdsAreChecked:
     """A new factor naming a weight or variable that will not exist is a
     ``ValueError`` from the substrate and from a resident alike, before
-    anything moves — also when every variable it names exists
-    (a bias factor on weight 7 of a 2-weight graph used to splice in)."""
+    anything moves — the resident's chain and learner included — also
+    when every variable it names exists (a bias factor on weight 7 of a
+    2-weight graph used to splice in)."""
 
     @staticmethod
     def bad_delta(what: str) -> FactorGraphDelta:
@@ -473,11 +474,19 @@ class TestNewFactorIdsAreChecked:
         assert (substrate_state(compiled), graph_state(compiled.graph)) == before
 
     @pytest.mark.parametrize("what", ["weight", "variable"])
-    def test_a_resident_with_a_learner_raises_before_anything_moves(self, what):
+    @pytest.mark.parametrize("followers", ["chain", "learner", "chain+learner"])
+    def test_a_resident_and_its_followers_raise_before_anything_moves(
+        self, what, followers
+    ):
         resident = ResidentGraph(chain_ising_graph(4), np.random.default_rng(0))
-        resident.warm_learner(True)
-        learner = resident.learner
-        chains = learner._conditioned, learner._free
+        chains = []
+        if "chain" in followers.split("+"):
+            resident.marginals(5, burn_in=2)  # starts the persistent chain
+            chains.append(resident.chain)
+        if "learner" in followers.split("+"):
+            resident.warm_learner(True)
+            chains += [resident.learner._conditioned, resident.learner._free]
+        chain, learner = resident.chain, resident.learner
 
         def state():
             return (
@@ -493,7 +502,8 @@ class TestNewFactorIdsAreChecked:
         graph, before = resident.graph, state()
         with pytest.raises(ValueError, match=f"unknown {what}"):
             resident.apply_delta(self.bad_delta(what))
-        assert resident.graph is graph and resident.learner is learner
+        assert resident.graph is graph
+        assert resident.chain is chain and resident.learner is learner
         assert state() == before
 
 
